@@ -19,7 +19,10 @@
 //!   on this one) and implements [`Oracle`] over real worker threads,
 //!   reporting [`OracleError::Unsupported`] for knobs the runtime lacks.
 
+use std::cell::RefCell;
+
 use sa_ir::Program;
+use sa_lint::GraphSummary;
 use sa_machine::{load_balance, AccessCosts, Stats};
 
 use crate::deferred::{estimate_timing_from_trace, TimingError};
@@ -266,8 +269,51 @@ impl Oracle for FastCountingOracle {
 /// (caching enabled, indirect indexing) fail soft as
 /// [`OracleError::Unsupported`]; hop/link metrics are reported as
 /// unmodeled (`None`), like the thread runtime.
+///
+/// The one per-instance cost left is [`RunRecord::speedup_bound`]'s
+/// work/span summary, which does not depend on the config: it is computed
+/// once per program, not once per grid point (see `summary_of`).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StaticOracle;
+
+/// `compute(program)`, remembered in `last` for the program asked about
+/// last. That program is recognized by comparison — sound where an address
+/// or a hash alone would not be, and a few µs against what the pure
+/// functions memoized this way cost — so the memo can change what a call
+/// costs, never what it returns.
+pub(crate) fn of_last_program<T: Copy>(
+    last: &mut Option<(Program, T)>,
+    program: &Program,
+    compute: impl FnOnce(&Program) -> T,
+) -> T {
+    match last {
+        Some((p, value)) if p == program => *value,
+        _ => {
+            let value = compute(program);
+            *last = Some((program.clone(), value));
+            value
+        }
+    }
+}
+
+thread_local! {
+    /// The program this thread summarized last, with the result.
+    static LAST_SUMMARY: RefCell<Option<(Program, Option<GraphSummary>)>> =
+        const { RefCell::new(None) };
+}
+
+/// [`sa_lint::summary`] of `program`, or `None` where it is not statically
+/// analyzable. Building the instance DAG dwarfs everything else the static
+/// oracle does (≈ 20 ms against < 1 ms on a 256² stencil), and a search
+/// measures one program under many configs in a row on one thread — so
+/// each thread keeps the summary of the program it asked about last.
+fn summary_of(program: &Program) -> Option<GraphSummary> {
+    LAST_SUMMARY.with(|last| {
+        of_last_program(&mut last.borrow_mut(), program, |p| {
+            sa_lint::summary(p).ok()
+        })
+    })
+}
 
 impl Oracle for StaticOracle {
     fn name(&self) -> &'static str {
@@ -296,14 +342,17 @@ impl Oracle for StaticOracle {
             max_link_load: None,
             write_balance: write_balance_of(stats),
             cycles: None,
-            speedup_bound: sa_lint::depgraph::speedup_bound(
-                program,
-                &sa_lint::LintConfig {
-                    n_pes: cfg.n_pes,
-                    page_size: cfg.page_size,
-                    scheme: cfg.partition,
-                },
-            ),
+            speedup_bound: summary_of(program).and_then(|summary| {
+                sa_lint::depgraph::speedup_bound_with(
+                    &summary,
+                    program,
+                    &sa_lint::LintConfig {
+                        n_pes: cfg.n_pes,
+                        page_size: cfg.page_size,
+                        scheme: cfg.partition,
+                    },
+                )
+            }),
         })
     }
 }

@@ -103,7 +103,7 @@ impl Axis {
 /// One fully specified grid point: the machine parameters of a single
 /// measurement, plus (when a [`Axis::Kernel`] axis is present) the kernel
 /// it measures.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct RunConfig {
     /// Kernel code this point measures; `None` when the plan is run
     /// against a single program.

@@ -25,6 +25,7 @@
 //! work* — exactly the pathology the ROADMAP follow-up named.
 
 use sa_ir::Program;
+use sa_lint::{static_writes_per_pe, LintConfig};
 use sa_machine::{NetworkTopology, PartitionScheme};
 
 use crate::oracle::{Oracle, OracleError, RunRecord};
@@ -196,24 +197,33 @@ impl BestConfig {
     }
 }
 
+/// The static per-PE write projection a pruning bound is computed from:
+/// [`sa_lint::depgraph::static_writes_per_pe`] everywhere but in the
+/// certification tests, which substitute its per-instance reference.
+pub type WriteProjector = fn(&Program, &LintConfig) -> Option<Vec<u64>>;
+
 /// Static lower bound on a candidate's objective score under `cfg`, from
-/// the dependence-graph projection: remote % is nonnegative, and under
-/// owner-computes the per-PE write distribution is a pure function of the
-/// partition ([`sa_lint::depgraph::static_writes_per_pe`]), so the
-/// imbalance penalty is known without executing anything. `None` when the
-/// objective carries no imbalance term or the program is not statically
-/// projectable (runtime indirection) — both mean "cannot prune".
+/// the dependence-graph projection `writes_per_pe`: remote % is
+/// nonnegative, and under owner-computes the per-PE write distribution is
+/// a pure function of the partition, so the imbalance penalty is known
+/// without executing anything — for an affine program in closed form over
+/// its anchor page runs, well under a tenth of what measuring the
+/// candidate costs. `None` when the objective carries no imbalance term
+/// or the program is not statically projectable (runtime indirection) —
+/// both mean "cannot prune". The bound depends on the PE count, page size
+/// and scheme only.
 pub(crate) fn static_score_bound(
     program: &Program,
     cfg: &RunConfig,
     objective: Objective,
+    writes_per_pe: WriteProjector,
 ) -> Option<f64> {
     let Objective::Balanced { weight } = objective else {
         return None;
     };
-    let writes = sa_lint::depgraph::static_writes_per_pe(
+    let writes = writes_per_pe(
         program,
-        &sa_lint::LintConfig {
+        &LintConfig {
             n_pes: cfg.n_pes,
             page_size: cfg.page_size,
             scheme: cfg.partition,
@@ -256,9 +266,10 @@ pub fn search_with(
     let mut evaluated = 0usize;
     let mut pruned = 0usize;
     for cfg in plan.configs() {
-        if let (Some((_, incumbent)), Some(bound)) =
-            (best.as_ref(), static_score_bound(kernel, &cfg, objective))
-        {
+        if let (Some((_, incumbent)), Some(bound)) = (
+            best.as_ref(),
+            static_score_bound(kernel, &cfg, objective, static_writes_per_pe),
+        ) {
             if bound > *incumbent {
                 pruned += 1;
                 continue;

@@ -45,9 +45,11 @@ use sa_ir::{analysis, pretty, ArrayId, Phase, Program};
 use sa_lint::depgraph::DepGraph;
 use sa_machine::{ArrayShape, PartitionScheme, Placement};
 
-use crate::oracle::{FastCountingOracle, Oracle, OracleError, RunRecord, StaticOracle};
+use crate::oracle::{
+    of_last_program, FastCountingOracle, Oracle, OracleError, RunRecord, StaticOracle,
+};
 use crate::plan::{PlanError, RunConfig};
-use crate::search::{static_score_bound, BestConfig, Objective, SearchSpace};
+use crate::search::{static_score_bound, BestConfig, Objective, SearchSpace, WriteProjector};
 
 /// Default evaluation budget for the guided strategies: enough to cover
 /// every feasible certification space exhaustively, a small fraction of
@@ -218,6 +220,10 @@ pub fn program_fingerprint(p: &Program) -> u64 {
     h
 }
 
+/// One program's cached verdicts by config; `Err` holds an unsupported
+/// verdict's message.
+type Verdicts = HashMap<RunConfig, Result<RunRecord, String>>;
+
 /// A memoizing [`Oracle`] wrapper: measurements are cached under
 /// `(program fingerprint, RunConfig)` and shared across every query that
 /// goes through the same instance. Unsupported verdicts are cached too —
@@ -225,9 +231,17 @@ pub fn program_fingerprint(p: &Program) -> u64 {
 /// re-measuring it. Hard backend errors are *not* cached (they may be
 /// transient) but still count as misses: the miss counter is exactly the
 /// number of inner-oracle invocations.
+///
+/// A probe hashes the typed config and nothing else. A [`Searcher`] query
+/// fingerprints its program once; callers coming through
+/// [`Oracle::measure`] are fingerprinted per *distinct* program — the
+/// program probed last is kept beside its fingerprint and recognized by
+/// comparison, which costs a fraction of pretty-printing it again.
 pub struct MemoOracle {
     inner: Box<dyn Oracle>,
-    cache: Mutex<HashMap<(u64, String), Result<RunRecord, String>>>,
+    /// Per program fingerprint.
+    cache: Mutex<HashMap<u64, Verdicts>>,
+    last_program: Mutex<Option<(Program, u64)>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -238,6 +252,7 @@ impl MemoOracle {
         MemoOracle {
             inner,
             cache: Mutex::new(HashMap::new()),
+            last_program: Mutex::new(None),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -259,13 +274,32 @@ impl MemoOracle {
         program: &Program,
         cfg: &RunConfig,
     ) -> (Result<RunRecord, OracleError>, bool) {
-        let key = (program_fingerprint(program), format!("{cfg:?}"));
-        if let Some(entry) = self.cache.lock().expect("memo cache poisoned").get(&key) {
+        let fingerprint = of_last_program(
+            &mut self.last_program.lock().expect("memo cache poisoned"),
+            program,
+            program_fingerprint,
+        );
+        self.measure_keyed(fingerprint, program, cfg)
+    }
+
+    /// [`measure_tracked`](MemoOracle::measure_tracked) for a caller that
+    /// already holds `program`'s [`program_fingerprint`].
+    fn measure_keyed(
+        &self,
+        fingerprint: u64,
+        program: &Program,
+        cfg: &RunConfig,
+    ) -> (Result<RunRecord, OracleError>, bool) {
+        let cached = self
+            .cache
+            .lock()
+            .expect("memo cache poisoned")
+            .get(&fingerprint)
+            .and_then(|of_program| of_program.get(cfg))
+            .cloned();
+        if let Some(entry) = cached {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            let res = entry
-                .clone()
-                .map_err(|m| OracleError::Unsupported(m.clone()));
-            return (res, true);
+            return (entry.map_err(OracleError::Unsupported), true);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let res = self.inner.measure(program, cfg);
@@ -278,7 +312,9 @@ impl MemoOracle {
             self.cache
                 .lock()
                 .expect("memo cache poisoned")
-                .insert(key, entry);
+                .entry(fingerprint)
+                .or_default()
+                .insert(cfg.clone(), entry);
         }
         (res, false)
     }
@@ -298,8 +334,9 @@ impl Oracle for MemoOracle {
 /// [`StaticOracle`] for uncached affine points, the auto-selecting replay
 /// engine for everything else. The static estimator is certified
 /// bit-identical to the simulator wherever it answers at all, so the
-/// hybrid keeps every winner unchanged while making uncached affine
-/// evaluations free of any execution.
+/// hybrid keeps every winner unchanged. An uncached affine evaluation
+/// walks page runs on one core and summarizes the program's instance DAG
+/// once — cheaper than replay for small programs, no faster at scale.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StrategyOracle {
     auto: FastCountingOracle,
@@ -388,6 +425,7 @@ pub struct Searcher {
     cands: Candidates,
     memo: MemoOracle,
     params: StrategyParams,
+    writes_per_pe: WriteProjector,
     builds: AtomicUsize,
 }
 
@@ -404,8 +442,19 @@ impl Searcher {
             cands,
             memo: MemoOracle::new(inner),
             params,
+            writes_per_pe: sa_lint::static_writes_per_pe,
             builds,
         })
+    }
+
+    /// Certification hook: compute pruning bounds from `writes_per_pe`
+    /// instead of [`sa_lint::static_writes_per_pe`]. The tests pass the
+    /// per-instance reference projection and require the identical
+    /// [`SearchReport`].
+    #[doc(hidden)]
+    pub fn with_write_projection(mut self, writes_per_pe: WriteProjector) -> Searcher {
+        self.writes_per_pe = writes_per_pe;
+        self
     }
 
     /// The only path that materializes the candidate space — counted, so
@@ -444,7 +493,7 @@ impl Searcher {
 
     /// Run the configured strategy for one kernel.
     pub fn search(&self, program: &Program) -> Result<SearchReport, PlanError> {
-        let mut walk = Walk::new(program, &self.cands, &self.memo, self.params.objective);
+        let mut walk = Walk::new(program, self);
         match self.params.strategy {
             Strategy::Exhaustive => walk.canonical_sweep(usize::MAX)?,
             Strategy::Anneal => self.anneal(&mut walk)?,
@@ -589,9 +638,15 @@ impl Searcher {
 /// under the total winner order, and the evaluation trace.
 struct Walk<'a> {
     program: &'a Program,
+    /// `program`'s memo key, computed once per query.
+    fingerprint: u64,
     cands: &'a Candidates,
     memo: &'a MemoOracle,
     objective: Objective,
+    writes_per_pe: WriteProjector,
+    /// `static_score_bound` per `(scheme, page size)` axis position — the
+    /// bound does not depend on the network axis.
+    bounds: HashMap<(usize, usize), Option<f64>>,
     /// Score per touched index; `None` = oracle-unsupported.
     seen: HashMap<usize, Option<f64>>,
     pruned_set: HashSet<usize>,
@@ -603,17 +658,15 @@ struct Walk<'a> {
 }
 
 impl<'a> Walk<'a> {
-    fn new(
-        program: &'a Program,
-        cands: &'a Candidates,
-        memo: &'a MemoOracle,
-        objective: Objective,
-    ) -> Walk<'a> {
+    fn new(program: &'a Program, searcher: &'a Searcher) -> Walk<'a> {
         Walk {
             program,
-            cands,
-            memo,
-            objective,
+            fingerprint: program_fingerprint(program),
+            cands: &searcher.cands,
+            memo: &searcher.memo,
+            objective: searcher.params.objective,
+            writes_per_pe: searcher.writes_per_pe,
+            bounds: HashMap::new(),
             seen: HashMap::new(),
             pruned_set: HashSet::new(),
             trace: Vec::new(),
@@ -628,17 +681,23 @@ impl<'a> Walk<'a> {
     /// lower bound already exceeds the incumbent's score — such a
     /// candidate can never win under the total order, whatever the visit
     /// order, because the bound under-approximates the true score.
-    fn prunable(&self, idx: usize) -> bool {
+    fn prunable(&mut self, idx: usize) -> bool {
         let Some((_, _, incumbent)) = &self.best else {
             return false;
         };
         if self.seen.contains_key(&idx) {
             return false; // already measured: skipping would drop its trace entry
         }
-        match static_score_bound(self.program, self.cands.config(idx), self.objective) {
-            Some(bound) => bound > *incumbent,
-            None => false,
-        }
+        let (scheme, page, _) = self.cands.coords(idx);
+        let bound = *self.bounds.entry((scheme, page)).or_insert_with(|| {
+            static_score_bound(
+                self.program,
+                self.cands.config(idx),
+                self.objective,
+                self.writes_per_pe,
+            )
+        });
+        bound.is_some_and(|bound| bound > *incumbent)
     }
 
     /// Record a prune (each candidate counted once).
@@ -652,9 +711,9 @@ impl<'a> Walk<'a> {
         if let Some(s) = self.seen.get(&idx) {
             return Ok(*s);
         }
-        let (res, hit) = self
-            .memo
-            .measure_tracked(self.program, self.cands.config(idx));
+        let (res, hit) =
+            self.memo
+                .measure_keyed(self.fingerprint, self.program, self.cands.config(idx));
         let rec = match res {
             Ok(rec) => rec,
             Err(OracleError::Unsupported(_)) => {

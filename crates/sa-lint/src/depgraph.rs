@@ -18,11 +18,13 @@
 //!   proptests check interpreter-observed RAW pairs against, and the
 //!   superset the thread runtime's observed wait edges are asserted to
 //!   fall inside ([`DepGraph::covers_wait`]).
-//! * **Instance level** (exact, by enumeration): [`summary`] computes
+//! * **Instance level** (exact): [`summary`] computes, by enumeration,
 //!   work, span (longest weighted path; reduction results cost a
 //!   `⌈log₂ m⌉` tree-combine) and ideal parallelism; [`project`] /
 //!   [`speedup_bound`] project the instance stream onto a concrete
-//!   `PartitionScheme` × page size, yielding per-PE serialization bounds;
+//!   `PartitionScheme` × page size, yielding per-PE serialization bounds
+//!   (in closed form over anchor page runs for affine programs, by
+//!   enumeration where an index array has to be seen through);
 //!   [`check_deadlock`] builds the wait graph the thread runtime would
 //!   realize (data waits + per-PE execution order + reduction/reinit
 //!   barriers) and proves it acyclic or reports the cycle as SA008.
@@ -59,9 +61,9 @@ use sa_ir::index::IndexExpr;
 use sa_ir::nest::{ArrayRef, LoopNest, Stmt};
 use sa_ir::program::Phase;
 use sa_ir::{ArrayId, Expr, PairRelation, Program};
-use sa_machine::{ArrayShape, Placement};
 
 use crate::diag::{Code, Diagnostic, Severity, Span};
+use crate::estimate::{array_placements, first_indirect_ref, walk_anchor_runs};
 use crate::sites::{resolve_static_addr, static_array_values, statically_resolvable};
 use crate::writeonce::fmt_ivs;
 use crate::LintConfig;
@@ -736,19 +738,6 @@ fn classify_nest(nest: &LoopNest) -> (Vec<StmtClass<'_>>, usize) {
     (out, a_cnt)
 }
 
-fn owner_of(program: &Program, cfg: &LintConfig, array: ArrayId, addr: usize) -> usize {
-    // One geometry-aware chokepoint: SA008's wait graph must agree with the
-    // executors' placement, or its deadlock proofs are unsound under tiled
-    // schemes.
-    Placement::new(
-        cfg.scheme,
-        cfg.page_size,
-        cfg.n_pes,
-        ArrayShape::from_dims(&program.array(array).dims),
-    )
-    .owner_of_addr(addr)
-}
-
 /// Compute work and span of the instance-level value DAG.
 ///
 /// Forward deferrals make program order differ from topological order, so
@@ -974,9 +963,63 @@ pub struct Projection {
 /// Project the instance stream onto `cfg`, mirroring the communication
 /// estimator's screening rules exactly (including the global round-robin
 /// counter for anchorless statements).
+///
+/// Affine programs are projected in closed form: the estimator's
+/// anchor-run walk charges each stretch of an inner sweep on which the
+/// anchor stays on one page to that page's owner, and anchorless
+/// statements are dealt round-robin arithmetically — cost proportional to
+/// anchor page runs, not to statement instances. Programs with indirect
+/// references go through [`project_by_instance`], the only path that can
+/// see through an index array.
 pub fn project(program: &Program, cfg: &LintConfig) -> Result<Projection, InstanceError> {
+    if first_indirect_ref(program).is_some() {
+        return project_by_instance(program, cfg);
+    }
+    let n = cfg.n_pes;
+    let placements = array_placements(program, cfg.scheme, cfg.page_size, n);
+    let mut writes_per_pe = vec![0u64; n];
+    let mut instances_per_pe = vec![0u64; n];
+    let mut rr: usize = 0;
+    for nest in program.nests() {
+        let walked = walk_anchor_runs(program, nest, &placements, false, |run| {
+            instances_per_pe[run.pe] += run.trips;
+            if matches!(nest.body[run.stmt], Stmt::Assign { .. }) {
+                writes_per_pe[run.pe] += run.trips;
+            }
+        });
+        let Ok(iterations) = walked else {
+            // Some anchor leaves its array. The executors abort on the
+            // first such instance in iteration order; the per-instance
+            // walk finds that one and names its array.
+            return project_by_instance(program, cfg);
+        };
+        // The nest's anchorless instances take the next `dealt` positions
+        // of the round-robin deal, one PE after another from `rr mod n`.
+        let anchorless = nest.body.iter().filter(|s| anchor_ref(s).is_none());
+        let dealt = iterations as usize * anchorless.count();
+        for (pe, count) in instances_per_pe.iter_mut().enumerate() {
+            let turn = (pe + n - rr % n) % n;
+            *count += (dealt / n + usize::from(turn < dealt % n)) as u64;
+        }
+        rr += dealt;
+    }
+    Ok(Projection {
+        writes_per_pe,
+        instances_per_pe,
+    })
+}
+
+/// [`project`] by enumerating every statement instance and resolving its
+/// anchor through the static index arrays: the path for programs with
+/// (statically initialized) indirect references, and the reference the
+/// closed form is certified against.
+pub fn project_by_instance(
+    program: &Program,
+    cfg: &LintConfig,
+) -> Result<Projection, InstanceError> {
     let statics = static_array_values(program);
     check_static(program, &statics)?;
+    let placements = array_placements(program, cfg.scheme, cfg.page_size, cfg.n_pes);
     let mut writes_per_pe = vec![0u64; cfg.n_pes];
     let mut instances_per_pe = vec![0u64; cfg.n_pes];
     let mut rr: usize = 0;
@@ -992,7 +1035,7 @@ pub fn project(program: &Program, cfg: &LintConfig) -> Result<Projection, Instan
             for c in &classes {
                 let pe = match c.anchor {
                     Some(aref) => match resolve_static_addr(program, &statics, aref, ivs) {
-                        Ok(addr) => owner_of(program, cfg, aref.array, addr),
+                        Ok(addr) => placements[aref.array.0].owner_of_addr(addr),
                         Err(_) => {
                             err = Some(InstanceError::Unresolvable(aref.array));
                             return;
@@ -1021,7 +1064,8 @@ pub fn project(program: &Program, cfg: &LintConfig) -> Result<Projection, Instan
 /// Static per-PE write counts under `cfg`, or `None` when the program is
 /// not statically projectable. Certified identical to the counting
 /// engines' `writes_per_pe`, and the basis of search pruning's imbalance
-/// lower bound.
+/// lower bound — cheap enough for that on affine programs, where
+/// [`project`] is a closed form over anchor page runs.
 pub fn static_writes_per_pe(program: &Program, cfg: &LintConfig) -> Option<Vec<u64>> {
     project(program, cfg).ok().map(|p| p.writes_per_pe)
 }
@@ -1031,7 +1075,13 @@ pub fn static_writes_per_pe(program: &Program, cfg: &LintConfig) -> Option<Vec<u
 /// critical path and the busiest PE's serial workload. `None` when the
 /// program is not statically analyzable.
 pub fn speedup_bound(program: &Program, cfg: &LintConfig) -> Option<f64> {
-    let sum = summary(program).ok()?;
+    speedup_bound_with(&summary(program).ok()?, program, cfg)
+}
+
+/// [`speedup_bound`] from an already computed [`summary`] of `program` —
+/// the summary is the expensive, config-independent half, so callers
+/// bounding one program under many configs compute it once.
+pub fn speedup_bound_with(sum: &GraphSummary, program: &Program, cfg: &LintConfig) -> Option<f64> {
     let proj = project(program, cfg).ok()?;
     if sum.work == 0 {
         return Some(1.0);
@@ -1093,6 +1143,10 @@ fn wait_edges(
     if cfg.n_pes == 0 || cfg.n_pes > u16::MAX as usize {
         return Err(InstanceError::TooLarge);
     }
+    // One geometry-aware chokepoint: SA008's wait graph must agree with the
+    // executors' placement, or its deadlock proofs are unsound under tiled
+    // schemes.
+    let placements = array_placements(program, cfg.scheme, cfg.page_size, cfg.n_pes);
     let mut writers: Vec<Vec<u32>> = program.arrays.iter().map(|a| vec![NONE; a.len()]).collect();
     // Addresses the initializer already defines: reads of them never wait.
     let mut init_cov: Vec<usize> = program
@@ -1140,7 +1194,7 @@ fn wait_edges(
                         }
                         let pe = match c.anchor {
                             Some(aref) => match resolve_static_addr(program, statics, aref, ivs) {
-                                Ok(addr) => owner_of(program, cfg, aref.array, addr),
+                                Ok(addr) => placements[aref.array.0].owner_of_addr(addr),
                                 Err(_) => {
                                     err = Some(InstanceError::Unresolvable(aref.array));
                                     return;

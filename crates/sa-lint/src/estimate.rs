@@ -32,11 +32,12 @@
 //! cache sizes (hit rates depend on access *order*, which the closed form
 //! deliberately discards).
 
+use sa_ir::analysis::anchor_ref;
 use sa_ir::index::AffineIndex;
-use sa_ir::nest::{LoopNest, Stmt};
+use sa_ir::nest::{ArrayRef, LoopNest, Stmt};
 use sa_ir::program::Phase;
 use sa_ir::Program;
-use sa_machine::{host_of, ArrayShape, MachineConfig, Placement, Stats};
+use sa_machine::{host_of, ArrayShape, MachineConfig, PartitionScheme, Placement, Stats};
 
 /// The estimator's verdict: the same counters the counting simulator
 /// reports, computed in closed form.
@@ -77,6 +78,14 @@ pub enum EstimateError {
         /// The dimension's extent.
         extent: usize,
     },
+    /// A reference carries a different number of indices than its array
+    /// has dimensions (the program fails structural validation).
+    RankMismatch {
+        /// The array's name.
+        array: String,
+        /// The nest's label.
+        nest: String,
+    },
 }
 
 impl core::fmt::Display for EstimateError {
@@ -104,6 +113,10 @@ impl core::fmt::Display for EstimateError {
                 "nest `{nest}`: index {index} leaves dimension {dim} of \
                  `{array}` (extent {extent})"
             ),
+            EstimateError::RankMismatch { array, nest } => write!(
+                f,
+                "nest `{nest}`: a reference to `{array}` does not match its rank"
+            ),
         }
     }
 }
@@ -120,14 +133,19 @@ struct RefLine {
     array: usize,
 }
 
-/// A statement's references, split by role.
-struct StmtRefs<'p> {
-    /// `Assign` target, if any (also the anchor).
-    target: Option<&'p sa_ir::ArrayRef>,
-    /// Reads in evaluation order (the anchor of a `Reduce` is `reads[0]`).
-    reads: Vec<&'p sa_ir::ArrayRef>,
-    /// Reduction scalar, for `Reduce`.
-    reduce_sid: Option<usize>,
+/// One maximal stretch of an anchored statement's innermost sweep on which
+/// the anchor — and every read, when reads are walked — stays on one page,
+/// so the executing PE and each read's locality are constant over it.
+pub(crate) struct AnchorRun {
+    /// Index of the statement in the nest body.
+    pub stmt: usize,
+    /// The executing PE: the owner of the anchor's page.
+    pub pe: usize,
+    /// Inner trips in the run.
+    pub trips: u64,
+    /// How many of the statement's reads another PE owns over the run
+    /// (always 0 when reads are not walked).
+    pub remote_reads: u64,
 }
 
 /// Estimate `program`'s counting-simulator verdict under `cfg` without
@@ -141,33 +159,13 @@ pub fn estimate(program: &Program, cfg: &MachineConfig) -> Result<CommEstimate, 
     }
     // Refuse indirection up front so the error names the array instead of
     // surfacing as a missing linear form mid-nest.
-    for nest in program.nests() {
-        for stmt in &nest.body {
-            for aref in refs_of(stmt) {
-                if aref.has_indirection() {
-                    return Err(EstimateError::Indirect {
-                        array: program.array(aref.array).name.clone(),
-                    });
-                }
-            }
-        }
+    if let Some(aref) = first_indirect_ref(program) {
+        return Err(EstimateError::Indirect {
+            array: program.array(aref.array).name.clone(),
+        });
     }
 
-    // Per-array placements: tiled schemes see each array's declared grid,
-    // the page-linear schemes keep the paper's flattened-page arithmetic.
-    let placements: Vec<Placement> = program
-        .arrays
-        .iter()
-        .map(|d| {
-            Placement::new(
-                cfg.partition,
-                cfg.page_size,
-                cfg.n_pes,
-                ArrayShape::from_dims(&d.dims),
-            )
-        })
-        .collect();
-
+    let placements = array_placements(program, cfg.partition, cfg.page_size, cfg.n_pes);
     let mut stats = Stats::new(cfg.n_pes);
     // Round-robin counter for anchorless statements — global across nests,
     // mirroring the simulator's.
@@ -181,7 +179,7 @@ pub fn estimate(program: &Program, cfg: &MachineConfig) -> Result<CommEstimate, 
                 stats.reinit_messages += 2 * (cfg.n_pes as u64 - 1);
             }
             Phase::Loop(nest) => {
-                estimate_nest(program, nest, cfg, &placements, &mut stats, &mut rr)?;
+                estimate_nest(program, nest, &placements, &mut stats, &mut rr)?;
             }
         }
     }
@@ -194,83 +192,91 @@ pub fn estimate(program: &Program, cfg: &MachineConfig) -> Result<CommEstimate, 
     })
 }
 
-/// All array references of a statement: the write target first, then the
-/// reads in evaluation order.
-fn refs_of(stmt: &Stmt) -> Vec<&sa_ir::ArrayRef> {
-    let mut v = Vec::new();
-    if let Some(t) = stmt.write_target() {
-        v.push(t);
-    }
-    v.extend(stmt.value().reads());
-    v
+/// The first reference, in program order (a statement's write target
+/// before its reads), that goes through an index array.
+pub(crate) fn first_indirect_ref(program: &Program) -> Option<&ArrayRef> {
+    program
+        .nests()
+        .flat_map(|nest| &nest.body)
+        .flat_map(|stmt| stmt.write_target().into_iter().chain(stmt.reads()))
+        .find(|aref| aref.has_indirection())
 }
 
-fn split_refs(stmt: &Stmt) -> StmtRefs<'_> {
-    match stmt {
-        Stmt::Assign { target, value } => StmtRefs {
-            target: Some(target),
-            reads: value.reads(),
-            reduce_sid: None,
-        },
-        Stmt::Reduce { target, value, .. } => StmtRefs {
-            target: None,
-            reads: value.reads(),
-            reduce_sid: Some(target.0),
-        },
-    }
+/// One [`Placement`] per declared array: tiled schemes see each array's
+/// declared grid, the page-linear schemes keep the paper's flattened-page
+/// arithmetic.
+pub(crate) fn array_placements(
+    program: &Program,
+    scheme: PartitionScheme,
+    page_size: usize,
+    n_pes: usize,
+) -> Vec<Placement> {
+    program
+        .arrays
+        .iter()
+        .map(|d| Placement::new(scheme, page_size, n_pes, ArrayShape::from_dims(&d.dims)))
+        .collect()
 }
 
 fn estimate_nest(
     program: &Program,
     nest: &LoopNest,
-    cfg: &MachineConfig,
     placements: &[Placement],
     stats: &mut Stats,
     rr: &mut usize,
 ) -> Result<(), EstimateError> {
-    let split: Vec<StmtRefs<'_>> = nest.body.iter().map(split_refs).collect();
+    let n = stats.per_pe.len();
+    let n_reads: Vec<u64> = nest.body.iter().map(|s| s.reads().len() as u64).collect();
     // Which PEs contributed to each reduction, in body order, keyed by the
     // target scalar exactly like the simulator's participant table.
-    let mut participants: Vec<(usize, Vec<bool>)> = split
+    let mut participants: Vec<(usize, Vec<bool>)> = Vec::new();
+    // Body index → participant-table index.
+    let table_of: Vec<Option<usize>> = nest
+        .body
         .iter()
-        .filter_map(|s| s.reduce_sid.map(|sid| (sid, vec![false; cfg.n_pes])))
-        .collect();
-    // Anchorless statements (reductions reading no array) and their dealt
-    // round-robin schedule.
-    let anchorless: Vec<usize> = split
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| s.target.is_none() && s.reads.is_empty())
-        .map(|(i, _)| i)
+        .map(|s| match s {
+            Stmt::Assign { .. } => None,
+            Stmt::Reduce { target, .. } => {
+                participants.push((target.0, vec![false; n]));
+                Some(participants.len() - 1)
+            }
+        })
         .collect();
 
-    if nest.loops.is_empty() {
-        return Ok(());
+    let iterations = walk_anchor_runs(program, nest, placements, true, |run| {
+        let pe = &mut stats.per_pe[run.pe];
+        match table_of[run.stmt] {
+            None => pe.writes += run.trips,
+            Some(ri) => participants[ri].1[run.pe] = true,
+        }
+        pe.local_reads += run.trips * (n_reads[run.stmt] - run.remote_reads);
+        pe.remote_reads += run.trips * run.remote_reads;
+        stats.page_fetches += run.trips * run.remote_reads;
+    })? as usize;
+
+    // Anchorless statements (reductions reading no array): the q-th of the
+    // body's A at nest iteration i executes on PE (rr + i·A + q) mod n.
+    // They touch no arrays, so only reduction participation needs marking
+    // — and the PE set cycles with period n / gcd(A, n).
+    let anchorless: Vec<usize> = (0..nest.body.len())
+        .filter(|&i| anchor_ref(&nest.body[i]).is_none())
+        .collect();
+    if !anchorless.is_empty() {
+        let a_cnt = anchorless.len();
+        let cycle = n / gcd(a_cnt % n, n).max(1);
+        for (q, &body_idx) in anchorless.iter().enumerate() {
+            let ri = table_of[body_idx].expect("only a reduction can lack an anchor");
+            for i in 0..iterations.min(cycle.max(1)) {
+                participants[ri].1[(*rr + q + i * a_cnt) % n] = true;
+            }
+        }
+        *rr += iterations * a_cnt;
     }
-    let inner = nest.loops.len() - 1;
-
-    // Enumerate the outer levels; each call handles one symbolic innermost
-    // sweep.
-    let mut ivs: Vec<i64> = Vec::with_capacity(inner);
-    enumerate_outer(nest, 0, inner, &mut ivs, &mut |outer_ivs| {
-        estimate_chunk(
-            program,
-            nest,
-            cfg,
-            placements,
-            &split,
-            &anchorless,
-            &mut participants,
-            outer_ivs,
-            stats,
-            rr,
-        )
-    })?;
 
     // Vector→scalar collection: every participating PE ships its partial
     // to the scalar's host; the host's own partial stays local.
     for (sid, parts) in &participants {
-        let host = host_of(*sid, cfg.n_pes);
+        let host = host_of(*sid, n);
         for (pe, &took_part) in parts.iter().enumerate() {
             if took_part && pe != host {
                 stats.reduction_messages += 1;
@@ -278,6 +284,78 @@ fn estimate_nest(
         }
     }
     Ok(())
+}
+
+/// The anchor-run walk both [`estimate`] and
+/// [`crate::depgraph::project`] are built on: enumerate `nest`'s outer
+/// levels (sweeps in iteration order, statements in body order within a
+/// sweep), lower each anchored statement's anchor — and its reads, when
+/// `with_reads` — to address lines in the innermost trip, and hand `f`
+/// every [`AnchorRun`]. Returns the nest's iteration count, which is all
+/// the round-robin dealing of anchorless statements depends on. A
+/// zero-depth nest is one sweep of one trip: its body runs once.
+///
+/// Every reference must be affine. Only the references walked are
+/// bounds-checked, so without reads an out-of-bounds read goes unnoticed.
+pub(crate) fn walk_anchor_runs(
+    program: &Program,
+    nest: &LoopNest,
+    placements: &[Placement],
+    with_reads: bool,
+    mut f: impl FnMut(AnchorRun),
+) -> Result<u64, EstimateError> {
+    let anchored: Vec<(usize, &ArrayRef, Vec<&ArrayRef>)> = nest
+        .body
+        .iter()
+        .enumerate()
+        .filter_map(|(i, stmt)| {
+            let reads = if with_reads { stmt.reads() } else { Vec::new() };
+            Some((i, anchor_ref(stmt)?, reads))
+        })
+        .collect();
+    let mut iterations = 0u64;
+    let mut reads: Vec<RefLine> = Vec::new();
+    let outer = nest.loops.len().saturating_sub(1);
+    enumerate_outer(nest, 0, outer, &mut Vec::with_capacity(outer), &mut |ivs| {
+        let (trips, lo, step) = match nest.loops.last() {
+            Some(lv) => (lv.trip_count(ivs) as i64, lv.lo.eval(ivs), lv.step),
+            None => (1, 0, 0),
+        };
+        iterations += trips as u64;
+        if trips == 0 {
+            return Ok(());
+        }
+        for (stmt, anchor, stmt_reads) in &anchored {
+            let anchor = lower_ref(program, nest, anchor, ivs, lo, step, trips)?;
+            reads.clear();
+            for r in stmt_reads {
+                reads.push(lower_ref(program, nest, r, ivs, lo, step, trips)?);
+            }
+            // Split 0..trips into maximal runs on which every reference
+            // walked sits on a constant page.
+            let mut t = 0i64;
+            while t < trips {
+                let next = reads
+                    .iter()
+                    .map(|r| r.next_crossing(t, placements))
+                    .fold(anchor.next_crossing(t, placements), i64::min)
+                    .min(trips);
+                let pe = anchor.owner(t, placements);
+                f(AnchorRun {
+                    stmt: *stmt,
+                    pe,
+                    trips: (next - t) as u64,
+                    remote_reads: reads
+                        .iter()
+                        .filter(|r| r.owner(t, placements) != pe)
+                        .count() as u64,
+                });
+                t = next;
+            }
+        }
+        Ok(())
+    })?;
+    Ok(iterations)
 }
 
 fn enumerate_outer(
@@ -310,15 +388,22 @@ fn enumerate_outer(
 fn lower_ref(
     program: &Program,
     nest: &LoopNest,
-    aref: &sa_ir::ArrayRef,
+    aref: &ArrayRef,
     outer_ivs: &[i64],
     inner_lo: i64,
     inner_step: i64,
     trips: i64,
 ) -> Result<RefLine, EstimateError> {
     let decl = program.array(aref.array);
-    let strides = decl.strides();
-    let inner = nest.loops.len() - 1;
+    if aref.indices.len() != decl.dims.len() {
+        return Err(EstimateError::RankMismatch {
+            array: decl.name.clone(),
+            nest: nest.label.clone(),
+        });
+    }
+    // The innermost variable; a zero-depth nest has none, and its sweep's
+    // `inner_lo` and `inner_step` are 0.
+    let inner = outer_ivs.len();
     let mut a = 0i64;
     let mut b = 0i64;
     for (d, ix) in aref.indices.iter().enumerate() {
@@ -343,8 +428,9 @@ fn lower_ref(
                 });
             }
         }
-        a += strides[d] as i64 * start;
-        b += strides[d] as i64 * step;
+        // Row-major linearization, one dimension at a time.
+        a = a * extent + start;
+        b = b * extent + step;
     }
     Ok(RefLine {
         a,
@@ -364,8 +450,8 @@ impl RefLine {
 
     /// First `t > t_cur` at which this reference leaves its current page
     /// (`i64::MAX` when it never does).
-    fn next_crossing(&self, t_cur: i64, page_size: usize) -> i64 {
-        let ps = page_size as i64;
+    fn next_crossing(&self, t_cur: i64, placements: &[Placement]) -> i64 {
+        let ps = placements[self.array].page_size as i64;
         let p = self.addr(t_cur) / ps;
         if self.b > 0 {
             // Smallest t with a + b·t ≥ (p+1)·ps.
@@ -379,106 +465,6 @@ impl RefLine {
             i64::MAX
         }
     }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn estimate_chunk(
-    program: &Program,
-    nest: &LoopNest,
-    cfg: &MachineConfig,
-    placements: &[Placement],
-    split: &[StmtRefs<'_>],
-    anchorless: &[usize],
-    participants: &mut [(usize, Vec<bool>)],
-    outer_ivs: &[i64],
-    stats: &mut Stats,
-    rr: &mut usize,
-) -> Result<(), EstimateError> {
-    let lv = nest.loops.last().expect("nest has loops");
-    let trips = lv.trip_count(outer_ivs) as i64;
-    if trips == 0 {
-        return Ok(());
-    }
-    let inner_lo = lv.lo.eval(outer_ivs);
-
-    let mut reduce_idx = 0usize;
-    for srefs in split {
-        let is_reduce = srefs.reduce_sid.is_some();
-        let my_reduce = if is_reduce {
-            let i = reduce_idx;
-            reduce_idx += 1;
-            Some(i)
-        } else {
-            None
-        };
-        // The anchor: the Assign target, or a Reduce's first read.
-        let anchor_ref = srefs.target.or_else(|| srefs.reads.first().copied());
-        let Some(anchor_ref) = anchor_ref else {
-            continue; // anchorless: dealt round-robin below
-        };
-
-        let anchor = lower_ref(
-            program, nest, anchor_ref, outer_ivs, inner_lo, lv.step, trips,
-        )?;
-        let reads: Vec<RefLine> = srefs
-            .reads
-            .iter()
-            .map(|r| lower_ref(program, nest, r, outer_ivs, inner_lo, lv.step, trips))
-            .collect::<Result<_, _>>()?;
-
-        // Split 0..trips into maximal runs on which every reference sits
-        // on a constant page; charge each run in closed form.
-        let mut t = 0i64;
-        while t < trips {
-            let mut next = anchor.next_crossing(t, cfg.page_size);
-            for r in &reads {
-                next = next.min(r.next_crossing(t, cfg.page_size));
-            }
-            let next = next.min(trips);
-            let run = (next - t) as u64;
-            let pe = anchor.owner(t, placements);
-            if srefs.target.is_some() {
-                stats.per_pe[pe].writes += run;
-            }
-            if let Some(ri) = my_reduce {
-                participants[ri].1[pe] = true;
-            }
-            for r in &reads {
-                if r.owner(t, placements) == pe {
-                    stats.per_pe[pe].local_reads += run;
-                } else {
-                    stats.per_pe[pe].remote_reads += run;
-                    stats.page_fetches += run;
-                }
-            }
-            t = next;
-        }
-    }
-
-    // Anchorless statements: the q-th anchorless statement of the body at
-    // global chunk iteration i executes on PE (rr + i·A + q) mod n, where
-    // A is the number of anchorless statements per iteration. They touch
-    // no arrays, so only reduction participation needs marking — and the
-    // PE set cycles with period n / gcd(A, n).
-    if !anchorless.is_empty() {
-        let n = cfg.n_pes;
-        let a_cnt = anchorless.len();
-        let cycle = n / gcd(a_cnt % n, n).max(1);
-        // Map body index → participant-table index.
-        for (q, &body_idx) in anchorless.iter().enumerate() {
-            let ri = split[..body_idx]
-                .iter()
-                .filter(|s| s.reduce_sid.is_some())
-                .count();
-            let distinct = (trips as usize).min(cycle.max(1));
-            for i in 0..distinct {
-                let pe = (*rr + q + i * a_cnt) % n;
-                participants[ri].1[pe] = true;
-            }
-        }
-        *rr += trips as usize * a_cnt;
-    }
-    Ok(())
 }
 
 fn gcd(mut a: usize, mut b: usize) -> usize {

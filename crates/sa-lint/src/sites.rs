@@ -132,10 +132,15 @@ pub(crate) fn resolve_static_addr(
     ivs: &[i64],
 ) -> Result<usize, ResolveFail> {
     let decl = program.array(aref.array);
-    let mut idx = Vec::with_capacity(aref.indices.len());
-    for ix in &aref.indices {
-        match ix {
-            IndexExpr::Affine(a) => idx.push(eval_affine(a, ivs)),
+    // Row-major linearization folded in as each index resolves (this runs
+    // once per reference per statement instance: no scratch vector). A
+    // bounds failure is held back until every index has resolved, so
+    // index-array failures keep their precedence.
+    let mut in_bounds = aref.indices.len() == decl.dims.len();
+    let mut addr = 0usize;
+    for (ix, &extent) in aref.indices.iter().zip(&decl.dims) {
+        let i = match ix {
+            IndexExpr::Affine(a) => eval_affine(a, ivs),
             IndexExpr::Indirect {
                 base,
                 pos,
@@ -153,11 +158,17 @@ pub(crate) fn resolve_static_addr(
                 if p as usize >= values.len() {
                     return Err(ResolveFail::UndefinedIndex);
                 }
-                idx.push(scale * (values[p as usize] as i64) + offset);
+                scale * (values[p as usize] as i64) + offset
             }
-        }
+        };
+        in_bounds &= i >= 0 && (i as usize) < extent;
+        addr = addr.wrapping_mul(extent).wrapping_add(i as usize);
     }
-    decl.linearize(&idx).map_err(|_| ResolveFail::OutOfBounds)
+    if in_bounds {
+        Ok(addr)
+    } else {
+        Err(ResolveFail::OutOfBounds)
+    }
 }
 
 /// `AffineIndex::eval` tolerant of coefficient vectors longer than `ivs`

@@ -29,7 +29,7 @@ pub struct PageKey {
 }
 
 /// Replacement policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CachePolicy {
     /// Least-recently-used (the paper's choice).
     Lru,

@@ -11,7 +11,7 @@ use crate::timing::AccessCosts;
 /// the possibility of partially filled pages", §4) but §8 acknowledges that
 /// "a single page might have to be fetched more than once if that page is
 /// only partially filled at the time of the first request".
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PartialPagePolicy {
     /// Paper semantics: a resident page always hits.
     Ignore,

@@ -43,7 +43,7 @@ pub trait LinkModel: Sync {
 /// Interconnect topology. Each variant is backed by a [`LinkModel`]
 /// (see [`NetworkTopology::model`]) that defines its distance metric and
 /// its routing — the enum is the cheap, `Copy` configuration handle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NetworkTopology {
     /// Count messages only; zero hops (the paper's implicit model).
     Ideal,

@@ -21,7 +21,7 @@ pub fn pages_in(len: usize, page_size: usize) -> usize {
 }
 
 /// How pages map onto PEs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PartitionScheme {
     /// Paper §2: page `p` lives on PE `p mod N` (round-robin / cyclic).
     Modulo,

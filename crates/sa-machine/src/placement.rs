@@ -159,15 +159,20 @@ impl Placement {
         self.page_owner(addr / self.page_size)
     }
 
-    /// Invoke `f` on each maximal page interval `[q0, q1)` owned by `pe`
-    /// within the inclusive page range `[plo, phi]`.
+    /// Invoke `f`, in ascending order, on disjoint page intervals
+    /// `[q0, q1)` that together hold exactly the pages `pe` owns within
+    /// the inclusive page range `[plo, phi]`.
     ///
-    /// The legacy schemes use closed forms — the per-PE cost is
-    /// proportional to the PE's own share of the range, which is what lets
-    /// the replay engine shard an `n = 10⁷` sweep without walking every
-    /// page on every PE. The tiled schemes walk the range grouping
-    /// consecutive same-owner pages (owners are constant over tile-strided
-    /// runs, so the callback count stays small); exactness over speed.
+    /// Every scheme uses a closed form — the per-PE cost is proportional
+    /// to the PE's own share of the range, which is what lets the replay
+    /// engine shard an `n = 10⁷` sweep without walking every page on every
+    /// PE. `RowBand` is one interval (the band's element range in pages);
+    /// `Tile2D` maps the PE's own tile-column segments of each grid row to
+    /// page intervals, and walks page by page instead only where pages are
+    /// so long against the rows that the range holds fewer pages than
+    /// segments. The tiled schemes' intervals are maximal (adjacent ones
+    /// are merged), and pages past the array clamp to the last page's
+    /// owner, as in [`page_owner`](Placement::page_owner).
     pub fn owned_page_intervals(
         &self,
         pe: usize,
@@ -214,19 +219,78 @@ impl Placement {
                     j += n;
                 }
             }
-            PartitionScheme::RowBand | PartitionScheme::Tile2D { .. } => {
-                let mut q = plo;
-                while q <= phi {
-                    let o = self.page_owner(q);
-                    let mut end = q + 1;
-                    while end <= phi && self.page_owner(end) == o {
-                        end += 1;
-                    }
-                    if o == pe {
-                        f(q, end);
-                    }
-                    q = end;
+            PartitionScheme::RowBand | PartitionScheme::Tile2D { .. } if total == 0 => {
+                // An empty array: `page_owner` answers PE 0 for any probe.
+                if pe == 0 {
+                    f(plo, phi + 1);
                 }
+            }
+            PartitionScheme::RowBand => {
+                // owner(q) = min(row(q·ps) / band, n − 1): the pages whose
+                // first element lies in the band's element range — one
+                // interval, open above for the last PE.
+                let band = self.shape.rows.div_ceil(n).max(1);
+                let first_page_at = |row: usize| {
+                    row.saturating_mul(self.shape.cols)
+                        .div_ceil(self.page_size)
+                        .min(total)
+                };
+                let q0 = first_page_at(pe * band);
+                let mut q1 = if pe + 1 == n {
+                    total
+                } else {
+                    first_page_at((pe + 1) * band)
+                };
+                if q0 < q1 && q1 == total {
+                    // Owner of the last page, hence of every probe past it.
+                    q1 = total.max(phi + 1);
+                }
+                if q0 < q1 && q0 <= phi && q1 > plo {
+                    f(q0.max(plo), q1.min(phi + 1));
+                }
+            }
+            PartitionScheme::Tile2D {
+                tile_rows,
+                tile_cols,
+            } => {
+                let (tr, tc) = (tile_rows.max(1), tile_cols.max(1));
+                let (cols, ps) = (self.shape.cols, self.page_size);
+                let tiles_per_row = cols.div_ceil(tc).max(1);
+                let mut out = Coalesce { f, pending: None };
+                let in_hi = phi.min(total - 1);
+                if plo <= in_hi {
+                    // Grid rows holding the first elements of the range's
+                    // in-domain pages.
+                    let (r_lo, r_hi) = (plo * ps / cols, in_hi * ps / cols);
+                    let segments = (r_hi - r_lo + 1).saturating_mul(tiles_per_row.div_ceil(n));
+                    if segments < in_hi - plo + 1 {
+                        // Per grid row, the PE's own tile columns
+                        // k ≡ pe − (r / tr)·tiles_per_row (mod n); a
+                        // segment's pages are those whose first element
+                        // lies in it.
+                        for r in r_lo..=r_hi {
+                            let mut k = (pe + n - (r / tr * tiles_per_row) % n) % n;
+                            while k < tiles_per_row {
+                                let e0 = r * cols + k * tc;
+                                let e1 = r * cols + ((k + 1) * tc).min(cols);
+                                out.push(e0.div_ceil(ps).max(plo), e1.div_ceil(ps).min(in_hi + 1));
+                                k += n;
+                            }
+                        }
+                    } else {
+                        // Pages so long against the rows that the range
+                        // holds fewer of them than of segments.
+                        for q in plo..=in_hi {
+                            if self.page_owner(q) == pe {
+                                out.push(q, q + 1);
+                            }
+                        }
+                    }
+                }
+                if phi >= total && self.page_owner(total - 1) == pe {
+                    out.push(plo.max(total), phi + 1);
+                }
+                out.finish();
             }
         }
     }
@@ -236,6 +300,35 @@ impl Placement {
         (0..self.pages())
             .filter(|&p| self.page_owner(p) == pe)
             .collect()
+    }
+}
+
+/// Forwards ascending page intervals to `f`, dropping empty ones and
+/// merging adjacent ones, so the intervals `f` sees are maximal.
+struct Coalesce<F> {
+    f: F,
+    pending: Option<(usize, usize)>,
+}
+
+impl<F: FnMut(usize, usize)> Coalesce<F> {
+    fn push(&mut self, q0: usize, q1: usize) {
+        if q0 >= q1 {
+            return;
+        }
+        match &mut self.pending {
+            Some((_, end)) if *end == q0 => *end = q1,
+            pending => {
+                if let Some((a, b)) = pending.replace((q0, q1)) {
+                    (self.f)(a, b);
+                }
+            }
+        }
+    }
+
+    fn finish(mut self) {
+        if let Some((a, b)) = self.pending {
+            (self.f)(a, b);
+        }
     }
 }
 

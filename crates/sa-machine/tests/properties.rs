@@ -263,31 +263,6 @@ proptest! {
         }
     }
 
-    /// `owned_page_intervals` enumerates exactly the owned pages of the
-    /// probed range, for every scheme over every shape.
-    #[test]
-    fn placement_intervals_match_brute_force(
-        scheme in any_scheme(),
-        rows in 1usize..20,
-        cols in 1usize..20,
-        page_size in prop::sample::select(vec![1usize, 4, 8]),
-        n_pes in 1usize..9,
-    ) {
-        let pl = Placement::new(scheme, page_size, n_pes, ArrayShape::from_dims(&[rows, cols]));
-        let pages = pl.pages();
-        prop_assert!(pages > 0); // rows, cols ≥ 1 ⇒ at least one page
-        let (plo, phi) = (pages / 3, pages - 1);
-        for pe in 0..n_pes {
-            let mut got = Vec::new();
-            pl.owned_page_intervals(pe, plo, phi, |q0, q1| {
-                got.extend((q0..q1).filter(|&q| q >= plo && q <= phi));
-            });
-            let want: Vec<usize> =
-                (plo..=phi).filter(|&q| pl.page_owner(q) == pe).collect();
-            prop_assert_eq!(got, want, "{:?} pe={} [{}..={}]", scheme, pe, plo, phi);
-        }
-    }
-
     /// Tiled schemes never wrap out-of-domain pages: probing past the end
     /// of the array clamps to the owner of the last real page (the clamp
     /// contract `Block` established, extended to `RowBand`/`Tile2D`).
@@ -306,6 +281,66 @@ proptest! {
             let pl = Placement::new(scheme, 8, n_pes, ArrayShape::from_dims(&[rows, cols]));
             let last = pl.page_owner(pl.pages() - 1);
             prop_assert_eq!(pl.page_owner(pl.pages() + past), last, "{:?}", scheme);
+        }
+    }
+}
+
+proptest! {
+    // Cheap per case and the closed forms have many edge regimes: run more
+    // cases than the default 64.
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// `owned_page_intervals` enumerates exactly the owned pages of the
+    /// probed range — ascending, disjoint, and for the tiled schemes
+    /// maximal — for every scheme over 1-/2-/3-D shapes, tile extents that
+    /// do not divide the grid, pages longer than a row or than the whole
+    /// array, and ranges that start or end past the last page.
+    #[test]
+    fn placement_intervals_match_brute_force(
+        scheme in prop_oneof![
+            any_scheme(),
+            ((1usize..40), (1usize..40)).prop_map(|(r, c)| PartitionScheme::Tile2D {
+                tile_rows: r,
+                tile_cols: c,
+            }),
+        ],
+        dims in prop_oneof![
+            (1usize..200).prop_map(|n| vec![n]),
+            ((1usize..20), (1usize..20)).prop_map(|(r, c)| vec![r, c]),
+            ((1usize..8), (1usize..8), (1usize..8)).prop_map(|(a, b, c)| vec![a, b, c]),
+        ],
+        page_size in prop::sample::select(vec![1usize, 3, 4, 8, 32, 100, 1000]),
+        n_pes in 1usize..17,
+        lo in 0usize..1000,
+        span in 0usize..1000,
+    ) {
+        let pl = Placement::new(scheme, page_size, n_pes, ArrayShape::from_dims(&dims));
+        let pages = pl.pages();
+        prop_assert!(pages > 0); // every extent ≥ 1 ⇒ at least one page
+        let plo = lo % (pages + 3);
+        let phi = plo + span % (pages + 10);
+        let tiled = matches!(
+            scheme,
+            PartitionScheme::RowBand | PartitionScheme::Tile2D { .. }
+        );
+        for pe in 0..n_pes {
+            let mut got = Vec::new();
+            let mut prev_end = None;
+            pl.owned_page_intervals(pe, plo, phi, |q0, q1| {
+                assert!(q0 < q1 && q0 >= plo && q1 <= phi + 1, "[{q0},{q1}) outside [{plo},{phi}]");
+                if let Some(end) = prev_end {
+                    assert!(q0 >= end, "[{q0},{q1}) not after {end}");
+                    assert!(!tiled || q0 > end, "[{q0},{q1}) not merged with its predecessor");
+                }
+                prev_end = Some(q1);
+                got.extend(q0..q1);
+            });
+            let want: Vec<usize> =
+                (plo..=phi).filter(|&q| pl.page_owner(q) == pe).collect();
+            prop_assert_eq!(
+                got, want,
+                "{:?} {:?} ps={} pe={}/{} [{}..={}]", scheme, &dims, page_size, pe, n_pes, plo, phi
+            );
         }
     }
 }

@@ -12,7 +12,12 @@
 //!   covered by a static edge (`DepGraph::covers_wait`);
 //! * the deadlock pass proves every generated program (producers always
 //!   precede consumers) free of wait-graph cycles at random machine
-//!   shapes.
+//!   shapes;
+//! * the closed-form partition projection returns exactly what the
+//!   per-instance enumerator returns — counts or the same typed error — on
+//!   nests with negative steps, triangular bounds, zero-trip sweeps, no
+//!   loops at all, anchorless reductions and out-of-bounds anchors, under
+//!   all five scheme families.
 
 use std::collections::{HashMap, HashSet};
 
@@ -21,7 +26,11 @@ use proptest::prelude::*;
 use sapp::core::{simulate, CountingOracle, Oracle, RunConfig, StaticOracle};
 use sapp::ir::index::iv;
 use sapp::ir::interp::{EvalCtx, Memory};
-use sapp::ir::{ArrayId, InitPattern, IrError, Phase, Program, ProgramBuilder, ReduceOp, Stmt};
+use sapp::ir::{
+    AffineIndex, ArrayId, Expr, InitPattern, IrError, LoopNest, LoopVar, Phase, Program,
+    ProgramBuilder, ReduceOp, Stmt,
+};
+use sapp::lint::depgraph::{project, project_by_instance};
 use sapp::lint::{self, Code, DepGraph, LintConfig, Severity};
 use sapp::machine::{MachineConfig, PartitionScheme};
 
@@ -162,6 +171,188 @@ fn run_config_strategy() -> impl Strategy<Value = RunConfig> {
             cache_elems: 0, // the estimator has no cache model by design
             partition,
             ..RunConfig::default()
+        })
+}
+
+/// One statement of a [`ProjNest`], by how it is placed.
+#[derive(Debug, Clone)]
+enum ProjStmt {
+    /// `A[…] ← 1`, anchored at its target: per dimension (one or two) a
+    /// coefficient on each of the two possible loop variables.
+    Assign(Vec<[i64; 2]>),
+    /// `s ⊕= Y[…]`, anchored at its first read.
+    ReduceRead([i64; 2]),
+    /// `s ⊕= 1`: no anchor, dealt round-robin.
+    ReduceConst,
+}
+
+/// A nest shaped to stress the projection: 0–2 loops with steps of either
+/// sign, the inner loop's bounds affine in the outer variable.
+#[derive(Debug, Clone)]
+struct ProjNest {
+    depth: usize,
+    /// `(start, span, step)` of the outer loop (see [`oriented`]).
+    outer: (i64, i64, i64),
+    /// `(start, lo's coefficient on the outer variable, span, hi's, step)`.
+    inner: (i64, i64, i64, i64, i64),
+    stmts: Vec<ProjStmt>,
+    /// Elements cut off the end of each anchored array's first dimension;
+    /// non-zero makes the last anchors leave the array.
+    shrink: usize,
+}
+
+fn proj_nest_strategy() -> impl Strategy<Value = ProjNest> {
+    let step = || proptest::sample::select(vec![1i64, 2, 3, -1, -2]);
+    let coeffs = || (-2i64..=2, -2i64..=2).prop_map(|(a, b)| [a, b]);
+    (
+        0usize..3,
+        (-3i64..=3, -1i64..=7, step()),
+        (-3i64..=3, -1i64..=1, -1i64..=9, -1i64..=1, step()),
+        proptest::collection::vec(
+            prop_oneof![
+                proptest::collection::vec(coeffs(), 1..3).prop_map(ProjStmt::Assign),
+                coeffs().prop_map(ProjStmt::ReduceRead),
+                Just(ProjStmt::ReduceConst),
+            ],
+            1..4,
+        ),
+        proptest::sample::select(vec![0usize, 0, 0, 0, 1, 3]),
+    )
+        .prop_map(|(depth, outer, inner, stmts, shrink)| ProjNest {
+            depth,
+            outer,
+            inner,
+            stmts,
+            shrink,
+        })
+}
+
+/// Bounds `span` apart, from `start`, in the direction `step` counts; a
+/// span of −1 is the empty loop in either direction.
+fn oriented(start: i64, span: i64, step: i64) -> (i64, i64) {
+    if step > 0 {
+        (start, start + span)
+    } else {
+        (start + span, start)
+    }
+}
+
+fn proj_loops(n: &ProjNest) -> Vec<LoopVar> {
+    let (olo, ohi) = oriented(n.outer.0, n.outer.1, n.outer.2);
+    let (ilo, ihi) = oriented(n.inner.0, n.inner.2, n.inner.4);
+    let outer = LoopVar {
+        name: "i".into(),
+        lo: olo.into(),
+        hi: ohi.into(),
+        step: n.outer.2,
+    };
+    let inner = |outer_var: Option<usize>| {
+        let bound = |c: i64, k: i64| match outer_var {
+            Some(v) => AffineIndex::scaled_var(k, v).plus(c),
+            None => c.into(),
+        };
+        LoopVar {
+            name: "j".into(),
+            lo: bound(ilo, n.inner.1),
+            hi: bound(ihi, n.inner.3),
+            step: n.inner.4,
+        }
+    };
+    match n.depth {
+        0 => vec![],
+        1 => vec![inner(None)],
+        _ => vec![outer, inner(Some(0))],
+    }
+}
+
+/// Materialize nests into a program: every anchored statement gets an
+/// array of its own, sized to the subscripts its nest really produces
+/// (shifted to start at 0) less the nest's `shrink`.
+fn build_projection_program(nests: &[ProjNest]) -> Program {
+    let mut b = ProgramBuilder::new("proj");
+    let s = b.scalar("s");
+    for (ni, n) in nests.iter().enumerate() {
+        let loops = proj_loops(n);
+        let mut domain: Vec<Vec<i64>> = Vec::new();
+        LoopNest {
+            label: String::new(),
+            loops: loops.clone(),
+            body: vec![],
+        }
+        .for_each_iteration(|ivs| domain.push(ivs.to_vec()));
+        // Subscript per dimension: only in-scope variables, offset so the
+        // smallest value produced is 0; plus the dimension's extent.
+        let fit = |coeffs: &[i64; 2], shrink: usize| {
+            let mut idx = AffineIndex::constant(0);
+            for (v, &c) in coeffs.iter().take(n.depth).enumerate() {
+                idx = idx.add(&AffineIndex::scaled_var(c, v));
+            }
+            let raw: Vec<i64> = domain.iter().map(|ivs| idx.eval(ivs)).collect();
+            let lo = raw.iter().copied().min().unwrap_or(0);
+            let hi = raw.iter().copied().max().unwrap_or(0);
+            let extent = ((hi - lo + 1) as usize).saturating_sub(shrink).max(1);
+            (idx.plus(-lo), extent)
+        };
+        let mut body: Vec<(ArrayId, Vec<AffineIndex>, bool)> = Vec::new();
+        for (si, stmt) in n.stmts.iter().enumerate() {
+            let (dims, assign): (&[[i64; 2]], bool) = match stmt {
+                ProjStmt::Assign(dims) => (dims, true),
+                ProjStmt::ReduceRead(c) => (std::slice::from_ref(c), false),
+                ProjStmt::ReduceConst => continue,
+            };
+            let fitted: Vec<(AffineIndex, usize)> = dims
+                .iter()
+                .enumerate()
+                .map(|(d, c)| fit(c, if d == 0 { n.shrink } else { 0 }))
+                .collect();
+            let extents: Vec<usize> = fitted.iter().map(|f| f.1).collect();
+            let name = format!("A{ni}_{si}");
+            let id = if assign {
+                b.output(name, &extents)
+            } else {
+                b.input(name, &extents, InitPattern::Wavy)
+            };
+            body.push((id, fitted.into_iter().map(|f| f.0).collect(), assign));
+        }
+        b.nest_loops(format!("n{ni}"), loops, |nb| {
+            let mut anchored = body.into_iter();
+            for stmt in &n.stmts {
+                if matches!(stmt, ProjStmt::ReduceConst) {
+                    nb.reduce(s, ReduceOp::Sum, Expr::Const(1.0));
+                    continue;
+                }
+                let (id, idx, assign) = anchored.next().expect("one per anchored statement");
+                if assign {
+                    nb.assign(id, idx, Expr::Const(1.0));
+                } else {
+                    let v = nb.read(id, idx);
+                    nb.reduce(s, ReduceOp::Sum, v);
+                }
+            }
+        });
+    }
+    b.finish()
+}
+
+fn lint_config_strategy() -> impl Strategy<Value = LintConfig> {
+    (
+        1usize..17,
+        proptest::sample::select(vec![1usize, 4, 8, 32]),
+        prop_oneof![
+            Just(PartitionScheme::Modulo),
+            Just(PartitionScheme::Block),
+            (1usize..4).prop_map(|b| PartitionScheme::BlockCyclic { block_pages: b }),
+            Just(PartitionScheme::RowBand),
+            ((1usize..6), (1usize..6)).prop_map(|(r, c)| PartitionScheme::Tile2D {
+                tile_rows: r,
+                tile_cols: c,
+            }),
+        ],
+    )
+        .prop_map(|(n_pes, page_size, scheme)| LintConfig {
+            n_pes,
+            page_size,
+            scheme,
         })
 }
 
@@ -356,6 +547,26 @@ proptest! {
             diags.is_empty(),
             "expected a clean deadlock-freedom proof for spec {:?} at {:?}, got {:?}",
             &spec, &lc, &diags
+        );
+    }
+}
+
+proptest! {
+    // Static on both sides and tiny programs: cheap enough for many cases.
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The closed-form projection is the per-instance enumerator's, down
+    /// to which array an out-of-bounds anchor is reported against.
+    #[test]
+    fn projection_matches_the_instance_enumerator(
+        nests in proptest::collection::vec(proj_nest_strategy(), 1..4),
+        cfg in lint_config_strategy(),
+    ) {
+        let program = build_projection_program(&nests);
+        prop_assert_eq!(
+            project(&program, &cfg),
+            project_by_instance(&program, &cfg),
+            "{}", sapp::ir::pretty::program_to_string(&program)
         );
     }
 }

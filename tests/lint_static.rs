@@ -21,14 +21,22 @@
 //!    dependence-bound pruning returns bit-identical winners to the
 //!    exhaustive parallel sweep on every registry workload, with the
 //!    pruned fraction logged.
+//! 5. **Closed-form projection ≡ instance enumerator ≡ simulator** — the
+//!    pruning bound's `depgraph::project` returns what enumerating every
+//!    statement instance returns, on the whole registry at reduced and
+//!    official sizes across all five scheme families, and its per-PE
+//!    writes are the simulator's.
 
+use sapp::core::parallel::par_map;
 use sapp::core::search::{search_exhaustive_with, search_with, Objective, SearchSpace};
 use sapp::core::{simulate, CountingOracle, StaticOracle};
 use sapp::core::{Oracle, OracleError, RunConfig};
 use sapp::ir::index::iv;
-use sapp::ir::{ArrayId, InitPattern, ProgramBuilder};
+use sapp::ir::{AffineIndex, ArrayId, InitPattern, ProgramBuilder};
+use sapp::lint::depgraph::{project, project_by_instance};
 use sapp::lint::{self, Code, DepGraph, EstimateError, LintConfig, Severity};
-use sapp::loops::reduced_suite;
+use sapp::loops::suite::Family;
+use sapp::loops::{reduced_suite, workloads};
 use sapp::machine::{MachineConfig, PartitionScheme};
 use sapp::runtime::{execute, RuntimeConfig, RuntimeError};
 
@@ -103,6 +111,118 @@ fn estimator_is_bit_identical_to_the_simulator_on_the_registry() {
     // The registry must exercise both paths, or this test is vacuous.
     assert!(affine > 0, "no affine workload was certified");
     assert!(indirect > 0, "no indirect workload exercised the rejection");
+}
+
+#[test]
+fn zero_depth_nest_is_one_instance() {
+    // `one` has no loops: its body runs exactly once, reading Y[17] (page
+    // 1 → PE 1) into X[64] (page 4 → PE 0) — one more write and the only
+    // remote read. The estimator used to skip such nests silently.
+    let mut b = ProgramBuilder::new("zero-depth");
+    let y = b.input("Y", &[64], InitPattern::Wavy);
+    let x = b.output("X", &[65]);
+    b.nest("fill", &[("k", 0, 63)], |nb| {
+        let rhs = nb.read(y, [iv(0)]);
+        nb.assign(x, [iv(0)], rhs);
+    });
+    b.nest("one", &[], |nb| {
+        let rhs = nb.read(y, [AffineIndex::constant(17)]);
+        nb.assign(x, [AffineIndex::constant(64)], rhs);
+    });
+    let prog = b.finish();
+    let cfg = MachineConfig::new(4, 16).with_cache_elems(0);
+    let sim = simulate(&prog, &cfg).unwrap();
+    assert_eq!((sim.stats.writes(), sim.stats.remote_reads()), (65, 1));
+    let est = lint::estimate(&prog, &cfg).unwrap();
+    assert_eq!(est.stats, sim.stats);
+    assert_eq!(est.network_messages, sim.network_messages);
+    let lint_cfg = LintConfig {
+        n_pes: 4,
+        page_size: 16,
+        scheme: PartitionScheme::Modulo,
+    };
+    let proj = project(&prog, &lint_cfg).unwrap();
+    assert_eq!(proj.writes_per_pe, sim.stats.writes_per_pe());
+    assert_eq!(Ok(proj), project_by_instance(&prog, &lint_cfg));
+}
+
+#[test]
+fn closed_form_projection_matches_the_instance_enumerator_and_the_simulator() {
+    let schemes = [
+        PartitionScheme::Modulo,
+        PartitionScheme::Block,
+        PartitionScheme::BlockCyclic { block_pages: 2 },
+        PartitionScheme::BlockCyclic { block_pages: 4 },
+        PartitionScheme::RowBand,
+        PartitionScheme::Tile2D {
+            tile_rows: 16,
+            tile_cols: 16,
+        },
+        PartitionScheme::Tile2D {
+            tile_rows: 64,
+            tile_cols: 64,
+        },
+        PartitionScheme::Tile2D {
+            tile_rows: 3,
+            tile_cols: 5,
+        },
+    ];
+    let mut grid = Vec::new();
+    for scheme in schemes {
+        for page_size in [1usize, 8, 32, 256] {
+            for n_pes in [1usize, 3, 4, 16, 64] {
+                grid.push(LintConfig {
+                    n_pes,
+                    page_size,
+                    scheme,
+                });
+            }
+        }
+    }
+    let checked = par_map(&workloads(), |w| {
+        // Reduced sizes also go through the simulator. In a debug build
+        // the official sizes of the scale family (10⁵–10⁶ instances, 160
+        // configs each) are left to the release run CI makes of this file.
+        let mut sized = vec![(w.reduced(), true)];
+        if !(cfg!(debug_assertions) && w.family == Family::Scale) {
+            sized.push((w.official(), false));
+        }
+        let (mut closed_forms, mut simulated) = (0usize, 0usize);
+        for (k, reduced) in &sized {
+            for cfg in &grid {
+                let proj = project(&k.program, cfg);
+                assert_eq!(
+                    proj,
+                    project_by_instance(&k.program, cfg),
+                    "{} @ {cfg:?}",
+                    k.code
+                );
+                let Ok(proj) = proj else { continue };
+                closed_forms += 1;
+                if *reduced {
+                    let machine = MachineConfig::new(cfg.n_pes, cfg.page_size)
+                        .with_cache_elems(0)
+                        .with_partition(cfg.scheme);
+                    let sim = simulate(&k.program, &machine)
+                        .unwrap_or_else(|e| panic!("{}: simulator failed: {e}", k.code));
+                    assert_eq!(
+                        proj.writes_per_pe,
+                        sim.stats.writes_per_pe(),
+                        "{} @ {cfg:?}: projected writes are not the simulator's",
+                        k.code
+                    );
+                    simulated += 1;
+                }
+            }
+        }
+        Ok::<_, std::convert::Infallible>((closed_forms, simulated))
+    })
+    .unwrap_or_else(|e| match e {});
+    let (closed_forms, simulated) = checked
+        .iter()
+        .fold((0, 0), |acc, c| (acc.0 + c.0, acc.1 + c.1));
+    assert!(simulated >= 10 * grid.len(), "only {simulated} simulated");
+    println!("projection: {closed_forms} configs agree with the enumerator, {simulated} with the simulator");
 }
 
 #[test]

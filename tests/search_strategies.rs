@@ -18,6 +18,11 @@
 //! 4. **Space hoisting** — one search invocation materializes its
 //!    candidate space exactly once, however many kernels it fans out
 //!    over (the regression test for the per-kernel rebuild fix).
+//! 5. **Closed-form bound ≡ reference bound** — pruning from the
+//!    closed-form projection yields the identical `SearchReport` (winner,
+//!    `evaluated`, `pruned`, `oracle_evals`, trace) as pruning from the
+//!    per-instance reference, on the benchmark's three guided ST5
+//!    searches and on the exhaustive sweep of the Livermore suite.
 
 use std::sync::OnceLock;
 
@@ -27,8 +32,9 @@ use sapp::core::search::strategy::{
     program_fingerprint, Searcher, Strategy, StrategyOracle, StrategyParams,
 };
 use sapp::core::search::{search_exhaustive_with, Objective, SearchSpace};
-use sapp::lint::{self, EstimateError};
-use sapp::loops::{reduced_suite, Kernel};
+use sapp::ir::Program;
+use sapp::lint::{self, EstimateError, LintConfig};
+use sapp::loops::{reduced_suite, suite, workload, Kernel, Size};
 use sapp::machine::{MachineConfig, NetworkTopology, PartitionScheme};
 
 /// The registry at reduced sizes, restricted to the statically affine
@@ -217,6 +223,63 @@ fn space_is_materialized_exactly_once_per_invocation() {
         searcher.space_builds(),
         1,
         "candidate space must be built once per invocation, not per kernel"
+    );
+}
+
+/// The per-instance enumerator as the pruning bound's write projection.
+fn reference_writes_per_pe(program: &Program, cfg: &LintConfig) -> Option<Vec<u64>> {
+    lint::depgraph::project_by_instance(program, cfg)
+        .ok()
+        .map(|p| p.writes_per_pe)
+}
+
+#[test]
+fn closed_form_bound_leaves_every_search_report_unchanged() {
+    // The default space with the default cache, as `sapp search` runs it.
+    let space = SearchSpace::default();
+    let both = |params: StrategyParams, kernels: &[Kernel]| {
+        let searcher = || Searcher::new(&space, Box::<StrategyOracle>::default(), params).unwrap();
+        let (closed, reference) = (
+            searcher(),
+            searcher().with_write_projection(reference_writes_per_pe),
+        );
+        let mut pruned = 0;
+        for k in kernels {
+            let got = closed.search(&k.program).unwrap();
+            let want = reference.search(&k.program).unwrap();
+            assert_eq!(got, want, "{} under {params:?}", k.code);
+            pruned += got.best.pruned;
+        }
+        pruned
+    };
+
+    // The benchmark's `search_guided` round: two annealing walks at
+    // consecutive seeds and one propagation walk, 16 of 42 candidates.
+    let st5 = workload("ST5").unwrap().build(Size::Grid2 {
+        nx: 256,
+        ny: 256,
+        sweeps: 2,
+    });
+    let mut pruned = 0;
+    for (strategy, seed) in [
+        (Strategy::Anneal, 7),
+        (Strategy::Anneal, 8),
+        (Strategy::Propagate, 7),
+    ] {
+        let params = StrategyParams {
+            strategy,
+            seed,
+            budget: 16,
+            ..StrategyParams::default()
+        };
+        pruned += both(params, std::slice::from_ref(&st5));
+    }
+    // `registry_search`: the serial pruned sweep of all 42 candidates over
+    // the Livermore suite at its official sizes.
+    pruned += both(params(Strategy::Exhaustive), &suite());
+    assert!(
+        pruned > 0,
+        "no candidate was pruned: the bound went untested"
     );
 }
 
