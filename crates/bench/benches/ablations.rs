@@ -5,8 +5,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use sa_core::search::{search, SearchSpace};
-use sa_core::{estimate_timing, simulate, CountingOracle};
+use sa_core::search::SearchSpace;
+use sa_core::{estimate_timing, simulate, CountingOracle, Searcher, StrategyParams};
 use sa_loops::{k01_hydro, k06_glre};
 use sa_machine::{CachePolicy, MachineConfig, PartialPagePolicy, PartitionScheme};
 
@@ -81,14 +81,19 @@ fn bench_timing_extension(c: &mut Criterion) {
 }
 
 fn bench_scheme_search(c: &mut Criterion) {
-    // The full default space (4 schemes × 6 page sizes, evaluated through
-    // the parallel plan engine) for one Skewed kernel.
+    // The pruned canonical walk of the full default space for one Skewed
+    // kernel, on a fresh searcher (and memo cache) per iteration.
     let kernel = k01_hydro::build(1001);
     let space = SearchSpace::default();
     let mut g = c.benchmark_group("scheme_search");
     g.sample_size(10);
     g.bench_function("k1_default_space", |b| {
-        b.iter(|| search(black_box(&kernel.program), &space, &CountingOracle).unwrap())
+        b.iter(|| {
+            Searcher::new(&space, Box::new(CountingOracle), StrategyParams::default())
+                .unwrap()
+                .search(black_box(&kernel.program))
+                .unwrap()
+        })
     });
     g.finish();
 }

@@ -11,7 +11,7 @@
 //! table shows. The `figures` binary prints them; the criterion benches
 //! under `benches/` measure the wall-clock cost of regenerating each one.
 
-use sa_core::experiment::speedup_sweep;
+use sa_core::oracle::speedup_sweep;
 use sa_core::plan::{ExperimentPlan, RunConfig};
 use sa_core::replay::counts_or_simulate;
 use sa_core::report::{ascii_chart, fmt_opt_u64, fmt_pct, markdown_table};

@@ -225,7 +225,7 @@ fn run(program: &Program, cfg: &MachineConfig, tracing: bool) -> Result<SimRepor
         })
         .collect();
     let mut machine = DistributedMachine::new(*cfg, specs)?;
-    let map = PartitionMap::new(program, cfg);
+    let map = PartitionMap::new(program, cfg).map_err(MachineError::BadConfig)?;
     let mut ctx = EvalCtx::new(program);
 
     let mut per_nest: Vec<(String, Stats)> = Vec::new();

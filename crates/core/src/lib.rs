@@ -33,8 +33,6 @@
 //!   plus [`search::strategy`] — seeded simulated annealing and
 //!   write-to-read propagation over the full
 //!   `scheme × page × topology` space behind a memoizing oracle cache.
-//! * [`experiment`] — the five legacy sweep drivers, kept as thin wrappers
-//!   over plans with bit-identical outputs.
 //! * [`parallel`] — the scoped-thread, order-preserving map the plan
 //!   evaluator (and the figure generator) is built on.
 //! * [`report`] — markdown / CSV / JSON / ASCII-chart emitters.
@@ -45,7 +43,6 @@
 pub mod classify;
 pub mod deferred;
 pub mod exec;
-pub mod experiment;
 pub mod oracle;
 pub mod parallel;
 pub mod plan;
@@ -59,7 +56,6 @@ pub mod verify;
 pub use classify::{classify_dynamic, DynamicClassification};
 pub use deferred::{estimate_timing, TimingReport};
 pub use exec::{simulate, simulate_traced, SimError, SimReport};
-pub use experiment::{pe_sweep, SweepConfig, SweepPoint};
 pub use oracle::{
     CountingOracle, Engine, FastCountingOracle, Oracle, OracleError, RunRecord, StaticOracle,
     TimingOracle,
@@ -72,5 +68,5 @@ pub use screening::PartitionMap;
 pub use search::strategy::{
     MemoOracle, SearchReport, Searcher, Strategy, StrategyOracle, StrategyParams,
 };
-pub use search::{search, search_with, BestConfig, Objective, SearchSpace};
+pub use search::{BestConfig, Objective, SearchSpace};
 pub use verify::verify_against_reference;

@@ -27,7 +27,7 @@ use sa_machine::{load_balance, AccessCosts, Stats};
 
 use crate::deferred::{estimate_timing_from_trace, TimingError};
 use crate::exec::{simulate, simulate_traced, SimError};
-use crate::plan::RunConfig;
+use crate::plan::{ExperimentPlan, PlanError, RunConfig};
 use crate::replay::{self, CountReport, ReplayError};
 
 /// One measured grid point: the config that produced it plus every counter
@@ -87,30 +87,37 @@ impl RunRecord {
     }
 }
 
-/// [`RunRecord::write_balance`] for a stats block.
-fn write_balance_of(stats: &Stats) -> f64 {
-    load_balance(&stats.writes_per_pe()).jain
-}
-
-/// The one place a [`CountReport`] maps onto [`RunRecord`] fields — every
-/// counting-style oracle builds on this, so a new counter is threaded
-/// through a single construction site.
-fn record_of(cfg: &RunConfig, rep: &CountReport, cycles: Option<u64>) -> RunRecord {
+/// The one place access statistics map onto [`RunRecord`] fields — every
+/// oracle in this crate builds on this, so a new counter is threaded
+/// through a single construction site. Network-model, timing and bound
+/// fields start out unmodeled.
+fn record_of(cfg: &RunConfig, stats: &Stats, messages: u64) -> RunRecord {
     RunRecord {
         cfg: cfg.clone(),
-        remote_pct: rep.remote_pct(),
-        cached_pct: rep.stats.cached_read_pct(),
-        writes: rep.stats.writes(),
-        local_reads: rep.stats.local_reads(),
-        cached_reads: rep.stats.cached_reads(),
-        remote_reads: rep.stats.remote_reads(),
-        total_reads: rep.stats.total_reads(),
-        messages: rep.network_messages,
+        remote_pct: stats.remote_read_pct(),
+        cached_pct: stats.cached_read_pct(),
+        writes: stats.writes(),
+        local_reads: stats.local_reads(),
+        cached_reads: stats.cached_reads(),
+        remote_reads: stats.remote_reads(),
+        total_reads: stats.total_reads(),
+        messages,
+        hops: None,
+        max_link_load: None,
+        write_balance: load_balance(&stats.writes_per_pe()).jain,
+        cycles: None,
+        speedup_bound: None,
+    }
+}
+
+/// [`record_of`] a counting engine's report, whose network model also
+/// measures hops and link load.
+fn counted(cfg: &RunConfig, rep: &CountReport, cycles: Option<u64>) -> RunRecord {
+    RunRecord {
         hops: Some(rep.network_hops),
         max_link_load: Some(rep.max_link_load),
-        write_balance: write_balance_of(&rep.stats),
         cycles,
-        speedup_bound: None,
+        ..record_of(cfg, &rep.stats, rep.network_messages)
     }
 }
 
@@ -141,6 +148,12 @@ impl core::fmt::Display for OracleError {
 
 impl std::error::Error for OracleError {}
 
+/// An invalid machine configuration, as the interpreter reports it —
+/// whichever engine noticed.
+fn bad_config(e: sa_machine::ConfigError) -> OracleError {
+    OracleError::Sim(SimError::Machine(sa_machine::MachineError::BadConfig(e)))
+}
+
 impl From<SimError> for OracleError {
     fn from(e: SimError) -> Self {
         OracleError::Sim(e)
@@ -157,8 +170,8 @@ impl From<TimingError> for OracleError {
 /// searches take `&dyn Oracle`.
 ///
 /// Implementations must be deterministic for a given `(program, cfg)` pair
-/// — equivalence tests between legacy drivers and plan-built grids rely on
-/// it — and `Sync`, because grid points are measured concurrently.
+/// — the memo cache and every engine-equivalence test rely on it — and
+/// `Sync`, because grid points are measured concurrently.
 pub trait Oracle: Sync {
     /// Short backend name for reports and CLI output.
     fn name(&self) -> &'static str;
@@ -178,7 +191,7 @@ impl Oracle for CountingOracle {
 
     fn measure(&self, program: &Program, cfg: &RunConfig) -> Result<RunRecord, OracleError> {
         let rep = simulate(program, &cfg.machine())?;
-        Ok(record_of(cfg, &CountReport::from_sim(&rep), None))
+        Ok(counted(cfg, &CountReport::from_sim(&rep), None))
     }
 }
 
@@ -250,14 +263,12 @@ impl Oracle for FastCountingOracle {
         let rep = match self.engine {
             Engine::Interp => return CountingOracle.measure(program, cfg),
             Engine::Replay => replay::counts(program, &machine).map_err(|e| match e {
-                ReplayError::Config(c) => {
-                    OracleError::Sim(SimError::Machine(sa_machine::MachineError::BadConfig(c)))
-                }
+                ReplayError::Config(c) => bad_config(c),
                 e @ ReplayError::Unsupported { .. } => OracleError::Unsupported(e.to_string()),
             })?,
             Engine::Auto => replay::counts_or_simulate(program, &machine)?,
         };
-        Ok(record_of(cfg, &rep, None))
+        Ok(counted(cfg, &rep, None))
     }
 }
 
@@ -325,23 +336,10 @@ impl Oracle for StaticOracle {
             sa_lint::EstimateError::Indirect { .. } | sa_lint::EstimateError::CacheUnsupported => {
                 OracleError::Unsupported(e.to_string())
             }
+            sa_lint::EstimateError::Config(c) => bad_config(c),
             e => OracleError::Backend(e.to_string()),
         })?;
-        let stats = &est.stats;
         Ok(RunRecord {
-            cfg: cfg.clone(),
-            remote_pct: stats.remote_read_pct(),
-            cached_pct: stats.cached_read_pct(),
-            writes: stats.writes(),
-            local_reads: stats.local_reads(),
-            cached_reads: stats.cached_reads(),
-            remote_reads: stats.remote_reads(),
-            total_reads: stats.total_reads(),
-            messages: est.network_messages,
-            hops: None,
-            max_link_load: None,
-            write_balance: write_balance_of(stats),
-            cycles: None,
             speedup_bound: summary_of(program).and_then(|summary| {
                 sa_lint::depgraph::speedup_bound_with(
                     &summary,
@@ -353,6 +351,7 @@ impl Oracle for StaticOracle {
                     },
                 )
             }),
+            ..record_of(cfg, &est.stats, est.network_messages)
         })
     }
 }
@@ -385,12 +384,59 @@ impl Oracle for TimingOracle {
         let rep = simulate_traced(program, &machine)?;
         let trace = rep.trace.as_ref().expect("simulate_traced always captures");
         let timing = estimate_timing_from_trace(program, trace, machine.costs)?;
-        Ok(record_of(
+        Ok(counted(
             cfg,
             &CountReport::from_sim(&rep),
             Some(timing.total_cycles),
         ))
     }
+}
+
+/// Estimated speedup over one PE at each PE count of `pes` (the §9
+/// execution-time extension): one [`TimingOracle`] plan over the PE axis,
+/// cycles divided into the 1-PE baseline's.
+pub fn speedup_sweep(
+    program: &Program,
+    pes: &[usize],
+    page_size: usize,
+    costs: AccessCosts,
+) -> Result<Vec<(usize, f64)>, TimingError> {
+    let expect_timing_error = |e: PlanError| match e {
+        PlanError::Oracle(OracleError::Timing(e)) => e,
+        PlanError::Oracle(OracleError::Sim(e)) => TimingError::Sim(e),
+        other => unreachable!("speedup sweep hit a non-timing error: {other}"),
+    };
+    let oracle = TimingOracle::with_costs(costs);
+    let base_plan = ExperimentPlan::new().base(RunConfig {
+        page_size,
+        ..RunConfig::default()
+    });
+    let baseline = base_plan
+        .clone()
+        .pes(&[1])
+        .run(program, &oracle)
+        .map_err(expect_timing_error)?;
+    let base_cycles = baseline.records()[0].cycles.expect("timing oracle");
+    if pes.is_empty() {
+        return Ok(Vec::new());
+    }
+    let results = base_plan
+        .pes(pes)
+        .run(program, &oracle)
+        .map_err(expect_timing_error)?;
+    Ok(results
+        .records()
+        .iter()
+        .map(|r| {
+            let cycles = r.cycles.expect("timing oracle");
+            let speedup = if cycles == 0 {
+                1.0
+            } else {
+                base_cycles as f64 / cycles as f64
+            };
+            (r.cfg.n_pes, speedup)
+        })
+        .collect())
 }
 
 #[cfg(test)]
@@ -433,6 +479,18 @@ mod tests {
             .measure(&p, &RunConfig::default())
             .unwrap();
         assert!(rec.cycles.is_some_and(|c| c > 0));
+    }
+
+    #[test]
+    fn speedup_sweep_is_relative_to_one_pe() {
+        let p = tiny();
+        let s = speedup_sweep(&p, &[1, 2, 4], 32, AccessCosts::default()).unwrap();
+        assert_eq!(s[0], (1, 1.0));
+        assert!(s[2].1 > s[1].1, "a matched loop keeps speeding up: {s:?}");
+        assert_eq!(
+            speedup_sweep(&p, &[], 32, AccessCosts::default()).unwrap(),
+            vec![]
+        );
     }
 
     #[test]

@@ -56,15 +56,16 @@
 //! performs no bounds, definedness or double-write checking, exactly
 //! because those checks are what make interpretation slow.
 
+use sa_ir::access::{Line, Sweep};
 use sa_ir::analysis::{anchor_ref, linear_address_form};
 use sa_ir::index::IndexExpr;
-use sa_ir::nest::{ArrayRef, LoopVar, Stmt};
+use sa_ir::nest::{ArrayRef, LoopNest, Stmt};
 use sa_ir::program::{ArrayInit, Phase};
-use sa_ir::Program;
+use sa_ir::{LinForm, Program};
 use sa_machine::host::run_reinit_protocol;
 use sa_machine::{
-    host_of, ArrayShape, CachePolicy, ConfigError, MachineConfig, Network, PageKey,
-    PartialPagePolicy, PeCounters, Placement, Stats,
+    host_of, CachePolicy, ConfigError, MachineConfig, Network, PageKey, PartialPagePolicy,
+    PeCounters, Placement, Stats,
 };
 
 use crate::exec::{simulate, SimError, SimReport};
@@ -157,32 +158,6 @@ impl std::error::Error for ReplayError {}
 // Compiled form
 // ---------------------------------------------------------------------------
 
-/// Linear address function `coeffs · ivs + offset` (strides folded in).
-#[derive(Debug, Clone)]
-struct LinForm {
-    coeffs: Vec<i64>,
-    offset: i64,
-}
-
-impl LinForm {
-    /// `(base, step)` of the address along the innermost loop for one outer
-    /// block: `addr(t) = base + step · t` where `t` counts inner iterations.
-    /// `inner` is `None` for zero-depth nests (single instance, step 0).
-    fn block(&self, outer: &[i64], inner: Option<(usize, i64, i64)>) -> (i64, i64) {
-        let mut base = self.offset;
-        for (v, &iv) in outer.iter().enumerate() {
-            base += self.coeffs.get(v).copied().unwrap_or(0) * iv;
-        }
-        match inner {
-            None => (base, 0),
-            Some((var, lo, step)) => {
-                let c = self.coeffs.get(var).copied().unwrap_or(0);
-                (base + c * lo, c * step)
-            }
-        }
-    }
-}
-
 /// One dimension of a gather reference.
 #[derive(Debug, Clone)]
 enum DimIdx {
@@ -244,9 +219,8 @@ struct CStmt {
 }
 
 #[derive(Debug, Clone)]
-struct CNest {
-    label: String,
-    loops: Vec<LoopVar>,
+struct CNest<'p> {
+    nest: &'p LoopNest,
     body: Vec<CStmt>,
     /// Scalar id per reduce slot, in body order.
     reduce_scalars: Vec<usize>,
@@ -263,9 +237,9 @@ enum CPhase {
 }
 
 #[derive(Debug)]
-struct Compiled {
+struct Compiled<'p> {
     phases: Vec<CPhase>,
-    nests: Vec<CNest>,
+    nests: Vec<CNest<'p>>,
     /// Per-array geometry-aware placement (scheme × page size × PEs ×
     /// declared shape) — the single owner authority for the whole replay.
     placements: Vec<Placement>,
@@ -274,8 +248,14 @@ struct Compiled {
     index_values: Vec<Vec<i64>>,
 }
 
-fn compile(program: &Program, cfg: &MachineConfig) -> Result<Compiled, ReplayError> {
-    cfg.validate().map_err(ReplayError::Config)?;
+fn compile<'p>(program: &'p Program, cfg: &MachineConfig) -> Result<Compiled<'p>, ReplayError> {
+    let placements = Placement::table(
+        program.arrays.iter().map(|d| &d.dims),
+        cfg.partition,
+        cfg.page_size,
+        cfg.n_pes,
+    )
+    .map_err(ReplayError::Config)?;
     if cfg.partial_pages == PartialPagePolicy::Refetch {
         return Err(ReplayError::Unsupported {
             nest: "<config>".into(),
@@ -344,13 +324,7 @@ fn compile(program: &Program, cfg: &MachineConfig) -> Result<Compiled, ReplayErr
                     if let Stmt::Assign { target, .. } = stmt {
                         for ix in &target.indices {
                             if let IndexExpr::Indirect { base, pos, .. } = ix {
-                                target_loads.push((
-                                    base.0,
-                                    LinForm {
-                                        coeffs: pos.coeffs_padded(nvars),
-                                        offset: pos.offset,
-                                    },
-                                ));
+                                target_loads.push((base.0, LinForm::of_index(pos, nvars)));
                             }
                         }
                     }
@@ -372,8 +346,7 @@ fn compile(program: &Program, cfg: &MachineConfig) -> Result<Compiled, ReplayErr
                     });
                 }
                 let cn = CNest {
-                    label: nest.label.clone(),
-                    loops: nest.loops.clone(),
+                    nest,
                     body,
                     reduce_scalars,
                     rr_base,
@@ -389,18 +362,7 @@ fn compile(program: &Program, cfg: &MachineConfig) -> Result<Compiled, ReplayErr
     Ok(Compiled {
         phases,
         nests,
-        placements: program
-            .arrays
-            .iter()
-            .map(|d| {
-                Placement::new(
-                    cfg.partition,
-                    cfg.page_size,
-                    cfg.n_pes,
-                    ArrayShape::from_dims(&d.dims),
-                )
-            })
-            .collect(),
+        placements,
         index_values,
     })
 }
@@ -413,10 +375,10 @@ fn compile_ref(
     dynamic: &[bool],
     index_values: &mut [Vec<i64>],
 ) -> Result<ReadAccess, ReplayError> {
-    if let Some((coeffs, offset)) = linear_address_form(program, aref, nvars) {
+    if let Some(form) = linear_address_form(program, aref, nvars) {
         return Ok(ReadAccess::Affine {
             array: aref.array.0,
-            form: LinForm { coeffs, offset },
+            form,
         });
     }
     let decl = program.array(aref.array);
@@ -424,10 +386,7 @@ fn compile_ref(
     let mut dims = Vec::with_capacity(aref.indices.len());
     for ix in &aref.indices {
         match ix {
-            IndexExpr::Affine(a) => dims.push(DimIdx::Affine(LinForm {
-                coeffs: a.coeffs_padded(nvars),
-                offset: a.offset,
-            })),
+            IndexExpr::Affine(a) => dims.push(DimIdx::Affine(LinForm::of_index(a, nvars))),
             IndexExpr::Indirect {
                 base,
                 pos,
@@ -462,10 +421,7 @@ fn compile_ref(
                 }
                 dims.push(DimIdx::Indirect {
                     base: base.0,
-                    pos: LinForm {
-                        coeffs: pos.coeffs_padded(nvars),
-                        offset: pos.offset,
-                    },
+                    pos: LinForm::of_index(pos, nvars),
                     scale: *scale,
                     offset: *offset,
                 });
@@ -618,41 +574,19 @@ struct ProbeRun {
     owner: usize,
 }
 
-/// Floor division for a positive divisor.
-fn div_floor(a: i64, b: i64) -> i64 {
-    debug_assert!(b > 0);
-    let q = a / b;
-    if a % b != 0 && a < 0 {
-        q - 1
-    } else {
-        q
-    }
-}
-
-/// Ceiling division for a positive divisor.
-fn div_ceil(a: i64, b: i64) -> i64 {
-    debug_assert!(b > 0);
-    let q = a / b;
-    if a % b != 0 && a > 0 {
-        q + 1
-    } else {
-        q
-    }
-}
-
-/// Per-block address forms of one statement, aligned with its `CStmt`.
+/// Per-sweep address lines of one statement, aligned with its `CStmt`.
 struct StmtForms {
-    /// Per-read forms: one `(base, step)` per affine read, one per gather
-    /// dimension for gather reads.
-    reads: Vec<Vec<(i64, i64)>>,
-    /// Forms of the indirect-target index loads.
-    target_loads: Vec<(i64, i64)>,
+    /// Per-read lines: one per affine read, one per gather dimension for
+    /// gather reads.
+    reads: Vec<Vec<Line>>,
+    /// Lines of the indirect-target index loads.
+    target_loads: Vec<Line>,
     /// Owned inner iterations, as disjoint ascending `(start, end)` ranges.
     segs: Vec<(usize, usize)>,
 }
 
 struct Worker<'a> {
-    cp: &'a Compiled,
+    cp: &'a Compiled<'a>,
     pe: usize,
     n_pes: usize,
     ps: usize,
@@ -670,7 +604,7 @@ struct Worker<'a> {
 }
 
 impl<'a> Worker<'a> {
-    fn new(cp: &'a Compiled, cfg: &MachineConfig, pe: usize) -> Self {
+    fn new(cp: &'a Compiled<'a>, cfg: &MachineConfig, pe: usize) -> Self {
         Worker {
             cp,
             pe,
@@ -744,19 +678,18 @@ impl<'a> Worker<'a> {
     }
 
     /// Element address of a gather at inner iteration `t` (uncharged).
-    fn gather_addr(&self, g: &GatherRef, dims: &[(i64, i64)], t: i64) -> i64 {
+    fn gather_addr(&self, g: &GatherRef, dims: &[Line], t: i64) -> i64 {
         let mut addr = 0i64;
         for (d, dim) in g.dims.iter().enumerate() {
-            let (base_v, step_v) = dims[d];
             let idx = match dim {
-                DimIdx::Affine(_) => base_v + step_v * t,
+                DimIdx::Affine(_) => dims[d].addr(t),
                 DimIdx::Indirect {
                     base,
                     scale,
                     offset,
                     ..
                 } => {
-                    let pos = base_v + step_v * t;
+                    let pos = dims[d].addr(t);
                     debug_assert!(pos >= 0, "negative gather position");
                     scale * self.cp.index_values[*base][pos as usize] + offset
                 }
@@ -770,25 +703,21 @@ impl<'a> Worker<'a> {
     fn charge_stmt(&mut self, stmt: &CStmt, forms: &StmtForms, t: i64) {
         for (read, rf) in stmt.reads.iter().zip(&forms.reads) {
             match read {
-                ReadAccess::Affine { array, .. } => {
-                    let (b, a) = rf[0];
-                    self.charge_read(*array, b + a * t);
-                }
+                ReadAccess::Affine { array, .. } => self.charge_read(*array, rf[0].addr(t)),
                 ReadAccess::Gather(g) => {
                     // Index loads charge in dimension order, then the
                     // element — exactly `EvalCtx::resolve_addr` + `load`.
                     let mut addr = 0i64;
                     for (d, dim) in g.dims.iter().enumerate() {
-                        let (base_v, step_v) = rf[d];
                         let idx = match dim {
-                            DimIdx::Affine(_) => base_v + step_v * t,
+                            DimIdx::Affine(_) => rf[d].addr(t),
                             DimIdx::Indirect {
                                 base,
                                 scale,
                                 offset,
                                 ..
                             } => {
-                                let pos = base_v + step_v * t;
+                                let pos = rf[d].addr(t);
                                 self.charge_read(*base, pos);
                                 scale * self.cp.index_values[*base][pos as usize] + offset
                             }
@@ -799,8 +728,8 @@ impl<'a> Worker<'a> {
                 }
             }
         }
-        for ((base, _), &(b, a)) in stmt.target_loads.iter().zip(&forms.target_loads) {
-            self.charge_read(*base, b + a * t);
+        for ((base, _), line) in stmt.target_loads.iter().zip(&forms.target_loads) {
+            self.charge_read(*base, line.addr(t));
         }
         if stmt.writes {
             self.cur.writes += 1;
@@ -810,16 +739,14 @@ impl<'a> Worker<'a> {
         }
     }
 
-    fn replay_nest(&mut self, cn: &'a CNest) {
+    fn replay_nest(&mut self, cn: &'a CNest<'a>) {
         self.participation = vec![false; cn.reduce_scalars.len()];
-        if cn.loops.is_empty() {
-            // A zero-depth nest is a single instance block.
-            self.block(cn, &[], 0, None);
-        } else {
-            let mut outer = Vec::with_capacity(cn.loops.len() - 1);
-            let mut g_base = 0u64;
-            self.outer_rec(cn, 0, &mut outer, &mut g_base);
-        }
+        // Iterations of the nest before the current sweep.
+        let mut g_base = 0u64;
+        cn.nest.for_each_sweep(|sweep| {
+            self.block(cn, sweep, g_base);
+            g_base += sweep.trips as u64;
+        });
         // Vector→scalar collection: ship this PE's partials to each
         // scalar's host (paper §9), exactly like `machine.send_partial`.
         for (slot, &scalar) in cn.reduce_scalars.iter().enumerate() {
@@ -833,40 +760,10 @@ impl<'a> Worker<'a> {
         }
     }
 
-    fn outer_rec(&mut self, cn: &'a CNest, depth: usize, outer: &mut Vec<i64>, g_base: &mut u64) {
-        if depth + 1 == cn.loops.len() {
-            let lv = &cn.loops[depth];
-            let lo = lv.lo.eval(outer);
-            let m = lv.trip_count(outer);
-            if m > 0 {
-                self.block(cn, outer, *g_base, Some((depth, lo, lv.step, m)));
-                *g_base += m as u64;
-            }
-            return;
-        }
-        let lv = &cn.loops[depth];
-        let lo = lv.lo.eval(outer);
-        let hi = lv.hi.eval(outer);
-        let mut v = lo;
-        while (lv.step > 0 && v <= hi) || (lv.step < 0 && v >= hi) {
-            outer.push(v);
-            self.outer_rec(cn, depth + 1, outer, g_base);
-            outer.pop();
-            v += lv.step;
-        }
-    }
-
-    /// Replay one inner-loop block: `inner = Some((var, lo, step, m))`, or
-    /// `None` for a zero-depth nest (single instance).
-    fn block(
-        &mut self,
-        cn: &'a CNest,
-        outer: &[i64],
-        g_base: u64,
-        inner: Option<(usize, i64, i64, usize)>,
-    ) {
-        let m = inner.map(|(_, _, _, m)| m).unwrap_or(1);
-        let block_of = |f: &LinForm| f.block(outer, inner.map(|(v, lo, s, _)| (v, lo, s)));
+    /// Replay one sweep of the nest.
+    fn block(&mut self, cn: &'a CNest<'a>, sweep: &Sweep<'_>, g_base: u64) {
+        let m = sweep.trips;
+        let line_of = |f: &LinForm| f.line(sweep);
 
         let mut stmt_forms: Vec<StmtForms> = Vec::with_capacity(cn.body.len());
         for stmt in &cn.body {
@@ -874,23 +771,22 @@ impl<'a> Worker<'a> {
                 .reads
                 .iter()
                 .map(|r| match r {
-                    ReadAccess::Affine { form, .. } => vec![block_of(form)],
-                    ReadAccess::Gather(g) => g.dims.iter().map(|d| block_of(dim_form(d))).collect(),
+                    ReadAccess::Affine { form, .. } => vec![line_of(form)],
+                    ReadAccess::Gather(g) => g.dims.iter().map(|d| line_of(dim_form(d))).collect(),
                 })
                 .collect();
             let target_loads = stmt
                 .target_loads
                 .iter()
-                .map(|(_, form)| block_of(form))
+                .map(|(_, form)| line_of(form))
                 .collect();
             let segs = match &stmt.anchor {
                 Anchor::Affine { array, form } => {
-                    let (b, a) = block_of(form);
-                    self.owned_segments_affine(*array, b, a, m)
+                    self.owned_segments_affine(*array, line_of(form), m)
                 }
                 Anchor::Gather(g) => {
-                    let anchor_dims: Vec<(i64, i64)> =
-                        g.dims.iter().map(|d| block_of(dim_form(d))).collect();
+                    let anchor_dims: Vec<Line> =
+                        g.dims.iter().map(|d| line_of(dim_form(d))).collect();
                     self.owned_segments_by(m, |t| {
                         let addr = self.gather_addr(g, &anchor_dims, t as i64);
                         self.owner_of(g.array, addr) == self.pe
@@ -959,7 +855,7 @@ impl<'a> Worker<'a> {
     /// and those probe once per (page, residency) instead of per access.
     fn bulk_window(
         &mut self,
-        cn: &CNest,
+        cn: &CNest<'_>,
         stmt_forms: &[StmtForms],
         active: &[usize],
         w0: usize,
@@ -983,11 +879,10 @@ impl<'a> Worker<'a> {
                 let ReadAccess::Affine { array, .. } = read else {
                     unreachable!("bulk windows are all-affine");
                 };
-                let (b, a) = rf[0];
-                self.collect_probe_runs(*array, b, a, w0, w1, &mut probes);
+                self.collect_probe_runs(*array, rf[0], w0, w1, &mut probes);
             }
-            for ((base, _), &(b, a)) in stmt.target_loads.iter().zip(&forms.target_loads) {
-                self.collect_probe_runs(*base, b, a, w0, w1, &mut probes);
+            for ((base, _), &line) in stmt.target_loads.iter().zip(&forms.target_loads) {
+                self.collect_probe_runs(*base, line, w0, w1, &mut probes);
             }
         }
         if !probes.is_empty() {
@@ -1002,45 +897,30 @@ impl<'a> Worker<'a> {
     fn collect_probe_runs(
         &mut self,
         array: usize,
-        b: i64,
-        a: i64,
+        line: Line,
         w0: usize,
         w1: usize,
         out: &mut Vec<ProbeRun>,
     ) {
         let ps = self.ps as i64;
-        let mut push = |this: &mut Self, t0: usize, t1: usize, page: usize| {
-            let owner = this.cp.placements[array].page_owner(page);
-            if owner == this.pe {
-                this.cur.local += (t1 - t0) as u64;
+        let mut t = w0;
+        while t < w1 {
+            let page = (line.addr(t as i64) / ps) as usize;
+            // Largest run of iterations staying on `page` (the whole window
+            // for a line that does not move).
+            let end = (line.run_end(t as i64, ps) as usize).min(w1);
+            let owner = self.cp.placements[array].page_owner(page);
+            if owner == self.pe {
+                self.cur.local += (end - t) as u64;
             } else {
                 out.push(ProbeRun {
-                    t0,
-                    t1,
+                    t0: t,
+                    t1: end,
                     array,
                     page,
                     owner,
                 });
             }
-        };
-        if a == 0 {
-            debug_assert!(b >= 0, "negative read address");
-            push(self, w0, w1, b as usize / self.ps);
-            return;
-        }
-        let mut t = w0;
-        while t < w1 {
-            let addr = b + a * t as i64;
-            debug_assert!(addr >= 0, "negative read address");
-            let page = addr / ps;
-            // Largest run of iterations staying on `page`.
-            let run = if a > 0 {
-                ((page + 1) * ps - 1 - addr) / a + 1
-            } else {
-                (addr - page * ps) / (-a) + 1
-            } as usize;
-            let end = (t + run).min(w1);
-            push(self, t, end, page as usize);
             t = end;
         }
     }
@@ -1157,10 +1037,10 @@ impl<'a> Worker<'a> {
     /// to an iteration range closed-form — the per-PE cost is proportional
     /// to the PE's own share of the nest, so the shards divide the work
     /// instead of replicating it.
-    fn owned_segments_affine(&self, array: usize, b: i64, a: i64, m: usize) -> Vec<(usize, usize)> {
+    fn owned_segments_affine(&self, array: usize, line: Line, m: usize) -> Vec<(usize, usize)> {
         let mut segs: Vec<(usize, usize)> = Vec::new();
-        if a == 0 {
-            if self.owner_of(array, b) == self.pe {
+        if line.step == 0 {
+            if self.owner_of(array, line.base) == self.pe {
                 segs.push((0, m));
             }
             return segs;
@@ -1169,26 +1049,16 @@ impl<'a> Worker<'a> {
             return vec![(0, m)];
         }
         let ps = self.ps as i64;
-        let last = b + a * (m as i64 - 1);
-        debug_assert!(b >= 0 && last >= 0, "negative anchor address");
-        let (lo_addr, hi_addr) = if a > 0 { (b, last) } else { (last, b) };
-        let (plo, phi) = ((lo_addr / ps) as usize, (hi_addr / ps) as usize);
-        self.cp.placements[array].owned_page_intervals(self.pe, plo, phi, |q0, q1| {
-            // Iterations whose address lands in pages [q0, q1).
-            let lo_bound = q0 as i64 * ps;
-            let hi_bound = q1 as i64 * ps - 1;
-            let (t0, t1) = if a > 0 {
-                (div_ceil(lo_bound - b, a), div_floor(hi_bound - b, a))
-            } else {
-                (div_ceil(b - hi_bound, -a), div_floor(b - lo_bound, -a))
-            };
-            let t0 = t0.max(0) as usize;
-            let t1 = t1.min(m as i64 - 1);
-            if t1 >= t0 as i64 {
-                segs.push((t0, t1 as usize + 1));
-            }
-        });
-        if a < 0 {
+        let last = line.addr(m as i64 - 1);
+        debug_assert!(line.base >= 0 && last >= 0, "negative anchor address");
+        let (plo, phi) = (line.base.min(last) / ps, line.base.max(last) / ps);
+        self.cp.placements[array].owned_page_intervals(
+            self.pe,
+            plo as usize,
+            phi as usize,
+            |q0, q1| segs.extend(line.trips_in_pages(q0, q1, ps, m)),
+        );
+        if line.step < 0 {
             // Ascending pages map to descending iterations.
             segs.reverse();
         }
@@ -1277,7 +1147,7 @@ pub fn counts(program: &Program, cfg: &MachineConfig) -> Result<CountReport, Rep
             ns.reduction_messages += t.reduction_messages;
         }
         stats.merge(&ns);
-        per_nest.push((cn.label.clone(), ns));
+        per_nest.push((cn.nest.label.clone(), ns));
     }
 
     Ok(CountReport {
@@ -1348,6 +1218,7 @@ fn assert_report_matches(rep: &CountReport, sim: &SimReport) {
 mod tests {
     use super::*;
     use sa_ir::index::iv;
+    use sa_ir::LoopVar;
     use sa_ir::{InitPattern, ProgramBuilder};
     use sa_machine::{CachePolicy, NetworkTopology, PartitionScheme};
 

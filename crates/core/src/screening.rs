@@ -11,7 +11,7 @@
 use sa_ir::interp::{resolve_ref_addr, Memory};
 use sa_ir::nest::Stmt;
 use sa_ir::{analysis, ArrayId, IrError, Program};
-use sa_machine::{ArrayShape, MachineConfig, Placement};
+use sa_machine::{ConfigError, MachineConfig, Placement};
 
 /// Immutable page-ownership map for one (program, machine) pair.
 ///
@@ -27,23 +27,17 @@ pub struct PartitionMap {
 
 impl PartitionMap {
     /// Build the map for `program` on a machine described by `cfg`.
-    pub fn new(program: &Program, cfg: &MachineConfig) -> Self {
-        PartitionMap {
+    pub fn new(program: &Program, cfg: &MachineConfig) -> Result<Self, ConfigError> {
+        Ok(PartitionMap {
             n_pes: cfg.n_pes,
             page_size: cfg.page_size,
-            placements: program
-                .arrays
-                .iter()
-                .map(|d| {
-                    Placement::new(
-                        cfg.partition,
-                        cfg.page_size,
-                        cfg.n_pes,
-                        ArrayShape::from_dims(&d.dims),
-                    )
-                })
-                .collect(),
-        }
+            placements: Placement::table(
+                program.arrays.iter().map(|d| &d.dims),
+                cfg.partition,
+                cfg.page_size,
+                cfg.n_pes,
+            )?,
+        })
     }
 
     /// Number of PEs.
@@ -137,7 +131,7 @@ mod tests {
     fn owner_matches_machine_partition() {
         let p = hydro_like(100);
         let cfg = MachineConfig::new(4, 32);
-        let map = PartitionMap::new(&p, &cfg);
+        let map = PartitionMap::new(&p, &cfg).unwrap();
         assert_eq!(map.n_pes(), 4);
         assert_eq!(map.page_size(), 32);
         // Paper example: pages 0..3 of a 100-element array → PEs 0..3.
@@ -151,7 +145,7 @@ mod tests {
     fn anchor_owner_screens_iterations() {
         let p = hydro_like(100);
         let cfg = MachineConfig::new(4, 32);
-        let map = PartitionMap::new(&p, &cfg);
+        let map = PartitionMap::new(&p, &cfg).unwrap();
         let nest = p.nests().next().unwrap();
         let stmt = &nest.body[0];
         assert_eq!(map.anchor_owner(&p, stmt, &[0]), Some(0));
@@ -166,7 +160,7 @@ mod tests {
         // Every iteration must belong to exactly one PE.
         let p = hydro_like(100);
         let cfg = MachineConfig::new(4, 32);
-        let map = PartitionMap::new(&p, &cfg);
+        let map = PartitionMap::new(&p, &cfg).unwrap();
         let nest = p.nests().next().unwrap();
         let stmt = &nest.body[0];
         let mut counts = vec![0usize; 4];
@@ -193,7 +187,7 @@ mod tests {
             tile_rows: 4,
             tile_cols: 4,
         });
-        let map = PartitionMap::new(&p, &cfg);
+        let map = PartitionMap::new(&p, &cfg).unwrap();
         let nest = p.nests().next().unwrap();
         let stmt = &nest.body[0];
         assert_eq!(map.anchor_owner(&p, stmt, &[0, 0]), Some(0));

@@ -8,13 +8,16 @@
 //! then by enumeration order (first scheme, then smallest page-size
 //! index).
 //!
-//! [`search_with`] walks candidates sequentially with an incumbent and
-//! *prunes* configs whose static score lower bound — the imbalance
-//! penalty computed from the dependence-graph projection
+//! [`strategy::Searcher`] walks candidates with an incumbent and *prunes*
+//! configs whose static score lower bound — the imbalance penalty computed
+//! from the dependence-graph projection
 //! ([`sa_lint::depgraph::static_writes_per_pe`]), with no execution —
-//! already exceeds the incumbent's score. Pruning is certified to return
-//! bit-identical winners to the exhaustive parallel sweep, which stays
-//! available as [`search_exhaustive_with`].
+//! already exceeds the incumbent's score. Strictness preserves the
+//! exhaustive tie-breaks (a bound equal to the incumbent's score still gets
+//! measured — it could tie and win on messages), so the pruned walk is
+//! certified to return bit-identical winners to the exhaustive parallel
+//! sweep, which stays available as [`search_exhaustive_with`]
+//! (`tests/lint_static.rs` certifies this across the registry).
 //!
 //! The default [`Objective::Balanced`] scores a candidate as
 //! `remote % + weight · imbalance %`, where imbalance is derived from the
@@ -25,7 +28,7 @@
 //! work* — exactly the pathology the ROADMAP follow-up named.
 
 use sa_ir::Program;
-use sa_lint::{static_writes_per_pe, LintConfig};
+use sa_lint::LintConfig;
 use sa_machine::{NetworkTopology, PartitionScheme};
 
 use crate::oracle::{Oracle, OracleError, RunRecord};
@@ -136,7 +139,7 @@ impl SearchSpace {
     }
 }
 
-/// The winning configuration of a [`search`], with the evidence.
+/// The winning configuration of a search, with the evidence.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BestConfig {
     /// Winning placement scheme.
@@ -232,84 +235,9 @@ pub(crate) fn static_score_bound(
     Some(weight * 100.0 * (1.0 - sa_machine::load_balance(&writes).jain))
 }
 
-/// Exhaustively search `space` for the best `PartitionScheme × page size`
-/// for `kernel` under the default balanced [`Objective`], measuring through
-/// `oracle` (the parallel sweep engine is the evaluation engine
-/// underneath). Use [`search_with`] to pick the legacy remote-only
-/// objective explicitly.
-pub fn search(
-    kernel: &Program,
-    space: &SearchSpace,
-    oracle: &dyn Oracle,
-) -> Result<BestConfig, PlanError> {
-    search_with(kernel, space, oracle, Objective::default())
-}
-
-/// [`search`] with an explicit scoring [`Objective`].
-///
-/// Candidates whose static score bound (`static_score_bound`, derived
-/// from the dependence-graph projection) proves they cannot *strictly*
-/// beat the incumbent are pruned without measuring. Strictness preserves
-/// the exhaustive tie-breaks (a bound equal to the incumbent's score
-/// still gets measured — it could tie and win on messages), so pruned
-/// search returns bit-identical winners to [`search_exhaustive_with`];
-/// `tests/lint_static.rs` certifies this across the affine registry.
-pub fn search_with(
-    kernel: &Program,
-    space: &SearchSpace,
-    oracle: &dyn Oracle,
-    objective: Objective,
-) -> Result<BestConfig, PlanError> {
-    let plan = space.plan();
-    plan.validate().map_err(PlanError::Config)?;
-    let mut best: Option<(RunRecord, f64)> = None;
-    let mut evaluated = 0usize;
-    let mut pruned = 0usize;
-    for cfg in plan.configs() {
-        if let (Some((_, incumbent)), Some(bound)) = (
-            best.as_ref(),
-            static_score_bound(kernel, &cfg, objective, static_writes_per_pe),
-        ) {
-            if bound > *incumbent {
-                pruned += 1;
-                continue;
-            }
-        }
-        let rec = match oracle.measure(kernel, &cfg) {
-            Ok(rec) => rec,
-            // Fail soft per point, like the parallel sweep engine.
-            Err(OracleError::Unsupported(_)) => continue,
-            Err(e) => return Err(PlanError::Oracle(e)),
-        };
-        evaluated += 1;
-        let score = objective.score(&rec);
-        let wins = match &best {
-            None => true,
-            Some((inc, _)) => BestConfig::beats(objective, &rec, inc),
-        };
-        if wins {
-            best = Some((rec, score));
-        }
-    }
-    let (b, score) = best.ok_or_else(|| {
-        PlanError::Oracle(OracleError::Unsupported(
-            "every candidate configuration was unsupported by the oracle".into(),
-        ))
-    })?;
-    Ok(BestConfig {
-        scheme: b.cfg.partition,
-        page_size: b.cfg.page_size,
-        remote_pct: b.remote_pct,
-        messages: b.messages,
-        write_balance: b.write_balance,
-        score,
-        evaluated,
-        pruned,
-    })
-}
-
-/// [`search_with`] without pruning: the original parallel exhaustive
-/// sweep. Kept public as the certification baseline for the pruned path.
+/// Search `space` for the best configuration for `kernel` without pruning:
+/// the parallel exhaustive sweep every candidate is measured by. The
+/// certification baseline of [`strategy::Searcher`]'s pruned walks.
 pub fn search_exhaustive_with(
     kernel: &Program,
     space: &SearchSpace,
@@ -328,10 +256,29 @@ pub fn search_exhaustive_with(
 
 #[cfg(test)]
 mod tests {
+    use super::strategy::{Searcher, StrategyParams};
     use super::*;
     use crate::oracle::CountingOracle;
     use sa_ir::index::iv;
     use sa_ir::{InitPattern, ProgramBuilder};
+
+    /// The pruned canonical walk (`Strategy::Exhaustive`, the default).
+    fn best_under(
+        kernel: &Program,
+        space: &SearchSpace,
+        objective: Objective,
+    ) -> Result<BestConfig, PlanError> {
+        let params = StrategyParams {
+            objective,
+            ..StrategyParams::default()
+        };
+        let searcher = Searcher::new(space, Box::new(CountingOracle), params)?;
+        Ok(searcher.search(kernel)?.best)
+    }
+
+    fn best(kernel: &Program, space: &SearchSpace) -> Result<BestConfig, PlanError> {
+        best_under(kernel, space, Objective::default())
+    }
 
     /// A first-difference-style kernel (X[k] = Y[k+1] - Y[k]): Skewed, so
     /// larger pages and blockier schemes reduce boundary crossings.
@@ -353,8 +300,8 @@ mod tests {
     fn search_is_deterministic_and_covers_the_space() {
         let p = skewed(512);
         let space = SearchSpace::default();
-        let a = search(&p, &space, &CountingOracle).unwrap();
-        let b = search(&p, &space, &CountingOracle).unwrap();
+        let a = best(&p, &space).unwrap();
+        let b = best(&p, &space).unwrap();
         assert_eq!(a, b);
         // Every candidate is either measured or statically pruned.
         assert_eq!(
@@ -362,7 +309,7 @@ mod tests {
             space.schemes.len() * space.page_sizes.len()
         );
         // The legacy objective has no static bound: fully exhaustive.
-        let legacy = search_with(&p, &space, &CountingOracle, Objective::RemoteOnly).unwrap();
+        let legacy = best_under(&p, &space, Objective::RemoteOnly).unwrap();
         assert_eq!(legacy.pruned, 0);
         assert_eq!(
             legacy.evaluated,
@@ -375,7 +322,7 @@ mod tests {
         for n in [128, 512] {
             let p = skewed(n);
             let space = SearchSpace::default();
-            let pruned = search(&p, &space, &CountingOracle).unwrap();
+            let pruned = best(&p, &space).unwrap();
             let exhaustive =
                 search_exhaustive_with(&p, &space, &CountingOracle, Objective::default()).unwrap();
             assert_eq!(pruned.scheme, exhaustive.scheme, "n={n}");
@@ -396,7 +343,7 @@ mod tests {
             n_pes: 8,
             ..SearchSpace::default()
         };
-        let best = search_with(&p, &space, &CountingOracle, Objective::RemoteOnly).unwrap();
+        let best = best_under(&p, &space, Objective::RemoteOnly).unwrap();
         // Recompute sequentially with the raw simulator.
         let mut manual: Option<(f64, u64, PartitionScheme, usize)> = None;
         for &scheme in &space.schemes {
@@ -429,13 +376,13 @@ mod tests {
         // the work.
         let p = skewed(128);
         let space = SearchSpace::default(); // 16 PEs, page sizes up to 256
-        let legacy = search_with(&p, &space, &CountingOracle, Objective::RemoteOnly).unwrap();
+        let legacy = best_under(&p, &space, Objective::RemoteOnly).unwrap();
         assert_eq!(legacy.remote_pct, 0.0);
         assert!(
             legacy.write_balance < 0.2,
             "legacy winner should be degenerate: {legacy:?}"
         );
-        let balanced = search(&p, &space, &CountingOracle).unwrap();
+        let balanced = best(&p, &space).unwrap();
         assert!(
             balanced.write_balance > 0.9,
             "balanced winner must spread writes: {balanced:?}"
@@ -455,8 +402,8 @@ mod tests {
             page_sizes: vec![8, 16, 32],
             ..SearchSpace::default()
         };
-        let legacy = search_with(&p, &space, &CountingOracle, Objective::RemoteOnly).unwrap();
-        let balanced = search(&p, &space, &CountingOracle).unwrap();
+        let legacy = best_under(&p, &space, Objective::RemoteOnly).unwrap();
+        let balanced = best(&p, &space).unwrap();
         assert_eq!(legacy.scheme, balanced.scheme);
         assert_eq!(legacy.page_size, balanced.page_size);
     }
@@ -497,7 +444,7 @@ mod tests {
             ..SearchSpace::default()
         };
         assert!(matches!(
-            search(&p, &space, &CountingOracle),
+            best(&p, &space),
             Err(PlanError::Config(sa_machine::ConfigError::EmptyAxis {
                 axis: "partition"
             }))

@@ -41,9 +41,9 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use sa_ir::{analysis, pretty, ArrayId, Phase, Program};
+use sa_ir::{analysis, pretty, ArrayId, LinForm, Phase, Program};
 use sa_lint::depgraph::DepGraph;
-use sa_machine::{ArrayShape, PartitionScheme, Placement};
+use sa_machine::{PartitionScheme, Placement};
 
 use crate::oracle::{
     of_last_program, FastCountingOracle, Oracle, OracleError, RunRecord, StaticOracle,
@@ -63,8 +63,8 @@ pub const DEFAULT_SEED: u64 = 0x5eed_1989;
 /// Which walker explores the candidate space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Strategy {
-    /// Canonical-order incumbent walk with static pruning — identical
-    /// semantics to [`crate::search::search_with`].
+    /// Canonical-order incumbent walk with static pruning: every candidate
+    /// is measured or proven unable to win.
     Exhaustive,
     /// Seeded simulated annealing with pruned Metropolis acceptance.
     Anneal,
@@ -334,9 +334,17 @@ impl Oracle for MemoOracle {
 /// [`StaticOracle`] for uncached affine points, the auto-selecting replay
 /// engine for everything else. The static estimator is certified
 /// bit-identical to the simulator wherever it answers at all, so the
-/// hybrid keeps every winner unchanged. An uncached affine evaluation
-/// walks page runs on one core and summarizes the program's instance DAG
-/// once — cheaper than replay for small programs, no faster at scale.
+/// hybrid keeps every winner unchanged.
+///
+/// Both walks sit on one access model (`sa_ir::access`) and both stay,
+/// selected from `cache_elems == 0`, never by the user. Without a cache
+/// counts are order-free, so the estimator makes one pass over all PEs'
+/// page runs on one core: 0.18 CPU-s against replay's 0.31 on ST5 4096² /
+/// 64 PEs, 0.15 both on K18 n = 10⁵ / 16 PEs, 2 ms against 4 on ST5 256² —
+/// the size a search measures, many candidates side by side. (At the CLI
+/// on 2 cores replay's parallel shards finish the big two in 0.16 s and
+/// 0.08 s of wall-clock.) A cache hit depends on each PE's own access
+/// order, which only replay's ordered per-PE shards keep.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StrategyOracle {
     auto: FastCountingOracle,
@@ -761,9 +769,8 @@ impl<'a> Walk<'a> {
         self.trace.len()
     }
 
-    /// Canonical-order incumbent sweep with static pruning — the same
-    /// walk as [`crate::search::search_with`], capped at `budget`
-    /// measured candidates (pass `usize::MAX` for the full sweep).
+    /// Canonical-order incumbent sweep with static pruning, capped at
+    /// `budget` measured candidates (pass `usize::MAX` for the full sweep).
     fn canonical_sweep(&mut self, budget: usize) -> Result<(), PlanError> {
         for idx in 0..self.cands.len() {
             if self.touched() >= budget && self.best.is_some() {
@@ -874,10 +881,10 @@ fn edge_probes(program: &Program) -> Vec<EdgeProbe> {
             continue;
         }
         let nvars = nest.loops.len();
-        let Some((wcoef, woff)) = analysis::linear_address_form(program, anchor, nvars) else {
+        let Some(wform) = analysis::linear_address_form(program, anchor, nvars) else {
             continue;
         };
-        let rforms: Vec<(Vec<i64>, i64)> = stmt
+        let rforms: Vec<LinForm> = stmt
             .value()
             .reads()
             .into_iter()
@@ -891,12 +898,12 @@ fn edge_probes(program: &Program) -> Vec<EdgeProbe> {
         let read_len = program.array(read_array).len() as i64;
         let mut pairs = Vec::new();
         for ivs in sample_ivs(nest) {
-            let wa = dot(&wcoef, &ivs) + woff;
+            let wa = wform.eval(&ivs);
             if wa < 0 || wa >= write_len {
                 continue;
             }
-            for (rc, ro) in &rforms {
-                let ra = dot(rc, &ivs) + ro;
+            for rform in &rforms {
+                let ra = rform.eval(&ivs);
                 if ra < 0 || ra >= read_len {
                     continue;
                 }
@@ -914,10 +921,6 @@ fn edge_probes(program: &Program) -> Vec<EdgeProbe> {
         });
     }
     out
-}
-
-fn dot(coeffs: &[i64], ivs: &[i64]) -> i64 {
-    coeffs.iter().zip(ivs).map(|(c, v)| c * v).sum()
 }
 
 /// Estimated dynamic iteration count of a nest (outer-dependent bounds
@@ -976,23 +979,19 @@ fn misalignment(
     page_size: usize,
     n_pes: usize,
 ) -> f64 {
-    let mut placements: HashMap<usize, Placement> = HashMap::new();
-    let place = |placements: &mut HashMap<usize, Placement>, id: ArrayId| {
-        placements.entry(id.0).or_insert_with(|| {
-            Placement::new(
-                scheme,
-                page_size,
-                n_pes,
-                ArrayShape::from_dims(&program.array(id).dims),
-            )
-        });
+    let Ok(placements) = Placement::table(
+        program.arrays.iter().map(|d| &d.dims),
+        scheme,
+        page_size,
+        n_pes,
+    ) else {
+        // An invalid shape may rank anywhere: measuring it reports the error.
+        return 0.0;
     };
     let mut total = 0.0f64;
     for p in probes {
-        place(&mut placements, p.write_array);
-        place(&mut placements, p.read_array);
-        let wp = &placements[&p.write_array.0];
-        let rp = &placements[&p.read_array.0];
+        let wp = &placements[p.write_array.0];
+        let rp = &placements[p.read_array.0];
         let mis = p
             .pairs
             .iter()

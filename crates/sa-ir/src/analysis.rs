@@ -17,6 +17,7 @@
 //! The dynamic classifier in `sa-core` cross-checks these predictions
 //! against measured remote-access curves.
 
+use crate::access::{try_for_each_sweep, LinForm};
 use crate::index::IndexExpr;
 use crate::nest::{ArrayRef, LoopNest, Stmt};
 use crate::program::Program;
@@ -113,38 +114,29 @@ pub struct ProgramReport {
 /// Linearized affine address function of `aref`: the linear address it
 /// touches at iteration `ivs` is `coeffs · ivs + offset` (row-major strides
 /// folded in, coefficients padded to `nvars` loop variables). `None` if any
-/// index is indirect.
+/// index is indirect or the reference carries more indices than its array
+/// has dimensions.
 ///
-/// This is the metadata the compiled access-replay engine
-/// (`sa_core::replay`) lowers loop nests with: an all-affine reference's
-/// page-ownership pattern is decidable once per nest from this form alone.
-pub fn linear_address_form(
-    program: &Program,
-    aref: &ArrayRef,
-    nvars: usize,
-) -> Option<(Vec<i64>, i64)> {
-    linear_form(program, aref, nvars)
-}
-
-/// Linearized affine address function: `coeffs · ivs + offset`.
-/// `None` if any index is indirect.
-fn linear_form(program: &Program, aref: &ArrayRef, nvars: usize) -> Option<(Vec<i64>, i64)> {
-    let decl = program.array(aref.array);
-    let strides = decl.strides();
-    let mut coeffs = vec![0i64; nvars];
-    let mut offset = 0i64;
+/// An all-affine reference's page-ownership pattern is decidable once per
+/// nest from this form alone: every engine that walks page runs instead of
+/// statement instances lowers its references through here.
+pub fn linear_address_form(program: &Program, aref: &ArrayRef, nvars: usize) -> Option<LinForm> {
+    let strides = program.array(aref.array).strides();
+    let mut form = LinForm {
+        coeffs: vec![0; nvars],
+        offset: 0,
+    };
     for (d, ix) in aref.indices.iter().enumerate() {
-        let a = match ix {
-            IndexExpr::Affine(a) => a,
-            IndexExpr::Indirect { .. } => return None,
+        let IndexExpr::Affine(a) = ix else {
+            return None;
         };
-        let s = strides[d] as i64;
-        for (v, c) in coeffs.iter_mut().enumerate() {
+        let s = *strides.get(d)? as i64;
+        for (v, c) in form.coeffs.iter_mut().enumerate() {
             *c += s * a.coeff(v);
         }
-        offset += s * a.offset;
+        form.offset += s * a.offset;
     }
-    Some((coeffs, offset))
+    Some(form)
 }
 
 fn support(coeffs: &[i64]) -> Vec<usize> {
@@ -169,25 +161,20 @@ fn proportional(a: &[i64], b: &[i64]) -> bool {
 }
 
 /// Relation between two linearized affine address forms (as produced by
-/// [`linear_address_form`]): the public entry point the static lint pass
-/// (`sa-lint`) uses to label conflicting write pairs with the same
-/// vocabulary the classifier uses for write/read pairs.
-pub fn relate_forms(write: &(Vec<i64>, i64), read: &(Vec<i64>, i64)) -> PairRelation {
-    relate(write, read)
-}
-
-fn relate(write: &(Vec<i64>, i64), read: &(Vec<i64>, i64)) -> PairRelation {
-    let (cw, ow) = write;
-    let (cr, or) = read;
-    if cw == cr {
-        let d = or - ow;
+/// [`linear_address_form`]) — the vocabulary the classifier uses for
+/// write/read pairs and the static lint pass (`sa-lint`) for conflicting
+/// write pairs.
+pub fn relate_forms(write: &LinForm, read: &LinForm) -> PairRelation {
+    if write.coeffs == read.coeffs {
+        let d = read.offset - write.offset;
         return if d == 0 {
             PairRelation::Identical
         } else {
             PairRelation::Skew(d)
         };
     }
-    if support(cw) == support(cr) && proportional(cw, cr) {
+    if support(&write.coeffs) == support(&read.coeffs) && proportional(&write.coeffs, &read.coeffs)
+    {
         // Same variables drive both addresses at proportionally different
         // rates → cyclic revisit of a fixed page set (the paper's ICCG,
         // whose write index moves half as fast as its read index).
@@ -202,9 +189,8 @@ fn relate(write: &(Vec<i64>, i64), read: &(Vec<i64>, i64)) -> PairRelation {
 
 /// Exact `[min, max]` of an affine reference's *linear address* over the
 /// nest's iteration domain, or `None` if any index is indirect or the nest
-/// never iterates. Computed by enumerating the outer levels (exact even
-/// for triangular bounds) and evaluating the innermost level at its
-/// endpoints — an affine address is monotone in the innermost trip.
+/// never iterates. Exact even for triangular bounds: every sweep is
+/// evaluated at its endpoints — an affine address is monotone in the trip.
 ///
 /// This is the footprint primitive the dependence-graph builder
 /// (`sa_lint::depgraph`) intersects pairs of references with: two affine
@@ -215,86 +201,32 @@ pub fn affine_address_range(
     nest: &LoopNest,
     aref: &ArrayRef,
 ) -> Option<(i64, i64)> {
-    let nvars = nest.loops.len();
-    let (coeffs, offset) = linear_address_form(program, aref, nvars)?;
-    if nvars == 0 {
-        return None;
-    }
-    let inner = nvars - 1;
+    let form = linear_address_form(program, aref, nest.loops.len())?;
     let mut range: Option<(i64, i64)> = None;
-    fn rec(
-        nest: &LoopNest,
-        depth: usize,
-        inner: usize,
-        ivs: &mut Vec<i64>,
-        coeffs: &[i64],
-        offset: i64,
-        range: &mut Option<(i64, i64)>,
-    ) {
-        if depth == inner {
-            let lv = &nest.loops[inner];
-            let trips = lv.trip_count(ivs) as i64;
-            if trips == 0 {
-                return;
-            }
-            let lo = lv.lo.eval(ivs);
-            let mut at = offset + coeffs[inner] * lo;
-            for (v, &iv) in ivs.iter().enumerate() {
-                at += coeffs[v] * iv;
-            }
-            let last = at + coeffs[inner] * lv.step * (trips - 1);
-            let (lo_a, hi_a) = (at.min(last), at.max(last));
-            *range = Some(match *range {
-                None => (lo_a, hi_a),
-                Some((l, h)) => (l.min(lo_a), h.max(hi_a)),
-            });
-            return;
-        }
-        let lv = &nest.loops[depth];
-        let lo = lv.lo.eval(ivs);
-        let hi = lv.hi.eval(ivs);
-        let mut v = lo;
-        while (lv.step > 0 && v <= hi) || (lv.step < 0 && v >= hi) {
-            ivs.push(v);
-            rec(nest, depth + 1, inner, ivs, coeffs, offset, range);
-            ivs.pop();
-            v += lv.step;
-        }
-    }
-    let mut ivs = Vec::with_capacity(inner);
-    rec(nest, 0, inner, &mut ivs, &coeffs, offset, &mut range);
+    nest.for_each_sweep(|sweep| {
+        let line = form.line(sweep);
+        let (first, last) = (line.base, line.addr(sweep.trips as i64 - 1));
+        let (lo, hi) = range.unwrap_or((first, first));
+        range = Some((lo.min(first).min(last), hi.max(first).max(last)));
+    });
     range
 }
 
-/// Maximum trip count observed at each loop level (exact, by enumeration of
-/// the outer levels; cheap at kernel scale). Public so the static
-/// write-once verifier can bound per-level iteration spans for its
-/// Banerjee-style tests.
+/// Maximum trip count observed at each loop level (exact: level `d`'s
+/// trips are the sweeps of the nest cut off below `d`; cheap at kernel
+/// scale). Public so the static write-once verifier can bound per-level
+/// iteration spans for its Banerjee-style tests.
 pub fn level_extents(nest: &LoopNest) -> Vec<usize> {
-    let mut maxima = vec![0usize; nest.loops.len()];
-    fn rec(nest: &LoopNest, depth: usize, ivs: &mut Vec<i64>, maxima: &mut [usize]) {
-        if depth == nest.loops.len() {
-            return;
-        }
-        let lv = &nest.loops[depth];
-        let trips = lv.trip_count(ivs);
-        maxima[depth] = maxima[depth].max(trips);
-        if depth + 1 == nest.loops.len() {
-            return;
-        }
-        let lo = lv.lo.eval(ivs);
-        let hi = lv.hi.eval(ivs);
-        let mut v = lo;
-        while (lv.step > 0 && v <= hi) || (lv.step < 0 && v >= hi) {
-            ivs.push(v);
-            rec(nest, depth + 1, ivs, maxima);
-            ivs.pop();
-            v += lv.step;
-        }
-    }
-    let mut ivs = Vec::new();
-    rec(nest, 0, &mut ivs, &mut maxima);
-    maxima
+    (1..=nest.loops.len())
+        .map(|depth| {
+            let mut max = 0;
+            let Ok(()) = try_for_each_sweep(&nest.loops[..depth], |sweep| {
+                max = max.max(sweep.trips);
+                Ok::<(), core::convert::Infallible>(())
+            });
+            max
+        })
+        .collect()
 }
 
 /// Does the write traversal revisit addresses? True when some outer level's
@@ -334,7 +266,7 @@ fn read_revisits(
     nest: &LoopNest,
     write_coeffs: &[i64],
     extents: &[usize],
-    reads: &[(usize, Vec<i64>, i64)],
+    reads: &[(usize, LinForm)],
 ) -> bool {
     let nvars = nest.loops.len();
     if nvars < 2 {
@@ -342,10 +274,10 @@ fn read_revisits(
     }
     for (a, ra) in reads.iter().enumerate() {
         for rb in reads.iter().skip(a + 1) {
-            if ra.0 != rb.0 || ra.1 != rb.1 {
+            if ra.0 != rb.0 || ra.1.coeffs != rb.1.coeffs {
                 continue;
             }
-            let diff = (ra.2 - rb.2).unsigned_abs();
+            let diff = (ra.1.offset - rb.1.offset).unsigned_abs();
             if diff == 0 {
                 continue;
             }
@@ -412,23 +344,23 @@ pub fn classify_nest(program: &Program, nest: &LoopNest) -> NestReport {
 
     for (si, stmt) in nest.body.iter().enumerate() {
         let anchor = anchor_ref(stmt);
-        let anchor_form = anchor.and_then(|a| linear_form(program, a, nvars));
+        let anchor_form = anchor.and_then(|a| linear_address_form(program, a, nvars));
         if let (Some(_), Some(form)) = (anchor, &anchor_form) {
-            if matches!(stmt, Stmt::Assign { .. }) && sweep_revisits(nest, &form.0, &extents) {
+            if matches!(stmt, Stmt::Assign { .. }) && sweep_revisits(nest, &form.coeffs, &extents) {
                 revisit_any = true;
             }
         }
         let mut relations = Vec::new();
-        let mut read_forms: Vec<(usize, Vec<i64>, i64)> = Vec::new();
+        let mut read_forms: Vec<(usize, LinForm)> = Vec::new();
         for read in stmt.reads() {
             let name = program.array(read.array).name.clone();
             let rel = if read.has_indirection() {
                 PairRelation::Indirect
             } else {
-                match (&anchor_form, linear_form(program, read, nvars)) {
+                match (&anchor_form, linear_address_form(program, read, nvars)) {
                     (Some(w), Some(r)) => {
-                        let rel = relate(w, &r);
-                        read_forms.push((read.array.0, r.0, r.1));
+                        let rel = relate_forms(w, &r);
+                        read_forms.push((read.array.0, r));
                         rel
                     }
                     _ => PairRelation::Indirect,
@@ -438,7 +370,7 @@ pub fn classify_nest(program: &Program, nest: &LoopNest) -> NestReport {
         }
         if let Some(form) = &anchor_form {
             if matches!(stmt, Stmt::Assign { .. })
-                && read_revisits(nest, &form.0, &extents, &read_forms)
+                && read_revisits(nest, &form.coeffs, &extents, &read_forms)
             {
                 revisit_any = true;
             }

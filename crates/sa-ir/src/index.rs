@@ -42,14 +42,9 @@ impl AffineIndex {
     }
 
     /// Evaluate at the given loop-variable values (outermost first).
+    #[inline]
     pub fn eval(&self, ivs: &[i64]) -> i64 {
-        let mut acc = self.offset;
-        for (k, &c) in self.coeffs.iter().enumerate() {
-            if c != 0 {
-                acc += c * ivs[k];
-            }
-        }
-        acc
+        self.offset + crate::access::dot(&self.coeffs, ivs)
     }
 
     /// Coefficient vector zero-padded/truncated to exactly `nvars` entries.

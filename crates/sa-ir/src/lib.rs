@@ -18,6 +18,7 @@
 
 #![warn(missing_docs)]
 
+pub mod access;
 pub mod analysis;
 pub mod builder;
 pub mod expr;
@@ -29,6 +30,7 @@ pub mod pretty;
 pub mod program;
 pub mod ssa;
 
+pub use access::{LinForm, Line, Sweep};
 pub use analysis::{classify_nest, classify_program, AccessClass, NestReport, PairRelation};
 pub use builder::{validate_program, BuildError, ProgramBuilder};
 pub use expr::{BinOp, Expr, ReduceOp, UnaryOp};

@@ -1,5 +1,6 @@
 //! Loop nests, bounds, array references and statements.
 
+use crate::access::{self, Sweep};
 use crate::expr::{Expr, ReduceOp};
 use crate::index::{AffineIndex, IndexExpr};
 use crate::{ArrayId, ScalarId};
@@ -140,60 +141,48 @@ pub struct LoopNest {
 }
 
 impl LoopNest {
-    /// Total iterations (product of trip counts; exact even for triangular
-    /// nests — computed by enumeration of the outer dimensions).
-    pub fn iteration_count(&self) -> usize {
-        let mut count = 0usize;
-        let mut ivs = Vec::with_capacity(self.loops.len());
-        self.count_rec(0, &mut ivs, &mut count);
-        count
+    /// Enumerate the nest as [`Sweep`]s — one run of the innermost loop
+    /// under fixed outer variables — in execution order, stopping at the
+    /// first `Err` ([`access::try_for_each_sweep`] over this nest's loops).
+    pub fn try_for_each_sweep<E>(
+        &self,
+        f: impl FnMut(&Sweep<'_>) -> Result<(), E>,
+    ) -> Result<(), E> {
+        access::try_for_each_sweep(&self.loops, f)
     }
 
-    fn count_rec(&self, depth: usize, ivs: &mut Vec<i64>, count: &mut usize) {
-        if depth == self.loops.len() {
-            *count += 1;
-            return;
-        }
-        let lv = &self.loops[depth];
-        let lo = lv.lo.eval(ivs);
-        let hi = lv.hi.eval(ivs);
-        // Only the innermost level can be counted arithmetically when the
-        // deeper levels don't depend on it — keep it simple and exact.
-        if depth + 1 == self.loops.len() {
-            *count += lv.trip_count(ivs);
-            return;
-        }
-        let mut v = lo;
-        while (lv.step > 0 && v <= hi) || (lv.step < 0 && v >= hi) {
-            ivs.push(v);
-            self.count_rec(depth + 1, ivs, count);
-            ivs.pop();
-            v += lv.step;
-        }
+    /// Every sweep, for visitors that never stop early.
+    pub fn for_each_sweep(&self, mut f: impl FnMut(&Sweep<'_>)) {
+        let Ok(()) = self.try_for_each_sweep(|s| {
+            f(s);
+            Ok::<(), core::convert::Infallible>(())
+        });
+    }
+
+    /// Total iterations (exact for triangular nests: the sum of the sweeps'
+    /// trip counts).
+    pub fn iteration_count(&self) -> usize {
+        let mut count = 0;
+        self.for_each_sweep(|s| count += s.trips);
+        count
     }
 
     /// Enumerate every iteration (outermost-first index vectors) in
     /// lexicographic execution order, invoking `f` for each.
     pub fn for_each_iteration(&self, mut f: impl FnMut(&[i64])) {
         let mut ivs = Vec::with_capacity(self.loops.len());
-        self.iter_rec(0, &mut ivs, &mut f);
-    }
-
-    fn iter_rec(&self, depth: usize, ivs: &mut Vec<i64>, f: &mut impl FnMut(&[i64])) {
-        if depth == self.loops.len() {
-            f(ivs);
-            return;
-        }
-        let lv = &self.loops[depth];
-        let lo = lv.lo.eval(ivs);
-        let hi = lv.hi.eval(ivs);
-        let mut v = lo;
-        while (lv.step > 0 && v <= hi) || (lv.step < 0 && v >= hi) {
-            ivs.push(v);
-            self.iter_rec(depth + 1, ivs, f);
-            ivs.pop();
-            v += lv.step;
-        }
+        self.for_each_sweep(|s| {
+            ivs.clear();
+            ivs.extend_from_slice(s.outer);
+            if self.loops.is_empty() {
+                return f(&ivs);
+            }
+            ivs.push(s.lo);
+            for _ in 0..s.trips {
+                f(&ivs);
+                ivs[s.outer.len()] += s.step;
+            }
+        });
     }
 
     /// Arrays written by this nest (deduplicated, in first-write order).

@@ -56,15 +56,19 @@ use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::rc::Rc;
 
+use sa_ir::access::gcd;
 use sa_ir::analysis::{affine_address_range, anchor_ref, linear_address_form, relate_forms};
 use sa_ir::index::IndexExpr;
 use sa_ir::nest::{ArrayRef, LoopNest, Stmt};
 use sa_ir::program::Phase;
 use sa_ir::{ArrayId, Expr, PairRelation, Program};
+use sa_machine::ConfigError;
 
 use crate::diag::{Code, Diagnostic, Severity, Span};
-use crate::estimate::{array_placements, first_indirect_ref, walk_anchor_runs};
-use crate::sites::{resolve_static_addr, static_array_values, statically_resolvable};
+use crate::estimate::{first_indirect_ref, walk_anchor_runs};
+use crate::sites::{
+    array_placements, resolve_static_addr, static_array_values, statically_resolvable,
+};
 use crate::writeonce::fmt_ivs;
 use crate::LintConfig;
 
@@ -313,14 +317,6 @@ fn scalar_reads(e: &Expr, out: &mut Vec<usize>) {
     }
 }
 
-fn gcd(a: u64, b: u64) -> u64 {
-    if b == 0 {
-        a
-    } else {
-        gcd(b, a % b)
-    }
-}
-
 fn vec_gcd(coeffs: &[i64]) -> u64 {
     coeffs.iter().fold(0u64, |g, &c| gcd(g, c.unsigned_abs()))
 }
@@ -392,19 +388,17 @@ fn dep_between(
         if whi < rlo || rhi < wlo {
             return None;
         }
-        let (wc, wo) = linear_address_form(program, w_target, w_nest.loops.len())?;
-        let (rc, ro) = linear_address_form(program, aref, r_nest.loops.len())?;
-        let g = gcd(vec_gcd(&wc), vec_gcd(&rc));
+        let w = linear_address_form(program, w_target, w_nest.loops.len())?;
+        let r = linear_address_form(program, aref, r_nest.loops.len())?;
+        let g = gcd(vec_gcd(&w.coeffs), vec_gcd(&r.coeffs));
         if g == 0 {
-            if wo != ro {
+            if w.offset != r.offset {
                 return None;
             }
-        } else if (wo - ro).rem_euclid(g as i64) != 0 {
+        } else if (w.offset - r.offset).rem_euclid(g as i64) != 0 {
             return None;
         }
-        if w_phase == r_phase
-            && matches!(relate_forms(&(wc, wo), &(rc, ro)), PairRelation::Identical)
-        {
+        if w_phase == r_phase && matches!(relate_forms(&w, &r), PairRelation::Identical) {
             return Some(EdgeKind::Exact);
         }
         Some(EdgeKind::Affine)
@@ -632,8 +626,11 @@ pub enum InstanceError {
     /// A reference failed static resolution (out of bounds or an undefined
     /// index-array prefix) — the executors would abort on it.
     Unresolvable(ArrayId),
-    /// The instance graph exceeds the `u32` id space.
+    /// The instance graph exceeds the `u32` id space (or the PE count the
+    /// `u16` per-instance PE table).
     TooLarge,
+    /// The machine shape projected onto is invalid.
+    Config(ConfigError),
     /// The value dependence graph itself is cyclic (an instance
     /// transitively reads its own output); span is undefined.
     Cyclic,
@@ -649,6 +646,7 @@ impl fmt::Display for InstanceError {
                 write!(f, "a reference fails static address resolution")
             }
             InstanceError::TooLarge => write!(f, "instance graph exceeds the u32 id space"),
+            InstanceError::Config(e) => write!(f, "invalid machine shape: {e}"),
             InstanceError::Cyclic => write!(f, "the value dependence graph is cyclic"),
         }
     }
@@ -665,6 +663,12 @@ pub struct GraphSummary {
     pub span: u64,
     /// `work / span` (1.0 for empty programs).
     pub parallelism: f64,
+}
+
+impl From<ConfigError> for InstanceError {
+    fn from(e: ConfigError) -> Self {
+        InstanceError::Config(e)
+    }
 }
 
 fn err_array(e: InstanceError) -> Option<ArrayId> {
@@ -976,7 +980,7 @@ pub fn project(program: &Program, cfg: &LintConfig) -> Result<Projection, Instan
         return project_by_instance(program, cfg);
     }
     let n = cfg.n_pes;
-    let placements = array_placements(program, cfg.scheme, cfg.page_size, n);
+    let placements = array_placements(program, cfg.scheme, cfg.page_size, cfg.n_pes)?;
     let mut writes_per_pe = vec![0u64; n];
     let mut instances_per_pe = vec![0u64; n];
     let mut rr: usize = 0;
@@ -1019,7 +1023,7 @@ pub fn project_by_instance(
 ) -> Result<Projection, InstanceError> {
     let statics = static_array_values(program);
     check_static(program, &statics)?;
-    let placements = array_placements(program, cfg.scheme, cfg.page_size, cfg.n_pes);
+    let placements = array_placements(program, cfg.scheme, cfg.page_size, cfg.n_pes)?;
     let mut writes_per_pe = vec![0u64; cfg.n_pes];
     let mut instances_per_pe = vec![0u64; cfg.n_pes];
     let mut rr: usize = 0;
@@ -1140,13 +1144,13 @@ fn wait_edges(
     statics: &[Option<Vec<f64>>],
 ) -> Result<WaitInstances, InstanceError> {
     check_static(program, statics)?;
-    if cfg.n_pes == 0 || cfg.n_pes > u16::MAX as usize {
-        return Err(InstanceError::TooLarge);
-    }
     // One geometry-aware chokepoint: SA008's wait graph must agree with the
     // executors' placement, or its deadlock proofs are unsound under tiled
     // schemes.
-    let placements = array_placements(program, cfg.scheme, cfg.page_size, cfg.n_pes);
+    let placements = array_placements(program, cfg.scheme, cfg.page_size, cfg.n_pes)?;
+    if cfg.n_pes > u16::MAX as usize {
+        return Err(InstanceError::TooLarge);
+    }
     let mut writers: Vec<Vec<u32>> = program.arrays.iter().map(|a| vec![NONE; a.len()]).collect();
     // Addresses the initializer already defines: reads of them never wait.
     let mut init_cov: Vec<usize> = program

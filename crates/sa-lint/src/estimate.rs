@@ -32,12 +32,14 @@
 //! cache sizes (hit rates depend on access *order*, which the closed form
 //! deliberately discards).
 
-use sa_ir::analysis::anchor_ref;
-use sa_ir::index::AffineIndex;
+use sa_ir::access::{gcd, Line, Sweep};
+use sa_ir::analysis::{anchor_ref, linear_address_form};
 use sa_ir::nest::{ArrayRef, LoopNest, Stmt};
 use sa_ir::program::Phase;
-use sa_ir::Program;
-use sa_machine::{host_of, ArrayShape, MachineConfig, PartitionScheme, Placement, Stats};
+use sa_ir::{LinForm, Program};
+use sa_machine::{host_of, ConfigError, MachineConfig, Placement, Stats};
+
+use crate::sites::array_placements;
 
 /// The estimator's verdict: the same counters the counting simulator
 /// reports, computed in closed form.
@@ -62,8 +64,8 @@ pub enum EstimateError {
     },
     /// A cache was configured; cached counts depend on access order.
     CacheUnsupported,
-    /// A machine with no PEs.
-    NoPes,
+    /// The machine configuration itself is invalid.
+    Config(ConfigError),
     /// A reference provably leaves its array's bounds (the simulator would
     /// abort on the same iteration).
     OutOfBounds {
@@ -101,7 +103,7 @@ impl core::fmt::Display for EstimateError {
                 "cache hit rates depend on access order; run the estimator \
                  with cache_elems = 0"
             ),
-            EstimateError::NoPes => write!(f, "machine has no PEs"),
+            EstimateError::Config(e) => write!(f, "bad machine config: {e}"),
             EstimateError::OutOfBounds {
                 array,
                 nest,
@@ -123,15 +125,17 @@ impl core::fmt::Display for EstimateError {
 
 impl std::error::Error for EstimateError {}
 
-/// One reference of a statement, lowered for a fixed outer iteration
-/// vector: per-dimension start/step plus the folded linear address line.
-struct RefLine {
-    /// Linear address at inner trip `t` is `a + b·t`.
-    a: i64,
-    b: i64,
-    /// Index of the referenced array's [`Placement`].
-    array: usize,
+/// One affine reference of a statement, lowered once per nest.
+struct RefForm<'p> {
+    aref: &'p ArrayRef,
+    /// Its linear address over the nest's loop variables.
+    form: LinForm,
+    /// Where the referenced array's pages live.
+    placement: &'p Placement,
 }
+
+/// A reference along one sweep: its address line and its array's placement.
+type PlacedLine<'p> = (Line, &'p Placement);
 
 /// One maximal stretch of an anchored statement's innermost sweep on which
 /// the anchor — and every read, when reads are walked — stays on one page,
@@ -151,9 +155,8 @@ pub(crate) struct AnchorRun {
 /// Estimate `program`'s counting-simulator verdict under `cfg` without
 /// executing it. See the module docs for the model and its limits.
 pub fn estimate(program: &Program, cfg: &MachineConfig) -> Result<CommEstimate, EstimateError> {
-    if cfg.n_pes == 0 {
-        return Err(EstimateError::NoPes);
-    }
+    let placements = array_placements(program, cfg.partition, cfg.page_size, cfg.n_pes)
+        .map_err(EstimateError::Config)?;
     if cfg.cache_elems > 0 {
         return Err(EstimateError::CacheUnsupported);
     }
@@ -165,7 +168,6 @@ pub fn estimate(program: &Program, cfg: &MachineConfig) -> Result<CommEstimate, 
         });
     }
 
-    let placements = array_placements(program, cfg.partition, cfg.page_size, cfg.n_pes);
     let mut stats = Stats::new(cfg.n_pes);
     // Round-robin counter for anchorless statements — global across nests,
     // mirroring the simulator's.
@@ -200,22 +202,6 @@ pub(crate) fn first_indirect_ref(program: &Program) -> Option<&ArrayRef> {
         .flat_map(|nest| &nest.body)
         .flat_map(|stmt| stmt.write_target().into_iter().chain(stmt.reads()))
         .find(|aref| aref.has_indirection())
-}
-
-/// One [`Placement`] per declared array: tiled schemes see each array's
-/// declared grid, the page-linear schemes keep the paper's flattened-page
-/// arithmetic.
-pub(crate) fn array_placements(
-    program: &Program,
-    scheme: PartitionScheme,
-    page_size: usize,
-    n_pes: usize,
-) -> Vec<Placement> {
-    program
-        .arrays
-        .iter()
-        .map(|d| Placement::new(scheme, page_size, n_pes, ArrayShape::from_dims(&d.dims)))
-        .collect()
 }
 
 fn estimate_nest(
@@ -263,7 +249,7 @@ fn estimate_nest(
         .collect();
     if !anchorless.is_empty() {
         let a_cnt = anchorless.len();
-        let cycle = n / gcd(a_cnt % n, n).max(1);
+        let cycle = n / gcd((a_cnt % n) as u64, n as u64).max(1) as usize;
         for (q, &body_idx) in anchorless.iter().enumerate() {
             let ri = table_of[body_idx].expect("only a reduction can lack an anchor");
             for i in 0..iterations.min(cycle.max(1)) {
@@ -304,32 +290,44 @@ pub(crate) fn walk_anchor_runs(
     with_reads: bool,
     mut f: impl FnMut(AnchorRun),
 ) -> Result<u64, EstimateError> {
-    let anchored: Vec<(usize, &ArrayRef, Vec<&ArrayRef>)> = nest
-        .body
-        .iter()
-        .enumerate()
-        .filter_map(|(i, stmt)| {
-            let reads = if with_reads { stmt.reads() } else { Vec::new() };
-            Some((i, anchor_ref(stmt)?, reads))
+    let nvars = nest.loops.len();
+    let lower = |aref| {
+        let form = linear_address_form(program, aref, nvars)
+            .filter(|_| aref.indices.len() == program.array(aref.array).dims.len())
+            .ok_or_else(|| EstimateError::RankMismatch {
+                array: program.array(aref.array).name.clone(),
+                nest: nest.label.clone(),
+            })?;
+        Ok(RefForm {
+            aref,
+            form,
+            placement: &placements[aref.array.0],
         })
-        .collect();
-    let mut iterations = 0u64;
-    let mut reads: Vec<RefLine> = Vec::new();
-    let outer = nest.loops.len().saturating_sub(1);
-    enumerate_outer(nest, 0, outer, &mut Vec::with_capacity(outer), &mut |ivs| {
-        let (trips, lo, step) = match nest.loops.last() {
-            Some(lv) => (lv.trip_count(ivs) as i64, lv.lo.eval(ivs), lv.step),
-            None => (1, 0, 0),
+    };
+    let mut anchored: Vec<(usize, RefForm<'_>, Vec<RefForm<'_>>)> = Vec::new();
+    for (i, stmt) in nest.body.iter().enumerate() {
+        let Some(anchor) = anchor_ref(stmt) else {
+            continue;
         };
-        iterations += trips as u64;
-        if trips == 0 {
-            return Ok(());
-        }
+        let reads = if with_reads { stmt.reads() } else { Vec::new() };
+        let reads = reads.into_iter().map(lower).collect::<Result<_, _>>()?;
+        anchored.push((i, lower(anchor)?, reads));
+    }
+    let owner = |&(line, placement): &PlacedLine<'_>, t: i64| {
+        placement.owner_of_addr(line.addr(t) as usize)
+    };
+    let run_end =
+        |&(line, placement): &PlacedLine<'_>, t: i64| line.run_end(t, placement.page_size as i64);
+    let mut iterations = 0u64;
+    let mut reads: Vec<PlacedLine<'_>> = Vec::new();
+    nest.try_for_each_sweep(|sweep| {
+        let trips = sweep.trips as i64;
+        iterations += sweep.trips as u64;
         for (stmt, anchor, stmt_reads) in &anchored {
-            let anchor = lower_ref(program, nest, anchor, ivs, lo, step, trips)?;
+            let anchor = bounded_line(program, nest, anchor, sweep)?;
             reads.clear();
             for r in stmt_reads {
-                reads.push(lower_ref(program, nest, r, ivs, lo, step, trips)?);
+                reads.push(bounded_line(program, nest, r, sweep)?);
             }
             // Split 0..trips into maximal runs on which every reference
             // walked sits on a constant page.
@@ -337,18 +335,15 @@ pub(crate) fn walk_anchor_runs(
             while t < trips {
                 let next = reads
                     .iter()
-                    .map(|r| r.next_crossing(t, placements))
-                    .fold(anchor.next_crossing(t, placements), i64::min)
+                    .map(|r| run_end(r, t))
+                    .fold(run_end(&anchor, t), i64::min)
                     .min(trips);
-                let pe = anchor.owner(t, placements);
+                let pe = owner(&anchor, t);
                 f(AnchorRun {
                     stmt: *stmt,
                     pe,
                     trips: (next - t) as u64,
-                    remote_reads: reads
-                        .iter()
-                        .filter(|r| r.owner(t, placements) != pe)
-                        .count() as u64,
+                    remote_reads: reads.iter().filter(|r| owner(r, t) != pe).count() as u64,
                 });
                 t = next;
             }
@@ -358,122 +353,33 @@ pub(crate) fn walk_anchor_runs(
     Ok(iterations)
 }
 
-fn enumerate_outer(
-    nest: &LoopNest,
-    level: usize,
-    inner: usize,
-    ivs: &mut Vec<i64>,
-    f: &mut impl FnMut(&[i64]) -> Result<(), EstimateError>,
-) -> Result<(), EstimateError> {
-    if level == inner {
-        return f(ivs);
-    }
-    let lv = &nest.loops[level];
-    let lo = lv.lo.eval(ivs);
-    let hi = lv.hi.eval(ivs);
-    let mut v = lo;
-    while (lv.step > 0 && v <= hi) || (lv.step < 0 && v >= hi) {
-        ivs.push(v);
-        enumerate_outer(nest, level + 1, inner, ivs, f)?;
-        ivs.pop();
-        v += lv.step;
-    }
-    Ok(())
-}
-
-/// Lower one reference for fixed outer ivs: per-dimension bounds proof at
-/// the sweep's endpoints (affine ⇒ monotone in `t`), then the folded
-/// `a + b·t` address line.
-#[allow(clippy::too_many_arguments)]
-fn lower_ref(
+/// `r`'s address line along `sweep`, after the per-dimension bounds proof
+/// at the sweep's endpoints (affine ⇒ monotone in the trip).
+fn bounded_line<'p>(
     program: &Program,
     nest: &LoopNest,
-    aref: &ArrayRef,
-    outer_ivs: &[i64],
-    inner_lo: i64,
-    inner_step: i64,
-    trips: i64,
-) -> Result<RefLine, EstimateError> {
-    let decl = program.array(aref.array);
-    if aref.indices.len() != decl.dims.len() {
-        return Err(EstimateError::RankMismatch {
-            array: decl.name.clone(),
-            nest: nest.label.clone(),
-        });
-    }
-    // The innermost variable; a zero-depth nest has none, and its sweep's
-    // `inner_lo` and `inner_step` are 0.
-    let inner = outer_ivs.len();
-    let mut a = 0i64;
-    let mut b = 0i64;
-    for (d, ix) in aref.indices.iter().enumerate() {
-        let idx: &AffineIndex = ix
+    r: &RefForm<'p>,
+    sweep: &Sweep<'_>,
+) -> Result<PlacedLine<'p>, EstimateError> {
+    let decl = program.array(r.aref.array);
+    for (d, (ix, &extent)) in r.aref.indices.iter().zip(&decl.dims).enumerate() {
+        let idx = ix
             .as_affine()
             .expect("indirection rejected before lowering");
-        let mut start = idx.offset + idx.coeff(inner) * inner_lo;
-        for (v, &iv) in outer_ivs.iter().enumerate() {
-            start += idx.coeff(v) * iv;
-        }
-        let step = idx.coeff(inner) * inner_step;
-        let extent = decl.dims[d] as i64;
-        let last = start + step * (trips - 1);
-        for endpoint in [start, last] {
-            if endpoint < 0 || endpoint >= extent {
+        let line = Line::along(&idx.coeffs, idx.offset, sweep);
+        for endpoint in [line.base, line.addr(sweep.trips as i64 - 1)] {
+            if endpoint < 0 || endpoint >= extent as i64 {
                 return Err(EstimateError::OutOfBounds {
                     array: decl.name.clone(),
                     nest: nest.label.clone(),
                     dim: d,
                     index: endpoint,
-                    extent: extent as usize,
+                    extent,
                 });
             }
         }
-        // Row-major linearization, one dimension at a time.
-        a = a * extent + start;
-        b = b * extent + step;
     }
-    Ok(RefLine {
-        a,
-        b,
-        array: aref.array.0,
-    })
-}
-
-impl RefLine {
-    fn addr(&self, t: i64) -> i64 {
-        self.a + self.b * t
-    }
-
-    fn owner(&self, t: i64, placements: &[Placement]) -> usize {
-        placements[self.array].owner_of_addr(self.addr(t) as usize)
-    }
-
-    /// First `t > t_cur` at which this reference leaves its current page
-    /// (`i64::MAX` when it never does).
-    fn next_crossing(&self, t_cur: i64, placements: &[Placement]) -> i64 {
-        let ps = placements[self.array].page_size as i64;
-        let p = self.addr(t_cur) / ps;
-        if self.b > 0 {
-            // Smallest t with a + b·t ≥ (p+1)·ps.
-            let num = (p + 1) * ps - self.a;
-            (num + self.b - 1) / self.b
-        } else if self.b < 0 {
-            // Smallest t with a + b·t < p·ps.
-            let bp = -self.b;
-            (self.a - p * ps) / bp + 1
-        } else {
-            i64::MAX
-        }
-    }
-}
-
-fn gcd(mut a: usize, mut b: usize) -> usize {
-    while b != 0 {
-        let t = a % b;
-        a = b;
-        b = t;
-    }
-    a
+    Ok((r.form.line(sweep), r.placement))
 }
 
 #[cfg(test)]

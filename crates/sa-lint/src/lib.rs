@@ -75,7 +75,9 @@ impl Default for LintConfig {
 /// Structural validation runs first: a malformed program (dangling ids,
 /// rank mismatches, zero-step loops…) yields a single `SA007` error and
 /// the deeper passes — which assume a structurally sound program — are
-/// skipped.
+/// skipped. An invalid `cfg` (zero PEs, zero page size, an empty block or
+/// tile) likewise yields one error-severity `PL001` in place of the two
+/// passes that depend on it (partition legality and the deadlock proof).
 pub fn lint_program(program: &Program, cfg: &LintConfig) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     if let Err(e) = sa_ir::validate_program(program) {
@@ -91,13 +93,13 @@ pub fn lint_program(program: &Program, cfg: &LintConfig) -> Vec<Diagnostic> {
     }
     diags.extend(check_write_once(program).diagnostics);
     diags.extend(check_progress(program));
-    diags.extend(check_partition(
-        program,
-        cfg.n_pes,
-        cfg.page_size,
-        cfg.scheme,
-    ));
-    diags.extend(depgraph::check_deadlock(program, cfg));
+    match progress::partition_pass(program, cfg.n_pes, cfg.page_size, cfg.scheme) {
+        Ok(found) => {
+            diags.extend(found);
+            diags.extend(depgraph::check_deadlock(program, cfg));
+        }
+        Err(e) => diags.push(progress::invalid_shape(e)),
+    }
     // Stable sort: errors first, original pass order within a severity.
     diags.sort_by_key(|d| std::cmp::Reverse(d.severity));
     diags
@@ -120,6 +122,28 @@ mod tests {
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].code, Code::Sa007Malformed);
         assert_eq!(diags[0].severity, Severity::Error);
+    }
+
+    #[test]
+    fn invalid_machine_shape_is_one_pl001_error() {
+        let mut b = ProgramBuilder::new("ok");
+        let x = b.output("X", &[64]);
+        b.nest("fill", &[("k", 0, 63)], |nb| {
+            nb.assign(x, [iv(0)], Expr::Const(0.0));
+        });
+        let p = b.finish();
+        for (n_pes, page_size, why) in [(0, 32, "n_pes"), (16, 0, "page_size")] {
+            let cfg = LintConfig {
+                n_pes,
+                page_size,
+                ..LintConfig::default()
+            };
+            let diags = lint_program(&p, &cfg);
+            assert_eq!(diags.len(), 1, "{diags:?}");
+            assert_eq!(diags[0].code, Code::Pl001OrphanedPes);
+            assert_eq!(diags[0].severity, Severity::Error);
+            assert!(diags[0].message.contains(why), "{}", diags[0].message);
+        }
     }
 
     #[test]

@@ -13,13 +13,13 @@
 //! * `PL001` — a partition configuration that leaves PEs owning no pages.
 
 use crate::diag::{Code, Diagnostic, Severity, Span};
-use crate::sites::{self, eval_affine, static_array_values};
+use crate::sites::{self, array_placements, static_array_values};
 use sa_ir::analysis::anchor_index_arrays;
 use sa_ir::index::IndexExpr;
 use sa_ir::nest::ArrayRef;
 use sa_ir::program::{ArrayInit, Phase};
 use sa_ir::Program;
-use sa_machine::{ArrayShape, PartitionScheme, Placement};
+use sa_machine::{ConfigError, PartitionScheme};
 
 /// Run the progress checks (`SA004`, `SA005`, `SA006`) on `program`.
 pub fn check_progress(program: &Program) -> Vec<Diagnostic> {
@@ -245,7 +245,7 @@ fn check_ref(
     let mut resolvable = true;
     for ix in &aref.indices {
         match ix {
-            IndexExpr::Affine(a) => idx.push(eval_affine(a, ivs)),
+            IndexExpr::Affine(a) => idx.push(a.eval(ivs)),
             IndexExpr::Indirect {
                 base,
                 pos,
@@ -253,7 +253,7 @@ fn check_ref(
                 offset,
             } => {
                 let base_decl = program.array(*base);
-                let p = eval_affine(pos, ivs);
+                let p = pos.eval(ivs);
                 if p < 0 || p as usize >= base_decl.len() {
                     if !*reported_oob {
                         *reported_oob = true;
@@ -380,23 +380,51 @@ fn dangling_diag(
 
 /// Check that `scheme` at `page_size` actually spreads the program's pages
 /// over all `n_pes` PEs; a PE owning nothing contributes no work in the
-/// owner-computes model and the "parallel" run degenerates.
+/// owner-computes model and the "parallel" run degenerates. A machine shape
+/// no placement exists for (zero PEs, zero page size, an empty block or
+/// tile) is the one error-severity `PL001`.
 pub fn check_partition(
     program: &Program,
     n_pes: usize,
     page_size: usize,
     scheme: PartitionScheme,
 ) -> Vec<Diagnostic> {
+    partition_pass(program, n_pes, page_size, scheme).unwrap_or_else(|e| vec![invalid_shape(e)])
+}
+
+/// The error-severity `PL001` for a machine shape no placement exists for.
+pub(crate) fn invalid_shape(e: ConfigError) -> Diagnostic {
+    Diagnostic::new(
+        Code::Pl001OrphanedPes,
+        Span::default(),
+        format!("invalid machine shape: {e}"),
+    )
+    .with_severity(Severity::Error)
+    .explain(
+        "No page placement exists for this PE count, page size and scheme, so \
+         every engine rejects the configuration; the passes that depend on it \
+         are skipped.",
+    )
+}
+
+/// [`check_partition`], with an invalid shape as `Err` so
+/// [`crate::lint_program`] can skip the other config-dependent passes.
+pub(crate) fn partition_pass(
+    program: &Program,
+    n_pes: usize,
+    page_size: usize,
+    scheme: PartitionScheme,
+) -> Result<Vec<Diagnostic>, ConfigError> {
+    // Geometry-aware ownership: tiled schemes can orphan PEs that the
+    // flattened-page arithmetic would have covered (and vice versa), so
+    // legality must probe the same placement the executors use.
+    let placements = array_placements(program, scheme, page_size, n_pes)?;
     let mut diags = Vec::new();
-    if n_pes <= 1 || page_size == 0 {
-        return diags;
+    if n_pes == 1 {
+        return Ok(diags); // the one PE runs everything
     }
     let mut owns = vec![false; n_pes];
-    for decl in &program.arrays {
-        // Geometry-aware ownership: tiled schemes can orphan PEs that the
-        // flattened-page arithmetic would have covered (and vice versa), so
-        // legality must probe the same placement the executors use.
-        let pl = Placement::new(scheme, page_size, n_pes, ArrayShape::from_dims(&decl.dims));
+    for pl in &placements {
         for page in 0..pl.pages() {
             owns[pl.page_owner(page)] = true;
         }
@@ -422,7 +450,7 @@ pub fn check_partition(
             ),
         );
     }
-    diags
+    Ok(diags)
 }
 
 #[cfg(test)]

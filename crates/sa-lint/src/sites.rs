@@ -6,6 +6,7 @@ use sa_ir::index::IndexExpr;
 use sa_ir::nest::{ArrayRef, LoopNest};
 use sa_ir::program::{ArrayInit, Phase};
 use sa_ir::{ArrayId, Program};
+use sa_machine::{ConfigError, PartitionScheme, Placement};
 
 /// One statement that writes an array, with its location.
 pub(crate) struct WriteSite<'p> {
@@ -75,6 +76,22 @@ pub(crate) fn segments(program: &Program) -> Vec<Segment<'_>> {
     out
 }
 
+/// [`Placement::table`] of `program`'s arrays: the placement every static
+/// pass screens owners through, so it cannot disagree with the executors'.
+pub(crate) fn array_placements(
+    program: &Program,
+    scheme: PartitionScheme,
+    page_size: usize,
+    n_pes: usize,
+) -> Result<Vec<Placement>, ConfigError> {
+    Placement::table(
+        program.arrays.iter().map(|d| &d.dims),
+        scheme,
+        page_size,
+        n_pes,
+    )
+}
+
 /// Materialized contents of every *compile-time-constant* array: one that
 /// is statically initialized, never written by any statement, and never
 /// re-initialized. These are the index arrays a scatter/gather can be
@@ -140,7 +157,7 @@ pub(crate) fn resolve_static_addr(
     let mut addr = 0usize;
     for (ix, &extent) in aref.indices.iter().zip(&decl.dims) {
         let i = match ix {
-            IndexExpr::Affine(a) => eval_affine(a, ivs),
+            IndexExpr::Affine(a) => a.eval(ivs),
             IndexExpr::Indirect {
                 base,
                 pos,
@@ -150,7 +167,7 @@ pub(crate) fn resolve_static_addr(
                 let Some(values) = &statics[base.0] else {
                     return Err(ResolveFail::NotStatic);
                 };
-                let p = eval_affine(pos, ivs);
+                let p = pos.eval(ivs);
                 let base_len = program.array(*base).len();
                 if p < 0 || p as usize >= base_len {
                     return Err(ResolveFail::OutOfBounds);
@@ -169,16 +186,6 @@ pub(crate) fn resolve_static_addr(
     } else {
         Err(ResolveFail::OutOfBounds)
     }
-}
-
-/// `AffineIndex::eval` tolerant of coefficient vectors longer than `ivs`
-/// (possible for malformed programs the caller still wants to walk).
-pub(crate) fn eval_affine(a: &sa_ir::AffineIndex, ivs: &[i64]) -> i64 {
-    let mut acc = a.offset;
-    for (v, &iv) in ivs.iter().enumerate() {
-        acc += a.coeff(v) * iv;
-    }
-    acc
 }
 
 /// True if every indirection in `aref` goes through a compile-time-constant

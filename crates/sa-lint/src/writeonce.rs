@@ -17,9 +17,10 @@ use crate::sites::{
     self, resolve_static_addr, static_array_values, statically_resolvable, ResolveFail, Segment,
     WriteSite,
 };
+use sa_ir::access::gcd;
 use sa_ir::analysis::{self, PairRelation};
 use sa_ir::nest::LoopNest;
-use sa_ir::Program;
+use sa_ir::{LinForm, Program};
 
 /// Outcome of the write-once pass.
 #[derive(Debug, Default)]
@@ -181,7 +182,7 @@ fn interval_eval(a: &sa_ir::AffineIndex, outer: &[LevelInfo]) -> (i64, i64) {
 /// One affine write site reduced to closed-form address facts.
 struct AffineSite {
     /// Linearized address form: coefficient per loop variable + offset.
-    form: (Vec<i64>, i64),
+    form: LinForm,
     levels: Vec<LevelInfo>,
     /// Inclusive range of attainable linear addresses (superset).
     addr_lo: i64,
@@ -196,7 +197,7 @@ impl AffineSite {
         let nvars = site.nest.loops.len();
         let form = analysis::linear_address_form(program, site.target, nvars)?;
         let levels = nest_levels(site.nest);
-        let (coeffs, offset) = &form;
+        let LinForm { coeffs, offset } = &form;
         let mut lo = *offset;
         let mut hi = *offset;
         for (v, info) in levels.iter().enumerate() {
@@ -206,7 +207,7 @@ impl AffineSite {
             hi += x.max(y);
         }
         let lattice = if levels.iter().all(|l| l.rect) {
-            let mut g = 0i64;
+            let mut g = 0u64;
             let mut base = *offset;
             for (v, info) in levels.iter().enumerate() {
                 let c = coeffs.get(v).copied().unwrap_or(0);
@@ -214,10 +215,10 @@ impl AffineSite {
                 // constant lower bound.
                 base += c * site.nest.loops[v].lo.offset;
                 if c != 0 && info.trips > 1 {
-                    g = gcd(g, (c * info.step).unsigned_abs() as i64);
+                    g = gcd(g, (c * info.step).unsigned_abs());
                 }
             }
-            Some((g, base))
+            Some((g as i64, base))
         } else {
             None
         };
@@ -233,7 +234,7 @@ impl AffineSite {
     /// Mixed-radix injectivity: two distinct iterations of the site's own
     /// nest always hit distinct addresses?
     fn self_injective(&self) -> Verdict {
-        let (coeffs, _) = &self.form;
+        let coeffs = &self.form.coeffs;
         let mut terms: Vec<(i64, i64)> = Vec::new(); // (|effective coeff|, span)
         for (v, info) in self.levels.iter().enumerate() {
             let c = coeffs.get(v).copied().unwrap_or(0);
@@ -267,7 +268,7 @@ impl AffineSite {
         }
         // GCD residue test on the joint lattice.
         if let (Some((ga, ba)), Some((gb, bb))) = (self.lattice, other.lattice) {
-            let g = gcd(ga, gb);
+            let g = gcd(ga as u64, gb as u64) as i64;
             let d = ba - bb;
             if g == 0 {
                 return if d == 0 {
@@ -310,16 +311,6 @@ impl AffineSite {
         }
         Verdict::May
     }
-}
-
-fn gcd(a: i64, b: i64) -> i64 {
-    let (mut a, mut b) = (a.abs(), b.abs());
-    while b != 0 {
-        let t = a % b;
-        a = b;
-        b = t;
-    }
-    a
 }
 
 // ---------------------------------------------------------------------------

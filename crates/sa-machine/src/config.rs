@@ -107,21 +107,6 @@ impl MachineConfig {
         }
     }
 
-    /// The paper's simulated machine.
-    #[deprecated(since = "0.1.0", note = "use `MachineConfig::new`")]
-    pub fn paper(n_pes: usize, page_size: usize) -> Self {
-        Self::new(n_pes, page_size)
-    }
-
-    /// The paper's machine with caching disabled.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `MachineConfig::new(n, ps).with_cache_elems(0)`"
-    )]
-    pub fn paper_no_cache(n_pes: usize, page_size: usize) -> Self {
-        Self::new(n_pes, page_size).with_cache_elems(0)
-    }
-
     /// Number of pages the cache can hold. Requires a validated config
     /// (`page_size ≥ 1`); zero page sizes are a [`ConfigError`], not a
     /// silently uncached machine.
@@ -175,27 +160,31 @@ impl MachineConfig {
     /// this once up front, so rejection happens with a typed error before
     /// any page arithmetic can divide by zero.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.n_pes == 0 {
-            return Err(ConfigError::ZeroPes);
-        }
-        if self.page_size == 0 {
-            return Err(ConfigError::ZeroPageSize);
-        }
-        if let PartitionScheme::BlockCyclic { block_pages } = self.partition {
-            if block_pages == 0 {
-                return Err(ConfigError::ZeroBlockPages);
-            }
-        }
-        if let PartitionScheme::Tile2D {
+        validate_shape(self.partition, self.page_size, self.n_pes)
+    }
+}
+
+/// The machine-shape half of validation — everything page placement
+/// depends on — shared by [`MachineConfig::validate`] and
+/// [`crate::Placement::table`].
+pub(crate) fn validate_shape(
+    scheme: PartitionScheme,
+    page_size: usize,
+    n_pes: usize,
+) -> Result<(), ConfigError> {
+    if n_pes == 0 {
+        return Err(ConfigError::ZeroPes);
+    }
+    if page_size == 0 {
+        return Err(ConfigError::ZeroPageSize);
+    }
+    match scheme {
+        PartitionScheme::BlockCyclic { block_pages: 0 } => Err(ConfigError::ZeroBlockPages),
+        PartitionScheme::Tile2D {
             tile_rows,
             tile_cols,
-        } = self.partition
-        {
-            if tile_rows == 0 || tile_cols == 0 {
-                return Err(ConfigError::ZeroTileShape);
-            }
-        }
-        Ok(())
+        } if tile_rows == 0 || tile_cols == 0 => Err(ConfigError::ZeroTileShape),
+        _ => Ok(()),
     }
 }
 
@@ -282,16 +271,6 @@ mod tests {
             .with_partition(PartitionScheme::RowBand)
             .validate()
             .is_ok());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_match_canonical_constructor() {
-        assert_eq!(MachineConfig::paper(8, 32), MachineConfig::new(8, 32));
-        assert_eq!(
-            MachineConfig::paper_no_cache(8, 32),
-            MachineConfig::new(8, 32).with_cache_elems(0)
-        );
     }
 
     #[test]

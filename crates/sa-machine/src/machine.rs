@@ -7,7 +7,7 @@ use crate::config::{MachineConfig, PartialPagePolicy};
 use crate::host::{run_reinit_protocol, ReinitSync};
 use crate::network::Network;
 use crate::partition::page_of;
-use crate::placement::{ArrayShape, Placement};
+use crate::placement::Placement;
 use crate::stats::{AccessKind, Stats};
 
 /// Description of one array to place on the machine.
@@ -37,17 +37,17 @@ impl ArraySpec {
         }
     }
 
-    /// The placement geometry this spec declares.
-    pub fn shape(&self) -> ArrayShape {
+    /// The dimensions placement sees: the declared ones, or `[len]`.
+    fn placed_dims(&self) -> &[usize] {
         if self.dims.is_empty() {
-            ArrayShape::linear(self.len)
+            std::slice::from_ref(&self.len)
         } else {
             debug_assert_eq!(
                 self.dims.iter().product::<usize>(),
                 self.len,
                 "declared dims must cover the array"
             );
-            ArrayShape::from_dims(&self.dims)
+            &self.dims
         }
     }
 }
@@ -154,11 +154,13 @@ pub struct DistributedMachine {
 impl DistributedMachine {
     /// Build a machine and place `specs` on it.
     pub fn new(cfg: MachineConfig, specs: Vec<ArraySpec>) -> Result<Self, MachineError> {
-        cfg.validate().map_err(MachineError::BadConfig)?;
-        let placements = specs
-            .iter()
-            .map(|s| Placement::new(cfg.partition, cfg.page_size, cfg.n_pes, s.shape()))
-            .collect();
+        let placements = Placement::table(
+            specs.iter().map(ArraySpec::placed_dims),
+            cfg.partition,
+            cfg.page_size,
+            cfg.n_pes,
+        )
+        .map_err(MachineError::BadConfig)?;
         let arrays = specs
             .into_iter()
             .map(|s| {

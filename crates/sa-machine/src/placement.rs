@@ -25,6 +25,7 @@
 //! clamps to the last page's owner — never wrapped back to PE 0 by
 //! arithmetic on addresses past the end of the array.
 
+use crate::config::{validate_shape, ConfigError};
 use crate::partition::{pages_in, PartitionScheme};
 
 /// The declared geometry of an array, reduced to the 2-D view placement
@@ -107,6 +108,29 @@ impl Placement {
             n_pes,
             shape,
         }
+    }
+
+    /// One placement per array of a program, in declaration order, each
+    /// from its declared `dims` (outermost first) — the one validated
+    /// builder of the per-array table every engine and analysis indexes by
+    /// array id. Tiled schemes see each array's declared grid; the
+    /// page-linear schemes keep the paper's flattened-page arithmetic.
+    pub fn table<D: AsRef<[usize]>>(
+        dims: impl IntoIterator<Item = D>,
+        scheme: PartitionScheme,
+        page_size: usize,
+        n_pes: usize,
+    ) -> Result<Vec<Placement>, ConfigError> {
+        validate_shape(scheme, page_size, n_pes)?;
+        Ok(dims
+            .into_iter()
+            .map(|d| Placement {
+                scheme,
+                page_size,
+                n_pes,
+                shape: ArrayShape::from_dims(d.as_ref()),
+            })
+            .collect())
     }
 
     /// Number of pages the array occupies.
@@ -371,6 +395,38 @@ mod tests {
         let l = ArrayShape::from_dims(&[9]);
         assert_eq!((l.rows, l.cols, l.len), (9, 1, 9));
         assert_eq!(ArrayShape::linear(9), l);
+    }
+
+    #[test]
+    fn table_validates_the_shape_and_places_every_array() {
+        let dims = [vec![100], vec![12, 10], vec![]];
+        let table = Placement::table(&dims, PartitionScheme::RowBand, 8, 4).unwrap();
+        let want: Vec<Placement> = dims
+            .iter()
+            .map(|d| Placement::new(PartitionScheme::RowBand, 8, 4, ArrayShape::from_dims(d)))
+            .collect();
+        assert_eq!(table, want);
+        for (scheme, page_size, n_pes, err) in [
+            (PartitionScheme::Modulo, 8, 0, ConfigError::ZeroPes),
+            (PartitionScheme::Modulo, 0, 4, ConfigError::ZeroPageSize),
+            (
+                PartitionScheme::BlockCyclic { block_pages: 0 },
+                8,
+                4,
+                ConfigError::ZeroBlockPages,
+            ),
+            (
+                PartitionScheme::Tile2D {
+                    tile_rows: 0,
+                    tile_cols: 4,
+                },
+                8,
+                4,
+                ConfigError::ZeroTileShape,
+            ),
+        ] {
+            assert_eq!(Placement::table(&dims, scheme, page_size, n_pes), Err(err));
+        }
     }
 
     #[test]

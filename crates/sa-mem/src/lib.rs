@@ -7,14 +7,10 @@
 //! until the producer writes — the write-once/read-many discipline of HEP
 //! full/empty bits and dataflow I-structures.
 //!
-//! The substrate comes in two flavours:
-//!
-//! * **Sequential** building blocks used by the simulator
-//!   ([`SaCell`], [`TagBits`], [`SaArray`]) — deterministic, no locking.
-//! * **Concurrent** structures used by the real-thread runtime
-//!   ([`IStructure`], [`IVar`]) — blocking reads implemented with
-//!   `parking_lot` locks and condvars, so "synchronization through single
-//!   assignment" (paper §3) can be demonstrated on actual hardware threads.
+//! The building blocks ([`SaCell`], [`TagBits`], [`SaArray`],
+//! [`TaggedPage`]) are sequential and deterministic — no locking: the
+//! simulator owns them outright, and the real-thread runtime gives each
+//! worker its own pages and defers reads through [`TaggedPage`].
 //!
 //! A second write to the same cell is a *runtime error* ([`SaError::DoubleWrite`]),
 //! exactly as the paper prescribes ("writing more than once results in a
@@ -27,16 +23,12 @@
 pub mod array;
 pub mod cell;
 pub mod error;
-pub mod istructure;
-pub mod ivar;
 pub mod page;
 pub mod tagged;
 
 pub use array::SaArray;
 pub use cell::{CellRead, SaCell};
 pub use error::{SaError, SaResult};
-pub use istructure::IStructure;
-pub use ivar::IVar;
 pub use page::TaggedPage;
 pub use tagged::TagBits;
 

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use sa_mem::{CellRead, IStructure, SaArray, SaError, TagBits};
+use sa_mem::{CellRead, SaArray, SaError, TagBits};
 
 proptest! {
     /// For any sequence of writes, exactly the first write to each index
@@ -92,39 +92,5 @@ proptest! {
         }
         prop_assert_eq!(a.generation(), rounds);
         prop_assert_eq!(a.defined_count(), 0);
-    }
-}
-
-#[test]
-fn istructure_races_have_one_winner_per_cell() {
-    // 8 threads race to write every cell of a shared I-structure; exactly
-    // one write per cell may succeed, and afterwards every cell holds the
-    // winner's value.
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
-    let n = 256;
-    let s = Arc::new(IStructure::new(n));
-    let successes = Arc::new(AtomicUsize::new(0));
-    let handles: Vec<_> = (0..8)
-        .map(|tid| {
-            let s = Arc::clone(&s);
-            let successes = Arc::clone(&successes);
-            std::thread::spawn(move || {
-                for i in 0..n {
-                    if s.write(i, tid as f64).is_ok() {
-                        successes.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().unwrap();
-    }
-    assert_eq!(successes.load(Ordering::Relaxed), n);
-    assert_eq!(s.defined_count(), n);
-    for i in 0..n {
-        let v = s.read_blocking(i).unwrap();
-        assert!((0.0..8.0).contains(&v));
     }
 }

@@ -237,7 +237,8 @@ pub fn execute(program: &Program, cfg: &RuntimeConfig) -> Result<RuntimeReport, 
         return Err(RuntimeError::Unsupported(reason));
     }
     let machine_cfg = cfg.to_machine();
-    let map = PartitionMap::new(program, &machine_cfg);
+    let map = PartitionMap::new(program, &machine_cfg)
+        .map_err(|e| RuntimeError::InvalidConfig(e.to_string()))?;
 
     let mut txs = Vec::with_capacity(cfg.n_pes);
     let mut rxs = Vec::with_capacity(cfg.n_pes);

@@ -12,7 +12,7 @@ use sapp::core::plan::ExperimentPlan;
 use sapp::core::report::{ascii_chart, json, markdown_table};
 use sapp::core::results::Column;
 use sapp::core::search::strategy::{Searcher, Strategy, StrategyOracle, StrategyParams};
-use sapp::core::search::{search, SearchSpace};
+use sapp::core::search::SearchSpace;
 use sapp::core::{CountingOracle, FastCountingOracle};
 use sapp::loops::suite;
 use sapp::runtime::ThreadOracle;
@@ -79,12 +79,15 @@ fn main() {
 
     // Automatic scheme search (the Automap-style ROADMAP item), as JSON:
     // balanced objective by default, replay engine underneath.
-    let best = search(
-        &k12.program,
+    let best = Searcher::new(
         &SearchSpace::default(),
-        &FastCountingOracle::default(),
+        Box::<FastCountingOracle>::default(),
+        StrategyParams::default(),
     )
-    .expect("search");
+    .expect("space is valid")
+    .search(&k12.program)
+    .expect("search")
+    .best;
     let row = vec![vec![
         "K12".to_string(),
         best.scheme.name(),

@@ -7,9 +7,10 @@
 //! cargo run --release --example stencil_partition
 //! ```
 
-use sapp::core::experiment::partition_sweep;
+use sapp::core::plan::{ExperimentPlan, RunConfig};
 use sapp::core::replay::counts_or_simulate;
 use sapp::core::report::{fmt_pct, markdown_table};
+use sapp::core::FastCountingOracle;
 use sapp::loops::stencil::build_jacobi5;
 use sapp::machine::{MachineConfig, PartitionScheme};
 
@@ -47,21 +48,24 @@ fn main() {
 
     // Placement sweep: row-aligned block placement beats modulo for
     // stencils — exactly the paper's modulo-vs-division observation.
-    let per = partition_sweep(
-        &program,
-        n_pes,
-        bps,
-        &[
+    let per = ExperimentPlan::new()
+        .base(RunConfig {
+            n_pes,
+            page_size: bps,
+            ..RunConfig::default()
+        })
+        .partitions(&[
             PartitionScheme::Modulo,
             PartitionScheme::Block,
             PartitionScheme::BlockCyclic { block_pages: 2 },
             PartitionScheme::BlockCyclic { block_pages: 4 },
-        ],
-    )
-    .expect("sweep");
+        ])
+        .run(&program, &FastCountingOracle::default())
+        .expect("sweep");
     let rows: Vec<Vec<String>> = per
-        .into_iter()
-        .map(|(name, pct)| vec![name, fmt_pct(pct)])
+        .records()
+        .iter()
+        .map(|r| vec![r.cfg.partition.name(), fmt_pct(r.remote_pct)])
         .collect();
     println!("Placement comparison at page size {bps}:\n");
     println!("{}", markdown_table(&["scheme", "remote %"], &rows));

@@ -70,8 +70,7 @@
 //! program is statically analyzable — the work/span/parallelism summary.
 
 use sapp::core::classify::classify_dynamic;
-use sapp::core::experiment::speedup_sweep;
-use sapp::core::oracle::OracleError;
+use sapp::core::oracle::{speedup_sweep, OracleError};
 use sapp::core::parallel::par_map;
 use sapp::core::plan::{ExperimentPlan, PlanError};
 use sapp::core::replay::{counts, counts_or_simulate, CountReport};
@@ -670,7 +669,10 @@ fn main() {
             }
             let results = plan
                 .run(&k.program, o.engine.oracle().as_ref())
-                .expect("sweep");
+                .unwrap_or_else(|e| {
+                    eprintln!("sweep failed: {e}");
+                    std::process::exit(1);
+                });
             if results.is_empty() {
                 eprintln!(
                     "note: every grid point was unsupported by the selected engine \

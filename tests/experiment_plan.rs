@@ -1,15 +1,14 @@
 //! The plan API's contract: grid enumeration is exact and order-robust,
-//! degenerate plans fail with typed errors, and the five legacy sweep
-//! drivers are provably thin wrappers — their outputs equal both a
-//! hand-rolled sequential loop over the raw simulator and a plan-built
-//! grid, point for point, on K12 (First Difference).
+//! degenerate plans fail with typed errors, and the plan-backed speedup
+//! sweep equals a hand-rolled sequential loop over the raw timing pass,
+//! point for point, on K12 (First Difference).
 
-use sapp::core::experiment::{cache_sweep, partition_sweep, pe_sweep, policy_sweep, speedup_sweep};
+use sapp::core::oracle::speedup_sweep;
 use sapp::core::plan::{Axis, ExperimentPlan, PlanError, RunConfig};
-use sapp::core::search::{search, SearchSpace};
-use sapp::core::{estimate_timing, simulate, CountingOracle};
+use sapp::core::search::SearchSpace;
+use sapp::core::{estimate_timing, simulate, CountingOracle, Searcher, StrategyParams};
 use sapp::loops::suite;
-use sapp::machine::{AccessCosts, CachePolicy, ConfigError, MachineConfig, PartitionScheme};
+use sapp::machine::{AccessCosts, ConfigError, MachineConfig};
 
 fn k12() -> sapp::ir::Program {
     suite()
@@ -117,99 +116,6 @@ fn duplicate_axis_is_a_config_error() {
 }
 
 #[test]
-fn legacy_pe_sweep_equals_plan_grid_and_sequential_loop() {
-    let p = k12();
-    let (pes, page_sizes, cache_options) = (
-        &[1usize, 2, 4, 8][..],
-        &[32usize, 64][..],
-        &[true, false][..],
-    );
-
-    // The wrapper under test.
-    let wrapper = pe_sweep(&p, pes, page_sizes, cache_options).unwrap();
-
-    // Independently: the plan-built grid.
-    let plan = ExperimentPlan::new()
-        .page_sizes(page_sizes)
-        .cache_flags(cache_options)
-        .pes(pes)
-        .run(&p, &CountingOracle)
-        .unwrap();
-    assert_eq!(wrapper.len(), plan.len());
-    for (w, r) in wrapper.iter().zip(plan.records()) {
-        assert_eq!(
-            (w.n_pes, w.page_size, w.cached),
-            (r.cfg.n_pes, r.cfg.page_size, r.cfg.cached())
-        );
-        assert_eq!(w.remote_pct, r.remote_pct);
-        assert_eq!(w.remote_reads, r.remote_reads);
-        assert_eq!(w.total_reads, r.total_reads);
-        assert_eq!(w.messages, r.messages);
-    }
-
-    // Independently: the original sequential triple loop over the raw
-    // simulator, in the drivers' documented order.
-    let mut i = 0;
-    for &ps in page_sizes {
-        for &cached in cache_options {
-            for &n in pes {
-                let cfg = MachineConfig::new(n, ps).with_cache_elems(if cached { 256 } else { 0 });
-                let rep = simulate(&p, &cfg).unwrap();
-                let w = &wrapper[i];
-                assert_eq!((w.n_pes, w.page_size, w.cached), (n, ps, cached));
-                assert_eq!(w.remote_pct, rep.remote_pct());
-                assert_eq!(w.remote_reads, rep.stats.remote_reads());
-                assert_eq!(w.messages, rep.network_messages);
-                i += 1;
-            }
-        }
-    }
-    assert_eq!(i, wrapper.len());
-}
-
-#[test]
-fn legacy_cache_and_partition_and_policy_sweeps_equal_sequential_loops() {
-    let p = k12();
-
-    let sizes = [0usize, 128, 256, 1024];
-    let cs = cache_sweep(&p, 8, 32, &sizes).unwrap();
-    for (&elems, (got_elems, got_pct)) in sizes.iter().zip(&cs) {
-        let rep = simulate(&p, &MachineConfig::new(8, 32).with_cache_elems(elems)).unwrap();
-        assert_eq!(*got_elems, elems);
-        assert_eq!(*got_pct, rep.remote_pct());
-    }
-
-    let schemes = [
-        PartitionScheme::Modulo,
-        PartitionScheme::Block,
-        PartitionScheme::BlockCyclic { block_pages: 2 },
-    ];
-    let ps = partition_sweep(&p, 8, 32, &schemes).unwrap();
-    for (&scheme, (name, pct)) in schemes.iter().zip(&ps) {
-        let rep = simulate(&p, &MachineConfig::new(8, 32).with_partition(scheme)).unwrap();
-        assert_eq!(*name, scheme.name());
-        assert_eq!(*pct, rep.remote_pct());
-    }
-
-    let policies = [
-        CachePolicy::Lru,
-        CachePolicy::Fifo,
-        CachePolicy::Random { seed: 7 },
-    ];
-    let pol = policy_sweep(&p, 8, 32, &policies).unwrap();
-    for (&policy, (name, pct)) in policies.iter().zip(&pol) {
-        let rep = simulate(&p, &MachineConfig::new(8, 32).with_cache_policy(policy)).unwrap();
-        let want = match policy {
-            CachePolicy::Lru => "lru",
-            CachePolicy::Fifo => "fifo",
-            CachePolicy::Random { .. } => "random",
-        };
-        assert_eq!(name, want);
-        assert_eq!(*pct, rep.remote_pct());
-    }
-}
-
-#[test]
 fn legacy_speedup_sweep_equals_sequential_loop() {
     let p = k12();
     let pes = [1usize, 2, 4, 8];
@@ -226,7 +132,11 @@ fn legacy_speedup_sweep_equals_sequential_loop() {
 fn search_finds_k12_best_scheme_and_page_size() {
     let p = k12();
     let space = SearchSpace::default();
-    let best = search(&p, &space, &CountingOracle).unwrap();
+    let best = Searcher::new(&space, Box::new(CountingOracle), StrategyParams::default())
+        .unwrap()
+        .search(&p)
+        .unwrap()
+        .best;
     // Every candidate is either measured or statically pruned.
     assert_eq!(
         best.evaluated + best.pruned,

@@ -17,7 +17,7 @@
 //!    really fails on the thread runtime, and every wait the runtime
 //!    *realizes* on the reduced suite is covered by the static dependence
 //!    graph ([`sapp::lint::DepGraph::covers_wait`]).
-//! 4. **Pruned search ≡ exhaustive search** — `search_with`'s static
+//! 4. **Pruned search ≡ exhaustive search** — the `Searcher`'s static
 //!    dependence-bound pruning returns bit-identical winners to the
 //!    exhaustive parallel sweep on every registry workload, with the
 //!    pruned fraction logged.
@@ -28,8 +28,8 @@
 //!    writes are the simulator's.
 
 use sapp::core::parallel::par_map;
-use sapp::core::search::{search_exhaustive_with, search_with, Objective, SearchSpace};
-use sapp::core::{simulate, CountingOracle, StaticOracle};
+use sapp::core::search::{search_exhaustive_with, Objective, SearchSpace};
+use sapp::core::{simulate, CountingOracle, Searcher, StaticOracle, StrategyParams};
 use sapp::core::{Oracle, OracleError, RunConfig};
 use sapp::ir::index::iv;
 use sapp::ir::{AffineIndex, ArrayId, InitPattern, ProgramBuilder};
@@ -427,8 +427,10 @@ fn pruned_search_is_bit_identical_to_exhaustive_on_the_registry() {
     let mut pruned_total = 0usize;
     let mut candidates_total = 0usize;
     for k in reduced_suite() {
-        let fast = search_with(&k.program, &space, &CountingOracle, Objective::default())
-            .unwrap_or_else(|e| panic!("{}: pruned search failed: {e:?}", k.code));
+        let fast = Searcher::new(&space, Box::new(CountingOracle), StrategyParams::default())
+            .and_then(|searcher| searcher.search(&k.program))
+            .unwrap_or_else(|e| panic!("{}: pruned search failed: {e:?}", k.code))
+            .best;
         let slow =
             search_exhaustive_with(&k.program, &space, &CountingOracle, Objective::default())
                 .unwrap_or_else(|e| panic!("{}: exhaustive search failed: {e:?}", k.code));

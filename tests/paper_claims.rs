@@ -1,5 +1,5 @@
-//! Shape assertions for every figure and headline claim of the paper
-//! (the EXP index of DESIGN.md). These are *qualitative* reproductions:
+//! Shape assertions for every figure and headline claim of the paper.
+//! These are *qualitative* reproductions:
 //! who wins, by roughly what factor, where the curves head — not absolute
 //! axes from the authors' 1989 testbed.
 

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use sapp::core::{simulate, verify_against_reference};
 use sapp::ir::index::iv;
 use sapp::ir::program::{ArrayDecl, ArrayInit};
-use sapp::ir::{Grid, InitPattern, ProgramBuilder};
+use sapp::ir::{AffineIndex, Grid, InitPattern, LoopNest, LoopVar, ProgramBuilder};
 use sapp::machine::{
     pages_in, ArrayShape, CacheOutcome, CachePolicy, MachineConfig, PageCache, PageKey,
     PartialPagePolicy, PartitionScheme, Placement,
@@ -24,7 +24,82 @@ fn scheme_strategy() -> impl Strategy<Value = PartitionScheme> {
     ]
 }
 
+/// Nests of depth 0–3 whose bounds may lean on the enclosing variable:
+/// rectangular, triangular, negative-step and zero-trip shapes all occur.
+fn nest_strategy() -> impl Strategy<Value = LoopNest> {
+    let level = (
+        -4i64..5,
+        -4i64..5,
+        -1i64..2,
+        -1i64..2,
+        prop::sample::select(vec![-3i64, -2, -1, 1, 2, 3]),
+    );
+    prop::collection::vec(level, 0..4).prop_map(|levels| LoopNest {
+        label: "n".into(),
+        loops: levels
+            .into_iter()
+            .enumerate()
+            .map(|(depth, (lo, hi, lo_lean, hi_lean, step))| {
+                // `lean · (enclosing variable) + constant`; level 0 has no
+                // enclosing variable.
+                let bound = |lean: i64, c: i64| match depth {
+                    0 => AffineIndex::constant(c),
+                    d => AffineIndex::scaled_var(lean, d - 1).plus(c),
+                };
+                LoopVar {
+                    name: format!("v{depth}"),
+                    lo: bound(lo_lean, lo),
+                    hi: bound(hi_lean, hi),
+                    step,
+                }
+            })
+            .collect(),
+        body: vec![],
+    })
+}
+
+/// `LoopNest::for_each_iteration` as it was before it was built on sweeps:
+/// one recursion level per loop, bounds re-evaluated at every level.
+fn iterations_by_recursion(nest: &LoopNest, ivs: &mut Vec<i64>, out: &mut Vec<Vec<i64>>) {
+    let Some(lv) = nest.loops.get(ivs.len()) else {
+        return out.push(ivs.clone());
+    };
+    let (mut v, hi) = (lv.lo.eval(ivs), lv.hi.eval(ivs));
+    while (lv.step > 0 && v <= hi) || (lv.step < 0 && v >= hi) {
+        ivs.push(v);
+        iterations_by_recursion(nest, ivs, out);
+        ivs.pop();
+        v += lv.step;
+    }
+}
+
 proptest! {
+    /// The one nest enumerator: sweeps expanded trip by trip are exactly
+    /// the iteration vectors the per-level recursion visits, in order, and
+    /// their trips sum to the iteration count.
+    #[test]
+    fn sweeps_expand_to_the_recursive_enumeration(nest in nest_strategy()) {
+        let mut want = Vec::new();
+        iterations_by_recursion(&nest, &mut Vec::new(), &mut want);
+
+        let mut expanded = Vec::new();
+        nest.for_each_sweep(|s| {
+            assert!(s.trips >= 1, "an empty sweep was enumerated");
+            for t in 0..s.trips as i64 {
+                let mut ivs = s.outer.to_vec();
+                if !nest.loops.is_empty() {
+                    ivs.push(s.lo + t * s.step);
+                }
+                expanded.push(ivs);
+            }
+        });
+        prop_assert_eq!(&expanded, &want);
+        prop_assert_eq!(nest.iteration_count(), want.len());
+        let mut visited = Vec::new();
+        nest.for_each_iteration(|ivs| visited.push(ivs.to_vec()));
+        prop_assert_eq!(&visited, &want);
+    }
+
     /// Every page has exactly one owner and that owner is a valid PE.
     #[test]
     fn ownership_is_total_and_in_range(

@@ -186,6 +186,35 @@ fn stencils_bit_identical_under_tiled_schemes_and_routed_topologies() {
         Ok::<_, std::convert::Infallible>(())
     })
     .unwrap();
+
+    // What the geometry buys: on ST5 512² (16-PE mesh, no cache) 128×128
+    // tiles keep halo exchanges between neighbouring owners, where modulo
+    // scatters every row boundary across the machine.
+    let st5 = sapp::loops::stencil::build_jacobi5(512, 512, 2).program;
+    let on_mesh = |scheme| {
+        let cfg = MachineConfig::new(16, 32)
+            .with_cache_elems(0)
+            .with_partition(scheme)
+            .with_network(NetworkTopology::Mesh2D);
+        replay::counts(&st5, &cfg).expect("replay handles the stencil")
+    };
+    let modulo = on_mesh(PartitionScheme::Modulo);
+    let tiled = on_mesh(PartitionScheme::Tile2D {
+        tile_rows: 128,
+        tile_cols: 128,
+    });
+    assert!(
+        tiled.remote_pct() < modulo.remote_pct(),
+        "tile2d remote {:.3}% is not below modulo {:.3}%",
+        tiled.remote_pct(),
+        modulo.remote_pct()
+    );
+    assert!(
+        tiled.max_link_load < modulo.max_link_load,
+        "tile2d max link load {} is not below modulo {}",
+        tiled.max_link_load,
+        modulo.max_link_load
+    );
 }
 
 #[test]

@@ -4,7 +4,9 @@
 //!   report 0.0 remote % — never NaN — all the way from `Stats` through
 //!   the oracles into CSV/JSON cells and `ResultSet` pivots;
 //! * the hand-rolled `report::json` emitter must escape hostile kernel
-//!   and nest labels per RFC 8259.
+//!   and nest labels per RFC 8259;
+//! * an invalid machine shape reaches the user as the typed `ConfigError`
+//!   text and a non-zero exit on every path, never as a panic.
 
 use sapp::core::exec::simulate;
 use sapp::core::plan::ExperimentPlan;
@@ -206,4 +208,27 @@ fn mixed_oracle_pivots_distinguish_unmodeled_hops_from_zero() {
     assert!(j.contains("\"hops\": 0"));
     assert!(j.contains("\"hops\": \"\""));
     assert!(!j.contains("NaN"));
+}
+
+#[test]
+fn invalid_machine_shapes_exit_with_the_config_error_on_the_static_paths() {
+    for (args, want) in [
+        (
+            "simulate k1 --page 0 --engine static --no-cache",
+            "page_size must be ≥ 1",
+        ),
+        ("sweep k1 --page 0 --engine static", "page_size must be ≥ 1"),
+        ("lint k1 --page 0", "page_size must be ≥ 1"),
+        ("lint k1 --pes 0", "n_pes must be ≥ 1"),
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_sapp"))
+            .args(args.split(' '))
+            .output()
+            .expect("sapp runs");
+        let said = String::from_utf8_lossy(&out.stdout) + String::from_utf8_lossy(&out.stderr);
+        // A panic exits 101 and a usage error 2; a rejected config is 1.
+        assert_eq!(out.status.code(), Some(1), "sapp {args}: {said}");
+        assert!(said.contains(want), "sapp {args}: {said}");
+        assert!(!said.contains("panicked"), "sapp {args}: {said}");
+    }
 }

@@ -91,6 +91,38 @@ fn wide_space() -> SearchSpace {
     }
 }
 
+/// All five scheme families (three tile shapes, two block-cyclic
+/// factors) × six page sizes × all seven topologies: 378 candidates.
+fn expanded_space() -> SearchSpace {
+    let tile = |t| PartitionScheme::Tile2D {
+        tile_rows: t,
+        tile_cols: t,
+    };
+    SearchSpace {
+        schemes: vec![
+            PartitionScheme::Modulo,
+            PartitionScheme::Block,
+            PartitionScheme::BlockCyclic { block_pages: 2 },
+            PartitionScheme::BlockCyclic { block_pages: 4 },
+            PartitionScheme::RowBand,
+            tile(16),
+            tile(32),
+            tile(64),
+            tile(128),
+        ],
+        networks: vec![
+            NetworkTopology::Ideal,
+            NetworkTopology::Crossbar,
+            NetworkTopology::Bus,
+            NetworkTopology::Ring,
+            NetworkTopology::Mesh2D,
+            NetworkTopology::Torus2D,
+            NetworkTopology::Hypercube,
+        ],
+        ..SearchSpace::default()
+    }
+}
+
 fn params(strategy: Strategy) -> StrategyParams {
     StrategyParams {
         strategy,
@@ -205,6 +237,54 @@ fn memo_cache_answers_second_query_with_zero_new_oracle_calls() {
         searcher.cache_hits(),
         hits_before + second.cache_hits as u64
     );
+
+    // The space the guided strategies exist for: nine schemes × six pages
+    // × seven topologies = 378 candidates around ST5 256². At the default
+    // budget both spend at least 5× fewer oracle evaluations than
+    // exhaustion, find its winner's score, and re-query for free.
+    let st5 = workload("ST5").unwrap().build(Size::Grid2 {
+        nx: 256,
+        ny: 256,
+        sweeps: 2,
+    });
+    let space = expanded_space();
+    let exhaustive = search_exhaustive_with(
+        &st5.program,
+        &space,
+        &StrategyOracle::default(),
+        Objective::default(),
+    )
+    .unwrap();
+    assert_eq!(exhaustive.evaluated, 378);
+    for strategy in [Strategy::Anneal, Strategy::Propagate] {
+        let searcher = Searcher::new(
+            &space,
+            Box::<StrategyOracle>::default(),
+            StrategyParams {
+                strategy,
+                seed: 7,
+                ..StrategyParams::default()
+            },
+        )
+        .unwrap();
+        let rep = searcher.search(&st5.program).unwrap();
+        assert!(
+            rep.oracle_evals * 5 <= exhaustive.evaluated,
+            "{}: {} of {} evaluations",
+            strategy.name(),
+            rep.oracle_evals,
+            exhaustive.evaluated
+        );
+        assert_eq!(
+            rep.best.score.to_bits(),
+            exhaustive.score.to_bits(),
+            "{}: winner gap",
+            strategy.name()
+        );
+        let requery = searcher.search(&st5.program).unwrap();
+        assert_eq!(requery.oracle_evals, 0, "{}", strategy.name());
+        assert_eq!(requery.best, rep.best, "{}", strategy.name());
+    }
 }
 
 #[test]
