@@ -8,8 +8,8 @@
 //! replay where the nest allows, interpreter fallback elsewhere — counts
 //! are bit-identical either way); figures *select* their series from the
 //! [`ResultSet`] by predicate, so a plan's axis order never changes what a
-//! table shows. The `figures` binary prints them; the criterion benches
-//! under `benches/` measure the wall-clock cost of regenerating each one.
+//! table shows. The `figures` binary prints them; what the calls beneath
+//! them cost is measured by `benchmark/`, at the CLI boundary and by layer.
 
 use sa_core::oracle::speedup_sweep;
 use sa_core::plan::{ExperimentPlan, RunConfig};

@@ -235,7 +235,7 @@ fn run(program: &Program, cfg: &MachineConfig, tracing: bool) -> Result<SimRepor
     for phase in &program.phases {
         match phase {
             Phase::Reinit(id) => {
-                let sync = machine.reinit(id.0)?;
+                let sync = machine.reinit(id.0);
                 if tracing {
                     phases_trace.push(PhaseTrace::Reinit {
                         messages: sync.total_messages(),

@@ -264,12 +264,7 @@ pub fn interpret(program: &Program) -> Result<ProgramResult, IrError> {
     for phase in &program.phases {
         match phase {
             Phase::Reinit(id) => {
-                mem.arrays[id.0]
-                    .reinit()
-                    .map_err(|_| IrError::DoubleWrite {
-                        array: program.array(*id).name.clone(),
-                        addr: usize::MAX,
-                    })?;
+                mem.arrays[id.0].reinit();
             }
             Phase::Loop(nest) => {
                 // Seed reductions with their identities before the nest runs.

@@ -53,6 +53,7 @@
 //! edges to the span DAG but not wait edges.
 
 use std::collections::{HashMap, HashSet};
+use std::convert::Infallible;
 use std::fmt;
 use std::rc::Rc;
 
@@ -67,7 +68,8 @@ use sa_machine::ConfigError;
 use crate::diag::{Code, Diagnostic, Severity, Span};
 use crate::estimate::{first_indirect_ref, walk_anchor_runs};
 use crate::sites::{
-    array_placements, resolve_static_addr, static_array_values, statically_resolvable,
+    array_placements, iterate, segments, Instances, LiveSlots, Producers, Resolver, Screen,
+    WriteSite,
 };
 use crate::writeonce::fmt_ivs;
 use crate::LintConfig;
@@ -348,261 +350,192 @@ type FootSet = Option<Rc<HashSet<usize>>>;
 /// Exact address set of `aref` over `nest`'s domain, seen through static
 /// index arrays; iterations that fail to resolve (the runtime would abort
 /// there) are skipped. `None` if some indirection is runtime data.
-fn footprint_set(
-    program: &Program,
-    statics: &[Option<Vec<f64>>],
-    nest: &LoopNest,
-    aref: &ArrayRef,
-) -> FootSet {
-    if !statically_resolvable(aref, statics) {
+fn footprint_set(res: &Resolver<'_>, nest: &LoopNest, aref: &ArrayRef) -> FootSet {
+    if res.runtime_index(aref).is_some() {
         return None;
     }
     let mut set = HashSet::new();
-    nest.for_each_iteration(|ivs| {
-        if let Ok(addr) = resolve_static_addr(program, statics, aref, ivs) {
+    let Ok(()) = iterate(nest, |ivs| {
+        if let Ok(addr) = res.addr(aref, ivs) {
             set.insert(addr);
         }
+        Ok::<(), Infallible>(())
     });
     Some(Rc::new(set))
 }
 
-/// Decide whether (write site, read ref) can be a RAW pair, and how.
-#[allow(clippy::too_many_arguments)]
-fn dep_between(
+/// Whether an affine write site and an affine read can be a RAW pair:
+/// Banerjee range overlap + GCD lattice residue.
+fn affine_dep(
     program: &Program,
-    w_nest: &LoopNest,
-    w_phase: usize,
-    w_target: &ArrayRef,
+    w: &WriteSite<'_>,
     r_nest: &LoopNest,
     r_phase: usize,
     aref: &ArrayRef,
-    w_set: &FootSet,
-    r_set: &FootSet,
 ) -> Option<EdgeKind> {
-    let w_ind = w_target.has_indirection();
-    let r_ind = aref.has_indirection();
-    if !w_ind && !r_ind {
-        // Affine × affine: Banerjee range overlap + GCD lattice residue.
-        let (wlo, whi) = affine_address_range(program, w_nest, w_target)?;
-        let (rlo, rhi) = affine_address_range(program, r_nest, aref)?;
-        if whi < rlo || rhi < wlo {
+    let (wlo, whi) = affine_address_range(program, w.nest, w.target)?;
+    let (rlo, rhi) = affine_address_range(program, r_nest, aref)?;
+    if whi < rlo || rhi < wlo {
+        return None;
+    }
+    let wf = linear_address_form(program, w.target, w.nest.loops.len())?;
+    let rf = linear_address_form(program, aref, r_nest.loops.len())?;
+    let g = gcd(vec_gcd(&wf.coeffs), vec_gcd(&rf.coeffs));
+    if g == 0 {
+        if wf.offset != rf.offset {
             return None;
         }
-        let w = linear_address_form(program, w_target, w_nest.loops.len())?;
-        let r = linear_address_form(program, aref, r_nest.loops.len())?;
-        let g = gcd(vec_gcd(&w.coeffs), vec_gcd(&r.coeffs));
-        if g == 0 {
-            if w.offset != r.offset {
-                return None;
-            }
-        } else if (w.offset - r.offset).rem_euclid(g as i64) != 0 {
-            return None;
-        }
-        if w_phase == r_phase && matches!(relate_forms(&w, &r), PairRelation::Identical) {
-            return Some(EdgeKind::Exact);
-        }
-        Some(EdgeKind::Affine)
+    } else if (wf.offset - rf.offset).rem_euclid(g as i64) != 0 {
+        return None;
+    }
+    if w.phase == r_phase && matches!(relate_forms(&wf, &rf), PairRelation::Identical) {
+        return Some(EdgeKind::Exact);
+    }
+    Some(EdgeKind::Affine)
+}
+
+/// Whether two exact footprints share a cell; a side that goes through a
+/// runtime-valued index array is conservatively assumed to.
+fn footprint_dep(w_set: &FootSet, r_set: &FootSet) -> Option<EdgeKind> {
+    let (Some(ws), Some(rs)) = (w_set, r_set) else {
+        return Some(EdgeKind::Undecidable);
+    };
+    let (small, big) = if ws.len() <= rs.len() {
+        (ws, rs)
     } else {
-        match (w_set, r_set) {
-            (Some(ws), Some(rs)) => {
-                let (small, big) = if ws.len() <= rs.len() {
-                    (ws, rs)
-                } else {
-                    (rs, ws)
-                };
-                if small.iter().any(|a| big.contains(a)) {
-                    Some(EdgeKind::Exact)
-                } else {
-                    None
-                }
+        (rs, ws)
+    };
+    small
+        .iter()
+        .any(|a| big.contains(a))
+        .then_some(EdgeKind::Exact)
+}
+
+/// `(phase, stmt, scalar)` of every reduction statement, in program order:
+/// the numbering of the graph's reduce nodes and of [`summary`]'s collectors.
+fn reduce_sites(program: &Program) -> Vec<(usize, usize, usize)> {
+    let mut out = Vec::new();
+    for (pidx, phase) in program.phases.iter().enumerate() {
+        let Phase::Loop(nest) = phase else { continue };
+        for (sidx, stmt) in nest.body.iter().enumerate() {
+            if let Stmt::Reduce { target, .. } = stmt {
+                out.push((pidx, sidx, target.0));
             }
-            // Runtime-valued index array: conservatively assume the pair.
-            _ => Some(EdgeKind::Undecidable),
         }
     }
+    out
+}
+
+/// Index in `sites` of the reduction statement at (`phase`, `stmt`).
+fn reduce_index(sites: &[(usize, usize, usize)], phase: usize, stmt: usize) -> usize {
+    sites.partition_point(|&(p, s, _)| (p, s) < (phase, stmt))
+}
+
+/// The reduce sites whose results `stmt`, in `phase`, reads: per scalar
+/// read, the last reduction into it strictly before the phase.
+fn scalar_producers(sites: &[(usize, usize, usize)], stmt: &Stmt, phase: usize) -> Vec<usize> {
+    let mut sids = Vec::new();
+    scalar_reads(stmt.value(), &mut sids);
+    sids.into_iter()
+        .filter_map(|sid| sites.iter().rposition(|&(p, _, s)| s == sid && p < phase))
+        .collect()
 }
 
 fn build_depgraph(program: &Program) -> DepGraph {
-    let statics = static_array_values(program);
-    let n_arrays = program.arrays.len();
+    let res = Resolver::new(program);
 
-    // Generation nodes, in sites::segments slot order, plus per-slot write
-    // site lists (recomputed here so slot indices and node indices agree).
-    let mut nodes: Vec<Node> = Vec::new();
-    let mut gen_count = vec![1usize; n_arrays];
-    for (a, decl) in program.arrays.iter().enumerate() {
-        nodes.push(Node {
+    // Generation nodes are the segments, so slot indices and node indices
+    // agree; reduce nodes follow in program order.
+    let segs = segments(program);
+    let reduces = reduce_sites(program);
+    let mut nodes: Vec<Node> = segs
+        .iter()
+        .map(|seg| Node {
             kind: NodeKind::Gen {
-                array: ArrayId(a),
-                generation: 0,
+                array: seg.array,
+                generation: seg.generation,
             },
-            label: format!("{}#0", decl.name),
-        });
-    }
-    let mut slot: Vec<usize> = (0..n_arrays).collect();
-    // Per-slot writes: (phase, stmt, nest, target).
-    let mut writes: Vec<Vec<(usize, usize, &LoopNest, &ArrayRef)>> = vec![Vec::new(); n_arrays];
-    // Reduce nodes + per-scalar site lists, and the slot live at each phase
-    // (snapshotted so the edge pass can look it up per reading phase).
-    let mut slot_at_phase: Vec<Vec<usize>> = Vec::with_capacity(program.phases.len());
-    let mut reduce_node: HashMap<(usize, usize), usize> = HashMap::new();
-    let mut reduce_sites: Vec<Vec<(usize, usize)>> = vec![Vec::new(); program.scalars.len()];
-    for (pidx, phase) in program.phases.iter().enumerate() {
-        slot_at_phase.push(slot.clone());
-        match phase {
-            Phase::Reinit(id) => {
-                let g = gen_count[id.0];
-                gen_count[id.0] += 1;
-                nodes.push(Node {
-                    kind: NodeKind::Gen {
-                        array: *id,
-                        generation: g,
-                    },
-                    label: format!("{}#{g}", program.arrays[id.0].name),
-                });
-                slot[id.0] = nodes.len() - 1;
-                writes.push(Vec::new());
-            }
-            Phase::Loop(nest) => {
-                for (sidx, stmt) in nest.body.iter().enumerate() {
-                    match stmt {
-                        Stmt::Assign { target, .. } => {
-                            writes[slot[target.array.0]].push((pidx, sidx, nest, target));
-                        }
-                        Stmt::Reduce { target, .. } => {
-                            reduce_sites[target.0].push((pidx, sidx));
-                            reduce_node.insert((pidx, sidx), usize::MAX); // patched below
-                        }
-                    }
-                }
-            }
-        }
-    }
-    // Append reduce nodes in phase order and patch the map.
-    let mut reduce_keys: Vec<(usize, usize)> = reduce_node.keys().copied().collect();
-    reduce_keys.sort_unstable();
-    for (pidx, sidx) in reduce_keys {
-        if let Phase::Loop(nest) = &program.phases[pidx] {
-            if let Stmt::Reduce { target, .. } = &nest.body[sidx] {
-                nodes.push(Node {
-                    kind: NodeKind::Reduce {
-                        scalar: target.0,
-                        phase: pidx,
-                        stmt: sidx,
-                    },
-                    label: format!("{}@p{pidx}/s{sidx}", program.scalars[target.0]),
-                });
-                reduce_node.insert((pidx, sidx), nodes.len() - 1);
-            }
-        }
-    }
+            label: format!("{}#{}", program.array(seg.array).name, seg.generation),
+        })
+        .collect();
+    nodes.extend(reduces.iter().map(|&(phase, stmt, scalar)| Node {
+        kind: NodeKind::Reduce {
+            scalar,
+            phase,
+            stmt,
+        },
+        label: format!("{}@p{phase}/s{stmt}", program.scalars[scalar]),
+    }));
 
-    // Edge pass.
+    // Edge pass. Footprints are memoized per (phase, stmt, 0 for the
+    // target or 1 + read index).
     let mut edges: Vec<DepEdge> = Vec::new();
     let mut seen: HashSet<(usize, usize, SiteRef, SiteRef, Option<ArrayId>)> = HashSet::new();
+    let mut add = |src, dst, writer, reader, array, kind| {
+        if seen.insert((src, dst, writer, reader, array)) {
+            edges.push(DepEdge {
+                src,
+                dst,
+                writer,
+                reader,
+                array,
+                kind,
+            });
+        }
+    };
     let mut foot_memo: HashMap<(usize, usize, usize), FootSet> = HashMap::new();
+    let mut foot = |key, nest: &LoopNest, aref: &ArrayRef| {
+        foot_memo
+            .entry(key)
+            .or_insert_with(|| footprint_set(&res, nest, aref))
+            .clone()
+    };
+    let mut live = LiveSlots::new(program);
     for (pidx, phase) in program.phases.iter().enumerate() {
-        let Phase::Loop(nest) = phase else { continue };
-        let live = &slot_at_phase[pidx];
+        let nest = match phase {
+            Phase::Reinit(id) => {
+                live.reinit(*id);
+                continue;
+            }
+            Phase::Loop(nest) => nest,
+        };
         for (sidx, stmt) in nest.body.iter().enumerate() {
             let reader = SiteRef {
                 phase: pidx,
                 stmt: sidx,
             };
             let dst = match stmt {
-                Stmt::Assign { target, .. } => live[target.array.0],
-                Stmt::Reduce { .. } => reduce_node[&(pidx, sidx)],
+                Stmt::Assign { target, .. } => live.of(target.array),
+                Stmt::Reduce { .. } => segs.len() + reduce_index(&reduces, pidx, sidx),
             };
             for (ridx, aref) in all_reads(stmt).iter().enumerate() {
-                let seg = live[aref.array.0];
-                if writes[seg].is_empty() {
-                    continue;
-                }
-                let r_set = foot_memo
-                    .entry((pidx, sidx, ridx + 1))
-                    .or_insert_with(|| {
-                        if aref.has_indirection() {
-                            footprint_set(program, &statics, nest, aref)
-                        } else {
-                            None
-                        }
-                    })
-                    .clone();
-                for &(wp, ws, w_nest, w_target) in &writes[seg] {
-                    let w_set = foot_memo
-                        .entry((wp, ws, 0))
-                        .or_insert_with(|| {
-                            if w_target.has_indirection() {
-                                footprint_set(program, &statics, w_nest, w_target)
-                            } else {
-                                None
-                            }
-                        })
-                        .clone();
-                    // For mixed affine × indirect pairs the affine side
-                    // needs a set too (exact intersection).
-                    let (w_set, r_set) = if aref.has_indirection() || w_target.has_indirection() {
-                        let ws2 = if w_set.is_none() && !w_target.has_indirection() {
-                            footprint_set(program, &statics, w_nest, w_target)
-                        } else {
-                            w_set.clone()
-                        };
-                        let rs2 = if r_set.is_none() && !aref.has_indirection() {
-                            footprint_set(program, &statics, nest, aref)
-                        } else {
-                            r_set.clone()
-                        };
-                        (ws2, rs2)
+                let seg = live.of(aref.array);
+                for w in &segs[seg].writes {
+                    // With an indirection on either side the pair is decided
+                    // by exact intersection, the affine side's set included.
+                    let kind = if aref.has_indirection() || w.target.has_indirection() {
+                        let w_set = foot((w.phase, w.stmt, 0), w.nest, w.target);
+                        let r_set = foot((pidx, sidx, ridx + 1), nest, aref);
+                        footprint_dep(&w_set, &r_set)
                     } else {
-                        (None, None)
+                        affine_dep(program, w, nest, pidx, aref)
                     };
-                    if let Some(kind) = dep_between(
-                        program, w_nest, wp, w_target, nest, pidx, aref, &w_set, &r_set,
-                    ) {
+                    if let Some(kind) = kind {
                         let writer = SiteRef {
-                            phase: wp,
-                            stmt: ws,
+                            phase: w.phase,
+                            stmt: w.stmt,
                         };
-                        let key = (seg, dst, writer, reader, Some(aref.array));
-                        if seen.insert(key) {
-                            edges.push(DepEdge {
-                                src: seg,
-                                dst,
-                                writer,
-                                reader,
-                                array: Some(aref.array),
-                                kind,
-                            });
-                        }
+                        add(seg, dst, writer, reader, Some(aref.array), kind);
                     }
                 }
             }
             // Scalar broadcasts: reduce result → consumer.
-            let mut sids = Vec::new();
-            scalar_reads(stmt.value(), &mut sids);
-            for sid in sids {
-                let Some(&(wp, ws)) = reduce_sites
-                    .get(sid)
-                    .and_then(|sites| sites.iter().rev().find(|(p, _)| *p < pidx))
-                else {
-                    continue;
-                };
-                let src = reduce_node[&(wp, ws)];
+            for k in scalar_producers(&reduces, stmt, pidx) {
                 let writer = SiteRef {
-                    phase: wp,
-                    stmt: ws,
+                    phase: reduces[k].0,
+                    stmt: reduces[k].1,
                 };
-                let key = (src, dst, writer, reader, None);
-                if seen.insert(key) {
-                    edges.push(DepEdge {
-                        src,
-                        dst,
-                        writer,
-                        reader,
-                        array: None,
-                        kind: EdgeKind::Exact,
-                    });
-                }
+                add(segs.len() + k, dst, writer, reader, None, EdgeKind::Exact);
             }
         }
     }
@@ -679,67 +612,33 @@ fn err_array(e: InstanceError) -> Option<ArrayId> {
 }
 
 /// Reject programs whose indirections cannot be seen through statically.
-fn check_static(program: &Program, statics: &[Option<Vec<f64>>]) -> Result<(), InstanceError> {
-    for phase in &program.phases {
-        let Phase::Loop(nest) = phase else { continue };
-        for stmt in &nest.body {
-            let check = |r: &ArrayRef| -> Result<(), InstanceError> {
-                for ix in &r.indices {
-                    if let IndexExpr::Indirect { base, .. } = ix {
-                        if statics[base.0].is_none() {
-                            return Err(InstanceError::RuntimeIndirection(*base));
-                        }
-                    }
-                }
-                Ok(())
-            };
-            for r in stmt.reads() {
-                check(r)?;
-            }
-            if let Some(t) = stmt.write_target() {
-                check(t)?;
+fn check_static(res: &Resolver<'_>) -> Result<(), InstanceError> {
+    for stmt in res.program.nests().flat_map(|nest| &nest.body) {
+        for r in stmt.reads().into_iter().chain(stmt.write_target()) {
+            if let Some(base) = res.runtime_index(r) {
+                return Err(InstanceError::RuntimeIndirection(base));
             }
         }
     }
     Ok(())
 }
 
-const NONE: u32 = u32::MAX;
-
 /// Per-statement static classification shared by the instance walks.
 struct StmtClass<'p> {
     stmt: &'p Stmt,
     reads: Vec<&'p ArrayRef>,
-    sreads: Vec<usize>,
     /// `Some(aref)` = anchored (assign target or reduce first read);
     /// `None` = anchorless, placed round-robin.
     anchor: Option<&'p ArrayRef>,
-    /// Index among the nest's anchorless statements (when anchorless).
-    rr_q: usize,
 }
 
-fn classify_nest(nest: &LoopNest) -> (Vec<StmtClass<'_>>, usize) {
-    let mut out = Vec::with_capacity(nest.body.len());
-    let mut a_cnt = 0usize;
-    for stmt in &nest.body {
-        let anchor = anchor_ref(stmt);
-        let rr_q = if anchor.is_none() {
-            a_cnt += 1;
-            a_cnt - 1
-        } else {
-            0
-        };
-        let mut sreads = Vec::new();
-        scalar_reads(stmt.value(), &mut sreads);
-        out.push(StmtClass {
-            stmt,
-            reads: stmt.reads(),
-            sreads,
-            anchor,
-            rr_q,
-        });
-    }
-    (out, a_cnt)
+fn classify_nest(nest: &LoopNest) -> Vec<StmtClass<'_>> {
+    let class = |stmt| StmtClass {
+        stmt,
+        reads: stmt.reads(),
+        anchor: anchor_ref(stmt),
+    };
+    nest.body.iter().map(class).collect()
 }
 
 /// Compute work and span of the instance-level value DAG.
@@ -747,131 +646,64 @@ fn classify_nest(nest: &LoopNest) -> (Vec<StmtClass<'_>>, usize) {
 /// Forward deferrals make program order differ from topological order, so
 /// depths come from a Kahn longest-path pass over the materialized DAG.
 pub fn summary(program: &Program) -> Result<GraphSummary, InstanceError> {
-    let statics = static_array_values(program);
-    check_static(program, &statics)?;
+    let res = Resolver::new(program);
+    check_static(&res)?;
 
-    // Reduce-site prepass: collector k per (phase, stmt), per-scalar lists.
-    let mut collector_of: HashMap<(usize, usize), usize> = HashMap::new();
-    let mut sites_of_scalar: Vec<Vec<(usize, usize)>> = vec![Vec::new(); program.scalars.len()];
-    for (pidx, phase) in program.phases.iter().enumerate() {
-        let Phase::Loop(nest) = phase else { continue };
-        for (sidx, stmt) in nest.body.iter().enumerate() {
-            if let Stmt::Reduce { target, .. } = stmt {
-                collector_of.insert((pidx, sidx), collector_of.len());
-                sites_of_scalar[target.0].push((pidx, sidx));
-            }
-        }
-    }
-    let n_collectors = collector_of.len();
+    // One collector per reduce site, numbered like `reduces`.
+    let reduces = reduce_sites(program);
+    let n_collectors = reduces.len();
 
-    let mut writers: Vec<Vec<u32>> = program.arrays.iter().map(|a| vec![NONE; a.len()]).collect();
-    let mut init_cov: Vec<usize> = program
-        .arrays
-        .iter()
-        .map(|a| a.init.defined_len(a.len()))
-        .collect();
-    // Forward deferrals: value edges discovered when the write arrives.
-    let mut pending: Vec<HashMap<usize, Vec<u32>>> = vec![HashMap::new(); program.arrays.len()];
+    let mut inst = Instances::default();
+    let mut producers = Producers::new(program);
     let mut edges: Vec<(u32, u32)> = Vec::new(); // (consumer, producer) — instance ids
     let mut cedges: Vec<(u32, u32)> = Vec::new(); // (collector k, reduce instance)
     let mut sedges: Vec<(u32, u32)> = Vec::new(); // (instance, collector k)
     let mut contribs: Vec<u64> = vec![0; n_collectors];
-    let mut next: usize = 0;
-    let mut err: Option<InstanceError> = None;
 
     for (pidx, phase) in program.phases.iter().enumerate() {
         match phase {
-            Phase::Reinit(id) => {
-                // A fresh generation: prior writers can no longer satisfy
-                // reads of this array, old dangling reads never will be,
-                // and reinit clears every definedness tag.
-                writers[id.0] = vec![NONE; program.array(*id).len()];
-                pending[id.0].clear();
-                init_cov[id.0] = 0;
-            }
+            Phase::Reinit(id) => producers.reinit(*id),
             Phase::Loop(nest) => {
-                let (classes, _) = classify_nest(nest);
-                // Scalar producer per read, resolved once per stmt: the
-                // last reduce site strictly before this phase.
+                let classes = classify_nest(nest);
+                // Per statement, resolved once: the collector of every
+                // scalar it reads, and (for a reduction) its own.
                 let producer_k: Vec<Vec<usize>> = classes
                     .iter()
-                    .map(|c| {
-                        c.sreads
-                            .iter()
-                            .filter_map(|&sid| {
-                                sites_of_scalar[sid]
-                                    .iter()
-                                    .rev()
-                                    .find(|(p, _)| *p < pidx)
-                                    .map(|site| collector_of[site])
-                            })
-                            .collect()
-                    })
+                    .map(|c| scalar_producers(&reduces, c.stmt, pidx))
                     .collect();
-                nest.for_each_iteration(|ivs| {
-                    if err.is_some() {
-                        return;
-                    }
-                    for (sidx, c) in classes.iter().enumerate() {
-                        let id = next;
-                        next += 1;
-                        if id >= NONE as usize - 1 {
-                            err = Some(InstanceError::TooLarge);
-                            return;
-                        }
-                        for r in &c.reads {
-                            match resolve_static_addr(program, &statics, r, ivs) {
-                                Ok(addr) => {
-                                    let w = writers[r.array.0][addr];
-                                    if w != NONE {
-                                        edges.push((id as u32, w));
-                                    } else if addr >= init_cov[r.array.0] {
-                                        pending[r.array.0].entry(addr).or_default().push(id as u32);
-                                    }
-                                }
-                                Err(_) => {
-                                    err = Some(InstanceError::Unresolvable(r.array));
-                                    return;
-                                }
-                            }
-                        }
-                        for &k in &producer_k[sidx] {
-                            sedges.push((id as u32, k as u32));
-                        }
-                        match c.stmt {
-                            Stmt::Assign { target, .. } => {
-                                match resolve_static_addr(program, &statics, target, ivs) {
-                                    Ok(addr) => {
-                                        writers[target.array.0][addr] = id as u32;
-                                        if let Some(waiters) = pending[target.array.0].remove(&addr)
-                                        {
-                                            for cid in waiters {
-                                                edges.push((cid, id as u32));
-                                            }
-                                        }
-                                    }
-                                    Err(_) => {
-                                        err = Some(InstanceError::Unresolvable(target.array));
-                                        return;
-                                    }
-                                }
-                            }
-                            Stmt::Reduce { .. } => {
-                                let k = collector_of[&(pidx, sidx)];
-                                cedges.push((k as u32, id as u32));
-                                contribs[k] += 1;
-                            }
+                let own_k: Vec<usize> = (0..classes.len())
+                    .map(|sidx| reduce_index(&reduces, pidx, sidx))
+                    .collect();
+                inst.nest(nest, |ivs, sidx, id| {
+                    let c = &classes[sidx];
+                    for r in &c.reads {
+                        let addr = res.instance_addr(r, ivs)?;
+                        if let Some(w) = producers.read(r.array, addr, id) {
+                            edges.push((id, w));
                         }
                     }
-                });
-                if let Some(e) = err {
-                    return Err(e);
-                }
+                    for &k in &producer_k[sidx] {
+                        sedges.push((id, k as u32));
+                    }
+                    match c.stmt {
+                        Stmt::Assign { target, .. } => {
+                            let addr = res.instance_addr(target, ivs)?;
+                            // Forward deferrals: value edges discovered
+                            // when the write arrives.
+                            producers.write(target.array, addr, id, |cid| edges.push((cid, id)));
+                        }
+                        Stmt::Reduce { .. } => {
+                            cedges.push((own_k[sidx] as u32, id));
+                            contribs[own_k[sidx]] += 1;
+                        }
+                    }
+                    Ok::<(), InstanceError>(())
+                })?;
             }
         }
     }
 
-    let n = next;
+    let n = inst.count();
     let total = n + n_collectors;
     if total == 0 {
         return Ok(GraphSummary {
@@ -1021,43 +853,22 @@ pub fn project_by_instance(
     program: &Program,
     cfg: &LintConfig,
 ) -> Result<Projection, InstanceError> {
-    let statics = static_array_values(program);
-    check_static(program, &statics)?;
-    let placements = array_placements(program, cfg.scheme, cfg.page_size, cfg.n_pes)?;
+    let res = Resolver::new(program);
+    check_static(&res)?;
+    let mut screen = Screen::new(&res, cfg)?;
     let mut writes_per_pe = vec![0u64; cfg.n_pes];
     let mut instances_per_pe = vec![0u64; cfg.n_pes];
-    let mut rr: usize = 0;
-    let mut err: Option<InstanceError> = None;
-    for phase in &program.phases {
-        let Phase::Loop(nest) = phase else { continue };
-        let (classes, a_cnt) = classify_nest(nest);
-        let mut iter_idx = 0usize;
-        nest.for_each_iteration(|ivs| {
-            if err.is_some() {
-                return;
+    let mut inst = Instances::default();
+    for nest in program.nests() {
+        let anchors: Vec<_> = nest.body.iter().map(anchor_ref).collect();
+        inst.nest(nest, |ivs, sidx, _| {
+            let pe = screen.pe(anchors[sidx], ivs)?;
+            instances_per_pe[pe] += 1;
+            if matches!(nest.body[sidx], Stmt::Assign { .. }) {
+                writes_per_pe[pe] += 1;
             }
-            for c in &classes {
-                let pe = match c.anchor {
-                    Some(aref) => match resolve_static_addr(program, &statics, aref, ivs) {
-                        Ok(addr) => placements[aref.array.0].owner_of_addr(addr),
-                        Err(_) => {
-                            err = Some(InstanceError::Unresolvable(aref.array));
-                            return;
-                        }
-                    },
-                    None => (rr + iter_idx * a_cnt + c.rr_q) % cfg.n_pes,
-                };
-                instances_per_pe[pe] += 1;
-                if matches!(c.stmt, Stmt::Assign { .. }) {
-                    writes_per_pe[pe] += 1;
-                }
-            }
-            iter_idx += 1;
-        });
-        if let Some(e) = err {
-            return Err(e);
-        }
-        rr += iter_idx * a_cnt;
+            Ok::<(), InstanceError>(())
+        })?;
     }
     Ok(Projection {
         writes_per_pe,
@@ -1125,140 +936,70 @@ struct WaitGraph {
     barrier_phase: Vec<usize>,
 }
 
-/// Instance enumeration for the wait graph: instance count, the PE each
-/// instance runs on, wait-relevant data edges `(consumer, producer, array,
-/// addr)`, and barrier watermarks `(instance id, phase)`.
-type WaitInstances = (
-    usize,
-    Vec<u16>,
-    Vec<(u32, u32, ArrayId, u32)>,
-    Vec<(u32, usize)>,
-);
+/// Instance enumeration for the wait graph: the PE each instance runs on,
+/// wait-relevant data edges `(consumer, producer, array, addr)`, and
+/// barrier watermarks `(instance id, phase)`.
+type WaitInstances = (Vec<u16>, Vec<(u32, u32, ArrayId, u32)>, Vec<(u32, usize)>);
 
 /// Enumerate instances under `cfg`, keeping only wait-relevant data edges
 /// (cross-PE, or same-PE forward — same-PE backward waits are implied by
 /// chain order), plus per-instance PEs and barrier watermarks.
-fn wait_edges(
-    program: &Program,
-    cfg: &LintConfig,
-    statics: &[Option<Vec<f64>>],
-) -> Result<WaitInstances, InstanceError> {
-    check_static(program, statics)?;
-    // One geometry-aware chokepoint: SA008's wait graph must agree with the
-    // executors' placement, or its deadlock proofs are unsound under tiled
-    // schemes.
-    let placements = array_placements(program, cfg.scheme, cfg.page_size, cfg.n_pes)?;
+fn wait_edges(program: &Program, cfg: &LintConfig) -> Result<WaitInstances, InstanceError> {
+    let res = Resolver::new(program);
+    check_static(&res)?;
+    let mut screen = Screen::new(&res, cfg)?;
     if cfg.n_pes > u16::MAX as usize {
         return Err(InstanceError::TooLarge);
     }
-    let mut writers: Vec<Vec<u32>> = program.arrays.iter().map(|a| vec![NONE; a.len()]).collect();
-    // Addresses the initializer already defines: reads of them never wait.
-    let mut init_cov: Vec<usize> = program
-        .arrays
-        .iter()
-        .map(|a| a.init.defined_len(a.len()))
-        .collect();
-    // Forward deferrals: reads of cells nobody has written yet wait for
-    // the eventual producer, discovered when the write is enumerated.
-    let mut pending: Vec<HashMap<usize, Vec<u32>>> = vec![HashMap::new(); program.arrays.len()];
+    let mut inst = Instances::default();
+    let mut producers = Producers::new(program);
     let mut pe_of: Vec<u16> = Vec::new();
     let mut data: Vec<(u32, u32, ArrayId, u32)> = Vec::new();
     let mut barriers: Vec<(u32, usize)> = Vec::new();
-    let mut next: usize = 0;
-    let mut rr: usize = 0;
-    let mut err: Option<InstanceError> = None;
 
     for (pidx, phase) in program.phases.iter().enumerate() {
         match phase {
             Phase::Reinit(id) => {
-                barriers.push((next as u32, pidx));
-                writers[id.0] = vec![NONE; program.array(*id).len()];
-                // Reads the old generation never satisfied are dangling
-                // deferrals (SA004's domain), not wait edges into the new
-                // generation; reinit also clears every definedness tag.
-                pending[id.0].clear();
-                init_cov[id.0] = 0;
+                barriers.push((inst.count() as u32, pidx));
+                producers.reinit(*id);
             }
             Phase::Loop(nest) => {
-                let (classes, a_cnt) = classify_nest(nest);
-                let has_reduce = classes
+                let classes = classify_nest(nest);
+                inst.nest(nest, |ivs, sidx, id| {
+                    let c = &classes[sidx];
+                    let pe = screen.pe(c.anchor, ivs)? as u16;
+                    pe_of.push(pe);
+                    for r in &c.reads {
+                        let addr = res.instance_addr(r, ivs)?;
+                        // Same-PE backward waits are implied by chain
+                        // order; keep cross-PE ones.
+                        match producers.read(r.array, addr, id) {
+                            Some(w) if pe_of[w as usize] != pe => {
+                                data.push((id, w, r.array, addr as u32));
+                            }
+                            _ => {}
+                        }
+                    }
+                    if let Stmt::Assign { target, .. } = c.stmt {
+                        let addr = res.instance_addr(target, ivs)?;
+                        // Forward waits are never chain-implied (producer
+                        // id > consumer id): keep all.
+                        producers.write(target.array, addr, id, |cid| {
+                            data.push((cid, id, target.array, addr as u32));
+                        });
+                    }
+                    Ok::<(), InstanceError>(())
+                })?;
+                if classes
                     .iter()
-                    .any(|c| matches!(c.stmt, Stmt::Reduce { .. }));
-                let mut iter_idx = 0usize;
-                nest.for_each_iteration(|ivs| {
-                    if err.is_some() {
-                        return;
-                    }
-                    for c in &classes {
-                        let id = next;
-                        next += 1;
-                        if id >= NONE as usize - 1 {
-                            err = Some(InstanceError::TooLarge);
-                            return;
-                        }
-                        let pe = match c.anchor {
-                            Some(aref) => match resolve_static_addr(program, statics, aref, ivs) {
-                                Ok(addr) => placements[aref.array.0].owner_of_addr(addr),
-                                Err(_) => {
-                                    err = Some(InstanceError::Unresolvable(aref.array));
-                                    return;
-                                }
-                            },
-                            None => (rr + iter_idx * a_cnt + c.rr_q) % cfg.n_pes,
-                        };
-                        pe_of.push(pe as u16);
-                        for r in &c.reads {
-                            match resolve_static_addr(program, statics, r, ivs) {
-                                Ok(addr) => {
-                                    let w = writers[r.array.0][addr];
-                                    if w != NONE {
-                                        // Same-PE backward waits are implied
-                                        // by chain order; keep cross-PE ones.
-                                        if pe_of[w as usize] != pe as u16 {
-                                            data.push((id as u32, w, r.array, addr as u32));
-                                        }
-                                    } else if addr >= init_cov[r.array.0] {
-                                        pending[r.array.0].entry(addr).or_default().push(id as u32);
-                                    }
-                                }
-                                Err(_) => {
-                                    err = Some(InstanceError::Unresolvable(r.array));
-                                    return;
-                                }
-                            }
-                        }
-                        if let Stmt::Assign { target, .. } = c.stmt {
-                            match resolve_static_addr(program, statics, target, ivs) {
-                                Ok(addr) => {
-                                    writers[target.array.0][addr] = id as u32;
-                                    // Forward waits are never chain-implied
-                                    // (producer id > consumer id): keep all.
-                                    if let Some(waiters) = pending[target.array.0].remove(&addr) {
-                                        for cid in waiters {
-                                            data.push((cid, id as u32, target.array, addr as u32));
-                                        }
-                                    }
-                                }
-                                Err(_) => {
-                                    err = Some(InstanceError::Unresolvable(target.array));
-                                    return;
-                                }
-                            }
-                        }
-                    }
-                    iter_idx += 1;
-                });
-                if let Some(e) = err {
-                    return Err(e);
-                }
-                rr += iter_idx * a_cnt;
-                if has_reduce {
-                    barriers.push((next as u32, pidx));
+                    .any(|c| matches!(c.stmt, Stmt::Reduce { .. }))
+                {
+                    barriers.push((inst.count() as u32, pidx));
                 }
             }
         }
     }
-    Ok((next, pe_of, data, barriers))
+    Ok((pe_of, data, barriers))
 }
 
 /// Build the compact wait graph: participating instances + barriers, with
@@ -1369,23 +1110,22 @@ fn describe_instances(
     wanted: &HashSet<u32>,
 ) -> HashMap<u32, (usize, usize, String, String)> {
     let mut out = HashMap::new();
-    let mut next: usize = 0;
+    let mut inst = Instances::default();
     for (pidx, phase) in program.phases.iter().enumerate() {
         let Phase::Loop(nest) = phase else { continue };
-        let body_len = nest.body.len();
-        nest.for_each_iteration(|ivs| {
+        // `Err(None)` ends the walk: every wanted instance is described.
+        let walked: Result<(), Option<InstanceError>> = inst.nest(nest, |ivs, sidx, id| {
+            if wanted.contains(&id) {
+                out.insert(id, (pidx, sidx, nest.label.clone(), fmt_ivs(nest, ivs)));
+            }
             if out.len() == wanted.len() {
-                next += body_len;
-                return;
+                return Err(None);
             }
-            for sidx in 0..body_len {
-                let id = next as u32;
-                next += 1;
-                if wanted.contains(&id) {
-                    out.insert(id, (pidx, sidx, nest.label.clone(), fmt_ivs(nest, ivs)));
-                }
-            }
+            Ok(())
         });
+        if walked.is_err() {
+            break;
+        }
     }
     out
 }
@@ -1395,8 +1135,7 @@ fn describe_instances(
 /// cannot be statically enumerated get an `Info`-severity SA008 note —
 /// deadlock-freedom is then undecidable, not disproven.
 pub fn check_deadlock(program: &Program, cfg: &LintConfig) -> Vec<Diagnostic> {
-    let statics = static_array_values(program);
-    let enumerated = match wait_edges(program, cfg, &statics) {
+    let enumerated = match wait_edges(program, cfg) {
         Ok(e) => e,
         Err(e) => {
             let span = match err_array(e) {
@@ -1417,7 +1156,7 @@ pub fn check_deadlock(program: &Program, cfg: &LintConfig) -> Vec<Diagnostic> {
             )];
         }
     };
-    let (_, pe_of, data, barriers) = enumerated;
+    let (pe_of, data, barriers) = enumerated;
     let wg = build_wait_graph(cfg.n_pes, &pe_of, &data, &barriers);
     let Some(cycle) = find_cycle(&wg.adj) else {
         return Vec::new();

@@ -41,6 +41,8 @@ pub use depgraph::{
 pub use diag::{max_severity, to_json_array, Code, Diagnostic, Severity, Span};
 pub use estimate::{estimate, CommEstimate, EstimateError};
 pub use progress::{check_partition, check_progress};
+#[doc(hidden)]
+pub use sites::unproduced_anchors;
 pub use writeonce::{check_write_once, WriteOnceReport};
 
 use sa_ir::Program;

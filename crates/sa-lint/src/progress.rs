@@ -8,17 +8,17 @@
 //!   regardless of phase order — deferred reads legally consume values
 //!   produced by later statements.
 //! * `SA005` — an indirect statement anchor whose index array has no
-//!   static producer (mirrors `sa_runtime::unsupported_reason`).
+//!   static producer (the scan `sa_runtime::unsupported_reason` renders too).
 //! * `SA006` — a reference provably outside its array's bounds.
 //! * `PL001` — a partition configuration that leaves PEs owning no pages.
 
+use std::convert::Infallible;
+
 use crate::diag::{Code, Diagnostic, Severity, Span};
-use crate::sites::{self, array_placements, static_array_values};
-use sa_ir::analysis::anchor_index_arrays;
-use sa_ir::index::IndexExpr;
+use crate::sites::{self, array_placements, iterate, LiveSlots, ResolveFail, Resolver};
 use sa_ir::nest::ArrayRef;
-use sa_ir::program::{ArrayInit, Phase};
-use sa_ir::Program;
+use sa_ir::program::Phase;
+use sa_ir::{ArrayId, Program};
 use sa_machine::{ConfigError, PartitionScheme};
 
 /// Run the progress checks (`SA004`, `SA005`, `SA006`) on `program`.
@@ -33,303 +33,231 @@ pub fn check_progress(program: &Program) -> Vec<Diagnostic> {
 // SA005 — indirect anchors without a static producer
 // ---------------------------------------------------------------------------
 
-/// Mirrors `sa_runtime::unsupported_reason`: an anchor gathered through an
-/// index array the same nest produces is a warning (the counting engines
-/// still run it; the thread runtime rejects it), while an index array with
-/// no producer at all is an error (every engine aborts on the first
-/// lookup).
+/// An anchor gathered through an index array the same nest produces is a
+/// warning (the counting engines still run it; the thread runtime rejects
+/// it), while an index array with no producer at all is an error (every
+/// engine aborts on the first lookup).
 fn check_anchors(program: &Program, diags: &mut Vec<Diagnostic>) {
-    let mut statically_init: Vec<bool> = program
-        .arrays
-        .iter()
-        .map(|d| !matches!(d.init, ArrayInit::Undefined))
-        .collect();
-    let mut written_earlier = vec![false; program.arrays.len()];
-    for (phase_idx, phase) in program.phases.iter().enumerate() {
-        match phase {
-            Phase::Reinit(id) => {
-                statically_init[id.0] = false;
-                written_earlier[id.0] = false;
-            }
-            Phase::Loop(nest) => {
-                let written_here = nest.written_arrays();
-                for (stmt_idx, stmt) in nest.body.iter().enumerate() {
-                    for base in anchor_index_arrays(stmt) {
-                        let name = &program.array(base).name;
-                        if written_here.contains(&base) {
-                            diags.push(
-                                Diagnostic::new(
-                                    Code::Sa005AnchorNoProducer,
-                                    Span::stmt(phase_idx, &nest.label, stmt_idx, name),
-                                    format!(
-                                        "statement anchor gathers through index array `{name}`, \
-                                         which the same nest produces"
-                                    ),
-                                )
-                                .explain(
-                                    "Ownership of the written element would depend on \
-                                     intra-nest timing; the thread runtime rejects this shape \
-                                     (unsupported program). Produce the index array in an \
-                                     earlier nest.",
-                                ),
-                            );
-                        } else if !statically_init[base.0] && !written_earlier[base.0] {
-                            diags.push(
-                                Diagnostic::new(
-                                    Code::Sa005AnchorNoProducer,
-                                    Span::stmt(phase_idx, &nest.label, stmt_idx, name),
-                                    format!(
-                                        "statement anchor gathers through index array `{name}`, \
-                                         which is neither statically initialized nor produced \
-                                         by an earlier nest"
-                                    ),
-                                )
-                                .with_severity(Severity::Error)
-                                .explain(
-                                    "Anchor resolution would block on cells no statement will \
-                                     ever produce; every engine aborts on the first lookup. \
-                                     Initialize the index array or produce it in an earlier \
-                                     nest.",
-                                ),
-                            );
-                        }
-                    }
-                }
-                for id in written_here {
-                    written_earlier[id.0] = true;
-                }
-            }
-        }
-    }
+    sites::unproduced_anchors(program, |site, nest, base, same_nest| {
+        let name = &program.array(base).name;
+        let (which, severity, why) = if same_nest {
+            (
+                "which the same nest produces",
+                Severity::Warning,
+                "Ownership of the written element would depend on intra-nest \
+                 timing; the thread runtime rejects this shape (unsupported \
+                 program). Produce the index array in an earlier nest.",
+            )
+        } else {
+            (
+                "which is neither statically initialized nor produced by an earlier nest",
+                Severity::Error,
+                "Anchor resolution would block on cells no statement will ever \
+                 produce; every engine aborts on the first lookup. Initialize \
+                 the index array or produce it in an earlier nest.",
+            )
+        };
+        diags.push(
+            Diagnostic::new(
+                Code::Sa005AnchorNoProducer,
+                Span::stmt(site.phase, &nest.label, site.stmt, name),
+                format!("statement anchor gathers through index array `{name}`, {which}"),
+            )
+            .with_severity(severity)
+            .explain(why),
+        );
+    });
 }
 
 // ---------------------------------------------------------------------------
 // SA004 / SA006 — dangling reads and out-of-bounds references
 // ---------------------------------------------------------------------------
 
-/// Per-(array, segment) definedness, computed from the initializer region
-/// plus *every* write of the segment (order-free: I-structure deferrals
-/// make later producers reach earlier readers).
-struct Definedness {
-    /// `bits[slot]` — defined elements of that segment; `None` when some
-    /// write is a scatter through runtime data (definedness unknowable).
-    bits: Vec<Option<Vec<bool>>>,
-}
+/// Per-segment definedness, computed from the initializer region plus
+/// *every* write of the segment (order-free: I-structure deferrals make
+/// later producers reach earlier readers). `None` when some write is a
+/// scatter through runtime data (definedness unknowable).
+type Definedness = Vec<Option<Vec<bool>>>;
 
 fn check_bounds_and_definedness(program: &Program, diags: &mut Vec<Diagnostic>) {
-    let statics = static_array_values(program);
-    let segments = sites::segments(program);
+    let res = Resolver::new(program);
 
     // Pass A: build per-segment defined bitmaps from the write sites, and
     // report provably out-of-bounds *writes* as we go (first per site).
-    let mut def = Definedness {
-        bits: Vec::with_capacity(segments.len()),
-    };
-    for seg in &segments {
-        let decl = program.array(seg.array);
+    let mut def: Definedness = Vec::new();
+    for seg in sites::segments(program) {
         let opaque = seg
             .writes
             .iter()
-            .any(|w| !sites::statically_resolvable(w.target, &statics));
+            .any(|w| res.runtime_index(w.target).is_some());
         if opaque {
-            def.bits.push(None);
+            def.push(None);
             continue;
         }
-        let mut bits = vec![false; decl.len()];
-        for cell in bits.iter_mut().take(seg.init_len) {
-            *cell = true;
-        }
+        let mut bits = vec![false; program.array(seg.array).len()];
+        bits[..seg.init_len].fill(true);
         for site in &seg.writes {
-            let mut oob: Option<Vec<i64>> = None;
-            site.nest.for_each_iteration(|ivs| {
-                if oob.is_some() {
-                    return;
-                }
-                match sites::resolve_static_addr(program, &statics, site.target, ivs) {
+            let walked = iterate(site.nest, |ivs| {
+                match res.addr(site.target, ivs) {
                     Ok(addr) => bits[addr] = true,
-                    Err(sites::ResolveFail::OutOfBounds) => oob = Some(ivs.to_vec()),
+                    Err(ResolveFail::OutOfBounds | ResolveFail::IndexOutOfBounds { .. }) => {
+                        return Err(ivs.to_vec());
+                    }
                     // An undefined index cell surfaces below as a dangling
                     // read of the index array itself.
                     Err(_) => {}
                 }
+                Ok(())
             });
-            if let Some(ivs) = oob {
-                diags.push(oob_diag(
-                    program,
-                    site.phase,
-                    &site.nest.label,
-                    site.stmt,
-                    site.target,
-                    &ivs,
-                ));
+            if let Err(ivs) = walked {
+                let at = (site.phase, site.nest.label.as_str(), site.stmt);
+                diags.push(oob_diag(program, at, site.target, &ivs));
             }
         }
-        def.bits.push(Some(bits));
+        def.push(Some(bits));
     }
 
     // Pass B: walk phases in order, checking every read reference of every
-    // iteration against the segment bitmaps (and bounds). The phase→slot
-    // mapping is rebuilt exactly like `sites::segments` builds it.
-    let mut slot: Vec<usize> = (0..program.arrays.len()).collect();
-    let mut next_slot = program.arrays.len();
+    // iteration against the bitmap of the segment live there (and bounds).
+    let mut live = LiveSlots::new(program);
     for (phase_idx, phase) in program.phases.iter().enumerate() {
-        match phase {
+        let nest = match phase {
             Phase::Reinit(id) => {
-                slot[id.0] = next_slot;
-                next_slot += 1;
+                live.reinit(*id);
+                continue;
             }
-            Phase::Loop(nest) => {
-                for (stmt_idx, stmt) in nest.body.iter().enumerate() {
-                    // Bounds of the write anchor's affine dims are covered
-                    // in pass A; here: every read reference.
-                    let mut reported_oob = false;
-                    let mut reported_dangling = vec![false; program.arrays.len()];
-                    let mut refs: Vec<(&ArrayRef, bool)> = stmt
-                        .value()
-                        .reads()
-                        .into_iter()
-                        .map(|r| (r, false))
-                        .collect();
-                    // A scatter target's index-array lookups are reads too.
-                    if let Some(t) = stmt.write_target() {
-                        if t.has_indirection() {
-                            refs.push((t, true));
-                        }
-                    }
-                    if refs.is_empty() {
-                        continue;
-                    }
-                    nest.for_each_iteration(|ivs| {
-                        for (ri, &(aref, is_target)) in refs.iter().enumerate() {
-                            check_ref(
-                                program,
-                                &statics,
-                                &def,
-                                &slot,
-                                aref,
-                                is_target,
-                                ivs,
-                                (phase_idx, &nest.label, stmt_idx, ri),
-                                &mut reported_oob,
-                                &mut reported_dangling,
-                                diags,
-                            );
-                        }
-                    });
+            Phase::Loop(nest) => nest,
+        };
+        for (stmt_idx, stmt) in nest.body.iter().enumerate() {
+            // Bounds of the write anchor's affine dims are covered in pass
+            // A; here: every read reference, a scatter target's index-array
+            // lookups included.
+            let target = stmt.write_target().filter(|t| t.has_indirection());
+            let refs: Vec<(&ArrayRef, bool)> = stmt
+                .value()
+                .reads()
+                .into_iter()
+                .map(|r| (r, false))
+                .chain(target.map(|t| (t, true)))
+                .collect();
+            if refs.is_empty() {
+                continue;
+            }
+            let mut check = RefCheck {
+                res: &res,
+                def: &def,
+                live: &live,
+                at: (phase_idx, &nest.label, stmt_idx),
+                reported_oob: false,
+                reported_dangling: vec![false; program.arrays.len()],
+                diags,
+            };
+            let Ok(()) = iterate(nest, |ivs| {
+                for &(aref, is_target) in &refs {
+                    check.reference(aref, is_target, ivs);
                 }
-            }
+                Ok::<(), Infallible>(())
+            });
         }
     }
 }
 
-/// Check one reference instance: bounds of every index, definedness of the
-/// index-array lookups, and (for RHS reads) definedness of the data
-/// element itself.
-#[allow(clippy::too_many_arguments)]
-fn check_ref(
-    program: &Program,
-    statics: &[Option<Vec<f64>>],
-    def: &Definedness,
-    slot: &[usize],
-    aref: &ArrayRef,
-    is_target: bool,
-    ivs: &[i64],
-    at: (usize, &str, usize, usize),
-    reported_oob: &mut bool,
-    reported_dangling: &mut [bool],
-    diags: &mut Vec<Diagnostic>,
-) {
-    let (phase_idx, label, stmt_idx, _) = at;
-    let decl = program.array(aref.array);
-    let mut idx: Vec<i64> = Vec::with_capacity(aref.indices.len());
-    let mut resolvable = true;
-    for ix in &aref.indices {
-        match ix {
-            IndexExpr::Affine(a) => idx.push(a.eval(ivs)),
-            IndexExpr::Indirect {
-                base,
-                pos,
-                scale,
-                offset,
-            } => {
-                let base_decl = program.array(*base);
-                let p = pos.eval(ivs);
-                if p < 0 || p as usize >= base_decl.len() {
-                    if !*reported_oob {
-                        *reported_oob = true;
-                        diags.push(
-                            Diagnostic::new(
-                                Code::Sa006OutOfBounds,
-                                Span::stmt(phase_idx, label, stmt_idx, &base_decl.name),
-                                format!(
-                                    "index-array lookup `{}[{p}]` is out of bounds \
-                                     (len {}) at iteration {ivs:?}",
-                                    base_decl.name,
-                                    base_decl.len()
-                                ),
-                            )
-                            .explain(
-                                "The gather position leaves the index array; execution \
-                                 aborts with IndexOutOfBounds here.",
-                            ),
-                        );
-                    }
-                    return;
-                }
-                // Definedness of the index cell itself.
-                if let Some(Some(bits)) = def.bits.get(slot[base.0]) {
-                    if !bits[p as usize] && !reported_dangling[base.0] {
-                        reported_dangling[base.0] = true;
-                        diags.push(dangling_diag(
-                            &base_decl.name,
-                            p as usize,
-                            phase_idx,
-                            label,
-                            stmt_idx,
-                            ivs,
-                        ));
-                    }
-                }
-                match &statics[base.0] {
-                    Some(values) if (p as usize) < values.len() => {
-                        idx.push(scale * (values[p as usize] as i64) + offset);
-                    }
-                    _ => resolvable = false,
+/// The read checks of one statement: the first out-of-bounds reference and
+/// the first dangling read per array are reported, the rest suppressed.
+struct RefCheck<'a> {
+    res: &'a Resolver<'a>,
+    def: &'a Definedness,
+    live: &'a LiveSlots,
+    /// Phase index, nest label, statement index.
+    at: (usize, &'a str, usize),
+    reported_oob: bool,
+    reported_dangling: Vec<bool>,
+    diags: &'a mut Vec<Diagnostic>,
+}
+
+impl RefCheck<'_> {
+    /// Check one reference instance: bounds of every index, definedness of
+    /// the index-array lookups, and (for RHS reads) definedness of the data
+    /// element itself.
+    fn reference(&mut self, aref: &ArrayRef, is_target: bool, ivs: &[i64]) {
+        let (phase_idx, label, stmt_idx) = self.at;
+        match self.res.addr(aref, ivs) {
+            // Writes define; their conflicts are SA001's job.
+            Ok(addr) => {
+                if !is_target {
+                    self.defined(aref.array, addr, ivs);
                 }
             }
+            Err(ResolveFail::IndexOutOfBounds { base, pos }) if !self.reported_oob => {
+                self.reported_oob = true;
+                let base_decl = self.res.program.array(base);
+                self.diags.push(
+                    Diagnostic::new(
+                        Code::Sa006OutOfBounds,
+                        Span::stmt(phase_idx, label, stmt_idx, &base_decl.name),
+                        format!(
+                            "index-array lookup `{}[{pos}]` is out of bounds \
+                             (len {}) at iteration {ivs:?}",
+                            base_decl.name,
+                            base_decl.len()
+                        ),
+                    )
+                    .explain(
+                        "The gather position leaves the index array; execution \
+                         aborts with IndexOutOfBounds here.",
+                    ),
+                );
+            }
+            // The looked-up index cell is itself a read.
+            Err(
+                ResolveFail::NotStatic { base, pos } | ResolveFail::UndefinedIndex { base, pos },
+            ) => {
+                self.defined(base, pos, ivs);
+            }
+            Err(ResolveFail::OutOfBounds) if !self.reported_oob => {
+                self.reported_oob = true;
+                self.diags
+                    .push(oob_diag(self.res.program, self.at, aref, ivs));
+            }
+            Err(_) => {}
         }
     }
-    if !resolvable {
-        return;
-    }
-    match decl.linearize(&idx) {
-        Ok(addr) => {
-            if is_target {
-                return; // writes define; their conflicts are SA001's job
-            }
-            if let Some(Some(bits)) = def.bits.get(slot[aref.array.0]) {
-                if !bits[addr] && !reported_dangling[aref.array.0] {
-                    reported_dangling[aref.array.0] = true;
-                    diags.push(dangling_diag(
-                        &decl.name, addr, phase_idx, label, stmt_idx, ivs,
-                    ));
-                }
-            }
+
+    /// Report the read of `array[addr]` as dangling (once per array) unless
+    /// the live generation defines the cell.
+    fn defined(&mut self, array: ArrayId, addr: usize, ivs: &[i64]) {
+        let Some(bits) = &self.def[self.live.of(array)] else {
+            return;
+        };
+        if bits[addr] || self.reported_dangling[array.0] {
+            return;
         }
-        Err(_) => {
-            if !*reported_oob {
-                *reported_oob = true;
-                diags.push(oob_diag(program, phase_idx, label, stmt_idx, aref, ivs));
-            }
-        }
+        self.reported_dangling[array.0] = true;
+        let (phase_idx, label, stmt_idx) = self.at;
+        let array = &self.res.program.array(array).name;
+        self.diags.push(
+            Diagnostic::new(
+                Code::Sa004DanglingRead,
+                Span::stmt(phase_idx, label, stmt_idx, array),
+                format!(
+                    "`{array}[{addr}]` is read at iteration {ivs:?} but no initializer or \
+                     statement of this generation ever defines it"
+                ),
+            )
+            .explain(
+                "Under I-structure semantics this read defers forever — a dangling \
+                 deferral: the interpreter reports ReadUndefined and the thread runtime's \
+                 consumer parks with no producer to wake it. Define the element \
+                 (initialization or an assignment anywhere in the generation) or drop \
+                 the read.",
+            ),
+        );
     }
 }
 
 fn oob_diag(
     program: &Program,
-    phase_idx: usize,
-    label: &str,
-    stmt_idx: usize,
+    (phase_idx, label, stmt_idx): (usize, &str, usize),
     aref: &ArrayRef,
     ivs: &[i64],
 ) -> Diagnostic {
@@ -346,31 +274,6 @@ fn oob_diag(
         "Some iteration of the nest produces an index outside the declared \
          extents; execution aborts with IndexOutOfBounds here. Shrink the loop \
          bounds or grow the array.",
-    )
-}
-
-fn dangling_diag(
-    array: &str,
-    addr: usize,
-    phase_idx: usize,
-    label: &str,
-    stmt_idx: usize,
-    ivs: &[i64],
-) -> Diagnostic {
-    Diagnostic::new(
-        Code::Sa004DanglingRead,
-        Span::stmt(phase_idx, label, stmt_idx, array),
-        format!(
-            "`{array}[{addr}]` is read at iteration {ivs:?} but no initializer or \
-             statement of this generation ever defines it"
-        ),
-    )
-    .explain(
-        "Under I-structure semantics this read defers forever — a dangling \
-         deferral: the interpreter reports ReadUndefined and the thread runtime's \
-         consumer parks with no producer to wake it. Define the element \
-         (initialization or an assignment anywhere in the generation) or drop \
-         the read.",
     )
 }
 

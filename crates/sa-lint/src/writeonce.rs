@@ -13,10 +13,7 @@
 //! statically undecidable (`SA003`).
 
 use crate::diag::{Code, Diagnostic, Span};
-use crate::sites::{
-    self, resolve_static_addr, static_array_values, statically_resolvable, ResolveFail, Segment,
-    WriteSite,
-};
+use crate::sites::{self, iterate, ResolveFail, Resolver, Segment, WriteSite};
 use sa_ir::access::gcd;
 use sa_ir::analysis::{self, PairRelation};
 use sa_ir::nest::LoopNest;
@@ -46,12 +43,12 @@ impl WriteOnceReport {
 /// segment of `program`.
 pub fn check_write_once(program: &Program) -> WriteOnceReport {
     let mut report = WriteOnceReport::default();
-    let statics = static_array_values(program);
+    let res = Resolver::new(program);
     for seg in sites::segments(program) {
         if seg.writes.is_empty() {
             continue;
         }
-        check_segment(program, &seg, &statics, &mut report);
+        check_segment(program, &seg, &res, &mut report);
     }
     report
 }
@@ -59,7 +56,7 @@ pub fn check_write_once(program: &Program) -> WriteOnceReport {
 fn check_segment(
     program: &Program,
     seg: &Segment<'_>,
-    statics: &[Option<Vec<f64>>],
+    res: &Resolver<'_>,
     report: &mut WriteOnceReport,
 ) {
     let decl = program.array(seg.array);
@@ -67,7 +64,7 @@ fn check_segment(
     // Scatters through runtime-valued index arrays are undecidable — flag
     // once and bail out of this segment: any exact answer would be a guess.
     for site in &seg.writes {
-        if !site.is_affine() && !statically_resolvable(site.target, statics) {
+        if res.runtime_index(site.target).is_some() {
             let d = Diagnostic::new(
                 Code::Sa003UndecidableScatter,
                 Span::stmt(site.phase, &site.nest.label, site.stmt, &decl.name),
@@ -120,7 +117,7 @@ fn check_segment(
 
     // Exact fallback: enumerate the segment footprint in program order.
     report.enumerated += 1;
-    enumerate_segment(program, seg, statics, report);
+    enumerate_segment(program, seg, res, report);
 }
 
 // ---------------------------------------------------------------------------
@@ -323,7 +320,7 @@ impl AffineSite {
 fn enumerate_segment(
     program: &Program,
     seg: &Segment<'_>,
-    statics: &[Option<Vec<f64>>],
+    res: &Resolver<'_>,
     report: &mut WriteOnceReport,
 ) {
     let decl = program.array(seg.array);
@@ -333,29 +330,21 @@ fn enumerate_segment(
     }
 
     for (si, site) in seg.writes.iter().enumerate() {
-        let mut conflict: Option<(usize, Vec<i64>)> = None;
-        site.nest.for_each_iteration(|ivs| {
-            if conflict.is_some() {
-                return;
-            }
-            match resolve_static_addr(program, statics, site.target, ivs) {
-                Ok(addr) => {
-                    if defined[addr] {
-                        conflict = Some((addr, ivs.to_vec()));
-                    } else {
-                        defined[addr] = true;
-                    }
-                }
+        let walked = iterate(site.nest, |ivs| {
+            match res.addr(site.target, ivs) {
+                Ok(addr) if defined[addr] => return Err((addr, ivs.to_vec())),
+                Ok(addr) => defined[addr] = true,
+                Err(ResolveFail::NotStatic { .. }) => unreachable!("segment pre-screened"),
                 // Bounds/definedness failures are the progress checker's
                 // findings (SA006/SA004); skip the address here.
-                Err(ResolveFail::OutOfBounds | ResolveFail::UndefinedIndex) => {}
-                Err(ResolveFail::NotStatic) => unreachable!("segment pre-screened"),
+                Err(_) => {}
             }
+            Ok(())
         });
-        if let Some((addr, ivs)) = conflict {
+        if let Err((addr, ivs)) = walked {
             report
                 .diagnostics
-                .push(conflict_diagnostic(program, seg, si, addr, &ivs, statics));
+                .push(conflict_diagnostic(program, seg, si, addr, &ivs, res));
             return; // one finding per array segment
         }
     }
@@ -369,7 +358,7 @@ fn conflict_diagnostic(
     second_site: usize,
     addr: usize,
     second_ivs: &[i64],
-    statics: &[Option<Vec<f64>>],
+    res: &Resolver<'_>,
 ) -> Diagnostic {
     let decl = program.array(seg.array);
     let second = &seg.writes[second_site];
@@ -396,25 +385,19 @@ fn conflict_diagnostic(
     }
 
     // Re-walk the earlier instances to find the first writer of `addr`.
-    let mut first: Option<(usize, Vec<i64>)> = None;
-    'sites: for (si, site) in seg.writes.iter().enumerate().take(second_site + 1) {
-        let mut found: Option<Vec<i64>> = None;
-        site.nest.for_each_iteration(|ivs| {
-            if found.is_some() {
-                return;
-            }
+    let first = (0..=second_site).find_map(|si| {
+        let site = &seg.writes[si];
+        iterate(site.nest, |ivs| {
             if si == second_site && ivs == second_ivs {
-                return; // stop before the colliding instance itself
+                return Ok(()); // not the colliding instance itself
             }
-            if resolve_static_addr(program, statics, site.target, ivs) == Ok(addr) {
-                found = Some(ivs.to_vec());
+            if res.addr(site.target, ivs) == Ok(addr) {
+                return Err((si, ivs.to_vec()));
             }
-        });
-        if let Some(ivs) = found {
-            first = Some((si, ivs));
-            break 'sites;
-        }
-    }
+            Ok(())
+        })
+        .err()
+    });
     let (fsi, fivs) = first.expect("a colliding address must have a first writer");
     let fsite = &seg.writes[fsi];
 

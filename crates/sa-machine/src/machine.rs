@@ -91,11 +91,6 @@ pub enum MachineError {
     },
     /// Invalid machine configuration.
     BadConfig(crate::config::ConfigError),
-    /// Re-initialization attempted with readers still queued.
-    ReinitPending {
-        /// Array name.
-        array: String,
-    },
 }
 
 impl core::fmt::Display for MachineError {
@@ -123,12 +118,6 @@ impl core::fmt::Display for MachineError {
                 write!(f, "address {addr} out of bounds for {array} (len {len})")
             }
             MachineError::BadConfig(msg) => write!(f, "bad machine config: {msg}"),
-            MachineError::ReinitPending { array } => {
-                write!(
-                    f,
-                    "re-initialization of {array} with deferred readers pending"
-                )
-            }
         }
     }
 }
@@ -241,9 +230,11 @@ impl DistributedMachine {
             });
         }
         let arr = &mut self.arrays[a];
-        let name = arr.name().to_string();
         arr.write(addr, value)
-            .map_err(|_| MachineError::DoubleWrite { array: name, addr })?;
+            .map_err(|_| MachineError::DoubleWrite {
+                array: arr.name().to_string(),
+                addr,
+            })?;
         self.stats.record(pe, AccessKind::Write);
         Ok(())
     }
@@ -343,17 +334,14 @@ impl DistributedMachine {
     /// Re-initialize array `a` via the §5 host protocol: collect + broadcast
     /// messages are charged to the network, every PE drops its cached pages
     /// of `a`, and the array moves to the next generation.
-    pub fn reinit(&mut self, a: usize) -> Result<ReinitSync, MachineError> {
-        let name = self.arrays[a].name().to_string();
-        let new_gen = self.arrays[a]
-            .reinit()
-            .map_err(|_| MachineError::ReinitPending { array: name })?;
+    pub fn reinit(&mut self, a: usize) -> ReinitSync {
+        let new_gen = self.arrays[a].reinit();
         let sync = run_reinit_protocol(&mut self.network, a, self.cfg.n_pes, new_gen);
         self.stats.reinit_messages += sync.total_messages();
         for cache in &mut self.caches {
             cache.invalidate_array(a);
         }
-        Ok(sync)
+        sync
     }
 
     /// Ship a reduction partial result from `from` to the host `to`
@@ -536,7 +524,7 @@ mod tests {
         // Warm PE 0's cache with B page 1.
         m.read(0, 1, 40).unwrap();
         assert_eq!(m.read(0, 1, 41).unwrap().1, AccessKind::CachedRead);
-        let sync = m.reinit(1).unwrap();
+        let sync = m.reinit(1);
         assert_eq!(sync.host, 1);
         assert_eq!(sync.total_messages(), 6); // 3 requests + 3 broadcasts
         assert_eq!(m.generation(1), 1);

@@ -1,19 +1,15 @@
 //! Sequential single-assignment arrays with generations.
 
-use std::collections::HashMap;
-
-use crate::cell::CellRead;
 use crate::error::{SaError, SaResult};
 use crate::tagged::TagBits;
 use crate::Generation;
 
 /// A linear single-assignment array.
 ///
-/// Storage is a dense `Vec<T>` plus a presence bitmap ([`TagBits`]) rather
-/// than a `Vec<SaCell<T>>`: deferred-read queues are sparse in practice, so
-/// they live in a side table keyed by index. This is the "array + tag bits"
-/// layout the paper assumes hardware support for (§3) and keeps the hot path
-/// (defined read) branch-cheap.
+/// Storage is a dense `Vec<T>` plus a presence bitmap ([`TagBits`]): the
+/// "array + tag bits" layout the paper assumes hardware support for (§3),
+/// which keeps the hot path (defined read) branch-cheap. Reads of undefined
+/// cells are the caller's to defer; nothing is queued here.
 ///
 /// Multi-dimensional arrays are linearized *row-major* by the IR layer before
 /// they reach this type, exactly as in the paper's simulation (§7).
@@ -22,7 +18,6 @@ pub struct SaArray<T> {
     name: String,
     values: Vec<T>,
     tags: TagBits,
-    waiters: HashMap<usize, Vec<u64>>,
     generation: Generation,
 }
 
@@ -33,7 +28,6 @@ impl<T: Clone + Default> SaArray<T> {
             name: name.into(),
             values: vec![T::default(); len],
             tags: TagBits::new(len),
-            waiters: HashMap::new(),
             generation: 0,
         }
     }
@@ -47,7 +41,6 @@ impl<T: Clone + Default> SaArray<T> {
             name: name.into(),
             values: init,
             tags: TagBits::all_set(len),
-            waiters: HashMap::new(),
             generation: 0,
         }
     }
@@ -88,11 +81,6 @@ impl<T: Clone + Default> SaArray<T> {
         &self.tags
     }
 
-    /// Total deferred readers across all cells.
-    pub fn pending_waiters(&self) -> usize {
-        self.waiters.values().map(Vec::len).sum()
-    }
-
     fn check(&self, index: usize) -> SaResult<()> {
         if index >= self.values.len() {
             Err(SaError::OutOfBounds {
@@ -104,12 +92,10 @@ impl<T: Clone + Default> SaArray<T> {
         }
     }
 
-    /// Single assignment of cell `index`.
-    ///
-    /// Returns the deferred-read tokens queued on that cell (FIFO). Fails
-    /// with [`SaError::DoubleWrite`] if the cell is already defined in the
+    /// Single assignment of cell `index`. Fails with
+    /// [`SaError::DoubleWrite`] if the cell is already defined in the
     /// current generation.
-    pub fn write(&mut self, index: usize, value: T) -> SaResult<Vec<u64>> {
+    pub fn write(&mut self, index: usize, value: T) -> SaResult<()> {
         self.check(index)?;
         if self.tags.get(index) {
             return Err(SaError::DoubleWrite {
@@ -119,7 +105,7 @@ impl<T: Clone + Default> SaArray<T> {
         }
         self.values[index] = value;
         self.tags.set(index);
-        Ok(self.waiters.remove(&index).unwrap_or_default())
+        Ok(())
     }
 
     /// Read cell `index`: `Ok(Some(&v))` if defined, `Ok(None)` if not.
@@ -132,17 +118,6 @@ impl<T: Clone + Default> SaArray<T> {
         })
     }
 
-    /// Read cell `index`, queueing `token` as a deferred reader if undefined.
-    pub fn read_or_defer(&mut self, index: usize, token: u64) -> SaResult<CellRead<&T>> {
-        self.check(index)?;
-        if self.tags.get(index) {
-            Ok(CellRead::Ready(&self.values[index]))
-        } else {
-            self.waiters.entry(index).or_default().push(token);
-            Ok(CellRead::Deferred)
-        }
-    }
-
     /// Raw value slice — only meaningful where the tags say defined.
     /// Used by the machine layer to copy page payloads.
     pub fn values(&self) -> &[T] {
@@ -150,17 +125,11 @@ impl<T: Clone + Default> SaArray<T> {
     }
 
     /// Re-initialize: every cell returns to undefined and the generation is
-    /// bumped. Refuses to run while deferred readers are pending
-    /// ([`SaError::PendingReaders`]); the host-processor protocol guarantees
-    /// this cannot happen in a well-formed program (paper §5).
-    pub fn reinit(&mut self) -> SaResult<Generation> {
-        let pending = self.pending_waiters();
-        if pending > 0 {
-            return Err(SaError::PendingReaders { waiters: pending });
-        }
+    /// bumped (the host-processor protocol of paper §5 sequences it).
+    pub fn reinit(&mut self) -> Generation {
         self.tags.clear();
         self.generation += 1;
-        Ok(self.generation)
+        self.generation
     }
 
     /// Re-initialize with fresh contents (all cells defined at the new
@@ -173,7 +142,7 @@ impl<T: Clone + Default> SaArray<T> {
                 len: self.values.len(),
             });
         }
-        let gen = self.reinit()?;
+        let gen = self.reinit();
         self.values = init;
         self.tags = TagBits::all_set(self.values.len());
         Ok(gen)
@@ -226,33 +195,11 @@ mod tests {
         assert!(a.is_fully_defined());
         assert_eq!(a.read(2).unwrap(), Some(&3.0));
         assert_eq!(a.generation(), 0);
-        assert_eq!(a.reinit().unwrap(), 1);
+        assert_eq!(a.reinit(), 1);
         assert_eq!(a.read(2).unwrap(), None);
         // Cells are writable again in the new generation.
         a.write(2, 9.0).unwrap();
         assert_eq!(a.read(2).unwrap(), Some(&9.0));
-    }
-
-    #[test]
-    fn deferred_read_tokens_flow_through_write() {
-        let mut a = SaArray::new("A", 4);
-        assert!(a.read_or_defer(0, 11).unwrap().is_deferred());
-        assert!(a.read_or_defer(0, 22).unwrap().is_deferred());
-        assert_eq!(a.pending_waiters(), 2);
-        let woken = a.write(0, 5.0).unwrap();
-        assert_eq!(woken, vec![11, 22]);
-        assert_eq!(a.pending_waiters(), 0);
-        assert_eq!(a.read_or_defer(0, 33).unwrap().unwrap_ready(), &5.0);
-    }
-
-    #[test]
-    fn reinit_refuses_pending_readers() {
-        let mut a = SaArray::<f64>::new("A", 2);
-        let _ = a.read_or_defer(1, 7).unwrap();
-        assert_eq!(
-            a.reinit().unwrap_err(),
-            SaError::PendingReaders { waiters: 1 }
-        );
     }
 
     #[test]

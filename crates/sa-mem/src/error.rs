@@ -32,12 +32,6 @@ pub enum SaError {
         /// Current generation of the array.
         actual: u32,
     },
-    /// A re-initialization was attempted while readers were still queued
-    /// on undefined cells; the host protocol must drain them first.
-    PendingReaders {
-        /// Number of deferred readers still queued.
-        waiters: usize,
-    },
 }
 
 impl fmt::Display for SaError {
@@ -53,10 +47,6 @@ impl fmt::Display for SaError {
             SaError::StaleGeneration { expected, actual } => write!(
                 f,
                 "stale generation: operation issued for generation {expected}, array is at {actual}"
-            ),
-            SaError::PendingReaders { waiters } => write!(
-                f,
-                "re-initialization with {waiters} deferred readers still pending"
             ),
         }
     }
@@ -87,8 +77,6 @@ mod tests {
             actual: 3,
         };
         assert!(e.to_string().contains("generation 1"));
-        let e = SaError::PendingReaders { waiters: 5 };
-        assert!(e.to_string().contains("5"));
     }
 
     #[test]

@@ -2,15 +2,16 @@
 //!
 //! This crate implements the *memory tagging mechanism* of Bic, Nagel & Roy
 //! (UCI TR 89-08, §3): every memory cell is either **undefined** or
-//! **defined**, writes are allowed exactly once per cell per array
-//! *generation*, and reads of undefined cells can be *deferred* (queued)
-//! until the producer writes — the write-once/read-many discipline of HEP
-//! full/empty bits and dataflow I-structures.
+//! **defined**, and writes are allowed exactly once per cell per array
+//! *generation* — the write-once/read-many discipline of HEP full/empty
+//! bits and dataflow I-structures. A read of an undefined cell reports
+//! just that; *deferring* it until the producer writes is the executor's
+//! business (the thread runtime queues waiters per cell, the timing pass
+//! models the stall).
 //!
-//! The building blocks ([`SaCell`], [`TagBits`], [`SaArray`],
-//! [`TaggedPage`]) are sequential and deterministic — no locking: the
-//! simulator owns them outright, and the real-thread runtime gives each
-//! worker its own pages and defers reads through [`TaggedPage`].
+//! The building blocks ([`TagBits`], [`SaArray`], [`TaggedPage`]) are
+//! sequential and deterministic — no locking: the simulator owns them
+//! outright, and the real-thread runtime gives each worker its own pages.
 //!
 //! A second write to the same cell is a *runtime error* ([`SaError::DoubleWrite`]),
 //! exactly as the paper prescribes ("writing more than once results in a
@@ -21,13 +22,11 @@
 #![warn(missing_docs)]
 
 pub mod array;
-pub mod cell;
 pub mod error;
 pub mod page;
 pub mod tagged;
 
 pub use array::SaArray;
-pub use cell::{CellRead, SaCell};
 pub use error::{SaError, SaResult};
 pub use page::TaggedPage;
 pub use tagged::TagBits;

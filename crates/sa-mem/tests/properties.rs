@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use sa_mem::{CellRead, SaArray, SaError, TagBits};
+use sa_mem::{SaArray, SaError, TagBits};
 
 proptest! {
     /// For any sequence of writes, exactly the first write to each index
@@ -34,20 +34,6 @@ proptest! {
         for (i, want) in model.iter().enumerate() {
             prop_assert_eq!(a.read(i).unwrap().copied(), *want);
         }
-    }
-
-    /// Deferred readers are woken exactly once, in FIFO order, by the
-    /// single write; later reads are immediate.
-    #[test]
-    fn deferred_tokens_fifo(tokens in prop::collection::vec(0u64..1000, 1..32)) {
-        let mut a = SaArray::new("A", 4);
-        for &t in &tokens {
-            prop_assert!(matches!(a.read_or_defer(2, t), Ok(CellRead::Deferred)));
-        }
-        let woken = a.write(2, 1.5).unwrap();
-        prop_assert_eq!(woken, tokens);
-        prop_assert_eq!(a.pending_waiters(), 0);
-        prop_assert!(matches!(a.read_or_defer(2, 9), Ok(CellRead::Ready(&1.5))));
     }
 
     /// Tag bitmaps agree with a boolean-vector model under arbitrary
@@ -88,7 +74,7 @@ proptest! {
             }
             prop_assert!(a.is_fully_defined());
             prop_assert!(a.write(0, 9.9).is_err());
-            a.reinit().unwrap();
+            a.reinit();
         }
         prop_assert_eq!(a.generation(), rounds);
         prop_assert_eq!(a.defined_count(), 0);

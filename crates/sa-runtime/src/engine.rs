@@ -125,55 +125,28 @@ impl std::error::Error for RuntimeError {}
 /// [`RuntimeError::WorkerPanicked`], the same class of failure the
 /// reference interpreter reports as a `ReadUndefined`.
 pub fn unsupported_reason(program: &Program) -> Option<String> {
-    use sa_ir::analysis::anchor_index_arrays;
-    use sa_ir::program::{ArrayInit, Phase};
-
-    // Per array: is it resolvable before the nest currently being scanned?
-    // `Prefix` counts — its defined cells live in the owners' frames and
-    // resolve over `IndirectFetch` like any partially produced array.
-    let mut statically_init: Vec<bool> = program
-        .arrays
-        .iter()
-        .map(|d| !matches!(d.init, ArrayInit::Undefined))
-        .collect();
-    let mut written_earlier = vec![false; program.arrays.len()];
-    for phase in &program.phases {
-        match phase {
-            Phase::Reinit(id) => {
-                // A re-initialized array is undefined again until rewritten.
-                statically_init[id.0] = false;
-                written_earlier[id.0] = false;
+    let mut reason = None;
+    sa_lint::unproduced_anchors(program, |_, nest, base, same_nest| {
+        let name = &program.array(base).name;
+        reason.get_or_insert_with(|| {
+            if same_nest {
+                format!(
+                    "nest `{}` gathers its statement anchor through index array \
+                     `{name}`, which the same nest produces — ownership would \
+                     depend on intra-nest timing",
+                    nest.label
+                )
+            } else {
+                format!(
+                    "nest `{}` anchors through index array `{name}`, which is \
+                     neither statically initialized nor produced by an earlier \
+                     nest",
+                    nest.label
+                )
             }
-            Phase::Loop(nest) => {
-                let written_here = nest.written_arrays();
-                for stmt in &nest.body {
-                    for base in anchor_index_arrays(stmt) {
-                        let name = &program.array(base).name;
-                        if written_here.contains(&base) {
-                            return Some(format!(
-                                "nest `{}` gathers its statement anchor through index array \
-                                 `{name}`, which the same nest produces — ownership would \
-                                 depend on intra-nest timing",
-                                nest.label
-                            ));
-                        }
-                        if !statically_init[base.0] && !written_earlier[base.0] {
-                            return Some(format!(
-                                "nest `{}` anchors through index array `{name}`, which is \
-                                 neither statically initialized nor produced by an earlier \
-                                 nest",
-                                nest.label
-                            ));
-                        }
-                    }
-                }
-                for id in written_here {
-                    written_earlier[id.0] = true;
-                }
-            }
-        }
-    }
-    None
+        });
+    });
+    reason
 }
 
 /// Result of a real-thread run.

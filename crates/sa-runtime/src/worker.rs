@@ -730,7 +730,7 @@ impl<'p> Worker<'p> {
                 participants.insert(sid, vec![false; self.n_pes]);
             }
             let mut rr = self.rr;
-            nest.for_each_iteration_ctl(&mut |ivs: &[i64]| {
+            nest.for_each_iteration(|ivs| {
                 for (si, stmt) in nest.body.iter().enumerate() {
                     self.mem.cur_stmt = si;
                     let owner = self.stmt_owner(stmt, ivs, &mut rr);
@@ -749,7 +749,7 @@ impl<'p> Worker<'p> {
 
         let me = self.mem.me;
         let mut rr = self.rr;
-        nest.for_each_iteration_ctl(&mut |ivs: &[i64]| {
+        nest.for_each_iteration(|ivs| {
             for (si, stmt) in nest.body.iter().enumerate() {
                 self.mem.cur_stmt = si;
                 let owner = self.stmt_owner(stmt, ivs, &mut rr);
@@ -969,17 +969,5 @@ impl<'p> Worker<'p> {
             scalars: self.ctx.scalars,
             wait_edges: self.mem.wait_edges,
         }
-    }
-}
-
-/// Extension trait so the execute loop above can use a `&mut FnMut` without
-/// fighting the borrow checker around `self`.
-trait ForEachCtl {
-    fn for_each_iteration_ctl(&self, f: &mut dyn FnMut(&[i64]));
-}
-
-impl ForEachCtl for LoopNest {
-    fn for_each_iteration_ctl(&self, f: &mut dyn FnMut(&[i64])) {
-        self.for_each_iteration(|ivs| f(ivs));
     }
 }

@@ -99,6 +99,13 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// A command the selected engine or machine shape cannot carry out: one
+/// line, `what: error`, and exit 1.
+fn die(what: &str, e: &dyn std::fmt::Display) -> ! {
+    eprintln!("{what}: {e}");
+    std::process::exit(1);
+}
+
 /// `sapp lint --help`: flag and exit-code reference for the CI gate.
 fn lint_help() -> ! {
     println!(
@@ -742,21 +749,21 @@ fn main() {
                     budget: o.budget,
                 },
             )
-            .unwrap_or_else(|e| panic!("search: {e}"));
+            .unwrap_or_else(|e| die("search", &e));
             let reports = par_map(&kernels, |k| {
                 // Per-kernel fail-soft, like the sweep: a kernel the
                 // engine cannot execute at all drops out with a note
                 // instead of aborting the whole table.
                 match searcher.search(&k.program) {
-                    Ok(rep) => Ok::<_, std::convert::Infallible>(Some(rep)),
+                    Ok(rep) => Ok(Some(rep)),
                     Err(PlanError::Oracle(OracleError::Unsupported(why))) => {
                         eprintln!("note: skipping {}: {why}", k.code);
                         Ok(None)
                     }
-                    Err(e) => panic!("search: {e}"),
+                    Err(e) => Err(e),
                 }
             })
-            .expect("per-kernel errors are handled in the closure");
+            .unwrap_or_else(|e| die("search", &e));
             let rows: Vec<Vec<String>> = kernels
                 .iter()
                 .zip(&reports)
@@ -936,7 +943,7 @@ fn main() {
                 o.page,
                 AccessCosts::default(),
             )
-            .expect("timing");
+            .unwrap_or_else(|e| die("timing", &e));
             let rows: Vec<Vec<String>> = sp
                 .into_iter()
                 .map(|(n, s)| vec![n.to_string(), format!("{s:.2}×")])

@@ -232,3 +232,38 @@ fn invalid_machine_shapes_exit_with_the_config_error_on_the_static_paths() {
         assert!(!said.contains("panicked"), "sapp {args}: {said}");
     }
 }
+
+/// Every command × bad shape × engine: accepted (0), rejected with the
+/// typed error (1) or a usage error (2) — never a panic (101).
+#[test]
+fn no_command_panics_on_an_invalid_machine_shape() {
+    for cmd in [
+        "simulate k1",
+        "sweep k1",
+        "search --kernel k12",
+        "timing k1",
+        "lint k1",
+        "graph k1",
+    ] {
+        for shape in ["--pes 0", "--page 0"] {
+            for engine in ["", " --engine static", " --engine thread"] {
+                let args = format!("{cmd} {shape}{engine}");
+                let out = std::process::Command::new(env!("CARGO_BIN_EXE_sapp"))
+                    .args(args.split(' '))
+                    .output()
+                    .expect("sapp runs");
+                let err = String::from_utf8_lossy(&out.stderr);
+                let code = out.status.code();
+                assert!(matches!(code, Some(0..=2)), "sapp {args}: {code:?} {err}");
+                assert!(!err.contains("panicked"), "sapp {args}: {err}");
+                // The two commands that used to panic name themselves and the cause.
+                if code == Some(1) && (cmd.starts_with("search") || cmd.starts_with("timing")) {
+                    let what = cmd.split(' ').next().unwrap();
+                    assert!(err.starts_with(&format!("{what}: ")), "sapp {args}: {err}");
+                    assert_eq!(err.lines().count(), 1, "sapp {args}: {err}");
+                    assert!(err.contains("must be ≥ 1"), "sapp {args}: {err}");
+                }
+            }
+        }
+    }
+}
