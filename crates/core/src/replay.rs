@@ -70,6 +70,7 @@ use sa_machine::{
 
 use crate::exec::{simulate, SimError, SimReport};
 use crate::parallel::par_map;
+use crate::screening::{owned_segments, owned_segments_by};
 
 /// Which engine produced a [`CountReport`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -782,12 +783,12 @@ impl<'a> Worker<'a> {
                 .collect();
             let segs = match &stmt.anchor {
                 Anchor::Affine { array, form } => {
-                    self.owned_segments_affine(*array, line_of(form), m)
+                    owned_segments(&self.cp.placements[*array], self.pe, line_of(form), m)
                 }
                 Anchor::Gather(g) => {
                     let anchor_dims: Vec<Line> =
                         g.dims.iter().map(|d| line_of(dim_form(d))).collect();
-                    self.owned_segments_by(m, |t| {
+                    owned_segments_by(m, |t| {
                         let addr = self.gather_addr(g, &anchor_dims, t as i64);
                         self.owner_of(g.array, addr) == self.pe
                     })
@@ -796,9 +797,7 @@ impl<'a> Worker<'a> {
                     let (base, width, n, pe) =
                         (cn.rr_base, cn.rr_width, self.n_pes as u64, self.pe as u64);
                     let slot = *slot as u64;
-                    self.owned_segments_by(m, |t| {
-                        (base + (g_base + t as u64) * width + slot) % n == pe
-                    })
+                    owned_segments_by(m, |t| (base + (g_base + t as u64) * width + slot) % n == pe)
                 }
             };
             stmt_forms.push(StmtForms {
@@ -1029,68 +1028,6 @@ impl<'a> Worker<'a> {
         self.net.record_fetch(self.pe, p.owner);
         self.cur.remote += 1;
         self.cur.page_fetches += 1;
-    }
-
-    /// Owned inner iterations of an affine anchor. Instead of walking every
-    /// page run, enumerate only the pages *this PE owns* (each partition
-    /// scheme's owned set is a union of page intervals) and map each back
-    /// to an iteration range closed-form — the per-PE cost is proportional
-    /// to the PE's own share of the nest, so the shards divide the work
-    /// instead of replicating it.
-    fn owned_segments_affine(&self, array: usize, line: Line, m: usize) -> Vec<(usize, usize)> {
-        let mut segs: Vec<(usize, usize)> = Vec::new();
-        if line.step == 0 {
-            if self.owner_of(array, line.base) == self.pe {
-                segs.push((0, m));
-            }
-            return segs;
-        }
-        if self.n_pes == 1 {
-            return vec![(0, m)];
-        }
-        let ps = self.ps as i64;
-        let last = line.addr(m as i64 - 1);
-        debug_assert!(line.base >= 0 && last >= 0, "negative anchor address");
-        let (plo, phi) = (line.base.min(last) / ps, line.base.max(last) / ps);
-        self.cp.placements[array].owned_page_intervals(
-            self.pe,
-            plo as usize,
-            phi as usize,
-            |q0, q1| segs.extend(line.trips_in_pages(q0, q1, ps, m)),
-        );
-        if line.step < 0 {
-            // Ascending pages map to descending iterations.
-            segs.reverse();
-        }
-        // Coalesce adjacent ranges (adjacent owned pages).
-        let mut out: Vec<(usize, usize)> = Vec::with_capacity(segs.len());
-        for (s, e) in segs {
-            match out.last_mut() {
-                Some(last) if last.1 >= s => last.1 = last.1.max(e),
-                _ => out.push((s, e)),
-            }
-        }
-        out
-    }
-
-    /// Owned iterations by per-iteration predicate (gather / round-robin
-    /// anchors), coalesced into runs.
-    fn owned_segments_by(&self, m: usize, owned: impl Fn(usize) -> bool) -> Vec<(usize, usize)> {
-        let mut segs: Vec<(usize, usize)> = Vec::new();
-        let mut t = 0usize;
-        while t < m {
-            if owned(t) {
-                let start = t;
-                t += 1;
-                while t < m && owned(t) {
-                    t += 1;
-                }
-                segs.push((start, t));
-            } else {
-                t += 1;
-            }
-        }
-        segs
     }
 }
 

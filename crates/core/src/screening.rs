@@ -8,6 +8,7 @@
 //! [`PartitionMap`] is the lightweight, immutable ownership oracle shared
 //! by the counting simulator, the timing pass and the real-thread runtime.
 
+use sa_ir::access::Line;
 use sa_ir::interp::{resolve_ref_addr, Memory};
 use sa_ir::nest::Stmt;
 use sa_ir::{analysis, ArrayId, IrError, Program};
@@ -71,10 +72,20 @@ impl PartitionMap {
     /// [`PartitionMap::resolved_anchor_owner`] for the full path.
     pub fn anchor_owner(&self, program: &Program, stmt: &Stmt, ivs: &[i64]) -> Option<usize> {
         let anchor = analysis::anchor_ref(stmt)?;
-        let affine = anchor.affine_indices()?;
         let decl = program.array(anchor.array);
-        let idx: Vec<i64> = affine.iter().map(|a| a.eval(ivs)).collect();
-        let addr = decl.linearize(&idx).ok()?;
+        if anchor.indices.len() != decl.dims.len() {
+            return None;
+        }
+        // Row-major linearization folded in index by index: this runs once
+        // per statement instance on every screening engine.
+        let mut addr = 0usize;
+        for (ix, &extent) in anchor.indices.iter().zip(&decl.dims) {
+            let i = ix.as_affine()?.eval(ivs);
+            if i < 0 || i as usize >= extent {
+                return None;
+            }
+            addr = addr * extent + i as usize;
+        }
         Some(self.owner(anchor.array, addr))
     }
 
@@ -109,6 +120,77 @@ impl PartitionMap {
         let addr = resolve_ref_addr(program, anchor, ivs, resolve)?;
         Ok(Some(self.owner(anchor.array, addr)))
     }
+}
+
+/// The trips `0..m` of a sweep whose affine anchor address `line(t)` lies
+/// on a page `pe` owns, as disjoint ascending `(start, end)` ranges — index
+/// screening (paper §3) done once per sweep instead of once per instance.
+///
+/// Instead of walking every page run, only the pages *this PE owns* are
+/// enumerated (each partition scheme's owned set is a union of page
+/// intervals, [`Placement::owned_page_intervals`]) and each is mapped back
+/// to a trip range closed-form ([`Line::trips_in_pages`]) — the per-PE cost
+/// is proportional to the PE's own share of the sweep, so PEs divide the
+/// work instead of replicating it. The replay engine's shards and the
+/// thread runtime's PE tasks both take their schedules from here.
+#[inline]
+pub fn owned_segments(
+    placement: &Placement,
+    pe: usize,
+    line: Line,
+    m: usize,
+) -> Vec<(usize, usize)> {
+    let mut segs: Vec<(usize, usize)> = Vec::new();
+    if line.step == 0 {
+        debug_assert!(line.base >= 0, "negative anchor address");
+        if placement.owner_of_addr(line.base as usize) == pe {
+            segs.push((0, m));
+        }
+        return segs;
+    }
+    if placement.n_pes == 1 {
+        return vec![(0, m)];
+    }
+    let ps = placement.page_size as i64;
+    let last = line.addr(m as i64 - 1);
+    debug_assert!(line.base >= 0 && last >= 0, "negative anchor address");
+    let (plo, phi) = (line.base.min(last) / ps, line.base.max(last) / ps);
+    placement.owned_page_intervals(pe, plo as usize, phi as usize, |q0, q1| {
+        segs.extend(line.trips_in_pages(q0, q1, ps, m));
+    });
+    if line.step < 0 {
+        // Ascending pages map to descending iterations.
+        segs.reverse();
+    }
+    // Coalesce adjacent ranges (adjacent owned pages).
+    let mut out: Vec<(usize, usize)> = Vec::with_capacity(segs.len());
+    for (s, e) in segs {
+        match out.last_mut() {
+            Some(last) if last.1 >= s => last.1 = last.1.max(e),
+            _ => out.push((s, e)),
+        }
+    }
+    out
+}
+
+/// The trips `0..m` a per-trip predicate accepts (gathered and round-robin
+/// anchors), coalesced into disjoint ascending `(start, end)` ranges.
+pub fn owned_segments_by(m: usize, owned: impl Fn(usize) -> bool) -> Vec<(usize, usize)> {
+    let mut segs: Vec<(usize, usize)> = Vec::new();
+    let mut t = 0usize;
+    while t < m {
+        if owned(t) {
+            let start = t;
+            t += 1;
+            while t < m && owned(t) {
+                t += 1;
+            }
+            segs.push((start, t));
+        } else {
+            t += 1;
+        }
+    }
+    segs
 }
 
 #[cfg(test)]
@@ -200,5 +282,67 @@ mod tests {
             counts[map.anchor_owner(&p, stmt, ivs).unwrap()] += 1;
         });
         assert_eq!(counts, vec![16, 16, 16, 16]);
+    }
+
+    #[test]
+    fn owned_segments_are_the_screened_trips_under_every_scheme() {
+        use sa_ir::access::Line;
+        use sa_machine::PartitionScheme;
+        // A 24×20 grid walked along lines of several strides and both
+        // directions: each PE's segments must be exactly the trips whose
+        // address it owns — ascending, disjoint, and together the sweep.
+        let dims = [24usize, 20];
+        for scheme in [
+            PartitionScheme::Modulo,
+            PartitionScheme::Block,
+            PartitionScheme::BlockCyclic { block_pages: 2 },
+            PartitionScheme::RowBand,
+            PartitionScheme::Tile2D {
+                tile_rows: 5,
+                tile_cols: 6,
+            },
+        ] {
+            for (n_pes, page) in [(1usize, 8usize), (3, 4), (4, 7), (7, 1)] {
+                let placement = Placement::table([&dims[..]], scheme, page, n_pes).unwrap()[0];
+                for (base, step, m) in [
+                    (0i64, 1i64, 480usize),
+                    (479, -1, 480),
+                    (3, 20, 24),
+                    (17, 0, 9),
+                    (40, 7, 60),
+                ] {
+                    let line = Line { base, step };
+                    let mut seen = vec![0u32; m];
+                    for pe in 0..n_pes {
+                        let segs = owned_segments(&placement, pe, line, m);
+                        let mut prev_end = 0;
+                        for &(s, e) in &segs {
+                            assert!(
+                                s < e && e <= m && (s > prev_end || prev_end == 0),
+                                "{segs:?}"
+                            );
+                            prev_end = e;
+                            for (t, count) in seen.iter_mut().enumerate().take(e).skip(s) {
+                                let addr = line.addr(t as i64) as usize;
+                                assert_eq!(
+                                    placement.owner_of_addr(addr),
+                                    pe,
+                                    "{scheme:?} trip {t}"
+                                );
+                                *count += 1;
+                            }
+                        }
+                        let by = owned_segments_by(m, |t| {
+                            placement.owner_of_addr(line.addr(t as i64) as usize) == pe
+                        });
+                        assert_eq!(segs, by, "{scheme:?} {n_pes}x{page} {line:?} PE {pe}");
+                    }
+                    assert!(
+                        seen.iter().all(|&c| c == 1),
+                        "{scheme:?} {line:?}: {seen:?}"
+                    );
+                }
+            }
+        }
     }
 }

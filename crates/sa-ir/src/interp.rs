@@ -97,9 +97,16 @@ pub fn resolve_ref_addr(
     mem: &mut impl Memory,
 ) -> Result<usize, IrError> {
     let decl = program.array(aref.array);
-    let mut idx = Vec::with_capacity(aref.indices.len());
-    for ix in &aref.indices {
-        let v = match ix {
+    // Row-major linearization folded in as each index resolves (this runs
+    // once per reference per statement instance: no scratch vector). The
+    // first bounds failure is held back until every index has resolved, so
+    // all index loads still happen — and are counted — before the
+    // reference's own bounds are judged, as `ArrayDecl::linearize` after a
+    // full resolution pass would.
+    let mut addr = 0usize;
+    let mut out_of_bounds = None;
+    for (d, ix) in aref.indices.iter().enumerate() {
+        let i = match ix {
             IndexExpr::Affine(a) => a.eval(ivs),
             IndexExpr::Indirect {
                 base,
@@ -121,9 +128,31 @@ pub fn resolve_ref_addr(
                 scale * (fetched as i64) + offset
             }
         };
-        idx.push(v);
+        let Some(&extent) = decl.dims.get(d) else {
+            continue; // more indices than dimensions: a rank mismatch below
+        };
+        if i < 0 || i as usize >= extent {
+            out_of_bounds.get_or_insert((d, i, extent));
+        } else {
+            addr = addr * extent + i as usize;
+        }
     }
-    decl.linearize(&idx)
+    if aref.indices.len() != decl.dims.len() {
+        return Err(IrError::RankMismatch {
+            array: decl.name.clone(),
+            got: aref.indices.len(),
+            want: decl.dims.len(),
+        });
+    }
+    match out_of_bounds {
+        Some((dim, index, extent)) => Err(IrError::IndexOutOfBounds {
+            array: decl.name.clone(),
+            dim,
+            index,
+            extent,
+        }),
+        None => Ok(addr),
+    }
 }
 
 /// Final state of a program run.
@@ -466,6 +495,75 @@ mod tests {
         assert_eq!(got, (0..16).map(|i| 2.0 * i as f64).collect::<Vec<_>>());
         // Reads: one gather index load + one data load per iteration.
         assert_eq!(r.reads, 32);
+    }
+
+    #[test]
+    fn address_resolution_keeps_linearize_errors_and_their_precedence() {
+        // `resolve_ref_addr` folds the linearization in index by index; it
+        // must report what resolving every index first and handing the
+        // vector to `ArrayDecl::linearize` reports — after the same loads.
+        use crate::index::{AffineIndex, IndexExpr};
+        use crate::nest::ArrayRef;
+        let mut b = ProgramBuilder::new("addr");
+        let a = b.input("A", &[4, 5], InitPattern::Wavy);
+        let perm = b.input("P", &[8], InitPattern::Permutation { seed: 1 });
+        let p = b.finish();
+        let gather = |pos: i64, offset: i64| IndexExpr::Indirect {
+            base: perm,
+            pos: AffineIndex::constant(pos),
+            scale: 1,
+            offset,
+        };
+        let c = |v: i64| IndexExpr::Affine(AffineIndex::constant(v));
+        let cases: Vec<Vec<IndexExpr>> = vec![
+            vec![c(3), c(4)],                    // in bounds
+            vec![c(4), c(9)],                    // both out: dimension 0 wins
+            vec![c(0), c(-1)],                   // negative
+            vec![c(1)],                          // too few indices
+            vec![c(1), c(1), c(1)],              // too many
+            vec![c(9), gather(2, 100)],          // out in 0 and in the gathered 1
+            vec![gather(0, -100), gather(1, 0)], // both gathered
+            vec![c(9), gather(8, 0)],            // the index array's own bounds first
+        ];
+        for indices in cases {
+            let aref = ArrayRef::new(a, indices);
+            let mut mem = SeqMemory {
+                arrays: initial_stores(&p),
+                reads: 0,
+            };
+            let got = resolve_ref_addr(&p, &aref, &[], &mut mem);
+            let got_reads = mem.reads;
+
+            mem.reads = 0;
+            let want = (|| {
+                let mut idx = Vec::new();
+                for ix in &aref.indices {
+                    idx.push(match ix {
+                        IndexExpr::Affine(a) => a.eval(&[]),
+                        IndexExpr::Indirect {
+                            base,
+                            pos,
+                            scale,
+                            offset,
+                        } => {
+                            let at = pos.eval(&[]);
+                            if at < 0 || at as usize >= p.array(*base).len() {
+                                return Err(IrError::IndexOutOfBounds {
+                                    array: p.array(*base).name.clone(),
+                                    dim: 0,
+                                    index: at,
+                                    extent: p.array(*base).len(),
+                                });
+                            }
+                            scale * (mem.load(*base, at as usize)? as i64) + offset
+                        }
+                    });
+                }
+                p.array(a).linearize(&idx)
+            })();
+            assert_eq!(got, want, "{:?}", aref.indices);
+            assert_eq!(got_reads, mem.reads, "index loads of {:?}", aref.indices);
+        }
     }
 
     #[test]

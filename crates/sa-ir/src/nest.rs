@@ -75,11 +75,6 @@ impl ArrayRef {
     pub fn has_indirection(&self) -> bool {
         self.indices.iter().any(IndexExpr::is_indirect)
     }
-
-    /// All-affine index views, or `None` if any index is indirect.
-    pub fn affine_indices(&self) -> Option<Vec<&AffineIndex>> {
-        self.indices.iter().map(IndexExpr::as_affine).collect()
-    }
 }
 
 /// A statement executed for every iteration of the enclosing nest.

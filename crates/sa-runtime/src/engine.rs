@@ -1,20 +1,31 @@
-//! Spawn, coordinate and join the worker threads.
+//! Plan a run once, hand it to the worker pool, assemble the report.
+//!
+//! Everything a PE would otherwise re-derive for itself is worked out here,
+//! once per run, and shared read-only (`Plan`): the page→(owner, frame)
+//! table, the initial images, each nest's sweep list, how each statement's
+//! instances find their PE (`Screen`) and who contributes to each
+//! reduction. The PEs (`pe.rs`) then enumerate only what they own, on the
+//! worker threads of `pool.rs`.
 
-use crossbeam::channel::unbounded;
-
+use sa_core::parallel::default_workers;
 use sa_core::screening::PartitionMap;
-use sa_ir::Program;
-use sa_machine::{MachineConfig, Network, NetworkTopology, PartitionScheme, Stats};
+use sa_ir::access::{LinForm, Sweep};
+use sa_ir::analysis::{anchor_index_arrays, anchor_ref, linear_address_form};
+use sa_ir::interp::{resolve_ref_addr, Memory};
+use sa_ir::nest::{ArrayRef, LoopNest, Stmt};
+use sa_ir::program::{ArrayInit, Phase};
+use sa_ir::{ArrayId, IrError, Program, ReduceOp};
+use sa_machine::{MachineConfig, NetworkTopology, PartitionScheme, Stats};
 use sa_mem::SaArray;
 
-use crate::net::Msg;
-use crate::worker::{WaitObs, Worker, WorkerResult, WorkerSpec};
+use crate::pe::WaitObs;
+use crate::pool;
 
 /// Configuration of a real-thread run (the machine parameters that matter
 /// to the runtime; timing cost models remain simulator-side).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RuntimeConfig {
-    /// Number of worker threads (PEs).
+    /// Number of PEs (logical: they share a core-sized pool of threads).
     pub n_pes: usize,
     /// Page size in elements.
     pub page_size: usize,
@@ -83,9 +94,15 @@ pub enum RuntimeError {
     /// [`unsupported_reason`]); detected *before* any thread spawns, so an
     /// unsupported grid point fails soft instead of aborting a sweep.
     Unsupported(String),
-    /// A worker thread panicked (a semantic violation such as a double
-    /// write, or an internal bug); the payload is its panic message.
+    /// A PE hit a semantic violation (a double write, a read of a cell the
+    /// program never defines) and the run was torn down, or a worker
+    /// thread panicked on an internal bug; the payload is the reason.
     WorkerPanicked(String),
+    /// The run reached global quiescence with PEs still waiting on each
+    /// other: every worker thread parked, no message in flight. The payload
+    /// lists what each blocked PE waits for — the cyclic I-structure wait
+    /// `sapp lint` rejects statically as SA008.
+    Deadlocked(String),
 }
 
 impl core::fmt::Display for RuntimeError {
@@ -94,6 +111,7 @@ impl core::fmt::Display for RuntimeError {
             RuntimeError::InvalidConfig(m) => write!(f, "invalid runtime config: {m}"),
             RuntimeError::Unsupported(m) => write!(f, "unsupported program: {m}"),
             RuntimeError::WorkerPanicked(m) => write!(f, "worker panicked: {m}"),
+            RuntimeError::Deadlocked(m) => write!(f, "deadlocked: {m}"),
         }
     }
 }
@@ -102,8 +120,8 @@ impl std::error::Error for RuntimeError {}
 
 /// Why `program` cannot run on the thread runtime, or `None` if it can.
 ///
-/// The worker protocol resolves an indirect statement anchor (`A(P(i)) = …`)
-/// by reading the index array `P` — from a static mirror when `P` is fully
+/// The PE protocol resolves an indirect statement anchor (`A(P(i)) = …`)
+/// by reading the index array `P` — from its initial image when `P` is fully
 /// initialized, or over [`crate::net::Msg::IndirectFetch`] when `P` was
 /// produced by an *earlier* nest (its single assignment is then ordered
 /// before this nest by SSA sequencing, so deferred replies always arrive).
@@ -119,8 +137,8 @@ impl std::error::Error for RuntimeError {}
 /// write an index array only partially — or whose static initialization is
 /// only a [`sa_ir::program::ArrayInit::Prefix`] — passes here but errors
 /// during execution
-/// if a lookup lands on an undefined cell: the failing worker broadcasts
-/// an abort (locally detected reads immediately; remote requests once
+/// if a lookup lands on an undefined cell: the PE that detects it stops
+/// the run (locally detected reads immediately; remote requests once
 /// their owner runs out of program), and `execute` surfaces it as a typed
 /// [`RuntimeError::WorkerPanicked`], the same class of failure the
 /// reference interpreter reports as a `ReadUndefined`.
@@ -154,11 +172,11 @@ pub fn unsupported_reason(program: &Program) -> Option<String> {
 pub struct RuntimeReport {
     /// Aggregated access statistics (same categories as the simulator).
     pub stats: Stats,
-    /// Final array contents assembled from the workers' frames.
+    /// Final array contents assembled from the PEs' frames.
     pub arrays: Vec<SaArray<f64>>,
     /// Final reduction values.
     pub scalars: Vec<f64>,
-    /// Total messages sent across all workers — *everything* on the wire,
+    /// Total messages sent across all PEs — *everything* on the wire,
     /// including the categories below that the counting simulator's
     /// message model does not charge.
     pub messages: u64,
@@ -182,7 +200,7 @@ pub struct RuntimeReport {
     /// Heaviest directed-link traffic of the modeled messages (the
     /// contention bottleneck under the configured topology).
     pub max_link_load: u64,
-    /// Every realized read-after-write wait across all workers: reads whose
+    /// Every realized read-after-write wait across all PEs: reads whose
     /// reply the owner had to defer until the producing write landed. In
     /// debug builds [`execute`] asserts each of these is covered by an edge
     /// of `sa-lint`'s static dependence graph
@@ -202,90 +220,396 @@ impl RuntimeReport {
     }
 }
 
-/// Execute `program` on `cfg.n_pes` real threads.
+/// How the instances of one statement find their executing PE.
+pub(crate) enum Screen {
+    /// Affine anchor, in bounds on every instance: the owner of
+    /// `form(ivs)` in `array`. A PE takes its trips of a sweep closed-form
+    /// from the placement (`sa_core::screening::owned_segments`).
+    Affine {
+        /// Anchor array.
+        array: usize,
+        /// Linear address of the anchor element.
+        form: LinForm,
+    },
+    /// Anchorless statement: dealt round-robin by the counter that is
+    /// global across nests; `slot` is the statement's index among the
+    /// nest's anchorless ones.
+    RoundRobin {
+        /// Index among the nest's anchorless statements.
+        slot: u64,
+    },
+    /// Anchor through statically initialized index arrays at generation 0:
+    /// the owner of every iteration of the nest, in execution order,
+    /// resolved once per run against the initial images.
+    Table(Vec<u32>),
+    /// Anchor through an index array an earlier nest produced: every PE
+    /// resolves every instance at run time, over
+    /// [`crate::net::Msg::IndirectFetch`] where the cell is remote.
+    Resolve,
+}
+
+/// One run of a nest's innermost loop, as [`LoopNest::try_for_each_sweep`]
+/// yields it (the outer values live in [`NestPlan::sweep`]).
+pub(crate) struct SweepRec {
+    /// The innermost variable on trip 0.
+    pub lo: i64,
+    /// Its increment per trip.
+    pub step: i64,
+    /// Number of trips.
+    pub trips: usize,
+    /// Iterations of the nest before this sweep.
+    pub first: u64,
+}
+
+/// One reduction round after a nest: a `Reduce` statement's scalar is
+/// collected at its host and broadcast.
+pub(crate) struct ReducePlan {
+    /// Destination scalar slot.
+    pub scalar: usize,
+    /// Combining operator.
+    pub op: ReduceOp,
+    /// The round holding this scalar's participant set: this one, or the
+    /// earlier round of the same scalar.
+    pub set: usize,
+    /// In round `set` only: which PEs execute an instance of a statement
+    /// reducing into `scalar` in this nest, as far as the plan can screen
+    /// them.
+    pub participants: Vec<bool>,
+    /// In round `set` only: some of those statements are
+    /// [`Screen::Resolve`], and each PE completes the set itself as it
+    /// resolves.
+    pub resolved: bool,
+}
+
+/// A loop nest as every PE of the run sees it.
+pub(crate) struct NestPlan<'p> {
+    /// The nest.
+    pub nest: &'p LoopNest,
+    /// Outer loop-variable values of every sweep, `loops − 1` per sweep.
+    outers: Vec<i64>,
+    /// The nest's sweeps in execution order: collected once, so a PE's
+    /// place in the nest is a `(sweep, trip, statement)` cursor.
+    pub sweeps: Vec<SweepRec>,
+    /// Per body statement, how its instances are screened.
+    pub screens: Vec<Screen>,
+    /// Per body statement, the reduction round whose participant set
+    /// ([`ReducePlan::set`]) its instances add to (`None` for assignments).
+    pub parts_of: Vec<Option<usize>>,
+    /// The reduction rounds, one per `Reduce` statement in body order.
+    pub reduces: Vec<ReducePlan>,
+    /// Iterations of the whole nest.
+    iterations: u64,
+    /// The global anchorless-instance counter at nest entry.
+    pub rr_base: u64,
+    /// Anchorless statements per iteration.
+    pub rr_width: u64,
+}
+
+impl NestPlan<'_> {
+    /// The sweeps in execution order.
+    fn each_sweep(&self) -> impl Iterator<Item = Sweep<'_>> {
+        (0..self.sweeps.len()).map(|i| self.sweep(i))
+    }
+
+    /// Sweep `i` in the shape the access model works on.
+    pub fn sweep(&self, i: usize) -> Sweep<'_> {
+        let w = self.nest.loops.len().saturating_sub(1);
+        let s = &self.sweeps[i];
+        Sweep {
+            outer: &self.outers[i * w..(i + 1) * w],
+            lo: s.lo,
+            step: s.step,
+            trips: s.trips,
+        }
+    }
+}
+
+/// One phase of the program.
+pub(crate) enum PhasePlan<'p> {
+    /// Run a loop nest.
+    Loop(NestPlan<'p>),
+    /// Re-initialize an array (§5 barrier).
+    Reinit(usize),
+}
+
+/// Everything about a run that does not depend on which PE looks at it.
+pub(crate) struct Plan<'p> {
+    /// The program.
+    pub program: &'p Program,
+    /// Number of PEs.
+    pub n_pes: usize,
+    /// Page size in elements.
+    pub page_size: usize,
+    /// Cache capacity in pages (0 disables).
+    pub cache_pages: usize,
+    /// Interconnect topology pricing the modeled traffic.
+    pub network: NetworkTopology,
+    /// Per-array placements.
+    pub map: PartitionMap,
+    /// Per array and page: the owning PE and the frame's index among that
+    /// PE's frames of the array (ascending page order) — a load reaches
+    /// its frame without hashing, and the table is sized by the pages of
+    /// the program once, not once per PE.
+    pub pages: Vec<Vec<(u32, u32)>>,
+    /// Per array: the initially defined prefix, materialized once.
+    pub images: Vec<Vec<f64>>,
+    /// The phases in order.
+    pub phases: Vec<PhasePlan<'p>>,
+}
+
+/// The initial images as a [`Memory`]: what an anchor through statically
+/// initialized index arrays resolves against.
+struct Images<'a>(&'a [Vec<f64>]);
+
+impl Memory for Images<'_> {
+    fn load(&mut self, array: ArrayId, addr: usize) -> Result<f64, IrError> {
+        Ok(self.0[array.0][addr])
+    }
+}
+
+/// Loop-variable values of `sweep` on trip `t`, into `ivs`.
+fn iteration(ivs: &mut Vec<i64>, sweep: &Sweep<'_>, depth: usize, t: usize) {
+    ivs.clear();
+    ivs.extend_from_slice(sweep.outer);
+    if depth > 0 {
+        ivs.push(sweep.lo + sweep.step * t as i64);
+    }
+}
+
+impl<'p> Plan<'p> {
+    fn build(program: &'p Program, cfg: &RuntimeConfig) -> Result<Self, RuntimeError> {
+        let map = PartitionMap::new(program, &cfg.to_machine())
+            .map_err(|e| RuntimeError::InvalidConfig(e.to_string()))?;
+        let pages = (0..program.arrays.len())
+            .map(|a| {
+                let placement = map.placement(ArrayId(a));
+                let mut next = vec![0u32; cfg.n_pes];
+                (0..placement.pages())
+                    .map(|page| {
+                        let owner = placement.page_owner(page);
+                        next[owner] += 1;
+                        (owner as u32, next[owner] - 1)
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut plan = Plan {
+            program,
+            n_pes: cfg.n_pes,
+            page_size: cfg.page_size,
+            cache_pages: cfg.cache_pages(),
+            network: cfg.network,
+            map,
+            pages,
+            images: program
+                .arrays
+                .iter()
+                .map(|d| d.init.materialize(d.len()))
+                .collect(),
+            phases: Vec::with_capacity(program.phases.len()),
+        };
+        let mut reinitialized = vec![false; program.arrays.len()];
+        let mut rr_base = 0u64;
+        for phase in &program.phases {
+            let phase = match phase {
+                Phase::Reinit(id) => {
+                    reinitialized[id.0] = true;
+                    PhasePlan::Reinit(id.0)
+                }
+                Phase::Loop(nest) => {
+                    let np = plan.nest(nest, &reinitialized, rr_base)?;
+                    rr_base += np.rr_width * np.iterations;
+                    PhasePlan::Loop(np)
+                }
+            };
+            plan.phases.push(phase);
+        }
+        Ok(plan)
+    }
+
+    /// Owner of linear address `addr` of `array`.
+    fn owner(&self, array: usize, addr: usize) -> usize {
+        self.pages[array][addr / self.page_size].0 as usize
+    }
+
+    /// Screen one nest: the once-per-run form of what every PE of a
+    /// thread-per-PE engine would redo for itself.
+    fn nest(
+        &self,
+        nest: &'p LoopNest,
+        reinitialized: &[bool],
+        rr_base: u64,
+    ) -> Result<NestPlan<'p>, RuntimeError> {
+        let program = self.program;
+        let depth = nest.loops.len();
+        let mut np = NestPlan {
+            nest,
+            outers: Vec::new(),
+            sweeps: Vec::new(),
+            screens: Vec::with_capacity(nest.body.len()),
+            parts_of: vec![None; nest.body.len()],
+            reduces: Vec::new(),
+            iterations: 0,
+            rr_base,
+            rr_width: 0,
+        };
+        nest.for_each_sweep(|s| {
+            np.outers.extend_from_slice(s.outer);
+            np.sweeps.push(SweepRec {
+                lo: s.lo,
+                step: s.step,
+                trips: s.trips,
+                first: np.iterations,
+            });
+            np.iterations += s.trips as u64;
+        });
+        let iterations = np.iterations;
+
+        let mut ivs = Vec::with_capacity(depth);
+        for stmt in &nest.body {
+            let Some(anchor) = anchor_ref(stmt) else {
+                np.screens.push(Screen::RoundRobin { slot: np.rr_width });
+                np.rr_width += 1;
+                continue;
+            };
+            let screen = if !anchor.has_indirection() {
+                // The linear form is the owner function only while every
+                // index stays inside its own extent; an index is affine
+                // along a sweep, so the two end trips decide.
+                for sw in np.each_sweep() {
+                    for t in [0, sw.trips - 1] {
+                        iteration(&mut ivs, &sw, depth, t);
+                        if self.map.anchor_owner(program, stmt, &ivs).is_none() {
+                            return Err(first_anchor_error(program, anchor, &sw, depth));
+                        }
+                    }
+                }
+                match linear_address_form(program, anchor, depth) {
+                    Some(form) => Screen::Affine {
+                        array: anchor.array.0,
+                        form,
+                    },
+                    // More indices than dimensions, in a nest that never
+                    // iterates (or the check above had failed): no owners.
+                    None => Screen::Table(Vec::new()),
+                }
+            } else if anchor_index_arrays(stmt).iter().all(|b| {
+                matches!(program.array(*b).init, ArrayInit::Full(_)) && !reinitialized[b.0]
+            }) {
+                let mut owners = Vec::with_capacity(iterations as usize);
+                for sw in np.each_sweep() {
+                    for t in 0..sw.trips {
+                        iteration(&mut ivs, &sw, depth, t);
+                        let addr =
+                            resolve_ref_addr(program, anchor, &ivs, &mut Images(&self.images))
+                                .map_err(anchor_error)?;
+                        owners.push(self.owner(anchor.array.0, addr) as u32);
+                    }
+                }
+                Screen::Table(owners)
+            } else {
+                Screen::Resolve
+            };
+            np.screens.push(screen);
+        }
+
+        // Reduction rounds, and who takes part in each as far as the
+        // placement decides it. Statements reducing into one scalar share
+        // one participant set (and one partial accumulator per PE).
+        for (si, stmt) in nest.body.iter().enumerate() {
+            let Stmt::Reduce { target, op, .. } = stmt else {
+                continue;
+            };
+            let round = np.reduces.len();
+            let set = np.reduces.iter().position(|r| r.scalar == target.0);
+            let set = set.unwrap_or(round);
+            np.parts_of[si] = Some(set);
+            np.reduces.push(ReducePlan {
+                scalar: target.0,
+                op: *op,
+                set,
+                participants: vec![false; if set == round { self.n_pes } else { 0 }],
+                resolved: false,
+            });
+            let mut parts = std::mem::take(&mut np.reduces[set].participants);
+            match &np.screens[si] {
+                Screen::Affine { array, form } => {
+                    let ps = self.page_size as i64;
+                    for sw in np.each_sweep() {
+                        let line = form.line(&sw);
+                        let mut t = 0i64;
+                        while t < sw.trips as i64 {
+                            parts[self.owner(*array, line.addr(t) as usize)] = true;
+                            t = line.run_end(t, ps);
+                        }
+                    }
+                }
+                Screen::RoundRobin { slot } => {
+                    // The deal is periodic in the PE count.
+                    let n = self.n_pes as u64;
+                    for g in 0..iterations.min(n) {
+                        parts[((rr_base + g * np.rr_width + slot) % n) as usize] = true;
+                    }
+                }
+                Screen::Table(owners) => {
+                    for &pe in owners {
+                        parts[pe as usize] = true;
+                    }
+                }
+                Screen::Resolve => np.reduces[set].resolved = true,
+            }
+            np.reduces[set].participants = parts;
+        }
+        Ok(np)
+    }
+}
+
+/// An anchor no PE can be found for stops the run before it starts: every
+/// PE would meet the same instance.
+fn anchor_error(e: IrError) -> RuntimeError {
+    RuntimeError::WorkerPanicked(format!("anchor resolution failed: {e}"))
+}
+
+/// The error of the first trip of `sweep` whose affine anchor leaves its
+/// array, as the shared address resolution words it.
+fn first_anchor_error(
+    program: &Program,
+    anchor: &ArrayRef,
+    sweep: &Sweep<'_>,
+    depth: usize,
+) -> RuntimeError {
+    let mut ivs = Vec::with_capacity(depth);
+    for t in 0..sweep.trips {
+        iteration(&mut ivs, sweep, depth, t);
+        if let Err(e) = resolve_ref_addr(program, anchor, &ivs, &mut Images(&[])) {
+            return anchor_error(e);
+        }
+    }
+    unreachable!("an index that leaves its extent at a sweep's end leaves it on some trip")
+}
+
+/// Execute `program` on `cfg.n_pes` logical PEs, multiplexed onto one
+/// worker thread per available core.
 pub fn execute(program: &Program, cfg: &RuntimeConfig) -> Result<RuntimeReport, RuntimeError> {
+    execute_on(program, cfg, default_workers(cfg.n_pes))
+}
+
+/// [`execute`] on an explicit number of worker threads (clamped to
+/// `1..=n_pes`) — results and counts must not depend on it; the tests pin
+/// that without reading the machine's parallelism.
+#[doc(hidden)]
+pub fn execute_on(
+    program: &Program,
+    cfg: &RuntimeConfig,
+    workers: usize,
+) -> Result<RuntimeReport, RuntimeError> {
     cfg.validate()
         .map_err(|e| RuntimeError::InvalidConfig(e.to_string()))?;
     if let Some(reason) = unsupported_reason(program) {
         return Err(RuntimeError::Unsupported(reason));
     }
-    let machine_cfg = cfg.to_machine();
-    let map = PartitionMap::new(program, &machine_cfg)
-        .map_err(|e| RuntimeError::InvalidConfig(e.to_string()))?;
-
-    let mut txs = Vec::with_capacity(cfg.n_pes);
-    let mut rxs = Vec::with_capacity(cfg.n_pes);
-    for _ in 0..cfg.n_pes {
-        let (tx, rx) = unbounded::<Msg>();
-        txs.push(tx);
-        rxs.push(rx);
-    }
-    let (done_tx, done_rx) = unbounded::<usize>();
-    let mirrors = crate::worker::static_mirrors(program);
-
-    let results: Result<Vec<WorkerResult>, RuntimeError> = std::thread::scope(|s| {
-        let handles: Vec<_> = rxs
-            .into_iter()
-            .enumerate()
-            .map(|(me, inbox)| {
-                let spec = WorkerSpec {
-                    me,
-                    n_pes: cfg.n_pes,
-                    page_size: cfg.page_size,
-                    cache_pages: cfg.cache_pages(),
-                    network: cfg.network,
-                    inbox,
-                    peers: txs.clone(),
-                    mirrors: mirrors.clone(),
-                };
-                let map = map.clone();
-                let done = done_tx.clone();
-                s.spawn(move || Worker::new(program, map, spec).run(&done))
-            })
-            .collect();
-        // Only the workers hold completion senders: if they all unwind
-        // (a worker's abort broadcast takes its peers down with it), the
-        // recv below errors instead of blocking forever.
-        drop(done_tx);
-        // Workers stay alive (serving remote reads) until everyone is done.
-        let mut all_done = true;
-        for _ in 0..cfg.n_pes {
-            if done_rx.recv().is_err() {
-                all_done = false;
-                break;
-            }
-        }
-        for tx in &txs {
-            let _ = tx.send(Msg::Shutdown);
-        }
-        // Join everyone; a panicked worker's payload (the abort reason)
-        // beats the generic early-exit diagnosis.
-        let mut out = Vec::with_capacity(cfg.n_pes);
-        let mut first_panic: Option<String> = None;
-        for h in handles {
-            match h.join() {
-                Ok(r) => out.push(r),
-                Err(e) => {
-                    if first_panic.is_none() {
-                        let msg = e
-                            .downcast_ref::<String>()
-                            .cloned()
-                            .or_else(|| e.downcast_ref::<&str>().map(|s| s.to_string()))
-                            .unwrap_or_else(|| "unknown panic".into());
-                        first_panic = Some(msg);
-                    }
-                }
-            }
-        }
-        match first_panic {
-            Some(msg) => Err(RuntimeError::WorkerPanicked(msg)),
-            None if !all_done => Err(RuntimeError::WorkerPanicked(
-                "a worker exited before finishing".into(),
-            )),
-            None => Ok(out),
-        }
-    });
-    let results = results?;
+    let plan = Plan::build(program, cfg)?;
+    let (results, net) = pool::run(&plan, workers.clamp(1, cfg.n_pes))?;
 
     // Assemble global arrays from the owned frames.
     let mut arrays: Vec<SaArray<f64>> = program
@@ -293,10 +617,18 @@ pub fn execute(program: &Program, cfg: &RuntimeConfig) -> Result<RuntimeReport, 
         .iter()
         .map(|d| SaArray::new(d.name.clone(), d.len()))
         .collect();
+    for (a, table) in plan.pages.iter().enumerate() {
+        for (page, &(owner, slot)) in table.iter().enumerate() {
+            let frame = &results[owner as usize].frames[a][slot as usize];
+            let start = page * cfg.page_size;
+            for off in frame.fill().iter_set() {
+                arrays[a]
+                    .write(start + off, frame.values()[off])
+                    .expect("frames are disjoint across owners");
+            }
+        }
+    }
     let mut stats = Stats::new(cfg.n_pes);
-    // Per-worker accounting blocks merge exactly like the replay engine's
-    // shards: network arithmetic is purely additive.
-    let mut net = Network::new(cfg.network, cfg.n_pes);
     let mut messages = 0u64;
     let mut broadcast_messages = 0u64;
     let mut resolve_messages = 0u64;
@@ -308,20 +640,11 @@ pub fn execute(program: &Program, cfg: &RuntimeConfig) -> Result<RuntimeReport, 
         stats.partial_refetches += r.stats.partial_refetches;
         stats.reinit_messages += r.stats.reinit_messages;
         stats.reduction_messages += r.stats.reduction_messages;
-        net.merge(&r.net);
         messages += r.stats.messages_sent;
         broadcast_messages += r.stats.broadcast_messages;
         resolve_messages += r.stats.resolve_messages;
         sync_messages += r.stats.sync_messages;
         wait_edges.extend(r.wait_edges.iter().copied());
-        for (&(a, page), frame) in &r.frames {
-            let start = page * cfg.page_size;
-            for off in frame.fill().iter_set() {
-                arrays[a]
-                    .write(start + off, frame.values()[off])
-                    .expect("frames are disjoint across owners");
-            }
-        }
     }
     let scalars = results
         .first()
@@ -763,6 +1086,128 @@ mod tests {
                 "{msg}"
             );
         }
+    }
+
+    #[test]
+    fn cyclic_exchange_is_a_typed_deadlock_not_a_hang() {
+        // W(k) = X(1-k), then X(k) = W(1-k), on 2 PEs with 1-element pages
+        // (`sa-lint`'s `cyclic_exchange_mutant`, SA008): each PE defers on
+        // the other in the first nest. Neither is finished nor syncing, so
+        // no dangling-read rule fires; the pool sees that nothing can move.
+        let mut b = ProgramBuilder::new("mutant");
+        let w = b.output("W", &[2]);
+        let x = b.output("X", &[2]);
+        b.nest("xch1", &[("k", 0, 1)], |nb| {
+            nb.assign(w, [iv(0)], nb.read(x, [iv(0).scale(-1).plus(1)]));
+        });
+        b.nest("xch2", &[("k", 0, 1)], |nb| {
+            nb.assign(x, [iv(0)], nb.read(w, [iv(0).scale(-1).plus(1)]));
+        });
+        let prog = b.finish();
+        let cfg = RuntimeConfig {
+            cache_elems: 0,
+            ..RuntimeConfig::paper(2, 1)
+        };
+        for workers in [1usize, 2] {
+            let err = execute_on(&prog, &cfg, workers).expect_err("must fail, not hang");
+            let msg = err.to_string();
+            assert!(matches!(err, RuntimeError::Deadlocked(_)), "{msg}");
+            for needle in [
+                "`xch1`/s0 on PE0",
+                "`X`[1] from PE1",
+                "`X`[0] from PE0",
+                "`W`",
+            ] {
+                assert!(msg.contains(needle), "no {needle:?} in: {msg}");
+            }
+            assert!(msg.contains("SA008") && msg.contains("sapp lint"), "{msg}");
+        }
+    }
+
+    #[test]
+    fn reduction_anchored_through_a_produced_index_array_screens_at_run_time() {
+        // s = Σ D(P(k)) with P produced by an earlier nest: the reduction's
+        // anchor resolves over IndirectFetch, so no PE can know the
+        // participant set up front — each learns it while it screens. The
+        // partial-collection traffic must still be the simulator's.
+        let n = 96usize;
+        let mut b = ProgramBuilder::new("dyn-reduce");
+        let d = b.input("D", &[n], InitPattern::Wavy);
+        let p = b.output("P", &[n]);
+        let s = b.scalar("s");
+        b.nest("g0", &[("k", 0, n as i64 - 1)], |nb| {
+            nb.assign(
+                p,
+                [iv(0)],
+                sa_ir::Expr::Const(n as f64 - 1.0) - sa_ir::Expr::LoopVar(0),
+            );
+        });
+        b.nest("g1", &[("k", 0, n as i64 / 4)], |nb| {
+            nb.reduce(s, sa_ir::ReduceOp::Sum, nb.read_indirect(d, p, iv(0)));
+        });
+        let prog = b.finish();
+        for n_pes in [1usize, 3, 8] {
+            let cfg = RuntimeConfig::paper(n_pes, 8);
+            let sim = sa_core::simulate(&prog, &cfg.to_machine()).expect("sim");
+            for workers in [1, n_pes] {
+                let rep = execute_on(&prog, &cfg, workers).unwrap();
+                assert_eq!(rep.stats.reduction_messages, sim.stats.reduction_messages);
+                assert_eq!(rep.stats.writes(), sim.stats.writes());
+                assert_eq!(rep.stats.total_reads(), sim.stats.total_reads());
+                assert!((rep.scalars[0] - sim.scalars[0]).abs() < 1e-9);
+            }
+            check_against_reference(&prog, &cfg);
+        }
+    }
+
+    #[test]
+    fn two_reductions_into_one_scalar_share_one_partial() {
+        let n = 64usize;
+        let mut b = ProgramBuilder::new("twice");
+        let y = b.input("Y", &[n], InitPattern::Wavy);
+        let z = b.input("Z", &[n + 9], InitPattern::Harmonic);
+        let s = b.scalar("s");
+        b.nest("sum", &[("k", 0, n as i64 - 1)], |nb| {
+            nb.reduce(s, sa_ir::ReduceOp::Sum, nb.read(y, [iv(0)]));
+            nb.reduce(s, sa_ir::ReduceOp::Sum, nb.read(z, [iv(0).plus(9)]));
+        });
+        let prog = b.finish();
+        for n_pes in [1usize, 2, 5] {
+            check_against_reference(&prog, &RuntimeConfig::paper(n_pes, 8));
+        }
+    }
+
+    #[test]
+    fn an_anchor_that_leaves_its_array_is_a_typed_error_before_any_pe_runs() {
+        // X(k+8) over k = 0..15 on a 16-element X: every PE would screen
+        // the same out-of-bounds instance.
+        let mut b = ProgramBuilder::new("oob-anchor");
+        let y = b.input("Y", &[16], InitPattern::Wavy);
+        let x = b.output("X", &[16]);
+        b.nest("bad", &[("k", 0, 15)], |nb| {
+            nb.assign(x, [iv(0).plus(8)], nb.read(y, [iv(0)]));
+        });
+        let prog = b.finish();
+        let want = sa_ir::interpret(&prog).unwrap_err().to_string();
+        for n_pes in [1usize, 4] {
+            let err = execute(&prog, &RuntimeConfig::paper(n_pes, 4)).unwrap_err();
+            let msg = err.to_string();
+            assert!(matches!(err, RuntimeError::WorkerPanicked(_)), "{msg}");
+            assert!(msg.contains("anchor resolution failed"), "{msg}");
+            assert!(msg.contains(&want), "{msg} does not carry {want}");
+        }
+        // A statically gathered anchor that leaves its array, likewise.
+        let mut b = ProgramBuilder::new("oob-scatter");
+        let y = b.input("Y", &[16], InitPattern::Wavy);
+        let p = b.input("P", &[16], InitPattern::Permutation { seed: 3 });
+        let x = b.output("X", &[8]);
+        b.nest("bad", &[("k", 0, 15)], |nb| {
+            nb.assign_indirect(x, p, iv(0), nb.read(y, [iv(0)]));
+        });
+        let err = execute(&b.finish(), &RuntimeConfig::paper(4, 4)).unwrap_err();
+        let msg = err.to_string();
+        assert!(matches!(err, RuntimeError::WorkerPanicked(_)), "{msg}");
+        assert!(msg.contains("anchor resolution failed"), "{msg}");
     }
 
     #[test]

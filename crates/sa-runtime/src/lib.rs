@@ -1,24 +1,66 @@
 //! # sa-runtime — real-thread execution engine
 //!
-//! Everything the simulator *counts*, this crate actually *does*: one OS
-//! thread per PE, crossbeam channels as the interconnect, page
-//! request/reply messages for remote reads, I-structure deferral for reads
-//! of not-yet-produced cells, partial-result collection at host PEs for
-//! reductions, and the §5 host-processor protocol for re-initialization.
+//! Everything the simulator *counts*, this crate actually *does*: PEs with
+//! private page frames, owner-computes by index screening, channels as the
+//! interconnect, page request/reply messages for remote reads, I-structure
+//! deferral for reads of not-yet-produced cells, partial-result collection
+//! at host PEs for reductions, and the §5 host-processor protocol for
+//! re-initialization.
+//!
+//! ## Logical PEs on a core-sized worker pool
+//!
+//! A run has `n_pes` *logical* PEs and one OS thread per available core
+//! (never more threads than PEs). Each worker thread owns a fixed,
+//! contiguous share of the PEs; no PE is ever touched by two threads.
+//!
+//! * **A PE is a resumable task**, not a thread: its owned page frames,
+//!   cache and deferral queues, plus a cursor `(sweep, trip, statement)`
+//!   into the run's shared sweep lists and a small state for the waits
+//!   between nests (reduction collect/broadcast, the four §5 barrier
+//!   stages). It enumerates **only the instances it owns**: per sweep, its
+//!   trips come closed-form from the placement
+//!   (`sa_core::screening::owned_segments`, the compile-time form of the
+//!   paper's §3 index screening, shared with the replay engine). What every
+//!   PE would otherwise re-derive — page owners, initial images, sweep
+//!   lists, reduction participants — is worked out once per run.
+//! * **A PE yields** when an instance needs a page that is neither local
+//!   nor cached (the request goes out and the worker runs another PE),
+//!   when it reaches a reduction or re-initialization barrier whose
+//!   messages are not all in, when a bounded slice of instances has
+//!   passed, and when it runs out of program. Serving a peer's fetch never
+//!   waits for the addressed PE's turn: between any two instance
+//!   evaluations the worker takes in the messages for *all* of its PEs.
+//! * **The resume rule.** When the reply arrives, the suspended instance is
+//!   evaluated again *from the start* — single assignment makes evaluation
+//!   free of side effects up to the write. A per-PE operand log keeps the
+//!   statistics exact: every load is classified, counted, cache-probed and
+//!   fetched exactly once however often the instance is resumed.
+//! * **The quiescence rule.** A cross-worker message is counted before it
+//!   is sent and discounted when its receiver next parks. When the last
+//!   worker to park finds the count at zero nothing can ever move again:
+//!   the run is over — normally, or, if some PE still has program left,
+//!   as [`RuntimeError::Deadlocked`], naming what each blocked PE waits
+//!   for (the cyclic wait `sapp lint` rejects statically as SA008). A
+//!   deadlocked program returns an error; it cannot hang, and there is no
+//!   timeout or watchdog thread.
 //!
 //! The engine demonstrates the paper's central claim operationally: with
-//! single assignment, **no locks, barriers or programmer-inserted
-//! synchronization exist anywhere in the worker loop** — write-before-read
-//! is enforced entirely by the memory (an undefined cell queues its reader;
-//! the producer's write releases it), and cached pages never need
-//! invalidation within a generation.
+//! single assignment, **the program needs no locks, barriers or
+//! programmer-inserted synchronization** — write-before-read is enforced
+//! entirely by the memory (an undefined cell queues its reader; the
+//! producer's write releases it), and cached pages never need invalidation
+//! within a generation. A PE's own code takes no lock and waits on no
+//! barrier other than the paper's §5/§9 message rounds; the scheduler's
+//! queues, its two counters and the mutex that records a failure belong
+//! to the engine, not to the program it runs.
 //!
-//! Indirect (gather/scatter) statement anchors run too: before owner
-//! screening, workers resolve the gathered subscript — from a local mirror
-//! when the index array is statically initialized, or over
-//! [`net::Msg::IndirectFetch`] messages (with the same deferral rule) when
-//! an earlier nest produced it — via the shared
-//! `PartitionMap::resolved_anchor_owner` path, so the *entire* Livermore
+//! Indirect (gather/scatter) statement anchors run too: an anchor through
+//! statically initialized index arrays is screened once per run against
+//! the initial images, one through an index array an earlier nest produced
+//! is resolved by every PE over [`net::Msg::IndirectFetch`] messages (with
+//! the same deferral rule) via the shared
+//! `PartitionMap::resolved_anchor_owner` path — the one case where a PE
+//! still visits instances it does not own — so the *entire* Livermore
 //! suite executes on real threads. Only a genuinely dynamic shape (an
 //! index array produced in the nest that anchors through it) is rejected,
 //! up front and softly, as [`RuntimeError::Unsupported`].
@@ -33,7 +75,8 @@
 //! the test suite; access statistics correspond to the counting simulator
 //! under its realistic partial-page `Refetch` policy (timing-dependent
 //! fetch interleavings can only *add* refetches, never change values), and
-//! `tests/runtime_full_suite.rs` certifies count parity across the suite.
+//! `tests/runtime_full_suite.rs` certifies count parity across the suite
+//! and across pool sizes.
 
 #![warn(missing_docs)]
 
@@ -41,8 +84,11 @@ pub mod engine;
 pub mod net;
 pub mod oracle;
 pub mod pagecache;
-pub mod worker;
+mod pe;
+mod pool;
 
-pub use engine::{execute, unsupported_reason, RuntimeConfig, RuntimeError, RuntimeReport};
+pub use engine::{
+    execute, execute_on, unsupported_reason, RuntimeConfig, RuntimeError, RuntimeReport,
+};
 pub use oracle::ThreadOracle;
-pub use worker::WaitObs;
+pub use pe::WaitObs;

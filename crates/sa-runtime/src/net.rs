@@ -128,18 +128,6 @@ pub enum Msg {
         /// Array identity.
         array: usize,
     },
-    /// A worker hit an unrecoverable error (e.g. anchor resolution read a
-    /// cell the program never defines) and is unwinding: peers must stop
-    /// too, so the run tears down as a typed `RuntimeError` instead of
-    /// deadlocking on replies that will never come.
-    Abort {
-        /// The failing PE.
-        from: usize,
-        /// Its error message, relayed into every peer's panic payload.
-        reason: String,
-    },
-    /// Coordinator tells a finished worker to stop serving and exit.
-    Shutdown,
 }
 
 #[cfg(test)]

@@ -1,0 +1,1310 @@
+//! One logical PE as a resumable task: owned schedule, message serving,
+//! deferral.
+//!
+//! A PE never walks a nest by closure and never blocks its OS thread. Its
+//! control state is a cursor `(sweep, trip, statement)` into the run's
+//! shared sweep lists ([`NestPlan`]) plus a small [`State`] for the waits
+//! between nests; the worker thread that owns it ([`crate::pool`]) calls
+//! [`Pe::run`] while it can move and [`Pe::handle`] whenever a message for
+//! it arrives — serving a peer's fetch is a frame read or a deferral and
+//! never needs the PE's own control flow.
+//!
+//! **Owned schedules.** Per sweep, the trips a statement executes *here*
+//! come from the placement ([`owned_segments`], the compile-time form of
+//! the paper's §3 index screening): the PE enumerates only what it owns.
+//! Only a statement anchored through an index array an earlier nest
+//! produced ([`Screen::Resolve`]) still visits every trip and resolves the
+//! owner over [`Msg::IndirectFetch`].
+//!
+//! **The resume rule.** An instance whose evaluation meets a load that is
+//! neither local nor cached issues the page request and gives up; when the
+//! reply arrives the instance is evaluated again *from the start* — single
+//! assignment makes evaluation free of side effects up to the write. The
+//! operand log keeps that exact: every non-local load is classified,
+//! counted, cache-probed and fetched once, on the attempt that first
+//! reaches it, and the k-th non-local load of a later attempt takes the
+//! k-th logged value; local reads are counted by the attempt that reaches
+//! the write.
+
+use std::collections::{HashMap, HashSet};
+
+use sa_core::screening::{owned_segments, owned_segments_by};
+use sa_ir::interp::{EvalCtx, Memory};
+use sa_ir::nest::Stmt;
+use sa_ir::program::ArrayInit;
+use sa_ir::{ArrayId, IrError};
+use sa_machine::{host_of, PageKey, PeCounters};
+use sa_mem::TaggedPage;
+
+use crate::engine::{NestPlan, PhasePlan, Plan, Screen};
+use crate::net::Msg;
+use crate::pagecache::ValueCache;
+use crate::pool::Outbox;
+
+/// Access/message statistics gathered by one PE.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct PeStats {
+    /// The four access categories, as in the simulator.
+    pub counters: PeCounters,
+    /// Page fetch requests issued.
+    pub page_fetches: u64,
+    /// Fetches that re-requested a partially filled cached page.
+    pub partial_refetches: u64,
+    /// Total messages this PE sent.
+    pub messages_sent: u64,
+    /// Messages spent in re-initialization rounds.
+    pub reinit_messages: u64,
+    /// Messages carrying reduction partials to their host PE (the traffic
+    /// the simulator's §9 model charges).
+    pub reduction_messages: u64,
+    /// Scalar-result broadcast messages (the runtime implements the
+    /// simulator's "implicit availability broadcast" with real messages;
+    /// kept separate so the two message models stay comparable).
+    pub broadcast_messages: u64,
+    /// Anchor-resolution messages ([`Msg::IndirectFetch`] requests and
+    /// their replies). The simulator resolves indirect anchors with an
+    /// uncounted peek, so these too are tallied outside the §4 fetch model.
+    pub resolve_messages: u64,
+    /// Barrier-hardening messages ([`Msg::ReinitAck`]/[`Msg::ReinitGo`]):
+    /// the second re-initialization round that keeps released PEs from
+    /// racing ahead of still-syncing peers. The paper's §5 model charges
+    /// only the request/release rounds, so these stay outside the modeled
+    /// count.
+    pub sync_messages: u64,
+}
+
+/// One locally owned page frame: contents plus presence bits.
+pub(crate) type Frame = TaggedPage;
+
+/// One *realized* read-after-write wait: this PE's read (at the statement
+/// site it was executing or screening) could not be answered immediately —
+/// the owner queued it until the cell's producer wrote the value. These
+/// are exactly the waits `sa-lint`'s static dependence graph must cover
+/// (`DepGraph::covers_wait`), and the runtime asserts that in debug builds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct WaitObs {
+    /// Phase index of the statement whose evaluation blocked.
+    pub phase: usize,
+    /// Statement index within the phase's nest body.
+    pub stmt: usize,
+    /// Array whose cell the read waited on.
+    pub array: usize,
+    /// Flat element address of the waited-on cell.
+    pub addr: usize,
+    /// The array's generation at wait time.
+    pub generation: u32,
+}
+
+/// Everything a PE hands back when the run stops.
+pub(crate) struct PeResult {
+    /// Statistics.
+    pub stats: PeStats,
+    /// Owned frames, `frames[array][slot]` as laid out by [`Plan::pages`].
+    pub frames: Vec<Vec<Frame>>,
+    /// Final scalar values (identical on every PE).
+    pub scalars: Vec<f64>,
+    /// Every deferred reply this PE received, i.e. its realized
+    /// read-after-write waits, in arrival order.
+    pub wait_edges: Vec<WaitObs>,
+    /// What the PE was waiting for if it never finished the program.
+    pub blocked: Option<String>,
+}
+
+/// A queued remote reader of a not-yet-defined cell (paper §4).
+#[derive(Debug, Clone, Copy)]
+struct Waiter {
+    pe: usize,
+    generation: u32,
+    /// Whether the reader asked via [`Msg::IndirectFetch`] (anchor
+    /// resolution) rather than a counted page request.
+    indirect: bool,
+}
+
+/// The one request a PE has outstanding while an instance is suspended.
+#[derive(Debug, Clone, Copy)]
+struct Pending {
+    /// An [`Msg::IndirectFetch`] (anchor resolution), not a counted fetch.
+    indirect: bool,
+    array: usize,
+    addr: usize,
+    owner: usize,
+}
+
+/// The error a suspended evaluation unwinds with. It never reaches a user:
+/// [`PeMem::stop`] tells it from a real failure by the pending request.
+fn suspended(addr: usize) -> IrError {
+    IrError::ReadUndefined {
+        array: String::new(),
+        addr,
+    }
+}
+
+/// Why an instance did not complete.
+enum Stop {
+    /// A request is out; the instance runs again when the reply is in.
+    Suspended,
+    /// The run is over, with this reason.
+    Fail(String),
+}
+
+/// What [`Pe::run`] reports to the worker that scheduled it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Progress {
+    /// The slice is used up; the PE can go on.
+    Yielded,
+    /// Nothing to do until a message arrives — or ever again, once the PE
+    /// is out of program and only serves.
+    Blocked,
+}
+
+/// Where a PE is between two instance evaluations.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum State {
+    /// About to enter phase `Pe::phase`.
+    Enter,
+    /// Walking its owned instances of the phase's nest.
+    Nest,
+    /// Past the instances, in reduction round `round` of the nest: the
+    /// scalar's host collects the partials and broadcasts, everyone else
+    /// ships its partial (once: `sent`) and awaits the broadcast.
+    Reduce { round: usize, sent: bool },
+    /// §5, host: collecting every PE's re-initialization request.
+    ReinitCollect,
+    /// §5, host: released; collecting every PE's acknowledgement.
+    ReinitAcks,
+    /// §5, everyone else: request sent; awaiting the release.
+    ReinitRelease,
+    /// §5, everyone else: release applied and acknowledged; awaiting the go.
+    ReinitGo,
+    /// Out of program.
+    Done,
+}
+
+/// A PE's place in the current nest. The owned segments are those of
+/// sweep `sweep` once `loaded`.
+#[derive(Debug, Default)]
+struct Cursor {
+    sweep: usize,
+    trip: usize,
+    stmt: usize,
+    loaded: bool,
+    /// Loop-variable values of the current iteration, outermost first.
+    ivs: Vec<i64>,
+    /// Per statement, the trips of this sweep it executes here.
+    segs: Vec<Vec<(usize, usize)>>,
+    /// Per statement, the first segment not wholly behind `trip`.
+    at: Vec<usize>,
+}
+
+impl Cursor {
+    /// Whether statement `si` executes here on the current trip.
+    fn owns(&mut self, si: usize) -> bool {
+        let (segs, at) = (&self.segs[si], &mut self.at[si]);
+        while segs.get(*at).is_some_and(|s| s.1 <= self.trip) {
+            *at += 1;
+        }
+        segs.get(*at).is_some_and(|s| s.0 <= self.trip)
+    }
+
+    /// The first trip at or after `from` some statement executes here
+    /// (`trips` if there is none).
+    fn next_owned(&mut self, from: usize, trips: usize) -> usize {
+        let mut next = trips;
+        for (segs, at) in self.segs.iter().zip(&mut self.at) {
+            while segs.get(*at).is_some_and(|s| s.1 <= from) {
+                *at += 1;
+            }
+            if let Some(s) = segs.get(*at) {
+                next = next.min(s.0.max(from));
+            }
+        }
+        next
+    }
+}
+
+/// Machine-side state of a PE: everything serving a peer touches (split
+/// from the evaluation context and the cursor so expression evaluation can
+/// borrow them disjointly).
+struct PeMem {
+    me: usize,
+    /// Owned frames, `frames[array][slot]` ([`Plan::pages`] maps a page to
+    /// its owner and slot).
+    frames: Vec<Vec<Frame>>,
+    gens: Vec<u32>,
+    cache: ValueCache,
+    cache_enabled: bool,
+    cell_waiters: HashMap<(usize, usize), Vec<Waiter>>, // addr → waiters
+    partials_inbox: HashMap<(usize, u64), Vec<f64>>,
+    scalar_ready: HashMap<(usize, u64), f64>,
+    reinit_requests: HashMap<usize, usize>,
+    reinit_released: HashMap<usize, u32>,
+    reinit_acks: HashMap<usize, usize>,
+    reinit_go: HashSet<usize>,
+    /// Resolution snapshots fetched via [`Msg::IndirectFetch`], keyed like
+    /// the page cache but unbounded and uncounted: ownership screening
+    /// must not perturb the measured access statistics.
+    resolutions: HashMap<PageKey, TaggedPage>,
+    /// True once this PE has executed every phase of the program and only
+    /// serves peers: a fetch of a still-undefined owned cell can then
+    /// never be satisfied (this PE was its only producer) and aborts the
+    /// run instead of deadlocking it.
+    finished: bool,
+    /// True while this PE sits inside the §5 re-initialization barrier,
+    /// *before* its release is applied (the host stays syncing until it
+    /// has broadcast [`Msg::ReinitGo`]). A release is only possible once
+    /// every PE has reached the barrier, so while syncing a fetch of an
+    /// undefined owned cell belongs to a peer that is blocked *before* the
+    /// barrier and will never arrive — same dead end as
+    /// [`PeMem::finished`]. After the release, deferral is safe again and
+    /// the go round keeps this PE serving until every peer is past its own
+    /// release.
+    syncing: bool,
+    stats: PeStats,
+    /// Statement site currently being executed or screened — the reader
+    /// coordinates stamped onto [`WaitObs`] records when a fetch issued
+    /// from here comes back deferred.
+    cur_phase: usize,
+    cur_stmt: usize,
+    /// Realized read-after-write waits observed by this PE.
+    wait_edges: Vec<WaitObs>,
+    /// Values of the current instance's non-local loads, in evaluation
+    /// order, as far as any attempt got.
+    oplog: Vec<f64>,
+    /// Logged loads the current attempt has taken.
+    replayed: usize,
+    /// Local reads of the current attempt (counted when it completes).
+    local_reads: u64,
+    /// The request the suspended instance waits on.
+    pending: Option<Pending>,
+}
+
+impl PeMem {
+    fn send(&mut self, out: &mut Outbox, to: usize, msg: Msg) {
+        self.stats.messages_sent += 1;
+        out.send(to, msg);
+    }
+
+    /// Human-readable array reference for abort messages: `` `X` (array#2) ``.
+    fn array_label(plan: &Plan<'_>, array: usize) -> String {
+        format!("`{}` (array#{array})", plan.program.arrays[array].name)
+    }
+
+    fn frame(&self, plan: &Plan<'_>, array: usize, page: usize) -> &Frame {
+        let (owner, slot) = plan.pages[array][page];
+        debug_assert_eq!(owner as usize, self.me, "frame of a page owned elsewhere");
+        &self.frames[array][slot as usize]
+    }
+
+    /// Classify an evaluation error: the unwinding of a suspension, or the
+    /// program's own failure.
+    fn stop(&self, e: IrError) -> Stop {
+        if self.pending.is_some() {
+            Stop::Suspended
+        } else {
+            Stop::Fail(e.to_string())
+        }
+    }
+
+    /// The instance reached its write: its local reads count, and the next
+    /// instance starts with an empty operand log.
+    fn commit_reads(&mut self) {
+        self.stats.counters.local_reads += self.local_reads;
+        self.oplog.clear();
+    }
+
+    /// Reply to a page request from the local frame. `indirect` routes the
+    /// copy to the requester's resolution store; `deferred` tells the
+    /// requester its read was queued behind the producer's write (a
+    /// realized RAW wait) rather than served at once.
+    fn reply_page(
+        &mut self,
+        plan: &Plan<'_>,
+        out: &mut Outbox,
+        key: PageKey,
+        to: usize,
+        indirect: bool,
+        deferred: bool,
+    ) {
+        let PageKey {
+            array,
+            page,
+            generation,
+        } = key;
+        let data = self.frame(plan, array, page).clone();
+        let msg = if indirect {
+            self.stats.resolve_messages += 1;
+            Msg::IndirectReply {
+                array,
+                page,
+                generation,
+                data,
+                deferred,
+            }
+        } else {
+            Msg::PageReply {
+                array,
+                page,
+                generation,
+                data,
+                deferred,
+            }
+        };
+        self.send(out, to, msg);
+    }
+
+    /// Serve one fetch-style request: reply if the cell is defined, defer
+    /// otherwise (the paper's queued remote read, §4).
+    fn serve_fetch(
+        &mut self,
+        plan: &Plan<'_>,
+        out: &mut Outbox,
+        key: PageKey,
+        offset: usize,
+        from: usize,
+        indirect: bool,
+    ) -> Result<(), String> {
+        let PageKey {
+            array,
+            page,
+            generation,
+        } = key;
+        debug_assert_eq!(
+            generation, self.gens[array],
+            "request for a generation the owner has left"
+        );
+        if self.frame(plan, array, page).get(offset).is_some() {
+            self.reply_page(plan, out, key, from, indirect, false);
+            return Ok(());
+        }
+        let addr = page * plan.page_size + offset;
+        if self.finished || self.syncing {
+            // This PE is the cell's only producer under owner-computes, and
+            // it will never write again before the requester unblocks: it
+            // has either run out of program, or it sits inside the
+            // two-round re-initialization barrier — which no PE has left
+            // yet (leaving requires every PE's ack), so the requester is
+            // blocked *before* the barrier and can never reach it. Tear
+            // the run down instead of deferring forever.
+            let label = Self::array_label(plan, array);
+            return Err(format!(
+                "PE {from} read {label}[{addr}], which this program never \
+                 defines — a dangling I-structure deferral (sapp lint: SA004)"
+            ));
+        }
+        self.cell_waiters
+            .entry((array, addr))
+            .or_default()
+            .push(Waiter {
+                pe: from,
+                generation,
+                indirect,
+            });
+        Ok(())
+    }
+
+    /// Take in one message. `Ok(true)` when it may have unblocked the PE's
+    /// own control flow (a reply, or a barrier/reduction message).
+    fn handle(&mut self, plan: &Plan<'_>, out: &mut Outbox, msg: Msg) -> Result<bool, String> {
+        match msg {
+            Msg::PageRequest {
+                array,
+                page,
+                generation,
+                offset,
+                from,
+            } => {
+                let key = PageKey {
+                    array,
+                    page,
+                    generation,
+                };
+                self.serve_fetch(plan, out, key, offset, from, false)?;
+                return Ok(false);
+            }
+            Msg::IndirectFetch {
+                array,
+                page,
+                generation,
+                offset,
+                from,
+            } => {
+                let key = PageKey {
+                    array,
+                    page,
+                    generation,
+                };
+                self.serve_fetch(plan, out, key, offset, from, true)?;
+                return Ok(false);
+            }
+            Msg::PageReply {
+                array,
+                page,
+                generation,
+                data,
+                deferred,
+            } => {
+                let key = PageKey {
+                    array,
+                    page,
+                    generation,
+                };
+                let addr = self.take_reply(plan, false, key, deferred);
+                let v = data
+                    .get(addr - page * plan.page_size)
+                    .expect("owner replied before the cell was defined");
+                if self.cache_enabled {
+                    self.cache.insert(key, data);
+                }
+                self.oplog.push(v);
+            }
+            Msg::IndirectReply {
+                array,
+                page,
+                generation,
+                data,
+                deferred,
+            } => {
+                let key = PageKey {
+                    array,
+                    page,
+                    generation,
+                };
+                let addr = self.take_reply(plan, true, key, deferred);
+                debug_assert!(
+                    data.get(addr - page * plan.page_size).is_some(),
+                    "owner resolved before the cell was defined"
+                );
+                self.resolutions
+                    .entry(key)
+                    .and_modify(|p| p.merge_from(&data))
+                    .or_insert(data);
+            }
+            Msg::Partial {
+                scalar, seq, value, ..
+            } => {
+                self.partials_inbox
+                    .entry((scalar, seq))
+                    .or_default()
+                    .push(value);
+            }
+            Msg::ScalarValue { scalar, seq, value } => {
+                self.scalar_ready.insert((scalar, seq), value);
+            }
+            Msg::ReinitRequest { array, .. } => {
+                *self.reinit_requests.entry(array).or_insert(0) += 1;
+            }
+            Msg::ReinitRelease { array, generation } => {
+                self.reinit_released.insert(array, generation);
+            }
+            Msg::ReinitAck { array, .. } => {
+                *self.reinit_acks.entry(array).or_insert(0) += 1;
+            }
+            Msg::ReinitGo { array } => {
+                self.reinit_go.insert(array);
+            }
+        }
+        Ok(true)
+    }
+
+    /// Match a reply against the outstanding request (one at a time) and
+    /// record the wait if the owner had deferred it. Returns the address
+    /// the request was for.
+    fn take_reply(
+        &mut self,
+        plan: &Plan<'_>,
+        indirect: bool,
+        key: PageKey,
+        deferred: bool,
+    ) -> usize {
+        let p = self
+            .pending
+            .take()
+            .expect("a reply answers the one outstanding request");
+        debug_assert_eq!(
+            (p.indirect, p.array, p.addr / plan.page_size),
+            (indirect, key.array, key.page)
+        );
+        debug_assert_eq!(self.gens[key.array], key.generation);
+        if deferred {
+            self.wait_edges.push(WaitObs {
+                phase: self.cur_phase,
+                stmt: self.cur_stmt,
+                array: key.array,
+                addr: p.addr,
+                generation: key.generation,
+            });
+        }
+        p.addr
+    }
+
+    /// Producer write into an owned frame; releases queued remote readers.
+    fn local_write(
+        &mut self,
+        plan: &Plan<'_>,
+        out: &mut Outbox,
+        array: usize,
+        addr: usize,
+        value: f64,
+    ) -> Result<(), String> {
+        let page = addr / plan.page_size;
+        let offset = addr - page * plan.page_size;
+        let (owner, slot) = plan.pages[array][page];
+        assert_eq!(owner as usize, self.me, "write to owned page");
+        if self.frames[array][slot as usize].set(offset, value) {
+            return Err(format!(
+                "single-assignment violation: array {array} addr {addr} written twice"
+            ));
+        }
+        self.stats.counters.writes += 1;
+        if let Some(waiters) = self.cell_waiters.remove(&(array, addr)) {
+            for w in waiters {
+                let key = PageKey {
+                    array,
+                    page,
+                    generation: w.generation,
+                };
+                self.reply_page(plan, out, key, w.pe, w.indirect, true);
+            }
+        }
+        Ok(())
+    }
+
+    /// Non-counting read of an index array cell for anchor resolution.
+    ///
+    /// Resolution order: the local frame (the cell may be ours), the
+    /// generation-0 image of a statically initialized array (shared by the
+    /// whole run: no traffic, the simulator's uncounted peek), the
+    /// resolution store, and finally an [`Msg::IndirectFetch`] to the owner
+    /// (who defers the reply until the cell's single assignment completes —
+    /// the SSA sequencing that makes indirect anchors resolvable at all),
+    /// which suspends the instance.
+    fn resolve_load(
+        &mut self,
+        plan: &Plan<'_>,
+        out: &mut Outbox,
+        array: usize,
+        addr: usize,
+    ) -> Result<f64, IrError> {
+        let page = addr / plan.page_size;
+        let offset = addr - page * plan.page_size;
+        let owner = plan.pages[array][page].0 as usize;
+        if owner == self.me {
+            return self.frame(plan, array, page).get(offset).ok_or_else(|| {
+                IrError::ReadUndefined {
+                    array: format!("array#{array}"),
+                    addr,
+                }
+            });
+        }
+        let generation = self.gens[array];
+        if generation == 0 && matches!(plan.program.arrays[array].init, ArrayInit::Full(_)) {
+            return Ok(plan.images[array][addr]);
+        }
+        let key = PageKey {
+            array,
+            page,
+            generation,
+        };
+        if let Some(v) = self.resolutions.get(&key).and_then(|p| p.get(offset)) {
+            return Ok(v);
+        }
+        self.stats.resolve_messages += 1;
+        let from = self.me;
+        self.send(
+            out,
+            owner,
+            Msg::IndirectFetch {
+                array,
+                page,
+                generation,
+                offset,
+                from,
+            },
+        );
+        self.pending = Some(Pending {
+            indirect: true,
+            array,
+            addr,
+            owner,
+        });
+        Err(suspended(addr))
+    }
+}
+
+/// A PE's memory as the shared evaluator sees it: counted loads.
+struct Access<'a, 'p> {
+    mem: &'a mut PeMem,
+    out: &'a mut Outbox,
+    plan: &'a Plan<'p>,
+}
+
+impl Memory for Access<'_, '_> {
+    fn load(&mut self, array: ArrayId, addr: usize) -> Result<f64, IrError> {
+        let a = array.0;
+        let (mem, plan) = (&mut *self.mem, self.plan);
+        let page = addr / plan.page_size;
+        let offset = addr - page * plan.page_size;
+        let (owner, slot) = plan.pages[a][page];
+        let owner = owner as usize;
+        if owner == mem.me {
+            let v =
+                mem.frames[a][slot as usize]
+                    .get(offset)
+                    .ok_or_else(|| IrError::ReadUndefined {
+                        array: format!("array#{a}"),
+                        addr,
+                    })?;
+            mem.local_reads += 1;
+            return Ok(v);
+        }
+        // A load an earlier attempt at this instance already performed.
+        if let Some(&v) = mem.oplog.get(mem.replayed) {
+            mem.replayed += 1;
+            return Ok(v);
+        }
+        let key = PageKey {
+            array: a,
+            page,
+            generation: mem.gens[a],
+        };
+        if mem.cache_enabled {
+            if let Some(v) = mem.cache.lookup(key, offset) {
+                mem.stats.counters.cached_reads += 1;
+                mem.oplog.push(v);
+                mem.replayed += 1;
+                return Ok(v);
+            }
+            if mem.cache.has_page(&key) {
+                // Resident but the cell was unfilled at fetch time: the §8
+                // partial-page refetch.
+                mem.stats.partial_refetches += 1;
+            }
+        }
+        mem.stats.counters.remote_reads += 1;
+        mem.stats.page_fetches += 1;
+        // Price the fetch (request + reply) exactly like the counting
+        // simulator's `record_fetch` at its remote-read site.
+        self.out.net.record_fetch(mem.me, owner);
+        let from = mem.me;
+        mem.send(
+            self.out,
+            owner,
+            Msg::PageRequest {
+                array: a,
+                page,
+                generation: key.generation,
+                offset,
+                from,
+            },
+        );
+        mem.pending = Some(Pending {
+            indirect: false,
+            array: a,
+            addr,
+            owner,
+        });
+        Err(suspended(addr))
+    }
+}
+
+/// Adapter presenting [`PeMem`]'s non-counting resolution reads as a
+/// [`Memory`], for anchor resolution through [`resolve_ref_addr`].
+struct Resolve<'r, 'a, 'p>(&'r mut Access<'a, 'p>);
+
+impl Memory for Resolve<'_, '_, '_> {
+    fn load(&mut self, array: ArrayId, addr: usize) -> Result<f64, IrError> {
+        let Access { mem, out, plan } = &mut *self.0;
+        mem.resolve_load(plan, out, array.0, addr)
+    }
+}
+
+/// One logical PE: evaluation context, machine state, and where it is in
+/// the program.
+pub(crate) struct Pe<'p> {
+    ctx: EvalCtx<'p>,
+    mem: PeMem,
+    /// The phase being executed (`phases.len()` once done).
+    phase: usize,
+    state: State,
+    cur: Cursor,
+    /// Local partial accumulator per scalar slot (meaningful for the
+    /// reduction targets of the current nest).
+    partial: Vec<f64>,
+    /// Per reduction round of the current nest that holds a participant
+    /// set screened at run time ([`ReducePlan::resolved`]): who takes
+    /// part, as far as this PE has resolved it. Empty for the others.
+    took_part: Vec<Vec<bool>>,
+}
+
+impl<'p> Pe<'p> {
+    /// PE `me` with its owned frames cut from the run's initial images —
+    /// O(own share): the owned pages come closed-form from the placement.
+    pub fn new(plan: &Plan<'p>, me: usize) -> Self {
+        let program = plan.program;
+        let ps = plan.page_size;
+        let mut frames = Vec::with_capacity(program.arrays.len());
+        for (a, decl) in program.arrays.iter().enumerate() {
+            let (len, image, table) = (decl.len(), &plan.images[a], &plan.pages[a]);
+            let mut own: Vec<Frame> = Vec::new();
+            if !table.is_empty() {
+                let placement = plan.map.placement(ArrayId(a));
+                placement.owned_page_intervals(me, 0, table.len() - 1, |q0, q1| {
+                    for (page, place) in table.iter().enumerate().take(q1).skip(q0) {
+                        debug_assert_eq!(*place, (me as u32, own.len() as u32));
+                        let start = page * ps;
+                        let elems = (len - start).min(ps);
+                        let defined = image.len().saturating_sub(start).min(elems);
+                        let frame = if defined == elems {
+                            Frame::full(image[start..start + elems].to_vec())
+                        } else {
+                            let mut frame = Frame::undefined(elems);
+                            for off in 0..defined {
+                                frame.set(off, image[start + off]);
+                            }
+                            frame
+                        };
+                        own.push(frame);
+                    }
+                });
+            }
+            frames.push(own);
+        }
+        Pe {
+            ctx: EvalCtx::new(program),
+            mem: PeMem {
+                me,
+                frames,
+                gens: vec![0u32; program.arrays.len()],
+                cache: ValueCache::new(plan.cache_pages),
+                cache_enabled: plan.cache_pages > 0,
+                cell_waiters: HashMap::new(),
+                partials_inbox: HashMap::new(),
+                scalar_ready: HashMap::new(),
+                reinit_requests: HashMap::new(),
+                reinit_released: HashMap::new(),
+                reinit_acks: HashMap::new(),
+                reinit_go: HashSet::new(),
+                resolutions: HashMap::new(),
+                finished: false,
+                syncing: false,
+                stats: PeStats::default(),
+                cur_phase: 0,
+                cur_stmt: 0,
+                wait_edges: Vec::new(),
+                oplog: Vec::new(),
+                replayed: 0,
+                local_reads: 0,
+                pending: None,
+            },
+            phase: 0,
+            state: State::Enter,
+            cur: Cursor::default(),
+            partial: vec![0.0; program.scalars.len()],
+            took_part: Vec::new(),
+        }
+    }
+
+    /// Take in one message; `Ok(true)` when the PE should be run again.
+    pub fn handle(&mut self, plan: &Plan<'p>, out: &mut Outbox, msg: Msg) -> Result<bool, String> {
+        self.mem.handle(plan, out, msg)
+    }
+
+    /// Run until the PE blocks, finishes, or has evaluated about `budget`
+    /// instances. An `Err` is the reason the whole run must stop.
+    pub fn run(
+        &mut self,
+        plan: &Plan<'p>,
+        out: &mut Outbox,
+        mut budget: usize,
+    ) -> Result<Progress, String> {
+        if self.mem.pending.is_some() {
+            // Woken by a barrier or reduction message that arrived early;
+            // the suspended instance still waits for its reply.
+            return Ok(Progress::Blocked);
+        }
+        let me = self.mem.me;
+        loop {
+            match self.state {
+                State::Done => return Ok(Progress::Blocked),
+                State::Enter => match plan.phases.get(self.phase) {
+                    None => {
+                        // From here on this PE only serves; a reader still
+                        // queued on one of its cells (necessarily
+                        // undefined, or it would have been released) can
+                        // never be satisfied — owner-computes makes this
+                        // PE the cell's only producer, and it has run out
+                        // of program.
+                        self.mem.finished = true;
+                        if let Some((&(array, addr), _)) = self.mem.cell_waiters.iter().next() {
+                            let label = PeMem::array_label(plan, array);
+                            return Err(format!(
+                                "deferred read of {label}[{addr}], which this program never \
+                                 defines — a dangling I-structure deferral (sapp lint: SA004)"
+                            ));
+                        }
+                        self.state = State::Done;
+                    }
+                    Some(PhasePlan::Loop(np)) => {
+                        self.mem.cur_phase = self.phase;
+                        self.enter_nest(plan, np);
+                        self.state = State::Nest;
+                    }
+                    Some(PhasePlan::Reinit(a)) => {
+                        self.mem.cur_phase = self.phase;
+                        self.enter_reinit(plan, out, *a)?;
+                    }
+                },
+                State::Nest => {
+                    let PhasePlan::Loop(np) = &plan.phases[self.phase] else {
+                        unreachable!("State::Nest is only entered for a loop phase");
+                    };
+                    match self.walk(plan, np, out, &mut budget) {
+                        Ok(true) => {
+                            self.state = State::Reduce {
+                                round: 0,
+                                sent: false,
+                            };
+                        }
+                        Ok(false) => return Ok(Progress::Yielded),
+                        Err(Stop::Suspended) => return Ok(Progress::Blocked),
+                        Err(Stop::Fail(reason)) => return Err(reason),
+                    }
+                }
+                State::Reduce { round, sent } => {
+                    let PhasePlan::Loop(np) = &plan.phases[self.phase] else {
+                        unreachable!("State::Reduce is only entered for a loop phase");
+                    };
+                    let Some(r) = np.reduces.get(round) else {
+                        self.next_phase();
+                        continue;
+                    };
+                    // Vector→scalar collection at the host PE (§9), then
+                    // broadcast.
+                    let (sid, seq, n) = (r.scalar, self.phase as u64, plan.n_pes);
+                    let host = host_of(sid, n);
+                    let parts = if np.reduces[r.set].resolved {
+                        &self.took_part[r.set]
+                    } else {
+                        &np.reduces[r.set].participants
+                    };
+                    if me == host {
+                        let remote_contributors = parts
+                            .iter()
+                            .enumerate()
+                            .filter(|&(pe, &p)| p && pe != host)
+                            .count();
+                        let got = self.mem.partials_inbox.get(&(sid, seq)).map_or(0, Vec::len);
+                        if got < remote_contributors {
+                            return Ok(Progress::Blocked);
+                        }
+                        let mut acc = if parts[me] {
+                            self.partial[sid]
+                        } else {
+                            r.op.identity()
+                        };
+                        for v in self
+                            .mem
+                            .partials_inbox
+                            .remove(&(sid, seq))
+                            .unwrap_or_default()
+                        {
+                            acc = r.op.combine(acc, v);
+                        }
+                        for pe in (0..n).filter(|&pe| pe != host) {
+                            self.mem.stats.broadcast_messages += 1;
+                            self.mem.send(
+                                out,
+                                pe,
+                                Msg::ScalarValue {
+                                    scalar: sid,
+                                    seq,
+                                    value: acc,
+                                },
+                            );
+                        }
+                        self.ctx.scalars[sid] = acc;
+                    } else {
+                        if !sent && parts[me] {
+                            self.mem.stats.reduction_messages += 1;
+                            out.net.record_message(me, host);
+                            self.mem.send(
+                                out,
+                                host,
+                                Msg::Partial {
+                                    scalar: sid,
+                                    seq,
+                                    value: self.partial[sid],
+                                    from: me,
+                                },
+                            );
+                        }
+                        let Some(&v) = self.mem.scalar_ready.get(&(sid, seq)) else {
+                            self.state = State::Reduce { round, sent: true };
+                            return Ok(Progress::Blocked);
+                        };
+                        self.ctx.scalars[sid] = v;
+                    }
+                    self.state = State::Reduce {
+                        round: round + 1,
+                        sent: false,
+                    };
+                }
+                State::ReinitCollect
+                | State::ReinitAcks
+                | State::ReinitRelease
+                | State::ReinitGo => {
+                    if !self.reinit_step(plan, out)? {
+                        return Ok(Progress::Blocked);
+                    }
+                }
+            }
+        }
+    }
+
+    fn next_phase(&mut self) {
+        self.phase += 1;
+        self.state = State::Enter;
+    }
+
+    fn enter_nest(&mut self, plan: &Plan<'p>, np: &NestPlan<'p>) {
+        let body = np.nest.body.len();
+        self.cur = Cursor {
+            ivs: std::mem::take(&mut self.cur.ivs),
+            segs: vec![Vec::new(); body],
+            at: vec![0; body],
+            ..Cursor::default()
+        };
+        self.took_part.clear();
+        for r in &np.reduces {
+            self.partial[r.scalar] = r.op.identity();
+            // A round with run-time screened statements starts from what
+            // the plan could screen and learns the rest as it resolves.
+            self.took_part.push(if r.resolved {
+                debug_assert_eq!(r.participants.len(), plan.n_pes);
+                r.participants.clone()
+            } else {
+                Vec::new()
+            });
+        }
+    }
+
+    /// Position the cursor on sweep `self.cur.sweep`: this PE's owned
+    /// segments of every statement, and the first trip any of them holds.
+    fn load_sweep(&mut self, plan: &Plan<'p>, np: &NestPlan<'p>) {
+        let me = self.mem.me;
+        let sw = np.sweep(self.cur.sweep);
+        let first = np.sweeps[self.cur.sweep].first;
+        let m = sw.trips;
+        for (si, screen) in np.screens.iter().enumerate() {
+            self.cur.segs[si] = match screen {
+                Screen::Affine { array, form } => {
+                    owned_segments(plan.map.placement(ArrayId(*array)), me, form.line(&sw), m)
+                }
+                Screen::RoundRobin { slot } => {
+                    let (n, me) = (plan.n_pes as u64, me as u64);
+                    owned_segments_by(m, |t| {
+                        (np.rr_base + (first + t as u64) * np.rr_width + slot) % n == me
+                    })
+                }
+                Screen::Table(owners) => {
+                    owned_segments_by(m, |t| owners[first as usize + t] as usize == me)
+                }
+                Screen::Resolve => vec![(0, m)],
+            };
+            self.cur.at[si] = 0;
+        }
+        self.cur.ivs.clear();
+        self.cur.ivs.extend_from_slice(sw.outer);
+        if !np.nest.loops.is_empty() {
+            self.cur.ivs.push(sw.lo);
+        }
+        self.cur.trip = self.cur.next_owned(0, m);
+        self.cur.stmt = 0;
+        self.cur.loaded = true;
+    }
+
+    /// Advance through the nest's owned instances. `Ok(true)` when the
+    /// nest is finished, `Ok(false)` when the budget ran out first.
+    fn walk(
+        &mut self,
+        plan: &Plan<'p>,
+        np: &NestPlan<'p>,
+        out: &mut Outbox,
+        budget: &mut usize,
+    ) -> Result<bool, Stop> {
+        let body = np.nest.body.len();
+        loop {
+            if !self.cur.loaded {
+                if self.cur.sweep == np.sweeps.len() {
+                    return Ok(true);
+                }
+                self.load_sweep(plan, np);
+            }
+            let sw = &np.sweeps[self.cur.sweep];
+            while self.cur.trip < sw.trips {
+                if let Some(inner) = self.cur.ivs.last_mut() {
+                    *inner = sw.lo + sw.step * self.cur.trip as i64;
+                }
+                while self.cur.stmt < body {
+                    let si = self.cur.stmt;
+                    if self.cur.owns(si) {
+                        self.instance(plan, np, out, si)?;
+                        *budget = budget.saturating_sub(1);
+                    }
+                    self.cur.stmt += 1;
+                }
+                self.cur.stmt = 0;
+                self.cur.trip = self.cur.next_owned(self.cur.trip + 1, sw.trips);
+                if *budget == 0 {
+                    return Ok(false);
+                }
+            }
+            self.cur.sweep += 1;
+            self.cur.loaded = false;
+            // A sweep this PE owns nothing of still costs a screening.
+            *budget = budget.saturating_sub(1);
+            if *budget == 0 {
+                return Ok(false);
+            }
+        }
+    }
+
+    /// Evaluate statement `si` at the cursor's iteration, from the start.
+    fn instance(
+        &mut self,
+        plan: &Plan<'p>,
+        np: &NestPlan<'p>,
+        out: &mut Outbox,
+        si: usize,
+    ) -> Result<(), Stop> {
+        let stmt = &np.nest.body[si];
+        let ivs = &self.cur.ivs;
+        self.mem.cur_stmt = si;
+        let mut access = Access {
+            mem: &mut self.mem,
+            out: &mut *out,
+            plan,
+        };
+        if let Screen::Resolve = np.screens[si] {
+            // The anchor goes through an index array an earlier nest
+            // produced: every PE resolves every instance, the owner runs
+            // it. Resolution reads are uncounted and kept for the
+            // generation, so resolving again after a resume is free.
+            let mut resolve = Resolve(&mut access);
+            let owner = plan
+                .map
+                .resolved_anchor_owner(plan.program, stmt, ivs, &mut resolve);
+            let owner = match owner {
+                Ok(Some(pe)) => pe,
+                Ok(None) => unreachable!("anchorless statements are screened round-robin"),
+                Err(e) => {
+                    return Err(match access.mem.stop(e) {
+                        Stop::Fail(e) => Stop::Fail(format!("anchor resolution failed: {e}")),
+                        suspended => suspended,
+                    })
+                }
+            };
+            if let Some(set) = np.parts_of[si] {
+                self.took_part[set][owner] = true;
+            }
+            if owner != access.mem.me {
+                return Ok(());
+            }
+        }
+        access.mem.replayed = 0;
+        access.mem.local_reads = 0;
+        let value = self.ctx.eval(stmt.value(), ivs, &mut access);
+        let value = value.map_err(|e| access.mem.stop(e))?;
+        match stmt {
+            Stmt::Assign { target, .. } => {
+                let addr = self.ctx.resolve_addr(target, ivs, &mut access);
+                let addr = addr.map_err(|e| access.mem.stop(e))?;
+                self.mem.commit_reads();
+                self.mem
+                    .local_write(plan, out, target.array.0, addr, value)
+                    .map_err(Stop::Fail)
+            }
+            Stmt::Reduce { target, op, .. } => {
+                self.mem.commit_reads();
+                let acc = &mut self.partial[target.0];
+                *acc = op.combine(*acc, value);
+                Ok(())
+            }
+        }
+    }
+
+    /// Enter the §5 barrier for array `a`.
+    fn enter_reinit(&mut self, plan: &Plan<'p>, out: &mut Outbox, a: usize) -> Result<(), String> {
+        let me = self.mem.me;
+        let host = host_of(a, plan.n_pes);
+        // Entering the barrier: a reader already deferred on one of our
+        // cells (any array) is blocked and can never send its own reinit
+        // request, so the barrier would never release and we would never
+        // write again — a guaranteed deadlock. Abort instead.
+        if let Some((&(array, addr), _)) = self.mem.cell_waiters.iter().next() {
+            let label = PeMem::array_label(plan, array);
+            return Err(format!(
+                "re-initialization barrier reached with a deferred read of \
+                 {label}[{addr}] pending, which this program never defines — \
+                 a dangling I-structure deferral (sapp lint: SA004)"
+            ));
+        }
+        self.mem.syncing = true;
+        if me == host {
+            *self.mem.reinit_requests.entry(a).or_insert(0) += 1; // own request
+            self.state = State::ReinitCollect;
+        } else {
+            self.mem.stats.reinit_messages += 1;
+            out.net.record_message(me, host);
+            self.mem
+                .send(out, host, Msg::ReinitRequest { array: a, from: me });
+            self.state = State::ReinitRelease;
+        }
+        Ok(())
+    }
+
+    /// One stage of the §5 barrier; `Ok(false)` while its condition is not
+    /// met yet.
+    fn reinit_step(&mut self, plan: &Plan<'p>, out: &mut Outbox) -> Result<bool, String> {
+        let PhasePlan::Reinit(a) = plan.phases[self.phase] else {
+            unreachable!("barrier states are only entered for a reinit phase");
+        };
+        let (me, n) = (self.mem.me, plan.n_pes);
+        let others = (0..n).filter(|&pe| pe != me);
+        match self.state {
+            State::ReinitCollect => {
+                if self.mem.reinit_requests.get(&a).copied().unwrap_or(0) < n {
+                    return Ok(false);
+                }
+                self.mem.reinit_requests.remove(&a);
+                let new_gen = self.mem.gens[a] + 1;
+                for pe in others {
+                    self.mem.stats.reinit_messages += 1;
+                    out.net.record_message(me, pe);
+                    self.mem.send(
+                        out,
+                        pe,
+                        Msg::ReinitRelease {
+                            array: a,
+                            generation: new_gen,
+                        },
+                    );
+                }
+                self.apply_release(plan, a, new_gen)?;
+                // Second round: hold every PE at the barrier until all of
+                // them have applied their release. Without it, a released
+                // PE could enter the next nest and fetch from a peer still
+                // waiting on its own release — and that peer would misread
+                // the legitimate fetch as a deadlocked pre-barrier reader
+                // (or, for the re-initialized array itself, serve a
+                // stale-generation frame).
+                self.state = State::ReinitAcks;
+            }
+            State::ReinitAcks => {
+                if self.mem.reinit_acks.get(&a).copied().unwrap_or(0) < n - 1 {
+                    return Ok(false);
+                }
+                self.mem.reinit_acks.remove(&a);
+                for pe in others {
+                    self.mem.stats.sync_messages += 1;
+                    self.mem.send(out, pe, Msg::ReinitGo { array: a });
+                }
+                self.mem.syncing = false;
+                self.next_phase();
+            }
+            State::ReinitRelease => {
+                let Some(new_gen) = self.mem.reinit_released.remove(&a) else {
+                    return Ok(false);
+                };
+                self.apply_release(plan, a, new_gen)?;
+                // From here on, deferral is safe again: the release proves
+                // every PE reached the barrier, so an undefined-cell fetch
+                // arriving while we wait for the go can only come from a
+                // PE the host already let through — it will be satisfied
+                // once we run the next phase.
+                self.mem.syncing = false;
+                self.mem.stats.sync_messages += 1;
+                let host = host_of(a, n);
+                self.mem
+                    .send(out, host, Msg::ReinitAck { array: a, from: me });
+                self.state = State::ReinitGo;
+            }
+            State::ReinitGo => {
+                if !self.mem.reinit_go.remove(&a) {
+                    return Ok(false);
+                }
+                self.next_phase();
+            }
+            _ => unreachable!("not a barrier state"),
+        }
+        Ok(true)
+    }
+
+    fn apply_release(&mut self, plan: &Plan<'p>, a: usize, new_gen: u32) -> Result<(), String> {
+        // Unreachable via the entry check + the `syncing` guard in
+        // serve_fetch, but kept as an orderly teardown rather than an
+        // assert: a stale waiter here would deadlock its requester.
+        if self.mem.cell_waiters.keys().any(|&(arr, _)| arr == a) {
+            let label = PeMem::array_label(plan, a);
+            return Err(format!(
+                "re-initialization of {label} with deferred readers pending"
+            ));
+        }
+        self.mem.gens[a] = new_gen;
+        for frame in &mut self.mem.frames[a] {
+            frame.clear();
+        }
+        self.mem.cache.invalidate_array(a);
+        self.mem.resolutions.retain(|k, _| k.array != a);
+        Ok(())
+    }
+
+    /// What the PE waits for, in SA008's vocabulary (`None` once done).
+    fn blocked_on(&self, plan: &Plan<'p>) -> Option<String> {
+        let (me, p) = (self.mem.me, self.phase);
+        let name = |a: usize| &plan.program.arrays[a].name;
+        Some(match (plan.phases.get(p)?, self.state) {
+            (PhasePlan::Reinit(a), _) => format!(
+                "PE{me} (phase {p}) waits (barrier) for the re-initialization of `{}`",
+                name(*a)
+            ),
+            (PhasePlan::Loop(np), State::Reduce { round, .. }) => {
+                let scalar = np.reduces[round].scalar;
+                let from = match host_of(scalar, plan.n_pes) {
+                    host if host == me => "its partials".to_string(),
+                    host => format!("PE{host}"),
+                };
+                format!(
+                    "PE{me} (phase {p}, after `{}`) waits (barrier) for `{}` from {from}",
+                    np.nest.label, plan.program.scalars[scalar]
+                )
+            }
+            (PhasePlan::Loop(np), _) => {
+                let si = self.mem.cur_stmt;
+                let writing = match np.nest.body[si].write_target() {
+                    Some(target) => format!(", writing `{}`", name(target.array.0)),
+                    None => String::new(),
+                };
+                let waits = match self.mem.pending {
+                    Some(w) => format!("`{}`[{}] from PE{}", name(w.array), w.addr, w.owner),
+                    None => "its turn".to_string(),
+                };
+                format!(
+                    "`{}`/s{si} on PE{me} (phase {p}{writing}) waits for {waits}",
+                    np.nest.label
+                )
+            }
+        })
+    }
+
+    /// Give up the PE's results.
+    pub fn finish(self, plan: &Plan<'p>) -> PeResult {
+        PeResult {
+            blocked: self.blocked_on(plan),
+            stats: self.mem.stats,
+            frames: self.mem.frames,
+            scalars: self.ctx.scalars,
+            wait_edges: self.mem.wait_edges,
+        }
+    }
+}

@@ -1,7 +1,10 @@
 //! Run the full 1-D Particle-in-Cell kernel — gathers *and* the true
 //! scatter deposit, whose write target goes through the particle
-//! permutation — on real threads: one OS thread per PE, channels as the
-//! network, synchronization done *entirely* by single-assignment memory.
+//! permutation — on real threads: each PE a resumable task on a core-sized
+//! pool of worker threads (it runs the instances it owns, yields while a
+//! remote page is on its way, and re-evaluates the instance from the start
+//! when the reply is in), channels as the network, synchronization done
+//! *entirely* by single-assignment memory.
 //!
 //! ```text
 //! cargo run --release --example threaded_pic

@@ -42,10 +42,13 @@
 //! interpreter fallback; the default), the **zero-execution static
 //! estimator** (`sapp::lint::estimate` — closed-form counts for affine
 //! programs, uncached points only), or **real worker threads**
-//! (`sapp::runtime::ThreadOracle` — one OS thread per PE, messages on real
+//! (`sapp::runtime::ThreadOracle` — the PEs are resumable tasks on one
+//! worker thread per core, each walking only the instances it owns and
+//! yielding while a page it needs is on its way; messages on real
 //! channels; LRU caches, with every modeled send priced through the
 //! configured topology's link model, so hop and link-load figures are
-//! real measurements).
+//! real measurements; a cyclic wait ends in `thread failed: deadlocked: …`
+//! and exit 1, never in a hang).
 //! `search` additionally accepts `--objective {balanced,remote}` (the
 //! legacy remote-%-only objective is `remote`) and
 //! `--strategy {exhaustive,anneal,propagate}` with `--seed S` and

@@ -23,9 +23,13 @@
 //!   the event-driven timing pass, composable experiment plans with
 //!   pluggable evaluation oracles, automatic scheme search, and report
 //!   tables.
-//! * [`runtime`] — a real-thread execution engine (one thread per PE,
-//!   channels as the interconnect) demonstrating that single assignment
-//!   alone synchronizes the computation; plugs into experiment plans as
+//! * [`runtime`] — a real-thread execution engine (logical PEs as
+//!   resumable tasks on one worker thread per core, channels as the
+//!   interconnect; a PE walks only the instances it owns, yields when it
+//!   needs a remote page and re-evaluates the instance when the reply is
+//!   in; global quiescence ends the run, as a typed error if PEs still
+//!   wait on each other) demonstrating that single assignment alone
+//!   synchronizes the computation; plugs into experiment plans as
 //!   `ThreadOracle`.
 //!
 //! ## Quickstart

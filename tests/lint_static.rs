@@ -14,7 +14,9 @@
 //! 3. **Deadlock pass ≡ thread runtime** — the stock registry proves
 //!    deadlock-free (SA008 clean) wherever the instance graph is statically
 //!    buildable, a seeded cyclic-deferral mutant is rejected with SA008 and
-//!    really fails on the thread runtime, and every wait the runtime
+//!    really fails on the thread runtime, a cross-PE cyclic exchange is
+//!    SA008 statically and a typed deadlock — not a hang — at run time,
+//!    and every wait the runtime
 //!    *realizes* on the reduced suite is covered by the static dependence
 //!    graph ([`sapp::lint::DepGraph::covers_wait`]).
 //! 4. **Pruned search ≡ exhaustive search** — the `Searcher`'s static
@@ -38,7 +40,7 @@ use sapp::lint::{self, Code, DepGraph, EstimateError, LintConfig, Severity};
 use sapp::loops::suite::Family;
 use sapp::loops::{reduced_suite, workloads};
 use sapp::machine::{MachineConfig, PartitionScheme};
-use sapp::runtime::{execute, RuntimeConfig, RuntimeError};
+use sapp::runtime::{execute, execute_on, RuntimeConfig, RuntimeError};
 
 /// The certification grid: schemes × page sizes × PE counts, no cache
 /// (the estimator has no cache model by design).
@@ -329,6 +331,77 @@ fn seeded_cyclic_deferral_mutant_is_rejected_with_sa008() {
         execute(&prog, &RuntimeConfig::paper(4, 8)).is_err(),
         "thread runtime completed a program the deadlock pass rejects"
     );
+}
+
+#[test]
+fn cyclic_exchange_gets_sa008_from_lint_and_a_typed_deadlock_from_the_runtime() {
+    // W(k) = X(1-k), then X(k) = W(1-k): under (2 PEs, page 1) each PE
+    // defers on the other inside the first nest. Neither has finished nor
+    // reached a barrier, so no dangling-read rule applies — the run ends
+    // only because the worker pool sees that nothing can move any more.
+    let mut b = ProgramBuilder::new("mutant-exchange");
+    let w = b.output("W", &[2]);
+    let x = b.output("X", &[2]);
+    b.nest("xch1", &[("k", 0, 1)], |nb| {
+        let rhs = nb.read(x, [iv(0).scale(-1).plus(1)]);
+        nb.assign(w, [iv(0)], rhs);
+    });
+    b.nest("xch2", &[("k", 0, 1)], |nb| {
+        let rhs = nb.read(w, [iv(0).scale(-1).plus(1)]);
+        nb.assign(x, [iv(0)], rhs);
+    });
+    let prog = b.finish();
+    let sa008 = |n_pes, page_size| {
+        let cfg = LintConfig {
+            n_pes,
+            page_size,
+            ..LintConfig::default()
+        };
+        lint::check_deadlock(&prog, &cfg)
+            .iter()
+            .any(|d| d.code == Code::Sa008DeadlockCycle && d.severity == Severity::Error)
+    };
+    // The runtime side runs on a helper thread joined through a timeout:
+    // a regression fails this test instead of hanging the suite.
+    let run = |n_pes: usize, page_size: usize, workers: usize| {
+        let (prog, (tx, rx)) = (prog.clone(), std::sync::mpsc::channel());
+        std::thread::spawn(move || {
+            let cfg = RuntimeConfig {
+                cache_elems: 0,
+                ..RuntimeConfig::paper(n_pes, page_size)
+            };
+            let _ = tx.send(execute_on(&prog, &cfg, workers));
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the thread runtime hangs on a cyclic wait")
+            .expect_err("the exchange cannot complete")
+    };
+
+    assert!(sa008(2, 1), "lint misses the cross-PE cycle");
+    for workers in [1usize, 2] {
+        let err = run(2, 1, workers);
+        let msg = err.to_string();
+        assert!(matches!(err, RuntimeError::Deadlocked(_)), "{msg}");
+        for needle in [
+            "`W`",
+            "`X`[0]",
+            "`X`[1]",
+            "PE0",
+            "PE1",
+            "sapp lint",
+            "SA008",
+        ] {
+            assert!(msg.contains(needle), "no {needle:?} in: {msg}");
+        }
+    }
+    // On one PE the same program is still SA008, and the runtime still
+    // fails the way it always did: the read is local, no message is ever
+    // sent, and the undefined cell is an immediate error.
+    assert!(sa008(1, 32), "lint misses the one-PE forward wait");
+    let err = run(1, 32, 1);
+    let msg = err.to_string();
+    assert!(matches!(err, RuntimeError::WorkerPanicked(_)), "{msg}");
+    assert!(msg.contains("undefined"), "{msg}");
 }
 
 #[test]

@@ -267,3 +267,58 @@ fn no_command_panics_on_an_invalid_machine_shape() {
         }
     }
 }
+
+/// The seven integers of a `simulate` report — writes, local, cached,
+/// remote, messages, hops, max link load — with the thread engine's
+/// `N on the wire (M modeled)` read as `M`, as the benchmark harness
+/// compares them.
+fn seven_integers(stdout: &str) -> Vec<u64> {
+    let words: Vec<&str> = stdout.split_whitespace().collect();
+    let after = |key: &[&str]| -> u64 {
+        let at = words
+            .windows(key.len())
+            .position(|w| w == key)
+            .unwrap_or_else(|| panic!("no {key:?} in: {stdout}"));
+        let digits = words[at + key.len()].trim_matches(|c: char| !c.is_ascii_digit());
+        digits
+            .parse()
+            .unwrap_or_else(|_| panic!("{key:?}: {stdout}"))
+    };
+    let messages = match words.iter().position(|w| *w == "modeled)") {
+        Some(at) => words[at - 1].trim_start_matches('(').parse().unwrap(),
+        None => after(&["messages"]),
+    };
+    vec![
+        after(&["writes"]),
+        after(&["local"]),
+        after(&["cached"]),
+        after(&["remote"]),
+        messages,
+        after(&["hops"]),
+        after(&["max", "link", "load"]),
+    ]
+}
+
+/// The CLI cannot load a program file, so its side of "the thread engine
+/// never hangs" is covered by two runs that lean on deferral: K5's
+/// pipelined recurrence (PE k+1 defers on PE k) and SPMVD's anchors
+/// resolved over `IndirectFetch` (an instance may suspend while it is
+/// still being screened). Both exit 0 with the interpreter's integers.
+#[test]
+fn deferring_kernels_finish_on_the_thread_engine_with_the_interpreters_counts() {
+    for args in [
+        "simulate k5 --pes 8 --no-cache",
+        "simulate spmvd --size 512 --pes 4 --no-cache",
+    ] {
+        let run = |engine: &str| {
+            let out = std::process::Command::new(env!("CARGO_BIN_EXE_sapp"))
+                .args(args.split(' ').chain(["--engine", engine]))
+                .output()
+                .expect("sapp runs");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(0), "sapp {args} ({engine}): {err}");
+            seven_integers(&String::from_utf8_lossy(&out.stdout))
+        };
+        assert_eq!(run("thread"), run("interp"), "sapp {args}");
+    }
+}

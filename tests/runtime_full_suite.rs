@@ -18,6 +18,10 @@
 //!   derived per kernel from the IR (see `cache_exact`), and on that large
 //!   subset (all gather/scatter kernels included) the cached counts must
 //!   match exactly too; pipelined recurrences are bounded instead.
+//!
+//! The logical PEs run as tasks on a pool of worker threads; nothing above
+//! may depend on how many (`execute_on` pins 1, 2, 3 and one per PE, so a
+//! single-core box still runs the cross-worker paths).
 
 use sapp::core::oracle::{CountingOracle, FastCountingOracle, Oracle, OracleError};
 use sapp::core::plan::{ExperimentPlan, RunConfig};
@@ -25,7 +29,7 @@ use sapp::ir::nest::Stmt;
 use sapp::ir::program::ArrayInit;
 use sapp::ir::{analysis, interpret, Program, ProgramResult};
 use sapp::loops::{reduced_suite, suite};
-use sapp::runtime::{execute, RuntimeConfig, ThreadOracle};
+use sapp::runtime::{execute, execute_on, RuntimeConfig, ThreadOracle};
 
 /// Can cached counts be compared exactly? True iff every array a PE might
 /// *fetch* (any read whose address function differs from the statement
@@ -386,4 +390,93 @@ fn genuinely_dynamic_anchors_fail_soft_through_the_oracle() {
     // The simulator still measures it (omniscient peek), so the grid point
     // is lost only on the thread backend — exactly the soft-failure split.
     assert!(CountingOracle.measure(&prog, &thread_cfg(0)).is_ok());
+}
+
+#[test]
+fn results_and_counts_do_not_depend_on_the_pool_size() {
+    // workers ∈ {1, 2, 3, n_pes} × the reduced suite × every placement
+    // scheme, on a routed topology so hops and link loads mean something:
+    // values equal the reference, uncached counts equal the simulator and
+    // the replay engine number for number, cached counts equal the
+    // simulator wherever they are well-defined. `execute_on` takes the
+    // worker count as given — the machine's parallelism is never read.
+    use sapp::machine::{NetworkTopology, PartitionScheme};
+    let n_pes = 4;
+    for partition in [
+        PartitionScheme::Modulo,
+        PartitionScheme::Block,
+        PartitionScheme::BlockCyclic { block_pages: 2 },
+        PartitionScheme::RowBand,
+        PartitionScheme::Tile2D {
+            tile_rows: 8,
+            tile_cols: 8,
+        },
+    ] {
+        for k in reduced_suite() {
+            let golden = interpret(&k.program).expect("reference runs");
+            let exact = cache_exact(&k.program);
+            for cache_elems in [0usize, 256] {
+                if cache_elems > 0 && !exact {
+                    continue;
+                }
+                let cfg = RunConfig {
+                    partition,
+                    network: NetworkTopology::Mesh2D,
+                    ..thread_cfg(cache_elems)
+                };
+                let what = format!("{} {partition:?} cache {cache_elems}", k.code);
+                let sim = CountingOracle.measure(&k.program, &cfg).unwrap();
+                let replay = sapp::core::replay::counts(&k.program, &cfg.machine()).ok();
+                let rt = RuntimeConfig::from_machine(&cfg.machine());
+                for workers in [1usize, 2, 3, n_pes] {
+                    let what = format!("{what} workers {workers}");
+                    let rep = execute_on(&k.program, &rt, workers)
+                        .unwrap_or_else(|e| panic!("{what}: {e}"));
+                    let s = &rep.stats;
+                    assert_eq!(s.writes(), sim.writes, "{what}: writes");
+                    assert_eq!(s.local_reads(), sim.local_reads, "{what}: local");
+                    assert_eq!(s.cached_reads(), sim.cached_reads, "{what}: cached");
+                    assert_eq!(s.remote_reads(), sim.remote_reads, "{what}: remote");
+                    assert_eq!(rep.modeled_messages(), sim.messages, "{what}: messages");
+                    assert_eq!(Some(rep.hops), sim.hops, "{what}: hops");
+                    assert_eq!(Some(rep.max_link_load), sim.max_link_load, "{what}");
+                    if let (0, Some(replay)) = (cache_elems, &replay) {
+                        assert_eq!(*s, replay.stats, "{what}: replay stats");
+                        assert_eq!(rep.modeled_messages(), replay.network_messages);
+                        assert_eq!(rep.hops, replay.network_hops, "{what}: replay hops");
+                        assert_eq!(rep.max_link_load, replay.max_link_load, "{what}");
+                    }
+                    let got = ProgramResult {
+                        arrays: rep.arrays,
+                        scalars: rep.scalars,
+                        writes: 0,
+                        reads: 0,
+                    };
+                    golden
+                        .assert_matches(&got, 1e-9)
+                        .unwrap_or_else(|e| panic!("{what}: {e}"));
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn a_thousand_pes_count_like_replay() {
+    // ST5 256² × 1 sweep on 1024 logical PEs, no cache (seconds on a
+    // thread per PE; every PE here walks only the two pages it owns).
+    let k = sapp::loops::stencil::build_jacobi5(256, 256, 1);
+    let cfg = RunConfig {
+        n_pes: 1024,
+        ..thread_cfg(0)
+    };
+    let replay = sapp::core::replay::counts(&k.program, &cfg.machine()).expect("replay runs ST5");
+    let rt = RuntimeConfig::from_machine(&cfg.machine());
+    for workers in [1usize, 3] {
+        let rep = execute_on(&k.program, &rt, workers).expect("1024 PEs run");
+        assert_eq!(rep.stats, replay.stats, "workers {workers}");
+        assert_eq!(rep.modeled_messages(), replay.network_messages);
+        assert_eq!(rep.messages, 265_176);
+        assert!(rep.wait_edges.is_empty(), "a sweep over inputs never waits");
+    }
 }

@@ -10,7 +10,7 @@ use sapp::ir::index::iv;
 use sapp::ir::{interpret, InitPattern, Program, ProgramBuilder, ProgramResult};
 use sapp::loops::suite;
 use sapp::machine::MachineConfig;
-use sapp::runtime::{execute, RuntimeConfig};
+use sapp::runtime::{execute, execute_on, RuntimeConfig};
 
 fn runtime_result(rep: &sapp::runtime::RuntimeReport) -> ProgramResult {
     ProgramResult {
@@ -125,10 +125,11 @@ fn thread_count_does_not_change_results() {
     }
 }
 
-/// Regression for the reduction pre-pass / execution-loop ownership split:
-/// both passes now call the same `stmt_owner` routine, so interleaving
-/// round-robin-dealt (anchorless) statements with anchored ones in any
-/// body order must keep participant sets, values and counts consistent.
+/// Regression for the reduction participant sets / executed instances
+/// ownership split: the run's plan derives both from the same per-statement
+/// screens, so interleaving round-robin-dealt (anchorless) statements with
+/// anchored ones in any body order must keep participant sets, values and
+/// counts consistent.
 #[test]
 fn statement_order_perturbation_keeps_prepass_and_execution_in_sync() {
     let n = 160usize;
@@ -189,6 +190,43 @@ fn statement_order_perturbation_keeps_prepass_and_execution_in_sync() {
     }
 }
 
+/// Resume exactness: a suspended instance is evaluated again from the
+/// start when its reply arrives, yet every load must be classified,
+/// counted, cache-probed and fetched exactly once. Each instance below
+/// reads three distinct remote pages through a one-page cache, so it is
+/// resumed at least three times and the cache thrashes on every read — the
+/// statistics must still equal the simulator's field by field.
+#[test]
+fn resumed_instances_count_every_load_exactly_once() {
+    let (n, page) = (96usize, 8usize);
+    let mut b = ProgramBuilder::new("three-pages");
+    let y = b.input("Y", &[n + 4 * page], InitPattern::Wavy);
+    let x = b.output("X", &[n]);
+    b.nest("s", &[("k", 0, n as i64 - 1)], |nb| {
+        let rhs = nb.read(y, [iv(0).plus(page as i64)])
+            + nb.read(y, [iv(0).plus(2 * page as i64)])
+            + nb.read(y, [iv(0).plus(3 * page as i64)])
+            + nb.read(y, [iv(0)]);
+        nb.assign(x, [iv(0)], rhs);
+    });
+    let p = b.finish();
+    let golden = interpret(&p).expect("reference");
+    // 4 PEs under modulo: Y(k + j·page) lives on PE (owner + j) mod 4 — three
+    // remote pages and one local cell per instance.
+    let cfg = MachineConfig::new(4, page).with_cache_elems(page);
+    let sim = simulate(&p, &cfg).expect("sim");
+    assert_eq!(sim.stats.remote_reads(), 3 * n as u64, "every read misses");
+    assert_eq!(sim.stats.local_reads(), n as u64);
+    for workers in [1usize, 2, 4] {
+        let rep = execute_on(&p, &RuntimeConfig::from_machine(&cfg), workers).expect("runtime");
+        assert_eq!(rep.stats, sim.stats, "workers {workers}");
+        assert_eq!(rep.modeled_messages(), sim.network_messages);
+        golden
+            .assert_matches(&runtime_result(&rep), 0.0)
+            .unwrap_or_else(|e| panic!("workers {workers}: {e}"));
+    }
+}
+
 /// Satellite: thread-runtime counts equal the simulator's on *random*
 /// statically-initialized index data — permutations (scatter-legal),
 /// bounded permutations with duplicates, and boundary-clamped lookups —
@@ -233,21 +271,25 @@ proptest! {
         let p = gather_scatter_program(n, limit, seed, scatter);
         let cfg = MachineConfig::new(n_pes, page).with_cache_elems(cache);
         let sim = simulate(&p, &cfg).expect("sim");
-        let rep = execute(&p, &RuntimeConfig::from_machine(&cfg)).expect("runtime");
-        prop_assert_eq!(rep.stats.writes(), sim.stats.writes());
-        prop_assert_eq!(rep.stats.total_reads(), sim.stats.total_reads());
-        prop_assert_eq!(rep.stats.local_reads(), sim.stats.local_reads());
-        prop_assert_eq!(rep.stats.cached_reads(), sim.stats.cached_reads());
-        prop_assert_eq!(rep.stats.remote_reads(), sim.stats.remote_reads());
-        prop_assert_eq!(rep.stats.page_fetches, sim.stats.page_fetches);
-        // Static index data resolves from the mirror: zero resolution
-        // traffic, and the modeled messages equal the simulator's.
-        prop_assert_eq!(rep.resolve_messages, 0);
-        prop_assert_eq!(rep.modeled_messages(), sim.network_messages);
-        // Values still match the reference.
         let golden = interpret(&p).expect("reference");
-        golden
-            .assert_matches(&runtime_result(&rep), 1e-9)
-            .map_err(proptest::test_runner::TestCaseError::fail)?;
+        // One worker thread for all PEs, then one per PE: the counts may
+        // not depend on how the logical PEs share OS threads.
+        for workers in [1, n_pes] {
+            let rep = execute_on(&p, &RuntimeConfig::from_machine(&cfg), workers).expect("runtime");
+            prop_assert_eq!(rep.stats.writes(), sim.stats.writes());
+            prop_assert_eq!(rep.stats.total_reads(), sim.stats.total_reads());
+            prop_assert_eq!(rep.stats.local_reads(), sim.stats.local_reads());
+            prop_assert_eq!(rep.stats.cached_reads(), sim.stats.cached_reads());
+            prop_assert_eq!(rep.stats.remote_reads(), sim.stats.remote_reads());
+            prop_assert_eq!(rep.stats.page_fetches, sim.stats.page_fetches);
+            // Static index data resolves from the mirror: zero resolution
+            // traffic, and the modeled messages equal the simulator's.
+            prop_assert_eq!(rep.resolve_messages, 0);
+            prop_assert_eq!(rep.modeled_messages(), sim.network_messages);
+            // Values still match the reference.
+            golden
+                .assert_matches(&runtime_result(&rep), 1e-9)
+                .map_err(proptest::test_runner::TestCaseError::fail)?;
+        }
     }
 }
