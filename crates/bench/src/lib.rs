@@ -418,7 +418,7 @@ pub fn timing() -> String {
         let sp = speedup_sweep(
             &k.program,
             &[1, 2, 4, 8, 16, 32],
-            32,
+            &RunConfig::default(),
             AccessCosts::default(),
         )
         .expect("timing");

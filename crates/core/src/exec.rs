@@ -10,15 +10,15 @@
 //! depends only on that PE's own access subsequence, whose relative order
 //! the global order preserves.
 
+use sa_ir::analysis::StaticArrays;
 use sa_ir::interp::{EvalCtx, Memory};
 use sa_ir::nest::Stmt;
 use sa_ir::program::Phase;
 use sa_ir::{ArrayId, IrError, Program};
+use sa_lint::screening::Schedule;
 use sa_machine::machine::ArraySpec;
 use sa_machine::{AccessKind, DistributedMachine, MachineConfig, MachineError, Stats};
 use sa_mem::SaArray;
-
-use crate::screening::PartitionMap;
 
 /// Errors from distributed execution.
 #[derive(Debug, Clone, PartialEq)]
@@ -225,12 +225,21 @@ fn run(program: &Program, cfg: &MachineConfig, tracing: bool) -> Result<SimRepor
         })
         .collect();
     let mut machine = DistributedMachine::new(*cfg, specs)?;
-    let map = PartitionMap::new(program, cfg).map_err(MachineError::BadConfig)?;
+    // Index screening comes from the schedule every engine shares; this
+    // interpreter asks it one instance at a time and is the reference the
+    // per-PE forms are certified against.
+    let schedule = Schedule::new(
+        program,
+        &StaticArrays::scan(program),
+        cfg.partition,
+        cfg.page_size,
+        cfg.n_pes,
+    )
+    .map_err(MachineError::BadConfig)?;
     let mut ctx = EvalCtx::new(program);
 
     let mut per_nest: Vec<(String, Stats)> = Vec::new();
     let mut phases_trace: Vec<PhaseTrace> = Vec::new();
-    let mut rr_counter = 0usize; // round-robin for anchorless statements
 
     for phase in &program.phases {
         match phase {
@@ -259,22 +268,23 @@ fn run(program: &Program, cfg: &MachineConfig, tracing: bool) -> Result<SimRepor
                 }
 
                 let mut failure: Option<SimError> = None;
+                let nest_idx = per_nest.len(); // one entry per nest so far
+                let mut g = 0u64; // iterations of this nest so far
                 nest.for_each_iteration(|ivs| {
                     if failure.is_some() {
                         return;
                     }
                     let mut reduce_idx = 0usize;
-                    for stmt in &nest.body {
-                        let res = exec_stmt(
-                            program,
-                            stmt,
-                            ivs,
-                            &map,
-                            &mut machine,
-                            &mut ctx,
-                            &mut rr_counter,
-                            tracing,
-                        );
+                    for (si, stmt) in nest.body.iter().enumerate() {
+                        // The executing PE (index screening), with the
+                        // machine's omniscient peek as the (uncounted)
+                        // resolver of indirect anchors.
+                        let res = schedule
+                            .owner(nest_idx, si, g, ivs, &mut PeekMem { machine: &machine })
+                            .map_err(SimError::from)
+                            .and_then(|pe| {
+                                exec_stmt(stmt, ivs, pe, &mut machine, &mut ctx, tracing)
+                            });
                         match res {
                             Err(e) => {
                                 failure = Some(e);
@@ -291,6 +301,7 @@ fn run(program: &Program, cfg: &MachineConfig, tracing: bool) -> Result<SimRepor
                             }
                         }
                     }
+                    g += 1;
                 });
                 if let Some(e) = failure {
                     return Err(e);
@@ -336,29 +347,15 @@ fn run(program: &Program, cfg: &MachineConfig, tracing: bool) -> Result<SimRepor
     })
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Execute one statement instance on `pe`, the PE screening gave it.
 fn exec_stmt(
-    program: &Program,
     stmt: &Stmt,
     ivs: &[i64],
-    map: &PartitionMap,
+    pe: usize,
     machine: &mut DistributedMachine,
     ctx: &mut EvalCtx<'_>,
-    rr_counter: &mut usize,
     tracing: bool,
 ) -> Result<(usize, Instance), SimError> {
-    // Determine the executing PE (index screening): the shared resolution
-    // path, with the machine's omniscient peek as the (uncounted) resolver
-    // for indirect anchors; anchorless reductions are dealt round-robin.
-    let pe = match map.resolved_anchor_owner(program, stmt, ivs, &mut PeekMem { machine })? {
-        Some(pe) => pe,
-        None => {
-            let pe = *rr_counter % map.n_pes();
-            *rr_counter += 1;
-            pe
-        }
-    };
-
     let mut mem = CountingMem {
         machine,
         pe,
@@ -379,7 +376,9 @@ fn exec_stmt(
                 #[cfg(debug_assertions)]
                 if matches!(e, MachineError::DoubleWrite { .. }) {
                     debug_assert!(
-                        !sa_lint::check_write_once(program).diagnostics.is_empty(),
+                        !sa_lint::check_write_once(ctx.program)
+                            .diagnostics
+                            .is_empty(),
                         "interpreter trapped a double write the static \
                          write-once verifier did not flag: {e}"
                     );

@@ -2,8 +2,11 @@
 //!
 //! This crate glues the substrates together into the paper's system:
 //!
-//! * [`screening`] — the *index screening* of §3: every statement instance
-//!   is mapped to the PE that owns the element it writes (owner-computes).
+//! Index screening (§3) — which PE executes a statement instance — is not
+//! decided here: every module below reads it from the one owner-computes
+//! schedule, `sa_lint::screening::Schedule` (`sa-lint` is the lowest crate
+//! that sees both a program and a placement).
+//!
 //! * [`exec`] — the access-counting distributed interpreter: runs an
 //!   `sa-ir` program on an `sa-machine`, classifying every read as
 //!   local / cached / remote exactly as the paper's simulation did, while
@@ -49,7 +52,6 @@ pub mod plan;
 pub mod replay;
 pub mod report;
 pub mod results;
-pub mod screening;
 pub mod search;
 pub mod verify;
 
@@ -64,7 +66,6 @@ pub use parallel::par_map;
 pub use plan::{Axis, ExperimentPlan, PlanError, RunConfig};
 pub use replay::{CountEngine, CountReport, ReplayError};
 pub use results::{Column, ResultSet};
-pub use screening::PartitionMap;
 pub use search::strategy::{
     MemoOracle, SearchReport, Searcher, Strategy, StrategyOracle, StrategyParams,
 };

@@ -393,12 +393,13 @@ impl Oracle for TimingOracle {
 }
 
 /// Estimated speedup over one PE at each PE count of `pes` (the §9
-/// execution-time extension): one [`TimingOracle`] plan over the PE axis,
-/// cycles divided into the 1-PE baseline's.
+/// execution-time extension) on the machine `base` describes apart from its
+/// PE count: one [`TimingOracle`] plan over the PE axis, cycles divided into
+/// the 1-PE baseline's.
 pub fn speedup_sweep(
     program: &Program,
     pes: &[usize],
-    page_size: usize,
+    base: &RunConfig,
     costs: AccessCosts,
 ) -> Result<Vec<(usize, f64)>, TimingError> {
     let expect_timing_error = |e: PlanError| match e {
@@ -407,10 +408,7 @@ pub fn speedup_sweep(
         other => unreachable!("speedup sweep hit a non-timing error: {other}"),
     };
     let oracle = TimingOracle::with_costs(costs);
-    let base_plan = ExperimentPlan::new().base(RunConfig {
-        page_size,
-        ..RunConfig::default()
-    });
+    let base_plan = ExperimentPlan::new().base(base.clone());
     let baseline = base_plan
         .clone()
         .pes(&[1])
@@ -484,11 +482,17 @@ mod tests {
     #[test]
     fn speedup_sweep_is_relative_to_one_pe() {
         let p = tiny();
-        let s = speedup_sweep(&p, &[1, 2, 4], 32, AccessCosts::default()).unwrap();
+        let s = speedup_sweep(
+            &p,
+            &[1, 2, 4],
+            &RunConfig::default(),
+            AccessCosts::default(),
+        )
+        .unwrap();
         assert_eq!(s[0], (1, 1.0));
         assert!(s[2].1 > s[1].1, "a matched loop keeps speeding up: {s:?}");
         assert_eq!(
-            speedup_sweep(&p, &[], 32, AccessCosts::default()).unwrap(),
+            speedup_sweep(&p, &[], &RunConfig::default(), AccessCosts::default()).unwrap(),
             vec![]
         );
     }

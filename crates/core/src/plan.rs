@@ -128,7 +128,13 @@ impl Default for RunConfig {
     /// The paper's reference configuration: 16 PEs, page size 32,
     /// 256-element LRU cache, modulo placement, ideal network.
     fn default() -> Self {
-        let m = MachineConfig::new(16, 32);
+        MachineConfig::new(16, 32).into()
+    }
+}
+
+impl From<MachineConfig> for RunConfig {
+    /// The grid point measuring machine `m` (against a single program).
+    fn from(m: MachineConfig) -> Self {
         RunConfig {
             kernel: None,
             n_pes: m.n_pes,

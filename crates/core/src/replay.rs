@@ -18,10 +18,11 @@
 //! (`tests/replay_vs_interp.rs` proves it differentially for the full suite
 //! across the figure grid, plus proptest-generated random affine nests):
 //!
-//! * **Static placement** — owner-computes maps every statement instance to
-//!   the PE owning its anchor element, a pure function of the iteration
-//!   vector for affine anchors (and of statically-initialized index arrays
-//!   for gathers). No value ever influences *where* an access happens.
+//! * **Static placement** — which PE executes a statement instance is
+//!   decided before the run (`sa_lint::screening::Schedule`, the one
+//!   owner-computes schedule every engine reads): no value ever influences
+//!   *where* an access happens. A shard walks exactly the windows the
+//!   schedule hands its PE.
 //! * **Single assignment ⇒ order-independent counts** — a cached page can
 //!   never be invalidated by a write, so each PE's cache state depends only
 //!   on that PE's own access subsequence, whose relative order the global
@@ -56,21 +57,21 @@
 //! performs no bounds, definedness or double-write checking, exactly
 //! because those checks are what make interpretation slow.
 
-use sa_ir::access::{Line, Sweep};
-use sa_ir::analysis::{anchor_ref, linear_address_form};
+use sa_ir::access::Line;
+use sa_ir::analysis::{anchor_ref, linear_address_form, Screen, StaticArrays};
 use sa_ir::index::IndexExpr;
-use sa_ir::nest::{ArrayRef, LoopNest, Stmt};
-use sa_ir::program::{ArrayInit, Phase};
+use sa_ir::nest::{ArrayRef, Stmt};
+use sa_ir::program::Phase;
 use sa_ir::{LinForm, Program};
+use sa_lint::screening::{Round, Schedule, Windows};
 use sa_machine::host::run_reinit_protocol;
 use sa_machine::{
-    host_of, CachePolicy, ConfigError, MachineConfig, Network, PageKey, PartialPagePolicy,
-    PeCounters, Placement, Stats,
+    host_of, ConfigError, MachineConfig, Network, PageKey, PartialPagePolicy, PeCounters,
+    PolicyCache, Probe, Stats,
 };
 
 use crate::exec::{simulate, SimError, SimReport};
 use crate::parallel::par_map;
-use crate::screening::{owned_segments, owned_segments_by};
 
 /// Which engine produced a [`CountReport`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -191,72 +192,44 @@ enum ReadAccess {
     Gather(GatherRef),
 }
 
-/// How a statement instance finds its executing PE.
-#[derive(Debug, Clone)]
-enum Anchor {
-    /// Affine anchor: owner of `form(ivs)` in `array`.
-    Affine { array: usize, form: LinForm },
-    /// Indirect anchor, resolved (uncharged, like the interpreter's peek)
-    /// through static index values.
-    Gather(GatherRef),
-    /// Anchorless reduction: dealt round-robin by the global counter;
-    /// `slot` is this statement's index among the nest's anchorless ones.
-    RoundRobin { slot: usize },
-}
-
 #[derive(Debug, Clone)]
 struct CStmt {
-    anchor: Anchor,
     /// RHS reads in evaluation order.
     reads: Vec<ReadAccess>,
     /// Index loads of an indirect *assign target*, charged after the RHS.
     target_loads: Vec<(usize, LinForm)>,
     /// Assigns perform one write per instance.
     writes: bool,
-    /// Reduce statements participate in slot `reduce_slot` of the nest.
-    reduce_slot: Option<usize>,
     /// Any gather among the reads — disables the bulk per-page-run path.
     has_gather: bool,
 }
 
-#[derive(Debug, Clone)]
-struct CNest<'p> {
-    nest: &'p LoopNest,
+#[derive(Debug)]
+struct CNest {
     body: Vec<CStmt>,
-    /// Scalar id per reduce slot, in body order.
-    reduce_scalars: Vec<usize>,
-    /// Global anchorless-instance counter value at nest entry.
-    rr_base: u64,
-    /// Anchorless statements per iteration of this nest.
-    rr_width: u64,
-}
-
-#[derive(Debug, Clone)]
-enum CPhase {
-    Loop(usize),
-    Reinit(usize),
+    /// The reduction rounds after the nest, with their participants.
+    rounds: Vec<Round>,
 }
 
 #[derive(Debug)]
 struct Compiled<'p> {
-    phases: Vec<CPhase>,
-    nests: Vec<CNest<'p>>,
-    /// Per-array geometry-aware placement (scheme × page size × PEs ×
-    /// declared shape) — the single owner authority for the whole replay.
-    placements: Vec<Placement>,
-    /// Truncated (`as i64`) static values per gather base array; empty for
-    /// arrays never used as a gather base.
-    index_values: Vec<Vec<i64>>,
+    /// The access model of each nest, aligned with the schedule's nests.
+    nests: Vec<CNest>,
+    /// Who executes what: placements, per-PE segments and windows,
+    /// reduction participants — the single owner authority of the replay.
+    schedule: Schedule<'p>,
+    /// The constant values of each gather base array; empty for arrays
+    /// never used as a gather base.
+    index_values: Vec<&'p [f64]>,
 }
 
-fn compile<'p>(program: &'p Program, cfg: &MachineConfig) -> Result<Compiled<'p>, ReplayError> {
-    let placements = Placement::table(
-        program.arrays.iter().map(|d| &d.dims),
-        cfg.partition,
-        cfg.page_size,
-        cfg.n_pes,
-    )
-    .map_err(ReplayError::Config)?;
+fn compile<'p>(
+    program: &'p Program,
+    statics: &'p StaticArrays<'p>,
+    cfg: &MachineConfig,
+) -> Result<Compiled<'p>, ReplayError> {
+    let mut schedule = Schedule::new(program, statics, cfg.partition, cfg.page_size, cfg.n_pes)
+        .map_err(ReplayError::Config)?;
     if cfg.partial_pages == PartialPagePolicy::Refetch {
         return Err(ReplayError::Unsupported {
             nest: "<config>".into(),
@@ -264,117 +237,81 @@ fn compile<'p>(program: &'p Program, cfg: &MachineConfig) -> Result<Compiled<'p>
         });
     }
 
-    // Arrays whose contents change during execution cannot back a gather.
-    let mut dynamic = vec![false; program.arrays.len()];
-    for phase in &program.phases {
-        match phase {
-            Phase::Reinit(id) => dynamic[id.0] = true,
-            Phase::Loop(nest) => {
-                for a in nest.written_arrays() {
-                    dynamic[a.0] = true;
-                }
-            }
-        }
-    }
-
-    let mut index_values: Vec<Vec<i64>> = vec![Vec::new(); program.arrays.len()];
-    let mut phases = Vec::with_capacity(program.phases.len());
+    let mut index_values: Vec<&[f64]> = vec![&[]; program.arrays.len()];
     let mut nests = Vec::new();
-    let mut rr_base = 0u64;
-
-    for phase in &program.phases {
-        match phase {
-            Phase::Reinit(id) => phases.push(CPhase::Reinit(id.0)),
-            Phase::Loop(nest) => {
-                let nvars = nest.loops.len();
-                let mut body = Vec::with_capacity(nest.body.len());
-                let mut reduce_scalars = Vec::new();
-                let mut rr_width = 0u64;
-                for stmt in &nest.body {
-                    let anchor = match anchor_ref(stmt) {
-                        None => {
-                            rr_width += 1;
-                            Anchor::RoundRobin {
-                                slot: (rr_width - 1) as usize,
-                            }
-                        }
-                        Some(aref) => match compile_ref(
-                            program,
-                            &nest.label,
-                            aref,
-                            nvars,
-                            &dynamic,
-                            &mut index_values,
-                        )? {
-                            ReadAccess::Affine { array, form } => Anchor::Affine { array, form },
-                            ReadAccess::Gather(g) => Anchor::Gather(g),
-                        },
-                    };
-                    let mut reads = Vec::new();
-                    for aref in stmt.reads() {
-                        reads.push(compile_ref(
-                            program,
-                            &nest.label,
-                            aref,
-                            nvars,
-                            &dynamic,
-                            &mut index_values,
-                        )?);
-                    }
-                    let mut target_loads = Vec::new();
-                    if let Stmt::Assign { target, .. } = stmt {
-                        for ix in &target.indices {
-                            if let IndexExpr::Indirect { base, pos, .. } = ix {
-                                target_loads.push((base.0, LinForm::of_index(pos, nvars)));
-                            }
-                        }
-                    }
-                    let reduce_slot = match stmt {
-                        Stmt::Reduce { target, .. } => {
-                            reduce_scalars.push(target.0);
-                            Some(reduce_scalars.len() - 1)
-                        }
-                        Stmt::Assign { .. } => None,
-                    };
-                    let has_gather = reads.iter().any(|r| matches!(r, ReadAccess::Gather(_)));
-                    body.push(CStmt {
-                        anchor,
-                        reads,
-                        target_loads,
-                        writes: matches!(stmt, Stmt::Assign { .. }),
-                        reduce_slot,
-                        has_gather,
-                    });
-                }
-                let cn = CNest {
-                    nest,
-                    body,
-                    reduce_scalars,
-                    rr_base,
-                    rr_width,
-                };
-                rr_base += rr_width * nest.iteration_count() as u64;
-                phases.push(CPhase::Loop(nests.len()));
-                nests.push(cn);
+    for ns in schedule.nests() {
+        let (nest, nvars) = (ns.nest, ns.nest.loops.len());
+        let mut lower = |aref| {
+            compile_ref(
+                program,
+                &nest.label,
+                aref,
+                nvars,
+                statics,
+                &mut index_values,
+            )
+        };
+        let mut body = Vec::with_capacity(nest.body.len());
+        for (stmt, screen) in nest.body.iter().zip(&ns.screen.screens) {
+            if *screen == Screen::Produced {
+                // Lowering the anchor names the index array in the way.
+                lower(anchor_ref(stmt).expect("only an anchor can be produced"))?;
+                return Err(ReplayError::Unsupported {
+                    nest: nest.label.clone(),
+                    reason: "the statement anchor has no static owner".into(),
+                });
             }
+            let reads: Vec<ReadAccess> = stmt
+                .reads()
+                .into_iter()
+                .map(&mut lower)
+                .collect::<Result<_, _>>()?;
+            let mut target_loads = Vec::new();
+            if let Stmt::Assign { target, .. } = stmt {
+                for ix in &target.indices {
+                    if let IndexExpr::Indirect { base, pos, .. } = ix {
+                        target_loads.push((base.0, LinForm::of_index(pos, nvars)));
+                    }
+                }
+            }
+            body.push(CStmt {
+                has_gather: reads.iter().any(|r| matches!(r, ReadAccess::Gather(_))),
+                reads,
+                target_loads,
+                writes: matches!(stmt, Stmt::Assign { .. }),
+            });
         }
+        nests.push(CNest {
+            body,
+            rounds: Vec::new(),
+        });
+    }
+    // Replay assumes a valid program; one whose anchors leave their arrays
+    // goes to the interpreter, which reports it.
+    schedule
+        .tabulate(statics)
+        .map_err(|e| ReplayError::Unsupported {
+            nest: schedule.nest(e.nest).nest.label.clone(),
+            reason: e.error.to_string(),
+        })?;
+    for (n, cn) in nests.iter_mut().enumerate() {
+        cn.rounds = schedule.rounds(n);
     }
 
     Ok(Compiled {
-        phases,
         nests,
-        placements,
+        schedule,
         index_values,
     })
 }
 
-fn compile_ref(
+fn compile_ref<'p>(
     program: &Program,
     nest_label: &str,
     aref: &ArrayRef,
     nvars: usize,
-    dynamic: &[bool],
-    index_values: &mut [Vec<i64>],
+    statics: &'p StaticArrays<'p>,
+    index_values: &mut [&'p [f64]],
 ) -> Result<ReadAccess, ReplayError> {
     if let Some(form) = linear_address_form(program, aref, nvars) {
         return Ok(ReadAccess::Affine {
@@ -394,32 +331,20 @@ fn compile_ref(
                 scale,
                 offset,
             } => {
-                let base_decl = program.array(*base);
-                if dynamic[base.0] {
+                // A gather is compiled ahead of the run, so it needs its
+                // index array constant in every cell.
+                let Some(values) = statics.total(*base) else {
+                    let name = &program.array(*base).name;
                     return Err(ReplayError::Unsupported {
                         nest: nest_label.to_string(),
-                        reason: format!(
-                            "gather through dynamically produced index array `{}`",
-                            base_decl.name
-                        ),
-                    });
-                }
-                let ArrayInit::Full(pattern) = base_decl.init else {
-                    return Err(ReplayError::Unsupported {
-                        nest: nest_label.to_string(),
-                        reason: format!(
-                            "index array `{}` is not fully statically initialized",
-                            base_decl.name
-                        ),
+                        reason: if statics.get(*base).is_some() {
+                            format!("index array `{name}` is not fully statically initialized")
+                        } else {
+                            format!("gather through dynamically produced index array `{name}`")
+                        },
                     });
                 };
-                if index_values[base.0].is_empty() {
-                    index_values[base.0] = pattern
-                        .materialize(base_decl.len())
-                        .into_iter()
-                        .map(|v| v as i64)
-                        .collect();
-                }
+                index_values[base.0] = values;
                 dims.push(DimIdx::Indirect {
                     base: base.0,
                     pos: LinForm::of_index(pos, nvars),
@@ -458,112 +383,6 @@ struct Shard {
     net: Network,
 }
 
-/// A drop-in replacement for [`PageCache`] with identical observable
-/// semantics under `PartialPagePolicy::Ignore`, backed by a linear-scan
-/// vector instead of a `HashMap` — page capacities are small (the paper's
-/// 256-element cache holds 8 pages), so a scan beats hashing by ~10×, and
-/// cache probes are the replay engine's hottest non-arithmetic operation.
-///
-/// Exact-equivalence notes (differential tests enforce these):
-/// * `tick` advances once per probe and once per insert, like
-///   `PageCache`; only the *relative order* of stamps is observable (via
-///   eviction choice), and both implementations assign identical orders.
-/// * LRU refreshes the stamp on hit; FIFO/Random do not.
-/// * LRU/FIFO evict the minimum stamp (stamps are unique).
-/// * Random advances the same xorshift64* state per eviction and picks
-///   the same victim over the ascending key list.
-#[derive(Debug, Clone)]
-struct ReplayCache {
-    capacity: usize,
-    policy: CachePolicy,
-    entries: Vec<(PageKey, u64)>,
-    tick: u64,
-    rng: u64,
-}
-
-impl ReplayCache {
-    fn new(capacity_pages: usize, policy: CachePolicy) -> Self {
-        let rng = match policy {
-            CachePolicy::Random { seed } => seed | 1,
-            _ => 1,
-        };
-        ReplayCache {
-            capacity: capacity_pages,
-            policy,
-            entries: Vec::with_capacity(capacity_pages),
-            tick: 0,
-            rng,
-        }
-    }
-
-    /// Probe for `key`; true on hit (LRU refreshes recency).
-    #[inline]
-    fn probe(&mut self, key: PageKey) -> bool {
-        self.tick += 1;
-        let lru = matches!(self.policy, CachePolicy::Lru);
-        match self.entries.iter_mut().find(|(k, _)| *k == key) {
-            Some(e) => {
-                if lru {
-                    e.1 = self.tick;
-                }
-                true
-            }
-            None => false,
-        }
-    }
-
-    #[inline]
-    fn contains(&self, key: PageKey) -> bool {
-        self.entries.iter().any(|(k, _)| *k == key)
-    }
-
-    fn insert(&mut self, key: PageKey) {
-        self.tick += 1;
-        if let Some(e) = self.entries.iter_mut().find(|(k, _)| *k == key) {
-            e.1 = self.tick;
-            return;
-        }
-        if self.capacity == 0 {
-            return;
-        }
-        if self.entries.len() >= self.capacity {
-            self.evict_one();
-        }
-        self.entries.push((key, self.tick));
-    }
-
-    fn evict_one(&mut self) {
-        let victim = match self.policy {
-            CachePolicy::Lru | CachePolicy::Fifo => self
-                .entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, (_, stamp))| *stamp)
-                .map(|(i, _)| i),
-            CachePolicy::Random { .. } => {
-                // xorshift64* over the *sorted* key list — bit-for-bit the
-                // victim `PageCache::evict_one` picks.
-                self.rng ^= self.rng << 13;
-                self.rng ^= self.rng >> 7;
-                self.rng ^= self.rng << 17;
-                let n = self.entries.len() as u64;
-                let pick = (self.rng.wrapping_mul(0x2545_F491_4F6C_DD1D) % n) as usize;
-                let mut keys: Vec<PageKey> = self.entries.iter().map(|(k, _)| *k).collect();
-                keys.sort_unstable();
-                let victim_key = keys[pick];
-                self.entries.iter().position(|(k, _)| *k == victim_key)
-            }
-        };
-        if let Some(i) = victim {
-            self.entries.swap_remove(i);
-        }
-    }
-
-    fn invalidate_array(&mut self, array: usize) {
-        self.entries.retain(|(k, _)| k.array != array);
-    }
-}
-
 /// One non-local page run of one affine read: iterations `[t0, t1)` all
 /// touch `page` of `array`, owned by `owner`.
 #[derive(Debug, Clone, Copy)]
@@ -582,8 +401,6 @@ struct StmtForms {
     reads: Vec<Vec<Line>>,
     /// Lines of the indirect-target index loads.
     target_loads: Vec<Line>,
-    /// Owned inner iterations, as disjoint ascending `(start, end)` ranges.
-    segs: Vec<(usize, usize)>,
 }
 
 struct Worker<'a> {
@@ -593,11 +410,15 @@ struct Worker<'a> {
     ps: usize,
     cache_on: bool,
     lru: bool,
-    cache: ReplayCache,
+    /// The machine's replacement core with nothing to carry per page:
+    /// offsets are irrelevant under `Ignore` partial-page semantics (the
+    /// only policy replay supports), so residency is all a probe asks.
+    cache: PolicyCache<()>,
     net: Network,
     gens: Vec<u32>,
     cur: NestTally,
-    participation: Vec<bool>,
+    /// This PE's owned windows of the sweep being replayed.
+    windows: Windows,
     // Scratch buffers reused across the (very many) bulk windows.
     scratch_probes: Vec<ProbeRun>,
     scratch_cuts: Vec<usize>,
@@ -613,11 +434,11 @@ impl<'a> Worker<'a> {
             ps: cfg.page_size,
             cache_on: cfg.cache_enabled(),
             lru: cfg.cache_policy == sa_machine::CachePolicy::Lru,
-            cache: ReplayCache::new(cfg.cache_pages(), cfg.cache_policy),
+            cache: PolicyCache::new(cfg.cache_pages(), cfg.cache_policy),
             net: Network::new(cfg.network, cfg.n_pes),
-            gens: vec![0; cp.placements.len()],
+            gens: vec![0; cp.index_values.len()],
             cur: NestTally::default(),
-            participation: Vec::new(),
+            windows: Windows::default(),
             scratch_probes: Vec::new(),
             scratch_cuts: Vec::new(),
             scratch_runs: Vec::new(),
@@ -626,17 +447,17 @@ impl<'a> Worker<'a> {
 
     fn run(mut self) -> Shard {
         let cp = self.cp;
-        let mut nest_tallies = vec![NestTally::default(); cp.nests.len()];
-        for phase in &cp.phases {
+        let mut nest_tallies = Vec::with_capacity(cp.nests.len());
+        for phase in &cp.schedule.program().phases {
             match phase {
-                CPhase::Reinit(a) => {
-                    self.gens[*a] += 1;
-                    self.cache.invalidate_array(*a);
+                Phase::Reinit(a) => {
+                    self.gens[a.0] += 1;
+                    self.cache.invalidate_array(a.0);
                 }
-                CPhase::Loop(i) => {
+                Phase::Loop(_) => {
                     self.cur = NestTally::default();
-                    self.replay_nest(&cp.nests[*i]);
-                    nest_tallies[*i] = self.cur;
+                    self.replay_nest(nest_tallies.len());
+                    nest_tallies.push(self.cur);
                 }
             }
         }
@@ -648,7 +469,17 @@ impl<'a> Worker<'a> {
 
     fn owner_of(&self, array: usize, addr: i64) -> usize {
         debug_assert!(addr >= 0, "negative address in replay (invalid program)");
-        self.cp.placements[array].owner_of_addr(addr as usize)
+        self.cp.schedule.placements()[array].owner_of_addr(addr as usize)
+    }
+
+    /// Probe for `key`; true on hit (LRU refreshes recency).
+    #[inline]
+    fn probe(&mut self, key: PageKey) -> bool {
+        matches!(self.cache.probe_with(key, |()| Some(())), Probe::Hit(()))
+    }
+
+    fn insert(&mut self, key: PageKey) {
+        self.cache.insert_with(key, (), |(), ()| {});
     }
 
     /// Charge one element read exactly as `DistributedMachine::read` would.
@@ -665,39 +496,15 @@ impl<'a> Worker<'a> {
                 page,
                 generation: self.gens[array],
             };
-            // Offset is irrelevant under `Ignore` partial-page semantics
-            // (the only policy replay supports).
-            if self.cache.probe(key) {
+            if self.probe(key) {
                 self.cur.cached += 1;
                 return;
             }
-            self.cache.insert(key);
+            self.insert(key);
         }
         self.net.record_fetch(self.pe, owner);
         self.cur.remote += 1;
         self.cur.page_fetches += 1;
-    }
-
-    /// Element address of a gather at inner iteration `t` (uncharged).
-    fn gather_addr(&self, g: &GatherRef, dims: &[Line], t: i64) -> i64 {
-        let mut addr = 0i64;
-        for (d, dim) in g.dims.iter().enumerate() {
-            let idx = match dim {
-                DimIdx::Affine(_) => dims[d].addr(t),
-                DimIdx::Indirect {
-                    base,
-                    scale,
-                    offset,
-                    ..
-                } => {
-                    let pos = dims[d].addr(t);
-                    debug_assert!(pos >= 0, "negative gather position");
-                    scale * self.cp.index_values[*base][pos as usize] + offset
-                }
-            };
-            addr += g.strides[d] * idx;
-        }
-        addr
     }
 
     /// Charge every access of `stmt` at inner iteration `t`.
@@ -720,7 +527,7 @@ impl<'a> Worker<'a> {
                             } => {
                                 let pos = rf[d].addr(t);
                                 self.charge_read(*base, pos);
-                                scale * self.cp.index_values[*base][pos as usize] + offset
+                                scale * (self.cp.index_values[*base][pos as usize] as i64) + offset
                             }
                         };
                         addr += g.strides[d] * idx;
@@ -735,37 +542,28 @@ impl<'a> Worker<'a> {
         if stmt.writes {
             self.cur.writes += 1;
         }
-        if let Some(slot) = stmt.reduce_slot {
-            self.participation[slot] = true;
-        }
     }
 
-    fn replay_nest(&mut self, cn: &'a CNest<'a>) {
-        self.participation = vec![false; cn.reduce_scalars.len()];
-        // Iterations of the nest before the current sweep.
-        let mut g_base = 0u64;
-        cn.nest.for_each_sweep(|sweep| {
-            self.block(cn, sweep, g_base);
-            g_base += sweep.trips as u64;
-        });
+    fn replay_nest(&mut self, nest: usize) {
+        let cn = &self.cp.nests[nest];
+        for sweep in 0..self.cp.schedule.nest(nest).sweeps.len() {
+            self.block(cn, nest, sweep);
+        }
         // Vector→scalar collection: ship this PE's partials to each
         // scalar's host (paper §9), exactly like `machine.send_partial`.
-        for (slot, &scalar) in cn.reduce_scalars.iter().enumerate() {
-            if self.participation[slot] {
-                let host = host_of(scalar, self.n_pes);
-                if host != self.pe {
-                    self.net.record_message(self.pe, host);
-                    self.cur.reduction_messages += 1;
-                }
+        for round in &cn.rounds {
+            if round.ships_from(self.pe) {
+                self.net
+                    .record_message(self.pe, host_of(round.scalar, self.n_pes));
+                self.cur.reduction_messages += 1;
             }
         }
     }
 
-    /// Replay one sweep of the nest.
-    fn block(&mut self, cn: &'a CNest<'a>, sweep: &Sweep<'_>, g_base: u64) {
-        let m = sweep.trips;
-        let line_of = |f: &LinForm| f.line(sweep);
-
+    /// Replay this PE's share of one sweep of the nest.
+    fn block(&mut self, cn: &'a CNest, nest: usize, sweep: usize) {
+        let sw = self.cp.schedule.nest(nest).sweep(sweep);
+        let line_of = |f: &LinForm| f.line(&sw);
         let mut stmt_forms: Vec<StmtForms> = Vec::with_capacity(cn.body.len());
         for stmt in &cn.body {
             let reads = stmt
@@ -781,72 +579,31 @@ impl<'a> Worker<'a> {
                 .iter()
                 .map(|(_, form)| line_of(form))
                 .collect();
-            let segs = match &stmt.anchor {
-                Anchor::Affine { array, form } => {
-                    owned_segments(&self.cp.placements[*array], self.pe, line_of(form), m)
-                }
-                Anchor::Gather(g) => {
-                    let anchor_dims: Vec<Line> =
-                        g.dims.iter().map(|d| line_of(dim_form(d))).collect();
-                    owned_segments_by(m, |t| {
-                        let addr = self.gather_addr(g, &anchor_dims, t as i64);
-                        self.owner_of(g.array, addr) == self.pe
-                    })
-                }
-                Anchor::RoundRobin { slot } => {
-                    let (base, width, n, pe) =
-                        (cn.rr_base, cn.rr_width, self.n_pes as u64, self.pe as u64);
-                    let slot = *slot as u64;
-                    owned_segments_by(m, |t| (base + (g_base + t as u64) * width + slot) % n == pe)
-                }
-            };
             stmt_forms.push(StmtForms {
                 reads,
                 target_loads,
-                segs,
             });
         }
 
-        // Iterations interleave statements in body order, so walk the
-        // union of owned ranges boundary by boundary. Windows whose active
+        // Iterations interleave statements in body order, so the schedule
+        // hands the PE's trips window by window. Windows whose active
         // statements are all-affine take the bulk per-page-run path;
         // gather-bearing windows fall back to per-instance charging.
-        let mut cuts: Vec<usize> = Vec::new();
-        for f in &stmt_forms {
-            for &(s, e) in &f.segs {
-                cuts.push(s);
-                cuts.push(e);
-            }
-        }
-        cuts.sort_unstable();
-        cuts.dedup();
-        let mut cursors = vec![0usize; cn.body.len()];
-        let mut active: Vec<usize> = Vec::with_capacity(cn.body.len());
-        for w in cuts.windows(2) {
-            let (w0, w1) = (w[0], w[1]);
-            active.clear();
-            for (si, f) in stmt_forms.iter().enumerate() {
-                let c = &mut cursors[si];
-                while *c < f.segs.len() && f.segs[*c].1 <= w0 {
-                    *c += 1;
-                }
-                if *c < f.segs.len() && f.segs[*c].0 <= w0 {
-                    active.push(si);
-                }
-            }
-            if active.is_empty() {
-                continue;
-            }
+        let mut win = std::mem::take(&mut self.windows);
+        self.cp.schedule.load_sweep(self.pe, nest, sweep, &mut win);
+        while let Some((w0, w1)) = win.advance() {
+            let active = win.active();
             if active.iter().any(|&si| cn.body[si].has_gather) {
                 for t in w0..w1 {
-                    for &si in &active {
+                    for &si in active {
                         self.charge_stmt(&cn.body[si], &stmt_forms[si], t as i64);
                     }
                 }
             } else {
-                self.bulk_window(cn, &stmt_forms, &active, w0, w1);
+                self.bulk_window(cn, &stmt_forms, active, w0, w1);
             }
         }
+        self.windows = win;
     }
 
     /// Charge an all-affine window in bulk: writes and local reads count
@@ -854,7 +611,7 @@ impl<'a> Worker<'a> {
     /// and those probe once per (page, residency) instead of per access.
     fn bulk_window(
         &mut self,
-        cn: &CNest<'_>,
+        cn: &CNest,
         stmt_forms: &[StmtForms],
         active: &[usize],
         w0: usize,
@@ -870,9 +627,6 @@ impl<'a> Worker<'a> {
             let forms = &stmt_forms[si];
             if stmt.writes {
                 self.cur.writes += len;
-            }
-            if let Some(slot) = stmt.reduce_slot {
-                self.participation[slot] = true;
             }
             for (read, rf) in stmt.reads.iter().zip(&forms.reads) {
                 let ReadAccess::Affine { array, .. } = read else {
@@ -908,7 +662,7 @@ impl<'a> Worker<'a> {
             // Largest run of iterations staying on `page` (the whole window
             // for a line that does not move).
             let end = (line.run_end(t as i64, ps) as usize).min(w1);
-            let owner = self.cp.placements[array].page_owner(page);
+            let owner = self.cp.schedule.placements()[array].page_owner(page);
             if owner == self.pe {
                 self.cur.local += (end - t) as u64;
             } else {
@@ -987,14 +741,14 @@ impl<'a> Worker<'a> {
                 self.cur.page_fetches += rest;
                 self.net.record_fetches(self.pe, p.owner, rest);
             }
-        } else if runs.iter().all(|p| self.cache.contains(self.key_of(p))) {
+        } else if runs.iter().all(|p| self.cache.contains(&self.key_of(p))) {
             self.cur.cached += runs.len() as u64 * rest;
             if self.lru {
                 // Refresh recency once per page, in probe order: the
                 // relative stamp order equals the per-access outcome.
                 for p in runs {
                     let key = self.key_of(p);
-                    self.cache.probe(key);
+                    self.probe(key);
                 }
             }
         } else {
@@ -1019,11 +773,11 @@ impl<'a> Worker<'a> {
     fn probe_fetch(&mut self, p: &ProbeRun) {
         if self.cache_on {
             let key = self.key_of(p);
-            if self.cache.probe(key) {
+            if self.probe(key) {
                 self.cur.cached += 1;
                 return;
             }
-            self.cache.insert(key);
+            self.insert(key);
         }
         self.net.record_fetch(self.pe, p.owner);
         self.cur.remote += 1;
@@ -1047,7 +801,8 @@ fn dim_form(d: &DimIdx) -> &LinForm {
 /// nest (or config knob) needs the interpreter — use [`counts_or_simulate`]
 /// for transparent fallback.
 pub fn counts(program: &Program, cfg: &MachineConfig) -> Result<CountReport, ReplayError> {
-    let cp = compile(program, cfg)?;
+    let statics = StaticArrays::scan(program);
+    let cp = compile(program, &statics, cfg)?;
     let pes: Vec<usize> = (0..cfg.n_pes).collect();
     let shards: Vec<Shard> = par_map(&pes, |&pe| {
         Ok::<_, std::convert::Infallible>(Worker::new(&cp, cfg, pe).run())
@@ -1057,11 +812,11 @@ pub fn counts(program: &Program, cfg: &MachineConfig) -> Result<CountReport, Rep
     // Coordinator: host-protocol accounting (PE-independent) + merge.
     let mut net = Network::new(cfg.network, cfg.n_pes);
     let mut stats = Stats::new(cfg.n_pes);
-    let mut gens = vec![0u32; cp.placements.len()];
-    for phase in &cp.phases {
-        if let CPhase::Reinit(a) = phase {
-            gens[*a] += 1;
-            let sync = run_reinit_protocol(&mut net, *a, cfg.n_pes, gens[*a]);
+    let mut gens = vec![0u32; program.arrays.len()];
+    for phase in &program.phases {
+        if let Phase::Reinit(a) = phase {
+            gens[a.0] += 1;
+            let sync = run_reinit_protocol(&mut net, a.0, cfg.n_pes, gens[a.0]);
             stats.reinit_messages += sync.total_messages();
         }
     }
@@ -1070,7 +825,7 @@ pub fn counts(program: &Program, cfg: &MachineConfig) -> Result<CountReport, Rep
     }
 
     let mut per_nest = Vec::with_capacity(cp.nests.len());
-    for (i, cn) in cp.nests.iter().enumerate() {
+    for (i, nest) in program.nests().enumerate() {
         let mut ns = Stats::new(cfg.n_pes);
         for (pe, shard) in shards.iter().enumerate() {
             let t = &shard.nest_tallies[i];
@@ -1084,7 +839,7 @@ pub fn counts(program: &Program, cfg: &MachineConfig) -> Result<CountReport, Rep
             ns.reduction_messages += t.reduction_messages;
         }
         stats.merge(&ns);
-        per_nest.push((cn.nest.label.clone(), ns));
+        per_nest.push((nest.label.clone(), ns));
     }
 
     Ok(CountReport {

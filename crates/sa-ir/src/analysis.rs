@@ -16,11 +16,27 @@
 //!
 //! The dynamic classifier in `sa-core` cross-checks these predictions
 //! against measured remote-access curves.
+//!
+//! # The placement-independent half of the owner-computes schedule
+//!
+//! Index screening (§3) — which PE executes a statement instance — is
+//! decided in two steps, and this module owns the first, the one that needs
+//! no machine shape: [`screen_nests`] classifies every statement once
+//! ([`Screen`]: affine anchor, anchor through [`StaticArrays`], anchorless
+//! round-robin, anchor through a produced index array) and fixes each
+//! nest's place in the round-robin deal ([`NestScreen::deal`], the one
+//! statement of that formula, with its closed-form per-PE counts).
+//! `sa_lint::screening::Schedule` binds the result to a placement table;
+//! every engine and every static pass reads screening from there.
+
+use std::sync::OnceLock;
 
 use crate::access::{try_for_each_sweep, LinForm};
 use crate::index::IndexExpr;
+use crate::interp::Memory;
 use crate::nest::{ArrayRef, LoopNest, Stmt};
-use crate::program::Program;
+use crate::program::{ArrayInit, Phase, Program};
+use crate::{ArrayId, IrError};
 
 /// Relation between one read reference and the statement's write anchor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -335,6 +351,203 @@ pub fn anchor_index_arrays(stmt: &Stmt) -> Vec<crate::ArrayId> {
     out
 }
 
+/// The arrays whose contents are compile-time constants — never written by
+/// any statement and never re-initialized — and their values: the index
+/// arrays a gather, a scatter or a statement anchor can be seen through
+/// before the program runs. This is the one scan every consumer asks
+/// (replay's gathers, the static passes' resolver, the schedule's owner
+/// tables).
+///
+/// The rule for [`ArrayInit::Prefix`]: such an array is static *cell by
+/// cell*. [`StaticArrays::get`] hands out its defined prefix, and a position
+/// past it is a cell nobody ever defines — that is what the static passes
+/// read. [`StaticArrays::total`], which is what anything resolved *ahead
+/// of* the run (an owner table, a compiled gather) asks, answers only for
+/// arrays declared [`ArrayInit::Full`]: a prefix declaration says the
+/// program takes care of definedness itself, whatever the prefix happens
+/// to cover, so the engines resolve through it at run time. An
+/// [`ArrayInit::Undefined`] array has no constant cells at all.
+///
+/// Values are materialized on first use, so scanning a program with large
+/// never-gathered inputs costs nothing.
+#[derive(Debug)]
+pub struct StaticArrays<'p> {
+    program: &'p Program,
+    constant: Vec<bool>,
+    values: Vec<OnceLock<Vec<f64>>>,
+}
+
+impl<'p> StaticArrays<'p> {
+    /// Scan `program` for its compile-time-constant arrays.
+    pub fn scan(program: &'p Program) -> Self {
+        let mut constant: Vec<bool> = program
+            .arrays
+            .iter()
+            .map(|d| !matches!(d.init, ArrayInit::Undefined))
+            .collect();
+        for phase in &program.phases {
+            match phase {
+                Phase::Reinit(id) => constant[id.0] = false,
+                Phase::Loop(nest) => {
+                    for id in nest.written_arrays() {
+                        constant[id.0] = false;
+                    }
+                }
+            }
+        }
+        StaticArrays {
+            program,
+            values: constant.iter().map(|_| OnceLock::new()).collect(),
+            constant,
+        }
+    }
+
+    /// The defined prefix of `a` if its values are compile-time constants.
+    #[inline]
+    pub fn get(&self, a: ArrayId) -> Option<&[f64]> {
+        if !self.constant[a.0] {
+            return None;
+        }
+        let decl = self.program.array(a);
+        Some(self.values[a.0].get_or_init(|| decl.init.materialize(decl.len())))
+    }
+
+    /// The values of `a` if it is declared constant in every cell
+    /// ([`ArrayInit::Full`], never written, never re-initialized).
+    pub fn total(&self, a: ArrayId) -> Option<&[f64]> {
+        matches!(self.program.array(a).init, ArrayInit::Full(_))
+            .then(|| self.get(a))
+            .flatten()
+    }
+}
+
+/// The constant cells as a [`Memory`]: what a reference resolves against
+/// ahead of the run. A cell that is not a compile-time constant reads as
+/// undefined.
+impl Memory for &StaticArrays<'_> {
+    fn load(&mut self, array: ArrayId, addr: usize) -> Result<f64, IrError> {
+        self.get(array)
+            .and_then(|values| values.get(addr).copied())
+            .ok_or_else(|| IrError::ReadUndefined {
+                array: self.program.array(array).name.clone(),
+                addr,
+            })
+    }
+}
+
+/// How the instances of one statement find their executing PE (paper §3,
+/// index screening).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Screen {
+    /// Affine anchor: the owner of element `form(ivs)` of `array`. A PE's
+    /// trips of a sweep follow closed-form from the placement.
+    Affine {
+        /// Anchor array.
+        array: ArrayId,
+        /// Linear address of the anchor element.
+        form: LinForm,
+    },
+    /// Anchor through index arrays that are [`StaticArrays::total`]: the
+    /// owner of every instance can be tabulated before the run.
+    Static,
+    /// Anchorless statement (a reduction reading no array): dealt
+    /// round-robin, see [`NestScreen::deal`].
+    RoundRobin {
+        /// Index among the nest's anchorless statements.
+        slot: u64,
+    },
+    /// Anchor through an index array the program produces (or that is only
+    /// partly initialized): the owner is known once the index cell is, at
+    /// run time. Also the kind of an anchor no linear form exists for (a
+    /// rank mismatch), which fails on its first instance everywhere.
+    Produced,
+}
+
+/// Screening of one nest, before any machine shape is known.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct NestScreen {
+    /// Per body statement, how its instances are screened.
+    pub screens: Vec<Screen>,
+    /// Iterations of the whole nest.
+    pub iterations: u64,
+    /// Anchorless instances dealt by the nests before this one: the deal
+    /// is global across the program.
+    rr_base: u64,
+    /// Anchorless statements per iteration.
+    rr_width: u64,
+}
+
+impl NestScreen {
+    /// The PE (of `n_pes`) that the round-robin deal gives the `slot`-th
+    /// anchorless statement at iteration `g` of the nest (`g` counts the
+    /// nest's iterations in execution order): anchorless instances take
+    /// consecutive PEs in execution order, across statements, iterations
+    /// and nests.
+    #[inline]
+    pub fn deal(&self, slot: u64, g: u64, n_pes: usize) -> usize {
+        ((self.rr_base + g * self.rr_width + slot) % n_pes as u64) as usize
+    }
+
+    /// How many of the nest's anchorless instances the deal gives each of
+    /// `n_pes` PEs, in closed form: the nest's instances take consecutive
+    /// positions of the deal, so every PE gets the quotient and the first
+    /// few after the nest's starting PE one more.
+    pub fn dealt_per_pe(&self, n_pes: usize) -> impl Iterator<Item = u64> {
+        let n = n_pes as u64;
+        let (dealt, start) = (self.iterations * self.rr_width, self.rr_base % n);
+        (0..n).map(move |pe| dealt / n + u64::from((pe + n - start) % n < dealt % n))
+    }
+
+    /// Which of `n_pes` PEs execute some instance of the `slot`-th
+    /// anchorless statement. The deal is periodic in the PE count.
+    pub fn dealt_to(&self, slot: u64, n_pes: usize) -> Vec<bool> {
+        let mut pes = vec![false; n_pes];
+        for g in 0..self.iterations.min(n_pes as u64) {
+            pes[self.deal(slot, g, n_pes)] = true;
+        }
+        pes
+    }
+}
+
+/// Screen every nest of `program`, in phase order.
+pub fn screen_nests(program: &Program, statics: &StaticArrays<'_>) -> Vec<NestScreen> {
+    let mut rr_base = 0u64;
+    program
+        .nests()
+        .map(|nest| {
+            let mut rr_width = 0u64;
+            let screens = nest
+                .body
+                .iter()
+                .map(|stmt| {
+                    let Some(anchor) = anchor_ref(stmt) else {
+                        rr_width += 1;
+                        return Screen::RoundRobin { slot: rr_width - 1 };
+                    };
+                    if let Some(form) = linear_address_form(program, anchor, nest.loops.len()) {
+                        let array = anchor.array;
+                        return Screen::Affine { array, form };
+                    }
+                    let bases = anchor_index_arrays(stmt);
+                    if !bases.is_empty() && bases.iter().all(|b| statics.total(*b).is_some()) {
+                        Screen::Static
+                    } else {
+                        Screen::Produced
+                    }
+                })
+                .collect();
+            let screen = NestScreen {
+                screens,
+                iterations: nest.iteration_count() as u64,
+                rr_base,
+                rr_width,
+            };
+            rr_base += screen.iterations * rr_width;
+            screen
+        })
+        .collect()
+}
+
 /// Classify one nest of `program`.
 pub fn classify_nest(program: &Program, nest: &LoopNest) -> NestReport {
     let nvars = nest.loops.len();
@@ -618,6 +831,90 @@ mod tests {
         });
         let rep = classify_program(&b.finish());
         assert_eq!(rep.class, AccessClass::Skewed { max_skew: 5 });
+    }
+
+    #[test]
+    fn the_deal_hands_anchorless_instances_to_consecutive_pes() {
+        // Two anchorless statements beside an anchored one, then a second
+        // nest with one: a running counter over the anchorless instances in
+        // execution order is the definition the closed forms must meet.
+        let mut b = ProgramBuilder::new("deal");
+        let y = b.input("Y", &[16], InitPattern::Wavy);
+        let (q, c, s) = (b.scalar("q"), b.scalar("c"), b.scalar("s"));
+        b.nest("two", &[("i", 0, 2), ("k", 0, 4)], |n| {
+            n.reduce(q, crate::expr::ReduceOp::Sum, crate::Expr::LoopVar(1));
+            n.reduce(s, crate::expr::ReduceOp::Sum, n.read(y, [iv(1)]));
+            n.reduce(c, crate::expr::ReduceOp::Sum, crate::Expr::Const(1.0));
+        });
+        b.nest("one", &[("k", 0, 6)], |n| {
+            n.reduce(q, crate::expr::ReduceOp::Sum, crate::Expr::Const(2.0));
+        });
+        let p = b.finish();
+        let screens = screen_nests(&p, &StaticArrays::scan(&p));
+        assert_eq!(screens[0].screens[0], Screen::RoundRobin { slot: 0 });
+        assert!(matches!(screens[0].screens[1], Screen::Affine { .. }));
+        assert_eq!(screens[0].screens[2], Screen::RoundRobin { slot: 1 });
+        assert_eq!((screens[0].iterations, screens[1].iterations), (15, 7));
+        for n_pes in [1usize, 2, 3, 4, 7, 64] {
+            let mut counter = 0usize;
+            for screen in &screens {
+                let mut per_pe = vec![0u64; n_pes];
+                let mut to = vec![vec![false; n_pes]; 2];
+                for g in 0..screen.iterations {
+                    for s in &screen.screens {
+                        let Screen::RoundRobin { slot } = *s else {
+                            continue;
+                        };
+                        let pe = counter % n_pes;
+                        counter += 1;
+                        assert_eq!(screen.deal(slot, g, n_pes), pe, "{n_pes} PEs, g {g}");
+                        per_pe[pe] += 1;
+                        to[slot as usize][pe] = true;
+                    }
+                }
+                assert_eq!(screen.dealt_per_pe(n_pes).collect::<Vec<_>>(), per_pe);
+                for s in &screen.screens {
+                    if let Screen::RoundRobin { slot } = *s {
+                        assert_eq!(screen.dealt_to(slot, n_pes), to[slot as usize]);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn static_arrays_are_the_never_mutated_initialized_ones() {
+        use crate::program::ArrayInit;
+        let mut b = ProgramBuilder::new("statics");
+        let full = b.input("F", &[8], InitPattern::Permutation { seed: 1 });
+        let prefix = b.array_with(
+            "P",
+            &[8],
+            ArrayInit::Prefix {
+                pattern: InitPattern::Wavy,
+                len: 8,
+            },
+        );
+        let reinit = b.input("R", &[8], InitPattern::Wavy);
+        let out = b.output("X", &[8]);
+        let never = b.output("N", &[8]);
+        b.nest("w", &[("k", 0, 7)], |n| {
+            n.assign(out, [iv(0)], n.read(full, [iv(0)]));
+        });
+        b.reinit(reinit);
+        let p = b.finish();
+        let statics = StaticArrays::scan(&p);
+        assert_eq!(statics.get(full).map(<[f64]>::len), Some(8));
+        assert!(statics.total(full).is_some());
+        // A prefix is static cell by cell, never ahead of the run — even
+        // when it covers the array.
+        assert_eq!(statics.get(prefix).map(<[f64]>::len), Some(8));
+        assert!(statics.total(prefix).is_none());
+        for runtime in [reinit, out, never] {
+            assert!(statics.get(runtime).is_none() && statics.total(runtime).is_none());
+        }
+        assert!((&statics).load(full, 3).is_ok());
+        assert!((&statics).load(out, 3).is_err());
     }
 
     #[test]

@@ -88,7 +88,7 @@ impl<'p> EvalCtx<'p> {
 /// interpreter, the counting simulator and the thread runtime all call it
 /// (directly or via [`EvalCtx::resolve_addr`]), so a gather subscript can
 /// never resolve differently between executors. Ownership screening reuses
-/// it too — `sa-core`'s `PartitionMap::resolved_anchor_owner` passes a
+/// it too — `sa_lint::screening::Schedule::owner` takes a
 /// non-counting `mem` to discover where an indirect anchor lands.
 pub fn resolve_ref_addr(
     program: &Program,

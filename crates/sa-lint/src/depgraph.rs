@@ -67,10 +67,8 @@ use sa_machine::ConfigError;
 
 use crate::diag::{Code, Diagnostic, Severity, Span};
 use crate::estimate::{first_indirect_ref, walk_anchor_runs};
-use crate::sites::{
-    array_placements, iterate, segments, Instances, LiveSlots, Producers, Resolver, Screen,
-    WriteSite,
-};
+use crate::screening::Schedule;
+use crate::sites::{iterate, segments, Instances, LiveSlots, Producers, Resolver, WriteSite};
 use crate::writeonce::fmt_ivs;
 use crate::LintConfig;
 
@@ -627,16 +625,12 @@ fn check_static(res: &Resolver<'_>) -> Result<(), InstanceError> {
 struct StmtClass<'p> {
     stmt: &'p Stmt,
     reads: Vec<&'p ArrayRef>,
-    /// `Some(aref)` = anchored (assign target or reduce first read);
-    /// `None` = anchorless, placed round-robin.
-    anchor: Option<&'p ArrayRef>,
 }
 
 fn classify_nest(nest: &LoopNest) -> Vec<StmtClass<'_>> {
     let class = |stmt| StmtClass {
         stmt,
         reads: stmt.reads(),
-        anchor: anchor_ref(stmt),
     };
     nest.body.iter().map(class).collect()
 }
@@ -796,9 +790,21 @@ pub struct Projection {
     pub instances_per_pe: Vec<u64>,
 }
 
-/// Project the instance stream onto `cfg`, mirroring the communication
-/// estimator's screening rules exactly (including the global round-robin
-/// counter for anchorless statements).
+/// The schedule of `res`'s program under `cfg`, through the one
+/// geometry-aware placement table (SA008's proofs are unsound under tiled
+/// schemes otherwise).
+fn schedule<'p>(res: &Resolver<'p>, cfg: &LintConfig) -> Result<Schedule<'p>, ConfigError> {
+    Schedule::new(
+        res.program,
+        &res.statics,
+        cfg.scheme,
+        cfg.page_size,
+        cfg.n_pes,
+    )
+}
+
+/// Project the instance stream onto `cfg` — who executes how much under
+/// the owner-computes schedule ([`Schedule`]).
 ///
 /// Affine programs are projected in closed form: the estimator's
 /// anchor-run walk charges each stretch of an inner sweep on which the
@@ -811,33 +817,29 @@ pub fn project(program: &Program, cfg: &LintConfig) -> Result<Projection, Instan
     if first_indirect_ref(program).is_some() {
         return project_by_instance(program, cfg);
     }
-    let n = cfg.n_pes;
-    let placements = array_placements(program, cfg.scheme, cfg.page_size, cfg.n_pes)?;
-    let mut writes_per_pe = vec![0u64; n];
-    let mut instances_per_pe = vec![0u64; n];
-    let mut rr: usize = 0;
-    for nest in program.nests() {
-        let walked = walk_anchor_runs(program, nest, &placements, false, |run| {
+    let sched = schedule(&Resolver::new(program), cfg)?;
+    let mut writes_per_pe = vec![0u64; cfg.n_pes];
+    let mut instances_per_pe = vec![0u64; cfg.n_pes];
+    for (n, ns) in sched.nests().iter().enumerate() {
+        let nest = ns.nest;
+        let walked = walk_anchor_runs(&sched, n, false, |run| {
             instances_per_pe[run.pe] += run.trips;
             if matches!(nest.body[run.stmt], Stmt::Assign { .. }) {
                 writes_per_pe[run.pe] += run.trips;
             }
         });
-        let Ok(iterations) = walked else {
+        if walked.is_err() {
             // Some anchor leaves its array. The executors abort on the
             // first such instance in iteration order; the per-instance
             // walk finds that one and names its array.
             return project_by_instance(program, cfg);
-        };
-        // The nest's anchorless instances take the next `dealt` positions
-        // of the round-robin deal, one PE after another from `rr mod n`.
-        let anchorless = nest.body.iter().filter(|s| anchor_ref(s).is_none());
-        let dealt = iterations as usize * anchorless.count();
-        for (pe, count) in instances_per_pe.iter_mut().enumerate() {
-            let turn = (pe + n - rr % n) % n;
-            *count += (dealt / n + usize::from(turn < dealt % n)) as u64;
         }
-        rr += dealt;
+        for (count, dealt) in instances_per_pe
+            .iter_mut()
+            .zip(ns.screen.dealt_per_pe(cfg.n_pes))
+        {
+            *count += dealt;
+        }
     }
     Ok(Projection {
         writes_per_pe,
@@ -855,14 +857,14 @@ pub fn project_by_instance(
 ) -> Result<Projection, InstanceError> {
     let res = Resolver::new(program);
     check_static(&res)?;
-    let mut screen = Screen::new(&res, cfg)?;
+    let sched = schedule(&res, cfg)?;
     let mut writes_per_pe = vec![0u64; cfg.n_pes];
     let mut instances_per_pe = vec![0u64; cfg.n_pes];
     let mut inst = Instances::default();
-    for nest in program.nests() {
-        let anchors: Vec<_> = nest.body.iter().map(anchor_ref).collect();
-        inst.nest(nest, |ivs, sidx, _| {
-            let pe = screen.pe(anchors[sidx], ivs)?;
+    for (n, nest) in program.nests().enumerate() {
+        let at = (n, inst.count());
+        inst.nest(nest, |ivs, sidx, id| {
+            let pe = instance_owner(&sched, &res, at, (ivs, sidx, id))?;
             instances_per_pe[pe] += 1;
             if matches!(nest.body[sidx], Stmt::Assign { .. }) {
                 writes_per_pe[pe] += 1;
@@ -874,6 +876,27 @@ pub fn project_by_instance(
         writes_per_pe,
         instances_per_pe,
     })
+}
+
+/// [`Schedule::owner`] for instance `id` of the stream — statement `stmt`
+/// of nest `nest` at `ivs`, where `first` is the id of the nest's first
+/// instance (an id gives the iteration's place in the round-robin deal).
+/// Anchors resolve against the constant arrays.
+#[inline]
+fn instance_owner(
+    sched: &Schedule<'_>,
+    res: &Resolver<'_>,
+    (nest, first): (usize, usize),
+    (ivs, stmt, id): (&[i64], usize, u32),
+) -> Result<usize, InstanceError> {
+    let body = &sched.nest(nest).nest.body;
+    let g = ((id as usize - first) / body.len()) as u64;
+    sched
+        .owner(nest, stmt, g, ivs, &mut &res.statics)
+        .map_err(|_| {
+            let anchor = anchor_ref(&body[stmt]).expect("the deal cannot fail");
+            InstanceError::Unresolvable(anchor.array)
+        })
 }
 
 /// Static per-PE write counts under `cfg`, or `None` when the program is
@@ -947,7 +970,7 @@ type WaitInstances = (Vec<u16>, Vec<(u32, u32, ArrayId, u32)>, Vec<(u32, usize)>
 fn wait_edges(program: &Program, cfg: &LintConfig) -> Result<WaitInstances, InstanceError> {
     let res = Resolver::new(program);
     check_static(&res)?;
-    let mut screen = Screen::new(&res, cfg)?;
+    let sched = schedule(&res, cfg)?;
     if cfg.n_pes > u16::MAX as usize {
         return Err(InstanceError::TooLarge);
     }
@@ -956,6 +979,7 @@ fn wait_edges(program: &Program, cfg: &LintConfig) -> Result<WaitInstances, Inst
     let mut pe_of: Vec<u16> = Vec::new();
     let mut data: Vec<(u32, u32, ArrayId, u32)> = Vec::new();
     let mut barriers: Vec<(u32, usize)> = Vec::new();
+    let mut nests = 0;
 
     for (pidx, phase) in program.phases.iter().enumerate() {
         match phase {
@@ -965,9 +989,11 @@ fn wait_edges(program: &Program, cfg: &LintConfig) -> Result<WaitInstances, Inst
             }
             Phase::Loop(nest) => {
                 let classes = classify_nest(nest);
+                let at = (nests, inst.count());
+                nests += 1;
                 inst.nest(nest, |ivs, sidx, id| {
                     let c = &classes[sidx];
-                    let pe = screen.pe(c.anchor, ivs)? as u16;
+                    let pe = instance_owner(&sched, &res, at, (ivs, sidx, id))? as u16;
                     pe_of.push(pe);
                     for r in &c.reads {
                         let addr = res.instance_addr(r, ivs)?;

@@ -32,14 +32,14 @@
 //! cache sizes (hit rates depend on access *order*, which the closed form
 //! deliberately discards).
 
-use sa_ir::access::{gcd, Line, Sweep};
-use sa_ir::analysis::{anchor_ref, linear_address_form};
+use sa_ir::access::{Line, Sweep};
+use sa_ir::analysis::{anchor_ref, linear_address_form, StaticArrays};
 use sa_ir::nest::{ArrayRef, LoopNest, Stmt};
 use sa_ir::program::Phase;
 use sa_ir::{LinForm, Program};
-use sa_machine::{host_of, ConfigError, MachineConfig, Placement, Stats};
+use sa_machine::{ConfigError, MachineConfig, Placement, Stats};
 
-use crate::sites::array_placements;
+use crate::screening::Schedule;
 
 /// The estimator's verdict: the same counters the counting simulator
 /// reports, computed in closed form.
@@ -155,7 +155,8 @@ pub(crate) struct AnchorRun {
 /// Estimate `program`'s counting-simulator verdict under `cfg` without
 /// executing it. See the module docs for the model and its limits.
 pub fn estimate(program: &Program, cfg: &MachineConfig) -> Result<CommEstimate, EstimateError> {
-    let placements = array_placements(program, cfg.partition, cfg.page_size, cfg.n_pes)
+    let statics = StaticArrays::scan(program);
+    let sched = Schedule::new(program, &statics, cfg.partition, cfg.page_size, cfg.n_pes)
         .map_err(EstimateError::Config)?;
     if cfg.cache_elems > 0 {
         return Err(EstimateError::CacheUnsupported);
@@ -169,10 +170,7 @@ pub fn estimate(program: &Program, cfg: &MachineConfig) -> Result<CommEstimate, 
     }
 
     let mut stats = Stats::new(cfg.n_pes);
-    // Round-robin counter for anchorless statements — global across nests,
-    // mirroring the simulator's.
-    let mut rr = 0usize;
-
+    let mut nests = 0;
     for phase in &program.phases {
         match phase {
             Phase::Reinit(_) => {
@@ -180,8 +178,9 @@ pub fn estimate(program: &Program, cfg: &MachineConfig) -> Result<CommEstimate, 
                 // broadcasts.
                 stats.reinit_messages += 2 * (cfg.n_pes as u64 - 1);
             }
-            Phase::Loop(nest) => {
-                estimate_nest(program, nest, &placements, &mut stats, &mut rr)?;
+            Phase::Loop(_) => {
+                estimate_nest(&sched, nests, &mut stats)?;
+                nests += 1;
             }
         }
     }
@@ -205,91 +204,50 @@ pub(crate) fn first_indirect_ref(program: &Program) -> Option<&ArrayRef> {
 }
 
 fn estimate_nest(
-    program: &Program,
-    nest: &LoopNest,
-    placements: &[Placement],
+    sched: &Schedule<'_>,
+    nest: usize,
     stats: &mut Stats,
-    rr: &mut usize,
 ) -> Result<(), EstimateError> {
-    let n = stats.per_pe.len();
-    let n_reads: Vec<u64> = nest.body.iter().map(|s| s.reads().len() as u64).collect();
-    // Which PEs contributed to each reduction, in body order, keyed by the
-    // target scalar exactly like the simulator's participant table.
-    let mut participants: Vec<(usize, Vec<bool>)> = Vec::new();
-    // Body index → participant-table index.
-    let table_of: Vec<Option<usize>> = nest
-        .body
-        .iter()
-        .map(|s| match s {
-            Stmt::Assign { .. } => None,
-            Stmt::Reduce { target, .. } => {
-                participants.push((target.0, vec![false; n]));
-                Some(participants.len() - 1)
-            }
-        })
-        .collect();
-
-    let iterations = walk_anchor_runs(program, nest, placements, true, |run| {
+    let body = &sched.nest(nest).nest.body;
+    let n_reads: Vec<u64> = body.iter().map(|s| s.reads().len() as u64).collect();
+    walk_anchor_runs(sched, nest, true, |run| {
         let pe = &mut stats.per_pe[run.pe];
-        match table_of[run.stmt] {
-            None => pe.writes += run.trips,
-            Some(ri) => participants[ri].1[run.pe] = true,
+        if matches!(body[run.stmt], Stmt::Assign { .. }) {
+            pe.writes += run.trips;
         }
         pe.local_reads += run.trips * (n_reads[run.stmt] - run.remote_reads);
         pe.remote_reads += run.trips * run.remote_reads;
         stats.page_fetches += run.trips * run.remote_reads;
-    })? as usize;
-
-    // Anchorless statements (reductions reading no array): the q-th of the
-    // body's A at nest iteration i executes on PE (rr + i·A + q) mod n.
-    // They touch no arrays, so only reduction participation needs marking
-    // — and the PE set cycles with period n / gcd(A, n).
-    let anchorless: Vec<usize> = (0..nest.body.len())
-        .filter(|&i| anchor_ref(&nest.body[i]).is_none())
-        .collect();
-    if !anchorless.is_empty() {
-        let a_cnt = anchorless.len();
-        let cycle = n / gcd((a_cnt % n) as u64, n as u64).max(1) as usize;
-        for (q, &body_idx) in anchorless.iter().enumerate() {
-            let ri = table_of[body_idx].expect("only a reduction can lack an anchor");
-            for i in 0..iterations.min(cycle.max(1)) {
-                participants[ri].1[(*rr + q + i * a_cnt) % n] = true;
-            }
-        }
-        *rr += iterations * a_cnt;
-    }
-
+    })?;
     // Vector→scalar collection: every participating PE ships its partial
-    // to the scalar's host; the host's own partial stays local.
-    for (sid, parts) in &participants {
-        let host = host_of(*sid, n);
-        for (pe, &took_part) in parts.iter().enumerate() {
-            if took_part && pe != host {
-                stats.reduction_messages += 1;
-            }
-        }
+    // to the scalar's host; the host's own partial stays local. Anchorless
+    // reductions touch no arrays, so participation is all they add.
+    for round in sched.rounds(nest) {
+        let ships = (0..sched.n_pes()).filter(|&pe| round.ships_from(pe));
+        stats.reduction_messages += ships.count() as u64;
     }
     Ok(())
 }
 
 /// The anchor-run walk both [`estimate`] and
-/// [`crate::depgraph::project`] are built on: enumerate `nest`'s outer
-/// levels (sweeps in iteration order, statements in body order within a
-/// sweep), lower each anchored statement's anchor — and its reads, when
-/// `with_reads` — to address lines in the innermost trip, and hand `f`
-/// every [`AnchorRun`]. Returns the nest's iteration count, which is all
-/// the round-robin dealing of anchorless statements depends on. A
-/// zero-depth nest is one sweep of one trip: its body runs once.
+/// [`crate::depgraph::project`] are built on: enumerate the sweeps of nest
+/// `nest` of the schedule in iteration order (statements in body order
+/// within a sweep), lower each anchored statement's anchor — and its reads,
+/// when `with_reads` — to address lines in the innermost trip, and hand `f`
+/// every [`AnchorRun`]. A zero-depth nest is one sweep of one trip: its
+/// body runs once.
 ///
 /// Every reference must be affine. Only the references walked are
 /// bounds-checked, so without reads an out-of-bounds read goes unnoticed.
 pub(crate) fn walk_anchor_runs(
-    program: &Program,
-    nest: &LoopNest,
-    placements: &[Placement],
+    sched: &Schedule<'_>,
+    nest: usize,
     with_reads: bool,
     mut f: impl FnMut(AnchorRun),
-) -> Result<u64, EstimateError> {
+) -> Result<(), EstimateError> {
+    let (program, placements) = (sched.program(), sched.placements());
+    let ns = sched.nest(nest);
+    let nest = ns.nest;
     let nvars = nest.loops.len();
     let lower = |aref| {
         let form = linear_address_form(program, aref, nvars)
@@ -318,11 +276,10 @@ pub(crate) fn walk_anchor_runs(
     };
     let run_end =
         |&(line, placement): &PlacedLine<'_>, t: i64| line.run_end(t, placement.page_size as i64);
-    let mut iterations = 0u64;
     let mut reads: Vec<PlacedLine<'_>> = Vec::new();
-    nest.try_for_each_sweep(|sweep| {
+    for i in 0..ns.sweeps.len() {
+        let sweep = &ns.sweep(i);
         let trips = sweep.trips as i64;
-        iterations += sweep.trips as u64;
         for (stmt, anchor, stmt_reads) in &anchored {
             let anchor = bounded_line(program, nest, anchor, sweep)?;
             reads.clear();
@@ -348,9 +305,8 @@ pub(crate) fn walk_anchor_runs(
                 t = next;
             }
         }
-        Ok(())
-    })?;
-    Ok(iterations)
+    }
+    Ok(())
 }
 
 /// `r`'s address line along `sweep`, after the per-dimension bounds proof

@@ -31,6 +31,7 @@ pub mod depgraph;
 pub mod diag;
 pub mod estimate;
 pub mod progress;
+pub mod screening;
 mod sites;
 pub mod writeonce;
 

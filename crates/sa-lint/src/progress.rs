@@ -15,11 +15,11 @@
 use std::convert::Infallible;
 
 use crate::diag::{Code, Diagnostic, Severity, Span};
-use crate::sites::{self, array_placements, iterate, LiveSlots, ResolveFail, Resolver};
+use crate::sites::{self, iterate, LiveSlots, ResolveFail, Resolver};
 use sa_ir::nest::ArrayRef;
 use sa_ir::program::Phase;
 use sa_ir::{ArrayId, Program};
-use sa_machine::{ConfigError, PartitionScheme};
+use sa_machine::{ConfigError, PartitionScheme, Placement};
 
 /// Run the progress checks (`SA004`, `SA005`, `SA006`) on `program`.
 pub fn check_progress(program: &Program) -> Vec<Diagnostic> {
@@ -321,7 +321,8 @@ pub(crate) fn partition_pass(
     // Geometry-aware ownership: tiled schemes can orphan PEs that the
     // flattened-page arithmetic would have covered (and vice versa), so
     // legality must probe the same placement the executors use.
-    let placements = array_placements(program, scheme, page_size, n_pes)?;
+    let dims = program.arrays.iter().map(|d| &d.dims);
+    let placements = Placement::table(dims, scheme, page_size, n_pes)?;
     let mut diags = Vec::new();
     if n_pes == 1 {
         return Ok(diags); // the one PE runs everything

@@ -4,33 +4,32 @@
 //! Under single assignment every array cell has exactly one producer per
 //! generation, so a program's whole producer→consumer structure is a
 //! function of its statement-instance stream. Every *exact* analysis of
-//! this crate walks that stream through this module, which owns five
-//! decisions and nothing else:
+//! this crate walks that stream through this module, which owns four
+//! decisions and nothing else (the fifth an enumerating pass needs — the
+//! executing PE of an instance — is [`crate::screening::Schedule::owner`],
+//! shared with the engines):
 //!
 //! * **instance ids** — [`Instances`]: dense ids in execution order (body
 //!   order inside iteration order) over [`iterate`], the one iteration
 //!   walk, which really stops at the first error;
-//! * **executing PE** — [`Screen`]: the owner of the statement's anchor, or
-//!   the next PE of a round-robin deal that is global across nests;
 //! * **cell producer** — [`Producers`]: last writer, initializer prefix, or
 //!   a forward deferral released by the later write;
 //! * **generation slot** — [`segments`] and [`LiveSlots`]: which generation
 //!   of an array is live at a phase;
 //! * **address resolution** — [`Resolver`], seeing through index arrays
-//!   whose contents are compile-time constants, and
+//!   whose contents are compile-time constants
+//!   ([`sa_ir::analysis::StaticArrays`]), and
 //!   [`unproduced_anchors`], the anchors no index array will be ready for.
 
 use std::collections::HashMap;
 
-use sa_ir::analysis::anchor_index_arrays;
+use sa_ir::analysis::{anchor_index_arrays, StaticArrays};
 use sa_ir::index::IndexExpr;
 use sa_ir::nest::{ArrayRef, LoopNest};
 use sa_ir::program::{ArrayInit, Phase};
 use sa_ir::{ArrayId, Program};
-use sa_machine::{ConfigError, PartitionScheme, Placement};
 
 use crate::depgraph::{InstanceError, SiteRef};
-use crate::LintConfig;
 
 /// One statement that writes an array, with its location.
 pub(crate) struct WriteSite<'p> {
@@ -134,22 +133,6 @@ pub(crate) fn segments(program: &Program) -> Vec<Segment<'_>> {
     out
 }
 
-/// [`Placement::table`] of `program`'s arrays: the placement every static
-/// pass screens owners through, so it cannot disagree with the executors'.
-pub(crate) fn array_placements(
-    program: &Program,
-    scheme: PartitionScheme,
-    page_size: usize,
-    n_pes: usize,
-) -> Result<Vec<Placement>, ConfigError> {
-    Placement::table(
-        program.arrays.iter().map(|d| &d.dims),
-        scheme,
-        page_size,
-        n_pes,
-    )
-}
-
 /// Why a static address resolution failed. Lookup failures name the index
 /// array and the position, which is what SA004/SA006 report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -169,39 +152,17 @@ pub(crate) enum ResolveFail {
 /// seen through statically.
 pub(crate) struct Resolver<'p> {
     pub program: &'p Program,
-    /// Per array, the defined prefix (shorter than the array for
-    /// [`ArrayInit::Prefix`]) if the array is statically initialized, never
-    /// written by any statement and never re-initialized; `None` if its
-    /// values are runtime data.
-    statics: Vec<Option<Vec<f64>>>,
+    /// The constant arrays; a [`ArrayInit::Prefix`] one serves its defined
+    /// prefix, and a position past it is [`ResolveFail::UndefinedIndex`].
+    pub statics: StaticArrays<'p>,
 }
 
 impl<'p> Resolver<'p> {
     pub fn new(program: &'p Program) -> Self {
-        let mut runtime = vec![false; program.arrays.len()];
-        for phase in &program.phases {
-            match phase {
-                Phase::Reinit(id) => runtime[id.0] = true,
-                Phase::Loop(nest) => {
-                    for id in nest.written_arrays() {
-                        runtime[id.0] = true;
-                    }
-                }
-            }
+        Resolver {
+            program,
+            statics: StaticArrays::scan(program),
         }
-        let statics = program
-            .arrays
-            .iter()
-            .zip(runtime)
-            .map(|(decl, runtime)| {
-                if runtime || matches!(decl.init, ArrayInit::Undefined) {
-                    None
-                } else {
-                    Some(decl.init.materialize(decl.len()))
-                }
-            })
-            .collect();
-        Resolver { program, statics }
     }
 
     /// The linear address `aref` names at iteration `ivs`, seen through
@@ -231,7 +192,7 @@ impl<'p> Resolver<'p> {
                         return Err(ResolveFail::IndexOutOfBounds { base, pos: p });
                     }
                     let pos = p as usize;
-                    let Some(values) = &self.statics[base.0] else {
+                    let Some(values) = self.statics.get(base) else {
                         return Err(ResolveFail::NotStatic { base, pos });
                     };
                     if pos >= values.len() {
@@ -262,7 +223,7 @@ impl<'p> Resolver<'p> {
     /// data, if any: `None` means the reference resolves statically.
     pub fn runtime_index(&self, aref: &ArrayRef) -> Option<ArrayId> {
         aref.indices.iter().find_map(|ix| match ix {
-            IndexExpr::Indirect { base, .. } if self.statics[base.0].is_none() => Some(*base),
+            IndexExpr::Indirect { base, .. } if self.statics.get(*base).is_none() => Some(*base),
             _ => None,
         })
     }
@@ -361,43 +322,6 @@ impl Instances {
             }
             Ok(())
         })
-    }
-}
-
-/// Where enumerated instances execute under one machine shape — the
-/// screening rule of the executors and the communication estimator.
-pub(crate) struct Screen<'a> {
-    res: &'a Resolver<'a>,
-    placements: Vec<Placement>,
-    n_pes: usize,
-    /// Anchorless instances dealt so far, over all nests.
-    dealt: usize,
-}
-
-impl<'a> Screen<'a> {
-    /// The rule under `cfg`, through the one geometry-aware placement table
-    /// (SA008's proofs are unsound under tiled schemes otherwise).
-    pub fn new(res: &'a Resolver<'a>, cfg: &LintConfig) -> Result<Self, ConfigError> {
-        Ok(Screen {
-            res,
-            placements: array_placements(res.program, cfg.scheme, cfg.page_size, cfg.n_pes)?,
-            n_pes: cfg.n_pes,
-            dealt: 0,
-        })
-    }
-
-    /// The PE executing the next instance of the stream: the owner of the
-    /// cell its anchor (assign target or a reduction's first read) names at
-    /// `ivs`, or, for an anchorless statement, the next PE of the deal.
-    #[inline]
-    pub fn pe(&mut self, anchor: Option<&ArrayRef>, ivs: &[i64]) -> Result<usize, InstanceError> {
-        let Some(aref) = anchor else {
-            let pe = self.dealt % self.n_pes;
-            self.dealt += 1;
-            return Ok(pe);
-        };
-        let addr = self.res.instance_addr(aref, ivs)?;
-        Ok(self.placements[aref.array.0].owner_of_addr(addr))
     }
 }
 

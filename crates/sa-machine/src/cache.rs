@@ -11,8 +11,6 @@
 //! bumps the generation, so stale pages are unreachable even before the
 //! host broadcast evicts them.
 
-use std::collections::HashMap;
-
 use sa_mem::TagBits;
 
 use crate::config::PartialPagePolicy;
@@ -54,38 +52,62 @@ pub enum CacheOutcome {
     Miss,
 }
 
-#[derive(Debug, Clone)]
-struct Entry {
-    /// Fill snapshot shipped with the page; `None` means the page was
-    /// complete at fetch time (or the policy ignores partial fills).
-    fill: Option<TagBits>,
-    /// LRU/FIFO stamp.
-    stamp: u64,
+/// What a probe found.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Probe<T> {
+    /// The page is not resident.
+    Absent,
+    /// The page is resident but its payload could not serve the access.
+    Unusable,
+    /// The page is resident and served the access.
+    Hit(T),
 }
 
-/// A fixed-capacity page cache.
+/// The one replacement-policy core: a fixed-capacity set of pages, each
+/// with a recency stamp and a payload `P`, evicting per [`CachePolicy`].
+///
+/// Every cache of the system is this type at some payload — the counting
+/// machine's [`PageCache`] keeps a fill snapshot, the replay engine keeps
+/// nothing (`()`), the thread runtime keeps the page's contents — so they
+/// evict alike by construction:
+///
+/// * the clock ticks once per probe and once per insert;
+/// * an LRU hit refreshes the stamp, FIFO and Random leave it alone, and a
+///   probe the payload cannot serve refreshes nothing;
+/// * LRU and FIFO evict the minimum stamp (stamps are unique);
+/// * Random draws one xorshift64* number per eviction and picks its victim
+///   from the *sorted* key list, so the choice is a function of the seed and
+///   the resident set alone.
+///
+/// Pages are found by scanning the key list: capacities are a handful of
+/// pages (the paper's 256-element cache holds 8), where a scan beats
+/// hashing several times over.
 #[derive(Debug, Clone)]
-pub struct PageCache {
+pub struct PolicyCache<P> {
     capacity: usize,
     policy: CachePolicy,
-    entries: HashMap<PageKey, Entry>,
+    /// Resident pages; `slots[i]` is the stamp and payload of `keys[i]`
+    /// (kept apart so the scan touches keys only).
+    keys: Vec<PageKey>,
+    slots: Vec<(u64, P)>,
     tick: u64,
     rng: u64,
     hits: u64,
     misses: u64,
 }
 
-impl PageCache {
+impl<P> PolicyCache<P> {
     /// A cache holding at most `capacity_pages` pages.
     pub fn new(capacity_pages: usize, policy: CachePolicy) -> Self {
         let rng = match policy {
             CachePolicy::Random { seed } => seed | 1,
             _ => 1,
         };
-        PageCache {
+        PolicyCache {
             capacity: capacity_pages,
             policy,
-            entries: HashMap::with_capacity(capacity_pages),
+            keys: Vec::new(),
+            slots: Vec::new(),
             tick: 0,
             rng,
             hits: 0,
@@ -93,60 +115,126 @@ impl PageCache {
         }
     }
 
-    /// Maximum number of resident pages.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Current number of resident pages.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.keys.len()
     }
 
     /// True if no pages are resident.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.keys.is_empty()
     }
 
-    /// (hits, misses) since construction — partial misses count as misses.
+    /// (hits, misses) since construction — anything but a hit is a miss.
     pub fn hit_stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
     }
 
+    /// True if the page is resident (whatever its payload can serve).
+    #[inline]
+    pub fn contains(&self, key: &PageKey) -> bool {
+        self.keys.contains(key)
+    }
+
+    /// Probe for `key`, letting `serve` try the access on the payload.
+    #[inline]
+    pub fn probe_with<T>(&mut self, key: PageKey, serve: impl FnOnce(&P) -> Option<T>) -> Probe<T> {
+        self.tick += 1;
+        let at = self.keys.iter().position(|k| *k == key);
+        match at.map(|i| (i, serve(&self.slots[i].1))) {
+            Some((i, Some(v))) => {
+                if matches!(self.policy, CachePolicy::Lru) {
+                    self.slots[i].0 = self.tick;
+                }
+                self.hits += 1;
+                Probe::Hit(v)
+            }
+            Some((_, None)) => {
+                self.misses += 1;
+                Probe::Unusable
+            }
+            None => {
+                self.misses += 1;
+                Probe::Absent
+            }
+        }
+    }
+
+    /// Insert a fetched page, evicting per policy when full. If the page is
+    /// already resident, `upgrade` folds the new payload into the old one
+    /// and the stamp is renewed.
+    pub fn insert_with(&mut self, key: PageKey, payload: P, upgrade: impl FnOnce(&mut P, P)) {
+        self.tick += 1;
+        if let Some(i) = self.keys.iter().position(|k| *k == key) {
+            upgrade(&mut self.slots[i].1, payload);
+            self.slots[i].0 = self.tick;
+            return;
+        }
+        if self.capacity == 0 {
+            return;
+        }
+        if self.keys.len() >= self.capacity {
+            self.evict_one();
+        }
+        self.keys.push(key);
+        self.slots.push((self.tick, payload));
+    }
+
+    fn evict_one(&mut self) {
+        let victim = match self.policy {
+            CachePolicy::Lru | CachePolicy::Fifo => {
+                (0..self.slots.len()).min_by_key(|&i| self.slots[i].0)
+            }
+            CachePolicy::Random { .. } => {
+                self.rng ^= self.rng << 13;
+                self.rng ^= self.rng >> 7;
+                self.rng ^= self.rng << 17;
+                let n = self.keys.len() as u64;
+                let pick = (self.rng.wrapping_mul(0x2545_F491_4F6C_DD1D) % n) as usize;
+                let mut sorted = self.keys.clone();
+                sorted.sort_unstable();
+                self.keys.iter().position(|k| *k == sorted[pick])
+            }
+        };
+        if let Some(i) = victim {
+            self.keys.swap_remove(i);
+            self.slots.swap_remove(i);
+        }
+    }
+
+    /// Drop every resident page of `array` (host re-initialization
+    /// broadcast, §5).
+    pub fn invalidate_array(&mut self, array: usize) {
+        for i in (0..self.keys.len()).rev() {
+            if self.keys[i].array == array {
+                self.keys.swap_remove(i);
+                self.slots.swap_remove(i);
+            }
+        }
+    }
+}
+
+/// The counting machine's page cache: the fill snapshot shipped with each
+/// page is the payload (`None` means the page was complete at fetch time,
+/// or the policy ignores partial fills).
+pub type PageCache = PolicyCache<Option<TagBits>>;
+
+impl PageCache {
     /// Probe for element `offset` (within the page) of `key`.
-    ///
-    /// An LRU hit refreshes the entry's recency stamp; FIFO and Random do
-    /// not touch stamps on hit.
     pub fn probe(
         &mut self,
         key: PageKey,
         offset: usize,
         partial: PartialPagePolicy,
     ) -> CacheOutcome {
-        self.tick += 1;
-        let tick = self.tick;
-        let policy = self.policy;
-        match self.entries.get_mut(&key) {
-            None => {
-                self.misses += 1;
-                CacheOutcome::Miss
-            }
-            Some(e) => {
-                let filled = match (&e.fill, partial) {
-                    (_, PartialPagePolicy::Ignore) | (None, _) => true,
-                    (Some(bits), PartialPagePolicy::Refetch) => bits.get(offset),
-                };
-                if filled {
-                    if matches!(policy, CachePolicy::Lru) {
-                        e.stamp = tick;
-                    }
-                    self.hits += 1;
-                    CacheOutcome::Hit
-                } else {
-                    self.misses += 1;
-                    CacheOutcome::PartialMiss
-                }
-            }
+        let found = self.probe_with(key, |fill| match (fill, partial) {
+            (_, PartialPagePolicy::Ignore) | (None, _) => Some(()),
+            (Some(bits), PartialPagePolicy::Refetch) => bits.get(offset).then_some(()),
+        });
+        match found {
+            Probe::Hit(()) => CacheOutcome::Hit,
+            Probe::Unusable => CacheOutcome::PartialMiss,
+            Probe::Absent => CacheOutcome::Miss,
         }
     }
 
@@ -156,74 +244,15 @@ impl PageCache {
     /// snapshot is unioned in (a partial-page refetch "upgrades" the copy);
     /// otherwise the page is inserted, evicting per policy when full.
     pub fn insert(&mut self, key: PageKey, fill: Option<TagBits>) {
-        self.tick += 1;
-        if let Some(e) = self.entries.get_mut(&key) {
-            match fill {
-                None => e.fill = None,
-                Some(new) => {
-                    if let Some(old) = &mut e.fill {
-                        old.union_with(&new);
-                    }
-                    // An already-complete entry stays complete.
+        self.insert_with(key, fill, |old, new| match new {
+            None => *old = None,
+            // An already-complete entry stays complete.
+            Some(new) => {
+                if let Some(old) = old {
+                    old.union_with(&new);
                 }
             }
-            e.stamp = self.tick;
-            return;
-        }
-        if self.capacity == 0 {
-            return;
-        }
-        if self.entries.len() >= self.capacity {
-            self.evict_one();
-        }
-        self.entries.insert(
-            key,
-            Entry {
-                fill,
-                stamp: self.tick,
-            },
-        );
-    }
-
-    fn evict_one(&mut self) {
-        let victim = match self.policy {
-            CachePolicy::Lru | CachePolicy::Fifo => self
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(k, _)| *k),
-            CachePolicy::Random { .. } => {
-                // xorshift64* pick over a *sorted* key list so the victim
-                // is independent of HashMap iteration order (determinism).
-                self.rng ^= self.rng << 13;
-                self.rng ^= self.rng >> 7;
-                self.rng ^= self.rng << 17;
-                let n = self.entries.len() as u64;
-                let pick = (self.rng.wrapping_mul(0x2545_F491_4F6C_DD1D) % n) as usize;
-                let mut keys: Vec<PageKey> = self.entries.keys().copied().collect();
-                keys.sort_unstable();
-                keys.get(pick).copied()
-            }
-        };
-        if let Some(k) = victim {
-            self.entries.remove(&k);
-        }
-    }
-
-    /// Drop every resident page of `array` (host re-initialization
-    /// broadcast, §5).
-    pub fn invalidate_array(&mut self, array: usize) {
-        self.entries.retain(|k, _| k.array != array);
-    }
-
-    /// Drop everything (between independent experiment phases).
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
-
-    /// True if the page is resident (any fill state).
-    pub fn contains(&self, key: &PageKey) -> bool {
-        self.entries.contains_key(key)
+        });
     }
 }
 
@@ -350,6 +379,31 @@ mod tests {
     }
 
     #[test]
+    fn a_value_payload_misses_unfilled_cells_until_upgraded() {
+        // The thread runtime's use: the page contents are the payload, a
+        // cell unfilled at fetch time cannot be served, and a refetch
+        // upgrades the resident copy in place (§8).
+        use sa_mem::TaggedPage;
+        let page = |vals: [f64; 4], filled: usize| {
+            let mut fill = TagBits::new(4);
+            fill.set(filled);
+            TaggedPage::from_parts(vals.to_vec(), fill)
+        };
+        let mut c: PolicyCache<TaggedPage> = PolicyCache::new(2, CachePolicy::Lru);
+        let put = |c: &mut PolicyCache<TaggedPage>, p| {
+            c.insert_with(key(0, 0), p, |old, new| old.merge_from(&new));
+        };
+        put(&mut c, page([5.0, 0.0, 0.0, 0.0], 0));
+        assert_eq!(c.probe_with(key(0, 0), |p| p.get(0)), Probe::Hit(5.0));
+        assert_eq!(c.probe_with(key(0, 0), |p| p.get(3)), Probe::Unusable);
+        assert_eq!(c.probe_with(key(0, 1), |p| p.get(3)), Probe::Absent);
+        put(&mut c, page([0.0, 0.0, 0.0, 9.0], 3));
+        assert_eq!(c.probe_with(key(0, 0), |p| p.get(3)), Probe::Hit(9.0));
+        assert_eq!(c.probe_with(key(0, 0), |p| p.get(0)), Probe::Hit(5.0));
+        assert_eq!((c.len(), c.hit_stats()), (1, (3, 2)));
+    }
+
+    #[test]
     fn generation_changes_miss() {
         let mut c = PageCache::new(2, CachePolicy::Lru);
         c.insert(key(0, 0), None);
@@ -372,7 +426,7 @@ mod tests {
         c.invalidate_array(0);
         assert!(!c.contains(&key(0, 0)));
         assert!(c.contains(&key(1, 0)));
-        c.clear();
+        c.invalidate_array(1);
         assert!(c.is_empty());
     }
 

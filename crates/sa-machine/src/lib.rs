@@ -31,7 +31,7 @@ pub mod placement;
 pub mod stats;
 pub mod timing;
 
-pub use cache::{CacheOutcome, CachePolicy, PageCache, PageKey};
+pub use cache::{CacheOutcome, CachePolicy, PageCache, PageKey, PolicyCache, Probe};
 pub use config::{ConfigError, MachineConfig, PartialPagePolicy};
 pub use host::{host_of, ReinitSync};
 pub use machine::{DistributedMachine, MachineError};

@@ -1,20 +1,17 @@
 //! Plan a run once, hand it to the worker pool, assemble the report.
 //!
 //! Everything a PE would otherwise re-derive for itself is worked out here,
-//! once per run, and shared read-only (`Plan`): the page→(owner, frame)
-//! table, the initial images, each nest's sweep list, how each statement's
-//! instances find their PE (`Screen`) and who contributes to each
-//! reduction. The PEs (`pe.rs`) then enumerate only what they own, on the
-//! worker threads of `pool.rs`.
+//! once per run, and shared read-only (`Plan`): the owner-computes schedule
+//! (`sa_lint::screening::Schedule`: sweep lists, screening, reduction
+//! participants), the page→(owner, frame) table and the initial images. The
+//! PEs (`pe.rs`) then enumerate only what they own, on the worker threads of
+//! `pool.rs`.
 
 use sa_core::parallel::default_workers;
-use sa_core::screening::PartitionMap;
-use sa_ir::access::{LinForm, Sweep};
-use sa_ir::analysis::{anchor_index_arrays, anchor_ref, linear_address_form};
-use sa_ir::interp::{resolve_ref_addr, Memory};
-use sa_ir::nest::{ArrayRef, LoopNest, Stmt};
-use sa_ir::program::{ArrayInit, Phase};
-use sa_ir::{ArrayId, IrError, Program, ReduceOp};
+use sa_ir::analysis::StaticArrays;
+use sa_ir::program::Phase;
+use sa_ir::{ArrayId, Program, ReduceOp};
+use sa_lint::screening::{AnchorError, Schedule};
 use sa_machine::{MachineConfig, NetworkTopology, PartitionScheme, Stats};
 use sa_mem::SaArray;
 
@@ -220,47 +217,6 @@ impl RuntimeReport {
     }
 }
 
-/// How the instances of one statement find their executing PE.
-pub(crate) enum Screen {
-    /// Affine anchor, in bounds on every instance: the owner of
-    /// `form(ivs)` in `array`. A PE takes its trips of a sweep closed-form
-    /// from the placement (`sa_core::screening::owned_segments`).
-    Affine {
-        /// Anchor array.
-        array: usize,
-        /// Linear address of the anchor element.
-        form: LinForm,
-    },
-    /// Anchorless statement: dealt round-robin by the counter that is
-    /// global across nests; `slot` is the statement's index among the
-    /// nest's anchorless ones.
-    RoundRobin {
-        /// Index among the nest's anchorless statements.
-        slot: u64,
-    },
-    /// Anchor through statically initialized index arrays at generation 0:
-    /// the owner of every iteration of the nest, in execution order,
-    /// resolved once per run against the initial images.
-    Table(Vec<u32>),
-    /// Anchor through an index array an earlier nest produced: every PE
-    /// resolves every instance at run time, over
-    /// [`crate::net::Msg::IndirectFetch`] where the cell is remote.
-    Resolve,
-}
-
-/// One run of a nest's innermost loop, as [`LoopNest::try_for_each_sweep`]
-/// yields it (the outer values live in [`NestPlan::sweep`]).
-pub(crate) struct SweepRec {
-    /// The innermost variable on trip 0.
-    pub lo: i64,
-    /// Its increment per trip.
-    pub step: i64,
-    /// Number of trips.
-    pub trips: usize,
-    /// Iterations of the nest before this sweep.
-    pub first: u64,
-}
-
 /// One reduction round after a nest: a `Reduce` statement's scalar is
 /// collected at its host and broadcast.
 pub(crate) struct ReducePlan {
@@ -272,62 +228,31 @@ pub(crate) struct ReducePlan {
     /// earlier round of the same scalar.
     pub set: usize,
     /// In round `set` only: which PEs execute an instance of a statement
-    /// reducing into `scalar` in this nest, as far as the plan can screen
-    /// them.
+    /// reducing into `scalar` in this nest, as far as the schedule can
+    /// screen them.
     pub participants: Vec<bool>,
-    /// In round `set` only: some of those statements are
-    /// [`Screen::Resolve`], and each PE completes the set itself as it
+    /// In round `set` only: some of those statements are anchored through
+    /// a produced index array, and each PE completes the set itself as it
     /// resolves.
     pub resolved: bool,
 }
 
-/// A loop nest as every PE of the run sees it.
-pub(crate) struct NestPlan<'p> {
-    /// The nest.
-    pub nest: &'p LoopNest,
-    /// Outer loop-variable values of every sweep, `loops − 1` per sweep.
-    outers: Vec<i64>,
-    /// The nest's sweeps in execution order: collected once, so a PE's
-    /// place in the nest is a `(sweep, trip, statement)` cursor.
-    pub sweeps: Vec<SweepRec>,
-    /// Per body statement, how its instances are screened.
-    pub screens: Vec<Screen>,
+/// What the run adds to the schedule's view of a nest
+/// ([`sa_lint::screening::NestSchedule`]): its reduction protocol.
+pub(crate) struct NestPlan {
+    /// Index of the nest in [`Plan::schedule`].
+    pub idx: usize,
     /// Per body statement, the reduction round whose participant set
     /// ([`ReducePlan::set`]) its instances add to (`None` for assignments).
     pub parts_of: Vec<Option<usize>>,
     /// The reduction rounds, one per `Reduce` statement in body order.
     pub reduces: Vec<ReducePlan>,
-    /// Iterations of the whole nest.
-    iterations: u64,
-    /// The global anchorless-instance counter at nest entry.
-    pub rr_base: u64,
-    /// Anchorless statements per iteration.
-    pub rr_width: u64,
-}
-
-impl NestPlan<'_> {
-    /// The sweeps in execution order.
-    fn each_sweep(&self) -> impl Iterator<Item = Sweep<'_>> {
-        (0..self.sweeps.len()).map(|i| self.sweep(i))
-    }
-
-    /// Sweep `i` in the shape the access model works on.
-    pub fn sweep(&self, i: usize) -> Sweep<'_> {
-        let w = self.nest.loops.len().saturating_sub(1);
-        let s = &self.sweeps[i];
-        Sweep {
-            outer: &self.outers[i * w..(i + 1) * w],
-            lo: s.lo,
-            step: s.step,
-            trips: s.trips,
-        }
-    }
 }
 
 /// One phase of the program.
-pub(crate) enum PhasePlan<'p> {
+pub(crate) enum PhasePlan {
     /// Run a loop nest.
-    Loop(NestPlan<'p>),
+    Loop(NestPlan),
     /// Re-initialize an array (§5 barrier).
     Reinit(usize),
 }
@@ -344,8 +269,8 @@ pub(crate) struct Plan<'p> {
     pub cache_pages: usize,
     /// Interconnect topology pricing the modeled traffic.
     pub network: NetworkTopology,
-    /// Per-array placements.
-    pub map: PartitionMap,
+    /// Who executes what: placements, sweeps, per-PE segments.
+    pub schedule: Schedule<'p>,
     /// Per array and page: the owning PE and the frame's index among that
     /// PE's frames of the array (ascending page order) — a load reaches
     /// its frame without hashing, and the table is sized by the pages of
@@ -354,35 +279,27 @@ pub(crate) struct Plan<'p> {
     /// Per array: the initially defined prefix, materialized once.
     pub images: Vec<Vec<f64>>,
     /// The phases in order.
-    pub phases: Vec<PhasePlan<'p>>,
-}
-
-/// The initial images as a [`Memory`]: what an anchor through statically
-/// initialized index arrays resolves against.
-struct Images<'a>(&'a [Vec<f64>]);
-
-impl Memory for Images<'_> {
-    fn load(&mut self, array: ArrayId, addr: usize) -> Result<f64, IrError> {
-        Ok(self.0[array.0][addr])
-    }
-}
-
-/// Loop-variable values of `sweep` on trip `t`, into `ivs`.
-fn iteration(ivs: &mut Vec<i64>, sweep: &Sweep<'_>, depth: usize, t: usize) {
-    ivs.clear();
-    ivs.extend_from_slice(sweep.outer);
-    if depth > 0 {
-        ivs.push(sweep.lo + sweep.step * t as i64);
-    }
+    pub phases: Vec<PhasePlan>,
 }
 
 impl<'p> Plan<'p> {
-    fn build(program: &'p Program, cfg: &RuntimeConfig) -> Result<Self, RuntimeError> {
-        let map = PartitionMap::new(program, &cfg.to_machine())
+    fn build(
+        program: &'p Program,
+        statics: &StaticArrays<'_>,
+        cfg: &RuntimeConfig,
+    ) -> Result<Self, RuntimeError> {
+        let mut schedule = Schedule::new(program, statics, cfg.partition, cfg.page_size, cfg.n_pes)
             .map_err(|e| RuntimeError::InvalidConfig(e.to_string()))?;
+        // An anchor no PE can be found for stops the run before it starts:
+        // every PE would meet the same instance.
+        schedule
+            .tabulate(statics)
+            .map_err(|AnchorError { error, .. }| {
+                RuntimeError::WorkerPanicked(format!("anchor resolution failed: {error}"))
+            })?;
         let pages = (0..program.arrays.len())
             .map(|a| {
-                let placement = map.placement(ArrayId(a));
+                let placement = schedule.placement(ArrayId(a));
                 let mut next = vec![0u32; cfg.n_pes];
                 (0..placement.pages())
                     .map(|page| {
@@ -393,199 +310,67 @@ impl<'p> Plan<'p> {
                     .collect()
             })
             .collect();
-        let mut plan = Plan {
+        let mut nests = 0;
+        let phases = program
+            .phases
+            .iter()
+            .map(|phase| match phase {
+                Phase::Reinit(id) => PhasePlan::Reinit(id.0),
+                Phase::Loop(_) => {
+                    nests += 1;
+                    PhasePlan::Loop(nest_plan(&schedule, nests - 1))
+                }
+            })
+            .collect();
+        Ok(Plan {
             program,
             n_pes: cfg.n_pes,
             page_size: cfg.page_size,
             cache_pages: cfg.cache_pages(),
             network: cfg.network,
-            map,
+            schedule,
             pages,
             images: program
                 .arrays
                 .iter()
                 .map(|d| d.init.materialize(d.len()))
                 .collect(),
-            phases: Vec::with_capacity(program.phases.len()),
-        };
-        let mut reinitialized = vec![false; program.arrays.len()];
-        let mut rr_base = 0u64;
-        for phase in &program.phases {
-            let phase = match phase {
-                Phase::Reinit(id) => {
-                    reinitialized[id.0] = true;
-                    PhasePlan::Reinit(id.0)
-                }
-                Phase::Loop(nest) => {
-                    let np = plan.nest(nest, &reinitialized, rr_base)?;
-                    rr_base += np.rr_width * np.iterations;
-                    PhasePlan::Loop(np)
-                }
-            };
-            plan.phases.push(phase);
-        }
-        Ok(plan)
+            phases,
+        })
     }
+}
 
-    /// Owner of linear address `addr` of `array`.
-    fn owner(&self, array: usize, addr: usize) -> usize {
-        self.pages[array][addr / self.page_size].0 as usize
-    }
-
-    /// Screen one nest: the once-per-run form of what every PE of a
-    /// thread-per-PE engine would redo for itself.
-    fn nest(
-        &self,
-        nest: &'p LoopNest,
-        reinitialized: &[bool],
-        rr_base: u64,
-    ) -> Result<NestPlan<'p>, RuntimeError> {
-        let program = self.program;
-        let depth = nest.loops.len();
-        let mut np = NestPlan {
-            nest,
-            outers: Vec::new(),
-            sweeps: Vec::new(),
-            screens: Vec::with_capacity(nest.body.len()),
-            parts_of: vec![None; nest.body.len()],
-            reduces: Vec::new(),
-            iterations: 0,
-            rr_base,
-            rr_width: 0,
-        };
-        nest.for_each_sweep(|s| {
-            np.outers.extend_from_slice(s.outer);
-            np.sweeps.push(SweepRec {
-                lo: s.lo,
-                step: s.step,
-                trips: s.trips,
-                first: np.iterations,
-            });
-            np.iterations += s.trips as u64;
+/// The reduction protocol of nest `idx`: statements reducing into one
+/// scalar share one participant set (and one partial accumulator per PE),
+/// so the schedule's per-statement rounds are united by scalar.
+fn nest_plan(schedule: &Schedule<'_>, idx: usize) -> NestPlan {
+    let mut np = NestPlan {
+        idx,
+        parts_of: vec![None; schedule.nest(idx).nest.body.len()],
+        reduces: Vec::new(),
+    };
+    for (round, r) in schedule.rounds(idx).into_iter().enumerate() {
+        let set = np.reduces.iter().position(|x| x.scalar == r.scalar);
+        let set = set.unwrap_or(round);
+        np.parts_of[r.stmt] = Some(set);
+        np.reduces.push(ReducePlan {
+            scalar: r.scalar,
+            op: r.op,
+            set,
+            participants: Vec::new(),
+            resolved: false,
         });
-        let iterations = np.iterations;
-
-        let mut ivs = Vec::with_capacity(depth);
-        for stmt in &nest.body {
-            let Some(anchor) = anchor_ref(stmt) else {
-                np.screens.push(Screen::RoundRobin { slot: np.rr_width });
-                np.rr_width += 1;
-                continue;
-            };
-            let screen = if !anchor.has_indirection() {
-                // The linear form is the owner function only while every
-                // index stays inside its own extent; an index is affine
-                // along a sweep, so the two end trips decide.
-                for sw in np.each_sweep() {
-                    for t in [0, sw.trips - 1] {
-                        iteration(&mut ivs, &sw, depth, t);
-                        if self.map.anchor_owner(program, stmt, &ivs).is_none() {
-                            return Err(first_anchor_error(program, anchor, &sw, depth));
-                        }
-                    }
-                }
-                match linear_address_form(program, anchor, depth) {
-                    Some(form) => Screen::Affine {
-                        array: anchor.array.0,
-                        form,
-                    },
-                    // More indices than dimensions, in a nest that never
-                    // iterates (or the check above had failed): no owners.
-                    None => Screen::Table(Vec::new()),
-                }
-            } else if anchor_index_arrays(stmt).iter().all(|b| {
-                matches!(program.array(*b).init, ArrayInit::Full(_)) && !reinitialized[b.0]
-            }) {
-                let mut owners = Vec::with_capacity(iterations as usize);
-                for sw in np.each_sweep() {
-                    for t in 0..sw.trips {
-                        iteration(&mut ivs, &sw, depth, t);
-                        let addr =
-                            resolve_ref_addr(program, anchor, &ivs, &mut Images(&self.images))
-                                .map_err(anchor_error)?;
-                        owners.push(self.owner(anchor.array.0, addr) as u32);
-                    }
-                }
-                Screen::Table(owners)
-            } else {
-                Screen::Resolve
-            };
-            np.screens.push(screen);
-        }
-
-        // Reduction rounds, and who takes part in each as far as the
-        // placement decides it. Statements reducing into one scalar share
-        // one participant set (and one partial accumulator per PE).
-        for (si, stmt) in nest.body.iter().enumerate() {
-            let Stmt::Reduce { target, op, .. } = stmt else {
-                continue;
-            };
-            let round = np.reduces.len();
-            let set = np.reduces.iter().position(|r| r.scalar == target.0);
-            let set = set.unwrap_or(round);
-            np.parts_of[si] = Some(set);
-            np.reduces.push(ReducePlan {
-                scalar: target.0,
-                op: *op,
-                set,
-                participants: vec![false; if set == round { self.n_pes } else { 0 }],
-                resolved: false,
-            });
-            let mut parts = std::mem::take(&mut np.reduces[set].participants);
-            match &np.screens[si] {
-                Screen::Affine { array, form } => {
-                    let ps = self.page_size as i64;
-                    for sw in np.each_sweep() {
-                        let line = form.line(&sw);
-                        let mut t = 0i64;
-                        while t < sw.trips as i64 {
-                            parts[self.owner(*array, line.addr(t) as usize)] = true;
-                            t = line.run_end(t, ps);
-                        }
-                    }
-                }
-                Screen::RoundRobin { slot } => {
-                    // The deal is periodic in the PE count.
-                    let n = self.n_pes as u64;
-                    for g in 0..iterations.min(n) {
-                        parts[((rr_base + g * np.rr_width + slot) % n) as usize] = true;
-                    }
-                }
-                Screen::Table(owners) => {
-                    for &pe in owners {
-                        parts[pe as usize] = true;
-                    }
-                }
-                Screen::Resolve => np.reduces[set].resolved = true,
+        let holder = &mut np.reduces[set];
+        holder.resolved |= !r.complete;
+        if set == round {
+            holder.participants = r.pes;
+        } else {
+            for (all, one) in holder.participants.iter_mut().zip(r.pes) {
+                *all |= one;
             }
-            np.reduces[set].participants = parts;
-        }
-        Ok(np)
-    }
-}
-
-/// An anchor no PE can be found for stops the run before it starts: every
-/// PE would meet the same instance.
-fn anchor_error(e: IrError) -> RuntimeError {
-    RuntimeError::WorkerPanicked(format!("anchor resolution failed: {e}"))
-}
-
-/// The error of the first trip of `sweep` whose affine anchor leaves its
-/// array, as the shared address resolution words it.
-fn first_anchor_error(
-    program: &Program,
-    anchor: &ArrayRef,
-    sweep: &Sweep<'_>,
-    depth: usize,
-) -> RuntimeError {
-    let mut ivs = Vec::with_capacity(depth);
-    for t in 0..sweep.trips {
-        iteration(&mut ivs, sweep, depth, t);
-        if let Err(e) = resolve_ref_addr(program, anchor, &ivs, &mut Images(&[])) {
-            return anchor_error(e);
         }
     }
-    unreachable!("an index that leaves its extent at a sweep's end leaves it on some trip")
+    np
 }
 
 /// Execute `program` on `cfg.n_pes` logical PEs, multiplexed onto one
@@ -608,7 +393,7 @@ pub fn execute_on(
     if let Some(reason) = unsupported_reason(program) {
         return Err(RuntimeError::Unsupported(reason));
     }
-    let plan = Plan::build(program, cfg)?;
+    let plan = Plan::build(program, &StaticArrays::scan(program), cfg)?;
     let (results, net) = pool::run(&plan, workers.clamp(1, cfg.n_pes))?;
 
     // Assemble global arrays from the owned frames.

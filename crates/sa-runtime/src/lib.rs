@@ -14,15 +14,15 @@
 //! contiguous share of the PEs; no PE is ever touched by two threads.
 //!
 //! * **A PE is a resumable task**, not a thread: its owned page frames,
-//!   cache and deferral queues, plus a cursor `(sweep, trip, statement)`
-//!   into the run's shared sweep lists and a small state for the waits
-//!   between nests (reduction collect/broadcast, the four §5 barrier
+//!   cache and deferral queues, plus a cursor `(sweep, window, trip,
+//!   statement)` into the run's shared schedule and a small state for the
+//!   waits between nests (reduction collect/broadcast, the four §5 barrier
 //!   stages). It enumerates **only the instances it owns**: per sweep, its
-//!   trips come closed-form from the placement
-//!   (`sa_core::screening::owned_segments`, the compile-time form of the
-//!   paper's §3 index screening, shared with the replay engine). What every
-//!   PE would otherwise re-derive — page owners, initial images, sweep
-//!   lists, reduction participants — is worked out once per run.
+//!   windows come from the one owner-computes schedule
+//!   (`sa_lint::screening::Schedule`, the compile-time form of the paper's
+//!   §3 index screening, shared with every other engine). What every PE
+//!   would otherwise re-derive — page owners, initial images, sweep lists,
+//!   reduction participants — is worked out once per run.
 //! * **A PE yields** when an instance needs a page that is neither local
 //!   nor cached (the request goes out and the worker runs another PE),
 //!   when it reaches a reduction or re-initialization barrier whose
@@ -55,11 +55,11 @@
 //! to the engine, not to the program it runs.
 //!
 //! Indirect (gather/scatter) statement anchors run too: an anchor through
-//! statically initialized index arrays is screened once per run against
-//! the initial images, one through an index array an earlier nest produced
-//! is resolved by every PE over [`net::Msg::IndirectFetch`] messages (with
-//! the same deferral rule) via the shared
-//! `PartitionMap::resolved_anchor_owner` path — the one case where a PE
+//! compile-time-constant index arrays is tabulated once per run by the
+//! schedule, one through an index array an earlier nest produced is
+//! resolved by every PE over [`net::Msg::IndirectFetch`] messages (with
+//! the same deferral rule) via the shared `Schedule::owner` path — the one
+//! case where a PE
 //! still visits instances it does not own — so the *entire* Livermore
 //! suite executes on real threads. Only a genuinely dynamic shape (an
 //! index array produced in the nest that anchors through it) is rejected,
@@ -83,7 +83,6 @@
 pub mod engine;
 pub mod net;
 pub mod oracle;
-pub mod pagecache;
 mod pe;
 mod pool;
 

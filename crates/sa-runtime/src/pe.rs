@@ -2,19 +2,21 @@
 //! deferral.
 //!
 //! A PE never walks a nest by closure and never blocks its OS thread. Its
-//! control state is a cursor `(sweep, trip, statement)` into the run's
-//! shared sweep lists ([`NestPlan`]) plus a small [`State`] for the waits
+//! control state is a cursor `(sweep, window, trip, statement)` into the
+//! run's shared schedule plus a small [`State`] for the waits
 //! between nests; the worker thread that owns it ([`crate::pool`]) calls
 //! [`Pe::run`] while it can move and [`Pe::handle`] whenever a message for
 //! it arrives — serving a peer's fetch is a frame read or a deferral and
 //! never needs the PE's own control flow.
 //!
-//! **Owned schedules.** Per sweep, the trips a statement executes *here*
-//! come from the placement ([`owned_segments`], the compile-time form of
-//! the paper's §3 index screening): the PE enumerates only what it owns.
-//! Only a statement anchored through an index array an earlier nest
-//! produced ([`Screen::Resolve`]) still visits every trip and resolves the
+//! **Owned schedules.** Per sweep, the trips each statement executes *here*
+//! come from the run's schedule ([`Schedule::load_sweep`], the compile-time
+//! form of the paper's §3 index screening): the PE enumerates only what it
+//! owns. Only a statement anchored through an index array an earlier nest
+//! produced ([`Screen::Produced`]) still visits every trip and resolves the
 //! owner over [`Msg::IndirectFetch`].
+//!
+//! [`Schedule::load_sweep`]: sa_lint::screening::Schedule::load_sweep
 //!
 //! **The resume rule.** An instance whose evaluation meets a load that is
 //! neither local nor cached issues the page request and gives up; when the
@@ -28,17 +30,17 @@
 
 use std::collections::{HashMap, HashSet};
 
-use sa_core::screening::{owned_segments, owned_segments_by};
+use sa_ir::analysis::Screen;
 use sa_ir::interp::{EvalCtx, Memory};
 use sa_ir::nest::Stmt;
 use sa_ir::program::ArrayInit;
 use sa_ir::{ArrayId, IrError};
-use sa_machine::{host_of, PageKey, PeCounters};
+use sa_lint::screening::Windows;
+use sa_machine::{host_of, CachePolicy, PageKey, PeCounters, PolicyCache, Probe};
 use sa_mem::TaggedPage;
 
-use crate::engine::{NestPlan, PhasePlan, Plan, Screen};
+use crate::engine::{NestPlan, PhasePlan, Plan};
 use crate::net::Msg;
-use crate::pagecache::ValueCache;
 use crate::pool::Outbox;
 
 /// Access/message statistics gathered by one PE.
@@ -180,46 +182,21 @@ enum State {
     Done,
 }
 
-/// A PE's place in the current nest. The owned segments are those of
-/// sweep `sweep` once `loaded`.
+/// A PE's place in the current nest: statement `win.active()[pos]` on trip
+/// `trip` of window `window` of sweep `sweep` (whose windows `win` holds
+/// once `loaded`).
 #[derive(Debug, Default)]
 struct Cursor {
     sweep: usize,
-    trip: usize,
-    stmt: usize,
     loaded: bool,
+    /// This PE's owned windows of the sweep.
+    win: Windows,
+    /// The window being walked (`None` once the sweep is exhausted).
+    window: Option<(usize, usize)>,
+    trip: usize,
+    pos: usize,
     /// Loop-variable values of the current iteration, outermost first.
     ivs: Vec<i64>,
-    /// Per statement, the trips of this sweep it executes here.
-    segs: Vec<Vec<(usize, usize)>>,
-    /// Per statement, the first segment not wholly behind `trip`.
-    at: Vec<usize>,
-}
-
-impl Cursor {
-    /// Whether statement `si` executes here on the current trip.
-    fn owns(&mut self, si: usize) -> bool {
-        let (segs, at) = (&self.segs[si], &mut self.at[si]);
-        while segs.get(*at).is_some_and(|s| s.1 <= self.trip) {
-            *at += 1;
-        }
-        segs.get(*at).is_some_and(|s| s.0 <= self.trip)
-    }
-
-    /// The first trip at or after `from` some statement executes here
-    /// (`trips` if there is none).
-    fn next_owned(&mut self, from: usize, trips: usize) -> usize {
-        let mut next = trips;
-        for (segs, at) in self.segs.iter().zip(&mut self.at) {
-            while segs.get(*at).is_some_and(|s| s.1 <= from) {
-                *at += 1;
-            }
-            if let Some(s) = segs.get(*at) {
-                next = next.min(s.0.max(from));
-            }
-        }
-        next
-    }
 }
 
 /// Machine-side state of a PE: everything serving a peer touches (split
@@ -231,7 +208,11 @@ struct PeMem {
     /// its owner and slot).
     frames: Vec<Vec<Frame>>,
     gens: Vec<u32>,
-    cache: ValueCache,
+    /// Fetched pages with their contents and the fill snapshot shipped with
+    /// the reply (LRU, on the machine's one replacement core): a later read
+    /// of a filled cell needs no message, and a refetch upgrades a partly
+    /// filled page in place (§8).
+    cache: PolicyCache<TaggedPage>,
     cache_enabled: bool,
     cell_waiters: HashMap<(usize, usize), Vec<Waiter>>, // addr → waiters
     partials_inbox: HashMap<(usize, u64), Vec<f64>>,
@@ -453,7 +434,8 @@ impl PeMem {
                     .get(addr - page * plan.page_size)
                     .expect("owner replied before the cell was defined");
                 if self.cache_enabled {
-                    self.cache.insert(key, data);
+                    self.cache
+                        .insert_with(key, data, |old, new| old.merge_from(&new));
                 }
                 self.oplog.push(v);
             }
@@ -668,16 +650,17 @@ impl Memory for Access<'_, '_> {
             generation: mem.gens[a],
         };
         if mem.cache_enabled {
-            if let Some(v) = mem.cache.lookup(key, offset) {
-                mem.stats.counters.cached_reads += 1;
-                mem.oplog.push(v);
-                mem.replayed += 1;
-                return Ok(v);
-            }
-            if mem.cache.has_page(&key) {
+            match mem.cache.probe_with(key, |page| page.get(offset)) {
+                Probe::Hit(v) => {
+                    mem.stats.counters.cached_reads += 1;
+                    mem.oplog.push(v);
+                    mem.replayed += 1;
+                    return Ok(v);
+                }
                 // Resident but the cell was unfilled at fetch time: the §8
                 // partial-page refetch.
-                mem.stats.partial_refetches += 1;
+                Probe::Unusable => mem.stats.partial_refetches += 1,
+                Probe::Absent => {}
             }
         }
         mem.stats.counters.remote_reads += 1;
@@ -747,7 +730,7 @@ impl<'p> Pe<'p> {
             let (len, image, table) = (decl.len(), &plan.images[a], &plan.pages[a]);
             let mut own: Vec<Frame> = Vec::new();
             if !table.is_empty() {
-                let placement = plan.map.placement(ArrayId(a));
+                let placement = plan.schedule.placement(ArrayId(a));
                 placement.owned_page_intervals(me, 0, table.len() - 1, |q0, q1| {
                     for (page, place) in table.iter().enumerate().take(q1).skip(q0) {
                         debug_assert_eq!(*place, (me as u32, own.len() as u32));
@@ -775,7 +758,7 @@ impl<'p> Pe<'p> {
                 me,
                 frames,
                 gens: vec![0u32; program.arrays.len()],
-                cache: ValueCache::new(plan.cache_pages),
+                cache: PolicyCache::new(plan.cache_pages, CachePolicy::Lru),
                 cache_enabled: plan.cache_pages > 0,
                 cell_waiters: HashMap::new(),
                 partials_inbox: HashMap::new(),
@@ -810,12 +793,13 @@ impl<'p> Pe<'p> {
     }
 
     /// Run until the PE blocks, finishes, or has evaluated about `budget`
-    /// instances. An `Err` is the reason the whole run must stop.
+    /// instances, each of which is taken off it. An `Err` is the reason the
+    /// whole run must stop.
     pub fn run(
         &mut self,
         plan: &Plan<'p>,
         out: &mut Outbox,
-        mut budget: usize,
+        budget: &mut usize,
     ) -> Result<Progress, String> {
         if self.mem.pending.is_some() {
             // Woken by a barrier or reduction message that arrived early;
@@ -858,7 +842,7 @@ impl<'p> Pe<'p> {
                     let PhasePlan::Loop(np) = &plan.phases[self.phase] else {
                         unreachable!("State::Nest is only entered for a loop phase");
                     };
-                    match self.walk(plan, np, out, &mut budget) {
+                    match self.walk(plan, np, out, budget) {
                         Ok(true) => {
                             self.state = State::Reduce {
                                 round: 0,
@@ -966,19 +950,17 @@ impl<'p> Pe<'p> {
         self.state = State::Enter;
     }
 
-    fn enter_nest(&mut self, plan: &Plan<'p>, np: &NestPlan<'p>) {
-        let body = np.nest.body.len();
+    fn enter_nest(&mut self, plan: &Plan<'p>, np: &NestPlan) {
         self.cur = Cursor {
             ivs: std::mem::take(&mut self.cur.ivs),
-            segs: vec![Vec::new(); body],
-            at: vec![0; body],
+            win: std::mem::take(&mut self.cur.win),
             ..Cursor::default()
         };
         self.took_part.clear();
         for r in &np.reduces {
             self.partial[r.scalar] = r.op.identity();
             // A round with run-time screened statements starts from what
-            // the plan could screen and learns the rest as it resolves.
+            // the schedule could screen and learns the rest as it resolves.
             self.took_part.push(if r.resolved {
                 debug_assert_eq!(r.participants.len(), plan.n_pes);
                 r.participants.clone()
@@ -989,38 +971,22 @@ impl<'p> Pe<'p> {
     }
 
     /// Position the cursor on sweep `self.cur.sweep`: this PE's owned
-    /// segments of every statement, and the first trip any of them holds.
-    fn load_sweep(&mut self, plan: &Plan<'p>, np: &NestPlan<'p>) {
-        let me = self.mem.me;
-        let sw = np.sweep(self.cur.sweep);
-        let first = np.sweeps[self.cur.sweep].first;
-        let m = sw.trips;
-        for (si, screen) in np.screens.iter().enumerate() {
-            self.cur.segs[si] = match screen {
-                Screen::Affine { array, form } => {
-                    owned_segments(plan.map.placement(ArrayId(*array)), me, form.line(&sw), m)
-                }
-                Screen::RoundRobin { slot } => {
-                    let (n, me) = (plan.n_pes as u64, me as u64);
-                    owned_segments_by(m, |t| {
-                        (np.rr_base + (first + t as u64) * np.rr_width + slot) % n == me
-                    })
-                }
-                Screen::Table(owners) => {
-                    owned_segments_by(m, |t| owners[first as usize + t] as usize == me)
-                }
-                Screen::Resolve => vec![(0, m)],
-            };
-            self.cur.at[si] = 0;
+    /// windows, and the first trip of the first of them.
+    fn load_sweep(&mut self, plan: &Plan<'p>, np: &NestPlan) {
+        let cur = &mut self.cur;
+        plan.schedule
+            .load_sweep(self.mem.me, np.idx, cur.sweep, &mut cur.win);
+        let ns = plan.schedule.nest(np.idx);
+        let sw = ns.sweep(cur.sweep);
+        cur.ivs.clear();
+        cur.ivs.extend_from_slice(sw.outer);
+        if !ns.nest.loops.is_empty() {
+            cur.ivs.push(sw.lo);
         }
-        self.cur.ivs.clear();
-        self.cur.ivs.extend_from_slice(sw.outer);
-        if !np.nest.loops.is_empty() {
-            self.cur.ivs.push(sw.lo);
-        }
-        self.cur.trip = self.cur.next_owned(0, m);
-        self.cur.stmt = 0;
-        self.cur.loaded = true;
+        cur.window = cur.win.advance();
+        cur.trip = cur.window.map_or(0, |w| w.0);
+        cur.pos = 0;
+        cur.loaded = true;
     }
 
     /// Advance through the nest's owned instances. `Ok(true)` when the
@@ -1028,36 +994,37 @@ impl<'p> Pe<'p> {
     fn walk(
         &mut self,
         plan: &Plan<'p>,
-        np: &NestPlan<'p>,
+        np: &NestPlan,
         out: &mut Outbox,
         budget: &mut usize,
     ) -> Result<bool, Stop> {
-        let body = np.nest.body.len();
+        let sweeps = &plan.schedule.nest(np.idx).sweeps;
         loop {
             if !self.cur.loaded {
-                if self.cur.sweep == np.sweeps.len() {
+                if self.cur.sweep == sweeps.len() {
                     return Ok(true);
                 }
                 self.load_sweep(plan, np);
             }
-            let sw = &np.sweeps[self.cur.sweep];
-            while self.cur.trip < sw.trips {
-                if let Some(inner) = self.cur.ivs.last_mut() {
-                    *inner = sw.lo + sw.step * self.cur.trip as i64;
-                }
-                while self.cur.stmt < body {
-                    let si = self.cur.stmt;
-                    if self.cur.owns(si) {
+            let sw = &sweeps[self.cur.sweep];
+            while let Some((_, end)) = self.cur.window {
+                while self.cur.trip < end {
+                    if let Some(inner) = self.cur.ivs.last_mut() {
+                        *inner = sw.lo + sw.step * self.cur.trip as i64;
+                    }
+                    while let Some(&si) = self.cur.win.active().get(self.cur.pos) {
                         self.instance(plan, np, out, si)?;
                         *budget = budget.saturating_sub(1);
+                        self.cur.pos += 1;
                     }
-                    self.cur.stmt += 1;
+                    self.cur.pos = 0;
+                    self.cur.trip += 1;
+                    if *budget == 0 {
+                        return Ok(false);
+                    }
                 }
-                self.cur.stmt = 0;
-                self.cur.trip = self.cur.next_owned(self.cur.trip + 1, sw.trips);
-                if *budget == 0 {
-                    return Ok(false);
-                }
+                self.cur.window = self.cur.win.advance();
+                self.cur.trip = self.cur.window.map_or(0, |w| w.0);
             }
             self.cur.sweep += 1;
             self.cur.loaded = false;
@@ -1073,11 +1040,12 @@ impl<'p> Pe<'p> {
     fn instance(
         &mut self,
         plan: &Plan<'p>,
-        np: &NestPlan<'p>,
+        np: &NestPlan,
         out: &mut Outbox,
         si: usize,
     ) -> Result<(), Stop> {
-        let stmt = &np.nest.body[si];
+        let ns = plan.schedule.nest(np.idx);
+        let stmt = &ns.nest.body[si];
         let ivs = &self.cur.ivs;
         self.mem.cur_stmt = si;
         let mut access = Access {
@@ -1085,18 +1053,16 @@ impl<'p> Pe<'p> {
             out: &mut *out,
             plan,
         };
-        if let Screen::Resolve = np.screens[si] {
+        if ns.screen.screens[si] == Screen::Produced {
             // The anchor goes through an index array an earlier nest
             // produced: every PE resolves every instance, the owner runs
             // it. Resolution reads are uncounted and kept for the
             // generation, so resolving again after a resume is free.
+            let g = ns.sweeps[self.cur.sweep].first + self.cur.trip as u64;
             let mut resolve = Resolve(&mut access);
-            let owner = plan
-                .map
-                .resolved_anchor_owner(plan.program, stmt, ivs, &mut resolve);
+            let owner = plan.schedule.owner(np.idx, si, g, ivs, &mut resolve);
             let owner = match owner {
-                Ok(Some(pe)) => pe,
-                Ok(None) => unreachable!("anchorless statements are screened round-robin"),
+                Ok(pe) => pe,
                 Err(e) => {
                     return Err(match access.mem.stop(e) {
                         Stop::Fail(e) => Stop::Fail(format!("anchor resolution failed: {e}")),
@@ -1276,12 +1242,14 @@ impl<'p> Pe<'p> {
                 };
                 format!(
                     "PE{me} (phase {p}, after `{}`) waits (barrier) for `{}` from {from}",
-                    np.nest.label, plan.program.scalars[scalar]
+                    plan.schedule.nest(np.idx).nest.label,
+                    plan.program.scalars[scalar]
                 )
             }
             (PhasePlan::Loop(np), _) => {
+                let nest = plan.schedule.nest(np.idx).nest;
                 let si = self.mem.cur_stmt;
-                let writing = match np.nest.body[si].write_target() {
+                let writing = match nest.body[si].write_target() {
                     Some(target) => format!(", writing `{}`", name(target.array.0)),
                     None => String::new(),
                 };
@@ -1291,7 +1259,7 @@ impl<'p> Pe<'p> {
                 };
                 format!(
                     "`{}`/s{si} on PE{me} (phase {p}{writing}) waits for {waits}",
-                    np.nest.label
+                    nest.label
                 )
             }
         })

@@ -9,12 +9,14 @@
 //! blocks or its slice is used up, repeat; it parks on its channel only
 //! when none of its PEs can move. Fetch requests for *any* of its PEs are
 //! served between two instance evaluations, whatever the addressed PE is
-//! doing itself.
+//! doing itself. What its PEs send to other workers' PEs leaves in batches,
+//! one per [`FLUSH_AFTER`] units of work and one whenever nothing can run.
 //!
 //! **The quiescence rule.** A cross-worker message is counted in
 //! [`Shared::in_flight`] before it is sent and discounted by its receiver
 //! when that worker next parks — after everything the message set off,
-//! further sends included, has been done and counted. So when the last
+//! further sends included, has been done, handed over and counted (a
+//! worker holds nothing back when it parks). So when the last
 //! worker to park finds the count at zero, every worker is parked with
 //! nothing on its way to it, and nothing can ever move again: the run is
 //! over. If every PE is out of program that is the normal end; if not,
@@ -45,13 +47,23 @@ const SLICE: usize = 64;
 /// away costs no sleep and wake-up.
 const YIELDS_BEFORE_PARK: usize = 64;
 
+/// Work — one unit per PE run and one per instance it evaluated — a worker
+/// does before it hands other workers what it holds back for them. Small
+/// against [`SLICE`], so a request never waits much longer than it would
+/// behind a running PE anyway; when every PE blocks after an instance or
+/// two (a message-bound run) one channel operation still carries several
+/// of their requests and replies. Sent one by one they make two workers
+/// on two cores half as fast as two workers sharing one core, and which
+/// of the two a run gets is up to the kernel's scheduler.
+const FLUSH_AFTER: usize = 8;
+
 /// Blocked PEs a deadlock report spells out.
 const MAX_BLOCKED_SHOWN: usize = 8;
 
 /// What travels between workers.
 enum Envelope {
-    /// A message for one of the receiver's PEs.
-    To(usize, Msg),
+    /// Messages for the receiver's PEs, each with the PE it is for.
+    To(Vec<(usize, Msg)>),
     /// The run is over: quiescent, or failed with [`Shared::failure`].
     Stop,
 }
@@ -110,6 +122,9 @@ pub(crate) struct Outbox {
     /// Messages for PEs of this worker, delivered before it runs anything
     /// else.
     local: VecDeque<(usize, Msg)>,
+    /// Per worker, the messages for its PEs held back until the next
+    /// flush.
+    outgoing: Vec<Vec<(usize, Msg)>>,
     /// Topology-priced accounting of the modeled sends of this worker's
     /// PEs — only the traffic the counting simulator's message model
     /// charges (page fetches, reduction partials, §5 request/release),
@@ -126,9 +141,19 @@ impl Outbox {
         if worker == self.worker {
             self.local.push_back((to, msg));
         } else {
-            self.shared.in_flight.fetch_add(1, SeqCst);
-            // A closed inbox is a worker that has seen the run stop.
-            let _ = self.shared.inboxes[worker].send(Envelope::To(to, msg));
+            self.outgoing[worker].push((to, msg));
+        }
+    }
+
+    /// Hand what is held back to its workers, one channel operation each,
+    /// counted in [`Shared::in_flight`] first.
+    fn flush(&mut self) {
+        for (inbox, batch) in self.shared.inboxes.iter().zip(&mut self.outgoing) {
+            if !batch.is_empty() {
+                self.shared.in_flight.fetch_add(batch.len(), SeqCst);
+                // A closed inbox is a worker that has seen the run stop.
+                let _ = inbox.send(Envelope::To(std::mem::take(batch)));
+            }
         }
     }
 }
@@ -170,9 +195,11 @@ impl Worker<'_> {
     fn take_in(&mut self, env: Envelope) -> Result<bool, String> {
         match env {
             Envelope::Stop => Ok(true),
-            Envelope::To(pe, msg) => {
-                self.received += 1;
-                self.deliver(pe, msg)?;
+            Envelope::To(batch) => {
+                self.received += batch.len();
+                for (pe, msg) in batch {
+                    self.deliver(pe, msg)?;
+                }
                 Ok(false)
             }
         }
@@ -186,6 +213,8 @@ impl Worker<'_> {
             self.wake(i);
         }
         let mut idle = 0;
+        // Work done since the last flush, in the units of `FLUSH_AFTER`.
+        let mut unflushed = 0;
         loop {
             while let Ok(env) = self.inbox.try_recv() {
                 if self.take_in(env)? {
@@ -195,14 +224,23 @@ impl Worker<'_> {
             while let Some((pe, msg)) = self.out.local.pop_front() {
                 self.deliver(pe, msg)?;
             }
-            if let Some(i) = self.ready.pop_front() {
+            let next = self.ready.pop_front();
+            // With nothing to run, what we hold back may be what a peer's
+            // PEs wait for: a worker yields and parks empty-handed.
+            if next.is_none() || unflushed >= FLUSH_AFTER {
+                self.out.flush();
+                unflushed = 0;
+            }
+            if let Some(i) = next {
                 idle = 0;
                 self.queued[i] = false;
-                let progress = self.pes[i].run(self.plan, &mut self.out, SLICE);
+                let mut budget = SLICE;
+                let progress = self.pes[i].run(self.plan, &mut self.out, &mut budget);
                 match progress.map_err(|reason| format!("worker {}: {reason}", self.base + i))? {
                     Progress::Yielded => self.wake(i),
                     Progress::Blocked => {}
                 }
+                unflushed += 1 + SLICE - budget;
             } else if idle < YIELDS_BEFORE_PARK {
                 idle += 1;
                 std::thread::yield_now();
@@ -273,6 +311,7 @@ pub(crate) fn run(
                             worker: w,
                             shared: Arc::clone(&shared),
                             local: VecDeque::new(),
+                            outgoing: vec![Vec::new(); workers],
                             net: Network::new(plan.network, n),
                         },
                     };

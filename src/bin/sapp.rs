@@ -8,7 +8,8 @@
 //! sapp sweep K2 --page 32         # remote % across PE counts
 //! sapp sweep ST5 --size 96        # scale workloads size like any kernel
 //! sapp search [--kernel K12]      # best scheme × page size per kernel
-//! sapp timing K14 --page 32       # estimated speedup curve
+//! sapp timing K14 --page 32       # estimated speedup curve, 1 … 32 PEs
+//! sapp timing K14 --pes 24        # … up to 24 PEs (1, 2, 4, 8, 16, 24)
 //! sapp lint K13                   # static diagnostics for one kernel
 //! sapp lint --all --format json   # CI gate: exit 1 on any error finding
 //! sapp lint --all --deny-warnings --allow PL001   # strict gate, PL001 ok
@@ -25,8 +26,8 @@
 //! sweep count (registry default otherwise). Row degrees stay at the
 //! registry's official values.
 //!
-//! `--partition SCHEME` pins the ownership scheme for `simulate`, `sweep`
-//! and `lint`: `modulo`, `block`, `blockcyclic:B`, `rowband`, or
+//! `--partition SCHEME` pins the ownership scheme for `simulate`, `sweep`,
+//! `timing` and `lint`: `modulo`, `block`, `blockcyclic:B`, `rowband`, or
 //! `tile2d:RxC` (grid-tiled ownership; see `sapp::machine::Placement`).
 //! `--network TOPO` picks the link model pricing every modeled message:
 //! `ideal`, `crossbar`, `bus`, `ring`, `mesh2d`, `torus2d`, `hypercube`.
@@ -184,7 +185,8 @@ impl Format {
 }
 
 struct Opts {
-    pes: usize,
+    /// `--pes`, when given (see [`Opts::pes`]).
+    pes: Option<usize>,
     page: usize,
     cache: usize,
     no_cache: bool,
@@ -205,9 +207,53 @@ struct Opts {
     allow: Vec<String>,
 }
 
+impl Opts {
+    /// The PE count: `--pes`, or the paper's 16.
+    fn pes(&self) -> usize {
+        self.pes.unwrap_or(16)
+    }
+}
+
+/// The value of `flag`, through `parse`. A missing or malformed value is one
+/// line naming the flag — `sapp: --partition: tile extents must be ≥ 1 (got
+/// tile2d:0x0)` — and exit 2.
+fn value<'a, T>(
+    flag: &str,
+    it: &mut impl Iterator<Item = &'a String>,
+    parse: impl FnOnce(&str) -> Result<T, String>,
+) -> T {
+    let Some(raw) = it.next() else {
+        eprintln!("sapp: {flag}: expects a value");
+        std::process::exit(2);
+    };
+    parse(raw).unwrap_or_else(|why| {
+        eprintln!("sapp: {flag}: {why} (got {raw})");
+        std::process::exit(2);
+    })
+}
+
+/// A count: any non-negative integer (0 is the engines' typed error).
+fn count(v: &str) -> Result<usize, String> {
+    v.parse()
+        .map_err(|_| "expects a non-negative integer".to_string())
+}
+
+/// A count that must be at least 1.
+fn positive(v: &str) -> Result<usize, String> {
+    match count(v)? {
+        0 => Err("must be ≥ 1".to_string()),
+        n => Ok(n),
+    }
+}
+
+/// One of a closed set of spellings, looked up by `lookup`.
+fn one_of<T>(choices: &str, lookup: impl FnOnce(&str) -> Option<T>, v: &str) -> Result<T, String> {
+    lookup(v).ok_or_else(|| format!("expects {choices}"))
+}
+
 fn parse_opts(args: &[String]) -> Opts {
     let mut o = Opts {
-        pes: 16,
+        pes: None,
         page: 32,
         cache: 256,
         no_cache: false,
@@ -228,114 +274,70 @@ fn parse_opts(args: &[String]) -> Opts {
         allow: Vec::new(),
     };
     let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--pes" => {
-                o.pes = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--page" => {
-                o.page = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--cache" => {
-                o.cache = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
+    while let Some(flag) = it.next() {
+        let flag = flag.as_str();
+        let it = &mut it;
+        match flag {
+            "--pes" => o.pes = Some(value(flag, it, count)),
+            "--page" => o.page = value(flag, it, count),
+            "--cache" => o.cache = value(flag, it, count),
             "--no-cache" => o.no_cache = true,
             "--all" => o.all = true,
-            "--kernel" => o.kernel = Some(it.next().unwrap_or_else(|| usage()).clone()),
-            "--size" => {
-                o.size = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                )
-            }
+            "--kernel" => o.kernel = Some(value(flag, it, |v| Ok(v.to_string()))),
+            "--size" => o.size = Some(value(flag, it, count)),
             "--dims" => {
-                let spec = it.next().unwrap_or_else(|| usage());
-                let parts: Option<Vec<usize>> = spec
-                    .split(['x', 'X', '×'])
-                    .map(|p| p.parse().ok())
-                    .collect();
-                match parts {
-                    Some(d) if d.len() == 2 || d.len() == 3 => o.dims = Some(d),
-                    _ => usage(),
-                }
+                o.dims = Some(value(flag, it, |v| {
+                    let dims: Vec<usize> = v
+                        .split(['x', 'X', '×'])
+                        .map(count)
+                        .collect::<Result<_, _>>()?;
+                    if dims.len() == 2 || dims.len() == 3 {
+                        Ok(dims)
+                    } else {
+                        Err("expects AxB or AxBxC".to_string())
+                    }
+                }))
             }
-            "--sweeps" => {
-                o.sweeps = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&n: &usize| n > 0)
-                        .unwrap_or_else(|| usage()),
-                )
-            }
-            "--partition" => {
-                o.partition = Some(
-                    it.next()
-                        .and_then(|v| parse_partition(v))
-                        .unwrap_or_else(|| usage()),
-                )
-            }
+            "--sweeps" => o.sweeps = Some(value(flag, it, positive)),
+            "--partition" => o.partition = Some(value(flag, it, parse_partition)),
             "--network" => {
-                o.network = Some(
-                    it.next()
-                        .and_then(|v| parse_network(v))
-                        .unwrap_or_else(|| usage()),
-                )
+                let choices = "ideal|crossbar|bus|ring|mesh2d|torus2d|hypercube";
+                o.network = Some(value(flag, it, |v| one_of(choices, parse_network, v)))
             }
             "--format" => {
-                o.format = match it.next().map(String::as_str) {
-                    Some("table") => Format::Table,
-                    Some("csv") => Format::Csv,
-                    Some("json") => Format::Json,
-                    Some("dot") => Format::Dot,
-                    _ => usage(),
-                }
+                o.format = value(flag, it, |v| {
+                    let lookup = |v: &str| match v {
+                        "table" => Some(Format::Table),
+                        "csv" => Some(Format::Csv),
+                        "json" => Some(Format::Json),
+                        "dot" => Some(Format::Dot),
+                        _ => None,
+                    };
+                    one_of("table|csv|json|dot", lookup, v)
+                })
             }
             "--deny-warnings" => o.deny_warnings = true,
-            "--allow" => o
-                .allow
-                .push(it.next().unwrap_or_else(|| usage()).to_uppercase()),
+            "--allow" => o.allow.push(value(flag, it, |v| Ok(v.to_uppercase()))),
             "--engine" => {
-                o.engine = it
-                    .next()
-                    .and_then(|v| EngineSel::parse(v))
-                    .unwrap_or_else(|| usage())
+                let choices = "interp|replay|auto|static|thread";
+                o.engine = value(flag, it, |v| one_of(choices, EngineSel::parse, v))
             }
             "--objective" => {
-                o.objective = match it.next().map(String::as_str) {
-                    Some("balanced") => Objective::default(),
-                    Some("remote") => Objective::RemoteOnly,
-                    _ => usage(),
-                }
+                o.objective = value(flag, it, |v| {
+                    let lookup = |v: &str| match v {
+                        "balanced" => Some(Objective::default()),
+                        "remote" => Some(Objective::RemoteOnly),
+                        _ => None,
+                    };
+                    one_of("balanced|remote", lookup, v)
+                })
             }
             "--strategy" => {
-                o.strategy = it
-                    .next()
-                    .and_then(|v| Strategy::parse(v))
-                    .unwrap_or_else(|| usage())
+                let choices = "exhaustive|anneal|propagate";
+                o.strategy = value(flag, it, |v| one_of(choices, Strategy::parse, v))
             }
-            "--seed" => {
-                o.seed = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--budget" => {
-                o.budget = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&k: &usize| k > 0)
-                    .unwrap_or_else(|| usage())
-            }
+            "--seed" => o.seed = value(flag, it, count) as u64,
+            "--budget" => o.budget = value(flag, it, positive),
             _ => usage(),
         }
     }
@@ -344,37 +346,34 @@ fn parse_opts(args: &[String]) -> Opts {
 
 /// Parse `--partition` specs: bare names plus the parameterised
 /// `blockcyclic:B` and `tile2d:RxC` forms (`:` or `=` separators).
-fn parse_partition(spec: &str) -> Option<PartitionScheme> {
+fn parse_partition(spec: &str) -> Result<PartitionScheme, String> {
     let (name, arg) = match spec.split_once([':', '=']) {
         Some((n, a)) => (n, Some(a)),
         None => (spec, None),
     };
     match (name, arg) {
-        ("modulo", None) => Some(PartitionScheme::Modulo),
-        ("block", None) => Some(PartitionScheme::Block),
-        ("rowband", None) => Some(PartitionScheme::RowBand),
+        ("modulo", None) => Ok(PartitionScheme::Modulo),
+        ("block", None) => Ok(PartitionScheme::Block),
+        ("rowband", None) => Ok(PartitionScheme::RowBand),
         ("blockcyclic", Some(a)) => {
-            let block_pages: usize = a.parse().ok().filter(|&b| b > 0)?;
-            Some(PartitionScheme::BlockCyclic { block_pages })
+            let block_pages = positive(a).map_err(|_| "block size must be ≥ 1")?;
+            Ok(PartitionScheme::BlockCyclic { block_pages })
         }
-        ("tile2d", arg) => {
-            // Default tile if unspecified; otherwise RxC like --dims.
-            let (tile_rows, tile_cols) = match arg {
-                None => (64, 64),
-                Some(a) => {
-                    let (r, c) = a.split_once(['x', 'X', '×'])?;
-                    (
-                        r.parse().ok().filter(|&n: &usize| n > 0)?,
-                        c.parse().ok().filter(|&n: &usize| n > 0)?,
-                    )
-                }
-            };
-            Some(PartitionScheme::Tile2D {
+        // Default tile if unspecified; otherwise RxC like --dims.
+        ("tile2d", None) => Ok(PartitionScheme::Tile2D {
+            tile_rows: 64,
+            tile_cols: 64,
+        }),
+        ("tile2d", Some(a)) => {
+            let extents = a.split_once(['x', 'X', '×']);
+            let extents = extents.and_then(|(r, c)| Some((positive(r).ok()?, positive(c).ok()?)));
+            let (tile_rows, tile_cols) = extents.ok_or("tile extents must be ≥ 1")?;
+            Ok(PartitionScheme::Tile2D {
                 tile_rows,
                 tile_cols,
             })
         }
-        _ => None,
+        _ => Err("expects modulo|block|blockcyclic:B|rowband|tile2d:RxC".to_string()),
     }
 }
 
@@ -489,7 +488,7 @@ fn resolve_kernel(code: &str, o: &Opts) -> Kernel {
 
 fn config(o: &Opts) -> MachineConfig {
     let elems = if o.no_cache { 0 } else { o.cache };
-    let mut cfg = MachineConfig::new(o.pes, o.page).with_cache_elems(elems);
+    let mut cfg = MachineConfig::new(o.pes(), o.page).with_cache_elems(elems);
     if let Some(scheme) = o.partition {
         cfg = cfg.with_partition(scheme);
     }
@@ -727,7 +726,7 @@ fn main() {
                 }
             };
             let space = SearchSpace {
-                n_pes: o.pes,
+                n_pes: o.pes(),
                 cache_elems: if o.no_cache { 0 } else { o.cache },
                 ..SearchSpace::default()
             };
@@ -830,7 +829,7 @@ fn main() {
                 _ => usage(),
             };
             let mut cfg = sapp::lint::LintConfig {
-                n_pes: o.pes,
+                n_pes: o.pes(),
                 page_size: o.page,
                 ..sapp::lint::LintConfig::default()
             };
@@ -940,10 +939,18 @@ fn main() {
                 args.get(1).map(String::as_str).unwrap_or_else(|| usage()),
                 &o,
             );
+            // The ladder: powers of two below the top PE count (`--pes`,
+            // else 32), then the top itself; everything else about the
+            // machine comes from the flags, as on every other command.
+            let top = o.pes.unwrap_or(32);
+            let mut ladder: Vec<usize> = std::iter::successors(Some(1), |p| Some(p * 2))
+                .take_while(|&p| p < top)
+                .collect();
+            ladder.push(top);
             let sp = speedup_sweep(
                 &k.program,
-                &[1, 2, 4, 8, 16, 32],
-                o.page,
+                &ladder,
+                &config(&o).into(),
                 AccessCosts::default(),
             )
             .unwrap_or_else(|e| die("timing", &e));

@@ -119,7 +119,7 @@ fn duplicate_axis_is_a_config_error() {
 fn legacy_speedup_sweep_equals_sequential_loop() {
     let p = k12();
     let pes = [1usize, 2, 4, 8];
-    let got = speedup_sweep(&p, &pes, 32, AccessCosts::default()).unwrap();
+    let got = speedup_sweep(&p, &pes, &RunConfig::default(), AccessCosts::default()).unwrap();
     let base = estimate_timing(&p, &MachineConfig::new(1, 32)).unwrap();
     for (&n, (got_n, got_speedup)) in pes.iter().zip(&got) {
         let t = estimate_timing(&p, &MachineConfig::new(n, 32)).unwrap();

@@ -212,24 +212,62 @@ fn mixed_oracle_pivots_distinguish_unmodeled_hops_from_zero() {
 
 #[test]
 fn invalid_machine_shapes_exit_with_the_config_error_on_the_static_paths() {
-    for (args, want) in [
+    // (arguments, exit code, what the output must say). A panic exits 101;
+    // a rejected config is 1 with the typed error; a malformed flag value
+    // is 2 with one line naming the flag; `timing` honours the machine
+    // flags, `--pes` setting the top of its ladder.
+    for (args, code, want) in [
         (
             "simulate k1 --page 0 --engine static --no-cache",
+            1,
             "page_size must be ≥ 1",
         ),
-        ("sweep k1 --page 0 --engine static", "page_size must be ≥ 1"),
-        ("lint k1 --page 0", "page_size must be ≥ 1"),
-        ("lint k1 --pes 0", "n_pes must be ≥ 1"),
+        (
+            "sweep k1 --page 0 --engine static",
+            1,
+            "page_size must be ≥ 1",
+        ),
+        ("lint k1 --page 0", 1, "page_size must be ≥ 1"),
+        ("lint k1 --pes 0", 1, "n_pes must be ≥ 1"),
+        (
+            "simulate k1 --partition tile2d:0x0",
+            2,
+            "sapp: --partition: tile extents must be ≥ 1 (got tile2d:0x0)",
+        ),
+        (
+            "search --budget 0",
+            2,
+            "sapp: --budget: must be ≥ 1 (got 0)",
+        ),
+        (
+            "simulate k1 --pes x",
+            2,
+            "sapp: --pes: expects a non-negative integer (got x)",
+        ),
+        ("timing k1 --pes", 2, "sapp: --pes: expects a value"),
+        ("timing k1 --pes 7", 0, "| 4 | 3.18× |\n| 7 | 5.08× |\n\n"),
+        ("timing k1", 0, "| 16 | 12.71× |\n| 32 | 25.42× |\n\n"),
+        (
+            "timing k1 --no-cache --partition block --network ring",
+            0,
+            "| 32 | 6.44× |",
+        ),
     ] {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_sapp"))
             .args(args.split(' '))
             .output()
             .expect("sapp runs");
         let said = String::from_utf8_lossy(&out.stdout) + String::from_utf8_lossy(&out.stderr);
-        // A panic exits 101 and a usage error 2; a rejected config is 1.
-        assert_eq!(out.status.code(), Some(1), "sapp {args}: {said}");
+        assert_eq!(out.status.code(), Some(code), "sapp {args}: {said}");
         assert!(said.contains(want), "sapp {args}: {said}");
         assert!(!said.contains("panicked"), "sapp {args}: {said}");
+        if code == 2 {
+            assert_eq!(
+                said,
+                format!("{want}\n"),
+                "sapp {args}: one line, no usage dump"
+            );
+        }
     }
 }
 

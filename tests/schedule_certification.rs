@@ -1,0 +1,218 @@
+//! The owner-computes schedule, certified once for every screen kind.
+//!
+//! `sa_lint::screening::Schedule` is what replay, the thread engine and the
+//! static passes read index screening (paper §3) from; the counting
+//! interpreter asks it one instance at a time and records what it then
+//! executed. For every registry kernel at reduced size, plus a program with
+//! the statement shapes the registry is thin on (anchorless reductions, two
+//! reductions into one scalar, anchors through static and through produced
+//! index arrays), × the five schemes × {1, 4, 7, 64} PEs:
+//!
+//! * the per-PE segments partition every `(sweep, statement)`'s trips
+//!   exactly;
+//! * each PE's window walk is, instance by instance, the sequence the
+//!   interpreter executed on that PE, and [`Schedule::owner`] agrees;
+//! * the participant sets reproduce the interpreter's reduction messages.
+
+use sapp::core::exec::{simulate_traced, PhaseTrace};
+use sapp::ir::analysis::{Screen, StaticArrays};
+use sapp::ir::index::iv;
+use sapp::ir::interp::{resolve_ref_addr, Memory};
+use sapp::ir::nest::Stmt;
+use sapp::ir::program::ArrayInit;
+use sapp::ir::{ArrayId, Expr, InitPattern, IrError, Program, ProgramBuilder, ReduceOp};
+use sapp::lint::screening::{Schedule, Windows};
+use sapp::machine::{MachineConfig, PartitionScheme};
+use sapp::mem::SaArray;
+
+const PAGE: usize = 8;
+
+/// The run's final arrays: what a produced index array holds once written.
+struct Final<'a>(&'a [SaArray<f64>]);
+
+impl Memory for Final<'_> {
+    fn load(&mut self, array: ArrayId, addr: usize) -> Result<f64, IrError> {
+        Ok(*self.0[array.0].read(addr).unwrap().expect("index cell"))
+    }
+}
+
+/// One executed instance, as both sides name it: the statement's effect.
+#[derive(Debug, PartialEq)]
+enum Did {
+    Wrote(usize, usize),
+    Reduced(usize),
+}
+
+fn certify(code: &str, program: &Program) {
+    let statics = StaticArrays::scan(program);
+    for scheme in [
+        PartitionScheme::Modulo,
+        PartitionScheme::Block,
+        PartitionScheme::BlockCyclic { block_pages: 2 },
+        PartitionScheme::RowBand,
+        PartitionScheme::Tile2D {
+            tile_rows: 5,
+            tile_cols: 6,
+        },
+    ] {
+        for n_pes in [1usize, 4, 7, 64] {
+            let at = format!("{code} {scheme:?} × {n_pes}");
+            let cfg = MachineConfig::new(n_pes, PAGE)
+                .with_partition(scheme)
+                .with_cache_elems(0);
+            let sim = simulate_traced(program, &cfg).unwrap_or_else(|e| panic!("{at}: {e}"));
+            let trace = sim.trace.as_ref().unwrap();
+            let mut loops = trace.phases.iter().filter_map(|p| match p {
+                PhaseTrace::Loop { per_pe } => Some(per_pe),
+                PhaseTrace::Reinit { .. } => None,
+            });
+            let mut sched = Schedule::new(program, &statics, scheme, PAGE, n_pes).unwrap();
+            sched.tabulate(&statics).unwrap();
+            let mut mem = Final(&sim.arrays);
+            let mut reduction_messages = 0u64;
+
+            for (n, ns) in sched.nests().iter().enumerate() {
+                let executed = loops.next().expect("one traced phase per nest");
+                let body = &ns.nest.body;
+                let mut rounds = sched.rounds(n);
+                // How often each (statement, iteration) was handed out.
+                let mut dealt = vec![vec![0u8; ns.screen.iterations as usize]; body.len()];
+                let mut win = Windows::default();
+                let mut ivs = Vec::new();
+                for (pe, executed) in executed.iter().enumerate() {
+                    let mut walked = Vec::new();
+                    for s in 0..ns.sweeps.len() {
+                        let sw = ns.sweep(s);
+                        sched.load_sweep(pe, n, s, &mut win);
+                        while let Some((w0, w1)) = win.advance() {
+                            for t in w0..w1 {
+                                ivs.clear();
+                                ivs.extend_from_slice(sw.outer);
+                                if !ns.nest.loops.is_empty() {
+                                    ivs.push(sw.lo + sw.step * t as i64);
+                                }
+                                let g = ns.sweeps[s].first + t as u64;
+                                for &si in win.active() {
+                                    let owner = sched.owner(n, si, g, &ivs, &mut mem).unwrap();
+                                    if ns.screen.screens[si] == Screen::Produced && owner != pe {
+                                        continue; // visited to resolve, not executed
+                                    }
+                                    assert_eq!(owner, pe, "{at}: nest {n} s{si} g{g}");
+                                    dealt[si][g as usize] += 1;
+                                    walked.push(match &body[si] {
+                                        Stmt::Assign { target, .. } => Did::Wrote(
+                                            target.array.0,
+                                            resolve_ref_addr(program, target, &ivs, &mut mem)
+                                                .unwrap(),
+                                        ),
+                                        Stmt::Reduce { target, .. } => {
+                                            let round =
+                                                rounds.iter_mut().find(|r| r.stmt == si).unwrap();
+                                            assert!(round.pes[pe] || !round.complete, "{at}");
+                                            round.pes[pe] = true;
+                                            Did::Reduced(target.0)
+                                        }
+                                    });
+                                }
+                            }
+                        }
+                    }
+                    let executed: Vec<Did> = executed
+                        .iter()
+                        .map(|i| match (i.write, i.reduce) {
+                            (Some((array, _, addr)), None) => Did::Wrote(array, addr),
+                            (None, Some(scalar)) => Did::Reduced(scalar),
+                            other => panic!("{at}: instance {other:?}"),
+                        })
+                        .collect();
+                    assert_eq!(walked, executed, "{at}: nest {n} on PE {pe}");
+                }
+                assert!(
+                    dealt.iter().flatten().all(|&c| c == 1),
+                    "{at}: nest {n} is not partitioned"
+                );
+                for round in &rounds {
+                    // Every PE the schedule names did execute an instance
+                    // (the walk above only ever confirmed or completed it).
+                    reduction_messages +=
+                        (0..n_pes).filter(|&pe| round.ships_from(pe)).count() as u64;
+                }
+            }
+            assert_eq!(reduction_messages, sim.stats.reduction_messages, "{at}");
+        }
+    }
+}
+
+/// The statement shapes the registry is thin on, in one program.
+fn every_screen_kind() -> Program {
+    let n = 60usize;
+    let mut b = ProgramBuilder::new("kinds");
+    let y = b.input("Y", &[n], InitPattern::Wavy);
+    let z = b.input("Z", &[n + 9], InitPattern::Harmonic);
+    let perm = b.input("P", &[n], InitPattern::Permutation { seed: 11 });
+    let prefix = b.array_with(
+        "Q",
+        &[n + 4],
+        ArrayInit::Prefix {
+            pattern: InitPattern::Permutation { seed: 5 },
+            len: n,
+        },
+    );
+    let made = b.output("M", &[n]);
+    let x = b.output("X", &[n]);
+    let w = b.output("W", &[n]);
+    let v = b.output("V", &[n]);
+    let (s, q, c, d) = (b.scalar("s"), b.scalar("q"), b.scalar("c"), b.scalar("d"));
+    // Anchorless reductions, two per iteration, so the deal interleaves
+    // slots — and a second such nest, so it carries across nests.
+    for label in ["deal-a", "deal-b"] {
+        b.nest(label, &[("k", 0, 22)], |nb| {
+            nb.reduce(q, ReduceOp::Sum, Expr::LoopVar(0));
+            nb.reduce(c, ReduceOp::Sum, Expr::Const(1.0));
+        });
+    }
+    // Two reductions into one scalar, from differently placed anchors.
+    b.nest("twice", &[("k", 0, 19)], |nb| {
+        nb.reduce(s, ReduceOp::Sum, nb.read(y, [iv(0)]));
+        nb.reduce(s, ReduceOp::Sum, nb.read(z, [iv(0).plus(40)]));
+    });
+    // Scatter through a static permutation, and through a prefix.
+    b.nest("scatter", &[("k", 0, n as i64 - 1)], |nb| {
+        nb.assign_indirect(x, perm, iv(0), nb.read(y, [iv(0)]));
+        nb.assign_indirect(w, prefix, iv(0), nb.read(z, [iv(0).plus(3)]));
+    });
+    // An index array the program produces, then a scatter and a reduction
+    // anchored through it.
+    b.nest("make", &[("k", 0, n as i64 - 1)], |nb| {
+        nb.assign(
+            made,
+            [iv(0)],
+            Expr::Const(n as f64 - 1.0) - Expr::LoopVar(0),
+        );
+    });
+    b.nest("use", &[("k", 0, n as i64 / 3)], |nb| {
+        nb.assign_indirect(v, made, iv(0), nb.read(y, [iv(0)]));
+        nb.reduce(d, ReduceOp::Sum, nb.read_indirect(y, made, iv(0)));
+    });
+    b.finish()
+}
+
+#[test]
+fn the_schedule_is_what_the_interpreter_executes_for_every_screen_kind() {
+    let kinds = every_screen_kind();
+    let statics = StaticArrays::scan(&kinds);
+    let sched = Schedule::new(&kinds, &statics, PartitionScheme::Modulo, PAGE, 4).unwrap();
+    let screens = |n: usize| &sched.nest(n).screen.screens;
+    assert_eq!(screens(0)[1], Screen::RoundRobin { slot: 1 });
+    assert!(matches!(screens(2)[0], Screen::Affine { .. }));
+    assert_eq!(screens(3)[..], [Screen::Static, Screen::Produced]);
+    assert_eq!(screens(5)[..], [Screen::Produced, Screen::Produced]);
+    certify("kinds", &kinds);
+}
+
+#[test]
+fn the_schedule_is_what_the_interpreter_executes_on_the_registry() {
+    for k in sapp::loops::suite::reduced_suite() {
+        certify(k.code, &k.program);
+    }
+}
