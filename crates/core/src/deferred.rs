@@ -1,38 +1,60 @@
-//! Event-driven timing pass with deferred reads — the "more sophisticated
-//! simulation \[that\] will better explore the problems of execution time and
-//! network contention" the paper lists as future work (§9).
+//! The timing pass — the "more sophisticated simulation \[that\] will better
+//! explore the problems of execution time and network contention" the paper
+//! lists as future work (§9): a per-PE clock that rides the counting
+//! interpreter ([`crate::exec::run`]) through its [`Observer`] hook.
 //!
-//! The counting pass ([`crate::exec::simulate_traced`]) captures each PE's
-//! statement instances in its local order, with every read already
-//! classified (local / cached / remote + hop count). This module replays
-//! those traces against per-PE clocks:
+//! Every PE has a clock, every cell the time its write finished, every
+//! scalar the time its last reduction round became available. The
+//! I-structure rule of §3 — a read of a cell whose producer has not run yet
+//! is deferred until the write — and the two barriers are four max-plus
+//! recurrences on those times:
 //!
-//! * each access costs [`AccessCosts`] cycles (remote cost grows with hops),
-//! * a read of a cell whose producer has not yet executed **parks** the PE
-//!   on that cell's deferred-read queue — precisely the I-structure
-//!   write-before-read synchronization of paper §3,
-//! * reductions make their scalar available once every participating PE has
-//!   contributed and shipped its partial to the scalar's host PE,
-//! * a re-initialization phase is a global barrier plus protocol cost (§5).
+//! 1. **read** of a cell on PE `p`: `clock[p] = max(clock[p],
+//!    write_time[cell]) + cost(kind, hops)` ([`AccessCosts`]; a remote read
+//!    costs more per hop), and the wait `max(0, write_time[cell] −
+//!    clock[p])` is a stall. A scalar read is the same with the scalar's
+//!    availability and no cost.
+//! 2. **instance end**: after its element reads and then its scalar reads,
+//!    `clock[p] += compute`; an assignment adds `write` and stores
+//!    `write_time[cell] = clock[p]`.
+//! 3. **reduction**: a contribution arrives at the scalar's host PE at
+//!    `clock[p]` (`+ remote_base` from any other PE); when the reducing
+//!    nest ends the scalar is available at `max(arrivals) + compute`. A
+//!    scalar read therefore sees the **last completed** round: the one of
+//!    the latest earlier nest that reduced into it, never the round of the
+//!    nest the reader is in.
+//! 4. **re-initialisation** (§5) is a global barrier: every clock becomes
+//!    `max(clocks) + remote_base + messages × per_hop`, the difference to a
+//!    PE's own clock is a stall, and the array's cells are unwritten again.
+//!
+//! No event queue is needed to evaluate them. Under single assignment each
+//! cell has exactly one producer, and the interpreter refuses a read that
+//! precedes its write in program order — so program order is a topological
+//! order of the dependences, every right-hand side above is final when the
+//! interpreter reaches the instance that needs it, and the value of a
+//! max-plus recurrence does not depend on the order in which independent
+//! PEs are advanced. Memory is the clocks plus one time per array cell,
+//! whatever the instance count.
 //!
 //! The output is an estimated parallel makespan, from which speedup curves
 //! are derived.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
-
 use sa_ir::Program;
-use sa_machine::{host_of, AccessCosts, MachineConfig};
+use sa_machine::{host_of, AccessCosts, AccessKind, MachineConfig};
 
-use crate::exec::{simulate_traced, ExecTrace, Instance, PhaseTrace, SimError};
+use crate::exec::{run, Effect, Observer, SimError, SimReport};
 
-/// Errors from the timing replay.
+/// Errors from the timing pass.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TimingError {
-    /// No PE can make progress but instances remain — a dependency cycle,
-    /// which a valid single-assignment program cannot produce.
+    /// An instance waits on a value nothing before it in program order
+    /// produces: a scalar no completed reduction round has made available
+    /// (a program that reads a reduction inside the only nest computing
+    /// it). An array cell cannot be the cause — the interpreter fails the
+    /// run on a read that precedes its write — so for one this is an
+    /// internal error.
     Deadlock {
-        /// PEs still holding unexecuted instances.
+        /// The PE whose instance could not proceed.
         stuck_pes: Vec<usize>,
     },
     /// The underlying counting simulation failed.
@@ -65,7 +87,7 @@ pub struct TimingReport {
     pub total_cycles: u64,
     /// Finish time per PE.
     pub per_pe_cycles: Vec<u64>,
-    /// Cycles each PE spent parked on deferred reads or barriers.
+    /// Cycles each PE spent waiting on deferred reads or barriers.
     pub stall_cycles: Vec<u64>,
     /// Total statement instances executed.
     pub instances: u64,
@@ -86,225 +108,146 @@ impl TimingReport {
     }
 }
 
-type CellKey = (usize, u32, usize); // (array, generation, addr)
+/// `write_time` of a cell nothing has written (in its current generation).
+const UNWRITTEN: u64 = u64::MAX;
 
-struct Engine {
+/// The four recurrences of the module doc, as an [`Observer`].
+struct Clock {
+    costs: AccessCosts,
     clock: Vec<u64>,
     stall: Vec<u64>,
-    write_time: HashMap<CellKey, u64>,
-    scalar_time: HashMap<usize, u64>,
-    costs: AccessCosts,
-    n_pes: usize,
-    instances_done: u64,
+    /// `write_time[array][addr]`; 0 for initially defined cells.
+    write_time: Vec<Vec<u64>>,
+    /// Availability of each scalar's last completed reduction round.
+    scalar_time: Vec<Option<u64>>,
+    /// Latest arrival at the host among the running nest's contributions.
+    arriving: Vec<Option<u64>>,
+    instances: u64,
+    /// The first instance that waited on something never produced.
+    error: Option<TimingError>,
 }
 
-impl Engine {
+impl Clock {
     fn new(program: &Program, costs: AccessCosts, n_pes: usize) -> Self {
-        let mut write_time = HashMap::new();
-        for (a, d) in program.arrays.iter().enumerate() {
-            for addr in 0..d.init.defined_len(d.len()) {
-                write_time.insert((a, 0u32, addr), 0u64);
-            }
-        }
-        Engine {
+        let write_time = program
+            .arrays
+            .iter()
+            .map(|d| {
+                let mut cells = vec![UNWRITTEN; d.len()];
+                cells[..d.init.defined_len(d.len())].fill(0);
+                cells
+            })
+            .collect();
+        Clock {
+            costs,
             clock: vec![0; n_pes],
             stall: vec![0; n_pes],
             write_time,
-            scalar_time: HashMap::new(),
-            costs,
-            n_pes,
-            instances_done: 0,
+            scalar_time: vec![None; program.scalars.len()],
+            arriving: vec![None; program.scalars.len()],
+            instances: 0,
+            error: None,
         }
     }
 
-    /// Replay one loop phase's per-PE instance lists.
-    fn run_loop_phase(&mut self, per_pe: &[Vec<Instance>]) -> Result<(), TimingError> {
-        let n = self.n_pes;
-        let mut ip = vec![0usize; n]; // instruction pointer per PE
-        let mut read_idx = vec![0usize; n]; // progress within the instance
-        let mut parked = vec![false; n];
-        let mut cell_waiters: HashMap<CellKey, Vec<usize>> = HashMap::new();
-        let mut scalar_waiters: HashMap<usize, Vec<usize>> = HashMap::new();
-
-        // Pending reduction contributions per scalar in this phase, and the
-        // running availability time (max over contribution arrival times).
-        let mut pending: HashMap<usize, (usize, u64)> = HashMap::new();
-        for insts in per_pe {
-            for i in insts {
-                if let Some(sid) = i.reduce {
-                    pending.entry(sid).or_insert((0, 0)).0 += 1;
-                }
+    /// Hold `pe` until `ready` (`None`: nothing will ever produce it).
+    fn wait(&mut self, pe: usize, ready: Option<u64>) {
+        match ready {
+            Some(ready) if ready > self.clock[pe] => {
+                self.stall[pe] += ready - self.clock[pe];
+                self.clock[pe] = ready;
+            }
+            Some(_) => {}
+            None => {
+                self.error.get_or_insert(TimingError::Deadlock {
+                    stuck_pes: vec![pe],
+                });
             }
         }
+    }
 
-        let mut heap: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
-        for (pe, insts) in per_pe.iter().enumerate() {
-            if !insts.is_empty() {
-                heap.push(Reverse((self.clock[pe], pe)));
-            }
+    fn finish(self) -> Result<TimingReport, TimingError> {
+        match self.error {
+            Some(e) => Err(e),
+            None => Ok(TimingReport {
+                total_cycles: self.clock.iter().copied().max().unwrap_or(0),
+                per_pe_cycles: self.clock,
+                stall_cycles: self.stall,
+                instances: self.instances,
+            }),
         }
+    }
+}
 
-        let mut done = vec![false; n];
-        for (pe, d) in done.iter_mut().enumerate() {
-            *d = per_pe[pe].is_empty();
+impl Observer for Clock {
+    fn read(&mut self, pe: usize, array: usize, addr: usize, kind: AccessKind, hops: u32) {
+        // The interpreter has just loaded the cell, so it is written.
+        let written = self.write_time[array][addr];
+        self.wait(pe, (written != UNWRITTEN).then_some(written));
+        self.clock[pe] += self.costs.of(kind, hops);
+    }
+
+    fn end(&mut self, pe: usize, effect: Effect, scalars: &[usize]) {
+        for &s in scalars {
+            self.wait(pe, self.scalar_time[s]);
         }
-
-        while let Some(Reverse((t, pe))) = heap.pop() {
-            if done[pe] || parked[pe] {
-                continue; // stale heap entry
+        self.clock[pe] += self.costs.compute;
+        match effect {
+            Effect::Wrote { array, addr } => {
+                self.clock[pe] += self.costs.write;
+                self.write_time[array][addr] = self.clock[pe];
             }
-            let mut t = t.max(self.clock[pe]);
-            let inst = &per_pe[pe][ip[pe]];
-
-            // Element reads, resuming where we left off if re-woken.
-            let mut blocked = false;
-            while read_idx[pe] < inst.reads.len() {
-                let r = &inst.reads[read_idx[pe]];
-                let key = (r.array, r.generation, r.addr);
-                match self.write_time.get(&key) {
-                    None => {
-                        parked[pe] = true;
-                        cell_waiters.entry(key).or_default().push(pe);
-                        self.clock[pe] = t;
-                        blocked = true;
-                        break;
-                    }
-                    Some(&wt) => {
-                        if wt > t {
-                            self.stall[pe] += wt - t;
-                            t = wt;
-                        }
-                        t += self.costs.of(r.kind, r.hops);
-                        read_idx[pe] += 1;
-                    }
-                }
-            }
-            if blocked {
-                continue;
-            }
-
-            // Scalar reads (reduction results from earlier nests).
-            let mut scalar_block = None;
-            for &sid in &inst.scalar_reads {
-                match self.scalar_time.get(&sid) {
-                    Some(&st) => {
-                        if st > t {
-                            self.stall[pe] += st - t;
-                            t = st;
-                        }
-                    }
-                    None => {
-                        scalar_block = Some(sid);
-                        break;
-                    }
-                }
-            }
-            if let Some(sid) = scalar_block {
-                parked[pe] = true;
-                scalar_waiters.entry(sid).or_default().push(pe);
-                self.clock[pe] = t;
-                continue;
-            }
-
-            // Execute: arithmetic, then the write or reduction bookkeeping.
-            t += self.costs.compute;
-            if let Some((a, generation, addr)) = inst.write {
-                t += self.costs.write;
-                let key = (a, generation, addr);
-                self.write_time.insert(key, t);
-                if let Some(waiters) = cell_waiters.remove(&key) {
-                    for w in waiters {
-                        parked[w] = false;
-                        heap.push(Reverse((self.clock[w], w)));
-                    }
-                }
-            }
-            if let Some(sid) = inst.reduce {
-                let host = host_of(sid, n);
+            Effect::Reduced { scalar } => {
                 // Non-host contributors ship a partial result.
-                let arrival = if pe == host {
-                    t
+                let shipping = if pe == host_of(scalar, self.clock.len()) {
+                    0
                 } else {
-                    t + self.costs.remote_base
+                    self.costs.remote_base
                 };
-                let entry = pending.get_mut(&sid).expect("counted during setup");
-                entry.0 -= 1;
-                entry.1 = entry.1.max(arrival);
-                if entry.0 == 0 {
-                    let avail = entry.1 + self.costs.compute; // host combine
-                    self.scalar_time.insert(sid, avail);
-                    if let Some(waiters) = scalar_waiters.remove(&sid) {
-                        for w in waiters {
-                            parked[w] = false;
-                            heap.push(Reverse((self.clock[w], w)));
-                        }
-                    }
-                }
-            }
-
-            self.instances_done += 1;
-            self.clock[pe] = t;
-            ip[pe] += 1;
-            read_idx[pe] = 0;
-            if ip[pe] == per_pe[pe].len() {
-                done[pe] = true;
-            } else {
-                heap.push(Reverse((t, pe)));
+                let arrival = Some(self.clock[pe] + shipping);
+                self.arriving[scalar] = self.arriving[scalar].max(arrival);
             }
         }
+        self.instances += 1;
+    }
 
-        let stuck: Vec<usize> = (0..n).filter(|&pe| !done[pe]).collect();
-        if stuck.is_empty() {
-            Ok(())
-        } else {
-            Err(TimingError::Deadlock { stuck_pes: stuck })
+    fn nest_end(&mut self) {
+        for (avail, arriving) in self.scalar_time.iter_mut().zip(&mut self.arriving) {
+            if let Some(last) = arriving.take() {
+                *avail = Some(last + self.costs.compute); // host combine
+            }
         }
     }
 
-    /// Global barrier + host-protocol cost for a re-initialization.
-    fn run_reinit(&mut self, messages: u64) {
+    fn reinit(&mut self, array: usize, messages: u64) {
         let t = self.clock.iter().copied().max().unwrap_or(0);
         let cost = self.costs.remote_base + messages * self.costs.per_hop;
-        for pe in 0..self.n_pes {
-            self.stall[pe] += t - self.clock[pe];
-            self.clock[pe] = t + cost;
+        for (clock, stall) in self.clock.iter_mut().zip(&mut self.stall) {
+            *stall += t - *clock;
+            *clock = t + cost;
         }
-    }
-
-    fn finish(self) -> TimingReport {
-        TimingReport {
-            total_cycles: self.clock.iter().copied().max().unwrap_or(0),
-            per_pe_cycles: self.clock,
-            stall_cycles: self.stall,
-            instances: self.instances_done,
-        }
+        self.write_time[array].fill(UNWRITTEN);
     }
 }
 
-/// Replay a captured trace under the cost model.
-pub fn estimate_timing_from_trace(
+/// One interpreter run with a [`Clock`] on it: the access counts and the
+/// timing estimate of the same execution.
+pub(crate) fn simulate_timed(
     program: &Program,
-    trace: &ExecTrace,
-    costs: AccessCosts,
-) -> Result<TimingReport, TimingError> {
-    let mut engine = Engine::new(program, costs, trace.n_pes);
-    for phase in &trace.phases {
-        match phase {
-            PhaseTrace::Loop { per_pe } => engine.run_loop_phase(per_pe)?,
-            PhaseTrace::Reinit { messages } => engine.run_reinit(*messages),
-        }
-    }
-    Ok(engine.finish())
+    cfg: &MachineConfig,
+) -> Result<(SimReport, TimingReport), TimingError> {
+    let mut clock = Clock::new(program, cfg.costs, cfg.n_pes);
+    let rep = run(program, cfg, &mut clock)?;
+    Ok((rep, clock.finish()?))
 }
 
-/// Convenience: run the counting pass and the timing replay in one call.
+/// Estimated execution-time profile of `program` on the machine `cfg`
+/// describes, access costs included.
 pub fn estimate_timing(
     program: &Program,
     cfg: &MachineConfig,
 ) -> Result<TimingReport, TimingError> {
-    let rep = simulate_traced(program, cfg)?;
-    let trace = rep.trace.as_ref().expect("simulate_traced always captures");
-    estimate_timing_from_trace(program, trace, cfg.costs)
+    Ok(simulate_timed(program, cfg)?.1)
 }
 
 #[cfg(test)]
@@ -430,6 +373,91 @@ mod tests {
         let c = AccessCosts::default();
         let reduce_min = 32 * (c.local_read + c.compute); // one PE's partials
         assert!(t.total_cycles > reduce_min);
+    }
+
+    /// X(64), Y(64) defined, one scalar: the arrays and scalar the
+    /// hand-driven clocks below name.
+    fn clock_on(n_pes: usize) -> (Clock, usize, AccessCosts) {
+        let mut b = ProgramBuilder::new("hooks");
+        let x = b.output("X", &[64]);
+        b.input("Y", &[64], InitPattern::Wavy);
+        b.scalar("s");
+        let costs = AccessCosts::default();
+        (Clock::new(&b.finish(), costs, n_pes), x.0, costs)
+    }
+
+    #[test]
+    fn a_scalar_read_sees_the_last_completed_round() {
+        let (mut c, x, k) = clock_on(2);
+        let s = Effect::Reduced { scalar: 0 };
+        // Nest A: PE 1 contributes three times, PE 0 (the host) once.
+        for pe in [1, 1, 1, 0] {
+            c.end(pe, s, &[]);
+        }
+        c.nest_end();
+        let round_a = 3 * k.compute + k.remote_base + k.compute;
+        assert_eq!(c.scalar_time[0], Some(round_a));
+        // Nest C reduces into s again and reads it: the reader on PE 0 is
+        // held until round A — not until C's own round, which is still
+        // open whichever order the PEs' instances arrive in.
+        c.end(1, s, &[]);
+        c.end(0, Effect::Wrote { array: x, addr: 0 }, &[0]);
+        assert_eq!(c.clock[0], round_a + k.compute + k.write);
+        assert_eq!(c.stall[0], round_a - k.compute);
+        c.end(1, s, &[]);
+        c.nest_end();
+        assert_eq!(
+            c.scalar_time[0],
+            Some(5 * k.compute + k.remote_base + k.compute)
+        );
+        assert!(c.finish().is_ok());
+    }
+
+    #[test]
+    fn a_scalar_no_round_has_completed_is_a_typed_error() {
+        // s = Σ Y(k) and X(k) = s + Y(k) in the *same* nest: the read can
+        // never be served. An error naming the reader, not a panic or hang.
+        let mut b = ProgramBuilder::new("selfread");
+        let y = b.input("Y", &[128], InitPattern::Const(1.0));
+        let x = b.output("X", &[128]);
+        let s = b.scalar("s");
+        b.nest("both", &[("k", 0, 127)], |nb| {
+            nb.reduce(s, sa_ir::ReduceOp::Sum, nb.read(y, [iv(0)]));
+            nb.assign(x, [iv(0)], nb.scalar_value(s) + nb.read(y, [iv(0)]));
+        });
+        let got = estimate_timing(&b.finish(), &MachineConfig::new(4, 32));
+        assert_eq!(
+            got.unwrap_err(),
+            TimingError::Deadlock { stuck_pes: vec![0] }
+        );
+    }
+
+    #[test]
+    fn a_read_after_reinit_waits_on_the_new_generations_write() {
+        let (mut c, x, k) = clock_on(2);
+        let wrote = Effect::Wrote { array: x, addr: 0 };
+        c.end(0, wrote, &[]);
+        let first_write = k.compute + k.write;
+        assert_eq!(c.write_time[x][0], first_write);
+        c.reinit(x, 2);
+        let after_barrier = first_write + k.remote_base + 2 * k.per_hop;
+        assert_eq!(c.clock, vec![after_barrier; 2]);
+        assert_eq!(c.stall, vec![0, first_write]);
+        assert!(c.write_time[x].iter().all(|&t| t == UNWRITTEN));
+        // PE 0 rewrites X(0) only after other work; PE 1's read is
+        // deferred to that write, not served by the old generation's.
+        c.end(0, Effect::Wrote { array: x, addr: 1 }, &[]);
+        c.end(0, wrote, &[]);
+        let second_write = after_barrier + 2 * (k.compute + k.write);
+        c.read(1, x, 0, AccessKind::LocalRead, 0);
+        assert_eq!(c.clock[1], second_write + k.local_read);
+        assert_eq!(c.stall[1], first_write + second_write - after_barrier);
+        // A cell nothing wrote since the barrier is the internal error.
+        c.read(1, x, 5, AccessKind::LocalRead, 0);
+        assert_eq!(
+            c.finish().unwrap_err(),
+            TimingError::Deadlock { stuck_pes: vec![1] }
+        );
     }
 
     #[test]

@@ -52,57 +52,48 @@ impl From<MachineError> for SimError {
     }
 }
 
-/// One recorded read in the execution trace.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TraceRead {
-    /// Array identity.
-    pub array: usize,
-    /// Array generation at read time.
-    pub generation: u32,
-    /// Linear address.
-    pub addr: usize,
-    /// How the counting pass classified the access.
-    pub kind: AccessKind,
-    /// One-way network hops (0 unless remote).
-    pub hops: u32,
-}
-
-/// One statement instance in the execution trace.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Instance {
-    /// Element reads performed, in order.
-    pub reads: Vec<TraceRead>,
-    /// Scalars read (reduction results from earlier nests).
-    pub scalar_reads: Vec<usize>,
-    /// `(array, generation, addr)` written, if an assignment.
-    pub write: Option<(usize, u32, usize)>,
-    /// Scalar contributed to, if a reduction.
-    pub reduce: Option<usize>,
-}
-
-/// Per-phase trace for the timing pass.
-#[derive(Debug, Clone)]
-pub enum PhaseTrace {
-    /// A loop nest's instances, grouped per owning PE in execution order.
-    Loop {
-        /// `per_pe[p]` = instances PE `p` executes, in its local order.
-        per_pe: Vec<Vec<Instance>>,
+/// What the running instance did, as [`Observer::end`] hears it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Effect {
+    /// An assignment stored `array[addr]`.
+    Wrote {
+        /// Array identity.
+        array: usize,
+        /// Linear address.
+        addr: usize,
     },
-    /// A host-protocol re-initialization (global synchronization point).
-    Reinit {
-        /// Protocol messages exchanged.
-        messages: u64,
+    /// A reduction contributed to `scalar`.
+    Reduced {
+        /// Scalar identity.
+        scalar: usize,
     },
 }
 
-/// Full execution trace (phase by phase).
-#[derive(Debug, Clone)]
-pub struct ExecTrace {
-    /// Number of PEs.
-    pub n_pes: usize,
-    /// Phases in order.
-    pub phases: Vec<PhaseTrace>,
+/// The one hook on the instance loop: [`run`] reports every statement
+/// instance to it as it executes, in sequential program order, without
+/// building anything. Each method defaults to nothing, so an observer
+/// states only what it watches, and `()` — what [`simulate`] passes — is
+/// compiled away.
+///
+/// An instance on `pe` is zero or more [`read`](Observer::read)s followed
+/// by one [`end`](Observer::end); instances do not interleave.
+pub trait Observer {
+    /// The instance running on `pe` loaded `array[addr]`; the machine
+    /// classified the access as `kind`, `hops` one-way hops away (0 unless
+    /// remote).
+    fn read(&mut self, _pe: usize, _array: usize, _addr: usize, _kind: AccessKind, _hops: u32) {}
+    /// The instance running on `pe` completed with `effect`; its value read
+    /// the reduction results `scalars`, in evaluation order.
+    fn end(&mut self, _pe: usize, _effect: Effect, _scalars: &[usize]) {}
+    /// Every instance of the current nest has been reported (and its
+    /// reductions' partial results sent to their hosts).
+    fn nest_end(&mut self) {}
+    /// `array` was re-initialised (§5): every cell is undefined again, at
+    /// the price of `messages` host-protocol messages.
+    fn reinit(&mut self, _array: usize, _messages: u64) {}
 }
+
+impl Observer for () {}
 
 /// Result of a distributed run.
 #[derive(Debug, Clone)]
@@ -121,8 +112,6 @@ pub struct SimReport {
     pub max_link_load: u64,
     /// Final array stores (for verification).
     pub arrays: Vec<SaArray<f64>>,
-    /// Execution trace, when requested via [`simulate_traced`].
-    pub trace: Option<ExecTrace>,
 }
 
 impl SimReport {
@@ -132,27 +121,17 @@ impl SimReport {
     }
 }
 
-struct CountingMem<'m> {
+struct CountingMem<'m, O> {
     machine: &'m mut DistributedMachine,
     pe: usize,
-    reads: Vec<TraceRead>,
-    tracing: bool,
+    obs: &'m mut O,
 }
 
-impl Memory for CountingMem<'_> {
+impl<O: Observer> Memory for CountingMem<'_, O> {
     fn load(&mut self, array: ArrayId, addr: usize) -> Result<f64, IrError> {
-        let generation = self.machine.generation(array.0);
         match self.machine.read(self.pe, array.0, addr) {
             Ok((v, kind, hops)) => {
-                if self.tracing {
-                    self.reads.push(TraceRead {
-                        array: array.0,
-                        generation,
-                        addr,
-                        kind,
-                        hops,
-                    });
-                }
+                self.obs.read(self.pe, array.0, addr, kind, hops);
                 Ok(v)
             }
             Err(MachineError::ReadUndefined { array, addr }) => {
@@ -189,31 +168,18 @@ impl Memory for PeekMem<'_> {
     }
 }
 
-fn scalar_reads_of(expr: &sa_ir::Expr, out: &mut Vec<usize>) {
-    use sa_ir::Expr;
-    match expr {
-        Expr::Scalar(s) => out.push(s.0),
-        Expr::Unary(_, a) => scalar_reads_of(a, out),
-        Expr::Binary(_, a, b) => {
-            scalar_reads_of(a, out);
-            scalar_reads_of(b, out);
-        }
-        _ => {}
-    }
-}
-
 /// Run `program` on a machine configured by `cfg`. Access counts only.
 pub fn simulate(program: &Program, cfg: &MachineConfig) -> Result<SimReport, SimError> {
-    run(program, cfg, false)
+    run(program, cfg, &mut ())
 }
 
-/// Run `program` and additionally capture the per-PE execution trace needed
-/// by the timing pass.
-pub fn simulate_traced(program: &Program, cfg: &MachineConfig) -> Result<SimReport, SimError> {
-    run(program, cfg, true)
-}
-
-fn run(program: &Program, cfg: &MachineConfig, tracing: bool) -> Result<SimReport, SimError> {
+/// Run `program` on a machine configured by `cfg`, reporting every
+/// statement instance to `obs` as it executes.
+pub fn run<O: Observer>(
+    program: &Program,
+    cfg: &MachineConfig,
+    obs: &mut O,
+) -> Result<SimReport, SimError> {
     let specs: Vec<ArraySpec> = program
         .arrays
         .iter()
@@ -239,81 +205,53 @@ fn run(program: &Program, cfg: &MachineConfig, tracing: bool) -> Result<SimRepor
     let mut ctx = EvalCtx::new(program);
 
     let mut per_nest: Vec<(String, Stats)> = Vec::new();
-    let mut phases_trace: Vec<PhaseTrace> = Vec::new();
 
     for phase in &program.phases {
         match phase {
             Phase::Reinit(id) => {
                 let sync = machine.reinit(id.0);
-                if tracing {
-                    phases_trace.push(PhaseTrace::Reinit {
-                        messages: sync.total_messages(),
-                    });
-                }
+                obs.reinit(id.0, sync.total_messages());
             }
             Phase::Loop(nest) => {
                 let before = machine.stats().clone();
-                let mut per_pe: Vec<Vec<Instance>> = if tracing {
-                    vec![Vec::new(); cfg.n_pes]
-                } else {
-                    Vec::new()
-                };
-                // Which PEs contributed to each reduction in this nest.
-                let mut reduce_participants: Vec<(usize, Vec<bool>)> = Vec::new();
-                for stmt in &nest.body {
+                // Which PEs contributed to each reduction statement.
+                let mut took_part = vec![Vec::new(); nest.body.len()];
+                for (stmt, pes) in nest.body.iter().zip(&mut took_part) {
                     if let Stmt::Reduce { target, op, .. } = stmt {
                         ctx.scalars[target.0] = op.identity();
-                        reduce_participants.push((target.0, vec![false; cfg.n_pes]));
+                        *pes = vec![false; cfg.n_pes];
                     }
                 }
+                // The reduction results each statement's value reads.
+                let scalars_read: Vec<Vec<usize>> =
+                    nest.body.iter().map(|s| s.value().scalar_reads()).collect();
 
-                let mut failure: Option<SimError> = None;
                 let nest_idx = per_nest.len(); // one entry per nest so far
                 let mut g = 0u64; // iterations of this nest so far
-                nest.for_each_iteration(|ivs| {
-                    if failure.is_some() {
-                        return;
-                    }
-                    let mut reduce_idx = 0usize;
+                nest.try_for_each_iteration(|ivs| {
                     for (si, stmt) in nest.body.iter().enumerate() {
                         // The executing PE (index screening), with the
                         // machine's omniscient peek as the (uncounted)
                         // resolver of indirect anchors.
-                        let res = schedule
-                            .owner(nest_idx, si, g, ivs, &mut PeekMem { machine: &machine })
-                            .map_err(SimError::from)
-                            .and_then(|pe| {
-                                exec_stmt(stmt, ivs, pe, &mut machine, &mut ctx, tracing)
-                            });
-                        match res {
-                            Err(e) => {
-                                failure = Some(e);
-                                return;
-                            }
-                            Ok((pe, instance)) => {
-                                if let Stmt::Reduce { .. } = stmt {
-                                    reduce_participants[reduce_idx].1[pe] = true;
-                                    reduce_idx += 1;
-                                }
-                                if tracing {
-                                    per_pe[pe].push(instance);
-                                }
-                            }
+                        let mut peek = PeekMem { machine: &machine };
+                        let pe = schedule.owner(nest_idx, si, g, ivs, &mut peek)?;
+                        let scalars = &scalars_read[si];
+                        exec_stmt(stmt, ivs, pe, scalars, &mut machine, &mut ctx, obs)?;
+                        if let Stmt::Reduce { .. } = stmt {
+                            took_part[si][pe] = true;
                         }
                     }
                     g += 1;
-                });
-                if let Some(e) = failure {
-                    return Err(e);
-                }
+                    Ok::<(), SimError>(())
+                })?;
 
                 // Vector→scalar collection (paper §9): each participating PE
                 // ships its partial result to the scalar's host processor,
                 // which combines and broadcasts availability implicitly.
-                for (sid, participants) in &reduce_participants {
-                    let host = sa_machine::host_of(*sid, cfg.n_pes);
-                    for (pe, &took_part) in participants.iter().enumerate() {
-                        if took_part {
+                for (stmt, pes) in nest.body.iter().zip(&took_part) {
+                    if let Stmt::Reduce { target, .. } = stmt {
+                        let host = sa_machine::host_of(target.0, cfg.n_pes);
+                        for pe in (0..cfg.n_pes).filter(|&pe| pes[pe]) {
                             machine.send_partial(pe, host);
                         }
                     }
@@ -322,15 +260,12 @@ fn run(program: &Program, cfg: &MachineConfig, tracing: bool) -> Result<SimRepor
                 let mut nest_stats = machine.stats().clone();
                 subtract_stats(&mut nest_stats, &before);
                 per_nest.push((nest.label.clone(), nest_stats));
-                if tracing {
-                    phases_trace.push(PhaseTrace::Loop { per_pe });
-                }
+                obs.nest_end();
             }
         }
     }
 
     let scalars = ctx.scalars.clone();
-    let n_pes = cfg.n_pes;
     let (stats, network, arrays) = machine.finish();
     Ok(SimReport {
         stats,
@@ -340,34 +275,25 @@ fn run(program: &Program, cfg: &MachineConfig, tracing: bool) -> Result<SimRepor
         network_hops: network.hops,
         max_link_load: network.max_link_load(),
         arrays,
-        trace: tracing.then_some(ExecTrace {
-            n_pes,
-            phases: phases_trace,
-        }),
     })
 }
 
-/// Execute one statement instance on `pe`, the PE screening gave it.
-fn exec_stmt(
+/// Execute one statement instance on `pe`, the PE screening gave it, whose
+/// value reads the reduction results `scalars`.
+fn exec_stmt<O: Observer>(
     stmt: &Stmt,
     ivs: &[i64],
     pe: usize,
+    scalars: &[usize],
     machine: &mut DistributedMachine,
     ctx: &mut EvalCtx<'_>,
-    tracing: bool,
-) -> Result<(usize, Instance), SimError> {
-    let mut mem = CountingMem {
-        machine,
-        pe,
-        reads: Vec::new(),
-        tracing,
-    };
+    obs: &mut O,
+) -> Result<(), SimError> {
+    let mut mem = CountingMem { machine, pe, obs };
     match stmt {
         Stmt::Assign { target, value } => {
             let v = ctx.eval(value, ivs, &mut mem)?;
             let addr = ctx.resolve_addr(target, ivs, &mut mem)?;
-            let reads = std::mem::take(&mut mem.reads);
-            let generation = machine.generation(target.array.0);
             if let Err(e) = machine.write(pe, target.array.0, addr, v) {
                 // A dynamically trapped double write must be visible to
                 // the static verifier too (an SA001/SA002 error, or an
@@ -385,35 +311,16 @@ fn exec_stmt(
                 }
                 return Err(e.into());
             }
-            let mut scalar_reads = Vec::new();
-            scalar_reads_of(value, &mut scalar_reads);
-            Ok((
-                pe,
-                Instance {
-                    reads,
-                    scalar_reads,
-                    write: Some((target.array.0, generation, addr)),
-                    reduce: None,
-                },
-            ))
+            let array = target.array.0;
+            obs.end(pe, Effect::Wrote { array, addr }, scalars);
         }
         Stmt::Reduce { target, op, value } => {
             let v = ctx.eval(value, ivs, &mut mem)?;
-            let reads = std::mem::take(&mut mem.reads);
             ctx.scalars[target.0] = op.combine(ctx.scalars[target.0], v);
-            let mut scalar_reads = Vec::new();
-            scalar_reads_of(value, &mut scalar_reads);
-            Ok((
-                pe,
-                Instance {
-                    reads,
-                    scalar_reads,
-                    write: None,
-                    reduce: Some(target.0),
-                },
-            ))
+            obs.end(pe, Effect::Reduced { scalar: target.0 }, scalars);
         }
     }
+    Ok(())
 }
 
 fn subtract_stats(s: &mut Stats, before: &Stats) {
@@ -516,29 +423,6 @@ mod tests {
         let rep = simulate(&p, &MachineConfig::new(4, 32).with_cache_elems(0)).unwrap();
         assert_eq!(rep.network_messages, 2 * rep.stats.page_fetches);
         assert_eq!(rep.stats.page_fetches, rep.stats.remote_reads());
-    }
-
-    #[test]
-    fn trace_capture_groups_by_pe_in_order() {
-        let p = hydro(128);
-        let rep = simulate_traced(&p, &MachineConfig::new(4, 32)).unwrap();
-        let trace = rep.trace.expect("tracing requested");
-        assert_eq!(trace.n_pes, 4);
-        let PhaseTrace::Loop { per_pe } = &trace.phases[0] else {
-            panic!("expected loop phase");
-        };
-        // 128 elements / 32-element pages → one page per PE → 32 instances.
-        for (pe, instances) in per_pe.iter().enumerate() {
-            assert_eq!(instances.len(), 32, "PE {pe}");
-            // Write addresses are strictly increasing within a PE.
-            let addrs: Vec<usize> = instances
-                .iter()
-                .map(|i| i.write.expect("assign").2)
-                .collect();
-            assert!(addrs.windows(2).all(|w| w[0] < w[1]));
-            // Each instance performs 3 reads.
-            assert!(instances.iter().all(|i| i.reads.len() == 3));
-        }
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //!   local / cached / remote exactly as the paper's simulation did, while
 //!   also computing real values so results can be verified against the
 //!   sequential reference.
-//! * [`deferred`] — the event-driven *timing* pass (§9 future work):
-//!   replays the execution with per-PE clocks, I-structure stalls on
+//! * [`deferred`] — the *timing* pass (§9 future work): a clock on the
+//!   interpreter's instance loop with per-PE times, I-structure stalls on
 //!   not-yet-produced cells, network hop latencies and host-protocol
 //!   barriers, yielding estimated cycles and speedup curves.
 //! * [`replay`] — the compiled counting fast path: statically classifiable
@@ -57,7 +57,7 @@ pub mod verify;
 
 pub use classify::{classify_dynamic, DynamicClassification};
 pub use deferred::{estimate_timing, TimingReport};
-pub use exec::{simulate, simulate_traced, SimError, SimReport};
+pub use exec::{simulate, SimError, SimReport};
 pub use oracle::{
     CountingOracle, Engine, FastCountingOracle, Oracle, OracleError, RunRecord, StaticOracle,
     TimingOracle,

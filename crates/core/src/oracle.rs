@@ -14,7 +14,8 @@
 //!   are all that is needed).
 //! * [`TimingOracle`] — the §9 execution-time extension
 //!   ([`crate::deferred::estimate_timing`]); fills [`RunRecord::cycles`]
-//!   (cycle estimation needs the full trace, so it always interprets).
+//!   (the clock rides the interpreter's instance loop, so it always
+//!   interprets).
 //! * `sa-runtime`'s thread-backed oracle — lives in that crate (it depends
 //!   on this one) and implements [`Oracle`] over real worker threads,
 //!   reporting [`OracleError::Unsupported`] for knobs the runtime lacks.
@@ -25,8 +26,8 @@ use sa_ir::Program;
 use sa_lint::GraphSummary;
 use sa_machine::{load_balance, AccessCosts, Stats};
 
-use crate::deferred::{estimate_timing_from_trace, TimingError};
-use crate::exec::{simulate, simulate_traced, SimError};
+use crate::deferred::{simulate_timed, TimingError};
+use crate::exec::{simulate, SimError};
 use crate::plan::{ExperimentPlan, PlanError, RunConfig};
 use crate::replay::{self, CountReport, ReplayError};
 
@@ -356,11 +357,11 @@ impl Oracle for StaticOracle {
     }
 }
 
-/// The timing oracle: runs the counting simulation *and* the event-driven
-/// timing replay of §9, so [`RunRecord::cycles`] is filled.
+/// The timing oracle: the counting simulation with the §9 clock on it, so
+/// [`RunRecord::cycles`] is filled.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TimingOracle {
-    /// Cycle costs the replay charges per access kind.
+    /// Cycle costs the clock charges per access kind.
     pub costs: AccessCosts,
 }
 
@@ -377,13 +378,8 @@ impl Oracle for TimingOracle {
     }
 
     fn measure(&self, program: &Program, cfg: &RunConfig) -> Result<RunRecord, OracleError> {
-        // One traced simulation serves both the access counters and the
-        // timing replay; re-simulating for the trace would double the cost
-        // of every timing sweep.
         let machine = cfg.machine().with_costs(self.costs);
-        let rep = simulate_traced(program, &machine)?;
-        let trace = rep.trace.as_ref().expect("simulate_traced always captures");
-        let timing = estimate_timing_from_trace(program, trace, machine.costs)?;
+        let (rep, timing) = simulate_timed(program, &machine)?;
         Ok(counted(
             cfg,
             &CountReport::from_sim(&rep),
@@ -407,30 +403,27 @@ pub fn speedup_sweep(
         PlanError::Oracle(OracleError::Sim(e)) => TimingError::Sim(e),
         other => unreachable!("speedup sweep hit a non-timing error: {other}"),
     };
-    let oracle = TimingOracle::with_costs(costs);
-    let base_plan = ExperimentPlan::new().base(base.clone());
-    let baseline = base_plan
-        .clone()
-        .pes(&[1])
-        .run(program, &oracle)
-        .map_err(expect_timing_error)?;
-    let base_cycles = baseline.records()[0].cycles.expect("timing oracle");
-    if pes.is_empty() {
-        return Ok(Vec::new());
+    // One plan: the ladder, then the 1-PE baseline unless the ladder has it.
+    let mut ladder = pes.to_vec();
+    if !pes.contains(&1) {
+        ladder.push(1);
     }
-    let results = base_plan
-        .pes(pes)
-        .run(program, &oracle)
+    let results = ExperimentPlan::new()
+        .base(base.clone())
+        .pes(&ladder)
+        .run(program, &TimingOracle::with_costs(costs))
         .map_err(expect_timing_error)?;
-    Ok(results
-        .records()
+    let cycles = |r: &RunRecord| r.cycles.expect("timing oracle");
+    let base_cycles = results
+        .find(|r| r.cfg.n_pes == 1)
+        .map(cycles)
+        .expect("the ladder holds a 1-PE rung");
+    Ok(results.records()[..pes.len()]
         .iter()
         .map(|r| {
-            let cycles = r.cycles.expect("timing oracle");
-            let speedup = if cycles == 0 {
-                1.0
-            } else {
-                base_cycles as f64 / cycles as f64
+            let speedup = match cycles(r) {
+                0 => 1.0,
+                c => base_cycles as f64 / c as f64,
             };
             (r.cfg.n_pes, speedup)
         })

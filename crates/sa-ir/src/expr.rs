@@ -157,6 +157,25 @@ impl Expr {
         }
     }
 
+    /// Every reduction result ([`Expr::Scalar`]) the expression reads, in
+    /// left-to-right evaluation order.
+    pub fn scalar_reads(&self) -> Vec<usize> {
+        fn collect(e: &Expr, out: &mut Vec<usize>) {
+            match e {
+                Expr::Scalar(s) => out.push(s.0),
+                Expr::Unary(_, a) => collect(a, out),
+                Expr::Binary(_, a, b) => {
+                    collect(a, out);
+                    collect(b, out);
+                }
+                Expr::Const(_) | Expr::Param(_) | Expr::LoopVar(_) | Expr::Read(_) => {}
+            }
+        }
+        let mut out = Vec::new();
+        collect(self, &mut out);
+        out
+    }
+
     /// Visit every [`ArrayRef`] mutably (used by the SA-conversion pass to
     /// rename arrays in place).
     pub fn visit_reads_mut(&mut self, f: &mut impl FnMut(&mut ArrayRef)) {

@@ -302,41 +302,27 @@ pub fn interpret(program: &Program) -> Result<ProgramResult, IrError> {
                         ctx.scalars[target.0] = op.identity();
                     }
                 }
-                let mut err = None;
-                nest.for_each_iteration(|ivs| {
-                    if err.is_some() {
-                        return;
-                    }
+                nest.try_for_each_iteration(|ivs| {
                     for stmt in &nest.body {
-                        let r = (|| -> Result<(), IrError> {
-                            match stmt {
-                                Stmt::Assign { target, value } => {
-                                    let v = ctx.eval(value, ivs, &mut mem)?;
-                                    let addr = ctx.resolve_addr(target, ivs, &mut mem)?;
-                                    let store = &mut mem.arrays[target.array.0];
-                                    store.write(addr, v).map_err(|_| IrError::DoubleWrite {
-                                        array: store.name().to_string(),
-                                        addr,
-                                    })?;
-                                    writes += 1;
-                                    Ok(())
-                                }
-                                Stmt::Reduce { target, op, value } => {
-                                    let v = ctx.eval(value, ivs, &mut mem)?;
-                                    ctx.scalars[target.0] = op.combine(ctx.scalars[target.0], v);
-                                    Ok(())
-                                }
+                        match stmt {
+                            Stmt::Assign { target, value } => {
+                                let v = ctx.eval(value, ivs, &mut mem)?;
+                                let addr = ctx.resolve_addr(target, ivs, &mut mem)?;
+                                let store = &mut mem.arrays[target.array.0];
+                                store.write(addr, v).map_err(|_| IrError::DoubleWrite {
+                                    array: store.name().to_string(),
+                                    addr,
+                                })?;
+                                writes += 1;
                             }
-                        })();
-                        if let Err(e) = r {
-                            err = Some(e);
-                            return;
+                            Stmt::Reduce { target, op, value } => {
+                                let v = ctx.eval(value, ivs, &mut mem)?;
+                                ctx.scalars[target.0] = op.combine(ctx.scalars[target.0], v);
+                            }
                         }
                     }
-                });
-                if let Some(e) = err {
-                    return Err(e);
-                }
+                    Ok::<(), IrError>(())
+                })?;
             }
         }
     }

@@ -163,10 +163,14 @@ impl LoopNest {
     }
 
     /// Enumerate every iteration (outermost-first index vectors) in
-    /// lexicographic execution order, invoking `f` for each.
-    pub fn for_each_iteration(&self, mut f: impl FnMut(&[i64])) {
+    /// lexicographic execution order, invoking `f` for each until it
+    /// returns an error — which ends the walk on the spot.
+    pub fn try_for_each_iteration<E>(
+        &self,
+        mut f: impl FnMut(&[i64]) -> Result<(), E>,
+    ) -> Result<(), E> {
         let mut ivs = Vec::with_capacity(self.loops.len());
-        self.for_each_sweep(|s| {
+        self.try_for_each_sweep(|s| {
             ivs.clear();
             ivs.extend_from_slice(s.outer);
             if self.loops.is_empty() {
@@ -174,9 +178,18 @@ impl LoopNest {
             }
             ivs.push(s.lo);
             for _ in 0..s.trips {
-                f(&ivs);
+                f(&ivs)?;
                 ivs[s.outer.len()] += s.step;
             }
+            Ok(())
+        })
+    }
+
+    /// Every iteration, for visitors that never stop early.
+    pub fn for_each_iteration(&self, mut f: impl FnMut(&[i64])) {
+        let Ok(()) = self.try_for_each_iteration(|ivs| {
+            f(ivs);
+            Ok::<(), core::convert::Infallible>(())
         });
     }
 

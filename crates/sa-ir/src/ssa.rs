@@ -318,90 +318,76 @@ fn run_trace(program: &Program) -> Result<Trace, SsaError> {
                         ctx.scalars[target.0] = op.identity();
                     }
                 }
-                let mut failure: Option<SsaError> = None;
-                nest.for_each_iteration(|ivs| {
-                    if failure.is_some() {
-                        return;
-                    }
+                nest.try_for_each_iteration(|ivs| {
                     for (si, stmt) in nest.body.iter().enumerate() {
-                        let r = (|| -> Result<(), SsaError> {
-                            let mut slot = 0usize;
-                            match stmt {
-                                Stmt::Assign { target, value } => {
-                                    let v = eval_rec(
-                                        &ctx, value, ivs, pi, si, &mut slot, &mut store, &mut trace,
-                                    )?;
-                                    let addr = resolve_vn(
-                                        &ctx,
-                                        target,
-                                        ivs,
-                                        pi,
-                                        si,
-                                        usize::MAX,
-                                        &mut store,
-                                        &mut trace,
-                                    )?;
-                                    let a = target.array.0;
-                                    let already = store.producer[a][addr] != usize::MAX;
-                                    let fresh_this_version =
-                                        store.written_in_version[a].contains(&addr);
-                                    if fresh_this_version {
-                                        // Second write within the version this
-                                        // phase writes into.
-                                        if phase_started_version.get(&a).copied().unwrap_or(false)
-                                            || !already
-                                        {
-                                            return Err(SsaError::MultiWriteInVersion {
-                                                array: ctx.program.array(target.array).name.clone(),
-                                                addr,
-                                                phase: pi,
-                                            });
-                                        }
-                                    }
-                                    if already && !phase_started_version.contains_key(&a) {
-                                        // First conflicting write by this phase:
-                                        // start a new version of the array.
-                                        phase_started_version.insert(a, true);
-                                        store.current_version[a] += 1;
-                                        *trace.version_count.get_mut(&a).expect("seeded") += 1;
-                                        store.written_in_version[a].clear();
-                                        trace.conflict_phases.entry(a).or_default().push(pi);
-                                    } else {
-                                        phase_started_version.entry(a).or_insert(false);
-                                    }
-                                    if store.written_in_version[a].contains(&addr) {
+                        let mut slot = 0usize;
+                        match stmt {
+                            Stmt::Assign { target, value } => {
+                                let v = eval_rec(
+                                    &ctx, value, ivs, pi, si, &mut slot, &mut store, &mut trace,
+                                )?;
+                                let addr = resolve_vn(
+                                    &ctx,
+                                    target,
+                                    ivs,
+                                    pi,
+                                    si,
+                                    usize::MAX,
+                                    &mut store,
+                                    &mut trace,
+                                )?;
+                                let a = target.array.0;
+                                let already = store.producer[a][addr] != usize::MAX;
+                                let fresh_this_version =
+                                    store.written_in_version[a].contains(&addr);
+                                if fresh_this_version {
+                                    // Second write within the version this
+                                    // phase writes into.
+                                    if phase_started_version.get(&a).copied().unwrap_or(false)
+                                        || !already
+                                    {
                                         return Err(SsaError::MultiWriteInVersion {
                                             array: ctx.program.array(target.array).name.clone(),
                                             addr,
                                             phase: pi,
                                         });
                                     }
-                                    store.values[a][addr] = v;
-                                    store.producer[a][addr] = store.current_version[a];
-                                    store.written_in_version[a].insert(addr);
-                                    trace
-                                        .version_of_phase
-                                        .insert((a, pi), store.current_version[a]);
-                                    Ok(())
                                 }
-                                Stmt::Reduce { target, op, value } => {
-                                    let v = eval_rec(
-                                        &ctx, value, ivs, pi, si, &mut slot, &mut store, &mut trace,
-                                    )?;
-                                    ctx.scalars[target.0] = op.combine(ctx.scalars[target.0], v);
-                                    Ok(())
+                                if already && !phase_started_version.contains_key(&a) {
+                                    // First conflicting write by this phase:
+                                    // start a new version of the array.
+                                    phase_started_version.insert(a, true);
+                                    store.current_version[a] += 1;
+                                    *trace.version_count.get_mut(&a).expect("seeded") += 1;
+                                    store.written_in_version[a].clear();
+                                    trace.conflict_phases.entry(a).or_default().push(pi);
+                                } else {
+                                    phase_started_version.entry(a).or_insert(false);
                                 }
+                                if store.written_in_version[a].contains(&addr) {
+                                    return Err(SsaError::MultiWriteInVersion {
+                                        array: ctx.program.array(target.array).name.clone(),
+                                        addr,
+                                        phase: pi,
+                                    });
+                                }
+                                store.values[a][addr] = v;
+                                store.producer[a][addr] = store.current_version[a];
+                                store.written_in_version[a].insert(addr);
+                                trace
+                                    .version_of_phase
+                                    .insert((a, pi), store.current_version[a]);
                             }
-                        })();
-                        if let Err(e) = r {
-                            failure = Some(e);
-                            return;
+                            Stmt::Reduce { target, op, value } => {
+                                let v = eval_rec(
+                                    &ctx, value, ivs, pi, si, &mut slot, &mut store, &mut trace,
+                                )?;
+                                ctx.scalars[target.0] = op.combine(ctx.scalars[target.0], v);
+                            }
                         }
                     }
-                });
-                if let Some(e) = failure {
-                    return Err(e);
-                }
+                    Ok(())
+                })?;
             }
         }
     }

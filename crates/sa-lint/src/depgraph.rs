@@ -62,7 +62,7 @@ use sa_ir::analysis::{affine_address_range, anchor_ref, linear_address_form, rel
 use sa_ir::index::IndexExpr;
 use sa_ir::nest::{ArrayRef, LoopNest, Stmt};
 use sa_ir::program::Phase;
-use sa_ir::{ArrayId, Expr, PairRelation, Program};
+use sa_ir::{ArrayId, PairRelation, Program};
 use sa_machine::ConfigError;
 
 use crate::diag::{Code, Diagnostic, Severity, Span};
@@ -304,19 +304,6 @@ fn esc(v: &str) -> String {
     s
 }
 
-/// Collect every `Expr::Scalar` read in evaluation order.
-fn scalar_reads(e: &Expr, out: &mut Vec<usize>) {
-    match e {
-        Expr::Scalar(s) => out.push(s.0),
-        Expr::Unary(_, a) => scalar_reads(a, out),
-        Expr::Binary(_, a, b) => {
-            scalar_reads(a, out);
-            scalar_reads(b, out);
-        }
-        Expr::Const(_) | Expr::Param(_) | Expr::LoopVar(_) | Expr::Read(_) => {}
-    }
-}
-
 fn vec_gcd(coeffs: &[i64]) -> u64 {
     coeffs.iter().fold(0u64, |g, &c| gcd(g, c.unsigned_abs()))
 }
@@ -432,9 +419,9 @@ fn reduce_index(sites: &[(usize, usize, usize)], phase: usize, stmt: usize) -> u
 /// The reduce sites whose results `stmt`, in `phase`, reads: per scalar
 /// read, the last reduction into it strictly before the phase.
 fn scalar_producers(sites: &[(usize, usize, usize)], stmt: &Stmt, phase: usize) -> Vec<usize> {
-    let mut sids = Vec::new();
-    scalar_reads(stmt.value(), &mut sids);
-    sids.into_iter()
+    stmt.value()
+        .scalar_reads()
+        .into_iter()
         .filter_map(|sid| sites.iter().rposition(|&(p, _, s)| s == sid && p < phase))
         .collect()
 }

@@ -267,24 +267,8 @@ pub fn unproduced_anchors(program: &Program, mut f: impl FnMut(SiteRef, &LoopNes
 
 /// Every iteration vector of `nest` (outermost first) in execution order,
 /// until `f` returns an error — which ends the walk on the spot.
-pub(crate) fn iterate<E>(
-    nest: &LoopNest,
-    mut f: impl FnMut(&[i64]) -> Result<(), E>,
-) -> Result<(), E> {
-    let mut ivs = Vec::with_capacity(nest.loops.len());
-    nest.try_for_each_sweep(|s| {
-        ivs.clear();
-        ivs.extend_from_slice(s.outer);
-        if nest.loops.is_empty() {
-            return f(&ivs);
-        }
-        ivs.push(s.lo);
-        for _ in 0..s.trips {
-            f(&ivs)?;
-            ivs[s.outer.len()] += s.step;
-        }
-        Ok(())
-    })
+pub(crate) fn iterate<E>(nest: &LoopNest, f: impl FnMut(&[i64]) -> Result<(), E>) -> Result<(), E> {
+    nest.try_for_each_iteration(f)
 }
 
 /// "No instance" in `u32` id tables; ids stay strictly below it.

@@ -605,6 +605,8 @@ fn main() {
                 args.get(1).map(String::as_str).unwrap_or_else(|| usage()),
                 &o,
             );
+            let dynamic =
+                classify_dynamic(&k.program, o.page).unwrap_or_else(|e| die("classify", &e));
             let stat = classify_program(&k.program);
             println!("static : {} ({})", stat.class, stat.class.abbrev());
             for nest in &stat.nests {
@@ -613,7 +615,6 @@ fn main() {
                     nest.label, nest.class, nest.sweep_revisit
                 );
             }
-            let dynamic = classify_dynamic(&k.program, 32).expect("sweep");
             println!("measured: {} — curve:", dynamic.class.abbrev());
             for p in dynamic.curve {
                 println!(
@@ -958,7 +959,12 @@ fn main() {
                 .into_iter()
                 .map(|(n, s)| vec![n.to_string(), format!("{s:.2}×")])
                 .collect();
-            println!("{}", markdown_table(&["PEs", "speedup"], &rows));
+            let out = o.format.render(&["PEs", "speedup"], &rows);
+            // The table keeps the blank line it has always ended with.
+            match o.format {
+                Format::Table => println!("{out}"),
+                _ => print!("{out}"),
+            }
         }
         _ => usage(),
     }

@@ -20,7 +20,7 @@
 //!   GCD/Banerjee-style conflict tests, partition-legality and progress
 //!   checking, and a certified zero-execution communication estimator.
 //! * [`core`] — owner-computes distributed execution, access counting,
-//!   the event-driven timing pass, composable experiment plans with
+//!   the timing pass, composable experiment plans with
 //!   pluggable evaluation oracles, automatic scheme search, and report
 //!   tables.
 //! * [`runtime`] — a real-thread execution engine (logical PEs as
@@ -49,7 +49,7 @@
 //! ## Experiment plans
 //!
 //! Sweeps are composed from typed axes and evaluated through an oracle
-//! (the counting simulator, the timing replay, or real threads):
+//! (the counting simulator, the timing clock, or real threads):
 //!
 //! ```
 //! use sapp::core::plan::ExperimentPlan;

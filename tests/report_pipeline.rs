@@ -215,7 +215,8 @@ fn invalid_machine_shapes_exit_with_the_config_error_on_the_static_paths() {
     // (arguments, exit code, what the output must say). A panic exits 101;
     // a rejected config is 1 with the typed error; a malformed flag value
     // is 2 with one line naming the flag; `timing` honours the machine
-    // flags, `--pes` setting the top of its ladder.
+    // flags, `--pes` setting the top of its ladder, and `--format`;
+    // `classify` measures at `--page`.
     for (args, code, want) in [
         (
             "simulate k1 --page 0 --engine static --no-cache",
@@ -251,6 +252,27 @@ fn invalid_machine_shapes_exit_with_the_config_error_on_the_static_paths() {
             "timing k1 --no-cache --partition block --network ring",
             0,
             "| 32 | 6.44× |",
+        ),
+        (
+            "timing k1 --pes 4 --format csv",
+            0,
+            "PEs,speedup\n1,1.00×\n2,1.59×\n4,3.18×\n",
+        ),
+        (
+            "timing k1 --pes 2 --format json",
+            0,
+            "{\"PEs\": 2, \"speedup\": \"1.59×\"}",
+        ),
+        (
+            "classify k1 --page 8",
+            0,
+            "4 PEs: 8.36% cached / 66.67% uncached",
+        ),
+        ("classify k1", 0, "4 PEs: 1.03% cached / 21.68% uncached"),
+        (
+            "classify k1 --page 0",
+            1,
+            "classify: machine error: bad machine config: page_size must be ≥ 1\n",
         ),
     ] {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_sapp"))

@@ -2,11 +2,12 @@
 //!
 //! `sa_lint::screening::Schedule` is what replay, the thread engine and the
 //! static passes read index screening (paper §3) from; the counting
-//! interpreter asks it one instance at a time and records what it then
-//! executed. For every registry kernel at reduced size, plus a program with
-//! the statement shapes the registry is thin on (anchorless reductions, two
-//! reductions into one scalar, anchors through static and through produced
-//! index arrays), × the five schemes × {1, 4, 7, 64} PEs:
+//! interpreter asks it one instance at a time and reports what it then
+//! executed to a recorder on its observation hook. For every registry
+//! kernel at reduced size, plus a program with the statement shapes the
+//! registry is thin on (anchorless reductions, two reductions into one
+//! scalar, anchors through static and through produced index arrays), × the
+//! five schemes × {1, 4, 7, 64} PEs:
 //!
 //! * the per-PE segments partition every `(sweep, statement)`'s trips
 //!   exactly;
@@ -14,7 +15,7 @@
 //!   interpreter executed on that PE, and [`Schedule::owner`] agrees;
 //! * the participant sets reproduce the interpreter's reduction messages.
 
-use sapp::core::exec::{simulate_traced, PhaseTrace};
+use sapp::core::exec::{run, Effect, Observer};
 use sapp::ir::analysis::{Screen, StaticArrays};
 use sapp::ir::index::iv;
 use sapp::ir::interp::{resolve_ref_addr, Memory};
@@ -22,7 +23,7 @@ use sapp::ir::nest::Stmt;
 use sapp::ir::program::ArrayInit;
 use sapp::ir::{ArrayId, Expr, InitPattern, IrError, Program, ProgramBuilder, ReduceOp};
 use sapp::lint::screening::{Schedule, Windows};
-use sapp::machine::{MachineConfig, PartitionScheme};
+use sapp::machine::{AccessKind, MachineConfig, PartitionScheme};
 use sapp::mem::SaArray;
 
 const PAGE: usize = 8;
@@ -36,11 +37,32 @@ impl Memory for Final<'_> {
     }
 }
 
-/// One executed instance, as both sides name it: the statement's effect.
-#[derive(Debug, PartialEq)]
-enum Did {
-    Wrote(usize, usize),
-    Reduced(usize),
+/// What the interpreter executed: per nest, per PE, each instance's effect
+/// in the order it ran, and how many element reads every PE made.
+struct Recorder {
+    nests: Vec<Vec<Vec<Effect>>>,
+    reads: Vec<u64>,
+}
+
+impl Recorder {
+    fn new(n_pes: usize) -> Self {
+        Recorder {
+            nests: vec![vec![Vec::new(); n_pes]],
+            reads: vec![0; n_pes],
+        }
+    }
+}
+
+impl Observer for Recorder {
+    fn read(&mut self, pe: usize, _: usize, _: usize, _: AccessKind, _: u32) {
+        self.reads[pe] += 1;
+    }
+    fn end(&mut self, pe: usize, effect: Effect, _scalars: &[usize]) {
+        self.nests.last_mut().unwrap()[pe].push(effect);
+    }
+    fn nest_end(&mut self) {
+        self.nests.push(vec![Vec::new(); self.reads.len()]);
+    }
 }
 
 fn certify(code: &str, program: &Program) {
@@ -60,19 +82,16 @@ fn certify(code: &str, program: &Program) {
             let cfg = MachineConfig::new(n_pes, PAGE)
                 .with_partition(scheme)
                 .with_cache_elems(0);
-            let sim = simulate_traced(program, &cfg).unwrap_or_else(|e| panic!("{at}: {e}"));
-            let trace = sim.trace.as_ref().unwrap();
-            let mut loops = trace.phases.iter().filter_map(|p| match p {
-                PhaseTrace::Loop { per_pe } => Some(per_pe),
-                PhaseTrace::Reinit { .. } => None,
-            });
+            let mut recorder = Recorder::new(n_pes);
+            let sim = run(program, &cfg, &mut recorder).unwrap_or_else(|e| panic!("{at}: {e}"));
+            let mut loops = recorder.nests.iter();
             let mut sched = Schedule::new(program, &statics, scheme, PAGE, n_pes).unwrap();
             sched.tabulate(&statics).unwrap();
             let mut mem = Final(&sim.arrays);
             let mut reduction_messages = 0u64;
 
             for (n, ns) in sched.nests().iter().enumerate() {
-                let executed = loops.next().expect("one traced phase per nest");
+                let executed = loops.next().expect("one recorded list per nest");
                 let body = &ns.nest.body;
                 let mut rounds = sched.rounds(n);
                 // How often each (statement, iteration) was handed out.
@@ -100,32 +119,24 @@ fn certify(code: &str, program: &Program) {
                                     assert_eq!(owner, pe, "{at}: nest {n} s{si} g{g}");
                                     dealt[si][g as usize] += 1;
                                     walked.push(match &body[si] {
-                                        Stmt::Assign { target, .. } => Did::Wrote(
-                                            target.array.0,
-                                            resolve_ref_addr(program, target, &ivs, &mut mem)
+                                        Stmt::Assign { target, .. } => Effect::Wrote {
+                                            array: target.array.0,
+                                            addr: resolve_ref_addr(program, target, &ivs, &mut mem)
                                                 .unwrap(),
-                                        ),
+                                        },
                                         Stmt::Reduce { target, .. } => {
                                             let round =
                                                 rounds.iter_mut().find(|r| r.stmt == si).unwrap();
                                             assert!(round.pes[pe] || !round.complete, "{at}");
                                             round.pes[pe] = true;
-                                            Did::Reduced(target.0)
+                                            Effect::Reduced { scalar: target.0 }
                                         }
                                     });
                                 }
                             }
                         }
                     }
-                    let executed: Vec<Did> = executed
-                        .iter()
-                        .map(|i| match (i.write, i.reduce) {
-                            (Some((array, _, addr)), None) => Did::Wrote(array, addr),
-                            (None, Some(scalar)) => Did::Reduced(scalar),
-                            other => panic!("{at}: instance {other:?}"),
-                        })
-                        .collect();
-                    assert_eq!(walked, executed, "{at}: nest {n} on PE {pe}");
+                    assert_eq!(&walked, executed, "{at}: nest {n} on PE {pe}");
                 }
                 assert!(
                     dealt.iter().flatten().all(|&c| c == 1),
@@ -214,5 +225,29 @@ fn the_schedule_is_what_the_interpreter_executes_for_every_screen_kind() {
 fn the_schedule_is_what_the_interpreter_executes_on_the_registry() {
     for k in sapp::loops::suite::reduced_suite() {
         certify(k.code, &k.program);
+    }
+}
+
+/// The recorder hears one PE's instances in that PE's program order, each
+/// with the reads it made: K1 (`X(k)` from three reads, `k = 1..=127`) on
+/// four PEs of one 32-element page each.
+#[test]
+fn the_recorder_sees_each_pes_instances_in_program_order() {
+    let k1 = sapp::loops::k01_hydro::build(127).program;
+    let x = k1.array_id("X").unwrap().0;
+    let mut recorder = Recorder::new(4);
+    run(&k1, &MachineConfig::new(4, 32), &mut recorder).unwrap();
+    assert_eq!(recorder.nests.len(), 2, "one nest, then the open list");
+    for (pe, executed) in recorder.nests[0].iter().enumerate() {
+        let addrs: Vec<usize> = executed
+            .iter()
+            .map(|e| match *e {
+                Effect::Wrote { array, addr } if array == x => addr,
+                other => panic!("PE {pe}: {other:?}"),
+            })
+            .collect();
+        let owned: Vec<usize> = (32 * pe..32 * (pe + 1)).filter(|&a| a >= 1).collect();
+        assert_eq!(addrs, owned, "PE {pe}");
+        assert_eq!(recorder.reads[pe], 3 * owned.len() as u64, "PE {pe}");
     }
 }

@@ -10,8 +10,8 @@ use sapp::core::simulate;
 use sapp::ir::index::iv;
 use sapp::ir::ssa::{convert_to_sa, verify_single_assignment, SsaMode};
 use sapp::ir::{interpret, InitPattern, ProgramBuilder};
-use sapp::loops::suite;
-use sapp::machine::MachineConfig;
+use sapp::loops::{reduced_suite, suite};
+use sapp::machine::{MachineConfig, NetworkTopology, PartitionScheme};
 
 #[test]
 fn timing_pass_is_deadlock_free_on_the_whole_suite() {
@@ -23,6 +23,64 @@ fn timing_pass_is_deadlock_free_on_the_whole_suite() {
             assert!(t.instances > 0, "{}", k.code);
         }
     }
+}
+
+/// `tests/expected/timing_cycles.txt` holds what the event-queue replay
+/// this clock replaced answered on the reduced registry × the five schemes
+/// of `schedule_certification` × {1, 2, 4, 7, 16, 64} PEs × cache {0, 256}
+/// × {ideal, mesh2d} at page 8 — one line `kernel scheme pes cache network
+/// total_cycles instances fnv(per_pe_cycles) fnv(stall_cycles)` each,
+/// generated at the last commit that had it. Every line must still hold.
+#[test]
+fn timing_reproduces_the_event_loops_cycles() {
+    fn fnv(xs: &[u64]) -> u64 {
+        xs.iter()
+            .flat_map(|x| x.to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            })
+    }
+    let mut expected = include_str!("expected/timing_cycles.txt").lines();
+    for k in reduced_suite() {
+        for scheme in [
+            PartitionScheme::Modulo,
+            PartitionScheme::Block,
+            PartitionScheme::BlockCyclic { block_pages: 2 },
+            PartitionScheme::RowBand,
+            PartitionScheme::Tile2D {
+                tile_rows: 5,
+                tile_cols: 6,
+            },
+        ] {
+            for n_pes in [1usize, 2, 4, 7, 16, 64] {
+                for cache in [0usize, 256] {
+                    for net in [NetworkTopology::Ideal, NetworkTopology::Mesh2D] {
+                        let cfg = MachineConfig::new(n_pes, 8)
+                            .with_partition(scheme)
+                            .with_cache_elems(cache)
+                            .with_network(net);
+                        let at = format!(
+                            "{} {} {n_pes} {cache} {}",
+                            k.code,
+                            scheme.name(),
+                            net.name()
+                        );
+                        let t = estimate_timing(&k.program, &cfg)
+                            .unwrap_or_else(|e| panic!("{at}: {e}"));
+                        let line = format!(
+                            "{at} {} {} {:016x} {:016x}",
+                            t.total_cycles,
+                            t.instances,
+                            fnv(&t.per_pe_cycles),
+                            fnv(&t.stall_cycles)
+                        );
+                        assert_eq!(Some(line.as_str()), expected.next());
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(expected.next(), None, "every pinned line was compared");
 }
 
 #[test]
