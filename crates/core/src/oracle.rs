@@ -20,10 +20,7 @@
 //!   on this one) and implements [`Oracle`] over real worker threads,
 //!   reporting [`OracleError::Unsupported`] for knobs the runtime lacks.
 
-use std::cell::RefCell;
-
 use sa_ir::Program;
-use sa_lint::GraphSummary;
 use sa_machine::{load_balance, AccessCosts, Stats};
 
 use crate::deferred::{simulate_timed, TimingError};
@@ -66,12 +63,6 @@ pub struct RunRecord {
     pub write_balance: f64,
     /// Estimated execution cycles — only timing-capable oracles fill this.
     pub cycles: Option<u64>,
-    /// Certified static upper bound on parallel speedup under this config
-    /// (`sa_lint::depgraph::speedup_bound`: work over the larger of the
-    /// critical path and the busiest PE's serial workload). Only the
-    /// zero-execution oracle fills it; `None` elsewhere or when the
-    /// program is not statically analyzable.
-    pub speedup_bound: Option<f64>,
 }
 
 impl RunRecord {
@@ -90,8 +81,8 @@ impl RunRecord {
 
 /// The one place access statistics map onto [`RunRecord`] fields — every
 /// oracle in this crate builds on this, so a new counter is threaded
-/// through a single construction site. Network-model, timing and bound
-/// fields start out unmodeled.
+/// through a single construction site. Network-model and timing fields
+/// start out unmodeled.
 fn record_of(cfg: &RunConfig, stats: &Stats, messages: u64) -> RunRecord {
     RunRecord {
         cfg: cfg.clone(),
@@ -107,7 +98,6 @@ fn record_of(cfg: &RunConfig, stats: &Stats, messages: u64) -> RunRecord {
         max_link_load: None,
         write_balance: load_balance(&stats.writes_per_pe()).jain,
         cycles: None,
-        speedup_bound: None,
     }
 }
 
@@ -281,10 +271,6 @@ impl Oracle for FastCountingOracle {
 /// (caching enabled, indirect indexing) fail soft as
 /// [`OracleError::Unsupported`]; hop/link metrics are reported as
 /// unmodeled (`None`), like the thread runtime.
-///
-/// The one per-instance cost left is [`RunRecord::speedup_bound`]'s
-/// work/span summary, which does not depend on the config: it is computed
-/// once per program, not once per grid point (see `summary_of`).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StaticOracle;
 
@@ -308,25 +294,6 @@ pub(crate) fn of_last_program<T: Copy>(
     }
 }
 
-thread_local! {
-    /// The program this thread summarized last, with the result.
-    static LAST_SUMMARY: RefCell<Option<(Program, Option<GraphSummary>)>> =
-        const { RefCell::new(None) };
-}
-
-/// [`sa_lint::summary`] of `program`, or `None` where it is not statically
-/// analyzable. Building the instance DAG dwarfs everything else the static
-/// oracle does (≈ 20 ms against < 1 ms on a 256² stencil), and a search
-/// measures one program under many configs in a row on one thread — so
-/// each thread keeps the summary of the program it asked about last.
-fn summary_of(program: &Program) -> Option<GraphSummary> {
-    LAST_SUMMARY.with(|last| {
-        of_last_program(&mut last.borrow_mut(), program, |p| {
-            sa_lint::summary(p).ok()
-        })
-    })
-}
-
 impl Oracle for StaticOracle {
     fn name(&self) -> &'static str {
         "static-est"
@@ -340,20 +307,7 @@ impl Oracle for StaticOracle {
             sa_lint::EstimateError::Config(c) => bad_config(c),
             e => OracleError::Backend(e.to_string()),
         })?;
-        Ok(RunRecord {
-            speedup_bound: summary_of(program).and_then(|summary| {
-                sa_lint::depgraph::speedup_bound_with(
-                    &summary,
-                    program,
-                    &sa_lint::LintConfig {
-                        n_pes: cfg.n_pes,
-                        page_size: cfg.page_size,
-                        scheme: cfg.partition,
-                    },
-                )
-            }),
-            ..record_of(cfg, &est.stats, est.network_messages)
-        })
+        Ok(record_of(cfg, &est.stats, est.network_messages))
     }
 }
 

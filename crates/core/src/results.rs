@@ -230,7 +230,6 @@ mod tests {
             max_link_load: Some(0),
             write_balance: 1.0,
             cycles: None,
-            speedup_bound: None,
         }
     }
 

@@ -425,7 +425,6 @@ mod tests {
             max_link_load: Some(0),
             write_balance,
             cycles: None,
-            speedup_bound: None,
         };
         assert_eq!(Objective::RemoteOnly.score(&rec(7.5, 0.1)), 7.5);
         let balanced = Objective::default();

@@ -25,9 +25,13 @@
 //!   `PartitionScheme` × page size, yielding per-PE serialization bounds
 //!   (in closed form over anchor page runs for affine programs, by
 //!   enumeration where an index array has to be seen through);
-//!   [`check_deadlock`] builds the wait graph the thread runtime would
+//!   [`check_deadlock`] proves the wait graph the thread runtime would
 //!   realize (data waits + per-PE execution order + reduction/reinit
-//!   barriers) and proves it acyclic or reports the cycle as SA008.
+//!   barriers) acyclic or reports the cycle as SA008 — building it only
+//!   for a program that defers a read forward.
+//!
+//! The enumerating passes are observers of one walk of the instance
+//! stream (`sites::walk`, crate-private), which keeps the producer map.
 //!
 //! ### Wait-graph model
 //!
@@ -51,6 +55,21 @@
 //! I-structure runtime's data-driven order — completes. Scalar reads never
 //! block (workers read the last broadcast value), so they contribute value
 //! edges to the span DAG but not wait edges.
+//!
+//! ### When the graph is built
+//!
+//! Program order is a topological order of all three families but for one
+//! kind of edge: chains and barriers lead backwards by construction, and a
+//! data edge leads to its producer, which ran earlier — unless the read
+//! was deferred on a cell written *later* in its generation. So a cycle
+//! needs a forward deferral, and a program without one is deadlock-free on
+//! every machine shape ([`check_deadlock`] gives the numbering). The
+//! owner-free walk behind SA004/SA006 sees every deferral a write
+//! releases; only if there was one is the program walked under the
+//! schedule and its graph built, and that path alone decides such
+//! programs. [`summary`] still materializes its DAG for every program; in
+//! the same way, a program without forward deferrals could have its
+//! depths computed in program order, with no Kahn pass.
 
 use std::collections::{HashMap, HashSet};
 use std::convert::Infallible;
@@ -67,8 +86,12 @@ use sa_machine::ConfigError;
 
 use crate::diag::{Code, Diagnostic, Severity, Span};
 use crate::estimate::{first_indirect_ref, walk_anchor_runs};
+use crate::progress;
 use crate::screening::Schedule;
-use crate::sites::{iterate, segments, Instances, LiveSlots, Producers, Resolver, WriteSite};
+use crate::sites::{
+    describe, iterate, segments, walk, Flow, Instance, LiveSlots, Pass, Read, ResolveFail,
+    Resolver, Write, WriteSite,
+};
 use crate::writeonce::fmt_ivs;
 use crate::LintConfig;
 
@@ -544,8 +567,7 @@ pub enum InstanceError {
     /// A reference failed static resolution (out of bounds or an undefined
     /// index-array prefix) — the executors would abort on it.
     Unresolvable(ArrayId),
-    /// The instance graph exceeds the `u32` id space (or the PE count the
-    /// `u16` per-instance PE table).
+    /// The instance graph exceeds the `u32` id space.
     TooLarge,
     /// The machine shape projected onto is invalid.
     Config(ConfigError),
@@ -596,30 +618,67 @@ fn err_array(e: InstanceError) -> Option<ArrayId> {
     }
 }
 
-/// Reject programs whose indirections cannot be seen through statically.
-fn check_static(res: &Resolver<'_>) -> Result<(), InstanceError> {
-    for stmt in res.program.nests().flat_map(|nest| &nest.body) {
-        for r in stmt.reads().into_iter().chain(stmt.write_target()) {
-            if let Some(base) = res.runtime_index(r) {
-                return Err(InstanceError::RuntimeIndirection(base));
-            }
-        }
+/// The cell an exact pass was told of — or the end of its walk: a
+/// reference that names no cell makes its array unresolvable.
+fn exact<T>(aref: &ArrayRef, cell: Result<T, ResolveFail>) -> Result<T, Option<InstanceError>> {
+    cell.map_err(|_| Some(InstanceError::Unresolvable(aref.array)))
+}
+
+/// The edges of the instance-level value DAG, as [`summary`] collects them
+/// from the walk. Collectors are numbered like [`reduce_sites`].
+#[derive(Default)]
+struct ValueEdges {
+    reduces: Vec<(usize, usize, usize)>,
+    /// `(consumer, producer)` instance ids.
+    edges: Vec<(u32, u32)>,
+    /// `(collector, reduce instance)`.
+    cedges: Vec<(u32, u32)>,
+    /// `(instance, collector)`.
+    sedges: Vec<(u32, u32)>,
+    contribs: Vec<u64>,
+    /// Per statement of the nest being walked, resolved once: the collector
+    /// of every scalar it reads, and (for a reduction) its own.
+    producer_k: Vec<Vec<usize>>,
+    own_k: Vec<usize>,
+}
+
+impl Pass for ValueEdges {
+    fn nest(&mut self, phase: usize, nest: &LoopNest, _first: usize) {
+        let body = nest.body.iter();
+        self.producer_k = body
+            .map(|stmt| scalar_producers(&self.reduces, stmt, phase))
+            .collect();
+        self.own_k = (0..nest.body.len())
+            .map(|stmt| reduce_index(&self.reduces, phase, stmt))
+            .collect();
     }
-    Ok(())
-}
 
-/// Per-statement static classification shared by the instance walks.
-struct StmtClass<'p> {
-    stmt: &'p Stmt,
-    reads: Vec<&'p ArrayRef>,
-}
+    fn instance(&mut self, at: &Instance<'_>) -> Flow {
+        let collectors = self.producer_k[at.stmt].iter();
+        self.sedges.extend(collectors.map(|&k| (at.id, k as u32)));
+        Ok(())
+    }
 
-fn classify_nest(nest: &LoopNest) -> Vec<StmtClass<'_>> {
-    let class = |stmt| StmtClass {
-        stmt,
-        reads: stmt.reads(),
-    };
-    nest.body.iter().map(class).collect()
+    fn read(&mut self, at: &Instance<'_>, read: Read<'_>) -> Flow {
+        if let (_, Some(producer)) = exact(read.aref, read.cell)? {
+            self.edges.push((at.id, producer));
+        }
+        Ok(())
+    }
+
+    // Forward deferrals: value edges discovered when the write arrives.
+    fn write(&mut self, at: &Instance<'_>, write: Write<'_>) -> Flow {
+        let (_, released) = exact(write.target, write.cell)?;
+        let consumers = released.iter();
+        self.edges.extend(consumers.map(|d| (d.reader, at.id)));
+        Ok(())
+    }
+
+    fn reduce(&mut self, at: &Instance<'_>) {
+        let k = self.own_k[at.stmt];
+        self.cedges.push((k as u32, at.id));
+        self.contribs[k] += 1;
+    }
 }
 
 /// Compute work and span of the instance-level value DAG.
@@ -628,63 +687,18 @@ fn classify_nest(nest: &LoopNest) -> Vec<StmtClass<'_>> {
 /// depths come from a Kahn longest-path pass over the materialized DAG.
 pub fn summary(program: &Program) -> Result<GraphSummary, InstanceError> {
     let res = Resolver::new(program);
-    check_static(&res)?;
+    res.check_static()?;
 
     // One collector per reduce site, numbered like `reduces`.
     let reduces = reduce_sites(program);
     let n_collectors = reduces.len();
+    let mut dag = ValueEdges {
+        reduces,
+        contribs: vec![0; n_collectors],
+        ..ValueEdges::default()
+    };
+    let n = walk(&res, &mut dag)?;
 
-    let mut inst = Instances::default();
-    let mut producers = Producers::new(program);
-    let mut edges: Vec<(u32, u32)> = Vec::new(); // (consumer, producer) — instance ids
-    let mut cedges: Vec<(u32, u32)> = Vec::new(); // (collector k, reduce instance)
-    let mut sedges: Vec<(u32, u32)> = Vec::new(); // (instance, collector k)
-    let mut contribs: Vec<u64> = vec![0; n_collectors];
-
-    for (pidx, phase) in program.phases.iter().enumerate() {
-        match phase {
-            Phase::Reinit(id) => producers.reinit(*id),
-            Phase::Loop(nest) => {
-                let classes = classify_nest(nest);
-                // Per statement, resolved once: the collector of every
-                // scalar it reads, and (for a reduction) its own.
-                let producer_k: Vec<Vec<usize>> = classes
-                    .iter()
-                    .map(|c| scalar_producers(&reduces, c.stmt, pidx))
-                    .collect();
-                let own_k: Vec<usize> = (0..classes.len())
-                    .map(|sidx| reduce_index(&reduces, pidx, sidx))
-                    .collect();
-                inst.nest(nest, |ivs, sidx, id| {
-                    let c = &classes[sidx];
-                    for r in &c.reads {
-                        let addr = res.instance_addr(r, ivs)?;
-                        if let Some(w) = producers.read(r.array, addr, id) {
-                            edges.push((id, w));
-                        }
-                    }
-                    for &k in &producer_k[sidx] {
-                        sedges.push((id, k as u32));
-                    }
-                    match c.stmt {
-                        Stmt::Assign { target, .. } => {
-                            let addr = res.instance_addr(target, ivs)?;
-                            // Forward deferrals: value edges discovered
-                            // when the write arrives.
-                            producers.write(target.array, addr, id, |cid| edges.push((cid, id)));
-                        }
-                        Stmt::Reduce { .. } => {
-                            cedges.push((own_k[sidx] as u32, id));
-                            contribs[own_k[sidx]] += 1;
-                        }
-                    }
-                    Ok::<(), InstanceError>(())
-                })?;
-            }
-        }
-    }
-
-    let n = inst.count();
     let total = n + n_collectors;
     if total == 0 {
         return Ok(GraphSummary {
@@ -694,11 +708,19 @@ pub fn summary(program: &Program) -> Result<GraphSummary, InstanceError> {
         });
     }
     // Unify node ids: instances 0..n, collectors n..n+K.
-    let mut all_edges: Vec<(u32, u32)> = edges;
-    all_edges.extend(cedges.iter().map(|&(k, i)| ((n + k as usize) as u32, i)));
-    all_edges.extend(sedges.iter().map(|&(i, k)| (i, (n + k as usize) as u32)));
+    let mut all_edges: Vec<(u32, u32)> = dag.edges;
+    all_edges.extend(
+        dag.cedges
+            .iter()
+            .map(|&(k, i)| ((n + k as usize) as u32, i)),
+    );
+    all_edges.extend(
+        dag.sedges
+            .iter()
+            .map(|&(i, k)| (i, (n + k as usize) as u32)),
+    );
     let mut weight = vec![1u64; total];
-    for (k, &m) in contribs.iter().enumerate() {
+    for (k, &m) in dag.contribs.iter().enumerate() {
         weight[n + k] = ceil_log2(m.max(1));
     }
 
@@ -843,45 +865,43 @@ pub fn project_by_instance(
     cfg: &LintConfig,
 ) -> Result<Projection, InstanceError> {
     let res = Resolver::new(program);
-    check_static(&res)?;
+    res.check_static()?;
     let sched = schedule(&res, cfg)?;
     let mut writes_per_pe = vec![0u64; cfg.n_pes];
     let mut instances_per_pe = vec![0u64; cfg.n_pes];
-    let mut inst = Instances::default();
-    for (n, nest) in program.nests().enumerate() {
-        let at = (n, inst.count());
-        inst.nest(nest, |ivs, sidx, id| {
-            let pe = instance_owner(&sched, &res, at, (ivs, sidx, id))?;
-            instances_per_pe[pe] += 1;
-            if matches!(nest.body[sidx], Stmt::Assign { .. }) {
-                writes_per_pe[pe] += 1;
-            }
-            Ok::<(), InstanceError>(())
-        })?;
-    }
+    // Owners only: no reference matters.
+    walk(&res, &mut |at: &Instance<'_>| {
+        let pe = instance_owner(&sched, &res, at)?;
+        instances_per_pe[pe] += 1;
+        if matches!(at.nest.body[at.stmt], Stmt::Assign { .. }) {
+            writes_per_pe[pe] += 1;
+        }
+        Ok(())
+    })?;
     Ok(Projection {
         writes_per_pe,
         instances_per_pe,
     })
 }
 
-/// [`Schedule::owner`] for instance `id` of the stream — statement `stmt`
-/// of nest `nest` at `ivs`, where `first` is the id of the nest's first
-/// instance (an id gives the iteration's place in the round-robin deal).
-/// Anchors resolve against the constant arrays.
+/// [`Schedule::owner`] for an instance of the stream; anchors resolve
+/// against the constant arrays.
 #[inline]
 fn instance_owner(
     sched: &Schedule<'_>,
     res: &Resolver<'_>,
-    (nest, first): (usize, usize),
-    (ivs, stmt, id): (&[i64], usize, u32),
+    at: &Instance<'_>,
 ) -> Result<usize, InstanceError> {
-    let body = &sched.nest(nest).nest.body;
-    let g = ((id as usize - first) / body.len()) as u64;
     sched
-        .owner(nest, stmt, g, ivs, &mut &res.statics)
+        .owner(
+            at.nest_index,
+            at.stmt,
+            at.iteration,
+            at.ivs,
+            &mut &res.statics,
+        )
         .map_err(|_| {
-            let anchor = anchor_ref(&body[stmt]).expect("the deal cannot fail");
+            let anchor = anchor_ref(&at.nest.body[at.stmt]).expect("the deal cannot fail");
             InstanceError::Unresolvable(anchor.array)
         })
 }
@@ -946,80 +966,63 @@ struct WaitGraph {
     barrier_phase: Vec<usize>,
 }
 
-/// Instance enumeration for the wait graph: the PE each instance runs on,
-/// wait-relevant data edges `(consumer, producer, array, addr)`, and
-/// barrier watermarks `(instance id, phase)`.
-type WaitInstances = (Vec<u16>, Vec<(u32, u32, ArrayId, u32)>, Vec<(u32, usize)>);
+/// The instance stream as the wait graph needs it, collected from the walk
+/// under a schedule: only wait-relevant data edges are kept (cross-PE, or
+/// same-PE forward — same-PE backward waits are implied by chain order).
+struct WaitEdges<'a, 'p> {
+    sched: &'a Schedule<'p>,
+    res: &'a Resolver<'p>,
+    /// The PE each instance runs on.
+    pe_of: Vec<u32>,
+    /// `(consumer, producer, array, addr)`.
+    data: Vec<(u32, u32, ArrayId, u32)>,
+    /// Barrier watermarks `(instance id, phase)`.
+    barriers: Vec<(u32, usize)>,
+}
 
-/// Enumerate instances under `cfg`, keeping only wait-relevant data edges
-/// (cross-PE, or same-PE forward — same-PE backward waits are implied by
-/// chain order), plus per-instance PEs and barrier watermarks.
-fn wait_edges(program: &Program, cfg: &LintConfig) -> Result<WaitInstances, InstanceError> {
-    let res = Resolver::new(program);
-    check_static(&res)?;
-    let sched = schedule(&res, cfg)?;
-    if cfg.n_pes > u16::MAX as usize {
-        return Err(InstanceError::TooLarge);
+impl Pass for WaitEdges<'_, '_> {
+    fn instance(&mut self, at: &Instance<'_>) -> Flow {
+        let pe = instance_owner(self.sched, self.res, at)?;
+        self.pe_of.push(pe as u32);
+        Ok(())
     }
-    let mut inst = Instances::default();
-    let mut producers = Producers::new(program);
-    let mut pe_of: Vec<u16> = Vec::new();
-    let mut data: Vec<(u32, u32, ArrayId, u32)> = Vec::new();
-    let mut barriers: Vec<(u32, usize)> = Vec::new();
-    let mut nests = 0;
 
-    for (pidx, phase) in program.phases.iter().enumerate() {
-        match phase {
-            Phase::Reinit(id) => {
-                barriers.push((inst.count() as u32, pidx));
-                producers.reinit(*id);
+    fn read(&mut self, at: &Instance<'_>, read: Read<'_>) -> Flow {
+        match exact(read.aref, read.cell)? {
+            (addr, Some(w)) if self.pe_of[w as usize] != self.pe_of[at.id as usize] => {
+                self.data.push((at.id, w, read.aref.array, addr as u32));
             }
-            Phase::Loop(nest) => {
-                let classes = classify_nest(nest);
-                let at = (nests, inst.count());
-                nests += 1;
-                inst.nest(nest, |ivs, sidx, id| {
-                    let c = &classes[sidx];
-                    let pe = instance_owner(&sched, &res, at, (ivs, sidx, id))? as u16;
-                    pe_of.push(pe);
-                    for r in &c.reads {
-                        let addr = res.instance_addr(r, ivs)?;
-                        // Same-PE backward waits are implied by chain
-                        // order; keep cross-PE ones.
-                        match producers.read(r.array, addr, id) {
-                            Some(w) if pe_of[w as usize] != pe => {
-                                data.push((id, w, r.array, addr as u32));
-                            }
-                            _ => {}
-                        }
-                    }
-                    if let Stmt::Assign { target, .. } = c.stmt {
-                        let addr = res.instance_addr(target, ivs)?;
-                        // Forward waits are never chain-implied (producer
-                        // id > consumer id): keep all.
-                        producers.write(target.array, addr, id, |cid| {
-                            data.push((cid, id, target.array, addr as u32));
-                        });
-                    }
-                    Ok::<(), InstanceError>(())
-                })?;
-                if classes
-                    .iter()
-                    .any(|c| matches!(c.stmt, Stmt::Reduce { .. }))
-                {
-                    barriers.push((inst.count() as u32, pidx));
-                }
-            }
+            _ => {}
+        }
+        Ok(())
+    }
+
+    // Forward waits are never chain-implied (producer id > consumer id):
+    // keep all.
+    fn write(&mut self, at: &Instance<'_>, write: Write<'_>) -> Flow {
+        let (addr, released) = exact(write.target, write.cell)?;
+        let (array, waits) = (write.target.array, released.iter());
+        self.data
+            .extend(waits.map(|d| (d.reader, at.id, array, addr as u32)));
+        Ok(())
+    }
+
+    fn nest_end(&mut self, phase: usize, nest: &LoopNest, count: usize) {
+        if nest.body.iter().any(|s| matches!(s, Stmt::Reduce { .. })) {
+            self.barriers.push((count as u32, phase));
         }
     }
-    Ok((pe_of, data, barriers))
+
+    fn reinit(&mut self, phase: usize, _array: ArrayId, count: usize) {
+        self.barriers.push((count as u32, phase));
+    }
 }
 
 /// Build the compact wait graph: participating instances + barriers, with
 /// data, chain and barrier edges.
 fn build_wait_graph(
     n_pes: usize,
-    pe_of: &[u16],
+    pe_of: &[u32],
     data: &[(u32, u32, ArrayId, u32)],
     barriers: &[(u32, usize)],
 ) -> WaitGraph {
@@ -1114,48 +1117,52 @@ fn find_cycle(adj: &[Vec<(u32, Why)>]) -> Option<Vec<usize>> {
     None
 }
 
-/// Human description of a set of instances: phase, stmt, nest label,
-/// formatted iteration vector. Recovered by re-enumeration (ids are dense
-/// global sequence numbers), so the main pass never stores per-instance
-/// iteration vectors.
-fn describe_instances(
-    program: &Program,
-    wanted: &HashSet<u32>,
-) -> HashMap<u32, (usize, usize, String, String)> {
-    let mut out = HashMap::new();
-    let mut inst = Instances::default();
-    for (pidx, phase) in program.phases.iter().enumerate() {
-        let Phase::Loop(nest) = phase else { continue };
-        // `Err(None)` ends the walk: every wanted instance is described.
-        let walked: Result<(), Option<InstanceError>> = inst.nest(nest, |ivs, sidx, id| {
-            if wanted.contains(&id) {
-                out.insert(id, (pidx, sidx, nest.label.clone(), fmt_ivs(nest, ivs)));
-            }
-            if out.len() == wanted.len() {
-                return Err(None);
-            }
-            Ok(())
-        });
-        if walked.is_err() {
-            break;
-        }
-    }
-    out
-}
-
 /// Prove the wait graph acyclic under `cfg`, or report the cycle as SA008
 /// (with iteration vectors and owning PEs on each hop). Programs that
 /// cannot be statically enumerated get an `Info`-severity SA008 note —
 /// deadlock-freedom is then undecidable, not disproven.
+///
+/// The graph is not built for a program that runs in order. Number its
+/// nodes by program order — instance `i` at `2i + 1`, a barrier with
+/// watermark `w` at `2w`, ties by barrier index: a chain edge leads to the
+/// PE's previous node, a barrier edge to a node before the watermark or from
+/// an instance past it, and a data edge to the producer, so every edge
+/// except a data edge whose producer has the larger id — a *forward
+/// deferral*, a read of a cell written later in its generation — points to
+/// a strictly earlier node. A cycle needs a forward deferral: a program
+/// without one is deadlock-free under every scheme, page size and PE count,
+/// without one owner being computed. The owner-free walk that serves
+/// SA004/SA006 ([`progress`]) notes whether it saw one, and only a program
+/// that has one is walked again, under the schedule, into the wait graph.
 pub fn check_deadlock(program: &Program, cfg: &LintConfig) -> Vec<Diagnostic> {
-    let enumerated = match wait_edges(program, cfg) {
-        Ok(e) => e,
+    let res = Resolver::new(program);
+    deadlock(&res, cfg, || progress::observe(&res).forward_deferrals)
+}
+
+/// [`check_deadlock`], given what the owner-free walk of the program saw
+/// (asked only of a program and shape the proof is possible for).
+pub(crate) fn deadlock(
+    res: &Resolver<'_>,
+    cfg: &LintConfig,
+    forward_deferrals: impl FnOnce() -> Result<bool, InstanceError>,
+) -> Vec<Diagnostic> {
+    let program = res.program;
+    let cycle = || {
+        res.check_static()?;
+        let sched = schedule(res, cfg)?;
+        if !forward_deferrals()? {
+            return Ok(None);
+        }
+        wait_cycle(res, &sched, cfg)
+    };
+    match cycle() {
+        Ok(cycle) => cycle.into_iter().collect(),
         Err(e) => {
             let span = match err_array(e) {
                 Some(a) => Span::array(&program.array(a).name),
                 None => Span::default(),
             };
-            return vec![Diagnostic::new(
+            vec![Diagnostic::new(
                 Code::Sa008DeadlockCycle,
                 span,
                 format!("deadlock-freedom not statically provable: {e}"),
@@ -1166,13 +1173,31 @@ pub fn check_deadlock(program: &Program, cfg: &LintConfig) -> Vec<Diagnostic> {
                  resolves statically. This program's instance stream cannot be \
                  enumerated at lint time, so the deadlock check is skipped — the \
                  runtime may still complete normally.",
-            )];
+            )]
         }
+    }
+}
+
+/// The graph path: walk the program under `sched`, build the wait graph
+/// the thread runtime would realize, and report a cycle of it as SA008.
+fn wait_cycle(
+    res: &Resolver<'_>,
+    sched: &Schedule<'_>,
+    cfg: &LintConfig,
+) -> Result<Option<Diagnostic>, InstanceError> {
+    let program = res.program;
+    let mut waits = WaitEdges {
+        sched,
+        res,
+        pe_of: Vec::new(),
+        data: Vec::new(),
+        barriers: Vec::new(),
     };
-    let (pe_of, data, barriers) = enumerated;
-    let wg = build_wait_graph(cfg.n_pes, &pe_of, &data, &barriers);
+    walk(res, &mut waits)?;
+    let pe_of = waits.pe_of;
+    let wg = build_wait_graph(cfg.n_pes, &pe_of, &waits.data, &waits.barriers);
     let Some(cycle) = find_cycle(&wg.adj) else {
-        return Vec::new();
+        return Ok(None);
     };
 
     // Recover the witness: describe every instance node in the cycle.
@@ -1183,7 +1208,10 @@ pub fn check_deadlock(program: &Program, cfg: &LintConfig) -> Vec<Diagnostic> {
             WgNode::Barrier(_) => None,
         })
         .collect();
-    let info = describe_instances(program, &wanted);
+    let info = describe(res, &wanted, |at| {
+        let (label, ivs) = (at.nest.label.clone(), fmt_ivs(at.nest, at.ivs));
+        (at.phase, at.stmt, label, ivs)
+    });
     let name_node = |ni: usize| -> String {
         match wg.nodes[ni] {
             WgNode::Instance(id) => {
@@ -1241,7 +1269,7 @@ pub fn check_deadlock(program: &Program, cfg: &LintConfig) -> Vec<Diagnostic> {
             WgNode::Barrier(_) => None,
         })
         .unwrap_or_default();
-    vec![
+    Ok(Some(
         Diagnostic::new(Code::Sa008DeadlockCycle, span, msg).explain(
             "Every hop is a wait the thread runtime would actually perform: a \
          consumer blocking on the producer of a cell it reads, a PE's \
@@ -1252,12 +1280,13 @@ pub fn check_deadlock(program: &Program, cfg: &LintConfig) -> Vec<Diagnostic> {
          splitting the mutually-waiting nests, or by separating the \
          generations with a Reinit.",
         ),
-    ]
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use sa_ir::index::iv;
     use sa_ir::{Expr, InitPattern, ProgramBuilder, ReduceOp};
     use sa_machine::PartitionScheme;
@@ -1708,6 +1737,122 @@ mod tests {
         let p = b.finish();
         let diags = check_deadlock(&p, &cfg(1, 32));
         assert_eq!(diags.len(), 1, "{diags:?}");
+    }
+
+    /// One copy nest of a generated exchange program: `A[dst][k] ←
+    /// A[src][k']` with `k'` being `k + shift` or its mirror image, over a
+    /// stretch of the `k` that keep `k'` inside the array.
+    #[derive(Debug, Clone)]
+    struct Copy {
+        dst: usize,
+        src: usize,
+        mirrored: bool,
+        shift: i64,
+        /// Picks the stretch: where it starts and how long it is.
+        stretch: (usize, usize),
+        /// Run one trip past the stretch, out of the array.
+        overrun: bool,
+        /// Re-initialize `A[dst]` first.
+        reinit: bool,
+        /// Follow with a reduction over `A[dst]`.
+        reduce: bool,
+    }
+
+    /// Copies among three arrays in any order: a nest reading what a later
+    /// nest writes defers forward, and two that read each other exchange.
+    fn exchange_program(n: usize, inputs: [bool; 3], copies: &[Copy]) -> Program {
+        let mut b = ProgramBuilder::new("exchange");
+        let arrays = [0, 1, 2].map(|a| match inputs[a] {
+            true => b.input(format!("A{a}"), &[n], InitPattern::Wavy),
+            false => b.output(format!("A{a}"), &[n]),
+        });
+        let s = b.scalar("s");
+        let last = n as i64 - 1;
+        for (i, c) in copies.iter().enumerate() {
+            if c.reinit {
+                b.reinit(arrays[c.dst]);
+            }
+            // `k + shift` stays in `0 ..= last` for `k` in `lo ..= hi`.
+            let shift = c.shift.clamp(-last, last);
+            let (lo, hi) = ((-shift).max(0), last.min(last - shift));
+            let lo = lo + (c.stretch.0 as i64) % (hi - lo + 1);
+            let hi = lo + (c.stretch.1 as i64) % (hi - lo + 1) + i64::from(c.overrun);
+            b.nest(format!("n{i}"), &[("k", lo, hi)], |nb| {
+                let from = match c.mirrored {
+                    true => iv(0).scale(-1).plus(last - shift),
+                    false => iv(0).plus(shift),
+                };
+                let rhs = nb.read(arrays[c.src], [from]);
+                nb.assign(arrays[c.dst], [iv(0)], rhs);
+            });
+            if c.reduce {
+                b.nest(format!("r{i}"), &[("k", 0, last)], |nb| {
+                    let v = nb.read(arrays[c.dst], [iv(0)]);
+                    nb.reduce(s, ReduceOp::Sum, v);
+                });
+            }
+        }
+        b.finish()
+    }
+
+    fn copy_strategy() -> impl Strategy<Value = Copy> {
+        let rarely = |one_in: usize| {
+            let mut options = vec![false; one_in];
+            options[0] = true;
+            proptest::sample::select(options)
+        };
+        (
+            (0usize..3, 0usize..3),
+            (proptest::bool::ANY, -3i64..4),
+            (0usize..8, 0usize..8),
+            (rarely(12), rarely(4), rarely(3)),
+        )
+            .prop_map(
+                |((dst, src), (mirrored, shift), stretch, (overrun, reinit, reduce))| Copy {
+                    dst,
+                    src,
+                    mirrored,
+                    shift,
+                    stretch,
+                    overrun,
+                    reinit,
+                    reduce,
+                },
+            )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The ordering theorem, against the graph it spares: a program the
+        /// owner-free walk saw no forward deferral in has no cycle in its
+        /// wait graph, under any shape; and where the graph path finds a
+        /// cycle, `check_deadlock` took that path and reports it.
+        #[test]
+        fn no_forward_deferral_no_cycle(
+            n in 2usize..9,
+            inputs in (proptest::bool::ANY, proptest::bool::ANY, proptest::bool::ANY),
+            copies in proptest::collection::vec(copy_strategy(), 1..5),
+            n_pes in 1usize..5,
+            page_size in proptest::sample::select(vec![1usize, 2, 4]),
+            scheme in prop_oneof![Just(PartitionScheme::Modulo), Just(PartitionScheme::Block)],
+        ) {
+            let p = exchange_program(n, [inputs.0, inputs.1, inputs.2], &copies);
+            let c = LintConfig { n_pes, page_size, scheme };
+            let res = Resolver::new(&p);
+            let forward = progress::observe(&res).forward_deferrals;
+            let forced = wait_cycle(&res, &schedule(&res, &c).unwrap(), &c);
+            match (forward, forced) {
+                (Ok(false), forced) => prop_assert_eq!(forced, Ok(None)),
+                (Ok(true), Ok(cycle)) => {
+                    let reported = check_deadlock(&p, &c);
+                    prop_assert_eq!(reported, cycle.into_iter().collect::<Vec<_>>());
+                }
+                // A reference that names no cell: both walks stop on it.
+                (Err(e), forced) => prop_assert_eq!(forced, Err(e)),
+                (Ok(true), Err(e)) => prop_assert!(false, "only the graph path failed: {e}"),
+            }
+        }
     }
 
     /// DOT and JSON render without panicking and carry the basics.

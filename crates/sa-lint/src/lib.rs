@@ -95,11 +95,15 @@ pub fn lint_program(program: &Program, cfg: &LintConfig) -> Vec<Diagnostic> {
         return diags;
     }
     diags.extend(check_write_once(program).diagnostics);
-    diags.extend(check_progress(program));
+    // One walk of the instance stream serves the progress checks and tells
+    // the deadlock proof whether there is a wait graph worth building.
+    let res = sites::Resolver::new(program);
+    let seen = progress::observe(&res);
+    diags.extend(seen.diagnostics);
     match progress::partition_pass(program, cfg.n_pes, cfg.page_size, cfg.scheme) {
         Ok(found) => {
             diags.extend(found);
-            diags.extend(depgraph::check_deadlock(program, cfg));
+            diags.extend(depgraph::deadlock(&res, cfg, || seen.forward_deferrals));
         }
         Err(e) => diags.push(progress::invalid_shape(e)),
     }
@@ -160,6 +164,46 @@ mod tests {
         });
         let diags = lint_program(&b.finish(), &LintConfig::default());
         assert!(diags.is_empty(), "{diags:?}");
+    }
+
+    /// `lint_program` enumerates a program that runs in order once; one
+    /// that defers a read forward a second time, under the schedule, for
+    /// the wait graph (the write-once proof of both is closed-form).
+    #[test]
+    fn an_in_order_program_is_walked_once() {
+        let program = |consumer_first: bool| {
+            let mut b = ProgramBuilder::new("two");
+            let x = b.output("X", &[8]);
+            let z = b.output("Z", &[8]);
+            // PE0's four consumers read the cells PE1 produces first.
+            let consume = |b: &mut ProgramBuilder| {
+                b.nest("consume", &[("k", 0, 3)], |nb| {
+                    let rhs = nb.read(x, [iv(0).plus(4)]);
+                    nb.assign(z, [iv(0)], rhs);
+                });
+            };
+            if consumer_first {
+                consume(&mut b);
+            }
+            b.nest("produce", &[("k", 0, 7)], |nb| {
+                nb.assign(x, [iv(0)], Expr::Const(1.0));
+            });
+            if !consumer_first {
+                consume(&mut b);
+            }
+            b.finish()
+        };
+        let cfg = LintConfig {
+            n_pes: 2,
+            page_size: 4,
+            scheme: PartitionScheme::Modulo,
+        };
+        for (consumer_first, walks) in [(false, 1), (true, 2)] {
+            let before = sites::instances_walked();
+            let diags = lint_program(&program(consumer_first), &cfg);
+            assert!(diags.is_empty(), "{diags:?}");
+            assert_eq!(sites::instances_walked() - before, walks * 12);
+        }
     }
 
     #[test]

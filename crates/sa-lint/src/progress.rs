@@ -3,30 +3,66 @@
 //! * `SA004` — a read of an element no initializer and no statement of the
 //!   current array generation ever defines. Under the thread runtime's
 //!   I-structure semantics such a read becomes a *dangling deferral*: the
-//!   consumer parks forever because no producer exists. Definedness is
-//!   checked against the union of all writes in the generation segment
-//!   regardless of phase order — deferred reads legally consume values
-//!   produced by later statements.
+//!   consumer parks forever because no producer exists. It comes from the
+//!   producer map of the instance walk (`sites::walk`): a read of a cell nobody has
+//!   written yet is deferred — deferred reads legally consume values
+//!   produced by later statements — and the deferrals still unreleased when
+//!   their generation closes (its `Reinit`, or the end of the program) are
+//!   the dangling ones.
 //! * `SA005` — an indirect statement anchor whose index array has no
 //!   static producer (the scan `sa_runtime::unsupported_reason` renders too).
-//! * `SA006` — a reference provably outside its array's bounds.
+//! * `SA006` — a reference provably outside its array's bounds: a failed
+//!   resolution on the same walk.
 //! * `PL001` — a partition configuration that leaves PEs owning no pages.
+//!
+//! The same walk notes whether any deferral was released by a later write
+//! — a *forward* deferral, without which no wait graph has a cycle
+//! ([`crate::depgraph::check_deadlock`]).
 
-use std::convert::Infallible;
+use std::collections::{HashMap, HashSet};
 
+use crate::depgraph::InstanceError;
 use crate::diag::{Code, Diagnostic, Severity, Span};
-use crate::sites::{self, iterate, LiveSlots, ResolveFail, Resolver};
-use sa_ir::nest::ArrayRef;
-use sa_ir::program::Phase;
+use crate::sites::{
+    self, describe, walk, Deferral, Flow, Instance, LiveSlots, Pass, Read, ResolveFail, Resolver,
+    Write,
+};
+use sa_ir::nest::{ArrayRef, LoopNest};
 use sa_ir::{ArrayId, Program};
 use sa_machine::{ConfigError, PartitionScheme, Placement};
 
 /// Run the progress checks (`SA004`, `SA005`, `SA006`) on `program`.
 pub fn check_progress(program: &Program) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
-    check_anchors(program, &mut diags);
-    check_bounds_and_definedness(program, &mut diags);
-    diags
+    observe(&Resolver::new(program)).diagnostics
+}
+
+/// What the one owner-free walk of a program finds.
+pub(crate) struct Observed {
+    /// The `SA005`, `SA006` and `SA004` findings, in report order.
+    pub diagnostics: Vec<Diagnostic>,
+    /// Whether a read was deferred to a later write of its generation, if
+    /// the instance stream can say: not when a reference fails to resolve
+    /// (the first to, in the order the owner-computes walk would meet
+    /// them) or the ids run out.
+    pub forward_deferrals: Result<bool, InstanceError>,
+}
+
+/// Walk `res`'s program once, for the progress checks and the deadlock
+/// proof's premise.
+pub(crate) fn observe(res: &Resolver<'_>) -> Observed {
+    let mut diagnostics = Vec::new();
+    check_anchors(res.program, &mut diagnostics);
+    let mut pass = Progress::new(res);
+    let walked = walk(res, &mut pass);
+    let forward_deferrals = match pass.unresolved {
+        Some((_, array)) => Err(InstanceError::Unresolvable(array)),
+        None => walked.map(|_| pass.forward),
+    };
+    diagnostics.extend(pass.diagnostics());
+    Observed {
+        diagnostics,
+        forward_deferrals,
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -73,172 +109,115 @@ fn check_anchors(program: &Program, diags: &mut Vec<Diagnostic>) {
 // SA004 / SA006 — dangling reads and out-of-bounds references
 // ---------------------------------------------------------------------------
 
-/// Per-segment definedness, computed from the initializer region plus
-/// *every* write of the segment (order-free: I-structure deferrals make
-/// later producers reach earlier readers). `None` when some write is a
-/// scatter through runtime data (definedness unknowable).
-type Definedness = Vec<Option<Vec<bool>>>;
+/// The progress checks on the walk. Per statement, the first out-of-bounds
+/// reference and the first dangling read per array are reported, the rest
+/// suppressed; an out-of-bounds *write* is reported once more, ahead of
+/// everything else, in generation order.
+struct Progress<'a, 'p> {
+    res: &'a Resolver<'p>,
+    /// Per generation slot: some write into it scatters through runtime
+    /// data, so which of its cells get defined is unknowable.
+    opaque: Vec<bool>,
+    live: LiveSlots,
+    /// `(first instance id, phase, statements)` of each nest walked so far.
+    nests: Vec<(usize, usize, usize)>,
+    /// Per statement of the nest being walked: an out-of-bounds write
+    /// target, an out-of-bounds reference, has been reported.
+    target_reported: Vec<bool>,
+    reference_reported: Vec<bool>,
+    /// SA006 findings by where they sort in the report: `[0, slot, phase,
+    /// stmt, 0]` for a write target, `[1, phase, stmt, instance,
+    /// reference]` — iteration order inside statement order — otherwise.
+    found: Vec<([usize; 5], Diagnostic)>,
+    /// The first dangling read of each `(phase, stmt, array)`, and its cell.
+    dangling: HashMap<(usize, usize, ArrayId), (Deferral, usize)>,
+    /// A write released a deferred read.
+    forward: bool,
+    /// The first instance with a reference that names no cell, and the
+    /// array the owner-computes walk would have failed on there: its write
+    /// target's (the anchor is asked first), else the first such read's.
+    unresolved: Option<(u32, ArrayId)>,
+}
 
-fn check_bounds_and_definedness(program: &Program, diags: &mut Vec<Diagnostic>) {
-    let res = Resolver::new(program);
-
-    // Pass A: build per-segment defined bitmaps from the write sites, and
-    // report provably out-of-bounds *writes* as we go (first per site).
-    let mut def: Definedness = Vec::new();
-    for seg in sites::segments(program) {
-        let opaque = seg
-            .writes
+impl<'a, 'p> Progress<'a, 'p> {
+    fn new(res: &'a Resolver<'p>) -> Self {
+        let opaque = sites::segments(res.program)
             .iter()
-            .any(|w| res.runtime_index(w.target).is_some());
-        if opaque {
-            def.push(None);
-            continue;
-        }
-        let mut bits = vec![false; program.array(seg.array).len()];
-        bits[..seg.init_len].fill(true);
-        for site in &seg.writes {
-            let walked = iterate(site.nest, |ivs| {
-                match res.addr(site.target, ivs) {
-                    Ok(addr) => bits[addr] = true,
-                    Err(ResolveFail::OutOfBounds | ResolveFail::IndexOutOfBounds { .. }) => {
-                        return Err(ivs.to_vec());
-                    }
-                    // An undefined index cell surfaces below as a dangling
-                    // read of the index array itself.
-                    Err(_) => {}
-                }
-                Ok(())
-            });
-            if let Err(ivs) = walked {
-                let at = (site.phase, site.nest.label.as_str(), site.stmt);
-                diags.push(oob_diag(program, at, site.target, &ivs));
-            }
-        }
-        def.push(Some(bits));
-    }
-
-    // Pass B: walk phases in order, checking every read reference of every
-    // iteration against the bitmap of the segment live there (and bounds).
-    let mut live = LiveSlots::new(program);
-    for (phase_idx, phase) in program.phases.iter().enumerate() {
-        let nest = match phase {
-            Phase::Reinit(id) => {
-                live.reinit(*id);
-                continue;
-            }
-            Phase::Loop(nest) => nest,
-        };
-        for (stmt_idx, stmt) in nest.body.iter().enumerate() {
-            // Bounds of the write anchor's affine dims are covered in pass
-            // A; here: every read reference, a scatter target's index-array
-            // lookups included.
-            let target = stmt.write_target().filter(|t| t.has_indirection());
-            let refs: Vec<(&ArrayRef, bool)> = stmt
-                .value()
-                .reads()
-                .into_iter()
-                .map(|r| (r, false))
-                .chain(target.map(|t| (t, true)))
-                .collect();
-            if refs.is_empty() {
-                continue;
-            }
-            let mut check = RefCheck {
-                res: &res,
-                def: &def,
-                live: &live,
-                at: (phase_idx, &nest.label, stmt_idx),
-                reported_oob: false,
-                reported_dangling: vec![false; program.arrays.len()],
-                diags,
-            };
-            let Ok(()) = iterate(nest, |ivs| {
-                for &(aref, is_target) in &refs {
-                    check.reference(aref, is_target, ivs);
-                }
-                Ok::<(), Infallible>(())
-            });
+            .map(|seg| {
+                let mut writes = seg.writes.iter();
+                writes.any(|w| res.runtime_index(w.target).is_some())
+            })
+            .collect();
+        Progress {
+            res,
+            opaque,
+            live: LiveSlots::new(res.program),
+            nests: Vec::new(),
+            target_reported: Vec::new(),
+            reference_reported: Vec::new(),
+            found: Vec::new(),
+            dangling: HashMap::new(),
+            forward: false,
+            unresolved: None,
         }
     }
-}
 
-/// The read checks of one statement: the first out-of-bounds reference and
-/// the first dangling read per array are reported, the rest suppressed.
-struct RefCheck<'a> {
-    res: &'a Resolver<'a>,
-    def: &'a Definedness,
-    live: &'a LiveSlots,
-    /// Phase index, nest label, statement index.
-    at: (usize, &'a str, usize),
-    reported_oob: bool,
-    reported_dangling: Vec<bool>,
-    diags: &'a mut Vec<Diagnostic>,
-}
-
-impl RefCheck<'_> {
-    /// Check one reference instance: bounds of every index, definedness of
-    /// the index-array lookups, and (for RHS reads) definedness of the data
-    /// element itself.
-    fn reference(&mut self, aref: &ArrayRef, is_target: bool, ivs: &[i64]) {
-        let (phase_idx, label, stmt_idx) = self.at;
-        match self.res.addr(aref, ivs) {
-            // Writes define; their conflicts are SA001's job.
-            Ok(addr) => {
-                if !is_target {
-                    self.defined(aref.array, addr, ivs);
-                }
-            }
-            Err(ResolveFail::IndexOutOfBounds { base, pos }) if !self.reported_oob => {
-                self.reported_oob = true;
+    /// Reference `reference` of the instance names no cell: bounds of every
+    /// index. (A lookup of an index cell nobody has defined is a read the
+    /// walk defers; it comes back through [`Pass::dangling`].)
+    fn out_of_bounds(
+        &mut self,
+        at: &Instance<'_>,
+        reference: usize,
+        aref: &ArrayRef,
+        fail: ResolveFail,
+    ) {
+        if self.reference_reported[at.stmt] {
+            return;
+        }
+        let diag = match fail {
+            ResolveFail::IndexOutOfBounds { base, pos } => {
                 let base_decl = self.res.program.array(base);
-                self.diags.push(
-                    Diagnostic::new(
-                        Code::Sa006OutOfBounds,
-                        Span::stmt(phase_idx, label, stmt_idx, &base_decl.name),
-                        format!(
-                            "index-array lookup `{}[{pos}]` is out of bounds \
-                             (len {}) at iteration {ivs:?}",
-                            base_decl.name,
-                            base_decl.len()
-                        ),
-                    )
-                    .explain(
-                        "The gather position leaves the index array; execution \
-                         aborts with IndexOutOfBounds here.",
+                Diagnostic::new(
+                    Code::Sa006OutOfBounds,
+                    Span::stmt(at.phase, &at.nest.label, at.stmt, &base_decl.name),
+                    format!(
+                        "index-array lookup `{}[{pos}]` is out of bounds \
+                         (len {}) at iteration {:?}",
+                        base_decl.name,
+                        base_decl.len(),
+                        at.ivs
                     ),
-                );
+                )
+                .explain(
+                    "The gather position leaves the index array; execution \
+                     aborts with IndexOutOfBounds here.",
+                )
             }
-            // The looked-up index cell is itself a read.
-            Err(
-                ResolveFail::NotStatic { base, pos } | ResolveFail::UndefinedIndex { base, pos },
-            ) => {
-                self.defined(base, pos, ivs);
-            }
-            Err(ResolveFail::OutOfBounds) if !self.reported_oob => {
-                self.reported_oob = true;
-                self.diags
-                    .push(oob_diag(self.res.program, self.at, aref, ivs));
-            }
-            Err(_) => {}
-        }
+            ResolveFail::OutOfBounds => oob_diag(self.res.program, at, aref),
+            ResolveFail::NotStatic { .. } | ResolveFail::UndefinedIndex { .. } => return,
+        };
+        self.reference_reported[at.stmt] = true;
+        let place = [1, at.phase, at.stmt, at.id as usize, reference];
+        self.found.push((place, diag));
     }
 
-    /// Report the read of `array[addr]` as dangling (once per array) unless
-    /// the live generation defines the cell.
-    fn defined(&mut self, array: ArrayId, addr: usize, ivs: &[i64]) {
-        let Some(bits) = &self.def[self.live.of(array)] else {
-            return;
-        };
-        if bits[addr] || self.reported_dangling[array.0] {
-            return;
-        }
-        self.reported_dangling[array.0] = true;
-        let (phase_idx, label, stmt_idx) = self.at;
-        let array = &self.res.program.array(array).name;
-        self.diags.push(
-            Diagnostic::new(
+    /// The findings in report order; dangling reads get their iteration
+    /// vectors from a second, partial walk.
+    fn diagnostics(mut self) -> Vec<Diagnostic> {
+        let program = self.res.program;
+        let readers: HashSet<u32> = self.dangling.values().map(|(d, _)| d.reader).collect();
+        let ivs_of = describe(self.res, &readers, |at| {
+            (at.nest.label.clone(), at.ivs.to_vec())
+        });
+        for ((phase, stmt, array), (read, addr)) in self.dangling {
+            let Some((label, ivs)) = ivs_of.get(&read.reader) else {
+                continue;
+            };
+            let array = &program.array(array).name;
+            let diag = Diagnostic::new(
                 Code::Sa004DanglingRead,
-                Span::stmt(phase_idx, label, stmt_idx, array),
+                Span::stmt(phase, label, stmt, array),
                 format!(
                     "`{array}[{addr}]` is read at iteration {ivs:?} but no initializer or \
                      statement of this generation ever defines it"
@@ -250,24 +229,93 @@ impl RefCheck<'_> {
                  consumer parks with no producer to wake it. Define the element \
                  (initialization or an assignment anywhere in the generation) or drop \
                  the read.",
-            ),
-        );
+            );
+            let place = [
+                1,
+                phase,
+                stmt,
+                read.reader as usize,
+                read.reference as usize,
+            ];
+            self.found.push((place, diag));
+        }
+        self.found.sort_by_key(|f| f.0);
+        self.found.into_iter().map(|f| f.1).collect()
     }
 }
 
-fn oob_diag(
-    program: &Program,
-    (phase_idx, label, stmt_idx): (usize, &str, usize),
-    aref: &ArrayRef,
-    ivs: &[i64],
-) -> Diagnostic {
+impl Pass for Progress<'_, '_> {
+    fn nest(&mut self, phase: usize, nest: &LoopNest, first: usize) {
+        self.nests.push((first, phase, nest.body.len()));
+        self.target_reported = vec![false; nest.body.len()];
+        self.reference_reported = vec![false; nest.body.len()];
+    }
+
+    fn read(&mut self, at: &Instance<'_>, read: Read<'_>) -> Flow {
+        if let Err(fail) = read.cell {
+            self.unresolved.get_or_insert((at.id, read.aref.array));
+            self.out_of_bounds(at, read.reference, read.aref, fail);
+        }
+        Ok(())
+    }
+
+    fn write(&mut self, at: &Instance<'_>, write: Write<'_>) -> Flow {
+        let (target, fail) = match write.cell {
+            Ok((_, released)) => {
+                self.forward |= !released.is_empty();
+                return Ok(());
+            }
+            Err(fail) => (write.target, fail),
+        };
+        if self.unresolved.is_none_or(|(id, _)| id == at.id) {
+            self.unresolved = Some((at.id, target.array));
+        }
+        let slot = self.live.of(target.array);
+        let left = matches!(
+            fail,
+            ResolveFail::OutOfBounds | ResolveFail::IndexOutOfBounds { .. }
+        );
+        if left && !self.target_reported[at.stmt] && !self.opaque[slot] {
+            self.target_reported[at.stmt] = true;
+            let diag = oob_diag(self.res.program, at, target);
+            self.found.push(([0, slot, at.phase, at.stmt, 0], diag));
+        }
+        // A scatter target's index-array lookups are references like any
+        // other, after the statement's reads.
+        if target.has_indirection() {
+            let reads = at.nest.body[at.stmt].reads().len();
+            self.out_of_bounds(at, reads, target, fail);
+        }
+        Ok(())
+    }
+
+    fn dangling(&mut self, array: ArrayId, addr: usize, read: Deferral) {
+        if self.opaque[self.live.of(array)] {
+            return;
+        }
+        let reader = read.reader as usize;
+        let nest = self.nests.partition_point(|&(first, ..)| first <= reader) - 1;
+        let (first, phase, stmts) = self.nests[nest];
+        let site = (phase, (reader - first) % stmts, array);
+        let earliest = self.dangling.entry(site).or_insert((read, addr));
+        if read < earliest.0 {
+            *earliest = (read, addr);
+        }
+    }
+
+    fn reinit(&mut self, _phase: usize, array: ArrayId, _count: usize) {
+        self.live.reinit(array);
+    }
+}
+
+fn oob_diag(program: &Program, at: &Instance<'_>, aref: &ArrayRef) -> Diagnostic {
     let decl = program.array(aref.array);
     Diagnostic::new(
         Code::Sa006OutOfBounds,
-        Span::stmt(phase_idx, label, stmt_idx, &decl.name),
+        Span::stmt(at.phase, &at.nest.label, at.stmt, &decl.name),
         format!(
-            "reference to `{}` (dims {:?}) leaves its bounds at iteration {ivs:?}",
-            decl.name, decl.dims
+            "reference to `{}` (dims {:?}) leaves its bounds at iteration {:?}",
+            decl.name, decl.dims, at.ivs
         ),
     )
     .explain(
@@ -395,6 +443,58 @@ mod tests {
         });
         let diags = check_progress(&b.finish());
         assert!(diags.is_empty(), "{diags:?}");
+    }
+
+    /// The walk meets findings in iteration order; they are reported as
+    /// they always were — out-of-bounds writes first, then statement by
+    /// statement, one per statement and kind.
+    #[test]
+    fn findings_come_in_statement_order() {
+        let mut b = ProgramBuilder::new("order");
+        let x = b.output("X", &[8]);
+        let z = b.output("Z", &[8]);
+        let w = b.output("W", &[4]);
+        let half = sa_ir::program::ArrayInit::Prefix {
+            pattern: sa_ir::InitPattern::Zero,
+            len: 4,
+        };
+        let y = b.array_with("Y", &[8], half);
+        b.nest("n", &[("k", 0, 7)], |nb| {
+            let dangling_from_4 = nb.read(y, [iv(0)]);
+            nb.assign(x, [iv(0)], dangling_from_4);
+            let deferred_then_out_at_7 = nb.read(x, [iv(0).plus(1)]);
+            nb.assign(z, [iv(0)], deferred_then_out_at_7);
+            nb.assign(w, [iv(0)], Expr::Const(1.0)); // leaves W at k = 4
+        });
+        let p = b.finish();
+        let seen = observe(&Resolver::new(&p));
+        let said: Vec<_> = seen
+            .diagnostics
+            .iter()
+            .map(|d| {
+                (
+                    d.code,
+                    d.span.stmt,
+                    d.message.split(" at iteration ").nth(1),
+                )
+            })
+            .collect();
+        assert_eq!(
+            said,
+            [
+                (Code::Sa006OutOfBounds, Some(2), Some("[4]")),
+                (
+                    Code::Sa004DanglingRead,
+                    Some(0),
+                    Some("[4] but no initializer or statement of this generation ever defines it")
+                ),
+                (Code::Sa006OutOfBounds, Some(1), Some("[7]")),
+            ],
+            "{:?}",
+            seen.diagnostics
+        );
+        // The first instance a reference fails in is W's write at k = 4.
+        assert_eq!(seen.forward_deferrals, Err(InstanceError::Unresolvable(w)));
     }
 
     #[test]

@@ -69,7 +69,6 @@ impl Oracle for ThreadOracle {
             max_link_load: Some(rep.max_link_load),
             write_balance: sa_machine::load_balance(&rep.stats.writes_per_pe()).jain,
             cycles: None,
-            speedup_bound: None,
         })
     }
 }

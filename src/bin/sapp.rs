@@ -110,9 +110,31 @@ fn die(what: &str, e: &dyn std::fmt::Display) -> ! {
     std::process::exit(1);
 }
 
+/// The one way to stdout: [`out!`] and [`outln!`] format through it. A
+/// reader that has gone away (`sapp list | head -2`) ends the process
+/// quietly with exit 0 — nothing is left to say and nobody to say it to —
+/// instead of the panic `println!` answers a broken pipe with.
+fn emit(text: std::fmt::Arguments<'_>) {
+    use std::io::{ErrorKind, Write};
+    if let Err(e) = std::io::stdout().lock().write_fmt(text) {
+        if e.kind() == ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        die("sapp: stdout", &e);
+    }
+}
+
+macro_rules! out {
+    ($($arg:tt)*) => { emit(format_args!($($arg)*)) };
+}
+
+macro_rules! outln {
+    ($($arg:tt)*) => { emit(format_args!("{}\n", format_args!($($arg)*))) };
+}
+
 /// `sapp lint --help`: flag and exit-code reference for the CI gate.
 fn lint_help() -> ! {
-    println!(
+    outln!(
         "usage: sapp lint [KERNEL | --all] [--pes N] [--page N] \
          [--format table|csv|json] [--deny-warnings] [--allow CODE]...\n\
          \n\
@@ -526,7 +548,7 @@ fn simulate_static(k: &Kernel, cfg: &MachineConfig) {
         eprintln!("static failed: {e}");
         std::process::exit(1);
     });
-    println!(
+    outln!(
         "writes {}  local {}  cached {}  remote {}  → {} remote  [static engine]",
         est.stats.writes(),
         est.stats.local_reads(),
@@ -534,7 +556,7 @@ fn simulate_static(k: &Kernel, cfg: &MachineConfig) {
         est.stats.remote_reads(),
         fmt_pct(est.stats.remote_read_pct()),
     );
-    println!(
+    outln!(
         "messages {}  hops n/a  max link load n/a",
         est.network_messages
     );
@@ -547,7 +569,7 @@ fn simulate_on_threads(k: &Kernel, cfg: &MachineConfig) {
         eprintln!("thread failed: {e}");
         std::process::exit(1);
     });
-    println!(
+    outln!(
         "writes {}  local {}  cached {}  remote {}  → {} remote  [thread engine]",
         rep.stats.writes(),
         rep.stats.local_reads(),
@@ -555,7 +577,7 @@ fn simulate_on_threads(k: &Kernel, cfg: &MachineConfig) {
         rep.stats.remote_reads(),
         fmt_pct(rep.stats.remote_read_pct()),
     );
-    println!(
+    outln!(
         "messages {} on the wire ({} modeled)  hops {}  max link load {}",
         rep.messages,
         rep.modeled_messages(),
@@ -583,7 +605,7 @@ fn main() {
                     ]
                 })
                 .collect();
-            println!(
+            outln!(
                 "{}",
                 markdown_table(
                     &["kernel", "name", "class", "paper", "size", "elements"],
@@ -597,7 +619,7 @@ fn main() {
                 args.get(1).map(String::as_str).unwrap_or_else(|| usage()),
                 &o,
             );
-            print!("{}", pretty::program_to_string(&k.program));
+            out!("{}", pretty::program_to_string(&k.program));
         }
         "classify" => {
             let o = parse_opts(args.get(2..).unwrap_or(&[]));
@@ -608,16 +630,18 @@ fn main() {
             let dynamic =
                 classify_dynamic(&k.program, o.page).unwrap_or_else(|e| die("classify", &e));
             let stat = classify_program(&k.program);
-            println!("static : {} ({})", stat.class, stat.class.abbrev());
+            outln!("static : {} ({})", stat.class, stat.class.abbrev());
             for nest in &stat.nests {
-                println!(
+                outln!(
                     "  nest {:<18} {} (revisit: {})",
-                    nest.label, nest.class, nest.sweep_revisit
+                    nest.label,
+                    nest.class,
+                    nest.sweep_revisit
                 );
             }
-            println!("measured: {} — curve:", dynamic.class.abbrev());
+            outln!("measured: {} — curve:", dynamic.class.abbrev());
             for p in dynamic.curve {
-                println!(
+                outln!(
                     "  {:>3} PEs: {} cached / {} uncached",
                     p.n_pes,
                     fmt_pct(p.cached_pct),
@@ -643,7 +667,7 @@ fn main() {
                 }
             };
             let rep = count_with_engine(&k, &config(&o), engine);
-            println!(
+            outln!(
                 "writes {}  local {}  cached {}  remote {}  → {} remote  [{} engine]",
                 rep.stats.writes(),
                 rep.stats.local_reads(),
@@ -652,9 +676,11 @@ fn main() {
                 fmt_pct(rep.remote_pct()),
                 rep.engine.name(),
             );
-            println!(
+            outln!(
                 "messages {}  hops {}  max link load {}",
-                rep.network_messages, rep.network_hops, rep.max_link_load
+                rep.network_messages,
+                rep.network_hops,
+                rep.max_link_load
             );
         }
         "sweep" => {
@@ -705,7 +731,7 @@ fn main() {
                     vec![n.to_string(), at(true), at(false)]
                 })
                 .collect();
-            print!(
+            out!(
                 "{}",
                 o.format
                     .render(&["pes", "remote_pct_cache", "remote_pct_no_cache"], &rows)
@@ -787,7 +813,7 @@ fn main() {
                     ])
                 })
                 .collect();
-            print!(
+            out!(
                 "{}",
                 o.format.render(
                     &[
@@ -872,7 +898,7 @@ fn main() {
                         )
                     })
                     .collect();
-                println!("[{}]", objs.join(","));
+                outln!("[{}]", objs.join(","));
                 eprintln!(
                     "{} diagnostic(s) across {} kernel(s) in {}",
                     total,
@@ -893,18 +919,18 @@ fn main() {
                     }
                 }
                 if rows.is_empty() {
-                    println!(
+                    outln!(
                         "clean: 0 diagnostics across {} kernel(s) in {}",
                         kernels.len(),
                         wall
                     );
                 } else {
-                    print!(
+                    out!(
                         "{}",
                         o.format
                             .render(&["kernel", "severity", "code", "span", "message"], &rows)
                     );
-                    println!(
+                    outln!(
                         "{} diagnostic(s) across {} kernel(s) in {}",
                         total,
                         kernels.len(),
@@ -926,10 +952,10 @@ fn main() {
             match o.format {
                 // DOT is the graph default; `table` only ever comes from
                 // the parser default, not an explicit request.
-                Format::Dot | Format::Table => print!("{}", g.to_dot()),
+                Format::Dot | Format::Table => out!("{}", g.to_dot()),
                 Format::Json => {
                     let summary = sapp::lint::summary(&k.program).ok();
-                    println!("{}", g.to_json(&k.program, summary.as_ref()));
+                    outln!("{}", g.to_json(&k.program, summary.as_ref()));
                 }
                 Format::Csv => usage(),
             }
@@ -962,8 +988,8 @@ fn main() {
             let out = o.format.render(&["PEs", "speedup"], &rows);
             // The table keeps the blank line it has always ended with.
             match o.format {
-                Format::Table => println!("{out}"),
-                _ => print!("{out}"),
+                Format::Table => outln!("{out}"),
+                _ => out!("{out}"),
             }
         }
         _ => usage(),

@@ -216,7 +216,8 @@ fn invalid_machine_shapes_exit_with_the_config_error_on_the_static_paths() {
     // a rejected config is 1 with the typed error; a malformed flag value
     // is 2 with one line naming the flag; `timing` honours the machine
     // flags, `--pes` setting the top of its ladder, and `--format`;
-    // `classify` measures at `--page`.
+    // `classify` measures at `--page`; 70 000 PEs are no reason to give up
+    // K1's deadlock proof (the orphaned-PE warning is the one finding).
     for (args, code, want) in [
         (
             "simulate k1 --page 0 --engine static --no-cache",
@@ -230,6 +231,11 @@ fn invalid_machine_shapes_exit_with_the_config_error_on_the_static_paths() {
         ),
         ("lint k1 --page 0", 1, "page_size must be ≥ 1"),
         ("lint k1 --pes 0", 1, "n_pes must be ≥ 1"),
+        (
+            "lint k1 --pes 70000",
+            0,
+            "\n1 diagnostic(s) across 1 kernel(s)",
+        ),
         (
             "simulate k1 --partition tile2d:0x0",
             2,
@@ -324,6 +330,41 @@ fn no_command_panics_on_an_invalid_machine_shape() {
                     assert!(err.contains("must be ≥ 1"), "sapp {args}: {err}");
                 }
             }
+        }
+    }
+}
+
+/// A reader that goes away — `sapp list | head -2` — ends the command
+/// quietly: exit 0 and no panic on stderr, whether the pipe closes before
+/// the first byte or after the first line.
+#[test]
+fn a_closed_stdout_ends_the_command_quietly() {
+    use std::io::{BufRead, BufReader, Read};
+    use std::process::Stdio;
+    for args in ["list", "lint --all --format json"] {
+        for read_a_line in [false, true] {
+            let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_sapp"))
+                .args(args.split(' '))
+                .stdout(Stdio::piped())
+                .stderr(Stdio::piped())
+                .spawn()
+                .expect("sapp runs");
+            let stdout = child.stdout.take().expect("piped");
+            if read_a_line {
+                let mut line = String::new();
+                let mut reader = BufReader::with_capacity(16, stdout);
+                reader.read_line(&mut line).expect("a first line");
+                assert!(!line.is_empty(), "sapp {args}: no output");
+            } else {
+                drop(stdout);
+            }
+            let mut err = String::new();
+            let mut stderr = child.stderr.take().expect("piped");
+            stderr.read_to_string(&mut err).expect("utf-8");
+            let code = child.wait().expect("sapp exits").code();
+            assert_eq!(code, Some(0), "sapp {args}: {err}");
+            assert!(!err.contains("panicked"), "sapp {args}: {err}");
+            assert!(!err.contains("Broken pipe"), "sapp {args}: {err}");
         }
     }
 }
