@@ -32,6 +32,20 @@
 //! * **Additive accounting** — network messages, hops and per-link loads
 //!   are sums over fetch events, so per-PE shards merge
 //!   ([`Network::merge`]) into exactly the totals of a sequential pass.
+//! * **Translation invariance** — without a cache every counter is a sum
+//!   over trips of a function of two things, the owner of the anchor's page
+//!   and the owner of each read's page, and under a periodic placement
+//!   (`Placement::period`: `Modulo`, `BlockCyclic`) translating every
+//!   reference of an all-affine nest by whole periods changes neither. Two
+//!   such stretches of a nest yield the same per-PE tallies and the same
+//!   (source, owner) fetch pairs, so a shard walks one stretch per class
+//!   ([`Schedule::folds`]) and scales what it charges by the class size —
+//!   exact for messages, hops and per-link loads because
+//!   [`Network::record_fetches`] is linear in its count. It applies when
+//!   the cache is off, every array a nest touches has a period and every
+//!   statement and read of it is affine; otherwise — and always under a
+//!   cache, whose LRU/FIFO/Random state *is* the order — the same walk
+//!   visits every sweep in turn ([`Schedule::unfolded`]).
 //!
 //! The per-PE shards are independent, so they are fanned out across host
 //! cores via [`par_map`] — a single 64-PE K18 run saturates the machine
@@ -63,7 +77,7 @@ use sa_ir::index::IndexExpr;
 use sa_ir::nest::{ArrayRef, Stmt};
 use sa_ir::program::Phase;
 use sa_ir::{LinForm, Program};
-use sa_lint::screening::{Round, Schedule, Windows};
+use sa_lint::screening::{Fold, Round, Schedule, Windows};
 use sa_machine::host::run_reinit_protocol;
 use sa_machine::{
     host_of, ConfigError, MachineConfig, Network, PageKey, PartialPagePolicy, PeCounters,
@@ -160,16 +174,17 @@ impl std::error::Error for ReplayError {}
 // Compiled form
 // ---------------------------------------------------------------------------
 
-/// One dimension of a gather reference.
+/// One dimension of a gather reference. Each has one address form among
+/// its nest's [`CNest::forms`].
 #[derive(Debug, Clone)]
 enum DimIdx {
-    /// Affine *index value* for this dimension.
-    Affine(LinForm),
+    /// Affine *index value* for this dimension: the form is the index.
+    Affine,
     /// `scale * base[pos] + offset` through a statically-initialized index
-    /// array whose (truncated) values are in `Compiled::index_values`.
+    /// array whose (truncated) values are in `Compiled::index_values`: the
+    /// form is `pos`.
     Indirect {
         base: usize,
-        pos: LinForm,
         scale: i64,
         offset: i64,
     },
@@ -186,8 +201,8 @@ struct GatherRef {
 /// One charged read, in the interpreter's evaluation order.
 #[derive(Debug, Clone)]
 enum ReadAccess {
-    /// All-affine reference: one element load.
-    Affine { array: usize, form: LinForm },
+    /// All-affine reference: one element load, at its one address form.
+    Affine { array: usize },
     /// Gather: one index load per indirect dimension, then the element.
     Gather(GatherRef),
 }
@@ -196,17 +211,28 @@ enum ReadAccess {
 struct CStmt {
     /// RHS reads in evaluation order.
     reads: Vec<ReadAccess>,
-    /// Index loads of an indirect *assign target*, charged after the RHS.
-    target_loads: Vec<(usize, LinForm)>,
+    /// Index arrays an indirect *assign target* loads from, charged after
+    /// the RHS; one address form (the position) each.
+    target_loads: Vec<usize>,
     /// Assigns perform one write per instance.
     writes: bool,
     /// Any gather among the reads — disables the bulk per-page-run path.
     has_gather: bool,
+    /// Where the statement's address forms start in [`CNest::forms`]: per
+    /// read one (affine) or one per dimension (gather), then one per
+    /// target load.
+    first_form: usize,
 }
 
 #[derive(Debug)]
 struct CNest {
     body: Vec<CStmt>,
+    /// Every address form of the body, statement by statement in charging
+    /// order — one flat list, so a sweep's lines are one reused buffer.
+    forms: Vec<LinForm>,
+    /// The stretches a shard walks, and what each stands for: the nest
+    /// folded when no cache needs the order, sweep by sweep otherwise.
+    folds: Vec<Fold>,
     /// The reduction rounds after the nest, with their participants.
     rounds: Vec<Round>,
 }
@@ -241,7 +267,8 @@ fn compile<'p>(
     let mut nests = Vec::new();
     for ns in schedule.nests() {
         let (nest, nvars) = (ns.nest, ns.nest.loops.len());
-        let mut lower = |aref| {
+        let mut forms = Vec::new();
+        let mut lower = |aref, forms: &mut Vec<LinForm>| {
             compile_ref(
                 program,
                 &nest.label,
@@ -249,28 +276,32 @@ fn compile<'p>(
                 nvars,
                 statics,
                 &mut index_values,
+                forms,
             )
         };
         let mut body = Vec::with_capacity(nest.body.len());
         for (stmt, screen) in nest.body.iter().zip(&ns.screen.screens) {
             if *screen == Screen::Produced {
                 // Lowering the anchor names the index array in the way.
-                lower(anchor_ref(stmt).expect("only an anchor can be produced"))?;
+                let anchor = anchor_ref(stmt).expect("only an anchor can be produced");
+                lower(anchor, &mut forms)?;
                 return Err(ReplayError::Unsupported {
                     nest: nest.label.clone(),
                     reason: "the statement anchor has no static owner".into(),
                 });
             }
+            let first_form = forms.len();
             let reads: Vec<ReadAccess> = stmt
                 .reads()
                 .into_iter()
-                .map(&mut lower)
+                .map(|r| lower(r, &mut forms))
                 .collect::<Result<_, _>>()?;
             let mut target_loads = Vec::new();
             if let Stmt::Assign { target, .. } = stmt {
                 for ix in &target.indices {
                     if let IndexExpr::Indirect { base, pos, .. } = ix {
-                        target_loads.push((base.0, LinForm::of_index(pos, nvars)));
+                        target_loads.push(base.0);
+                        forms.push(LinForm::of_index(pos, nvars));
                     }
                 }
             }
@@ -279,10 +310,13 @@ fn compile<'p>(
                 reads,
                 target_loads,
                 writes: matches!(stmt, Stmt::Assign { .. }),
+                first_form,
             });
         }
         nests.push(CNest {
             body,
+            forms,
+            folds: Vec::new(),
             rounds: Vec::new(),
         });
     }
@@ -295,6 +329,14 @@ fn compile<'p>(
             reason: e.error.to_string(),
         })?;
     for (n, cn) in nests.iter_mut().enumerate() {
+        // A cache's state is what order means: a cached run walks every
+        // sweep in turn. Without one every counter is order-free, and one
+        // stretch of each translation class stands for the rest.
+        cn.folds = if cfg.cache_enabled() {
+            schedule.unfolded(n)
+        } else {
+            schedule.folds(n, true)
+        };
         cn.rounds = schedule.rounds(n);
     }
 
@@ -312,11 +354,12 @@ fn compile_ref<'p>(
     nvars: usize,
     statics: &'p StaticArrays<'p>,
     index_values: &mut [&'p [f64]],
+    forms: &mut Vec<LinForm>,
 ) -> Result<ReadAccess, ReplayError> {
     if let Some(form) = linear_address_form(program, aref, nvars) {
+        forms.push(form);
         return Ok(ReadAccess::Affine {
             array: aref.array.0,
-            form,
         });
     }
     let decl = program.array(aref.array);
@@ -324,7 +367,10 @@ fn compile_ref<'p>(
     let mut dims = Vec::with_capacity(aref.indices.len());
     for ix in &aref.indices {
         match ix {
-            IndexExpr::Affine(a) => dims.push(DimIdx::Affine(LinForm::of_index(a, nvars))),
+            IndexExpr::Affine(a) => {
+                forms.push(LinForm::of_index(a, nvars));
+                dims.push(DimIdx::Affine);
+            }
             IndexExpr::Indirect {
                 base,
                 pos,
@@ -345,9 +391,9 @@ fn compile_ref<'p>(
                     });
                 };
                 index_values[base.0] = values;
+                forms.push(LinForm::of_index(pos, nvars));
                 dims.push(DimIdx::Indirect {
                     base: base.0,
-                    pos: LinForm::of_index(pos, nvars),
                     scale: *scale,
                     offset: *offset,
                 });
@@ -394,15 +440,6 @@ struct ProbeRun {
     owner: usize,
 }
 
-/// Per-sweep address lines of one statement, aligned with its `CStmt`.
-struct StmtForms {
-    /// Per-read lines: one per affine read, one per gather dimension for
-    /// gather reads.
-    reads: Vec<Vec<Line>>,
-    /// Lines of the indirect-target index loads.
-    target_loads: Vec<Line>,
-}
-
 struct Worker<'a> {
     cp: &'a Compiled<'a>,
     pe: usize,
@@ -417,8 +454,16 @@ struct Worker<'a> {
     net: Network,
     gens: Vec<u32>,
     cur: NestTally,
-    /// This PE's owned windows of the sweep being replayed.
+    /// How many stretches of the nest the one being replayed stands for
+    /// ([`Fold::times`]): what the bulk path charges is scaled by it.
+    /// Always 1 under a cache and in a nest that gathers, so a hit and an
+    /// instance charged on its own count singly.
+    times: u64,
+    /// This PE's owned windows of the stretch being replayed.
     windows: Windows,
+    /// The nest's address forms ([`CNest::forms`]) along the sweep being
+    /// replayed.
+    lines: Vec<Line>,
     // Scratch buffers reused across the (very many) bulk windows.
     scratch_probes: Vec<ProbeRun>,
     scratch_cuts: Vec<usize>,
@@ -438,7 +483,9 @@ impl<'a> Worker<'a> {
             net: Network::new(cfg.network, cfg.n_pes),
             gens: vec![0; cp.index_values.len()],
             cur: NestTally::default(),
+            times: 1,
             windows: Windows::default(),
+            lines: Vec::new(),
             scratch_probes: Vec::new(),
             scratch_cuts: Vec::new(),
             scratch_runs: Vec::new(),
@@ -502,42 +549,52 @@ impl<'a> Worker<'a> {
             }
             self.insert(key);
         }
-        self.net.record_fetch(self.pe, owner);
-        self.cur.remote += 1;
-        self.cur.page_fetches += 1;
+        self.charge_fetches(owner, 1);
     }
 
-    /// Charge every access of `stmt` at inner iteration `t`.
-    fn charge_stmt(&mut self, stmt: &CStmt, forms: &StmtForms, t: i64) {
-        for (read, rf) in stmt.reads.iter().zip(&forms.reads) {
+    /// Charge `count` remote reads of a page `owner` holds, each a fetch.
+    fn charge_fetches(&mut self, owner: usize, count: u64) {
+        let count = count * self.times;
+        self.net.record_fetches(self.pe, owner, count);
+        self.cur.remote += count;
+        self.cur.page_fetches += count;
+    }
+
+    /// Charge every access of `stmt` at inner iteration `t`; `lines` are
+    /// the statement's own, in charging order. This is the path of
+    /// gather-bearing windows, and a nest with a gather never folds.
+    fn charge_stmt(&mut self, stmt: &CStmt, lines: &[Line], t: i64) {
+        debug_assert_eq!(self.times, 1, "instances are charged one by one");
+        let mut lines = lines.iter();
+        let mut next = || lines.next().expect("one line per form").addr(t);
+        for read in &stmt.reads {
             match read {
-                ReadAccess::Affine { array, .. } => self.charge_read(*array, rf[0].addr(t)),
+                ReadAccess::Affine { array } => self.charge_read(*array, next()),
                 ReadAccess::Gather(g) => {
                     // Index loads charge in dimension order, then the
                     // element — exactly `EvalCtx::resolve_addr` + `load`.
                     let mut addr = 0i64;
-                    for (d, dim) in g.dims.iter().enumerate() {
+                    for (dim, stride) in g.dims.iter().zip(&g.strides) {
                         let idx = match dim {
-                            DimIdx::Affine(_) => rf[d].addr(t),
+                            DimIdx::Affine => next(),
                             DimIdx::Indirect {
                                 base,
                                 scale,
                                 offset,
-                                ..
                             } => {
-                                let pos = rf[d].addr(t);
+                                let pos = next();
                                 self.charge_read(*base, pos);
                                 scale * (self.cp.index_values[*base][pos as usize] as i64) + offset
                             }
                         };
-                        addr += g.strides[d] * idx;
+                        addr += stride * idx;
                     }
                     self.charge_read(g.array, addr);
                 }
             }
         }
-        for ((base, _), line) in stmt.target_loads.iter().zip(&forms.target_loads) {
-            self.charge_read(*base, line.addr(t));
+        for base in &stmt.target_loads {
+            self.charge_read(*base, next());
         }
         if stmt.writes {
             self.cur.writes += 1;
@@ -546,8 +603,8 @@ impl<'a> Worker<'a> {
 
     fn replay_nest(&mut self, nest: usize) {
         let cn = &self.cp.nests[nest];
-        for sweep in 0..self.cp.schedule.nest(nest).sweeps.len() {
-            self.block(cn, nest, sweep);
+        for fold in &cn.folds {
+            self.block(cn, nest, fold);
         }
         // Vector→scalar collection: ship this PE's partials to each
         // scalar's host (paper §9), exactly like `machine.send_partial`.
@@ -560,63 +617,43 @@ impl<'a> Worker<'a> {
         }
     }
 
-    /// Replay this PE's share of one sweep of the nest.
-    fn block(&mut self, cn: &'a CNest, nest: usize, sweep: usize) {
-        let sw = self.cp.schedule.nest(nest).sweep(sweep);
-        let line_of = |f: &LinForm| f.line(&sw);
-        let mut stmt_forms: Vec<StmtForms> = Vec::with_capacity(cn.body.len());
-        for stmt in &cn.body {
-            let reads = stmt
-                .reads
-                .iter()
-                .map(|r| match r {
-                    ReadAccess::Affine { form, .. } => vec![line_of(form)],
-                    ReadAccess::Gather(g) => g.dims.iter().map(|d| line_of(dim_form(d))).collect(),
-                })
-                .collect();
-            let target_loads = stmt
-                .target_loads
-                .iter()
-                .map(|(_, form)| line_of(form))
-                .collect();
-            stmt_forms.push(StmtForms {
-                reads,
-                target_loads,
-            });
-        }
+    /// Replay this PE's share of one stretch of the nest, for every
+    /// stretch it stands for.
+    fn block(&mut self, cn: &'a CNest, nest: usize, fold: &Fold) {
+        let sw = self.cp.schedule.nest(nest).sweep(fold.sweep);
+        self.times = fold.times;
+        let mut lines = std::mem::take(&mut self.lines);
+        lines.clear();
+        lines.extend(cn.forms.iter().map(|f| f.line(&sw)));
 
         // Iterations interleave statements in body order, so the schedule
         // hands the PE's trips window by window. Windows whose active
         // statements are all-affine take the bulk per-page-run path;
         // gather-bearing windows fall back to per-instance charging.
         let mut win = std::mem::take(&mut self.windows);
-        self.cp.schedule.load_sweep(self.pe, nest, sweep, &mut win);
+        let schedule = &self.cp.schedule;
+        schedule.load_sweep(self.pe, nest, fold.sweep, fold.trips(), &mut win);
         while let Some((w0, w1)) = win.advance() {
             let active = win.active();
             if active.iter().any(|&si| cn.body[si].has_gather) {
                 for t in w0..w1 {
                     for &si in active {
-                        self.charge_stmt(&cn.body[si], &stmt_forms[si], t as i64);
+                        let stmt = &cn.body[si];
+                        self.charge_stmt(stmt, &lines[stmt.first_form..], t as i64);
                     }
                 }
             } else {
-                self.bulk_window(cn, &stmt_forms, active, w0, w1);
+                self.bulk_window(cn, &lines, active, w0, w1);
             }
         }
         self.windows = win;
+        self.lines = lines;
     }
 
     /// Charge an all-affine window in bulk: writes and local reads count
     /// closed-form per page run; only non-local runs need cache probes,
     /// and those probe once per (page, residency) instead of per access.
-    fn bulk_window(
-        &mut self,
-        cn: &CNest,
-        stmt_forms: &[StmtForms],
-        active: &[usize],
-        w0: usize,
-        w1: usize,
-    ) {
+    fn bulk_window(&mut self, cn: &CNest, lines: &[Line], active: &[usize], w0: usize, w1: usize) {
         let len = (w1 - w0) as u64;
         // Non-local page runs, in (statement, read) generation order —
         // the exact order per-instance probes would interleave in.
@@ -624,18 +661,16 @@ impl<'a> Worker<'a> {
         probes.clear();
         for &si in active {
             let stmt = &cn.body[si];
-            let forms = &stmt_forms[si];
             if stmt.writes {
-                self.cur.writes += len;
+                self.cur.writes += len * self.times;
             }
-            for (read, rf) in stmt.reads.iter().zip(&forms.reads) {
-                let ReadAccess::Affine { array, .. } = read else {
-                    unreachable!("bulk windows are all-affine");
-                };
-                self.collect_probe_runs(*array, rf[0], w0, w1, &mut probes);
-            }
-            for ((base, _), &line) in stmt.target_loads.iter().zip(&forms.target_loads) {
-                self.collect_probe_runs(*base, line, w0, w1, &mut probes);
+            let arrays = stmt.reads.iter().map(|read| match read {
+                ReadAccess::Affine { array } => array,
+                ReadAccess::Gather(_) => unreachable!("bulk windows are all-affine"),
+            });
+            let arrays = arrays.chain(&stmt.target_loads);
+            for (&array, &line) in arrays.zip(&lines[stmt.first_form..]) {
+                self.collect_probe_runs(array, line, w0, w1, &mut probes);
             }
         }
         if !probes.is_empty() {
@@ -664,7 +699,7 @@ impl<'a> Worker<'a> {
             let end = (line.run_end(t as i64, ps) as usize).min(w1);
             let owner = self.cp.schedule.placements()[array].page_owner(page);
             if owner == self.pe {
-                self.cur.local += (end - t) as u64;
+                self.cur.local += (end - t) as u64 * self.times;
             } else {
                 out.push(ProbeRun {
                     t0: t,
@@ -727,6 +762,13 @@ impl<'a> Worker<'a> {
     /// iterations: the first iteration probes for real, the remainder is
     /// bulk-counted where the outcome is provably constant.
     fn probe_span(&mut self, runs: &[ProbeRun], len: u64) {
+        if !self.cache_on {
+            // Every access is a remote fetch.
+            for p in runs {
+                self.charge_fetches(p.owner, len);
+            }
+            return;
+        }
         // First iteration: real probes, in order.
         for p in runs {
             self.probe_fetch(p);
@@ -735,13 +777,7 @@ impl<'a> Worker<'a> {
         if rest == 0 {
             return;
         }
-        if !self.cache_on {
-            for p in runs {
-                self.cur.remote += rest;
-                self.cur.page_fetches += rest;
-                self.net.record_fetches(self.pe, p.owner, rest);
-            }
-        } else if runs.iter().all(|p| self.cache.contains(&self.key_of(p))) {
+        if runs.iter().all(|p| self.cache.contains(&self.key_of(p))) {
             self.cur.cached += runs.len() as u64 * rest;
             if self.lru {
                 // Refresh recency once per page, in probe order: the
@@ -768,27 +804,16 @@ impl<'a> Worker<'a> {
         }
     }
 
-    /// One non-local access of `p`'s page, exactly as
+    /// One non-local access of `p`'s page under a cache, exactly as
     /// `DistributedMachine::read` classifies it.
     fn probe_fetch(&mut self, p: &ProbeRun) {
-        if self.cache_on {
-            let key = self.key_of(p);
-            if self.probe(key) {
-                self.cur.cached += 1;
-                return;
-            }
-            self.insert(key);
+        let key = self.key_of(p);
+        if self.probe(key) {
+            self.cur.cached += 1;
+            return;
         }
-        self.net.record_fetch(self.pe, p.owner);
-        self.cur.remote += 1;
-        self.cur.page_fetches += 1;
-    }
-}
-
-fn dim_form(d: &DimIdx) -> &LinForm {
-    match d {
-        DimIdx::Affine(f) => f,
-        DimIdx::Indirect { pos, .. } => pos,
+        self.insert(key);
+        self.charge_fetches(p.owner, 1);
     }
 }
 

@@ -30,6 +30,12 @@ pub fn gcd(mut a: u64, mut b: u64) -> u64 {
     a
 }
 
+/// Least common multiple of two positive magnitudes; `None` on overflow.
+#[inline]
+pub fn lcm(a: u64, b: u64) -> Option<u64> {
+    (a / gcd(a, b)).checked_mul(b)
+}
+
 /// `⌊a / b⌋` for a positive divisor.
 #[inline]
 pub fn div_floor(a: i64, b: i64) -> i64 {
@@ -385,6 +391,10 @@ mod tests {
         assert_eq!(
             (gcd(0, 6), gcd(6, 0), gcd(12, 18), gcd(7, 13)),
             (6, 6, 6, 1)
+        );
+        assert_eq!(
+            (lcm(4, 6), lcm(1, 9), lcm(u64::MAX, 2)),
+            (Some(12), Some(9), None)
         );
     }
 }

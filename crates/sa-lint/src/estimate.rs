@@ -21,6 +21,21 @@
 //! whole runs at once — `O(pages touched)` instead of `O(iterations)` for
 //! the innermost loop, the usual `O(1)`-per-page closed form.
 //!
+//! And not every page is touched twice for the same answer. Every counter
+//! here is a sum over trips of a function of the owner of the anchor's page
+//! and the owner of each read's page; under a periodic placement
+//! ([`sa_machine::Placement::period`]: `Modulo`, `BlockCyclic`) translating
+//! every reference by whole periods changes none of them. So the walk
+//! visits one stretch of each translation class of the nest
+//! ([`Schedule::folds`]: whole sweeps that start alike, and within a long
+//! sweep one inner period for all of them) and multiplies — K1 at
+//! `n = 10⁹` is one period of 2 048 trips and a tail. This applies to a
+//! nest whose arrays all have a period (the estimator only ever sees
+//! affine references and no cache); any other nest is walked sweep by
+//! sweep by the same code. The bounds proofs are not folded: each sweep's
+//! two end trips are checked, so an out-of-bounds reference is reported
+//! for the sweep the simulator would abort on.
+//!
 //! The result is certified bit-identical against the counting simulator
 //! (`sa_core::exec::simulate` with caches disabled) on every affine
 //! workload in the registry — see `tests/lint_static.rs` at the workspace
@@ -145,7 +160,8 @@ pub(crate) struct AnchorRun {
     pub stmt: usize,
     /// The executing PE: the owner of the anchor's page.
     pub pe: usize,
-    /// Inner trips in the run.
+    /// Inner trips in the run, over every stretch of the nest it stands
+    /// for.
     pub trips: u64,
     /// How many of the statement's reads another PE owns over the run
     /// (always 0 when reads are not walked).
@@ -230,23 +246,25 @@ fn estimate_nest(
 }
 
 /// The anchor-run walk both [`estimate`] and
-/// [`crate::depgraph::project`] are built on: enumerate the sweeps of nest
-/// `nest` of the schedule in iteration order (statements in body order
-/// within a sweep), lower each anchored statement's anchor — and its reads,
-/// when `with_reads` — to address lines in the innermost trip, and hand `f`
-/// every [`AnchorRun`]. A zero-depth nest is one sweep of one trip: its
-/// body runs once.
+/// [`crate::depgraph::project`] are built on: walk the folds of nest
+/// `nest_index` of the schedule ([`Schedule::folds`] — every sweep in
+/// iteration order when nothing folds; statements in body order within a
+/// stretch), lower each anchored statement's anchor — and its reads, when
+/// `with_reads` — to address lines in the innermost trip, and hand `f`
+/// every [`AnchorRun`], its trips multiplied by the stretches it stands
+/// for. `f` must not care about the order of the runs. A zero-depth nest is
+/// one sweep of one trip: its body runs once.
 ///
 /// Every reference must be affine. Only the references walked are
 /// bounds-checked, so without reads an out-of-bounds read goes unnoticed.
-pub(crate) fn walk_anchor_runs(
-    sched: &Schedule<'_>,
-    nest: usize,
+pub(crate) fn walk_anchor_runs<'p>(
+    sched: &'p Schedule<'_>,
+    nest_index: usize,
     with_reads: bool,
     mut f: impl FnMut(AnchorRun),
 ) -> Result<(), EstimateError> {
     let (program, placements) = (sched.program(), sched.placements());
-    let ns = sched.nest(nest);
+    let ns = sched.nest(nest_index);
     let nest = ns.nest;
     let nvars = nest.loops.len();
     let lower = |aref| {
@@ -271,35 +289,43 @@ pub(crate) fn walk_anchor_runs(
         let reads = reads.into_iter().map(lower).collect::<Result<_, _>>()?;
         anchored.push((i, lower(anchor)?, reads));
     }
+    // The bounds proofs stay per sweep — two end trips per reference, not
+    // a page-run walk — so the first offending sweep in execution order
+    // names the error whether or not the sweeps before it fold.
+    for i in 0..ns.sweeps.len() {
+        for (_, anchor, stmt_reads) in &anchored {
+            for r in std::iter::once(anchor).chain(stmt_reads) {
+                bounded_line(program, nest, r, &ns.sweep(i))?;
+            }
+        }
+    }
     let owner = |&(line, placement): &PlacedLine<'_>, t: i64| {
         placement.owner_of_addr(line.addr(t) as usize)
     };
     let run_end =
         |&(line, placement): &PlacedLine<'_>, t: i64| line.run_end(t, placement.page_size as i64);
+    let placed = |r: &RefForm<'p>, sweep: &Sweep<'_>| (r.form.line(sweep), r.placement);
     let mut reads: Vec<PlacedLine<'_>> = Vec::new();
-    for i in 0..ns.sweeps.len() {
-        let sweep = &ns.sweep(i);
-        let trips = sweep.trips as i64;
+    for fold in sched.folds(nest_index, with_reads) {
+        let sweep = &ns.sweep(fold.sweep);
         for (stmt, anchor, stmt_reads) in &anchored {
-            let anchor = bounded_line(program, nest, anchor, sweep)?;
+            let anchor = placed(anchor, sweep);
             reads.clear();
-            for r in stmt_reads {
-                reads.push(bounded_line(program, nest, r, sweep)?);
-            }
-            // Split 0..trips into maximal runs on which every reference
+            reads.extend(stmt_reads.iter().map(|r| placed(r, sweep)));
+            // Split the stretch into maximal runs on which every reference
             // walked sits on a constant page.
-            let mut t = 0i64;
-            while t < trips {
+            let (mut t, end) = (fold.t0 as i64, fold.t1 as i64);
+            while t < end {
                 let next = reads
                     .iter()
                     .map(|r| run_end(r, t))
                     .fold(run_end(&anchor, t), i64::min)
-                    .min(trips);
+                    .min(end);
                 let pe = owner(&anchor, t);
                 f(AnchorRun {
                     stmt: *stmt,
                     pe,
-                    trips: (next - t) as u64,
+                    trips: (next - t) as u64 * fold.times,
                     remote_reads: reads.iter().filter(|r| owner(r, t) != pe).count() as u64,
                 });
                 t = next;
@@ -309,14 +335,14 @@ pub(crate) fn walk_anchor_runs(
     Ok(())
 }
 
-/// `r`'s address line along `sweep`, after the per-dimension bounds proof
-/// at the sweep's endpoints (affine ⇒ monotone in the trip).
-fn bounded_line<'p>(
+/// The per-dimension bounds proof of `r` along `sweep`, at the sweep's
+/// endpoints (affine ⇒ monotone in the trip).
+fn bounded_line(
     program: &Program,
     nest: &LoopNest,
-    r: &RefForm<'p>,
+    r: &RefForm<'_>,
     sweep: &Sweep<'_>,
-) -> Result<PlacedLine<'p>, EstimateError> {
+) -> Result<(), EstimateError> {
     let decl = program.array(r.aref.array);
     for (d, (ix, &extent)) in r.aref.indices.iter().zip(&decl.dims).enumerate() {
         let idx = ix
@@ -335,7 +361,7 @@ fn bounded_line<'p>(
             }
         }
     }
-    Ok((r.form.line(sweep), r.placement))
+    Ok(())
 }
 
 #[cfg(test)]
@@ -412,6 +438,38 @@ mod tests {
             estimate(&p, &cfg),
             Err(EstimateError::OutOfBounds { index: 16, .. })
         ));
+    }
+
+    #[test]
+    fn an_out_of_bounds_sweep_is_found_behind_sweeps_that_fold() {
+        // Rows of 8 elements on 2 PEs × page 4: every sweep is a translate
+        // of the first by a whole period, so the walk visits one of them —
+        // and the bounds proof still visits all six: Z has only five rows.
+        let mut b = ProgramBuilder::new("last");
+        let z = b.input("Z", &[5, 8], InitPattern::Wavy);
+        let x = b.output("X", &[6, 8]);
+        b.nest("n", &[("i", 0, 5), ("j", 0, 7)], |nb| {
+            nb.assign(x, [iv(0), iv(1)], nb.read(z, [iv(0), iv(1)]));
+        });
+        let p = b.finish();
+        let cfg = MachineConfig::new(2, 4).with_cache_elems(0);
+        let sched = Schedule::new(&p, &StaticArrays::scan(&p), cfg.partition, 4, 2).unwrap();
+        let folds = sched.folds(0, true);
+        let stretch = |f: &crate::screening::Fold| (f.sweep, f.trips(), f.times);
+        assert_eq!(
+            folds.iter().map(stretch).collect::<Vec<_>>(),
+            [(0, 0..8, 6)]
+        );
+        assert_eq!(
+            estimate(&p, &cfg),
+            Err(EstimateError::OutOfBounds {
+                array: "Z".into(),
+                nest: "n".into(),
+                dim: 0,
+                index: 5,
+                extent: 5,
+            })
+        );
     }
 
     #[test]

@@ -19,16 +19,43 @@
 //!    [`Windows`]) — what a replay shard and a thread-engine PE task walk;
 //! 3. **each reduction round's statically known participants**
 //!    ([`Schedule::rounds`]) — what replay, the static estimator and the
-//!    thread engine's plan charge partial-result messages from.
+//!    thread engine's plan charge partial-result messages from;
+//! 4. **which stretches of a nest are translates of one another**
+//!    ([`Schedule::folds`], [`Fold`]) — what lets the order-free counters
+//!    (the static estimator, cache-less replay, the reduction rounds) walk
+//!    one stretch per class and multiply.
+//!
+//! # Folding
+//!
+//! Under a periodic placement ([`Placement::period`]: the owner of address
+//! `a + T` is the owner of `a`) an all-affine nest repeats itself: two
+//! stretches of equal length whose references start at the same address
+//! modulo their arrays' periods run on the same PEs, trip for trip, with
+//! every read local or remote to the same owner. Every counter of the
+//! cache-less model is a sum over trips of a function of exactly that —
+//! the owner of the anchor's page and the owner of each read's page — so
+//! it is the same on both stretches, and one of them can stand for all.
+//! [`Schedule::folds`] cuts a nest into such classes; a consumer walks each
+//! [`Fold`] once and multiplies by [`Fold::times`]. A nest the argument
+//! does not cover (a statement that is not [`Screen::Affine`], a gather, a
+//! period-less array) gets one fold per sweep with `times = 1`
+//! ([`Schedule::unfolded`]), which is also what a consumer that needs the
+//! order — a cached replay — asks for: there is one walk, and folding only
+//! chooses which trip ranges it visits.
 //!
 //! It lives in this crate because this is the lowest one that sees both
 //! `sa_ir::Program` and `sa_machine::Placement`.
 
-use sa_ir::access::{Line, Sweep};
-use sa_ir::analysis::{anchor_ref, screen_nests, NestScreen, Screen, StaticArrays};
+use std::collections::HashMap;
+use std::ops::Range;
+
+use sa_ir::access::{gcd, lcm, Line, Sweep};
+use sa_ir::analysis::{
+    anchor_ref, linear_address_form, screen_nests, NestScreen, Screen, StaticArrays,
+};
 use sa_ir::interp::{resolve_ref_addr, Memory};
 use sa_ir::nest::{ArrayRef, LoopNest, Stmt};
-use sa_ir::{ArrayId, IrError, Program, ReduceOp};
+use sa_ir::{ArrayId, IrError, LinForm, Program, ReduceOp};
 use sa_machine::{host_of, ConfigError, PartitionScheme, Placement};
 
 /// One run of a nest's innermost loop, as
@@ -69,6 +96,28 @@ impl Round {
     /// is not the scalar's host, whose own partial stays local.
     pub fn ships_from(&self, pe: usize) -> bool {
         self.pes[pe] && pe != host_of(self.scalar, self.pes.len())
+    }
+}
+
+/// A stretch of a nest's iteration space standing for `times` translates
+/// of itself (see the module docs, § Folding): trips `t0..t1` of sweep
+/// `sweep`, the first of its class in execution order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fold {
+    /// Index of the representative sweep among the nest's sweeps.
+    pub sweep: usize,
+    /// First trip of the stretch.
+    pub t0: usize,
+    /// One past its last trip.
+    pub t1: usize,
+    /// How many stretches of the nest it stands for, itself included.
+    pub times: u64,
+}
+
+impl Fold {
+    /// The stretch's trips.
+    pub fn trips(&self) -> Range<usize> {
+        self.t0..self.t1
     }
 }
 
@@ -327,41 +376,169 @@ impl<'p> Schedule<'p> {
         Ok(())
     }
 
-    /// The trips of sweep `sweep` of nest `nest` that statement `stmt`
-    /// executes on `pe`, as disjoint ascending `(start, end)` ranges.
-    /// A [`Screen::Produced`] statement is visited on every trip by every
-    /// PE, which resolves the owner as it goes. Needs
-    /// [`Schedule::tabulate`].
-    fn segments(&self, pe: usize, nest: usize, sweep: usize, stmt: usize) -> Vec<(usize, usize)> {
+    /// Nest `nest` as one [`Fold`] per sweep, each standing for itself: the
+    /// walk in execution order, for a consumer that needs the order.
+    pub fn unfolded(&self, nest: usize) -> Vec<Fold> {
+        let sweeps = self.nests[nest].sweeps.iter().enumerate();
+        sweeps
+            .map(|(sweep, s)| Fold {
+                sweep,
+                t0: 0,
+                t1: s.trips,
+                times: 1,
+            })
+            .collect()
+    }
+
+    /// Nest `nest` cut into classes of stretches that are translates of one
+    /// another (module docs, § Folding), each represented by its first
+    /// member in execution order. The references that must agree are every
+    /// statement's anchor and, `with_reads`, every read. Expanding the
+    /// folds covers every (sweep, trip) of the nest exactly once; a nest
+    /// with a statement that is not [`Screen::Affine`], a non-affine read
+    /// or a reference into an array without a [`Placement::period`] comes
+    /// back [`unfolded`](Schedule::unfolded).
+    pub fn folds(&self, nest: usize, with_reads: bool) -> Vec<Fold> {
+        match self.periodic_refs(nest, with_reads) {
+            Some(refs) => self.fold_by(nest, &refs),
+            None => self.unfolded(nest),
+        }
+    }
+
+    /// The `(address form, period)` of every reference [`Schedule::folds`]
+    /// keys on, or `None` when the nest is beyond the translation argument.
+    fn periodic_refs(&self, nest: usize, with_reads: bool) -> Option<Vec<(LinForm, i64)>> {
         let ns = &self.nests[nest];
-        let (m, first) = (ns.sweeps[sweep].trips, ns.sweeps[sweep].first);
+        let nvars = ns.nest.loops.len();
+        let mut refs = Vec::new();
+        for (stmt, screen) in ns.nest.body.iter().zip(&ns.screen.screens) {
+            let Screen::Affine { array, form } = screen else {
+                return None;
+            };
+            refs.push((form.clone(), self.array_period(*array)?));
+            for read in stmt.reads().into_iter().filter(|_| with_reads) {
+                let form = linear_address_form(self.program, read, nvars)?;
+                refs.push((form, self.array_period(read.array)?));
+            }
+        }
+        Some(refs)
+    }
+
+    /// [`Placement::period`] of array `a`, as an address distance.
+    fn array_period(&self, a: ArrayId) -> Option<i64> {
+        i64::try_from(self.placements[a.0].period()?).ok()
+    }
+
+    /// [`Schedule::folds`] over the given `(address form, period)` pairs.
+    fn fold_by(&self, nest: usize, refs: &[(LinForm, i64)]) -> Vec<Fold> {
+        let ns = &self.nests[nest];
+        if ns.sweeps.is_empty() {
+            return Vec::new();
+        }
+        // Trips after which every reference has advanced by a multiple of
+        // its period (`None`: more than any sweep has): a sweep of two or
+        // more such periods is its first one, repeated, plus a tail. A
+        // reference's increment per trip is the same on every sweep.
+        let first = ns.sweep(0);
+        let inner = refs.iter().try_fold(1u64, |l, (form, period)| {
+            let (per_trip, period) = (form.line(&first).step.unsigned_abs(), *period as u64);
+            lcm(l, period / gcd(per_trip, period))
+        });
+        let mut folds: Vec<Fold> = Vec::new();
+        let mut classes: HashMap<Vec<i64>, usize> = HashMap::new();
+        let mut key: Vec<i64> = Vec::with_capacity(refs.len() + 1);
+        for (sweep, s) in ns.sweeps.iter().enumerate() {
+            let sw = ns.sweep(sweep);
+            let (head, periods) = match inner {
+                Some(l) if s.trips as u64 / 2 >= l => (l as usize, s.trips as u64 / l),
+                _ => (s.trips, 1),
+            };
+            let tail = head * periods as usize;
+            for (t0, t1, times) in [(0, head, periods), (tail, s.trips, 1)] {
+                if t0 == t1 {
+                    continue;
+                }
+                // Equal length, equal start of every reference modulo its
+                // period: the stretches are translates.
+                key.clear();
+                key.push((t1 - t0) as i64);
+                for (form, period) in refs {
+                    key.push(form.line(&sw).addr(t0 as i64).rem_euclid(*period));
+                }
+                if let Some(&class) = classes.get(&key) {
+                    folds[class].times += times;
+                } else {
+                    classes.insert(key.clone(), folds.len());
+                    folds.push(Fold {
+                        sweep,
+                        t0,
+                        t1,
+                        times,
+                    });
+                }
+            }
+        }
+        folds
+    }
+
+    /// The trips `trips` of sweep `sweep` of nest `nest` that statement
+    /// `stmt` executes on `pe`, as disjoint ascending `(start, end)` ranges
+    /// into `out`. A [`Screen::Produced`] statement is visited on every
+    /// trip by every PE, which resolves the owner as it goes. Needs
+    /// [`Schedule::tabulate`].
+    fn segments(
+        &self,
+        pe: usize,
+        nest: usize,
+        sweep: usize,
+        stmt: usize,
+        trips: Range<usize>,
+        out: &mut Vec<(usize, usize)>,
+    ) {
+        let ns = &self.nests[nest];
+        let first = ns.sweeps[sweep].first;
         match &ns.screen.screens[stmt] {
             Screen::Affine { array, form } => owned_segments(
                 &self.placements[array.0],
                 pe,
                 form.line(&ns.sweep(sweep)),
-                m,
+                trips,
+                out,
             ),
             Screen::RoundRobin { slot } => {
                 let n = self.n_pes;
-                owned_segments_by(m, |t| ns.screen.deal(*slot, first + t as u64, n) == pe)
+                owned_segments_by(
+                    trips,
+                    |t| ns.screen.deal(*slot, first + t as u64, n) == pe,
+                    out,
+                );
             }
             Screen::Static => {
                 let owners = &ns.tables[stmt][first as usize..];
-                owned_segments_by(m, |t| owners[t] as usize == pe)
+                owned_segments_by(trips, |t| owners[t] as usize == pe, out);
             }
-            Screen::Produced => vec![(0, m)],
+            Screen::Produced => {
+                out.clear();
+                out.push((trips.start, trips.end));
+            }
         }
     }
 
-    /// Position `win` on sweep `sweep` of nest `nest` as `pe` sees it: its
-    /// owned segments of every body statement, ready to be walked window by
-    /// window. Needs [`Schedule::tabulate`].
-    pub fn load_sweep(&self, pe: usize, nest: usize, sweep: usize, win: &mut Windows) {
+    /// Position `win` on the trips `trips` of sweep `sweep` of nest `nest`
+    /// as `pe` sees them: its owned segments of every body statement, ready
+    /// to be walked window by window. Needs [`Schedule::tabulate`].
+    pub fn load_sweep(
+        &self,
+        pe: usize,
+        nest: usize,
+        sweep: usize,
+        trips: Range<usize>,
+        win: &mut Windows,
+    ) {
         let body = self.nests[nest].nest.body.len();
         win.segs.resize_with(body, Vec::new);
         for (si, segs) in win.segs.iter_mut().enumerate() {
-            *segs = self.segments(pe, nest, sweep, si);
+            self.segments(pe, nest, sweep, si, trips.clone(), segs);
         }
         win.rewind();
     }
@@ -380,12 +557,18 @@ impl<'p> Schedule<'p> {
             let mut pes = vec![false; self.n_pes];
             match &ns.screen.screens[si] {
                 Screen::Affine { array, form } => {
+                    // Who takes part is a union over page runs, the same
+                    // on every stretch of a class: one of each decides.
                     let placement = &self.placements[array.0];
                     let ps = placement.page_size as i64;
-                    for i in 0..ns.sweeps.len() {
-                        let (line, trips) = (form.line(&ns.sweep(i)), ns.sweeps[i].trips as i64);
-                        let mut t = 0i64;
-                        while t < trips {
+                    let folds = match self.array_period(*array) {
+                        Some(period) => self.fold_by(nest, &[(form.clone(), period)]),
+                        None => self.unfolded(nest),
+                    };
+                    for fold in folds {
+                        let line = form.line(&ns.sweep(fold.sweep));
+                        let mut t = fold.t0 as i64;
+                        while t < fold.t1 as i64 {
                             pes[placement.owner_of_addr(line.addr(t) as usize)] = true;
                             t = line.run_end(t, ps);
                         }
@@ -476,9 +659,10 @@ impl Windows {
     }
 }
 
-/// The trips `0..m` of a sweep whose affine anchor address `line(t)` lies
-/// on a page `pe` owns, as disjoint ascending `(start, end)` ranges — index
-/// screening (paper §3) done once per sweep instead of once per instance.
+/// The trips `trips` of a sweep whose affine anchor address `line(t)` lies
+/// on a page `pe` owns, as disjoint ascending `(start, end)` ranges into
+/// `out` — index screening (paper §3) done once per sweep instead of once
+/// per instance.
 ///
 /// Instead of walking every page run, only the pages *this PE owns* are
 /// enumerated (each partition scheme's owned set is a union of page
@@ -487,58 +671,76 @@ impl Windows {
 /// is proportional to the PE's own share of the sweep, so PEs divide the
 /// work instead of replicating it.
 #[inline]
-fn owned_segments(placement: &Placement, pe: usize, line: Line, m: usize) -> Vec<(usize, usize)> {
-    let mut segs: Vec<(usize, usize)> = Vec::new();
-    if line.step == 0 {
-        debug_assert!(line.base >= 0, "negative anchor address");
-        if placement.owner_of_addr(line.base as usize) == pe {
-            segs.push((0, m));
-        }
-        return segs;
-    }
-    if placement.n_pes == 1 {
-        return vec![(0, m)];
-    }
-    let ps = placement.page_size as i64;
+fn owned_segments(
+    placement: &Placement,
+    pe: usize,
+    line: Line,
+    trips: Range<usize>,
+    out: &mut Vec<(usize, usize)>,
+) {
+    out.clear();
+    let (t0, m) = (trips.start, trips.len());
+    // The line as the stretch sees it: trip 0 is the sweep's `t0`.
+    let line = Line {
+        base: line.addr(t0 as i64),
+        step: line.step,
+    };
     let last = line.addr(m as i64 - 1);
     debug_assert!(line.base >= 0 && last >= 0, "negative anchor address");
+    if line.step == 0 || placement.n_pes == 1 {
+        if placement.owner_of_addr(line.base as usize) == pe {
+            out.push((trips.start, trips.end));
+        }
+        return;
+    }
+    let ps = placement.page_size as i64;
     let (plo, phi) = (line.base.min(last) / ps, line.base.max(last) / ps);
     placement.owned_page_intervals(pe, plo as usize, phi as usize, |q0, q1| {
-        segs.extend(line.trips_in_pages(q0, q1, ps, m));
+        out.extend(
+            line.trips_in_pages(q0, q1, ps, m)
+                .map(|(s, e)| (t0 + s, t0 + e)),
+        );
     });
     if line.step < 0 {
         // Ascending pages map to descending iterations.
-        segs.reverse();
+        out.reverse();
     }
-    // Coalesce adjacent ranges (adjacent owned pages).
-    let mut out: Vec<(usize, usize)> = Vec::with_capacity(segs.len());
-    for (s, e) in segs {
-        match out.last_mut() {
-            Some(last) if last.1 >= s => last.1 = last.1.max(e),
-            _ => out.push((s, e)),
+    // Coalesce adjacent ranges (adjacent owned pages), in place.
+    let mut kept = 0;
+    for i in 0..out.len() {
+        let (s, e) = out[i];
+        if kept > 0 && out[kept - 1].1 >= s {
+            out[kept - 1].1 = out[kept - 1].1.max(e);
+        } else {
+            out[kept] = (s, e);
+            kept += 1;
         }
     }
-    out
+    out.truncate(kept);
 }
 
-/// The trips `0..m` a per-trip predicate accepts (tabulated and round-robin
-/// anchors), coalesced into disjoint ascending `(start, end)` ranges.
-fn owned_segments_by(m: usize, owned: impl Fn(usize) -> bool) -> Vec<(usize, usize)> {
-    let mut segs: Vec<(usize, usize)> = Vec::new();
-    let mut t = 0usize;
-    while t < m {
+/// The trips of `trips` a per-trip predicate accepts (tabulated and
+/// round-robin anchors), coalesced into disjoint ascending `(start, end)`
+/// ranges into `out`.
+fn owned_segments_by(
+    trips: Range<usize>,
+    owned: impl Fn(usize) -> bool,
+    out: &mut Vec<(usize, usize)>,
+) {
+    out.clear();
+    let mut t = trips.start;
+    while t < trips.end {
         if owned(t) {
             let start = t;
             t += 1;
-            while t < m && owned(t) {
+            while t < trips.end && owned(t) {
                 t += 1;
             }
-            segs.push((start, t));
+            out.push((start, t));
         } else {
             t += 1;
         }
     }
-    segs
 }
 
 #[cfg(test)]
@@ -664,29 +866,34 @@ mod tests {
                 ] {
                     let line = Line { base, step };
                     let mut seen = vec![0u32; m];
-                    for pe in 0..n_pes {
-                        let segs = owned_segments(&placement, pe, line, m);
-                        let mut prev_end = 0;
-                        for &(s, e) in &segs {
-                            assert!(
-                                s < e && e <= m && (s > prev_end || prev_end == 0),
-                                "{segs:?}"
-                            );
-                            prev_end = e;
-                            for (t, count) in seen.iter_mut().enumerate().take(e).skip(s) {
-                                let addr = line.addr(t as i64) as usize;
-                                assert_eq!(
-                                    placement.owner_of_addr(addr),
-                                    pe,
-                                    "{scheme:?} trip {t}"
+                    // The whole sweep, then a stretch from its middle.
+                    for trips in [0..m, m / 3..m - m / 4] {
+                        for pe in 0..n_pes {
+                            let mut segs = vec![(7, 7)]; // overwritten, not appended to
+                            owned_segments(&placement, pe, line, trips.clone(), &mut segs);
+                            let mut prev_end = trips.start;
+                            for &(s, e) in &segs {
+                                assert!(
+                                    s < e && e <= trips.end && (s > prev_end || s == trips.start),
+                                    "{segs:?}"
                                 );
-                                *count += 1;
+                                prev_end = e;
+                                for (t, count) in seen.iter_mut().enumerate().take(e).skip(s) {
+                                    let addr = line.addr(t as i64) as usize;
+                                    assert_eq!(
+                                        placement.owner_of_addr(addr),
+                                        pe,
+                                        "{scheme:?} trip {t}"
+                                    );
+                                    *count += u32::from(trips.len() == m);
+                                }
                             }
+                            let mut by = Vec::new();
+                            let owned =
+                                |t| placement.owner_of_addr(line.addr(t as i64) as usize) == pe;
+                            owned_segments_by(trips.clone(), owned, &mut by);
+                            assert_eq!(segs, by, "{scheme:?} {n_pes}x{page} {line:?} PE {pe}");
                         }
-                        let by = owned_segments_by(m, |t| {
-                            placement.owner_of_addr(line.addr(t as i64) as usize) == pe
-                        });
-                        assert_eq!(segs, by, "{scheme:?} {n_pes}x{page} {line:?} PE {pe}");
                     }
                     assert!(
                         seen.iter().all(|&c| c == 1),

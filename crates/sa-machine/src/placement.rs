@@ -183,6 +183,35 @@ impl Placement {
         self.page_owner(addr / self.page_size)
     }
 
+    /// The element distance `T` after which ownership repeats, if the
+    /// scheme has one: `T` is a multiple of the page size and
+    /// `owner_of_addr(a + T) == owner_of_addr(a)` for every address `a`.
+    /// Two stretches of a nest whose references all differ by multiples of
+    /// `T` therefore execute on the same PEs with the same locality, which
+    /// is what lets the schedule count one of them and multiply
+    /// (`sa_lint::screening::Schedule::folds`).
+    ///
+    /// The cyclic deals repeat every `n_pes` pages (`Modulo`) or blocks
+    /// (`BlockCyclic`), and on one PE every page is a period. `Block` and
+    /// `RowBand` are monotone in the page, not periodic. `Tile2D` deals its
+    /// tiles cyclically too, but its period in elements depends on how the
+    /// tile rows divide the PE count; it is not claimed here.
+    pub fn period(&self) -> Option<usize> {
+        if self.n_pes == 1 {
+            return Some(self.page_size);
+        }
+        let pages = match self.scheme {
+            PartitionScheme::Modulo => self.n_pes,
+            PartitionScheme::BlockCyclic { block_pages } => {
+                block_pages.max(1).checked_mul(self.n_pes)?
+            }
+            PartitionScheme::Block | PartitionScheme::RowBand | PartitionScheme::Tile2D { .. } => {
+                return None
+            }
+        };
+        pages.checked_mul(self.page_size)
+    }
+
     /// Invoke `f`, in ascending order, on disjoint page intervals
     /// `[q0, q1)` that together hold exactly the pages `pe` owns within
     /// the inclusive page range `[plo, phi]`.

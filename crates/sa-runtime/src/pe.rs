@@ -974,10 +974,11 @@ impl<'p> Pe<'p> {
     /// windows, and the first trip of the first of them.
     fn load_sweep(&mut self, plan: &Plan<'p>, np: &NestPlan) {
         let cur = &mut self.cur;
-        plan.schedule
-            .load_sweep(self.mem.me, np.idx, cur.sweep, &mut cur.win);
         let ns = plan.schedule.nest(np.idx);
         let sw = ns.sweep(cur.sweep);
+        // A PE computes values, so it walks every trip of every sweep.
+        plan.schedule
+            .load_sweep(self.mem.me, np.idx, cur.sweep, 0..sw.trips, &mut cur.win);
         cur.ivs.clear();
         cur.ivs.extend_from_slice(sw.outer);
         if !ns.nest.loops.is_empty() {

@@ -545,7 +545,14 @@ fn count_with_engine(k: &Kernel, cfg: &MachineConfig, engine: Engine) -> CountRe
 /// Print the simulate-style report from the zero-execution estimator.
 fn simulate_static(k: &Kernel, cfg: &MachineConfig) {
     let est = sapp::lint::estimate(&k.program, cfg).unwrap_or_else(|e| {
-        eprintln!("static failed: {e}");
+        match e {
+            // The library's text names `cache_elems`, a field; here the
+            // way to set it is a flag.
+            sapp::lint::EstimateError::CacheUnsupported => {
+                eprintln!("static failed: cache hit rates depend on access order; pass --no-cache")
+            }
+            e => eprintln!("static failed: {e}"),
+        }
         std::process::exit(1);
     });
     outln!(

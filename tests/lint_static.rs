@@ -1,7 +1,8 @@
 //! Certification of the `sa-lint` static passes against the executing
 //! engines:
 //!
-//! 1. **Estimator ≡ simulator** — on every affine registry workload the
+//! 1. **Estimator ≡ simulator** — on every affine registry workload, and
+//!    on generated *fold-dense* programs (`common`), the
 //!    zero-execution communication estimate is bit-identical (per-PE
 //!    counters, message totals) to the counting interpreter, across
 //!    partition schemes × page sizes × PE counts. Workloads with runtime
@@ -28,6 +29,11 @@
 //!    statement instance returns, on the whole registry at reduced and
 //!    official sizes across all five scheme families, and its per-PE
 //!    writes are the simulator's.
+
+use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
+
+mod common;
 
 use sapp::core::parallel::par_map;
 use sapp::core::search::{search_exhaustive_with, Objective, SearchSpace};
@@ -113,6 +119,35 @@ fn estimator_is_bit_identical_to_the_simulator_on_the_registry() {
     // The registry must exercise both paths, or this test is vacuous.
     assert!(affine > 0, "no affine workload was certified");
     assert!(indirect > 0, "no indirect workload exercised the rejection");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(400))]
+
+    /// Estimator ≡ simulator — and closed-form projection ≡ instance
+    /// enumerator — on *fold-dense* programs (`common`, the generator
+    /// `replay_vs_interp.rs` runs replay on): placement periods of a few
+    /// elements, so both walk one stretch of each translation class and
+    /// multiply, with and without the reads in the class key.
+    #[test]
+    fn fold_dense_nests_estimate_like_the_simulator(
+        spec in common::dense_program_strategy(),
+        cfg in common::dense_config_strategy(),
+    ) {
+        let program = common::build_dense(&spec);
+        let sim = simulate(&program, &cfg).map_err(TestCaseError::fail)?;
+        let est = lint::estimate(&program, &cfg).map_err(TestCaseError::fail)?;
+        prop_assert_eq!(&est.stats, &sim.stats, "spec {:?} cfg {:?}", &spec, &cfg);
+        prop_assert_eq!(est.network_messages, sim.network_messages);
+        let shape = LintConfig {
+            n_pes: cfg.n_pes,
+            page_size: cfg.page_size,
+            scheme: cfg.partition,
+        };
+        let projected = project(&program, &shape);
+        prop_assert_eq!(&projected, &project_by_instance(&program, &shape));
+        prop_assert_eq!(projected.map(|p| p.writes_per_pe), Ok(sim.stats.writes_per_pe()));
+    }
 }
 
 #[test]

@@ -320,4 +320,37 @@ proptest! {
             }
         }
     }
+
+    /// A placement's period is certified, not assumed: whenever
+    /// `period()` answers `Some(T)`, `T` is a whole number of pages and
+    /// translating any in-domain page by it keeps the owner — the fact
+    /// `Schedule::folds` counts one stretch of a nest for many on. The
+    /// cyclic schemes have one (or folding silently never happens); the
+    /// monotone ones must not claim one.
+    #[test]
+    fn a_period_translates_ownership(
+        dims in prop::collection::vec(1usize..40, 1..4),
+        scheme in scheme_strategy(),
+        ps in prop::sample::select(vec![1usize, 2, 4, 8, 32]),
+        n_pes in 1usize..17,
+    ) {
+        let pl = Placement::new(scheme, ps, n_pes, ArrayShape::from_dims(&dims));
+        if let Some(t) = pl.period() {
+            prop_assert!(t > 0 && t % ps == 0, "period {t} of {pl:?}");
+            let shift = t / ps;
+            for q in 0..pl.pages().saturating_sub(shift) {
+                prop_assert_eq!(pl.page_owner(q + shift), pl.page_owner(q), "page {q} of {pl:?}");
+            }
+        }
+        match scheme {
+            PartitionScheme::Modulo => prop_assert_eq!(pl.period(), Some(n_pes * ps)),
+            PartitionScheme::BlockCyclic { block_pages } => {
+                prop_assert!(pl.period().is_some_and(|t| t <= block_pages * n_pes * ps));
+            }
+            PartitionScheme::Block | PartitionScheme::RowBand if n_pes > 1 => {
+                prop_assert_eq!(pl.period(), None);
+            }
+            _ => {}
+        }
+    }
 }

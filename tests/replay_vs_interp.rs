@@ -7,11 +7,15 @@
 //!    per-nest), message/hop/link-load totals included.
 //! 2. **Proptest** — randomly generated affine nests (1–2 levels, skews,
 //!    scaled subscripts, reductions, multi-statement bodies) × random
-//!    machine configs.
+//!    machine configs, and *fold-dense* ones (`common`: triangular bounds,
+//!    strided loops, placement periods of a few elements, no cache) on
+//!    which replay counts one stretch per translation class.
 //! 3. **Oracle equivalence** — `FastCountingOracle` in every engine mode
 //!    produces the same `RunRecord`s as `CountingOracle` over a plan.
 
 use proptest::prelude::*;
+
+mod common;
 
 use sapp::core::exec::simulate;
 use sapp::core::plan::{ExperimentPlan, RunConfig};
@@ -489,6 +493,32 @@ proptest! {
         cfg in config_strategy(),
     ) {
         let program = build_program(&spec);
+        let sim = simulate(&program, &cfg)
+            .map_err(proptest::test_runner::TestCaseError::fail)?;
+        let rep = replay::counts(&program, &cfg)
+            .map_err(proptest::test_runner::TestCaseError::fail)?;
+        prop_assert_eq!(&rep.stats, &sim.stats, "spec {:?} cfg {:?}", &spec, &cfg);
+        prop_assert_eq!(&rep.per_nest, &sim.per_nest);
+        prop_assert_eq!(rep.network_messages, sim.network_messages);
+        prop_assert_eq!(rep.network_hops, sim.network_hops);
+        prop_assert_eq!(rep.max_link_load, sim.max_link_load);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(400))]
+
+    /// Replay ≡ interpreter on *fold-dense* programs (`common`):
+    /// cache-less machines whose placement period is a few elements, so
+    /// replay walks one stretch of each translation class and multiplies —
+    /// every counter, every nest, every message, hop and link load must
+    /// come out as if it had walked them all.
+    #[test]
+    fn fold_dense_nests_bit_identical(
+        spec in common::dense_program_strategy(),
+        cfg in common::dense_config_strategy(),
+    ) {
+        let program = common::build_dense(&spec);
         let sim = simulate(&program, &cfg)
             .map_err(proptest::test_runner::TestCaseError::fail)?;
         let rep = replay::counts(&program, &cfg)

@@ -299,6 +299,24 @@ fn invalid_machine_shapes_exit_with_the_config_error_on_the_static_paths() {
     }
 }
 
+/// The static estimator has no cache model, and the CLI's default machine
+/// has a cache: the refusal names the flag the CLI has (`--no-cache`), not
+/// the library field (`cache_elems`) it has no flag for.
+#[test]
+fn the_static_engine_under_the_default_cache_asks_for_no_cache() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_sapp"))
+        .args("simulate st5 --size 32 --engine static".split(' '))
+        .output()
+        .expect("sapp runs");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(out.stdout.is_empty(), "{:?}", out.stdout);
+    assert!(err.starts_with("static failed: "), "{err}");
+    assert!(err.contains("pass --no-cache"), "{err}");
+    assert!(!err.contains("cache_elems"), "{err}");
+    assert_eq!(err.lines().count(), 1, "{err}");
+}
+
 /// Every command × bad shape × engine: accepted (0), rejected with the
 /// typed error (1) or a usage error (2) — never a panic (101).
 #[test]

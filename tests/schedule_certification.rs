@@ -14,16 +14,26 @@
 //! * each PE's window walk is, instance by instance, the sequence the
 //!   interpreter executed on that PE, and [`Schedule::owner`] agrees;
 //! * the participant sets reproduce the interpreter's reduction messages.
+//!
+//! And folding (`Schedule::folds`) is certified, not assumed: over the same
+//! programs × the periodic and the period-less schemes × {1, 4, 7, 64} PEs ×
+//! pages {1, 3, 8, 32}, the folds cover every (sweep, trip) of every nest
+//! exactly once, every covered stretch runs on its representative's PEs
+//! trip for trip and reference for reference, and a nest the translation
+//! argument does not reach folds to the identity.
+
+use std::collections::HashMap;
 
 use sapp::core::exec::{run, Effect, Observer};
-use sapp::ir::analysis::{Screen, StaticArrays};
+use sapp::ir::access::{gcd, lcm};
+use sapp::ir::analysis::{linear_address_form, Screen, StaticArrays};
 use sapp::ir::index::iv;
 use sapp::ir::interp::{resolve_ref_addr, Memory};
-use sapp::ir::nest::Stmt;
+use sapp::ir::nest::{LoopVar, Stmt};
 use sapp::ir::program::ArrayInit;
-use sapp::ir::{ArrayId, Expr, InitPattern, IrError, Program, ProgramBuilder, ReduceOp};
+use sapp::ir::{ArrayId, Expr, InitPattern, IrError, LinForm, Program, ProgramBuilder, ReduceOp};
 use sapp::lint::screening::{Schedule, Windows};
-use sapp::machine::{AccessKind, MachineConfig, PartitionScheme};
+use sapp::machine::{AccessKind, MachineConfig, PartitionScheme, Placement};
 use sapp::mem::SaArray;
 
 const PAGE: usize = 8;
@@ -102,7 +112,7 @@ fn certify(code: &str, program: &Program) {
                     let mut walked = Vec::new();
                     for s in 0..ns.sweeps.len() {
                         let sw = ns.sweep(s);
-                        sched.load_sweep(pe, n, s, &mut win);
+                        sched.load_sweep(pe, n, s, 0..sw.trips, &mut win);
                         while let Some((w0, w1)) = win.advance() {
                             for t in w0..w1 {
                                 ivs.clear();
@@ -226,6 +236,230 @@ fn the_schedule_is_what_the_interpreter_executes_on_the_registry() {
     for k in sapp::loops::suite::reduced_suite() {
         certify(k.code, &k.program);
     }
+}
+
+/// What [`certify_folds`] saw, so the test can tell it was not vacuous.
+#[derive(Default)]
+struct FoldTally {
+    /// Nests (per configuration) that came back one fold per sweep under a
+    /// periodic scheme: the translation argument does not cover them.
+    beyond: usize,
+    /// Stretches that were counted through a representative, not walked.
+    folded_away: u64,
+}
+
+/// One walked reference: its address form, where its array's pages live,
+/// and the period of that placement.
+type Walked<'a> = (LinForm, &'a Placement, i64);
+
+/// The references `folds(nest, with_reads)` must key on, by the rule in
+/// `sa_lint::screening` § Folding: every statement's affine anchor and,
+/// `with_reads`, every read — or `None` when a statement is not screened
+/// affinely, a read is not affine, or an array has no period.
+fn walked_refs<'a>(
+    sched: &'a Schedule<'_>,
+    nest: usize,
+    with_reads: bool,
+) -> Option<Vec<Walked<'a>>> {
+    let ns = sched.nest(nest);
+    let nvars = ns.nest.loops.len();
+    let mut refs = Vec::new();
+    let mut walk = |array: ArrayId, form: Option<LinForm>| {
+        let placement = sched.placement(array);
+        refs.push((form?, placement, placement.period()? as i64));
+        Some(())
+    };
+    for (stmt, screen) in ns.nest.body.iter().zip(&ns.screen.screens) {
+        let Screen::Affine { array, form } = screen else {
+            return None;
+        };
+        walk(*array, Some(form.clone()))?;
+        for read in stmt.reads().into_iter().filter(|_| with_reads) {
+            walk(
+                read.array,
+                linear_address_form(sched.program(), read, nvars),
+            )?;
+        }
+    }
+    Some(refs)
+}
+
+fn certify_folds(code: &str, program: &Program, tally: &mut FoldTally) {
+    let statics = StaticArrays::scan(program);
+    let schemes = [
+        PartitionScheme::Modulo,
+        PartitionScheme::BlockCyclic { block_pages: 1 },
+        PartitionScheme::BlockCyclic { block_pages: 2 },
+        PartitionScheme::BlockCyclic { block_pages: 3 },
+        PartitionScheme::Block,
+        PartitionScheme::Tile2D {
+            tile_rows: 5,
+            tile_cols: 6,
+        },
+    ];
+    for scheme in schemes {
+        for (n_pes, page) in [1usize, 4, 7, 64]
+            .into_iter()
+            .flat_map(|n| [1usize, 3, 8, 32].map(|p| (n, p)))
+        {
+            let sched = Schedule::new(program, &statics, scheme, page, n_pes).unwrap();
+            for (n, with_reads) in (0..sched.nests().len()).flat_map(|n| [(n, false), (n, true)]) {
+                let at = format!("{code} {scheme:?} × {n_pes} PEs × page {page}, nest {n}");
+                let ns = sched.nest(n);
+                let folds = sched.folds(n, with_reads);
+                // Weak form: the folds stand for every iteration.
+                let stood_for: u64 = folds.iter().map(|f| f.times * f.trips().len() as u64).sum();
+                assert_eq!(stood_for, ns.screen.iterations, "{at}");
+                let Some(refs) = walked_refs(&sched, n, with_reads) else {
+                    assert_eq!(folds, sched.unfolded(n), "{at}: must not fold");
+                    let periodic = !matches!(
+                        scheme,
+                        PartitionScheme::Block | PartitionScheme::Tile2D { .. }
+                    );
+                    tally.beyond += usize::from(periodic);
+                    continue;
+                };
+                // Strong form. The stretches of a sweep: all of it, or —
+                // two or more inner periods long — its first period,
+                // repeated, and a tail.
+                let depth = ns.nest.loops.len();
+                let inner_step = ns.nest.loops.last().map_or(0, |lv| lv.step);
+                let inner = refs.iter().try_fold(1u64, |l, (form, _, period)| {
+                    let per_trip = form.coeffs.last().map_or(0, |c| c * inner_step);
+                    lcm(
+                        l,
+                        *period as u64 / gcd(per_trip.unsigned_abs(), *period as u64),
+                    )
+                });
+                let ivs = |sweep: usize, t: usize| {
+                    let sw = ns.sweep(sweep);
+                    let mut ivs = sw.outer.to_vec();
+                    if depth > 0 {
+                        ivs.push(sw.lo + sw.step * t as i64);
+                    }
+                    ivs
+                };
+                // A class: a length, and where every reference starts
+                // modulo its period.
+                let class = |sweep: usize, t0: usize, len: usize| {
+                    let ivs = ivs(sweep, t0);
+                    let starts = refs
+                        .iter()
+                        .map(|(form, _, period)| form.eval(&ivs).rem_euclid(*period));
+                    (len, starts.collect::<Vec<i64>>())
+                };
+                let mut fold_of = HashMap::new();
+                for (f, fold) in folds.iter().enumerate() {
+                    let twice = fold_of.insert(class(fold.sweep, fold.t0, fold.trips().len()), f);
+                    assert_eq!(twice, None, "{at}: two folds of one class");
+                }
+                let mut stands_for = vec![0u64; folds.len()];
+                for (s, rec) in ns.sweeps.iter().enumerate() {
+                    let (len, reps) = match inner {
+                        Some(l) if rec.trips as u64 >= 2 * l => {
+                            (l as usize, rec.trips / l as usize)
+                        }
+                        _ => (rec.trips, 1),
+                    };
+                    for (b0, len, reps) in [(0, len, reps), (len * reps, rec.trips - len * reps, 1)]
+                    {
+                        if len == 0 {
+                            continue;
+                        }
+                        let &f = fold_of
+                            .get(&class(s, b0, len))
+                            .unwrap_or_else(|| panic!("{at}: sweep {s} trip {b0} is not covered"));
+                        if stands_for[f] == 0 {
+                            let first = (folds[f].sweep, folds[f].t0);
+                            assert_eq!(first, (s, b0), "{at}: not the first of its class");
+                        }
+                        stands_for[f] += reps as u64;
+                        // Trip for trip, every repetition is a translate
+                        // of the representative and runs on the same PEs.
+                        for t in b0..b0 + reps * len {
+                            let here = ivs(s, t);
+                            let there = ivs(folds[f].sweep, folds[f].t0 + (t - b0) % len);
+                            for (form, placement, period) in &refs {
+                                let (a, b) = (form.eval(&here), form.eval(&there));
+                                assert_eq!((a - b) % period, 0, "{at}: sweep {s} trip {t}");
+                                let owners =
+                                    [a, b].map(|addr| placement.owner_of_addr(addr as usize));
+                                assert_eq!(owners[0], owners[1], "{at}: sweep {s} trip {t}");
+                            }
+                        }
+                    }
+                }
+                let times: Vec<u64> = folds.iter().map(|f| f.times).collect();
+                assert_eq!(stands_for, times, "{at}");
+                tally.folded_away +=
+                    ns.sweeps.len() as u64 - folds.len().min(ns.sweeps.len()) as u64;
+            }
+        }
+    }
+}
+
+/// Shapes the registry's reduced sizes are thin on: sweeps many inner
+/// periods long, strided and downward loops, trips that vary per sweep.
+fn folding_shapes() -> Program {
+    let mut b = ProgramBuilder::new("shapes");
+    let y = b.input("Y", &[420], InitPattern::Wavy);
+    let y2 = b.input("Y2", &[14, 30], InitPattern::Harmonic);
+    let x = b.output("X", &[200]);
+    let w = b.output("W", &[12, 30]);
+    let s = b.scalar("s");
+    b.nest("long", &[("k", 0, 199)], |nb| {
+        let value = nb.read(y, [iv(0).scale(2).plus(1)]) + nb.read(y, [iv(0).plus(3)]);
+        nb.assign(x, [iv(0)], value);
+    });
+    let down = LoopVar {
+        name: "j".into(),
+        lo: iv(0).scale(-2).plus(29),
+        hi: 0.into(),
+        step: -2,
+    };
+    b.nest_loops("lean", vec![LoopVar::simple("i", 0, 11), down], |nb| {
+        let value = nb.read(y2, [iv(0).plus(1), iv(1)]) + nb.read(y, [iv(1).scale(3)]);
+        nb.assign(w, [iv(0), iv(1)], value);
+    });
+    let by3 = LoopVar {
+        name: "k".into(),
+        lo: 2.into(),
+        hi: 400.into(),
+        step: 3,
+    };
+    b.nest_loops("sum", vec![by3], |nb| {
+        nb.reduce(s, ReduceOp::Sum, nb.read(y, [iv(0)]));
+    });
+    b.finish()
+}
+
+#[test]
+fn folds_cover_every_trip_once_and_only_translates_are_merged() {
+    let mut tally = FoldTally::default();
+    certify_folds("kinds", &every_screen_kind(), &mut tally);
+    // Round-robin reductions, static and produced anchors: four of the six
+    // nests are beyond the argument (× with and without reads × the 4
+    // periodic schemes × 16 shapes).
+    assert_eq!(tally.beyond, 4 * 2 * 4 * 16);
+    certify_folds("shapes", &folding_shapes(), &mut tally);
+    let mut gathering = 0;
+    for k in sapp::loops::suite::reduced_suite() {
+        let before = tally.beyond;
+        certify_folds(k.code, &k.program, &mut tally);
+        let mut stmts = k.program.nests().flat_map(|nest| &nest.body);
+        if stmts.any(|s| {
+            s.write_target()
+                .into_iter()
+                .chain(s.reads())
+                .any(|r| r.has_indirection())
+        }) {
+            // A nest that gathers or scatters folds to the identity.
+            assert!(tally.beyond > before, "{}", k.code);
+            gathering += 1;
+        }
+    }
+    assert!(gathering >= 4, "the PIC and SpMV kernels gather");
+    assert!(tally.folded_away > 0, "nothing folded: the test is vacuous");
 }
 
 /// The recorder hears one PE's instances in that PE's program order, each
