@@ -43,9 +43,35 @@
 //!   exact for messages, hops and per-link loads because
 //!   [`Network::record_fetches`] is linear in its count. It applies when
 //!   the cache is off, every array a nest touches has a period and every
-//!   statement and read of it is affine; otherwise — and always under a
-//!   cache, whose LRU/FIFO/Random state *is* the order — the same walk
-//!   visits every sweep in turn ([`Schedule::unfolded`]).
+//!   statement and read of it is affine; otherwise the same walk visits
+//!   every sweep in turn ([`Schedule::unfolded`]).
+//! * **Steady state under a cache** — a cache's state is the order, so
+//!   classes cannot merge; but single assignment leaves a PE's cache
+//!   nothing else to remember than its resident keys in stamp order and
+//!   the Random picker's state (`PolicyCache::order_into`), and the
+//!   replacement core is *equivariant*: renaming every key by a bijection φ
+//!   that keeps the keys' sorted order (LRU and FIFO evict the minimum
+//!   stamp; Random ranks the sorted key list) renames what the probes do
+//!   and nothing more. [`Schedule::chains`] cuts a nest into runs of
+//!   consecutive stretches, each the one before moved by one page shift
+//!   per array — a whole number of periods, so owners and locality repeat
+//!   and the next member's probe sequence is φ of this one's, where φ
+//!   shifts the pages of every array *this member probed* and leaves every
+//!   other key alone (an array the member does not probe keeps its old
+//!   pages, which must still compare equal: moving them too, a nest whose
+//!   reads are all local would never repeat itself). So if after member
+//!   *k* the state is φ of the state before it, every later member hits,
+//!   misses and fetches alike: a shard walks the next member once, every
+//!   counter — hits included — scaled by the members left, and re-keys the
+//!   cache by φ to the power still owed (`PolicyCache::rekey`, which keeps
+//!   stamps). It applies where folding does, at each level (across sweeps,
+//!   inside one) where every array's references move together; it is
+//!   checked, never assumed, around members 1, 2, 4, 8, … of chains of
+//!   eight or more. What never settles — Random with evictions (the picker
+//!   moves on), a cache far larger than a chain's reach — and what does not
+//!   chain — a transposed or pinned read beside a moving one (one array,
+//!   two shifts), a gather, a period-less placement — is walked member by
+//!   member, as before.
 //!
 //! The per-PE shards are independent, so they are fanned out across host
 //! cores via [`par_map`] — a single 64-PE K18 run saturates the machine
@@ -71,13 +97,15 @@
 //! performs no bounds, definedness or double-write checking, exactly
 //! because those checks are what make interpretation slow.
 
+use std::ops::Range;
+
 use sa_ir::access::Line;
 use sa_ir::analysis::{anchor_ref, linear_address_form, Screen, StaticArrays};
 use sa_ir::index::IndexExpr;
 use sa_ir::nest::{ArrayRef, Stmt};
 use sa_ir::program::Phase;
 use sa_ir::{LinForm, Program};
-use sa_lint::screening::{Fold, Round, Schedule, Windows};
+use sa_lint::screening::{Chain, Chains, Fold, Round, Schedule, Windows};
 use sa_machine::host::run_reinit_protocol;
 use sa_machine::{
     host_of, ConfigError, MachineConfig, Network, PageKey, PartialPagePolicy, PeCounters,
@@ -224,21 +252,31 @@ struct CStmt {
     first_form: usize,
 }
 
+/// The stretches a shard walks, and what each stands for.
+#[derive(Debug)]
+enum Walk {
+    /// No cache: one stretch per translation class, scaled by its size.
+    Folds(Vec<Fold>),
+    /// A cache: every stretch in order, until a chain's members repeat the
+    /// cache's state.
+    Chains(Chains),
+}
+
 #[derive(Debug)]
 struct CNest {
     body: Vec<CStmt>,
     /// Every address form of the body, statement by statement in charging
     /// order — one flat list, so a sweep's lines are one reused buffer.
     forms: Vec<LinForm>,
-    /// The stretches a shard walks, and what each stands for: the nest
-    /// folded when no cache needs the order, sweep by sweep otherwise.
-    folds: Vec<Fold>,
+    walk: Walk,
     /// The reduction rounds after the nest, with their participants.
     rounds: Vec<Round>,
 }
 
 #[derive(Debug)]
 struct Compiled<'p> {
+    /// Whether the PEs cache remote pages.
+    cached: bool,
     /// The access model of each nest, aligned with the schedule's nests.
     nests: Vec<CNest>,
     /// Who executes what: placements, per-PE segments and windows,
@@ -316,7 +354,7 @@ fn compile<'p>(
         nests.push(CNest {
             body,
             forms,
-            folds: Vec::new(),
+            walk: Walk::Folds(Vec::new()),
             rounds: Vec::new(),
         });
     }
@@ -328,19 +366,22 @@ fn compile<'p>(
             nest: schedule.nest(e.nest).nest.label.clone(),
             reason: e.error.to_string(),
         })?;
+    let cached = cfg.cache_enabled();
     for (n, cn) in nests.iter_mut().enumerate() {
-        // A cache's state is what order means: a cached run walks every
-        // sweep in turn. Without one every counter is order-free, and one
-        // stretch of each translation class stands for the rest.
-        cn.folds = if cfg.cache_enabled() {
-            schedule.unfolded(n)
+        // Without a cache every counter is order-free, and one stretch of
+        // each translation class stands for the rest. A cache's state is
+        // what order means: a cached run walks the stretches in turn, and
+        // only a run of consecutive translates can stop early.
+        cn.walk = if cached {
+            Walk::Chains(schedule.chains(n))
         } else {
-            schedule.folds(n, true)
+            Walk::Folds(schedule.folds(n, true))
         };
         cn.rounds = schedule.rounds(n);
     }
 
     Ok(Compiled {
+        cached,
         nests,
         schedule,
         index_values,
@@ -440,6 +481,21 @@ struct ProbeRun {
     owner: usize,
 }
 
+/// The fewest members a chain needs before its steady state is looked for.
+const MIN_CHECKED: usize = 8;
+
+/// A PE's cache state before a chain member: its resident keys in stamp
+/// order and the Random picker's state, then what φ is.
+#[derive(Debug, Default)]
+struct Snapshot {
+    keys: Vec<PageKey>,
+    picker: u64,
+    /// [`Worker::epoch`] when it was taken.
+    epoch: u64,
+    /// Per array, the pages φ shifts its keys by.
+    phi: Vec<i64>,
+}
+
 struct Worker<'a> {
     cp: &'a Compiled<'a>,
     pe: usize,
@@ -455,10 +511,17 @@ struct Worker<'a> {
     gens: Vec<u32>,
     cur: NestTally,
     /// How many stretches of the nest the one being replayed stands for
-    /// ([`Fold::times`]): what the bulk path charges is scaled by it.
-    /// Always 1 under a cache and in a nest that gathers, so a hit and an
-    /// instance charged on its own count singly.
+    /// ([`Fold::times`], or the members a chain has left once it repeats
+    /// itself): what the bulk path charges is scaled by it. Always 1 in a
+    /// nest that gathers, so an instance charged on its own counts singly.
     times: u64,
+    /// Counts the cache snapshots taken; `probed_at[a]` is its value at the
+    /// last probe of a page of array `a`.
+    epoch: u64,
+    probed_at: Vec<u64>,
+    /// Snapshots not in use, and the state compared against one.
+    snapshots: Vec<Snapshot>,
+    now: Vec<PageKey>,
     /// This PE's owned windows of the stretch being replayed.
     windows: Windows,
     /// The nest's address forms ([`CNest::forms`]) along the sweep being
@@ -477,13 +540,17 @@ impl<'a> Worker<'a> {
             pe,
             n_pes: cfg.n_pes,
             ps: cfg.page_size,
-            cache_on: cfg.cache_enabled(),
+            cache_on: cp.cached,
             lru: cfg.cache_policy == sa_machine::CachePolicy::Lru,
             cache: PolicyCache::new(cfg.cache_pages(), cfg.cache_policy),
             net: Network::new(cfg.network, cfg.n_pes),
             gens: vec![0; cp.index_values.len()],
             cur: NestTally::default(),
             times: 1,
+            epoch: 0,
+            probed_at: vec![0; cp.index_values.len()],
+            snapshots: Vec::new(),
+            now: Vec::new(),
             windows: Windows::default(),
             lines: Vec::new(),
             scratch_probes: Vec::new(),
@@ -602,9 +669,31 @@ impl<'a> Worker<'a> {
     }
 
     fn replay_nest(&mut self, nest: usize) {
-        let cn = &self.cp.nests[nest];
-        for fold in &cn.folds {
-            self.block(cn, nest, fold);
+        let cp = self.cp;
+        let cn = &cp.nests[nest];
+        match &cn.walk {
+            Walk::Folds(folds) => {
+                for fold in folds {
+                    self.times = fold.times;
+                    self.stretch(cn, nest, fold.sweep, fold.trips());
+                }
+                self.times = 1;
+            }
+            Walk::Chains(chains) => {
+                let sweeps = &cp.schedule.nest(nest).sweeps;
+                for chain in &chains.sweeps {
+                    let end = chain.members(0, chain.count).end;
+                    self.steady(chain, chains.shift(chain), end, |w, run| {
+                        for sweep in run {
+                            let trips = sweeps[sweep].trips;
+                            let blocks = chains.blocks(trips);
+                            w.steady(&blocks, chains.shift(&blocks), trips, |w, run| {
+                                w.stretch(cn, nest, sweep, run)
+                            });
+                        }
+                    });
+                }
+            }
         }
         // Vector→scalar collection: ship this PE's partials to each
         // scalar's host (paper §9), exactly like `machine.send_partial`.
@@ -617,11 +706,115 @@ impl<'a> Worker<'a> {
         }
     }
 
-    /// Replay this PE's share of one stretch of the nest, for every
-    /// stretch it stands for.
-    fn block(&mut self, cn: &'a CNest, nest: usize, fold: &Fold) {
-        let sw = self.cp.schedule.nest(nest).sweep(fold.sweep);
-        self.times = fold.times;
+    /// Walk the members of `chain`, then its units up to `end` (a sweep's
+    /// tail), in runs handed to `walk`, until a member leaves the cache as
+    /// the one before it left it, moved by φ (module docs, § Soundness):
+    /// then walk the next member once for every member left, move the
+    /// cache to where they would have left it, and walk on from the last.
+    /// `shift` is each array's page shift per member, empty for an identity
+    /// chain. Only members 1, 2, 4, 8, … are checked — walked alone,
+    /// between a snapshot and a comparison — so a chain that never repeats
+    /// costs a logarithmic number of snapshots, and the rest is walked in
+    /// as few runs.
+    #[inline]
+    fn steady(
+        &mut self,
+        chain: &Chain,
+        shift: &[i64],
+        end: usize,
+        mut walk: impl FnMut(&mut Self, Range<usize>),
+    ) {
+        // An identity chain's members are not translates. A check costs
+        // two snapshots and a cut in the walk: it pays on a chain of
+        // several members only.
+        let m = if !shift.is_empty() && chain.count >= MIN_CHECKED {
+            self.settle(chain, shift, &mut walk)
+        } else {
+            0
+        };
+        let rest = chain.members(m, m).start..end;
+        if !rest.is_empty() {
+            walk(self, rest);
+        }
+    }
+
+    /// [`Worker::steady`]'s checks: walk `chain` until it repeats itself
+    /// or too few members are left to check, and return the first member
+    /// not yet walked (`chain.count` once the rest are accounted for).
+    /// Out of line so that `steady`, called once per sweep of every cached
+    /// nest and almost always on an identity or short chain, stays a test
+    /// and a call: inlined whole, it cost a search over the registry a few
+    /// per cent.
+    #[inline(never)]
+    fn settle(
+        &mut self,
+        chain: &Chain,
+        shift: &[i64],
+        walk: &mut impl FnMut(&mut Self, Range<usize>),
+    ) -> usize {
+        let mut m = 0;
+        let mut check = 1;
+        // A check pays only if two or more members follow it.
+        while check + 3 <= chain.count {
+            if m < check {
+                walk(self, chain.members(m, check));
+            }
+            let mut snap = self.snapshots.pop().unwrap_or_default();
+            self.epoch += 1;
+            snap.epoch = self.epoch;
+            snap.picker = self.cache.order_into(&mut snap.keys);
+            walk(self, chain.members(check, check + 1));
+            m = check + 1;
+            if self.repeats(&mut snap, shift) {
+                let left = chain.count - m;
+                let times = self.times;
+                self.times *= left as u64;
+                walk(self, chain.members(m, m + 1));
+                self.times = times;
+                let (phi, k) = (&snap.phi, left as i64 - 1);
+                self.cache.rekey(|key| PageKey {
+                    page: (key.page as i64 + k * phi[key.array]) as usize,
+                    ..key
+                });
+                m = chain.count;
+            }
+            self.snapshots.push(snap);
+            if m == chain.count {
+                break;
+            }
+            check *= 2;
+        }
+        m
+    }
+
+    /// Whether the cache now holds `snap`'s state moved by φ, which shifts
+    /// the pages of every array probed since the snapshot by `shift` and
+    /// leaves every other key where it is; φ is left in `snap.phi`.
+    fn repeats(&mut self, snap: &mut Snapshot, shift: &[i64]) -> bool {
+        let mut now = std::mem::take(&mut self.now);
+        let picker = self.cache.order_into(&mut now);
+        snap.phi.clear();
+        let probed = self.probed_at.iter().map(|&at| at >= snap.epoch);
+        let phi = shift
+            .iter()
+            .zip(probed)
+            .map(|(&s, p)| if p { s } else { 0 });
+        snap.phi.extend(phi);
+        let moved = |k: &PageKey| k.page as i64 + snap.phi[k.array];
+        let same = picker == snap.picker
+            && now.len() == snap.keys.len()
+            && now.iter().zip(&snap.keys).all(|(k1, k0)| {
+                (k1.array, k1.generation) == (k0.array, k0.generation)
+                    && k1.page as i64 == moved(k0)
+            });
+        self.now = now;
+        same
+    }
+
+    /// Replay this PE's share of trips `trips` of sweep `sweep`, for every
+    /// stretch it stands for ([`Worker::times`]).
+    fn stretch(&mut self, cn: &'a CNest, nest: usize, sweep: usize, trips: Range<usize>) {
+        let sw = self.cp.schedule.nest(nest).sweep(sweep);
         let mut lines = std::mem::take(&mut self.lines);
         lines.clear();
         lines.extend(cn.forms.iter().map(|f| f.line(&sw)));
@@ -632,7 +825,7 @@ impl<'a> Worker<'a> {
         // gather-bearing windows fall back to per-instance charging.
         let mut win = std::mem::take(&mut self.windows);
         let schedule = &self.cp.schedule;
-        schedule.load_sweep(self.pe, nest, fold.sweep, fold.trips(), &mut win);
+        schedule.load_sweep(self.pe, nest, sweep, trips, &mut win);
         while let Some((w0, w1)) = win.advance() {
             let active = win.active();
             if active.iter().any(|&si| cn.body[si].has_gather) {
@@ -691,6 +884,7 @@ impl<'a> Worker<'a> {
         out: &mut Vec<ProbeRun>,
     ) {
         let ps = self.ps as i64;
+        let pushed = out.len();
         let mut t = w0;
         while t < w1 {
             let page = (line.addr(t as i64) / ps) as usize;
@@ -710,6 +904,11 @@ impl<'a> Worker<'a> {
                 });
             }
             t = end;
+        }
+        if out.len() > pushed {
+            // Every non-local run is probed (a gather's pages are probed
+            // elsewhere, but a nest that gathers never chains).
+            self.probed_at[array] = self.epoch;
         }
     }
 
@@ -778,7 +977,7 @@ impl<'a> Worker<'a> {
             return;
         }
         if runs.iter().all(|p| self.cache.contains(&self.key_of(p))) {
-            self.cur.cached += runs.len() as u64 * rest;
+            self.cur.cached += runs.len() as u64 * rest * self.times;
             if self.lru {
                 // Refresh recency once per page, in probe order: the
                 // relative stamp order equals the per-access outcome.
@@ -809,7 +1008,7 @@ impl<'a> Worker<'a> {
     fn probe_fetch(&mut self, p: &ProbeRun) {
         let key = self.key_of(p);
         if self.probe(key) {
-            self.cur.cached += 1;
+            self.cur.cached += self.times;
             return;
         }
         self.insert(key);

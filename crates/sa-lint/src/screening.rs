@@ -23,7 +23,11 @@
 //! 4. **which stretches of a nest are translates of one another**
 //!    ([`Schedule::folds`], [`Fold`]) — what lets the order-free counters
 //!    (the static estimator, cache-less replay, the reduction rounds) walk
-//!    one stretch per class and multiply.
+//!    one stretch per class and multiply;
+//! 5. **which *consecutive* stretches are translates of one another, and
+//!    by how much each array moves** ([`Schedule::chains`], [`Chain`]) —
+//!    what lets a cached replay, which needs the order, stop walking once a
+//!    PE's cache repeats itself.
 //!
 //! # Folding
 //!
@@ -39,9 +43,28 @@
 //! [`Fold`] once and multiplies by [`Fold::times`]. A nest the argument
 //! does not cover (a statement that is not [`Screen::Affine`], a gather, a
 //! period-less array) gets one fold per sweep with `times = 1`
-//! ([`Schedule::unfolded`]), which is also what a consumer that needs the
-//! order — a cached replay — asks for: there is one walk, and folding only
-//! chooses which trip ranges it visits.
+//! ([`Schedule::unfolded`]): there is one walk, and folding only chooses
+//! which trip ranges it visits.
+//!
+//! # Chains
+//!
+//! A cache makes the order count, so classes cannot be merged across the
+//! nest — but *consecutive* translates still repeat. [`Schedule::chains`]
+//! cuts a nest into runs of stretches, each the previous one moved by the
+//! same shift, at two nested levels:
+//!
+//! * across sweeps, members of `P` consecutive sweeps with equal trips whose
+//!   outer values (and first inner value) advance by the same step, `P`
+//!   the fewest steps after which every reference has moved by a multiple
+//!   of its period;
+//! * inside a sweep of two or more blocks, blocks of the `L` trips
+//!   [`Schedule::folds`] repeats by, and a tail.
+//!
+//! The shift must be one per array — the page shift a cache key of that
+//! array moves by — so a nest in which one array's references move by
+//! different amounts (a transposed read, a step-0 read beside a moving
+//! one) does not chain at that level. A nest beyond the translation
+//! argument chains at neither: one member per sweep, the plain walk.
 //!
 //! It lives in this crate because this is the lowest one that sees both
 //! `sa_ir::Program` and `sa_machine::Placement`.
@@ -121,6 +144,88 @@ impl Fold {
     }
 }
 
+/// A run of `count` consecutive stretches of `len` sweeps (across sweeps)
+/// or `len` trips (inside one sweep) from `first` on, each the previous one
+/// moved by [`Chains::shift`] (see the module docs, § Chains) — or, for an
+/// *identity* chain, which has no shift, merely the next in execution
+/// order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Chain {
+    /// First sweep, or first trip, of the first member.
+    pub first: usize,
+    /// Sweeps, or trips, per member.
+    pub len: usize,
+    /// Members, in execution order.
+    pub count: usize,
+    /// Which of [`Chains`]' shifts the members move by.
+    shift: usize,
+}
+
+/// The shift of an identity chain.
+const UNMOVED: usize = usize::MAX;
+
+impl Chain {
+    /// An identity chain.
+    fn plain(first: usize, len: usize, count: usize) -> Chain {
+        Chain {
+            first,
+            len,
+            count,
+            shift: UNMOVED,
+        }
+    }
+
+    /// The sweeps, or trips, of members `m0..m1`.
+    #[inline]
+    pub fn members(&self, m0: usize, m1: usize) -> Range<usize> {
+        self.first + m0 * self.len..self.first + m1 * self.len
+    }
+}
+
+/// A nest as an ordered walk that may stop repeating itself visits it:
+/// runs of sweeps, and inside each sweep a run of blocks
+/// ([`Schedule::chains`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Chains {
+    /// The runs of sweeps in execution order; their members, expanded,
+    /// are every sweep of the nest once.
+    pub sweeps: Vec<Chain>,
+    /// Trips per inner block, 0 when blocks are not translates.
+    block: usize,
+    /// Per-member page shifts, each indexed by array id; the blocks' comes
+    /// first when `block > 0`.
+    shifts: Vec<Vec<i64>>,
+}
+
+impl Chains {
+    /// How many pages each array's references move from one member of
+    /// `chain` to the next (0 for an array the nest does not reference);
+    /// empty for an identity chain.
+    #[inline]
+    pub fn shift(&self, chain: &Chain) -> &[i64] {
+        self.shifts.get(chain.shift).map_or(&[], Vec::as_slice)
+    }
+
+    /// The chain of blocks a sweep of `trips` trips is walked in, from trip
+    /// 0: two or more blocks when it holds them, else the whole sweep as
+    /// one member. The trips past its last member, fewer than a block, are
+    /// the sweep's tail.
+    #[inline]
+    pub fn blocks(&self, trips: usize) -> Chain {
+        let l = self.block;
+        if l > 0 && trips / 2 >= l {
+            Chain {
+                first: 0,
+                len: l,
+                count: trips / l,
+                shift: 0,
+            }
+        } else {
+            Chain::plain(0, trips, 1)
+        }
+    }
+}
+
 /// An anchor no PE can be found for, found while tabulating.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AnchorError {
@@ -162,6 +267,35 @@ impl NestSchedule<'_> {
             trips: s.trips,
         }
     }
+}
+
+/// A reference the translation argument keys on: its array, its address
+/// form, and the array's [`Placement::period`].
+struct Periodic {
+    array: usize,
+    form: LinForm,
+    period: i64,
+}
+
+/// The fewest moves by `delta` after which every reference has moved by a
+/// multiple of its period; `None` on overflow.
+fn repeat_after(refs: &[Periodic], delta: impl Fn(&Periodic) -> i64) -> Option<u64> {
+    refs.iter().try_fold(1u64, |l, r| {
+        let period = r.period as u64;
+        lcm(l, period / gcd(delta(r).unsigned_abs(), period))
+    })
+}
+
+/// Whether sweep `j` of `ns` follows sweep `j − 1` as sweep `i + 1` follows
+/// sweep `i` — outer values and first inner value advanced by the same
+/// step — with as many trips as sweep `i`.
+fn steps_alike(ns: &NestSchedule<'_>, i: usize, j: usize) -> bool {
+    let (s, w) = (&ns.sweeps, ns.nest.loops.len().saturating_sub(1));
+    let outer = |k: usize| &ns.outers[k * w..(k + 1) * w];
+    let step = |k: usize| outer(k + 1).iter().zip(outer(k)).map(|(b, a)| b - a);
+    s[j].trips == s[i].trips
+        && s[j].lo - s[j - 1].lo == s[i + 1].lo - s[i].lo
+        && step(j - 1).eq(step(i))
 }
 
 /// Loop-variable values of `sweep` on trip `t`, into `ivs`.
@@ -377,7 +511,8 @@ impl<'p> Schedule<'p> {
     }
 
     /// Nest `nest` as one [`Fold`] per sweep, each standing for itself: the
-    /// walk in execution order, for a consumer that needs the order.
+    /// walk in execution order, which is what [`Schedule::folds`] gives a
+    /// nest beyond the translation argument.
     pub fn unfolded(&self, nest: usize) -> Vec<Fold> {
         let sweeps = self.nests[nest].sweeps.iter().enumerate();
         sweeps
@@ -405,9 +540,9 @@ impl<'p> Schedule<'p> {
         }
     }
 
-    /// The `(address form, period)` of every reference [`Schedule::folds`]
-    /// keys on, or `None` when the nest is beyond the translation argument.
-    fn periodic_refs(&self, nest: usize, with_reads: bool) -> Option<Vec<(LinForm, i64)>> {
+    /// Every reference [`Schedule::folds`] keys on, or `None` when the nest
+    /// is beyond the translation argument.
+    fn periodic_refs(&self, nest: usize, with_reads: bool) -> Option<Vec<Periodic>> {
         let ns = &self.nests[nest];
         let nvars = ns.nest.loops.len();
         let mut refs = Vec::new();
@@ -415,22 +550,27 @@ impl<'p> Schedule<'p> {
             let Screen::Affine { array, form } = screen else {
                 return None;
             };
-            refs.push((form.clone(), self.array_period(*array)?));
+            refs.push(self.periodic(*array, form.clone())?);
             for read in stmt.reads().into_iter().filter(|_| with_reads) {
                 let form = linear_address_form(self.program, read, nvars)?;
-                refs.push((form, self.array_period(read.array)?));
+                refs.push(self.periodic(read.array, form)?);
             }
         }
         Some(refs)
     }
 
-    /// [`Placement::period`] of array `a`, as an address distance.
-    fn array_period(&self, a: ArrayId) -> Option<i64> {
-        i64::try_from(self.placements[a.0].period()?).ok()
+    /// A reference to array `a` at `form`, if the array has a
+    /// [`Placement::period`].
+    fn periodic(&self, a: ArrayId, form: LinForm) -> Option<Periodic> {
+        Some(Periodic {
+            array: a.0,
+            form,
+            period: i64::try_from(self.placements[a.0].period()?).ok()?,
+        })
     }
 
-    /// [`Schedule::folds`] over the given `(address form, period)` pairs.
-    fn fold_by(&self, nest: usize, refs: &[(LinForm, i64)]) -> Vec<Fold> {
+    /// [`Schedule::folds`] over the given references.
+    fn fold_by(&self, nest: usize, refs: &[Periodic]) -> Vec<Fold> {
         let ns = &self.nests[nest];
         if ns.sweeps.is_empty() {
             return Vec::new();
@@ -440,10 +580,7 @@ impl<'p> Schedule<'p> {
         // more such periods is its first one, repeated, plus a tail. A
         // reference's increment per trip is the same on every sweep.
         let first = ns.sweep(0);
-        let inner = refs.iter().try_fold(1u64, |l, (form, period)| {
-            let (per_trip, period) = (form.line(&first).step.unsigned_abs(), *period as u64);
-            lcm(l, period / gcd(per_trip, period))
-        });
+        let inner = repeat_after(refs, |r| r.form.line(&first).step);
         let mut folds: Vec<Fold> = Vec::new();
         let mut classes: HashMap<Vec<i64>, usize> = HashMap::new();
         let mut key: Vec<i64> = Vec::with_capacity(refs.len() + 1);
@@ -462,8 +599,8 @@ impl<'p> Schedule<'p> {
                 // period: the stretches are translates.
                 key.clear();
                 key.push((t1 - t0) as i64);
-                for (form, period) in refs {
-                    key.push(form.line(&sw).addr(t0 as i64).rem_euclid(*period));
+                for r in refs {
+                    key.push(r.form.line(&sw).addr(t0 as i64).rem_euclid(r.period));
                 }
                 if let Some(&class) = classes.get(&key) {
                     folds[class].times += times;
@@ -479,6 +616,101 @@ impl<'p> Schedule<'p> {
             }
         }
         folds
+    }
+
+    /// Nest `nest` as runs of consecutive translates (module docs,
+    /// § Chains): runs of sweeps in execution order, and the blocks a sweep
+    /// is cut into ([`Chains::blocks`]). The references that must move
+    /// alike are every statement's anchor and every read; sweeps no run
+    /// covers are identity chains of one sweep per member, and a nest that
+    /// [`folds`](Schedule::folds) to the identity is one such chain, with
+    /// no blocks. The table holds one entry per run, never one per block.
+    pub fn chains(&self, nest: usize) -> Chains {
+        let ns = &self.nests[nest];
+        let n = ns.sweeps.len();
+        let mut chains = Chains {
+            sweeps: Vec::new(),
+            block: 0,
+            shifts: Vec::new(),
+        };
+        let Some(refs) = self.periodic_refs(nest, true) else {
+            chains.sweeps.extend((n > 0).then(|| Chain::plain(0, 1, n)));
+            return chains;
+        };
+        if n > 0 {
+            // A reference's increment per trip is the same on every sweep.
+            let first = ns.sweep(0);
+            let longest = ns.sweeps.iter().map(|s| s.trips).max().unwrap_or(0);
+            let step = |r: &Periodic| r.form.line(&first).step;
+            if let Some((l, shift)) = self.translation(&refs, step, longest / 2) {
+                chains.block = l;
+                chains.shifts.push(shift);
+            }
+        }
+        let mut i = 0;
+        while i < n {
+            // Sweeps `i..j` step alike; only then are the per-reference
+            // moves worth working out.
+            let mut j = i + 1;
+            while j < n && steps_alike(ns, i, j) {
+                j += 1;
+            }
+            let (from, to) = (ns.sweep(i), ns.sweep((i + 1).min(n - 1)));
+            let moved = |r: &Periodic| r.form.line(&to).base - r.form.line(&from).base;
+            let found = (j - i >= 2)
+                .then(|| self.translation(&refs, moved, (j - i) / 2))
+                .flatten();
+            match found {
+                Some((p, shift)) => {
+                    let count = (j - i) / p;
+                    chains.sweeps.push(Chain {
+                        first: i,
+                        len: p,
+                        count,
+                        shift: chains.shifts.len(),
+                    });
+                    chains.shifts.push(shift);
+                    i += count * p;
+                }
+                None => {
+                    // Sweep `j - 1` may begin the next run.
+                    let next = (j - 1).max(i + 1);
+                    match chains.sweeps.last_mut() {
+                        Some(last) if last.shift == UNMOVED => last.count += next - i,
+                        _ => chains.sweeps.push(Chain::plain(i, 1, next - i)),
+                    }
+                    i = next;
+                }
+            }
+        }
+        chains
+    }
+
+    /// When every reference to an array moves by the same address distance
+    /// `delta`, the fewest moves after which each reference has moved by a
+    /// multiple of its period, and what each array has then moved, in
+    /// pages, indexed by array id; `None` when some array's references
+    /// move apart or the fewest moves are more than `most`.
+    fn translation(
+        &self,
+        refs: &[Periodic],
+        delta: impl Fn(&Periodic) -> i64,
+        most: usize,
+    ) -> Option<(usize, Vec<i64>)> {
+        let times = repeat_after(refs, &delta).filter(|&t| t <= most as u64)?;
+        let mut moves = vec![None; self.placements.len()];
+        for r in refs {
+            let d = delta(r);
+            if *moves[r.array].get_or_insert(d) != d {
+                return None;
+            }
+        }
+        let pages = moves.iter().zip(&self.placements).map(|(d, p)| {
+            let addrs = d.unwrap_or(0).checked_mul(i64::try_from(times).ok()?)?;
+            debug_assert_eq!(addrs % p.page_size as i64, 0, "a period is whole pages");
+            Some(addrs / p.page_size as i64)
+        });
+        Some((usize::try_from(times).ok()?, pages.collect::<Option<_>>()?))
     }
 
     /// The trips `trips` of sweep `sweep` of nest `nest` that statement
@@ -561,8 +793,8 @@ impl<'p> Schedule<'p> {
                     // on every stretch of a class: one of each decides.
                     let placement = &self.placements[array.0];
                     let ps = placement.page_size as i64;
-                    let folds = match self.array_period(*array) {
-                        Some(period) => self.fold_by(nest, &[(form.clone(), period)]),
+                    let folds = match self.periodic(*array, form.clone()) {
+                        Some(anchor) => self.fold_by(nest, &[anchor]),
                         None => self.unfolded(nest),
                     };
                     for fold in folds {

@@ -76,12 +76,19 @@ pub enum Probe<T> {
 ///   probe the payload cannot serve refreshes nothing;
 /// * LRU and FIFO evict the minimum stamp (stamps are unique);
 /// * Random draws one xorshift64* number per eviction and picks its victim
-///   from the *sorted* key list, so the choice is a function of the seed and
-///   the resident set alone.
+///   by rank in the *sorted* key list, so the choice is a function of the
+///   seed and the resident set alone.
+///
+/// So what a probe sequence does to the cache depends on the resident keys
+/// in stamp order and the Random picker's state, nothing else
+/// ([`PolicyCache::order_into`]), and it commutes with any renaming of the
+/// keys that keeps their sorted order ([`PolicyCache::rekey`]): the same
+/// probes, renamed, from the renamed state hit and miss alike and end in
+/// the renamed state.
 ///
 /// Pages are found by scanning the key list: capacities are a handful of
 /// pages (the paper's 256-element cache holds 8), where a scan beats
-/// hashing several times over.
+/// hashing several times over. The list's own order means nothing.
 #[derive(Debug, Clone)]
 pub struct PolicyCache<P> {
     capacity: usize,
@@ -191,14 +198,70 @@ impl<P> PolicyCache<P> {
                 self.rng ^= self.rng << 17;
                 let n = self.keys.len() as u64;
                 let pick = (self.rng.wrapping_mul(0x2545_F491_4F6C_DD1D) % n) as usize;
-                let mut sorted = self.keys.clone();
-                sorted.sort_unstable();
-                self.keys.iter().position(|k| *k == sorted[pick])
+                Some(self.select(pick))
             }
         };
         if let Some(i) = victim {
             self.keys.swap_remove(i);
             self.slots.swap_remove(i);
+        }
+    }
+
+    /// The position of the `rank`-th smallest resident key, found by
+    /// quickselect in place: keys and slots are permuted alike, which
+    /// nothing observes, and nothing is allocated.
+    fn select(&mut self, rank: usize) -> usize {
+        let (mut lo, mut hi) = (0, self.keys.len() - 1);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            self.swap(mid, hi);
+            let mut store = lo;
+            for i in lo..hi {
+                if self.keys[i] < self.keys[hi] {
+                    self.swap(i, store);
+                    store += 1;
+                }
+            }
+            self.swap(store, hi);
+            match rank.cmp(&store) {
+                std::cmp::Ordering::Equal => return store,
+                std::cmp::Ordering::Less => hi = store - 1,
+                std::cmp::Ordering::Greater => lo = store + 1,
+            }
+        }
+        lo
+    }
+
+    fn swap(&mut self, i: usize, j: usize) {
+        self.keys.swap(i, j);
+        self.slots.swap(i, j);
+    }
+
+    /// The state every later replacement decision depends on: the resident
+    /// keys, oldest stamp first, into `out`, and the Random picker's state
+    /// (returned; constant under LRU and FIFO). Two caches of one capacity
+    /// and policy that agree on both hit, miss and evict alike on any probe
+    /// sequence.
+    pub fn order_into(&self, out: &mut Vec<PageKey>) -> u64 {
+        let mut order: Vec<(u64, PageKey)> = self
+            .slots
+            .iter()
+            .zip(&self.keys)
+            .map(|(slot, &key)| (slot.0, key))
+            .collect();
+        order.sort_unstable_by_key(|&(tick, _)| tick);
+        out.clear();
+        out.extend(order.into_iter().map(|(_, key)| key));
+        self.rng
+    }
+
+    /// Rename every resident key by `f`, keeping its stamp and payload.
+    /// When `f` preserves the sorted order of the resident keys, the cache
+    /// then behaves on `f`-renamed probes exactly as it did on the
+    /// originals.
+    pub fn rekey(&mut self, f: impl Fn(PageKey) -> PageKey) {
+        for key in &mut self.keys {
+            *key = f(*key);
         }
     }
 
@@ -328,6 +391,97 @@ mod tests {
         };
         assert_eq!(run(7), run(7));
         assert_eq!(run(7).len(), 4);
+    }
+
+    #[test]
+    fn random_victims_are_the_ranked_keys() {
+        // The resident sets after 64 inserts over three arrays in scrambled
+        // page order, as the sort-the-key-list picker left them.
+        // `array:page`, ascending.
+        let pinned = [
+            (1, 1, "0:27"),
+            (1, 4, "0:27 0:44 1:17 2:54"),
+            (1, 8, "0:1 0:27 0:44 1:17 1:21 1:38 2:7 2:11"),
+            (7, 1, "0:27"),
+            (7, 4, "0:27 1:51 2:7 2:54"),
+            (7, 8, "0:1 0:27 0:44 1:4 1:17 1:51 2:7 2:54"),
+            (42, 1, "0:27"),
+            (42, 4, "0:27 1:17 1:34 2:54"),
+            (42, 8, "0:27 1:17 1:34 1:38 1:51 2:7 2:24 2:54"),
+        ];
+        let inserted = |i: usize| key(i % 3, (i * 37) % 64);
+        for (seed, capacity, want) in pinned {
+            let mut c = PageCache::new(capacity, CachePolicy::Random { seed });
+            (0..64).for_each(|i| c.insert(inserted(i), None));
+            let mut resident: Vec<PageKey> =
+                (0..64).map(inserted).filter(|k| c.contains(k)).collect();
+            resident.sort_unstable();
+            let resident: Vec<String> = resident
+                .iter()
+                .map(|k| format!("{}:{}", k.array, k.page))
+                .collect();
+            assert_eq!(resident.join(" "), want, "seed {seed}, {capacity} pages");
+        }
+    }
+
+    /// Probe `k`, inserting it on a miss; true on a hit.
+    fn access(c: &mut PolicyCache<u32>, k: PageKey) -> bool {
+        let hit = matches!(c.probe_with(k, |&v| Some(v)), Probe::Hit(_));
+        if !hit {
+            c.insert_with(k, k.page as u32, |_, _| {});
+        }
+        hit
+    }
+
+    #[test]
+    fn the_policies_commute_with_an_order_preserving_renaming() {
+        // φ moves array 0 by 7 pages and array 2 by 3, and leaves array 1:
+        // it keeps the sorted order of any key set.
+        let phi = |k: PageKey| PageKey {
+            page: k.page + [7, 0, 3][k.array],
+            ..k
+        };
+        let probes: Vec<PageKey> = (0..200usize)
+            .map(|i| key([0, 2, 0, 1][i % 4], i % 5 % 2 + i / 40))
+            .collect();
+        for policy in [
+            CachePolicy::Lru,
+            CachePolicy::Fifo,
+            CachePolicy::Random { seed: 9 },
+        ] {
+            for capacity in [1usize, 3, 5, 8] {
+                let mut c: PolicyCache<u32> = PolicyCache::new(capacity, policy);
+                probes[..40].iter().for_each(|&k| {
+                    access(&mut c, k);
+                });
+                let mut renamed = c.clone();
+                renamed.rekey(phi);
+                // Stamps and payloads survive the renaming.
+                let (mut before, mut after) = (Vec::new(), Vec::new());
+                let picker = c.order_into(&mut before);
+                assert_eq!(renamed.order_into(&mut after), picker);
+                assert_eq!(after, before.iter().map(|&k| phi(k)).collect::<Vec<_>>());
+                for &k in &before {
+                    let payload = renamed.clone().probe_with(phi(k), |&v| Some(v));
+                    assert_eq!(payload, Probe::Hit(k.page as u32), "{policy:?}");
+                }
+                // The renamed probes hit and miss alike and end in the
+                // renamed state.
+                for &k in &probes[40..] {
+                    assert_eq!(
+                        access(&mut c, k),
+                        access(&mut renamed, phi(k)),
+                        "{policy:?}"
+                    );
+                }
+                let picker = c.order_into(&mut before);
+                assert_eq!(renamed.order_into(&mut after), picker);
+                assert_eq!(after, before.iter().map(|&k| phi(k)).collect::<Vec<_>>());
+                // Not vacuous: the big cache hits, and every one evicts.
+                assert!(capacity < 8 || c.hit_stats().0 > 0, "{policy:?}");
+                assert_eq!(c.len(), capacity);
+            }
+        }
     }
 
     #[test]

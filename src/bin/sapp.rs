@@ -696,13 +696,23 @@ fn main() {
                 args.get(1).map(String::as_str).unwrap_or_else(|| usage()),
                 &o,
             );
+            // The sweep fixes the PE ladder and prints both cache columns:
+            // a flag that would pick one of them is a usage error, not a
+            // silently ignored one.
+            if o.pes.is_some() || o.no_cache {
+                eprintln!(
+                    "sweep runs PEs 1…64 with a --cache N column and a no-cache column: \
+                     --pes and --no-cache do not apply"
+                );
+                std::process::exit(2);
+            }
             // One plan, all 14 grid points simulated concurrently; the
             // cached/uncached columns are selected by predicate rather
             // than by result position. `--partition`/`--network` pin those
             // axes to a single value across the grid.
             let mut plan = ExperimentPlan::new()
                 .page_sizes(&[o.page])
-                .cache_flags(&[true, false])
+                .cache_elems(&[o.cache, 0])
                 .pes(&[1, 2, 4, 8, 16, 32, 64]);
             if let Some(scheme) = o.partition {
                 plan = plan.partitions(&[scheme]);

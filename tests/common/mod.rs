@@ -4,7 +4,9 @@
 //! the nests, so most sweeps are translates of one another and most long
 //! sweeps hold several inner periods — the programs on which the cache-less
 //! counters walk one stretch per class and multiply
-//! (`sa_lint::screening::Schedule::folds`). The suites' older generators
+//! (`sa_lint::screening::Schedule::folds`), and on which a cached replay
+//! stops walking a chain of translates once the cache repeats itself
+//! (`Schedule::chains`). The suites' older generators
 //! draw periods of 4 … 1024 elements against nests of at most 60 trips and
 //! hardly ever fold.
 
@@ -12,7 +14,7 @@ use proptest::prelude::*;
 
 use sapp::ir::index::iv;
 use sapp::ir::{AffineIndex, Expr, InitPattern, LoopVar, Program, ProgramBuilder, ReduceOp};
-use sapp::machine::{MachineConfig, NetworkTopology, PartitionScheme};
+use sapp::machine::{CachePolicy, MachineConfig, NetworkTopology, PartitionScheme};
 
 /// Largest read offset generated.
 const OFF_MAX: i64 = 8;
@@ -101,6 +103,27 @@ pub fn dense_config_strategy() -> impl Strategy<Value = MachineConfig> {
                 .with_cache_elems(0)
                 .with_partition(scheme)
                 .with_network(net)
+        })
+}
+
+/// The same machines with a cache of 0 (less than one page), 1–8 or 32
+/// pages under each replacement policy: small against the nests, so a
+/// cached replay's chains reach their steady state — or, under Random with
+/// evictions, never do.
+#[allow(dead_code)] // `lint_static.rs` counts without a cache
+pub fn dense_cached_config_strategy() -> impl Strategy<Value = MachineConfig> {
+    (
+        dense_config_strategy(),
+        prop_oneof![Just(0usize), 1usize..9, Just(32)],
+        prop_oneof![
+            Just(CachePolicy::Lru),
+            Just(CachePolicy::Fifo),
+            (1u64..1000).prop_map(|seed| CachePolicy::Random { seed }),
+        ],
+    )
+        .prop_map(|(cfg, pages, policy)| {
+            let elems = (pages * cfg.page_size).max(cfg.page_size - 1);
+            cfg.with_cache_elems(elems).with_cache_policy(policy)
         })
 }
 

@@ -529,6 +529,178 @@ proptest! {
         prop_assert_eq!(rep.network_hops, sim.network_hops);
         prop_assert_eq!(rep.max_link_load, sim.max_link_load);
     }
+
+    /// The cached twin: the same programs under caches of 0 (less than one
+    /// page), 1–8 and 32 pages and every replacement policy, where replay
+    /// walks chains of consecutive translates until a PE's cache repeats
+    /// itself and multiplies the rest — hits included.
+    #[test]
+    fn fold_dense_nests_bit_identical_under_a_cache(
+        spec in common::dense_program_strategy(),
+        cfg in common::dense_cached_config_strategy(),
+    ) {
+        let program = common::build_dense(&spec);
+        let sim = simulate(&program, &cfg)
+            .map_err(proptest::test_runner::TestCaseError::fail)?;
+        let rep = replay::counts(&program, &cfg)
+            .map_err(proptest::test_runner::TestCaseError::fail)?;
+        prop_assert_eq!(&rep.stats, &sim.stats, "spec {:?} cfg {:?}", &spec, &cfg);
+        prop_assert_eq!(&rep.per_nest, &sim.per_nest);
+        prop_assert_eq!(rep.network_messages, sim.network_messages);
+        prop_assert_eq!(rep.network_hops, sim.network_hops);
+        prop_assert_eq!(rep.max_link_load, sim.max_link_load);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The steady state under a cache, on the shapes it must get right
+// ---------------------------------------------------------------------------
+
+/// `Y` read at `(row, col)` offsets around the identity over a `rows × cols`
+/// interior, into `X`: a stencil whose sweeps are one row each.
+fn grid(rows: usize, cols: usize, taps: &[(i64, i64)]) -> Program {
+    let mut b = ProgramBuilder::new("grid");
+    let y = b.input("Y", &[rows + 2, cols + 2], InitPattern::Wavy);
+    let x = b.output("X", &[rows + 2, cols + 2]);
+    let loops = [("i", 1, rows as i64), ("j", 1, cols as i64)];
+    b.nest("grid", &loops, |nb| {
+        let reads = taps
+            .iter()
+            .map(|&(di, dj)| nb.read(y, [iv(0).plus(di), iv(1).plus(dj)]));
+        let value = reads.reduce(|a, r| a + r).expect("a tap");
+        nb.assign(x, [iv(0), iv(1)], value);
+    });
+    b.finish()
+}
+
+/// The programs a cached replay's steady state must count exactly, by
+/// name.
+fn steady_state_shapes() -> Vec<(&'static str, Program)> {
+    let five = [(0, 0), (-1, 0), (1, 0), (0, -1), (0, 1)];
+    let mut shapes = vec![
+        // Rows of 256 and of 252 elements: a whole number of periods apart
+        // for most machines (one sweep per member), or not (several) — and
+        // long enough for blocks inside each row.
+        ("aligned rows", grid(24, 254, &five)),
+        ("unaligned rows", grid(40, 250, &five)),
+    ];
+
+    // K18's `k18-75` after `k18-72`: the second nest reads only what its PE
+    // owns, while the cache still holds pages of the same arrays from the
+    // first. (It would never repeat itself if φ moved arrays it did not
+    // probe.)
+    let n = 300;
+    let mut b = ProgramBuilder::new("local after remote");
+    let y = b.input("Y", &[n + 40], InitPattern::Wavy);
+    let (x, z) = (b.output("X", &[n]), b.output("Z", &[n + 40]));
+    b.nest("remote", &[("k", 0, n as i64 - 1)], |nb| {
+        nb.assign(
+            x,
+            [iv(0)],
+            nb.read(y, [iv(0).plus(7)]) + nb.read(y, [iv(0).plus(37)]),
+        );
+    });
+    b.nest("local", &[("k", 0, n as i64 - 1)], |nb| {
+        nb.assign(z, [iv(0)], nb.read(y, [iv(0)]));
+    });
+    shapes.push(("local after remote", b.finish()));
+
+    // One array read along and across: two shifts per sweep and per trip.
+    let mut b = ProgramBuilder::new("transposed");
+    let y = b.input("Y", &[24, 24], InitPattern::Wavy);
+    let x = b.output("X", &[24, 24]);
+    b.nest("transposed", &[("i", 0, 23), ("j", 0, 23)], |nb| {
+        nb.assign(
+            x,
+            [iv(0), iv(1)],
+            nb.read(y, [iv(0), iv(1)]) + nb.read(y, [iv(1), iv(0)]),
+        );
+    });
+    shapes.push(("transposed", b.finish()));
+
+    // A read that stays put beside one of the same array that moves.
+    let mut b = ProgramBuilder::new("pinned");
+    let y = b.input("Y", &[20, 160], InitPattern::Wavy);
+    let x = b.output("X", &[20, 160]);
+    b.nest("pinned", &[("i", 0, 19), ("j", 0, 159)], |nb| {
+        nb.assign(
+            x,
+            [iv(0), iv(1)],
+            nb.read(y, [iv(0), iv(1)]) + nb.read(y, [0.into(), iv(1)]),
+        );
+    });
+    shapes.push(("step-0 beside moving", b.finish()));
+
+    // Two far-apart remote reads per stretch into a big cache: it fills
+    // for many members before it can repeat itself.
+    let n = 4000;
+    let mut b = ProgramBuilder::new("slow fill");
+    let y = b.input("Y", &[n + 700], InitPattern::Wavy);
+    let x = b.output("X", &[n]);
+    b.nest("slow", &[("k", 0, n as i64 - 1)], |nb| {
+        nb.assign(
+            x,
+            [iv(0)],
+            nb.read(y, [iv(0).plus(301)]) + nb.read(y, [iv(0).plus(677)]),
+        );
+    });
+    shapes.push(("slow fill", b.finish()));
+
+    // A re-initialization between two nests over the same arrays.
+    let mut b = ProgramBuilder::new("reinit");
+    let y = b.input("Y", &[30, 40], InitPattern::Wavy);
+    let x = b.output("X", &[30, 40]);
+    for label in ["before", "after"] {
+        if label == "after" {
+            b.reinit(x);
+        }
+        b.nest(label, &[("i", 1, 28), ("j", 0, 39)], |nb| {
+            nb.assign(
+                x,
+                [iv(0), iv(1)],
+                nb.read(y, [iv(0).plus(1), iv(1)]) + nb.read(y, [iv(0).plus(-1), iv(1)]),
+            );
+        });
+    }
+    shapes.push(("reinit", b.finish()));
+    shapes
+}
+
+#[test]
+fn the_steady_state_under_a_cache_counts_like_the_interpreter() {
+    let shapes = steady_state_shapes();
+    let mut points = Vec::new();
+    for s in 0..shapes.len() {
+        for n_pes in [3usize, 4] {
+            for page in [2usize, 4] {
+                for pages in [1usize, 3, 8, 40] {
+                    for policy in [
+                        CachePolicy::Lru,
+                        CachePolicy::Fifo,
+                        CachePolicy::Random { seed: 5 },
+                    ] {
+                        for scheme in [
+                            PartitionScheme::Modulo,
+                            PartitionScheme::BlockCyclic { block_pages: 2 },
+                        ] {
+                            let cfg = MachineConfig::new(n_pes, page)
+                                .with_cache_elems(pages * page)
+                                .with_cache_policy(policy)
+                                .with_partition(scheme)
+                                .with_network(NetworkTopology::Ring);
+                            points.push((s, cfg));
+                        }
+                    }
+                }
+            }
+        }
+    }
+    par_map(&points, |(s, cfg)| {
+        let (name, program) = &shapes[*s];
+        assert_identical(&format!("{name} @ {cfg:?}"), program, cfg);
+        Ok::<_, std::convert::Infallible>(())
+    })
+    .unwrap();
 }
 
 // ---------------------------------------------------------------------------

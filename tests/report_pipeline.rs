@@ -317,6 +317,54 @@ fn the_static_engine_under_the_default_cache_asks_for_no_cache() {
     assert_eq!(err.lines().count(), 1, "{err}");
 }
 
+/// `sapp ARGS`: exit code, stdout, stderr.
+fn sapp(args: &str) -> (Option<i32>, String, String) {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_sapp"))
+        .args(args.split(' '))
+        .output()
+        .expect("sapp runs");
+    let text = |b: &[u8]| String::from_utf8_lossy(b).into_owned();
+    (out.status.code(), text(&out.stdout), text(&out.stderr))
+}
+
+/// `sweep --cache N` measures its cache column with N elements: at every
+/// PE count it is the remote % `simulate --pes P --cache N` prints.
+#[test]
+fn the_sweep_cache_column_is_the_cache_asked_for() {
+    let (code, csv, err) = sapp("sweep k18 --cache 2048 --format csv");
+    assert_eq!(code, Some(0), "{err}");
+    let (_, default, _) = sapp("sweep k18 --format csv");
+    assert_ne!(csv, default, "a 2048-element cache is not the default 256");
+    let mut lines = csv.lines();
+    assert_eq!(
+        lines.next(),
+        Some("pes,remote_pct_cache,remote_pct_no_cache")
+    );
+    let mut rows = 0;
+    for line in lines {
+        let cells: Vec<&str> = line.split(',').collect();
+        let (code, sim, err) = sapp(&format!("simulate k18 --pes {} --cache 2048", cells[0]));
+        assert_eq!(code, Some(0), "{err}");
+        let pct = sim.split("→ ").nth(1).and_then(|s| s.split(' ').next());
+        assert_eq!(pct, Some(cells[1]), "{} PEs: {sim}", cells[0]);
+        rows += 1;
+    }
+    assert_eq!(rows, 7, "PEs 1, 2, 4, … 64");
+}
+
+/// The sweep fixes its PE ladder and both cache columns: `--pes` and
+/// `--no-cache` are usage errors, not silently ignored.
+#[test]
+fn sweep_rejects_the_flags_it_fixes() {
+    for args in ["sweep k18 --pes 3", "sweep k18 --no-cache"] {
+        let (code, out, err) = sapp(args);
+        assert_eq!(code, Some(2), "sapp {args}: {err}");
+        assert!(out.is_empty(), "sapp {args}: {out}");
+        assert!(err.contains("PEs 1…64"), "sapp {args}: {err}");
+        assert_eq!(err.lines().count(), 1, "sapp {args}: {err}");
+    }
+}
+
 /// Every command × bad shape × engine: accepted (0), rejected with the
 /// typed error (1) or a usage error (2) — never a panic (101).
 #[test]

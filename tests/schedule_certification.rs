@@ -248,9 +248,9 @@ struct FoldTally {
     folded_away: u64,
 }
 
-/// One walked reference: its address form, where its array's pages live,
-/// and the period of that placement.
-type Walked<'a> = (LinForm, &'a Placement, i64);
+/// One walked reference: its array, its address form, where the array's
+/// pages live, and the period of that placement.
+type Walked<'a> = (ArrayId, LinForm, &'a Placement, i64);
 
 /// The references `folds(nest, with_reads)` must key on, by the rule in
 /// `sa_lint::screening` § Folding: every statement's affine anchor and,
@@ -266,7 +266,7 @@ fn walked_refs<'a>(
     let mut refs = Vec::new();
     let mut walk = |array: ArrayId, form: Option<LinForm>| {
         let placement = sched.placement(array);
-        refs.push((form?, placement, placement.period()? as i64));
+        refs.push((array, form?, placement, placement.period()? as i64));
         Some(())
     };
     for (stmt, screen) in ns.nest.body.iter().zip(&ns.screen.screens) {
@@ -324,7 +324,7 @@ fn certify_folds(code: &str, program: &Program, tally: &mut FoldTally) {
                 // repeated, and a tail.
                 let depth = ns.nest.loops.len();
                 let inner_step = ns.nest.loops.last().map_or(0, |lv| lv.step);
-                let inner = refs.iter().try_fold(1u64, |l, (form, _, period)| {
+                let inner = refs.iter().try_fold(1u64, |l, (_, form, _, period)| {
                     let per_trip = form.coeffs.last().map_or(0, |c| c * inner_step);
                     lcm(
                         l,
@@ -345,7 +345,7 @@ fn certify_folds(code: &str, program: &Program, tally: &mut FoldTally) {
                     let ivs = ivs(sweep, t0);
                     let starts = refs
                         .iter()
-                        .map(|(form, _, period)| form.eval(&ivs).rem_euclid(*period));
+                        .map(|(_, form, _, period)| form.eval(&ivs).rem_euclid(*period));
                     (len, starts.collect::<Vec<i64>>())
                 };
                 let mut fold_of = HashMap::new();
@@ -379,7 +379,7 @@ fn certify_folds(code: &str, program: &Program, tally: &mut FoldTally) {
                         for t in b0..b0 + reps * len {
                             let here = ivs(s, t);
                             let there = ivs(folds[f].sweep, folds[f].t0 + (t - b0) % len);
-                            for (form, placement, period) in &refs {
+                            for (_, form, placement, period) in &refs {
                                 let (a, b) = (form.eval(&here), form.eval(&there));
                                 assert_eq!((a - b) % period, 0, "{at}: sweep {s} trip {t}");
                                 let owners =
@@ -460,6 +460,135 @@ fn folds_cover_every_trip_once_and_only_translates_are_merged() {
     }
     assert!(gathering >= 4, "the PIC and SpMV kernels gather");
     assert!(tally.folded_away > 0, "nothing folded: the test is vacuous");
+}
+
+/// What [`certify_chains`] saw, so the test can tell it was not vacuous.
+#[derive(Default)]
+struct ChainTally {
+    /// Runs of two or more sweep members, and of two or more blocks.
+    sweep_runs: usize,
+    block_runs: usize,
+    /// Nests (per configuration) beyond the translation argument under a
+    /// periodic scheme.
+    beyond: usize,
+}
+
+/// `sa_lint::screening` § Chains, checked member by member: expanding
+/// `chains(nest)` visits every (sweep, trip) once, in execution order; each
+/// member of a chain — of sweeps or of blocks — is the one before it with
+/// every reference moved by the chain's shift for its array, a whole
+/// number of periods; and a nest the translation argument does not reach
+/// (a gather, a round-robin or tabulated anchor, a period-less scheme)
+/// chains nowhere.
+fn certify_chains(code: &str, program: &Program, tally: &mut ChainTally) {
+    let statics = StaticArrays::scan(program);
+    let schemes = [
+        PartitionScheme::Modulo,
+        PartitionScheme::BlockCyclic { block_pages: 1 },
+        PartitionScheme::BlockCyclic { block_pages: 3 },
+        PartitionScheme::Block,
+        PartitionScheme::Tile2D {
+            tile_rows: 5,
+            tile_cols: 6,
+        },
+    ];
+    for scheme in schemes {
+        for (n_pes, page) in [1usize, 4, 7]
+            .into_iter()
+            .flat_map(|n| [1usize, 3, 8].map(|p| (n, p)))
+        {
+            let sched = Schedule::new(program, &statics, scheme, page, n_pes).unwrap();
+            for n in 0..sched.nests().len() {
+                let at = format!("{code} {scheme:?} × {n_pes} PEs × page {page}, nest {n}");
+                let ns = sched.nest(n);
+                let chains = sched.chains(n);
+                let refs = walked_refs(&sched, n, true);
+                let ivs = |sweep: usize, t: usize| {
+                    let sw = ns.sweep(sweep);
+                    let mut ivs = sw.outer.to_vec();
+                    if !ns.nest.loops.is_empty() {
+                        ivs.push(sw.lo + sw.step * t as i64);
+                    }
+                    ivs
+                };
+                // `there` is `here`'s image one member on: every reference
+                // moved by its array's shift, a whole number of periods.
+                let translates = |shift: &[i64], here: (usize, usize), there: (usize, usize)| {
+                    let (a, b) = (ivs(here.0, here.1), ivs(there.0, there.1));
+                    for (array, form, _, period) in refs.as_ref().expect("a chained nest") {
+                        let moved = shift[array.0] * page as i64;
+                        assert_eq!(moved % period, 0, "{at}");
+                        assert_eq!(form.eval(&b), form.eval(&a) + moved, "{at}: {here:?}");
+                    }
+                };
+                let mut next =
+                    (0..ns.sweeps.len()).flat_map(|s| (0..ns.sweeps[s].trips).map(move |t| (s, t)));
+                for chain in &chains.sweeps {
+                    // An identity chain's members are merely consecutive.
+                    let shift = chains.shift(chain);
+                    tally.sweep_runs += usize::from(chain.count >= 2 && !shift.is_empty());
+                    for s in chain.members(0, chain.count) {
+                        let m = (s - chain.first) / chain.len;
+                        let trips = ns.sweeps[s].trips;
+                        let blocks = chains.blocks(trips);
+                        tally.block_runs += usize::from(blocks.count >= 2);
+                        assert!(trips - blocks.count * blocks.len < blocks.len, "{at}");
+                        // The blocks, then the sweep's tail.
+                        for t in 0..trips {
+                            assert_eq!(next.next(), Some((s, t)), "{at}");
+                            if t >= blocks.len && t < blocks.count * blocks.len {
+                                translates(chains.shift(&blocks), (s, t - blocks.len), (s, t));
+                            }
+                            if m > 0 && !shift.is_empty() {
+                                translates(shift, (s - chain.len, t), (s, t));
+                            }
+                        }
+                    }
+                }
+                assert_eq!(next.next(), None, "{at}: not every trip is walked");
+                if refs.is_none() {
+                    let periodic = !matches!(
+                        scheme,
+                        PartitionScheme::Block | PartitionScheme::Tile2D { .. }
+                    );
+                    tally.beyond += usize::from(periodic);
+                    assert!(chains.sweeps.len() <= 1, "{at}: one identity chain");
+                    assert!(
+                        chains.sweeps.iter().all(|c| chains.shift(c).is_empty()),
+                        "{at}"
+                    );
+                    for s in &ns.sweeps {
+                        assert_eq!(chains.blocks(s.trips).len, s.trips, "{at}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn chains_walk_every_trip_once_in_order_and_each_member_translates_the_last() {
+    let mut tally = ChainTally::default();
+    certify_chains("kinds", &every_screen_kind(), &mut tally);
+    // Round-robin reductions, static and produced anchors: four of the six
+    // nests (× the 3 periodic schemes × 9 shapes).
+    assert_eq!(tally.beyond, 4 * 3 * 9);
+    certify_chains("shapes", &folding_shapes(), &mut tally);
+    for k in sapp::loops::suite::reduced_suite() {
+        certify_chains(k.code, &k.program, &mut tally);
+    }
+    for code in ["ST5", "ST7", "ST9"] {
+        let k = sapp::loops::workload(code).unwrap().reduced();
+        certify_chains(code, &k.program, &mut tally);
+    }
+    assert!(
+        tally.sweep_runs > 0,
+        "no run of sweeps: the test is vacuous"
+    );
+    assert!(
+        tally.block_runs > 0,
+        "no run of blocks: the test is vacuous"
+    );
 }
 
 /// The recorder hears one PE's instances in that PE's program order, each
