@@ -21,21 +21,6 @@
 use crate::index::AffineIndex;
 use crate::nest::LoopVar;
 
-/// Greatest common divisor of two magnitudes (`gcd(0, x) = x`).
-#[inline]
-pub fn gcd(mut a: u64, mut b: u64) -> u64 {
-    while b != 0 {
-        (a, b) = (b, a % b);
-    }
-    a
-}
-
-/// Least common multiple of two positive magnitudes; `None` on overflow.
-#[inline]
-pub fn lcm(a: u64, b: u64) -> Option<u64> {
-    (a / gcd(a, b)).checked_mul(b)
-}
-
 /// `⌊a / b⌋` for a positive divisor.
 #[inline]
 pub fn div_floor(a: i64, b: i64) -> i64 {
@@ -388,13 +373,5 @@ mod tests {
                 assert_eq!(div_ceil(a, b), exact.ceil() as i64, "{a}/{b}");
             }
         }
-        assert_eq!(
-            (gcd(0, 6), gcd(6, 0), gcd(12, 18), gcd(7, 13)),
-            (6, 6, 6, 1)
-        );
-        assert_eq!(
-            (lcm(4, 6), lcm(1, 9), lcm(u64::MAX, 2)),
-            (Some(12), Some(9), None)
-        );
     }
 }

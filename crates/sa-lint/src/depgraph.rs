@@ -76,12 +76,12 @@ use std::convert::Infallible;
 use std::fmt;
 use std::rc::Rc;
 
-use sa_ir::access::gcd;
 use sa_ir::analysis::{affine_address_range, anchor_ref, linear_address_form, relate_forms};
 use sa_ir::index::IndexExpr;
 use sa_ir::nest::{ArrayRef, LoopNest, Stmt};
 use sa_ir::program::Phase;
 use sa_ir::{ArrayId, PairRelation, Program};
+use sa_machine::partition::gcd;
 use sa_machine::ConfigError;
 
 use crate::diag::{Code, Diagnostic, Severity, Span};

@@ -72,13 +72,14 @@
 use std::collections::HashMap;
 use std::ops::Range;
 
-use sa_ir::access::{gcd, lcm, Line, Sweep};
+use sa_ir::access::{Line, Sweep};
 use sa_ir::analysis::{
     anchor_ref, linear_address_form, screen_nests, NestScreen, Screen, StaticArrays,
 };
 use sa_ir::interp::{resolve_ref_addr, Memory};
 use sa_ir::nest::{ArrayRef, LoopNest, Stmt};
 use sa_ir::{ArrayId, IrError, LinForm, Program, ReduceOp};
+use sa_machine::partition::{gcd, lcm};
 use sa_machine::{host_of, ConfigError, PartitionScheme, Placement};
 
 /// One run of a nest's innermost loop, as

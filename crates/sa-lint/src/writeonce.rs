@@ -14,10 +14,10 @@
 
 use crate::diag::{Code, Diagnostic, Span};
 use crate::sites::{self, iterate, ResolveFail, Resolver, Segment, WriteSite};
-use sa_ir::access::gcd;
 use sa_ir::analysis::{self, PairRelation};
 use sa_ir::nest::LoopNest;
 use sa_ir::{LinForm, Program};
+use sa_machine::partition::gcd;
 
 /// Outcome of the write-once pass.
 #[derive(Debug, Default)]

@@ -1,40 +1,39 @@
-//! Geometry-aware page placement: one shared owner path for every engine.
+//! Page placement: one rule for every scheme, asked by every engine.
 //!
-//! The paper's §2 placement is linear — page `p` of a *flattened* array
-//! goes to PE `p mod N` — which is exactly what [`PartitionScheme::owner`]
-//! computes. That loses the grid structure 2-D/3-D workloads have: a
-//! stencil's halo traffic depends on *where in the grid* a page sits, not
-//! on its flattened index. [`Placement`] carries the declared array shape
-//! next to the scheme so the tiled schemes ([`PartitionScheme::RowBand`],
-//! [`PartitionScheme::Tile2D`]) can compute owners by grid tile, while the
-//! legacy page-linear schemes keep their §2 arithmetic bit for bit.
+//! Every owner decision in the system — the interpreter, replay, the
+//! thread runtime, the static estimator, the lint passes — asks a
+//! [`Placement`], and [`Placement::new`] lowers each [`PartitionScheme`]
+//! once into the same thing: a round-robin tiling of a 2-D view of the
+//! array.
 //!
-//! Every owner decision in the system — counting simulator, replay engine,
-//! thread runtime, lint estimator, legality and deadlock passes — routes
-//! through this type, so a scheme added here is automatically understood
-//! everywhere.
-//!
-//! ## The first-element rule
-//!
-//! Pages remain the unit of distribution (the paper's fetch/caching model
-//! is untouched): a page's owner is the owner of its **first in-domain
-//! element**, `e = min(page · page_size, len − 1)`. This keeps every page
-//! on exactly one PE under any scheme, and it *clamps* rather than wraps:
-//! a trailing partial page, or a tile fragment at the grid edge, is owned
-//! by a PE that owns real elements of it, and a probe past the last page
-//! clamps to the last page's owner — never wrapped back to PE 0 by
-//! arithmetic on addresses past the end of the array.
+//! * **The view.** `modulo`, `block` and `blockcyclic` see the flattened
+//!   array, `len × 1`; `rowband` and `tile2d` see its declared grid
+//!   ([`ArrayShape`]).
+//! * **The tiles**, height × width in view cells: `ps × 1` (modulo),
+//!   `B·ps × 1` (blockcyclic:B), `⌈pages/n⌉·ps × 1` (block),
+//!   `⌈rows/n⌉ × cols` (rowband) and `R × C` (tile2d:RxC). They are
+//!   numbered in row-major tile order, and tile `k` goes to PE `k mod n`.
+//! * **The first element.** Pages stay the unit of distribution (the
+//!   paper's fetch and caching model): a page goes with the tile holding
+//!   its first element. A page past the end of the array is clamped to the
+//!   last page first, so it goes with the last page.
+//! * **The period.** Tile row `R + m` is dealt like tile row `R` once
+//!   `m · tiles_per_row ≡ 0 (mod n)`, so ownership repeats every
+//!   `lcm(m · tile_height · cols, ps)` elements with
+//!   `m = n / gcd(tiles_per_row, n)` ([`Placement::period`]). `block` and
+//!   `rowband` size their tiles so that the deal never wraps, and have
+//!   none.
 
 use crate::config::{validate_shape, ConfigError};
-use crate::partition::{pages_in, PartitionScheme};
+use crate::partition::{gcd, lcm, pages_in, PartitionScheme};
 
-/// The declared geometry of an array, reduced to the 2-D view placement
-/// needs: `rows` along the outermost declared dimension, `cols` the
+/// The declared geometry of an array, reduced to the 2-D view the tiled
+/// schemes need: `rows` along the outermost declared dimension, `cols` the
 /// product of all inner dimensions (so a 3-D `[d0, d1, d2]` grid is tiled
 /// over the `(d0, d1·d2)` plane, banding along `d0`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ArrayShape {
-    /// Total elements (`rows · cols` for multi-dimensional arrays).
+    /// Total elements (`rows · cols`).
     pub len: usize,
     /// Extent of the outermost declared dimension.
     pub rows: usize,
@@ -44,40 +43,85 @@ pub struct ArrayShape {
 
 impl ArrayShape {
     /// Shape of an array declared with `dims` (row-major, outermost first).
-    ///
-    /// One-dimensional declarations are [`linear`](ArrayShape::linear);
-    /// higher ranks fold every inner dimension into `cols`.
+    /// A one-dimensional array is one column of `len` rows, a scalar one
+    /// element.
     pub fn from_dims(dims: &[usize]) -> Self {
-        match dims.len() {
-            0 => Self::linear(1),
-            1 => Self::linear(dims[0]),
-            _ => {
-                let rows = dims[0];
-                let cols = dims[1..].iter().product::<usize>().max(1);
-                ArrayShape {
-                    len: rows * cols,
-                    rows,
-                    cols,
-                }
-            }
-        }
-    }
-
-    /// The geometry-free shape: a one-column grid of `len` rows. Under it
-    /// the tiled schemes reproduce their documented page-space degenerates
-    /// (`RowBand` ≡ `Block`, `Tile2D` ≡ `BlockCyclic`).
-    pub fn linear(len: usize) -> Self {
+        let (rows, cols) = match dims {
+            [] => (1, 1),
+            [len] => (*len, 1),
+            [rows, inner @ ..] => (*rows, inner.iter().product::<usize>().max(1)),
+        };
         ArrayShape {
-            len,
-            rows: len,
-            cols: 1,
+            len: rows * cols,
+            rows,
+            cols,
         }
     }
+}
 
-    /// Grid coordinates of element `e` (row-major).
-    fn coords(&self, e: usize) -> (usize, usize) {
-        debug_assert!(self.cols > 0);
-        (e / self.cols, e % self.cols)
+/// A scheme lowered onto one array (module docs). Tile rows hold `band`
+/// elements each and are walked in strips of `strip` elements: a view row
+/// when a tile row holds `per_row > 1` tiles `width` cells wide, the
+/// whole tile row (one tile, `width = strip = band`) otherwise.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Tiling {
+    band: usize,
+    strip: usize,
+    width: usize,
+    per_row: usize,
+    /// Pages per tile when tiles are as wide as the view and hold whole
+    /// pages, else 0.
+    whole: usize,
+    /// Whether the deal can go past PE `n − 1` and wrap: `block` and
+    /// `rowband` size their tiles so that it cannot.
+    cyclic: bool,
+    /// Pages the array occupies; pages past the end are clamped to the
+    /// last of them.
+    pages: usize,
+}
+
+impl Tiling {
+    /// The one place the schemes differ: the view's width, the tiles'
+    /// height and width in view cells, and whether the deal wraps.
+    fn lower(scheme: PartitionScheme, ps: usize, n: usize, shape: ArrayShape) -> Self {
+        let (cols, height, width, cyclic) = match scheme {
+            PartitionScheme::Modulo => (1, ps, 1, true),
+            PartitionScheme::BlockCyclic { block_pages } => {
+                (1, block_pages.max(1).saturating_mul(ps), 1, true)
+            }
+            PartitionScheme::Block => {
+                let chunk = pages_in(shape.len, ps).div_ceil(n).max(1);
+                (1, chunk.saturating_mul(ps), 1, false)
+            }
+            PartitionScheme::RowBand => {
+                let rows = shape.rows.div_ceil(n).max(1);
+                (shape.cols, rows, shape.cols, false)
+            }
+            PartitionScheme::Tile2D {
+                tile_rows,
+                tile_cols,
+            } => (shape.cols, tile_rows.max(1), tile_cols.max(1), true),
+        };
+        let band = height.saturating_mul(cols);
+        let per_row = cols.div_ceil(width).max(1);
+        let (strip, width) = if per_row == 1 {
+            (band, band)
+        } else {
+            (cols, width)
+        };
+        Tiling {
+            band,
+            strip,
+            width,
+            per_row,
+            whole: if per_row == 1 && band % ps == 0 {
+                band / ps
+            } else {
+                0
+            },
+            cyclic,
+            pages: pages_in(shape.len, ps),
+        }
     }
 }
 
@@ -94,6 +138,8 @@ pub struct Placement {
     pub n_pes: usize,
     /// The array's declared geometry.
     pub shape: ArrayShape,
+    /// `scheme` lowered onto `shape`.
+    tiling: Tiling,
 }
 
 impl Placement {
@@ -107,14 +153,14 @@ impl Placement {
             page_size,
             n_pes,
             shape,
+            tiling: Tiling::lower(scheme, page_size, n_pes, shape),
         }
     }
 
     /// One placement per array of a program, in declaration order, each
     /// from its declared `dims` (outermost first) — the one validated
     /// builder of the per-array table every engine and analysis indexes by
-    /// array id. Tiled schemes see each array's declared grid; the
-    /// page-linear schemes keep the paper's flattened-page arithmetic.
+    /// array id.
     pub fn table<D: AsRef<[usize]>>(
         dims: impl IntoIterator<Item = D>,
         scheme: PartitionScheme,
@@ -124,57 +170,31 @@ impl Placement {
         validate_shape(scheme, page_size, n_pes)?;
         Ok(dims
             .into_iter()
-            .map(|d| Placement {
-                scheme,
-                page_size,
-                n_pes,
-                shape: ArrayShape::from_dims(d.as_ref()),
-            })
+            .map(|d| Placement::new(scheme, page_size, n_pes, ArrayShape::from_dims(d.as_ref())))
             .collect())
     }
 
     /// Number of pages the array occupies.
     pub fn pages(&self) -> usize {
-        pages_in(self.shape.len, self.page_size)
+        self.tiling.pages
     }
 
-    /// Owning PE of `page`, by the first-element rule.
-    ///
-    /// Legacy page-linear schemes (`Modulo`, `Block`, `BlockCyclic`)
-    /// delegate to [`PartitionScheme::owner`] unchanged — their placement
-    /// never depended on geometry and must stay bit-identical. The tiled
-    /// schemes map the page's first in-domain element to grid coordinates
-    /// and own it by band or tile; out-of-domain probes clamp to the last
-    /// element, never wrap.
+    /// Owning PE of `page`: the PE the tile holding its first element is
+    /// dealt to, a page past the end clamped to the last one.
     pub fn page_owner(&self, page: usize) -> usize {
-        let total = self.pages();
-        match self.scheme {
-            PartitionScheme::Modulo
-            | PartitionScheme::Block
-            | PartitionScheme::BlockCyclic { .. } => self.scheme.owner(page, total, self.n_pes),
-            PartitionScheme::RowBand => {
-                if self.shape.len == 0 {
-                    return 0;
-                }
-                let e = (page.min(total - 1) * self.page_size).min(self.shape.len - 1);
-                let (row, _) = self.shape.coords(e);
-                let band = self.shape.rows.div_ceil(self.n_pes).max(1);
-                (row / band).min(self.n_pes - 1)
-            }
-            PartitionScheme::Tile2D {
-                tile_rows,
-                tile_cols,
-            } => {
-                if self.shape.len == 0 {
-                    return 0;
-                }
-                let e = (page.min(total - 1) * self.page_size).min(self.shape.len - 1);
-                let (r, c) = self.shape.coords(e);
-                let (tr, tc) = (tile_rows.max(1), tile_cols.max(1));
-                let tiles_per_row = self.shape.cols.div_ceil(tc).max(1);
-                let tile = (r / tr) * tiles_per_row + c / tc;
-                tile % self.n_pes
-            }
+        let last = self.tiling.pages.saturating_sub(1);
+        self.tile_of(page.min(last) * self.page_size) % self.n_pes
+    }
+
+    /// Row-major index of the tile holding element `e`.
+    #[inline]
+    fn tile_of(&self, e: usize) -> usize {
+        let t = &self.tiling;
+        let first = e / t.band * t.per_row;
+        if t.per_row == 1 {
+            first
+        } else {
+            first + e % t.strip / t.width
         }
     }
 
@@ -183,205 +203,147 @@ impl Placement {
         self.page_owner(addr / self.page_size)
     }
 
-    /// The element distance `T` after which ownership repeats, if the
-    /// scheme has one: `T` is a multiple of the page size and
-    /// `owner_of_addr(a + T) == owner_of_addr(a)` for every address `a`.
-    /// Two stretches of a nest whose references all differ by multiples of
-    /// `T` therefore execute on the same PEs with the same locality, which
-    /// is what lets the schedule count one of them and multiply
-    /// (`sa_lint::screening::Schedule::folds`).
+    /// The element distance `T` after which ownership repeats, if there is
+    /// one: `T` is a multiple of the page size and
+    /// `owner_of_addr(a + T) == owner_of_addr(a)` for every address `a`
+    /// with `a + T` in the array. Two stretches of a nest whose references
+    /// all differ by multiples of `T` therefore execute on the same PEs
+    /// with the same locality, which is what lets the schedule count one
+    /// of them and multiply (`sa_lint::screening::Schedule::folds`).
     ///
-    /// The cyclic deals repeat every `n_pes` pages (`Modulo`) or blocks
-    /// (`BlockCyclic`), and on one PE every page is a period. `Block` and
-    /// `RowBand` are monotone in the page, not periodic. `Tile2D` deals its
-    /// tiles cyclically too, but its period in elements depends on how the
-    /// tile rows divide the PE count; it is not claimed here.
+    /// `T = lcm(m · tile_height · cols, ps)` with
+    /// `m = n / gcd(tiles_per_row, n)` (module docs): `n · ps` for
+    /// `modulo`, `B · n · ps` for `blockcyclic:B`. On one PE every page is
+    /// a period; `block` and `rowband` never wrap, so have none.
     pub fn period(&self) -> Option<usize> {
-        if self.n_pes == 1 {
+        let (n, t) = (self.n_pes as u64, &self.tiling);
+        if n == 1 {
             return Some(self.page_size);
         }
-        let pages = match self.scheme {
-            PartitionScheme::Modulo => self.n_pes,
-            PartitionScheme::BlockCyclic { block_pages } => {
-                block_pages.max(1).checked_mul(self.n_pes)?
-            }
-            PartitionScheme::Block | PartitionScheme::RowBand | PartitionScheme::Tile2D { .. } => {
-                return None
-            }
-        };
-        pages.checked_mul(self.page_size)
+        if !t.cyclic {
+            return None;
+        }
+        let m = n / gcd(t.per_row as u64, n);
+        let period = lcm(m.checked_mul(t.band as u64)?, self.page_size as u64)?;
+        usize::try_from(period).ok()
     }
 
-    /// Invoke `f`, in ascending order, on disjoint page intervals
+    /// Invoke `f`, in ascending order, on the maximal page intervals
     /// `[q0, q1)` that together hold exactly the pages `pe` owns within
     /// the inclusive page range `[plo, phi]`.
     ///
-    /// Every scheme uses a closed form — the per-PE cost is proportional
-    /// to the PE's own share of the range, which is what lets the replay
-    /// engine shard an `n = 10⁷` sweep without walking every page on every
-    /// PE. `RowBand` is one interval (the band's element range in pages);
-    /// `Tile2D` maps the PE's own tile-column segments of each grid row to
-    /// page intervals, and walks page by page instead only where pages are
-    /// so long against the rows that the range holds fewer pages than
-    /// segments. The tiled schemes' intervals are maximal (adjacent ones
-    /// are merged), and pages past the array clamp to the last page's
-    /// owner, as in [`page_owner`](Placement::page_owner).
+    /// The walk visits `pe`'s own tiles band by band — in tile row `R`, the
+    /// tile columns `k ≡ pe − R · tiles_per_row (mod n)` — so its cost is
+    /// proportional to the PE's own share of the range, which is what lets
+    /// the replay engine shard an `n = 10⁷` sweep without walking every
+    /// page on every PE. A tile as wide as the view is one element range,
+    /// hence one page interval; a narrower tile is one segment per view
+    /// row. Where pages are so long against the tiles that the range holds
+    /// fewer of them than the walk would visit, it goes page by page
+    /// instead. Pages past the array go with the last page.
     pub fn owned_page_intervals(
         &self,
         pe: usize,
         plo: usize,
         phi: usize,
-        mut f: impl FnMut(usize, usize),
+        f: impl FnMut(usize, usize),
     ) {
-        let n = self.n_pes;
+        let (n, ps, t) = (self.n_pes, self.page_size, self.tiling);
         let total = self.pages();
-        match self.scheme {
-            PartitionScheme::Modulo => {
-                let first = plo + (pe + n - plo % n) % n;
-                let mut q = first;
-                while q <= phi {
-                    f(q, q + 1);
-                    q += n;
-                }
-            }
-            PartitionScheme::Block => {
-                // owner(q) = min(q / chunk, n - 1): one contiguous interval,
-                // extending to the end of the array for the last PE.
-                let chunk = total.div_ceil(n).max(1);
-                let q0 = pe * chunk;
-                let q1 = if pe + 1 == n {
-                    total.max(phi + 1)
-                } else {
-                    q0 + chunk
-                };
-                if q0 <= phi && q1 > plo {
-                    f(q0.max(plo), q1.min(phi + 1));
-                }
-            }
-            PartitionScheme::BlockCyclic { block_pages } => {
-                // owner(q) = (q / b) % n: owned blocks are j ≡ pe (mod n).
-                let bp = block_pages.max(1);
-                let jlo = plo / bp;
-                let mut j = jlo + (pe + n - jlo % n) % n;
-                loop {
-                    let q0 = j * bp;
-                    if q0 > phi {
-                        break;
-                    }
-                    f(q0.max(plo), (q0 + bp).min(phi + 1));
-                    j += n;
-                }
-            }
-            PartitionScheme::RowBand | PartitionScheme::Tile2D { .. } if total == 0 => {
-                // An empty array: `page_owner` answers PE 0 for any probe.
-                if pe == 0 {
-                    f(plo, phi + 1);
-                }
-            }
-            PartitionScheme::RowBand => {
-                // owner(q) = min(row(q·ps) / band, n − 1): the pages whose
-                // first element lies in the band's element range — one
-                // interval, open above for the last PE.
-                let band = self.shape.rows.div_ceil(n).max(1);
-                let first_page_at = |row: usize| {
-                    row.saturating_mul(self.shape.cols)
-                        .div_ceil(self.page_size)
-                        .min(total)
-                };
-                let q0 = first_page_at(pe * band);
-                let mut q1 = if pe + 1 == n {
-                    total
-                } else {
-                    first_page_at((pe + 1) * band)
-                };
-                if q0 < q1 && q1 == total {
-                    // Owner of the last page, hence of every probe past it.
-                    q1 = total.max(phi + 1);
-                }
-                if q0 < q1 && q0 <= phi && q1 > plo {
-                    f(q0.max(plo), q1.min(phi + 1));
-                }
-            }
-            PartitionScheme::Tile2D {
-                tile_rows,
-                tile_cols,
-            } => {
-                let (tr, tc) = (tile_rows.max(1), tile_cols.max(1));
-                let (cols, ps) = (self.shape.cols, self.page_size);
-                let tiles_per_row = cols.div_ceil(tc).max(1);
-                let mut out = Coalesce { f, pending: None };
-                let in_hi = phi.min(total - 1);
-                if plo <= in_hi {
-                    // Grid rows holding the first elements of the range's
-                    // in-domain pages.
-                    let (r_lo, r_hi) = (plo * ps / cols, in_hi * ps / cols);
-                    let segments = (r_hi - r_lo + 1).saturating_mul(tiles_per_row.div_ceil(n));
-                    if segments < in_hi - plo + 1 {
-                        // Per grid row, the PE's own tile columns
-                        // k ≡ pe − (r / tr)·tiles_per_row (mod n); a
-                        // segment's pages are those whose first element
-                        // lies in it.
-                        for r in r_lo..=r_hi {
-                            let mut k = (pe + n - (r / tr * tiles_per_row) % n) % n;
-                            while k < tiles_per_row {
-                                let e0 = r * cols + k * tc;
-                                let e1 = r * cols + ((k + 1) * tc).min(cols);
-                                out.push(e0.div_ceil(ps).max(plo), e1.div_ceil(ps).min(in_hi + 1));
-                                k += n;
-                            }
-                        }
-                    } else {
-                        // Pages so long against the rows that the range
-                        // holds fewer of them than of segments.
-                        for q in plo..=in_hi {
-                            if self.page_owner(q) == pe {
-                                out.push(q, q + 1);
-                            }
-                        }
+        let mut out = Coalesce {
+            f,
+            start: 0,
+            end: 0,
+        };
+        let hi = phi.min(total.saturating_sub(1));
+        if plo <= hi && plo < total {
+            // The pages whose first element lies in `[e0, e1)`.
+            let pages =
+                |e0: usize, e1: usize| (e0.div_ceil(ps).max(plo), e1.div_ceil(ps).min(hi + 1));
+            let (s_lo, s_hi) = (plo * ps / t.strip, hi * ps / t.strip);
+            if t.per_row == 1 && t.strip.saturating_mul(n) >= ps {
+                // Tile `s` is strip `s`, and `pe`'s are `s ≡ pe (mod n)`.
+                let skip = s_lo % n;
+                let mut s = s_lo - skip + pe + if pe < skip { n } else { 0 };
+                if t.whole > 0 && n > 1 && s + n <= s_hi {
+                    // Whole pages per tile, other PEs' between two of
+                    // `pe`'s: no division per tile, and nothing to merge
+                    // before the last one, which may meet the pages past
+                    // the end. Only the first may start before `plo`.
+                    let before_last = s_hi - n;
+                    (out.f)((s * t.whole).max(plo), (s + 1) * t.whole);
+                    s += n;
+                    while s <= before_last {
+                        (out.f)(s * t.whole, (s + 1) * t.whole);
+                        s += n;
                     }
                 }
-                if phi >= total && self.page_owner(total - 1) == pe {
-                    out.push(plo.max(total), phi + 1);
+                while s <= s_hi {
+                    out.push(match t.whole {
+                        0 => pages(s * t.strip, (s + 1).saturating_mul(t.strip)),
+                        w => ((s * w).max(plo), ((s + 1) * w).min(hi + 1)),
+                    });
+                    s += n;
                 }
-                out.finish();
+            } else if t.per_row > 1
+                && (s_hi - s_lo + 1).saturating_mul(t.per_row.div_ceil(n)) <= hi - plo + 1
+            {
+                // View row `r` of tile row `R = r / rows_per_tile`.
+                let rows_per_tile = t.band / t.strip;
+                for r in s_lo..=s_hi {
+                    let e = r * t.strip;
+                    let mut k = (pe + n - r / rows_per_tile * t.per_row % n) % n;
+                    while k < t.per_row {
+                        out.push(pages(e + k * t.width, e + ((k + 1) * t.width).min(t.strip)));
+                        k += n;
+                    }
+                }
+            } else {
+                for q in plo..=hi {
+                    if self.page_owner(q) == pe {
+                        out.push((q, q + 1));
+                    }
+                }
             }
         }
-    }
-
-    /// Pages of the array owned by `pe` (ascending).
-    pub fn pages_of_pe(&self, pe: usize) -> Vec<usize> {
-        (0..self.pages())
-            .filter(|&p| self.page_owner(p) == pe)
-            .collect()
+        if phi >= total && self.page_owner(total) == pe {
+            out.push((plo.max(total), phi + 1));
+        }
+        out.finish();
     }
 }
 
 /// Forwards ascending page intervals to `f`, dropping empty ones and
-/// merging adjacent ones, so the intervals `f` sees are maximal.
+/// merging adjacent ones, so the intervals `f` sees are maximal. The one
+/// held back is `[start, end)`, empty until the first push.
 struct Coalesce<F> {
     f: F,
-    pending: Option<(usize, usize)>,
+    start: usize,
+    end: usize,
 }
 
 impl<F: FnMut(usize, usize)> Coalesce<F> {
-    fn push(&mut self, q0: usize, q1: usize) {
+    #[inline]
+    fn push(&mut self, (q0, q1): (usize, usize)) {
         if q0 >= q1 {
             return;
         }
-        match &mut self.pending {
-            Some((_, end)) if *end == q0 => *end = q1,
-            pending => {
-                if let Some((a, b)) = pending.replace((q0, q1)) {
-                    (self.f)(a, b);
-                }
-            }
+        if q0 != self.end {
+            self.finish_one();
+            self.start = q0;
+        }
+        self.end = q1;
+    }
+
+    #[inline]
+    fn finish_one(&mut self) {
+        if self.start < self.end {
+            (self.f)(self.start, self.end);
         }
     }
 
     fn finish(mut self) {
-        if let Some((a, b)) = self.pending {
-            (self.f)(a, b);
-        }
+        self.finish_one();
     }
 }
 
@@ -390,14 +352,18 @@ mod tests {
     use super::*;
 
     fn shapes() -> Vec<ArrayShape> {
-        vec![
-            ArrayShape::linear(100),
-            ArrayShape::linear(1),
-            ArrayShape::from_dims(&[12, 10]),
-            ArrayShape::from_dims(&[7, 13]),
-            ArrayShape::from_dims(&[4, 5, 6]),
-            ArrayShape::from_dims(&[64, 64]),
+        [
+            &[100][..],
+            &[1],
+            &[0],
+            &[12, 10],
+            &[7, 13],
+            &[4, 5, 6],
+            &[64, 64],
         ]
+        .into_iter()
+        .map(ArrayShape::from_dims)
+        .collect()
     }
 
     fn schemes() -> Vec<PartitionScheme> {
@@ -417,13 +383,17 @@ mod tests {
         ]
     }
 
+    fn linear(scheme: PartitionScheme, page_size: usize, n_pes: usize, len: usize) -> Placement {
+        Placement::new(scheme, page_size, n_pes, ArrayShape::from_dims(&[len]))
+    }
+
     #[test]
     fn shape_folds_inner_dims() {
         let s = ArrayShape::from_dims(&[4, 5, 6]);
         assert_eq!((s.rows, s.cols, s.len), (4, 30, 120));
         let l = ArrayShape::from_dims(&[9]);
         assert_eq!((l.rows, l.cols, l.len), (9, 1, 9));
-        assert_eq!(ArrayShape::linear(9), l);
+        assert_eq!(ArrayShape::from_dims(&[]), ArrayShape::from_dims(&[1]));
     }
 
     #[test]
@@ -459,18 +429,72 @@ mod tests {
     }
 
     #[test]
-    fn legacy_schemes_delegate_bit_identically() {
-        for shape in shapes() {
-            for scheme in [
-                PartitionScheme::Modulo,
-                PartitionScheme::Block,
-                PartitionScheme::BlockCyclic { block_pages: 2 },
-            ] {
-                let pl = Placement::new(scheme, 8, 4, shape);
-                for p in 0..pl.pages() {
-                    assert_eq!(pl.page_owner(p), scheme.owner(p, pl.pages(), 4));
-                }
-            }
+    #[should_panic(expected = "zero PEs")]
+    fn zero_pes_panics() {
+        linear(PartitionScheme::Modulo, 8, 0, 32);
+    }
+
+    #[test]
+    fn modulo_matches_paper_example() {
+        // Paper §2: 4 PEs, page size 32, arrays of 100 elements → PEs 0..2
+        // hold one full page each, PE 3 holds the partial page.
+        let pl = linear(PartitionScheme::Modulo, 32, 4, 100);
+        assert_eq!(pl.pages(), 4);
+        assert_eq!(
+            (0..4).map(|p| pl.page_owner(p)).collect::<Vec<_>>(),
+            [0, 1, 2, 3]
+        );
+        // Wraps for more pages than PEs.
+        assert_eq!(linear(PartitionScheme::Modulo, 1, 4, 8).page_owner(5), 1);
+    }
+
+    #[test]
+    fn block_divides_contiguously() {
+        // 8 pages over 4 PEs → chunks of 2.
+        let pl = linear(PartitionScheme::Block, 1, 4, 8);
+        for p in 0..8 {
+            assert_eq!(pl.page_owner(p), p / 2);
+        }
+        // 9 pages over 4 PEs → chunks of 3: PE0 gets 0..2, PE1 3..5, PE2 6..8.
+        assert_eq!(linear(PartitionScheme::Block, 1, 4, 9).page_owner(8), 2);
+        // 3 pages on 8 PEs: chunks of one page, and PEs 3..8 own nothing.
+        let pl = linear(PartitionScheme::Block, 1, 8, 3);
+        assert_eq!(
+            (0..3).map(|p| pl.page_owner(p)).collect::<Vec<_>>(),
+            [0, 1, 2]
+        );
+    }
+
+    #[test]
+    fn blockcyclic_generalizes_both() {
+        let bc = |b| linear(PartitionScheme::BlockCyclic { block_pages: b }, 4, 3, 48);
+        let (modulo, block) = (
+            linear(PartitionScheme::Modulo, 4, 3, 48),
+            linear(PartitionScheme::Block, 4, 3, 48),
+        );
+        for p in 0..12 {
+            assert_eq!(bc(1).page_owner(p), modulo.page_owner(p));
+            assert_eq!(bc(4).page_owner(p), block.page_owner(p));
+            // Rejected by config validation, but a hand-built scheme is
+            // still total: chunks clamp to one page.
+            assert_eq!(bc(0).page_owner(p), modulo.page_owner(p));
+        }
+    }
+
+    #[test]
+    fn one_dimensional_grids_tile_like_the_page_linear_schemes() {
+        // With one-element pages a 1-D array's rows are its pages: a row
+        // band is a block and a 3-row tile a 3-page block.
+        let band = linear(PartitionScheme::RowBand, 1, 4, 40);
+        let block = linear(PartitionScheme::Block, 1, 4, 40);
+        let tile = PartitionScheme::Tile2D {
+            tile_rows: 3,
+            tile_cols: 9,
+        };
+        let bc = linear(PartitionScheme::BlockCyclic { block_pages: 3 }, 1, 4, 40);
+        for p in 0..40 {
+            assert_eq!(band.page_owner(p), block.page_owner(p));
+            assert_eq!(linear(tile, 1, 4, 40).page_owner(p), bc.page_owner(p));
         }
     }
 
@@ -480,7 +504,7 @@ mod tests {
             for scheme in schemes() {
                 for n in [1usize, 3, 4, 7] {
                     let pl = Placement::new(scheme, 8, n, shape);
-                    for p in 0..pl.pages() {
+                    for p in 0..pl.pages() + 2 {
                         assert!(pl.page_owner(p) < n, "{scheme:?} {shape:?} {n} PEs");
                     }
                 }
@@ -489,24 +513,20 @@ mod tests {
     }
 
     #[test]
-    fn tiled_owners_clamp_never_wrap() {
-        // Out-of-domain probes resolve to the owner of the last in-domain
-        // element (the first-element rule clamps `e` to `len - 1`) — never
-        // to a wrapped owner computed from addresses past the array.
+    fn pages_past_the_end_go_with_the_last_page() {
+        // One rule for every scheme: a probe past the end is clamped to
+        // the last page — never wrapped round the PEs, and never handed to
+        // a PE that owns no part of the array.
         let shape = ArrayShape::from_dims(&[10, 7]); // 70 elems, ps 8 → 9 pages
-        for scheme in [
-            PartitionScheme::RowBand,
-            PartitionScheme::Tile2D {
-                tile_rows: 4,
-                tile_cols: 4,
-            },
-        ] {
+        for scheme in schemes() {
             let pl = Placement::new(scheme, 8, 4, shape);
-            // Any probe past the end clamps to the last real page's owner.
-            let last_page_owner = pl.page_owner(pl.pages() - 1);
-            assert_eq!(pl.page_owner(pl.pages()), last_page_owner, "{scheme:?}");
-            assert_eq!(pl.page_owner(pl.pages() + 5), last_page_owner, "{scheme:?}");
+            let last = pl.page_owner(pl.pages() - 1);
+            for past in [0, 1, 5, usize::MAX - pl.pages()] {
+                assert_eq!(pl.page_owner(pl.pages() + past), last, "{scheme:?}");
+            }
         }
+        let empty = Placement::new(PartitionScheme::Block, 8, 4, ArrayShape::from_dims(&[0]));
+        assert_eq!((empty.page_owner(0), empty.page_owner(7)), (0, 0));
     }
 
     #[test]
@@ -546,75 +566,60 @@ mod tests {
     }
 
     #[test]
+    fn tile2d_periods_count_the_tile_rows_a_deal_takes_to_repeat() {
+        // 12×10 grid, 3×4 tiles: 3 tiles per row. On 4 PEs the deal
+        // repeats after 4 tile rows of 30 elements, on 3 PEs after one;
+        // either way rounded up to whole 8-element pages.
+        let tile = |n| {
+            let scheme = PartitionScheme::Tile2D {
+                tile_rows: 3,
+                tile_cols: 4,
+            };
+            Placement::new(scheme, 8, n, ArrayShape::from_dims(&[12, 10])).period()
+        };
+        assert_eq!((tile(4), tile(3), tile(1)), (Some(120), Some(120), Some(8)));
+        let rowband = Placement::new(
+            PartitionScheme::RowBand,
+            8,
+            4,
+            ArrayShape::from_dims(&[12, 10]),
+        );
+        assert_eq!(rowband.period(), None);
+    }
+
+    #[test]
     fn owned_intervals_agree_with_brute_force() {
         for shape in shapes() {
             for scheme in schemes() {
                 for n in [1usize, 3, 4] {
                     let pl = Placement::new(scheme, 8, n, shape);
                     let pages = pl.pages();
-                    if pages == 0 {
-                        continue;
-                    }
-                    for (plo, phi) in [(0, pages - 1), (1.min(pages - 1), pages - 1), (0, 0)] {
+                    for (plo, phi) in [
+                        (0, pages + 2),
+                        (1, pages.max(1)),
+                        (0, 0),
+                        (pages, pages + 3),
+                    ] {
+                        let mut all = Vec::new();
                         for pe in 0..n {
-                            let mut from_intervals = Vec::new();
+                            let mut got = Vec::new();
                             pl.owned_page_intervals(pe, plo, phi, |q0, q1| {
-                                assert!(q0 < q1, "empty interval");
-                                from_intervals.extend(q0..q1);
+                                assert!(q0 < q1 && q0 >= plo && q1 <= phi + 1, "[{q0},{q1})");
+                                got.extend(q0..q1);
                             });
-                            // Closed forms may extend past phi only for
-                            // Block's clamped tail; trim like callers that
-                            // map intervals back to iterations do.
-                            let brute: Vec<usize> =
+                            let want: Vec<usize> =
                                 (plo..=phi).filter(|&q| pl.page_owner(q) == pe).collect();
-                            let trimmed: Vec<usize> = from_intervals
-                                .into_iter()
-                                .filter(|&q| q >= plo && q <= phi)
-                                .collect();
                             assert_eq!(
-                                trimmed, brute,
+                                got, want,
                                 "{scheme:?} {shape:?} n={n} pe={pe} [{plo},{phi}]"
                             );
+                            all.extend(got);
                         }
+                        all.sort_unstable();
+                        assert_eq!(all, (plo..=phi).collect::<Vec<_>>(), "{scheme:?} {shape:?}");
                     }
                 }
             }
-        }
-    }
-
-    #[test]
-    fn pages_of_pe_partitions_the_page_set() {
-        for scheme in schemes() {
-            let pl = Placement::new(scheme, 8, 4, ArrayShape::from_dims(&[12, 10]));
-            let mut all = Vec::new();
-            for pe in 0..4 {
-                all.extend(pl.pages_of_pe(pe));
-            }
-            all.sort_unstable();
-            assert_eq!(all, (0..pl.pages()).collect::<Vec<_>>(), "{scheme:?}");
-        }
-    }
-
-    #[test]
-    fn geometryless_shape_reproduces_page_space_degenerates() {
-        // Placement over ArrayShape::linear with page_size 1 makes rows =
-        // pages, under which RowBand ≡ Block and Tile2D{r,c} ≡ BlockCyclic{r}.
-        let shape = ArrayShape::linear(40);
-        let band = Placement::new(PartitionScheme::RowBand, 1, 4, shape);
-        let block = Placement::new(PartitionScheme::Block, 1, 4, shape);
-        let tile = Placement::new(
-            PartitionScheme::Tile2D {
-                tile_rows: 3,
-                tile_cols: 9,
-            },
-            1,
-            4,
-            shape,
-        );
-        let bc = Placement::new(PartitionScheme::BlockCyclic { block_pages: 3 }, 1, 4, shape);
-        for p in 0..40 {
-            assert_eq!(band.page_owner(p), block.page_owner(p));
-            assert_eq!(tile.page_owner(p), bc.page_owner(p));
         }
     }
 }

@@ -166,79 +166,60 @@ fn any_scheme() -> impl Strategy<Value = PartitionScheme> {
     ]
 }
 
+/// A one-dimensional array of `len` elements under `scheme`.
+fn linear(scheme: PartitionScheme, page_size: usize, n_pes: usize, len: usize) -> Placement {
+    Placement::new(scheme, page_size, n_pes, ArrayShape::from_dims(&[len]))
+}
+
 proptest! {
-    /// Every scheme's owner is a valid PE for every page of the array.
+    /// Every scheme's owner is a valid PE for every page of the array, and
+    /// for every page past it.
     #[test]
     fn owner_always_below_n_pes(
         scheme in any_scheme(),
-        total_pages in 0usize..300,
+        len in 0usize..300,
+        page_size in 1usize..9,
         n_pes in 1usize..65,
     ) {
-        for page in 0..total_pages {
-            let o = scheme.owner(page, total_pages, n_pes);
-            prop_assert!(
-                o < n_pes,
-                "{scheme:?}: page {page}/{total_pages} on {n_pes} PEs → {o}"
-            );
+        let pl = linear(scheme, page_size, n_pes, len);
+        for page in 0..pl.pages() + 3 {
+            let o = pl.page_owner(page);
+            prop_assert!(o < n_pes, "{scheme:?}: page {page} of {len} elements on {n_pes} PEs → {o}");
         }
     }
 
     /// `BlockCyclic(1)` is exactly the paper's modulo scheme.
     #[test]
-    fn blockcyclic_one_is_modulo(total_pages in 1usize..300, n_pes in 1usize..33) {
-        let bc = PartitionScheme::BlockCyclic { block_pages: 1 };
-        for page in 0..total_pages {
-            prop_assert_eq!(
-                bc.owner(page, total_pages, n_pes),
-                PartitionScheme::Modulo.owner(page, total_pages, n_pes)
-            );
+    fn blockcyclic_one_is_modulo(len in 1usize..300, page_size in 1usize..9, n_pes in 1usize..33) {
+        let bc = linear(PartitionScheme::BlockCyclic { block_pages: 1 }, page_size, n_pes, len);
+        let modulo = linear(PartitionScheme::Modulo, page_size, n_pes, len);
+        for page in 0..bc.pages() {
+            prop_assert_eq!(bc.page_owner(page), modulo.page_owner(page));
         }
     }
 
     /// `BlockCyclic(ceil(P/N))` is exactly the division (Block) scheme.
     #[test]
-    fn blockcyclic_ceil_is_block(total_pages in 1usize..300, n_pes in 1usize..33) {
-        let chunk = total_pages.div_ceil(n_pes).max(1);
-        let bc = PartitionScheme::BlockCyclic { block_pages: chunk };
-        for page in 0..total_pages {
-            prop_assert_eq!(
-                bc.owner(page, total_pages, n_pes),
-                PartitionScheme::Block.owner(page, total_pages, n_pes)
-            );
+    fn blockcyclic_ceil_is_block(len in 1usize..300, page_size in 1usize..9, n_pes in 1usize..33) {
+        let block = linear(PartitionScheme::Block, page_size, n_pes, len);
+        let chunk = block.pages().div_ceil(n_pes).max(1);
+        let bc = linear(PartitionScheme::BlockCyclic { block_pages: chunk }, page_size, n_pes, len);
+        for page in 0..block.pages() {
+            prop_assert_eq!(bc.page_owner(page), block.page_owner(page));
         }
-    }
-
-    /// `pages_of_pe` over all PEs is a partition of the page set: every
-    /// page appears exactly once, on the PE `owner` names.
-    #[test]
-    fn every_page_has_exactly_one_owner(
-        scheme in any_scheme(),
-        total_pages in 0usize..200,
-        n_pes in 1usize..33,
-    ) {
-        let mut seen = vec![0usize; total_pages];
-        for pe in 0..n_pes {
-            for page in scheme.pages_of_pe(pe, total_pages, n_pes) {
-                prop_assert_eq!(scheme.owner(page, total_pages, n_pes), pe);
-                seen[page] += 1;
-            }
-        }
-        prop_assert!(
-            seen.iter().all(|&c| c == 1),
-            "{scheme:?} on {n_pes} PEs: page multiplicities {seen:?}"
-        );
     }
 }
 
 use sa_machine::{ArrayShape, Placement};
 
 proptest! {
-    /// Geometry-aware placement still assigns every page of every shape to
-    /// exactly one in-range PE, for all schemes including the tiled ones.
+    /// The owned intervals of all PEs partition the page set: every page
+    /// appears exactly once, on the PE `page_owner` names, for all schemes
+    /// over every shape.
     #[test]
-    fn placement_owner_agreement(
+    fn every_page_has_exactly_one_owner(
         scheme in any_scheme(),
-        rows in 1usize..25,
+        rows in 0usize..25,
         cols in 1usize..25,
         page_size in prop::sample::select(vec![1usize, 4, 8, 32]),
         n_pes in 1usize..17,
@@ -246,42 +227,29 @@ proptest! {
         let pl = Placement::new(scheme, page_size, n_pes, ArrayShape::from_dims(&[rows, cols]));
         let mut seen = vec![0usize; pl.pages()];
         for pe in 0..n_pes {
-            for page in pl.pages_of_pe(pe) {
-                prop_assert_eq!(pl.page_owner(page), pe);
-                seen[page] += 1;
-            }
+            pl.owned_page_intervals(pe, 0, pl.pages().saturating_sub(1), |q0, q1| {
+                for page in q0..q1.min(seen.len()) {
+                    assert_eq!(pl.page_owner(page), pe);
+                    seen[page] += 1;
+                }
+            });
         }
         prop_assert!(seen.iter().all(|&c| c == 1), "{scheme:?}: {seen:?}");
-        // The legacy schemes must not notice the geometry at all.
-        if matches!(
-            scheme,
-            PartitionScheme::Modulo | PartitionScheme::Block | PartitionScheme::BlockCyclic { .. }
-        ) {
-            for p in 0..pl.pages() {
-                prop_assert_eq!(pl.page_owner(p), scheme.owner(p, pl.pages(), n_pes));
-            }
-        }
     }
 
-    /// Tiled schemes never wrap out-of-domain pages: probing past the end
-    /// of the array clamps to the owner of the last real page (the clamp
-    /// contract `Block` established, extended to `RowBand`/`Tile2D`).
+    /// No scheme wraps a page past the end: probing past the array clamps
+    /// to the owner of the last real page.
     #[test]
-    fn tiled_placement_clamps_out_of_domain(
+    fn placement_clamps_out_of_domain(
+        scheme in any_scheme(),
         rows in 1usize..25,
         cols in 1usize..25,
-        tile in (1usize..9, 1usize..9),
         n_pes in 1usize..9,
         past in 0usize..10,
     ) {
-        for scheme in [
-            PartitionScheme::RowBand,
-            PartitionScheme::Tile2D { tile_rows: tile.0, tile_cols: tile.1 },
-        ] {
-            let pl = Placement::new(scheme, 8, n_pes, ArrayShape::from_dims(&[rows, cols]));
-            let last = pl.page_owner(pl.pages() - 1);
-            prop_assert_eq!(pl.page_owner(pl.pages() + past), last, "{:?}", scheme);
-        }
+        let pl = Placement::new(scheme, 8, n_pes, ArrayShape::from_dims(&[rows, cols]));
+        let last = pl.page_owner(pl.pages() - 1);
+        prop_assert_eq!(pl.page_owner(pl.pages() + past), last, "{:?}", scheme);
     }
 }
 
@@ -291,8 +259,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(1024))]
 
     /// `owned_page_intervals` enumerates exactly the owned pages of the
-    /// probed range — ascending, disjoint, and for the tiled schemes
-    /// maximal — for every scheme over 1-/2-/3-D shapes, tile extents that
+    /// probed range — ascending, disjoint and maximal — for every scheme over 1-/2-/3-D shapes, tile extents that
     /// do not divide the grid, pages longer than a row or than the whole
     /// array, and ranges that start or end past the last page.
     #[test]
@@ -319,18 +286,13 @@ proptest! {
         prop_assert!(pages > 0); // every extent ≥ 1 ⇒ at least one page
         let plo = lo % (pages + 3);
         let phi = plo + span % (pages + 10);
-        let tiled = matches!(
-            scheme,
-            PartitionScheme::RowBand | PartitionScheme::Tile2D { .. }
-        );
         for pe in 0..n_pes {
             let mut got = Vec::new();
             let mut prev_end = None;
             pl.owned_page_intervals(pe, plo, phi, |q0, q1| {
                 assert!(q0 < q1 && q0 >= plo && q1 <= phi + 1, "[{q0},{q1}) outside [{plo},{phi}]");
                 if let Some(end) = prev_end {
-                    assert!(q0 >= end, "[{q0},{q1}) not after {end}");
-                    assert!(!tiled || q0 > end, "[{q0},{q1}) not merged with its predecessor");
+                    assert!(q0 > end, "[{q0},{q1}) not merged with its predecessor");
                 }
                 prev_end = Some(q1);
                 got.extend(q0..q1);

@@ -33,7 +33,9 @@
 //! `ideal`, `crossbar`, `bus`, `ring`, `mesh2d`, `torus2d`, `hypercube`.
 //!
 //! `sweep` and `search` accept `--format {table,csv,json}` and run their
-//! grids through the composable plan API (`sapp::core::plan`).
+//! grids through the composable plan API (`sapp::core::plan`). `search`
+//! enumerates schemes, page sizes and networks itself, so `--page`,
+//! `--partition` and `--network` are usage errors there (exit 2).
 //!
 //! `simulate`, `sweep` and `search` accept
 //! `--engine {interp,replay,auto,static,thread}` selecting the backend: the
@@ -209,7 +211,8 @@ impl Format {
 struct Opts {
     /// `--pes`, when given (see [`Opts::pes`]).
     pes: Option<usize>,
-    page: usize,
+    /// `--page`, when given (see [`Opts::page`]).
+    page: Option<usize>,
     cache: usize,
     no_cache: bool,
     all: bool,
@@ -233,6 +236,11 @@ impl Opts {
     /// The PE count: `--pes`, or the paper's 16.
     fn pes(&self) -> usize {
         self.pes.unwrap_or(16)
+    }
+
+    /// The page size: `--page`, or 32 elements.
+    fn page(&self) -> usize {
+        self.page.unwrap_or(32)
     }
 }
 
@@ -276,7 +284,7 @@ fn one_of<T>(choices: &str, lookup: impl FnOnce(&str) -> Option<T>, v: &str) -> 
 fn parse_opts(args: &[String]) -> Opts {
     let mut o = Opts {
         pes: None,
-        page: 32,
+        page: None,
         cache: 256,
         no_cache: false,
         all: false,
@@ -301,7 +309,7 @@ fn parse_opts(args: &[String]) -> Opts {
         let it = &mut it;
         match flag {
             "--pes" => o.pes = Some(value(flag, it, count)),
-            "--page" => o.page = value(flag, it, count),
+            "--page" => o.page = Some(value(flag, it, count)),
             "--cache" => o.cache = value(flag, it, count),
             "--no-cache" => o.no_cache = true,
             "--all" => o.all = true,
@@ -510,7 +518,7 @@ fn resolve_kernel(code: &str, o: &Opts) -> Kernel {
 
 fn config(o: &Opts) -> MachineConfig {
     let elems = if o.no_cache { 0 } else { o.cache };
-    let mut cfg = MachineConfig::new(o.pes(), o.page).with_cache_elems(elems);
+    let mut cfg = MachineConfig::new(o.pes(), o.page()).with_cache_elems(elems);
     if let Some(scheme) = o.partition {
         cfg = cfg.with_partition(scheme);
     }
@@ -635,7 +643,7 @@ fn main() {
                 &o,
             );
             let dynamic =
-                classify_dynamic(&k.program, o.page).unwrap_or_else(|e| die("classify", &e));
+                classify_dynamic(&k.program, o.page()).unwrap_or_else(|e| die("classify", &e));
             let stat = classify_program(&k.program);
             outln!("static : {} ({})", stat.class, stat.class.abbrev());
             for nest in &stat.nests {
@@ -711,7 +719,7 @@ fn main() {
             // than by result position. `--partition`/`--network` pin those
             // axes to a single value across the grid.
             let mut plan = ExperimentPlan::new()
-                .page_sizes(&[o.page])
+                .page_sizes(&[o.page()])
                 .cache_elems(&[o.cache, 0])
                 .pes(&[1, 2, 4, 8, 16, 32, 64]);
             if let Some(scheme) = o.partition {
@@ -756,6 +764,15 @@ fn main() {
         }
         "search" => {
             let o = parse_opts(&args[1..]);
+            // The search enumerates these axes itself: a flag pinning one
+            // is a usage error, not a silently ignored one.
+            if o.page.is_some() || o.partition.is_some() || o.network.is_some() {
+                eprintln!(
+                    "search enumerates partition schemes, page sizes and networks: \
+                     --page, --partition and --network do not apply"
+                );
+                std::process::exit(2);
+            }
             let kernels = match &o.kernel {
                 Some(code) => vec![resolve_kernel(code, &o)],
                 None => {
@@ -874,7 +891,7 @@ fn main() {
             };
             let mut cfg = sapp::lint::LintConfig {
                 n_pes: o.pes(),
-                page_size: o.page,
+                page_size: o.page(),
                 ..sapp::lint::LintConfig::default()
             };
             if let Some(scheme) = o.partition {

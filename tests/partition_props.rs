@@ -104,11 +104,13 @@ proptest! {
     #[test]
     fn ownership_is_total_and_in_range(
         scheme in scheme_strategy(),
-        pages in 1usize..200,
+        dims in prop::collection::vec(1usize..40, 1..4),
+        ps in 1usize..9,
         n_pes in 1usize..65,
     ) {
-        for p in 0..pages {
-            let o = scheme.owner(p, pages, n_pes);
+        let pl = Placement::new(scheme, ps, n_pes, ArrayShape::from_dims(&dims));
+        for p in 0..pl.pages() {
+            let o = pl.page_owner(p);
             prop_assert!(o < n_pes);
         }
     }
@@ -116,9 +118,10 @@ proptest! {
     /// Block ownership is monotone (contiguous chunks).
     #[test]
     fn block_ownership_is_monotone(pages in 1usize..300, n_pes in 1usize..33) {
+        let pl = Placement::new(PartitionScheme::Block, 1, n_pes, ArrayShape::from_dims(&[pages]));
         let mut prev = 0;
         for p in 0..pages {
-            let o = PartitionScheme::Block.owner(p, pages, n_pes);
+            let o = pl.page_owner(p);
             prop_assert!(o >= prev, "page {p}: owner {o} < {prev}");
             prop_assert!(o <= prev + 1, "block owners must step by ≤ 1");
             prev = o;
@@ -128,9 +131,10 @@ proptest! {
     /// Modulo distributes pages as evenly as arithmetic allows.
     #[test]
     fn modulo_balance_is_tight(pages in 1usize..400, n_pes in 1usize..65) {
+        let pl = Placement::new(PartitionScheme::Modulo, 1, n_pes, ArrayShape::from_dims(&[pages]));
         let mut counts = vec![0usize; n_pes];
         for p in 0..pages {
-            counts[PartitionScheme::Modulo.owner(p, pages, n_pes)] += 1;
+            counts[pl.page_owner(p)] += 1;
         }
         let max = counts.iter().max().copied().unwrap_or(0);
         let min = counts.iter().min().copied().unwrap_or(0);
@@ -235,9 +239,8 @@ proptest! {
     /// the same function, so screening a stencil tap and declaring its
     /// array can never disagree), every owner is a valid PE, and the
     /// unit-stride dimension advances the linear address by exactly 1 —
-    /// the adjacency the replay engine's closed-form page intervals and
-    /// `owner()`'s page granularity together turn into contiguous owned
-    /// index ranges.
+    /// the adjacency the replay engine's page intervals and the owner's
+    /// page granularity together turn into contiguous owned index ranges.
     #[test]
     fn grid_addressing_agrees_with_partition_owner(
         dims in prop::collection::vec(1usize..9, 1..4),
@@ -251,8 +254,7 @@ proptest! {
             dims: dims.clone(),
             init: ArrayInit::Undefined,
         };
-        let pages = pages_in(g.len().max(1), ps);
-        let owner_of = |addr: usize| scheme.owner(addr / ps, pages, n_pes);
+        let placement = Placement::new(scheme, ps, n_pes, ArrayShape::from_dims(&dims));
 
         // Enumerate the whole grid (≤ 8³ cells) by linear address, mapping
         // each address back to its index vector through the strides.
@@ -264,10 +266,10 @@ proptest! {
                 .collect();
             prop_assert_eq!(g.linearize(&idx), Some(addr), "idx {:?}", &idx);
             prop_assert_eq!(decl.linearize(&idx).ok(), Some(addr));
-            prop_assert!(owner_of(addr) < n_pes);
+            prop_assert!(placement.owner_of_addr(addr) < n_pes);
             // Unit-stride neighbours differ by exactly 1 in address — the
             // adjacency that makes page ownership interval-shaped along
-            // the innermost dimension (owner() is a function of the page,
+            // the innermost dimension (ownership is a function of the page,
             // so this is the non-trivial half of that property).
             let mut next = idx.clone();
             *next.last_mut().unwrap() += 1;
@@ -325,8 +327,9 @@ proptest! {
     /// `period()` answers `Some(T)`, `T` is a whole number of pages and
     /// translating any in-domain page by it keeps the owner — the fact
     /// `Schedule::folds` counts one stretch of a nest for many on. The
-    /// cyclic schemes have one (or folding silently never happens); the
-    /// monotone ones must not claim one.
+    /// cyclic deals have one (or folding silently never happens), tiles
+    /// included once they wrap round the PEs; the monotone ones must not
+    /// claim one.
     #[test]
     fn a_period_translates_ownership(
         dims in prop::collection::vec(1usize..40, 1..4),
@@ -346,6 +349,13 @@ proptest! {
             PartitionScheme::Modulo => prop_assert_eq!(pl.period(), Some(n_pes * ps)),
             PartitionScheme::BlockCyclic { block_pages } => {
                 prop_assert!(pl.period().is_some_and(|t| t <= block_pages * n_pes * ps));
+            }
+            PartitionScheme::Tile2D { tile_rows, tile_cols } => {
+                let shape = ArrayShape::from_dims(&dims);
+                let tiles = shape.rows.div_ceil(tile_rows) * shape.cols.div_ceil(tile_cols);
+                if n_pes > 1 && tiles > n_pes {
+                    prop_assert!(pl.period().is_some(), "{pl:?}");
+                }
             }
             PartitionScheme::Block | PartitionScheme::RowBand if n_pes > 1 => {
                 prop_assert_eq!(pl.period(), None);

@@ -352,15 +352,23 @@ fn the_sweep_cache_column_is_the_cache_asked_for() {
     assert_eq!(rows, 7, "PEs 1, 2, 4, … 64");
 }
 
-/// The sweep fixes its PE ladder and both cache columns: `--pes` and
-/// `--no-cache` are usage errors, not silently ignored.
+/// The sweep fixes its PE ladder and both cache columns, and the search
+/// enumerates schemes, page sizes and networks: a flag pinning one of them
+/// is a usage error, not silently ignored.
 #[test]
 fn sweep_rejects_the_flags_it_fixes() {
-    for args in ["sweep k18 --pes 3", "sweep k18 --no-cache"] {
+    for (args, why) in [
+        ("sweep k18 --pes 3", "PEs 1…64"),
+        ("sweep k18 --no-cache", "PEs 1…64"),
+        ("search --kernel k1 --page 0", "search enumerates"),
+        ("search --kernel k1 --page 32", "search enumerates"),
+        ("search --partition block", "search enumerates"),
+        ("search --kernel k1 --network ring", "search enumerates"),
+    ] {
         let (code, out, err) = sapp(args);
         assert_eq!(code, Some(2), "sapp {args}: {err}");
         assert!(out.is_empty(), "sapp {args}: {out}");
-        assert!(err.contains("PEs 1…64"), "sapp {args}: {err}");
+        assert!(err.contains(why), "sapp {args}: {err}");
         assert_eq!(err.lines().count(), 1, "sapp {args}: {err}");
     }
 }

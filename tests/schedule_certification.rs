@@ -25,7 +25,6 @@
 use std::collections::HashMap;
 
 use sapp::core::exec::{run, Effect, Observer};
-use sapp::ir::access::{gcd, lcm};
 use sapp::ir::analysis::{linear_address_form, Screen, StaticArrays};
 use sapp::ir::index::iv;
 use sapp::ir::interp::{resolve_ref_addr, Memory};
@@ -33,6 +32,7 @@ use sapp::ir::nest::{LoopVar, Stmt};
 use sapp::ir::program::ArrayInit;
 use sapp::ir::{ArrayId, Expr, InitPattern, IrError, LinForm, Program, ProgramBuilder, ReduceOp};
 use sapp::lint::screening::{Schedule, Windows};
+use sapp::machine::partition::{gcd, lcm};
 use sapp::machine::{AccessKind, MachineConfig, PartitionScheme, Placement};
 use sapp::mem::SaArray;
 
