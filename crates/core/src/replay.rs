@@ -530,6 +530,7 @@ struct Worker<'a> {
     // Scratch buffers reused across the (very many) bulk windows.
     scratch_probes: Vec<ProbeRun>,
     scratch_cuts: Vec<usize>,
+    scratch_cursors: Vec<(usize, usize)>,
     scratch_runs: Vec<ProbeRun>,
 }
 
@@ -555,6 +556,7 @@ impl<'a> Worker<'a> {
             lines: Vec::new(),
             scratch_probes: Vec::new(),
             scratch_cuts: Vec::new(),
+            scratch_cursors: Vec::new(),
             scratch_runs: Vec::new(),
         }
     }
@@ -941,19 +943,39 @@ impl<'a> Worker<'a> {
         }
         cuts.sort_unstable();
         cuts.dedup();
+        // A read's runs are ascending and disjoint, so each ascending
+        // stretch of the list has at most one run live at a time, and the
+        // stretches' live runs in list order are the generation order (=
+        // the per-instance interleave order). One cursor per stretch,
+        // `(next run, end of stretch)`, only ever moves forward.
+        let mut cursors = std::mem::take(&mut self.scratch_cursors);
+        cursors.clear();
+        for (i, p) in probes.iter().enumerate() {
+            match cursors.last_mut() {
+                Some(c) if probes[i - 1].t1 <= p.t0 => c.1 = i + 1,
+                _ => cursors.push((i, i + 1)),
+            }
+        }
+        // Reuses the run scratch buffer: this loop is inside the hottest
+        // counting path.
+        let mut runs = std::mem::take(&mut self.scratch_runs);
         for w in cuts.windows(2) {
             let (v0, v1) = (w[0], w[1]);
-            // Runs live in this window, in generation order (= the
-            // per-instance interleave order). Reuses the run scratch
-            // buffer: this loop is inside the hottest counting path.
-            let mut runs = std::mem::take(&mut self.scratch_runs);
             runs.clear();
-            runs.extend(probes.iter().filter(|p| p.t0 <= v0 && v0 < p.t1).copied());
+            for (next, end) in &mut cursors {
+                while *next < *end && probes[*next].t1 <= v0 {
+                    *next += 1;
+                }
+                if *next < *end && probes[*next].t0 <= v0 {
+                    runs.push(probes[*next]);
+                }
+            }
             if !runs.is_empty() {
                 self.probe_span(&runs, (v1 - v0) as u64);
             }
-            self.scratch_runs = runs;
         }
+        self.scratch_runs = runs;
+        self.scratch_cursors = cursors;
         self.scratch_cuts = cuts;
     }
 

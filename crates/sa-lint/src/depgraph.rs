@@ -64,10 +64,10 @@
 //! was deferred on a cell written *later* in its generation. So a cycle
 //! needs a forward deferral, and a program without one is deadlock-free on
 //! every machine shape ([`check_deadlock`] gives the numbering). The
-//! owner-free walk behind SA004/SA006 sees every deferral a write
-//! releases; only if there was one is the program walked under the
-//! schedule and its graph built, and that path alone decides such
-//! programs. [`summary`] still materializes its DAG for every program; in
+//! progress pass proves a program free of deferrals over sweep footprints,
+//! or its owner-free walk sees every deferral a write releases; only if
+//! there was one is the program walked under the schedule and its graph
+//! built, and that path alone decides such programs. [`summary`] still materializes its DAG for every program; in
 //! the same way, a program without forward deferrals could have its
 //! depths computed in program order, with no Kahn pass.
 
@@ -1131,15 +1131,16 @@ fn find_cycle(adj: &[Vec<(u32, Why)>]) -> Option<Vec<usize>> {
 /// deferral*, a read of a cell written later in its generation — points to
 /// a strictly earlier node. A cycle needs a forward deferral: a program
 /// without one is deadlock-free under every scheme, page size and PE count,
-/// without one owner being computed. The owner-free walk that serves
-/// SA004/SA006 ([`progress`]) notes whether it saw one, and only a program
-/// that has one is walked again, under the schedule, into the wait graph.
+/// without one owner being computed. The progress pass ([`progress`]) says
+/// whether there is one — proved absent over sweep footprints, or noted by
+/// the owner-free walk that serves SA004/SA006 — and only a program that
+/// has one is walked, under the schedule, into the wait graph.
 pub fn check_deadlock(program: &Program, cfg: &LintConfig) -> Vec<Diagnostic> {
     let res = Resolver::new(program);
     deadlock(&res, cfg, || progress::observe(&res).forward_deferrals)
 }
 
-/// [`check_deadlock`], given what the owner-free walk of the program saw
+/// [`check_deadlock`], given what the progress pass saw of the program
 /// (asked only of a program and shape the proof is possible for).
 pub(crate) fn deadlock(
     res: &Resolver<'_>,

@@ -54,6 +54,7 @@ use sa_ir::program::Phase;
 use sa_ir::{LinForm, Program};
 use sa_machine::{ConfigError, MachineConfig, Placement, Stats};
 
+use crate::footprint::SweepRef;
 use crate::screening::Schedule;
 
 /// The estimator's verdict: the same counters the counting simulator
@@ -145,6 +146,8 @@ struct RefForm<'p> {
     aref: &'p ArrayRef,
     /// Its linear address over the nest's loop variables.
     form: LinForm,
+    /// Its indices, for the bounds proof.
+    bounds: SweepRef<'p>,
     /// Where the referenced array's pages live.
     placement: &'p Placement,
 }
@@ -267,16 +270,17 @@ pub(crate) fn walk_anchor_runs<'p>(
     let ns = sched.nest(nest_index);
     let nest = ns.nest;
     let nvars = nest.loops.len();
-    let lower = |aref| {
-        let form = linear_address_form(program, aref, nvars)
-            .filter(|_| aref.indices.len() == program.array(aref.array).dims.len())
-            .ok_or_else(|| EstimateError::RankMismatch {
-                array: program.array(aref.array).name.clone(),
-                nest: nest.label.clone(),
-            })?;
+    let lower = |aref: &'p ArrayRef| {
+        let rank_mismatch = || EstimateError::RankMismatch {
+            array: program.array(aref.array).name.clone(),
+            nest: nest.label.clone(),
+        };
+        let bounds = SweepRef::new(program, aref).ok_or_else(rank_mismatch)?;
+        let form = linear_address_form(program, aref, nvars).ok_or_else(rank_mismatch)?;
         Ok(RefForm {
             aref,
             form,
+            bounds,
             placement: &placements[aref.array.0],
         })
     };
@@ -336,32 +340,24 @@ pub(crate) fn walk_anchor_runs<'p>(
 }
 
 /// The per-dimension bounds proof of `r` along `sweep`, at the sweep's
-/// endpoints (affine ⇒ monotone in the trip).
+/// endpoints ([`SweepRef::leaves`]).
 fn bounded_line(
     program: &Program,
     nest: &LoopNest,
     r: &RefForm<'_>,
     sweep: &Sweep<'_>,
 ) -> Result<(), EstimateError> {
+    let Some((dim, index)) = r.bounds.leaves(sweep) else {
+        return Ok(());
+    };
     let decl = program.array(r.aref.array);
-    for (d, (ix, &extent)) in r.aref.indices.iter().zip(&decl.dims).enumerate() {
-        let idx = ix
-            .as_affine()
-            .expect("indirection rejected before lowering");
-        let line = Line::along(&idx.coeffs, idx.offset, sweep);
-        for endpoint in [line.base, line.addr(sweep.trips as i64 - 1)] {
-            if endpoint < 0 || endpoint >= extent as i64 {
-                return Err(EstimateError::OutOfBounds {
-                    array: decl.name.clone(),
-                    nest: nest.label.clone(),
-                    dim: d,
-                    index: endpoint,
-                    extent,
-                });
-            }
-        }
-    }
-    Ok(())
+    Err(EstimateError::OutOfBounds {
+        array: decl.name.clone(),
+        nest: nest.label.clone(),
+        dim,
+        index,
+        extent: decl.dims[dim],
+    })
 }
 
 #[cfg(test)]

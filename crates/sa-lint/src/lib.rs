@@ -1,27 +1,38 @@
 //! # sa-lint — static analysis for single-assignment programs
 //!
-//! Four passes over the loop-nest IR, all zero-execution:
+//! [`lint_program`] runs four passes over the loop-nest IR, all
+//! zero-execution:
 //!
 //! * **Write-once verification** ([`writeonce::check_write_once`]) — proves
 //!   the single-assignment property per array generation with closed-form
 //!   affine conflict tests (Banerjee-style range, GCD lattice residue,
-//!   mixed-radix self-injectivity), falling back to exact footprint
-//!   enumeration that recovers the two conflicting iteration vectors.
-//! * **Progress and partition legality** ([`progress::check_progress`],
-//!   [`progress::check_partition`]) — dangling I-structure deferrals
-//!   (reads no producer ever satisfies), indirect anchors with no static
-//!   producer, provable out-of-bounds references, and partition schemes
-//!   that orphan PEs.
-//! * **Communication estimation** ([`estimate::estimate`]) — per-PE
-//!   local/remote access counts and network messages in closed form for
-//!   any affine program × [`sa_machine::MachineConfig`], certified
-//!   bit-identical against the counting simulator.
+//!   mixed-radix self-injectivity), then over per-sweep write intervals,
+//!   falling back to exact per-cell enumeration that recovers the two
+//!   conflicting iteration vectors.
+//! * **Progress** ([`progress::check_progress`]) — dangling I-structure
+//!   deferrals (reads no producer ever satisfies), indirect anchors with
+//!   no static producer and provable out-of-bounds references: proved
+//!   absent over per-sweep address intervals where the phases run in
+//!   order, found by the instance walk otherwise.
+//! * **Partition legality** ([`progress::check_partition`]) — partition
+//!   schemes that orphan PEs.
+//! * **Deadlock freedom** ([`depgraph::check_deadlock`]) — a per-config
+//!   proof that no cyclic I-structure wait exists, or the cycle as `SA008`
+//!   with the iteration vectors and owning PEs along it.
+//!
+//! Beside them the crate holds what the passes and the engines share:
+//!
 //! * **Dependence graphs** ([`depgraph`]) — the generation-level
 //!   producer→consumer graph single assignment makes statically
-//!   derivable, with work/span analysis, partition-projected speedup
-//!   bounds, and a per-config deadlock-freedom proof (cyclic
-//!   I-structure waits are reported as `SA008` with the iteration
-//!   vectors and owning PEs along the cycle).
+//!   derivable, with work/span analysis and partition-projected speedup
+//!   bounds.
+//! * **The owner-computes schedule** ([`screening`]) every counting engine
+//!   runs on.
+//! * **Communication estimation** ([`estimate::estimate`]) — not a lint
+//!   pass but a counting engine (`--engine static`): per-PE local/remote
+//!   access counts and network messages in closed form for any affine
+//!   program × [`sa_machine::MachineConfig`], certified bit-identical
+//!   against the counting simulator.
 //!
 //! Findings are reported through the machine-readable [`Diagnostic`]
 //! model (severity, stable code, span, explanation, JSON rendering), so
@@ -30,6 +41,7 @@
 pub mod depgraph;
 pub mod diag;
 pub mod estimate;
+mod footprint;
 pub mod progress;
 pub mod screening;
 mod sites;
@@ -46,8 +58,37 @@ pub use progress::{check_partition, check_progress};
 pub use sites::unproduced_anchors;
 pub use writeonce::{check_write_once, WriteOnceReport};
 
+use std::cell::Cell;
+
 use sa_ir::Program;
 use sa_machine::PartitionScheme;
+
+thread_local! {
+    static BY_INSTANCE: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Run `f` with write-once and progress on their per-instance reference
+/// path: the cell-by-cell enumeration wherever the closed-form tests are
+/// inconclusive, and the instance walk for every program, as if no sweep
+/// footprint had proved anything. What the footprints prove is certified
+/// against it (`tests/lint_proptests.rs`).
+#[doc(hidden)]
+pub fn by_instance<T>(f: impl FnOnce() -> T) -> T {
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            BY_INSTANCE.with(|b| b.set(self.0));
+        }
+    }
+    let _restore = Restore(BY_INSTANCE.with(|b| b.replace(true)));
+    f()
+}
+
+/// Whether the exact passes may decide over sweep footprints
+/// ([`by_instance`] says no).
+fn over_sweeps() -> bool {
+    !BY_INSTANCE.with(Cell::get)
+}
 
 /// Partition context the legality check runs against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,8 +136,9 @@ pub fn lint_program(program: &Program, cfg: &LintConfig) -> Vec<Diagnostic> {
         return diags;
     }
     diags.extend(check_write_once(program).diagnostics);
-    // One walk of the instance stream serves the progress checks and tells
-    // the deadlock proof whether there is a wait graph worth building.
+    // One progress pass — a sweep proof, else one walk of the instance
+    // stream — serves the progress checks and tells the deadlock proof
+    // whether there is a wait graph worth building.
     let res = sites::Resolver::new(program);
     let seen = progress::observe(&res);
     diags.extend(seen.diagnostics);
@@ -166,11 +208,12 @@ mod tests {
         assert!(diags.is_empty(), "{diags:?}");
     }
 
-    /// `lint_program` enumerates a program that runs in order once; one
-    /// that defers a read forward a second time, under the schedule, for
-    /// the wait graph (the write-once proof of both is closed-form).
+    /// `lint_program` proves a program that runs in order over sweeps and
+    /// walks no instance; one that defers a read forward is walked twice —
+    /// for the progress checks, then under the schedule for the wait graph
+    /// (the write-once proof of both is closed-form).
     #[test]
-    fn an_in_order_program_is_walked_once() {
+    fn an_in_order_program_is_not_walked() {
         let program = |consumer_first: bool| {
             let mut b = ProgramBuilder::new("two");
             let x = b.output("X", &[8]);
@@ -198,12 +241,56 @@ mod tests {
             page_size: 4,
             scheme: PartitionScheme::Modulo,
         };
-        for (consumer_first, walks) in [(false, 1), (true, 2)] {
+        for (consumer_first, walks) in [(false, 0), (true, 2)] {
             let before = sites::instances_walked();
             let diags = lint_program(&program(consumer_first), &cfg);
             assert!(diags.is_empty(), "{diags:?}");
             assert_eq!(sites::instances_walked() - before, walks * 12);
         }
+    }
+
+    /// Every entry point that observes a program proves the stencils (the
+    /// write-once pass over their boundary strips included) and K1 over
+    /// sweeps, without walking an instance; a read nobody defines is still
+    /// found by the walk.
+    #[test]
+    fn the_stencils_and_k1_walk_no_instance() {
+        // A shape that leaves no PE without pages at the reduced sizes.
+        let cfg = LintConfig {
+            n_pes: 4,
+            page_size: 8,
+            scheme: PartitionScheme::Modulo,
+        };
+        let passes = |p: &Program| {
+            let before = sites::instances_walked();
+            let mut diags = lint_program(p, &cfg);
+            diags.extend(check_write_once(p).diagnostics);
+            diags.extend(check_progress(p));
+            diags.extend(check_deadlock(p, &cfg));
+            (diags, sites::instances_walked() - before)
+        };
+        for code in ["ST5", "ST9", "ST7", "K1"] {
+            let kernel = sa_loops::workload(code).expect("registry code").reduced();
+            let (diags, walked) = passes(&kernel.program);
+            assert!(diags.is_empty(), "{code}: {diags:?}");
+            assert_eq!(walked, 0, "{code}");
+            // The reference path walks the same program: the counter counts.
+            let (_, by_instance) = by_instance(|| passes(&kernel.program));
+            assert!(by_instance > 0, "{code}");
+        }
+        let mut b = ProgramBuilder::new("dangling");
+        let x = b.output("X", &[8]);
+        let z = b.output("Z", &[8]);
+        b.nest("produce-half", &[("k", 0, 3)], |nb| {
+            nb.assign(x, [iv(0)], Expr::Const(1.0));
+        });
+        b.nest("consume-all", &[("k", 0, 7)], |nb| {
+            let rhs = nb.read(x, [iv(0)]);
+            nb.assign(z, [iv(0)], rhs);
+        });
+        let (diags, walked) = passes(&b.finish());
+        assert!(diags.iter().any(|d| d.code == Code::Sa004DanglingRead));
+        assert!(walked > 0);
     }
 
     #[test]

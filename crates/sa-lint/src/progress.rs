@@ -18,17 +18,39 @@
 //! The same walk notes whether any deferral was released by a later write
 //! — a *forward* deferral, without which no wait graph has a cycle
 //! ([`crate::depgraph::check_deadlock`]).
+//!
+//! # Which rung answers
+//!
+//! 1. **Sweeps.** The phases are followed in order over write footprints
+//!    (the crate-private `footprint` module): for each all-affine nest,
+//!    every reference must stay inside its array at the two end trips of
+//!    each sweep, and every read line must lie inside what its
+//!    generation's initializer and *earlier* nests define (a `Reinit`
+//!    empties it); only then are the nest's writes added. A program whose
+//!    every nest passes defers no read and leaves no array: no SA004, no
+//!    SA006, no forward deferral — proved in O(sweeps + points of strided
+//!    sweeps), whatever the instance count.
+//! 2. **Instances.** Anything else — a gather or scatter, a read only a
+//!    write of the same or a later nest satisfies, a reference that may
+//!    leave its array — is walked instance by instance, for the whole
+//!    program, as above. Every finding, its iteration vector and the
+//!    report order come from this walk, which stays the reference the
+//!    first rung is certified against.
+//!
+//! `PL001` asks each array's placement for one period of pages, or, without
+//! a period, the pages where the owner changes.
 
 use std::collections::{HashMap, HashSet};
 
 use crate::depgraph::InstanceError;
 use crate::diag::{Code, Diagnostic, Severity, Span};
+use crate::footprint::{Footprint, SweepRef};
 use crate::sites::{
     self, describe, walk, Deferral, Flow, Instance, LiveSlots, Pass, Read, ResolveFail, Resolver,
     Write,
 };
 use sa_ir::nest::{ArrayRef, LoopNest};
-use sa_ir::{ArrayId, Program};
+use sa_ir::{ArrayId, Phase, Program};
 use sa_machine::{ConfigError, PartitionScheme, Placement};
 
 /// Run the progress checks (`SA004`, `SA005`, `SA006`) on `program`.
@@ -36,7 +58,8 @@ pub fn check_progress(program: &Program) -> Vec<Diagnostic> {
     observe(&Resolver::new(program)).diagnostics
 }
 
-/// What the one owner-free walk of a program finds.
+/// What the progress pass finds of a program, over sweeps or by its one
+/// owner-free walk.
 pub(crate) struct Observed {
     /// The `SA005`, `SA006` and `SA004` findings, in report order.
     pub diagnostics: Vec<Diagnostic>,
@@ -47,11 +70,17 @@ pub(crate) struct Observed {
     pub forward_deferrals: Result<bool, InstanceError>,
 }
 
-/// Walk `res`'s program once, for the progress checks and the deadlock
-/// proof's premise.
+/// Prove `res`'s program clean over sweeps or walk it once, for the
+/// progress checks and the deadlock proof's premise.
 pub(crate) fn observe(res: &Resolver<'_>) -> Observed {
     let mut diagnostics = Vec::new();
     check_anchors(res.program, &mut diagnostics);
+    if crate::over_sweeps() && in_order_over_sweeps(res.program) {
+        return Observed {
+            diagnostics,
+            forward_deferrals: Ok(false),
+        };
+    }
     let mut pass = Progress::new(res);
     let walked = walk(res, &mut pass);
     let forward_deferrals = match pass.unresolved {
@@ -63,6 +92,54 @@ pub(crate) fn observe(res: &Resolver<'_>) -> Observed {
         diagnostics,
         forward_deferrals,
     }
+}
+
+/// The first rung (module docs): every nest all-affine, every reference
+/// inside its array on every sweep, and every read defined by its
+/// generation's initializer or an earlier nest — so the walk would defer
+/// no read and fail no resolution.
+fn in_order_over_sweeps(program: &Program) -> bool {
+    let mut defined = Footprint::new(program);
+    let mut live = LiveSlots::new(program);
+    for phase in &program.phases {
+        let nest = match phase {
+            Phase::Reinit(array) => {
+                live.reinit(*array);
+                continue;
+            }
+            Phase::Loop(nest) => nest,
+        };
+        // `(slot, reference, writes)` in body order.
+        let refs = nest.body.iter().flat_map(|stmt| {
+            let reads = stmt.reads().into_iter().map(|r| (r, false));
+            reads.chain(stmt.write_target().map(|t| (t, true)))
+        });
+        let refs = refs.map(|(aref, writes)| {
+            let sweep_ref = SweepRef::new(program, aref)?;
+            Some((live.of(aref.array), sweep_ref, writes))
+        });
+        let Some(refs) = refs.collect::<Option<Vec<_>>>() else {
+            return false;
+        };
+        let checked = nest.try_for_each_sweep(|sweep| {
+            refs.iter()
+                .try_for_each(|(slot, r, writes)| match r.line(sweep) {
+                    Some(line) if *writes || defined.covers(*slot, line, sweep.trips) => Ok(()),
+                    _ => Err(()),
+                })
+        });
+        if checked.is_err() {
+            return false;
+        }
+        nest.for_each_sweep(|sweep| {
+            for (slot, r, _) in refs.iter().filter(|r| r.2) {
+                if let Some(line) = r.line(sweep) {
+                    defined.add(*slot, line, sweep.trips);
+                }
+            }
+        });
+    }
+    true
 }
 
 // ---------------------------------------------------------------------------
@@ -377,8 +454,29 @@ pub(crate) fn partition_pass(
     }
     let mut owns = vec![false; n_pes];
     for pl in &placements {
-        for page in 0..pl.pages() {
-            owns[pl.page_owner(page)] = true;
+        let pages = pl.pages();
+        match pl.period() {
+            // Owners repeat after a period: its pages are every owner.
+            Some(period) => {
+                for page in 0..pages.min(period / page_size) {
+                    owns[pl.page_owner(page)] = true;
+                }
+            }
+            // No wrap: one owner's pages, then the next owner's.
+            None => {
+                let mut page = 0;
+                while page < pages {
+                    let pe = pl.page_owner(page);
+                    owns[pe] = true;
+                    let mut run_end = page + 1;
+                    pl.owned_page_intervals(pe, page, pages - 1, |start, end| {
+                        if start == page {
+                            run_end = end;
+                        }
+                    });
+                    page = run_end;
+                }
+            }
         }
     }
     let orphans: Vec<usize> = (0..n_pes).filter(|&pe| !owns[pe]).collect();
@@ -495,6 +593,64 @@ mod tests {
         );
         // The first instance a reference fails in is W's write at k = 4.
         assert_eq!(seen.forward_deferrals, Err(InstanceError::Unresolvable(w)));
+    }
+
+    /// Each rule of the sweeps proof against a program it alone gets
+    /// wrong: the reference walk must speak (and `observe` with it).
+    #[test]
+    fn what_the_sweeps_cannot_prove_is_walked() {
+        let findings = |build: &dyn Fn(&mut ProgramBuilder)| {
+            let mut b = ProgramBuilder::new("rung");
+            build(&mut b);
+            let p = b.finish();
+            let said = check_progress(&p);
+            assert_eq!(said, crate::by_instance(|| check_progress(&p)));
+            said.iter().map(|d| d.code).collect::<Vec<_>>()
+        };
+        // A reinit empties the generation: the read after it dangles.
+        let reinit = findings(&|b| {
+            let x = b.output("X", &[8]);
+            let z = b.output("Z", &[8]);
+            b.nest("w", &[("k", 0, 7)], |nb| {
+                nb.assign(x, [iv(0)], Expr::Const(1.0));
+            });
+            b.reinit(x);
+            b.nest("r", &[("k", 0, 7)], |nb| {
+                let rhs = nb.read(x, [iv(0)]);
+                nb.assign(z, [iv(0)], rhs);
+            });
+        });
+        assert_eq!(reinit, [Code::Sa004DanglingRead]);
+        // The initializer defines only its prefix.
+        let prefix = findings(&|b| {
+            let init = sa_ir::program::ArrayInit::Prefix {
+                pattern: sa_ir::InitPattern::Zero,
+                len: 7,
+            };
+            let y = b.array_with("Y", &[8], init);
+            let z = b.output("Z", &[8]);
+            b.nest("r", &[("k", 0, 7)], |nb| {
+                let rhs = nb.read(y, [iv(0)]);
+                nb.assign(z, [iv(0)], rhs);
+            });
+        });
+        assert_eq!(prefix, [Code::Sa004DanglingRead]);
+        // The last trip's write leaves X; the last trip's read of row i
+        // names an in-bounds address of row i + 1 — through a column index
+        // past its extent.
+        let last_trip = findings(&|b| {
+            let y = b.input("Y", &[4, 4], sa_ir::InitPattern::Wavy);
+            let x = b.output("X", &[4, 4]);
+            b.nest("n", &[("i", 0, 2), ("j", 0, 3)], |nb| {
+                let rhs = nb.read(y, [iv(0), iv(1).plus(1)]);
+                nb.assign(x, [iv(0), iv(1)], rhs);
+            });
+            let w = b.output("W", &[4]);
+            b.nest("m", &[("k", 0, 4)], |nb| {
+                nb.assign(w, [iv(0)], Expr::Const(1.0));
+            });
+        });
+        assert_eq!(last_trip, [Code::Sa006OutOfBounds, Code::Sa006OutOfBounds]);
     }
 
     #[test]

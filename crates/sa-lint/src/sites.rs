@@ -4,7 +4,8 @@
 //! Under single assignment every array cell has exactly one producer per
 //! generation, so a program's whole producer→consumer structure is a
 //! function of its statement-instance stream. Every *exact* analysis of
-//! this crate walks that stream through this module, which owns five
+//! this crate that enumerates (what `footprint` proves over sweeps needs
+//! no instance) walks that stream through this module, which owns five
 //! decisions and nothing else (the sixth an enumerating pass needs — the
 //! executing PE of an instance — is [`crate::screening::Schedule::owner`],
 //! shared with the engines):

@@ -2,17 +2,28 @@
 //!
 //! For every array generation segment (the phases between `Reinit`s of
 //! that array) the verifier proves that no element is assigned twice.
-//! Affine write sites are first attacked with closed-form conflict tests
-//! — a Banerjee-style address-range test, a GCD lattice-residue test for
-//! rectangular nests, and a mixed-radix self-injectivity test. Only when
-//! some pair stays inconclusive does the verifier fall back to an exact
-//! enumeration of the segment's write footprint, which also recovers the
-//! two concrete iteration vectors of a genuine conflict for the
-//! diagnostic. Scatters through compile-time-constant index arrays are
-//! enumerated exactly; scatters through runtime data are reported as
-//! statically undecidable (`SA003`).
+//! Three rungs, each asked only what the one before left open:
+//!
+//! 1. **Closed form.** Affine write sites are attacked pairwise — a
+//!    Banerjee-style address-range test, a GCD lattice-residue test for
+//!    rectangular nests, and a mixed-radix self-injectivity test.
+//! 2. **Sweeps.** Where some pair stays inconclusive (a stencil's boundary
+//!    strips beside its interior), the segment's writes are laid down
+//!    sweep by sweep as address intervals (the crate-private `footprint`
+//!    module): if every write stays inside the array and no interval or
+//!    point meets one already defined, the segment is write-once, in
+//!    O(sweeps + points of strided sweeps).
+//! 3. **Cells.** Otherwise — an overlap the sweeps found, a write that may
+//!    leave the array, a scatter — the segment's write footprint is
+//!    enumerated cell by cell in program order, which also recovers the
+//!    two concrete iteration vectors of a genuine conflict for the
+//!    diagnostic: every SA001/SA002 text comes from this rung. Scatters
+//!    through compile-time-constant index arrays are enumerated exactly;
+//!    scatters through runtime data are reported as statically undecidable
+//!    (`SA003`).
 
 use crate::diag::{Code, Diagnostic, Span};
+use crate::footprint::{Footprint, SweepRef};
 use crate::sites::{self, iterate, ResolveFail, Resolver, Segment, WriteSite};
 use sa_ir::analysis::{self, PairRelation};
 use sa_ir::nest::LoopNest;
@@ -26,7 +37,8 @@ pub struct WriteOnceReport {
     pub diagnostics: Vec<Diagnostic>,
     /// Array segments discharged purely by the closed-form affine tests.
     pub proven_affine: usize,
-    /// Array segments that required exact footprint enumeration.
+    /// Array segments the closed-form tests left to the exact footprint
+    /// (per-sweep intervals, or per-cell enumeration).
     pub enumerated: usize,
 }
 
@@ -44,19 +56,23 @@ impl WriteOnceReport {
 pub fn check_write_once(program: &Program) -> WriteOnceReport {
     let mut report = WriteOnceReport::default();
     let res = Resolver::new(program);
-    for seg in sites::segments(program) {
+    let mut written = Footprint::new(program);
+    // Segments come in slot order: a segment's index is its slot.
+    for (slot, seg) in sites::segments(program).iter().enumerate() {
         if seg.writes.is_empty() {
             continue;
         }
-        check_segment(program, &seg, &res, &mut report);
+        check_segment(program, slot, seg, &res, &mut written, &mut report);
     }
     report
 }
 
 fn check_segment(
     program: &Program,
+    slot: usize,
     seg: &Segment<'_>,
     res: &Resolver<'_>,
+    written: &mut Footprint,
     report: &mut WriteOnceReport,
 ) {
     let decl = program.array(seg.array);
@@ -112,12 +128,41 @@ fn check_segment(
                 report.proven_affine += 1;
                 return;
             }
+            report.enumerated += 1;
+            if !(crate::over_sweeps() && disjoint_over_sweeps(program, seg, slot, written)) {
+                enumerate_segment(program, seg, res, report);
+            }
+            return;
         }
     }
 
     // Exact fallback: enumerate the segment footprint in program order.
     report.enumerated += 1;
     enumerate_segment(program, seg, res, report);
+}
+
+/// The second rung (module docs): lay the segment's writes, all affine,
+/// down in slot `slot` sweep by sweep; whether each stayed inside the
+/// array and defined only addresses nothing — the initializer, another
+/// write, or itself — had defined.
+fn disjoint_over_sweeps(
+    program: &Program,
+    seg: &Segment<'_>,
+    slot: usize,
+    written: &mut Footprint,
+) -> bool {
+    seg.writes.iter().all(|site| {
+        let Some(target) = SweepRef::new(program, site.target) else {
+            return false;
+        };
+        let laid = site
+            .nest
+            .try_for_each_sweep(|sweep| match target.line(sweep) {
+                Some(line) if written.add(slot, line, sweep.trips) => Ok(()),
+                _ => Err(()),
+            });
+        laid.is_ok()
+    })
 }
 
 // ---------------------------------------------------------------------------

@@ -17,21 +17,30 @@
 //!   per-instance enumerator returns — counts or the same typed error — on
 //!   nests with negative steps, triangular bounds, zero-trip sweeps, no
 //!   loops at all, anchorless reductions and out-of-bounds anchors, under
-//!   all five scheme families.
+//!   all five scheme families;
+//! * what write-once and progress prove over sweep footprints is what
+//!   their per-instance reference (`lint::by_instance`) says — through
+//!   `lint_program`, `check_write_once`, `check_progress` and
+//!   `check_deadlock` — on both generators, with the double write on and
+//!   off, on six seeded mutations of every program, and on the registry
+//!   at reduced and official sizes.
 
 use std::collections::{HashMap, HashSet};
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 use sapp::core::{simulate, CountingOracle, Oracle, RunConfig, StaticOracle};
 use sapp::ir::index::iv;
 use sapp::ir::interp::{EvalCtx, Memory};
+use sapp::ir::program::ArrayInit;
 use sapp::ir::{
-    AffineIndex, ArrayId, Expr, InitPattern, IrError, LoopNest, LoopVar, Phase, Program,
+    AffineIndex, ArrayId, Expr, IndexExpr, InitPattern, IrError, LoopNest, LoopVar, Phase, Program,
     ProgramBuilder, ReduceOp, Stmt,
 };
 use sapp::lint::depgraph::{project, project_by_instance};
 use sapp::lint::{self, Code, DepGraph, LintConfig, Severity};
+use sapp::loops::suite::Family;
 use sapp::machine::{MachineConfig, PartitionScheme};
 
 const MAX_COEFF: i64 = 3;
@@ -568,5 +577,197 @@ proptest! {
             project_by_instance(&program, &cfg),
             "{}", sapp::ir::pretty::program_to_string(&program)
         );
+    }
+
+    /// Sweep footprints ≡ the instance walk and the cell enumeration, on
+    /// the `spec` programs with and without their double write.
+    #[test]
+    fn sweep_proofs_match_the_instance_walk_on_generated_programs(
+        spec in spec_strategy(),
+        dup in proptest::bool::ANY,
+        cfg in lint_config_strategy(),
+    ) {
+        certify_with_mutants(&build(&spec, dup), &cfg)?;
+    }
+
+    /// The same on the projection generator's shapes: negative steps,
+    /// triangular and zero-trip nests, zero-depth nests, reductions and
+    /// anchors that leave their arrays.
+    #[test]
+    fn sweep_proofs_match_the_instance_walk_on_projection_programs(
+        nests in proptest::collection::vec(proj_nest_strategy(), 1..4),
+        cfg in lint_config_strategy(),
+    ) {
+        certify_with_mutants(&build_projection_program(&nests), &cfg)?;
+    }
+}
+
+/// What the exact passes say about a program under a config:
+/// `lint_program`, the write-once report (findings, then the segments
+/// proved in closed form and left to the exact footprint),
+/// `check_progress` and `check_deadlock`.
+type Verdicts = (
+    Vec<lint::Diagnostic>,
+    (Vec<lint::Diagnostic>, usize, usize),
+    Vec<lint::Diagnostic>,
+    Vec<lint::Diagnostic>,
+);
+
+fn verdicts(program: &Program, cfg: &LintConfig) -> Verdicts {
+    let once = lint::check_write_once(program);
+    (
+        lint::lint_program(program, cfg),
+        (once.diagnostics, once.proven_affine, once.enumerated),
+        lint::check_progress(program),
+        lint::check_deadlock(program, cfg),
+    )
+}
+
+/// The passes say of `program` what their per-instance reference says.
+fn certify(program: &Program, cfg: &LintConfig) -> Result<(), TestCaseError> {
+    let reference = lint::by_instance(|| verdicts(program, cfg));
+    prop_assert_eq!(
+        verdicts(program, cfg),
+        reference,
+        "{:?}\n{}",
+        cfg,
+        sapp::ir::pretty::program_to_string(program)
+    );
+    Ok(())
+}
+
+fn certify_with_mutants(program: &Program, cfg: &LintConfig) -> Result<(), TestCaseError> {
+    certify(program, cfg)?;
+    for mutant in mutants(program) {
+        certify(&mutant, cfg)?;
+    }
+    Ok(())
+}
+
+/// Six seeded mutations, each aimed at one thing the sweeps proofs must
+/// not miss (a mutation with nothing to act on returns the program as it
+/// is):
+///
+/// 1. the phases in reverse order — consumers before their producers:
+///    forward deferrals, wait cycles and dangling reads;
+/// 2. every read's outermost index one further — reads of cells nobody
+///    defines, or past the array;
+/// 3. the first nest's outermost loop one trip shorter — a producer that
+///    leaves cells undefined for later readers;
+/// 4. the first nest's innermost loop one trip longer — writes that leave
+///    their array, or write a cell twice;
+/// 5. a `Reinit` of the first nest's first written array before the last
+///    nest — a generation emptied under its readers;
+/// 6. that array's first half (and one cell) initialized — writes into the
+///    initializer's prefix, and reads past it.
+fn mutants(program: &Program) -> Vec<Program> {
+    fn first_nest(p: &mut Program) -> Option<&mut LoopNest> {
+        p.phases.iter_mut().find_map(|phase| match phase {
+            Phase::Loop(nest) => Some(nest),
+            Phase::Reinit(_) => None,
+        })
+    }
+    let mut reversed = program.clone();
+    reversed.phases.reverse();
+
+    let mut shifted = program.clone();
+    for phase in &mut shifted.phases {
+        if let Phase::Loop(nest) = phase {
+            for stmt in &mut nest.body {
+                let value = match stmt {
+                    Stmt::Assign { value, .. } | Stmt::Reduce { value, .. } => value,
+                };
+                shift_reads(value);
+            }
+        }
+    }
+
+    let mut shorter = program.clone();
+    if let Some(lv) = first_nest(&mut shorter).and_then(|n| n.loops.first_mut()) {
+        lv.hi = lv.hi.clone().plus(-lv.step.signum());
+    }
+
+    let mut longer = program.clone();
+    if let Some(lv) = first_nest(&mut longer).and_then(|n| n.loops.last_mut()) {
+        lv.hi = lv.hi.clone().plus(lv.step.signum());
+    }
+
+    let mut emptied = program.clone();
+    let written = first_nest(&mut emptied).and_then(|n| {
+        n.body
+            .iter()
+            .find_map(|s| s.write_target().map(|t| t.array))
+    });
+    let last = emptied
+        .phases
+        .iter()
+        .rposition(|p| matches!(p, Phase::Loop(_)));
+    if let (Some(array), Some(last)) = (written, last) {
+        emptied.phases.insert(last, Phase::Reinit(array));
+    }
+
+    let mut prefixed = program.clone();
+    if let Some(decl) = written.map(|array| &mut prefixed.arrays[array.0]) {
+        decl.init = ArrayInit::Prefix {
+            pattern: InitPattern::Zero,
+            len: decl.len() / 2 + 1,
+        };
+    }
+    vec![reversed, shifted, shorter, longer, emptied, prefixed]
+}
+
+fn shift_reads(expr: &mut Expr) {
+    match expr {
+        Expr::Read(aref) => {
+            if let Some(IndexExpr::Affine(a)) = aref.indices.first_mut() {
+                a.offset += 1;
+            }
+        }
+        Expr::Unary(_, a) => shift_reads(a),
+        Expr::Binary(_, a, b) => {
+            shift_reads(a);
+            shift_reads(b);
+        }
+        Expr::Const(_) | Expr::Param(_) | Expr::Scalar(_) | Expr::LoopVar(_) => {}
+    }
+}
+
+/// The registry, at reduced and official sizes, and the reduced programs'
+/// mutants, under four machine shapes. The scale family's official sizes
+/// (10⁵–10⁶ instances, walked three times by the reference) are left to
+/// the release run CI makes of this file.
+#[test]
+fn sweep_proofs_match_the_instance_walk_on_the_registry() {
+    let shapes = [
+        LintConfig::default(),
+        LintConfig {
+            n_pes: 4,
+            page_size: 8,
+            scheme: PartitionScheme::Block,
+        },
+        LintConfig {
+            n_pes: 7,
+            page_size: 4,
+            scheme: PartitionScheme::BlockCyclic { block_pages: 2 },
+        },
+        LintConfig {
+            n_pes: 6,
+            page_size: 16,
+            scheme: PartitionScheme::Tile2D {
+                tile_rows: 4,
+                tile_cols: 8,
+            },
+        },
+    ];
+    for w in sapp::loops::workloads() {
+        let (reduced, official) = (w.reduced().program, w.official().program);
+        for (i, cfg) in shapes.iter().enumerate() {
+            certify_with_mutants(&reduced, cfg).unwrap_or_else(|e| panic!("{}: {e}", w.code));
+            // The official sizes are the slow half: one shape each.
+            let official_here = !(cfg!(debug_assertions) && w.family == Family::Scale);
+            if official_here && i == w.code.len() % shapes.len() {
+                certify(&official, cfg).unwrap_or_else(|e| panic!("{}: {e}", w.code));
+            }
+        }
     }
 }

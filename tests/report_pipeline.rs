@@ -327,6 +327,50 @@ fn sapp(args: &str) -> (Option<i32>, String, String) {
     (out.status.code(), text(&out.stdout), text(&out.stderr))
 }
 
+/// Lint proves a program that runs in order over sweep footprints, so its
+/// size does not matter: K1 at n = 10⁹ prints the clean document, and K1
+/// at n = 5·10⁹ — past the 2³² statement instances the instance walk can
+/// number — lints clean instead of noting "instance graph exceeds the u32
+/// id space". A read nobody defines is still found by the walk, with the
+/// iteration vector it always had.
+#[test]
+fn lint_proves_in_order_programs_at_any_size_and_walks_the_rest() {
+    let (code, out, err) = sapp("lint k1 --size 1000000000 --format json");
+    assert_eq!(code, Some(0), "{err}");
+    assert_eq!(out, "[{\"kernel\":\"K1\",\"diagnostics\":[]}]\n");
+    let (code, out, err) = sapp("lint k1 --size 5000000000");
+    assert_eq!(code, Some(0), "{err}");
+    assert!(
+        out.starts_with("clean: 0 diagnostics across 1 kernel(s) in "),
+        "{out}"
+    );
+
+    let mut b = ProgramBuilder::new("dangling");
+    let x = b.output("X", &[32]);
+    let z = b.output("Z", &[32]);
+    b.nest("produce-half", &[("k", 0, 15)], |nb| {
+        nb.assign(x, [iv(0)], sapp::ir::Expr::LoopVar(0));
+    });
+    b.nest("consume-all", &[("k", 0, 31)], |nb| {
+        let rhs = nb.read(x, [iv(0)]);
+        nb.assign(z, [iv(0)], rhs);
+    });
+    let diags = sapp::lint::lint_program(&b.finish(), &sapp::lint::LintConfig::default());
+    let said: Vec<String> = diags
+        .iter()
+        .map(|d| format!("{} {} {} {}", d.severity, d.code, d.span, d.message))
+        .collect();
+    assert_eq!(
+        said,
+        [
+            "error SA004 phase 1 nest `consume-all` stmt 0 array `X` `X[16]` is read at \
+             iteration [16] but no initializer or statement of this generation ever defines it",
+            "warning PL001 <program> 15 of 16 PEs own no pages of any array under Modulo with \
+             32-element pages (e.g. PE 1)",
+        ]
+    );
+}
+
 /// `sweep --cache N` measures its cache column with N elements: at every
 /// PE count it is the remote % `simulate --pes P --cache N` prints.
 #[test]
