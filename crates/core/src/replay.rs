@@ -73,6 +73,26 @@
 //!   two shifts), a gather, a period-less placement — is walked member by
 //!   member, as before.
 //!
+//! # Walking a stretch
+//!
+//! A shard walks its PE's trips of a stretch window by window (the
+//! schedule's `Windows`: runs of trips on which the set of statements the
+//! PE executes is constant). An all-affine window is charged in bulk: each
+//! read splits into page runs, local runs count closed-form, and a
+//! non-local run is probed once, the rest of it counted as hits while every
+//! page live beside it stays resident. That pays where runs span many
+//! trips, and only there: a window of one or two trips has next to nothing
+//! to merge, and neither has a window of a nest with a read that leaps a
+//! page or more per trip — each of that read's runs is one trip, so off the
+//! PE it cuts the window at every trip. K21 is both: its write and two of
+//! its reads step 26 elements a trip, so at pages of 16 or fewer a cyclic
+//! placement deals it windows of one trip, and a blocked one long windows
+//! that its reads cut trip by trip. Such a window is charged instance by
+//! instance, as a gather-bearing one is: each read one owner lookup and,
+//! off the PE, one `PolicyCache::access`, every count scaled by the
+//! stretches it stands for like the bulk path's, and the array stamped as
+//! probed so that a chain's φ moves its pages.
+//!
 //! The per-PE shards are independent, so they are fanned out across host
 //! cores via [`par_map`] — a single 64-PE K18 run saturates the machine
 //! (the ROADMAP's intra-simulation sharding item).
@@ -109,7 +129,7 @@ use sa_lint::screening::{Chain, Chains, Fold, Round, Schedule, Windows};
 use sa_machine::host::run_reinit_protocol;
 use sa_machine::{
     host_of, ConfigError, MachineConfig, Network, PageKey, PartialPagePolicy, PeCounters,
-    PolicyCache, Probe, Stats,
+    PolicyCache, Stats,
 };
 
 use crate::exec::{simulate, SimError, SimReport};
@@ -512,8 +532,8 @@ struct Worker<'a> {
     cur: NestTally,
     /// How many stretches of the nest the one being replayed stands for
     /// ([`Fold::times`], or the members a chain has left once it repeats
-    /// itself): what the bulk path charges is scaled by it. Always 1 in a
-    /// nest that gathers, so an instance charged on its own counts singly.
+    /// itself): everything charged is scaled by it, in bulk or instance by
+    /// instance. Always 1 in a nest that gathers.
     times: u64,
     /// Counts the cache snapshots taken; `probed_at[a]` is its value at the
     /// last probe of a page of array `a`.
@@ -583,40 +603,35 @@ impl<'a> Worker<'a> {
         }
     }
 
-    fn owner_of(&self, array: usize, addr: i64) -> usize {
-        debug_assert!(addr >= 0, "negative address in replay (invalid program)");
-        self.cp.schedule.placements()[array].owner_of_addr(addr as usize)
-    }
-
-    /// Probe for `key`; true on hit (LRU refreshes recency).
-    #[inline]
-    fn probe(&mut self, key: PageKey) -> bool {
-        matches!(self.cache.probe_with(key, |()| Some(())), Probe::Hit(()))
-    }
-
-    fn insert(&mut self, key: PageKey) {
-        self.cache.insert_with(key, (), |(), ()| {});
-    }
-
-    /// Charge one element read exactly as `DistributedMachine::read` would.
+    /// Charge one element read exactly as `DistributedMachine::read` would,
+    /// once for every stretch the one being replayed stands for.
     fn charge_read(&mut self, array: usize, addr: i64) {
-        let owner = self.owner_of(array, addr);
+        debug_assert!(addr >= 0, "negative address in replay (invalid program)");
+        let page = addr as usize / self.ps;
+        let owner = self.cp.schedule.placements()[array].page_owner(page);
         if owner == self.pe {
-            self.cur.local += 1;
+            self.cur.local += self.times;
             return;
         }
+        // A chain's φ moves the pages of every array probed since its
+        // snapshot (`Worker::repeats`).
+        self.probed_at[array] = self.epoch;
+        self.charge_remote(array, page, owner);
+    }
+
+    /// One non-local access of `page` of `array`, which `owner` holds: a
+    /// hit if the cache holds the page, else a fetch that caches it.
+    fn charge_remote(&mut self, array: usize, page: usize, owner: usize) {
         if self.cache_on {
-            let page = addr as usize / self.ps;
             let key = PageKey {
                 array,
                 page,
                 generation: self.gens[array],
             };
-            if self.probe(key) {
-                self.cur.cached += 1;
+            if self.cache.access(key, ()) {
+                self.cur.cached += self.times;
                 return;
             }
-            self.insert(key);
         }
         self.charge_fetches(owner, 1);
     }
@@ -630,10 +645,14 @@ impl<'a> Worker<'a> {
     }
 
     /// Charge every access of `stmt` at inner iteration `t`; `lines` are
-    /// the statement's own, in charging order. This is the path of
-    /// gather-bearing windows, and a nest with a gather never folds.
+    /// the statement's own, in charging order. This is the path of short,
+    /// page-leaping and gather-bearing windows, and a nest with a gather
+    /// never folds or chains.
     fn charge_stmt(&mut self, stmt: &CStmt, lines: &[Line], t: i64) {
-        debug_assert_eq!(self.times, 1, "instances are charged one by one");
+        debug_assert!(
+            self.times == 1 || !stmt.has_gather,
+            "gathers are charged one by one"
+        );
         let mut lines = lines.iter();
         let mut next = || lines.next().expect("one line per form").addr(t);
         for read in &stmt.reads {
@@ -666,7 +685,7 @@ impl<'a> Worker<'a> {
             self.charge_read(*base, next());
         }
         if stmt.writes {
-            self.cur.writes += 1;
+            self.cur.writes += self.times;
         }
     }
 
@@ -824,13 +843,18 @@ impl<'a> Worker<'a> {
         // Iterations interleave statements in body order, so the schedule
         // hands the PE's trips window by window. Windows whose active
         // statements are all-affine take the bulk per-page-run path;
-        // gather-bearing windows fall back to per-instance charging.
+        // gather-bearing windows, and windows whose page runs can merge
+        // next to nothing, are charged instance by instance (module docs,
+        // § Walking a stretch).
+        let leaps = lines
+            .iter()
+            .any(|l| l.step.unsigned_abs() >= self.ps as u64);
         let mut win = std::mem::take(&mut self.windows);
         let schedule = &self.cp.schedule;
         schedule.load_sweep(self.pe, nest, sweep, trips, &mut win);
         while let Some((w0, w1)) = win.advance() {
             let active = win.active();
-            if active.iter().any(|&si| cn.body[si].has_gather) {
+            if leaps || w1 - w0 <= 2 || active.iter().any(|&si| cn.body[si].has_gather) {
                 for t in w0..w1 {
                     for &si in active {
                         let stmt = &cn.body[si];
@@ -992,7 +1016,7 @@ impl<'a> Worker<'a> {
         }
         // First iteration: real probes, in order.
         for p in runs {
-            self.probe_fetch(p);
+            self.charge_remote(p.array, p.page, p.owner);
         }
         let rest = len - 1;
         if rest == 0 {
@@ -1005,13 +1029,13 @@ impl<'a> Worker<'a> {
                 // relative stamp order equals the per-access outcome.
                 for p in runs {
                     let key = self.key_of(p);
-                    self.probe(key);
+                    self.cache.access(key, ());
                 }
             }
         } else {
             for _ in 0..rest {
                 for p in runs {
-                    self.probe_fetch(p);
+                    self.charge_remote(p.array, p.page, p.owner);
                 }
             }
         }
@@ -1023,18 +1047,6 @@ impl<'a> Worker<'a> {
             page: p.page,
             generation: self.gens[p.array],
         }
-    }
-
-    /// One non-local access of `p`'s page under a cache, exactly as
-    /// `DistributedMachine::read` classifies it.
-    fn probe_fetch(&mut self, p: &ProbeRun) {
-        let key = self.key_of(p);
-        if self.probe(key) {
-            self.cur.cached += self.times;
-            return;
-        }
-        self.insert(key);
-        self.charge_fetches(p.owner, 1);
     }
 }
 

@@ -86,16 +86,23 @@ pub enum Probe<T> {
 /// probes, renamed, from the renamed state hit and miss alike and end in
 /// the renamed state.
 ///
-/// Pages are found by scanning the key list: capacities are a handful of
-/// pages (the paper's 256-element cache holds 8), where a scan beats
-/// hashing several times over. The list's own order means nothing.
+/// Pages are found by scanning a *page lane*, the resident keys' page
+/// numbers packed one word each beside the keys, and comparing the full key
+/// only where the page matches: capacities are a handful of pages (the
+/// paper's 256-element cache holds 8), where a scan beats hashing several
+/// times over, and the lane is a third of the key list's bytes. The lists'
+/// own order means nothing: a newcomer takes its victim's place.
+/// [`PolicyCache::access`] is a probe and, on a miss, an insert with one
+/// scan, ticking as the two calls would, for a caller to which residency
+/// is all that matters (replay).
 #[derive(Debug, Clone)]
 pub struct PolicyCache<P> {
     capacity: usize,
     policy: CachePolicy,
-    /// Resident pages; `slots[i]` is the stamp and payload of `keys[i]`
-    /// (kept apart so the scan touches keys only).
+    /// Resident pages; `pages[i]` is `keys[i].page`, and `slots[i]` its
+    /// stamp and payload (kept apart so the scan touches pages only).
     keys: Vec<PageKey>,
+    pages: Vec<usize>,
     slots: Vec<(u64, P)>,
     tick: u64,
     rng: u64,
@@ -114,6 +121,7 @@ impl<P> PolicyCache<P> {
             capacity: capacity_pages,
             policy,
             keys: Vec::new(),
+            pages: Vec::new(),
             slots: Vec::new(),
             tick: 0,
             rng,
@@ -140,15 +148,24 @@ impl<P> PolicyCache<P> {
     /// True if the page is resident (whatever its payload can serve).
     #[inline]
     pub fn contains(&self, key: &PageKey) -> bool {
-        self.keys.contains(key)
+        self.find(key).is_some()
+    }
+
+    /// Where `key` is resident: the page lane first, the full key only on
+    /// a page match.
+    #[inline]
+    fn find(&self, key: &PageKey) -> Option<usize> {
+        self.pages
+            .iter()
+            .zip(&self.keys)
+            .position(|(&page, k)| page == key.page && k == key)
     }
 
     /// Probe for `key`, letting `serve` try the access on the payload.
     #[inline]
     pub fn probe_with<T>(&mut self, key: PageKey, serve: impl FnOnce(&P) -> Option<T>) -> Probe<T> {
         self.tick += 1;
-        let at = self.keys.iter().position(|k| *k == key);
-        match at.map(|i| (i, serve(&self.slots[i].1))) {
+        match self.find(&key).map(|i| (i, serve(&self.slots[i].1))) {
             Some((i, Some(v))) => {
                 if matches!(self.policy, CachePolicy::Lru) {
                     self.slots[i].0 = self.tick;
@@ -172,25 +189,63 @@ impl<P> PolicyCache<P> {
     /// and the stamp is renewed.
     pub fn insert_with(&mut self, key: PageKey, payload: P, upgrade: impl FnOnce(&mut P, P)) {
         self.tick += 1;
-        if let Some(i) = self.keys.iter().position(|k| *k == key) {
+        if let Some(i) = self.find(&key) {
             upgrade(&mut self.slots[i].1, payload);
             self.slots[i].0 = self.tick;
             return;
         }
-        if self.capacity == 0 {
-            return;
-        }
-        if self.keys.len() >= self.capacity {
-            self.evict_one();
-        }
-        self.keys.push(key);
-        self.slots.push((self.tick, payload));
+        self.push(key, payload);
     }
 
-    fn evict_one(&mut self) {
-        let victim = match self.policy {
+    /// Probe for `key` and, on a miss, insert it with `payload`; true on a
+    /// hit. Residency alone serves the access, so this is exactly
+    /// `probe_with(key, |_| Some(..))` followed on a miss by
+    /// `insert_with(key, payload, ..)` — the same ticks, stamps, victims
+    /// and counts — with one scan.
+    #[inline]
+    pub fn access(&mut self, key: PageKey, payload: P) -> bool {
+        self.tick += 1;
+        if let Some(i) = self.find(&key) {
+            if matches!(self.policy, CachePolicy::Lru) {
+                self.slots[i].0 = self.tick;
+            }
+            self.hits += 1;
+            return true;
+        }
+        self.misses += 1;
+        self.tick += 1;
+        self.push(key, payload);
+        false
+    }
+
+    /// Make the absent `key` resident at the current tick, evicting per
+    /// policy when full: the newcomer takes the victim's place, which
+    /// nothing observes.
+    fn push(&mut self, key: PageKey, payload: P) {
+        if self.keys.len() < self.capacity {
+            self.keys.push(key);
+            self.pages.push(key.page);
+            self.slots.push((self.tick, payload));
+        } else if self.capacity > 0 {
+            let i = self.victim();
+            self.keys[i] = key;
+            self.pages[i] = key.page;
+            self.slots[i] = (self.tick, payload);
+        }
+    }
+
+    /// The position of the page a full cache evicts.
+    fn victim(&mut self) -> usize {
+        match self.policy {
             CachePolicy::Lru | CachePolicy::Fifo => {
-                (0..self.slots.len()).min_by_key(|&i| self.slots[i].0)
+                // The least stamp: unique, as every tick is.
+                let mut victim = (0, u64::MAX);
+                for (i, (stamp, _)) in self.slots.iter().enumerate() {
+                    if *stamp < victim.1 {
+                        victim = (i, *stamp);
+                    }
+                }
+                victim.0
             }
             CachePolicy::Random { .. } => {
                 self.rng ^= self.rng << 13;
@@ -198,18 +253,14 @@ impl<P> PolicyCache<P> {
                 self.rng ^= self.rng << 17;
                 let n = self.keys.len() as u64;
                 let pick = (self.rng.wrapping_mul(0x2545_F491_4F6C_DD1D) % n) as usize;
-                Some(self.select(pick))
+                self.select(pick)
             }
-        };
-        if let Some(i) = victim {
-            self.keys.swap_remove(i);
-            self.slots.swap_remove(i);
         }
     }
 
     /// The position of the `rank`-th smallest resident key, found by
-    /// quickselect in place: keys and slots are permuted alike, which
-    /// nothing observes, and nothing is allocated.
+    /// quickselect in place: keys, pages and slots are permuted alike,
+    /// which nothing observes, and nothing is allocated.
     fn select(&mut self, rank: usize) -> usize {
         let (mut lo, mut hi) = (0, self.keys.len() - 1);
         while lo < hi {
@@ -234,6 +285,7 @@ impl<P> PolicyCache<P> {
 
     fn swap(&mut self, i: usize, j: usize) {
         self.keys.swap(i, j);
+        self.pages.swap(i, j);
         self.slots.swap(i, j);
     }
 
@@ -260,8 +312,9 @@ impl<P> PolicyCache<P> {
     /// then behaves on `f`-renamed probes exactly as it did on the
     /// originals.
     pub fn rekey(&mut self, f: impl Fn(PageKey) -> PageKey) {
-        for key in &mut self.keys {
+        for (key, page) in self.keys.iter_mut().zip(&mut self.pages) {
             *key = f(*key);
+            *page = key.page;
         }
     }
 
@@ -271,6 +324,7 @@ impl<P> PolicyCache<P> {
         for i in (0..self.keys.len()).rev() {
             if self.keys[i].array == array {
                 self.keys.swap_remove(i);
+                self.pages.swap_remove(i);
                 self.slots.swap_remove(i);
             }
         }
@@ -424,15 +478,6 @@ mod tests {
         }
     }
 
-    /// Probe `k`, inserting it on a miss; true on a hit.
-    fn access(c: &mut PolicyCache<u32>, k: PageKey) -> bool {
-        let hit = matches!(c.probe_with(k, |&v| Some(v)), Probe::Hit(_));
-        if !hit {
-            c.insert_with(k, k.page as u32, |_, _| {});
-        }
-        hit
-    }
-
     #[test]
     fn the_policies_commute_with_an_order_preserving_renaming() {
         // φ moves array 0 by 7 pages and array 2 by 3, and leaves array 1:
@@ -452,7 +497,7 @@ mod tests {
             for capacity in [1usize, 3, 5, 8] {
                 let mut c: PolicyCache<u32> = PolicyCache::new(capacity, policy);
                 probes[..40].iter().for_each(|&k| {
-                    access(&mut c, k);
+                    c.access(k, k.page as u32);
                 });
                 let mut renamed = c.clone();
                 renamed.rekey(phi);
@@ -468,11 +513,7 @@ mod tests {
                 // The renamed probes hit and miss alike and end in the
                 // renamed state.
                 for &k in &probes[40..] {
-                    assert_eq!(
-                        access(&mut c, k),
-                        access(&mut renamed, phi(k)),
-                        "{policy:?}"
-                    );
+                    assert_eq!(c.access(k, 0), renamed.access(phi(k), 0), "{policy:?}");
                 }
                 let picker = c.order_into(&mut before);
                 assert_eq!(renamed.order_into(&mut after), picker);

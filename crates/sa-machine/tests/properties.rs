@@ -4,7 +4,8 @@ use proptest::prelude::*;
 
 use sa_machine::machine::{ArraySpec, DistributedMachine};
 use sa_machine::{
-    AccessKind, CachePolicy, MachineConfig, NetworkTopology, PartialPagePolicy, PartitionScheme,
+    AccessKind, CachePolicy, MachineConfig, NetworkTopology, PageKey, PartialPagePolicy,
+    PartitionScheme, PolicyCache, Probe,
 };
 
 fn any_topology() -> impl Strategy<Value = NetworkTopology> {
@@ -303,6 +304,87 @@ proptest! {
                 got, want,
                 "{:?} {:?} ps={} pe={}/{} [{}..={}]", scheme, &dims, page_size, pe, n_pes, plo, phi
             );
+        }
+    }
+}
+
+/// One step of a cache workload.
+#[derive(Debug, Clone, Copy)]
+enum CacheOp {
+    Access(PageKey),
+    /// The host's re-initialization broadcast for one array.
+    Invalidate(usize),
+    /// Move every resident page of one array up by a few pages.
+    Rekey {
+        array: usize,
+        by: usize,
+    },
+}
+
+fn any_cache_op() -> impl Strategy<Value = CacheOp> {
+    // Mostly accesses; few enough arrays, pages and generations that the
+    // stream hits, misses and evicts.
+    let parts = (0u8..24, 0usize..3, 0usize..48, 0u32..2);
+    parts.prop_map(|(kind, array, page, generation)| match kind {
+        0 => CacheOp::Invalidate(array),
+        1 => CacheOp::Rekey {
+            array,
+            by: page % 5,
+        },
+        _ => CacheOp::Access(PageKey {
+            array,
+            page,
+            generation,
+        }),
+    })
+}
+
+proptest! {
+    /// `access` is `probe_with` followed, on a miss, by `insert_with`, in
+    /// one scan: after every step of a random stream — re-initializations
+    /// and re-keyings interleaved — the two agree on the hit, the hit
+    /// counts, the resident keys in stamp order and the Random picker.
+    #[test]
+    fn access_is_a_probe_then_an_insert_on_a_miss(
+        policy in prop_oneof![
+            Just(CachePolicy::Lru),
+            Just(CachePolicy::Fifo),
+            (0u64..1000).prop_map(|seed| CachePolicy::Random { seed }),
+        ],
+        capacity in 0usize..41,
+        ops in prop::collection::vec(any_cache_op(), 1..300),
+    ) {
+        let mut fused: PolicyCache<u32> = PolicyCache::new(capacity, policy);
+        let mut split = fused.clone();
+        let (mut order, mut want) = (Vec::new(), Vec::new());
+        for (step, op) in ops.iter().enumerate() {
+            match *op {
+                CacheOp::Access(key) => {
+                    let hit = fused.access(key, step as u32);
+                    let probed = split.probe_with(key, |&v| Some(v));
+                    let split_hit = matches!(probed, Probe::Hit(_));
+                    if !split_hit {
+                        split.insert_with(key, step as u32, |_, _| unreachable!("absent"));
+                    }
+                    prop_assert_eq!(hit, split_hit, "step {}: {:?}", step, op);
+                }
+                CacheOp::Invalidate(array) => {
+                    fused.invalidate_array(array);
+                    split.invalidate_array(array);
+                }
+                CacheOp::Rekey { array, by } => {
+                    let moved = |k: PageKey| {
+                        let by = if k.array == array { by } else { 0 };
+                        PageKey { page: k.page + by, ..k }
+                    };
+                    fused.rekey(moved);
+                    split.rekey(moved);
+                }
+            }
+            prop_assert_eq!(fused.hit_stats(), split.hit_stats(), "step {}: {:?}", step, op);
+            let picker = fused.order_into(&mut order);
+            prop_assert_eq!(picker, split.order_into(&mut want), "step {}: {:?}", step, op);
+            prop_assert_eq!(&order, &want, "step {}: {:?}", step, op);
         }
     }
 }

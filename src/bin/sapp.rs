@@ -262,7 +262,7 @@ fn value<'a, T>(
     })
 }
 
-/// A count: any non-negative integer (0 is the engines' typed error).
+/// A count: any non-negative integer.
 fn count(v: &str) -> Result<usize, String> {
     v.parse()
         .map_err(|_| "expects a non-negative integer".to_string())
@@ -308,8 +308,8 @@ fn parse_opts(args: &[String]) -> Opts {
         let flag = flag.as_str();
         let it = &mut it;
         match flag {
-            "--pes" => o.pes = Some(value(flag, it, count)),
-            "--page" => o.page = Some(value(flag, it, count)),
+            "--pes" => o.pes = Some(value(flag, it, positive)),
+            "--page" => o.page = Some(value(flag, it, positive)),
             "--cache" => o.cache = value(flag, it, count),
             "--no-cache" => o.no_cache = true,
             "--all" => o.all = true,

@@ -20,6 +20,7 @@ mod common;
 use sapp::core::exec::simulate;
 use sapp::core::plan::{ExperimentPlan, RunConfig};
 use sapp::core::replay;
+use sapp::core::search::SearchSpace;
 use sapp::core::{par_map, CountingOracle, Engine, FastCountingOracle, Oracle};
 use sapp::ir::index::iv;
 use sapp::ir::{InitPattern, Program, ProgramBuilder, ReduceOp};
@@ -113,6 +114,42 @@ fn gather_kernels_bit_identical_with_contended_networks() {
             assert_identical(label, &program, &cfg);
         }
     }
+}
+
+#[test]
+fn single_trip_windows_bit_identical_across_the_search_space() {
+    // K21's write and two of its reads step 26 elements a trip, so at small
+    // page sizes its windows are a trip long, or cut trip by trip, and
+    // replay charges them instance by instance; K13's gathers take the
+    // same path. Every candidate of the default search, and the other two
+    // policies at the page size where windows are shortest.
+    let space = SearchSpace::default();
+    let machine = |scheme, page| {
+        MachineConfig::new(space.n_pes, page)
+            .with_cache_elems(space.cache_elems)
+            .with_partition(scheme)
+    };
+    let mut configs = Vec::new();
+    for &scheme in &space.schemes {
+        configs.extend(space.page_sizes.iter().map(|&page| machine(scheme, page)));
+    }
+    for policy in [CachePolicy::Fifo, CachePolicy::Random { seed: 3 }] {
+        configs.push(machine(PartitionScheme::Modulo, 8).with_cache_policy(policy));
+    }
+    let kernels = ["K21", "K13"].map(|code| sapp::loops::workload(code).unwrap().official());
+    let points: Vec<(usize, usize)> = (0..kernels.len())
+        .flat_map(|k| (0..configs.len()).map(move |c| (k, c)))
+        .collect();
+    par_map(&points, |&(k, c)| {
+        let kernel = &kernels[k];
+        assert_identical(
+            &format!("{} @ {:?}", kernel.code, configs[c]),
+            &kernel.program,
+            &configs[c],
+        );
+        Ok::<_, std::convert::Infallible>(())
+    })
+    .unwrap();
 }
 
 #[test]

@@ -5,8 +5,8 @@
 //!   the oracles into CSV/JSON cells and `ResultSet` pivots;
 //! * the hand-rolled `report::json` emitter must escape hostile kernel
 //!   and nest labels per RFC 8259;
-//! * an invalid machine shape reaches the user as the typed `ConfigError`
-//!   text and a non-zero exit on every path, never as a panic.
+//! * an invalid machine shape — zero PEs, a zero page size — is a one-line
+//!   usage error and exit 2 on every command, never a panic.
 
 use sapp::core::exec::simulate;
 use sapp::core::plan::ExperimentPlan;
@@ -213,24 +213,13 @@ fn mixed_oracle_pivots_distinguish_unmodeled_hops_from_zero() {
 #[test]
 fn invalid_machine_shapes_exit_with_the_config_error_on_the_static_paths() {
     // (arguments, exit code, what the output must say). A panic exits 101;
-    // a rejected config is 1 with the typed error; a malformed flag value
-    // is 2 with one line naming the flag; `timing` honours the machine
-    // flags, `--pes` setting the top of its ladder, and `--format`;
-    // `classify` measures at `--page`; 70 000 PEs are no reason to give up
-    // K1's deadlock proof (the orphaned-PE warning is the one finding).
+    // a malformed flag value is 2 with one line naming the flag (zero PEs
+    // and zero page sizes: `no_command_panics_on_an_invalid_machine_shape`);
+    // `timing` honours the machine flags, `--pes` setting the top of its
+    // ladder, and `--format`; `classify` measures at `--page`; 70 000 PEs
+    // are no reason to give up K1's deadlock proof (the orphaned-PE warning
+    // is the one finding).
     for (args, code, want) in [
-        (
-            "simulate k1 --page 0 --engine static --no-cache",
-            1,
-            "page_size must be ≥ 1",
-        ),
-        (
-            "sweep k1 --page 0 --engine static",
-            1,
-            "page_size must be ≥ 1",
-        ),
-        ("lint k1 --page 0", 1, "page_size must be ≥ 1"),
-        ("lint k1 --pes 0", 1, "n_pes must be ≥ 1"),
         (
             "lint k1 --pes 70000",
             0,
@@ -275,11 +264,6 @@ fn invalid_machine_shapes_exit_with_the_config_error_on_the_static_paths() {
             "4 PEs: 8.36% cached / 66.67% uncached",
         ),
         ("classify k1", 0, "4 PEs: 1.03% cached / 21.68% uncached"),
-        (
-            "classify k1 --page 0",
-            1,
-            "classify: machine error: bad machine config: page_size must be ≥ 1\n",
-        ),
     ] {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_sapp"))
             .args(args.split(' '))
@@ -404,7 +388,6 @@ fn sweep_rejects_the_flags_it_fixes() {
     for (args, why) in [
         ("sweep k18 --pes 3", "PEs 1…64"),
         ("sweep k18 --no-cache", "PEs 1…64"),
-        ("search --kernel k1 --page 0", "search enumerates"),
         ("search --kernel k1 --page 32", "search enumerates"),
         ("search --partition block", "search enumerates"),
         ("search --kernel k1 --network ring", "search enumerates"),
@@ -417,8 +400,9 @@ fn sweep_rejects_the_flags_it_fixes() {
     }
 }
 
-/// Every command × bad shape × engine: accepted (0), rejected with the
-/// typed error (1) or a usage error (2) — never a panic (101).
+/// Every command × bad shape × engine: zero PEs or a zero page size is a
+/// usage error — one line naming the flag, exit 2, nothing on stdout —
+/// before any engine runs, never a panic (101) or an engine's failure (1).
 #[test]
 fn no_command_panics_on_an_invalid_machine_shape() {
     for cmd in [
@@ -428,25 +412,15 @@ fn no_command_panics_on_an_invalid_machine_shape() {
         "timing k1",
         "lint k1",
         "graph k1",
+        "classify k1",
     ] {
-        for shape in ["--pes 0", "--page 0"] {
+        for (shape, flag) in [("--pes 0", "--pes"), ("--page 0", "--page")] {
             for engine in ["", " --engine static", " --engine thread"] {
                 let args = format!("{cmd} {shape}{engine}");
-                let out = std::process::Command::new(env!("CARGO_BIN_EXE_sapp"))
-                    .args(args.split(' '))
-                    .output()
-                    .expect("sapp runs");
-                let err = String::from_utf8_lossy(&out.stderr);
-                let code = out.status.code();
-                assert!(matches!(code, Some(0..=2)), "sapp {args}: {code:?} {err}");
-                assert!(!err.contains("panicked"), "sapp {args}: {err}");
-                // The two commands that used to panic name themselves and the cause.
-                if code == Some(1) && (cmd.starts_with("search") || cmd.starts_with("timing")) {
-                    let what = cmd.split(' ').next().unwrap();
-                    assert!(err.starts_with(&format!("{what}: ")), "sapp {args}: {err}");
-                    assert_eq!(err.lines().count(), 1, "sapp {args}: {err}");
-                    assert!(err.contains("must be ≥ 1"), "sapp {args}: {err}");
-                }
+                let (code, out, err) = sapp(&args);
+                assert_eq!(code, Some(2), "sapp {args}: {err}");
+                assert!(out.is_empty(), "sapp {args}: {out}");
+                assert_eq!(err, format!("sapp: {flag}: must be ≥ 1 (got 0)\n"));
             }
         }
     }
