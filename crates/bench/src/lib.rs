@@ -16,7 +16,7 @@ use sa_core::plan::{ExperimentPlan, RunConfig};
 use sa_core::replay::counts_or_simulate;
 use sa_core::report::{ascii_chart, fmt_opt_u64, fmt_pct, markdown_table};
 use sa_core::results::ResultSet;
-use sa_core::{FastCountingOracle, Oracle, TimingOracle};
+use sa_core::FastCountingOracle;
 use sa_ir::Program;
 use sa_loops::{suite, Kernel};
 use sa_machine::{
@@ -459,26 +459,6 @@ pub fn timing() -> String {
         &net_rows,
     );
     format!("## Extension: estimated speedup (cost model) and network contention\n\n{table}\n{net}")
-}
-
-/// Extension — the timing report details for one kernel at one size.
-pub fn timing_detail(code: &str, n_pes: usize) -> String {
-    let k = kernel_by_code(code);
-    let rec = TimingOracle::default()
-        .measure(
-            &k.program,
-            &RunConfig {
-                n_pes,
-                ..RunConfig::default()
-            },
-        )
-        .expect("timing");
-    format!(
-        "{code} on {n_pes} PEs: {} cycles, {} writes, {} remote reads\n",
-        rec.cycles.expect("timing oracle"),
-        rec.writes,
-        rec.remote_reads
-    )
 }
 
 #[cfg(test)]

@@ -34,17 +34,18 @@
 //!   ([`Network::merge`]) into exactly the totals of a sequential pass.
 //! * **Translation invariance** — without a cache every counter is a sum
 //!   over trips of a function of two things, the owner of the anchor's page
-//!   and the owner of each read's page, and under a periodic placement
-//!   (`Placement::period`: `Modulo`, `BlockCyclic`) translating every
-//!   reference of an all-affine nest by whole periods changes neither. Two
-//!   such stretches of a nest yield the same per-PE tallies and the same
-//!   (source, owner) fetch pairs, so a shard walks one stretch per class
-//!   ([`Schedule::folds`]) and scales what it charges by the class size —
-//!   exact for messages, hops and per-link loads because
-//!   [`Network::record_fetches`] is linear in its count. It applies when
-//!   the cache is off, every array a nest touches has a period and every
-//!   statement and read of it is affine; otherwise the same walk visits
-//!   every sweep in turn ([`Schedule::unfolded`]).
+//!   and the owner of each read's page, and translating every reference of
+//!   an all-affine nest by whole pages, every page keeping its owner,
+//!   changes neither: inside one band of a `block`, `rowband` or `tile2d`
+//!   placement (an owner run), or by whole periods under a periodic one
+//!   (`Placement::same_owner_run`). Two such stretches of a nest yield the
+//!   same per-PE tallies and the same (source, owner) fetch pairs, so a
+//!   shard walks one stretch per class ([`Schedule::folds`]) and scales
+//!   what it charges by the class size — exact for messages, hops and
+//!   per-link loads because [`Network::record_fetches`] is linear in its
+//!   count. It applies when the cache is off and every statement and read
+//!   of a nest is affine; otherwise the same walk visits every sweep in
+//!   turn ([`Schedule::unfolded`]).
 //! * **Steady state under a cache** — a cache's state is the order, so
 //!   classes cannot merge; but single assignment leaves a PE's cache
 //!   nothing else to remember than its resident keys in stamp order and
@@ -54,24 +55,30 @@
 //!   stamp; Random ranks the sorted key list) renames what the probes do
 //!   and nothing more. [`Schedule::chains`] cuts a nest into runs of
 //!   consecutive stretches, each the one before moved by one page shift
-//!   per array — a whole number of periods, so owners and locality repeat
-//!   and the next member's probe sequence is φ of this one's, where φ
-//!   shifts the pages of every array *this member probed* and leaves every
-//!   other key alone (an array the member does not probe keeps its old
-//!   pages, which must still compare equal: moving them too, a nest whose
-//!   reads are all local would never repeat itself). So if after member
-//!   *k* the state is φ of the state before it, every later member hits,
-//!   misses and fetches alike: a shard walks the next member once, every
-//!   counter — hits included — scaled by the members left, and re-keys the
-//!   cache by φ to the power still owed (`PolicyCache::rekey`, which keeps
-//!   stamps). It applies where folding does, at each level (across sweeps,
-//!   inside one) where every array's references move together; it is
-//!   checked, never assumed, around members 1, 2, 4, 8, … of chains of
-//!   eight or more. What never settles — Random with evictions (the picker
-//!   moves on), a cache far larger than a chain's reach — and what does not
-//!   chain — a transposed or pinned read beside a moving one (one array,
-//!   two shifts), a gather, a period-less placement — is walked member by
-//!   member, as before.
+//!   per array — whole pages, same owners, so locality and page runs
+//!   repeat and the next member's probe sequence is φ of this one's, where
+//!   φ shifts the pages of every array *this member probed* and leaves
+//!   every other key alone (an array the member does not probe keeps its
+//!   old pages, which must still compare equal: moving them too, a nest
+//!   whose reads are all local would never repeat itself). So if after
+//!   member *k* the state is φ of the state before it, every later member
+//!   hits, misses and fetches alike: a shard walks the next member once,
+//!   every counter — hits included — scaled by the members left, and
+//!   re-keys the cache by φ to the power still owed (`PolicyCache::rekey`,
+//!   which keeps stamps). It applies where folding does, at each level
+//!   (across sweeps, inside one) where every array's references move
+//!   together; it is checked, never assumed, around members 1, 2, 4, 8, …
+//!   of chains of eight or more. What never settles — Random with
+//!   evictions (the picker moves on), a cache far larger than a chain's
+//!   reach — and what does not chain — a transposed or pinned read beside
+//!   a moving one (one array, two shifts), a gather, a sweep at a band's
+//!   edge — is walked member by member, as before.
+//! * **Skipping** — a PE that executes nothing in a stretch makes no
+//!   access there, so its cache and tallies leave it as they entered.
+//!   Every chain, sweep and fold names the PEs that execute anything in it
+//!   ([`Chain::pes`](sa_lint::screening::Chain::pes)); a shard passes by
+//!   what excludes it before loading a sweep — under `block`, most of the
+//!   nest.
 //!
 //! # Walking a stretch
 //!
@@ -694,7 +701,10 @@ impl<'a> Worker<'a> {
         let cn = &cp.nests[nest];
         match &cn.walk {
             Walk::Folds(folds) => {
-                for fold in folds {
+                // A PE a stretch excludes executes none of it, nor of the
+                // stretches it stands for.
+                let pe = self.pe;
+                for fold in folds.iter().filter(|f| f.pes.contains(pe)) {
                     self.times = fold.times;
                     self.stretch(cn, nest, fold.sweep, fold.trips());
                 }
@@ -702,10 +712,16 @@ impl<'a> Worker<'a> {
             }
             Walk::Chains(chains) => {
                 let sweeps = &cp.schedule.nest(nest).sweeps;
-                for chain in &chains.sweeps {
+                // A chain, or a sweep of it, that excludes the PE leaves
+                // its cache and its tallies as they were.
+                let pe = self.pe;
+                for chain in chains.sweeps.iter().filter(|c| c.pes.contains(pe)) {
                     let end = chain.members(0, chain.count).end;
                     self.steady(chain, chains.shift(chain), end, |w, run| {
                         for sweep in run {
+                            if !chains.sweep_pes(chain, sweep).contains(pe) {
+                                continue;
+                            }
                             let trips = sweeps[sweep].trips;
                             let blocks = chains.blocks(trips);
                             w.steady(&blocks, chains.shift(&blocks), trips, |w, run| {

@@ -40,11 +40,6 @@ impl ResultSet {
         &self.records
     }
 
-    /// Consume into the raw records.
-    pub fn into_records(self) -> Vec<RunRecord> {
-        self.records
-    }
-
     /// Number of measured points.
     pub fn len(&self) -> usize {
         self.records.len()

@@ -448,26 +448,6 @@ impl NestBuilder {
         ))
     }
 
-    /// A rank-1 gather with scaling: `data[ scale*base[pos] + offset ]`.
-    pub fn read_indirect_scaled(
-        &self,
-        data: ArrayId,
-        base: ArrayId,
-        pos: AffineIndex,
-        scale: i64,
-        offset: i64,
-    ) -> Expr {
-        Expr::Read(ArrayRef::new(
-            data,
-            vec![IndexExpr::Indirect {
-                base,
-                pos,
-                scale,
-                offset,
-            }],
-        ))
-    }
-
     /// A parameter as an expression.
     pub fn par(&self, p: ParamId) -> Expr {
         Expr::Param(p)

@@ -169,15 +169,6 @@ pub struct ProgramResult {
 }
 
 impl ProgramResult {
-    /// Defined values of one array as `(addr, value)` pairs.
-    pub fn defined_values(&self, id: ArrayId) -> Vec<(usize, f64)> {
-        let a = &self.arrays[id.0];
-        a.tags()
-            .iter_set()
-            .map(|i| (i, *a.read(i).unwrap().unwrap()))
-            .collect()
-    }
-
     /// Compare the defined cells of every array (and all scalars) with
     /// another result, within `tol`. Returns a human-readable mismatch.
     pub fn assert_matches(&self, other: &ProgramResult, tol: f64) -> Result<(), String> {

@@ -22,49 +22,81 @@
 //!    thread engine's plan charge partial-result messages from;
 //! 4. **which stretches of a nest are translates of one another**
 //!    ([`Schedule::folds`], [`Fold`]) — what lets the order-free counters
-//!    (the static estimator, cache-less replay, the reduction rounds) walk
-//!    one stretch per class and multiply;
+//!    (the static estimator, cache-less replay, `depgraph::project`, the
+//!    reduction rounds) walk one stretch per class and multiply;
 //! 5. **which *consecutive* stretches are translates of one another, and
 //!    by how much each array moves** ([`Schedule::chains`], [`Chain`]) —
 //!    what lets a cached replay, which needs the order, stop walking once a
-//!    PE's cache repeats itself.
+//!    PE's cache repeats itself;
+//! 6. **which PEs execute anything in a chain, a sweep or a fold**
+//!    ([`Chain::pes`], [`Chains::sweep_pes`], [`Fold::pes`]) — what lets a
+//!    replay shard pass by what it owns nothing of.
 //!
-//! # Folding
+//! # Translates
 //!
-//! Under a periodic placement ([`Placement::period`]: the owner of address
-//! `a + T` is the owner of `a`) an all-affine nest repeats itself: two
-//! stretches of equal length whose references start at the same address
-//! modulo their arrays' periods run on the same PEs, trip for trip, with
-//! every read local or remote to the same owner. Every counter of the
-//! cache-less model is a sum over trips of a function of exactly that —
-//! the owner of the anchor's page and the owner of each read's page — so
-//! it is the same on both stretches, and one of them can stand for all.
-//! [`Schedule::folds`] cuts a nest into such classes; a consumer walks each
-//! [`Fold`] once and multiplies by [`Fold::times`]. A nest the argument
-//! does not cover (a statement that is not [`Screen::Affine`], a gather, a
-//! period-less array) gets one fold per sweep with `times = 1`
-//! ([`Schedule::unfolded`]): there is one walk, and folding only chooses
-//! which trip ranges it visits.
+//! Two stretches of an all-affine nest are *translates* when every
+//! reference of the one names, trip for trip, the address the other names
+//! moved by a whole number of pages, and every page it names keeps its
+//! owner. They then run on the same PEs, trip for trip, with every read
+//! local or remote to the same owner, and page runs cut alike. Two
+//! placement facts give translates ([`Placement::same_owner_run`]):
+//!
+//! * **owner runs** — moving a reference's pages by whole pages keeps them
+//!   with their owners while they stay inside one tile row: rows of one
+//!   `block` or `rowband` band, or of one band of `tile2d` tiles;
+//! * **periods** — under a periodic placement ([`Placement::period`]) a
+//!   move by whole periods keeps every owner, wherever it starts.
 //!
 //! # Chains
 //!
-//! A cache makes the order count, so classes cannot be merged across the
-//! nest — but *consecutive* translates still repeat. [`Schedule::chains`]
-//! cuts a nest into runs of stretches, each the previous one moved by the
-//! same shift, at two nested levels:
+//! [`Schedule::chains`] cuts a nest into runs of stretches, each the
+//! previous one moved by the same shift, at two nested levels:
 //!
-//! * across sweeps, members of `P` consecutive sweeps with equal trips whose
-//!   outer values (and first inner value) advance by the same step, `P`
-//!   the fewest steps after which every reference has moved by a multiple
-//!   of its period;
-//! * inside a sweep of two or more blocks, blocks of the `L` trips
-//!   [`Schedule::folds`] repeats by, and a tail.
+//! * across sweeps, runs of sweeps with equal trips whose outer values (and
+//!   first inner value) advance by the same step. Where two or more members
+//!   of the fewest sweeps that move every reference by whole periods fit,
+//!   one chain of them runs to the run's end; otherwise each sweep in turn
+//!   begins an owner run — members of the fewest sweeps that move every
+//!   reference by whole pages, for as long as every reference's pages keep
+//!   their owners — or, when that gives no two members (a band's edge),
+//!   stands for itself;
+//! * inside a sweep of two or more blocks, blocks of the `L` trips after
+//!   which every reference has moved by whole periods, and a tail.
 //!
 //! The shift must be one per array — the page shift a cache key of that
 //! array moves by — so a nest in which one array's references move by
 //! different amounts (a transposed read, a step-0 read beside a moving
 //! one) does not chain at that level. A nest beyond the translation
-//! argument chains at neither: one member per sweep, the plain walk.
+//! argument (a statement that is not [`Screen::Affine`], a gather) chains
+//! at neither: one member per sweep, the plain walk.
+//!
+//! # Folding
+//!
+//! Every counter of the cache-less model is a sum over trips of a function
+//! of the owner of the anchor's page and the owner of each read's page, so
+//! it is the same on translates, and one of them can stand for all.
+//! [`Schedule::folds`] cuts a nest into such classes: member 0 of each
+//! chain stands for the chain's count, and under a periodic placement
+//! stretches whose references start alike modulo their periods merge
+//! wherever they lie (residue classes), a sweep of two or more inner blocks
+//! standing as its first block and a tail. A consumer walks each [`Fold`]
+//! once and multiplies by [`Fold::times`]. A nest beyond the argument gets
+//! one fold per sweep with `times = 1` ([`Schedule::unfolded`]): there is
+//! one walk, and folding only chooses which trip ranges it visits.
+//!
+//! # Skipping
+//!
+//! Paper §3 gives each PE "only its own subranges"; across sweeps that
+//! means passing by the stretches a PE owns nothing of. The PEs that
+//! execute a stretch are the owners of its anchors' pages, a circular run
+//! of PE numbers ([`Placement::owners`], [`PeRange`]): exact for a
+//! one-statement nest under `block`, every PE once a span covers a whole
+//! deal, and every PE for a statement not screened affinely. A shifted chain's members have member
+//! 0's owners, so one range covers the chain ([`Chain::pes`]) and each of
+//! its sweeps has the range of its counterpart in member 0
+//! ([`Chains::sweep_pes`], O(1)); an identity chain keeps one range per
+//! sweep; a fold has its stretch's ([`Fold::pes`]). A walk tests the range
+//! before it loads a sweep.
 //!
 //! It lives in this crate because this is the lowest one that sees both
 //! `sa_ir::Program` and `sa_machine::Placement`.
@@ -80,7 +112,7 @@ use sa_ir::interp::{resolve_ref_addr, Memory};
 use sa_ir::nest::{ArrayRef, LoopNest, Stmt};
 use sa_ir::{ArrayId, IrError, LinForm, Program, ReduceOp};
 use sa_machine::partition::{gcd, lcm};
-use sa_machine::{host_of, ConfigError, PartitionScheme, Placement};
+use sa_machine::{host_of, ConfigError, PartitionScheme, PeRange, Placement};
 
 /// One run of a nest's innermost loop, as
 /// [`LoopNest::try_for_each_sweep`] yields it (the outer values are behind
@@ -136,6 +168,9 @@ pub struct Fold {
     pub t1: usize,
     /// How many stretches of the nest it stands for, itself included.
     pub times: u64,
+    /// The PEs that execute anything in it, and so in every stretch it
+    /// stands for (module docs, § Skipping).
+    pub pes: PeRange,
 }
 
 impl Fold {
@@ -160,19 +195,26 @@ pub struct Chain {
     pub count: usize,
     /// Which of [`Chains`]' shifts the members move by.
     shift: usize,
+    /// Where its sweeps' PEs start in [`Chains`]' table.
+    at: usize,
+    /// The PEs that execute anything in its members (module docs,
+    /// § Skipping); every PE for a chain of blocks.
+    pub pes: PeRange,
 }
 
 /// The shift of an identity chain.
 const UNMOVED: usize = usize::MAX;
 
 impl Chain {
-    /// An identity chain.
-    fn plain(first: usize, len: usize, count: usize) -> Chain {
+    /// An identity chain of no sweeps yet, its PEs from `at` on.
+    fn plain(first: usize, at: usize, n_pes: usize) -> Chain {
         Chain {
             first,
-            len,
-            count,
+            len: 1,
+            count: 0,
             shift: UNMOVED,
+            at,
+            pes: PeRange::none(n_pes),
         }
     }
 
@@ -196,15 +238,45 @@ pub struct Chains {
     /// Per-member page shifts, each indexed by array id; the blocks' comes
     /// first when `block > 0`.
     shifts: Vec<Vec<i64>>,
+    /// The PEs of every sweep of an identity chain, and of every sweep of
+    /// a shifted chain's member 0, chain by chain.
+    pes: Vec<PeRange>,
+    /// Number of PEs.
+    n_pes: usize,
 }
 
 impl Chains {
+    /// No chains yet, after the given shifts.
+    fn new(shifts: Vec<Vec<i64>>, n_pes: usize) -> Chains {
+        Chains {
+            sweeps: Vec::new(),
+            block: 0,
+            shifts,
+            pes: Vec::new(),
+            n_pes,
+        }
+    }
+
     /// How many pages each array's references move from one member of
     /// `chain` to the next (0 for an array the nest does not reference);
     /// empty for an identity chain.
     #[inline]
     pub fn shift(&self, chain: &Chain) -> &[i64] {
         self.shifts.get(chain.shift).map_or(&[], Vec::as_slice)
+    }
+
+    /// The PEs that execute anything in sweep `sweep` of `chain` (module
+    /// docs, § Skipping), in O(1): a shifted chain's members have member
+    /// 0's owners.
+    #[inline]
+    pub fn sweep_pes(&self, chain: &Chain, sweep: usize) -> PeRange {
+        let k = sweep - chain.first;
+        let k = if chain.shift == UNMOVED {
+            k
+        } else {
+            k % chain.len
+        };
+        self.pes[chain.at + k]
     }
 
     /// The chain of blocks a sweep of `trips` trips is walked in, from trip
@@ -214,15 +286,18 @@ impl Chains {
     #[inline]
     pub fn blocks(&self, trips: usize) -> Chain {
         let l = self.block;
-        if l > 0 && trips / 2 >= l {
-            Chain {
-                first: 0,
-                len: l,
-                count: trips / l,
-                shift: 0,
-            }
+        let (len, count, shift) = if l > 0 && trips / 2 >= l {
+            (l, trips / l, 0)
         } else {
-            Chain::plain(0, trips, 1)
+            (trips, 1, UNMOVED)
+        };
+        Chain {
+            first: 0,
+            len,
+            count,
+            shift,
+            at: 0,
+            pes: PeRange::all(self.n_pes),
         }
     }
 }
@@ -271,19 +346,24 @@ impl NestSchedule<'_> {
 }
 
 /// A reference the translation argument keys on: its array, its address
-/// form, and the array's [`Placement::period`].
-struct Periodic {
+/// form, and the array's [`Placement::period`] if it has one.
+struct Keyed {
     array: usize,
     form: LinForm,
-    period: i64,
+    period: Option<u64>,
 }
 
 /// The fewest moves by `delta` after which every reference has moved by a
-/// multiple of its period; `None` on overflow.
-fn repeat_after(refs: &[Periodic], delta: impl Fn(&Periodic) -> i64) -> Option<u64> {
+/// multiple of its `unit` (a page, or a period); `None` when a reference
+/// has no unit, or on overflow.
+fn fewest_moves(
+    refs: &[Keyed],
+    unit: impl Fn(&Keyed) -> Option<u64>,
+    delta: impl Fn(&Keyed) -> i64,
+) -> Option<u64> {
     refs.iter().try_fold(1u64, |l, r| {
-        let period = r.period as u64;
-        lcm(l, period / gcd(delta(r).unsigned_abs(), period))
+        let unit = unit(r)?;
+        lcm(l, unit / gcd(delta(r).unsigned_abs(), unit))
     })
 }
 
@@ -522,6 +602,7 @@ impl<'p> Schedule<'p> {
                 t0: 0,
                 t1: s.trips,
                 times: 1,
+                pes: self.sweep_pes(nest, sweep),
             })
             .collect()
     }
@@ -531,19 +612,18 @@ impl<'p> Schedule<'p> {
     /// member in execution order. The references that must agree are every
     /// statement's anchor and, `with_reads`, every read. Expanding the
     /// folds covers every (sweep, trip) of the nest exactly once; a nest
-    /// with a statement that is not [`Screen::Affine`], a non-affine read
-    /// or a reference into an array without a [`Placement::period`] comes
-    /// back [`unfolded`](Schedule::unfolded).
+    /// with a statement that is not [`Screen::Affine`] or a non-affine read
+    /// comes back [`unfolded`](Schedule::unfolded).
     pub fn folds(&self, nest: usize, with_reads: bool) -> Vec<Fold> {
-        match self.periodic_refs(nest, with_reads) {
+        match self.keyed_refs(nest, with_reads) {
             Some(refs) => self.fold_by(nest, &refs),
             None => self.unfolded(nest),
         }
     }
 
-    /// Every reference [`Schedule::folds`] keys on, or `None` when the nest
-    /// is beyond the translation argument.
-    fn periodic_refs(&self, nest: usize, with_reads: bool) -> Option<Vec<Periodic>> {
+    /// Every reference [`Schedule::folds`] and [`Schedule::chains`] key
+    /// on, or `None` when the nest is beyond the translation argument.
+    fn keyed_refs(&self, nest: usize, with_reads: bool) -> Option<Vec<Keyed>> {
         let ns = &self.nests[nest];
         let nvars = ns.nest.loops.len();
         let mut refs = Vec::new();
@@ -551,69 +631,93 @@ impl<'p> Schedule<'p> {
             let Screen::Affine { array, form } = screen else {
                 return None;
             };
-            refs.push(self.periodic(*array, form.clone())?);
+            refs.push(self.keyed(*array, form.clone()));
             for read in stmt.reads().into_iter().filter(|_| with_reads) {
                 let form = linear_address_form(self.program, read, nvars)?;
-                refs.push(self.periodic(read.array, form)?);
+                refs.push(self.keyed(read.array, form));
             }
         }
         Some(refs)
     }
 
-    /// A reference to array `a` at `form`, if the array has a
-    /// [`Placement::period`].
-    fn periodic(&self, a: ArrayId, form: LinForm) -> Option<Periodic> {
-        Some(Periodic {
+    /// A reference to array `a` at `form`, as the translation argument
+    /// keys on it.
+    fn keyed(&self, a: ArrayId, form: LinForm) -> Keyed {
+        Keyed {
             array: a.0,
             form,
-            period: i64::try_from(self.placements[a.0].period()?).ok()?,
-        })
+            period: self.placements[a.0].period().map(|t| t as u64),
+        }
     }
 
     /// [`Schedule::folds`] over the given references.
-    fn fold_by(&self, nest: usize, refs: &[Periodic]) -> Vec<Fold> {
+    fn fold_by(&self, nest: usize, refs: &[Keyed]) -> Vec<Fold> {
         let ns = &self.nests[nest];
         if ns.sweeps.is_empty() {
             return Vec::new();
         }
-        // Trips after which every reference has advanced by a multiple of
-        // its period (`None`: more than any sweep has): a sweep of two or
-        // more such periods is its first one, repeated, plus a tail. A
+        // Member 0 of a chain stands for its count, an identity chain's
+        // sweeps for themselves.
+        let chains = self.cut(nest, refs, Vec::new());
+        let reps = chains.sweeps.iter().flat_map(|c| {
+            let (members, times) = match c.shift {
+                UNMOVED => (c.count, 1),
+                _ => (1, c.count as u64),
+            };
+            let chains = &chains;
+            c.members(0, members)
+                .map(move |sweep| (sweep, times, chains.sweep_pes(c, sweep)))
+        });
+        // Under periodic placements, stretches whose references start
+        // alike modulo their periods are translates wherever they lie. A
+        // sweep of two or more of the trips after which every reference
+        // has moved by whole periods (`None`: more than any sweep has, or
+        // no period) is its first such block, repeated, plus a tail. A
         // reference's increment per trip is the same on every sweep.
+        let periodic = refs.iter().all(|r| r.period.is_some());
         let first = ns.sweep(0);
-        let inner = repeat_after(refs, |r| r.form.line(&first).step);
+        let inner = fewest_moves(refs, |r| r.period, |r| r.form.line(&first).step);
         let mut folds: Vec<Fold> = Vec::new();
         let mut classes: HashMap<Vec<i64>, usize> = HashMap::new();
         let mut key: Vec<i64> = Vec::with_capacity(refs.len() + 1);
-        for (sweep, s) in ns.sweeps.iter().enumerate() {
-            let sw = ns.sweep(sweep);
-            let (head, periods) = match inner {
+        for (sweep, times, whole) in reps {
+            let (s, sw) = (&ns.sweeps[sweep], ns.sweep(sweep));
+            let (head, blocks) = match inner {
                 Some(l) if s.trips as u64 / 2 >= l => (l as usize, s.trips as u64 / l),
                 _ => (s.trips, 1),
             };
-            let tail = head * periods as usize;
-            for (t0, t1, times) in [(0, head, periods), (tail, s.trips, 1)] {
+            let tail = head * blocks as usize;
+            for (t0, t1, times) in [(0, head, blocks * times), (tail, s.trips, times)] {
                 if t0 == t1 {
                     continue;
                 }
-                // Equal length, equal start of every reference modulo its
-                // period: the stretches are translates.
-                key.clear();
-                key.push((t1 - t0) as i64);
-                for r in refs {
-                    key.push(r.form.line(&sw).addr(t0 as i64).rem_euclid(r.period));
-                }
-                if let Some(&class) = classes.get(&key) {
-                    folds[class].times += times;
-                } else {
+                if periodic {
+                    // Equal length, equal start of every reference modulo
+                    // its period: the stretches are translates.
+                    key.clear();
+                    key.push((t1 - t0) as i64);
+                    for r in refs {
+                        let period = r.period.map_or(1, |t| t as i64);
+                        key.push(r.form.line(&sw).addr(t0 as i64).rem_euclid(period));
+                    }
+                    if let Some(&class) = classes.get(&key) {
+                        folds[class].times += times;
+                        continue;
+                    }
                     classes.insert(key.clone(), folds.len());
-                    folds.push(Fold {
-                        sweep,
-                        t0,
-                        t1,
-                        times,
-                    });
                 }
+                let pes = if t1 - t0 == s.trips {
+                    whole
+                } else {
+                    self.stretch_pes(nest, sweep, t0..t1)
+                };
+                folds.push(Fold {
+                    sweep,
+                    t0,
+                    t1,
+                    times,
+                    pes,
+                });
             }
         }
         folds
@@ -623,82 +727,147 @@ impl<'p> Schedule<'p> {
     /// § Chains): runs of sweeps in execution order, and the blocks a sweep
     /// is cut into ([`Chains::blocks`]). The references that must move
     /// alike are every statement's anchor and every read; sweeps no run
-    /// covers are identity chains of one sweep per member, and a nest that
-    /// [`folds`](Schedule::folds) to the identity is one such chain, with
-    /// no blocks. The table holds one entry per run, never one per block.
+    /// covers are identity chains of one sweep per member, and a nest
+    /// beyond the translation argument is one such chain, with no blocks.
+    /// The table holds one entry per run, never one per block.
     pub fn chains(&self, nest: usize) -> Chains {
         let ns = &self.nests[nest];
-        let n = ns.sweeps.len();
-        let mut chains = Chains {
-            sweeps: Vec::new(),
-            block: 0,
-            shifts: Vec::new(),
-        };
-        let Some(refs) = self.periodic_refs(nest, true) else {
-            chains.sweeps.extend((n > 0).then(|| Chain::plain(0, 1, n)));
+        let Some(refs) = self.keyed_refs(nest, true) else {
+            let mut chains = Chains::new(Vec::new(), self.n_pes);
+            self.push_plain(nest, &mut chains, 0..ns.sweeps.len());
             return chains;
         };
-        if n > 0 {
-            // A reference's increment per trip is the same on every sweep.
-            let first = ns.sweep(0);
+        // Blocks inside a sweep move by whole periods. A reference's
+        // increment per trip is the same on every sweep.
+        let mut block = None;
+        if let Some(first) = (!ns.sweeps.is_empty()).then(|| ns.sweep(0)) {
             let longest = ns.sweeps.iter().map(|s| s.trips).max().unwrap_or(0);
-            let step = |r: &Periodic| r.form.line(&first).step;
-            if let Some((l, shift)) = self.translation(&refs, step, longest / 2) {
-                chains.block = l;
-                chains.shifts.push(shift);
-            }
+            let step = |r: &Keyed| r.form.line(&first).step;
+            block = fewest_moves(&refs, |r| r.period, step)
+                .filter(|&l| l <= longest as u64 / 2)
+                .and_then(|l| Some((l as usize, self.shift_after(&refs, step, l)?)));
         }
+        let mut chains = self.cut(nest, &refs, block.iter().map(|b| b.1.clone()).collect());
+        chains.block = block.map_or(0, |b| b.0);
+        chains
+    }
+
+    /// Nest `nest` cut into runs of sweeps (module docs, § Chains) after
+    /// the given shifts.
+    fn cut(&self, nest: usize, refs: &[Keyed], shifts: Vec<Vec<i64>>) -> Chains {
+        let ns = &self.nests[nest];
+        let n = ns.sweeps.len();
+        let mut chains = Chains::new(shifts, self.n_pes);
         let mut i = 0;
         while i < n {
-            // Sweeps `i..j` step alike; only then are the per-reference
-            // moves worth working out.
+            // Sweeps `i..j` step alike, so every reference moves alike from
+            // each of them to the next.
+            let start = i;
             let mut j = i + 1;
             while j < n && steps_alike(ns, i, j) {
                 j += 1;
             }
-            let (from, to) = (ns.sweep(i), ns.sweep((i + 1).min(n - 1)));
-            let moved = |r: &Periodic| r.form.line(&to).base - r.form.line(&from).base;
-            let found = (j - i >= 2)
-                .then(|| self.translation(&refs, moved, (j - i) / 2))
-                .flatten();
-            match found {
-                Some((p, shift)) => {
-                    let count = (j - i) / p;
-                    chains.sweeps.push(Chain {
-                        first: i,
-                        len: p,
-                        count,
-                        shift: chains.shifts.len(),
-                    });
-                    chains.shifts.push(shift);
-                    i += count * p;
-                }
-                None => {
-                    // Sweep `j - 1` may begin the next run.
-                    let next = (j - 1).max(i + 1);
-                    match chains.sweeps.last_mut() {
-                        Some(last) if last.shift == UNMOVED => last.count += next - i,
-                        _ => chains.sweeps.push(Chain::plain(i, 1, next - i)),
+            let (from, to) = (ns.sweep(i), ns.sweep((i + 1).min(j - 1)));
+            let moved = |r: &Keyed| r.form.line(&to).base - r.form.line(&from).base;
+            // A period is whole pages, and an array whose references move
+            // apart moves apart after any number of moves.
+            let page = |r: &Keyed| Some(self.placements[r.array].page_size as u64);
+            let by_pages = fewest_moves(refs, page, moved)
+                .and_then(|p| Some((p as usize, self.shift_after(refs, moved, p)?)));
+            let by_periods = fewest_moves(refs, |r| r.period, moved)
+                .filter(|&t| by_pages.is_some() && 2 * t <= (j - i) as u64)
+                .and_then(|t| Some((t as usize, self.shift_after(refs, moved, t)?)));
+            if let Some((len, shift)) = by_periods {
+                // Whole periods: one chain to the run's end.
+                let count = (j - i) / len;
+                self.push_chain(nest, &mut chains, i, len, count, shift);
+                i += count * len;
+            }
+            // Owner runs, from each sweep in turn.
+            while let Some((p, shift)) = by_pages.as_ref().filter(|(p, _)| 2 * p <= j - i) {
+                let runs = refs.iter().map(|r| {
+                    self.hull(ns, r, i, *p).map_or(0, |(lo, hi)| {
+                        self.placements[r.array].same_owner_run(lo, hi, shift[r.array])
+                    })
+                });
+                let count = runs.min().unwrap_or(u64::MAX).saturating_add(1);
+                match count.min(((j - i) / p) as u64) as usize {
+                    count if count >= 2 => {
+                        self.push_chain(nest, &mut chains, i, *p, count, shift.clone());
+                        i += count * p;
                     }
-                    i = next;
+                    _ => {
+                        self.push_plain(nest, &mut chains, i..i + 1);
+                        i += 1;
+                    }
                 }
             }
+            // The rest stands for itself; sweep `j − 1` may begin the next
+            // run.
+            let next = (j - 1).max(i + usize::from(i == start));
+            self.push_plain(nest, &mut chains, i..next);
+            i = next.max(i);
         }
         chains
     }
 
-    /// When every reference to an array moves by the same address distance
-    /// `delta`, the fewest moves after which each reference has moved by a
-    /// multiple of its period, and what each array has then moved, in
-    /// pages, indexed by array id; `None` when some array's references
-    /// move apart or the fewest moves are more than `most`.
-    fn translation(
+    /// Push a chain of `count` members of `len` sweeps from sweep `first`,
+    /// each the one before moved by `shift`, with its member 0's PEs.
+    fn push_chain(
         &self,
-        refs: &[Periodic],
-        delta: impl Fn(&Periodic) -> i64,
-        most: usize,
-    ) -> Option<(usize, Vec<i64>)> {
-        let times = repeat_after(refs, &delta).filter(|&t| t <= most as u64)?;
+        nest: usize,
+        chains: &mut Chains,
+        first: usize,
+        len: usize,
+        count: usize,
+        shift: Vec<i64>,
+    ) {
+        let at = chains.pes.len();
+        chains
+            .pes
+            .extend((first..first + len).map(|s| self.sweep_pes(nest, s)));
+        let pes = chains.pes[at..]
+            .iter()
+            .fold(PeRange::none(self.n_pes), |a, &b| a.union(b));
+        chains.sweeps.push(Chain {
+            first,
+            len,
+            count,
+            shift: chains.shifts.len(),
+            at,
+            pes,
+        });
+        chains.shifts.push(shift);
+    }
+
+    /// Push `sweeps`, each standing for itself, onto the identity chain
+    /// they continue, or a new one.
+    fn push_plain(&self, nest: usize, chains: &mut Chains, sweeps: Range<usize>) {
+        if sweeps.is_empty() {
+            return;
+        }
+        if !matches!(chains.sweeps.last(), Some(last) if last.shift == UNMOVED) {
+            let plain = Chain::plain(sweeps.start, chains.pes.len(), self.n_pes);
+            chains.sweeps.push(plain);
+        }
+        let last = chains.sweeps.last_mut().expect("an identity chain");
+        for s in sweeps {
+            let pes = self.sweep_pes(nest, s);
+            last.pes = last.pes.union(pes);
+            last.count += 1;
+            chains.pes.push(pes);
+        }
+    }
+
+    /// When every reference to an array moves by the same address distance
+    /// `delta`, what each array has moved after `times` moves, in pages,
+    /// indexed by array id; `None` when some array's references move apart.
+    fn shift_after(
+        &self,
+        refs: &[Keyed],
+        delta: impl Fn(&Keyed) -> i64,
+        times: u64,
+    ) -> Option<Vec<i64>> {
         let mut moves = vec![None; self.placements.len()];
         for r in refs {
             let d = delta(r);
@@ -708,10 +877,63 @@ impl<'p> Schedule<'p> {
         }
         let pages = moves.iter().zip(&self.placements).map(|(d, p)| {
             let addrs = d.unwrap_or(0).checked_mul(i64::try_from(times).ok()?)?;
-            debug_assert_eq!(addrs % p.page_size as i64, 0, "a period is whole pages");
+            debug_assert_eq!(addrs % p.page_size as i64, 0, "a move by whole pages");
             Some(addrs / p.page_size as i64)
         });
-        Some((usize::try_from(times).ok()?, pages.collect::<Option<_>>()?))
+        pages.collect()
+    }
+
+    /// The pages `r` names over sweeps `i..i + len`, which step alike, as
+    /// the smallest range holding them; `None` when it names a negative
+    /// address.
+    fn hull(
+        &self,
+        ns: &NestSchedule<'_>,
+        r: &Keyed,
+        i: usize,
+        len: usize,
+    ) -> Option<(usize, usize)> {
+        let ps = self.placements[r.array].page_size as i64;
+        let (mut lo, mut hi) = (i64::MAX, i64::MIN);
+        for s in [i, i + len - 1] {
+            let (line, trips) = (r.form.line(&ns.sweep(s)), ns.sweeps[s].trips as i64);
+            for t in [0, trips - 1] {
+                lo = lo.min(line.addr(t));
+                hi = hi.max(line.addr(t));
+            }
+        }
+        (lo >= 0).then(|| ((lo / ps) as usize, (hi / ps) as usize))
+    }
+
+    /// The PEs that execute anything in sweep `sweep` of nest `nest`
+    /// (module docs, § Skipping).
+    fn sweep_pes(&self, nest: usize, sweep: usize) -> PeRange {
+        self.stretch_pes(nest, sweep, 0..self.nests[nest].sweeps[sweep].trips)
+    }
+
+    /// The PEs that execute anything in trips `trips` of sweep `sweep` of
+    /// nest `nest`: the owners of every affine anchor's pages, every PE
+    /// once a statement is screened otherwise.
+    fn stretch_pes(&self, nest: usize, sweep: usize, trips: Range<usize>) -> PeRange {
+        let ns = &self.nests[nest];
+        let all = PeRange::all(self.n_pes);
+        let mut pes = PeRange::none(self.n_pes);
+        for screen in &ns.screen.screens {
+            let Screen::Affine { array, form } = screen else {
+                return all;
+            };
+            let placement = &self.placements[array.0];
+            let line = form.line(&ns.sweep(sweep));
+            let ends = [trips.start, trips.end.max(trips.start + 1) - 1];
+            let ends = ends.map(|t| line.addr(t as i64));
+            let (lo, hi) = (ends[0].min(ends[1]), ends[0].max(ends[1]));
+            if lo < 0 {
+                return all;
+            }
+            let ps = placement.page_size as i64;
+            pes = pes.union(placement.owners((lo / ps) as usize, (hi / ps) as usize));
+        }
+        pes
     }
 
     /// The trips `trips` of sweep `sweep` of nest `nest` that statement
@@ -794,11 +1016,8 @@ impl<'p> Schedule<'p> {
                     // on every stretch of a class: one of each decides.
                     let placement = &self.placements[array.0];
                     let ps = placement.page_size as i64;
-                    let folds = match self.periodic(*array, form.clone()) {
-                        Some(anchor) => self.fold_by(nest, &[anchor]),
-                        None => self.unfolded(nest),
-                    };
-                    for fold in folds {
+                    let anchor = self.keyed(*array, form.clone());
+                    for fold in self.fold_by(nest, &[anchor]) {
                         let line = form.line(&ns.sweep(fold.sweep));
                         let mut t = fold.t0 as i64;
                         while t < fold.t1 as i64 {

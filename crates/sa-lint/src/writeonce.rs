@@ -42,15 +42,6 @@ pub struct WriteOnceReport {
     pub enumerated: usize,
 }
 
-impl WriteOnceReport {
-    /// True if no error-severity finding was produced.
-    pub fn is_clean(&self) -> bool {
-        self.diagnostics
-            .iter()
-            .all(|d| d.severity < crate::Severity::Error)
-    }
-}
-
 /// Verify the single-assignment property of every array generation
 /// segment of `program`.
 pub fn check_write_once(program: &Program) -> WriteOnceReport {

@@ -178,19 +178,9 @@ impl DistributedMachine {
         &self.cfg
     }
 
-    /// Number of arrays placed.
-    pub fn array_count(&self) -> usize {
-        self.arrays.len()
-    }
-
     /// Pages of array `a`.
     pub fn pages_of(&self, a: usize) -> usize {
         self.placements[a].pages()
-    }
-
-    /// Placement of array `a`.
-    pub fn placement_of(&self, a: usize) -> &Placement {
-        &self.placements[a]
     }
 
     /// Owning PE of `addr` in array `a`.

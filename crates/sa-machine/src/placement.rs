@@ -17,9 +17,14 @@
 //!   paper's fetch and caching model): a page goes with the tile holding
 //!   its first element. A page past the end of the array is clamped to the
 //!   last page first, so it goes with the last page.
-//! * **The period.** Tile row `R + m` is dealt like tile row `R` once
-//!   `m · tiles_per_row ≡ 0 (mod n)`, so ownership repeats every
-//!   `lcm(m · tile_height · cols, ps)` elements with
+//! * **Owner runs.** Moving a page range by whole pages keeps every page
+//!   with its owner while the range stays inside one tile row and, where a
+//!   tile row holds several tiles, every element keeps its column
+//!   ([`Placement::same_owner_run`]): rows of one `block` or `rowband`
+//!   band, or of one band of `tile2d` tiles, are translates of one another.
+//! * **The period**, the run that never ends. Tile row `R + m` is dealt
+//!   like tile row `R` once `m · tiles_per_row ≡ 0 (mod n)`, so ownership
+//!   repeats every `lcm(m · tile_height · cols, ps)` elements with
 //!   `m = n / gcd(tiles_per_row, n)` ([`Placement::period`]). `block` and
 //!   `rowband` size their tiles so that the deal never wraps, and have
 //!   none.
@@ -206,10 +211,13 @@ impl Placement {
     /// The element distance `T` after which ownership repeats, if there is
     /// one: `T` is a multiple of the page size and
     /// `owner_of_addr(a + T) == owner_of_addr(a)` for every address `a`
-    /// with `a + T` in the array. Two stretches of a nest whose references
-    /// all differ by multiples of `T` therefore execute on the same PEs
-    /// with the same locality, which is what lets the schedule count one
-    /// of them and multiply (`sa_lint::screening::Schedule::folds`).
+    /// with `a + T` in the array — the special case of
+    /// [`Placement::same_owner_run`] that is unbounded from every page
+    /// range, once the step is a multiple of `T`. Stretches of a nest
+    /// whose references all differ by multiples of `T` execute on the same
+    /// PEs with the same locality wherever they lie, which is what lets the
+    /// schedule merge them across a whole nest into residue classes
+    /// (`sa_lint::screening::Schedule::folds`).
     ///
     /// `T = lcm(m · tile_height · cols, ps)` with
     /// `m = n / gcd(tiles_per_row, n)` (module docs): `n · ps` for
@@ -226,6 +234,66 @@ impl Placement {
         let m = n / gcd(t.per_row as u64, n);
         let period = lcm(m.checked_mul(t.band as u64)?, self.page_size as u64)?;
         usize::try_from(period).ok()
+    }
+
+    /// How many translates of the pages `plo..=phi` by `step` pages keep
+    /// every page with its owner: the largest `m` with
+    /// `page_owner(q + j · step) == page_owner(q)` for every `q` in the
+    /// range and `1 ≤ j ≤ m` — `u64::MAX` when there is none, because
+    /// `step` moves by whole [`period`](Placement::period)s (or not at
+    /// all).
+    ///
+    /// Otherwise a translate keeps owners while the range stays in the
+    /// tile row it starts in — and, when a tile row holds several tiles,
+    /// only if `step` moves by whole view rows, so that every element
+    /// keeps its column. So the answer is the room left between the range
+    /// and its tile row's edge, in steps, and 0 for a range that straddles
+    /// an edge: exact for `block` and `rowband` (whose tiles never wrap
+    /// round the PEs), a lower bound for the cyclic schemes, which may
+    /// also return to an owner after leaving it. A range reaching past the
+    /// array's last page gets 0.
+    pub fn same_owner_run(&self, plo: usize, phi: usize, step: i64) -> u64 {
+        let (ps, t) = (self.page_size as i128, &self.tiling);
+        let moved = i128::from(step) * ps;
+        if step == 0 || self.period().is_some_and(|p| moved % p as i128 == 0) {
+            return u64::MAX;
+        }
+        if plo > phi || phi >= t.pages || (t.per_row > 1 && moved % t.strip as i128 != 0) {
+            return 0;
+        }
+        let (ps, band) = (ps as u128, t.band as u128);
+        let row = plo as u128 * ps / band;
+        if phi as u128 * ps / band != row {
+            return 0;
+        }
+        // The pages whose first element lies in tile row `row`.
+        let (first, end) = ((row * band).div_ceil(ps), ((row + 1) * band).div_ceil(ps));
+        let room = if step > 0 {
+            end - 1 - phi as u128
+        } else {
+            plo as u128 - first
+        };
+        u64::try_from(room / u128::from(step.unsigned_abs())).unwrap_or(u64::MAX - 1)
+    }
+
+    /// The PEs owning pages `plo..=phi`: the run of PEs the tiles holding
+    /// the pages' first elements are dealt to, every PE once the range
+    /// meets `n` tiles. Exact for `block`, whose deal never wraps and whose
+    /// tiles are whole pages, and for `rowband` while a band is no shorter
+    /// than a page; otherwise it may name a PE whose tile holds no page's
+    /// first element. Pages past the end go with the last page.
+    pub fn owners(&self, plo: usize, phi: usize) -> PeRange {
+        let (n, ps, t) = (self.n_pes, self.page_size, &self.tiling);
+        let last = t.pages.saturating_sub(1);
+        let (e0, e1) = (plo.min(last) * ps, phi.max(plo).min(last) * ps);
+        // Tile numbers grow along a view row; across rows of a tile row,
+        // the range may meet any of its tiles.
+        let (first, end) = if e0 / t.strip == e1 / t.strip {
+            (self.tile_of(e0), self.tile_of(e1))
+        } else {
+            (e0 / t.band * t.per_row, (e1 / t.band + 1) * t.per_row - 1)
+        };
+        PeRange::tiles(first, end - first + 1, n)
     }
 
     /// Invoke `f`, in ascending order, on the maximal page intervals
@@ -310,6 +378,71 @@ impl Placement {
             out.push((plo.max(total), phi + 1));
         }
         out.finish();
+    }
+}
+
+/// A circular run of PE numbers: `len` PEs from `start` on, wrapping past
+/// PE `n − 1` to PE 0 ([`Placement::owners`]). A test of membership is
+/// O(1), so a walk can skip what a PE takes no part in before it looks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PeRange {
+    start: usize,
+    len: usize,
+    n: usize,
+}
+
+impl PeRange {
+    /// No PE of `n`.
+    pub fn none(n: usize) -> Self {
+        PeRange {
+            start: 0,
+            len: 0,
+            n,
+        }
+    }
+
+    /// Every PE of `n`.
+    pub fn all(n: usize) -> Self {
+        PeRange {
+            start: 0,
+            len: n,
+            n,
+        }
+    }
+
+    /// The PEs `count` consecutive tiles from tile `first` on are dealt to.
+    fn tiles(first: usize, count: usize, n: usize) -> Self {
+        if count >= n {
+            PeRange::all(n)
+        } else {
+            PeRange {
+                start: first % n,
+                len: count,
+                n,
+            }
+        }
+    }
+
+    /// Whether `pe` is in the run.
+    #[inline]
+    pub fn contains(&self, pe: usize) -> bool {
+        (pe + self.n - self.start) % self.n < self.len
+    }
+
+    /// The shorter of the two circular runs that hold both `self` and
+    /// `other`, each starting where one of them does.
+    pub fn union(self, other: PeRange) -> PeRange {
+        if self.len == 0 || other.len == 0 {
+            return if self.len == 0 { other } else { self };
+        }
+        let n = self.n;
+        let reach = |a: &PeRange, b: &PeRange| a.len.max((b.start + n - a.start) % n + b.len);
+        let (ab, ba) = (reach(&self, &other), reach(&other, &self));
+        if ab <= ba {
+            PeRange::tiles(self.start, ab, n)
+        } else {
+            PeRange::tiles(other.start, ba, n)
+        }
     }
 }
 
@@ -585,6 +718,68 @@ mod tests {
             ArrayShape::from_dims(&[12, 10]),
         );
         assert_eq!(rowband.period(), None);
+    }
+
+    #[test]
+    fn owner_runs_and_owner_ranges_agree_with_brute_force() {
+        for shape in shapes() {
+            for scheme in schemes() {
+                let banded = matches!(scheme, PartitionScheme::Block | PartitionScheme::RowBand);
+                for (n, ps) in [(1usize, 8usize), (3, 1), (4, 3), (7, 8), (7, 32)] {
+                    let pl = Placement::new(scheme, ps, n, shape);
+                    let pages = pl.pages() as i64;
+                    let at = |q: i64| pl.page_owner(q as usize);
+                    let period = pl.period().map_or(0, |t| (t / ps) as i64);
+                    for plo in (0..pages).step_by((pages as usize / 48).max(1)) {
+                        for phi in plo..pages.min(plo + 9) {
+                            let owners = pl.owners(plo as usize, phi as usize);
+                            let truth: Vec<bool> =
+                                (0..n).map(|pe| (plo..=phi).any(|q| at(q) == pe)).collect();
+                            for (pe, &owns) in truth.iter().enumerate() {
+                                assert!(!owns || owners.contains(pe), "{scheme:?} {shape:?}");
+                                if banded && pl.tiling.band >= ps {
+                                    assert_eq!(owners.contains(pe), owns, "{scheme:?} {shape:?}");
+                                }
+                            }
+                            for step in [-7i64, -3, -1, 1, 2, 5, 10, period, -2 * period] {
+                                let run = pl.same_owner_run(plo as usize, phi as usize, step);
+                                let at = format!(
+                                    "{scheme:?} {shape:?} {n}x{ps} [{plo},{phi}] by {step}"
+                                );
+                                if step == 0 || n == 1 {
+                                    assert_eq!(run, u64::MAX, "{at}");
+                                    continue;
+                                }
+                                // Translates inside the array: each of the first
+                                // `run` keeps every owner; for the banded schemes
+                                // the next one does not.
+                                let inside = |j: i64| plo + j * step >= 0 && phi + j * step < pages;
+                                let keeps = |j: i64| {
+                                    (plo..=phi).all(|q| {
+                                        pl.page_owner((q + j * step) as usize)
+                                            == pl.page_owner(q as usize)
+                                    })
+                                };
+                                let mut j = 1;
+                                while inside(j) && (j as u64) <= run.min(40) {
+                                    assert!(keeps(j), "{at}: translate {j} of {run}");
+                                    j += 1;
+                                }
+                                if banded && inside(j) && j as u64 == run + 1 {
+                                    assert!(!keeps(j), "{at}: the run ends early at {run}");
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        let union = PeRange::tiles(6, 2, 8).union(PeRange::tiles(1, 1, 8));
+        assert_eq!(
+            (0..8).filter(|&pe| union.contains(pe)).collect::<Vec<_>>(),
+            [0, 1, 6, 7]
+        );
+        assert_eq!(PeRange::none(8).union(union), union);
     }
 
     #[test]

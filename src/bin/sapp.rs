@@ -196,14 +196,29 @@ enum Format {
     Dot,
 }
 
+/// The formats a command that prints a table accepts.
+const TABULAR: &str = "table|csv|json";
+
+/// The formats a command that prints no table lets pass.
+const ANY_FORMAT: &str = "table|csv|json|dot";
+
 impl Format {
+    fn parse(v: &str) -> Option<Format> {
+        match v {
+            "table" => Some(Format::Table),
+            "csv" => Some(Format::Csv),
+            "json" => Some(Format::Json),
+            "dot" => Some(Format::Dot),
+            _ => None,
+        }
+    }
+
     fn render(self, headers: &[&str], rows: &[Vec<String>]) -> String {
         match self {
             Format::Table => markdown_table(headers, rows),
             Format::Csv => csv(headers, rows),
             Format::Json => json(headers, rows),
-            // DOT is a graph format, not a tabular one.
-            Format::Dot => usage(),
+            Format::Dot => unreachable!("a command that renders a table refuses --format dot"),
         }
     }
 }
@@ -281,7 +296,12 @@ fn one_of<T>(choices: &str, lookup: impl FnOnce(&str) -> Option<T>, v: &str) -> 
     lookup(v).ok_or_else(|| format!("expects {choices}"))
 }
 
-fn parse_opts(args: &[String]) -> Opts {
+/// The command's flags. `formats` spells the `--format` values the command
+/// can print, its default first: any other is a usage error here, before
+/// any work.
+fn parse_opts(args: &[String], formats: &str) -> Opts {
+    let accepted = |v: &str| formats.split('|').any(|f| f == v);
+    let default = formats.split('|').next().and_then(Format::parse);
     let mut o = Opts {
         pes: None,
         page: None,
@@ -294,7 +314,7 @@ fn parse_opts(args: &[String]) -> Opts {
         sweeps: None,
         partition: None,
         network: None,
-        format: Format::Table,
+        format: default.expect("a command prints in some format"),
         engine: EngineSel::Counting(Engine::Auto),
         objective: Objective::default(),
         strategy: Strategy::Exhaustive,
@@ -335,16 +355,8 @@ fn parse_opts(args: &[String]) -> Opts {
                 o.network = Some(value(flag, it, |v| one_of(choices, parse_network, v)))
             }
             "--format" => {
-                o.format = value(flag, it, |v| {
-                    let lookup = |v: &str| match v {
-                        "table" => Some(Format::Table),
-                        "csv" => Some(Format::Csv),
-                        "json" => Some(Format::Json),
-                        "dot" => Some(Format::Dot),
-                        _ => None,
-                    };
-                    one_of("table|csv|json|dot", lookup, v)
-                })
+                let lookup = |v: &str| Format::parse(v).filter(|_| accepted(v));
+                o.format = value(flag, it, |v| one_of(formats, lookup, v))
             }
             "--deny-warnings" => o.deny_warnings = true,
             "--allow" => o.allow.push(value(flag, it, |v| Ok(v.to_uppercase()))),
@@ -629,7 +641,7 @@ fn main() {
             );
         }
         "show" => {
-            let o = parse_opts(args.get(2..).unwrap_or(&[]));
+            let o = parse_opts(args.get(2..).unwrap_or(&[]), ANY_FORMAT);
             let k = resolve_kernel(
                 args.get(1).map(String::as_str).unwrap_or_else(|| usage()),
                 &o,
@@ -637,7 +649,7 @@ fn main() {
             out!("{}", pretty::program_to_string(&k.program));
         }
         "classify" => {
-            let o = parse_opts(args.get(2..).unwrap_or(&[]));
+            let o = parse_opts(args.get(2..).unwrap_or(&[]), ANY_FORMAT);
             let k = resolve_kernel(
                 args.get(1).map(String::as_str).unwrap_or_else(|| usage()),
                 &o,
@@ -665,7 +677,7 @@ fn main() {
             }
         }
         "simulate" => {
-            let o = parse_opts(args.get(2..).unwrap_or(&[]));
+            let o = parse_opts(args.get(2..).unwrap_or(&[]), ANY_FORMAT);
             let k = resolve_kernel(
                 args.get(1).map(String::as_str).unwrap_or_else(|| usage()),
                 &o,
@@ -699,7 +711,7 @@ fn main() {
             );
         }
         "sweep" => {
-            let o = parse_opts(args.get(2..).unwrap_or(&[]));
+            let o = parse_opts(args.get(2..).unwrap_or(&[]), TABULAR);
             let k = resolve_kernel(
                 args.get(1).map(String::as_str).unwrap_or_else(|| usage()),
                 &o,
@@ -763,7 +775,7 @@ fn main() {
             );
         }
         "search" => {
-            let o = parse_opts(&args[1..]);
+            let o = parse_opts(&args[1..], TABULAR);
             // The search enumerates these axes itself: a flag pinning one
             // is a usage error, not a silently ignored one.
             if o.page.is_some() || o.partition.is_some() || o.network.is_some() {
@@ -883,7 +895,7 @@ fn main() {
                 Some(a) if !a.starts_with('-') => (Some(a), args.get(2..).unwrap_or(&[])),
                 _ => (None, args.get(1..).unwrap_or(&[])),
             };
-            let o = parse_opts(rest);
+            let o = parse_opts(rest, TABULAR);
             let kernels: Vec<Kernel> = match (code, o.all) {
                 (Some(c), false) => vec![resolve_kernel(c, &o)],
                 (None, true) => workloads().iter().map(|w| w.official()).collect(),
@@ -977,25 +989,21 @@ fn main() {
             }
         }
         "graph" => {
-            let o = parse_opts(args.get(2..).unwrap_or(&[]));
+            let o = parse_opts(args.get(2..).unwrap_or(&[]), "dot|json");
             let k = resolve_kernel(
                 args.get(1).map(String::as_str).unwrap_or_else(|| usage()),
                 &o,
             );
             let g = sapp::lint::DepGraph::build(&k.program);
-            match o.format {
-                // DOT is the graph default; `table` only ever comes from
-                // the parser default, not an explicit request.
-                Format::Dot | Format::Table => out!("{}", g.to_dot()),
-                Format::Json => {
-                    let summary = sapp::lint::summary(&k.program).ok();
-                    outln!("{}", g.to_json(&k.program, summary.as_ref()));
-                }
-                Format::Csv => usage(),
+            if o.format == Format::Json {
+                let summary = sapp::lint::summary(&k.program).ok();
+                outln!("{}", g.to_json(&k.program, summary.as_ref()));
+            } else {
+                out!("{}", g.to_dot());
             }
         }
         "timing" => {
-            let o = parse_opts(args.get(2..).unwrap_or(&[]));
+            let o = parse_opts(args.get(2..).unwrap_or(&[]), TABULAR);
             let k = resolve_kernel(
                 args.get(1).map(String::as_str).unwrap_or_else(|| usage()),
                 &o,

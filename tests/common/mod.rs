@@ -1,15 +1,17 @@
 //! The *fold-dense* generator shared by `replay_vs_interp.rs` and
 //! `lint_static.rs`: small affine programs on machines whose placement
 //! period is short against the nests (`n_pes · page_size · block_pages ≤ 60`
-//! elements, or a few rows of small tiles), so most sweeps are translates of
-//! one another and most long sweeps hold several inner periods — the
-//! programs on which the cache-less counters walk one stretch per class
-//! and multiply (`sa_lint::screening::Schedule::folds`), and on which a
-//! cached replay
+//! elements, or a few rows of small tiles), or whose bands hold several
+//! rows (`block`, `rowband`, and tiles so large that each PE holds about
+//! one), so most sweeps are translates of one another — by whole periods,
+//! or row by row inside a band — and most long sweeps hold several inner
+//! periods. These are the programs on which the cache-less counters walk
+//! one stretch per class and multiply
+//! (`sa_lint::screening::Schedule::folds`), and on which a cached replay
 //! stops walking a chain of translates once the cache repeats itself
-//! (`Schedule::chains`). The suites' older generators
-//! draw periods of 4 … 1024 elements against nests of at most 60 trips and
-//! hardly ever fold.
+//! (`Schedule::chains`). The suites' older generators draw periods of
+//! 4 … 1024 elements against nests of at most 60 trips and hardly ever
+//! fold.
 
 use proptest::prelude::*;
 
@@ -79,8 +81,9 @@ pub fn dense_program_strategy() -> impl Strategy<Value = DenseProgram> {
         })
 }
 
-/// Cache-less machines of 1–5 PEs with pages of 1–4 elements under the
-/// periodic schemes — small tiles among them — on every topology.
+/// Cache-less machines of 1–5 PEs with pages of 1–4 elements under every
+/// scheme — small tiles and tiles of about one per PE among them — on
+/// every topology.
 pub fn dense_config_strategy() -> impl Strategy<Value = MachineConfig> {
     (
         1usize..6,
@@ -89,6 +92,14 @@ pub fn dense_config_strategy() -> impl Strategy<Value = MachineConfig> {
             Just(PartitionScheme::Modulo),
             (1usize..4).prop_map(|b| PartitionScheme::BlockCyclic { block_pages: b }),
             ((1usize..4), (1usize..4)).prop_map(|(tile_rows, tile_cols)| {
+                PartitionScheme::Tile2D {
+                    tile_rows,
+                    tile_cols,
+                }
+            }),
+            Just(PartitionScheme::Block),
+            Just(PartitionScheme::RowBand),
+            ((4usize..13), (8usize..25)).prop_map(|(tile_rows, tile_cols)| {
                 PartitionScheme::Tile2D {
                     tile_rows,
                     tile_cols,

@@ -241,6 +241,23 @@ fn invalid_machine_shapes_exit_with_the_config_error_on_the_static_paths() {
             "sapp: --pes: expects a non-negative integer (got x)",
         ),
         ("timing k1 --pes", 2, "sapp: --pes: expects a value"),
+        // A format the command cannot print is refused before any work:
+        // a clean kernel and one with findings alike.
+        (
+            "lint k1 --format dot",
+            2,
+            "sapp: --format: expects table|csv|json (got dot)",
+        ),
+        (
+            "lint k22 --format dot",
+            2,
+            "sapp: --format: expects table|csv|json (got dot)",
+        ),
+        (
+            "graph k1 --format csv",
+            2,
+            "sapp: --format: expects dot|json (got csv)",
+        ),
         ("timing k1 --pes 7", 0, "| 4 | 3.18× |\n| 7 | 5.08× |\n\n"),
         ("timing k1", 0, "| 16 | 12.71× |\n| 32 | 25.42× |\n\n"),
         (

@@ -15,12 +15,17 @@
 //!   interpreter executed on that PE, and [`Schedule::owner`] agrees;
 //! * the participant sets reproduce the interpreter's reduction messages.
 //!
-//! And folding (`Schedule::folds`) is certified, not assumed: over the same
-//! programs × the periodic and the period-less schemes × {1, 4, 7, 64} PEs ×
-//! pages {1, 3, 8, 32}, the folds cover every (sweep, trip) of every nest
-//! exactly once, every covered stretch runs on its representative's PEs
-//! trip for trip and reference for reference, and a nest the translation
-//! argument does not reach folds to the identity.
+//! And the translation argument is certified, not assumed, over the same
+//! programs × every scheme × {1, 4, 7, 64} PEs × pages {1, 3, 8, 32}:
+//!
+//! * folding (`Schedule::folds`): the folds stand for every iteration, and
+//!   give every tuple of walked owners exactly as often as the nest does;
+//!   a nest the argument does not reach folds to the identity;
+//! * chains (`Schedule::chains`): expanded, they walk every trip once in
+//!   order, and each member is the one before it moved by whole pages,
+//!   every instance keeping its owner;
+//! * skipping: a PE that a chain, a sweep or a fold excludes owns no trip
+//!   of it.
 
 use std::collections::HashMap;
 
@@ -31,9 +36,8 @@ use sapp::ir::interp::{resolve_ref_addr, Memory};
 use sapp::ir::nest::{LoopVar, Stmt};
 use sapp::ir::program::ArrayInit;
 use sapp::ir::{ArrayId, Expr, InitPattern, IrError, LinForm, Program, ProgramBuilder, ReduceOp};
-use sapp::lint::screening::{Schedule, Windows};
-use sapp::machine::partition::{gcd, lcm};
-use sapp::machine::{AccessKind, MachineConfig, PartitionScheme, Placement};
+use sapp::lint::screening::{NestSchedule, Schedule, Windows};
+use sapp::machine::{AccessKind, MachineConfig, PartitionScheme, PeRange, Placement};
 use sapp::mem::SaArray;
 
 const PAGE: usize = 8;
@@ -241,21 +245,43 @@ fn the_schedule_is_what_the_interpreter_executes_on_the_registry() {
 /// What [`certify_folds`] saw, so the test can tell it was not vacuous.
 #[derive(Default)]
 struct FoldTally {
-    /// Nests (per configuration) that came back one fold per sweep under a
-    /// periodic scheme: the translation argument does not cover them.
+    /// Nests (per configuration) that came back one fold per sweep: the
+    /// translation argument does not cover them.
     beyond: usize,
     /// Stretches that were counted through a representative, not walked.
     folded_away: u64,
+    /// The same under `block` and `rowband`, which have no period.
+    banded_away: u64,
 }
 
-/// One walked reference: its array, its address form, where the array's
-/// pages live, and the period of that placement.
-type Walked<'a> = (ArrayId, LinForm, &'a Placement, i64);
+/// The five schemes, `blockcyclic` at three block sizes.
+fn every_scheme() -> [PartitionScheme; 7] {
+    [
+        PartitionScheme::Modulo,
+        PartitionScheme::BlockCyclic { block_pages: 1 },
+        PartitionScheme::BlockCyclic { block_pages: 2 },
+        PartitionScheme::BlockCyclic { block_pages: 3 },
+        PartitionScheme::Block,
+        PartitionScheme::RowBand,
+        PartitionScheme::Tile2D {
+            tile_rows: 5,
+            tile_cols: 6,
+        },
+    ]
+}
 
-/// The references `folds(nest, with_reads)` must key on, by the rule in
-/// `sa_lint::screening` § Folding: every statement's affine anchor and,
-/// `with_reads`, every read — or `None` when a statement is not screened
-/// affinely, a read is not affine, or an array has no period.
+fn banded(scheme: PartitionScheme) -> bool {
+    matches!(scheme, PartitionScheme::Block | PartitionScheme::RowBand)
+}
+
+/// One walked reference: its array, its address form, and where the
+/// array's pages live.
+type Walked<'a> = (ArrayId, LinForm, &'a Placement);
+
+/// The references `folds(nest, with_reads)` and `chains(nest)` key on, by
+/// the rule in `sa_lint::screening` § Folding: every statement's affine
+/// anchor and, `with_reads`, every read — or `None` when a statement is
+/// not screened affinely or a read is not affine.
 fn walked_refs<'a>(
     sched: &'a Schedule<'_>,
     nest: usize,
@@ -264,40 +290,38 @@ fn walked_refs<'a>(
     let ns = sched.nest(nest);
     let nvars = ns.nest.loops.len();
     let mut refs = Vec::new();
-    let mut walk = |array: ArrayId, form: Option<LinForm>| {
-        let placement = sched.placement(array);
-        refs.push((array, form?, placement, placement.period()? as i64));
-        Some(())
-    };
     for (stmt, screen) in ns.nest.body.iter().zip(&ns.screen.screens) {
         let Screen::Affine { array, form } = screen else {
             return None;
         };
-        walk(*array, Some(form.clone()))?;
+        refs.push((*array, form.clone(), sched.placement(*array)));
         for read in stmt.reads().into_iter().filter(|_| with_reads) {
-            walk(
-                read.array,
-                linear_address_form(sched.program(), read, nvars),
-            )?;
+            let form = linear_address_form(sched.program(), read, nvars)?;
+            refs.push((read.array, form, sched.placement(read.array)));
         }
     }
     Some(refs)
 }
 
+/// The loop-variable values of trip `t` of sweep `sweep` of `ns`.
+fn ivs_at(ns: &NestSchedule<'_>, sweep: usize, t: usize) -> Vec<i64> {
+    let sw = ns.sweep(sweep);
+    let mut ivs = sw.outer.to_vec();
+    if !ns.nest.loops.is_empty() {
+        ivs.push(sw.lo + sw.step * t as i64);
+    }
+    ivs
+}
+
+/// `sa_lint::screening` § Folding, checked against what it must preserve.
+/// Every counter of the cache-less model is a sum over trips of a function
+/// of the owners of the walked references' pages, so the folds, each trip
+/// of a representative counted `times` times, must give every tuple of
+/// owners exactly as often as the nest does; and a nest the translation
+/// argument does not reach folds to the identity.
 fn certify_folds(code: &str, program: &Program, tally: &mut FoldTally) {
     let statics = StaticArrays::scan(program);
-    let schemes = [
-        PartitionScheme::Modulo,
-        PartitionScheme::BlockCyclic { block_pages: 1 },
-        PartitionScheme::BlockCyclic { block_pages: 2 },
-        PartitionScheme::BlockCyclic { block_pages: 3 },
-        PartitionScheme::Block,
-        PartitionScheme::Tile2D {
-            tile_rows: 5,
-            tile_cols: 6,
-        },
-    ];
-    for scheme in schemes {
+    for scheme in every_scheme() {
         for (n_pes, page) in [1usize, 4, 7, 64]
             .into_iter()
             .flat_map(|n| [1usize, 3, 8, 32].map(|p| (n, p)))
@@ -312,87 +336,33 @@ fn certify_folds(code: &str, program: &Program, tally: &mut FoldTally) {
                 assert_eq!(stood_for, ns.screen.iterations, "{at}");
                 let Some(refs) = walked_refs(&sched, n, with_reads) else {
                     assert_eq!(folds, sched.unfolded(n), "{at}: must not fold");
-                    let periodic = !matches!(
-                        scheme,
-                        PartitionScheme::Block | PartitionScheme::Tile2D { .. }
-                    );
-                    tally.beyond += usize::from(periodic);
+                    tally.beyond += 1;
                     continue;
                 };
-                // Strong form. The stretches of a sweep: all of it, or —
-                // two or more inner periods long — its first period,
-                // repeated, and a tail.
-                let depth = ns.nest.loops.len();
-                let inner_step = ns.nest.loops.last().map_or(0, |lv| lv.step);
-                let inner = refs.iter().try_fold(1u64, |l, (_, form, _, period)| {
-                    let per_trip = form.coeffs.last().map_or(0, |c| c * inner_step);
-                    lcm(
-                        l,
-                        *period as u64 / gcd(per_trip.unsigned_abs(), *period as u64),
-                    )
-                });
-                let ivs = |sweep: usize, t: usize| {
-                    let sw = ns.sweep(sweep);
-                    let mut ivs = sw.outer.to_vec();
-                    if depth > 0 {
-                        ivs.push(sw.lo + sw.step * t as i64);
-                    }
-                    ivs
+                // Strong form: the same owners, as often.
+                let owners = |sweep: usize, t: usize| -> Vec<usize> {
+                    let ivs = ivs_at(ns, sweep, t);
+                    let addr = |form: &LinForm| form.eval(&ivs) as usize;
+                    refs.iter()
+                        .map(|(_, form, placement)| placement.owner_of_addr(addr(form)))
+                        .collect()
                 };
-                // A class: a length, and where every reference starts
-                // modulo its period.
-                let class = |sweep: usize, t0: usize, len: usize| {
-                    let ivs = ivs(sweep, t0);
-                    let starts = refs
-                        .iter()
-                        .map(|(_, form, _, period)| form.eval(&ivs).rem_euclid(*period));
-                    (len, starts.collect::<Vec<i64>>())
-                };
-                let mut fold_of = HashMap::new();
-                for (f, fold) in folds.iter().enumerate() {
-                    let twice = fold_of.insert(class(fold.sweep, fold.t0, fold.trips().len()), f);
-                    assert_eq!(twice, None, "{at}: two folds of one class");
-                }
-                let mut stands_for = vec![0u64; folds.len()];
+                let mut want: HashMap<Vec<usize>, u64> = HashMap::new();
                 for (s, rec) in ns.sweeps.iter().enumerate() {
-                    let (len, reps) = match inner {
-                        Some(l) if rec.trips as u64 >= 2 * l => {
-                            (l as usize, rec.trips / l as usize)
-                        }
-                        _ => (rec.trips, 1),
-                    };
-                    for (b0, len, reps) in [(0, len, reps), (len * reps, rec.trips - len * reps, 1)]
-                    {
-                        if len == 0 {
-                            continue;
-                        }
-                        let &f = fold_of
-                            .get(&class(s, b0, len))
-                            .unwrap_or_else(|| panic!("{at}: sweep {s} trip {b0} is not covered"));
-                        if stands_for[f] == 0 {
-                            let first = (folds[f].sweep, folds[f].t0);
-                            assert_eq!(first, (s, b0), "{at}: not the first of its class");
-                        }
-                        stands_for[f] += reps as u64;
-                        // Trip for trip, every repetition is a translate
-                        // of the representative and runs on the same PEs.
-                        for t in b0..b0 + reps * len {
-                            let here = ivs(s, t);
-                            let there = ivs(folds[f].sweep, folds[f].t0 + (t - b0) % len);
-                            for (_, form, placement, period) in &refs {
-                                let (a, b) = (form.eval(&here), form.eval(&there));
-                                assert_eq!((a - b) % period, 0, "{at}: sweep {s} trip {t}");
-                                let owners =
-                                    [a, b].map(|addr| placement.owner_of_addr(addr as usize));
-                                assert_eq!(owners[0], owners[1], "{at}: sweep {s} trip {t}");
-                            }
-                        }
+                    for t in 0..rec.trips {
+                        *want.entry(owners(s, t)).or_default() += 1;
                     }
                 }
-                let times: Vec<u64> = folds.iter().map(|f| f.times).collect();
-                assert_eq!(stands_for, times, "{at}");
-                tally.folded_away +=
-                    ns.sweeps.len() as u64 - folds.len().min(ns.sweeps.len()) as u64;
+                let mut got: HashMap<Vec<usize>, u64> = HashMap::new();
+                for fold in &folds {
+                    for t in fold.trips() {
+                        *got.entry(owners(fold.sweep, t)).or_default() += fold.times;
+                    }
+                }
+                assert_eq!(got, want, "{at}");
+                let away = ns.sweeps.len() as u64 - folds.len().min(ns.sweeps.len()) as u64;
+                tally.folded_away += away;
+                tally.banded_away += if banded(scheme) { away } else { 0 };
             }
         }
     }
@@ -438,9 +408,9 @@ fn folds_cover_every_trip_once_and_only_translates_are_merged() {
     let mut tally = FoldTally::default();
     certify_folds("kinds", &every_screen_kind(), &mut tally);
     // Round-robin reductions, static and produced anchors: four of the six
-    // nests are beyond the argument (× with and without reads × the 4
-    // periodic schemes × 16 shapes).
-    assert_eq!(tally.beyond, 4 * 2 * 4 * 16);
+    // nests are beyond the argument (× with and without reads × the 7
+    // schemes × 16 shapes).
+    assert_eq!(tally.beyond, 4 * 2 * 7 * 16);
     certify_folds("shapes", &folding_shapes(), &mut tally);
     let mut gathering = 0;
     for k in sapp::loops::suite::reduced_suite() {
@@ -460,6 +430,10 @@ fn folds_cover_every_trip_once_and_only_translates_are_merged() {
     }
     assert!(gathering >= 4, "the PIC and SpMV kernels gather");
     assert!(tally.folded_away > 0, "nothing folded: the test is vacuous");
+    assert!(
+        tally.banded_away > 0,
+        "no banded nest folded: the test is vacuous"
+    );
 }
 
 /// What [`certify_chains`] saw, so the test can tell it was not vacuous.
@@ -468,18 +442,19 @@ struct ChainTally {
     /// Runs of two or more sweep members, and of two or more blocks.
     sweep_runs: usize,
     block_runs: usize,
-    /// Nests (per configuration) beyond the translation argument under a
-    /// periodic scheme.
+    /// Runs of two or more sweep members under `block` or `rowband`.
+    banded_runs: usize,
+    /// Nests (per configuration) beyond the translation argument.
     beyond: usize,
 }
 
-/// `sa_lint::screening` § Chains, checked member by member: expanding
-/// `chains(nest)` visits every (sweep, trip) once, in execution order; each
-/// member of a chain — of sweeps or of blocks — is the one before it with
-/// every reference moved by the chain's shift for its array, a whole
-/// number of periods; and a nest the translation argument does not reach
-/// (a gather, a round-robin or tabulated anchor, a period-less scheme)
-/// chains nowhere.
+/// `sa_lint::screening` § Chains, checked member by member under every
+/// scheme: expanding `chains(nest)` visits every (sweep, trip) once, in
+/// execution order; each member of a chain — of sweeps or of blocks — is
+/// the one before it with every reference moved by the chain's shift for
+/// its array, a whole number of pages, and every instance keeps its
+/// owner; and a nest the translation argument does not reach (a gather, a
+/// round-robin or tabulated anchor) chains nowhere.
 fn certify_chains(code: &str, program: &Program, tally: &mut ChainTally) {
     let statics = StaticArrays::scan(program);
     let schemes = [
@@ -487,6 +462,7 @@ fn certify_chains(code: &str, program: &Program, tally: &mut ChainTally) {
         PartitionScheme::BlockCyclic { block_pages: 1 },
         PartitionScheme::BlockCyclic { block_pages: 3 },
         PartitionScheme::Block,
+        PartitionScheme::RowBand,
         PartitionScheme::Tile2D {
             tile_rows: 5,
             tile_cols: 6,
@@ -503,22 +479,16 @@ fn certify_chains(code: &str, program: &Program, tally: &mut ChainTally) {
                 let ns = sched.nest(n);
                 let chains = sched.chains(n);
                 let refs = walked_refs(&sched, n, true);
-                let ivs = |sweep: usize, t: usize| {
-                    let sw = ns.sweep(sweep);
-                    let mut ivs = sw.outer.to_vec();
-                    if !ns.nest.loops.is_empty() {
-                        ivs.push(sw.lo + sw.step * t as i64);
-                    }
-                    ivs
-                };
                 // `there` is `here`'s image one member on: every reference
-                // moved by its array's shift, a whole number of periods.
+                // moved by its array's shift, in whole pages, and on a
+                // page of the same owner.
                 let translates = |shift: &[i64], here: (usize, usize), there: (usize, usize)| {
-                    let (a, b) = (ivs(here.0, here.1), ivs(there.0, there.1));
-                    for (array, form, _, period) in refs.as_ref().expect("a chained nest") {
-                        let moved = shift[array.0] * page as i64;
-                        assert_eq!(moved % period, 0, "{at}");
-                        assert_eq!(form.eval(&b), form.eval(&a) + moved, "{at}: {here:?}");
+                    let (a, b) = (ivs_at(ns, here.0, here.1), ivs_at(ns, there.0, there.1));
+                    for (array, form, placement) in refs.as_ref().expect("a chained nest") {
+                        let (from, to) = (form.eval(&a), form.eval(&b));
+                        assert_eq!(to, from + shift[array.0] * page as i64, "{at}: {here:?}");
+                        let owners = [from, to].map(|addr| placement.owner_of_addr(addr as usize));
+                        assert_eq!(owners[0], owners[1], "{at}: {here:?} → {there:?}");
                     }
                 };
                 let mut next =
@@ -526,7 +496,9 @@ fn certify_chains(code: &str, program: &Program, tally: &mut ChainTally) {
                 for chain in &chains.sweeps {
                     // An identity chain's members are merely consecutive.
                     let shift = chains.shift(chain);
-                    tally.sweep_runs += usize::from(chain.count >= 2 && !shift.is_empty());
+                    let run = chain.count >= 2 && !shift.is_empty();
+                    tally.sweep_runs += usize::from(run);
+                    tally.banded_runs += usize::from(run && banded(scheme));
                     for s in chain.members(0, chain.count) {
                         let m = (s - chain.first) / chain.len;
                         let trips = ns.sweeps[s].trips;
@@ -547,11 +519,7 @@ fn certify_chains(code: &str, program: &Program, tally: &mut ChainTally) {
                 }
                 assert_eq!(next.next(), None, "{at}: not every trip is walked");
                 if refs.is_none() {
-                    let periodic = !matches!(
-                        scheme,
-                        PartitionScheme::Block | PartitionScheme::Tile2D { .. }
-                    );
-                    tally.beyond += usize::from(periodic);
+                    tally.beyond += 1;
                     assert!(chains.sweeps.len() <= 1, "{at}: one identity chain");
                     assert!(
                         chains.sweeps.iter().all(|c| chains.shift(c).is_empty()),
@@ -571,8 +539,8 @@ fn chains_walk_every_trip_once_in_order_and_each_member_translates_the_last() {
     let mut tally = ChainTally::default();
     certify_chains("kinds", &every_screen_kind(), &mut tally);
     // Round-robin reductions, static and produced anchors: four of the six
-    // nests (× the 3 periodic schemes × 9 shapes).
-    assert_eq!(tally.beyond, 4 * 3 * 9);
+    // nests (× the 6 schemes × 9 shapes).
+    assert_eq!(tally.beyond, 4 * 6 * 9);
     certify_chains("shapes", &folding_shapes(), &mut tally);
     for k in sapp::loops::suite::reduced_suite() {
         certify_chains(k.code, &k.program, &mut tally);
@@ -586,9 +554,139 @@ fn chains_walk_every_trip_once_in_order_and_each_member_translates_the_last() {
         "no run of sweeps: the test is vacuous"
     );
     assert!(
+        tally.banded_runs > 0,
+        "no run of sweeps inside a band: the test is vacuous"
+    );
+    assert!(
         tally.block_runs > 0,
         "no run of blocks: the test is vacuous"
     );
+}
+
+/// `sa_lint::screening` § Skipping: every instance of a chain, of a sweep
+/// and of a fold's stretch runs on a PE its range names — so a PE the
+/// range excludes owns no trip of it, and a walk may pass it by. A
+/// produced anchor's owner is known only at run time: its ranges name
+/// every PE.
+fn certify_skips(code: &str, program: &Program) -> usize {
+    let statics = StaticArrays::scan(program);
+    let mut excluded = 0;
+    for scheme in [
+        PartitionScheme::Modulo,
+        PartitionScheme::Block,
+        PartitionScheme::BlockCyclic { block_pages: 2 },
+        PartitionScheme::RowBand,
+        PartitionScheme::Tile2D {
+            tile_rows: 5,
+            tile_cols: 6,
+        },
+    ] {
+        for (n_pes, page) in [1usize, 4, 7, 64]
+            .into_iter()
+            .flat_map(|n| [1usize, 3, 8, 32].map(|p| (n, p)))
+        {
+            let at = format!("{code} {scheme:?} × {n_pes} PEs × page {page}");
+            let mut sched = Schedule::new(program, &statics, scheme, page, n_pes).unwrap();
+            sched.tabulate(&statics).unwrap();
+            for (n, ns) in sched.nests().iter().enumerate() {
+                // The PEs that own an instance of trips `trips` of `sweep`;
+                // `None` when a produced anchor leaves it open.
+                let owners = |sweep: usize, trips: std::ops::Range<usize>| {
+                    let mut own = vec![false; n_pes];
+                    for t in trips {
+                        let ivs = ivs_at(ns, sweep, t);
+                        let g = ns.sweeps[sweep].first + t as u64;
+                        for (si, screen) in ns.screen.screens.iter().enumerate() {
+                            if *screen == Screen::Produced {
+                                return None;
+                            }
+                            own[sched.owner(n, si, g, &ivs, &mut &statics).unwrap()] = true;
+                        }
+                    }
+                    Some(own)
+                };
+                let within = |range: &PeRange, own: Option<Vec<bool>>, what: &str| -> usize {
+                    let own = own.unwrap_or_else(|| vec![true; n_pes]);
+                    let mut out = 0;
+                    for (pe, owns) in own.into_iter().enumerate() {
+                        assert!(
+                            !owns || range.contains(pe),
+                            "{at}, nest {n}, {what}: PE {pe}"
+                        );
+                        out += usize::from(!range.contains(pe));
+                    }
+                    out
+                };
+                let chains = sched.chains(n);
+                for chain in &chains.sweeps {
+                    let mut own = Some(vec![false; n_pes]);
+                    for s in chain.members(0, chain.count) {
+                        let here = owners(s, 0..ns.sweeps[s].trips);
+                        let sweep_pes = chains.sweep_pes(chain, s);
+                        excluded += within(&sweep_pes, here.clone(), "a sweep");
+                        own = own
+                            .zip(here)
+                            .map(|(a, b)| a.iter().zip(b).map(|(x, y)| *x || y).collect());
+                    }
+                    excluded += within(&chain.pes, own, "a chain");
+                }
+                for fold in sched.folds(n, true) {
+                    excluded += within(&fold.pes, owners(fold.sweep, fold.trips()), "a fold");
+                }
+            }
+        }
+    }
+    excluded
+}
+
+#[test]
+fn a_pe_a_chain_or_sweep_excludes_owns_no_trip_of_it() {
+    let mut excluded = certify_skips("kinds", &every_screen_kind());
+    excluded += certify_skips("shapes", &folding_shapes());
+    for k in sapp::loops::suite::reduced_suite() {
+        excluded += certify_skips(k.code, &k.program);
+    }
+    assert!(excluded > 0, "no range excludes a PE: the test is vacuous");
+}
+
+/// The counts the README quotes: ST5 (two sweeps) under the banded
+/// placements and one `tile2d:64x64` tile per PE, at the default page of
+/// 32 elements — sweeps, chains and folds summed over the nests, and the
+/// (PE, chain) pairs a cached replay may walk before the steady state.
+#[test]
+fn banded_stencils_chain_and_fold_inside_their_bands() {
+    let tile = PartitionScheme::Tile2D {
+        tile_rows: 64,
+        tile_cols: 64,
+    };
+    for (edge, scheme, n_pes, want) in [
+        (256, PartitionScheme::Block, 16, [516, 70, 100, 160]),
+        (256, tile, 16, [516, 22, 28, 160]),
+        (16384, PartitionScheme::RowBand, 64, [32772, 262, 388, 640]),
+    ] {
+        let w = sapp::loops::workload("ST5").unwrap();
+        let size = sapp::loops::Size::Grid2 {
+            nx: edge,
+            ny: edge,
+            sweeps: 2,
+        };
+        let program = w.build(size).program;
+        let statics = StaticArrays::scan(&program);
+        let sched = Schedule::new(&program, &statics, scheme, 32, n_pes).unwrap();
+        let mut got = [0usize; 4];
+        for n in 0..sched.nests().len() {
+            let chains = sched.chains(n);
+            got[0] += sched.nest(n).sweeps.len();
+            got[1] += chains.sweeps.len();
+            got[2] += sched.folds(n, true).len();
+            got[3] += chains
+                .sweeps
+                .iter()
+                .map(|c| (0..n_pes).filter(|&pe| c.pes.contains(pe)).count())
+                .sum::<usize>();
+        }
+        assert_eq!(got, want, "ST5 {edge}² {scheme:?} on {n_pes} PEs");
+    }
 }
 
 /// The recorder hears one PE's instances in that PE's program order, each
