@@ -6,14 +6,14 @@
 //! * **Write-once verification** ([`writeonce::check_write_once`]) — proves
 //!   the single-assignment property per array generation with closed-form
 //!   affine conflict tests (Banerjee-style range, GCD lattice residue,
-//!   mixed-radix self-injectivity), then over per-sweep write intervals,
+//!   mixed-radix self-injectivity), then over per-sweep write runs,
 //!   falling back to exact per-cell enumeration that recovers the two
 //!   conflicting iteration vectors.
 //! * **Progress** ([`progress::check_progress`]) — dangling I-structure
 //!   deferrals (reads no producer ever satisfies), indirect anchors with
 //!   no static producer and provable out-of-bounds references: proved
-//!   absent over per-sweep address intervals where the phases run in
-//!   order, found by the instance walk otherwise.
+//!   absent over per-sweep address runs where every read has an earlier
+//!   producer, found by the instance walk otherwise.
 //! * **Partition legality** ([`progress::check_partition`]) — partition
 //!   schemes that orphan PEs.
 //! * **Deadlock freedom** ([`depgraph::check_deadlock`]) — a per-config
@@ -291,6 +291,35 @@ mod tests {
         let (diags, walked) = passes(&b.finish());
         assert!(diags.iter().any(|d| d.code == Code::Sa004DanglingRead));
         assert!(walked > 0);
+    }
+
+    /// Per exact pass, the registry kernels at official size decided over
+    /// sweeps: progress walks no instance, and write-once leaves some
+    /// generation to the exact footprint but enumerates none cell by cell.
+    #[test]
+    fn the_registry_kernels_decided_over_sweeps() {
+        let (mut progress, mut write_once) = (Vec::new(), Vec::new());
+        for w in sa_loops::workloads() {
+            let p = w.official().program;
+            let walked = sites::instances_walked();
+            check_progress(&p);
+            if sites::instances_walked() == walked {
+                progress.push(w.code);
+            }
+            let cells = writeonce::segments_enumerated();
+            let left_open = check_write_once(&p).enumerated > 0;
+            if left_open && writeonce::segments_enumerated() == cells {
+                write_once.push(w.code);
+            }
+        }
+        assert_eq!(
+            progress,
+            [
+                "K1", "K3", "K4", "K7", "K8", "K9", "K10", "K12", "K13", "K14", "K18", "K21",
+                "K22", "K24", "K13S", "K14F", "K14S", "ST5", "ST9", "ST7", "SPMV", "SPMVD"
+            ]
+        );
+        assert_eq!(write_once, ["K6", "K18", "ST5", "ST9", "ST7"]);
     }
 
     #[test]

@@ -22,20 +22,32 @@
 //! # Which rung answers
 //!
 //! 1. **Sweeps.** The phases are followed in order over write footprints
-//!    (the crate-private `footprint` module): for each all-affine nest,
-//!    every reference must stay inside its array at the two end trips of
-//!    each sweep, and every read line must lie inside what its
-//!    generation's initializer and *earlier* nests define (a `Reinit`
-//!    empties it); only then are the nest's writes added. A program whose
-//!    every nest passes defers no read and leaves no array: no SA004, no
-//!    SA006, no forward deferral — proved in O(sweeps + points of strided
-//!    sweeps), whatever the instance count.
-//! 2. **Instances.** Anything else — a gather or scatter, a read only a
-//!    write of the same or a later nest satisfies, a reference that may
-//!    leave its array — is walked instance by instance, for the whole
-//!    program, as above. Every finding, its iteration vector and the
-//!    report order come from this walk, which stays the reference the
-//!    first rung is certified against.
+//!    (the crate-private `footprint` module). A nest passes when every
+//!    reference is affine or goes through index arrays whose contents are
+//!    compile-time constants, stays inside its array on each sweep (at
+//!    the two end trips; a gather's index-array positions inside the
+//!    defined prefix and its values inside their dimension), and every
+//!    read lies inside what its generation defines before it in program
+//!    order:
+//!    * the initializer, and *earlier* nests (a `Reinit` empties it);
+//!    * an *earlier outermost iteration* of the same nest — a nest that
+//!      reads a slot it writes is checked one outermost iteration at a
+//!      time, each against what the ones before it defined (K21's plane
+//!      recurrence);
+//!    * an *earlier statement of the same instance* that writes the
+//!      identical reference (SPMV's running sum `S(i,t-1)`).
+//!
+//!    Writes are added a batch at a time, a scatter's left out. A program
+//!    whose every nest passes defers no read and leaves no array: no
+//!    SA004, no SA006, no forward deferral — proved in O(sweeps + blocks
+//!    of strided runs + positions gathered), whatever the instance count.
+//! 2. **Instances.** Anything else — a gather through runtime data, a read
+//!    only a later write or an earlier trip of the same sweep satisfies
+//!    (K5's and K11's recurrences), a reference that may leave its array,
+//!    a read of what only a scatter defines — is walked instance by
+//!    instance, for the whole program, as above. Every finding, its
+//!    iteration vector and the report order come from this walk, which
+//!    stays the reference the first rung is certified against.
 //!
 //! `PL001` asks each array's placement for one period of pages, or, without
 //! a period, the pages where the owner changes.
@@ -44,12 +56,12 @@ use std::collections::{HashMap, HashSet};
 
 use crate::depgraph::InstanceError;
 use crate::diag::{Code, Diagnostic, Severity, Span};
-use crate::footprint::{Footprint, SweepRef};
+use crate::footprint::{value_box, Batch, Footprint, Gather, Lines, Run};
 use crate::sites::{
     self, describe, walk, Deferral, Flow, Instance, LiveSlots, Pass, Read, ResolveFail, Resolver,
     Write,
 };
-use sa_ir::nest::{ArrayRef, LoopNest};
+use sa_ir::nest::{ArrayRef, LoopNest, Stmt};
 use sa_ir::{ArrayId, Phase, Program};
 use sa_machine::{ConfigError, PartitionScheme, Placement};
 
@@ -75,7 +87,7 @@ pub(crate) struct Observed {
 pub(crate) fn observe(res: &Resolver<'_>) -> Observed {
     let mut diagnostics = Vec::new();
     check_anchors(res.program, &mut diagnostics);
-    if crate::over_sweeps() && in_order_over_sweeps(res.program) {
+    if crate::over_sweeps() && in_order_over_sweeps(res) {
         return Observed {
             diagnostics,
             forward_deferrals: Ok(false),
@@ -94,11 +106,22 @@ pub(crate) fn observe(res: &Resolver<'_>) -> Observed {
     }
 }
 
-/// The first rung (module docs): every nest all-affine, every reference
-/// inside its array on every sweep, and every read defined by its
-/// generation's initializer or an earlier nest — so the walk would defer
-/// no read and fail no resolution.
-fn in_order_over_sweeps(program: &Program) -> bool {
+/// How the first rung follows one reference of a nest.
+enum Follow<'a> {
+    /// All affine: its line along each sweep.
+    Line(Lines<'a>),
+    /// Through constant index arrays: the interval its values bound.
+    Gather(Gather<'a>),
+}
+
+/// The first rung (module docs): every nest's references all affine or
+/// through constant index arrays, every one inside its array on every
+/// sweep, and every read defined — by its generation's initializer, an
+/// earlier nest, an earlier outermost iteration of its own nest, or an
+/// earlier statement of its own instance writing the identical reference
+/// — so the walk would defer no read and fail no resolution.
+fn in_order_over_sweeps(res: &Resolver<'_>) -> bool {
+    let program = res.program;
     let mut defined = Footprint::new(program);
     let mut live = LiveSlots::new(program);
     for phase in &program.phases {
@@ -109,37 +132,79 @@ fn in_order_over_sweeps(program: &Program) -> bool {
             }
             Phase::Loop(nest) => nest,
         };
-        // `(slot, reference, writes)` in body order.
-        let refs = nest.body.iter().flat_map(|stmt| {
+        // `(slot, reference, writes)` in body order; a read of what an
+        // earlier statement of the same instance writes is defined.
+        let mut refs = Vec::new();
+        let values = value_box(nest);
+        for (i, stmt) in nest.body.iter().enumerate() {
+            let earlier = || nest.body[..i].iter().filter_map(Stmt::write_target);
             let reads = stmt.reads().into_iter().map(|r| (r, false));
-            reads.chain(stmt.write_target().map(|t| (t, true)))
-        });
-        let refs = refs.map(|(aref, writes)| {
-            let sweep_ref = SweepRef::new(program, aref)?;
-            Some((live.of(aref.array), sweep_ref, writes))
-        });
-        let Some(refs) = refs.collect::<Option<Vec<_>>>() else {
-            return false;
-        };
-        let checked = nest.try_for_each_sweep(|sweep| {
-            refs.iter()
-                .try_for_each(|(slot, r, writes)| match r.line(sweep) {
-                    Some(line) if *writes || defined.covers(*slot, line, sweep.trips) => Ok(()),
-                    _ => Err(()),
-                })
-        });
-        if checked.is_err() {
+            for (aref, writes) in reads.chain(stmt.write_target().map(|t| (t, true))) {
+                if !writes && earlier().any(|t| t == aref) {
+                    continue;
+                }
+                let follow = match Lines::new(program, aref, &values) {
+                    Some(line) => Follow::Line(line),
+                    None => match Gather::new(program, &res.statics, aref) {
+                        Some(gather) => Follow::Gather(gather),
+                        None => return false,
+                    },
+                };
+                refs.push((live.of(aref.array), follow, writes));
+            }
+        }
+        if !nest_over_sweeps(nest, &refs, &mut defined) {
             return false;
         }
-        nest.for_each_sweep(|sweep| {
-            for (slot, r, _) in refs.iter().filter(|r| r.2) {
-                if let Some(line) = r.line(sweep) {
-                    defined.add(*slot, line, sweep.trips);
-                }
-            }
-        });
     }
     true
+}
+
+/// Check `nest`'s reads against `defined` and add its writes, a batch at a
+/// time: the whole nest, or — when it reads a slot it writes — each
+/// outermost iteration, checked against what the ones before it defined.
+/// A scatter's cells are left out: a read they alone define declines.
+fn nest_over_sweeps(
+    nest: &LoopNest,
+    refs: &[(usize, Follow<'_>, bool)],
+    defined: &mut Footprint,
+) -> bool {
+    let written = |slot| refs.iter().any(|r| r.2 && r.0 == slot);
+    let per_outer = refs.iter().any(|r| !r.2 && written(r.0));
+    let (mut reads, mut writes) = (Batch::new(refs.len()), Batch::new(refs.len()));
+    // The reads a batch closed must lie inside what the batches before it
+    // defined; only then are its writes added.
+    let flush = |reads: &mut Batch, writes: &mut Batch, defined: &mut Footprint| {
+        reads.close();
+        let covered = defined.covers_closed(reads);
+        defined.merge(writes);
+        covered
+    };
+    let mut outer = None;
+    let checked = nest.try_for_each_sweep(|sweep| {
+        if per_outer && sweep.outer.first() != outer.as_ref() {
+            outer = sweep.outer.first().copied();
+            if !flush(&mut reads, &mut writes, defined) {
+                return Err(());
+            }
+        }
+        for (i, (slot, follow, writes_it)) in refs.iter().enumerate() {
+            let run = match follow {
+                Follow::Line(r) => Run::along(r.line(sweep).ok_or(())?, sweep.trips),
+                Follow::Gather(g) => g.hull(sweep).ok_or(())?,
+            };
+            match (writes_it, follow) {
+                // A read one interval holds is answered now; the others
+                // join their stream's run, checked block by block.
+                (false, _) if defined.holds(*slot, run) => {}
+                (false, _) => reads.push(i, *slot, run),
+                (true, Follow::Line(_)) => writes.push(i, *slot, run),
+                (true, Follow::Gather(_)) => {}
+            }
+        }
+        defined.covers_closed(&mut reads).then_some(()).ok_or(())
+    });
+    checked.is_ok() && flush(&mut reads, &mut writes, defined)
 }
 
 // ---------------------------------------------------------------------------
@@ -651,6 +716,86 @@ mod tests {
             });
         });
         assert_eq!(last_trip, [Code::Sa006OutOfBounds, Code::Sa006OutOfBounds]);
+    }
+
+    /// The producers the sweeps accept besides an earlier nest — an earlier
+    /// statement of the same instance, an earlier outermost iteration —
+    /// and gathers through a constant index array, each beside a near miss
+    /// the walk decides: `(decided over sweeps, findings)`.
+    #[test]
+    fn earlier_statements_outer_iterations_and_static_gathers_are_proved() {
+        let decided = |build: &dyn Fn(&mut ProgramBuilder)| {
+            let mut b = ProgramBuilder::new("rule");
+            build(&mut b);
+            let p = b.finish();
+            let before = crate::sites::instances_walked();
+            let said = check_progress(&p);
+            let over_sweeps = crate::sites::instances_walked() == before;
+            assert_eq!(said, crate::by_instance(|| check_progress(&p)));
+            (over_sweeps, said.iter().map(|d| d.code).collect::<Vec<_>>())
+        };
+        // Z[k] = X[k] after (before) the statement writing X[k].
+        for (after, sweeps) in [(true, true), (false, false)] {
+            let same_instance = decided(&|b| {
+                let x = b.output("X", &[8]);
+                let z = b.output("Z", &[8]);
+                b.nest("n", &[("k", 0, 7)], |nb| {
+                    let read = |nb: &mut sa_ir::builder::NestBuilder| {
+                        let rhs = nb.read(x, [iv(0)]);
+                        nb.assign(z, [iv(0)], rhs);
+                    };
+                    if !after {
+                        read(nb);
+                    }
+                    nb.assign(x, [iv(0)], Expr::Const(1.0));
+                    if after {
+                        read(nb);
+                    }
+                });
+            });
+            assert_eq!(same_instance, (sweeps, vec![]));
+        }
+        // R[i+1][j] = R[i][j], row by row: the outermost iteration
+        // before; column by column: the trip before, in the same sweep.
+        for (by_rows, sweeps) in [(true, true), (false, false)] {
+            let recurrence = decided(&|b| {
+                let init = sa_ir::program::ArrayInit::Prefix {
+                    pattern: sa_ir::InitPattern::Zero,
+                    len: 5,
+                };
+                let r = b.array_with("R", &[5, 5], init);
+                let (i, j, loops) = if by_rows {
+                    (0, 1, [("a", 0, 3), ("b", 0, 4)])
+                } else {
+                    (1, 0, [("a", 0, 4), ("b", 0, 3)])
+                };
+                b.nest("n", &loops, |nb| {
+                    let rhs = nb.read(r, [iv(i), iv(j)]);
+                    nb.assign(r, [iv(i).plus(1), iv(j)], rhs);
+                });
+            });
+            assert_eq!(recurrence, (sweeps, vec![]));
+        }
+        // Z[k] = V[2·I[k] + off]: inside V, or past its end at one k.
+        for (off, sweeps, found) in [(0, true, vec![]), (1, false, vec![Code::Sa006OutOfBounds])] {
+            let gather = decided(&|b| {
+                let perm = sa_ir::InitPattern::Permutation { seed: 3 };
+                let idx = b.input("I", &[8], perm);
+                let v = b.input("V", &[15], sa_ir::InitPattern::Wavy);
+                let z = b.output("Z", &[8]);
+                b.nest("n", &[("k", 0, 7)], |nb| {
+                    let through = sa_ir::IndexExpr::Indirect {
+                        base: idx,
+                        pos: iv(0),
+                        scale: 2,
+                        offset: off,
+                    };
+                    let rhs = nb.read(v, [through]);
+                    nb.assign(z, [iv(0)], rhs);
+                });
+            });
+            assert_eq!(gather, (sweeps, found));
+        }
     }
 
     #[test]

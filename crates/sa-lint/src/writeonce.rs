@@ -9,10 +9,10 @@
 //!    rectangular nests, and a mixed-radix self-injectivity test.
 //! 2. **Sweeps.** Where some pair stays inconclusive (a stencil's boundary
 //!    strips beside its interior), the segment's writes are laid down
-//!    sweep by sweep as address intervals (the crate-private `footprint`
-//!    module): if every write stays inside the array and no interval or
-//!    point meets one already defined, the segment is write-once, in
-//!    O(sweeps + points of strided sweeps).
+//!    sweep by sweep as address runs, one merge per nest (the
+//!    crate-private `footprint` module): if every write stays inside the
+//!    array and no run meets one already defined, the segment is
+//!    write-once, in O(sweeps + blocks of strided runs).
 //! 3. **Cells.** Otherwise — an overlap the sweeps found, a write that may
 //!    leave the array, a scatter — the segment's write footprint is
 //!    enumerated cell by cell in program order, which also recovers the
@@ -23,7 +23,7 @@
 //!    (`SA003`).
 
 use crate::diag::{Code, Diagnostic, Span};
-use crate::footprint::{Footprint, SweepRef};
+use crate::footprint::{value_box, Batch, Footprint, Lines};
 use crate::sites::{self, iterate, ResolveFail, Resolver, Segment, WriteSite};
 use sa_ir::analysis::{self, PairRelation};
 use sa_ir::nest::LoopNest;
@@ -133,26 +133,30 @@ fn check_segment(
 }
 
 /// The second rung (module docs): lay the segment's writes, all affine,
-/// down in slot `slot` sweep by sweep; whether each stayed inside the
-/// array and defined only addresses nothing — the initializer, another
-/// write, or itself — had defined.
+/// down in slot `slot` sweep by sweep, one batch per nest; whether each
+/// stayed inside the array and defined only addresses nothing — the
+/// initializer, another write, or itself — had defined.
 fn disjoint_over_sweeps(
     program: &Program,
     seg: &Segment<'_>,
     slot: usize,
     written: &mut Footprint,
 ) -> bool {
-    seg.writes.iter().all(|site| {
-        let Some(target) = SweepRef::new(program, site.target) else {
-            return false;
-        };
-        let laid = site
-            .nest
-            .try_for_each_sweep(|sweep| match target.line(sweep) {
-                Some(line) if written.add(slot, line, sweep.trips) => Ok(()),
-                _ => Err(()),
+    seg.writes.chunk_by(|a, b| a.phase == b.phase).all(|sites| {
+        let mut batch = Batch::new(sites.len());
+        let values = value_box(sites[0].nest);
+        let laid = sites.iter().enumerate().all(|(stream, site)| {
+            let Some(target) = Lines::new(program, site.target, &values) else {
+                return false;
+            };
+            let laid = site.nest.try_for_each_sweep(|sweep| {
+                let line = target.line(sweep).ok_or(())?;
+                batch.line(stream, slot, line, sweep.trips);
+                Ok::<_, ()>(())
             });
-        laid.is_ok()
+            laid.is_ok()
+        });
+        laid && written.merge(&mut batch)
     })
 }
 
@@ -183,33 +187,17 @@ struct LevelInfo {
 
 fn nest_levels(nest: &LoopNest) -> Vec<LevelInfo> {
     let trips = analysis::level_extents(nest);
-    let mut out: Vec<LevelInfo> = Vec::with_capacity(nest.loops.len());
-    for (v, lv) in nest.loops.iter().enumerate() {
-        let lo = interval_eval(&lv.lo, &out);
-        let hi = interval_eval(&lv.hi, &out);
-        out.push(LevelInfo {
-            min: lo.0.min(hi.0),
-            max: lo.1.max(hi.1),
+    let values = value_box(nest);
+    let levels = nest.loops.iter().zip(values).enumerate();
+    levels
+        .map(|(v, (lv, (min, max)))| LevelInfo {
+            min,
+            max,
             step: lv.step,
             trips: trips.get(v).copied().unwrap_or(0),
             rect: lv.lo.is_constant() && lv.hi.is_constant(),
-        });
-    }
-    out
-}
-
-/// Interval evaluation of an affine bound over the (already computed)
-/// outer-level value intervals.
-fn interval_eval(a: &sa_ir::AffineIndex, outer: &[LevelInfo]) -> (i64, i64) {
-    let mut lo = a.offset;
-    let mut hi = a.offset;
-    for (v, info) in outer.iter().enumerate() {
-        let c = a.coeff(v);
-        let (x, y) = (c * info.min, c * info.max);
-        lo += x.min(y);
-        hi += x.max(y);
-    }
-    (lo, hi)
+        })
+        .collect()
 }
 
 /// One affine write site reduced to closed-form address facts.
@@ -359,6 +347,8 @@ fn enumerate_segment(
     res: &Resolver<'_>,
     report: &mut WriteOnceReport,
 ) {
+    #[cfg(test)]
+    ENUMERATED.with(|n| n.set(n.get() + 1));
     let decl = program.array(seg.array);
     let mut defined = vec![false; decl.len()];
     for cell in defined.iter_mut().take(seg.init_len) {
@@ -384,6 +374,17 @@ fn enumerate_segment(
             return; // one finding per array segment
         }
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    static ENUMERATED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Segments this thread has enumerated cell by cell so far.
+#[cfg(test)]
+pub(crate) fn segments_enumerated() -> usize {
+    ENUMERATED.with(std::cell::Cell::get)
 }
 
 /// Recover the *first* writer of `addr` (initializer or an earlier/same

@@ -932,6 +932,14 @@ fn main() {
                 .any(|d| d.severity >= threshold && !o.allow.iter().any(|a| a == d.code.as_str()));
             let total: usize = linted.iter().map(Vec::len).sum();
             let wall = format!("{:.1} ms", elapsed.as_secs_f64() * 1e3);
+            let summary = format!(
+                "{} diagnostic(s) across {} kernel(s) in {}",
+                total,
+                kernels.len(),
+                wall
+            );
+            // JSON and CSV keep stdout machine-readable: the summary goes
+            // to stderr, and CSV prints its header even with no rows.
             if o.format == Format::Json {
                 let objs: Vec<String> = kernels
                     .iter()
@@ -945,12 +953,7 @@ fn main() {
                     })
                     .collect();
                 outln!("[{}]", objs.join(","));
-                eprintln!(
-                    "{} diagnostic(s) across {} kernel(s) in {}",
-                    total,
-                    kernels.len(),
-                    wall
-                );
+                eprintln!("{summary}");
             } else {
                 let mut rows = Vec::new();
                 for (k, diags) in kernels.iter().zip(&linted) {
@@ -964,24 +967,22 @@ fn main() {
                         ]);
                     }
                 }
-                if rows.is_empty() {
+                let table = || {
+                    o.format
+                        .render(&["kernel", "severity", "code", "span", "message"], &rows)
+                };
+                if o.format == Format::Csv {
+                    out!("{}", table());
+                    eprintln!("{summary}");
+                } else if rows.is_empty() {
                     outln!(
                         "clean: 0 diagnostics across {} kernel(s) in {}",
                         kernels.len(),
                         wall
                     );
                 } else {
-                    out!(
-                        "{}",
-                        o.format
-                            .render(&["kernel", "severity", "code", "span", "message"], &rows)
-                    );
-                    outln!(
-                        "{} diagnostic(s) across {} kernel(s) in {}",
-                        total,
-                        kernels.len(),
-                        wall
-                    );
+                    out!("{}", table());
+                    outln!("{summary}");
                 }
             }
             if gated {

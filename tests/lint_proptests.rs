@@ -61,6 +61,49 @@ struct Spec {
     reduce: bool,
     /// Append a nest re-reading the written array at matched subscripts.
     chain: bool,
+    /// Shapes only the sweep-proof certification draws.
+    extra: Extra,
+}
+
+/// What [`cert_spec_strategy`] adds to a [`Spec`]: the shapes the sweep
+/// rung decides beyond in-order affine nests, and their near misses.
+#[derive(Debug, Clone, Default)]
+struct Extra {
+    /// `stride` write statements at offsets `0…stride-1`, tiling `X`'s
+    /// rows, instead of one at offset 0.
+    tile: bool,
+    /// A statement after the writes copying, into `W`, the identical `X`
+    /// reference the first one wrote.
+    reread: bool,
+    /// A nest carrying a recurrence along its outermost loop: `R` one row
+    /// (or cell) further on from the one before, the first initialized.
+    recur: bool,
+    /// A gather into the write nest, or a scatter beside it, through a
+    /// static index array.
+    lookup: Option<Lookup>,
+}
+
+/// A gather `V[scale·I[pos] + offset]` or a scatter `G[…, scale·I[pos] +
+/// offset] ← Y[…]` along the innermost loop, through the static index
+/// array `I`.
+#[derive(Debug, Clone)]
+struct Lookup {
+    scatter: bool,
+    /// `pos = coeff · inner + offset`.
+    pos: (i64, i64),
+    /// `I`'s length past the last position (negative: positions leave it).
+    slack: i64,
+    /// `I` is a permutation of its positions, reduced modulo this bound
+    /// when there is one (repeated values: double writes for a scatter).
+    limit: Option<usize>,
+    seed: u64,
+    scale: i64,
+    offset: i64,
+    /// Cells cut off the end of `V` or `G` (values that leave it: SA006).
+    shrink: i64,
+    /// `V` has only its first half initialized (gathers of undefined
+    /// cells: SA004).
+    half_defined: bool,
 }
 
 fn spec_strategy() -> impl Strategy<Value = Spec> {
@@ -80,7 +123,55 @@ fn spec_strategy() -> impl Strategy<Value = Spec> {
             stride,
             reduce,
             chain,
+            extra: Extra::default(),
         })
+}
+
+/// [`spec_strategy`] with the [`Extra`] shapes drawn too.
+fn cert_spec_strategy() -> impl Strategy<Value = Spec> {
+    let lookup = (
+        (proptest::bool::ANY, 1i64..3, 0i64..3),
+        proptest::sample::select(vec![0i64, 0, 0, 2, -1]),
+        (
+            proptest::sample::select(vec![None, None, None, Some(3usize), Some(40)]),
+            0u64..1000,
+        ),
+        (1i64..3, 0i64..3),
+        (
+            proptest::sample::select(vec![0i64, 0, 0, 1, 4]),
+            proptest::sample::select(vec![false, false, false, true]),
+        ),
+    )
+        .prop_map(
+            |((scatter, c, o), slack, (limit, seed), (scale, offset), (shrink, half_defined))| {
+                Lookup {
+                    scatter,
+                    pos: (c, o),
+                    slack,
+                    limit,
+                    seed,
+                    scale,
+                    offset,
+                    shrink,
+                    half_defined,
+                }
+            },
+        );
+    let lookup = prop_oneof![Just(None), lookup.prop_map(Some)];
+    let flags = (
+        proptest::bool::ANY,
+        proptest::bool::ANY,
+        proptest::bool::ANY,
+    );
+    (spec_strategy(), flags, lookup).prop_map(|(spec, (tile, reread, recur), lookup)| Spec {
+        extra: Extra {
+            tile,
+            reread,
+            recur,
+            lookup,
+        },
+        ..spec
+    })
 }
 
 fn bounds(spec: &Spec) -> Vec<(&'static str, i64, i64)> {
@@ -100,16 +191,61 @@ fn build(spec: &Spec, dup: bool) -> Program {
     let depth = spec.trips.len();
     let inner = *spec.trips.last().unwrap();
     let outer = if depth == 2 { spec.trips[0] } else { 1 };
+    let extra = &spec.extra;
+    // In front of the innermost index, the row a 2-level nest is on.
+    let at = |last: IndexExpr| -> Vec<IndexExpr> {
+        match depth {
+            2 => vec![iv(0).into(), last],
+            _ => vec![last],
+        }
+    };
+    let dims_of = |row: usize| {
+        if depth == 2 {
+            vec![outer, row]
+        } else {
+            vec![row]
+        }
+    };
 
     let read_len = (MAX_COEFF * (inner as i64 - 1) + 2 * OFF_PAD + 1) as usize;
     let y = b.input("Y", &[read_len], InitPattern::Wavy);
-    let row = (spec.stride * (inner as i64 - 1) + 1) as usize;
-    let dims: Vec<usize> = if depth == 2 {
-        vec![outer, row]
-    } else {
-        vec![row]
-    };
+    let tiles = if extra.tile { spec.stride } else { 1 };
+    let row = (spec.stride * (inner as i64 - 1) + tiles) as usize;
+    let dims = dims_of(row);
     let x = b.output("X", &dims);
+    let w = extra.reread.then(|| b.output("W", &dims));
+    // `(lookup, I, V or G)`.
+    let lookup = extra.lookup.as_ref().map(|l| {
+        let positions = l.pos.0 * (inner as i64 - 1) + l.pos.1 + 1;
+        let len = (positions + l.slack).max(1) as usize;
+        let pattern = match l.limit {
+            Some(limit) => InitPattern::BoundedPermutation {
+                seed: l.seed,
+                limit,
+            },
+            None => InitPattern::Permutation { seed: l.seed },
+        };
+        let index = b.input("I", &[len], pattern);
+        let extent = (l.scale * (len as i64 - 1) + l.offset + 1 - l.shrink).max(1) as usize;
+        let through = if l.scatter {
+            b.output("G", &dims_of(extent))
+        } else if l.half_defined {
+            let half = ArrayInit::Prefix {
+                pattern: InitPattern::Wavy,
+                len: extent / 2,
+            };
+            b.array_with("V", &[extent], half)
+        } else {
+            b.input("V", &[extent], InitPattern::Wavy)
+        };
+        (l, index, through)
+    });
+    let looked_up = |l: &Lookup, index: ArrayId| IndexExpr::Indirect {
+        base: index,
+        pos: iv(depth - 1).scale(l.pos.0).plus(l.pos.1),
+        scale: l.scale,
+        offset: l.offset,
+    };
 
     b.nest("write", &bounds(spec), |nb| {
         let mut value: Option<sapp::ir::Expr> = None;
@@ -120,12 +256,22 @@ fn build(spec: &Spec, dup: bool) -> Program {
                 Some(v) => v + read,
             });
         }
-        let value = value.expect("at least one read");
-        let idx = iv(depth - 1).scale(spec.stride);
-        if depth == 2 {
-            nb.assign(x, [iv(0), idx], value);
-        } else {
-            nb.assign(x, [idx], value);
+        let mut value = value.expect("at least one read");
+        if let Some((l, index, v)) = lookup.filter(|(l, ..)| !l.scatter) {
+            value = value + nb.read(v, [looked_up(l, index)]);
+        }
+        for t in 0..tiles {
+            let idx = iv(depth - 1).scale(spec.stride).plus(t);
+            nb.assign(x, at(idx.into()), value.clone());
+        }
+        if let Some(w) = w {
+            let first = at(iv(depth - 1).scale(spec.stride).into());
+            let again = nb.read(x, first.clone());
+            nb.assign(w, first, again);
+        }
+        if let Some((l, index, g)) = lookup.filter(|(l, ..)| l.scatter) {
+            let v = nb.read(y, [iv(depth - 1)]);
+            nb.assign(g, at(looked_up(l, index)), v);
         }
     });
 
@@ -137,17 +283,41 @@ fn build(spec: &Spec, dup: bool) -> Program {
         });
     }
 
+    if extra.recur {
+        // R[i+1][j] = R[i][j] + Y[j] (R[k+1] = R[k] + Y[k] in one loop).
+        let (rows, first) = if depth == 2 {
+            (vec![outer + 1, inner], inner)
+        } else {
+            (vec![inner + 1], 1)
+        };
+        let seed = ArrayInit::Prefix {
+            pattern: InitPattern::Harmonic,
+            len: first,
+        };
+        let r = b.array_with("R", &rows, seed);
+        b.nest("recur", &bounds(spec), |nb| {
+            let v = nb.read(y, [iv(depth - 1)]);
+            if depth == 2 {
+                let before = nb.read(r, [iv(0), iv(1)]);
+                nb.assign(r, [iv(0).plus(1), iv(1)], before + v);
+            } else {
+                let before = nb.read(r, [iv(0)]);
+                nb.assign(r, [iv(0).plus(1)], before + v);
+            }
+        });
+    }
+
     if spec.chain {
         let z = b.output("Z", &dims);
         b.nest("chain", &bounds(spec), |nb| {
             let idx = iv(depth - 1).scale(spec.stride);
-            if depth == 2 {
-                let v = nb.read(x, [iv(0), idx.clone()]);
-                nb.assign(z, [iv(0), idx], v);
-            } else {
-                let v = nb.read(x, [idx.clone()]);
-                nb.assign(z, [idx], v);
+            let mut v = nb.read(x, at(idx.clone().into()));
+            // What only the scatter may define: cell 1 lies inside the
+            // hull of its values, but a scale of 2 leaves it unwritten.
+            if let Some((_, _, g)) = lookup.filter(|(l, ..)| l.scatter) {
+                v = v + nb.read(g, at(iv(depth - 1).scale(0).plus(1).into()));
             }
+            nb.assign(z, at(idx.into()), v);
         });
     }
 
@@ -580,10 +750,11 @@ proptest! {
     }
 
     /// Sweep footprints ≡ the instance walk and the cell enumeration, on
-    /// the `spec` programs with and without their double write.
+    /// the `spec` programs with and without their double write, and with
+    /// the [`Extra`] shapes.
     #[test]
     fn sweep_proofs_match_the_instance_walk_on_generated_programs(
-        spec in spec_strategy(),
+        spec in cert_spec_strategy(),
         dup in proptest::bool::ANY,
         cfg in lint_config_strategy(),
     ) {

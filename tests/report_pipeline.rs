@@ -372,6 +372,31 @@ fn lint_proves_in_order_programs_at_any_size_and_walks_the_rest() {
     );
 }
 
+/// `lint --format csv` writes only CSV to stdout: the header always (no
+/// rows when clean), one row per finding, and the summary — with its wall
+/// time — to stderr, as under `json`.
+#[test]
+fn lint_csv_stdout_is_only_csv() {
+    let header = "kernel,severity,code,span,message\n";
+    let (code, out, err) = sapp("lint k21 --format csv");
+    assert_eq!(code, Some(0), "{err}");
+    assert_eq!(out, header);
+    assert!(
+        err.starts_with("0 diagnostic(s) across 1 kernel(s) in "),
+        "{err}"
+    );
+    let (code, out, err) = sapp("lint k22 --format csv");
+    assert_eq!(code, Some(0), "{err}");
+    let rows: Vec<&str> = out.lines().collect();
+    assert_eq!(rows.len(), 2, "{out}");
+    assert_eq!(format!("{}\n", rows[0]), header);
+    assert!(rows[1].starts_with("K22,warning,PL001,"), "{out}");
+    assert!(
+        err.starts_with("1 diagnostic(s) across 1 kernel(s) in "),
+        "{err}"
+    );
+}
+
 /// `sweep --cache N` measures its cache column with N elements: at every
 /// PE count it is the remote % `simulate --pes P --cache N` prints.
 #[test]
