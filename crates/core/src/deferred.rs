@@ -39,7 +39,8 @@
 //! The output is an estimated parallel makespan, from which speedup curves
 //! are derived.
 
-use sa_ir::Program;
+use sa_ir::analysis::StaticArrays;
+use sa_ir::{ArrayId, Program};
 use sa_machine::{host_of, AccessCosts, AccessKind, MachineConfig};
 
 use crate::exec::{run, Effect, Observer, SimError, SimReport};
@@ -116,7 +117,9 @@ struct Clock {
     costs: AccessCosts,
     clock: Vec<u64>,
     stall: Vec<u64>,
-    /// `write_time[array][addr]`; 0 for initially defined cells.
+    /// `write_time[array][addr]`; 0 for initially defined cells. Empty for
+    /// an array whose every cell is a constant (defined at time 0, never
+    /// written, never re-initialized): a read of it waits for nothing.
     write_time: Vec<Vec<u64>>,
     /// Availability of each scalar's last completed reduction round.
     scalar_time: Vec<Option<u64>>,
@@ -129,10 +132,15 @@ struct Clock {
 
 impl Clock {
     fn new(program: &Program, costs: AccessCosts, n_pes: usize) -> Self {
+        let statics = StaticArrays::scan(program);
         let write_time = program
             .arrays
             .iter()
-            .map(|d| {
+            .enumerate()
+            .map(|(a, d)| {
+                if statics.is_total(ArrayId(a)) {
+                    return Vec::new();
+                }
                 let mut cells = vec![UNWRITTEN; d.len()];
                 cells[..d.init.defined_len(d.len())].fill(0);
                 cells
@@ -151,6 +159,7 @@ impl Clock {
     }
 
     /// Hold `pe` until `ready` (`None`: nothing will ever produce it).
+    #[inline]
     fn wait(&mut self, pe: usize, ready: Option<u64>) {
         match ready {
             Some(ready) if ready > self.clock[pe] => {
@@ -180,13 +189,17 @@ impl Clock {
 }
 
 impl Observer for Clock {
+    #[inline]
     fn read(&mut self, pe: usize, array: usize, addr: usize, kind: AccessKind, hops: u32) {
-        // The interpreter has just loaded the cell, so it is written.
-        let written = self.write_time[array][addr];
-        self.wait(pe, (written != UNWRITTEN).then_some(written));
+        // The interpreter has just loaded the cell, so it is written (a
+        // constant array's cells, at time 0: nothing to wait for).
+        if let Some(&written) = self.write_time[array].get(addr) {
+            self.wait(pe, (written != UNWRITTEN).then_some(written));
+        }
         self.clock[pe] += self.costs.of(kind, hops);
     }
 
+    #[inline]
     fn end(&mut self, pe: usize, effect: Effect, scalars: &[usize]) {
         for &s in scalars {
             self.wait(pe, self.scalar_time[s]);

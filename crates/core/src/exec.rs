@@ -11,7 +11,8 @@
 //! the global order preserves.
 
 use sa_ir::analysis::StaticArrays;
-use sa_ir::interp::{EvalCtx, Memory};
+use sa_ir::body::NestBody;
+use sa_ir::interp::{Memory, PageMemo};
 use sa_ir::nest::Stmt;
 use sa_ir::program::Phase;
 use sa_ir::{ArrayId, IrError, Program};
@@ -129,7 +130,17 @@ struct CountingMem<'m, O> {
 
 impl<O: Observer> Memory for CountingMem<'_, O> {
     fn load(&mut self, array: ArrayId, addr: usize) -> Result<f64, IrError> {
-        match self.machine.read(self.pe, array.0, addr) {
+        self.load_at(array, addr, &mut PageMemo::default())
+    }
+
+    #[inline]
+    fn load_at(
+        &mut self,
+        array: ArrayId,
+        addr: usize,
+        memo: &mut PageMemo,
+    ) -> Result<f64, IrError> {
+        match self.machine.read(self.pe, array.0, addr, memo) {
             Ok((v, kind, hops)) => {
                 self.obs.read(self.pe, array.0, addr, kind, hops);
                 Ok(v)
@@ -202,7 +213,7 @@ pub fn run<O: Observer>(
         cfg.n_pes,
     )
     .map_err(MachineError::BadConfig)?;
-    let mut ctx = EvalCtx::new(program);
+    let mut scalars = vec![0.0; program.scalars.len()];
 
     let mut per_nest: Vec<(String, Stats)> = Vec::new();
 
@@ -218,7 +229,7 @@ pub fn run<O: Observer>(
                 let mut took_part = vec![Vec::new(); nest.body.len()];
                 for (stmt, pes) in nest.body.iter().zip(&mut took_part) {
                     if let Stmt::Reduce { target, op, .. } = stmt {
-                        ctx.scalars[target.0] = op.identity();
+                        scalars[target.0] = op.identity();
                         *pes = vec![false; cfg.n_pes];
                     }
                 }
@@ -227,23 +238,56 @@ pub fn run<O: Observer>(
                     nest.body.iter().map(|s| s.value().scalar_reads()).collect();
 
                 let nest_idx = per_nest.len(); // one entry per nest so far
-                let mut g = 0u64; // iterations of this nest so far
-                nest.try_for_each_iteration(|ivs| {
-                    for (si, stmt) in nest.body.iter().enumerate() {
-                        // The executing PE (index screening), with the
-                        // machine's omniscient peek as the (uncounted)
-                        // resolver of indirect anchors.
-                        let mut peek = PeekMem { machine: &machine };
-                        let pe = schedule.owner(nest_idx, si, g, ivs, &mut peek)?;
-                        let scalars = &scalars_read[si];
-                        exec_stmt(stmt, ivs, pe, scalars, &mut machine, &mut ctx, obs)?;
-                        if let Stmt::Reduce { .. } = stmt {
-                            took_part[si][pe] = true;
+                let ns = schedule.nest(nest_idx);
+                let body = NestBody::compile(program, nest);
+                let mut frame = body.frame();
+                // The one instance loop: every sweep's trips in order, every
+                // statement of a trip in body order.
+                for (i, sweep) in ns.sweeps.iter().enumerate() {
+                    body.enter(&mut frame, &ns.sweep(i));
+                    for t in 0..sweep.trips as i64 {
+                        let g = sweep.first + t as u64; // iterations of this nest so far
+                        for (si, stmt) in nest.body.iter().enumerate() {
+                            // The executing PE (index screening), with the
+                            // machine's omniscient peek as the (uncounted)
+                            // resolver of indirect anchors.
+                            let anchor = body.anchor(si);
+                            let addr = match anchor {
+                                Some(site) => {
+                                    let mut peek = PeekMem { machine: &machine };
+                                    Some(body.addr(site, t, &mut frame, &mut peek)?)
+                                }
+                                None => None,
+                            };
+                            let memo = anchor.map(|site| body.memo(&mut frame, site));
+                            let pe = schedule.owner_at(nest_idx, si, g, addr.zip(memo));
+                            let mut mem = CountingMem {
+                                machine: &mut machine,
+                                pe,
+                                obs: &mut *obs,
+                            };
+                            let v = body.value(si, t, &mut frame, &scalars, &mut mem)?;
+                            let effect = match stmt {
+                                Stmt::Assign { .. } => {
+                                    let site = body.target(si).expect("an assignment's target");
+                                    let addr = body.addr(site, t, &mut frame, &mut mem)?;
+                                    let array = body.array(site).0;
+                                    let memo = body.memo(&mut frame, site);
+                                    machine
+                                        .write(pe, array, addr, v, memo)
+                                        .map_err(|e| write_failed(program, e))?;
+                                    Effect::Wrote { array, addr }
+                                }
+                                Stmt::Reduce { target, op, .. } => {
+                                    scalars[target.0] = op.combine(scalars[target.0], v);
+                                    took_part[si][pe] = true;
+                                    Effect::Reduced { scalar: target.0 }
+                                }
+                            };
+                            obs.end(pe, effect, &scalars_read[si]);
                         }
                     }
-                    g += 1;
-                    Ok::<(), SimError>(())
-                })?;
+                }
 
                 // Vector→scalar collection (paper §9): each participating PE
                 // ships its partial result to the scalar's host processor,
@@ -265,7 +309,6 @@ pub fn run<O: Observer>(
         }
     }
 
-    let scalars = ctx.scalars.clone();
     let (stats, network, arrays) = machine.finish();
     Ok(SimReport {
         stats,
@@ -278,49 +321,22 @@ pub fn run<O: Observer>(
     })
 }
 
-/// Execute one statement instance on `pe`, the PE screening gave it, whose
-/// value reads the reduction results `scalars`.
-fn exec_stmt<O: Observer>(
-    stmt: &Stmt,
-    ivs: &[i64],
-    pe: usize,
-    scalars: &[usize],
-    machine: &mut DistributedMachine,
-    ctx: &mut EvalCtx<'_>,
-    obs: &mut O,
-) -> Result<(), SimError> {
-    let mut mem = CountingMem { machine, pe, obs };
-    match stmt {
-        Stmt::Assign { target, value } => {
-            let v = ctx.eval(value, ivs, &mut mem)?;
-            let addr = ctx.resolve_addr(target, ivs, &mut mem)?;
-            if let Err(e) = machine.write(pe, target.array.0, addr, v) {
-                // A dynamically trapped double write must be visible to
-                // the static verifier too (an SA001/SA002 error, or an
-                // SA003 undecidable-scatter warning); a miss here is a
-                // lint soundness bug, caught in debug builds only.
-                #[cfg(debug_assertions)]
-                if matches!(e, MachineError::DoubleWrite { .. }) {
-                    debug_assert!(
-                        !sa_lint::check_write_once(ctx.program)
-                            .diagnostics
-                            .is_empty(),
-                        "interpreter trapped a double write the static \
-                         write-once verifier did not flag: {e}"
-                    );
-                }
-                return Err(e.into());
-            }
-            let array = target.array.0;
-            obs.end(pe, Effect::Wrote { array, addr }, scalars);
-        }
-        Stmt::Reduce { target, op, value } => {
-            let v = ctx.eval(value, ivs, &mut mem)?;
-            ctx.scalars[target.0] = op.combine(ctx.scalars[target.0], v);
-            obs.end(pe, Effect::Reduced { scalar: target.0 }, scalars);
-        }
+/// The error of a write the machine refused.
+#[cfg_attr(not(debug_assertions), allow(unused_variables))]
+fn write_failed(program: &Program, e: MachineError) -> SimError {
+    // A dynamically trapped double write must be visible to the static
+    // verifier too (an SA001/SA002 error, or an SA003 undecidable-scatter
+    // warning); a miss here is a lint soundness bug, caught in debug builds
+    // only.
+    #[cfg(debug_assertions)]
+    if matches!(e, MachineError::DoubleWrite { .. }) {
+        debug_assert!(
+            !sa_lint::check_write_once(program).diagnostics.is_empty(),
+            "interpreter trapped a double write the static write-once \
+             verifier did not flag: {e}"
+        );
     }
-    Ok(())
+    e.into()
 }
 
 fn subtract_stats(s: &mut Stats, before: &Stats) {

@@ -11,13 +11,19 @@
 //! the early-exit of a sequential `?` loop.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Number of worker threads to use for `n_items` independent tasks:
-/// available hardware parallelism, capped by the item count.
+/// available hardware parallelism, capped by the item count. The
+/// parallelism is read once per process: asking the OS reads cgroup quota
+/// files every time, and a search calls this once per candidate.
 pub fn default_workers(n_items: usize) -> usize {
-    let hw = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    static HW: OnceLock<usize> = OnceLock::new();
+    let hw = *HW.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    });
     hw.min(n_items).max(1)
 }
 

@@ -31,7 +31,9 @@
 //!   remote classification, LRU/FIFO/Random evictions included.
 //! * **Additive accounting** — network messages, hops and per-link loads
 //!   are sums over fetch events, so per-PE shards merge
-//!   ([`Network::merge`]) into exactly the totals of a sequential pass.
+//!   ([`Network::merge`]) into exactly the totals of a sequential pass,
+//!   and a shard adds its fetches up per owner and prices each owner's
+//!   once, when it ends.
 //! * **Translation invariance** — without a cache every counter is a sum
 //!   over trips of a function of two things, the owner of the anchor's page
 //!   and the owner of each read's page, and translating every reference of
@@ -535,6 +537,9 @@ struct Worker<'a> {
     /// only policy replay supports), so residency is all a probe asks.
     cache: PolicyCache<()>,
     net: Network,
+    /// Page fetches charged so far, per owner: priced on `net` once per
+    /// owner when the shard ends (pricing is linear in the count).
+    fetches: Vec<u64>,
     gens: Vec<u32>,
     cur: NestTally,
     /// How many stretches of the nest the one being replayed stands for
@@ -572,6 +577,7 @@ impl<'a> Worker<'a> {
             lru: cfg.cache_policy == sa_machine::CachePolicy::Lru,
             cache: PolicyCache::new(cfg.cache_pages(), cfg.cache_policy),
             net: Network::new(cfg.network, cfg.n_pes),
+            fetches: vec![0; cfg.n_pes],
             gens: vec![0; cp.index_values.len()],
             cur: NestTally::default(),
             times: 1,
@@ -602,6 +608,11 @@ impl<'a> Worker<'a> {
                     self.replay_nest(nest_tallies.len());
                     nest_tallies.push(self.cur);
                 }
+            }
+        }
+        for (owner, &count) in self.fetches.iter().enumerate() {
+            if count > 0 {
+                self.net.record_fetches(self.pe, owner, count);
             }
         }
         Shard {
@@ -646,7 +657,7 @@ impl<'a> Worker<'a> {
     /// Charge `count` remote reads of a page `owner` holds, each a fetch.
     fn charge_fetches(&mut self, owner: usize, count: u64) {
         let count = count * self.times;
-        self.net.record_fetches(self.pe, owner, count);
+        self.fetches[owner] += count;
         self.cur.remote += count;
         self.cur.page_fetches += count;
     }
@@ -667,7 +678,7 @@ impl<'a> Worker<'a> {
                 ReadAccess::Affine { array } => self.charge_read(*array, next()),
                 ReadAccess::Gather(g) => {
                     // Index loads charge in dimension order, then the
-                    // element — exactly `EvalCtx::resolve_addr` + `load`.
+                    // element — exactly a compiled body's (`sa_ir::body`).
                     let mut addr = 0i64;
                     for (dim, stride) in g.dims.iter().zip(&g.strides) {
                         let idx = match dim {

@@ -415,9 +415,13 @@ impl<'p> StaticArrays<'p> {
     /// The values of `a` if it is declared constant in every cell
     /// ([`ArrayInit::Full`], never written, never re-initialized).
     pub fn total(&self, a: ArrayId) -> Option<&[f64]> {
-        matches!(self.program.array(a).init, ArrayInit::Full(_))
-            .then(|| self.get(a))
-            .flatten()
+        self.is_total(a).then(|| self.get(a)).flatten()
+    }
+
+    /// Whether every cell of `a` is a constant ([`StaticArrays::total`]
+    /// without materializing the values).
+    pub fn is_total(&self, a: ArrayId) -> bool {
+        self.constant[a.0] && matches!(self.program.array(a).init, ArrayInit::Full(_))
     }
 }
 

@@ -22,6 +22,7 @@ pub enum BinOp {
 
 impl BinOp {
     /// Apply the operator.
+    #[inline]
     pub fn apply(self, a: f64, b: f64) -> f64 {
         match self {
             BinOp::Add => a + b,
@@ -51,6 +52,7 @@ pub enum UnaryOp {
 
 impl UnaryOp {
     /// Apply the operator.
+    #[inline]
     pub fn apply(self, a: f64) -> f64 {
         match self {
             UnaryOp::Neg => -a,
@@ -87,6 +89,7 @@ impl ReduceOp {
     }
 
     /// Combine an accumulator with a new value.
+    #[inline]
     pub fn combine(self, acc: f64, v: f64) -> f64 {
         match self {
             ReduceOp::Sum => acc + v,

@@ -3,13 +3,16 @@
 //! The interpreter executes a [`Program`] in plain sequential order on
 //! single-assignment arrays, producing the *golden* results every
 //! distributed execution (simulated or real-thread) must match bit-for-bit.
-//! The [`Memory`] trait and [`EvalCtx`] are shared with those executors so
-//! that index resolution (including gather reads, which count as array
-//! accesses!) and expression evaluation are literally the same code.
+//! It evaluates through [`crate::body`], the compiled statement bodies the
+//! simulator and the thread runtime run too, and the [`Memory`] trait is
+//! the seam where each executor decides what a load costs — so index
+//! resolution (including gather reads, which count as array accesses!)
+//! and expression evaluation are literally the same code everywhere.
 
+pub use sa_mem::PageMemo;
 use sa_mem::SaArray;
 
-use crate::expr::Expr;
+use crate::body::NestBody;
 use crate::index::IndexExpr;
 use crate::nest::{ArrayRef, Stmt};
 use crate::program::{Phase, Program};
@@ -23,111 +26,75 @@ use crate::{ArrayId, IrError};
 pub trait Memory {
     /// Read linear element `addr` of `array`.
     fn load(&mut self, array: ArrayId, addr: usize) -> Result<f64, IrError>;
-}
 
-/// Shared evaluation context: program + parameter/scalar snapshots.
-pub struct EvalCtx<'p> {
-    /// The program being evaluated.
-    pub program: &'p Program,
-    /// Parameter values (`ParamId` indexes).
-    pub params: Vec<f64>,
-    /// Current reduction-slot values (`ScalarId` indexes).
-    pub scalars: Vec<f64>,
-}
-
-impl<'p> EvalCtx<'p> {
-    /// Fresh context with parameters from the program and scalar slots at
-    /// their default (0; reductions overwrite with the op identity first).
-    pub fn new(program: &'p Program) -> Self {
-        EvalCtx {
-            program,
-            params: program.params.iter().map(|&(_, v)| v).collect(),
-            scalars: vec![0.0; program.scalars.len()],
-        }
-    }
-
-    /// Resolve an [`ArrayRef`] to a linear address at iteration `ivs`.
-    ///
-    /// Indirect indices read their base array through `mem`, so gather
-    /// address loads are visible to access accounting exactly as the paper's
-    /// "permutation lookups" would be.
-    pub fn resolve_addr(
-        &self,
-        aref: &ArrayRef,
-        ivs: &[i64],
-        mem: &mut impl Memory,
-    ) -> Result<usize, IrError> {
-        resolve_ref_addr(self.program, aref, ivs, mem)
-    }
-
-    /// Evaluate an expression at iteration `ivs`, loading elements via `mem`.
-    pub fn eval(&self, expr: &Expr, ivs: &[i64], mem: &mut impl Memory) -> Result<f64, IrError> {
-        Ok(match expr {
-            Expr::Const(c) => *c,
-            Expr::Param(p) => self.params[p.0],
-            Expr::Scalar(s) => self.scalars[s.0],
-            Expr::LoopVar(v) => ivs[*v] as f64,
-            Expr::Read(r) => {
-                let addr = self.resolve_addr(r, ivs, mem)?;
-                mem.load(r.array, addr)?
-            }
-            Expr::Unary(op, a) => op.apply(self.eval(a, ivs, mem)?),
-            Expr::Binary(op, a, b) => {
-                let va = self.eval(a, ivs, mem)?;
-                let vb = self.eval(b, ivs, mem)?;
-                op.apply(va, vb)
-            }
-        })
+    /// [`Memory::load`] from an access site that remembers, in `memo`,
+    /// what this memory last told it about a page (its owner, its frame).
+    /// A memory that places pages looks a page up once per run of
+    /// accesses to it; the default has nothing to remember.
+    #[inline]
+    fn load_at(
+        &mut self,
+        array: ArrayId,
+        addr: usize,
+        memo: &mut PageMemo,
+    ) -> Result<f64, IrError> {
+        let _ = memo;
+        self.load(array, addr)
     }
 }
 
 /// Resolve an [`ArrayRef`] to a linear address at iteration `ivs`, loading
 /// indirect index cells through `mem`.
 ///
-/// This is the one address-resolution routine in the system: the reference
-/// interpreter, the counting simulator and the thread runtime all call it
-/// (directly or via [`EvalCtx::resolve_addr`]), so a gather subscript can
-/// never resolve differently between executors. Ownership screening reuses
-/// it too — `sa_lint::screening::Schedule::owner` takes a
-/// non-counting `mem` to discover where an indirect anchor lands.
+/// These are the resolution rules of the system: the compiled statement
+/// bodies the interpreter, the counting simulator and the thread runtime
+/// run ([`crate::body`]) resolve gathers and rank mismatches through the
+/// same `fold_address` and `gather_index`, and check an affine
+/// reference's dimensions in the same order, so a subscript can never
+/// resolve differently between executors. Ownership screening calls it
+/// directly — `sa_lint::screening::Schedule::owner` takes a non-counting
+/// `mem` to discover where an indirect anchor lands.
 pub fn resolve_ref_addr(
     program: &Program,
     aref: &ArrayRef,
     ivs: &[i64],
     mem: &mut impl Memory,
 ) -> Result<usize, IrError> {
-    let decl = program.array(aref.array);
-    // Row-major linearization folded in as each index resolves (this runs
-    // once per reference per statement instance: no scratch vector). The
-    // first bounds failure is held back until every index has resolved, so
-    // all index loads still happen — and are counted — before the
-    // reference's own bounds are judged, as `ArrayDecl::linearize` after a
-    // full resolution pass would.
-    let mut addr = 0usize;
-    let mut out_of_bounds = None;
-    for (d, ix) in aref.indices.iter().enumerate() {
-        let i = match ix {
-            IndexExpr::Affine(a) => a.eval(ivs),
+    fold_address(program, aref.array, aref.indices.len(), |d| {
+        match &aref.indices[d] {
+            IndexExpr::Affine(a) => Ok(a.eval(ivs)),
             IndexExpr::Indirect {
                 base,
                 pos,
                 scale,
                 offset,
-            } => {
-                let base_decl = program.array(*base);
-                let p = pos.eval(ivs);
-                if p < 0 || p as usize >= base_decl.len() {
-                    return Err(IrError::IndexOutOfBounds {
-                        array: base_decl.name.clone(),
-                        dim: 0,
-                        index: p,
-                        extent: base_decl.len(),
-                    });
-                }
-                let fetched = mem.load(*base, p as usize)?;
-                scale * (fetched as i64) + offset
-            }
-        };
+            } => gather_index(program, *base, pos.eval(ivs), *scale, *offset, |p| {
+                mem.load(*base, p)
+            }),
+        }
+    })
+}
+
+/// Fold the `n` indices `index(0), index(1), …` of a reference to `array`
+/// into a row-major linear address.
+///
+/// The first bounds failure is held back until every index has resolved,
+/// so all index loads still happen — and are counted — before the
+/// reference's own bounds are judged, as `ArrayDecl::linearize` after a
+/// full resolution pass would; a rank mismatch is reported after the
+/// loads too, ahead of any bounds failure.
+#[inline]
+pub(crate) fn fold_address(
+    program: &Program,
+    array: ArrayId,
+    n: usize,
+    mut index: impl FnMut(usize) -> Result<i64, IrError>,
+) -> Result<usize, IrError> {
+    let decl = program.array(array);
+    let mut addr = 0usize;
+    let mut out_of_bounds = None;
+    for d in 0..n {
+        let i = index(d)?;
         let Some(&extent) = decl.dims.get(d) else {
             continue; // more indices than dimensions: a rank mismatch below
         };
@@ -137,10 +104,10 @@ pub fn resolve_ref_addr(
             addr = addr * extent + i as usize;
         }
     }
-    if aref.indices.len() != decl.dims.len() {
+    if n != decl.dims.len() {
         return Err(IrError::RankMismatch {
             array: decl.name.clone(),
-            got: aref.indices.len(),
+            got: n,
             want: decl.dims.len(),
         });
     }
@@ -153,6 +120,29 @@ pub fn resolve_ref_addr(
         }),
         None => Ok(addr),
     }
+}
+
+/// The index a gather `scale * base[pos] + offset` yields, loading
+/// `base[pos]` through `load` once `pos` is inside `base`.
+#[inline]
+pub(crate) fn gather_index(
+    program: &Program,
+    base: ArrayId,
+    pos: i64,
+    scale: i64,
+    offset: i64,
+    load: impl FnOnce(usize) -> Result<f64, IrError>,
+) -> Result<i64, IrError> {
+    let base_decl = program.array(base);
+    if pos < 0 || pos as usize >= base_decl.len() {
+        return Err(IrError::IndexOutOfBounds {
+            array: base_decl.name.clone(),
+            dim: 0,
+            index: pos,
+            extent: base_decl.len(),
+        });
+    }
+    Ok(scale * (load(pos as usize)? as i64) + offset)
 }
 
 /// Final state of a program run.
@@ -256,15 +246,7 @@ pub fn initial_stores(program: &Program) -> Vec<SaArray<f64>> {
     program
         .arrays
         .iter()
-        .map(|d| {
-            let total = d.len();
-            let seed = d.init.materialize(total);
-            let mut a = SaArray::new(d.name.clone(), total);
-            for (i, v) in seed.into_iter().enumerate() {
-                a.write(i, v).expect("fresh store accepts initial writes");
-            }
-            a
-        })
+        .map(|d| SaArray::with_prefix(d.name.clone(), d.len(), d.init.materialize(d.len())))
         .collect()
 }
 
@@ -274,7 +256,7 @@ pub fn initial_stores(program: &Program) -> Vec<SaArray<f64>> {
 /// Errors surface the first semantic violation: double write, read of a
 /// never-defined cell, or an out-of-bounds index.
 pub fn interpret(program: &Program) -> Result<ProgramResult, IrError> {
-    let mut ctx = EvalCtx::new(program);
+    let mut scalars = vec![0.0; program.scalars.len()];
     let mut mem = SeqMemory {
         arrays: initial_stores(program),
         reads: 0,
@@ -290,25 +272,30 @@ pub fn interpret(program: &Program) -> Result<ProgramResult, IrError> {
                 // Seed reductions with their identities before the nest runs.
                 for stmt in &nest.body {
                     if let Stmt::Reduce { target, op, .. } = stmt {
-                        ctx.scalars[target.0] = op.identity();
+                        scalars[target.0] = op.identity();
                     }
                 }
-                nest.try_for_each_iteration(|ivs| {
-                    for stmt in &nest.body {
-                        match stmt {
-                            Stmt::Assign { target, value } => {
-                                let v = ctx.eval(value, ivs, &mut mem)?;
-                                let addr = ctx.resolve_addr(target, ivs, &mut mem)?;
-                                let store = &mut mem.arrays[target.array.0];
-                                store.write(addr, v).map_err(|_| IrError::DoubleWrite {
-                                    array: store.name().to_string(),
-                                    addr,
-                                })?;
-                                writes += 1;
-                            }
-                            Stmt::Reduce { target, op, value } => {
-                                let v = ctx.eval(value, ivs, &mut mem)?;
-                                ctx.scalars[target.0] = op.combine(ctx.scalars[target.0], v);
+                let body = NestBody::compile(program, nest);
+                let mut frame = body.frame();
+                nest.try_for_each_sweep(|sweep| {
+                    body.enter(&mut frame, sweep);
+                    for t in 0..sweep.trips as i64 {
+                        for (si, stmt) in nest.body.iter().enumerate() {
+                            let v = body.value(si, t, &mut frame, &scalars, &mut mem)?;
+                            match stmt {
+                                Stmt::Assign { .. } => {
+                                    let site = body.target(si).expect("an assignment's target");
+                                    let addr = body.addr(site, t, &mut frame, &mut mem)?;
+                                    let store = &mut mem.arrays[body.array(site).0];
+                                    store.write(addr, v).map_err(|_| IrError::DoubleWrite {
+                                        array: store.name().to_string(),
+                                        addr,
+                                    })?;
+                                    writes += 1;
+                                }
+                                Stmt::Reduce { target, op, .. } => {
+                                    scalars[target.0] = op.combine(scalars[target.0], v);
+                                }
                             }
                         }
                     }
@@ -320,7 +307,7 @@ pub fn interpret(program: &Program) -> Result<ProgramResult, IrError> {
 
     Ok(ProgramResult {
         arrays: mem.arrays,
-        scalars: ctx.scalars,
+        scalars,
         writes,
         reads: mem.reads,
     })

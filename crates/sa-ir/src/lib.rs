@@ -5,6 +5,8 @@
 //! that the *same* program object can be
 //!
 //! 1. interpreted sequentially ([`interp`]) to produce golden results,
+//!    through the compiled statement bodies every executor runs
+//!    ([`body`]),
 //! 2. statically analysed ([`analysis`]) into the paper's four
 //!    access-distribution classes (Matched / Skewed / Cyclic / Random),
 //! 3. automatically converted to single-assignment form ([`ssa`]) — the
@@ -20,6 +22,7 @@
 
 pub mod access;
 pub mod analysis;
+pub mod body;
 pub mod builder;
 pub mod expr;
 pub mod grid;

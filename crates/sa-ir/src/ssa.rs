@@ -25,7 +25,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use crate::expr::Expr;
 use crate::index::IndexExpr;
-use crate::interp::{interpret, EvalCtx};
+use crate::interp::interpret;
 use crate::nest::{ArrayRef, Stmt};
 use crate::program::{ArrayDecl, ArrayInit, Phase, Program};
 use crate::{ArrayId, IrError};
@@ -141,6 +141,25 @@ struct VonNeumannStore {
     /// Addresses written in the current version, to detect multi-writes.
     written_in_version: Vec<BTreeSet<usize>>,
     current_version: Vec<usize>,
+}
+
+/// The trace's evaluation context: program + parameter/scalar snapshots.
+struct EvalCtx<'p> {
+    program: &'p Program,
+    /// Parameter values (`ParamId` indexes).
+    params: Vec<f64>,
+    /// Current reduction-slot values (`ScalarId` indexes).
+    scalars: Vec<f64>,
+}
+
+impl<'p> EvalCtx<'p> {
+    fn new(program: &'p Program) -> Self {
+        EvalCtx {
+            program,
+            params: program.params.iter().map(|&(_, v)| v).collect(),
+            scalars: vec![0.0; program.scalars.len()],
+        }
+    }
 }
 
 fn run_trace(program: &Program) -> Result<Trace, SsaError> {

@@ -11,9 +11,10 @@
 //! every engine and every static pass reads screening from. It answers:
 //!
 //! 1. **the owner of one instance** ([`Schedule::owner`]) — what the
-//!    counting interpreter (`sa_core::exec`, the per-instance reference the
-//!    others are certified against), the enumerating lint passes and a
-//!    thread-engine PE resolving a produced anchor ask;
+//!    enumerating lint passes ask, and, for an anchor address a compiled
+//!    statement body resolved ([`Schedule::owner_at`]), the counting
+//!    interpreter (`sa_core::exec`, the per-instance reference the others
+//!    are certified against);
 //! 2. **a PE's owned segments of every statement of a sweep, and the
 //!    interleaved windows over their union** ([`Schedule::load_sweep`],
 //!    [`Windows`]) — what a replay shard and a thread-engine PE task walk;
@@ -108,7 +109,7 @@ use sa_ir::access::{Line, Sweep};
 use sa_ir::analysis::{
     anchor_ref, linear_address_form, screen_nests, NestScreen, Screen, StaticArrays,
 };
-use sa_ir::interp::{resolve_ref_addr, Memory};
+use sa_ir::interp::{resolve_ref_addr, Memory, PageMemo};
 use sa_ir::nest::{ArrayRef, LoopNest, Stmt};
 use sa_ir::{ArrayId, IrError, LinForm, Program, ReduceOp};
 use sa_machine::partition::{gcd, lcm};
@@ -502,10 +503,7 @@ impl<'p> Schedule<'p> {
     ) -> Result<usize, IrError> {
         let ns = &self.nests[nest];
         let Some(anchor) = ns.anchors[stmt] else {
-            let Screen::RoundRobin { slot } = ns.screen.screens[stmt] else {
-                unreachable!("only anchorless statements are dealt round-robin");
-            };
-            return Ok(ns.screen.deal(slot, g, self.n_pes));
+            return Ok(self.dealt(nest, stmt, g));
         };
         let placement = &self.placements[anchor.array.0];
         if let Some(addr) = self.affine_addr(anchor, ivs) {
@@ -513,6 +511,35 @@ impl<'p> Schedule<'p> {
         }
         let addr = resolve_ref_addr(self.program, anchor, ivs, resolve)?;
         Ok(placement.owner_of_addr(addr))
+    }
+
+    /// [`Schedule::owner`] for an executor that resolved the anchor itself
+    /// (a compiled statement body, `sa_ir::body`): the owner of the page
+    /// holding the anchor's address, asked of the placement once per page
+    /// run through the anchor's `memo` (`Placement::owner_at`), or, for a
+    /// statement without an anchor (`None`), its turn in the deal.
+    #[inline]
+    pub fn owner_at(
+        &self,
+        nest: usize,
+        stmt: usize,
+        g: u64,
+        anchor: Option<(usize, &mut PageMemo)>,
+    ) -> usize {
+        match (self.nests[nest].anchors[stmt], anchor) {
+            (Some(a), Some((addr, memo))) => self.placements[a.array.0].owner_at(addr, memo),
+            _ => self.dealt(nest, stmt, g),
+        }
+    }
+
+    /// The PE the round-robin deal gives anchorless statement `stmt` at
+    /// iteration `g` of nest `nest`.
+    fn dealt(&self, nest: usize, stmt: usize, g: u64) -> usize {
+        let ns = &self.nests[nest];
+        let Screen::RoundRobin { slot } = ns.screen.screens[stmt] else {
+            unreachable!("only anchorless statements are dealt round-robin");
+        };
+        ns.screen.deal(slot, g, self.n_pes)
     }
 
     /// The address an all-affine, in-bounds reference names at `ivs`: the

@@ -1,12 +1,11 @@
 //! The distributed machine: ownership-checked writes, classified reads.
 
-use sa_mem::{SaArray, TagBits};
+use sa_mem::{PageMemo, SaArray, TagBits};
 
 use crate::cache::{CacheOutcome, PageCache, PageKey};
 use crate::config::{MachineConfig, PartialPagePolicy};
 use crate::host::{run_reinit_protocol, ReinitSync};
 use crate::network::Network;
-use crate::partition::page_of;
 use crate::placement::Placement;
 use crate::stats::{AccessKind, Stats};
 
@@ -135,6 +134,9 @@ pub struct DistributedMachine {
     cfg: MachineConfig,
     arrays: Vec<SaArray<f64>>,
     placements: Vec<Placement>,
+    /// Per array and page, the owning PE: a page run's first access reads
+    /// it here instead of working it out from the placement.
+    owners: Vec<Vec<u32>>,
     caches: Vec<PageCache>,
     stats: Stats,
     network: Network,
@@ -152,16 +154,18 @@ impl DistributedMachine {
         .map_err(MachineError::BadConfig)?;
         let arrays = specs
             .into_iter()
-            .map(|s| {
-                let mut a = SaArray::new(s.name, s.len);
-                for (i, v) in s.init.into_iter().enumerate() {
-                    a.write(i, v).expect("fresh array accepts init writes");
-                }
-                a
-            })
+            .map(|s| SaArray::with_prefix(s.name, s.len, s.init))
             .collect();
         let caches = (0..cfg.n_pes)
             .map(|_| PageCache::new(cfg.cache_pages(), cfg.cache_policy))
+            .collect();
+        let owners = placements
+            .iter()
+            .map(|p| {
+                (0..p.pages())
+                    .map(|page| p.page_owner(page) as u32)
+                    .collect()
+            })
             .collect();
         Ok(DistributedMachine {
             stats: Stats::new(cfg.n_pes),
@@ -169,6 +173,7 @@ impl DistributedMachine {
             cfg,
             arrays,
             placements,
+            owners,
             caches,
         })
     }
@@ -188,19 +193,35 @@ impl DistributedMachine {
         self.placements[a].owner_of_addr(addr)
     }
 
+    /// Owning PE of `addr` in array `a`, for an access site that
+    /// remembers its last page and that page's owner in `memo`: the owner
+    /// table is read once per page run.
+    #[inline]
+    fn owner_at(&self, a: usize, addr: usize, memo: &mut PageMemo) -> usize {
+        if !memo.holds(addr) {
+            let ps = self.cfg.page_size;
+            let page = memo.page_of(addr, ps);
+            memo.remember(page, ps, self.owners[a][page] as usize, 0);
+        }
+        memo.owner
+    }
+
     /// Current generation of array `a`.
     pub fn generation(&self, a: usize) -> u32 {
         self.arrays[a].generation()
     }
 
-    /// Producer write by `pe`. Enforces owner-computes and single
+    /// Producer write by `pe`, from an access site that remembers its last
+    /// page's owner in `memo`. Enforces owner-computes and single
     /// assignment; counts as a (local) write.
+    #[inline]
     pub fn write(
         &mut self,
         pe: usize,
         a: usize,
         addr: usize,
         value: f64,
+        memo: &mut PageMemo,
     ) -> Result<(), MachineError> {
         let arr = &self.arrays[a];
         if addr >= arr.len() {
@@ -210,7 +231,7 @@ impl DistributedMachine {
                 len: arr.len(),
             });
         }
-        let owner = self.owner_of(a, addr);
+        let owner = self.owner_at(a, addr, memo);
         if owner != pe {
             return Err(MachineError::RemoteWrite {
                 pe,
@@ -229,44 +250,46 @@ impl DistributedMachine {
         Ok(())
     }
 
-    /// Classified read by `pe`: returns the value, the access kind, and the
-    /// one-way hop count (0 unless remote).
+    /// Classified read by `pe`, from an access site that remembers its last
+    /// page and that page's owner in `memo`: returns the value, the access
+    /// kind, and the one-way hop count (0 unless remote).
+    #[inline]
     pub fn read(
         &mut self,
         pe: usize,
         a: usize,
         addr: usize,
+        memo: &mut PageMemo,
     ) -> Result<(f64, AccessKind, u32), MachineError> {
         let arr = &self.arrays[a];
-        let len = arr.len();
-        if addr >= len {
-            return Err(MachineError::OutOfBounds {
-                array: arr.name().to_string(),
-                addr,
-                len,
-            });
-        }
         let value = match arr.read(addr) {
             Ok(Some(v)) => *v,
-            _ => {
+            Ok(None) => {
                 return Err(MachineError::ReadUndefined {
                     array: arr.name().to_string(),
                     addr,
                 })
             }
+            Err(_) => {
+                return Err(MachineError::OutOfBounds {
+                    array: arr.name().to_string(),
+                    addr,
+                    len: arr.len(),
+                })
+            }
         };
-        let owner = self.owner_of(a, addr);
+        let owner = self.owner_at(a, addr, memo);
         if owner == pe {
             self.stats.record(pe, AccessKind::LocalRead);
             return Ok((value, AccessKind::LocalRead, 0));
         }
-        let page = page_of(addr, self.cfg.page_size);
+        let page = memo.page;
         let key = PageKey {
             array: a,
             page,
             generation: self.arrays[a].generation(),
         };
-        let offset = addr - page * self.cfg.page_size;
+        let offset = memo.offset(addr);
         if self.cfg.cache_enabled() {
             match self.caches[pe].probe(key, offset, self.cfg.partial_pages) {
                 CacheOutcome::Hit => {
@@ -404,8 +427,10 @@ mod tests {
     #[test]
     fn owner_computes_is_enforced() {
         let mut m = machine(MachineConfig::new(4, 32));
-        m.write(0, 0, 5, 1.0).unwrap();
-        let err = m.write(0, 0, 40, 1.0).unwrap_err();
+        m.write(0, 0, 5, 1.0, &mut PageMemo::default()).unwrap();
+        let err = m
+            .write(0, 0, 40, 1.0, &mut PageMemo::default())
+            .unwrap_err();
         assert!(matches!(
             err,
             MachineError::RemoteWrite {
@@ -420,9 +445,9 @@ mod tests {
     #[test]
     fn double_write_is_reported() {
         let mut m = machine(MachineConfig::new(4, 32));
-        m.write(0, 0, 5, 1.0).unwrap();
+        m.write(0, 0, 5, 1.0, &mut PageMemo::default()).unwrap();
         assert!(matches!(
-            m.write(0, 0, 5, 2.0),
+            m.write(0, 0, 5, 2.0, &mut PageMemo::default()),
             Err(MachineError::DoubleWrite { addr: 5, .. })
         ));
     }
@@ -430,7 +455,7 @@ mod tests {
     #[test]
     fn local_read_is_free_of_network() {
         let mut m = machine(MachineConfig::new(4, 32));
-        let (v, kind, hops) = m.read(0, 1, 10).unwrap(); // B(10) owned by PE 0
+        let (v, kind, hops) = m.read(0, 1, 10, &mut PageMemo::default()).unwrap(); // B(10) owned by PE 0
         assert_eq!(v, 10.0);
         assert_eq!(kind, AccessKind::LocalRead);
         assert_eq!(hops, 0);
@@ -441,14 +466,14 @@ mod tests {
     fn remote_then_cached_read_flow() {
         let mut m = machine(MachineConfig::new(4, 32));
         // B(40) is on page 1 → PE 1. PE 0 reads it twice.
-        let (_, k1, _) = m.read(0, 1, 40).unwrap();
+        let (_, k1, _) = m.read(0, 1, 40, &mut PageMemo::default()).unwrap();
         assert_eq!(k1, AccessKind::RemoteRead);
-        let (_, k2, _) = m.read(0, 1, 41).unwrap();
+        let (_, k2, _) = m.read(0, 1, 41, &mut PageMemo::default()).unwrap();
         assert_eq!(k2, AccessKind::CachedRead, "same page must now be cached");
         assert_eq!(m.network().messages, 2); // one request + one reply
         assert_eq!(m.stats().page_fetches, 1);
         // Another PE has its own (cold) cache.
-        let (_, k3, _) = m.read(2, 1, 40).unwrap();
+        let (_, k3, _) = m.read(2, 1, 40, &mut PageMemo::default()).unwrap();
         assert_eq!(k3, AccessKind::RemoteRead);
     }
 
@@ -456,7 +481,7 @@ mod tests {
     fn no_cache_config_always_goes_remote() {
         let mut m = machine(MachineConfig::new(4, 32).with_cache_elems(0));
         for _ in 0..3 {
-            let (_, k, _) = m.read(0, 1, 40).unwrap();
+            let (_, k, _) = m.read(0, 1, 40, &mut PageMemo::default()).unwrap();
             assert_eq!(k, AccessKind::RemoteRead);
         }
         assert_eq!(m.stats().remote_reads(), 3);
@@ -467,11 +492,11 @@ mod tests {
     fn read_undefined_is_an_error() {
         let mut m = machine(MachineConfig::new(4, 32));
         assert!(matches!(
-            m.read(0, 0, 3),
+            m.read(0, 0, 3, &mut PageMemo::default()),
             Err(MachineError::ReadUndefined { .. })
         ));
         assert!(matches!(
-            m.read(0, 0, 1000),
+            m.read(0, 0, 1000, &mut PageMemo::default()),
             Err(MachineError::OutOfBounds { .. })
         ));
     }
@@ -481,30 +506,42 @@ mod tests {
         let cfg = MachineConfig::new(2, 4).with_partial_pages(PartialPagePolicy::Refetch);
         let mut m = DistributedMachine::new(cfg, vec![spec("A", 16, vec![])]).unwrap();
         // Page 1 (addrs 4..8) owned by PE 1. PE 1 fills only addr 4.
-        m.write(1, 0, 4, 1.0).unwrap();
+        m.write(1, 0, 4, 1.0, &mut PageMemo::default()).unwrap();
         // PE 0 fetches the partial page reading addr 4.
-        let (_, k, _) = m.read(0, 0, 4).unwrap();
+        let (_, k, _) = m.read(0, 0, 4, &mut PageMemo::default()).unwrap();
         assert_eq!(k, AccessKind::RemoteRead);
         // Owner fills addr 5; PE 0's snapshot doesn't have it → refetch.
-        m.write(1, 0, 5, 2.0).unwrap();
-        let (_, k, _) = m.read(0, 0, 5).unwrap();
+        m.write(1, 0, 5, 2.0, &mut PageMemo::default()).unwrap();
+        let (_, k, _) = m.read(0, 0, 5, &mut PageMemo::default()).unwrap();
         assert_eq!(k, AccessKind::RemoteRead);
         assert_eq!(m.stats().partial_refetches, 1);
         // Snapshot upgraded: both elements now hit.
-        assert_eq!(m.read(0, 0, 4).unwrap().1, AccessKind::CachedRead);
-        assert_eq!(m.read(0, 0, 5).unwrap().1, AccessKind::CachedRead);
+        assert_eq!(
+            m.read(0, 0, 4, &mut PageMemo::default()).unwrap().1,
+            AccessKind::CachedRead
+        );
+        assert_eq!(
+            m.read(0, 0, 5, &mut PageMemo::default()).unwrap().1,
+            AccessKind::CachedRead
+        );
     }
 
     #[test]
     fn ignore_policy_treats_partial_pages_as_complete() {
         let mut m =
             DistributedMachine::new(MachineConfig::new(2, 4), vec![spec("A", 16, vec![])]).unwrap();
-        m.write(1, 0, 4, 1.0).unwrap();
-        assert_eq!(m.read(0, 0, 4).unwrap().1, AccessKind::RemoteRead);
-        m.write(1, 0, 5, 2.0).unwrap();
+        m.write(1, 0, 4, 1.0, &mut PageMemo::default()).unwrap();
+        assert_eq!(
+            m.read(0, 0, 4, &mut PageMemo::default()).unwrap().1,
+            AccessKind::RemoteRead
+        );
+        m.write(1, 0, 5, 2.0, &mut PageMemo::default()).unwrap();
         // Paper semantics: the resident page hits even though 5 was not in
         // the original fetch.
-        assert_eq!(m.read(0, 0, 5).unwrap().1, AccessKind::CachedRead);
+        assert_eq!(
+            m.read(0, 0, 5, &mut PageMemo::default()).unwrap().1,
+            AccessKind::CachedRead
+        );
         assert_eq!(m.stats().partial_refetches, 0);
     }
 
@@ -512,16 +549,22 @@ mod tests {
     fn reinit_bumps_generation_invalidates_caches_counts_messages() {
         let mut m = machine(MachineConfig::new(4, 32));
         // Warm PE 0's cache with B page 1.
-        m.read(0, 1, 40).unwrap();
-        assert_eq!(m.read(0, 1, 41).unwrap().1, AccessKind::CachedRead);
+        m.read(0, 1, 40, &mut PageMemo::default()).unwrap();
+        assert_eq!(
+            m.read(0, 1, 41, &mut PageMemo::default()).unwrap().1,
+            AccessKind::CachedRead
+        );
         let sync = m.reinit(1);
         assert_eq!(sync.host, 1);
         assert_eq!(sync.total_messages(), 6); // 3 requests + 3 broadcasts
         assert_eq!(m.generation(1), 1);
         assert_eq!(m.stats().reinit_messages, 6);
         // Array is writable again; old cached page can no longer hit.
-        m.write(1, 1, 40, 7.0).unwrap();
-        assert_eq!(m.read(0, 1, 40).unwrap().1, AccessKind::RemoteRead);
+        m.write(1, 1, 40, 7.0, &mut PageMemo::default()).unwrap();
+        assert_eq!(
+            m.read(0, 1, 40, &mut PageMemo::default()).unwrap().1,
+            AccessKind::RemoteRead
+        );
     }
 
     #[test]
@@ -565,13 +608,13 @@ mod tests {
         assert_eq!(m.owner_of(0, 4 * 8), 2);
         assert_eq!(m.owner_of(0, 4 * 8 + 4), 3);
         // Owner-computes is enforced against the tile owner.
-        m.write(1, 0, 4, 1.0).unwrap();
+        m.write(1, 0, 4, 1.0, &mut PageMemo::default()).unwrap();
         assert!(matches!(
-            m.write(0, 0, 5, 1.0),
+            m.write(0, 0, 5, 1.0, &mut PageMemo::default()),
             Err(MachineError::RemoteWrite { owner: 1, .. })
         ));
         // A remote read of PE 1's tile is network traffic for PE 0.
-        let (_, k, _) = m.read(0, 0, 4).unwrap();
+        let (_, k, _) = m.read(0, 0, 4, &mut PageMemo::default()).unwrap();
         assert_eq!(k, AccessKind::RemoteRead);
     }
 
@@ -579,7 +622,7 @@ mod tests {
     fn stats_conservation_total_reads() {
         let mut m = machine(MachineConfig::new(4, 32));
         for addr in 0..100 {
-            let _ = m.read(0, 1, addr).unwrap();
+            let _ = m.read(0, 1, addr, &mut PageMemo::default()).unwrap();
         }
         let s = m.stats();
         assert_eq!(
@@ -593,7 +636,7 @@ mod tests {
     fn single_pe_everything_local() {
         let mut m = machine(MachineConfig::new(1, 32));
         for addr in 0..100 {
-            let (_, k, _) = m.read(0, 1, addr).unwrap();
+            let (_, k, _) = m.read(0, 1, addr, &mut PageMemo::default()).unwrap();
             assert_eq!(k, AccessKind::LocalRead);
         }
         assert_eq!(m.stats().remote_read_pct(), 0.0);
@@ -606,7 +649,7 @@ mod tests {
             .with_cache_elems(64); // 2 pages
         let mut m = machine(cfg);
         for addr in 32..100 {
-            let _ = m.read(0, 1, addr).unwrap();
+            let _ = m.read(0, 1, addr, &mut PageMemo::default()).unwrap();
         }
         assert!(m.stats().remote_reads() >= 2);
     }

@@ -29,6 +29,8 @@
 //!   `rowband` size their tiles so that the deal never wraps, and have
 //!   none.
 
+use sa_mem::PageMemo;
+
 use crate::config::{validate_shape, ConfigError};
 use crate::partition::{gcd, lcm, pages_in, PartitionScheme};
 
@@ -186,6 +188,7 @@ impl Placement {
 
     /// Owning PE of `page`: the PE the tile holding its first element is
     /// dealt to, a page past the end clamped to the last one.
+    #[inline]
     pub fn page_owner(&self, page: usize) -> usize {
         let last = self.tiling.pages.saturating_sub(1);
         self.tile_of(page.min(last) * self.page_size) % self.n_pes
@@ -206,6 +209,18 @@ impl Placement {
     /// Owning PE of the page containing linear address `addr`.
     pub fn owner_of_addr(&self, addr: usize) -> usize {
         self.page_owner(addr / self.page_size)
+    }
+
+    /// [`Placement::owner_of_addr`] for an access site that remembers its
+    /// last page in `memo`: the placement is asked once per run of
+    /// accesses to one page, and `memo` then also holds the page.
+    #[inline]
+    pub fn owner_at(&self, addr: usize, memo: &mut PageMemo) -> usize {
+        if !memo.holds(addr) {
+            let page = memo.page_of(addr, self.page_size);
+            memo.remember(page, self.page_size, self.page_owner(page), 0);
+        }
+        memo.owner
     }
 
     /// The element distance `T` after which ownership repeats, if there is

@@ -38,6 +38,7 @@ impl PeCounters {
     }
 
     /// Record one access.
+    #[inline]
     pub fn record(&mut self, kind: AccessKind) {
         match kind {
             AccessKind::Write => self.writes += 1,
@@ -78,6 +79,7 @@ impl Stats {
     }
 
     /// Record one access by `pe`.
+    #[inline]
     pub fn record(&mut self, pe: usize, kind: AccessKind) {
         self.per_pe[pe].record(kind);
     }

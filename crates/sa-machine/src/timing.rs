@@ -42,11 +42,13 @@ impl Default for AccessCosts {
 
 impl AccessCosts {
     /// Cycles for a remote read over `hops` (request + reply wire time).
+    #[inline]
     pub fn remote_read(&self, hops: u32) -> u64 {
         self.remote_base + 2 * self.per_hop * hops as u64
     }
 
     /// Cycles for one access of `kind` at `hops` distance.
+    #[inline]
     pub fn of(&self, kind: crate::stats::AccessKind, hops: u32) -> u64 {
         use crate::stats::AccessKind::*;
         match kind {

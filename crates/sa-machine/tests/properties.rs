@@ -7,6 +7,7 @@ use sa_machine::{
     AccessKind, CachePolicy, MachineConfig, NetworkTopology, PageKey, PartialPagePolicy,
     PartitionScheme, PolicyCache, Probe,
 };
+use sa_mem::PageMemo;
 
 fn any_topology() -> impl Strategy<Value = NetworkTopology> {
     prop_oneof![
@@ -76,8 +77,10 @@ proptest! {
                 init: (0..len).map(|i| i as f64).collect(),
             }],
         ).unwrap();
+        // One access site walking the array: its memo steps page to page.
+        let mut memo = PageMemo::default();
         for addr in 0..len {
-            let (v, kind, hops) = m.read(reader, 0, addr).unwrap();
+            let (v, kind, hops) = m.read(reader, 0, addr, &mut memo).unwrap();
             prop_assert_eq!(v, addr as f64);
             if kind != AccessKind::RemoteRead {
                 prop_assert_eq!(hops, 0);
@@ -97,8 +100,9 @@ proptest! {
         if cfg.cache_enabled() {
             let before = s.remote_reads();
             let mut m2 = m.clone();
+            let mut memo = PageMemo::default();
             for addr in (0..len).rev().take(page_size.min(len)) {
-                let (_, kind, _) = m2.read(reader, 0, addr).unwrap();
+                let (_, kind, _) = m2.read(reader, 0, addr, &mut memo).unwrap();
                 prop_assert_ne!(kind, AccessKind::Write);
             }
             let _ = before;
@@ -118,11 +122,11 @@ proptest! {
             vec![ArraySpec { name: "B".into(), len, dims: vec![], init: vec![1.0; len] }],
         ).unwrap();
         for addr in 0..len {
-            m.read(0, 0, addr).unwrap();
+            m.read(0, 0, addr, &mut PageMemo::default()).unwrap();
         }
         let first = m.stats().remote_reads();
         for addr in 0..len {
-            m.read(0, 0, addr).unwrap();
+            m.read(0, 0, addr, &mut PageMemo::default()).unwrap();
         }
         let second = m.stats().remote_reads() - first;
         prop_assert!(second <= first);
@@ -147,7 +151,7 @@ proptest! {
             vec![ArraySpec { name: "B".into(), len, dims: vec![], init: vec![2.0; len] }],
         ).unwrap();
         for addr in 0..len {
-            m.read(0, 0, addr).unwrap();
+            m.read(0, 0, addr, &mut PageMemo::default()).unwrap();
         }
         prop_assert_eq!(m.stats().partial_refetches, 0);
         prop_assert!(m.stats().partial_refetches <= m.stats().remote_reads());

@@ -45,6 +45,20 @@ impl<T: Clone + Default> SaArray<T> {
         }
     }
 
+    /// An array of `len` cells whose first `prefix.len()` are defined with
+    /// `prefix` (an array "filled with initialization data" up to there,
+    /// paper §3) and the rest undefined.
+    pub fn with_prefix(name: impl Into<String>, len: usize, mut prefix: Vec<T>) -> Self {
+        let defined = prefix.len();
+        prefix.resize(len, T::default());
+        SaArray {
+            name: name.into(),
+            values: prefix,
+            tags: TagBits::prefix(len, defined),
+            generation: 0,
+        }
+    }
+
     /// The array's diagnostic name.
     pub fn name(&self) -> &str {
         &self.name
@@ -109,13 +123,15 @@ impl<T: Clone + Default> SaArray<T> {
     }
 
     /// Read cell `index`: `Ok(Some(&v))` if defined, `Ok(None)` if not.
+    #[inline]
     pub fn read(&self, index: usize) -> SaResult<Option<&T>> {
-        self.check(index)?;
-        Ok(if self.tags.get(index) {
-            Some(&self.values[index])
-        } else {
-            None
-        })
+        match self.values.get(index) {
+            Some(v) => Ok(self.tags.get(index).then_some(v)),
+            None => Err(SaError::OutOfBounds {
+                index,
+                len: self.values.len(),
+            }),
+        }
     }
 
     /// Raw value slice — only meaningful where the tags say defined.

@@ -28,7 +28,7 @@ pub mod tagged;
 
 pub use array::SaArray;
 pub use error::{SaError, SaResult};
-pub use page::TaggedPage;
+pub use page::{PageMemo, TaggedPage};
 pub use tagged::TagBits;
 
 /// Monotonically increasing version of an array's contents.

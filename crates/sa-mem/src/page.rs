@@ -48,6 +48,7 @@ impl TaggedPage {
     }
 
     /// Value of cell `offset`, or `None` while it is undefined.
+    #[inline]
     pub fn get(&self, offset: usize) -> Option<f64> {
         if offset < self.len() && self.fill.get(offset) {
             Some(self.values[offset])
@@ -58,6 +59,7 @@ impl TaggedPage {
 
     /// Define cell `offset`; returns whether it was *already* defined (the
     /// caller's single-assignment check).
+    #[inline]
     pub fn set(&mut self, offset: usize, value: f64) -> bool {
         self.values[offset] = value;
         self.fill.set(offset)
@@ -96,9 +98,85 @@ impl TaggedPage {
     }
 }
 
+/// What one access site remembers about the page it last touched: the
+/// page, who owns it, and where the owner keeps it. Under single
+/// assignment an access site walks its addresses in page runs, and every
+/// address of a page has the page's owner, so a site asks the placement
+/// once per run instead of once per access. The memory that fills a memo
+/// decides what `owner` and `slot` mean; a memo is only ever filled by
+/// one kind of memory, and a fresh one holds no page.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PageMemo {
+    start: usize,
+    len: usize,
+    /// The page.
+    pub page: usize,
+    /// Its owning PE.
+    pub owner: usize,
+    /// The owner's frame for it, where the memory keeps frames.
+    pub slot: usize,
+}
+
+impl PageMemo {
+    /// Whether `addr` lies on the remembered page.
+    #[inline]
+    pub fn holds(&self, addr: usize) -> bool {
+        addr.wrapping_sub(self.start) < self.len
+    }
+
+    /// `addr`'s offset into the remembered page (which must hold it).
+    #[inline]
+    pub fn offset(&self, addr: usize) -> usize {
+        debug_assert!(self.holds(addr));
+        addr - self.start
+    }
+
+    /// The page of `page_size` elements holding `addr`: the remembered
+    /// page's neighbour when a walk has just stepped off it, without a
+    /// division.
+    #[inline]
+    pub fn page_of(&self, addr: usize, page_size: usize) -> usize {
+        if self.len == page_size {
+            let end = self.start + page_size;
+            if addr >= end && addr - end < page_size {
+                return self.page + 1;
+            }
+            if addr < self.start && self.start - addr <= page_size {
+                return self.page - 1;
+            }
+        }
+        addr / page_size
+    }
+
+    /// Remember page `page` of `page_size`-element pages.
+    #[inline]
+    pub fn remember(&mut self, page: usize, page_size: usize, owner: usize, slot: usize) {
+        *self = PageMemo {
+            start: page * page_size,
+            len: page_size,
+            page,
+            owner,
+            slot,
+        };
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_memo_holds_exactly_its_page() {
+        let mut m = PageMemo::default();
+        assert!(!m.holds(0), "a fresh memo holds nothing");
+        assert_eq!(m.page_of(13, 8), 1);
+        m.remember(3, 8, 2, 1);
+        assert!(!m.holds(23) && m.holds(24) && m.holds(31) && !m.holds(32));
+        assert_eq!((m.page, m.owner, m.slot, m.offset(26)), (3, 2, 1, 2));
+        for addr in 0..80 {
+            assert_eq!(m.page_of(addr, 8), addr / 8, "{addr}");
+        }
+    }
 
     #[test]
     fn undefined_then_set_then_get() {

@@ -26,10 +26,20 @@ impl TagBits {
     /// All-defined bitmap over `len` cells (arrays "filled with
     /// initialization data", paper §3).
     pub fn all_set(len: usize) -> Self {
+        TagBits::prefix(len, len)
+    }
+
+    /// Bitmap over `len` cells whose first `defined` are defined, set a
+    /// word at a time.
+    pub fn prefix(len: usize, defined: usize) -> Self {
+        assert!(defined <= len, "prefix {defined} longer than {len} cells");
         let mut t = TagBits::new(len);
-        for i in 0..len {
-            t.set(i);
+        let (full, rest) = (defined / 64, defined % 64);
+        t.words[..full].fill(u64::MAX);
+        if rest > 0 {
+            t.words[full] = (1u64 << rest) - 1;
         }
+        t.ones = defined;
         t
     }
 
@@ -54,12 +64,14 @@ impl TagBits {
     }
 
     /// Presence bit for cell `i`. Panics if out of range.
+    #[inline]
     pub fn get(&self, i: usize) -> bool {
         assert!(i < self.len, "tag index {i} out of range {}", self.len);
         self.words[i / 64] >> (i % 64) & 1 == 1
     }
 
     /// Mark cell `i` defined; returns the previous state.
+    #[inline]
     pub fn set(&mut self, i: usize) -> bool {
         assert!(i < self.len, "tag index {i} out of range {}", self.len);
         let w = &mut self.words[i / 64];
@@ -118,6 +130,25 @@ impl TagBits {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_prefix_is_its_cells_set_one_by_one() {
+        for (len, defined) in [
+            (0, 0),
+            (5, 0),
+            (5, 5),
+            (64, 63),
+            (64, 64),
+            (130, 65),
+            (130, 128),
+        ] {
+            let mut want = TagBits::new(len);
+            for i in 0..defined {
+                want.set(i);
+            }
+            assert_eq!(TagBits::prefix(len, defined), want, "{len} {defined}");
+        }
+    }
 
     #[test]
     fn new_is_all_unset() {

@@ -9,6 +9,8 @@
 
 use sa_core::parallel::default_workers;
 use sa_ir::analysis::StaticArrays;
+use sa_ir::body::NestBody;
+use sa_ir::interp::PageMemo;
 use sa_ir::program::Phase;
 use sa_ir::{ArrayId, Program, ReduceOp};
 use sa_lint::screening::{AnchorError, Schedule};
@@ -278,6 +280,8 @@ pub(crate) struct Plan<'p> {
     pub pages: Vec<Vec<(u32, u32)>>,
     /// Per array: the initially defined prefix, materialized once.
     pub images: Vec<Vec<f64>>,
+    /// Per nest, in [`Plan::schedule`]'s order: its statements compiled.
+    pub bodies: Vec<NestBody<'p>>,
     /// The phases in order.
     pub phases: Vec<PhasePlan>,
 }
@@ -323,6 +327,10 @@ impl<'p> Plan<'p> {
             })
             .collect();
         Ok(Plan {
+            bodies: program
+                .nests()
+                .map(|nest| NestBody::compile(program, nest))
+                .collect(),
             program,
             n_pes: cfg.n_pes,
             page_size: cfg.page_size,
@@ -337,6 +345,21 @@ impl<'p> Plan<'p> {
                 .collect(),
             phases,
         })
+    }
+}
+
+impl Plan<'_> {
+    /// Where page `addr` of `array` lives — its owner and that owner's
+    /// frame — for an access site that remembers its last page in `memo`:
+    /// the table is read once per page run. Returns the filled memo.
+    #[inline]
+    pub fn page_at<'m>(&self, array: usize, addr: usize, memo: &'m mut PageMemo) -> &'m PageMemo {
+        if !memo.holds(addr) {
+            let page = addr / self.page_size;
+            let (owner, slot) = self.pages[array][page];
+            memo.remember(page, self.page_size, owner as usize, slot as usize);
+        }
+        memo
     }
 }
 

@@ -58,7 +58,7 @@
 //! compile-time-constant index arrays is tabulated once per run by the
 //! schedule, one through an index array an earlier nest produced is
 //! resolved by every PE over [`net::Msg::IndirectFetch`] messages (with
-//! the same deferral rule) via the shared `Schedule::owner` path — the one
+//! the same deferral rule) through the nest's compiled body — the one
 //! case where a PE
 //! still visits instances it does not own — so the *entire* Livermore
 //! suite executes on real threads. Only a genuinely dynamic shape (an

@@ -31,7 +31,8 @@
 use std::collections::{HashMap, HashSet};
 
 use sa_ir::analysis::Screen;
-use sa_ir::interp::{EvalCtx, Memory};
+use sa_ir::body::Frame as EvalFrame;
+use sa_ir::interp::{Memory, PageMemo};
 use sa_ir::nest::Stmt;
 use sa_ir::program::ArrayInit;
 use sa_ir::{ArrayId, IrError};
@@ -195,8 +196,6 @@ struct Cursor {
     window: Option<(usize, usize)>,
     trip: usize,
     pos: usize,
-    /// Loop-variable values of the current iteration, outermost first.
-    ivs: Vec<i64>,
 }
 
 /// Machine-side state of a PE: everything serving a peer touches (split
@@ -527,17 +526,21 @@ impl PeMem {
         array: usize,
         addr: usize,
         value: f64,
+        memo: &mut PageMemo,
     ) -> Result<(), String> {
-        let page = addr / plan.page_size;
-        let offset = addr - page * plan.page_size;
-        let (owner, slot) = plan.pages[array][page];
-        assert_eq!(owner as usize, self.me, "write to owned page");
-        if self.frames[array][slot as usize].set(offset, value) {
+        let place = plan.page_at(array, addr, memo);
+        let (page, offset) = (place.page, place.offset(addr));
+        assert_eq!(place.owner, self.me, "write to owned page");
+        if self.frames[array][place.slot].set(offset, value) {
             return Err(format!(
                 "single-assignment violation: array {array} addr {addr} written twice"
             ));
         }
         self.stats.counters.writes += 1;
+        // Most writes have no reader queued: skip hashing the cell then.
+        if self.cell_waiters.is_empty() {
+            return Ok(());
+        }
         if let Some(waiters) = self.cell_waiters.remove(&(array, addr)) {
             for w in waiters {
                 let key = PageKey {
@@ -622,20 +625,27 @@ struct Access<'a, 'p> {
 
 impl Memory for Access<'_, '_> {
     fn load(&mut self, array: ArrayId, addr: usize) -> Result<f64, IrError> {
+        self.load_at(array, addr, &mut PageMemo::default())
+    }
+
+    #[inline]
+    fn load_at(
+        &mut self,
+        array: ArrayId,
+        addr: usize,
+        memo: &mut PageMemo,
+    ) -> Result<f64, IrError> {
         let a = array.0;
         let (mem, plan) = (&mut *self.mem, self.plan);
-        let page = addr / plan.page_size;
-        let offset = addr - page * plan.page_size;
-        let (owner, slot) = plan.pages[a][page];
-        let owner = owner as usize;
+        plan.page_at(a, addr, memo);
+        let (page, offset, owner) = (memo.page, memo.offset(addr), memo.owner);
         if owner == mem.me {
-            let v =
-                mem.frames[a][slot as usize]
-                    .get(offset)
-                    .ok_or_else(|| IrError::ReadUndefined {
-                        array: format!("array#{a}"),
-                        addr,
-                    })?;
+            let v = mem.frames[a][memo.slot]
+                .get(offset)
+                .ok_or_else(|| IrError::ReadUndefined {
+                    array: format!("array#{a}"),
+                    addr,
+                })?;
             mem.local_reads += 1;
             return Ok(v);
         }
@@ -691,7 +701,7 @@ impl Memory for Access<'_, '_> {
 }
 
 /// Adapter presenting [`PeMem`]'s non-counting resolution reads as a
-/// [`Memory`], for anchor resolution through [`resolve_ref_addr`].
+/// [`Memory`], for resolving a produced anchor through the compiled body.
 struct Resolve<'r, 'a, 'p>(&'r mut Access<'a, 'p>);
 
 impl Memory for Resolve<'_, '_, '_> {
@@ -703,8 +713,12 @@ impl Memory for Resolve<'_, '_, '_> {
 
 /// One logical PE: evaluation context, machine state, and where it is in
 /// the program.
-pub(crate) struct Pe<'p> {
-    ctx: EvalCtx<'p>,
+pub(crate) struct Pe {
+    /// Reduction results as this PE last received them (`ScalarId`
+    /// indexes).
+    scalars: Vec<f64>,
+    /// Evaluation state of the current nest's compiled body.
+    eval: EvalFrame,
     mem: PeMem,
     /// The phase being executed (`phases.len()` once done).
     phase: usize,
@@ -719,10 +733,10 @@ pub(crate) struct Pe<'p> {
     took_part: Vec<Vec<bool>>,
 }
 
-impl<'p> Pe<'p> {
+impl Pe {
     /// PE `me` with its owned frames cut from the run's initial images —
     /// O(own share): the owned pages come closed-form from the placement.
-    pub fn new(plan: &Plan<'p>, me: usize) -> Self {
+    pub fn new(plan: &Plan<'_>, me: usize) -> Self {
         let program = plan.program;
         let ps = plan.page_size;
         let mut frames = Vec::with_capacity(program.arrays.len());
@@ -753,7 +767,8 @@ impl<'p> Pe<'p> {
             frames.push(own);
         }
         Pe {
-            ctx: EvalCtx::new(program),
+            scalars: vec![0.0; program.scalars.len()],
+            eval: EvalFrame::default(),
             mem: PeMem {
                 me,
                 frames,
@@ -788,7 +803,7 @@ impl<'p> Pe<'p> {
     }
 
     /// Take in one message; `Ok(true)` when the PE should be run again.
-    pub fn handle(&mut self, plan: &Plan<'p>, out: &mut Outbox, msg: Msg) -> Result<bool, String> {
+    pub fn handle(&mut self, plan: &Plan<'_>, out: &mut Outbox, msg: Msg) -> Result<bool, String> {
         self.mem.handle(plan, out, msg)
     }
 
@@ -797,7 +812,7 @@ impl<'p> Pe<'p> {
     /// whole run must stop.
     pub fn run(
         &mut self,
-        plan: &Plan<'p>,
+        plan: &Plan<'_>,
         out: &mut Outbox,
         budget: &mut usize,
     ) -> Result<Progress, String> {
@@ -906,7 +921,7 @@ impl<'p> Pe<'p> {
                                 },
                             );
                         }
-                        self.ctx.scalars[sid] = acc;
+                        self.scalars[sid] = acc;
                     } else {
                         if !sent && parts[me] {
                             self.mem.stats.reduction_messages += 1;
@@ -926,7 +941,7 @@ impl<'p> Pe<'p> {
                             self.state = State::Reduce { round, sent: true };
                             return Ok(Progress::Blocked);
                         };
-                        self.ctx.scalars[sid] = v;
+                        self.scalars[sid] = v;
                     }
                     self.state = State::Reduce {
                         round: round + 1,
@@ -950,12 +965,12 @@ impl<'p> Pe<'p> {
         self.state = State::Enter;
     }
 
-    fn enter_nest(&mut self, plan: &Plan<'p>, np: &NestPlan) {
+    fn enter_nest(&mut self, plan: &Plan<'_>, np: &NestPlan) {
         self.cur = Cursor {
-            ivs: std::mem::take(&mut self.cur.ivs),
             win: std::mem::take(&mut self.cur.win),
             ..Cursor::default()
         };
+        self.eval = plan.bodies[np.idx].frame();
         self.took_part.clear();
         for r in &np.reduces {
             self.partial[r.scalar] = r.op.identity();
@@ -972,18 +987,14 @@ impl<'p> Pe<'p> {
 
     /// Position the cursor on sweep `self.cur.sweep`: this PE's owned
     /// windows, and the first trip of the first of them.
-    fn load_sweep(&mut self, plan: &Plan<'p>, np: &NestPlan) {
+    fn load_sweep(&mut self, plan: &Plan<'_>, np: &NestPlan) {
         let cur = &mut self.cur;
         let ns = plan.schedule.nest(np.idx);
         let sw = ns.sweep(cur.sweep);
         // A PE computes values, so it walks every trip of every sweep.
         plan.schedule
             .load_sweep(self.mem.me, np.idx, cur.sweep, 0..sw.trips, &mut cur.win);
-        cur.ivs.clear();
-        cur.ivs.extend_from_slice(sw.outer);
-        if !ns.nest.loops.is_empty() {
-            cur.ivs.push(sw.lo);
-        }
+        plan.bodies[np.idx].enter(&mut self.eval, &sw);
         cur.window = cur.win.advance();
         cur.trip = cur.window.map_or(0, |w| w.0);
         cur.pos = 0;
@@ -994,7 +1005,7 @@ impl<'p> Pe<'p> {
     /// nest is finished, `Ok(false)` when the budget ran out first.
     fn walk(
         &mut self,
-        plan: &Plan<'p>,
+        plan: &Plan<'_>,
         np: &NestPlan,
         out: &mut Outbox,
         budget: &mut usize,
@@ -1007,12 +1018,8 @@ impl<'p> Pe<'p> {
                 }
                 self.load_sweep(plan, np);
             }
-            let sw = &sweeps[self.cur.sweep];
             while let Some((_, end)) = self.cur.window {
                 while self.cur.trip < end {
-                    if let Some(inner) = self.cur.ivs.last_mut() {
-                        *inner = sw.lo + sw.step * self.cur.trip as i64;
-                    }
                     while let Some(&si) = self.cur.win.active().get(self.cur.pos) {
                         self.instance(plan, np, out, si)?;
                         *budget = budget.saturating_sub(1);
@@ -1040,14 +1047,14 @@ impl<'p> Pe<'p> {
     /// Evaluate statement `si` at the cursor's iteration, from the start.
     fn instance(
         &mut self,
-        plan: &Plan<'p>,
+        plan: &Plan<'_>,
         np: &NestPlan,
         out: &mut Outbox,
         si: usize,
     ) -> Result<(), Stop> {
         let ns = plan.schedule.nest(np.idx);
-        let stmt = &ns.nest.body[si];
-        let ivs = &self.cur.ivs;
+        let body = &plan.bodies[np.idx];
+        let t = self.cur.trip as i64;
         self.mem.cur_stmt = si;
         let mut access = Access {
             mem: &mut self.mem,
@@ -1059,11 +1066,9 @@ impl<'p> Pe<'p> {
             // produced: every PE resolves every instance, the owner runs
             // it. Resolution reads are uncounted and kept for the
             // generation, so resolving again after a resume is free.
-            let g = ns.sweeps[self.cur.sweep].first + self.cur.trip as u64;
-            let mut resolve = Resolve(&mut access);
-            let owner = plan.schedule.owner(np.idx, si, g, ivs, &mut resolve);
-            let owner = match owner {
-                Ok(pe) => pe,
+            let site = body.anchor(si).expect("a produced anchor");
+            let addr = match body.addr(site, t, &mut self.eval, &mut Resolve(&mut access)) {
+                Ok(addr) => addr,
                 Err(e) => {
                     return Err(match access.mem.stop(e) {
                         Stop::Fail(e) => Stop::Fail(format!("anchor resolution failed: {e}")),
@@ -1071,6 +1076,8 @@ impl<'p> Pe<'p> {
                     })
                 }
             };
+            let memo = body.memo(&mut self.eval, site);
+            let owner = plan.page_at(body.array(site).0, addr, memo).owner;
             if let Some(set) = np.parts_of[si] {
                 self.took_part[set][owner] = true;
             }
@@ -1080,15 +1087,17 @@ impl<'p> Pe<'p> {
         }
         access.mem.replayed = 0;
         access.mem.local_reads = 0;
-        let value = self.ctx.eval(stmt.value(), ivs, &mut access);
+        let value = body.value(si, t, &mut self.eval, &self.scalars, &mut access);
         let value = value.map_err(|e| access.mem.stop(e))?;
-        match stmt {
-            Stmt::Assign { target, .. } => {
-                let addr = self.ctx.resolve_addr(target, ivs, &mut access);
+        match &ns.nest.body[si] {
+            Stmt::Assign { .. } => {
+                let site = body.target(si).expect("an assignment's target");
+                let addr = body.addr(site, t, &mut self.eval, &mut access);
                 let addr = addr.map_err(|e| access.mem.stop(e))?;
                 self.mem.commit_reads();
+                let memo = body.memo(&mut self.eval, site);
                 self.mem
-                    .local_write(plan, out, target.array.0, addr, value)
+                    .local_write(plan, out, body.array(site).0, addr, value, memo)
                     .map_err(Stop::Fail)
             }
             Stmt::Reduce { target, op, .. } => {
@@ -1101,7 +1110,7 @@ impl<'p> Pe<'p> {
     }
 
     /// Enter the §5 barrier for array `a`.
-    fn enter_reinit(&mut self, plan: &Plan<'p>, out: &mut Outbox, a: usize) -> Result<(), String> {
+    fn enter_reinit(&mut self, plan: &Plan<'_>, out: &mut Outbox, a: usize) -> Result<(), String> {
         let me = self.mem.me;
         let host = host_of(a, plan.n_pes);
         // Entering the barrier: a reader already deferred on one of our
@@ -1132,7 +1141,7 @@ impl<'p> Pe<'p> {
 
     /// One stage of the §5 barrier; `Ok(false)` while its condition is not
     /// met yet.
-    fn reinit_step(&mut self, plan: &Plan<'p>, out: &mut Outbox) -> Result<bool, String> {
+    fn reinit_step(&mut self, plan: &Plan<'_>, out: &mut Outbox) -> Result<bool, String> {
         let PhasePlan::Reinit(a) = plan.phases[self.phase] else {
             unreachable!("barrier states are only entered for a reinit phase");
         };
@@ -1207,7 +1216,7 @@ impl<'p> Pe<'p> {
         Ok(true)
     }
 
-    fn apply_release(&mut self, plan: &Plan<'p>, a: usize, new_gen: u32) -> Result<(), String> {
+    fn apply_release(&mut self, plan: &Plan<'_>, a: usize, new_gen: u32) -> Result<(), String> {
         // Unreachable via the entry check + the `syncing` guard in
         // serve_fetch, but kept as an orderly teardown rather than an
         // assert: a stale waiter here would deadlock its requester.
@@ -1227,7 +1236,7 @@ impl<'p> Pe<'p> {
     }
 
     /// What the PE waits for, in SA008's vocabulary (`None` once done).
-    fn blocked_on(&self, plan: &Plan<'p>) -> Option<String> {
+    fn blocked_on(&self, plan: &Plan<'_>) -> Option<String> {
         let (me, p) = (self.mem.me, self.phase);
         let name = |a: usize| &plan.program.arrays[a].name;
         Some(match (plan.phases.get(p)?, self.state) {
@@ -1267,12 +1276,12 @@ impl<'p> Pe<'p> {
     }
 
     /// Give up the PE's results.
-    pub fn finish(self, plan: &Plan<'p>) -> PeResult {
+    pub fn finish(self, plan: &Plan<'_>) -> PeResult {
         PeResult {
             blocked: self.blocked_on(plan),
             stats: self.mem.stats,
             frames: self.mem.frames,
-            scalars: self.ctx.scalars,
+            scalars: self.scalars,
             wait_edges: self.mem.wait_edges,
         }
     }

@@ -163,7 +163,7 @@ struct Worker<'p> {
     plan: &'p Plan<'p>,
     /// First PE of this worker's contiguous share.
     base: usize,
-    pes: Vec<Pe<'p>>,
+    pes: Vec<Pe>,
     /// Local indices of the PEs that can move, each at most once.
     ready: VecDeque<usize>,
     queued: Vec<bool>,

@@ -31,8 +31,9 @@ use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
 use sapp::core::{simulate, CountingOracle, Oracle, RunConfig, StaticOracle};
+use sapp::ir::body::NestBody;
 use sapp::ir::index::iv;
-use sapp::ir::interp::{EvalCtx, Memory};
+use sapp::ir::interp::Memory;
 use sapp::ir::program::ArrayInit;
 use sapp::ir::{
     AffineIndex, ArrayId, Expr, IndexExpr, InitPattern, IrError, LoopNest, LoopVar, Phase, Program,
@@ -584,7 +585,7 @@ impl Memory for TraceMem {
 /// Sequentially execute `program`, returning every realized RAW pair —
 /// the ground truth the static dependence graph must cover.
 fn observed_raws(program: &Program) -> HashSet<(usize, usize, usize, usize)> {
-    let mut ctx = EvalCtx::new(program);
+    let mut scalars = vec![0.0; program.scalars.len()];
     let mut mem = TraceMem::new(program);
     for (pi, phase) in program.phases.iter().enumerate() {
         match phase {
@@ -595,28 +596,36 @@ fn observed_raws(program: &Program) -> HashSet<(usize, usize, usize, usize)> {
             }
             Phase::Loop(nest) => {
                 let mut partial: HashMap<usize, f64> = HashMap::new();
-                nest.for_each_iteration(|ivs| {
-                    for (si, stmt) in nest.body.iter().enumerate() {
-                        mem.cur = (pi, si);
-                        match stmt {
-                            Stmt::Assign { target, value } => {
-                                let v = ctx.eval(value, ivs, &mut mem).expect("clean program");
-                                let addr = ctx
-                                    .resolve_addr(target, ivs, &mut mem)
-                                    .expect("clean program");
-                                mem.vals[target.array.0][addr] = Some(v);
-                                mem.written[target.array.0].insert(addr);
-                            }
-                            Stmt::Reduce { target, op, value } => {
-                                let v = ctx.eval(value, ivs, &mut mem).expect("clean program");
-                                let acc = partial.entry(target.0).or_insert_with(|| op.identity());
-                                *acc = op.combine(*acc, v);
+                let body = NestBody::compile(program, nest);
+                let mut frame = body.frame();
+                nest.for_each_sweep(|sweep| {
+                    body.enter(&mut frame, sweep);
+                    for t in 0..sweep.trips as i64 {
+                        for (si, stmt) in nest.body.iter().enumerate() {
+                            mem.cur = (pi, si);
+                            let v = body
+                                .value(si, t, &mut frame, &scalars, &mut mem)
+                                .expect("clean program");
+                            match stmt {
+                                Stmt::Assign { target, .. } => {
+                                    let site = body.target(si).expect("a target");
+                                    let addr = body
+                                        .addr(site, t, &mut frame, &mut mem)
+                                        .expect("clean program");
+                                    mem.vals[target.array.0][addr] = Some(v);
+                                    mem.written[target.array.0].insert(addr);
+                                }
+                                Stmt::Reduce { target, op, .. } => {
+                                    let acc =
+                                        partial.entry(target.0).or_insert_with(|| op.identity());
+                                    *acc = op.combine(*acc, v);
+                                }
                             }
                         }
                     }
                 });
                 for (sid, v) in partial {
-                    ctx.scalars[sid] = v;
+                    scalars[sid] = v;
                 }
             }
         }
