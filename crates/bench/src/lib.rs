@@ -357,9 +357,8 @@ pub fn ablation_policy() -> String {
 /// sizes — 512×512 grids, a 64³ heat cube and 131k-nonzero sparse matvecs —
 /// measured at the reference machine with and without the cache. These
 /// footprints are far beyond the paper's 1001-element kernels, which is
-/// exactly why the grid runs through the compiled replay engine (the
-/// `auto` oracle falls back to the interpreter only for `SPMVD`'s
-/// prefix-initialized index data).
+/// exactly why the grid runs through the compiled replay engine, which
+/// accepts every one of them.
 pub fn scale_workloads() -> String {
     scale_workloads_table(&sa_loops::scale_suite(), "official sizes")
 }

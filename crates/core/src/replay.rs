@@ -108,33 +108,38 @@
 //!
 //! # Fallback
 //!
-//! Nests this model cannot express fall back to the interpreter:
+//! Each nest's references are lowered once ([`NestAccess`]), and replay
+//! counts only references it proves in bounds. Nests this model cannot
+//! express fall back to the interpreter:
 //!
 //! * gathers through *dynamically produced* index arrays (the base array is
-//!   written or re-initialized somewhere in the program), and
+//!   written or re-initialized somewhere in the program);
+//! * a reference replay cannot prove in bounds: a rank mismatch, a gather
+//!   the loop box does not keep inside its index array's defined prefix
+//!   and its dimension, an affine index leaving its extent on a sweep; and
 //! * [`PartialPagePolicy::Refetch`] configurations, whose refetch counts
 //!   depend on the cross-PE interleaving of writes and reads.
 //!
 //! [`counts`] reports these as [`ReplayError::Unsupported`];
 //! [`counts_or_simulate`] transparently falls back to [`simulate`], so a
-//! mixed program still measures correctly through
+//! mixed program still measures correctly — or fails with the
+//! interpreter's exact error — through
 //! [`crate::oracle::FastCountingOracle`]'s `auto` engine. In debug builds
 //! the auto path additionally cross-checks replay against the interpreter
 //! on small runs before trusting it (see [`counts_or_simulate`]).
 //!
-//! Replay assumes a *valid* program (one [`simulate`] would accept): it
-//! performs no bounds, definedness or double-write checking, exactly
-//! because those checks are what make interpretation slow.
+//! Beyond its bounds proofs replay assumes a *valid* program (one
+//! [`simulate`] would accept): it performs no definedness or double-write
+//! checking, exactly because those checks are what make interpretation
+//! slow.
 
 use std::ops::Range;
 
-use sa_ir::access::Line;
-use sa_ir::analysis::{anchor_ref, linear_address_form, Screen, StaticArrays};
-use sa_ir::index::IndexExpr;
-use sa_ir::nest::{ArrayRef, Stmt};
+use sa_ir::access::{Access, Dim, Line, NestAccess, Subscript};
+use sa_ir::analysis::StaticArrays;
 use sa_ir::program::Phase;
-use sa_ir::{LinForm, Program};
-use sa_lint::screening::{Chain, Chains, Fold, Round, Schedule, Windows};
+use sa_ir::{ArrayId, LinForm, Program};
+use sa_lint::screening::{Chain, Chains, Fold, NestSchedule, Round, Schedule, Windows};
 use sa_machine::host::run_reinit_protocol;
 use sa_machine::{
     host_of, ConfigError, MachineConfig, Network, PageKey, PartialPagePolicy, PeCounters,
@@ -231,53 +236,21 @@ impl std::error::Error for ReplayError {}
 // Compiled form
 // ---------------------------------------------------------------------------
 
-/// One dimension of a gather reference. Each has one address form among
-/// its nest's [`CNest::forms`].
-#[derive(Debug, Clone)]
-enum DimIdx {
-    /// Affine *index value* for this dimension: the form is the index.
-    Affine,
-    /// `scale * base[pos] + offset` through a statically-initialized index
-    /// array whose (truncated) values are in `Compiled::index_values`: the
-    /// form is `pos`.
-    Indirect {
-        base: usize,
-        scale: i64,
-        offset: i64,
-    },
-}
-
-/// A reference with at least one indirect dimension.
-#[derive(Debug, Clone)]
-struct GatherRef {
-    array: usize,
-    strides: Vec<i64>,
-    dims: Vec<DimIdx>,
-}
-
-/// One charged read, in the interpreter's evaluation order.
-#[derive(Debug, Clone)]
-enum ReadAccess {
-    /// All-affine reference: one element load, at its one address form.
-    Affine { array: usize },
-    /// Gather: one index load per indirect dimension, then the element.
-    Gather(GatherRef),
-}
-
 #[derive(Debug, Clone)]
 struct CStmt {
-    /// RHS reads in evaluation order.
-    reads: Vec<ReadAccess>,
+    /// RHS reads in evaluation order: positions in [`CNest::access`].
+    reads: Range<usize>,
     /// Index arrays an indirect *assign target* loads from, charged after
-    /// the RHS; one address form (the position) each.
-    target_loads: Vec<usize>,
+    /// the RHS.
+    scatter_loads: Vec<usize>,
     /// Assigns perform one write per instance.
     writes: bool,
     /// Any gather among the reads — disables the bulk per-page-run path.
     has_gather: bool,
     /// Where the statement's address forms start in [`CNest::forms`]: per
-    /// read one (affine) or one per dimension (gather), then one per
-    /// target load.
+    /// read one (affine) or one per dimension (gather), then one per index
+    /// array its assign target scatters through (the position), charged
+    /// after the reads.
     first_form: usize,
 }
 
@@ -293,6 +266,8 @@ enum Walk {
 
 #[derive(Debug)]
 struct CNest {
+    /// The nest's references, lowered once.
+    access: NestAccess,
     body: Vec<CStmt>,
     /// Every address form of the body, statement by statement in charging
     /// order — one flat list, so a sweep's lines are one reused buffer.
@@ -311,9 +286,8 @@ struct Compiled<'p> {
     /// Who executes what: placements, per-PE segments and windows,
     /// reduction participants — the single owner authority of the replay.
     schedule: Schedule<'p>,
-    /// The constant values of each gather base array; empty for arrays
-    /// never used as a gather base.
-    index_values: Vec<&'p [f64]>,
+    /// What a gather reads: the constant cells of its index array.
+    statics: &'p StaticArrays<'p>,
 }
 
 fn compile<'p>(
@@ -330,57 +304,44 @@ fn compile<'p>(
         });
     }
 
-    let mut index_values: Vec<&[f64]> = vec![&[]; program.arrays.len()];
     let mut nests = Vec::new();
     for ns in schedule.nests() {
-        let (nest, nvars) = (ns.nest, ns.nest.loops.len());
+        let access = NestAccess::lower(program, ns.nest, Some(statics));
         let mut forms = Vec::new();
-        let mut lower = |aref, forms: &mut Vec<LinForm>| {
-            compile_ref(
-                program,
-                &nest.label,
-                aref,
-                nvars,
-                statics,
-                &mut index_values,
-                forms,
-            )
-        };
-        let mut body = Vec::with_capacity(nest.body.len());
-        for (stmt, screen) in nest.body.iter().zip(&ns.screen.screens) {
-            if *screen == Screen::Produced {
-                // Lowering the anchor names the index array in the way.
-                let anchor = anchor_ref(stmt).expect("only an anchor can be produced");
-                lower(anchor, &mut forms)?;
-                return Err(ReplayError::Unsupported {
-                    nest: nest.label.clone(),
-                    reason: "the statement anchor has no static owner".into(),
-                });
+        let mut body = Vec::with_capacity(access.stmts.len());
+        // A statement whose anchor has no static owner (`Screen::Produced`)
+        // gathers through a produced index array or misses its array's
+        // rank: its anchor is declined here.
+        for at in &access.stmts {
+            let mut refs = at.reads.clone().chain(at.target).map(|k| &access.refs[k]);
+            if let Some(reason) = refs.find_map(|a| unproved(program, statics, ns, a)) {
+                let nest = ns.nest.label.clone();
+                return Err(ReplayError::Unsupported { nest, reason });
             }
             let first_form = forms.len();
-            let reads: Vec<ReadAccess> = stmt
-                .reads()
-                .into_iter()
-                .map(|r| lower(r, &mut forms))
-                .collect::<Result<_, _>>()?;
-            let mut target_loads = Vec::new();
-            if let Stmt::Assign { target, .. } = stmt {
-                for ix in &target.indices {
-                    if let IndexExpr::Indirect { base, pos, .. } = ix {
-                        target_loads.push(base.0);
-                        forms.push(LinForm::of_index(pos, nvars));
-                    }
+            let reads = &access.refs[at.reads.clone()];
+            for a in reads {
+                let dims = a.dims.iter().map(|d| d.subscript.form().clone());
+                forms.extend(a.form.clone().map_or_else(|| dims.collect(), |f| vec![f]));
+            }
+            // A scatter's index loads, after the reads.
+            let mut scatter_loads = Vec::new();
+            for dim in at.target.iter().flat_map(|&k| &access.refs[k].dims) {
+                if let Some(base) = dim.subscript.base() {
+                    scatter_loads.push(base.0);
+                    forms.push(dim.subscript.form().clone());
                 }
             }
             body.push(CStmt {
-                has_gather: reads.iter().any(|r| matches!(r, ReadAccess::Gather(_))),
-                reads,
-                target_loads,
-                writes: matches!(stmt, Stmt::Assign { .. }),
+                reads: at.reads.clone(),
+                scatter_loads,
+                writes: at.target.is_some(),
+                has_gather: reads.iter().any(|a| a.form.is_none()),
                 first_form,
             });
         }
         nests.push(CNest {
+            access,
             body,
             forms,
             walk: Walk::Folds(Vec::new()),
@@ -413,68 +374,38 @@ fn compile<'p>(
         cached,
         nests,
         schedule,
-        index_values,
+        statics,
     })
 }
 
-fn compile_ref<'p>(
+/// Why replay cannot count `access`, a reference of the nest `ns`, or
+/// `None` when every index of it is proved in bounds: by the loop box, or
+/// at both end trips of every sweep.
+fn unproved(
     program: &Program,
-    nest_label: &str,
-    aref: &ArrayRef,
-    nvars: usize,
-    statics: &'p StaticArrays<'p>,
-    index_values: &mut [&'p [f64]],
-    forms: &mut Vec<LinForm>,
-) -> Result<ReadAccess, ReplayError> {
-    if let Some(form) = linear_address_form(program, aref, nvars) {
-        forms.push(form);
-        return Ok(ReadAccess::Affine {
-            array: aref.array.0,
+    statics: &StaticArrays<'_>,
+    ns: &NestSchedule<'_>,
+    access: &Access,
+) -> Option<String> {
+    let name = |a: ArrayId| &program.array(a).name;
+    if !access.fits {
+        let array = name(access.array);
+        return Some(format!("a reference to `{array}` does not match its rank"));
+    }
+    let open = |d: &Dim| d.subscript.base().filter(|_| !d.proved);
+    if let Some(base) = access.dims.iter().find_map(open) {
+        let base_name = name(base);
+        return Some(match statics.get(base) {
+            None => format!("gather through dynamically produced index array `{base_name}`"),
+            Some(_) => format!(
+                "gather through `{base_name}` not proved inside its defined prefix and its dimension"
+            ),
         });
     }
-    let decl = program.array(aref.array);
-    let strides: Vec<i64> = decl.strides().iter().map(|&s| s as i64).collect();
-    let mut dims = Vec::with_capacity(aref.indices.len());
-    for ix in &aref.indices {
-        match ix {
-            IndexExpr::Affine(a) => {
-                forms.push(LinForm::of_index(a, nvars));
-                dims.push(DimIdx::Affine);
-            }
-            IndexExpr::Indirect {
-                base,
-                pos,
-                scale,
-                offset,
-            } => {
-                // A gather is compiled ahead of the run, so it needs its
-                // index array constant in every cell.
-                let Some(values) = statics.total(*base) else {
-                    let name = &program.array(*base).name;
-                    return Err(ReplayError::Unsupported {
-                        nest: nest_label.to_string(),
-                        reason: if statics.get(*base).is_some() {
-                            format!("index array `{name}` is not fully statically initialized")
-                        } else {
-                            format!("gather through dynamically produced index array `{name}`")
-                        },
-                    });
-                };
-                index_values[base.0] = values;
-                forms.push(LinForm::of_index(pos, nvars));
-                dims.push(DimIdx::Indirect {
-                    base: base.0,
-                    scale: *scale,
-                    offset: *offset,
-                });
-            }
-        }
-    }
-    Ok(ReadAccess::Gather(GatherRef {
-        array: aref.array.0,
-        strides,
-        dims,
-    }))
+    let sweeps = if access.proved() { 0 } else { ns.sweeps.len() };
+    let (dim, index) = (0..sweeps).find_map(|i| access.leaves(&ns.sweep(i)))?;
+    let array = name(access.array);
+    Some(format!("index {index} leaves dimension {dim} of `{array}`"))
 }
 
 // ---------------------------------------------------------------------------
@@ -578,11 +509,11 @@ impl<'a> Worker<'a> {
             cache: PolicyCache::new(cfg.cache_pages(), cfg.cache_policy),
             net: Network::new(cfg.network, cfg.n_pes),
             fetches: vec![0; cfg.n_pes],
-            gens: vec![0; cp.index_values.len()],
+            gens: vec![0; cp.schedule.placements().len()],
             cur: NestTally::default(),
             times: 1,
             epoch: 0,
-            probed_at: vec![0; cp.index_values.len()],
+            probed_at: vec![0; cp.schedule.placements().len()],
             snapshots: Vec::new(),
             now: Vec::new(),
             windows: Windows::default(),
@@ -662,45 +593,51 @@ impl<'a> Worker<'a> {
         self.cur.page_fetches += count;
     }
 
-    /// Charge every access of `stmt` at inner iteration `t`; `lines` are
-    /// the statement's own, in charging order. This is the path of short,
-    /// page-leaping and gather-bearing windows, and a nest with a gather
-    /// never folds or chains.
-    fn charge_stmt(&mut self, stmt: &CStmt, lines: &[Line], t: i64) {
+    /// Charge every access of statement `si` of `cn` at inner iteration
+    /// `t`; `lines` are the statement's own, in charging order. This is the
+    /// path of short, page-leaping and gather-bearing windows, and a nest
+    /// with a gather never folds or chains.
+    fn charge_stmt(&mut self, cn: &CNest, si: usize, lines: &[Line], t: i64) {
         debug_assert!(
-            self.times == 1 || !stmt.has_gather,
+            self.times == 1 || !cn.body[si].has_gather,
             "gathers are charged one by one"
         );
+        let stmt = &cn.body[si];
         let mut lines = lines.iter();
         let mut next = || lines.next().expect("one line per form").addr(t);
-        for read in &stmt.reads {
-            match read {
-                ReadAccess::Affine { array } => self.charge_read(*array, next()),
-                ReadAccess::Gather(g) => {
-                    // Index loads charge in dimension order, then the
-                    // element — exactly a compiled body's (`sa_ir::body`).
-                    let mut addr = 0i64;
-                    for (dim, stride) in g.dims.iter().zip(&g.strides) {
-                        let idx = match dim {
-                            DimIdx::Affine => next(),
-                            DimIdx::Indirect {
-                                base,
-                                scale,
-                                offset,
-                            } => {
-                                let pos = next();
-                                self.charge_read(*base, pos);
-                                scale * (self.cp.index_values[*base][pos as usize] as i64) + offset
-                            }
-                        };
-                        addr += stride * idx;
-                    }
-                    self.charge_read(g.array, addr);
-                }
+        for read in &cn.access.refs[stmt.reads.clone()] {
+            if read.form.is_some() {
+                self.charge_read(read.array.0, next());
+                continue;
             }
+            // Index loads charge in dimension order, then the element —
+            // exactly a compiled body's (`sa_ir::body`).
+            let mut addr = 0i64;
+            for dim in &read.dims {
+                let index = match dim.subscript {
+                    Subscript::Affine(_) => next(),
+                    Subscript::Gather {
+                        base,
+                        scale,
+                        offset,
+                        ..
+                    } => {
+                        let pos = next();
+                        self.charge_read(base.0, pos);
+                        let values = self
+                            .cp
+                            .statics
+                            .get(base)
+                            .expect("a proved gather is static");
+                        scale * (values[pos as usize] as i64) + offset
+                    }
+                };
+                addr += dim.stride * index;
+            }
+            self.charge_read(read.array.0, addr);
         }
-        for base in &stmt.target_loads {
-            self.charge_read(*base, next());
+        for &base in &stmt.scatter_loads {
+            self.charge_read(base, next());
         }
         if stmt.writes {
             self.cur.writes += self.times;
@@ -884,8 +821,8 @@ impl<'a> Worker<'a> {
             if leaps || w1 - w0 <= 2 || active.iter().any(|&si| cn.body[si].has_gather) {
                 for t in w0..w1 {
                     for &si in active {
-                        let stmt = &cn.body[si];
-                        self.charge_stmt(stmt, &lines[stmt.first_form..], t as i64);
+                        let first = cn.body[si].first_form;
+                        self.charge_stmt(cn, si, &lines[first..], t as i64);
                     }
                 }
             } else {
@@ -910,12 +847,12 @@ impl<'a> Worker<'a> {
             if stmt.writes {
                 self.cur.writes += len * self.times;
             }
-            let arrays = stmt.reads.iter().map(|read| match read {
-                ReadAccess::Affine { array } => array,
-                ReadAccess::Gather(_) => unreachable!("bulk windows are all-affine"),
-            });
-            let arrays = arrays.chain(&stmt.target_loads);
-            for (&array, &line) in arrays.zip(&lines[stmt.first_form..]) {
+            // Bulk windows are all-affine: one form per read.
+            let reads = cn.access.refs[stmt.reads.clone()].iter();
+            let arrays = reads
+                .map(|read| read.array.0)
+                .chain(stmt.scatter_loads.iter().copied());
+            for (array, &line) in arrays.zip(&lines[stmt.first_form..]) {
                 self.collect_probe_runs(array, line, w0, w1, &mut probes);
             }
         }

@@ -2,9 +2,10 @@
 //!
 //! Single assignment makes placement and traffic a pure function of three
 //! things — affine address forms, loop bounds, and the page→PE map. This
-//! module states the first two once, for every consumer (the replay
-//! engine, the static estimator, the owner projection, the dependence
-//! tests and the search probes):
+//! module states the first two once, for every consumer (the compiled
+//! statement bodies, the replay engine, the static estimator, the lint
+//! footprints, the owner projection, the dependence tests and the search
+//! probes):
 //!
 //! * a [`LinForm`] is a reference's linear address as a function of the
 //!   nest's loop variables ([`crate::analysis::linear_address_form`]);
@@ -14,12 +15,22 @@
 //!   fixed outer variables;
 //! * along a sweep a form is a [`Line`] in the trip number, which knows
 //!   where it leaves its page ([`Line::run_end`]) and which trips land in a
-//!   page interval ([`Line::trips_in_pages`]).
+//!   page interval ([`Line::trips_in_pages`]);
+//! * a nest's references are lowered once ([`NestAccess`]): per dimension
+//!   an affine index or a gather ([`Subscript`]), its extent and stride,
+//!   and whether the nest's one [`loop_box`] proves it in bounds — a
+//!   gather through its base's defined prefix ([`StaticArrays::get`]). A
+//!   dimension the box leaves open is decided exactly at a sweep's two end
+//!   trips ([`Access::leaves`]): an affine index is monotone along it.
 //!
 //! The page→PE map is `sa_machine::Placement`; nothing here depends on it.
 
-use crate::index::AffineIndex;
-use crate::nest::LoopVar;
+use std::ops::Range;
+
+use crate::analysis::{linear_address_form, StaticArrays};
+use crate::index::{AffineIndex, IndexExpr};
+use crate::nest::{ArrayRef, LoopNest, LoopVar};
+use crate::{ArrayId, Program};
 
 /// `⌊a / b⌋` for a positive divisor.
 #[inline]
@@ -213,6 +224,297 @@ impl Line {
     }
 }
 
+/// `[min, max]` of every loop variable over the nest `loops`, outermost
+/// first (interval arithmetic on the bounds: exact for rectangular nests,
+/// a superset for triangular ones). A loop that never runs has an empty
+/// interval, and proves nothing about what is inside it — which never runs
+/// either.
+pub fn loop_box(loops: &[LoopVar]) -> Vec<(i128, i128)> {
+    let mut vars = Vec::with_capacity(loops.len());
+    for lv in loops {
+        let (lo, hi) = (
+            interval(&lv.lo.coeffs, lv.lo.offset, &vars),
+            interval(&lv.hi.coeffs, lv.hi.offset, &vars),
+        );
+        vars.push(if lv.step > 0 {
+            (lo.0, hi.1)
+        } else {
+            (hi.0, lo.1)
+        });
+    }
+    vars
+}
+
+/// `[min, max]` of `coeffs · ivs + offset` over the box `vars` (variables
+/// past it count as 0, as [`AffineIndex::eval`] counts them).
+pub fn interval(coeffs: &[i64], offset: i64, vars: &[(i128, i128)]) -> (i128, i128) {
+    let offset = i128::from(offset);
+    let terms = coeffs.iter().zip(vars);
+    terms.fold((offset, offset), |(lo, hi), (&c, &(min, max))| {
+        let (x, y) = (i128::from(c) * min, i128::from(c) * max);
+        (lo + x.min(y), hi + x.max(y))
+    })
+}
+
+/// One index of an [`Access`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Subscript {
+    /// An affine index.
+    Affine(LinForm),
+    /// `scale · base[pos] + offset`, the cell's value truncated.
+    Gather {
+        /// The index array.
+        base: ArrayId,
+        /// Where in `base` the index is read.
+        pos: LinForm,
+        /// Multiplier of the value read.
+        scale: i64,
+        /// Added after scaling.
+        offset: i64,
+    },
+}
+
+impl Subscript {
+    /// The form a sweep steps: the index itself, or a gather's position.
+    pub fn form(&self) -> &LinForm {
+        match self {
+            Subscript::Affine(form) | Subscript::Gather { pos: form, .. } => form,
+        }
+    }
+
+    /// A gather's index array.
+    pub fn base(&self) -> Option<ArrayId> {
+        match self {
+            Subscript::Affine(_) => None,
+            Subscript::Gather { base, .. } => Some(*base),
+        }
+    }
+
+    /// `[min, max]` of the index where its form takes every `step`-th
+    /// value of `[lo, hi]`, a gather reading its base's constant cells:
+    /// `None` when a position leaves their defined prefix.
+    fn range(
+        &self,
+        (lo, hi): (i128, i128),
+        step: u64,
+        statics: Option<&StaticArrays<'_>>,
+    ) -> Option<(i128, i128)> {
+        let &Subscript::Gather {
+            base,
+            scale,
+            offset,
+            ..
+        } = self
+        else {
+            return Some((lo, hi));
+        };
+        let values = statics?.get(base)?;
+        if lo < 0 || hi >= values.len() as i128 {
+            return None;
+        }
+        let taken = values[lo as usize..=hi as usize]
+            .iter()
+            .step_by(step.max(1) as usize);
+        let (min, max) = taken.fold((i64::MAX, i64::MIN), |(min, max), &v| {
+            (min.min(v as i64), max.max(v as i64))
+        });
+        let (x, y) = (
+            i128::from(scale) * i128::from(min),
+            i128::from(scale) * i128::from(max),
+        );
+        Some((x.min(y) + i128::from(offset), x.max(y) + i128::from(offset)))
+    }
+}
+
+/// One dimension of an [`Access`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Dim {
+    /// Its index.
+    pub subscript: Subscript,
+    /// Its extent (0 past the array's rank).
+    pub extent: i64,
+    /// Its row-major stride (0 past the array's rank).
+    pub stride: i64,
+    /// The nest's loop box keeps the index inside `0..extent` on every
+    /// instance — a gather's position inside its base's defined prefix
+    /// and every value there it can read, scaled and offset.
+    pub proved: bool,
+}
+
+/// A reference lowered against its nest's loop box (module docs).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Access {
+    /// The array it names.
+    pub array: ArrayId,
+    /// One per index.
+    pub dims: Vec<Dim>,
+    /// As many indices as the array has dimensions.
+    pub fits: bool,
+    /// The linear address, when it fits and every index is affine.
+    pub form: Option<LinForm>,
+}
+
+impl Access {
+    /// Lower `aref` in a nest whose [`loop_box`] is `vars`; a gather is
+    /// proved only through `statics`.
+    pub fn lower(
+        program: &Program,
+        aref: &ArrayRef,
+        vars: &[(i128, i128)],
+        statics: Option<&StaticArrays<'_>>,
+    ) -> Access {
+        let decl = program.array(aref.array);
+        let (strides, nvars) = (decl.strides(), vars.len());
+        let dims = aref.indices.iter().enumerate().map(|(d, ix)| {
+            let (subscript, at) = match ix {
+                IndexExpr::Affine(a) => (Subscript::Affine(LinForm::of_index(a, nvars)), a),
+                IndexExpr::Indirect {
+                    base,
+                    pos,
+                    scale,
+                    offset,
+                } => {
+                    let (base, scale, offset) = (*base, *scale, *offset);
+                    let pos_form = LinForm::of_index(pos, nvars);
+                    (
+                        Subscript::Gather {
+                            base,
+                            pos: pos_form,
+                            scale,
+                            offset,
+                        },
+                        pos,
+                    )
+                }
+            };
+            // With one moving variable a form takes every |coefficient|-th
+            // value of its range.
+            let mut moving = at
+                .coeffs
+                .iter()
+                .zip(vars)
+                .filter(|&(&c, v)| c != 0 && v.0 != v.1);
+            let step = match (moving.next(), moving.next()) {
+                (Some((c, _)), None) => c.unsigned_abs(),
+                _ => 1,
+            };
+            let extent = decl.dims.get(d).map_or(0, |&e| e as i64);
+            let range = subscript.range(interval(&at.coeffs, at.offset, vars), step, statics);
+            Dim {
+                proved: range.is_some_and(|(lo, hi)| lo >= 0 && hi < i128::from(extent)),
+                subscript,
+                extent,
+                stride: strides.get(d).map_or(0, |&s| s as i64),
+            }
+        });
+        let dims: Vec<Dim> = dims.collect();
+        let fits = dims.len() == decl.dims.len();
+        Access {
+            array: aref.array,
+            form: fits
+                .then(|| linear_address_form(program, aref, nvars))
+                .flatten(),
+            fits,
+            dims,
+        }
+    }
+
+    /// Whether the loop box proves every index in bounds.
+    pub fn proved(&self) -> bool {
+        self.fits && self.dims.iter().all(|d| d.proved)
+    }
+
+    /// The first affine index the box leaves open, in dimension order,
+    /// outside its extent at an end trip of `sweep`, as `(dimension,
+    /// index)`. `None` means every affine index stays inside at both, and
+    /// so — an affine index is monotone in the trip — on every trip between.
+    pub fn leaves(&self, sweep: &Sweep<'_>) -> Option<(usize, i64)> {
+        let last = sweep.trips as i64 - 1;
+        let open = self.dims.iter().enumerate().filter(|(_, d)| !d.proved);
+        open.filter_map(|(d, dim)| match &dim.subscript {
+            Subscript::Affine(index) => Some((d, index.line(sweep), dim.extent)),
+            Subscript::Gather { .. } => None,
+        })
+        .find_map(|(d, line, extent)| {
+            let ends = [line.base, line.addr(last)].into_iter();
+            ends.into_iter()
+                .find(|i| !(0..extent).contains(i))
+                .map(|i| (d, i))
+        })
+    }
+
+    /// The linear address along `sweep`: `None` for a reference without a
+    /// linear form, or with an index that leaves its extent on the sweep.
+    pub fn line(&self, sweep: &Sweep<'_>) -> Option<Line> {
+        let form = self.form.as_ref()?;
+        self.leaves(sweep).is_none().then(|| form.line(sweep))
+    }
+
+    /// `[min, max]` of the linear address along `sweep`, gathers read
+    /// through `statics`: `None` when it does not fit its array, or on some
+    /// trip a position leaves its base's defined prefix or an index its
+    /// extent.
+    pub fn hull(&self, sweep: &Sweep<'_>, statics: &StaticArrays<'_>) -> Option<(i64, i64)> {
+        let last = sweep.trips as i64 - 1;
+        let (mut lo, mut hi) = (0, 0);
+        for dim in self.dims.iter().filter(|_| self.fits) {
+            let line = dim.subscript.form().line(sweep);
+            let (x, y) = (i128::from(line.base), i128::from(line.addr(last)));
+            let step = line.step.unsigned_abs();
+            let (first, end) = dim
+                .subscript
+                .range((x.min(y), x.max(y)), step, Some(statics))?;
+            if first < 0 || end >= i128::from(dim.extent) {
+                return None;
+            }
+            lo += dim.stride * first as i64;
+            hi += dim.stride * end as i64;
+        }
+        self.fits.then_some((lo, hi))
+    }
+}
+
+/// Where one statement's references sit in its nest's [`NestAccess`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StmtAccess {
+    /// Its reads, in evaluation order.
+    pub reads: Range<usize>,
+    /// Its write target, after them (`None` for a reduction).
+    pub target: Option<usize>,
+}
+
+/// Every reference of one nest, lowered against its one [`loop_box`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct NestAccess {
+    /// The references; a reference's position here is its key.
+    pub refs: Vec<Access>,
+    /// Per body statement, where its references are.
+    pub stmts: Vec<StmtAccess>,
+}
+
+impl NestAccess {
+    /// Lower every reference of `nest`; gathers are proved through
+    /// `statics` ([`Access::lower`]).
+    pub fn lower(
+        program: &Program,
+        nest: &LoopNest,
+        statics: Option<&StaticArrays<'_>>,
+    ) -> NestAccess {
+        let vars = loop_box(&nest.loops);
+        let lower = |aref: &ArrayRef| Access::lower(program, aref, &vars, statics);
+        let (mut refs, mut stmts) = (Vec::new(), Vec::with_capacity(nest.body.len()));
+        for stmt in &nest.body {
+            let start = refs.len();
+            refs.extend(stmt.reads().into_iter().map(lower));
+            let reads = start..refs.len();
+            refs.extend(stmt.write_target().map(lower));
+            let target = (refs.len() > reads.end).then_some(reads.end);
+            stmts.push(StmtAccess { reads, target });
+        }
+        NestAccess { refs, stmts }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -362,6 +664,62 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn the_loop_box_proves_what_stays_inside_and_the_sweeps_decide_the_rest() {
+        use crate::builder::ProgramBuilder;
+        use crate::program::{ArrayInit, InitPattern};
+        // A(i, j - 1) leaves its column on j = 0; D(P(j)) gathers through
+        // P's defined prefix of five cells, D(P(j + 1)) reads past it.
+        let mut b = ProgramBuilder::new("box");
+        let a = b.input("A", &[4, 5], InitPattern::Wavy);
+        let even = InitPattern::Linear {
+            base: 0.0,
+            step: 2.0,
+        };
+        let p = b.array_with(
+            "P",
+            &[8],
+            ArrayInit::Prefix {
+                pattern: even,
+                len: 5,
+            },
+        );
+        let d = b.input("D", &[9], InitPattern::Wavy);
+        let x = b.output("X", &[4, 5]);
+        b.nest("n", &[("i", 0, 3), ("j", 0, 4)], |n| {
+            let left = n.read(a, [iv(0), iv(1).plus(-1)]);
+            let v = left + n.read_indirect(d, p, iv(1)) + n.read_indirect(d, p, iv(1).plus(1));
+            n.assign(x, [iv(0), iv(1)], v);
+        });
+        let prog = b.finish();
+        let (nest, statics) = (prog.nests().next().unwrap(), StaticArrays::scan(&prog));
+        let lowered = NestAccess::lower(&prog, nest, Some(&statics));
+        let proved = |l: &NestAccess| -> Vec<Vec<bool>> {
+            let dims = |r: &Access| r.dims.iter().map(|d| d.proved).collect();
+            l.refs.iter().map(dims).collect()
+        };
+        let expected = [vec![true, false], vec![true], vec![false], vec![true, true]];
+        assert_eq!(proved(&lowered), expected);
+        assert_eq!(lowered.stmts[0].reads, 0..3);
+        assert_eq!(lowered.stmts[0].target, Some(3));
+        // Without the constant cells no gather is proved.
+        let blind = NestAccess::lower(&prog, nest, None);
+        assert!(!blind.refs[1].dims[0].proved);
+        nest.for_each_sweep(|s| {
+            assert_eq!(lowered.refs[0].leaves(s), Some((1, -1)));
+            assert_eq!(lowered.refs[0].line(s), None);
+            assert_eq!(lowered.refs[1].hull(s, &statics), Some((0, 8)));
+            assert_eq!(lowered.refs[2].hull(s, &statics), None);
+            assert_eq!(
+                lowered.refs[3].line(s),
+                Some(Line {
+                    base: 5 * s.outer[0],
+                    step: 1
+                })
+            );
+        });
     }
 
     #[test]

@@ -131,11 +131,7 @@ pub struct ProgramReport {
 /// touches at iteration `ivs` is `coeffs · ivs + offset` (row-major strides
 /// folded in, coefficients padded to `nvars` loop variables). `None` if any
 /// index is indirect or the reference carries more indices than its array
-/// has dimensions.
-///
-/// An all-affine reference's page-ownership pattern is decidable once per
-/// nest from this form alone: every engine that walks page runs instead of
-/// statement instances lowers its references through here.
+/// has dimensions ([`crate::access::Access::form`] needs the rank to match).
 pub fn linear_address_form(program: &Program, aref: &ArrayRef, nvars: usize) -> Option<LinForm> {
     let strides = program.array(aref.array).strides();
     let mut form = LinForm {
@@ -355,18 +351,15 @@ pub fn anchor_index_arrays(stmt: &Stmt) -> Vec<crate::ArrayId> {
 /// any statement and never re-initialized — and their values: the index
 /// arrays a gather, a scatter or a statement anchor can be seen through
 /// before the program runs. This is the one scan every consumer asks
-/// (replay's gathers, the static passes' resolver, the schedule's owner
-/// tables).
+/// (the lowered references' gather proofs, replay's gathers, the static
+/// passes' resolver, the schedule's owner tables).
 ///
-/// The rule for [`ArrayInit::Prefix`]: such an array is static *cell by
-/// cell*. [`StaticArrays::get`] hands out its defined prefix, and a position
-/// past it is a cell nobody ever defines — that is what the static passes
-/// read. [`StaticArrays::total`], which is what anything resolved *ahead
-/// of* the run (an owner table, a compiled gather) asks, answers only for
-/// arrays declared [`ArrayInit::Full`]: a prefix declaration says the
-/// program takes care of definedness itself, whatever the prefix happens
-/// to cover, so the engines resolve through it at run time. An
-/// [`ArrayInit::Undefined`] array has no constant cells at all.
+/// A constant index cell is one [`StaticArrays::get`] hands out, and that
+/// is the one rule: an array is static *cell by cell*, its defined prefix
+/// ([`ArrayInit::Full`] defines every cell, [`ArrayInit::Prefix`] its
+/// prefix, [`ArrayInit::Undefined`] none). A position past the prefix is a
+/// cell nobody ever defines: an owner table or a gather proof that meets
+/// one fails, and the interpreter reports it.
 ///
 /// Values are materialized on first use, so scanning a program with large
 /// never-gathered inputs costs nothing.
@@ -412,14 +405,8 @@ impl<'p> StaticArrays<'p> {
         Some(self.values[a.0].get_or_init(|| decl.init.materialize(decl.len())))
     }
 
-    /// The values of `a` if it is declared constant in every cell
-    /// ([`ArrayInit::Full`], never written, never re-initialized).
-    pub fn total(&self, a: ArrayId) -> Option<&[f64]> {
-        self.is_total(a).then(|| self.get(a)).flatten()
-    }
-
-    /// Whether every cell of `a` is a constant ([`StaticArrays::total`]
-    /// without materializing the values).
+    /// Whether every cell of `a` is a constant: declared
+    /// [`ArrayInit::Full`], never written, never re-initialized.
     pub fn is_total(&self, a: ArrayId) -> bool {
         self.constant[a.0] && matches!(self.program.array(a).init, ArrayInit::Full(_))
     }
@@ -451,8 +438,9 @@ pub enum Screen {
         /// Linear address of the anchor element.
         form: LinForm,
     },
-    /// Anchor through index arrays that are [`StaticArrays::total`]: the
-    /// owner of every instance can be tabulated before the run.
+    /// Anchor through index arrays whose cells are compile-time constants
+    /// ([`StaticArrays::get`]): the owner of every instance can be
+    /// tabulated before the run.
     Static,
     /// Anchorless statement (a reduction reading no array): dealt
     /// round-robin, see [`NestScreen::deal`].
@@ -460,10 +448,10 @@ pub enum Screen {
         /// Index among the nest's anchorless statements.
         slot: u64,
     },
-    /// Anchor through an index array the program produces (or that is only
-    /// partly initialized): the owner is known once the index cell is, at
-    /// run time. Also the kind of an anchor no linear form exists for (a
-    /// rank mismatch), which fails on its first instance everywhere.
+    /// Anchor through an index array the program produces: the owner is
+    /// known once the index cell is, at run time. Also the kind of an
+    /// anchor no linear form exists for (a rank mismatch), which fails on
+    /// its first instance everywhere.
     Produced,
 }
 
@@ -533,7 +521,7 @@ pub fn screen_nests(program: &Program, statics: &StaticArrays<'_>) -> Vec<NestSc
                         return Screen::Affine { array, form };
                     }
                     let bases = anchor_index_arrays(stmt);
-                    if !bases.is_empty() && bases.iter().all(|b| statics.total(*b).is_some()) {
+                    if !bases.is_empty() && bases.iter().all(|b| statics.get(*b).is_some()) {
                         Screen::Static
                     } else {
                         Screen::Produced
@@ -909,13 +897,13 @@ mod tests {
         let p = b.finish();
         let statics = StaticArrays::scan(&p);
         assert_eq!(statics.get(full).map(<[f64]>::len), Some(8));
-        assert!(statics.total(full).is_some());
-        // A prefix is static cell by cell, never ahead of the run — even
-        // when it covers the array.
+        assert!(statics.is_total(full));
+        // A prefix is static cell by cell: constant where it is defined,
+        // but not every cell of the array — even when it covers it.
         assert_eq!(statics.get(prefix).map(<[f64]>::len), Some(8));
-        assert!(statics.total(prefix).is_none());
+        assert!(!statics.is_total(prefix));
         for runtime in [reinit, out, never] {
-            assert!(statics.get(runtime).is_none() && statics.total(runtime).is_none());
+            assert!(statics.get(runtime).is_none() && !statics.is_total(runtime));
         }
         assert!((&statics).load(full, 3).is_ok());
         assert!((&statics).load(out, 3).is_err());

@@ -14,12 +14,12 @@
 //!   variables — become [`LinForm`]s, shared across the nest. Along a
 //!   sweep ([`NestBody::enter`]) each is a [`Line`] in the trip number, so
 //!   its value on a trip is one multiply-add.
-//! * **An affine reference's address** is its linear form
-//!   ([`linear_address_form`]). A dimension whose index the nest's loop
-//!   box proves inside its extent is never checked again; every other
-//!   dimension is checked per instance, in dimension order, before the
-//!   address is used. So an index outside its dimension raises the same
-//!   `IndexOutOfBounds` at the same instance, even where the linear
+//! * **References** are the nest's [`NestAccess`], lowered once against
+//!   its loop box. An affine reference's address is its linear form; a
+//!   dimension the box proves inside its extent is never checked again,
+//!   every other one is checked per instance, in dimension order, before
+//!   the address is used. So an index outside its dimension raises the
+//!   same `IndexOutOfBounds` at the same instance, even where the linear
 //!   address would alias an in-range cell.
 //! * **A gather or a rank mismatch** resolves index by index under the
 //!   rules [`resolve_ref_addr`] states (shared code, not a copy); a gather
@@ -35,12 +35,11 @@ use std::collections::HashMap;
 
 use sa_mem::PageMemo;
 
-use crate::access::{LinForm, Line, Sweep};
-use crate::analysis::linear_address_form;
+use crate::access::{Access, LinForm, Line, NestAccess, Subscript, Sweep};
 use crate::expr::{BinOp, Expr, UnaryOp};
-use crate::index::{AffineIndex, IndexExpr};
+use crate::index::AffineIndex;
 use crate::interp::{fold_address, gather_index, Memory};
-use crate::nest::{ArrayRef, LoopNest, LoopVar, Stmt};
+use crate::nest::LoopNest;
 use crate::{ArrayId, IrError, Program};
 
 /// A compiled reference of a [`NestBody`]: a statement's write target or
@@ -78,57 +77,31 @@ enum Op {
     With(BinOp, Leaf),
 }
 
-/// A dimension the loop box does not prove in bounds.
+/// Where a compiled reference's values live in the executor's [`Frame`].
 #[derive(Debug)]
-struct Check {
-    dim: usize,
-    form: usize,
-    extent: usize,
-}
-
-/// One index of a reference resolved index by index.
-#[derive(Debug)]
-enum Index {
-    Affine(usize),
-    Gather {
-        base: ArrayId,
-        pos: usize,
-        scale: i64,
-        offset: i64,
-        memo: usize,
-    },
-}
-
-#[derive(Debug)]
-enum Addr {
-    /// Every index affine and the rank right: the address is `form`, once
-    /// `checks` pass.
-    Linear { form: usize, checks: Vec<Check> },
-    /// A gather or a rank mismatch.
-    Resolved(Vec<Index>),
-}
-
-#[derive(Debug)]
-struct Ref {
+struct Load {
     array: ArrayId,
+    /// The element's page memo; a gather's index loads take the next ones,
+    /// in dimension order.
     memo: usize,
-    addr: Addr,
-}
-
-#[derive(Debug)]
-struct StmtBody {
-    ops: Vec<Op>,
-    target: Option<usize>,
-    anchor: Option<usize>,
+    /// The linear address's form, when the reference has one.
+    form: Option<usize>,
+    /// `(dimension, form)` of each index evaluated per instance: with a
+    /// linear form, the dimensions the loop box leaves open, checked before
+    /// the address is used; without, every index.
+    dims: Vec<(usize, usize)>,
 }
 
 /// The statements of one nest, compiled (module docs).
 #[derive(Debug)]
 pub struct NestBody<'p> {
     program: &'p Program,
+    access: NestAccess,
     forms: Vec<LinForm>,
-    refs: Vec<Ref>,
-    stmts: Vec<StmtBody>,
+    /// One per reference of `access`, in its order.
+    refs: Vec<Load>,
+    /// Per statement, its right-hand side in postfix.
+    stmts: Vec<Vec<Op>>,
     memos: usize,
     depth: usize,
 }
@@ -142,49 +115,22 @@ pub struct Frame {
     stack: Vec<f64>,
 }
 
-/// `[min, max]` of every loop variable over the nest, outermost first
-/// (interval arithmetic on the bounds: exact for rectangular nests, a
-/// superset for triangular ones). A loop that never runs has an empty
-/// interval, and proves nothing about what is inside it — which never
-/// runs either.
-fn loop_box(loops: &[LoopVar]) -> Vec<(i128, i128)> {
-    let mut vars: Vec<(i128, i128)> = Vec::with_capacity(loops.len());
-    for lv in loops {
-        let (lo, hi) = (interval(&lv.lo, &vars), interval(&lv.hi, &vars));
-        vars.push(if lv.step > 0 {
-            (lo.0, hi.1)
-        } else {
-            (hi.0, lo.1)
-        });
-    }
-    vars
-}
-
-/// `[min, max]` of `a` over `vars` (variables past them count as 0, as
-/// [`AffineIndex::eval`] counts them).
-fn interval(a: &AffineIndex, vars: &[(i128, i128)]) -> (i128, i128) {
-    let mut r = (i128::from(a.offset), i128::from(a.offset));
-    for (&c, &(lo, hi)) in a.coeffs.iter().zip(vars) {
-        let (x, y) = (i128::from(c) * lo, i128::from(c) * hi);
-        r = (r.0 + x.min(y), r.1 + x.max(y));
-    }
-    r
-}
-
-struct Compiler<'a, 'p> {
+struct Compiler<'p> {
     program: &'p Program,
     nvars: usize,
-    vars: &'a [(i128, i128)],
     forms: Vec<LinForm>,
     seen: HashMap<LinForm, usize>,
-    refs: Vec<Ref>,
+    refs: Vec<Load>,
+    /// The next reference of the nest's [`NestAccess`] the expressions
+    /// meet: they read in its order.
+    next: usize,
     memos: usize,
 }
 
-impl Compiler<'_, '_> {
-    fn form(&mut self, f: LinForm) -> usize {
+impl Compiler<'_> {
+    fn form(&mut self, f: &LinForm) -> usize {
         let next = self.forms.len();
-        *self.seen.entry(f).or_insert_with_key(|f| {
+        *self.seen.entry(f.clone()).or_insert_with_key(|f| {
             self.forms.push(f.clone());
             next
         })
@@ -195,57 +141,24 @@ impl Compiler<'_, '_> {
         self.memos - 1
     }
 
-    fn reference(&mut self, aref: &ArrayRef) -> usize {
-        let decl = self.program.array(aref.array);
+    fn reference(&mut self, access: &Access) -> Load {
         let memo = self.memo();
-        let linear = (aref.indices.len() == decl.dims.len())
-            .then(|| linear_address_form(self.program, aref, self.nvars))
-            .flatten();
-        let addr = match linear {
-            Some(form) => {
-                let mut checks = Vec::new();
-                for (dim, (ix, &extent)) in aref.indices.iter().zip(&decl.dims).enumerate() {
-                    let a = ix.as_affine().expect("a linear form has affine indices");
-                    let (lo, hi) = interval(a, self.vars);
-                    if lo < 0 || hi >= extent as i128 {
-                        let form = self.form(LinForm::of_index(a, self.nvars));
-                        checks.push(Check { dim, form, extent });
-                    }
+        let form = access.form.as_ref().map(|f| self.form(f));
+        let mut dims = Vec::new();
+        for (d, dim) in access.dims.iter().enumerate() {
+            if form.is_none() || !dim.proved {
+                if dim.subscript.base().is_some() {
+                    self.memo();
                 }
-                Addr::Linear {
-                    form: self.form(form),
-                    checks,
-                }
+                dims.push((d, self.form(dim.subscript.form())));
             }
-            None => Addr::Resolved(
-                aref.indices
-                    .iter()
-                    .map(|ix| match ix {
-                        IndexExpr::Affine(a) => {
-                            Index::Affine(self.form(LinForm::of_index(a, self.nvars)))
-                        }
-                        IndexExpr::Indirect {
-                            base,
-                            pos,
-                            scale,
-                            offset,
-                        } => Index::Gather {
-                            base: *base,
-                            pos: self.form(LinForm::of_index(pos, self.nvars)),
-                            scale: *scale,
-                            offset: *offset,
-                            memo: self.memo(),
-                        },
-                    })
-                    .collect(),
-            ),
-        };
-        self.refs.push(Ref {
-            array: aref.array,
+        }
+        Load {
+            array: access.array,
             memo,
-            addr,
-        });
-        self.refs.len() - 1
+            form,
+            dims,
+        }
     }
 
     /// `e` as an operand that needs no stack, if it is one.
@@ -256,21 +169,29 @@ impl Compiler<'_, '_> {
             Expr::Scalar(s) => Leaf::Scalar(s.0),
             Expr::LoopVar(v) => {
                 assert!(*v < self.nvars, "loop variable {v} outside its nest");
-                Leaf::Form(self.form(LinForm::of_index(&AffineIndex::var(*v), self.nvars)))
+                Leaf::Form(self.form(&LinForm::of_index(&AffineIndex::var(*v), self.nvars)))
             }
             Expr::Read(r) => {
-                let k = self.reference(r);
+                let k = self.next;
+                self.next += 1;
                 let narrow = |i: usize| u32::try_from(i).expect("fewer than 2³² sites");
                 match &self.refs[k] {
-                    Ref {
+                    Load {
                         array,
                         memo,
-                        addr: Addr::Linear { form, checks },
-                    } if checks.is_empty() => Leaf::Direct {
-                        array: narrow(array.0),
-                        memo: narrow(*memo),
-                        form: narrow(*form),
-                    },
+                        form: Some(form),
+                        dims,
+                    } if dims.is_empty() => {
+                        debug_assert_eq!(
+                            *array, r.array,
+                            "reads meet the nest's references in order"
+                        );
+                        Leaf::Direct {
+                            array: narrow(array.0),
+                            memo: narrow(*memo),
+                            form: narrow(*form),
+                        }
+                    }
                     _ => Leaf::Load(k),
                 }
             }
@@ -313,42 +234,33 @@ impl Compiler<'_, '_> {
 impl<'p> NestBody<'p> {
     /// Compile every statement of `nest`, a nest of `program`.
     pub fn compile(program: &'p Program, nest: &LoopNest) -> Self {
-        let vars = loop_box(&nest.loops);
+        let access = NestAccess::lower(program, nest, None);
         let mut c = Compiler {
             program,
             nvars: nest.loops.len(),
-            vars: &vars,
             forms: Vec::new(),
             seen: HashMap::new(),
             refs: Vec::new(),
+            next: 0,
             memos: 0,
         };
+        c.refs = access.refs.iter().map(|a| c.reference(a)).collect();
         let mut depth = 1;
         let stmts = nest
             .body
             .iter()
-            .map(|stmt| {
+            .zip(&access.stmts)
+            .map(|(stmt, at)| {
                 let mut ops = Vec::new();
-                let first_read = c.refs.len();
                 depth = depth.max(c.expr(stmt.value(), &mut ops));
-                let reads = first_read..c.refs.len();
-                let (target, anchor) = match stmt {
-                    Stmt::Assign { target, .. } => {
-                        let t = c.reference(target);
-                        (Some(t), Some(t))
-                    }
-                    // A reduction is anchored at its first read.
-                    Stmt::Reduce { .. } => (None, (!reads.is_empty()).then_some(reads.start)),
-                };
-                StmtBody {
-                    ops,
-                    target,
-                    anchor,
-                }
+                // The target follows the reads.
+                c.next += usize::from(at.target.is_some());
+                ops
             })
             .collect();
         NestBody {
             program,
+            access,
             forms: c.forms,
             refs: c.refs,
             stmts,
@@ -375,14 +287,16 @@ impl<'p> NestBody<'p> {
 
     /// The write target of statement `stmt` (`None` for a reduction).
     pub fn target(&self, stmt: usize) -> Option<Site> {
-        self.stmts[stmt].target.map(Site)
+        self.access.stmts[stmt].target.map(Site)
     }
 
     /// The reference that anchors statement `stmt` for owner-computes
     /// (`sa_ir::analysis::anchor_ref`): its target, or a reduction's first
     /// read; `None` for a reduction that reads no array.
     pub fn anchor(&self, stmt: usize) -> Option<Site> {
-        self.stmts[stmt].anchor.map(Site)
+        let at = &self.access.stmts[stmt];
+        let first_read = (!at.reads.is_empty()).then_some(at.reads.start);
+        at.target.or(first_read).map(Site)
     }
 
     /// The array `site` names.
@@ -405,48 +319,69 @@ impl<'p> NestBody<'p> {
         frame: &mut Frame,
         mem: &mut impl Memory,
     ) -> Result<usize, IrError> {
-        self.resolve(&self.refs[site.0], t, &frame.lines, &mut frame.memos, mem)
+        self.resolve(site.0, t, &frame.lines, &mut frame.memos, mem)
     }
 
     #[inline]
     fn resolve(
         &self,
-        r: &Ref,
+        k: usize,
         t: i64,
         lines: &[Line],
         memos: &mut [PageMemo],
         mem: &mut impl Memory,
     ) -> Result<usize, IrError> {
-        match &r.addr {
-            Addr::Linear { form, checks } => {
-                for c in checks {
-                    let index = lines[c.form].addr(t);
-                    if index < 0 || index as usize >= c.extent {
-                        return Err(IrError::IndexOutOfBounds {
-                            array: self.program.array(r.array).name.clone(),
-                            dim: c.dim,
-                            index,
-                            extent: c.extent,
-                        });
-                    }
-                }
-                Ok(lines[*form].addr(t) as usize)
-            }
-            Addr::Resolved(indices) => {
-                fold_address(self.program, r.array, indices.len(), |d| match indices[d] {
-                    Index::Affine(f) => Ok(lines[f].addr(t)),
-                    Index::Gather {
+        let r = &self.refs[k];
+        match r.form {
+            // Every index proved: the linear address.
+            Some(form) if r.dims.is_empty() => Ok(lines[form].addr(t) as usize),
+            _ => self.resolve_checked(k, t, lines, memos, mem),
+        }
+    }
+
+    /// [`NestBody::resolve`] of a reference with an index to check or to
+    /// gather.
+    fn resolve_checked(
+        &self,
+        k: usize,
+        t: i64,
+        lines: &[Line],
+        memos: &mut [PageMemo],
+        mem: &mut impl Memory,
+    ) -> Result<usize, IrError> {
+        let r = &self.refs[k];
+        let Some(form) = r.form else {
+            let (access, mut memo) = (&self.access.refs[k], r.memo);
+            return fold_address(self.program, r.array, r.dims.len(), |d| {
+                let index = lines[r.dims[d].1].addr(t);
+                match access.dims[d].subscript {
+                    Subscript::Affine(_) => Ok(index),
+                    Subscript::Gather {
                         base,
-                        pos,
                         scale,
                         offset,
-                        memo,
-                    } => gather_index(self.program, base, lines[pos].addr(t), scale, offset, |p| {
-                        mem.load_at(base, p, &mut memos[memo])
-                    }),
-                })
+                        ..
+                    } => {
+                        memo += 1;
+                        gather_index(self.program, base, index, scale, offset, |p| {
+                            mem.load_at(base, p, &mut memos[memo])
+                        })
+                    }
+                }
+            });
+        };
+        for &(dim, f) in &r.dims {
+            let (index, extent) = (lines[f].addr(t), self.access.refs[k].dims[dim].extent);
+            if !(0..extent).contains(&index) {
+                return Err(IrError::IndexOutOfBounds {
+                    array: self.program.array(r.array).name.clone(),
+                    dim,
+                    index,
+                    extent: extent as usize,
+                });
             }
         }
+        Ok(lines[form].addr(t) as usize)
     }
 
     /// The value of statement `stmt`'s right-hand side on trip `t` of the
@@ -470,7 +405,7 @@ impl<'p> NestBody<'p> {
         // the first push spills a meaningless `top`, so `depth` slots hold
         // every spill.
         let (mut top, mut below) = (0.0, 0);
-        for op in &self.stmts[stmt].ops {
+        for op in &self.stmts[stmt] {
             match *op {
                 Op::Push(leaf) => {
                     let v = self.leaf(leaf, t, lines, memos, scalars, mem)?;
@@ -506,9 +441,9 @@ impl<'p> NestBody<'p> {
             Leaf::Const(c) => c,
             Leaf::Scalar(s) => scalars[s],
             Leaf::Form(f) => lines[f].addr(t) as f64,
-            Leaf::Load(r) => {
-                let r = &self.refs[r];
-                let addr = self.resolve(r, t, lines, memos, mem)?;
+            Leaf::Load(k) => {
+                let addr = self.resolve(k, t, lines, memos, mem)?;
+                let r = &self.refs[k];
                 mem.load_at(r.array, addr, &mut memos[r.memo])?
             }
             Leaf::Direct { array, memo, form } => {
@@ -523,8 +458,9 @@ impl<'p> NestBody<'p> {
 mod tests {
     use super::*;
     use crate::builder::ProgramBuilder;
-    use crate::index::iv;
+    use crate::index::{iv, IndexExpr};
     use crate::interp::resolve_ref_addr;
+    use crate::nest::ArrayRef;
     use crate::program::InitPattern;
 
     struct Flat(Vec<Vec<f64>>, usize);
@@ -550,10 +486,7 @@ mod tests {
         let checked: Vec<usize> = body
             .refs
             .iter()
-            .map(|r| match &r.addr {
-                Addr::Linear { checks, .. } => checks.len(),
-                Addr::Resolved(_) => usize::MAX,
-            })
+            .map(|r| r.form.map_or(usize::MAX, |_| r.dims.len()))
             .collect();
         assert_eq!(checked, [1, 0], "one check on the read, none on the target");
     }
@@ -566,12 +499,7 @@ mod tests {
         let a = b.input("A", &[4, 5], InitPattern::Wavy);
         let perm = b.input("P", &[6], InitPattern::Permutation { seed: 2 });
         let x = b.output("X", &[4, 5]);
-        let gather = |pos: AffineIndex, offset| IndexExpr::Indirect {
-            base: perm,
-            pos,
-            scale: 1,
-            offset,
-        };
+        let gather = |pos: AffineIndex, offset| IndexExpr::gather(perm, pos, 1, offset);
         let refs = [
             ArrayRef::new(a, vec![iv(0).into(), iv(1).into()]),
             ArrayRef::new(a, vec![iv(0).into(), iv(1).plus(1).into()]),
@@ -606,13 +534,7 @@ mod tests {
             for t in 0..sweep.trips as i64 {
                 let ivs = [sweep.outer[0], sweep.lo + sweep.step * t];
                 for (k, r) in refs.iter().enumerate() {
-                    let got = body.resolve(
-                        &body.refs[k],
-                        t,
-                        &frame.lines,
-                        &mut frame.memos,
-                        &mut got_mem,
-                    );
+                    let got = body.resolve(k, t, &frame.lines, &mut frame.memos, &mut got_mem);
                     let want = resolve_ref_addr(&p, r, &ivs, &mut want_mem);
                     assert_eq!(got, want, "{r:?} at {ivs:?}");
                     assert_eq!(got_mem.1, want_mem.1, "index loads of {r:?} at {ivs:?}");

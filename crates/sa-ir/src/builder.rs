@@ -439,12 +439,7 @@ impl NestBuilder {
     pub fn read_indirect(&self, data: ArrayId, base: ArrayId, pos: AffineIndex) -> Expr {
         Expr::Read(ArrayRef::new(
             data,
-            vec![IndexExpr::Indirect {
-                base,
-                pos,
-                scale: 1,
-                offset: 0,
-            }],
+            vec![IndexExpr::gather(base, pos, 1, 0)],
         ))
     }
 
@@ -483,15 +478,7 @@ impl NestBuilder {
         value: impl Into<Expr>,
     ) {
         self.body.push(Stmt::Assign {
-            target: ArrayRef::new(
-                array,
-                vec![IndexExpr::Indirect {
-                    base,
-                    pos,
-                    scale: 1,
-                    offset: 0,
-                }],
-            ),
+            target: ArrayRef::new(array, vec![IndexExpr::gather(base, pos, 1, 0)]),
             value: value.into(),
         });
     }

@@ -110,6 +110,16 @@ pub enum IndexExpr {
 }
 
 impl IndexExpr {
+    /// The gather `scale · base[pos] + offset`.
+    pub fn gather(base: ArrayId, pos: AffineIndex, scale: i64, offset: i64) -> Self {
+        IndexExpr::Indirect {
+            base,
+            pos,
+            scale,
+            offset,
+        }
+    }
+
     /// The affine payload if this is a direct index.
     pub fn as_affine(&self) -> Option<&AffineIndex> {
         match self {

@@ -24,8 +24,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::expr::Expr;
-use crate::index::IndexExpr;
-use crate::interp::interpret;
+use crate::interp::{interpret, resolve_ref_addr, Memory};
 use crate::nest::{ArrayRef, Stmt};
 use crate::program::{ArrayDecl, ArrayInit, Phase, Program};
 use crate::{ArrayId, IrError};
@@ -143,6 +142,33 @@ struct VonNeumannStore {
     current_version: Vec<usize>,
 }
 
+/// The store as the interpreter's [`Memory`], every load attributed to one
+/// read site: references resolve under the interpreter's rules
+/// ([`resolve_ref_addr`]), gather index loads included.
+struct Traced<'a> {
+    program: &'a Program,
+    site: Site,
+    store: &'a mut VonNeumannStore,
+    trace: &'a mut Trace,
+}
+
+impl Memory for Traced<'_> {
+    fn load(&mut self, array: ArrayId, addr: usize) -> Result<f64, IrError> {
+        let a = array.0;
+        let prod = self.store.producer[a][addr];
+        if prod == usize::MAX {
+            let array = self.program.array(array).name.clone();
+            return Err(IrError::ReadUndefined { array, addr });
+        }
+        let versions = self.trace.site_versions.entry(self.site).or_default();
+        versions.entry(a).or_default().insert(prod);
+        if prod != self.store.current_version[a] {
+            self.trace.cross_version_reads.insert(a);
+        }
+        Ok(self.store.values[a][addr])
+    }
+}
+
 /// The trace's evaluation context: program + parameter/scalar snapshots.
 struct EvalCtx<'p> {
     program: &'p Program,
@@ -216,103 +242,20 @@ fn run_trace(program: &Program) -> Result<Trace, SsaError> {
                 op.apply(va, vb)
             }
             Expr::Read(r) => {
-                let my_slot = *slot;
+                let site = (phase, stmt, *slot);
                 *slot += 1;
-                let addr = resolve_vn(ctx, r, ivs, phase, stmt, my_slot, store, trace)?;
-                load_vn(
-                    ctx.program,
-                    r.array,
-                    addr,
-                    phase,
-                    stmt,
-                    my_slot,
+                let program = ctx.program;
+                let mut mem = Traced {
+                    program,
+                    site,
                     store,
                     trace,
-                )?
+                };
+                let addr = resolve_ref_addr(program, r, ivs, &mut mem);
+                addr.and_then(|addr| mem.load(r.array, addr))
+                    .map_err(SsaError::Trace)?
             }
         })
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn resolve_vn(
-        ctx: &EvalCtx<'_>,
-        aref: &ArrayRef,
-        ivs: &[i64],
-        phase: usize,
-        stmt: usize,
-        slot: usize,
-        store: &mut VonNeumannStore,
-        trace: &mut Trace,
-    ) -> Result<usize, SsaError> {
-        let decl = ctx.program.array(aref.array);
-        let mut idx = Vec::with_capacity(aref.indices.len());
-        for ix in &aref.indices {
-            let v = match ix {
-                IndexExpr::Affine(a) => a.eval(ivs),
-                IndexExpr::Indirect {
-                    base,
-                    pos,
-                    scale,
-                    offset,
-                } => {
-                    let p = pos.eval(ivs);
-                    let base_decl = ctx.program.array(*base);
-                    if p < 0 || p as usize >= base_decl.len() {
-                        return Err(SsaError::Trace(IrError::IndexOutOfBounds {
-                            array: base_decl.name.clone(),
-                            dim: 0,
-                            index: p,
-                            extent: base_decl.len(),
-                        }));
-                    }
-                    let fetched = load_vn(
-                        ctx.program,
-                        *base,
-                        p as usize,
-                        phase,
-                        stmt,
-                        slot,
-                        store,
-                        trace,
-                    )?;
-                    scale * (fetched as i64) + offset
-                }
-            };
-            idx.push(v);
-        }
-        decl.linearize(&idx).map_err(SsaError::Trace)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn load_vn(
-        program: &Program,
-        array: ArrayId,
-        addr: usize,
-        phase: usize,
-        stmt: usize,
-        slot: usize,
-        store: &mut VonNeumannStore,
-        trace: &mut Trace,
-    ) -> Result<f64, SsaError> {
-        let a = array.0;
-        let prod = store.producer[a][addr];
-        if prod == usize::MAX {
-            return Err(SsaError::Trace(IrError::ReadUndefined {
-                array: program.array(array).name.clone(),
-                addr,
-            }));
-        }
-        trace
-            .site_versions
-            .entry((phase, stmt, slot))
-            .or_default()
-            .entry(a)
-            .or_default()
-            .insert(prod);
-        if prod != store.current_version[a] {
-            trace.cross_version_reads.insert(a);
-        }
-        Ok(store.values[a][addr])
     }
 
     for (pi, phase) in program.phases.iter().enumerate() {
@@ -345,16 +288,14 @@ fn run_trace(program: &Program) -> Result<Trace, SsaError> {
                                 let v = eval_rec(
                                     &ctx, value, ivs, pi, si, &mut slot, &mut store, &mut trace,
                                 )?;
-                                let addr = resolve_vn(
-                                    &ctx,
-                                    target,
-                                    ivs,
-                                    pi,
-                                    si,
-                                    usize::MAX,
-                                    &mut store,
-                                    &mut trace,
-                                )?;
+                                let mut mem = Traced {
+                                    program,
+                                    site: (pi, si, usize::MAX),
+                                    store: &mut store,
+                                    trace: &mut trace,
+                                };
+                                let addr = resolve_ref_addr(program, target, ivs, &mut mem)
+                                    .map_err(SsaError::Trace)?;
                                 let a = target.array.0;
                                 let already = store.producer[a][addr] != usize::MAX;
                                 let fresh_this_version =

@@ -32,9 +32,11 @@
 //! `n = 10⁹` is one period of 2 048 trips and a tail. This applies to a
 //! nest whose arrays all have a period (the estimator only ever sees
 //! affine references and no cache); any other nest is walked sweep by
-//! sweep by the same code. The bounds proofs are not folded: each sweep's
-//! two end trips are checked, so an out-of-bounds reference is reported
-//! for the sweep the simulator would abort on.
+//! sweep by the same code. The bounds proofs are not folded: an index the
+//! nest's loop box does not prove in bounds
+//! ([`sa_ir::access::Access::leaves`]) is checked at each sweep's two end
+//! trips, so an out-of-bounds reference is reported for the sweep the
+//! simulator would abort on.
 //!
 //! The result is certified bit-identical against the counting simulator
 //! (`sa_core::exec::simulate` with caches disabled) on every affine
@@ -47,14 +49,13 @@
 //! cache sizes (hit rates depend on access *order*, which the closed form
 //! deliberately discards).
 
-use sa_ir::access::{Line, Sweep};
-use sa_ir::analysis::{anchor_ref, linear_address_form, StaticArrays};
-use sa_ir::nest::{ArrayRef, LoopNest, Stmt};
+use sa_ir::access::{loop_box, Access, Line, Sweep};
+use sa_ir::analysis::{anchor_ref, StaticArrays};
+use sa_ir::nest::{ArrayRef, Stmt};
 use sa_ir::program::Phase;
 use sa_ir::{LinForm, Program};
 use sa_machine::{ConfigError, MachineConfig, Placement, Stats};
 
-use crate::footprint::SweepRef;
 use crate::screening::Schedule;
 
 /// The estimator's verdict: the same counters the counting simulator
@@ -141,19 +142,12 @@ impl core::fmt::Display for EstimateError {
 
 impl std::error::Error for EstimateError {}
 
-/// One affine reference of a statement, lowered once per nest.
-struct RefForm<'p> {
-    aref: &'p ArrayRef,
-    /// Its linear address over the nest's loop variables.
-    form: LinForm,
-    /// Its indices, for the bounds proof.
-    bounds: SweepRef<'p>,
-    /// Where the referenced array's pages live.
-    placement: &'p Placement,
-}
-
 /// A reference along one sweep: its address line and its array's placement.
 type PlacedLine<'p> = (Line, &'p Placement);
+
+/// A reference [`walk_anchor_runs`] walks: its lowering, its linear form
+/// and its array's placement.
+type Walked<'a> = (Access, LinForm, &'a Placement);
 
 /// One maximal stretch of an anchored statement's innermost sweep on which
 /// the anchor — and every read, when reads are walked — stays on one page,
@@ -260,8 +254,8 @@ fn estimate_nest(
 ///
 /// Every reference must be affine. Only the references walked are
 /// bounds-checked, so without reads an out-of-bounds read goes unnoticed.
-pub(crate) fn walk_anchor_runs<'p>(
-    sched: &'p Schedule<'_>,
+pub(crate) fn walk_anchor_runs(
+    sched: &Schedule<'_>,
     nest_index: usize,
     with_reads: bool,
     mut f: impl FnMut(AnchorRun),
@@ -269,46 +263,59 @@ pub(crate) fn walk_anchor_runs<'p>(
     let (program, placements) = (sched.program(), sched.placements());
     let ns = sched.nest(nest_index);
     let nest = ns.nest;
-    let nvars = nest.loops.len();
-    let lower = |aref: &'p ArrayRef| {
-        let rank_mismatch = || EstimateError::RankMismatch {
-            array: program.array(aref.array).name.clone(),
-            nest: nest.label.clone(),
-        };
-        let bounds = SweepRef::new(program, aref).ok_or_else(rank_mismatch)?;
-        let form = linear_address_form(program, aref, nvars).ok_or_else(rank_mismatch)?;
-        Ok(RefForm {
-            aref,
-            form,
-            bounds,
-            placement: &placements[aref.array.0],
-        })
+    // Only the references walked are lowered, against the nest's one box.
+    let vars = loop_box(&nest.loops);
+    let walked = |aref: &ArrayRef| {
+        let access = Access::lower(program, aref, &vars, None);
+        let form = access
+            .form
+            .clone()
+            .ok_or_else(|| EstimateError::RankMismatch {
+                array: program.array(aref.array).name.clone(),
+                nest: nest.label.clone(),
+            })?;
+        Ok((access, form, &placements[aref.array.0]))
     };
-    let mut anchored: Vec<(usize, RefForm<'_>, Vec<RefForm<'_>>)> = Vec::new();
+    let mut anchored: Vec<(usize, Walked<'_>, Vec<Walked<'_>>)> = Vec::new();
     for (i, stmt) in nest.body.iter().enumerate() {
         let Some(anchor) = anchor_ref(stmt) else {
             continue;
         };
         let reads = if with_reads { stmt.reads() } else { Vec::new() };
-        let reads = reads.into_iter().map(lower).collect::<Result<_, _>>()?;
-        anchored.push((i, lower(anchor)?, reads));
+        let reads = reads.into_iter().map(walked).collect::<Result<_, _>>()?;
+        anchored.push((i, walked(anchor)?, reads));
     }
-    // The bounds proofs stay per sweep — two end trips per reference, not
-    // a page-run walk — so the first offending sweep in execution order
-    // names the error whether or not the sweeps before it fold.
-    for i in 0..ns.sweeps.len() {
-        for (_, anchor, stmt_reads) in &anchored {
-            for r in std::iter::once(anchor).chain(stmt_reads) {
-                bounded_line(program, nest, r, &ns.sweep(i))?;
-            }
-        }
+    // The bounds proofs the loop box leaves open stay per sweep — two end
+    // trips per reference, not a page-run walk — so the first offending
+    // sweep in execution order names the error whether or not the sweeps
+    // before it fold.
+    let refs = anchored
+        .iter()
+        .flat_map(|(_, a, reads)| std::iter::once(a).chain(reads));
+    let open: Vec<&Access> = refs.map(|r| &r.0).filter(|a| !a.proved()).collect();
+    let mut sweeps = 0..if open.is_empty() { 0 } else { ns.sweeps.len() };
+    let leaves = |i| {
+        open.iter()
+            .find_map(|a| Some((a.array, a.leaves(&ns.sweep(i))?)))
+    };
+    if let Some((array, (dim, index))) = sweeps.find_map(leaves) {
+        let decl = program.array(array);
+        return Err(EstimateError::OutOfBounds {
+            array: decl.name.clone(),
+            nest: nest.label.clone(),
+            dim,
+            index,
+            extent: decl.dims[dim],
+        });
     }
     let owner = |&(line, placement): &PlacedLine<'_>, t: i64| {
         placement.owner_of_addr(line.addr(t) as usize)
     };
     let run_end =
         |&(line, placement): &PlacedLine<'_>, t: i64| line.run_end(t, placement.page_size as i64);
-    let placed = |r: &RefForm<'p>, sweep: &Sweep<'_>| (r.form.line(sweep), r.placement);
+    fn placed<'a>((_, form, placement): &Walked<'a>, sweep: &Sweep<'_>) -> PlacedLine<'a> {
+        (form.line(sweep), placement)
+    }
     let mut reads: Vec<PlacedLine<'_>> = Vec::new();
     for fold in sched.folds(nest_index, with_reads) {
         let sweep = &ns.sweep(fold.sweep);
@@ -337,27 +344,6 @@ pub(crate) fn walk_anchor_runs<'p>(
         }
     }
     Ok(())
-}
-
-/// The per-dimension bounds proof of `r` along `sweep`, at the sweep's
-/// endpoints ([`SweepRef::leaves`]).
-fn bounded_line(
-    program: &Program,
-    nest: &LoopNest,
-    r: &RefForm<'_>,
-    sweep: &Sweep<'_>,
-) -> Result<(), EstimateError> {
-    let Some((dim, index)) = r.bounds.leaves(sweep) else {
-        return Ok(());
-    };
-    let decl = program.array(r.aref.array);
-    Err(EstimateError::OutOfBounds {
-        array: decl.name.clone(),
-        nest: nest.label.clone(),
-        dim,
-        index,
-        extent: decl.dims[dim],
-    })
 }
 
 #[cfg(test)]

@@ -6,11 +6,12 @@
 //! write and read, never on which instance touches a cell: is every read
 //! defined by the initializer or an earlier write, and is any cell written
 //! twice? Along one sweep an all-affine reference is a [`Line`] in the trip
-//! number ([`SweepRef::line`]), and its footprint a [`Run`]: one interval
-//! for a unit stride, one point for stride 0, `trips` points `|stride|`
-//! apart otherwise. A gather or scatter through compile-time-constant index
-//! arrays ([`Gather`]) takes no line, but the values it reads bound its
-//! addresses to one interval.
+//! number ([`sa_ir::access::Access::line`]), and its footprint a [`Run`]:
+//! one interval for a unit stride, one point for stride 0, `trips` points
+//! `|stride|` apart otherwise. A gather or scatter through
+//! compile-time-constant index arrays takes no line, but the values it
+//! reads bound its addresses to one interval
+//! ([`sa_ir::access::Access::hull`]).
 //!
 //! A [`Footprint`] keeps, per generation slot ([`crate::sites::LiveSlots`]
 //! numbering), the defined addresses as one sorted list of disjoint
@@ -26,21 +27,15 @@
 //! instance walk visits.
 //!
 //! A reference is decided over a sweep only if every index stays inside
-//! its extent at the sweep's two end trips, hence (an index is affine in
-//! the trip number) on every trip between: a reference that may leave its
-//! array could alias an in-bounds address, so it has no line here and the
-//! pass asking takes its per-instance path. [`Lines`] skips the per-sweep
-//! check for a reference the nest's whole box of loop values keeps
-//! inside ([`value_box`]): its lines then come from one linear form.
-//! A gather's index-array
+//! its extent on every trip of it — proved once for the nest by its loop
+//! box, or else at the sweep's two end trips: a reference that may leave
+//! its array could alias an in-bounds address, so it has no line here and
+//! the pass asking takes its per-instance path. A gather's index-array
 //! positions must stay inside the array's defined prefix — which is what
 //! the footprint holds of a constant array — and its values, scaled and
 //! offset, inside the dimension they index.
 
-use sa_ir::analysis::StaticArrays;
-use sa_ir::index::{AffineIndex, IndexExpr};
-use sa_ir::nest::{ArrayRef, LoopNest};
-use sa_ir::{LinForm, Line, Program, Sweep};
+use sa_ir::{Line, Program};
 
 /// `count ≥ 1` blocks of `width ≥ 1` consecutive addresses, the first from
 /// `lo` and each `step` after the one before: what a line takes over one
@@ -277,239 +272,6 @@ impl Footprint {
         runs.clear();
         fresh
     }
-}
-
-/// An all-affine reference, ready to be followed along sweeps: per
-/// dimension its index, extent and row-major stride.
-pub(crate) struct SweepRef<'p>(Vec<(&'p AffineIndex, i64, i64)>);
-
-impl<'p> SweepRef<'p> {
-    /// `None` for a reference through an index array, or one whose rank is
-    /// not its array's (it names no cell).
-    pub fn new(program: &Program, aref: &'p ArrayRef) -> Option<Self> {
-        let decl = program.array(aref.array);
-        if aref.indices.len() != decl.dims.len() {
-            return None;
-        }
-        let strides = decl.strides();
-        let dims = aref.indices.iter().zip(&decl.dims).zip(strides);
-        dims.map(|((ix, &extent), stride)| match ix {
-            IndexExpr::Affine(a) => Some((a, extent as i64, stride as i64)),
-            IndexExpr::Indirect { .. } => None,
-        })
-        .collect::<Option<_>>()
-        .map(SweepRef)
-    }
-
-    /// Each index along `sweep`, with its extent and stride.
-    fn indices<'s>(&'s self, sweep: &'s Sweep<'_>) -> impl Iterator<Item = (Line, i64, i64)> + 's {
-        let along = |&(index, extent, stride): &(&AffineIndex, i64, i64)| {
-            (
-                Line::along(&index.coeffs, index.offset, sweep),
-                extent,
-                stride,
-            )
-        };
-        self.0.iter().map(along)
-    }
-
-    /// The first index, in dimension order, outside its extent at an end
-    /// trip of `sweep` (the first trip before the last), as `(dimension,
-    /// index)`. `None` means every index stays inside at both, and so —
-    /// an index is affine in the trip — on every trip between.
-    pub fn leaves(&self, sweep: &Sweep<'_>) -> Option<(usize, i64)> {
-        let last = sweep.trips as i64 - 1;
-        let outside = |(line, extent, _): (Line, i64, i64)| {
-            let ends = [line.base, line.addr(last)];
-            ends.into_iter().find(|i| !(0..extent).contains(i))
-        };
-        let mut dims = self.indices(sweep).map(outside).enumerate();
-        dims.find_map(|(d, index)| index.map(|i| (d, i)))
-    }
-
-    /// The linear address along `sweep`, if no index leaves its extent.
-    pub fn line(&self, sweep: &Sweep<'_>) -> Option<Line> {
-        let last = sweep.trips as i64 - 1;
-        let mut addr = Line { base: 0, step: 0 };
-        for (line, extent, stride) in self.indices(sweep) {
-            let inside = |i| (0..extent).contains(&i);
-            if !(inside(line.base) && inside(line.addr(last))) {
-                return None;
-            }
-            addr.base += stride * line.base;
-            addr.step += stride * line.step;
-        }
-        Some(addr)
-    }
-}
-
-/// Per loop of `nest`, outermost first, the least and greatest value its
-/// variable can take: over the box of values its bounds allow given the
-/// loops outside it — a superset for a triangular nest.
-pub(crate) fn value_box(nest: &LoopNest) -> Vec<(i64, i64)> {
-    let mut values = Vec::with_capacity(nest.loops.len());
-    for lv in &nest.loops {
-        let (lo, hi) = (range_over(&lv.lo, &values), range_over(&lv.hi, &values));
-        values.push((lo.0.min(hi.0), lo.1.max(hi.1)));
-    }
-    values
-}
-
-/// The least and greatest value of `index` over a box of loop values.
-fn range_over(index: &AffineIndex, values: &[(i64, i64)]) -> (i64, i64) {
-    let terms = values.iter().enumerate();
-    terms.fold(
-        (index.offset, index.offset),
-        |(lo, hi), (v, &(min, max))| {
-            let (x, y) = (index.coeff(v) * min, index.coeff(v) * max);
-            (lo + x.min(y), hi + x.max(y))
-        },
-    )
-}
-
-/// An all-affine reference as the exact passes follow it over the sweeps
-/// of one nest: by its linear address form when every index stays inside
-/// its extent over the nest's whole [`value_box`], else sweep by sweep,
-/// checked at the two end trips ([`SweepRef::line`]).
-pub(crate) enum Lines<'a> {
-    Inside(LinForm),
-    Checked(SweepRef<'a>),
-}
-
-impl<'a> Lines<'a> {
-    /// `None` where [`SweepRef::new`] is; `values` is the nest's box.
-    pub fn new(program: &Program, aref: &'a ArrayRef, values: &[(i64, i64)]) -> Option<Self> {
-        let r = SweepRef::new(program, aref)?;
-        let inside = r.0.iter().all(|&(index, extent, _)| {
-            let (lo, hi) = range_over(index, values);
-            lo >= 0 && hi < extent
-        });
-        if !inside {
-            return Some(Lines::Checked(r));
-        }
-        let mut form = LinForm {
-            coeffs: vec![0; values.len()],
-            offset: 0,
-        };
-        for &(index, _, stride) in &r.0 {
-            form.offset += stride * index.offset;
-            for (v, c) in form.coeffs.iter_mut().enumerate() {
-                *c += stride * index.coeff(v);
-            }
-        }
-        Some(Lines::Inside(form))
-    }
-
-    /// The linear address along `sweep`, if no index leaves its extent.
-    pub fn line(&self, sweep: &Sweep<'_>) -> Option<Line> {
-        match self {
-            Lines::Inside(form) => Some(form.line(sweep)),
-            Lines::Checked(r) => r.line(sweep),
-        }
-    }
-}
-
-/// One index of a [`Gather`].
-enum Index<'a> {
-    Affine(&'a AffineIndex),
-    /// `scale · values[pos] + offset`, truncating each value as the walk
-    /// does; `values` is the defined prefix of a constant index array.
-    Lookup {
-        values: &'a [f64],
-        pos: &'a AffineIndex,
-        scale: i64,
-        offset: i64,
-    },
-}
-
-/// A reference through index arrays whose contents are compile-time
-/// constants ([`StaticArrays::get`]), ready to be followed along sweeps:
-/// per dimension its index, extent and row-major stride.
-pub(crate) struct Gather<'a>(Vec<(Index<'a>, i64, i64)>);
-
-impl<'a> Gather<'a> {
-    /// `None` for a reference whose rank is not its array's (it names no
-    /// cell), or that goes through an index array the program writes.
-    pub fn new(
-        program: &Program,
-        statics: &'a StaticArrays<'_>,
-        aref: &'a ArrayRef,
-    ) -> Option<Self> {
-        let decl = program.array(aref.array);
-        if aref.indices.len() != decl.dims.len() {
-            return None;
-        }
-        let strides = decl.strides();
-        let dims = aref.indices.iter().zip(&decl.dims).zip(strides);
-        dims.map(|((ix, &extent), stride)| {
-            let index = match ix {
-                IndexExpr::Affine(a) => Index::Affine(a),
-                IndexExpr::Indirect {
-                    base,
-                    pos,
-                    scale,
-                    offset,
-                } => Index::Lookup {
-                    values: statics.get(*base)?,
-                    pos,
-                    scale: *scale,
-                    offset: *offset,
-                },
-            };
-            Some((index, extent as i64, stride as i64))
-        })
-        .collect::<Option<_>>()
-        .map(Gather)
-    }
-
-    /// The interval holding every address the reference takes along
-    /// `sweep`: `None` when a position leaves its index array's defined
-    /// prefix, or an index its extent, on some trip.
-    pub fn hull(&self, sweep: &Sweep<'_>) -> Option<Run> {
-        let last = sweep.trips as i64 - 1;
-        let (mut lo, mut hi) = (0i64, 0i64);
-        for (index, extent, stride) in &self.0 {
-            let (first, end) = match *index {
-                Index::Affine(a) => {
-                    let line = Line::along(&a.coeffs, a.offset, sweep);
-                    let (x, y) = (line.base, line.addr(last));
-                    (x.min(y), x.max(y))
-                }
-                Index::Lookup {
-                    values,
-                    pos,
-                    scale,
-                    offset,
-                } => {
-                    let at = Line::along(&pos.coeffs, pos.offset, sweep);
-                    let (min, max) = value_range(values, at, sweep.trips)?;
-                    let (x, y) = (scale.checked_mul(min)?, scale.checked_mul(max)?);
-                    (x.min(y).checked_add(offset)?, x.max(y).checked_add(offset)?)
-                }
-            };
-            if first < 0 || end >= *extent {
-                return None;
-            }
-            lo += stride * first;
-            hi += stride * end;
-        }
-        Some(Run::interval(lo, hi + 1))
-    }
-}
-
-/// The least and greatest truncated value `values` holds at the positions
-/// `at` takes over `trips` trips, if they all lie inside it.
-fn value_range(values: &[f64], at: Line, trips: usize) -> Option<(i64, i64)> {
-    let last = at.addr(trips as i64 - 1);
-    let (first, end) = (at.base.min(last), at.base.max(last));
-    if first < 0 || end >= values.len() as i64 {
-        return None;
-    }
-    let step = at.step.unsigned_abs().max(1) as usize;
-    let taken = values[first as usize..=end as usize].iter().step_by(step);
-    Some(taken.fold((i64::MAX, i64::MIN), |(min, max), &v| {
-        (min.min(v as i64), max.max(v as i64))
-    }))
 }
 
 #[cfg(test)]

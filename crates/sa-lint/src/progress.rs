@@ -56,11 +56,13 @@ use std::collections::{HashMap, HashSet};
 
 use crate::depgraph::InstanceError;
 use crate::diag::{Code, Diagnostic, Severity, Span};
-use crate::footprint::{value_box, Batch, Footprint, Gather, Lines, Run};
+use crate::footprint::{Batch, Footprint, Run};
 use crate::sites::{
     self, describe, walk, Deferral, Flow, Instance, LiveSlots, Pass, Read, ResolveFail, Resolver,
     Write,
 };
+use sa_ir::access::{Access, NestAccess};
+use sa_ir::analysis::StaticArrays;
 use sa_ir::nest::{ArrayRef, LoopNest, Stmt};
 use sa_ir::{ArrayId, Phase, Program};
 use sa_machine::{ConfigError, PartitionScheme, Placement};
@@ -106,14 +108,6 @@ pub(crate) fn observe(res: &Resolver<'_>) -> Observed {
     }
 }
 
-/// How the first rung follows one reference of a nest.
-enum Follow<'a> {
-    /// All affine: its line along each sweep.
-    Line(Lines<'a>),
-    /// Through constant index arrays: the interval its values bound.
-    Gather(Gather<'a>),
-}
-
 /// The first rung (module docs): every nest's references all affine or
 /// through constant index arrays, every one inside its array on every
 /// sweep, and every read defined — by its generation's initializer, an
@@ -134,26 +128,21 @@ fn in_order_over_sweeps(res: &Resolver<'_>) -> bool {
         };
         // `(slot, reference, writes)` in body order; a read of what an
         // earlier statement of the same instance writes is defined.
+        // Gathers are bounded per sweep (`Access::hull`), not by the box.
+        let lowered = NestAccess::lower(program, nest, None);
         let mut refs = Vec::new();
-        let values = value_box(nest);
-        for (i, stmt) in nest.body.iter().enumerate() {
+        for (i, (stmt, at)) in nest.body.iter().zip(&lowered.stmts).enumerate() {
             let earlier = || nest.body[..i].iter().filter_map(Stmt::write_target);
-            let reads = stmt.reads().into_iter().map(|r| (r, false));
-            for (aref, writes) in reads.chain(stmt.write_target().map(|t| (t, true))) {
+            let arefs = stmt.reads().into_iter().chain(stmt.write_target());
+            for (aref, k) in arefs.zip(at.reads.clone().chain(at.target)) {
+                let writes = at.target == Some(k);
                 if !writes && earlier().any(|t| t == aref) {
                     continue;
                 }
-                let follow = match Lines::new(program, aref, &values) {
-                    Some(line) => Follow::Line(line),
-                    None => match Gather::new(program, &res.statics, aref) {
-                        Some(gather) => Follow::Gather(gather),
-                        None => return false,
-                    },
-                };
-                refs.push((live.of(aref.array), follow, writes));
+                refs.push((live.of(aref.array), &lowered.refs[k], writes));
             }
         }
-        if !nest_over_sweeps(nest, &refs, &mut defined) {
+        if !nest_over_sweeps(nest, &refs, &res.statics, &mut defined) {
             return false;
         }
     }
@@ -166,7 +155,8 @@ fn in_order_over_sweeps(res: &Resolver<'_>) -> bool {
 /// A scatter's cells are left out: a read they alone define declines.
 fn nest_over_sweeps(
     nest: &LoopNest,
-    refs: &[(usize, Follow<'_>, bool)],
+    refs: &[(usize, &Access, bool)],
+    statics: &StaticArrays<'_>,
     defined: &mut Footprint,
 ) -> bool {
     let written = |slot| refs.iter().any(|r| r.2 && r.0 == slot);
@@ -188,18 +178,23 @@ fn nest_over_sweeps(
                 return Err(());
             }
         }
-        for (i, (slot, follow, writes_it)) in refs.iter().enumerate() {
-            let run = match follow {
-                Follow::Line(r) => Run::along(r.line(sweep).ok_or(())?, sweep.trips),
-                Follow::Gather(g) => g.hull(sweep).ok_or(())?,
+        for (i, &(slot, access, writes_it)) in refs.iter().enumerate() {
+            // An affine reference takes its line, a gather the interval
+            // its values bound.
+            let affine = access.form.is_some();
+            let run = if affine {
+                Run::along(access.line(sweep).ok_or(())?, sweep.trips)
+            } else {
+                let (lo, hi) = access.hull(sweep, statics).ok_or(())?;
+                Run::interval(lo, hi + 1)
             };
-            match (writes_it, follow) {
+            match (writes_it, affine) {
                 // A read one interval holds is answered now; the others
                 // join their stream's run, checked block by block.
-                (false, _) if defined.holds(*slot, run) => {}
-                (false, _) => reads.push(i, *slot, run),
-                (true, Follow::Line(_)) => writes.push(i, *slot, run),
-                (true, Follow::Gather(_)) => {}
+                (false, _) if defined.holds(slot, run) => {}
+                (false, _) => reads.push(i, slot, run),
+                (true, true) => writes.push(i, slot, run),
+                (true, false) => {}
             }
         }
         defined.covers_closed(&mut reads).then_some(()).ok_or(())
@@ -784,12 +779,7 @@ mod tests {
                 let v = b.input("V", &[15], sa_ir::InitPattern::Wavy);
                 let z = b.output("Z", &[8]);
                 b.nest("n", &[("k", 0, 7)], |nb| {
-                    let through = sa_ir::IndexExpr::Indirect {
-                        base: idx,
-                        pos: iv(0),
-                        scale: 2,
-                        offset: off,
-                    };
+                    let through = sa_ir::IndexExpr::gather(idx, iv(0), 2, off);
                     let rhs = nb.read(v, [through]);
                     nb.assign(z, [iv(0)], rhs);
                 });

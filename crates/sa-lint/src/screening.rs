@@ -105,7 +105,7 @@
 use std::collections::HashMap;
 use std::ops::Range;
 
-use sa_ir::access::{Line, Sweep};
+use sa_ir::access::{loop_box, Access, Line, Sweep};
 use sa_ir::analysis::{
     anchor_ref, linear_address_form, screen_nests, NestScreen, Screen, StaticArrays,
 };
@@ -505,12 +505,8 @@ impl<'p> Schedule<'p> {
         let Some(anchor) = ns.anchors[stmt] else {
             return Ok(self.dealt(nest, stmt, g));
         };
-        let placement = &self.placements[anchor.array.0];
-        if let Some(addr) = self.affine_addr(anchor, ivs) {
-            return Ok(placement.owner_of_addr(addr));
-        }
         let addr = resolve_ref_addr(self.program, anchor, ivs, resolve)?;
-        Ok(placement.owner_of_addr(addr))
+        Ok(self.placements[anchor.array.0].owner_of_addr(addr))
     }
 
     /// [`Schedule::owner`] for an executor that resolved the anchor itself
@@ -542,27 +538,6 @@ impl<'p> Schedule<'p> {
         ns.screen.deal(slot, g, self.n_pes)
     }
 
-    /// The address an all-affine, in-bounds reference names at `ivs`: the
-    /// memory-free fast path of [`Schedule::owner`].
-    #[inline]
-    fn affine_addr(&self, aref: &ArrayRef, ivs: &[i64]) -> Option<usize> {
-        let decl = self.program.array(aref.array);
-        if aref.indices.len() != decl.dims.len() {
-            return None;
-        }
-        // Row-major linearization folded in index by index: this runs once
-        // per statement instance on every enumerating consumer.
-        let mut addr = 0usize;
-        for (ix, &extent) in aref.indices.iter().zip(&decl.dims) {
-            let i = ix.as_affine()?.eval(ivs);
-            if i < 0 || i as usize >= extent {
-                return None;
-            }
-            addr = addr * extent + i as usize;
-        }
-        Some(addr)
-    }
-
     /// Prepare the per-PE half ([`Schedule::load_sweep`],
     /// [`Schedule::rounds`]): prove every affine anchor in bounds — an
     /// index is affine along a sweep, so the two end trips decide — and
@@ -572,6 +547,7 @@ impl<'p> Schedule<'p> {
     pub fn tabulate(&mut self, statics: &StaticArrays<'_>) -> Result<(), AnchorError> {
         for n in 0..self.nests.len() {
             let depth = self.nests[n].nest.loops.len();
+            let vars = loop_box(&self.nests[n].nest.loops);
             let mut ivs = Vec::with_capacity(depth);
             for si in 0..self.nests[n].anchors.len() {
                 let ns = &self.nests[n];
@@ -585,17 +561,17 @@ impl<'p> Schedule<'p> {
                 let mut owners = Vec::new();
                 match ns.screen.screens[si] {
                     Screen::Affine { .. } => {
-                        for i in 0..ns.sweeps.len() {
+                        // The first sweep the anchor leaves its array on
+                        // (or any, when it misses the rank), and on it the
+                        // first offending trip, name the error.
+                        let a = Access::lower(self.program, anchor, &vars, None);
+                        let open = if a.proved() { 0 } else { ns.sweeps.len() };
+                        let leaves = |&i: &usize| !a.fits || a.leaves(&ns.sweep(i)).is_some();
+                        if let Some(i) = (0..open).find(leaves) {
                             let sw = ns.sweep(i);
-                            for t in [0, sw.trips - 1] {
+                            for t in 0..sw.trips {
                                 iteration(&mut ivs, &sw, depth, t);
-                                if self.affine_addr(anchor, &ivs).is_none() {
-                                    // The first offending trip names the error.
-                                    for t in 0..sw.trips {
-                                        iteration(&mut ivs, &sw, depth, t);
-                                        resolve(&ivs)?;
-                                    }
-                                }
+                                resolve(&ivs)?;
                             }
                         }
                     }

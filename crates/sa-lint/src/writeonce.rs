@@ -23,8 +23,9 @@
 //!    (`SA003`).
 
 use crate::diag::{Code, Diagnostic, Span};
-use crate::footprint::{value_box, Batch, Footprint, Lines};
+use crate::footprint::{Batch, Footprint};
 use crate::sites::{self, iterate, ResolveFail, Resolver, Segment, WriteSite};
+use sa_ir::access::{interval, loop_box, Access};
 use sa_ir::analysis::{self, PairRelation};
 use sa_ir::nest::LoopNest;
 use sa_ir::{LinForm, Program};
@@ -144,11 +145,12 @@ fn disjoint_over_sweeps(
 ) -> bool {
     seg.writes.chunk_by(|a, b| a.phase == b.phase).all(|sites| {
         let mut batch = Batch::new(sites.len());
-        let values = value_box(sites[0].nest);
+        let vars = loop_box(&sites[0].nest.loops);
         let laid = sites.iter().enumerate().all(|(stream, site)| {
-            let Some(target) = Lines::new(program, site.target, &values) else {
+            let target = Access::lower(program, site.target, &vars, None);
+            if target.form.is_none() {
                 return false;
-            };
+            }
             let laid = site.nest.try_for_each_sweep(|sweep| {
                 let line = target.line(sweep).ok_or(())?;
                 batch.line(stream, slot, line, sweep.trips);
@@ -174,10 +176,6 @@ enum Verdict {
 
 /// Per-level static facts about a nest, shared by its sites.
 struct LevelInfo {
-    /// Interval the loop variable's *value* stays within (box superset for
-    /// triangular nests).
-    min: i64,
-    max: i64,
     step: i64,
     /// Maximum trip count of the level (from `analysis::level_extents`).
     trips: usize,
@@ -187,12 +185,9 @@ struct LevelInfo {
 
 fn nest_levels(nest: &LoopNest) -> Vec<LevelInfo> {
     let trips = analysis::level_extents(nest);
-    let values = value_box(nest);
-    let levels = nest.loops.iter().zip(values).enumerate();
+    let levels = nest.loops.iter().enumerate();
     levels
-        .map(|(v, (lv, (min, max)))| LevelInfo {
-            min,
-            max,
+        .map(|(v, lv)| LevelInfo {
             step: lv.step,
             trips: trips.get(v).copied().unwrap_or(0),
             rect: lv.lo.is_constant() && lv.hi.is_constant(),
@@ -219,14 +214,9 @@ impl AffineSite {
         let form = analysis::linear_address_form(program, site.target, nvars)?;
         let levels = nest_levels(site.nest);
         let LinForm { coeffs, offset } = &form;
-        let mut lo = *offset;
-        let mut hi = *offset;
-        for (v, info) in levels.iter().enumerate() {
-            let c = coeffs.get(v).copied().unwrap_or(0);
-            let (x, y) = (c * info.min, c * info.max);
-            lo += x.min(y);
-            hi += x.max(y);
-        }
+        // Over the nest's loop box: a superset for triangular nests.
+        let (lo, hi) = interval(coeffs, *offset, &loop_box(&site.nest.loops));
+        let narrow = |x: i128| x.clamp(i64::MIN.into(), i64::MAX.into()) as i64;
         let lattice = if levels.iter().all(|l| l.rect) {
             let mut g = 0u64;
             let mut base = *offset;
@@ -246,8 +236,8 @@ impl AffineSite {
         Some(AffineSite {
             form,
             levels,
-            addr_lo: lo,
-            addr_hi: hi,
+            addr_lo: narrow(lo),
+            addr_hi: narrow(hi),
             lattice,
         })
     }

@@ -33,10 +33,9 @@
 //! * [`build_csr_dynamic`] — the index data is only
 //!   [`ArrayInit::Prefix`]-initialized and the collect stage *scatters*
 //!   `Y(ROWPERM(i)) = S(i,deg-1)` through a prefix-initialized row
-//!   permutation. Replay cannot lower prefix-backed gathers and falls back
-//!   to the interpreter cleanly; the thread runtime has no static mirror
-//!   for prefix arrays, so anchor resolution exercises the
-//!   `IndirectFetch`/`IndirectReply` protocol for real.
+//!   permutation. A defined prefix is constant cell by cell, so replay
+//!   proves its gathers inside it and the schedule tabulates the
+//!   scatter's owners, as for [`build_csr`].
 //!
 //! [`ArrayInit::Full`]: sa_ir::program::ArrayInit::Full
 //! [`ArrayInit::Prefix`]: sa_ir::program::ArrayInit::Prefix
@@ -70,8 +69,7 @@ pub fn build_csr_seeded(rows: usize, cols: usize, deg: usize, seed: u64) -> Kern
 
 /// Build the "dynamic" CSR variant: index data is only
 /// `Prefix`-initialized and the result vector is scattered through a
-/// prefix-initialized row permutation, forcing runtime `IndirectFetch`
-/// anchor resolution (and a clean replay→interpreter fallback).
+/// prefix-initialized row permutation.
 ///
 /// Panics unless `rows, cols, deg ≥ 1`.
 pub fn build_csr_dynamic(rows: usize, cols: usize, deg: usize) -> Kernel {

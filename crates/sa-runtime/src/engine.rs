@@ -135,10 +135,11 @@ impl std::error::Error for RuntimeError {}
 /// The check is per *array*, not per cell: a program whose earlier nests
 /// write an index array only partially — or whose static initialization is
 /// only a [`sa_ir::program::ArrayInit::Prefix`] — passes here but errors
-/// during execution
-/// if a lookup lands on an undefined cell: the PE that detects it stops
-/// the run (locally detected reads immediately; remote requests once
-/// their owner runs out of program), and `execute` surfaces it as a typed
+/// if a lookup lands on an undefined cell: past a static prefix when the
+/// schedule tabulates the anchor's owners, before any PE runs; in a
+/// produced array when the PE that detects it stops the run (locally
+/// detected reads immediately; remote requests once their owner runs out
+/// of program). `execute` surfaces either as a typed
 /// [`RuntimeError::WorkerPanicked`], the same class of failure the
 /// reference interpreter reports as a `ReadUndefined`.
 pub fn unsupported_reason(program: &Program) -> Option<String> {
@@ -712,11 +713,10 @@ mod tests {
     }
 
     #[test]
-    fn prefix_initialized_index_array_resolves_over_messages() {
-        // P's static image is only a prefix — no worker-local mirror gets
-        // materialized — but every lookup lands inside the defined prefix:
-        // the preflight must let it through and resolution goes over
-        // IndirectFetch against the owners' prefix-initialized frames.
+    fn prefix_initialized_index_array_is_tabulated() {
+        // P's static image is only a prefix, but every lookup lands inside
+        // it: its cells are compile-time constants, so the schedule
+        // tabulates the anchor's owners and no PE resolves over messages.
         let n = 96usize;
         let mut b = ProgramBuilder::new("prefix-scatter");
         let y = b.input("Y", &[n], InitPattern::Wavy);
@@ -736,12 +736,7 @@ mod tests {
         assert_eq!(unsupported_reason(&prog), None);
         for n_pes in [1usize, 3, 4] {
             let rep = execute(&prog, &RuntimeConfig::paper(n_pes, 16)).unwrap();
-            if n_pes > 1 {
-                assert!(
-                    rep.resolve_messages > 0,
-                    "prefix arrays have no mirror, so resolution must message"
-                );
-            }
+            assert_eq!(rep.resolve_messages, 0, "a defined prefix is tabulated");
             check_against_reference(&prog, &RuntimeConfig::paper(n_pes, 16));
         }
     }

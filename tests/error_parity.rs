@@ -9,8 +9,13 @@
 //! message recorded here; the array, address, dimension and index in it
 //! name the failing instance. The messages were recorded from the
 //! recursive evaluator the compiled statement bodies replaced.
+//!
+//! The auto counting engine counts by replay only where replay proves
+//! every reference in bounds, so on each row that leaves an array or
+//! misses a rank it must fail exactly as the counting simulator does.
 
 use sapp::core::exec::simulate;
+use sapp::core::replay::counts_or_simulate;
 use sapp::ir::index::{iv, AffineIndex, IndexExpr};
 use sapp::ir::nest::ArrayRef;
 use sapp::ir::program::ArrayInit;
@@ -297,8 +302,17 @@ fn outcome<T, E: std::fmt::Display>(r: Result<T, E>) -> String {
 }
 
 fn check(engine: &str, want: fn(&Row) -> &'static str, run: impl Fn(&Program) -> String) {
+    check_rows(engine, ROWS.iter(), want, run);
+}
+
+fn check_rows<'r>(
+    engine: &str,
+    rows: impl Iterator<Item = &'r Row>,
+    want: fn(&Row) -> &'static str,
+    run: impl Fn(&Program) -> String,
+) {
     let mut wrong = Vec::new();
-    for row in ROWS {
+    for row in rows {
         let got = run(&(row.program)());
         if got != want(row) {
             wrong.push(format!("{}: {got:?}", row.name));
@@ -331,4 +345,25 @@ fn the_thread_engine_reports_each_error_at_its_instance() {
             |p| outcome(execute_on(p, &cfg, workers)),
         );
     }
+}
+
+#[test]
+fn the_auto_engine_reports_each_bounds_error_as_the_simulator_does() {
+    // The definedness and double-write rows are outside replay's contract
+    // (a valid program): the static passes reject those.
+    let bounds = [
+        "aliasing_read",
+        "aliasing_target",
+        "negative_index",
+        "gather_position",
+        "gather_value",
+        "rank_mismatch_read",
+        "rank_mismatch_target",
+    ];
+    check_rows(
+        "auto",
+        ROWS.iter().filter(|r| bounds.contains(&r.name)),
+        |r| r.simulate,
+        |p| outcome(counts_or_simulate(p, &machine())),
+    );
 }

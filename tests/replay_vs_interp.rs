@@ -17,13 +17,15 @@ use proptest::prelude::*;
 
 mod common;
 
-use sapp::core::exec::simulate;
+use sapp::core::exec::{simulate, SimError};
 use sapp::core::plan::{ExperimentPlan, RunConfig};
 use sapp::core::replay;
 use sapp::core::search::SearchSpace;
 use sapp::core::{par_map, CountingOracle, Engine, FastCountingOracle, Oracle};
-use sapp::ir::index::iv;
-use sapp::ir::{InitPattern, Program, ProgramBuilder, ReduceOp};
+use sapp::ir::index::{iv, IndexExpr};
+use sapp::ir::nest::ArrayRef;
+use sapp::ir::program::ArrayInit;
+use sapp::ir::{Expr, InitPattern, Program, ProgramBuilder, ReduceOp};
 use sapp::loops::suite;
 use sapp::machine::{CachePolicy, MachineConfig, NetworkTopology, PartitionScheme};
 
@@ -154,14 +156,14 @@ fn single_trip_windows_bit_identical_across_the_search_space() {
 
 #[test]
 fn scale_workloads_bit_identical_across_the_figure_grid() {
-    // The stencil family and the static-index SpMV must lower to the
-    // strict replay engine (multi-dim affine subscripts; CSR gathers
-    // through statically initialized row_ptr/col_idx) and reproduce the
+    // The stencil family and both SpMVs must lower to the strict replay
+    // engine (multi-dim affine subscripts; CSR gathers through row_ptr and
+    // col_idx, declared in full or as a defined prefix) and reproduce the
     // interpreter bit for bit across the whole figure grid at reduced
     // sizes.
     let kernels: Vec<_> = sapp::loops::workloads()
         .iter()
-        .filter(|w| w.family == sapp::loops::Family::Scale && w.code != "SPMVD")
+        .filter(|w| w.family == sapp::loops::Family::Scale)
         .map(|w| w.reduced())
         .collect();
     let grid = figure_grid();
@@ -259,27 +261,83 @@ fn stencils_bit_identical_under_tiled_schemes_and_routed_topologies() {
 }
 
 #[test]
+fn every_registry_kernel_bit_identical_under_every_scheme() {
+    // Every workload of the registry, SPMVD's prefix-declared index data
+    // included, under the five placement schemes, cached and not.
+    let kernels: Vec<_> = sapp::loops::workloads()
+        .iter()
+        .map(|w| w.reduced())
+        .collect();
+    let schemes = [
+        PartitionScheme::Modulo,
+        PartitionScheme::Block,
+        PartitionScheme::BlockCyclic { block_pages: 4 },
+        PartitionScheme::RowBand,
+        PartitionScheme::Tile2D {
+            tile_rows: 8,
+            tile_cols: 16,
+        },
+    ];
+    let points: Vec<(usize, usize)> = (0..kernels.len())
+        .flat_map(|k| (0..schemes.len()).map(move |s| (k, s)))
+        .collect();
+    par_map(&points, |&(k, s)| {
+        for cache in [256, 0] {
+            let cfg = MachineConfig::new(8, 32)
+                .with_partition(schemes[s])
+                .with_cache_elems(cache);
+            let label = format!("{} @ {:?}", kernels[k].code, cfg);
+            assert_identical(&label, &kernels[k].program, &cfg);
+        }
+        Ok::<_, std::convert::Infallible>(())
+    })
+    .unwrap();
+}
+
+#[test]
 fn prefix_spmv_falls_back_cleanly_to_the_interpreter() {
-    // SPMVD's index data is only Prefix-initialized, which the replay
-    // compiler must refuse (it resolves gathers from static init patterns)
-    // — and the auto engine must transparently interpret instead, with
-    // counts identical to a direct simulation.
-    let k = sapp::loops::workload("SPMVD").unwrap().reduced();
+    // A row-pointer gather one row past its index array's defined prefix:
+    // replay cannot prove the position inside it and declines, naming the
+    // array, and the auto engine reports exactly the interpreter's error.
+    let (rows, deg) = (64usize, 4usize);
+    let mut b = ProgramBuilder::new("prefix-spmv");
+    let row_ptr = b.array_with(
+        "ROWPTR",
+        &[rows + 1],
+        ArrayInit::Prefix {
+            pattern: InitPattern::Linear {
+                base: 0.0,
+                step: deg as f64,
+            },
+            len: rows,
+        },
+    );
+    let vals = b.input("VALS", &[rows * deg], InitPattern::Wavy);
+    let last = b.output("LAST", &[rows]);
+    b.nest("row-end", &[("i", 0, rows as i64 - 1)], |nb| {
+        // VALS(ROWPTR(i + 1) - 1): the last nonzero of row i.
+        let end = IndexExpr::gather(row_ptr, iv(0).plus(1), 1, -1);
+        nb.assign(last, [iv(0)], Expr::Read(ArrayRef::new(vals, vec![end])));
+    });
+    let p = b.finish();
     let cfg = MachineConfig::new(8, 32);
-    match replay::counts(&k.program, &cfg) {
-        Err(replay::ReplayError::Unsupported { reason, .. }) => {
-            assert!(
-                reason.contains("not fully statically initialized"),
-                "{reason}"
-            );
+    match replay::counts(&p, &cfg) {
+        Err(replay::ReplayError::Unsupported { nest, reason }) => {
+            assert_eq!(nest, "row-end");
+            assert!(reason.contains("`ROWPTR`"), "{reason}");
         }
         other => panic!("expected Unsupported, got {other:?}"),
     }
-    let auto = replay::counts_or_simulate(&k.program, &cfg).expect("fallback simulates");
-    assert_eq!(auto.engine, replay::CountEngine::Interp);
-    let sim = simulate(&k.program, &cfg).unwrap();
-    assert_eq!(auto.stats, sim.stats);
-    assert_eq!(auto.network_messages, sim.network_messages);
+    let outcome = |r: Result<replay::CountReport, _>| r.map_err(|e: SimError| e.to_string());
+    let sim = simulate(&p, &cfg).map(|rep| replay::CountReport::from_sim(&rep));
+    assert_eq!(
+        outcome(replay::counts_or_simulate(&p, &cfg)),
+        outcome(sim.clone())
+    );
+    assert_eq!(
+        outcome(sim).unwrap_err(),
+        "IR error: read of undefined cell ROWPTR[64]"
+    );
 }
 
 #[test]

@@ -25,9 +25,10 @@
 
 use sapp::core::oracle::{CountingOracle, FastCountingOracle, Oracle, OracleError};
 use sapp::core::plan::{ExperimentPlan, RunConfig};
-use sapp::ir::nest::Stmt;
-use sapp::ir::program::ArrayInit;
-use sapp::ir::{analysis, interpret, Program, ProgramResult};
+use sapp::ir::index::{iv, IndexExpr};
+use sapp::ir::nest::{ArrayRef, LoopNest, LoopVar, Stmt};
+use sapp::ir::program::{ArrayDecl, ArrayInit, Phase};
+use sapp::ir::{analysis, interpret, ArrayId, Expr, Program, ProgramResult};
 use sapp::loops::{reduced_suite, suite};
 use sapp::runtime::{execute, execute_on, RuntimeConfig, ThreadOracle};
 
@@ -297,22 +298,61 @@ fn one_sweep_stencils_are_cache_exact() {
     }
 }
 
+/// SPMVD with its row permutation copied by a nest of its own first: the
+/// result vector scatters through an index array the program produces.
+fn spmvd_through_a_produced_permutation() -> Program {
+    let mut p = sapp::loops::workload("SPMVD").unwrap().reduced().program;
+    let src = p.arrays.iter().position(|d| d.name == "ROWPERM").unwrap();
+    let rows = p.arrays[src].dims[0];
+    let (src, perm) = (ArrayId(src), ArrayId(p.arrays.len()));
+    p.arrays.push(ArrayDecl {
+        name: "PERM".into(),
+        dims: vec![rows],
+        init: ArrayInit::Undefined,
+    });
+    for phase in &mut p.phases {
+        if let Phase::Loop(nest) = phase {
+            for stmt in &mut nest.body {
+                if let Stmt::Assign { target, .. } = stmt {
+                    for ix in &mut target.indices {
+                        if let IndexExpr::Indirect { base, .. } = ix {
+                            if *base == src {
+                                *base = perm;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    let copy = LoopNest {
+        label: "copy-perm".into(),
+        loops: vec![LoopVar::simple("i", 0, rows as i64 - 1)],
+        body: vec![Stmt::Assign {
+            target: ArrayRef::new(perm, vec![iv(0).into()]),
+            value: Expr::Read(ArrayRef::new(src, vec![iv(0).into()])),
+        }],
+    };
+    p.phases.insert(0, Phase::Loop(copy));
+    p
+}
+
 #[test]
 fn prefix_spmv_resolves_over_indirect_fetch() {
-    // SPMVD's result vector scatters through a Prefix-initialized row
-    // permutation: no static mirror exists, so the workers must resolve
-    // the anchor over IndirectFetch/IndirectReply — with the resolution
-    // traffic tallied separately so the modeled counts still match the
-    // simulator exactly (the simulator's anchor peek is free).
-    let k = sapp::loops::workload("SPMVD").unwrap().reduced();
+    // SPMVD's result vector scatters through a row permutation an earlier
+    // nest produces: no static owner table exists, so the workers must
+    // resolve the anchor over IndirectFetch/IndirectReply — with the
+    // resolution traffic tallied separately so the modeled counts still
+    // match the simulator exactly (the simulator's anchor peek is free).
+    let program = spmvd_through_a_produced_permutation();
     let rt = RuntimeConfig {
         cache_elems: 0,
         ..RuntimeConfig::paper(4, 32)
     };
-    let rep = execute(&k.program, &rt).expect("SPMVD runs on threads");
+    let rep = execute(&program, &rt).expect("SPMVD runs on threads");
     assert!(
         rep.resolve_messages > 0,
-        "prefix-initialized anchors must resolve over the wire"
+        "anchors through a produced array must resolve over the wire"
     );
     // SPMVD has no reductions and no reinit phases, so the only uncounted
     // wire traffic can be anchor resolution — broadcast/sync tallies must
@@ -323,8 +363,8 @@ fn prefix_spmv_resolves_over_indirect_fetch() {
     // simulator's message model exactly — the independent side of the
     // ledger: the simulator never sees resolution traffic at all.
     let cfg = thread_cfg(0);
-    let sim = CountingOracle.measure(&k.program, &cfg).unwrap();
-    let real = ThreadOracle.measure(&k.program, &cfg).unwrap();
+    let sim = CountingOracle.measure(&program, &cfg).unwrap();
+    let real = ThreadOracle.measure(&program, &cfg).unwrap();
     assert_counts_match("SPMVD", &sim, &real);
     assert_eq!(
         rep.modeled_messages(),

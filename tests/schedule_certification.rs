@@ -186,6 +186,7 @@ fn every_screen_kind() -> Program {
     let made = b.output("M", &[n]);
     let x = b.output("X", &[n]);
     let w = b.output("W", &[n]);
+    let u = b.output("U", &[n]);
     let v = b.output("V", &[n]);
     let (s, q, c, d) = (b.scalar("s"), b.scalar("q"), b.scalar("c"), b.scalar("d"));
     // Anchorless reductions, two per iteration, so the deal interleaves
@@ -201,13 +202,7 @@ fn every_screen_kind() -> Program {
         nb.reduce(s, ReduceOp::Sum, nb.read(y, [iv(0)]));
         nb.reduce(s, ReduceOp::Sum, nb.read(z, [iv(0).plus(40)]));
     });
-    // Scatter through a static permutation, and through a prefix.
-    b.nest("scatter", &[("k", 0, n as i64 - 1)], |nb| {
-        nb.assign_indirect(x, perm, iv(0), nb.read(y, [iv(0)]));
-        nb.assign_indirect(w, prefix, iv(0), nb.read(z, [iv(0).plus(3)]));
-    });
-    // An index array the program produces, then a scatter and a reduction
-    // anchored through it.
+    // An index array the program produces.
     b.nest("make", &[("k", 0, n as i64 - 1)], |nb| {
         nb.assign(
             made,
@@ -215,6 +210,14 @@ fn every_screen_kind() -> Program {
             Expr::Const(n as f64 - 1.0) - Expr::LoopVar(0),
         );
     });
+    // Scatter through a static permutation, through the defined prefix of
+    // another, and through the produced one.
+    b.nest("scatter", &[("k", 0, n as i64 - 1)], |nb| {
+        nb.assign_indirect(x, perm, iv(0), nb.read(y, [iv(0)]));
+        nb.assign_indirect(w, prefix, iv(0), nb.read(z, [iv(0).plus(3)]));
+        nb.assign_indirect(u, made, iv(0), nb.read(z, [iv(0).plus(9)]));
+    });
+    // A scatter and a reduction anchored through the produced array.
     b.nest("use", &[("k", 0, n as i64 / 3)], |nb| {
         nb.assign_indirect(v, made, iv(0), nb.read(y, [iv(0)]));
         nb.reduce(d, ReduceOp::Sum, nb.read_indirect(y, made, iv(0)));
@@ -230,7 +233,11 @@ fn the_schedule_is_what_the_interpreter_executes_for_every_screen_kind() {
     let screens = |n: usize| &sched.nest(n).screen.screens;
     assert_eq!(screens(0)[1], Screen::RoundRobin { slot: 1 });
     assert!(matches!(screens(2)[0], Screen::Affine { .. }));
-    assert_eq!(screens(3)[..], [Screen::Static, Screen::Produced]);
+    assert!(matches!(screens(3)[0], Screen::Affine { .. }));
+    assert_eq!(
+        screens(4)[..],
+        [Screen::Static, Screen::Static, Screen::Produced]
+    );
     assert_eq!(screens(5)[..], [Screen::Produced, Screen::Produced]);
     certify("kinds", &kinds);
 }
