@@ -60,7 +60,7 @@ pub use deferred::{estimate_timing, TimingReport};
 pub use exec::{simulate, SimError, SimReport};
 pub use oracle::{
     CountingOracle, Engine, FastCountingOracle, Oracle, OracleError, RunRecord, StaticOracle,
-    TimingOracle,
+    TimingOracle, Verdict,
 };
 pub use parallel::par_map;
 pub use plan::{Axis, ExperimentPlan, PlanError, RunConfig};

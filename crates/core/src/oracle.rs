@@ -26,7 +26,7 @@ use sa_machine::{load_balance, AccessCosts, Stats};
 use crate::deferred::{simulate_timed, TimingError};
 use crate::exec::{simulate, SimError};
 use crate::plan::{ExperimentPlan, PlanError, RunConfig};
-use crate::replay::{self, CountReport, ReplayError};
+use crate::replay::{self, Capped, CountReport, ReplayError};
 
 /// One measured grid point: the config that produced it plus every counter
 /// the report layer might select.
@@ -112,6 +112,36 @@ fn counted(cfg: &RunConfig, rep: &CountReport, cycles: Option<u64>) -> RunRecord
     }
 }
 
+/// What a capped measurement ([`Oracle::measure_capped`]) found. Passed
+/// by value once per measurement, as [`Oracle::measure`]'s record is.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug, Clone, PartialEq)]
+pub enum Verdict {
+    /// Fewer remote reads than the cap: the full measurement.
+    Measured(RunRecord),
+    /// At least as many remote reads as the cap.
+    Exceeds,
+}
+
+impl Verdict {
+    /// The verdict on a full measurement under `remote_cap`.
+    pub fn of(record: RunRecord, remote_cap: u64) -> Verdict {
+        if record.remote_reads >= remote_cap {
+            Verdict::Exceeds
+        } else {
+            Verdict::Measured(record)
+        }
+    }
+
+    /// The record of an uncapped measurement.
+    pub(crate) fn uncapped(self) -> RunRecord {
+        match self {
+            Verdict::Measured(rec) => rec,
+            Verdict::Exceeds => unreachable!("an uncapped measurement is a record"),
+        }
+    }
+}
+
 /// Why one grid point failed to measure.
 #[derive(Debug)]
 pub enum OracleError {
@@ -169,6 +199,20 @@ pub trait Oracle: Sync {
 
     /// Measure one grid point.
     fn measure(&self, program: &Program, cfg: &RunConfig) -> Result<RunRecord, OracleError>;
+
+    /// Measure one grid point only while it has fewer than `remote_cap`
+    /// remote reads: [`Verdict::Exceeds`] exactly when it has at least
+    /// that many, else the full record (`u64::MAX` is no cap). A backend
+    /// may stop counting once the cap is reached; the verdict never
+    /// depends on whether it does. The default measures in full.
+    fn measure_capped(
+        &self,
+        program: &Program,
+        cfg: &RunConfig,
+        remote_cap: u64,
+    ) -> Result<Verdict, OracleError> {
+        Ok(Verdict::of(self.measure(program, cfg)?, remote_cap))
+    }
 }
 
 /// The default oracle: the paper's access-counting simulator.
@@ -250,16 +294,32 @@ impl Oracle for FastCountingOracle {
     }
 
     fn measure(&self, program: &Program, cfg: &RunConfig) -> Result<RunRecord, OracleError> {
+        self.measure_capped(program, cfg, u64::MAX)
+            .map(Verdict::uncapped)
+    }
+
+    /// Replay stops counting at the cap ([`replay::counts_capped`]).
+    fn measure_capped(
+        &self,
+        program: &Program,
+        cfg: &RunConfig,
+        remote_cap: u64,
+    ) -> Result<Verdict, OracleError> {
         let machine = cfg.machine();
-        let rep = match self.engine {
-            Engine::Interp => return CountingOracle.measure(program, cfg),
-            Engine::Replay => replay::counts(program, &machine).map_err(|e| match e {
-                ReplayError::Config(c) => bad_config(c),
-                e @ ReplayError::Unsupported { .. } => OracleError::Unsupported(e.to_string()),
-            })?,
-            Engine::Auto => replay::counts_or_simulate(program, &machine)?,
+        let capped = match self.engine {
+            Engine::Interp => return CountingOracle.measure_capped(program, cfg, remote_cap),
+            Engine::Replay => {
+                replay::counts_capped(program, &machine, remote_cap).map_err(|e| match e {
+                    ReplayError::Config(c) => bad_config(c),
+                    e @ ReplayError::Unsupported { .. } => OracleError::Unsupported(e.to_string()),
+                })?
+            }
+            Engine::Auto => replay::capped_or_simulate(program, &machine, remote_cap)?,
         };
-        Ok(counted(cfg, &rep, None))
+        Ok(match capped {
+            Capped::Counted(rep) => Verdict::Measured(counted(cfg, &rep, None)),
+            Capped::Exceeded => Verdict::Exceeds,
+        })
     }
 }
 

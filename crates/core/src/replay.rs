@@ -30,10 +30,11 @@
 //!   (pages, not values) therefore reproduces *p*'s exact local / cached /
 //!   remote classification, LRU/FIFO/Random evictions included.
 //! * **Additive accounting** — network messages, hops and per-link loads
-//!   are sums over fetch events, so per-PE shards merge
-//!   ([`Network::merge`]) into exactly the totals of a sequential pass,
-//!   and a shard adds its fetches up per owner and prices each owner's
-//!   once, when it ends.
+//!   are sums over fetch events, so a shard adds its fetches up per owner
+//!   it fetched from, and the coordinator prices each (PE, owner) pair
+//!   once, PE by PE, on one [`Network`]: exactly the totals of a
+//!   sequential pass. A shard's memory follows the owners it fetched from,
+//!   never the PE count (a dense table per shard is quadratic in it).
 //! * **Translation invariance** — without a cache every counter is a sum
 //!   over trips of a function of two things, the owner of the anchor's page
 //!   and the owner of each read's page, and translating every reference of
@@ -106,6 +107,20 @@
 //! cores via [`par_map`] — a single 64-PE K18 run saturates the machine
 //! (the ROADMAP's intra-simulation sharding item).
 //!
+//! # Capped counting
+//!
+//! A search that only keeps an incumbent needs a candidate's counts only
+//! while it can still win. [`counts_capped`] takes a remote-read cap: at
+//! every stretch boundary (each entry to a stretch — a sweep, a fold or a
+//! chain member) a shard adds the remote reads it charged since the last
+//! one to a total all shards share, and once that total reaches the cap
+//! every shard stops at its next boundary — a shard that has not started
+//! returns at once. Remote reads only grow during a run and the shared
+//! total never exceeds the run's, so the answer is
+//! [`Capped::Exceeded`] exactly when the run's remote reads are at least
+//! the cap, however the shards interleave; below it the run is counted
+//! in full. An uncapped run ([`counts`]) never looks at the total.
+//!
 //! # Fallback
 //!
 //! Each nest's references are lowered once ([`NestAccess`]), and replay
@@ -133,7 +148,9 @@
 //! checking, exactly because those checks are what make interpretation
 //! slow.
 
+use std::collections::HashMap;
 use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use sa_ir::access::{Access, Dim, Line, NestAccess, Subscript};
 use sa_ir::analysis::StaticArrays;
@@ -201,6 +218,25 @@ impl CountReport {
             network_messages: rep.network_messages,
             network_hops: rep.network_hops,
             max_link_load: rep.max_link_load,
+        }
+    }
+}
+
+/// What a capped count found ([`counts_capped`]).
+#[derive(Debug, Clone, PartialEq)]
+pub enum Capped {
+    /// The run charged fewer remote reads than the cap: every count.
+    Counted(CountReport),
+    /// The run charges at least as many remote reads as the cap.
+    Exceeded,
+}
+
+impl Capped {
+    /// The report of an uncapped run.
+    fn uncapped(self) -> CountReport {
+        match self {
+            Capped::Counted(rep) => rep,
+            Capped::Exceeded => unreachable!("an uncapped run is counted"),
         }
     }
 }
@@ -427,7 +463,62 @@ struct NestTally {
 #[derive(Debug)]
 struct Shard {
     nest_tallies: Vec<NestTally>,
-    net: Network,
+    /// Page fetches per owner fetched from, owners ascending.
+    fetches: Vec<(usize, u64)>,
+    /// The hosts this PE shipped reduction partials to, in order.
+    partials: Vec<usize>,
+}
+
+/// Machines up to this many PEs tally a shard's fetches in a dense table.
+const DENSE_FETCH_PES: usize = 1024;
+
+/// Page fetches a shard charged, per owner: a dense table on a small
+/// machine, the owners fetched from on a large one.
+#[derive(Debug)]
+enum Fetches {
+    Dense(Vec<u64>),
+    Sparse(HashMap<usize, u64>),
+}
+
+impl Fetches {
+    fn new(n_pes: usize) -> Fetches {
+        if n_pes <= DENSE_FETCH_PES {
+            Fetches::Dense(vec![0; n_pes])
+        } else {
+            Fetches::Sparse(HashMap::new())
+        }
+    }
+
+    #[inline]
+    fn add(&mut self, owner: usize, count: u64) {
+        match self {
+            Fetches::Dense(per_owner) => per_owner[owner] += count,
+            Fetches::Sparse(per_owner) => *per_owner.entry(owner).or_insert(0) += count,
+        }
+    }
+
+    /// The owners fetched from, ascending, with their counts.
+    fn into_sorted(self) -> Vec<(usize, u64)> {
+        match self {
+            Fetches::Dense(per_owner) => per_owner
+                .into_iter()
+                .enumerate()
+                .filter(|&(_, count)| count > 0)
+                .collect(),
+            Fetches::Sparse(per_owner) => {
+                let mut owners: Vec<_> = per_owner.into_iter().collect();
+                owners.sort_unstable();
+                owners
+            }
+        }
+    }
+}
+
+/// A capped run's remote-read cap and what its shards have charged of it.
+#[derive(Debug)]
+struct Cap {
+    limit: u64,
+    charged: AtomicU64,
 }
 
 /// One non-local page run of one affine read: iterations `[t0, t1)` all
@@ -467,12 +558,19 @@ struct Worker<'a> {
     /// offsets are irrelevant under `Ignore` partial-page semantics (the
     /// only policy replay supports), so residency is all a probe asks.
     cache: PolicyCache<()>,
-    net: Network,
-    /// Page fetches charged so far, per owner: priced on `net` once per
-    /// owner when the shard ends (pricing is linear in the count).
-    fetches: Vec<u64>,
+    /// Page fetches charged so far, per owner: the coordinator prices each
+    /// owner's once (pricing is linear in the count).
+    fetches: Fetches,
+    partials: Vec<usize>,
     gens: Vec<u32>,
     cur: NestTally,
+    /// The run's cap, `None` when uncapped; the remote reads of the nests
+    /// already replayed, and how many of them and `cur`'s the shard has
+    /// added to the cap's total.
+    cap: Option<&'a Cap>,
+    remote_done: u64,
+    published: u64,
+    stopped: bool,
     /// How many stretches of the nest the one being replayed stands for
     /// ([`Fold::times`], or the members a chain has left once it repeats
     /// itself): everything charged is scaled by it, in bulk or instance by
@@ -498,7 +596,7 @@ struct Worker<'a> {
 }
 
 impl<'a> Worker<'a> {
-    fn new(cp: &'a Compiled<'a>, cfg: &MachineConfig, pe: usize) -> Self {
+    fn new(cp: &'a Compiled<'a>, cfg: &MachineConfig, pe: usize, cap: Option<&'a Cap>) -> Self {
         Worker {
             cp,
             pe,
@@ -507,10 +605,14 @@ impl<'a> Worker<'a> {
             cache_on: cp.cached,
             lru: cfg.cache_policy == sa_machine::CachePolicy::Lru,
             cache: PolicyCache::new(cfg.cache_pages(), cfg.cache_policy),
-            net: Network::new(cfg.network, cfg.n_pes),
-            fetches: vec![0; cfg.n_pes],
+            fetches: Fetches::new(cfg.n_pes),
+            partials: Vec::new(),
             gens: vec![0; cp.schedule.placements().len()],
             cur: NestTally::default(),
+            cap,
+            remote_done: 0,
+            published: 0,
+            stopped: false,
             times: 1,
             epoch: 0,
             probed_at: vec![0; cp.schedule.placements().len()],
@@ -529,27 +631,50 @@ impl<'a> Worker<'a> {
         let cp = self.cp;
         let mut nest_tallies = Vec::with_capacity(cp.nests.len());
         for phase in &cp.schedule.program().phases {
+            if self.over_cap() {
+                break;
+            }
             match phase {
                 Phase::Reinit(a) => {
                     self.gens[a.0] += 1;
                     self.cache.invalidate_array(a.0);
                 }
                 Phase::Loop(_) => {
-                    self.cur = NestTally::default();
                     self.replay_nest(nest_tallies.len());
-                    nest_tallies.push(self.cur);
+                    let tally = std::mem::take(&mut self.cur);
+                    self.remote_done += tally.remote;
+                    nest_tallies.push(tally);
                 }
             }
         }
-        for (owner, &count) in self.fetches.iter().enumerate() {
-            if count > 0 {
-                self.net.record_fetches(self.pe, owner, count);
-            }
-        }
+        // What the shard charged last counts towards the cap too: the
+        // shards still walking may stop sooner.
+        self.over_cap();
         Shard {
             nest_tallies,
-            net: self.net,
+            fetches: self.fetches.into_sorted(),
+            partials: self.partials,
         }
+    }
+
+    /// Add the remote reads charged since the last boundary to the cap's
+    /// shared total, and whether that total has reached the cap (module
+    /// docs, § Capped counting) — once it has, the shard stops.
+    fn over_cap(&mut self) -> bool {
+        let Some(cap) = self.cap else {
+            return false;
+        };
+        if !self.stopped {
+            let mine = self.remote_done + self.cur.remote;
+            let delta = mine - self.published;
+            self.published = mine;
+            let total = match delta {
+                0 => cap.charged.load(Ordering::Relaxed),
+                _ => cap.charged.fetch_add(delta, Ordering::Relaxed) + delta,
+            };
+            self.stopped = total >= cap.limit;
+        }
+        self.stopped
     }
 
     /// Charge one element read exactly as `DistributedMachine::read` would,
@@ -588,7 +713,7 @@ impl<'a> Worker<'a> {
     /// Charge `count` remote reads of a page `owner` holds, each a fetch.
     fn charge_fetches(&mut self, owner: usize, count: u64) {
         let count = count * self.times;
-        self.fetches[owner] += count;
+        self.fetches.add(owner, count);
         self.cur.remote += count;
         self.cur.page_fetches += count;
     }
@@ -684,8 +809,7 @@ impl<'a> Worker<'a> {
         // scalar's host (paper §9), exactly like `machine.send_partial`.
         for round in &cn.rounds {
             if round.ships_from(self.pe) {
-                self.net
-                    .record_message(self.pe, host_of(round.scalar, self.n_pes));
+                self.partials.push(host_of(round.scalar, self.n_pes));
                 self.cur.reduction_messages += 1;
             }
         }
@@ -799,6 +923,9 @@ impl<'a> Worker<'a> {
     /// Replay this PE's share of trips `trips` of sweep `sweep`, for every
     /// stretch it stands for ([`Worker::times`]).
     fn stretch(&mut self, cn: &'a CNest, nest: usize, sweep: usize, trips: Range<usize>) {
+        if self.over_cap() {
+            return;
+        }
         let sw = self.cp.schedule.nest(nest).sweep(sweep);
         let mut lines = std::mem::take(&mut self.lines);
         lines.clear();
@@ -1023,15 +1150,41 @@ impl<'a> Worker<'a> {
 /// nest (or config knob) needs the interpreter — use [`counts_or_simulate`]
 /// for transparent fallback.
 pub fn counts(program: &Program, cfg: &MachineConfig) -> Result<CountReport, ReplayError> {
+    counts_capped(program, cfg, u64::MAX).map(Capped::uncapped)
+}
+
+/// [`counts`], stopping once the run has charged `remote_cap` remote reads
+/// (module docs, § Capped counting): [`Capped::Exceeded`] exactly when
+/// the run's remote reads are at least `remote_cap`, else every count.
+/// `u64::MAX` is no cap.
+pub fn counts_capped(
+    program: &Program,
+    cfg: &MachineConfig,
+    remote_cap: u64,
+) -> Result<Capped, ReplayError> {
     let statics = StaticArrays::scan(program);
     let cp = compile(program, &statics, cfg)?;
+    let cap = Cap {
+        limit: remote_cap,
+        charged: AtomicU64::new(0),
+    };
+    let cap = (remote_cap != u64::MAX).then_some(&cap);
     let pes: Vec<usize> = (0..cfg.n_pes).collect();
     let shards: Vec<Shard> = par_map(&pes, |&pe| {
-        Ok::<_, std::convert::Infallible>(Worker::new(&cp, cfg, pe).run())
+        Ok::<_, std::convert::Infallible>(Worker::new(&cp, cfg, pe, cap).run())
     })
     .unwrap_or_else(|e| match e {});
+    // A shard that stopped charged at least what it added to the shared
+    // total, which had reached the cap.
+    if cap.is_some() {
+        let tallies = shards.iter().flat_map(|s| &s.nest_tallies);
+        if tallies.map(|t| t.remote).sum::<u64>() >= remote_cap {
+            return Ok(Capped::Exceeded);
+        }
+    }
 
-    // Coordinator: host-protocol accounting (PE-independent) + merge.
+    // Coordinator: host-protocol accounting (PE-independent), then every
+    // shard's fetches and partials, PE by PE.
     let mut net = Network::new(cfg.network, cfg.n_pes);
     let mut stats = Stats::new(cfg.n_pes);
     let mut gens = vec![0u32; program.arrays.len()];
@@ -1042,8 +1195,13 @@ pub fn counts(program: &Program, cfg: &MachineConfig) -> Result<CountReport, Rep
             stats.reinit_messages += sync.total_messages();
         }
     }
-    for shard in &shards {
-        net.merge(&shard.net);
+    for (pe, shard) in shards.iter().enumerate() {
+        for &(owner, count) in &shard.fetches {
+            net.record_fetches(pe, owner, count);
+        }
+        for &host in &shard.partials {
+            net.record_message(pe, host);
+        }
     }
 
     let mut per_nest = Vec::with_capacity(cp.nests.len());
@@ -1064,14 +1222,14 @@ pub fn counts(program: &Program, cfg: &MachineConfig) -> Result<CountReport, Rep
         per_nest.push((nest.label.clone(), ns));
     }
 
-    Ok(CountReport {
+    Ok(Capped::Counted(CountReport {
         engine: CountEngine::Replay,
         stats,
         per_nest,
         network_messages: net.messages,
         network_hops: net.hops,
         max_link_load: net.max_link_load(),
-    })
+    }))
 }
 
 /// Total statement instances (used to gate the debug cross-check).
@@ -1095,20 +1253,48 @@ const CROSS_CHECK_INSTANCES: u64 = 20_000;
 /// result is trusted; large runs rely on the differential test suite. The
 /// release path never pays the double cost.
 pub fn counts_or_simulate(program: &Program, cfg: &MachineConfig) -> Result<CountReport, SimError> {
-    match counts(program, cfg) {
-        Ok(rep) => {
+    capped_or_simulate(program, cfg, u64::MAX).map(Capped::uncapped)
+}
+
+/// [`counts_or_simulate`] under a remote-read cap: replay stops at it
+/// ([`counts_capped`]); the interpreter counts in full, and the answer is
+/// the same — [`Capped::Exceeded`] exactly when the run's remote reads
+/// are at least `remote_cap`.
+pub(crate) fn capped_or_simulate(
+    program: &Program,
+    cfg: &MachineConfig,
+    remote_cap: u64,
+) -> Result<Capped, SimError> {
+    match counts_capped(program, cfg, remote_cap) {
+        Ok(capped) => {
             #[cfg(debug_assertions)]
             {
                 if instance_count(program) <= CROSS_CHECK_INSTANCES {
                     let sim = simulate(program, cfg)?;
-                    assert_report_matches(&rep, &sim);
+                    let remote = sim.stats.remote_reads();
+                    match &capped {
+                        Capped::Counted(rep) => {
+                            assert_report_matches(rep, &sim);
+                            assert!(remote < remote_cap, "replay counted past its cap");
+                        }
+                        Capped::Exceeded => {
+                            assert!(remote >= remote_cap, "replay stopped short of its cap")
+                        }
+                    }
                 }
             }
-            Ok(rep)
+            Ok(capped)
         }
         // Invalid configs fall through to the interpreter so the caller
         // sees exactly the error `simulate` would have produced.
-        Err(_) => simulate(program, cfg).map(|rep| CountReport::from_sim(&rep)),
+        Err(_) => {
+            let rep = CountReport::from_sim(&simulate(program, cfg)?);
+            Ok(if rep.stats.remote_reads() >= remote_cap {
+                Capped::Exceeded
+            } else {
+                Capped::Counted(rep)
+            })
+        }
     }
 }
 

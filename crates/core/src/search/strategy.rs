@@ -24,6 +24,12 @@
 //!   tried first. Evaluation then proceeds in ranked order under the
 //!   budget.
 //!
+//! The walks that only keep an incumbent — the canonical sweep and
+//! propagation — measure each candidate under a remote-read cap
+//! ([`Oracle::measure_capped`]): the fewest remote reads at which its
+//! score provably exceeds the incumbent's (`Walk::remote_cap`), past which
+//! replay stops counting.
+//!
 //! Every oracle evaluation goes through a [`MemoOracle`] keyed by
 //! `(program fingerprint, RunConfig)` and shared across queries of one
 //! [`Searcher`], so repeated measurements — across strategies, kernels
@@ -46,7 +52,7 @@ use sa_lint::depgraph::DepGraph;
 use sa_machine::{PartitionScheme, Placement};
 
 use crate::oracle::{
-    of_last_program, FastCountingOracle, Oracle, OracleError, RunRecord, StaticOracle,
+    of_last_program, FastCountingOracle, Oracle, OracleError, RunRecord, StaticOracle, Verdict,
 };
 use crate::plan::{PlanError, RunConfig};
 use crate::search::{static_score_bound, BestConfig, Objective, SearchSpace, WriteProjector};
@@ -64,7 +70,8 @@ pub const DEFAULT_SEED: u64 = 0x5eed_1989;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Strategy {
     /// Canonical-order incumbent walk with static pruning: every candidate
-    /// is measured or proven unable to win.
+    /// is measured — capped once its remote reads prove it cannot win — or
+    /// proven unable to win without measuring.
     Exhaustive,
     /// Seeded simulated annealing with pruned Metropolis acceptance.
     Anneal,
@@ -220,9 +227,32 @@ pub fn program_fingerprint(p: &Program) -> u64 {
     h
 }
 
-/// One program's cached verdicts by config; `Err` holds an unsupported
-/// verdict's message.
-type Verdicts = HashMap<RunConfig, Result<RunRecord, String>>;
+/// What [`MemoOracle`] remembers of one config.
+#[derive(Debug, Clone)]
+enum Memo {
+    /// The full measurement: it answers every query, capped or not.
+    Record(RunRecord),
+    /// At least `cap` remote reads: it answers a query capped at `cap` or
+    /// below.
+    Exceeds { cap: u64 },
+    /// The backend's unsupported verdict, with its message.
+    Unsupported(String),
+}
+
+impl Memo {
+    /// This entry's answer to a query capped at `remote_cap` (`u64::MAX`
+    /// is no cap), or `None` when the query must measure again.
+    fn answer(&self, remote_cap: u64) -> Option<Result<Verdict, OracleError>> {
+        match self {
+            Memo::Record(rec) => Some(Ok(Verdict::of(rec.clone(), remote_cap))),
+            Memo::Exceeds { cap } => (remote_cap <= *cap).then_some(Ok(Verdict::Exceeds)),
+            Memo::Unsupported(m) => Some(Err(OracleError::Unsupported(m.clone()))),
+        }
+    }
+}
+
+/// One program's cached verdicts by config.
+type Verdicts = HashMap<RunConfig, Memo>;
 
 /// A memoizing [`Oracle`] wrapper: measurements are cached under
 /// `(program fingerprint, RunConfig)` and shared across every query that
@@ -231,6 +261,11 @@ type Verdicts = HashMap<RunConfig, Result<RunRecord, String>>;
 /// re-measuring it. Hard backend errors are *not* cached (they may be
 /// transient) but still count as misses: the miss counter is exactly the
 /// number of inner-oracle invocations.
+///
+/// A capped query ([`Oracle::measure_capped`]) that exceeded its cap is
+/// cached as that: a later query capped at or below it is a hit, and one
+/// uncapped or capped higher measures again and replaces the entry. A full
+/// record answers every query.
 ///
 /// A probe hashes the typed config and nothing else. A [`Searcher`] query
 /// fingerprints its program once; callers coming through
@@ -274,38 +309,52 @@ impl MemoOracle {
         program: &Program,
         cfg: &RunConfig,
     ) -> (Result<RunRecord, OracleError>, bool) {
+        let (res, hit) = self.measure_capped_tracked(program, cfg, u64::MAX);
+        (res.map(Verdict::uncapped), hit)
+    }
+
+    /// [`Oracle::measure_capped`] plus whether the answer came from the
+    /// cache.
+    fn measure_capped_tracked(
+        &self,
+        program: &Program,
+        cfg: &RunConfig,
+        remote_cap: u64,
+    ) -> (Result<Verdict, OracleError>, bool) {
         let fingerprint = of_last_program(
             &mut self.last_program.lock().expect("memo cache poisoned"),
             program,
             program_fingerprint,
         );
-        self.measure_keyed(fingerprint, program, cfg)
+        self.measure_keyed(fingerprint, program, cfg, remote_cap)
     }
 
-    /// [`measure_tracked`](MemoOracle::measure_tracked) for a caller that
-    /// already holds `program`'s [`program_fingerprint`].
+    /// [`measure_capped_tracked`](MemoOracle::measure_capped_tracked) for a
+    /// caller that already holds `program`'s [`program_fingerprint`].
     fn measure_keyed(
         &self,
         fingerprint: u64,
         program: &Program,
         cfg: &RunConfig,
-    ) -> (Result<RunRecord, OracleError>, bool) {
+        remote_cap: u64,
+    ) -> (Result<Verdict, OracleError>, bool) {
         let cached = self
             .cache
             .lock()
             .expect("memo cache poisoned")
             .get(&fingerprint)
             .and_then(|of_program| of_program.get(cfg))
-            .cloned();
-        if let Some(entry) = cached {
+            .and_then(|entry| entry.answer(remote_cap));
+        if let Some(answer) = cached {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return (entry.map_err(OracleError::Unsupported), true);
+            return (answer, true);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let res = self.inner.measure(program, cfg);
+        let res = self.inner.measure_capped(program, cfg, remote_cap);
         let entry = match &res {
-            Ok(rec) => Some(Ok(rec.clone())),
-            Err(OracleError::Unsupported(m)) => Some(Err(m.clone())),
+            Ok(Verdict::Measured(rec)) => Some(Memo::Record(rec.clone())),
+            Ok(Verdict::Exceeds) => Some(Memo::Exceeds { cap: remote_cap }),
+            Err(OracleError::Unsupported(m)) => Some(Memo::Unsupported(m.clone())),
             Err(_) => None,
         };
         if let Some(entry) = entry {
@@ -327,6 +376,15 @@ impl Oracle for MemoOracle {
 
     fn measure(&self, program: &Program, cfg: &RunConfig) -> Result<RunRecord, OracleError> {
         self.measure_tracked(program, cfg).0
+    }
+
+    fn measure_capped(
+        &self,
+        program: &Program,
+        cfg: &RunConfig,
+        remote_cap: u64,
+    ) -> Result<Verdict, OracleError> {
+        self.measure_capped_tracked(program, cfg, remote_cap).0
     }
 }
 
@@ -356,14 +414,24 @@ impl Oracle for StrategyOracle {
     }
 
     fn measure(&self, program: &Program, cfg: &RunConfig) -> Result<RunRecord, OracleError> {
+        self.measure_capped(program, cfg, u64::MAX)
+            .map(Verdict::uncapped)
+    }
+
+    /// The estimator measures in full; replay stops at the cap.
+    fn measure_capped(
+        &self,
+        program: &Program,
+        cfg: &RunConfig,
+        remote_cap: u64,
+    ) -> Result<Verdict, OracleError> {
         if cfg.cache_elems == 0 {
-            match StaticOracle.measure(program, cfg) {
-                Ok(rec) => return Ok(rec),
+            match StaticOracle.measure_capped(program, cfg, remote_cap) {
                 Err(OracleError::Unsupported(_)) => {}
-                Err(e) => return Err(e),
+                verdict => return verdict,
             }
         }
-        self.auto.measure(program, cfg)
+        self.auto.measure_capped(program, cfg, remote_cap)
     }
 }
 
@@ -386,6 +454,9 @@ pub struct SearchReport {
     pub oracle_evals: usize,
     /// Candidates answered from the memo cache for free.
     pub cache_hits: usize,
+    /// Evaluated candidates a remote-read cap decided: measured only until
+    /// they provably lost to the incumbent.
+    pub capped: usize,
     /// Candidate indices in first-touch evaluation order — the
     /// determinism witness: same seed, same trace, bit for bit.
     pub trace: Vec<usize>,
@@ -503,7 +574,7 @@ impl Searcher {
     pub fn search(&self, program: &Program) -> Result<SearchReport, PlanError> {
         let mut walk = Walk::new(program, self);
         match self.params.strategy {
-            Strategy::Exhaustive => walk.canonical_sweep(usize::MAX)?,
+            Strategy::Exhaustive => walk.canonical_sweep()?,
             Strategy::Anneal => self.anneal(&mut walk)?,
             Strategy::Propagate => self.propagate(&mut walk)?,
         }
@@ -516,7 +587,7 @@ impl Searcher {
     fn anneal(&self, walk: &mut Walk<'_>) -> Result<(), PlanError> {
         let budget = self.params.budget;
         if budget >= self.cands.len() {
-            return walk.canonical_sweep(usize::MAX);
+            return walk.canonical_sweep();
         }
         // Warm start: the propagation ranking's head — the candidate the
         // write-to-read pass believes aligns producers with consumers.
@@ -636,7 +707,7 @@ impl Searcher {
                 walk.prune(idx);
                 continue;
             }
-            walk.eval(idx)?;
+            walk.visit(idx)?;
         }
         Ok(())
     }
@@ -655,13 +726,15 @@ struct Walk<'a> {
     /// `static_score_bound` per `(scheme, page size)` axis position — the
     /// bound does not depend on the network axis.
     bounds: HashMap<(usize, usize), Option<f64>>,
-    /// Score per touched index; `None` = oracle-unsupported.
+    /// Score per touched index; `None` = oracle-unsupported, infinite =
+    /// capped (only known to exceed the incumbent's then).
     seen: HashMap<usize, Option<f64>>,
     pruned_set: HashSet<usize>,
     trace: Vec<usize>,
     evals: usize,
     hits: usize,
     evaluated: usize,
+    capped: usize,
     best: Option<(usize, RunRecord, f64)>,
 }
 
@@ -681,6 +754,7 @@ impl<'a> Walk<'a> {
             evals: 0,
             hits: 0,
             evaluated: 0,
+            capped: 0,
             best: None,
         }
     }
@@ -693,19 +767,61 @@ impl<'a> Walk<'a> {
         let Some((_, _, incumbent)) = &self.best else {
             return false;
         };
+        let incumbent = *incumbent;
         if self.seen.contains_key(&idx) {
             return false; // already measured: skipping would drop its trace entry
         }
+        self.bound(idx).is_some_and(|bound| bound > incumbent)
+    }
+
+    /// `idx`'s static score bound — its imbalance term — computed once
+    /// per `(scheme, page size)`.
+    fn bound(&mut self, idx: usize) -> Option<f64> {
         let (scheme, page, _) = self.cands.coords(idx);
-        let bound = *self.bounds.entry((scheme, page)).or_insert_with(|| {
+        *self.bounds.entry((scheme, page)).or_insert_with(|| {
             static_score_bound(
                 self.program,
                 self.cands.config(idx),
                 self.objective,
                 self.writes_per_pe,
             )
-        });
-        bound.is_some_and(|bound| bound > *incumbent)
+        })
+    }
+
+    /// The fewest remote reads at which `idx` provably loses to the
+    /// incumbent, `u64::MAX` when none does (or there is no incumbent yet).
+    ///
+    /// Every candidate reads the incumbent's `total_reads` (owner-computes
+    /// runs each instance once, wherever), its score is [`capped_score`] of
+    /// its remote reads plus its imbalance term — the static bound, or 0
+    /// when the program cannot be projected — and that score only grows
+    /// with the remote reads. So the least `R ≤ total` whose score is
+    /// strictly above the incumbent's is a cap: a candidate that reaches
+    /// it scores above the incumbent and can never win, while one that
+    /// ties on score is never capped and still reaches the messages
+    /// tie-break. The eventual winner
+    /// never reaches its cap: when it is measured its score is at most the
+    /// incumbent's.
+    fn remote_cap(&mut self, idx: usize) -> u64 {
+        let Some((_, best, incumbent)) = &self.best else {
+            return u64::MAX;
+        };
+        let (total, incumbent) = (best.total_reads, *incumbent);
+        let term = self.bound(idx).unwrap_or(0.0);
+        let loses = |remote: u64| capped_score(remote, total, term) > incumbent;
+        if !loses(total) {
+            return u64::MAX;
+        }
+        let (mut lo, mut hi) = (0, total);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if loses(mid) {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        lo
     }
 
     /// Record a prune (each candidate counted once).
@@ -716,24 +832,32 @@ impl<'a> Walk<'a> {
     /// Measure `idx` (memoized per query and across queries), fold it
     /// into the incumbent, and return its score (`None` = unsupported).
     fn eval(&mut self, idx: usize) -> Result<Option<f64>, PlanError> {
+        self.measure(idx, u64::MAX)
+    }
+
+    /// [`Walk::eval`] for a walk that only keeps the incumbent: `idx` is
+    /// measured only until it provably loses to it ([`Walk::remote_cap`]).
+    fn visit(&mut self, idx: usize) -> Result<(), PlanError> {
+        if self.seen.contains_key(&idx) {
+            return Ok(());
+        }
+        let cap = self.remote_cap(idx);
+        self.measure(idx, cap).map(drop)
+    }
+
+    /// Measure `idx` under `remote_cap`, count it, fold a full record into
+    /// the incumbent, and return its score.
+    fn measure(&mut self, idx: usize, remote_cap: u64) -> Result<Option<f64>, PlanError> {
         if let Some(s) = self.seen.get(&idx) {
             return Ok(*s);
         }
-        let (res, hit) =
-            self.memo
-                .measure_keyed(self.fingerprint, self.program, self.cands.config(idx));
-        let rec = match res {
-            Ok(rec) => rec,
-            Err(OracleError::Unsupported(_)) => {
-                if hit {
-                    self.hits += 1;
-                } else {
-                    self.evals += 1;
-                }
-                self.trace.push(idx);
-                self.seen.insert(idx, None);
-                return Ok(None);
-            }
+        let cfg = self.cands.config(idx);
+        let (res, hit) = self
+            .memo
+            .measure_keyed(self.fingerprint, self.program, cfg, remote_cap);
+        let verdict = match res {
+            Ok(verdict) => Some(verdict),
+            Err(OracleError::Unsupported(_)) => None,
             Err(e) => return Err(PlanError::Oracle(e)),
         };
         if hit {
@@ -742,8 +866,34 @@ impl<'a> Walk<'a> {
             self.evals += 1;
         }
         self.trace.push(idx);
-        self.evaluated += 1;
+        let score = match verdict {
+            None => None,
+            Some(Verdict::Exceeds) => {
+                self.evaluated += 1;
+                self.capped += 1;
+                Some(f64::INFINITY)
+            }
+            Some(Verdict::Measured(rec)) => {
+                self.evaluated += 1;
+                Some(self.fold(idx, rec))
+            }
+        };
+        self.seen.insert(idx, score);
+        Ok(score)
+    }
+
+    /// Fold the full record of `idx` into the incumbent; its score.
+    fn fold(&mut self, idx: usize, rec: RunRecord) -> f64 {
         let score = self.objective.score(&rec);
+        if let Some((_, best_rec, _)) = &self.best {
+            // The caps' premises ([`Walk::remote_cap`]).
+            debug_assert_eq!(rec.total_reads, best_rec.total_reads, "reads moved");
+            let (scheme, page, _) = self.cands.coords(idx);
+            if let Some(Some(term)) = self.bounds.get(&(scheme, page)) {
+                let floor = capped_score(rec.remote_reads, rec.total_reads, *term);
+                debug_assert!(floor <= score, "the imbalance term exceeds its bound");
+            }
+        }
         let wins = match &self.best {
             None => true,
             Some((best_idx, best_rec, _)) => {
@@ -758,8 +908,7 @@ impl<'a> Walk<'a> {
         if wins {
             self.best = Some((idx, rec, score));
         }
-        self.seen.insert(idx, Some(score));
-        Ok(Some(score))
+        score
     }
 
     /// How many distinct candidates this walk has measured so far (memo
@@ -769,18 +918,15 @@ impl<'a> Walk<'a> {
         self.trace.len()
     }
 
-    /// Canonical-order incumbent sweep with static pruning, capped at
-    /// `budget` measured candidates (pass `usize::MAX` for the full sweep).
-    fn canonical_sweep(&mut self, budget: usize) -> Result<(), PlanError> {
+    /// Canonical-order incumbent sweep with static pruning and capped
+    /// measurements.
+    fn canonical_sweep(&mut self) -> Result<(), PlanError> {
         for idx in 0..self.cands.len() {
-            if self.touched() >= budget && self.best.is_some() {
-                break;
-            }
             if self.prunable(idx) {
                 self.prune(idx);
                 continue;
             }
-            self.eval(idx)?;
+            self.visit(idx)?;
         }
         Ok(())
     }
@@ -811,9 +957,22 @@ impl<'a> Walk<'a> {
             space_size: self.cands.len(),
             oracle_evals: self.evals,
             cache_hits: self.hits,
+            capped: self.capped,
             trace: self.trace,
         })
     }
+}
+
+/// A candidate's objective score at `remote` of `total` reads remote, its
+/// imbalance term `term` added: computed as [`sa_machine::Stats::remote_read_pct`]
+/// and [`Objective::score`] compute it, so monotone in `remote`.
+fn capped_score(remote: u64, total: u64, term: f64) -> f64 {
+    let pct = if total == 0 {
+        0.0
+    } else {
+        100.0 * remote as f64 / total as f64
+    };
+    pct + term
 }
 
 /// Sampled static evidence of one RAW edge: pairs of (write address,
@@ -1071,6 +1230,35 @@ mod tests {
         assert!(hit_b);
         assert_eq!(a.unwrap(), b.unwrap());
         assert_eq!((memo.hits(), memo.misses()), (1, 1));
+    }
+
+    #[test]
+    fn memo_oracle_keeps_exceeded_caps_beside_full_records() {
+        let memo = MemoOracle::new(Box::new(CountingOracle));
+        let p = stream(256);
+        let cfg = RunConfig {
+            n_pes: 4,
+            page_size: 8,
+            ..RunConfig::default()
+        };
+        let remote = CountingOracle.measure(&p, &cfg).unwrap().remote_reads;
+        assert!(remote > 4, "the stream reads across PEs");
+        let ask = |cap| {
+            let (verdict, hit) = memo.measure_capped_tracked(&p, &cfg, cap);
+            (matches!(verdict.unwrap(), Verdict::Exceeds), hit)
+        };
+        // An exceeded cap answers caps at or below it, not above.
+        assert_eq!(ask(remote - 1), (true, false));
+        assert_eq!(ask(remote - 1), (true, true));
+        assert_eq!(ask(2), (true, true));
+        assert_eq!(ask(remote), (true, false));
+        // An exact query measures again; its record answers every cap.
+        let (rec, hit) = memo.measure_tracked(&p, &cfg);
+        assert!(!hit);
+        assert_eq!(rec.unwrap().remote_reads, remote);
+        assert_eq!(ask(remote + 1), (false, true));
+        assert_eq!(ask(remote), (true, true));
+        assert_eq!((memo.hits(), memo.misses()), (4, 3));
     }
 
     #[test]

@@ -877,8 +877,10 @@ fn main() {
                     &rows
                 )
             );
+            let capped: usize = reports.iter().flatten().map(|rep| rep.capped).sum();
             eprintln!(
-                "strategy {} over {} candidates: {} oracle evaluations, {} memo hits",
+                "strategy {} over {} candidates: {} oracle evaluations, {} memo hits, \
+                 {capped} decided by a remote-read cap",
                 o.strategy.name(),
                 searcher.candidates().len(),
                 searcher.cache_misses(),

@@ -12,6 +12,9 @@
 //!    which replay counts one stretch per translation class.
 //! 3. **Oracle equivalence** — `FastCountingOracle` in every engine mode
 //!    produces the same `RunRecord`s as `CountingOracle` over a plan.
+//! 4. **Capped replay is exact** — under a remote-read cap, replay says
+//!    `Exceeded` exactly when the run's remote reads reach the cap, and
+//!    below it counts everything the uncapped run does.
 
 use proptest::prelude::*;
 
@@ -43,6 +46,26 @@ fn assert_identical(label: &str, program: &Program, cfg: &MachineConfig) {
     );
     assert_eq!(rep.network_hops, sim.network_hops, "{label}: hops");
     assert_eq!(rep.max_link_load, sim.max_link_load, "{label}: link load");
+}
+
+/// Capped replay of one (program, config) at caps around its remote reads
+/// `R`: `Exceeded` exactly when the cap is at most `R`, else the uncapped
+/// report itself.
+fn assert_capped_exact(label: &str, program: &Program, cfg: &MachineConfig) {
+    let full = replay::counts(program, cfg)
+        .unwrap_or_else(|e| panic!("{label}: replay rejected the program: {e}"));
+    let r = full.stats.remote_reads();
+    for cap in [0, 1, r.saturating_sub(1), r, r + 1, u64::MAX] {
+        let capped = replay::counts_capped(program, cfg, cap)
+            .unwrap_or_else(|e| panic!("{label}: capped replay rejected the program: {e}"));
+        match capped {
+            replay::Capped::Exceeded => assert!(cap <= r, "{label}: cap {cap} > {r} exceeded"),
+            replay::Capped::Counted(rep) => {
+                assert!(cap > r, "{label}: cap {cap} <= {r} counted");
+                assert_eq!(rep, full, "{label}: cap {cap} changed the counts");
+            }
+        }
+    }
 }
 
 /// The paper's figure grid: PE counts × page sizes × cache on/off.
@@ -288,6 +311,38 @@ fn every_registry_kernel_bit_identical_under_every_scheme() {
                 .with_cache_elems(cache);
             let label = format!("{} @ {:?}", kernels[k].code, cfg);
             assert_identical(&label, &kernels[k].program, &cfg);
+        }
+        Ok::<_, std::convert::Infallible>(())
+    })
+    .unwrap();
+}
+
+#[test]
+fn capped_replay_is_exact_on_every_registry_kernel() {
+    let kernels: Vec<_> = sapp::loops::workloads()
+        .iter()
+        .map(|w| w.reduced())
+        .collect();
+    let schemes = [
+        PartitionScheme::Modulo,
+        PartitionScheme::Block,
+        PartitionScheme::BlockCyclic { block_pages: 4 },
+        PartitionScheme::RowBand,
+        PartitionScheme::Tile2D {
+            tile_rows: 8,
+            tile_cols: 16,
+        },
+    ];
+    let points: Vec<(usize, usize)> = (0..kernels.len())
+        .flat_map(|k| (0..schemes.len()).map(move |s| (k, s)))
+        .collect();
+    par_map(&points, |&(k, s)| {
+        for cache in [256, 0] {
+            let cfg = MachineConfig::new(8, 32)
+                .with_partition(schemes[s])
+                .with_cache_elems(cache);
+            let label = format!("{} @ {:?}", kernels[k].code, cfg);
+            assert_capped_exact(&label, &kernels[k].program, &cfg);
         }
         Ok::<_, std::convert::Infallible>(())
     })
@@ -644,6 +699,20 @@ proptest! {
         prop_assert_eq!(rep.network_messages, sim.network_messages);
         prop_assert_eq!(rep.network_hops, sim.network_hops);
         prop_assert_eq!(rep.max_link_load, sim.max_link_load);
+    }
+
+    /// Capped replay is exact on fold-dense programs, with and without a
+    /// cache: folded and chained stretches stop at the cap like walked
+    /// ones.
+    #[test]
+    fn capped_replay_is_exact_on_fold_dense_nests(
+        spec in common::dense_program_strategy(),
+        cfg in common::dense_config_strategy(),
+        cached in common::dense_cached_config_strategy(),
+    ) {
+        let program = common::build_dense(&spec);
+        assert_capped_exact(&format!("{spec:?} @ {cfg:?}"), &program, &cfg);
+        assert_capped_exact(&format!("{spec:?} @ {cached:?}"), &program, &cached);
     }
 }
 

@@ -23,11 +23,17 @@
 //!    `evaluated`, `pruned`, `oracle_evals`, trace) as pruning from the
 //!    per-instance reference, on the benchmark's three guided ST5
 //!    searches and on the exhaustive sweep of the Livermore suite.
+//! 6. **Remote-read caps are invisible** — every candidate of the default
+//!    space reads as much as every other (the caps' premise), and a
+//!    backend that can only measure in full yields the identical
+//!    `SearchReport` as the capping one, for the walks that cap.
 
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
+use sapp::core::oracle::{Oracle, OracleError, RunRecord};
+use sapp::core::plan::RunConfig;
 use sapp::core::search::strategy::{
     program_fingerprint, Searcher, Strategy, StrategyOracle, StrategyParams,
 };
@@ -360,6 +366,74 @@ fn closed_form_bound_leaves_every_search_report_unchanged() {
     assert!(
         pruned > 0,
         "no candidate was pruned: the bound went untested"
+    );
+}
+
+#[test]
+fn every_candidate_of_the_default_space_reads_alike() {
+    // Owner-computes runs every statement instance once, wherever it
+    // runs: total reads do not depend on the placement — the premise of
+    // the walks' remote-read caps.
+    let configs: Vec<RunConfig> = SearchSpace::default().plan().configs().collect();
+    assert_eq!(configs.len(), 42);
+    for k in suite() {
+        let reads: Vec<u64> = configs
+            .iter()
+            .map(|cfg| {
+                let rep = sapp::core::replay::counts(&k.program, &cfg.machine())
+                    .unwrap_or_else(|e| panic!("{}: {e}", k.code));
+                rep.stats.total_reads()
+            })
+            .collect();
+        assert!(
+            reads.iter().all(|&r| r == reads[0]),
+            "{}: total reads vary across candidates: {reads:?}",
+            k.code
+        );
+    }
+}
+
+/// The hybrid oracle behind `Oracle::measure` alone: every capped query
+/// takes the trait's default, a full measurement.
+struct MeasureOnly(StrategyOracle);
+
+impl Oracle for MeasureOnly {
+    fn name(&self) -> &'static str {
+        "measure-only"
+    }
+
+    fn measure(&self, program: &Program, cfg: &RunConfig) -> Result<RunRecord, OracleError> {
+        self.0.measure(program, cfg)
+    }
+}
+
+#[test]
+fn remote_read_caps_leave_every_search_report_unchanged() {
+    let mut capped = 0;
+    for (space, kernels) in [
+        (certification_space(), affine_registry().clone()),
+        (SearchSpace::default(), suite()),
+    ] {
+        for strategy in [Strategy::Exhaustive, Strategy::Propagate] {
+            let capping =
+                Searcher::new(&space, Box::<StrategyOracle>::default(), params(strategy)).unwrap();
+            let measuring = Searcher::new(
+                &space,
+                Box::new(MeasureOnly(StrategyOracle::default())),
+                params(strategy),
+            )
+            .unwrap();
+            for k in &kernels {
+                let got = capping.search(&k.program).unwrap();
+                let want = measuring.search(&k.program).unwrap();
+                assert_eq!(got, want, "{} {}", k.code, strategy.name());
+                capped += got.capped;
+            }
+        }
+    }
+    assert!(
+        capped > 0,
+        "no candidate was capped: the caps went untested"
     );
 }
 
