@@ -60,11 +60,11 @@ pub use deferred::{estimate_timing, TimingReport};
 pub use exec::{simulate, SimError, SimReport};
 pub use oracle::{
     CountingOracle, Engine, FastCountingOracle, Oracle, OracleError, RunRecord, StaticOracle,
-    TimingOracle, Verdict,
+    TimingOracle,
 };
 pub use parallel::par_map;
 pub use plan::{Axis, ExperimentPlan, PlanError, RunConfig};
-pub use replay::{CountEngine, CountReport, ReplayError};
+pub use replay::{Capped, CountEngine, CountReport, ReplayError};
 pub use results::{Column, ResultSet};
 pub use search::strategy::{
     MemoOracle, SearchReport, Searcher, Strategy, StrategyOracle, StrategyParams,

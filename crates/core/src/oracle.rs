@@ -112,36 +112,6 @@ fn counted(cfg: &RunConfig, rep: &CountReport, cycles: Option<u64>) -> RunRecord
     }
 }
 
-/// What a capped measurement ([`Oracle::measure_capped`]) found. Passed
-/// by value once per measurement, as [`Oracle::measure`]'s record is.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone, PartialEq)]
-pub enum Verdict {
-    /// Fewer remote reads than the cap: the full measurement.
-    Measured(RunRecord),
-    /// At least as many remote reads as the cap.
-    Exceeds,
-}
-
-impl Verdict {
-    /// The verdict on a full measurement under `remote_cap`.
-    pub fn of(record: RunRecord, remote_cap: u64) -> Verdict {
-        if record.remote_reads >= remote_cap {
-            Verdict::Exceeds
-        } else {
-            Verdict::Measured(record)
-        }
-    }
-
-    /// The record of an uncapped measurement.
-    pub(crate) fn uncapped(self) -> RunRecord {
-        match self {
-            Verdict::Measured(rec) => rec,
-            Verdict::Exceeds => unreachable!("an uncapped measurement is a record"),
-        }
-    }
-}
-
 /// Why one grid point failed to measure.
 #[derive(Debug)]
 pub enum OracleError {
@@ -200,18 +170,19 @@ pub trait Oracle: Sync {
     /// Measure one grid point.
     fn measure(&self, program: &Program, cfg: &RunConfig) -> Result<RunRecord, OracleError>;
 
-    /// Measure one grid point only while it has fewer than `remote_cap`
-    /// remote reads: [`Verdict::Exceeds`] exactly when it has at least
-    /// that many, else the full record (`u64::MAX` is no cap). A backend
-    /// may stop counting once the cap is reached; the verdict never
-    /// depends on whether it does. The default measures in full.
+    /// Measure one grid point, counting only until it has as many remote
+    /// reads as the cap (`u64::MAX` is no cap). A backend that stops there
+    /// answers [`Capped::Exceeded`]; one that measures in full (the
+    /// default) answers the record, past the cap or not. So a caller
+    /// reads "at least the cap" from `Exceeded` *or* from a record's
+    /// `remote_reads`, and that never depends on the backend.
     fn measure_capped(
         &self,
         program: &Program,
         cfg: &RunConfig,
-        remote_cap: u64,
-    ) -> Result<Verdict, OracleError> {
-        Ok(Verdict::of(self.measure(program, cfg)?, remote_cap))
+        _remote_cap: u64,
+    ) -> Result<Capped<RunRecord>, OracleError> {
+        Ok(Capped::Counted(self.measure(program, cfg)?))
     }
 }
 
@@ -295,7 +266,7 @@ impl Oracle for FastCountingOracle {
 
     fn measure(&self, program: &Program, cfg: &RunConfig) -> Result<RunRecord, OracleError> {
         self.measure_capped(program, cfg, u64::MAX)
-            .map(Verdict::uncapped)
+            .map(Capped::uncapped)
     }
 
     /// Replay stops counting at the cap ([`replay::counts_capped`]).
@@ -304,7 +275,7 @@ impl Oracle for FastCountingOracle {
         program: &Program,
         cfg: &RunConfig,
         remote_cap: u64,
-    ) -> Result<Verdict, OracleError> {
+    ) -> Result<Capped<RunRecord>, OracleError> {
         let machine = cfg.machine();
         let capped = match self.engine {
             Engine::Interp => return CountingOracle.measure_capped(program, cfg, remote_cap),
@@ -317,8 +288,8 @@ impl Oracle for FastCountingOracle {
             Engine::Auto => replay::capped_or_simulate(program, &machine, remote_cap)?,
         };
         Ok(match capped {
-            Capped::Counted(rep) => Verdict::Measured(counted(cfg, &rep, None)),
-            Capped::Exceeded => Verdict::Exceeds,
+            Capped::Counted(rep) => Capped::Counted(counted(cfg, &rep, None)),
+            Capped::Exceeded => Capped::Exceeded,
         })
     }
 }

@@ -33,8 +33,9 @@
 //!   are sums over fetch events, so a shard adds its fetches up per owner
 //!   it fetched from, and the coordinator prices each (PE, owner) pair
 //!   once, PE by PE, on one [`Network`]: exactly the totals of a
-//!   sequential pass. A shard's memory follows the owners it fetched from,
-//!   never the PE count (a dense table per shard is quadratic in it).
+//!   sequential pass. The run keeps one fetch table per shard walking at
+//!   once, and a shard's own memory follows the owners it fetched from,
+//!   never the PE count (a table kept per shard is quadratic in it).
 //! * **Translation invariance** — without a cache every counter is a sum
 //!   over trips of a function of two things, the owner of the anchor's page
 //!   and the owner of each read's page, and translating every reference of
@@ -148,9 +149,9 @@
 //! checking, exactly because those checks are what make interpretation
 //! slow.
 
-use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use sa_ir::access::{Access, Dim, Line, NestAccess, Subscript};
 use sa_ir::analysis::StaticArrays;
@@ -222,20 +223,22 @@ impl CountReport {
     }
 }
 
-/// What a capped count found ([`counts_capped`]).
+/// What a count under a remote-read cap found ([`counts_capped`],
+/// [`Oracle::measure_capped`](crate::Oracle::measure_capped)).
 #[derive(Debug, Clone, PartialEq)]
-pub enum Capped {
-    /// The run charged fewer remote reads than the cap: every count.
-    Counted(CountReport),
-    /// The run charges at least as many remote reads as the cap.
+pub enum Capped<T> {
+    /// The run was counted in full.
+    Counted(T),
+    /// The run charges at least as many remote reads as the cap, and was
+    /// not counted in full.
     Exceeded,
 }
 
-impl Capped {
-    /// The report of an uncapped run.
-    fn uncapped(self) -> CountReport {
+impl<T> Capped<T> {
+    /// The counts of an uncapped run.
+    pub fn uncapped(self) -> T {
         match self {
-            Capped::Counted(rep) => rep,
+            Capped::Counted(counts) => counts,
             Capped::Exceeded => unreachable!("an uncapped run is counted"),
         }
     }
@@ -469,48 +472,48 @@ struct Shard {
     partials: Vec<usize>,
 }
 
-/// Machines up to this many PEs tally a shard's fetches in a dense table.
-const DENSE_FETCH_PES: usize = 1024;
-
-/// Page fetches a shard charged, per owner: a dense table on a small
-/// machine, the owners fetched from on a large one.
+/// Page fetches a shard charged, per owner: a table over every PE that
+/// the shard borrows from its run's pool and hands back zeroed, and the
+/// owners it holds counts for. The run keeps one table per shard walking
+/// at once, never one per PE, and a shard's own cost follows the owners it
+/// fetched from.
 #[derive(Debug)]
-enum Fetches {
-    Dense(Vec<u64>),
-    Sparse(HashMap<usize, u64>),
+struct Fetches {
+    per_owner: Vec<u64>,
+    owners: Vec<usize>,
 }
 
 impl Fetches {
-    fn new(n_pes: usize) -> Fetches {
-        if n_pes <= DENSE_FETCH_PES {
-            Fetches::Dense(vec![0; n_pes])
-        } else {
-            Fetches::Sparse(HashMap::new())
-        }
-    }
-
     #[inline]
     fn add(&mut self, owner: usize, count: u64) {
-        match self {
-            Fetches::Dense(per_owner) => per_owner[owner] += count,
-            Fetches::Sparse(per_owner) => *per_owner.entry(owner).or_insert(0) += count,
+        let slot = &mut self.per_owner[owner];
+        if *slot == 0 {
+            return self.first(owner, count);
         }
+        *slot += count;
     }
 
-    /// The owners fetched from, ascending, with their counts.
-    fn into_sorted(self) -> Vec<(usize, u64)> {
-        match self {
-            Fetches::Dense(per_owner) => per_owner
-                .into_iter()
-                .enumerate()
-                .filter(|&(_, count)| count > 0)
-                .collect(),
-            Fetches::Sparse(per_owner) => {
-                let mut owners: Vec<_> = per_owner.into_iter().collect();
-                owners.sort_unstable();
-                owners
-            }
-        }
+    /// [`Fetches::add`] for an owner not fetched from yet: out of line,
+    /// so the hot path stays one compare and one add.
+    #[cold]
+    #[inline(never)]
+    fn first(&mut self, owner: usize, count: u64) {
+        self.owners.push(owner);
+        self.per_owner[owner] = count;
+    }
+
+    /// The owners fetched from, ascending, with their counts, and the
+    /// table, zeroed.
+    fn into_sorted(mut self) -> (Vec<(usize, u64)>, Vec<u64>) {
+        self.owners.sort_unstable();
+        self.owners.dedup();
+        let counts = self
+            .owners
+            .iter()
+            .map(|&owner| (owner, std::mem::take(&mut self.per_owner[owner])))
+            .filter(|&(_, count)| count > 0)
+            .collect();
+        (counts, self.per_owner)
     }
 }
 
@@ -596,7 +599,15 @@ struct Worker<'a> {
 }
 
 impl<'a> Worker<'a> {
-    fn new(cp: &'a Compiled<'a>, cfg: &MachineConfig, pe: usize, cap: Option<&'a Cap>) -> Self {
+    /// A worker for `pe`, tallying fetches in `table` (zeroed, one entry
+    /// per PE).
+    fn new(
+        cp: &'a Compiled<'a>,
+        cfg: &MachineConfig,
+        pe: usize,
+        cap: Option<&'a Cap>,
+        table: Vec<u64>,
+    ) -> Self {
         Worker {
             cp,
             pe,
@@ -605,7 +616,10 @@ impl<'a> Worker<'a> {
             cache_on: cp.cached,
             lru: cfg.cache_policy == sa_machine::CachePolicy::Lru,
             cache: PolicyCache::new(cfg.cache_pages(), cfg.cache_policy),
-            fetches: Fetches::new(cfg.n_pes),
+            fetches: Fetches {
+                per_owner: table,
+                owners: Vec::new(),
+            },
             partials: Vec::new(),
             gens: vec![0; cp.schedule.placements().len()],
             cur: NestTally::default(),
@@ -627,7 +641,9 @@ impl<'a> Worker<'a> {
         }
     }
 
-    fn run(mut self) -> Shard {
+    /// Replay the PE's part of the run; its shard, and the fetch table
+    /// handed back zeroed.
+    fn run(mut self) -> (Shard, Vec<u64>) {
         let cp = self.cp;
         let mut nest_tallies = Vec::with_capacity(cp.nests.len());
         for phase in &cp.schedule.program().phases {
@@ -650,11 +666,13 @@ impl<'a> Worker<'a> {
         // What the shard charged last counts towards the cap too: the
         // shards still walking may stop sooner.
         self.over_cap();
-        Shard {
+        let (fetches, table) = self.fetches.into_sorted();
+        let shard = Shard {
             nest_tallies,
-            fetches: self.fetches.into_sorted(),
+            fetches,
             partials: self.partials,
-        }
+        };
+        (shard, table)
     }
 
     /// Add the remote reads charged since the last boundary to the cap's
@@ -1161,7 +1179,7 @@ pub fn counts_capped(
     program: &Program,
     cfg: &MachineConfig,
     remote_cap: u64,
-) -> Result<Capped, ReplayError> {
+) -> Result<Capped<CountReport>, ReplayError> {
     let statics = StaticArrays::scan(program);
     let cp = compile(program, &statics, cfg)?;
     let cap = Cap {
@@ -1170,8 +1188,14 @@ pub fn counts_capped(
     };
     let cap = (remote_cap != u64::MAX).then_some(&cap);
     let pes: Vec<usize> = (0..cfg.n_pes).collect();
+    // Fetch tables not in use: one per shard walking at once.
+    let tables = Mutex::new(Vec::new());
     let shards: Vec<Shard> = par_map(&pes, |&pe| {
-        Ok::<_, std::convert::Infallible>(Worker::new(&cp, cfg, pe, cap).run())
+        let table = tables.lock().expect("fetch tables poisoned").pop();
+        let table = table.unwrap_or_else(|| vec![0; cfg.n_pes]);
+        let (shard, table) = Worker::new(&cp, cfg, pe, cap, table).run();
+        tables.lock().expect("fetch tables poisoned").push(table);
+        Ok::<_, std::convert::Infallible>(shard)
     })
     .unwrap_or_else(|e| match e {});
     // A shard that stopped charged at least what it added to the shared
@@ -1257,14 +1281,13 @@ pub fn counts_or_simulate(program: &Program, cfg: &MachineConfig) -> Result<Coun
 }
 
 /// [`counts_or_simulate`] under a remote-read cap: replay stops at it
-/// ([`counts_capped`]); the interpreter counts in full, and the answer is
-/// the same — [`Capped::Exceeded`] exactly when the run's remote reads
-/// are at least `remote_cap`.
+/// ([`counts_capped`]); the interpreter's fallback is always counted in
+/// full, past the cap or not.
 pub(crate) fn capped_or_simulate(
     program: &Program,
     cfg: &MachineConfig,
     remote_cap: u64,
-) -> Result<Capped, SimError> {
+) -> Result<Capped<CountReport>, SimError> {
     match counts_capped(program, cfg, remote_cap) {
         Ok(capped) => {
             #[cfg(debug_assertions)]
@@ -1288,12 +1311,8 @@ pub(crate) fn capped_or_simulate(
         // Invalid configs fall through to the interpreter so the caller
         // sees exactly the error `simulate` would have produced.
         Err(_) => {
-            let rep = CountReport::from_sim(&simulate(program, cfg)?);
-            Ok(if rep.stats.remote_reads() >= remote_cap {
-                Capped::Exceeded
-            } else {
-                Capped::Counted(rep)
-            })
+            let rep = simulate(program, cfg)?;
+            Ok(Capped::Counted(CountReport::from_sim(&rep)))
         }
     }
 }

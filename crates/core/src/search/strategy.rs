@@ -52,9 +52,10 @@ use sa_lint::depgraph::DepGraph;
 use sa_machine::{PartitionScheme, Placement};
 
 use crate::oracle::{
-    of_last_program, FastCountingOracle, Oracle, OracleError, RunRecord, StaticOracle, Verdict,
+    of_last_program, FastCountingOracle, Oracle, OracleError, RunRecord, StaticOracle,
 };
 use crate::plan::{PlanError, RunConfig};
+use crate::replay::Capped;
 use crate::search::{static_score_bound, BestConfig, Objective, SearchSpace, WriteProjector};
 
 /// Default evaluation budget for the guided strategies: enough to cover
@@ -242,17 +243,17 @@ enum Memo {
 impl Memo {
     /// This entry's answer to a query capped at `remote_cap` (`u64::MAX`
     /// is no cap), or `None` when the query must measure again.
-    fn answer(&self, remote_cap: u64) -> Option<Result<Verdict, OracleError>> {
+    fn answer(&self, remote_cap: u64) -> Option<Result<Capped<RunRecord>, OracleError>> {
         match self {
-            Memo::Record(rec) => Some(Ok(Verdict::of(rec.clone(), remote_cap))),
-            Memo::Exceeds { cap } => (remote_cap <= *cap).then_some(Ok(Verdict::Exceeds)),
+            Memo::Record(rec) => Some(Ok(Capped::Counted(rec.clone()))),
+            Memo::Exceeds { cap } => (remote_cap <= *cap).then_some(Ok(Capped::Exceeded)),
             Memo::Unsupported(m) => Some(Err(OracleError::Unsupported(m.clone()))),
         }
     }
 }
 
-/// One program's cached verdicts by config.
-type Verdicts = HashMap<RunConfig, Memo>;
+/// One program's cached answers by config.
+type Memos = HashMap<RunConfig, Memo>;
 
 /// A memoizing [`Oracle`] wrapper: measurements are cached under
 /// `(program fingerprint, RunConfig)` and shared across every query that
@@ -262,10 +263,11 @@ type Verdicts = HashMap<RunConfig, Memo>;
 /// transient) but still count as misses: the miss counter is exactly the
 /// number of inner-oracle invocations.
 ///
-/// A capped query ([`Oracle::measure_capped`]) that exceeded its cap is
-/// cached as that: a later query capped at or below it is a hit, and one
-/// uncapped or capped higher measures again and replaces the entry. A full
-/// record answers every query.
+/// A capped query ([`Oracle::measure_capped`]) keeps what the inner oracle
+/// answered. A full record — which an oracle that measures in full
+/// answers under any cap — answers every later query. An exceeded cap
+/// answers a later query capped at or below it; one uncapped or capped
+/// higher measures again and replaces the entry.
 ///
 /// A probe hashes the typed config and nothing else. A [`Searcher`] query
 /// fingerprints its program once; callers coming through
@@ -275,7 +277,7 @@ type Verdicts = HashMap<RunConfig, Memo>;
 pub struct MemoOracle {
     inner: Box<dyn Oracle>,
     /// Per program fingerprint.
-    cache: Mutex<HashMap<u64, Verdicts>>,
+    cache: Mutex<HashMap<u64, Memos>>,
     last_program: Mutex<Option<(Program, u64)>>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -310,7 +312,7 @@ impl MemoOracle {
         cfg: &RunConfig,
     ) -> (Result<RunRecord, OracleError>, bool) {
         let (res, hit) = self.measure_capped_tracked(program, cfg, u64::MAX);
-        (res.map(Verdict::uncapped), hit)
+        (res.map(Capped::uncapped), hit)
     }
 
     /// [`Oracle::measure_capped`] plus whether the answer came from the
@@ -320,7 +322,7 @@ impl MemoOracle {
         program: &Program,
         cfg: &RunConfig,
         remote_cap: u64,
-    ) -> (Result<Verdict, OracleError>, bool) {
+    ) -> (Result<Capped<RunRecord>, OracleError>, bool) {
         let fingerprint = of_last_program(
             &mut self.last_program.lock().expect("memo cache poisoned"),
             program,
@@ -337,7 +339,7 @@ impl MemoOracle {
         program: &Program,
         cfg: &RunConfig,
         remote_cap: u64,
-    ) -> (Result<Verdict, OracleError>, bool) {
+    ) -> (Result<Capped<RunRecord>, OracleError>, bool) {
         let cached = self
             .cache
             .lock()
@@ -352,8 +354,8 @@ impl MemoOracle {
         self.misses.fetch_add(1, Ordering::Relaxed);
         let res = self.inner.measure_capped(program, cfg, remote_cap);
         let entry = match &res {
-            Ok(Verdict::Measured(rec)) => Some(Memo::Record(rec.clone())),
-            Ok(Verdict::Exceeds) => Some(Memo::Exceeds { cap: remote_cap }),
+            Ok(Capped::Counted(rec)) => Some(Memo::Record(rec.clone())),
+            Ok(Capped::Exceeded) => Some(Memo::Exceeds { cap: remote_cap }),
             Err(OracleError::Unsupported(m)) => Some(Memo::Unsupported(m.clone())),
             Err(_) => None,
         };
@@ -383,7 +385,7 @@ impl Oracle for MemoOracle {
         program: &Program,
         cfg: &RunConfig,
         remote_cap: u64,
-    ) -> Result<Verdict, OracleError> {
+    ) -> Result<Capped<RunRecord>, OracleError> {
         self.measure_capped_tracked(program, cfg, remote_cap).0
     }
 }
@@ -415,7 +417,7 @@ impl Oracle for StrategyOracle {
 
     fn measure(&self, program: &Program, cfg: &RunConfig) -> Result<RunRecord, OracleError> {
         self.measure_capped(program, cfg, u64::MAX)
-            .map(Verdict::uncapped)
+            .map(Capped::uncapped)
     }
 
     /// The estimator measures in full; replay stops at the cap.
@@ -424,7 +426,7 @@ impl Oracle for StrategyOracle {
         program: &Program,
         cfg: &RunConfig,
         remote_cap: u64,
-    ) -> Result<Verdict, OracleError> {
+    ) -> Result<Capped<RunRecord>, OracleError> {
         if cfg.cache_elems == 0 {
             match StaticOracle.measure_capped(program, cfg, remote_cap) {
                 Err(OracleError::Unsupported(_)) => {}
@@ -845,8 +847,9 @@ impl<'a> Walk<'a> {
         self.measure(idx, cap).map(drop)
     }
 
-    /// Measure `idx` under `remote_cap`, count it, fold a full record into
-    /// the incumbent, and return its score.
+    /// Measure `idx` under `remote_cap`, count it, fold a record below the
+    /// cap into the incumbent, and return its score (infinite at or past
+    /// the cap, where it provably loses).
     fn measure(&mut self, idx: usize, remote_cap: u64) -> Result<Option<f64>, PlanError> {
         if let Some(s) = self.seen.get(&idx) {
             return Ok(*s);
@@ -868,14 +871,14 @@ impl<'a> Walk<'a> {
         self.trace.push(idx);
         let score = match verdict {
             None => None,
-            Some(Verdict::Exceeds) => {
+            Some(Capped::Counted(rec)) if rec.remote_reads < remote_cap => {
+                self.evaluated += 1;
+                Some(self.fold(idx, rec))
+            }
+            Some(_) => {
                 self.evaluated += 1;
                 self.capped += 1;
                 Some(f64::INFINITY)
-            }
-            Some(Verdict::Measured(rec)) => {
-                self.evaluated += 1;
-                Some(self.fold(idx, rec))
             }
         };
         self.seen.insert(idx, score);
@@ -1164,7 +1167,7 @@ fn misalignment(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle::CountingOracle;
+    use crate::oracle::{CountingOracle, Engine};
     use sa_ir::index::iv;
     use sa_ir::{InitPattern, ProgramBuilder};
     use sa_machine::NetworkTopology;
@@ -1234,7 +1237,9 @@ mod tests {
 
     #[test]
     fn memo_oracle_keeps_exceeded_caps_beside_full_records() {
-        let memo = MemoOracle::new(Box::new(CountingOracle));
+        // Replay stops at the cap, so what the memo learns is that it was
+        // reached.
+        let memo = MemoOracle::new(Box::new(FastCountingOracle::with_engine(Engine::Replay)));
         let p = stream(256);
         let cfg = RunConfig {
             n_pes: 4,
@@ -1244,8 +1249,8 @@ mod tests {
         let remote = CountingOracle.measure(&p, &cfg).unwrap().remote_reads;
         assert!(remote > 4, "the stream reads across PEs");
         let ask = |cap| {
-            let (verdict, hit) = memo.measure_capped_tracked(&p, &cfg, cap);
-            (matches!(verdict.unwrap(), Verdict::Exceeds), hit)
+            let (answer, hit) = memo.measure_capped_tracked(&p, &cfg, cap);
+            (matches!(answer.unwrap(), Capped::Exceeded), hit)
         };
         // An exceeded cap answers caps at or below it, not above.
         assert_eq!(ask(remote - 1), (true, false));
@@ -1257,8 +1262,29 @@ mod tests {
         assert!(!hit);
         assert_eq!(rec.unwrap().remote_reads, remote);
         assert_eq!(ask(remote + 1), (false, true));
-        assert_eq!(ask(remote), (true, true));
+        assert_eq!(ask(remote), (false, true));
         assert_eq!((memo.hits(), memo.misses()), (4, 3));
+    }
+
+    #[test]
+    fn memo_oracle_keeps_a_full_measurement_made_under_a_cap() {
+        // The default `measure_capped` measures in full: past the cap or
+        // not, the record is kept and answers a later uncapped query.
+        let memo = MemoOracle::new(Box::new(CountingOracle));
+        let p = stream(256);
+        let cfg = RunConfig {
+            n_pes: 4,
+            page_size: 8,
+            ..RunConfig::default()
+        };
+        let full = CountingOracle.measure(&p, &cfg).unwrap();
+        let (answer, hit) = memo.measure_capped_tracked(&p, &cfg, 1);
+        assert!(!hit);
+        assert_eq!(answer.unwrap(), Capped::Counted(full.clone()));
+        let (rec, hit) = memo.measure_tracked(&p, &cfg);
+        assert!(hit);
+        assert_eq!(rec.unwrap(), full);
+        assert_eq!((memo.hits(), memo.misses()), (1, 1));
     }
 
     #[test]
