@@ -26,9 +26,9 @@
 //! * [`plan`] — the composable experiment layer: typed sweep axes crossed
 //!   into a lazily enumerated grid of [`plan::RunConfig`]s.
 //! * [`oracle`] — pluggable evaluation backends behind the object-safe
-//!   [`oracle::Oracle`] trait (counting simulator by default; timing
-//!   replay; `sa-lint`'s zero-execution static estimator; `sa-runtime`
-//!   threads via that crate's adapter).
+//!   [`oracle::Oracle`] trait (counting simulator by default; compiled
+//!   replay; the timing clock; `sa-runtime` threads via that crate's
+//!   adapter).
 //! * [`results`] — group-by/pivot over measured grids, so figures select
 //!   series by predicate instead of relying on loop order.
 //! * [`mod@search`] — automatic scheme search: exhaustive

@@ -21,7 +21,7 @@
 //!   reporting [`OracleError::Unsupported`] for knobs the runtime lacks.
 
 use sa_ir::Program;
-use sa_machine::{load_balance, AccessCosts, Stats};
+use sa_machine::{load_balance, AccessCosts};
 
 use crate::deferred::{simulate_timed, TimingError};
 use crate::exec::{simulate, SimError};
@@ -50,9 +50,10 @@ pub struct RunRecord {
     pub total_reads: u64,
     /// Network messages (page fetches ×2 + protocol traffic).
     pub messages: u64,
-    /// Total hop traversals; `None` for backends without a network model
-    /// (the thread runtime), so mixed-oracle reports can tell "zero hops"
-    /// from "not modeled".
+    /// Total hop traversals; `None` for a backend without a network model
+    /// (every backend in the workspace has one; an outside [`Oracle`] may
+    /// not), so mixed-oracle reports can tell "zero hops" from "not
+    /// modeled".
     pub hops: Option<u64>,
     /// Heaviest directed-link traffic; `None` without a network model.
     pub max_link_load: Option<u64>,
@@ -79,11 +80,11 @@ impl RunRecord {
     }
 }
 
-/// The one place access statistics map onto [`RunRecord`] fields — every
-/// oracle in this crate builds on this, so a new counter is threaded
-/// through a single construction site. Network-model and timing fields
-/// start out unmodeled.
-fn record_of(cfg: &RunConfig, stats: &Stats, messages: u64) -> RunRecord {
+/// The one place a counting engine's report maps onto [`RunRecord`]
+/// fields — every oracle in this crate builds on this, so a new counter is
+/// threaded through a single construction site.
+fn counted(cfg: &RunConfig, rep: &CountReport, cycles: Option<u64>) -> RunRecord {
+    let stats = &rep.stats;
     RunRecord {
         cfg: cfg.clone(),
         remote_pct: stats.remote_read_pct(),
@@ -93,22 +94,11 @@ fn record_of(cfg: &RunConfig, stats: &Stats, messages: u64) -> RunRecord {
         cached_reads: stats.cached_reads(),
         remote_reads: stats.remote_reads(),
         total_reads: stats.total_reads(),
-        messages,
-        hops: None,
-        max_link_load: None,
-        write_balance: load_balance(&stats.writes_per_pe()).jain,
-        cycles: None,
-    }
-}
-
-/// [`record_of`] a counting engine's report, whose network model also
-/// measures hops and link load.
-fn counted(cfg: &RunConfig, rep: &CountReport, cycles: Option<u64>) -> RunRecord {
-    RunRecord {
+        messages: rep.network_messages,
         hops: Some(rep.network_hops),
         max_link_load: Some(rep.max_link_load),
+        write_balance: load_balance(&stats.writes_per_pe()).jain,
         cycles,
-        ..record_of(cfg, &rep.stats, rep.network_messages)
     }
 }
 
@@ -294,16 +284,12 @@ impl Oracle for FastCountingOracle {
     }
 }
 
-/// The zero-execution oracle: `sa-lint`'s closed-form communication
-/// estimator ([`fn@sa_lint::estimate`]). Produces the same per-PE counters
-/// and message totals as [`CountingOracle`] at `cache_elems = 0` without
-/// touching a single simulated cell — sweep cost becomes proportional to
-/// the number of *page runs*, not accesses. Grid points it cannot model
-/// (caching enabled, indirect indexing) fail soft as
-/// [`OracleError::Unsupported`]; hop/link metrics are reported as
-/// unmodeled (`None`), like the thread runtime.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StaticOracle;
+/// Replay's oracle under the name the retired static estimator had. Kept
+/// only for `benchmark/`, which names it; ROADMAP item 1 deletes it.
+#[allow(non_upper_case_globals)]
+pub const StaticOracle: FastCountingOracle = FastCountingOracle {
+    engine: Engine::Replay,
+};
 
 /// `compute(program)`, remembered in `last` for the program asked about
 /// last. That program is recognized by comparison — sound where an address
@@ -322,23 +308,6 @@ pub(crate) fn of_last_program<T: Copy>(
             *last = Some((program.clone(), value));
             value
         }
-    }
-}
-
-impl Oracle for StaticOracle {
-    fn name(&self) -> &'static str {
-        "static-est"
-    }
-
-    fn measure(&self, program: &Program, cfg: &RunConfig) -> Result<RunRecord, OracleError> {
-        let est = sa_lint::estimate(program, &cfg.machine()).map_err(|e| match e {
-            sa_lint::EstimateError::Indirect { .. } | sa_lint::EstimateError::CacheUnsupported => {
-                OracleError::Unsupported(e.to_string())
-            }
-            sa_lint::EstimateError::Config(c) => bad_config(c),
-            e => OracleError::Backend(e.to_string()),
-        })?;
-        Ok(record_of(cfg, &est.stats, est.network_messages))
     }
 }
 
@@ -533,43 +502,6 @@ mod tests {
         let auto = FastCountingOracle::default().measure(&p, &cfg).unwrap();
         let interp = CountingOracle.measure(&p, &cfg).unwrap();
         assert_eq!(auto, interp);
-    }
-
-    #[test]
-    fn static_oracle_matches_counting_without_cache() {
-        let p = tiny();
-        for n_pes in [1, 4, 8] {
-            let cfg = RunConfig {
-                n_pes,
-                cache_elems: 0,
-                ..RunConfig::default()
-            };
-            let st = StaticOracle.measure(&p, &cfg).unwrap();
-            let dynamic = CountingOracle.measure(&p, &cfg).unwrap();
-            assert_eq!(st.writes, dynamic.writes);
-            assert_eq!(st.local_reads, dynamic.local_reads);
-            assert_eq!(st.remote_reads, dynamic.remote_reads);
-            assert_eq!(st.total_reads, dynamic.total_reads);
-            assert_eq!(st.messages, dynamic.messages);
-            assert_eq!(st.remote_pct, dynamic.remote_pct);
-            assert_eq!(st.write_balance, dynamic.write_balance);
-            assert_eq!(st.hops, None);
-            assert_eq!(st.cycles, None);
-        }
-        assert_eq!(StaticOracle.name(), "static-est");
-    }
-
-    #[test]
-    fn static_oracle_rejects_cache_as_unsupported() {
-        let p = tiny();
-        let cfg = RunConfig {
-            cache_elems: 256,
-            ..RunConfig::default()
-        };
-        assert!(matches!(
-            StaticOracle.measure(&p, &cfg),
-            Err(OracleError::Unsupported(_))
-        ));
     }
 
     #[test]

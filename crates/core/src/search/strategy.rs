@@ -51,9 +51,7 @@ use sa_ir::{analysis, pretty, ArrayId, LinForm, Phase, Program};
 use sa_lint::depgraph::DepGraph;
 use sa_machine::{PartitionScheme, Placement};
 
-use crate::oracle::{
-    of_last_program, FastCountingOracle, Oracle, OracleError, RunRecord, StaticOracle,
-};
+use crate::oracle::{of_last_program, FastCountingOracle, Oracle, OracleError, RunRecord};
 use crate::plan::{PlanError, RunConfig};
 use crate::replay::Capped;
 use crate::search::{static_score_bound, BestConfig, Objective, SearchSpace, WriteProjector};
@@ -390,52 +388,10 @@ impl Oracle for MemoOracle {
     }
 }
 
-/// The guided strategies' default backend: the zero-execution
-/// [`StaticOracle`] for uncached affine points, the auto-selecting replay
-/// engine for everything else. The static estimator is certified
-/// bit-identical to the simulator wherever it answers at all, so the
-/// hybrid keeps every winner unchanged.
-///
-/// Both walks sit on one access model (`sa_ir::access`) and both stay,
-/// selected from `cache_elems == 0`, never by the user. Without a cache
-/// counts are order-free, so the estimator makes one pass over all PEs'
-/// page runs on one core: 0.18 CPU-s against replay's 0.31 on ST5 4096² /
-/// 64 PEs, 0.15 both on K18 n = 10⁵ / 16 PEs, 2 ms against 4 on ST5 256² —
-/// the size a search measures, many candidates side by side. (At the CLI
-/// on 2 cores replay's parallel shards finish the big two in 0.16 s and
-/// 0.08 s of wall-clock.) A cache hit depends on each PE's own access
-/// order, which only replay's ordered per-PE shards keep.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StrategyOracle {
-    auto: FastCountingOracle,
-}
-
-impl Oracle for StrategyOracle {
-    fn name(&self) -> &'static str {
-        "static+auto"
-    }
-
-    fn measure(&self, program: &Program, cfg: &RunConfig) -> Result<RunRecord, OracleError> {
-        self.measure_capped(program, cfg, u64::MAX)
-            .map(Capped::uncapped)
-    }
-
-    /// The estimator measures in full; replay stops at the cap.
-    fn measure_capped(
-        &self,
-        program: &Program,
-        cfg: &RunConfig,
-        remote_cap: u64,
-    ) -> Result<Capped<RunRecord>, OracleError> {
-        if cfg.cache_elems == 0 {
-            match StaticOracle.measure_capped(program, cfg, remote_cap) {
-                Err(OracleError::Unsupported(_)) => {}
-                verdict => return verdict,
-            }
-        }
-        self.auto.measure_capped(program, cfg, remote_cap)
-    }
-}
+/// The auto-selecting counting oracle under the name the guided
+/// strategies' default backend had. Kept only for `benchmark/`, which
+/// names it; ROADMAP item 1 deletes it.
+pub type StrategyOracle = FastCountingOracle;
 
 /// What one [`Searcher::search`] query produced.
 #[derive(Debug, Clone, PartialEq)]

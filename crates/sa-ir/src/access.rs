@@ -3,9 +3,8 @@
 //! Single assignment makes placement and traffic a pure function of three
 //! things — affine address forms, loop bounds, and the page→PE map. This
 //! module states the first two once, for every consumer (the compiled
-//! statement bodies, the replay engine, the static estimator, the lint
-//! footprints, the owner projection, the dependence tests and the search
-//! probes):
+//! statement bodies, the replay engine, the lint footprints, the owner
+//! projection, the dependence tests and the search probes):
 //!
 //! * a [`LinForm`] is a reference's linear address as a function of the
 //!   nest's loop variables ([`crate::analysis::linear_address_form`]);

@@ -76,6 +76,7 @@ use std::convert::Infallible;
 use std::fmt;
 use std::rc::Rc;
 
+use sa_ir::access::{loop_box, Access};
 use sa_ir::analysis::{affine_address_range, anchor_ref, linear_address_form, relate_forms};
 use sa_ir::index::IndexExpr;
 use sa_ir::nest::{ArrayRef, LoopNest, Stmt};
@@ -85,7 +86,6 @@ use sa_machine::partition::gcd;
 use sa_machine::ConfigError;
 
 use crate::diag::{Code, Diagnostic, Severity, Span};
-use crate::estimate::{first_indirect_ref, walk_anchor_runs};
 use crate::progress;
 use crate::screening::Schedule;
 use crate::sites::{
@@ -815,13 +815,13 @@ fn schedule<'p>(res: &Resolver<'p>, cfg: &LintConfig) -> Result<Schedule<'p>, Co
 /// Project the instance stream onto `cfg` — who executes how much under
 /// the owner-computes schedule ([`Schedule`]).
 ///
-/// Affine programs are projected in closed form: the estimator's
-/// anchor-run walk charges each stretch of an inner sweep on which the
-/// anchor stays on one page to that page's owner, and anchorless
-/// statements are dealt round-robin arithmetically — cost proportional to
-/// anchor page runs, not to statement instances. Programs with indirect
-/// references go through [`project_by_instance`], the only path that can
-/// see through an index array.
+/// Affine programs are projected in closed form: the anchor-run walk
+/// charges each stretch of an inner sweep on which the anchor stays on one
+/// page to that page's owner, and anchorless statements are dealt
+/// round-robin arithmetically — cost proportional to anchor page runs, not
+/// to statement instances. Programs with indirect references go through
+/// [`project_by_instance`], the only path that can see through an index
+/// array.
 pub fn project(program: &Program, cfg: &LintConfig) -> Result<Projection, InstanceError> {
     if first_indirect_ref(program).is_some() {
         return project_by_instance(program, cfg);
@@ -831,13 +831,13 @@ pub fn project(program: &Program, cfg: &LintConfig) -> Result<Projection, Instan
     let mut instances_per_pe = vec![0u64; cfg.n_pes];
     for (n, ns) in sched.nests().iter().enumerate() {
         let nest = ns.nest;
-        let walked = walk_anchor_runs(&sched, n, false, |run| {
+        let walked = walk_anchor_runs(&sched, n, |run| {
             instances_per_pe[run.pe] += run.trips;
             if matches!(nest.body[run.stmt], Stmt::Assign { .. }) {
                 writes_per_pe[run.pe] += run.trips;
             }
         });
-        if walked.is_err() {
+        if walked.is_none() {
             // Some anchor leaves its array. The executors abort on the
             // first such instance in iteration order; the per-instance
             // walk finds that one and names its array.
@@ -854,6 +854,84 @@ pub fn project(program: &Program, cfg: &LintConfig) -> Result<Projection, Instan
         writes_per_pe,
         instances_per_pe,
     })
+}
+
+/// The first reference, in program order (a statement's write target
+/// before its reads), that goes through an index array.
+pub fn first_indirect_ref(program: &Program) -> Option<&ArrayRef> {
+    program
+        .nests()
+        .flat_map(|nest| &nest.body)
+        .flat_map(|stmt| stmt.write_target().into_iter().chain(stmt.reads()))
+        .find(|aref| aref.has_indirection())
+}
+
+/// One maximal stretch of an anchored statement's innermost sweep on which
+/// the anchor stays on one page, so the executing PE is constant over it.
+struct AnchorRun {
+    /// Index of the statement in the nest body.
+    stmt: usize,
+    /// The executing PE: the owner of the anchor's page.
+    pe: usize,
+    /// Inner trips in the run, over every stretch of the nest it stands
+    /// for.
+    trips: u64,
+}
+
+/// The anchor-run walk [`project`] is built on: walk the folds of nest
+/// `nest_index` of the schedule ([`Schedule::folds`] keyed on the anchors —
+/// every sweep in iteration order when nothing folds; statements in body
+/// order within a stretch), lower each anchored statement's anchor to an
+/// address line in the innermost trip, and hand `f` every [`AnchorRun`],
+/// its trips multiplied by the stretches it stands for. A zero-depth nest
+/// is one sweep of one trip: its body runs once.
+///
+/// Every anchor must be affine. `None`, before any run reaches `f`, when
+/// an anchor leaves its array (or does not match its rank): the bounds
+/// proofs the loop box leaves open are checked at each sweep's two end
+/// trips, so a sweep that folds away is checked too.
+fn walk_anchor_runs(
+    sched: &Schedule<'_>,
+    nest_index: usize,
+    mut f: impl FnMut(AnchorRun),
+) -> Option<()> {
+    let ns = sched.nest(nest_index);
+    let vars = loop_box(&ns.nest.loops);
+    let mut anchored = Vec::new();
+    for (stmt, body) in ns.nest.body.iter().enumerate() {
+        let Some(anchor) = anchor_ref(body) else {
+            continue;
+        };
+        let access = Access::lower(sched.program(), anchor, &vars, None);
+        let form = access.form.clone()?;
+        anchored.push((stmt, access, form, &sched.placements()[anchor.array.0]));
+    }
+    let open: Vec<&Access> = anchored
+        .iter()
+        .map(|r| &r.1)
+        .filter(|a| !a.proved())
+        .collect();
+    let sweeps = if open.is_empty() { 0 } else { ns.sweeps.len() };
+    if (0..sweeps).any(|i| open.iter().any(|a| a.leaves(&ns.sweep(i)).is_some())) {
+        return None;
+    }
+    for fold in sched.folds(nest_index, false) {
+        let sweep = &ns.sweep(fold.sweep);
+        for (stmt, _, form, placement) in &anchored {
+            let line = form.line(sweep);
+            let (mut t, end) = (fold.t0 as i64, fold.t1 as i64);
+            while t < end {
+                let next = line.run_end(t, placement.page_size as i64).min(end);
+                f(AnchorRun {
+                    stmt: *stmt,
+                    pe: placement.owner_of_addr(line.addr(t) as usize),
+                    trips: (next - t) as u64 * fold.times,
+                });
+                t = next;
+            }
+        }
+    }
+    Some(())
 }
 
 /// [`project`] by enumerating every statement instance and resolving its

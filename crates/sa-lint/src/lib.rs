@@ -27,12 +27,8 @@
 //!   derivable, with work/span analysis and partition-projected speedup
 //!   bounds.
 //! * **The owner-computes schedule** ([`screening`]) every counting engine
-//!   runs on.
-//! * **Communication estimation** ([`estimate::estimate`]) — not a lint
-//!   pass but a counting engine (`--engine static`): per-PE local/remote
-//!   access counts and network messages in closed form for any affine
-//!   program × [`sa_machine::MachineConfig`], certified bit-identical
-//!   against the counting simulator.
+//!   runs on. The crate counts no accesses itself: cache-less counts are
+//!   `sa_core::replay`'s.
 //!
 //! Findings are reported through the machine-readable [`Diagnostic`]
 //! model (severity, stable code, span, explanation, JSON rendering), so
@@ -40,7 +36,6 @@
 
 pub mod depgraph;
 pub mod diag;
-pub mod estimate;
 mod footprint;
 pub mod progress;
 pub mod screening;
@@ -52,7 +47,6 @@ pub use depgraph::{
     GraphSummary, InstanceError, Node, NodeKind, SiteRef,
 };
 pub use diag::{max_severity, to_json_array, Code, Diagnostic, Severity, Span};
-pub use estimate::{estimate, CommEstimate, EstimateError};
 pub use progress::{check_partition, check_progress};
 #[doc(hidden)]
 pub use sites::unproduced_anchors;

@@ -19,12 +19,12 @@
 //!    interleaved windows over their union** ([`Schedule::load_sweep`],
 //!    [`Windows`]) — what a replay shard and a thread-engine PE task walk;
 //! 3. **each reduction round's statically known participants**
-//!    ([`Schedule::rounds`]) — what replay, the static estimator and the
-//!    thread engine's plan charge partial-result messages from;
+//!    ([`Schedule::rounds`]) — what replay and the thread engine's plan
+//!    charge partial-result messages from;
 //! 4. **which stretches of a nest are translates of one another**
 //!    ([`Schedule::folds`], [`Fold`]) — what lets the order-free counters
-//!    (the static estimator, cache-less replay, `depgraph::project`, the
-//!    reduction rounds) walk one stretch per class and multiply;
+//!    (cache-less replay, `depgraph::project`, the reduction rounds) walk
+//!    one stretch per class and multiply;
 //! 5. **which *consecutive* stretches are translates of one another, and
 //!    by how much each array moves** ([`Schedule::chains`], [`Chain`]) —
 //!    what lets a cached replay, which needs the order, stop walking once a

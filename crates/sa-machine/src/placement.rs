@@ -1,10 +1,9 @@
 //! Page placement: one rule for every scheme, asked by every engine.
 //!
 //! Every owner decision in the system — the interpreter, replay, the
-//! thread runtime, the static estimator, the lint passes — asks a
-//! [`Placement`], and [`Placement::new`] lowers each [`PartitionScheme`]
-//! once into the same thing: a round-robin tiling of a 2-D view of the
-//! array.
+//! thread runtime, the lint passes — asks a [`Placement`], and
+//! [`Placement::new`] lowers each [`PartitionScheme`] once into the same
+//! thing: a round-robin tiling of a 2-D view of the array.
 //!
 //! * **The view.** `modulo`, `block` and `blockcyclic` see the flattened
 //!   array, `len × 1`; `rowband` and `tile2d` see its declared grid

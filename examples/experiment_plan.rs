@@ -11,7 +11,7 @@
 use sapp::core::plan::ExperimentPlan;
 use sapp::core::report::{ascii_chart, json, markdown_table};
 use sapp::core::results::Column;
-use sapp::core::search::strategy::{Searcher, Strategy, StrategyOracle, StrategyParams};
+use sapp::core::search::strategy::{Searcher, Strategy, StrategyParams};
 use sapp::core::search::SearchSpace;
 use sapp::core::{CountingOracle, FastCountingOracle};
 use sapp::loops::suite;
@@ -117,7 +117,7 @@ fn main() {
     // identical winner with zero new oracle calls.
     let searcher = Searcher::new(
         &SearchSpace::default(),
-        Box::<StrategyOracle>::default(),
+        Box::<FastCountingOracle>::default(),
         StrategyParams {
             strategy: Strategy::Anneal,
             seed: 7,

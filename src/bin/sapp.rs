@@ -38,13 +38,12 @@
 //! `--partition` and `--network` are usage errors there (exit 2).
 //!
 //! `simulate`, `sweep` and `search` accept
-//! `--engine {interp,replay,auto,static,thread}` selecting the backend: the
+//! `--engine {interp,replay,auto,thread}` selecting the backend: the
 //! statement-by-statement counting interpreter, the compiled access replay
 //! (`sapp::core::replay` — ~10–100× faster for statically classifiable
-//! nests, errors on the rest), auto-select (replay with transparent
-//! interpreter fallback; the default), the **zero-execution static
-//! estimator** (`sapp::lint::estimate` — closed-form counts for affine
-//! programs, uncached points only), or **real worker threads**
+//! nests, errors on the rest; `static` is a deprecated spelling of it),
+//! auto-select (replay with transparent interpreter fallback; the
+//! default), or **real worker threads**
 //! (`sapp::runtime::ThreadOracle` — the PEs are resumable tasks on one
 //! worker thread per core, each walking only the instances it owns and
 //! yielding while a page it needs is on its way; messages on real
@@ -82,23 +81,37 @@ use sapp::core::plan::{ExperimentPlan, PlanError};
 use sapp::core::replay::{counts, counts_or_simulate, CountReport};
 use sapp::core::report::{csv, fmt_pct, json, markdown_table};
 use sapp::core::search::strategy::{
-    Searcher, Strategy, StrategyOracle, StrategyParams, DEFAULT_BUDGET, DEFAULT_SEED,
+    Searcher, Strategy, StrategyParams, DEFAULT_BUDGET, DEFAULT_SEED,
 };
 use sapp::core::search::{Objective, SearchSpace};
-use sapp::core::{simulate, Engine, FastCountingOracle, Oracle, StaticOracle};
+use sapp::core::{simulate, Engine, FastCountingOracle, Oracle};
 use sapp::ir::{classify_program, pretty};
 use sapp::loops::{suite, workloads, Kernel, Size, Workload};
 use sapp::machine::{AccessCosts, MachineConfig, NetworkTopology, PartitionScheme};
 use sapp::runtime::ThreadOracle;
 
+/// The one way to stderr: [`errln!`] formats through it. A line that
+/// cannot be written has nowhere else to go, so it is dropped and the
+/// command ends with the exit code it meant (`sapp nosuch 2>&1 | head -0`
+/// exits 2), instead of the panic (exit 101) `eprintln!` answers a closed
+/// stderr with.
+fn note(text: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    let _ = std::io::stderr().lock().write_fmt(text);
+}
+
+macro_rules! errln {
+    ($($arg:tt)*) => { note(format_args!("{}\n", format_args!($($arg)*))) };
+}
+
 fn usage() -> ! {
-    eprintln!(
+    errln!(
         "usage: sapp <list|show|classify|simulate|sweep|search|timing|lint|graph> [KERNEL] \
          [--all] [--pes N] [--page N] [--cache N] [--no-cache] [--kernel CODE] \
          [--size N] [--dims AxB[xC]] [--sweeps N] \
          [--partition modulo|block|blockcyclic:B|rowband|tile2d:RxC] \
          [--network ideal|crossbar|bus|ring|mesh2d|torus2d|hypercube] \
-         [--format table|csv|json|dot] [--engine interp|replay|auto|static|thread] \
+         [--format table|csv|json|dot] [--engine interp|replay|auto|thread] \
          [--objective balanced|remote] [--strategy exhaustive|anneal|propagate] \
          [--seed S] [--budget K] [--deny-warnings] [--allow CODE]"
     );
@@ -108,7 +121,7 @@ fn usage() -> ! {
 /// A command the selected engine or machine shape cannot carry out: one
 /// line, `what: error`, and exit 1.
 fn die(what: &str, e: &dyn std::fmt::Display) -> ! {
-    eprintln!("{what}: {e}");
+    errln!("{what}: {e}");
     std::process::exit(1);
 }
 
@@ -158,20 +171,20 @@ fn lint_help() -> ! {
     std::process::exit(0);
 }
 
-/// Which backend measures grid points: a counting engine, the static
-/// estimator, or real threads.
+/// Which backend measures grid points: a counting engine or real threads.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum EngineSel {
     Counting(Engine),
-    Static,
     Thread,
 }
 
 impl EngineSel {
     fn parse(s: &str) -> Option<EngineSel> {
         match s {
-            "static" => Some(EngineSel::Static),
             "thread" => Some(EngineSel::Thread),
+            // The retired static estimator's name: cache-less counts are
+            // replay's.
+            "static" => Some(EngineSel::Counting(Engine::Replay)),
             other => Engine::parse(other).map(EngineSel::Counting),
         }
     }
@@ -180,7 +193,6 @@ impl EngineSel {
     fn oracle(self) -> Box<dyn Oracle> {
         match self {
             EngineSel::Counting(e) => Box::new(FastCountingOracle::with_engine(e)),
-            EngineSel::Static => Box::new(StaticOracle),
             EngineSel::Thread => Box::new(ThreadOracle),
         }
     }
@@ -268,11 +280,11 @@ fn value<'a, T>(
     parse: impl FnOnce(&str) -> Result<T, String>,
 ) -> T {
     let Some(raw) = it.next() else {
-        eprintln!("sapp: {flag}: expects a value");
+        errln!("sapp: {flag}: expects a value");
         std::process::exit(2);
     };
     parse(raw).unwrap_or_else(|why| {
-        eprintln!("sapp: {flag}: {why} (got {raw})");
+        errln!("sapp: {flag}: {why} (got {raw})");
         std::process::exit(2);
     })
 }
@@ -361,7 +373,7 @@ fn parse_opts(args: &[String], formats: &str) -> Opts {
             "--deny-warnings" => o.deny_warnings = true,
             "--allow" => o.allow.push(value(flag, it, |v| Ok(v.to_uppercase()))),
             "--engine" => {
-                let choices = "interp|replay|auto|static|thread";
+                let choices = "interp|replay|auto|thread";
                 o.engine = value(flag, it, |v| one_of(choices, EngineSel::parse, v))
             }
             "--objective" => {
@@ -435,7 +447,7 @@ fn parse_network(spec: &str) -> Option<NetworkTopology> {
 
 fn find_workload(code: &str) -> Workload {
     sapp::loops::workload(code).unwrap_or_else(|| {
-        eprintln!("unknown kernel {code}; try `sapp list`");
+        errln!("unknown kernel {code}; try `sapp list`");
         std::process::exit(2);
     })
 }
@@ -476,9 +488,11 @@ fn sized(w: &Workload, o: &Opts) -> Size {
             (Size::Grid3 { sweeps, .. }, &[nx, ny, nz]) => Size::Grid3 { nx, ny, nz, sweeps },
             (Size::Sparse { deg, .. }, &[rows, cols]) => Size::Sparse { rows, cols, deg },
             _ => {
-                eprintln!(
+                errln!(
                     "--dims {:?} does not fit {} (size shape {:?})",
-                    d, w.code, w.official
+                    d,
+                    w.code,
+                    w.official
                 );
                 std::process::exit(2);
             }
@@ -494,9 +508,10 @@ fn sized(w: &Workload, o: &Opts) -> Size {
                 sweeps: s,
             },
             other => {
-                eprintln!(
+                errln!(
                     "--sweeps only applies to the grid stencils, not {} (size shape {:?})",
-                    w.code, other
+                    w.code,
+                    other
                 );
                 std::process::exit(2);
             }
@@ -511,7 +526,7 @@ fn sized(w: &Workload, o: &Opts) -> Size {
         Size::Sparse { rows, cols, deg } => rows == 0 || cols == 0 || deg == 0,
     };
     if bad {
-        eprintln!(
+        errln!(
             "size {} is too small for {} (grids need every extent ≥ 3, \
              sparse/1-D sizes must be non-zero)",
             size.label(),
@@ -543,7 +558,7 @@ fn config(o: &Opts) -> MachineConfig {
 /// Count one run through the selected counting engine.
 fn count_with_engine(k: &Kernel, cfg: &MachineConfig, engine: Engine) -> CountReport {
     let fail = |e: &dyn std::fmt::Display| -> ! {
-        eprintln!("{} failed: {e}", engine.name());
+        errln!("{} failed: {e}", engine.name());
         std::process::exit(1);
     };
     match engine {
@@ -562,38 +577,11 @@ fn count_with_engine(k: &Kernel, cfg: &MachineConfig, engine: Engine) -> CountRe
     }
 }
 
-/// Print the simulate-style report from the zero-execution estimator.
-fn simulate_static(k: &Kernel, cfg: &MachineConfig) {
-    let est = sapp::lint::estimate(&k.program, cfg).unwrap_or_else(|e| {
-        match e {
-            // The library's text names `cache_elems`, a field; here the
-            // way to set it is a flag.
-            sapp::lint::EstimateError::CacheUnsupported => {
-                eprintln!("static failed: cache hit rates depend on access order; pass --no-cache")
-            }
-            e => eprintln!("static failed: {e}"),
-        }
-        std::process::exit(1);
-    });
-    outln!(
-        "writes {}  local {}  cached {}  remote {}  → {} remote  [static engine]",
-        est.stats.writes(),
-        est.stats.local_reads(),
-        est.stats.cached_reads(),
-        est.stats.remote_reads(),
-        fmt_pct(est.stats.remote_read_pct()),
-    );
-    outln!(
-        "messages {}  hops n/a  max link load n/a",
-        est.network_messages
-    );
-}
-
 /// Run one kernel on real worker threads and print the simulate-style report.
 fn simulate_on_threads(k: &Kernel, cfg: &MachineConfig) {
     let rt = sapp::runtime::RuntimeConfig::from_machine(cfg);
     let rep = sapp::runtime::execute(&k.program, &rt).unwrap_or_else(|e| {
-        eprintln!("thread failed: {e}");
+        errln!("thread failed: {e}");
         std::process::exit(1);
     });
     outln!(
@@ -684,10 +672,6 @@ fn main() {
             );
             let engine = match o.engine {
                 EngineSel::Counting(e) => e,
-                EngineSel::Static => {
-                    simulate_static(&k, &config(&o));
-                    return;
-                }
                 EngineSel::Thread => {
                     simulate_on_threads(&k, &config(&o));
                     return;
@@ -720,7 +704,7 @@ fn main() {
             // a flag that would pick one of them is a usage error, not a
             // silently ignored one.
             if o.pes.is_some() || o.no_cache {
-                eprintln!(
+                errln!(
                     "sweep runs PEs 1…64 with a --cache N column and a no-cache column: \
                      --pes and --no-cache do not apply"
                 );
@@ -743,11 +727,11 @@ fn main() {
             let results = plan
                 .run(&k.program, o.engine.oracle().as_ref())
                 .unwrap_or_else(|e| {
-                    eprintln!("sweep failed: {e}");
+                    errln!("sweep failed: {e}");
                     std::process::exit(1);
                 });
             if results.is_empty() {
-                eprintln!(
+                errln!(
                     "note: every grid point was unsupported by the selected engine \
                      (unsupported points are skipped, not errors)"
                 );
@@ -757,8 +741,8 @@ fn main() {
                 .iter()
                 .map(|(n, _)| {
                     // Engines may drop individual grid points as
-                    // unsupported (the static estimator has no cache
-                    // model); render those as a dash instead of dying.
+                    // unsupported (strict replay declines what it cannot
+                    // lower); render those as a dash instead of dying.
                     let at = |cached: bool| {
                         results
                             .find(|r| r.cfg.n_pes == *n && r.cfg.cached() == cached)
@@ -779,7 +763,7 @@ fn main() {
             // The search enumerates these axes itself: a flag pinning one
             // is a usage error, not a silently ignored one.
             if o.page.is_some() || o.partition.is_some() || o.network.is_some() {
-                eprintln!(
+                errln!(
                     "search enumerates partition schemes, page sizes and networks: \
                      --page, --partition and --network do not apply"
                 );
@@ -792,7 +776,7 @@ fn main() {
                     // override needs a kernel to apply to — reject it
                     // instead of silently searching the official sizes.
                     if o.size.is_some() || o.dims.is_some() {
-                        eprintln!("--size/--dims need --kernel CODE to apply to");
+                        errln!("--size/--dims need --kernel CODE to apply to");
                         std::process::exit(2);
                     }
                     suite()
@@ -803,20 +787,12 @@ fn main() {
                 cache_elems: if o.no_cache { 0 } else { o.cache },
                 ..SearchSpace::default()
             };
-            // The default engine gets the strategy hybrid: the certified
-            // zero-execution static estimator for uncached affine points,
-            // auto-select replay otherwise. An explicit --engine is
-            // honored as-is.
-            let oracle: Box<dyn Oracle> = match o.engine {
-                EngineSel::Counting(Engine::Auto) => Box::<StrategyOracle>::default(),
-                sel => sel.oracle(),
-            };
             // One Searcher per invocation: the candidate space is
             // materialized exactly once and the memo cache is shared, so
             // the kernels fan out in parallel over the same space.
             let searcher = Searcher::new(
                 &space,
-                oracle,
+                o.engine.oracle(),
                 StrategyParams {
                     strategy: o.strategy,
                     objective: o.objective,
@@ -832,7 +808,7 @@ fn main() {
                 match searcher.search(&k.program) {
                     Ok(rep) => Ok(Some(rep)),
                     Err(PlanError::Oracle(OracleError::Unsupported(why))) => {
-                        eprintln!("note: skipping {}: {why}", k.code);
+                        errln!("note: skipping {}: {why}", k.code);
                         Ok(None)
                     }
                     Err(e) => Err(e),
@@ -878,7 +854,7 @@ fn main() {
                 )
             );
             let capped: usize = reports.iter().flatten().map(|rep| rep.capped).sum();
-            eprintln!(
+            errln!(
                 "strategy {} over {} candidates: {} oracle evaluations, {} memo hits, \
                  {capped} decided by a remote-read cap",
                 o.strategy.name(),
@@ -955,7 +931,7 @@ fn main() {
                     })
                     .collect();
                 outln!("[{}]", objs.join(","));
-                eprintln!("{summary}");
+                errln!("{summary}");
             } else {
                 let mut rows = Vec::new();
                 for (k, diags) in kernels.iter().zip(&linted) {
@@ -975,7 +951,7 @@ fn main() {
                 };
                 if o.format == Format::Csv {
                     out!("{}", table());
-                    eprintln!("{summary}");
+                    errln!("{summary}");
                 } else if rows.is_empty() {
                     outln!(
                         "clean: 0 diagnostics across {} kernel(s) in {}",

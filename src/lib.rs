@@ -18,7 +18,7 @@
 //! * [`loops`] — the Livermore Loops suite used by the paper's evaluation.
 //! * [`lint`] — the static analysis pass: write-once verification via
 //!   GCD/Banerjee-style conflict tests, partition-legality and progress
-//!   checking, and a certified zero-execution communication estimator.
+//!   checking, dependence graphs and the owner-computes schedule.
 //! * [`core`] — owner-computes distributed execution, access counting,
 //!   the timing pass, composable experiment plans with
 //!   pluggable evaluation oracles, automatic scheme search, and report
@@ -31,6 +31,19 @@
 //!   wait on each other) demonstrating that single assignment alone
 //!   synchronizes the computation; plugs into experiment plans as
 //!   `ThreadOracle`.
+//!
+//! ## Names kept for the benchmark
+//!
+//! `benchmark/` compiles against four names of the counting engine the
+//! tree no longer has (cache-less counts are [`core::replay`]'s). Each is
+//! a one-line shim over replay that ROADMAP item 1 deletes:
+//!
+//! * [`lint::estimate`] — [`core::replay::counts`];
+//! * `sapp::core::StaticOracle` — a constant: the replay-pinned
+//!   [`core::FastCountingOracle`];
+//! * `sapp::core::StrategyOracle` — an alias of the auto-selecting
+//!   [`core::FastCountingOracle`];
+//! * `sapp simulate|sweep|search --engine static` — `--engine replay`.
 //!
 //! ## Quickstart
 //!
@@ -70,7 +83,20 @@
 
 pub use sa_core as core;
 pub use sa_ir as ir;
-pub use sa_lint as lint;
+/// `sa-lint`, plus the one counting entry point `benchmark/` still calls
+/// by its old name.
+pub mod lint {
+    pub use sa_lint::*;
+
+    /// [`crate::core::replay::counts`] under the retired static estimator's
+    /// name. Kept only for `benchmark/`; ROADMAP item 1 deletes it.
+    pub fn estimate(
+        program: &crate::ir::Program,
+        cfg: &crate::machine::MachineConfig,
+    ) -> Result<crate::core::CountReport, crate::core::ReplayError> {
+        crate::core::replay::counts(program, cfg)
+    }
+}
 pub use sa_loops as loops;
 pub use sa_machine as machine;
 pub use sa_mem as mem;

@@ -1,8 +1,8 @@
 //! Property-based certification of the `sa-lint` passes:
 //!
-//! * the zero-execution communication estimator agrees with the counting
-//!   oracle — per-PE counters and message totals — on randomly generated
-//!   affine nests × partition schemes × page sizes × PE counts;
+//! * cache-less replay counts agree with the counting oracle, field for
+//!   field, on randomly generated affine nests × partition schemes × page
+//!   sizes × PE counts;
 //! * the write-once verifier accepts every generated program the
 //!   interpreter accepts, and flags a seeded double-write mutant of the
 //!   same program with `SA001` (which the interpreter also traps, so the
@@ -30,7 +30,8 @@ use std::collections::{HashMap, HashSet};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
-use sapp::core::{simulate, CountingOracle, Oracle, RunConfig, StaticOracle};
+use sapp::core::replay::counts;
+use sapp::core::{simulate, CountingOracle, Engine, FastCountingOracle, Oracle, RunConfig};
 use sapp::ir::body::NestBody;
 use sapp::ir::index::iv;
 use sapp::ir::interp::Memory;
@@ -348,7 +349,7 @@ fn run_config_strategy() -> impl Strategy<Value = RunConfig> {
         .prop_map(|(n_pes, page_size, partition)| RunConfig {
             n_pes,
             page_size,
-            cache_elems: 0, // the estimator has no cache model by design
+            cache_elems: 0,
             partition,
             ..RunConfig::default()
         })
@@ -634,33 +635,27 @@ fn observed_raws(program: &Program) -> HashSet<(usize, usize, usize, usize)> {
 }
 
 proptest! {
-    /// Estimator totals ≡ counting oracle on random nests × schemes ×
-    /// page sizes — the closed forms, not just the CLI paths.
+    /// Cache-less replay totals ≡ counting oracle on random nests ×
+    /// schemes × page sizes — the engine, not just the CLI paths.
     #[test]
     fn estimator_matches_counting_oracle(
         spec in spec_strategy(),
         cfg in run_config_strategy(),
     ) {
         let program = build(&spec, false);
-        let est = lint::estimate(&program, &cfg.machine())
+        let rep = counts(&program, &cfg.machine())
             .map_err(proptest::test_runner::TestCaseError::fail)?;
         let sim = simulate(&program, &cfg.machine())
             .map_err(proptest::test_runner::TestCaseError::fail)?;
-        prop_assert_eq!(&est.stats, &sim.stats, "spec {:?} cfg {:?}", &spec, &cfg);
-        prop_assert_eq!(est.network_messages, sim.network_messages);
+        prop_assert_eq!(&rep.stats, &sim.stats, "spec {:?} cfg {:?}", &spec, &cfg);
+        prop_assert_eq!(rep.network_messages, sim.network_messages);
 
         // And through the oracle adapters, field for field.
-        let s = StaticOracle.measure(&program, &cfg)
+        let r = FastCountingOracle::with_engine(Engine::Replay).measure(&program, &cfg)
             .map_err(proptest::test_runner::TestCaseError::fail)?;
         let c = CountingOracle.measure(&program, &cfg)
             .map_err(proptest::test_runner::TestCaseError::fail)?;
-        prop_assert_eq!(s.writes, c.writes);
-        prop_assert_eq!(s.local_reads, c.local_reads);
-        prop_assert_eq!(s.remote_reads, c.remote_reads);
-        prop_assert_eq!(s.total_reads, c.total_reads);
-        prop_assert_eq!(s.messages, c.messages);
-        prop_assert_eq!(s.remote_pct, c.remote_pct);
-        prop_assert_eq!(s.write_balance, c.write_balance);
+        prop_assert_eq!(r, c);
     }
 
     /// The verifier accepts what the interpreter accepts, and both reject

@@ -1,13 +1,11 @@
 //! Certification of the `sa-lint` static passes against the executing
 //! engines:
 //!
-//! 1. **Estimator ≡ simulator** — on every affine registry workload, and
-//!    on generated *fold-dense* programs (`common`), the
-//!    zero-execution communication estimate is bit-identical (per-PE
-//!    counters, message totals) to the counting interpreter, across
-//!    partition schemes × page sizes × PE counts. Workloads with runtime
-//!    indirection are rejected with a typed error, mirroring
-//!    `StaticOracle`'s `Unsupported`.
+//! 1. **Cache-less counts ≡ simulator** — on every registry workload,
+//!    gathers included, replay's cache-less counts (`sapp::lint::estimate`
+//!    is a shim over them) are bit-identical (per-PE and per-nest
+//!    counters, messages, hops, link load) to the counting interpreter,
+//!    across partition schemes × page sizes × PE counts.
 //! 2. **Verifier soundness on the registry** — `sapp lint` reports zero
 //!    error-severity diagnostics on the stock registry (which every
 //!    executor accepts), and flags seeded double-write and
@@ -36,20 +34,19 @@ use proptest::test_runner::TestCaseError;
 mod common;
 
 use sapp::core::parallel::par_map;
+use sapp::core::replay::counts;
 use sapp::core::search::{search_exhaustive_with, Objective, SearchSpace};
-use sapp::core::{simulate, CountingOracle, Searcher, StaticOracle, StrategyParams};
-use sapp::core::{Oracle, OracleError, RunConfig};
+use sapp::core::{simulate, CountEngine, CountReport, CountingOracle, Searcher, StrategyParams};
 use sapp::ir::index::iv;
 use sapp::ir::{AffineIndex, ArrayId, InitPattern, ProgramBuilder};
-use sapp::lint::depgraph::{project, project_by_instance};
-use sapp::lint::{self, Code, DepGraph, EstimateError, LintConfig, Severity};
+use sapp::lint::depgraph::{first_indirect_ref, project, project_by_instance};
+use sapp::lint::{self, Code, DepGraph, LintConfig, Severity};
 use sapp::loops::suite::Family;
 use sapp::loops::{reduced_suite, workloads};
 use sapp::machine::{MachineConfig, PartitionScheme};
 use sapp::runtime::{execute, execute_on, RuntimeConfig, RuntimeError};
 
-/// The certification grid: schemes × page sizes × PE counts, no cache
-/// (the estimator has no cache model by design).
+/// The certification grid: schemes × page sizes × PE counts, no cache.
 fn grid() -> Vec<MachineConfig> {
     let mut out = Vec::new();
     for scheme in [
@@ -70,75 +67,56 @@ fn grid() -> Vec<MachineConfig> {
     out
 }
 
+/// `report` as the interpreter's would read: the same counts, the engine
+/// tag aside.
+fn as_interp(report: CountReport) -> CountReport {
+    CountReport {
+        engine: CountEngine::Interp,
+        ..report
+    }
+}
+
 #[test]
 fn estimator_is_bit_identical_to_the_simulator_on_the_registry() {
-    let mut affine = 0usize;
-    let mut indirect = 0usize;
+    let (mut affine, mut indirect) = (0usize, 0usize);
     for k in reduced_suite() {
+        match first_indirect_ref(&k.program) {
+            Some(_) => indirect += 1,
+            None => affine += 1,
+        }
         for cfg in grid() {
-            match lint::estimate(&k.program, &cfg) {
-                Err(EstimateError::Indirect { .. }) => {
-                    indirect += 1;
-                    // The rejection must be stable: the oracle adapter
-                    // surfaces the same program as Unsupported.
-                    let rc = RunConfig {
-                        n_pes: cfg.n_pes,
-                        cache_elems: 0,
-                        ..RunConfig::default()
-                    };
-                    assert!(
-                        matches!(
-                            StaticOracle.measure(&k.program, &rc),
-                            Err(OracleError::Unsupported(_))
-                        ),
-                        "{}: estimate rejected but StaticOracle accepted",
-                        k.code
-                    );
-                    break; // indirection is config-independent
-                }
-                Err(e) => panic!("{} @ {cfg:?}: unexpected estimator error {e}", k.code),
-                Ok(est) => {
-                    affine += 1;
-                    let sim = simulate(&k.program, &cfg)
-                        .unwrap_or_else(|e| panic!("{}: simulator failed: {e}", k.code));
-                    // `Stats` equality covers every per-PE counter.
-                    assert_eq!(
-                        est.stats, sim.stats,
-                        "{} @ {cfg:?}: per-PE access counts diverge",
-                        k.code
-                    );
-                    assert_eq!(
-                        est.network_messages, sim.network_messages,
-                        "{} @ {cfg:?}: network message totals diverge",
-                        k.code
-                    );
-                }
-            }
+            let rep = counts(&k.program, &cfg)
+                .unwrap_or_else(|e| panic!("{} @ {cfg:?}: replay declined: {e}", k.code));
+            let sim = simulate(&k.program, &cfg)
+                .unwrap_or_else(|e| panic!("{}: simulator failed: {e}", k.code));
+            assert_eq!(
+                as_interp(rep),
+                CountReport::from_sim(&sim),
+                "{} @ {cfg:?}: counts diverge",
+                k.code
+            );
         }
     }
-    // The registry must exercise both paths, or this test is vacuous.
+    // The registry must exercise both kinds, or this test is vacuous.
     assert!(affine > 0, "no affine workload was certified");
-    assert!(indirect > 0, "no indirect workload exercised the rejection");
+    assert!(indirect > 0, "no gathering workload was certified");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(400))]
 
-    /// Estimator ≡ simulator — and closed-form projection ≡ instance
-    /// enumerator — on *fold-dense* programs (`common`, the generator
-    /// `replay_vs_interp.rs` runs replay on): placement periods of a few
-    /// elements, so both walk one stretch of each translation class and
-    /// multiply, with and without the reads in the class key.
+    /// Closed-form projection ≡ instance enumerator ≡ simulator on
+    /// *fold-dense* programs (`common`, the generator `replay_vs_interp.rs`
+    /// counts them with, in `fold_dense_nests_bit_identical`): placement
+    /// periods of a few elements, so the projection walks one stretch of
+    /// each translation class and multiplies.
     #[test]
-    fn fold_dense_nests_estimate_like_the_simulator(
+    fn fold_dense_nests_project_like_the_instance_enumerator(
         spec in common::dense_program_strategy(),
         cfg in common::dense_config_strategy(),
     ) {
         let program = common::build_dense(&spec);
         let sim = simulate(&program, &cfg).map_err(TestCaseError::fail)?;
-        let est = lint::estimate(&program, &cfg).map_err(TestCaseError::fail)?;
-        prop_assert_eq!(&est.stats, &sim.stats, "spec {:?} cfg {:?}", &spec, &cfg);
-        prop_assert_eq!(est.network_messages, sim.network_messages);
         let shape = LintConfig {
             n_pes: cfg.n_pes,
             page_size: cfg.page_size,
@@ -154,7 +132,7 @@ proptest! {
 fn zero_depth_nest_is_one_instance() {
     // `one` has no loops: its body runs exactly once, reading Y[17] (page
     // 1 → PE 1) into X[64] (page 4 → PE 0) — one more write and the only
-    // remote read. The estimator used to skip such nests silently.
+    // remote read.
     let mut b = ProgramBuilder::new("zero-depth");
     let y = b.input("Y", &[64], InitPattern::Wavy);
     let x = b.output("X", &[65]);
@@ -170,9 +148,10 @@ fn zero_depth_nest_is_one_instance() {
     let cfg = MachineConfig::new(4, 16).with_cache_elems(0);
     let sim = simulate(&prog, &cfg).unwrap();
     assert_eq!((sim.stats.writes(), sim.stats.remote_reads()), (65, 1));
-    let est = lint::estimate(&prog, &cfg).unwrap();
-    assert_eq!(est.stats, sim.stats);
-    assert_eq!(est.network_messages, sim.network_messages);
+    assert_eq!(
+        as_interp(counts(&prog, &cfg).unwrap()),
+        CountReport::from_sim(&sim)
+    );
     let lint_cfg = LintConfig {
         n_pes: 4,
         page_size: 16,

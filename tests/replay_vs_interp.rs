@@ -15,6 +15,10 @@
 //! 4. **Capped replay is exact** — under a remote-read cap, replay says
 //!    `Exceeded` exactly when the run's remote reads reach the cap, and
 //!    below it counts everything the uncapped run does.
+//! 5. **Hand-counted kernels** — cache-less counts worked out by hand
+//!    (a skewed read, reduction partials, block placement with a reinit)
+//!    are what both engines print, and an out-of-bounds sweep hidden
+//!    behind sweeps that fold is the interpreter's error.
 
 use proptest::prelude::*;
 
@@ -25,10 +29,12 @@ use sapp::core::plan::{ExperimentPlan, RunConfig};
 use sapp::core::replay;
 use sapp::core::search::SearchSpace;
 use sapp::core::{par_map, CountingOracle, Engine, FastCountingOracle, Oracle};
+use sapp::ir::analysis::StaticArrays;
 use sapp::ir::index::{iv, IndexExpr};
 use sapp::ir::nest::ArrayRef;
 use sapp::ir::program::ArrayInit;
-use sapp::ir::{Expr, InitPattern, Program, ProgramBuilder, ReduceOp};
+use sapp::ir::{Expr, InitPattern, IrError, Program, ProgramBuilder, ReduceOp};
+use sapp::lint::screening::Schedule;
 use sapp::loops::suite;
 use sapp::machine::{CachePolicy, MachineConfig, NetworkTopology, PartitionScheme};
 
@@ -444,6 +450,119 @@ fn strict_replay_measures_every_suite_kernel() {
             .unwrap_or_else(|e| panic!("{}: {e}", kernel.code));
         assert!(rec.total_reads > 0 || rec.writes > 0, "{}", kernel.code);
     }
+}
+
+// ---------------------------------------------------------------------------
+// Hand-counted kernels
+// ---------------------------------------------------------------------------
+
+/// `X[k] ← Y[k+1] − Y[k]` over `0..n`.
+fn skewed(n: usize) -> Program {
+    let mut b = ProgramBuilder::new("sk");
+    let y = b.input("Y", &[n + 1], InitPattern::Wavy);
+    let x = b.output("X", &[n]);
+    b.nest("s", &[("k", 0, n as i64 - 1)], |nb| {
+        nb.assign(
+            x,
+            [iv(0)],
+            nb.read(y, [iv(0).plus(1)]) - nb.read(y, [iv(0)]),
+        );
+    });
+    b.finish()
+}
+
+/// Replay's counts of `program` under `cfg`, asserted equal to the
+/// interpreter's.
+fn hand_checked(program: &Program, cfg: &MachineConfig) -> replay::CountReport {
+    assert_identical(&program.name, program, cfg);
+    replay::counts(program, cfg).unwrap()
+}
+
+#[test]
+fn skewed_kernel_counts_match_by_hand() {
+    // 128 elements, 4 PEs, page 32 (modulo): X page k → PE k; reads of
+    // Y hit the same page except at each page's last element, where
+    // Y[k+1] crosses into the next page (remote): 4 crossings, Y's page 4
+    // included.
+    let rep = hand_checked(&skewed(128), &MachineConfig::new(4, 32).with_cache_elems(0));
+    assert_eq!(rep.stats.writes(), 128);
+    assert_eq!(rep.stats.total_reads(), 256);
+    assert_eq!(rep.stats.remote_reads(), 4);
+    assert_eq!(rep.stats.page_fetches, 4);
+    assert_eq!(rep.network_messages, 8);
+}
+
+#[test]
+fn reduction_partials_ship_to_the_host() {
+    // sum over Y: anchor = Y[k]; 64 elements over 4 PEs at page 16 →
+    // every PE participates; host of scalar 0 is PE 0 → 3 partials.
+    let mut b = ProgramBuilder::new("red");
+    let y = b.input("Y", &[64], InitPattern::Wavy);
+    let s = b.scalar("sum");
+    b.nest("n", &[("k", 0, 63)], |nb| {
+        nb.reduce(s, ReduceOp::Sum, nb.read(y, [iv(0)]));
+    });
+    let rep = hand_checked(&b.finish(), &MachineConfig::new(4, 16).with_cache_elems(0));
+    assert_eq!(rep.stats.reduction_messages, 3);
+    // All reads anchor-local.
+    assert_eq!(rep.stats.remote_reads(), 0);
+    assert_eq!(rep.stats.local_reads(), 64);
+    assert_eq!(rep.network_messages, 3);
+}
+
+#[test]
+fn block_scheme_and_reinit_accounting() {
+    let mut b = ProgramBuilder::new("blk");
+    let y = b.input("Y", &[64], InitPattern::Wavy);
+    let x = b.output("X", &[64]);
+    b.nest("n", &[("k", 0, 63)], |nb| {
+        nb.assign(x, [iv(0)], nb.read(y, [iv(0)]) + 1.0);
+    });
+    b.reinit(x);
+    let cfg = MachineConfig::new(4, 8)
+        .with_cache_elems(0)
+        .with_partition(PartitionScheme::Block);
+    let rep = hand_checked(&b.finish(), &cfg);
+    // Matched access: everything local; reinit costs 2·(4−1) messages.
+    assert_eq!(rep.stats.remote_reads(), 0);
+    assert_eq!(rep.stats.reinit_messages, 6);
+    assert_eq!(rep.network_messages, 6);
+}
+
+#[test]
+fn an_out_of_bounds_sweep_is_found_behind_sweeps_that_fold() {
+    // Rows of 8 elements on 2 PEs × page 4: every sweep is a translate
+    // of the first by a whole period, so a cache-less walk visits one of
+    // them — but Z has only five rows, and the sixth sweep leaves it.
+    // Replay declines; the auto engine reports the interpreter's error.
+    let mut b = ProgramBuilder::new("last");
+    let z = b.input("Z", &[5, 8], InitPattern::Wavy);
+    let x = b.output("X", &[6, 8]);
+    b.nest("n", &[("i", 0, 5), ("j", 0, 7)], |nb| {
+        nb.assign(x, [iv(0), iv(1)], nb.read(z, [iv(0), iv(1)]));
+    });
+    let p = b.finish();
+    let cfg = MachineConfig::new(2, 4).with_cache_elems(0);
+    let statics = StaticArrays::scan(&p);
+    let sched = Schedule::new(&p, &statics, cfg.partition, 4, 2).unwrap();
+    let stretches: Vec<_> = sched
+        .folds(0, true)
+        .iter()
+        .map(|f| (f.sweep, f.trips(), f.times))
+        .collect();
+    assert_eq!(stretches, [(0, 0..8, 6)]);
+    assert!(matches!(
+        replay::counts(&p, &cfg),
+        Err(replay::ReplayError::Unsupported { .. })
+    ));
+    let want = SimError::Ir(IrError::IndexOutOfBounds {
+        array: "Z".into(),
+        dim: 0,
+        index: 5,
+        extent: 5,
+    });
+    assert_eq!(simulate(&p, &cfg).unwrap_err(), want);
+    assert_eq!(replay::counts_or_simulate(&p, &cfg).unwrap_err(), want);
 }
 
 // ---------------------------------------------------------------------------

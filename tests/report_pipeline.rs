@@ -13,7 +13,7 @@ use sapp::core::plan::ExperimentPlan;
 use sapp::core::replay;
 use sapp::core::report::{csv, fmt_pct, json};
 use sapp::core::results::Column;
-use sapp::core::{CountingOracle, FastCountingOracle, Oracle};
+use sapp::core::{CountingOracle, FastCountingOracle, Oracle, OracleError, RunConfig, RunRecord};
 use sapp::ir::index::iv;
 use sapp::ir::{Program, ProgramBuilder};
 use sapp::machine::MachineConfig;
@@ -153,23 +153,39 @@ fn skewed_program() -> Program {
     b.finish()
 }
 
+/// A backend without a network model: the counting simulator's counts,
+/// hops and link load left unmodeled.
+struct Unmodeled;
+
+impl Oracle for Unmodeled {
+    fn name(&self) -> &'static str {
+        "unmodeled"
+    }
+
+    fn measure(&self, program: &Program, cfg: &RunConfig) -> Result<RunRecord, OracleError> {
+        Ok(RunRecord {
+            hops: None,
+            max_link_load: None,
+            ..CountingOracle.measure(program, cfg)?
+        })
+    }
+}
+
 #[test]
 fn mixed_oracle_pivots_distinguish_unmodeled_hops_from_zero() {
     use sapp::core::results::ResultSet;
-    use sapp::core::StaticOracle;
     use sapp::runtime::ThreadOracle;
 
     let p = skewed_program();
-    // Uncached grid so the static estimator accepts every point too.
     let plan = ExperimentPlan::new().pes(&[2, 4]).cache_flags(&[false]);
     let sim = plan.run(&p, &CountingOracle).unwrap();
     let real = plan.run(&p, &ThreadOracle).unwrap();
-    let est = plan.run(&p, &StaticOracle).unwrap();
+    let est = plan.run(&p, &Unmodeled).unwrap();
 
     // Counting and thread backends model the network: hops are measured
     // (Some, here 0 on the ideal topology — the thread workers price every
-    // modeled send through the same link model). The static estimator has
-    // no hop model: None.
+    // modeled send through the same link model). A backend without a hop
+    // model reports None.
     for r in sim.records().iter().chain(real.records()) {
         assert_eq!(r.hops, Some(0));
         assert_eq!(r.max_link_load, Some(0));
@@ -196,11 +212,11 @@ fn mixed_oracle_pivots_distinguish_unmodeled_hops_from_zero() {
     let c = csv(&Column::headers(&cols), &rows);
     let lines: Vec<&str> = c.lines().collect();
     assert_eq!(lines[0], "pes,messages,hops,max_link_load");
-    // Simulator rows carry the measured zero; estimator rows leave the
+    // Simulator rows carry the measured zero; unmodeled rows leave the
     // cells blank — every row still has all four columns.
     assert_eq!(lines[1].matches(',').count(), 3);
     assert!(lines[1].ends_with(",0,0"), "sim row: {}", lines[1]);
-    assert!(lines[3].ends_with(",,"), "estimator row: {}", lines[3]);
+    assert!(lines[3].ends_with(",,"), "unmodeled row: {}", lines[3]);
 
     // JSON: numbers where measured, empty strings (never a fake 0, never a
     // bare NaN) where not.
@@ -298,24 +314,6 @@ fn invalid_machine_shapes_exit_with_the_config_error_on_the_static_paths() {
             );
         }
     }
-}
-
-/// The static estimator has no cache model, and the CLI's default machine
-/// has a cache: the refusal names the flag the CLI has (`--no-cache`), not
-/// the library field (`cache_elems`) it has no flag for.
-#[test]
-fn the_static_engine_under_the_default_cache_asks_for_no_cache() {
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_sapp"))
-        .args("simulate st5 --size 32 --engine static".split(' '))
-        .output()
-        .expect("sapp runs");
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(1), "{err}");
-    assert!(out.stdout.is_empty(), "{:?}", out.stdout);
-    assert!(err.starts_with("static failed: "), "{err}");
-    assert!(err.contains("pass --no-cache"), "{err}");
-    assert!(!err.contains("cache_elems"), "{err}");
-    assert_eq!(err.lines().count(), 1, "{err}");
 }
 
 /// `sapp ARGS`: exit code, stdout, stderr.
@@ -532,6 +530,59 @@ fn seven_integers(stdout: &str) -> Vec<u64> {
         after(&["hops"]),
         after(&["max", "link", "load"]),
     ]
+}
+
+/// `--engine static` is the retired estimator's spelling of `replay`: a
+/// gather kernel and a cached machine, which the estimator refused, print
+/// the interpreter's seven integers, and a sweep fills its cache column.
+#[test]
+fn the_static_engine_is_replay_and_counts_gathers_and_caches() {
+    for args in [
+        "simulate k13 --no-cache",
+        "simulate k1",
+        "simulate st5 --size 32",
+    ] {
+        let run = |engine: &str| {
+            let (code, out, err) = sapp(&format!("{args} --engine {engine}"));
+            assert_eq!(code, Some(0), "sapp {args} --engine {engine}: {err}");
+            out
+        };
+        let stat = run("static");
+        assert_eq!(stat, run("replay"), "sapp {args}");
+        assert_eq!(
+            seven_integers(&stat),
+            seven_integers(&run("interp")),
+            "sapp {args}"
+        );
+    }
+    let (code, out, err) = sapp("sweep k1 --engine static --format csv");
+    assert_eq!(code, Some(0), "{err}");
+    assert_eq!(out, sapp("sweep k1 --engine replay --format csv").1);
+    assert!(!out.contains('—'), "{out}");
+}
+
+/// A closed stderr — `sapp simulate k1 --pes 0 2>&1 | head -0` — loses
+/// what the command had to say there and nothing else: a usage error
+/// still exits 2 and a run that notes its summary to stderr still exits 0,
+/// never a panic (101).
+#[test]
+fn a_closed_stderr_keeps_the_exit_code() {
+    for (args, code) in [
+        ("simulate k1 --pes 0", 2),
+        ("nosuch", 2),
+        ("lint k21 --format csv", 0),
+        ("search --kernel k12 --strategy propagate", 0),
+    ] {
+        let (reader, writer) = std::io::pipe().expect("a pipe");
+        drop(reader);
+        let status = std::process::Command::new(env!("CARGO_BIN_EXE_sapp"))
+            .args(args.split(' '))
+            .stdout(std::process::Stdio::null())
+            .stderr(writer)
+            .status()
+            .expect("sapp runs");
+        assert_eq!(status.code(), Some(code), "sapp {args}");
+    }
 }
 
 /// The CLI cannot load a program file, so its side of "the thread engine

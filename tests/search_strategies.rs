@@ -34,39 +34,31 @@ use proptest::prelude::*;
 
 use sapp::core::oracle::{Oracle, OracleError, RunRecord};
 use sapp::core::plan::RunConfig;
-use sapp::core::search::strategy::{
-    program_fingerprint, Searcher, Strategy, StrategyOracle, StrategyParams,
-};
+use sapp::core::search::strategy::{program_fingerprint, Searcher, Strategy, StrategyParams};
 use sapp::core::search::{search_exhaustive_with, Objective, SearchSpace};
+use sapp::core::FastCountingOracle;
 use sapp::ir::Program;
-use sapp::lint::{self, EstimateError, LintConfig};
+use sapp::lint::depgraph::{first_indirect_ref, project_by_instance};
+use sapp::lint::LintConfig;
 use sapp::loops::{reduced_suite, suite, workload, Kernel, Size};
-use sapp::machine::{MachineConfig, NetworkTopology, PartitionScheme};
+use sapp::machine::{NetworkTopology, PartitionScheme};
 
 /// The registry at reduced sizes, restricted to the statically affine
-/// kernels (the ones the estimator accepts — same filter the estimator
-/// certification uses). Guided-vs-exhaustive equality is certified on
-/// these; indirect kernels exercise the replay fallback elsewhere.
+/// kernels (no reference through an index array). Guided-vs-exhaustive
+/// equality is certified on these; indirect kernels exercise the replay
+/// fallback elsewhere.
 fn affine_registry() -> &'static Vec<Kernel> {
     static CELL: OnceLock<Vec<Kernel>> = OnceLock::new();
     CELL.get_or_init(|| {
         reduced_suite()
             .into_iter()
-            .filter(|k| {
-                let cfg = MachineConfig::new(4, 32).with_cache_elems(0);
-                !matches!(
-                    lint::estimate(&k.program, &cfg),
-                    Err(EstimateError::Indirect { .. })
-                )
-            })
+            .filter(|k| first_indirect_ref(&k.program).is_none())
             .collect()
     })
 }
 
 /// The feasible exhaustion space of the certification sweep: all five
-/// scheme families crossed with pages {8, 32, 256}, uncached so the
-/// zero-execution estimator arm of the hybrid oracle answers the affine
-/// points. 15 candidates — comfortably under the default budget, so the
+/// scheme families crossed with pages {8, 32, 256}, uncached. 15 candidates — comfortably under the default budget, so the
 /// guided strategies must cover it completely.
 fn certification_space() -> SearchSpace {
     SearchSpace {
@@ -144,13 +136,17 @@ fn guided_strategies_match_exhaustive_bit_exactly_on_feasible_spaces() {
         let exhaustive = search_exhaustive_with(
             &k.program,
             &space,
-            &StrategyOracle::default(),
+            &FastCountingOracle::default(),
             Objective::default(),
         )
         .unwrap_or_else(|e| panic!("{}: exhaustive baseline failed: {e}", k.code));
         for strategy in [Strategy::Anneal, Strategy::Propagate] {
-            let searcher =
-                Searcher::new(&space, Box::<StrategyOracle>::default(), params(strategy)).unwrap();
+            let searcher = Searcher::new(
+                &space,
+                Box::<FastCountingOracle>::default(),
+                params(strategy),
+            )
+            .unwrap();
             let rep = searcher
                 .search(&k.program)
                 .unwrap_or_else(|e| panic!("{}: {} failed: {e}", k.code, strategy.name()));
@@ -212,7 +208,7 @@ fn memo_cache_answers_second_query_with_zero_new_oracle_calls() {
     let k = &affine_registry()[0];
     let searcher = Searcher::new(
         &wide_space(),
-        Box::<StrategyOracle>::default(),
+        Box::<FastCountingOracle>::default(),
         StrategyParams {
             strategy: Strategy::Anneal,
             budget: 24,
@@ -257,7 +253,7 @@ fn memo_cache_answers_second_query_with_zero_new_oracle_calls() {
     let exhaustive = search_exhaustive_with(
         &st5.program,
         &space,
-        &StrategyOracle::default(),
+        &FastCountingOracle::default(),
         Objective::default(),
     )
     .unwrap();
@@ -265,7 +261,7 @@ fn memo_cache_answers_second_query_with_zero_new_oracle_calls() {
     for strategy in [Strategy::Anneal, Strategy::Propagate] {
         let searcher = Searcher::new(
             &space,
-            Box::<StrategyOracle>::default(),
+            Box::<FastCountingOracle>::default(),
             StrategyParams {
                 strategy,
                 seed: 7,
@@ -297,7 +293,7 @@ fn memo_cache_answers_second_query_with_zero_new_oracle_calls() {
 fn space_is_materialized_exactly_once_per_invocation() {
     let searcher = Searcher::new(
         &certification_space(),
-        Box::<StrategyOracle>::default(),
+        Box::<FastCountingOracle>::default(),
         params(Strategy::Exhaustive),
     )
     .unwrap();
@@ -314,7 +310,7 @@ fn space_is_materialized_exactly_once_per_invocation() {
 
 /// The per-instance enumerator as the pruning bound's write projection.
 fn reference_writes_per_pe(program: &Program, cfg: &LintConfig) -> Option<Vec<u64>> {
-    lint::depgraph::project_by_instance(program, cfg)
+    project_by_instance(program, cfg)
         .ok()
         .map(|p| p.writes_per_pe)
 }
@@ -324,7 +320,8 @@ fn closed_form_bound_leaves_every_search_report_unchanged() {
     // The default space with the default cache, as `sapp search` runs it.
     let space = SearchSpace::default();
     let both = |params: StrategyParams, kernels: &[Kernel]| {
-        let searcher = || Searcher::new(&space, Box::<StrategyOracle>::default(), params).unwrap();
+        let searcher =
+            || Searcher::new(&space, Box::<FastCountingOracle>::default(), params).unwrap();
         let (closed, reference) = (
             searcher(),
             searcher().with_write_projection(reference_writes_per_pe),
@@ -393,9 +390,9 @@ fn every_candidate_of_the_default_space_reads_alike() {
     }
 }
 
-/// The hybrid oracle behind `Oracle::measure` alone: every capped query
-/// takes the trait's default, a full measurement.
-struct MeasureOnly(StrategyOracle);
+/// The auto-selecting oracle behind `Oracle::measure` alone: every capped
+/// query takes the trait's default, a full measurement.
+struct MeasureOnly(FastCountingOracle);
 
 impl Oracle for MeasureOnly {
     fn name(&self) -> &'static str {
@@ -415,11 +412,15 @@ fn remote_read_caps_leave_every_search_report_unchanged() {
         (SearchSpace::default(), suite()),
     ] {
         for strategy in [Strategy::Exhaustive, Strategy::Propagate] {
-            let capping =
-                Searcher::new(&space, Box::<StrategyOracle>::default(), params(strategy)).unwrap();
+            let capping = Searcher::new(
+                &space,
+                Box::<FastCountingOracle>::default(),
+                params(strategy),
+            )
+            .unwrap();
             let measuring = Searcher::new(
                 &space,
-                Box::new(MeasureOnly(StrategyOracle::default())),
+                Box::new(MeasureOnly(FastCountingOracle::default())),
                 params(strategy),
             )
             .unwrap();
@@ -456,7 +457,7 @@ proptest! {
             ..StrategyParams::default()
         };
         let run = || {
-            Searcher::new(&space, Box::<StrategyOracle>::default(), p)
+            Searcher::new(&space, Box::<FastCountingOracle>::default(), p)
                 .unwrap()
                 .search(&k.program)
                 .unwrap()
