@@ -1256,15 +1256,6 @@ pub fn counts_capped(
     }))
 }
 
-/// Total statement instances (used to gate the debug cross-check).
-#[cfg(debug_assertions)]
-fn instance_count(program: &Program) -> u64 {
-    program
-        .nests()
-        .map(|n| n.iteration_count() as u64 * n.body.len().max(1) as u64)
-        .sum()
-}
-
 /// Debug-build cross-check budget: runs at most this many instances twice.
 #[cfg(debug_assertions)]
 const CROSS_CHECK_INSTANCES: u64 = 20_000;
@@ -1292,7 +1283,7 @@ pub(crate) fn capped_or_simulate(
         Ok(capped) => {
             #[cfg(debug_assertions)]
             {
-                if instance_count(program) <= CROSS_CHECK_INSTANCES {
+                if program.instance_count() <= CROSS_CHECK_INSTANCES {
                     let sim = simulate(program, cfg)?;
                     let remote = sim.stats.remote_reads();
                     match &capped {

@@ -48,7 +48,8 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use sa_ir::{analysis, pretty, ArrayId, LinForm, Phase, Program};
-use sa_lint::depgraph::DepGraph;
+use sa_lint::depgraph::{AnchorProfile, DepGraph};
+use sa_lint::LintConfig;
 use sa_machine::{PartitionScheme, Placement};
 
 use crate::oracle::{of_last_program, FastCountingOracle, Oracle, OracleError, RunRecord};
@@ -462,8 +463,10 @@ pub struct Searcher {
     cands: Candidates,
     memo: MemoOracle,
     params: StrategyParams,
-    writes_per_pe: WriteProjector,
+    /// Where pruning bounds come from instead of the anchor profiles.
+    reference: Option<WriteProjector>,
     builds: AtomicUsize,
+    profile_builds: AtomicUsize,
 }
 
 impl Searcher {
@@ -479,18 +482,18 @@ impl Searcher {
             cands,
             memo: MemoOracle::new(inner),
             params,
-            writes_per_pe: sa_lint::static_writes_per_pe,
+            reference: None,
             builds,
+            profile_builds: AtomicUsize::new(0),
         })
     }
 
     /// Certification hook: compute pruning bounds from `writes_per_pe`
-    /// instead of [`sa_lint::static_writes_per_pe`]. The tests pass the
-    /// per-instance reference projection and require the identical
-    /// [`SearchReport`].
+    /// instead of the anchor profiles. The tests pass the per-instance
+    /// reference projection and require the identical [`SearchReport`].
     #[doc(hidden)]
     pub fn with_write_projection(mut self, writes_per_pe: WriteProjector) -> Searcher {
-        self.writes_per_pe = writes_per_pe;
+        self.reference = Some(writes_per_pe);
         self
     }
 
@@ -506,6 +509,15 @@ impl Searcher {
     /// in [`Searcher::new`] and only read afterwards.
     pub fn space_builds(&self) -> usize {
         self.builds.load(Ordering::SeqCst)
+    }
+
+    /// How many anchor profiles ([`AnchorProfile`]) the queries so far
+    /// built for their pruning bounds. A query builds at most one per page
+    /// size it bounds a candidate at, prices every scheme from it at once
+    /// and keeps none: a second query of the same program builds its own
+    /// again.
+    pub fn profile_builds(&self) -> usize {
+        self.profile_builds.load(Ordering::SeqCst)
     }
 
     /// The materialized space.
@@ -680,7 +692,8 @@ struct Walk<'a> {
     cands: &'a Candidates,
     memo: &'a MemoOracle,
     objective: Objective,
-    writes_per_pe: WriteProjector,
+    reference: Option<WriteProjector>,
+    profile_builds: &'a AtomicUsize,
     /// `static_score_bound` per `(scheme, page size)` axis position — the
     /// bound does not depend on the network axis.
     bounds: HashMap<(usize, usize), Option<f64>>,
@@ -704,7 +717,8 @@ impl<'a> Walk<'a> {
             cands: &searcher.cands,
             memo: &searcher.memo,
             objective: searcher.params.objective,
-            writes_per_pe: searcher.writes_per_pe,
+            reference: searcher.reference,
+            profile_builds: &searcher.profile_builds,
             bounds: HashMap::new(),
             seen: HashMap::new(),
             pruned_set: HashSet::new(),
@@ -733,17 +747,41 @@ impl<'a> Walk<'a> {
     }
 
     /// `idx`'s static score bound — its imbalance term — computed once
-    /// per `(scheme, page size)`.
+    /// per `(scheme, page size)`. The first bound asked at a page size
+    /// builds its anchor profile, prices it under every scheme of the space
+    /// and drops it: a query builds at most one profile per page size and
+    /// holds none between bounds.
     fn bound(&mut self, idx: usize) -> Option<f64> {
         let (scheme, page, _) = self.cands.coords(idx);
-        *self.bounds.entry((scheme, page)).or_insert_with(|| {
-            static_score_bound(
-                self.program,
-                self.cands.config(idx),
-                self.objective,
-                self.writes_per_pe,
-            )
-        })
+        if let Some(&bound) = self.bounds.get(&(scheme, page)) {
+            return bound;
+        }
+        let (program, objective) = (self.program, self.objective);
+        if let Some(project) = self.reference {
+            let cfg = self.cands.config(idx);
+            let shape = LintConfig {
+                n_pes: cfg.n_pes,
+                page_size: cfg.page_size,
+                scheme: cfg.partition,
+            };
+            let bound = static_score_bound(objective, || project(program, &shape));
+            self.bounds.insert((scheme, page), bound);
+            return bound;
+        }
+        let mut profile = None;
+        for s in 0..self.cands.schemes.len() {
+            let cfg = self.cands.config(self.cands.index(s, page, 0));
+            let bound = static_score_bound(objective, || {
+                let profile = profile.get_or_insert_with(|| {
+                    self.profile_builds.fetch_add(1, Ordering::Relaxed);
+                    AnchorProfile::new(program, cfg.page_size)
+                });
+                let projection = profile.project(cfg.partition, cfg.n_pes).ok()?;
+                Some(projection.writes_per_pe)
+            });
+            self.bounds.insert((s, page), bound);
+        }
+        self.bounds[&(scheme, page)]
     }
 
     /// The fewest remote reads at which `idx` provably loses to the

@@ -236,6 +236,14 @@ impl Program {
         })
     }
 
+    /// Total statement instances: per nest, its iterations times its
+    /// statements (a nest with an empty body counts its iterations).
+    pub fn instance_count(&self) -> u64 {
+        self.nests()
+            .map(|n| n.iteration_count() as u64 * n.body.len().max(1) as u64)
+            .sum()
+    }
+
     /// Total elements across all arrays (the simulated footprint).
     pub fn total_elements(&self) -> usize {
         self.arrays.iter().map(ArrayDecl::len).sum()

@@ -22,9 +22,12 @@
 //!   work, span (longest weighted path; reduction results cost a
 //!   `⌈log₂ m⌉` tree-combine) and ideal parallelism; [`project`] /
 //!   [`speedup_bound`] project the instance stream onto a concrete
-//!   `PartitionScheme` × page size, yielding per-PE serialization bounds
-//!   (in closed form over anchor page runs for affine programs, by
-//!   enumeration where an index array has to be seen through);
+//!   `PartitionScheme` × page size, yielding per-PE serialization bounds:
+//!   the anchors do not depend on the placement, so one
+//!   [`AnchorProfile`] per page size — anchored instances per page, as
+//!   sorted runs — is priced under each scheme and PE count, and only a
+//!   program whose anchors cannot be profiled is enumerated
+//!   ([`project_by_instance`]);
 //!   [`check_deadlock`] proves the wait graph the thread runtime would
 //!   realize (data waits + per-PE execution order + reduction/reinit
 //!   barriers) acyclic or reports the cycle as SA008 — building it only
@@ -76,18 +79,21 @@ use std::convert::Infallible;
 use std::fmt;
 use std::rc::Rc;
 
-use sa_ir::access::{loop_box, Access};
-use sa_ir::analysis::{affine_address_range, anchor_ref, linear_address_form, relate_forms};
-use sa_ir::index::IndexExpr;
-use sa_ir::nest::{ArrayRef, LoopNest, Stmt};
+use sa_ir::access::{loop_box, try_for_each_sweep, Access, Line};
+use sa_ir::analysis::{
+    affine_address_range, anchor_ref, linear_address_form, relate_forms, screen_nests, NestScreen,
+    Screen,
+};
+use sa_ir::index::{AffineIndex, IndexExpr};
+use sa_ir::nest::{ArrayRef, LoopNest, LoopVar, Stmt};
 use sa_ir::program::Phase;
-use sa_ir::{ArrayId, PairRelation, Program};
-use sa_machine::partition::gcd;
-use sa_machine::ConfigError;
+use sa_ir::{ArrayId, LinForm, PairRelation, Program};
+use sa_machine::partition::{gcd, pages_in};
+use sa_machine::{ConfigError, PageRun, PartitionScheme, Placement};
 
 use crate::diag::{Code, Diagnostic, Severity, Span};
 use crate::progress;
-use crate::screening::Schedule;
+use crate::screening::{iteration, Schedule};
 use crate::sites::{
     describe, iterate, segments, walk, Flow, Instance, LiveSlots, Pass, Read, ResolveFail,
     Resolver, Write, WriteSite,
@@ -813,47 +819,10 @@ fn schedule<'p>(res: &Resolver<'p>, cfg: &LintConfig) -> Result<Schedule<'p>, Co
 }
 
 /// Project the instance stream onto `cfg` — who executes how much under
-/// the owner-computes schedule ([`Schedule`]).
-///
-/// Affine programs are projected in closed form: the anchor-run walk
-/// charges each stretch of an inner sweep on which the anchor stays on one
-/// page to that page's owner, and anchorless statements are dealt
-/// round-robin arithmetically — cost proportional to anchor page runs, not
-/// to statement instances. Programs with indirect references go through
-/// [`project_by_instance`], the only path that can see through an index
-/// array.
+/// the owner-computes schedule ([`Schedule`]): the [`AnchorProfile`] of
+/// `cfg`'s page size, priced under its scheme and PE count.
 pub fn project(program: &Program, cfg: &LintConfig) -> Result<Projection, InstanceError> {
-    if first_indirect_ref(program).is_some() {
-        return project_by_instance(program, cfg);
-    }
-    let sched = schedule(&Resolver::new(program), cfg)?;
-    let mut writes_per_pe = vec![0u64; cfg.n_pes];
-    let mut instances_per_pe = vec![0u64; cfg.n_pes];
-    for (n, ns) in sched.nests().iter().enumerate() {
-        let nest = ns.nest;
-        let walked = walk_anchor_runs(&sched, n, |run| {
-            instances_per_pe[run.pe] += run.trips;
-            if matches!(nest.body[run.stmt], Stmt::Assign { .. }) {
-                writes_per_pe[run.pe] += run.trips;
-            }
-        });
-        if walked.is_none() {
-            // Some anchor leaves its array. The executors abort on the
-            // first such instance in iteration order; the per-instance
-            // walk finds that one and names its array.
-            return project_by_instance(program, cfg);
-        }
-        for (count, dealt) in instances_per_pe
-            .iter_mut()
-            .zip(ns.screen.dealt_per_pe(cfg.n_pes))
-        {
-            *count += dealt;
-        }
-    }
-    Ok(Projection {
-        writes_per_pe,
-        instances_per_pe,
-    })
+    AnchorProfile::new(program, cfg.page_size).project(cfg.scheme, cfg.n_pes)
 }
 
 /// The first reference, in program order (a statement's write target
@@ -866,72 +835,421 @@ pub fn first_indirect_ref(program: &Program) -> Option<&ArrayRef> {
         .find(|aref| aref.has_indirection())
 }
 
-/// One maximal stretch of an anchored statement's innermost sweep on which
-/// the anchor stays on one page, so the executing PE is constant over it.
-struct AnchorRun {
-    /// Index of the statement in the nest body.
-    stmt: usize,
-    /// The executing PE: the owner of the anchor's page.
-    pe: usize,
-    /// Inner trips in the run, over every stretch of the nest it stands
-    /// for.
-    trips: u64,
+/// Append `count` on pages `first..first + pages` to the sorted runs
+/// `runs`, merged into the last run when adjacent to it with an equal
+/// count; whether it starts before the last run ends.
+fn append(runs: &mut Vec<PageRun>, first: usize, pages: usize, count: u64) -> bool {
+    if pages == 0 || count == 0 {
+        return false;
+    }
+    let overlaps = match runs.last_mut() {
+        Some(last) if last.end() == first && last.count == count => {
+            last.pages += pages;
+            return false;
+        }
+        Some(last) => first < last.end(),
+        None => false,
+    };
+    runs.push(PageRun::new(first, pages, count));
+    overlaps
 }
 
-/// The anchor-run walk [`project`] is built on: walk the folds of nest
-/// `nest_index` of the schedule ([`Schedule::folds`] keyed on the anchors —
-/// every sweep in iteration order when nothing folds; statements in body
-/// order within a stretch), lower each anchored statement's anchor to an
-/// address line in the innermost trip, and hand `f` every [`AnchorRun`],
-/// its trips multiplied by the stretches it stands for. A zero-depth nest
-/// is one sweep of one trip: its body runs once.
-///
-/// Every anchor must be affine. `None`, before any run reaches `f`, when
-/// an anchor leaves its array (or does not match its rank): the bounds
-/// proofs the loop box leaves open are checked at each sweep's two end
-/// trips, so a sweep that folds away is checked too.
-fn walk_anchor_runs(
-    sched: &Schedule<'_>,
-    nest_index: usize,
-    mut f: impl FnMut(AnchorRun),
-) -> Option<()> {
-    let ns = sched.nest(nest_index);
-    let vars = loop_box(&ns.nest.loops);
-    let mut anchored = Vec::new();
-    for (stmt, body) in ns.nest.body.iter().enumerate() {
-        let Some(anchor) = anchor_ref(body) else {
-            continue;
-        };
-        let access = Access::lower(sched.program(), anchor, &vars, None);
-        let form = access.form.clone()?;
-        anchored.push((stmt, access, form, &sched.placements()[anchor.array.0]));
+/// The runs of one sweep of an affine anchor along `line`, trips
+/// `0..trips`, all inside the array, into `runs`: a progression whose step
+/// divides the page as its partial first page, one uniform middle run and
+/// its partial last page; one whose step is a multiple of the page as one
+/// page with its translates; any other as one run per page it visits.
+fn sweep_runs(runs: &mut Vec<PageRun>, line: Line, trips: usize, page_size: usize) {
+    if trips == 0 {
+        return;
     }
-    let open: Vec<&Access> = anchored
-        .iter()
-        .map(|r| &r.1)
-        .filter(|a| !a.proved())
-        .collect();
-    let sweeps = if open.is_empty() { 0 } else { ns.sweeps.len() };
-    if (0..sweeps).any(|i| open.iter().any(|a| a.leaves(&ns.sweep(i)).is_some())) {
-        return None;
+    let (m, ps) = (trips as i64, page_size as i64);
+    // The same addresses, ascending.
+    let line = match line.step < 0 {
+        true => Line {
+            base: line.addr(m - 1),
+            step: -line.step,
+        },
+        false => line,
+    };
+    let (lo, hi, step) = (line.base, line.addr(m - 1), line.step);
+    let (q0, q1) = (lo / ps, hi / ps);
+    let page = |q: i64| q as usize;
+    if step > ps && step % ps == 0 {
+        // Every trip on its own page, whole pages apart.
+        runs.push(PageRun {
+            stride: page(step / ps),
+            reps: trips,
+            ..PageRun::new(page(q0), 1, 1)
+        });
+    } else if q0 == q1 {
+        append(runs, page(q0), 1, trips as u64);
+    } else if ps % step == 0 {
+        append(
+            runs,
+            page(q0),
+            1,
+            (((q0 + 1) * ps - 1 - lo) / step + 1) as u64,
+        );
+        append(runs, page(q0 + 1), page(q1 - q0 - 1), (ps / step) as u64);
+        append(runs, page(q1), 1, ((hi - q1 * ps) / step + 1) as u64);
+    } else {
+        let mut t = 0;
+        while t < m {
+            let next = line.run_end(t, ps).min(m);
+            append(runs, page(line.addr(t) / ps), 1, (next - t) as u64);
+            t = next;
+        }
     }
-    for fold in sched.folds(nest_index, false) {
-        let sweep = &ns.sweep(fold.sweep);
-        for (stmt, _, form, placement) in &anchored {
-            let line = form.line(sweep);
-            let (mut t, end) = (fold.t0 as i64, fold.t1 as i64);
-            while t < end {
-                let next = line.run_end(t, placement.page_size as i64).min(end);
-                f(AnchorRun {
-                    stmt: *stmt,
-                    pe: placement.owner_of_addr(line.addr(t) as usize),
-                    trips: (next - t) as u64 * fold.times,
-                });
-                t = next;
+}
+
+/// The page runs of one array as they are emitted, sweep by sweep, summed
+/// per page at the end when they overlap or come out of order. Once such
+/// runs would take as much memory as a difference per page of the array,
+/// the sink keeps the differences instead, so memory stays within twice
+/// the smaller of the two. Consecutive sweeps whose runs are translates of
+/// one another by whole pages are kept apart, as one sweep's runs with a
+/// stride and a count ([`Translates`]), never summed.
+#[derive(Debug)]
+struct RunSink {
+    runs: Vec<PageRun>,
+    /// Some run of `runs` starts before the previous one ends.
+    overlapping: bool,
+    /// Pages of the array.
+    pages: usize,
+    /// Per page, its count less the previous page's, once kept.
+    diff: Option<Vec<i64>>,
+    /// Runs with their translates.
+    translated: Vec<PageRun>,
+}
+
+impl RunSink {
+    fn new(pages: usize) -> RunSink {
+        RunSink {
+            runs: Vec::new(),
+            overlapping: false,
+            pages,
+            diff: None,
+            translated: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, first: usize, pages: usize, count: u64) {
+        if let Some(diff) = &mut self.diff {
+            diff[first] += count as i64;
+            if let Some(d) = diff.get_mut(first + pages) {
+                *d -= count as i64;
+            }
+            return;
+        }
+        self.overlapping |= append(&mut self.runs, first, pages, count);
+        let (run, difference) = (size_of::<PageRun>(), size_of::<i64>());
+        if self.overlapping && self.runs.len() * run >= self.pages * difference {
+            self.diff = Some(vec![0; self.pages]);
+            for r in std::mem::take(&mut self.runs) {
+                self.push(r.first, r.pages, r.count);
             }
         }
     }
-    Some(())
+
+    /// The per-page sums as sorted, disjoint, maximal runs, then the
+    /// translated runs.
+    fn finish(mut self) -> Vec<PageRun> {
+        let mut level = 0i64;
+        if let Some(diff) = self.diff.take() {
+            for (q, d) in diff.into_iter().enumerate() {
+                level += d;
+                append(&mut self.runs, q, 1, level as u64);
+            }
+        } else if self.overlapping {
+            let mut ends: Vec<(usize, i64)> = Vec::with_capacity(2 * self.runs.len());
+            for r in self.runs.drain(..) {
+                ends.push((r.first, r.count as i64));
+                ends.push((r.end(), -(r.count as i64)));
+            }
+            ends.sort_unstable_by_key(|&(q, _)| q);
+            for (i, &(q, d)) in ends.iter().enumerate() {
+                level += d;
+                if let Some(&(next, _)) = ends.get(i + 1) {
+                    append(&mut self.runs, q, next - q, level as u64);
+                }
+            }
+        }
+        self.runs.append(&mut self.translated);
+        self.runs
+    }
+}
+
+/// The runs of consecutive sweeps of one anchor that are translates of one
+/// another: the first sweep's runs, and the stride in pages and the count
+/// of the sweeps they stand for.
+#[derive(Debug, Default)]
+struct Translates {
+    runs: Vec<PageRun>,
+    stride: usize,
+    reps: usize,
+}
+
+impl Translates {
+    /// Take the runs of the next sweep, `sweep`, as one more translate if
+    /// they are one; else hand the ones held to `sink` and start over from
+    /// them. Leaves `sweep` empty.
+    fn take(&mut self, sweep: &mut Vec<PageRun>, sink: &mut RunSink) {
+        if sweep.is_empty() {
+            return;
+        }
+        let stride = self.runs.first().and_then(|first| {
+            let moved = sweep[0].first.checked_sub(first.first)?;
+            match self.reps {
+                1 => Some(moved),
+                reps => (moved == self.stride * reps).then_some(self.stride),
+            }
+        });
+        // A run that already has translates has them on the same pages
+        // each sweep, or not at all.
+        let follows = stride.is_some_and(|stride| {
+            let moved = stride * self.reps;
+            self.runs.len() == sweep.len()
+                && (stride == 0 || sweep.iter().all(|r| r.reps == 1))
+                && (self.runs.iter().zip(sweep.iter())).all(|(a, b)| {
+                    PageRun {
+                        first: a.first + moved,
+                        ..*a
+                    } == *b
+                })
+        });
+        if let (true, Some(stride)) = (follows, stride) {
+            self.stride = stride;
+            self.reps += 1;
+            sweep.clear();
+        } else {
+            self.flush(sink);
+            std::mem::swap(&mut self.runs, sweep);
+            self.reps = 1;
+        }
+    }
+
+    /// Hand the runs held to `sink`: summed with its others if they stand
+    /// for one sweep or for sweeps on the same pages, kept with their
+    /// translates otherwise.
+    fn flush(&mut self, sink: &mut RunSink) {
+        for run in self.runs.drain(..) {
+            let count = run.count * self.reps as u64;
+            match self.stride {
+                0 if run.reps == 1 => sink.push(run.first, run.pages, count),
+                0 => sink.translated.push(PageRun { count, ..run }),
+                stride => sink.translated.push(PageRun {
+                    stride,
+                    reps: self.reps,
+                    ..run
+                }),
+            }
+        }
+        (self.reps, self.stride) = (0, 0);
+    }
+}
+
+/// The anchor profile of a program at one page size: per array, how many
+/// anchored instances fall on each of its pages, as sorted runs of equal
+/// counts — kept apart for the assignments (the writes) and for every
+/// other anchored statement.
+///
+/// Owner-computes runs an instance where its anchor element lives, so the
+/// anchors are the same under every placement; only who owns their pages
+/// changes. One profile therefore stands for every scheme and PE count at
+/// its page size, and [`AnchorProfile::project`] prices it: each run's
+/// count times the pages of it each PE owns
+/// ([`Placement::count_owned_pages`]), plus the round-robin deal of the
+/// anchorless statements.
+///
+/// It is built sweep by sweep, with no folding (folds follow a placement's
+/// period), and its memory follows its runs, never the pages:
+///
+/// * an affine anchor's sweep is O(1) runs when its step divides the page
+///   or is a multiple of it, and one run per page it visits otherwise — so
+///   a rectangular nest is swept along the loop its anchor moves least on
+///   (`densest_inner`);
+/// * consecutive sweeps whose runs are translates by whole pages (the rows
+///   of a stencil) are one sweep's runs with a stride (`Translates`);
+/// * everything else is summed per page into sorted runs (`RunSink`),
+///   through a difference per page once that is the smaller;
+/// * an anchor seen through constant index arrays ([`Screen::Static`]) is
+///   resolved instance by instance.
+///
+/// A program with an anchor that leaves its array, or that goes through a
+/// runtime-valued index array, is not profiled: [`project_by_instance`]
+/// finds its error.
+#[derive(Debug)]
+pub struct AnchorProfile<'p> {
+    program: &'p Program,
+    page_size: usize,
+    profiled: Option<Profiled>,
+}
+
+#[derive(Debug)]
+struct Profiled {
+    /// Per array id: the runs of the assignments anchored on it, and of
+    /// its other anchored statements.
+    writes: Vec<Vec<PageRun>>,
+    others: Vec<Vec<PageRun>>,
+    /// Per nest, for the round-robin deal.
+    screens: Vec<NestScreen>,
+}
+
+impl<'p> AnchorProfile<'p> {
+    /// Profile `program`'s anchors on pages of `page_size` elements.
+    pub fn new(program: &'p Program, page_size: usize) -> AnchorProfile<'p> {
+        AnchorProfile {
+            program,
+            page_size,
+            profiled: (page_size > 0)
+                .then(|| profile(program, page_size))
+                .flatten(),
+        }
+    }
+
+    /// [`project`] under `scheme` on `n_pes` PEs, at the profiled page
+    /// size.
+    pub fn project(
+        &self,
+        scheme: PartitionScheme,
+        n_pes: usize,
+    ) -> Result<Projection, InstanceError> {
+        let Some(p) = &self.profiled else {
+            let cfg = LintConfig {
+                n_pes,
+                page_size: self.page_size,
+                scheme,
+            };
+            return project_by_instance(self.program, &cfg);
+        };
+        let dims = self.program.arrays.iter().map(|d| &d.dims);
+        let placements = Placement::table(dims, scheme, self.page_size, n_pes)?;
+        let price = |runs: &[Vec<PageRun>], per_pe: &mut [u64]| {
+            for (placement, runs) in placements.iter().zip(runs) {
+                placement.count_owned_pages(runs, per_pe);
+            }
+        };
+        let mut writes_per_pe = vec![0u64; n_pes];
+        price(&p.writes, &mut writes_per_pe);
+        let mut instances_per_pe = writes_per_pe.clone();
+        price(&p.others, &mut instances_per_pe);
+        for screen in &p.screens {
+            for (count, dealt) in instances_per_pe.iter_mut().zip(screen.dealt_per_pe(n_pes)) {
+                *count += dealt;
+            }
+        }
+        Ok(Projection {
+            writes_per_pe,
+            instances_per_pe,
+        })
+    }
+}
+
+/// A rectangular nest's loops reordered so that the one `form` moves
+/// least along (by a nonzero step) is innermost, and `form` over them —
+/// `None` when the nest is not rectangular or that loop is innermost
+/// already. A profile sums over the iterations in any order, and a sweep
+/// along the densest loop is a few runs where one across it may leap a page
+/// every trip.
+fn densest_inner(nest: &LoopNest, form: &LinForm) -> Option<(Vec<LoopVar>, LinForm)> {
+    let loops = &nest.loops;
+    let constant = |b: &AffineIndex| b.coeffs.iter().all(|&c| c == 0);
+    if !loops.iter().all(|lv| constant(&lv.lo) && constant(&lv.hi)) {
+        return None;
+    }
+    let moves =
+        |v: usize| (form.coeffs.get(v).copied().unwrap_or(0) * loops[v].step).unsigned_abs();
+    let inner = loops.len().checked_sub(1)?;
+    // The first minimum in reverse order: the innermost of a tie.
+    let densest = (0..loops.len())
+        .rev()
+        .filter(|&v| moves(v) != 0)
+        .min_by(|&a, &b| moves(a).cmp(&moves(b)))?;
+    if densest == inner {
+        return None;
+    }
+    let order: Vec<usize> = (0..loops.len())
+        .filter(|&v| v != densest)
+        .chain([densest])
+        .collect();
+    let coeffs = order
+        .iter()
+        .map(|&v| form.coeffs.get(v).copied().unwrap_or(0));
+    Some((
+        order.iter().map(|&v| loops[v].clone()).collect(),
+        LinForm {
+            coeffs: coeffs.collect(),
+            offset: form.offset,
+        },
+    ))
+}
+
+/// The runs of an [`AnchorProfile`], or `None` when an anchor cannot be
+/// profiled. The bounds proofs the loop box leaves open are checked at
+/// each sweep's two end trips.
+fn profile(program: &Program, page_size: usize) -> Option<Profiled> {
+    let res = Resolver::new(program);
+    res.check_static().ok()?;
+    let screens = screen_nests(program, &res.statics);
+    let mut sinks: Vec<[RunSink; 2]> = program
+        .arrays
+        .iter()
+        .map(|decl| [0, 1].map(|_| RunSink::new(pages_in(decl.len(), page_size))))
+        .collect();
+    let mut ivs = Vec::new();
+    for (nest, screen) in program.nests().zip(&screens) {
+        let vars = loop_box(&nest.loops);
+        for (stmt, screen) in nest.body.iter().zip(&screen.screens) {
+            let Some(anchor) = anchor_ref(stmt) else {
+                continue;
+            };
+            let assigns = matches!(stmt, Stmt::Assign { .. });
+            let sink = &mut sinks[anchor.array.0][usize::from(!assigns)];
+            let profiled = match screen {
+                Screen::Affine { .. } => {
+                    let access = Access::lower(program, anchor, &vars, None);
+                    let (form, open) = (access.form.as_ref()?, !access.proved());
+                    let interchanged = (!open).then(|| densest_inner(nest, form)).flatten();
+                    let (loops, form) = match &interchanged {
+                        Some((loops, form)) => (&loops[..], form),
+                        None => (&nest.loops[..], form),
+                    };
+                    let (mut translates, mut runs) = (Translates::default(), Vec::new());
+                    let walked = try_for_each_sweep(loops, |sweep| {
+                        if open && access.leaves(sweep).is_some() {
+                            return Err(());
+                        }
+                        sweep_runs(&mut runs, form.line(sweep), sweep.trips, page_size);
+                        translates.take(&mut runs, sink);
+                        Ok(())
+                    });
+                    translates.flush(sink);
+                    walked
+                }
+                Screen::Static => nest.try_for_each_sweep(|sweep| {
+                    for t in 0..sweep.trips {
+                        iteration(&mut ivs, sweep, nest.loops.len(), t);
+                        let addr = res.addr(anchor, &ivs).map_err(|_| ())?;
+                        sink.push(addr / page_size, 1, 1);
+                    }
+                    Ok(())
+                }),
+                Screen::RoundRobin { .. } | Screen::Produced => Err(()),
+            };
+            profiled.ok()?;
+        }
+    }
+    let (mut writes, mut others) = (Vec::new(), Vec::new());
+    for [assigned, other] in sinks {
+        writes.push(assigned.finish());
+        others.push(other.finish());
+    }
+    Some(Profiled {
+        writes,
+        others,
+        screens,
+    })
 }
 
 /// [`project`] by enumerating every statement instance and resolving its
@@ -987,8 +1305,8 @@ fn instance_owner(
 /// Static per-PE write counts under `cfg`, or `None` when the program is
 /// not statically projectable. Certified identical to the counting
 /// engines' `writes_per_pe`, and the basis of search pruning's imbalance
-/// lower bound — cheap enough for that on affine programs, where
-/// [`project`] is a closed form over anchor page runs.
+/// lower bound. A caller pricing many placements at one page size builds
+/// the [`AnchorProfile`] once instead.
 pub fn static_writes_per_pe(program: &Program, cfg: &LintConfig) -> Option<Vec<u64>> {
     project(program, cfg).ok().map(|p| p.writes_per_pe)
 }

@@ -23,8 +23,8 @@
 //!    charge partial-result messages from;
 //! 4. **which stretches of a nest are translates of one another**
 //!    ([`Schedule::folds`], [`Fold`]) — what lets the order-free counters
-//!    (cache-less replay, `depgraph::project`, the reduction rounds) walk
-//!    one stretch per class and multiply;
+//!    (cache-less replay, the reduction rounds) walk one stretch per class
+//!    and multiply;
 //! 5. **which *consecutive* stretches are translates of one another, and
 //!    by how much each array moves** ([`Schedule::chains`], [`Chain`]) —
 //!    what lets a cached replay, which needs the order, stop walking once a
@@ -381,7 +381,7 @@ fn steps_alike(ns: &NestSchedule<'_>, i: usize, j: usize) -> bool {
 }
 
 /// Loop-variable values of `sweep` on trip `t`, into `ivs`.
-fn iteration(ivs: &mut Vec<i64>, sweep: &Sweep<'_>, depth: usize, t: usize) {
+pub(crate) fn iteration(ivs: &mut Vec<i64>, sweep: &Sweep<'_>, depth: usize, t: usize) {
     ivs.clear();
     ivs.extend_from_slice(sweep.outer);
     if depth > 0 {

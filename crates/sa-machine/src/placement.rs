@@ -393,6 +393,126 @@ impl Placement {
         }
         out.finish();
     }
+
+    /// Add to `per_pe[pe]`, for every [`PageRun`] of `runs`, its count
+    /// times the number of its pages that `pe` owns — the one per-PE
+    /// owned-page count, which prices a placement-free page profile
+    /// (`sa_lint::depgraph::AnchorProfile`).
+    ///
+    /// A run is counted a stretch of pages at a time, each stretch the
+    /// pages whose first elements share a tile segment (a tile row, or one
+    /// tile's part of a view row): page by page at worst, and at most one
+    /// stretch per tile. Under a [`period`](Placement::period) of `p`
+    /// pages, a run of two or more periods is one period counted once and
+    /// multiplied, plus the rest — O(PEs + period) however long it is —
+    /// and translates by `stride` that stay inside the array own alike
+    /// every `p / gcd(stride, p)` of them, so only that many are counted.
+    /// Pages past the array go with the last page.
+    pub fn count_owned_pages<'r>(
+        &self,
+        runs: impl IntoIterator<Item = &'r PageRun>,
+        per_pe: &mut [u64],
+    ) {
+        let total = self.pages();
+        let period = self.period().map(|t| t / self.page_size);
+        for run in runs {
+            let last = run.first + (run.reps - 1) * run.stride;
+            let cycle = match period {
+                _ if run.stride == 0 => 1,
+                Some(p) if last + run.pages <= total => {
+                    p / gcd((run.stride % p) as u64, p as u64) as usize
+                }
+                _ => run.reps,
+            };
+            for k in 0..run.reps.min(cycle) {
+                let times = (run.reps - k).div_ceil(cycle) as u64;
+                let first = run.first + k * run.stride;
+                let (end, count) = (first + run.pages, run.count * times);
+                self.count_range(first, end, count, period, per_pe);
+            }
+        }
+    }
+
+    /// [`Placement::count_owned_pages`] of the one run `q0..q1`, under a
+    /// period of `period` pages if there is one.
+    fn count_range(
+        &self,
+        mut q0: usize,
+        q1: usize,
+        weight: u64,
+        period: Option<usize>,
+        per_pe: &mut [u64],
+    ) {
+        let total = self.pages();
+        if q1 > total {
+            per_pe[self.page_owner(total)] += weight * (q1 - q0.max(total)) as u64;
+        }
+        let q1 = q1.min(total);
+        if let Some(p) = period {
+            let reps = q1.saturating_sub(q0) / p;
+            if reps >= 2 {
+                self.count_stretches(q0, q0 + p, weight * reps as u64, per_pe);
+                q0 += reps * p;
+            }
+        }
+        self.count_stretches(q0, q1, weight, per_pe);
+    }
+
+    /// Walk `q0..q1`, all inside the array, a stretch of pages with one
+    /// tile at a time.
+    #[inline]
+    fn count_stretches(&self, mut q: usize, q1: usize, weight: u64, per_pe: &mut [u64]) {
+        let (ps, t, n) = (self.page_size, &self.tiling, self.n_pes);
+        while q < q1 {
+            let e = q * ps;
+            let (tile, segment_end) = if t.per_row == 1 {
+                let tile = e / t.band;
+                (tile, (tile + 1).saturating_mul(t.band))
+            } else {
+                let into = e % t.strip;
+                let end = ((into / t.width + 1) * t.width).min(t.strip);
+                (self.tile_of(e), e - into + end)
+            };
+            let end = segment_end.div_ceil(ps).min(q1);
+            per_pe[tile % n] += weight * (end - q) as u64;
+            q = end;
+        }
+    }
+}
+
+/// `count` on each of pages `first..first + pages` and on each of its
+/// translates by `stride`, `2 · stride`, … pages — `reps` runs in all,
+/// the first included: what [`Placement::count_owned_pages`] prices.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PageRun {
+    /// First page of the first run.
+    pub first: usize,
+    /// Pages per run.
+    pub pages: usize,
+    /// The count on each page.
+    pub count: u64,
+    /// Pages from one run to the next.
+    pub stride: usize,
+    /// Number of runs (≥ 1).
+    pub reps: usize,
+}
+
+impl PageRun {
+    /// `count` on each of pages `first..first + pages`, once.
+    pub fn new(first: usize, pages: usize, count: u64) -> PageRun {
+        PageRun {
+            first,
+            pages,
+            count,
+            stride: 0,
+            reps: 1,
+        }
+    }
+
+    /// One past the last page of the first run.
+    pub fn end(&self) -> usize {
+        self.first + self.pages
+    }
 }
 
 /// A circular run of PE numbers: `len` PEs from `start` on, wrapping past
@@ -794,6 +914,62 @@ mod tests {
             [0, 1, 6, 7]
         );
         assert_eq!(PeRange::none(8).union(union), union);
+    }
+
+    #[test]
+    fn owned_page_counts_agree_with_brute_force() {
+        let mut shapes = shapes();
+        shapes.push(ArrayShape::from_dims(&[40, 96]));
+        for shape in shapes {
+            for scheme in schemes() {
+                for (n, ps) in [(1usize, 8usize), (3, 1), (4, 3), (7, 8), (16, 2)] {
+                    let pl = Placement::new(scheme, ps, n, shape);
+                    let pages = pl.pages();
+                    // Short and long runs, runs sharing a class, and runs
+                    // past the end.
+                    let mut runs = vec![(0, pages, 3u64), (0, pages + 2, 1), (pages, 2, 5)];
+                    for first in (0..pages).step_by((pages / 7).max(1)) {
+                        for len in [1, 2, 5, pages - first] {
+                            runs.push((first, len, 1 + (first + len) as u64 % 4));
+                        }
+                    }
+                    let mut runs: Vec<PageRun> = runs
+                        .iter()
+                        .map(|&(q, len, w)| PageRun::new(q, len, w))
+                        .collect();
+                    // Translates: strides within and beyond a period, of
+                    // runs that stay inside the array and of one that ends
+                    // past it.
+                    for (stride, reps) in [(0, 5), (1, 3), (3, 7), (ps * n, 4), (2 * n + 1, 9)] {
+                        for len in [1, 3] {
+                            let fits = pages.saturating_sub(len) / stride.max(1) + 1;
+                            runs.push(PageRun {
+                                stride,
+                                reps: reps.min(fits).max(1),
+                                ..PageRun::new(0, len, 2)
+                            });
+                        }
+                    }
+                    runs.push(PageRun {
+                        stride: 2,
+                        reps: 4,
+                        ..PageRun::new(pages.saturating_sub(3), 2, 1)
+                    });
+                    let mut want = vec![0u64; n];
+                    for run in &runs {
+                        for k in 0..run.reps {
+                            let first = run.first + k * run.stride;
+                            for q in first..first + run.pages {
+                                want[pl.page_owner(q)] += run.count;
+                            }
+                        }
+                    }
+                    let mut got = vec![0u64; n];
+                    pl.count_owned_pages(&runs, &mut got);
+                    assert_eq!(got, want, "{scheme:?} {shape:?} n={n} ps={ps}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -76,7 +76,7 @@
 
 use sapp::core::classify::classify_dynamic;
 use sapp::core::oracle::{speedup_sweep, OracleError};
-use sapp::core::parallel::par_map;
+use sapp::core::parallel::{default_workers, par_map, par_map_heaviest_first};
 use sapp::core::plan::{ExperimentPlan, PlanError};
 use sapp::core::replay::{counts, counts_or_simulate, CountReport};
 use sapp::core::report::{csv, fmt_pct, json, markdown_table};
@@ -789,7 +789,9 @@ fn main() {
             };
             // One Searcher per invocation: the candidate space is
             // materialized exactly once and the memo cache is shared, so
-            // the kernels fan out in parallel over the same space.
+            // the kernels fan out in parallel over the same space —
+            // heaviest first (by statement instances), so the longest
+            // search starts at once and runs beside the others.
             let searcher = Searcher::new(
                 &space,
                 o.engine.oracle(),
@@ -801,7 +803,9 @@ fn main() {
                 },
             )
             .unwrap_or_else(|e| die("search", &e));
-            let reports = par_map(&kernels, |k| {
+            let workers = default_workers(kernels.len());
+            let weight = |k: &Kernel| k.program.instance_count();
+            let reports = par_map_heaviest_first(workers, &kernels, weight, |k| {
                 // Per-kernel fail-soft, like the sweep: a kernel the
                 // engine cannot execute at all drops out with a note
                 // instead of aborting the whole table.

@@ -777,6 +777,90 @@ proptest! {
     }
 }
 
+/// The profile's sweep shapes the generator rarely draws, against the
+/// instance enumerator: an anchor stride that does not divide the page
+/// (3 at pages of 8), strides that leap a page every trip (9, and whole
+/// pages at 16), a stride of exactly one page, a transposed anchor in a
+/// rectangular nest (whose profile walks the other loop innermost), with
+/// steps of either sign, and rows of whole pages (sweeps that are
+/// translates of one another).
+#[test]
+fn projection_matches_the_instance_enumerator_on_uneven_and_leaping_strides() {
+    let flat = |stmts: Vec<ProjStmt>| ProjNest {
+        depth: 1,
+        outer: (0, 0, 1),
+        inner: (0, 0, 61, 0, 1),
+        stmts,
+        shrink: 0,
+    };
+    let grid = |stmts: Vec<ProjStmt>, outer_step: i64, inner_step: i64| ProjNest {
+        depth: 2,
+        outer: (0, 10, outer_step),
+        inner: (0, 0, 15, 0, inner_step),
+        stmts,
+        shrink: 0,
+    };
+    let programs = [
+        vec![flat(vec![ProjStmt::Assign(vec![[3, 0]])])],
+        vec![flat(vec![
+            ProjStmt::Assign(vec![[9, 0]]),
+            ProjStmt::ReduceRead([16, 0]),
+        ])],
+        vec![flat(vec![
+            ProjStmt::Assign(vec![[8, 0]]),
+            ProjStmt::Assign(vec![[-3, 0]]),
+        ])],
+        vec![grid(vec![ProjStmt::Assign(vec![[0, 1], [1, 0]])], 1, 1)],
+        vec![grid(vec![ProjStmt::Assign(vec![[0, 1], [1, 0]])], -1, -2)],
+        vec![grid(
+            vec![
+                ProjStmt::Assign(vec![[1, 0], [0, 1]]),
+                ProjStmt::ReduceRead([2, 3]),
+                ProjStmt::ReduceConst,
+            ],
+            1,
+            -1,
+        )],
+        vec![
+            grid(vec![ProjStmt::Assign(vec![[1, 0], [0, 1]])], 1, 1),
+            flat(vec![ProjStmt::ReduceRead([3, 0])]),
+            grid(vec![ProjStmt::Assign(vec![[0, 1], [1, 0]])], -1, 1),
+        ],
+    ];
+    let schemes = [
+        PartitionScheme::Modulo,
+        PartitionScheme::Block,
+        PartitionScheme::BlockCyclic { block_pages: 3 },
+        PartitionScheme::RowBand,
+        PartitionScheme::Tile2D {
+            tile_rows: 2,
+            tile_cols: 3,
+        },
+    ];
+    for nests in &programs {
+        let program = build_projection_program(nests);
+        for page_size in [1usize, 2, 3, 8, 16, 32] {
+            for scheme in schemes {
+                for n_pes in [1usize, 3, 7, 16] {
+                    let cfg = LintConfig {
+                        n_pes,
+                        page_size,
+                        scheme,
+                    };
+                    let projected = project(&program, &cfg);
+                    assert!(projected.is_ok(), "{nests:?} @ {cfg:?}");
+                    assert_eq!(
+                        projected,
+                        project_by_instance(&program, &cfg),
+                        "{} @ {cfg:?}",
+                        sapp::ir::pretty::program_to_string(&program)
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// What the exact passes say about a program under a config:
 /// `lint_program`, the write-once report (findings, then the segments
 /// proved in closed form and left to the exact footprint),

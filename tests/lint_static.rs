@@ -22,11 +22,13 @@
 //!    dependence-bound pruning returns bit-identical winners to the
 //!    exhaustive parallel sweep on every registry workload, with the
 //!    pruned fraction logged.
-//! 5. **Closed-form projection ≡ instance enumerator ≡ simulator** — the
-//!    pruning bound's `depgraph::project` returns what enumerating every
-//!    statement instance returns, on the whole registry at reduced and
-//!    official sizes across all five scheme families, and its per-PE
-//!    writes are the simulator's.
+//! 5. **Profile projection ≡ instance enumerator ≡ simulator** — the
+//!    pruning bound's `depgraph::project` (an anchor profile priced under
+//!    one placement) returns what enumerating every statement instance
+//!    returns, on the whole registry at reduced and official sizes across
+//!    all five scheme families, its per-PE writes are the simulator's, and
+//!    one profile priced under every scheme of the default search space is
+//!    the per-placement projection of each.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -39,7 +41,7 @@ use sapp::core::search::{search_exhaustive_with, Objective, SearchSpace};
 use sapp::core::{simulate, CountEngine, CountReport, CountingOracle, Searcher, StrategyParams};
 use sapp::ir::index::iv;
 use sapp::ir::{AffineIndex, ArrayId, InitPattern, ProgramBuilder};
-use sapp::lint::depgraph::{first_indirect_ref, project, project_by_instance};
+use sapp::lint::depgraph::{first_indirect_ref, project, project_by_instance, AnchorProfile};
 use sapp::lint::{self, Code, DepGraph, LintConfig, Severity};
 use sapp::loops::suite::Family;
 use sapp::loops::{reduced_suite, workloads};
@@ -239,6 +241,46 @@ fn closed_form_projection_matches_the_instance_enumerator_and_the_simulator() {
         .fold((0, 0), |acc, c| (acc.0 + c.0, acc.1 + c.1));
     assert!(simulated >= 10 * grid.len(), "only {simulated} simulated");
     println!("projection: {closed_forms} configs agree with the enumerator, {simulated} with the simulator");
+}
+
+/// One anchor profile per page size of the default search space, priced
+/// under each of its schemes at several PE counts, is what enumerating
+/// every instance gives and what projecting each placement on its own
+/// gives — on every registry kernel, gathers included, at reduced and
+/// official sizes.
+#[test]
+fn anchor_profiles_price_the_default_space_like_the_instance_enumerator() {
+    let space = SearchSpace::default();
+    let priced = par_map(&workloads(), |w| {
+        let mut sized = vec![w.reduced()];
+        if !(cfg!(debug_assertions) && w.family == Family::Scale) {
+            sized.push(w.official());
+        }
+        let mut priced = 0usize;
+        for k in &sized {
+            for &page_size in &space.page_sizes {
+                let profile = AnchorProfile::new(&k.program, page_size);
+                for &scheme in &space.schemes {
+                    for n_pes in [1usize, 7, 16, 64] {
+                        let cfg = LintConfig {
+                            n_pes,
+                            page_size,
+                            scheme,
+                        };
+                        let got = profile.project(scheme, n_pes);
+                        assert_eq!(got, project(&k.program, &cfg), "{} @ {cfg:?}", k.code);
+                        let want = project_by_instance(&k.program, &cfg);
+                        assert_eq!(got, want, "{} @ {cfg:?}", k.code);
+                        priced += usize::from(got.is_ok());
+                    }
+                }
+            }
+        }
+        Ok::<_, std::convert::Infallible>(priced)
+    })
+    .unwrap_or_else(|e| match e {});
+    let priced: usize = priced.iter().sum();
+    assert!(priced >= workloads().len() * 168, "only {priced} priced");
 }
 
 #[test]

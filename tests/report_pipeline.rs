@@ -6,7 +6,9 @@
 //! * the hand-rolled `report::json` emitter must escape hostile kernel
 //!   and nest labels per RFC 8259;
 //! * an invalid machine shape — zero PEs, a zero page size — is a one-line
-//!   usage error and exit 2 on every command, never a panic.
+//!   usage error and exit 2 on every command, never a panic;
+//! * the registry search prints the pinned documents
+//!   (`tests/expected/registry_search_*.json`).
 
 use sapp::core::exec::simulate;
 use sapp::core::plan::ExperimentPlan;
@@ -313,6 +315,31 @@ fn invalid_machine_shapes_exit_with_the_config_error_on_the_static_paths() {
                 "sapp {args}: one line, no usage dump"
             );
         }
+    }
+}
+
+/// The registry search's documents, pinned byte for byte. Every engine
+/// prunes with the same static bound and fans the kernels out the same
+/// way, so comparing engines with each other cannot see a change to
+/// either; these files can.
+#[test]
+fn registry_search_documents_are_pinned() {
+    for (strategy, want) in [
+        (
+            "exhaustive",
+            include_str!("expected/registry_search_exhaustive.json"),
+        ),
+        (
+            "propagate",
+            include_str!("expected/registry_search_propagate.json"),
+        ),
+    ] {
+        let (code, out, err) = sapp(&format!("search --strategy {strategy} --format json"));
+        assert_eq!(code, Some(0), "search --strategy {strategy}: {err}");
+        assert!(
+            out == want,
+            "search --strategy {strategy}: stdout moved:\n{out}"
+        );
     }
 }
 

@@ -308,6 +308,34 @@ fn space_is_materialized_exactly_once_per_invocation() {
     );
 }
 
+#[test]
+fn anchor_profiles_are_built_once_per_page_size() {
+    let space = SearchSpace::default();
+    let k21 = suite().into_iter().find(|k| k.code == "K21").unwrap();
+    let searcher = |objective| {
+        let params = StrategyParams {
+            objective,
+            ..params(Strategy::Exhaustive)
+        };
+        Searcher::new(&space, Box::<FastCountingOracle>::default(), params).unwrap()
+    };
+    let balanced = searcher(Objective::default());
+    let first = balanced.search(&k21.program).unwrap();
+    let built = balanced.profile_builds();
+    assert!(
+        first.best.pruned > 0 && (1..=space.page_sizes.len()).contains(&built),
+        "{built} profiles for {} page sizes",
+        space.page_sizes.len()
+    );
+    // A query keeps no profile: the next one builds its own, as few.
+    balanced.search(&k21.program).unwrap();
+    assert!(balanced.profile_builds() - built <= space.page_sizes.len());
+    // An objective without an imbalance term bounds nothing.
+    let remote_only = searcher(Objective::RemoteOnly);
+    remote_only.search(&k21.program).unwrap();
+    assert_eq!(remote_only.profile_builds(), 0);
+}
+
 /// The per-instance enumerator as the pruning bound's write projection.
 fn reference_writes_per_pe(program: &Program, cfg: &LintConfig) -> Option<Vec<u64>> {
     project_by_instance(program, cfg)
