@@ -1302,15 +1302,6 @@ fn instance_owner(
         })
 }
 
-/// Static per-PE write counts under `cfg`, or `None` when the program is
-/// not statically projectable. Certified identical to the counting
-/// engines' `writes_per_pe`, and the basis of search pruning's imbalance
-/// lower bound. A caller pricing many placements at one page size builds
-/// the [`AnchorProfile`] once instead.
-pub fn static_writes_per_pe(program: &Program, cfg: &LintConfig) -> Option<Vec<u64>> {
-    project(program, cfg).ok().map(|p| p.writes_per_pe)
-}
-
 /// Certified static upper bound on parallel speedup under `cfg`:
 /// `work / max(span, max_p instances_p)` — no execution can beat both the
 /// critical path and the busiest PE's serial workload. `None` when the

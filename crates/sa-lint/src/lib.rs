@@ -43,8 +43,8 @@ mod sites;
 pub mod writeonce;
 
 pub use depgraph::{
-    check_deadlock, speedup_bound, static_writes_per_pe, summary, DepEdge, DepGraph, EdgeKind,
-    GraphSummary, InstanceError, Node, NodeKind, SiteRef,
+    check_deadlock, speedup_bound, summary, DepEdge, DepGraph, EdgeKind, GraphSummary,
+    InstanceError, Node, NodeKind, SiteRef,
 };
 pub use diag::{max_severity, to_json_array, Code, Diagnostic, Severity, Span};
 pub use progress::{check_partition, check_progress};

@@ -17,7 +17,7 @@ use sa_lint::screening::{AnchorError, Schedule};
 use sa_machine::{MachineConfig, NetworkTopology, PartitionScheme, Stats};
 use sa_mem::SaArray;
 
-use crate::pe::WaitObs;
+use crate::pe::{Frame, WaitObs};
 use crate::pool;
 
 /// Configuration of a real-thread run (the machine parameters that matter
@@ -172,8 +172,6 @@ pub fn unsupported_reason(program: &Program) -> Option<String> {
 pub struct RuntimeReport {
     /// Aggregated access statistics (same categories as the simulator).
     pub stats: Stats,
-    /// Final array contents assembled from the PEs' frames.
-    pub arrays: Vec<SaArray<f64>>,
     /// Final reduction values.
     pub scalars: Vec<f64>,
     /// Total messages sent across all PEs — *everything* on the wire,
@@ -192,6 +190,11 @@ pub struct RuntimeReport {
     /// still-syncing peers; the simulator's barrier is instantaneous and
     /// its §5 model charges only the request/release rounds).
     pub sync_messages: u64,
+    /// Page fetches whose owner was a PE of the requester's own worker:
+    /// served by a direct call, counted as a request and a reply like any
+    /// other fetch (the split between same-worker and cross-worker
+    /// traffic; a property of the run, not of the program).
+    pub in_place_fetches: u64,
     /// Total hop traversals of the *modeled* traffic (remote fetches,
     /// reduction partials, §5 request/release rounds) priced by the
     /// configured topology's [`sa_machine::LinkModel`] — the same events
@@ -207,9 +210,46 @@ pub struct RuntimeReport {
     /// ([`sa_lint::DepGraph::covers_wait`]) — the runtime-side half of the
     /// deadlock pass's soundness argument.
     pub wait_edges: Vec<WaitObs>,
+    /// The PEs' owned frames as the run left them: the one copy of the
+    /// final arrays, laid out by [`RuntimeReport::arrays`] on request.
+    frames: Frames,
+}
+
+/// What [`RuntimeReport::arrays`] assembles the final arrays from.
+#[derive(Debug, Clone)]
+struct Frames {
+    page_size: usize,
+    /// Per array, its name and length.
+    decls: Vec<(String, usize)>,
+    /// [`Plan::pages`]: per array and page, the owner and its frame slot.
+    pages: Vec<Vec<(u32, u32)>>,
+    /// Per PE, its frames `[array][slot]`.
+    owned: Vec<Vec<Vec<Frame>>>,
 }
 
 impl RuntimeReport {
+    /// Final array contents, assembled from the PEs' frames on each call.
+    pub fn arrays(&self) -> Vec<SaArray<f64>> {
+        let f = &self.frames;
+        let mut arrays: Vec<SaArray<f64>> = f
+            .decls
+            .iter()
+            .map(|(name, len)| SaArray::new(name.clone(), *len))
+            .collect();
+        for (a, (table, array)) in f.pages.iter().zip(&mut arrays).enumerate() {
+            for (page, &(owner, slot)) in table.iter().enumerate() {
+                let frame = &f.owned[owner as usize][a][slot as usize];
+                let start = page * f.page_size;
+                for off in frame.fill().iter_set() {
+                    array
+                        .write(start + off, frame.values()[off])
+                        .expect("frames are disjoint across owners");
+                }
+            }
+        }
+        arrays
+    }
+
     /// Messages under the counting simulator's model — total wire traffic
     /// minus scalar broadcasts, anchor-resolution traffic, and barrier
     /// sync rounds, the mechanisms the simulator performs for free. This
@@ -417,31 +457,15 @@ pub fn execute_on(
     if let Some(reason) = unsupported_reason(program) {
         return Err(RuntimeError::Unsupported(reason));
     }
-    let plan = Plan::build(program, &StaticArrays::scan(program), cfg)?;
+    let mut plan = Plan::build(program, &StaticArrays::scan(program), cfg)?;
     let (results, net) = pool::run(&plan, workers.clamp(1, cfg.n_pes))?;
 
-    // Assemble global arrays from the owned frames.
-    let mut arrays: Vec<SaArray<f64>> = program
-        .arrays
-        .iter()
-        .map(|d| SaArray::new(d.name.clone(), d.len()))
-        .collect();
-    for (a, table) in plan.pages.iter().enumerate() {
-        for (page, &(owner, slot)) in table.iter().enumerate() {
-            let frame = &results[owner as usize].frames[a][slot as usize];
-            let start = page * cfg.page_size;
-            for off in frame.fill().iter_set() {
-                arrays[a]
-                    .write(start + off, frame.values()[off])
-                    .expect("frames are disjoint across owners");
-            }
-        }
-    }
     let mut stats = Stats::new(cfg.n_pes);
     let mut messages = 0u64;
     let mut broadcast_messages = 0u64;
     let mut resolve_messages = 0u64;
     let mut sync_messages = 0u64;
+    let mut in_place_fetches = 0u64;
     let mut wait_edges: Vec<WaitObs> = Vec::new();
     for (pe, r) in results.iter().enumerate() {
         stats.per_pe[pe] = r.stats.counters;
@@ -453,12 +477,23 @@ pub fn execute_on(
         broadcast_messages += r.stats.broadcast_messages;
         resolve_messages += r.stats.resolve_messages;
         sync_messages += r.stats.sync_messages;
+        in_place_fetches += r.stats.in_place_fetches;
         wait_edges.extend(r.wait_edges.iter().copied());
     }
     let scalars = results
         .first()
         .map(|r| r.scalars.clone())
         .unwrap_or_default();
+    let frames = Frames {
+        page_size: cfg.page_size,
+        decls: program
+            .arrays
+            .iter()
+            .map(|d| (d.name.clone(), d.len()))
+            .collect(),
+        pages: std::mem::take(&mut plan.pages),
+        owned: results.into_iter().map(|r| r.frames).collect(),
+    };
     // Debug-mode soundness cross-check: every wait the machine *realized*
     // must be predicted by the static dependence graph the deadlock pass
     // (SA008) reasons over. A miss here means the static graph is not a
@@ -487,15 +522,16 @@ pub fn execute_on(
     }
     Ok(RuntimeReport {
         stats,
-        arrays,
         scalars,
         messages,
         broadcast_messages,
         resolve_messages,
         sync_messages,
+        in_place_fetches,
         hops: net.hops,
         max_link_load: net.max_link_load(),
         wait_edges,
+        frames,
     })
 }
 
@@ -509,7 +545,7 @@ mod tests {
         let golden = interpret(program).expect("reference runs");
         let rep = execute(program, cfg).expect("runtime runs");
         let got = ProgramResult {
-            arrays: rep.arrays,
+            arrays: rep.arrays(),
             scalars: rep.scalars,
             writes: 0,
             reads: 0,

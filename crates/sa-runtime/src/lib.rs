@@ -23,18 +23,27 @@
 //!   §3 index screening, shared with every other engine). What every PE
 //!   would otherwise re-derive — page owners, initial images, sweep lists,
 //!   reduction participants — is worked out once per run.
-//! * **A PE yields** when an instance needs a page that is neither local
-//!   nor cached (the request goes out and the worker runs another PE),
-//!   when it reaches a reduction or re-initialization barrier whose
-//!   messages are not all in, when a bounded slice of instances has
-//!   passed, and when it runs out of program. Serving a peer's fetch never
-//!   waits for the addressed PE's turn: between any two instance
-//!   evaluations the worker takes in the messages for *all* of its PEs.
-//! * **The resume rule.** When the reply arrives, the suspended instance is
-//!   evaluated again *from the start* — single assignment makes evaluation
-//!   free of side effects up to the write. A per-PE operand log keeps the
-//!   statistics exact: every load is classified, counted, cache-probed and
-//!   fetched exactly once however often the instance is resumed.
+//! * **A page fetch from a PE of the same worker is served in place.** The
+//!   owner's fetch service is a function the worker calls when a request
+//!   arrives from another worker, and the running PE calls directly when
+//!   the owner shares its worker. A defined cell cannot change within its
+//!   generation, so it completes the load inside the evaluation; the
+//!   request and the reply are counted as if they had travelled.
+//! * **A PE yields** when an instance needs a cell that is neither local,
+//!   cached nor answered in place — its owner is on another worker (the
+//!   request goes out), or the cell is not written yet (the owner queues
+//!   the reader) — and the worker runs another PE; also when it reaches a
+//!   reduction or re-initialization barrier whose messages are not all
+//!   in, when a bounded slice of instances has passed, and when it runs
+//!   out of program. Serving a peer's fetch never waits for the addressed
+//!   PE's turn: between any two instance evaluations the worker takes in
+//!   the messages for *all* of its PEs.
+//! * **The resume rule.** When the reply to a queued fetch arrives, the
+//!   suspended instance is evaluated again *from the start* — single
+//!   assignment makes evaluation free of side effects up to the write. A
+//!   per-PE operand log keeps the statistics exact: every load is
+//!   classified, counted, cache-probed and fetched exactly once however
+//!   often the instance is resumed.
 //! * **The quiescence rule.** A cross-worker message is counted before it
 //!   is sent and discounted when its receiver next parks. When the last
 //!   worker to park finds the count at zero nothing can ever move again:

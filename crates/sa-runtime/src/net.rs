@@ -23,7 +23,8 @@ pub enum Msg {
         /// Requesting PE.
         from: usize,
     },
-    /// The owner ships the page (values + fill snapshot).
+    /// The owner answers: the requested cell's value, and a copy of the
+    /// page only when the requester keeps one (its cache).
     PageReply {
         /// Array identity.
         array: usize,
@@ -31,8 +32,11 @@ pub enum Msg {
         page: usize,
         /// Generation of the shipped copy.
         generation: u32,
-        /// Page contents with the fill snapshot at ship time.
-        data: TaggedPage,
+        /// The requested cell's value.
+        value: f64,
+        /// Page contents with the fill snapshot at ship time, when the run
+        /// caches (`cache_pages > 0`); boxed, so a reply stays small.
+        data: Option<Box<TaggedPage>>,
         /// True when the owner could not answer immediately and queued the
         /// request until the cell's producer wrote it — an I-structure
         /// deferral, i.e. a *realized* read-after-write wait. The requester
@@ -66,8 +70,9 @@ pub enum Msg {
         page: usize,
         /// Generation of the shipped copy.
         generation: u32,
-        /// Page contents with the fill snapshot at ship time.
-        data: TaggedPage,
+        /// Page contents with the fill snapshot at ship time, kept in the
+        /// requester's resolution store.
+        data: Box<TaggedPage>,
         /// True when the resolution had to wait for the index cell's
         /// single assignment (same deferral semantics as
         /// [`Msg::PageReply::deferred`]).
@@ -130,6 +135,10 @@ pub enum Msg {
     },
 }
 
+// A page travels boxed: no payload may move back inline and grow every
+// message, requests and reduction partials included.
+const _: () = assert!(std::mem::size_of::<Msg>() <= 40);
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,10 +158,20 @@ mod tests {
             array: 1,
             page: 2,
             generation: 0,
-            data: TaggedPage::full(vec![1.0]),
+            value: 1.0,
+            data: Some(Box::new(TaggedPage::full(vec![1.0]))),
             deferred: false,
         };
         assert!(format!("{r:?}").contains("PageReply"));
+        let bare = Msg::PageReply {
+            array: 1,
+            page: 2,
+            generation: 0,
+            value: 1.0,
+            data: None,
+            deferred: true,
+        };
+        assert!(format!("{:?}", bare.clone()).contains("value: 1.0"));
         let i = Msg::IndirectFetch {
             array: 1,
             page: 0,
@@ -165,7 +184,7 @@ mod tests {
             array: 1,
             page: 0,
             generation: 0,
-            data: TaggedPage::undefined(4),
+            data: Box::new(TaggedPage::undefined(4)),
             deferred: true,
         };
         assert!(format!("{ir:?}").contains("IndirectReply"));

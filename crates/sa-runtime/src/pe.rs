@@ -9,6 +9,17 @@
 //! it arrives — serving a peer's fetch is a frame read or a deferral and
 //! never needs the PE's own control flow.
 //!
+//! **Fetches served in place.** The owner's fetch service is one function
+//! ([`PeMem::serve`]): a defined cell is answered, an undefined one queues
+//! its reader (§4), or stops the run as a dangling deferral (SA004) once
+//! the owner can never write it. A message from another worker reaches it
+//! through [`Pe::handle`]; a counted load (not an anchor resolution) whose
+//! owner is another PE of the running PE's own worker calls it directly
+//! ([`Peers`], a split borrow of the worker's PEs). Under single assignment a defined cell cannot change
+//! within its generation, so a defined cell completes the load inside the
+//! evaluation, with no suspension. Request and reply are counted exactly
+//! as if they had travelled.
+//!
 //! **Owned schedules.** Per sweep, the trips each statement executes *here*
 //! come from the run's schedule ([`Schedule::load_sweep`], the compile-time
 //! form of the paper's §3 index screening): the PE enumerates only what it
@@ -19,14 +30,15 @@
 //! [`Schedule::load_sweep`]: sa_lint::screening::Schedule::load_sweep
 //!
 //! **The resume rule.** An instance whose evaluation meets a load that is
-//! neither local nor cached issues the page request and gives up; when the
-//! reply arrives the instance is evaluated again *from the start* — single
-//! assignment makes evaluation free of side effects up to the write. The
-//! operand log keeps that exact: every non-local load is classified,
-//! counted, cache-probed and fetched once, on the attempt that first
-//! reaches it, and the k-th non-local load of a later attempt takes the
-//! k-th logged value; local reads are counted by the attempt that reaches
-//! the write.
+//! neither local, cached nor answered in place — its owner is on another
+//! worker, or the cell is not written yet — issues the page request (or
+//! leaves it queued at its owner) and gives up; when the reply arrives the
+//! instance is evaluated again *from the start* — single assignment makes
+//! evaluation free of side effects up to the write. The operand log keeps
+//! that exact: every non-local load is classified, counted, cache-probed
+//! and fetched once, on the attempt that first reaches it, and the k-th
+//! non-local load of a later attempt takes the k-th logged value; local
+//! reads are counted by the attempt that reaches the write.
 
 use std::collections::{HashMap, HashSet};
 
@@ -51,6 +63,9 @@ pub(crate) struct PeStats {
     pub counters: PeCounters,
     /// Page fetch requests issued.
     pub page_fetches: u64,
+    /// Of those, the ones the owner served by a direct call, on this PE's
+    /// own worker.
+    pub in_place_fetches: u64,
     /// Fetches that re-requested a partially filled cached page.
     pub partial_refetches: u64,
     /// Total messages this PE sent.
@@ -256,6 +271,10 @@ struct PeMem {
     local_reads: u64,
     /// The request the suspended instance waits on.
     pending: Option<Pending>,
+    /// Why an owner served in place refused the current load (a dangling
+    /// deferral): the reason the run stops, which the unwinding evaluation
+    /// error cannot carry.
+    refused: Option<String>,
 }
 
 impl PeMem {
@@ -277,8 +296,10 @@ impl PeMem {
 
     /// Classify an evaluation error: the unwinding of a suspension, or the
     /// program's own failure.
-    fn stop(&self, e: IrError) -> Stop {
-        if self.pending.is_some() {
+    fn stop(&mut self, e: IrError) -> Stop {
+        if let Some(reason) = self.refused.take() {
+            Stop::Fail(reason)
+        } else if self.pending.is_some() {
             Stop::Suspended
         } else {
             Stop::Fail(e.to_string())
@@ -292,71 +313,86 @@ impl PeMem {
         self.oplog.clear();
     }
 
-    /// Reply to a page request from the local frame. `indirect` routes the
-    /// copy to the requester's resolution store; `deferred` tells the
-    /// requester its read was queued behind the producer's write (a
-    /// realized RAW wait) rather than served at once.
-    fn reply_page(
+    /// The owner's side of a page reply, counted as sent: the value of the
+    /// defined cell `addr`, and a copy of its page when the run caches.
+    fn page_reply(
+        &mut self,
+        plan: &Plan<'_>,
+        array: usize,
+        addr: usize,
+    ) -> (f64, Option<Box<TaggedPage>>) {
+        self.stats.messages_sent += 1;
+        let page = addr / plan.page_size;
+        let frame = self.frame(plan, array, page);
+        let value = frame.get(addr - page * plan.page_size);
+        let value = value.expect("a reply answers a defined cell");
+        (
+            value,
+            (plan.cache_pages > 0).then(|| Box::new(frame.clone())),
+        )
+    }
+
+    /// Reply to `to`'s fetch of the defined cell `addr` from the local
+    /// frame. An indirect fetch gets the page for its resolution store;
+    /// `deferred` tells the requester its read was queued behind the
+    /// producer's write (a realized RAW wait) rather than served at once.
+    fn reply(
         &mut self,
         plan: &Plan<'_>,
         out: &mut Outbox,
-        key: PageKey,
-        to: usize,
-        indirect: bool,
+        array: usize,
+        addr: usize,
+        to: Waiter,
         deferred: bool,
     ) {
-        let PageKey {
-            array,
-            page,
-            generation,
-        } = key;
-        let data = self.frame(plan, array, page).clone();
-        let msg = if indirect {
+        let (page, generation) = (addr / plan.page_size, to.generation);
+        let msg = if to.indirect {
+            self.stats.messages_sent += 1;
             self.stats.resolve_messages += 1;
             Msg::IndirectReply {
                 array,
                 page,
                 generation,
-                data,
+                data: Box::new(self.frame(plan, array, page).clone()),
                 deferred,
             }
         } else {
+            let (value, data) = self.page_reply(plan, array, addr);
             Msg::PageReply {
                 array,
                 page,
                 generation,
+                value,
                 data,
                 deferred,
             }
         };
-        self.send(out, to, msg);
+        out.send(to.pe, msg);
     }
 
-    /// Serve one fetch-style request: reply if the cell is defined, defer
-    /// otherwise (the paper's queued remote read, §4).
-    fn serve_fetch(
+    /// The fetch service (the paper's §4 remote read) for `from`'s read of
+    /// cell `addr`: `Ok(true)` when the cell is defined and the caller
+    /// answers now, `Ok(false)` when the reader is queued until the cell's
+    /// producer writes it.
+    fn serve(
         &mut self,
         plan: &Plan<'_>,
-        out: &mut Outbox,
-        key: PageKey,
-        offset: usize,
-        from: usize,
-        indirect: bool,
-    ) -> Result<(), String> {
-        let PageKey {
-            array,
-            page,
-            generation,
-        } = key;
+        array: usize,
+        addr: usize,
+        from: Waiter,
+    ) -> Result<bool, String> {
         debug_assert_eq!(
-            generation, self.gens[array],
+            from.generation, self.gens[array],
             "request for a generation the owner has left"
         );
-        if self.frame(plan, array, page).get(offset).is_some() {
-            self.reply_page(plan, out, key, from, indirect, false);
-            return Ok(());
+        let page = addr / plan.page_size;
+        if self
+            .frame(plan, array, page)
+            .get(addr - page * plan.page_size)
+            .is_some()
+        {
+            return Ok(true);
         }
-        let addr = page * plan.page_size + offset;
         if self.finished || self.syncing {
             // This PE is the cell's only producer under owner-computes, and
             // it will never write again before the requester unblocks: it
@@ -367,19 +403,27 @@ impl PeMem {
             // the run down instead of deferring forever.
             let label = Self::array_label(plan, array);
             return Err(format!(
-                "PE {from} read {label}[{addr}], which this program never \
-                 defines — a dangling I-structure deferral (sapp lint: SA004)"
+                "PE {} read {label}[{addr}], which this program never \
+                 defines — a dangling I-structure deferral (sapp lint: SA004)",
+                from.pe
             ));
         }
         self.cell_waiters
             .entry((array, addr))
             .or_default()
-            .push(Waiter {
-                pe: from,
-                generation,
-                indirect,
-            });
-        Ok(())
+            .push(from);
+        Ok(false)
+    }
+
+    /// A fetched page reply in: the cache keeps the page copy, the operand
+    /// log the value.
+    fn accept(&mut self, key: PageKey, value: f64, data: Option<Box<TaggedPage>>) {
+        if let Some(data) = data {
+            debug_assert!(self.cache_enabled, "a page copy only for a cache");
+            self.cache
+                .insert_with(key, *data, |old, new| old.merge_from(&new));
+        }
+        self.oplog.push(value);
     }
 
     /// Take in one message. `Ok(true)` when it may have unblocked the PE's
@@ -392,34 +436,30 @@ impl PeMem {
                 generation,
                 offset,
                 from,
-            } => {
-                let key = PageKey {
-                    array,
-                    page,
-                    generation,
-                };
-                self.serve_fetch(plan, out, key, offset, from, false)?;
-                return Ok(false);
             }
-            Msg::IndirectFetch {
+            | Msg::IndirectFetch {
                 array,
                 page,
                 generation,
                 offset,
                 from,
             } => {
-                let key = PageKey {
-                    array,
-                    page,
+                let from = Waiter {
+                    pe: from,
                     generation,
+                    indirect: matches!(msg, Msg::IndirectFetch { .. }),
                 };
-                self.serve_fetch(plan, out, key, offset, from, true)?;
+                let addr = page * plan.page_size + offset;
+                if self.serve(plan, array, addr, from)? {
+                    self.reply(plan, out, array, addr, from, false);
+                }
                 return Ok(false);
             }
             Msg::PageReply {
                 array,
                 page,
                 generation,
+                value,
                 data,
                 deferred,
             } => {
@@ -428,15 +468,8 @@ impl PeMem {
                     page,
                     generation,
                 };
-                let addr = self.take_reply(plan, false, key, deferred);
-                let v = data
-                    .get(addr - page * plan.page_size)
-                    .expect("owner replied before the cell was defined");
-                if self.cache_enabled {
-                    self.cache
-                        .insert_with(key, data, |old, new| old.merge_from(&new));
-                }
-                self.oplog.push(v);
+                self.take_reply(plan, false, key, deferred);
+                self.accept(key, value, data);
             }
             Msg::IndirectReply {
                 array,
@@ -458,7 +491,7 @@ impl PeMem {
                 self.resolutions
                     .entry(key)
                     .and_modify(|p| p.merge_from(&data))
-                    .or_insert(data);
+                    .or_insert(*data);
             }
             Msg::Partial {
                 scalar, seq, value, ..
@@ -529,7 +562,7 @@ impl PeMem {
         memo: &mut PageMemo,
     ) -> Result<(), String> {
         let place = plan.page_at(array, addr, memo);
-        let (page, offset) = (place.page, place.offset(addr));
+        let offset = place.offset(addr);
         assert_eq!(place.owner, self.me, "write to owned page");
         if self.frames[array][place.slot].set(offset, value) {
             return Err(format!(
@@ -543,12 +576,7 @@ impl PeMem {
         }
         if let Some(waiters) = self.cell_waiters.remove(&(array, addr)) {
             for w in waiters {
-                let key = PageKey {
-                    array,
-                    page,
-                    generation: w.generation,
-                };
-                self.reply_page(plan, out, key, w.pe, w.indirect, true);
+                self.reply(plan, out, array, addr, w, true);
             }
         }
         Ok(())
@@ -616,11 +644,58 @@ impl PeMem {
     }
 }
 
+/// The other PEs of the running PE's worker: a split borrow of the
+/// worker's PEs around the running one, through which a fetch from one of
+/// them is served in place.
+pub(crate) struct Peers<'w> {
+    /// The worker's first PE.
+    base: usize,
+    before: &'w mut [Pe],
+    after: &'w mut [Pe],
+}
+
+impl<'w> Peers<'w> {
+    /// Split `pes` (the worker's PEs, the first of them PE `base`) into
+    /// local PE `i` and its peers.
+    pub fn split(pes: &'w mut [Pe], base: usize, i: usize) -> (&'w mut Pe, Self) {
+        let (before, rest) = pes.split_at_mut(i);
+        let (pe, after) = rest.split_first_mut().expect("a PE of this worker");
+        (
+            pe,
+            Peers {
+                base,
+                before,
+                after,
+            },
+        )
+    }
+
+    fn reborrow(&mut self) -> Peers<'_> {
+        Peers {
+            base: self.base,
+            before: &mut *self.before,
+            after: &mut *self.after,
+        }
+    }
+
+    /// The memory of PE `pe` if it is a peer, `None` for a PE of another
+    /// worker (or the running PE itself).
+    fn get(&mut self, pe: usize) -> Option<&mut PeMem> {
+        let i = pe.checked_sub(self.base)?;
+        let pe = match i.checked_sub(self.before.len()) {
+            None => &mut self.before[i],
+            Some(j) => self.after.get_mut(j.checked_sub(1)?)?,
+        };
+        Some(&mut pe.mem)
+    }
+}
+
 /// A PE's memory as the shared evaluator sees it: counted loads.
 struct Access<'a, 'p> {
     mem: &'a mut PeMem,
     out: &'a mut Outbox,
     plan: &'a Plan<'p>,
+    peers: Peers<'a>,
 }
 
 impl Memory for Access<'_, '_> {
@@ -678,18 +753,40 @@ impl Memory for Access<'_, '_> {
         // Price the fetch (request + reply) exactly like the counting
         // simulator's `record_fetch` at its remote-read site.
         self.out.net.record_fetch(mem.me, owner);
-        let from = mem.me;
-        mem.send(
-            self.out,
-            owner,
-            Msg::PageRequest {
+        let from = Waiter {
+            pe: mem.me,
+            generation: key.generation,
+            indirect: false,
+        };
+        if let Some(peer) = self.peers.get(owner) {
+            // The owner shares our worker: the request is served in place,
+            // counted as sent.
+            mem.stats.messages_sent += 1;
+            mem.stats.in_place_fetches += 1;
+            match peer.serve(plan, a, addr, from) {
+                Ok(true) => {
+                    let (v, data) = peer.page_reply(plan, a, addr);
+                    mem.accept(key, v, data);
+                    mem.replayed += 1;
+                    return Ok(v);
+                }
+                // Queued at the owner: its write sends the reply.
+                Ok(false) => {}
+                Err(reason) => {
+                    mem.refused = Some(reason);
+                    return Err(suspended(addr));
+                }
+            }
+        } else {
+            let request = Msg::PageRequest {
                 array: a,
                 page,
                 generation: key.generation,
                 offset,
-                from,
-            },
-        );
+                from: from.pe,
+            };
+            mem.send(self.out, owner, request);
+        }
         mem.pending = Some(Pending {
             indirect: false,
             array: a,
@@ -706,7 +803,7 @@ struct Resolve<'r, 'a, 'p>(&'r mut Access<'a, 'p>);
 
 impl Memory for Resolve<'_, '_, '_> {
     fn load(&mut self, array: ArrayId, addr: usize) -> Result<f64, IrError> {
-        let Access { mem, out, plan } = &mut *self.0;
+        let Access { mem, out, plan, .. } = &mut *self.0;
         mem.resolve_load(plan, out, array.0, addr)
     }
 }
@@ -793,6 +890,7 @@ impl Pe {
                 replayed: 0,
                 local_reads: 0,
                 pending: None,
+                refused: None,
             },
             phase: 0,
             state: State::Enter,
@@ -808,12 +906,13 @@ impl Pe {
     }
 
     /// Run until the PE blocks, finishes, or has evaluated about `budget`
-    /// instances, each of which is taken off it. An `Err` is the reason the
-    /// whole run must stop.
+    /// instances, each of which is taken off it; its fetches from `peers`
+    /// are served in place. An `Err` is the reason the whole run must stop.
     pub fn run(
         &mut self,
         plan: &Plan<'_>,
         out: &mut Outbox,
+        peers: &mut Peers<'_>,
         budget: &mut usize,
     ) -> Result<Progress, String> {
         if self.mem.pending.is_some() {
@@ -857,7 +956,7 @@ impl Pe {
                     let PhasePlan::Loop(np) = &plan.phases[self.phase] else {
                         unreachable!("State::Nest is only entered for a loop phase");
                     };
-                    match self.walk(plan, np, out, budget) {
+                    match self.walk(plan, np, out, peers, budget) {
                         Ok(true) => {
                             self.state = State::Reduce {
                                 round: 0,
@@ -1008,6 +1107,7 @@ impl Pe {
         plan: &Plan<'_>,
         np: &NestPlan,
         out: &mut Outbox,
+        peers: &mut Peers<'_>,
         budget: &mut usize,
     ) -> Result<bool, Stop> {
         let sweeps = &plan.schedule.nest(np.idx).sweeps;
@@ -1021,7 +1121,7 @@ impl Pe {
             while let Some((_, end)) = self.cur.window {
                 while self.cur.trip < end {
                     while let Some(&si) = self.cur.win.active().get(self.cur.pos) {
-                        self.instance(plan, np, out, si)?;
+                        self.instance(plan, np, out, peers, si)?;
                         *budget = budget.saturating_sub(1);
                         self.cur.pos += 1;
                     }
@@ -1050,6 +1150,7 @@ impl Pe {
         plan: &Plan<'_>,
         np: &NestPlan,
         out: &mut Outbox,
+        peers: &mut Peers<'_>,
         si: usize,
     ) -> Result<(), Stop> {
         let ns = plan.schedule.nest(np.idx);
@@ -1060,6 +1161,7 @@ impl Pe {
             mem: &mut self.mem,
             out: &mut *out,
             plan,
+            peers: peers.reborrow(),
         };
         if ns.screen.screens[si] == Screen::Produced {
             // The anchor goes through an index array an earlier nest

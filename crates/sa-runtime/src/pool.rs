@@ -9,8 +9,13 @@
 //! blocks or its slice is used up, repeat; it parks on its channel only
 //! when none of its PEs can move. Fetch requests for *any* of its PEs are
 //! served between two instance evaluations, whatever the addressed PE is
-//! doing itself. What its PEs send to other workers' PEs leaves in batches,
-//! one per [`FLUSH_AFTER`] units of work and one whenever nothing can run.
+//! doing itself. A page fetch between two of its own PEs is served in place,
+//! inside the evaluation that needs it: the running PE reaches the others
+//! through [`Peers`], a split borrow of the worker's PEs, and only the
+//! reply to a reader queued on an unwritten cell travels (the local
+//! queue, which also carries anchor resolution's fetches and the
+//! reduction and barrier rounds). What its PEs send to other workers' PEs leaves in batches, one
+//! per [`FLUSH_AFTER`] units of work and one whenever nothing can run.
 //!
 //! **The quiescence rule.** A cross-worker message is counted in
 //! [`Shared::in_flight`] before it is sent and discounted by its receiver
@@ -35,7 +40,7 @@ use sa_machine::Network;
 
 use crate::engine::{Plan, RuntimeError};
 use crate::net::Msg;
-use crate::pe::{Pe, PeResult, Progress};
+use crate::pe::{Pe, PeResult, Peers, Progress};
 
 /// Instances a PE may evaluate before the worker looks at its queues
 /// again: what bounds how long a peer's fetch waits behind a PE that never
@@ -235,7 +240,8 @@ impl Worker<'_> {
                 idle = 0;
                 self.queued[i] = false;
                 let mut budget = SLICE;
-                let progress = self.pes[i].run(self.plan, &mut self.out, &mut budget);
+                let (pe, mut peers) = Peers::split(&mut self.pes, self.base, i);
+                let progress = pe.run(self.plan, &mut self.out, &mut peers, &mut budget);
                 match progress.map_err(|reason| format!("worker {}: {reason}", self.base + i))? {
                     Progress::Yielded => self.wake(i),
                     Progress::Blocked => {}

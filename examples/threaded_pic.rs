@@ -22,7 +22,7 @@ fn main() {
         let cfg = RuntimeConfig::paper(n_pes, 32);
         let rep = execute(&kernel.program, &cfg).expect("runtime");
         let got = ProgramResult {
-            arrays: rep.arrays.clone(),
+            arrays: rep.arrays(),
             scalars: rep.scalars.clone(),
             writes: 0,
             reads: 0,

@@ -249,7 +249,7 @@ fn full_suite_values_match_reference_on_threads() {
         let rep = execute(&k.program, &RuntimeConfig::paper(4, 32))
             .unwrap_or_else(|e| panic!("{}: {e}", k.code));
         let got = ProgramResult {
-            arrays: rep.arrays,
+            arrays: rep.arrays(),
             scalars: rep.scalars,
             writes: 0,
             reads: 0,
@@ -487,7 +487,7 @@ fn results_and_counts_do_not_depend_on_the_pool_size() {
                         assert_eq!(rep.max_link_load, replay.max_link_load, "{what}");
                     }
                     let got = ProgramResult {
-                        arrays: rep.arrays,
+                        arrays: rep.arrays(),
                         scalars: rep.scalars,
                         writes: 0,
                         reads: 0,
@@ -518,5 +518,69 @@ fn a_thousand_pes_count_like_replay() {
         assert_eq!(rep.modeled_messages(), replay.network_messages);
         assert_eq!(rep.messages, 265_176);
         assert!(rep.wait_edges.is_empty(), "a sweep over inputs never waits");
+    }
+}
+
+#[test]
+fn fetches_served_in_place_count_like_queued_ones() {
+    // On one worker every fetch between two PEs is served by a direct call
+    // — a defined cell completes the load inside the evaluation — and on
+    // one worker per PE every fetch travels as a request and a reply. The
+    // counts, the pricing and the values must not tell the two apart: ST5
+    // at 64 PEs (every fetch answered at once), K18 with the cache on (each
+    // answer inserts a copy of the owner's page), K5 (a recurrence whose
+    // fetches wait for their producer).
+    let st5 = sapp::loops::stencil::build_jacobi5(256, 256, 1).program;
+    let k18 = sapp::loops::workload("K18").unwrap().reduced().program;
+    let k5 = sapp::loops::workload("K5").unwrap().reduced().program;
+    for (code, program, cfg) in [
+        (
+            "ST5",
+            st5,
+            RunConfig {
+                n_pes: 64,
+                ..thread_cfg(0)
+            },
+        ),
+        ("K18", k18, thread_cfg(256)),
+        ("K5", k5, thread_cfg(0)),
+    ] {
+        let golden = interpret(&program).expect("reference runs");
+        let graph = sapp::lint::DepGraph::build(&program);
+        let rt = RuntimeConfig::from_machine(&cfg.machine());
+        let [one, each] = [1, cfg.n_pes].map(|workers| {
+            execute_on(&program, &rt, workers)
+                .unwrap_or_else(|e| panic!("{code} on {workers} workers: {e}"))
+        });
+        assert_eq!(one.stats, each.stats, "{code}: stats");
+        assert_eq!(one.messages, each.messages, "{code}: messages");
+        assert_eq!(one.modeled_messages(), each.modeled_messages(), "{code}");
+        assert_eq!(one.hops, each.hops, "{code}: hops");
+        assert_eq!(one.max_link_load, each.max_link_load, "{code}: link load");
+        assert!(
+            one.in_place_fetches > 0,
+            "{code}: one worker serves in place"
+        );
+        assert_eq!(each.in_place_fetches, 0, "{code}: no PE shares a worker");
+        for rep in [&one, &each] {
+            let got = ProgramResult {
+                arrays: rep.arrays(),
+                scalars: rep.scalars.clone(),
+                writes: 0,
+                reads: 0,
+            };
+            golden
+                .assert_matches(&got, 1e-9)
+                .unwrap_or_else(|e| panic!("{code}: {e}"));
+            for w in &rep.wait_edges {
+                assert!(
+                    graph.covers_wait(w.phase, w.stmt, ArrayId(w.array), w.generation as usize),
+                    "{code}: wait at phase {} stmt {} on array {} has no static edge",
+                    w.phase,
+                    w.stmt,
+                    w.array
+                );
+            }
+        }
     }
 }

@@ -14,7 +14,7 @@ use sapp::runtime::{execute, execute_on, RuntimeConfig};
 
 fn runtime_result(rep: &sapp::runtime::RuntimeReport) -> ProgramResult {
     ProgramResult {
-        arrays: rep.arrays.clone(),
+        arrays: rep.arrays(),
         scalars: rep.scalars.clone(),
         writes: 0,
         reads: 0,

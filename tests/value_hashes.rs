@@ -151,7 +151,7 @@ fn the_thread_engine_reproduces_the_pinned_values() {
                 .any(|s| !s.value().scalar_reads().is_empty());
             if reads_reductions {
                 let got = ProgramResult {
-                    arrays: r.arrays,
+                    arrays: r.arrays(),
                     scalars: golden.scalars.clone(),
                     writes: 0,
                     reads: 0,
@@ -161,7 +161,7 @@ fn the_thread_engine_reproduces_the_pinned_values() {
                     .unwrap_or_else(|e| panic!("{}: {e}", k.code));
                 return pinned;
             }
-            (hash(&r.arrays, &r.scalars).0, pinned.1)
+            (hash(&r.arrays(), &r.scalars).0, pinned.1)
         }),
     );
 }
