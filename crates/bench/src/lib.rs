@@ -13,10 +13,9 @@
 
 use sa_core::oracle::speedup_sweep;
 use sa_core::plan::{ExperimentPlan, RunConfig};
-use sa_core::replay::counts_or_simulate;
-use sa_core::report::{ascii_chart, fmt_opt_u64, fmt_pct, markdown_table};
+use sa_core::report::{ascii_chart, fmt_pct, markdown_table};
 use sa_core::results::ResultSet;
-use sa_core::FastCountingOracle;
+use sa_core::{Engine, FastCountingOracle};
 use sa_ir::Program;
 use sa_loops::{suite, Kernel};
 use sa_machine::{
@@ -145,9 +144,11 @@ pub fn fig4() -> String {
 /// magnitude (~7k local reads per PE).
 pub fn fig5() -> String {
     let program = sa_loops::k18_hydro2d::build_with_passes(1022, 2).program;
-    let cached = counts_or_simulate(&program, &MachineConfig::new(64, 32)).expect("sim");
-    let uncached =
-        counts_or_simulate(&program, &MachineConfig::new(64, 32).with_cache_elems(0)).expect("sim");
+    let cfg = MachineConfig::new(64, 32);
+    let cached = Engine::Auto.count(&program, &cfg).expect("sim");
+    let uncached = Engine::Auto
+        .count(&program, &cfg.with_cache_elems(0))
+        .expect("sim");
 
     let r_c = cached.stats.remote_reads_per_pe();
     let r_u = uncached.stats.remote_reads_per_pe();
@@ -448,8 +449,8 @@ pub fn timing() -> String {
                 r.cfg.kernel.clone().unwrap_or_default(),
                 r.cfg.network.name().to_string(),
                 r.messages.to_string(),
-                fmt_opt_u64(r.hops),
-                fmt_opt_u64(r.max_link_load),
+                r.hops.to_string(),
+                r.max_link_load.to_string(),
             ]
         })
         .collect();

@@ -16,8 +16,7 @@
 use sa_ir::{AccessClass, Program};
 use sa_machine::MachineConfig;
 
-use crate::exec::SimError;
-use crate::replay::counts_or_simulate;
+use crate::oracle::{CountError, Engine};
 
 /// Dynamic counterpart of [`AccessClass`] (no static skew payload).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,18 +72,16 @@ pub struct DynamicClassification {
 pub fn classify_dynamic(
     program: &Program,
     page_size: usize,
-) -> Result<DynamicClassification, SimError> {
+) -> Result<DynamicClassification, CountError> {
     // Classification needs only remote percentages, so it measures through
     // the compiled replay fast path (interpreter fallback for nests the
     // replay cannot lower) — 8 simulations per kernel otherwise.
     let pes = [4usize, 8, 16, 32];
     let mut curve = Vec::with_capacity(pes.len());
     for &n in &pes {
-        let cached = counts_or_simulate(program, &MachineConfig::new(n, page_size))?;
-        let uncached = counts_or_simulate(
-            program,
-            &MachineConfig::new(n, page_size).with_cache_elems(0),
-        )?;
+        let cfg = MachineConfig::new(n, page_size);
+        let cached = Engine::Auto.count(program, &cfg)?;
+        let uncached = Engine::Auto.count(program, &cfg.with_cache_elems(0))?;
         curve.push(ClassPoint {
             n_pes: n,
             cached_pct: cached.remote_pct(),

@@ -26,9 +26,9 @@
 //! * [`plan`] — the composable experiment layer: typed sweep axes crossed
 //!   into a lazily enumerated grid of [`plan::RunConfig`]s.
 //! * [`oracle`] — pluggable evaluation backends behind the object-safe
-//!   [`oracle::Oracle`] trait (counting simulator by default; compiled
-//!   replay; the timing clock; `sa-runtime` threads via that crate's
-//!   adapter).
+//!   [`oracle::Oracle`] trait (the access counts through one ladder of
+//!   engines — interpreter, compiled replay, or auto, the default; the
+//!   timing clock; `sa-runtime` threads via that crate's adapter).
 //! * [`results`] — group-by/pivot over measured grids, so figures select
 //!   series by predicate instead of relying on loop order.
 //! * [`mod@search`] — automatic scheme search: exhaustive
@@ -59,7 +59,7 @@ pub use classify::{classify_dynamic, DynamicClassification};
 pub use deferred::{estimate_timing, TimingReport};
 pub use exec::{simulate, SimError, SimReport};
 pub use oracle::{
-    CountingOracle, Engine, FastCountingOracle, Oracle, OracleError, RunRecord, StaticOracle,
+    CountError, Engine, FastCountingOracle, Oracle, OracleError, RunRecord, StaticOracle,
     TimingOracle,
 };
 pub use parallel::par_map;

@@ -5,13 +5,12 @@
 //! hold a `&dyn Oracle` and swap backends without re-monomorphizing the
 //! sweep machinery:
 //!
-//! * [`CountingOracle`] — the paper's access-counting simulator
-//!   ([`crate::exec::simulate`]), always interpreting.
-//! * [`FastCountingOracle`] — the same counts through a selectable
-//!   [`Engine`]: the compiled access replay ([`crate::replay`]), the
-//!   interpreter, or `auto` (replay when statically classifiable, falling
-//!   back to the interpreter per program — the default everywhere counts
-//!   are all that is needed).
+//! * [`FastCountingOracle`] — the paper's access counts through one rung of
+//!   the [`Engine`] ladder ([`Engine::count_capped`]): the interpreter
+//!   ([`crate::exec::simulate`]), the compiled access replay
+//!   ([`crate::replay`]), or `auto` (replay when statically classifiable,
+//!   falling back to the interpreter per program — the default everywhere
+//!   counts are all that is needed).
 //! * [`TimingOracle`] — the §9 execution-time extension
 //!   ([`crate::deferred::estimate_timing`]); fills [`RunRecord::cycles`]
 //!   (the clock rides the interpreter's instance loop, so it always
@@ -19,9 +18,11 @@
 //! * `sa-runtime`'s thread-backed oracle — lives in that crate (it depends
 //!   on this one) and implements [`Oracle`] over real worker threads,
 //!   reporting [`OracleError::Unsupported`] for knobs the runtime lacks.
+//!
+//! Every backend builds its records through [`RunRecord::counted`].
 
 use sa_ir::Program;
-use sa_machine::{load_balance, AccessCosts};
+use sa_machine::{load_balance, AccessCosts, MachineConfig, Stats};
 
 use crate::deferred::{simulate_timed, TimingError};
 use crate::exec::{simulate, SimError};
@@ -50,13 +51,10 @@ pub struct RunRecord {
     pub total_reads: u64,
     /// Network messages (page fetches ×2 + protocol traffic).
     pub messages: u64,
-    /// Total hop traversals; `None` for a backend without a network model
-    /// (every backend in the workspace has one; an outside [`Oracle`] may
-    /// not), so mixed-oracle reports can tell "zero hops" from "not
-    /// modeled".
-    pub hops: Option<u64>,
-    /// Heaviest directed-link traffic; `None` without a network model.
-    pub max_link_load: Option<u64>,
+    /// Total hop traversals.
+    pub hops: u64,
+    /// Heaviest directed-link traffic.
+    pub max_link_load: u64,
     /// Jain fairness index of the per-PE write distribution (1 = perfectly
     /// balanced compute, `1/n_pes` = everything on one PE). Writes are one
     /// per statement instance under owner-computes, so this measures how
@@ -67,38 +65,39 @@ pub struct RunRecord {
 }
 
 impl RunRecord {
-    /// Hop count as a plot value: `NaN` when the backend has no network
-    /// model, so pivoted series drop the point instead of charting a fake
-    /// zero.
-    pub fn hops_f64(&self) -> f64 {
-        self.hops.map(|h| h as f64).unwrap_or(f64::NAN)
+    /// The record of one measured grid point: `stats` and the network's
+    /// message, hop and link-load totals, plus `cycles` where the backend
+    /// keeps a clock. The one construction site every backend builds on,
+    /// so a new counter is threaded through a single place.
+    pub fn counted(
+        cfg: &RunConfig,
+        stats: &Stats,
+        messages: u64,
+        hops: u64,
+        max_link_load: u64,
+        cycles: Option<u64>,
+    ) -> RunRecord {
+        RunRecord {
+            cfg: cfg.clone(),
+            remote_pct: stats.remote_read_pct(),
+            cached_pct: stats.cached_read_pct(),
+            writes: stats.writes(),
+            local_reads: stats.local_reads(),
+            cached_reads: stats.cached_reads(),
+            remote_reads: stats.remote_reads(),
+            total_reads: stats.total_reads(),
+            messages,
+            hops,
+            max_link_load,
+            write_balance: load_balance(&stats.writes_per_pe()).jain,
+            cycles,
+        }
     }
 
-    /// Link load as a plot value; `NaN` when not modeled.
-    pub fn max_link_load_f64(&self) -> f64 {
-        self.max_link_load.map(|l| l as f64).unwrap_or(f64::NAN)
-    }
-}
-
-/// The one place a counting engine's report maps onto [`RunRecord`]
-/// fields — every oracle in this crate builds on this, so a new counter is
-/// threaded through a single construction site.
-fn counted(cfg: &RunConfig, rep: &CountReport, cycles: Option<u64>) -> RunRecord {
-    let stats = &rep.stats;
-    RunRecord {
-        cfg: cfg.clone(),
-        remote_pct: stats.remote_read_pct(),
-        cached_pct: stats.cached_read_pct(),
-        writes: stats.writes(),
-        local_reads: stats.local_reads(),
-        cached_reads: stats.cached_reads(),
-        remote_reads: stats.remote_reads(),
-        total_reads: stats.total_reads(),
-        messages: rep.network_messages,
-        hops: Some(rep.network_hops),
-        max_link_load: Some(rep.max_link_load),
-        write_balance: load_balance(&stats.writes_per_pe()).jain,
-        cycles,
+    /// The record of a counting engine's report.
+    fn of_report(cfg: &RunConfig, rep: &CountReport, cycles: Option<u64>) -> RunRecord {
+        let (messages, hops) = (rep.network_messages, rep.network_hops);
+        RunRecord::counted(cfg, &rep.stats, messages, hops, rep.max_link_load, cycles)
     }
 }
 
@@ -129,12 +128,6 @@ impl core::fmt::Display for OracleError {
 
 impl std::error::Error for OracleError {}
 
-/// An invalid machine configuration, as the interpreter reports it —
-/// whichever engine noticed.
-fn bad_config(e: sa_machine::ConfigError) -> OracleError {
-    OracleError::Sim(SimError::Machine(sa_machine::MachineError::BadConfig(e)))
-}
-
 impl From<SimError> for OracleError {
     fn from(e: SimError) -> Self {
         OracleError::Sim(e)
@@ -144,6 +137,20 @@ impl From<SimError> for OracleError {
 impl From<TimingError> for OracleError {
     fn from(e: TimingError) -> Self {
         OracleError::Timing(e)
+    }
+}
+
+impl From<CountError> for OracleError {
+    /// An invalid machine configuration is the interpreter's error,
+    /// whichever engine noticed; a run replay cannot lower is unsupported.
+    fn from(e: CountError) -> Self {
+        match e {
+            CountError::Sim(e) => OracleError::Sim(e),
+            CountError::Replay(ReplayError::Config(c)) => {
+                OracleError::Sim(SimError::Machine(sa_machine::MachineError::BadConfig(c)))
+            }
+            CountError::Replay(e) => OracleError::Unsupported(e.to_string()),
+        }
     }
 }
 
@@ -176,29 +183,15 @@ pub trait Oracle: Sync {
     }
 }
 
-/// The default oracle: the paper's access-counting simulator.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CountingOracle;
-
-impl Oracle for CountingOracle {
-    fn name(&self) -> &'static str {
-        "counting-sim"
-    }
-
-    fn measure(&self, program: &Program, cfg: &RunConfig) -> Result<RunRecord, OracleError> {
-        let rep = simulate(program, &cfg.machine())?;
-        Ok(counted(cfg, &CountReport::from_sim(&rep), None))
-    }
-}
-
-/// Which counting backend a [`FastCountingOracle`] uses.
+/// A rung of the counting ladder ([`Engine::count_capped`]): which engine
+/// counts a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
     /// Always interpret ([`crate::exec::simulate`]): slow, but supports
     /// everything including partial-page refetch accounting.
     Interp,
-    /// Always use the compiled replay ([`crate::replay::counts`]); grid
-    /// points it cannot lower fail with [`OracleError::Unsupported`].
+    /// Always use the compiled replay ([`crate::replay::counts`]); a run it
+    /// cannot lower fails with [`CountError::Replay`].
     Replay,
     /// Replay when statically classifiable, interpreter otherwise — the
     /// recommended default. Debug builds cross-check small replayable runs
@@ -206,6 +199,26 @@ pub enum Engine {
     #[default]
     Auto,
 }
+
+/// Why a rung of the ladder failed: each engine's own error.
+#[derive(Debug, Clone, PartialEq)]
+pub enum CountError {
+    /// The interpreter's error (`interp`, and `auto` on any failure).
+    Sim(SimError),
+    /// Replay's error (`replay` only).
+    Replay(ReplayError),
+}
+
+impl core::fmt::Display for CountError {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        match self {
+            CountError::Sim(e) => e.fmt(f),
+            CountError::Replay(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for CountError {}
 
 impl Engine {
     /// Parse a CLI engine name.
@@ -226,12 +239,86 @@ impl Engine {
             Engine::Auto => "auto",
         }
     }
+
+    /// Count one run on this rung.
+    pub fn count(self, program: &Program, cfg: &MachineConfig) -> Result<CountReport, CountError> {
+        self.count_capped(program, cfg, u64::MAX)
+            .map(Capped::uncapped)
+    }
+
+    /// Count one run on this rung, stopping once it has charged
+    /// `remote_cap` remote reads (`u64::MAX` is no cap). Replay stops
+    /// there ([`replay::counts_capped`]); the interpreter always counts in
+    /// full, past the cap or not. The only place a rung is chosen.
+    ///
+    /// `auto` replays and falls back to the interpreter on any replay
+    /// error, so it fails with exactly the error [`simulate`] reports.
+    /// Debug builds simulate its small replayed runs too and assert the
+    /// two agree; large runs rely on the differential test suite, and the
+    /// release path never pays the double cost.
+    pub fn count_capped(
+        self,
+        program: &Program,
+        cfg: &MachineConfig,
+        remote_cap: u64,
+    ) -> Result<Capped<CountReport>, CountError> {
+        let interp = || match simulate(program, cfg) {
+            Ok(rep) => Ok(Capped::Counted(CountReport::from_sim(&rep))),
+            Err(e) => Err(CountError::Sim(e)),
+        };
+        match self {
+            Engine::Interp => interp(),
+            Engine::Replay => {
+                replay::counts_capped(program, cfg, remote_cap).map_err(CountError::Replay)
+            }
+            Engine::Auto => match replay::counts_capped(program, cfg, remote_cap) {
+                Ok(capped) => {
+                    #[cfg(debug_assertions)]
+                    cross_check(program, cfg, remote_cap, &capped)?;
+                    Ok(capped)
+                }
+                // Invalid configs fall through to the interpreter too, so
+                // the caller sees exactly the error `simulate` would have
+                // produced.
+                Err(_) => interp(),
+            },
+        }
+    }
 }
 
-/// The counting oracle with a selectable [`Engine`] — the auto-select mode
-/// is what plans, searches, the figure harness and the CLI use by default,
-/// making the whole figure grid pay replay cost instead of interpretation
-/// cost wherever the program allows it.
+/// The auto rung's debug-build cross-check: a replayed run of at most 20k
+/// statement instances is simulated too, and must agree with replay in
+/// every count, or on having reached the cap.
+#[cfg(debug_assertions)]
+fn cross_check(
+    program: &Program,
+    cfg: &MachineConfig,
+    remote_cap: u64,
+    capped: &Capped<CountReport>,
+) -> Result<(), CountError> {
+    if program.instance_count() > 20_000 {
+        return Ok(());
+    }
+    let sim = CountReport::from_sim(&simulate(program, cfg).map_err(CountError::Sim)?);
+    let remote = sim.stats.remote_reads();
+    match capped {
+        Capped::Counted(rep) => {
+            let rep = CountReport {
+                engine: sim.engine,
+                ..rep.clone()
+            };
+            assert_eq!(rep, sim, "replay diverges from the interpreter");
+            assert!(remote < remote_cap, "replay counted past its cap");
+        }
+        Capped::Exceeded => assert!(remote >= remote_cap, "replay stopped short of its cap"),
+    }
+    Ok(())
+}
+
+/// The counting oracle: one rung of the [`Engine`] ladder. The auto-select
+/// mode is what plans, searches, the figure harness and the CLI use by
+/// default, making the whole figure grid pay replay cost instead of
+/// interpretation cost wherever the program allows it.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FastCountingOracle {
     /// Backend selection policy.
@@ -259,26 +346,18 @@ impl Oracle for FastCountingOracle {
             .map(Capped::uncapped)
     }
 
-    /// Replay stops counting at the cap ([`replay::counts_capped`]).
+    /// Counts through the ladder ([`Engine::count_capped`]).
     fn measure_capped(
         &self,
         program: &Program,
         cfg: &RunConfig,
         remote_cap: u64,
     ) -> Result<Capped<RunRecord>, OracleError> {
-        let machine = cfg.machine();
-        let capped = match self.engine {
-            Engine::Interp => return CountingOracle.measure_capped(program, cfg, remote_cap),
-            Engine::Replay => {
-                replay::counts_capped(program, &machine, remote_cap).map_err(|e| match e {
-                    ReplayError::Config(c) => bad_config(c),
-                    e @ ReplayError::Unsupported { .. } => OracleError::Unsupported(e.to_string()),
-                })?
-            }
-            Engine::Auto => replay::capped_or_simulate(program, &machine, remote_cap)?,
-        };
+        let capped = self
+            .engine
+            .count_capped(program, &cfg.machine(), remote_cap)?;
         Ok(match capped {
-            Capped::Counted(rep) => Capped::Counted(counted(cfg, &rep, None)),
+            Capped::Counted(rep) => Capped::Counted(RunRecord::of_report(cfg, &rep, None)),
             Capped::Exceeded => Capped::Exceeded,
         })
     }
@@ -334,11 +413,8 @@ impl Oracle for TimingOracle {
     fn measure(&self, program: &Program, cfg: &RunConfig) -> Result<RunRecord, OracleError> {
         let machine = cfg.machine().with_costs(self.costs);
         let (rep, timing) = simulate_timed(program, &machine)?;
-        Ok(counted(
-            cfg,
-            &CountReport::from_sim(&rep),
-            Some(timing.total_cycles),
-        ))
+        let rep = CountReport::from_sim(&rep);
+        Ok(RunRecord::of_report(cfg, &rep, Some(timing.total_cycles)))
     }
 }
 
@@ -407,14 +483,48 @@ mod tests {
             n_pes: 4,
             ..RunConfig::default()
         };
-        let rec = CountingOracle.measure(&p, &cfg).unwrap();
+        let rec = FastCountingOracle::with_engine(Engine::Interp)
+            .measure(&p, &cfg)
+            .unwrap();
         let rep = simulate(&p, &cfg.machine()).unwrap();
         assert_eq!(rec.remote_reads, rep.stats.remote_reads());
         assert_eq!(rec.total_reads, rep.stats.total_reads());
         assert_eq!(rec.messages, rep.network_messages);
         assert_eq!(rec.remote_pct, rep.remote_pct());
+        assert_eq!(rec.hops, rep.network_hops);
+        assert_eq!(rec.max_link_load, rep.max_link_load);
         assert_eq!(rec.cycles, None);
-        assert_eq!(CountingOracle.name(), "counting-sim");
+        assert_eq!(
+            FastCountingOracle::with_engine(Engine::Interp).name(),
+            "counting-interp"
+        );
+    }
+
+    #[test]
+    fn each_rung_reports_its_own_engines_error() {
+        let p = tiny();
+        let bad = MachineConfig::new(0, 32);
+        let sim = simulate(&p, &bad).unwrap_err();
+        for engine in [Engine::Interp, Engine::Auto] {
+            assert_eq!(engine.count(&p, &bad), Err(CountError::Sim(sim.clone())));
+        }
+        let replay = replay::counts(&p, &bad).unwrap_err();
+        let err = Engine::Replay.count(&p, &bad).unwrap_err();
+        assert_eq!(err.to_string(), replay.to_string());
+        assert_eq!(err, CountError::Replay(replay));
+        // The oracle reports a bad config as the interpreter does, whichever
+        // rung noticed.
+        let cfg = RunConfig {
+            n_pes: 0,
+            ..RunConfig::default()
+        };
+        for engine in [Engine::Interp, Engine::Replay, Engine::Auto] {
+            let err = FastCountingOracle::with_engine(engine).measure(&p, &cfg);
+            assert!(
+                matches!(&err, Err(OracleError::Sim(e)) if *e == sim),
+                "{err:?}"
+            );
+        }
     }
 
     #[test]
@@ -447,7 +557,7 @@ mod tests {
     #[test]
     fn oracles_are_object_safe() {
         let oracles: Vec<Box<dyn Oracle>> = vec![
-            Box::new(CountingOracle),
+            Box::new(FastCountingOracle::with_engine(Engine::Interp)),
             Box::new(TimingOracle::default()),
             Box::new(FastCountingOracle::default()),
         ];
@@ -464,7 +574,9 @@ mod tests {
             n_pes: 4,
             ..RunConfig::default()
         };
-        let interp = CountingOracle.measure(&p, &cfg).unwrap();
+        let interp = FastCountingOracle::with_engine(Engine::Interp)
+            .measure(&p, &cfg)
+            .unwrap();
         for engine in [Engine::Interp, Engine::Replay, Engine::Auto] {
             let fast = FastCountingOracle::with_engine(engine)
                 .measure(&p, &cfg)
@@ -500,7 +612,9 @@ mod tests {
         ));
         // Auto measures the same point through the interpreter instead.
         let auto = FastCountingOracle::default().measure(&p, &cfg).unwrap();
-        let interp = CountingOracle.measure(&p, &cfg).unwrap();
+        let interp = FastCountingOracle::with_engine(Engine::Interp)
+            .measure(&p, &cfg)
+            .unwrap();
         assert_eq!(auto, interp);
     }
 
@@ -508,7 +622,7 @@ mod tests {
     fn write_balance_reflects_compute_distribution() {
         let p = tiny(); // 128 elements
                         // Evenly spread across 4 PEs at ps 32: Jain index 1.
-        let even = CountingOracle
+        let even = FastCountingOracle::with_engine(Engine::Interp)
             .measure(
                 &p,
                 &RunConfig {
@@ -519,7 +633,7 @@ mod tests {
             .unwrap();
         assert!((even.write_balance - 1.0).abs() < 1e-12);
         // Page size 256 puts the whole array on one of 4 PEs: Jain 1/4.
-        let degenerate = CountingOracle
+        let degenerate = FastCountingOracle::with_engine(Engine::Interp)
             .measure(
                 &p,
                 &RunConfig {

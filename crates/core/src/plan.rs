@@ -471,7 +471,7 @@ mod tests {
 
     #[test]
     fn unsupported_grid_points_fail_soft() {
-        use crate::oracle::{CountingOracle, RunRecord};
+        use crate::oracle::{Engine, FastCountingOracle, RunRecord};
         use sa_ir::index::iv;
         use sa_ir::{InitPattern, ProgramBuilder};
 
@@ -490,7 +490,7 @@ mod tests {
                 if cfg.n_pes == 2 {
                     return Err(OracleError::Unsupported("2 PEs unsupported".into()));
                 }
-                CountingOracle.measure(program, cfg)
+                FastCountingOracle::with_engine(Engine::Interp).measure(program, cfg)
             }
         }
 

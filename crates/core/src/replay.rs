@@ -14,7 +14,7 @@
 //!
 //! # Soundness
 //!
-//! The counts produced here are **bit-identical** to [`simulate`]'s
+//! The counts produced here are **bit-identical** to [`simulate`](crate::exec::simulate)'s
 //! (`tests/replay_vs_interp.rs` proves it differentially for the full suite
 //! across the figure grid, plus proptest-generated random affine nests):
 //!
@@ -136,16 +136,16 @@
 //! * [`PartialPagePolicy::Refetch`] configurations, whose refetch counts
 //!   depend on the cross-PE interleaving of writes and reads.
 //!
-//! [`counts`] reports these as [`ReplayError::Unsupported`];
-//! [`counts_or_simulate`] transparently falls back to [`simulate`], so a
-//! mixed program still measures correctly — or fails with the
-//! interpreter's exact error — through
-//! [`crate::oracle::FastCountingOracle`]'s `auto` engine. In debug builds
-//! the auto path additionally cross-checks replay against the interpreter
-//! on small runs before trusting it (see [`counts_or_simulate`]).
+//! [`counts`] reports these as [`ReplayError::Unsupported`]; the `auto`
+//! rung of the counting ladder
+//! ([`Engine::count_capped`](crate::oracle::Engine::count_capped)) transparently
+//! falls back to [`simulate`](crate::exec::simulate), so a mixed program still measures
+//! correctly — or fails with the interpreter's exact error. In debug
+//! builds the auto rung additionally cross-checks replay against the
+//! interpreter on small runs before trusting it.
 //!
 //! Beyond its bounds proofs replay assumes a *valid* program (one
-//! [`simulate`] would accept): it performs no definedness or double-write
+//! [`simulate`](crate::exec::simulate) would accept): it performs no definedness or double-write
 //! checking, exactly because those checks are what make interpretation
 //! slow.
 
@@ -164,7 +164,7 @@ use sa_machine::{
     PolicyCache, Stats,
 };
 
-use crate::exec::{simulate, SimError, SimReport};
+use crate::exec::SimReport;
 use crate::parallel::par_map;
 
 /// Which engine produced a [`CountReport`].
@@ -172,7 +172,7 @@ use crate::parallel::par_map;
 pub enum CountEngine {
     /// The compiled per-PE access replay of this module.
     Replay,
-    /// The statement-by-statement interpreter ([`simulate`]).
+    /// The statement-by-statement interpreter ([`simulate`](crate::exec::simulate)).
     Interp,
 }
 
@@ -1165,8 +1165,8 @@ impl<'a> Worker<'a> {
 
 /// Count a program's accesses via the compiled replay, sharding the per-PE
 /// work across host cores. Returns [`ReplayError::Unsupported`] when any
-/// nest (or config knob) needs the interpreter — use [`counts_or_simulate`]
-/// for transparent fallback.
+/// nest (or config knob) needs the interpreter — use
+/// [`Engine::Auto`](crate::oracle::Engine::Auto) for transparent fallback.
 pub fn counts(program: &Program, cfg: &MachineConfig) -> Result<CountReport, ReplayError> {
     counts_capped(program, cfg, u64::MAX).map(Capped::uncapped)
 }
@@ -1256,77 +1256,11 @@ pub fn counts_capped(
     }))
 }
 
-/// Debug-build cross-check budget: runs at most this many instances twice.
-#[cfg(debug_assertions)]
-const CROSS_CHECK_INSTANCES: u64 = 20_000;
-
-/// Count via replay when the program is statically classifiable, falling
-/// back to [`simulate`] otherwise — the `auto` engine.
-///
-/// In debug builds, small replayable runs (≤ 20k statement instances) are
-/// additionally simulated and asserted bit-identical before the replay
-/// result is trusted; large runs rely on the differential test suite. The
-/// release path never pays the double cost.
-pub fn counts_or_simulate(program: &Program, cfg: &MachineConfig) -> Result<CountReport, SimError> {
-    capped_or_simulate(program, cfg, u64::MAX).map(Capped::uncapped)
-}
-
-/// [`counts_or_simulate`] under a remote-read cap: replay stops at it
-/// ([`counts_capped`]); the interpreter's fallback is always counted in
-/// full, past the cap or not.
-pub(crate) fn capped_or_simulate(
-    program: &Program,
-    cfg: &MachineConfig,
-    remote_cap: u64,
-) -> Result<Capped<CountReport>, SimError> {
-    match counts_capped(program, cfg, remote_cap) {
-        Ok(capped) => {
-            #[cfg(debug_assertions)]
-            {
-                if program.instance_count() <= CROSS_CHECK_INSTANCES {
-                    let sim = simulate(program, cfg)?;
-                    let remote = sim.stats.remote_reads();
-                    match &capped {
-                        Capped::Counted(rep) => {
-                            assert_report_matches(rep, &sim);
-                            assert!(remote < remote_cap, "replay counted past its cap");
-                        }
-                        Capped::Exceeded => {
-                            assert!(remote >= remote_cap, "replay stopped short of its cap")
-                        }
-                    }
-                }
-            }
-            Ok(capped)
-        }
-        // Invalid configs fall through to the interpreter so the caller
-        // sees exactly the error `simulate` would have produced.
-        Err(_) => {
-            let rep = simulate(program, cfg)?;
-            Ok(Capped::Counted(CountReport::from_sim(&rep)))
-        }
-    }
-}
-
-/// Panic with a diff if a replay report disagrees with a simulation.
-#[cfg(debug_assertions)]
-fn assert_report_matches(rep: &CountReport, sim: &SimReport) {
-    assert_eq!(
-        rep.stats, sim.stats,
-        "replay stats diverge from the interpreter"
-    );
-    assert_eq!(
-        rep.per_nest, sim.per_nest,
-        "per-nest stats diverge from the interpreter"
-    );
-    assert_eq!(rep.network_messages, sim.network_messages);
-    assert_eq!(rep.network_hops, sim.network_hops);
-    assert_eq!(rep.max_link_load, sim.max_link_load);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::{simulate, SimError};
+    use crate::oracle::{CountError, Engine};
     use sa_ir::index::iv;
     use sa_ir::LoopVar;
     use sa_ir::{InitPattern, ProgramBuilder};
@@ -1580,7 +1514,7 @@ mod tests {
             }
             other => panic!("expected Unsupported, got {other:?}"),
         }
-        let auto = counts_or_simulate(&p, &cfg).expect("fallback simulates");
+        let auto = Engine::Auto.count(&p, &cfg).expect("fallback simulates");
         assert_eq!(auto.engine, CountEngine::Interp);
         let sim = simulate(&p, &cfg).unwrap();
         assert_eq!(auto.stats, sim.stats);
@@ -1595,7 +1529,7 @@ mod tests {
             Err(ReplayError::Unsupported { .. })
         ));
         // Auto falls back and matches the interpreter under Refetch too.
-        let auto = counts_or_simulate(&p, &cfg).unwrap();
+        let auto = Engine::Auto.count(&p, &cfg).unwrap();
         let sim = simulate(&p, &cfg).unwrap();
         assert_eq!(auto.engine, CountEngine::Interp);
         assert_eq!(auto.stats, sim.stats);
@@ -1604,10 +1538,14 @@ mod tests {
     #[test]
     fn bad_config_surfaces_the_interpreter_error() {
         let p = hydro(64);
-        let err = counts_or_simulate(&p, &MachineConfig::new(0, 32)).unwrap_err();
+        let err = Engine::Auto
+            .count(&p, &MachineConfig::new(0, 32))
+            .unwrap_err();
         assert!(matches!(
             err,
-            SimError::Machine(sa_machine::MachineError::BadConfig(ConfigError::ZeroPes))
+            CountError::Sim(SimError::Machine(sa_machine::MachineError::BadConfig(
+                ConfigError::ZeroPes
+            )))
         ));
         assert!(matches!(
             counts(&p, &MachineConfig::new(4, 0)),

@@ -123,8 +123,8 @@ pub fn fmt_pct(v: f64) -> String {
 /// cell when the metric was not measured. A blank survives every emitter
 /// honestly — CSV keeps the column position, [`json`] emits `""` (never a
 /// number), and markdown shows an empty cell — whereas a literal `0` would
-/// silently conflate "none happened" with "not modeled" in mixed-oracle
-/// pivots.
+/// silently conflate "none happened" with "not measured" (cycles from a
+/// backend without a clock) in mixed-oracle pivots.
 pub fn fmt_opt_u64(v: Option<u64>) -> String {
     v.map(|x| x.to_string()).unwrap_or_default()
 }

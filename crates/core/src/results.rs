@@ -141,10 +141,9 @@ pub enum Column {
     TotalReads,
     /// Network messages.
     Messages,
-    /// Total hop traversals (blank when the backend has no network model —
-    /// an unmodeled metric must not pivot as a zero).
+    /// Total hop traversals.
     Hops,
-    /// Heaviest directed-link traffic (blank when not modeled).
+    /// Heaviest directed-link traffic.
     MaxLinkLoad,
     /// Estimated cycles (blank unless a timing oracle ran).
     Cycles,
@@ -194,8 +193,8 @@ impl Column {
             Column::RemoteReads => r.remote_reads.to_string(),
             Column::TotalReads => r.total_reads.to_string(),
             Column::Messages => r.messages.to_string(),
-            Column::Hops => crate::report::fmt_opt_u64(r.hops),
-            Column::MaxLinkLoad => crate::report::fmt_opt_u64(r.max_link_load),
+            Column::Hops => r.hops.to_string(),
+            Column::MaxLinkLoad => r.max_link_load.to_string(),
             Column::Cycles => crate::report::fmt_opt_u64(r.cycles),
         }
     }
@@ -221,8 +220,8 @@ mod tests {
             remote_reads: 2,
             total_reads: 3,
             messages: 4,
-            hops: Some(0),
-            max_link_load: Some(0),
+            hops: 0,
+            max_link_load: 0,
             write_balance: 1.0,
             cycles: None,
         }

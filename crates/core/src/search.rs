@@ -252,7 +252,7 @@ pub fn search_exhaustive_with(
 mod tests {
     use super::strategy::{Searcher, StrategyParams};
     use super::*;
-    use crate::oracle::CountingOracle;
+    use crate::oracle::{Engine, FastCountingOracle};
     use sa_ir::index::iv;
     use sa_ir::{InitPattern, ProgramBuilder};
 
@@ -266,7 +266,11 @@ mod tests {
             objective,
             ..StrategyParams::default()
         };
-        let searcher = Searcher::new(space, Box::new(CountingOracle), params)?;
+        let searcher = Searcher::new(
+            space,
+            Box::new(FastCountingOracle::with_engine(Engine::Interp)),
+            params,
+        )?;
         Ok(searcher.search(kernel)?.best)
     }
 
@@ -317,8 +321,13 @@ mod tests {
             let p = skewed(n);
             let space = SearchSpace::default();
             let pruned = best(&p, &space).unwrap();
-            let exhaustive =
-                search_exhaustive_with(&p, &space, &CountingOracle, Objective::default()).unwrap();
+            let exhaustive = search_exhaustive_with(
+                &p,
+                &space,
+                &FastCountingOracle::with_engine(Engine::Interp),
+                Objective::default(),
+            )
+            .unwrap();
             assert_eq!(pruned.scheme, exhaustive.scheme, "n={n}");
             assert_eq!(pruned.page_size, exhaustive.page_size, "n={n}");
             assert_eq!(pruned.score.to_bits(), exhaustive.score.to_bits(), "n={n}");
@@ -415,8 +424,8 @@ mod tests {
             remote_reads: 0,
             total_reads: 1,
             messages: 0,
-            hops: Some(0),
-            max_link_load: Some(0),
+            hops: 0,
+            max_link_load: 0,
             write_balance,
             cycles: None,
         };

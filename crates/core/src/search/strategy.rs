@@ -1161,7 +1161,7 @@ fn misalignment(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle::{CountingOracle, Engine};
+    use crate::oracle::Engine;
     use sa_ir::index::iv;
     use sa_ir::{InitPattern, ProgramBuilder};
     use sa_machine::NetworkTopology;
@@ -1218,7 +1218,7 @@ mod tests {
 
     #[test]
     fn memo_oracle_counts_hits_and_misses() {
-        let memo = MemoOracle::new(Box::new(CountingOracle));
+        let memo = MemoOracle::new(Box::new(FastCountingOracle::with_engine(Engine::Interp)));
         let p = stream(64);
         let cfg = RunConfig::default();
         let (a, hit_a) = memo.measure_tracked(&p, &cfg);
@@ -1240,7 +1240,10 @@ mod tests {
             page_size: 8,
             ..RunConfig::default()
         };
-        let remote = CountingOracle.measure(&p, &cfg).unwrap().remote_reads;
+        let remote = FastCountingOracle::with_engine(Engine::Interp)
+            .measure(&p, &cfg)
+            .unwrap()
+            .remote_reads;
         assert!(remote > 4, "the stream reads across PEs");
         let ask = |cap| {
             let (answer, hit) = memo.measure_capped_tracked(&p, &cfg, cap);
@@ -1264,14 +1267,16 @@ mod tests {
     fn memo_oracle_keeps_a_full_measurement_made_under_a_cap() {
         // The default `measure_capped` measures in full: past the cap or
         // not, the record is kept and answers a later uncapped query.
-        let memo = MemoOracle::new(Box::new(CountingOracle));
+        let memo = MemoOracle::new(Box::new(FastCountingOracle::with_engine(Engine::Interp)));
         let p = stream(256);
         let cfg = RunConfig {
             n_pes: 4,
             page_size: 8,
             ..RunConfig::default()
         };
-        let full = CountingOracle.measure(&p, &cfg).unwrap();
+        let full = FastCountingOracle::with_engine(Engine::Interp)
+            .measure(&p, &cfg)
+            .unwrap();
         let (answer, hit) = memo.measure_capped_tracked(&p, &cfg, 1);
         assert!(!hit);
         assert_eq!(answer.unwrap(), Capped::Counted(full.clone()));
@@ -1289,7 +1294,7 @@ mod tests {
         for strategy in [Strategy::Exhaustive, Strategy::Anneal, Strategy::Propagate] {
             let s = Searcher::new(
                 &space,
-                Box::new(CountingOracle),
+                Box::new(FastCountingOracle::with_engine(Engine::Interp)),
                 StrategyParams {
                     strategy,
                     budget: 1000, // covers the space: exact by construction

@@ -1,6 +1,6 @@
 //! The composable experiment-plan API, end to end: build a typed-axis
-//! grid, evaluate it through three different oracles (compiled access
-//! replay with auto fallback, counting interpreter, real threads), pivot
+//! grid, evaluate it through two rungs of the counting ladder (compiled
+//! access replay with auto fallback, the interpreter) and real threads, pivot
 //! the results, and run the automatic scheme search — exhaustive and
 //! guided (seeded annealing through the memoizing oracle cache).
 //!
@@ -13,7 +13,7 @@ use sapp::core::report::{ascii_chart, json, markdown_table};
 use sapp::core::results::Column;
 use sapp::core::search::strategy::{Searcher, Strategy, StrategyParams};
 use sapp::core::search::SearchSpace;
-use sapp::core::{CountingOracle, FastCountingOracle};
+use sapp::core::{Engine, FastCountingOracle};
 use sapp::loops::suite;
 use sapp::runtime::ThreadOracle;
 
@@ -36,7 +36,12 @@ fn main() {
     let results = plan
         .run(&k12.program, &FastCountingOracle::default())
         .expect("sweep");
-    let interp = plan.run(&k12.program, &CountingOracle).expect("sweep");
+    let interp = plan
+        .run(
+            &k12.program,
+            &FastCountingOracle::with_engine(Engine::Interp),
+        )
+        .expect("sweep");
     assert_eq!(results.records(), interp.records(), "engines agree");
 
     // Typed columns feed every report emitter.

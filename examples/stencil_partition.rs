@@ -8,9 +8,8 @@
 //! ```
 
 use sapp::core::plan::{ExperimentPlan, RunConfig};
-use sapp::core::replay::counts_or_simulate;
 use sapp::core::report::{fmt_pct, markdown_table};
-use sapp::core::FastCountingOracle;
+use sapp::core::{Engine, FastCountingOracle};
 use sapp::loops::stencil::build_jacobi5;
 use sapp::machine::{MachineConfig, PartitionScheme};
 
@@ -23,7 +22,9 @@ fn main() {
     let mut rows = Vec::new();
     let mut best: Option<(usize, f64)> = None;
     for ps in [8usize, 16, 32, 64, 128, 256] {
-        let rep = counts_or_simulate(&program, &MachineConfig::new(n_pes, ps)).expect("sim");
+        let rep = Engine::Auto
+            .count(&program, &MachineConfig::new(n_pes, ps))
+            .expect("sim");
         let pct = rep.remote_pct();
         if best.map(|(_, b)| pct < b).unwrap_or(true) {
             best = Some((ps, pct));

@@ -78,13 +78,12 @@ use sapp::core::classify::classify_dynamic;
 use sapp::core::oracle::{speedup_sweep, OracleError};
 use sapp::core::parallel::{default_workers, par_map, par_map_heaviest_first};
 use sapp::core::plan::{ExperimentPlan, PlanError};
-use sapp::core::replay::{counts, counts_or_simulate, CountReport};
 use sapp::core::report::{csv, fmt_pct, json, markdown_table};
 use sapp::core::search::strategy::{
     Searcher, Strategy, StrategyParams, DEFAULT_BUDGET, DEFAULT_SEED,
 };
 use sapp::core::search::{Objective, SearchSpace};
-use sapp::core::{simulate, Engine, FastCountingOracle, Oracle};
+use sapp::core::{Engine, FastCountingOracle, Oracle};
 use sapp::ir::{classify_program, pretty};
 use sapp::loops::{suite, workloads, Kernel, Size, Workload};
 use sapp::machine::{AccessCosts, MachineConfig, NetworkTopology, PartitionScheme};
@@ -555,28 +554,6 @@ fn config(o: &Opts) -> MachineConfig {
     cfg
 }
 
-/// Count one run through the selected counting engine.
-fn count_with_engine(k: &Kernel, cfg: &MachineConfig, engine: Engine) -> CountReport {
-    let fail = |e: &dyn std::fmt::Display| -> ! {
-        errln!("{} failed: {e}", engine.name());
-        std::process::exit(1);
-    };
-    match engine {
-        Engine::Interp => match simulate(&k.program, cfg) {
-            Ok(rep) => CountReport::from_sim(&rep),
-            Err(e) => fail(&e),
-        },
-        Engine::Replay => match counts(&k.program, cfg) {
-            Ok(rep) => rep,
-            Err(e) => fail(&e),
-        },
-        Engine::Auto => match counts_or_simulate(&k.program, cfg) {
-            Ok(rep) => rep,
-            Err(e) => fail(&e),
-        },
-    }
-}
-
 /// Run one kernel on real worker threads and print the simulate-style report.
 fn simulate_on_threads(k: &Kernel, cfg: &MachineConfig) {
     let rt = sapp::runtime::RuntimeConfig::from_machine(cfg);
@@ -677,7 +654,9 @@ fn main() {
                     return;
                 }
             };
-            let rep = count_with_engine(&k, &config(&o), engine);
+            let rep = engine
+                .count(&k.program, &config(&o))
+                .unwrap_or_else(|e| die(&format!("{} failed", engine.name()), &e));
             outln!(
                 "writes {}  local {}  cached {}  remote {}  → {} remote  [{} engine]",
                 rep.stats.writes(),

@@ -62,18 +62,19 @@
 //! ## Experiment plans
 //!
 //! Sweeps are composed from typed axes and evaluated through an oracle
-//! (the counting simulator, the timing clock, or real threads):
+//! (the access counts through one engine of the counting ladder, the
+//! timing clock, or real threads):
 //!
 //! ```
 //! use sapp::core::plan::ExperimentPlan;
-//! use sapp::core::CountingOracle;
+//! use sapp::core::{Engine, FastCountingOracle};
 //!
 //! let kernel = sapp::loops::k12_first_diff::build(1001);
 //! let results = ExperimentPlan::new()
 //!     .page_sizes(&[32, 64])
 //!     .cache_flags(&[true, false])
 //!     .pes(&[1, 2, 4, 8])
-//!     .run(&kernel.program, &CountingOracle)
+//!     .run(&kernel.program, &FastCountingOracle::with_engine(Engine::Interp))
 //!     .unwrap();
 //! let pt = results
 //!     .find(|r| r.cfg.n_pes == 8 && r.cfg.page_size == 32 && r.cfg.cached())

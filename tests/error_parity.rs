@@ -15,7 +15,7 @@
 //! misses a rank it must fail exactly as the counting simulator does.
 
 use sapp::core::exec::simulate;
-use sapp::core::replay::counts_or_simulate;
+use sapp::core::Engine;
 use sapp::ir::index::{iv, AffineIndex, IndexExpr};
 use sapp::ir::nest::ArrayRef;
 use sapp::ir::program::ArrayInit;
@@ -364,6 +364,6 @@ fn the_auto_engine_reports_each_bounds_error_as_the_simulator_does() {
         "auto",
         ROWS.iter().filter(|r| bounds.contains(&r.name)),
         |r| r.simulate,
-        |p| outcome(counts_or_simulate(p, &machine())),
+        |p| outcome(Engine::Auto.count(p, &machine())),
     );
 }

@@ -6,7 +6,7 @@
 use sapp::core::oracle::speedup_sweep;
 use sapp::core::plan::{Axis, ExperimentPlan, PlanError, RunConfig};
 use sapp::core::search::SearchSpace;
-use sapp::core::{estimate_timing, simulate, CountingOracle, Searcher, StrategyParams};
+use sapp::core::{estimate_timing, simulate, Engine, FastCountingOracle, Searcher, StrategyParams};
 use sapp::loops::suite;
 use sapp::machine::{AccessCosts, ConfigError, MachineConfig};
 
@@ -44,13 +44,13 @@ fn axis_order_invariance_of_measured_sets() {
         .page_sizes(&[32, 64])
         .cache_flags(&[true, false])
         .pes(&[2, 4])
-        .run(&p, &CountingOracle)
+        .run(&p, &FastCountingOracle::with_engine(Engine::Interp))
         .unwrap();
     let b = ExperimentPlan::new()
         .pes(&[2, 4])
         .cache_flags(&[false, true])
         .page_sizes(&[64, 32])
-        .run(&p, &CountingOracle)
+        .run(&p, &FastCountingOracle::with_engine(Engine::Interp))
         .unwrap();
     assert_eq!(a.len(), b.len());
     for r in a.records() {
@@ -84,7 +84,7 @@ fn empty_axis_is_a_config_error() {
     let p = k12();
     let err = ExperimentPlan::new()
         .pes(&[])
-        .run(&p, &CountingOracle)
+        .run(&p, &FastCountingOracle::with_engine(Engine::Interp))
         .unwrap_err();
     assert!(matches!(
         err,
@@ -93,7 +93,7 @@ fn empty_axis_is_a_config_error() {
     let err = ExperimentPlan::new()
         .pes(&[2])
         .axis(Axis::Cache(vec![]))
-        .run(&p, &CountingOracle)
+        .run(&p, &FastCountingOracle::with_engine(Engine::Interp))
         .unwrap_err();
     assert!(matches!(
         err,
@@ -107,7 +107,7 @@ fn duplicate_axis_is_a_config_error() {
     let err = ExperimentPlan::new()
         .pes(&[2])
         .pes(&[4])
-        .run(&p, &CountingOracle)
+        .run(&p, &FastCountingOracle::with_engine(Engine::Interp))
         .unwrap_err();
     assert!(matches!(
         err,
@@ -132,11 +132,15 @@ fn legacy_speedup_sweep_equals_sequential_loop() {
 fn search_finds_k12_best_scheme_and_page_size() {
     let p = k12();
     let space = SearchSpace::default();
-    let best = Searcher::new(&space, Box::new(CountingOracle), StrategyParams::default())
-        .unwrap()
-        .search(&p)
-        .unwrap()
-        .best;
+    let best = Searcher::new(
+        &space,
+        Box::new(FastCountingOracle::with_engine(Engine::Interp)),
+        StrategyParams::default(),
+    )
+    .unwrap()
+    .search(&p)
+    .unwrap()
+    .best;
     // Every candidate is either measured or statically pruned.
     assert_eq!(
         best.evaluated + best.pruned,
@@ -171,7 +175,7 @@ fn base_config_flows_into_every_grid_point() {
             ..RunConfig::default()
         })
         .page_sizes(&[16, 32])
-        .run(&p, &CountingOracle)
+        .run(&p, &FastCountingOracle::with_engine(Engine::Interp))
         .unwrap();
     for r in results.records() {
         assert_eq!(r.cfg.n_pes, 4);

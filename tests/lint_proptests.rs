@@ -31,7 +31,7 @@ use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
 use sapp::core::replay::counts;
-use sapp::core::{simulate, CountingOracle, Engine, FastCountingOracle, Oracle, RunConfig};
+use sapp::core::{simulate, Engine, FastCountingOracle, Oracle, RunConfig};
 use sapp::ir::body::NestBody;
 use sapp::ir::index::iv;
 use sapp::ir::interp::Memory;
@@ -653,7 +653,7 @@ proptest! {
         // And through the oracle adapters, field for field.
         let r = FastCountingOracle::with_engine(Engine::Replay).measure(&program, &cfg)
             .map_err(proptest::test_runner::TestCaseError::fail)?;
-        let c = CountingOracle.measure(&program, &cfg)
+        let c = FastCountingOracle::with_engine(Engine::Interp).measure(&program, &cfg)
             .map_err(proptest::test_runner::TestCaseError::fail)?;
         prop_assert_eq!(r, c);
     }

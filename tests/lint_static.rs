@@ -38,7 +38,9 @@ mod common;
 use sapp::core::parallel::par_map;
 use sapp::core::replay::counts;
 use sapp::core::search::{search_exhaustive_with, Objective, SearchSpace};
-use sapp::core::{simulate, CountEngine, CountReport, CountingOracle, Searcher, StrategyParams};
+use sapp::core::{
+    simulate, CountEngine, CountReport, Engine, FastCountingOracle, Searcher, StrategyParams,
+};
 use sapp::ir::index::iv;
 use sapp::ir::{AffineIndex, ArrayId, InitPattern, ProgramBuilder};
 use sapp::lint::depgraph::{first_indirect_ref, project, project_by_instance, AnchorProfile};
@@ -556,13 +558,21 @@ fn pruned_search_is_bit_identical_to_exhaustive_on_the_registry() {
     let mut pruned_total = 0usize;
     let mut candidates_total = 0usize;
     for k in reduced_suite() {
-        let fast = Searcher::new(&space, Box::new(CountingOracle), StrategyParams::default())
-            .and_then(|searcher| searcher.search(&k.program))
-            .unwrap_or_else(|e| panic!("{}: pruned search failed: {e:?}", k.code))
-            .best;
-        let slow =
-            search_exhaustive_with(&k.program, &space, &CountingOracle, Objective::default())
-                .unwrap_or_else(|e| panic!("{}: exhaustive search failed: {e:?}", k.code));
+        let fast = Searcher::new(
+            &space,
+            Box::new(FastCountingOracle::with_engine(Engine::Interp)),
+            StrategyParams::default(),
+        )
+        .and_then(|searcher| searcher.search(&k.program))
+        .unwrap_or_else(|e| panic!("{}: pruned search failed: {e:?}", k.code))
+        .best;
+        let slow = search_exhaustive_with(
+            &k.program,
+            &space,
+            &FastCountingOracle::with_engine(Engine::Interp),
+            Objective::default(),
+        )
+        .unwrap_or_else(|e| panic!("{}: exhaustive search failed: {e:?}", k.code));
         assert_eq!(
             fast.scheme, slow.scheme,
             "{}: winner scheme differs",

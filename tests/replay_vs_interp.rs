@@ -10,11 +10,13 @@
 //!    machine configs, and *fold-dense* ones (`common`: triangular bounds,
 //!    strided loops, placement periods of a few elements, no cache) on
 //!    which replay counts one stretch per translation class.
-//! 3. **Oracle equivalence** — `FastCountingOracle` in every engine mode
-//!    produces the same `RunRecord`s as `CountingOracle` over a plan.
+//! 3. **Oracle equivalence** — `FastCountingOracle` on every rung of the
+//!    engine ladder produces the `RunRecord`s of the interpreter's own
+//!    reports over a plan.
 //! 4. **Capped replay is exact** — under a remote-read cap, replay says
 //!    `Exceeded` exactly when the run's remote reads reach the cap, and
-//!    below it counts everything the uncapped run does.
+//!    below it counts everything the uncapped run does; on the ladder,
+//!    the replay and auto rungs stop there and the interp rung never does.
 //! 5. **Hand-counted kernels** — cache-less counts worked out by hand
 //!    (a skewed read, reduction partials, block placement with a reinit)
 //!    are what both engines print, and an out-of-bounds sweep hidden
@@ -28,7 +30,7 @@ use sapp::core::exec::{simulate, SimError};
 use sapp::core::plan::{ExperimentPlan, RunConfig};
 use sapp::core::replay;
 use sapp::core::search::SearchSpace;
-use sapp::core::{par_map, CountingOracle, Engine, FastCountingOracle, Oracle};
+use sapp::core::{par_map, CountError, Engine, FastCountingOracle, Oracle, RunRecord};
 use sapp::ir::analysis::StaticArrays;
 use sapp::ir::index::{iv, IndexExpr};
 use sapp::ir::nest::ArrayRef;
@@ -54,6 +56,12 @@ fn assert_identical(label: &str, program: &Program, cfg: &MachineConfig) {
     assert_eq!(rep.max_link_load, sim.max_link_load, "{label}: link load");
 }
 
+/// The caps around a run's remote reads `R` that capped counting is
+/// checked at.
+fn caps_around(r: u64) -> [u64; 6] {
+    [0, 1, r.saturating_sub(1), r, r + 1, u64::MAX]
+}
+
 /// Capped replay of one (program, config) at caps around its remote reads
 /// `R`: `Exceeded` exactly when the cap is at most `R`, else the uncapped
 /// report itself.
@@ -61,7 +69,7 @@ fn assert_capped_exact(label: &str, program: &Program, cfg: &MachineConfig) {
     let full = replay::counts(program, cfg)
         .unwrap_or_else(|e| panic!("{label}: replay rejected the program: {e}"));
     let r = full.stats.remote_reads();
-    for cap in [0, 1, r.saturating_sub(1), r, r + 1, u64::MAX] {
+    for cap in caps_around(r) {
         let capped = replay::counts_capped(program, cfg, cap)
             .unwrap_or_else(|e| panic!("{label}: capped replay rejected the program: {e}"));
         match capped {
@@ -349,10 +357,50 @@ fn capped_replay_is_exact_on_every_registry_kernel() {
                 .with_cache_elems(cache);
             let label = format!("{} @ {:?}", kernels[k].code, cfg);
             assert_capped_exact(&label, &kernels[k].program, &cfg);
+            assert_ladder_capped(&label, &kernels[k].program, &cfg);
         }
         Ok::<_, std::convert::Infallible>(())
     })
     .unwrap();
+}
+
+/// Every rung of the engine ladder at the caps of [`assert_capped_exact`]:
+/// replay and auto answer `Exceeded` exactly when the cap is at most the
+/// run's remote reads `R`, the interpreter always answers the full report.
+fn assert_ladder_capped(label: &str, program: &Program, cfg: &MachineConfig) {
+    let full = simulate(program, cfg)
+        .map(|sim| replay::CountReport::from_sim(&sim))
+        .unwrap_or_else(|e| panic!("{label}: interpreter rejected the program: {e}"));
+    let r = full.stats.remote_reads();
+    for engine in [Engine::Interp, Engine::Replay, Engine::Auto] {
+        for cap in caps_around(r) {
+            let capped = engine
+                .count_capped(program, cfg, cap)
+                .unwrap_or_else(|e| panic!("{label}: {} rejected the program: {e}", engine.name()));
+            let stops = engine != Engine::Interp && cap <= r;
+            match capped {
+                replay::Capped::Exceeded => {
+                    assert!(
+                        stops,
+                        "{label}: {} exceeded cap {cap} of {r}",
+                        engine.name()
+                    )
+                }
+                replay::Capped::Counted(rep) => {
+                    assert!(
+                        !stops,
+                        "{label}: {} counted cap {cap} of {r}",
+                        engine.name()
+                    );
+                    let rep = replay::CountReport {
+                        engine: full.engine,
+                        ..rep
+                    };
+                    assert_eq!(rep, full, "{label}: {} at cap {cap}", engine.name());
+                }
+            }
+        }
+    }
 }
 
 #[test]
@@ -389,14 +437,13 @@ fn prefix_spmv_falls_back_cleanly_to_the_interpreter() {
         }
         other => panic!("expected Unsupported, got {other:?}"),
     }
-    let outcome = |r: Result<replay::CountReport, _>| r.map_err(|e: SimError| e.to_string());
     let sim = simulate(&p, &cfg).map(|rep| replay::CountReport::from_sim(&rep));
     assert_eq!(
-        outcome(replay::counts_or_simulate(&p, &cfg)),
-        outcome(sim.clone())
+        Engine::Auto.count(&p, &cfg),
+        sim.clone().map_err(CountError::Sim)
     );
     assert_eq!(
-        outcome(sim).unwrap_err(),
+        sim.unwrap_err().to_string(),
         "IR error: read of undefined cell ROWPTR[64]"
     );
 }
@@ -425,17 +472,22 @@ fn fast_oracle_equals_counting_oracle_over_a_plan() {
         .page_sizes(&[32, 64])
         .cache_flags(&[true, false])
         .pes(&[1, 4, 16]);
-    let reference = plan.run(&k.program, &CountingOracle).unwrap();
+    // The reference is the interpreter's own report, not a rung of the
+    // ladder, so the interp rung is compared with something other than
+    // itself.
+    let reference: Vec<RunRecord> = plan
+        .configs()
+        .map(|cfg| {
+            let sim = simulate(&k.program, &cfg.machine()).unwrap();
+            let (messages, hops) = (sim.network_messages, sim.network_hops);
+            RunRecord::counted(&cfg, &sim.stats, messages, hops, sim.max_link_load, None)
+        })
+        .collect();
     for engine in [Engine::Interp, Engine::Replay, Engine::Auto] {
         let fast = plan
             .run(&k.program, &FastCountingOracle::with_engine(engine))
             .unwrap();
-        assert_eq!(
-            fast.records(),
-            reference.records(),
-            "engine {}",
-            engine.name()
-        );
+        assert_eq!(fast.records(), reference, "engine {}", engine.name());
     }
 }
 
@@ -562,7 +614,10 @@ fn an_out_of_bounds_sweep_is_found_behind_sweeps_that_fold() {
         extent: 5,
     });
     assert_eq!(simulate(&p, &cfg).unwrap_err(), want);
-    assert_eq!(replay::counts_or_simulate(&p, &cfg).unwrap_err(), want);
+    assert_eq!(
+        Engine::Auto.count(&p, &cfg).unwrap_err(),
+        CountError::Sim(want)
+    );
 }
 
 // ---------------------------------------------------------------------------

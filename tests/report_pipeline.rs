@@ -15,7 +15,7 @@ use sapp::core::plan::ExperimentPlan;
 use sapp::core::replay;
 use sapp::core::report::{csv, fmt_pct, json};
 use sapp::core::results::Column;
-use sapp::core::{CountingOracle, FastCountingOracle, Oracle, OracleError, RunConfig, RunRecord};
+use sapp::core::{Engine, FastCountingOracle, Oracle};
 use sapp::ir::index::iv;
 use sapp::ir::{Program, ProgramBuilder};
 use sapp::machine::MachineConfig;
@@ -61,7 +61,7 @@ fn zero_read_records_render_cleanly_in_csv_and_json() {
     let p = write_only_program();
     let plan = ExperimentPlan::new().pes(&[1, 4]);
     for oracle in [
-        Box::new(CountingOracle) as Box<dyn Oracle>,
+        Box::new(FastCountingOracle::with_engine(Engine::Interp)) as Box<dyn Oracle>,
         Box::new(FastCountingOracle::default()),
     ] {
         let results = plan.run(&p, oracle.as_ref()).unwrap();
@@ -122,7 +122,12 @@ fn json_end_to_end_with_a_hostile_kernel_axis_label() {
     let p = write_only_program();
     let hostile = "K\"12\\x\n";
     let plan = ExperimentPlan::new().kernels(&[hostile]).pes(&[2]);
-    let results = plan.run_kernels(&[(hostile, &p)], &CountingOracle).unwrap();
+    let results = plan
+        .run_kernels(
+            &[(hostile, &p)],
+            &FastCountingOracle::with_engine(Engine::Interp),
+        )
+        .unwrap();
     let cols = [Column::Kernel, Column::RemotePct];
     let out = json(&Column::headers(&cols), &results.rows(&cols));
     assert!(out.contains(r#""K\"12\\x\n""#), "{out}");
@@ -155,76 +160,51 @@ fn skewed_program() -> Program {
     b.finish()
 }
 
-/// A backend without a network model: the counting simulator's counts,
-/// hops and link load left unmodeled.
-struct Unmodeled;
-
-impl Oracle for Unmodeled {
-    fn name(&self) -> &'static str {
-        "unmodeled"
-    }
-
-    fn measure(&self, program: &Program, cfg: &RunConfig) -> Result<RunRecord, OracleError> {
-        Ok(RunRecord {
-            hops: None,
-            max_link_load: None,
-            ..CountingOracle.measure(program, cfg)?
-        })
-    }
-}
-
 #[test]
-fn mixed_oracle_pivots_distinguish_unmodeled_hops_from_zero() {
+fn mixed_oracle_pivots_print_every_backends_hops() {
     use sapp::core::results::ResultSet;
+    use sapp::machine::NetworkTopology;
     use sapp::runtime::ThreadOracle;
 
     let p = skewed_program();
-    let plan = ExperimentPlan::new().pes(&[2, 4]).cache_flags(&[false]);
-    let sim = plan.run(&p, &CountingOracle).unwrap();
+    let plan = ExperimentPlan::new()
+        .networks(&[NetworkTopology::Ideal, NetworkTopology::Mesh2D])
+        .pes(&[2, 4])
+        .cache_flags(&[false]);
+    let sim = plan
+        .run(&p, &FastCountingOracle::with_engine(Engine::Interp))
+        .unwrap();
     let real = plan.run(&p, &ThreadOracle).unwrap();
-    let est = plan.run(&p, &Unmodeled).unwrap();
 
-    // Counting and thread backends model the network: hops are measured
-    // (Some, here 0 on the ideal topology — the thread workers price every
-    // modeled send through the same link model). A backend without a hop
-    // model reports None.
-    for r in sim.records().iter().chain(real.records()) {
-        assert_eq!(r.hops, Some(0));
-        assert_eq!(r.max_link_load, Some(0));
-        assert!(r.hops_f64() == 0.0);
-    }
-    for r in est.records() {
-        assert_eq!(r.hops, None);
-        assert_eq!(r.max_link_load, None);
-        assert!(r.hops_f64().is_nan(), "unmodeled hops pivot as NaN");
-        assert!(r.max_link_load_f64().is_nan());
-    }
-
-    // One mixed set, as a cross-backend comparison table would build it.
+    // Every backend models the network: the thread workers price every
+    // modeled send through the link model the counting engines route with.
+    // So one mixed set, as a cross-backend comparison table would build
+    // it, prints a number in every cell, and the two backends' rows agree.
     let mut records = sim.records().to_vec();
-    records.extend(est.records().iter().cloned());
+    records.extend(real.records().iter().cloned());
     let mixed = ResultSet::new(records);
     let cols = [
+        Column::Network,
         Column::Pes,
         Column::Messages,
         Column::Hops,
         Column::MaxLinkLoad,
     ];
     let rows = mixed.rows(&cols);
+    let n = sim.len();
+    assert_eq!(rows[..n], rows[n..], "thread rows print the counting rows");
+    assert!(rows[..2].iter().all(|r| r[3] == "0"), "ideal: {rows:?}");
+    assert!(rows[2..n].iter().all(|r| r[3] != "0"), "mesh: {rows:?}");
+
     let c = csv(&Column::headers(&cols), &rows);
     let lines: Vec<&str> = c.lines().collect();
-    assert_eq!(lines[0], "pes,messages,hops,max_link_load");
-    // Simulator rows carry the measured zero; unmodeled rows leave the
-    // cells blank — every row still has all four columns.
-    assert_eq!(lines[1].matches(',').count(), 3);
-    assert!(lines[1].ends_with(",0,0"), "sim row: {}", lines[1]);
-    assert!(lines[3].ends_with(",,"), "unmodeled row: {}", lines[3]);
-
-    // JSON: numbers where measured, empty strings (never a fake 0, never a
-    // bare NaN) where not.
+    assert_eq!(lines[0], "network,pes,messages,hops,max_link_load");
+    for line in &lines[1..] {
+        assert!(line.split(',').all(|cell| !cell.is_empty()), "{line}");
+    }
     let j = json(&Column::headers(&cols), &rows);
-    assert!(j.contains("\"hops\": 0"));
-    assert!(j.contains("\"hops\": \"\""));
+    assert!(j.contains("\"hops\": 0"), "{j}");
+    assert!(!j.contains("\"\""), "{j}");
     assert!(!j.contains("NaN"));
 }
 

@@ -5,7 +5,7 @@
 //!
 //! * values matching the sequential reference interpreter, and
 //! * access/message counts matching the counting simulator
-//!   (`CountingOracle`, cross-checked against `FastCountingOracle`).
+//!   (`FastCountingOracle`'s interp rung, cross-checked against its auto rung).
 //!
 //! Count parity is asserted at two levels:
 //!
@@ -23,7 +23,7 @@
 //! may depend on how many (`execute_on` pins 1, 2, 3 and one per PE, so a
 //! single-core box still runs the cross-worker paths).
 
-use sapp::core::oracle::{CountingOracle, FastCountingOracle, Oracle, OracleError};
+use sapp::core::oracle::{Engine, FastCountingOracle, Oracle, OracleError};
 use sapp::core::plan::{ExperimentPlan, RunConfig};
 use sapp::ir::index::{iv, IndexExpr};
 use sapp::ir::nest::{ArrayRef, LoopNest, LoopVar, Stmt};
@@ -124,7 +124,9 @@ fn assert_counts_match(code: &str, sim: &sapp::core::RunRecord, real: &sapp::cor
 fn full_suite_counts_match_simulator_without_cache() {
     let cfg = thread_cfg(0);
     for k in reduced_suite() {
-        let sim = CountingOracle.measure(&k.program, &cfg).unwrap();
+        let sim = FastCountingOracle::with_engine(Engine::Interp)
+            .measure(&k.program, &cfg)
+            .unwrap();
         let fast = FastCountingOracle::default()
             .measure(&k.program, &cfg)
             .unwrap();
@@ -138,7 +140,6 @@ fn full_suite_counts_match_simulator_without_cache() {
         // link-load figures are real measurements and must agree exactly.
         assert_eq!(real.hops, sim.hops, "{}: hops", k.code);
         assert_eq!(real.max_link_load, sim.max_link_load, "{}", k.code);
-        assert!(real.hops.is_some(), "{}: threads measure hops now", k.code);
     }
 }
 
@@ -170,7 +171,9 @@ fn full_suite_locality_certifies_on_routed_topologies() {
             ..thread_cfg(0)
         };
         for k in reduced_suite() {
-            let sim = CountingOracle.measure(&k.program, &cfg).unwrap();
+            let sim = FastCountingOracle::with_engine(Engine::Interp)
+                .measure(&k.program, &cfg)
+                .unwrap();
             let real = ThreadOracle
                 .measure(&k.program, &cfg)
                 .unwrap_or_else(|e| panic!("{}: thread oracle failed: {e}", k.code));
@@ -216,7 +219,9 @@ fn full_suite_cached_counts_match_simulator_on_static_read_kernels() {
         );
     }
     for k in &exact {
-        let sim = CountingOracle.measure(&k.program, &cfg).unwrap();
+        let sim = FastCountingOracle::with_engine(Engine::Interp)
+            .measure(&k.program, &cfg)
+            .unwrap();
         let real = ThreadOracle
             .measure(&k.program, &cfg)
             .unwrap_or_else(|e| panic!("{}: thread oracle failed: {e}", k.code));
@@ -225,8 +230,12 @@ fn full_suite_cached_counts_match_simulator_on_static_read_kernels() {
     // Pipelined recurrences: fetch timing can only add refetches, so the
     // cached runtime lies between the cached and uncached simulator counts.
     for k in &bounded {
-        let ideal = CountingOracle.measure(&k.program, &cfg).unwrap();
-        let worst = CountingOracle.measure(&k.program, &thread_cfg(0)).unwrap();
+        let ideal = FastCountingOracle::with_engine(Engine::Interp)
+            .measure(&k.program, &cfg)
+            .unwrap();
+        let worst = FastCountingOracle::with_engine(Engine::Interp)
+            .measure(&k.program, &thread_cfg(0))
+            .unwrap();
         let real = ThreadOracle.measure(&k.program, &cfg).unwrap();
         assert_eq!(ideal.writes, real.writes, "{}: writes", k.code);
         assert_eq!(ideal.total_reads, real.total_reads, "{}: reads", k.code);
@@ -270,7 +279,9 @@ fn official_suite_runs_on_thread_oracle() {
         if ["K21", "K6"].contains(&k.code) {
             continue; // heavy at official size in debug; covered reduced above
         }
-        let sim = CountingOracle.measure(&k.program, &cfg).unwrap();
+        let sim = FastCountingOracle::with_engine(Engine::Interp)
+            .measure(&k.program, &cfg)
+            .unwrap();
         let real = ThreadOracle
             .measure(&k.program, &cfg)
             .unwrap_or_else(|e| panic!("{}: thread oracle failed: {e}", k.code));
@@ -290,7 +301,9 @@ fn one_sweep_stencils_are_cache_exact() {
         sapp::loops::stencil::build_heat7(8, 7, 6, 1),
     ] {
         assert!(cache_exact(&k.program), "{}: should be exact", k.code);
-        let sim = CountingOracle.measure(&k.program, &cfg).unwrap();
+        let sim = FastCountingOracle::with_engine(Engine::Interp)
+            .measure(&k.program, &cfg)
+            .unwrap();
         let real = ThreadOracle
             .measure(&k.program, &cfg)
             .unwrap_or_else(|e| panic!("{}: {e}", k.code));
@@ -363,7 +376,9 @@ fn prefix_spmv_resolves_over_indirect_fetch() {
     // simulator's message model exactly — the independent side of the
     // ledger: the simulator never sees resolution traffic at all.
     let cfg = thread_cfg(0);
-    let sim = CountingOracle.measure(&program, &cfg).unwrap();
+    let sim = FastCountingOracle::with_engine(Engine::Interp)
+        .measure(&program, &cfg)
+        .unwrap();
     let real = ThreadOracle.measure(&program, &cfg).unwrap();
     assert_counts_match("SPMVD", &sim, &real);
     assert_eq!(
@@ -379,7 +394,9 @@ fn stencil_sweeps_through_plans_on_threads() {
     // (multi-dim affine anchors with reinit ping-pong between sweeps).
     let k = sapp::loops::stencil::build_heat7(8, 8, 6, 3);
     let plan = ExperimentPlan::new().base(thread_cfg(0)).pes(&[1, 2, 4, 6]);
-    let sim = plan.run(&k.program, &CountingOracle).unwrap();
+    let sim = plan
+        .run(&k.program, &FastCountingOracle::with_engine(Engine::Interp))
+        .unwrap();
     let real = plan.run(&k.program, &ThreadOracle).unwrap();
     assert_eq!(sim.len(), real.len());
     for (s, r) in sim.records().iter().zip(real.records()) {
@@ -394,7 +411,9 @@ fn scatter_kernels_sweep_through_plans_on_threads() {
     // indirect statement anchor.
     let k = sapp::loops::k14_pic1d::build_scatter(150);
     let plan = ExperimentPlan::new().base(thread_cfg(0)).pes(&[1, 2, 4, 6]);
-    let sim = plan.run(&k.program, &CountingOracle).unwrap();
+    let sim = plan
+        .run(&k.program, &FastCountingOracle::with_engine(Engine::Interp))
+        .unwrap();
     let real = plan.run(&k.program, &ThreadOracle).unwrap();
     assert_eq!(sim.len(), real.len());
     for (s, r) in sim.records().iter().zip(real.records()) {
@@ -429,7 +448,9 @@ fn genuinely_dynamic_anchors_fail_soft_through_the_oracle() {
     ));
     // The simulator still measures it (omniscient peek), so the grid point
     // is lost only on the thread backend — exactly the soft-failure split.
-    assert!(CountingOracle.measure(&prog, &thread_cfg(0)).is_ok());
+    assert!(FastCountingOracle::with_engine(Engine::Interp)
+        .measure(&prog, &thread_cfg(0))
+        .is_ok());
 }
 
 #[test]
@@ -465,7 +486,9 @@ fn results_and_counts_do_not_depend_on_the_pool_size() {
                     ..thread_cfg(cache_elems)
                 };
                 let what = format!("{} {partition:?} cache {cache_elems}", k.code);
-                let sim = CountingOracle.measure(&k.program, &cfg).unwrap();
+                let sim = FastCountingOracle::with_engine(Engine::Interp)
+                    .measure(&k.program, &cfg)
+                    .unwrap();
                 let replay = sapp::core::replay::counts(&k.program, &cfg.machine()).ok();
                 let rt = RuntimeConfig::from_machine(&cfg.machine());
                 for workers in [1usize, 2, 3, n_pes] {
@@ -478,8 +501,8 @@ fn results_and_counts_do_not_depend_on_the_pool_size() {
                     assert_eq!(s.cached_reads(), sim.cached_reads, "{what}: cached");
                     assert_eq!(s.remote_reads(), sim.remote_reads, "{what}: remote");
                     assert_eq!(rep.modeled_messages(), sim.messages, "{what}: messages");
-                    assert_eq!(Some(rep.hops), sim.hops, "{what}: hops");
-                    assert_eq!(Some(rep.max_link_load), sim.max_link_load, "{what}");
+                    assert_eq!(rep.hops, sim.hops, "{what}: hops");
+                    assert_eq!(rep.max_link_load, sim.max_link_load, "{what}");
                     if let (0, Some(replay)) = (cache_elems, &replay) {
                         assert_eq!(*s, replay.stats, "{what}: replay stats");
                         assert_eq!(rep.modeled_messages(), replay.network_messages);
