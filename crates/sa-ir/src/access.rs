@@ -18,7 +18,9 @@
 //! * a nest's references are lowered once ([`NestAccess`]): per dimension
 //!   an affine index or a gather ([`Subscript`]), its extent and stride,
 //!   and whether the nest's one [`loop_box`] proves it in bounds — a
-//!   gather through its base's defined prefix ([`StaticArrays::get`]). A
+//!   gather through its base's defined prefix ([`StaticArrays::get`]),
+//!   its values bounded from the base's initializer pattern
+//!   ([`InitPattern::index_bound`](crate::InitPattern::index_bound)) before any is read. A
 //!   dimension the box leaves open is decided exactly at a sweep's two end
 //!   trips ([`Access::leaves`]): an affine index is monotone along it.
 //!
@@ -291,13 +293,18 @@ impl Subscript {
 
     /// `[min, max]` of the index where its form takes every `step`-th
     /// value of `[lo, hi]`, a gather reading its base's constant cells:
-    /// `None` when a position leaves their defined prefix.
+    /// `None` when a position leaves their defined prefix. With `closed`, a
+    /// gather's values come from its base's initializer pattern where it
+    /// has a closed form ([`InitPattern::index_bound`](crate::InitPattern::index_bound)), which reads no
+    /// cell but may be wider than the values are; the flag says the range
+    /// is exact.
     fn range(
         &self,
         (lo, hi): (i128, i128),
         step: u64,
         statics: Option<&StaticArrays<'_>>,
-    ) -> Option<(i128, i128)> {
+        closed: bool,
+    ) -> Option<((i128, i128), bool)> {
         let &Subscript::Gather {
             base,
             scale,
@@ -305,23 +312,51 @@ impl Subscript {
             ..
         } = self
         else {
-            return Some((lo, hi));
+            return Some(((lo, hi), true));
         };
-        let values = statics?.get(base)?;
-        if lo < 0 || hi >= values.len() as i128 {
+        let statics = statics?;
+        let (pattern, len) = statics.pattern(base)?;
+        if lo < 0 || hi >= len as i128 {
             return None;
         }
-        let taken = values[lo as usize..=hi as usize]
-            .iter()
-            .step_by(step.max(1) as usize);
-        let (min, max) = taken.fold((i64::MAX, i64::MIN), |(min, max), &v| {
-            (min.min(v as i64), max.max(v as i64))
-        });
+        let (lo, hi, step) = (lo as usize, hi as usize, step.max(1) as usize);
+        let bound = closed.then(|| pattern.index_bound(lo, hi, step, len));
+        let ((min, max), exact) = match bound.flatten() {
+            Some(bound) => bound,
+            None => {
+                let taken = statics.get(base)?[lo..=hi].iter().step_by(step);
+                let range = taken.fold((i64::MAX, i64::MIN), |(min, max), &v| {
+                    (min.min(v as i64), max.max(v as i64))
+                });
+                (range, true)
+            }
+        };
         let (x, y) = (
             i128::from(scale) * i128::from(min),
             i128::from(scale) * i128::from(max),
         );
-        Some((x.min(y) + i128::from(offset), x.max(y) + i128::from(offset)))
+        let range = (x.min(y) + i128::from(offset), x.max(y) + i128::from(offset));
+        Some((range, exact))
+    }
+
+    /// Whether the index stays inside `0..extent` where its form takes
+    /// every `step`-th value of `[lo, hi]`: a gather by its base's closed
+    /// form, and by the values themselves only when that cannot decide.
+    fn inside(
+        &self,
+        span: (i128, i128),
+        step: u64,
+        statics: Option<&StaticArrays<'_>>,
+        extent: i64,
+    ) -> bool {
+        let inside = |(lo, hi): (i128, i128)| lo >= 0 && hi < i128::from(extent);
+        match self.range(span, step, statics, true) {
+            Some((range, _)) if inside(range) => true,
+            Some((_, false)) => self
+                .range(span, step, statics, false)
+                .is_some_and(|(range, _)| inside(range)),
+            _ => false,
+        }
     }
 }
 
@@ -398,9 +433,9 @@ impl Access {
                 _ => 1,
             };
             let extent = decl.dims.get(d).map_or(0, |&e| e as i64);
-            let range = subscript.range(interval(&at.coeffs, at.offset, vars), step, statics);
+            let span = interval(&at.coeffs, at.offset, vars);
             Dim {
-                proved: range.is_some_and(|(lo, hi)| lo >= 0 && hi < i128::from(extent)),
+                proved: subscript.inside(span, step, statics, extent),
                 subscript,
                 extent,
                 stride: strides.get(d).map_or(0, |&s| s as i64),
@@ -460,9 +495,9 @@ impl Access {
             let line = dim.subscript.form().line(sweep);
             let (x, y) = (i128::from(line.base), i128::from(line.addr(last)));
             let step = line.step.unsigned_abs();
-            let (first, end) = dim
-                .subscript
-                .range((x.min(y), x.max(y)), step, Some(statics))?;
+            let ((first, end), _) =
+                dim.subscript
+                    .range((x.min(y), x.max(y)), step, Some(statics), false)?;
             if first < 0 || end >= i128::from(dim.extent) {
                 return None;
             }
@@ -706,6 +741,30 @@ mod tests {
         // Without the constant cells no gather is proved.
         let blind = NestAccess::lower(&prog, nest, None);
         assert!(!blind.refs[1].dims[0].proved);
+        // A permutation's closed form bounds its values by its length; where
+        // the positions read hold only smaller ones, the values decide.
+        let perm = InitPattern::Permutation { seed: 1 };
+        let values = perm.materialize(8);
+        let first = values[..4].iter().map(|&v| v as usize).max().unwrap();
+        assert!(
+            first < 7,
+            "the bound must be too wide to decide: {values:?}"
+        );
+        for (extent, proved) in [(first + 1, true), (first, false)] {
+            let mut b = ProgramBuilder::new("fit");
+            let q = b.input("Q", &[8], perm);
+            let v = b.input("V", &[extent], InitPattern::Wavy);
+            let z = b.output("Z", &[4]);
+            b.nest("n", &[("k", 0, 3)], |n| {
+                let read = n.read_indirect(v, q, iv(0));
+                n.assign(z, [iv(0)], read);
+            });
+            let prog = b.finish();
+            let statics = StaticArrays::scan(&prog);
+            let nest = prog.nests().next().unwrap();
+            let lowered = NestAccess::lower(&prog, nest, Some(&statics));
+            assert_eq!(lowered.refs[0].dims[0].proved, proved, "{values:?}");
+        }
         nest.for_each_sweep(|s| {
             assert_eq!(lowered.refs[0].leaves(s), Some((1, -1)));
             assert_eq!(lowered.refs[0].line(s), None);

@@ -35,7 +35,7 @@ use crate::access::{try_for_each_sweep, LinForm};
 use crate::index::IndexExpr;
 use crate::interp::Memory;
 use crate::nest::{ArrayRef, LoopNest, Stmt};
-use crate::program::{ArrayInit, Phase, Program};
+use crate::program::{ArrayInit, InitPattern, Phase, Program};
 use crate::{ArrayId, IrError};
 
 /// Relation between one read reference and the statement's write anchor.
@@ -225,10 +225,20 @@ pub fn affine_address_range(
 }
 
 /// Maximum trip count observed at each loop level (exact: level `d`'s
-/// trips are the sweeps of the nest cut off below `d`; cheap at kernel
-/// scale). Public so the static write-once verifier can bound per-level
-/// iteration spans for its Banerjee-style tests.
+/// trips are the sweeps of the nest cut off below `d`; in closed form for
+/// a rectangular nest, where a level runs its one trip count once every
+/// level above it runs). Public so the static write-once verifier can
+/// bound per-level iteration spans for its Banerjee-style tests.
 pub fn level_extents(nest: &LoopNest) -> Vec<usize> {
+    if let Some(trips) = nest.rect_trips() {
+        let mut runs = true;
+        let extent = |&t: &usize| {
+            let e = if runs { t } else { 0 };
+            runs &= t > 0;
+            e
+        };
+        return trips.iter().map(extent).collect();
+    }
     (1..=nest.loops.len())
         .map(|depth| {
             let mut max = 0;
@@ -405,6 +415,21 @@ impl<'p> StaticArrays<'p> {
         Some(self.values[a.0].get_or_init(|| decl.init.materialize(decl.len())))
     }
 
+    /// The initializer pattern of `a` and the length of its defined prefix,
+    /// if its values are compile-time constants: what [`StaticArrays::get`]
+    /// materializes, without materializing it.
+    pub fn pattern(&self, a: ArrayId) -> Option<(InitPattern, usize)> {
+        if !self.constant[a.0] {
+            return None;
+        }
+        let decl = self.program.array(a);
+        match decl.init {
+            ArrayInit::Full(pattern) => Some((pattern, decl.len())),
+            ArrayInit::Prefix { pattern, len } => Some((pattern, len.min(decl.len()))),
+            ArrayInit::Undefined => None,
+        }
+    }
+
     /// Whether every cell of `a` is a constant: declared
     /// [`ArrayInit::Full`], never written, never re-initialized.
     pub fn is_total(&self, a: ArrayId) -> bool {
@@ -521,7 +546,7 @@ pub fn screen_nests(program: &Program, statics: &StaticArrays<'_>) -> Vec<NestSc
                         return Screen::Affine { array, form };
                     }
                     let bases = anchor_index_arrays(stmt);
-                    if !bases.is_empty() && bases.iter().all(|b| statics.get(*b).is_some()) {
+                    if !bases.is_empty() && bases.iter().all(|b| statics.pattern(*b).is_some()) {
                         Screen::Static
                     } else {
                         Screen::Produced

@@ -154,9 +154,23 @@ impl LoopNest {
         });
     }
 
+    /// Each level's trip count when every bound is a constant (a
+    /// rectangular nest), outermost first; `None` for a triangular nest.
+    pub fn rect_trips(&self) -> Option<Vec<usize>> {
+        let rect = |lv: &LoopVar| lv.lo.is_constant() && lv.hi.is_constant();
+        let trips = self
+            .loops
+            .iter()
+            .map(|lv| rect(lv).then(|| lv.trip_count(&[])));
+        trips.collect()
+    }
+
     /// Total iterations (exact for triangular nests: the sum of the sweeps'
-    /// trip counts).
+    /// trip counts; the product of the trip counts for rectangular ones).
     pub fn iteration_count(&self) -> usize {
+        if let Some(trips) = self.rect_trips() {
+            return trips.iter().product();
+        }
         let mut count = 0;
         self.for_each_sweep(|s| count += s.trips);
         count

@@ -45,6 +45,38 @@ pub enum InitPattern {
 }
 
 impl InitPattern {
+    /// `[min, max]` of the first `len` values at positions `lo, lo + step,
+    /// …` up to `hi` (`lo ≤ hi < len`, `step ≥ 1`), each truncated to an
+    /// integer as an index reads it, in closed form, and whether that is
+    /// the exact range: exact for the constant and `Linear` patterns
+    /// (monotone, so at the first and last position), a bound for the
+    /// permutations (every value they hold: `0..len`, reduced modulo
+    /// `limit`); `None` for the others.
+    pub fn index_bound(
+        self,
+        lo: usize,
+        hi: usize,
+        step: usize,
+        len: usize,
+    ) -> Option<((i64, i64), bool)> {
+        debug_assert!(lo <= hi && hi < len && step >= 1);
+        match self {
+            InitPattern::Zero => Some(((0, 0), true)),
+            InitPattern::Const(c) => Some(((c as i64, c as i64), true)),
+            InitPattern::Linear { base, step: by } => {
+                // The same expression `materialize` evaluates.
+                let at = |i: usize| (base + by * i as f64) as i64;
+                let (first, last) = (at(lo), at(lo + (hi - lo) / step * step));
+                Some(((first.min(last), first.max(last)), true))
+            }
+            InitPattern::Permutation { .. } => Some(((0, len as i64 - 1), false)),
+            InitPattern::BoundedPermutation { limit, .. } => {
+                Some(((0, limit.max(1).min(len) as i64 - 1), false))
+            }
+            InitPattern::Harmonic | InitPattern::Wavy => None,
+        }
+    }
+
     /// Materialize the first `len` values of the pattern.
     pub fn materialize(self, len: usize) -> Vec<f64> {
         match self {
@@ -266,6 +298,44 @@ impl Program {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The closed form against the materialized values: exact where it
+    /// says so, and holding every value otherwise.
+    #[test]
+    fn index_bounds_hold_the_values_they_bound() {
+        let patterns = [
+            InitPattern::Zero,
+            InitPattern::Const(-2.5),
+            InitPattern::Linear {
+                base: 3.5,
+                step: -0.75,
+            },
+            InitPattern::Linear {
+                base: -1.0,
+                step: 2.0,
+            },
+            InitPattern::Permutation { seed: 4 },
+            InitPattern::BoundedPermutation { seed: 4, limit: 5 },
+            InitPattern::BoundedPermutation { seed: 4, limit: 0 },
+        ];
+        for pattern in patterns {
+            for len in [1, 2, 9, 30] {
+                let values: Vec<i64> = pattern.materialize(len).iter().map(|&v| v as i64).collect();
+                for (lo, hi, step) in [
+                    (0, len - 1, 1),
+                    (len / 3, len - 1, 2),
+                    (1.min(len - 1), len / 2, 3),
+                ] {
+                    let taken = values[lo..=hi].iter().step_by(step);
+                    let (min, max) = (*taken.clone().min().unwrap(), *taken.max().unwrap());
+                    let ((a, b), exact) = pattern.index_bound(lo, hi, step, len).unwrap();
+                    assert!(a <= min && max <= b, "{pattern:?} {len} {lo}..={hi}/{step}");
+                    assert!(!exact || (a, b) == (min, max), "{pattern:?} {len}");
+                }
+            }
+        }
+        assert_eq!(InitPattern::Wavy.index_bound(0, 3, 1, 4), None);
+    }
 
     #[test]
     fn init_patterns_materialize_deterministically() {

@@ -1537,11 +1537,14 @@ pub(crate) fn deadlock(
     let program = res.program;
     let cycle = || {
         res.check_static()?;
-        let sched = schedule(res, cfg)?;
+        // A schedule fails only on the machine shape: ask that first, and
+        // build one — a record per sweep — only for a wait graph.
+        let dims = program.arrays.iter().map(|d| &d.dims);
+        Placement::table(dims, cfg.scheme, cfg.page_size, cfg.n_pes)?;
         if !forward_deferrals()? {
             return Ok(None);
         }
-        wait_cycle(res, &sched, cfg)
+        wait_cycle(res, &schedule(res, cfg)?, cfg)
     };
     match cycle() {
         Ok(cycle) => cycle.into_iter().collect(),

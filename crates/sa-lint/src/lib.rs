@@ -5,15 +5,17 @@
 //!
 //! * **Write-once verification** ([`writeonce::check_write_once`]) — proves
 //!   the single-assignment property per array generation with closed-form
-//!   affine conflict tests (Banerjee-style range, GCD lattice residue,
-//!   mixed-radix self-injectivity), then over per-sweep write runs,
+//!   conflict tests (Banerjee-style range, GCD lattice residue, disjoint
+//!   index intervals per dimension, mixed-radix self-injectivity, a
+//!   scatter through a permutation), then over per-sweep write runs,
 //!   falling back to exact per-cell enumeration that recovers the two
 //!   conflicting iteration vectors.
 //! * **Progress** ([`progress::check_progress`]) — dangling I-structure
 //!   deferrals (reads no producer ever satisfies), indirect anchors with
 //!   no static producer and provable out-of-bounds references: proved
-//!   absent over per-sweep address runs where every read has an earlier
-//!   producer, found by the instance walk otherwise.
+//!   absent by counting complete generations and over per-sweep address
+//!   runs where every read has an earlier producer, found by the instance
+//!   walk otherwise.
 //! * **Partition legality** ([`progress::check_partition`]) — partition
 //!   schemes that orphan PEs.
 //! * **Deadlock freedom** ([`depgraph::check_deadlock`]) — a per-config
@@ -62,10 +64,11 @@ thread_local! {
 }
 
 /// Run `f` with write-once and progress on their per-instance reference
-/// path: the cell-by-cell enumeration wherever the closed-form tests are
-/// inconclusive, and the instance walk for every program, as if no sweep
-/// footprint had proved anything. What the footprints prove is certified
-/// against it (`tests/lint_proptests.rs`).
+/// path: the cell-by-cell enumeration wherever the linearized address
+/// tests are inconclusive, and the instance walk for every program, as if
+/// no footprint — per-sweep runs, the per-dimension and scatter rules,
+/// complete generations counted — had proved anything. What the
+/// footprints prove is certified against it (`tests/lint_proptests.rs`).
 #[doc(hidden)]
 pub fn by_instance<T>(f: impl FnOnce() -> T) -> T {
     struct Restore(bool);
@@ -78,9 +81,10 @@ pub fn by_instance<T>(f: impl FnOnce() -> T) -> T {
     f()
 }
 
-/// Whether the exact passes may decide over sweep footprints
+/// Whether the exact passes may decide over footprints — per-sweep
+/// address runs, or the closed-form rules that need none
 /// ([`by_instance`] says no).
-fn over_sweeps() -> bool {
+fn by_footprint() -> bool {
     !BY_INSTANCE.with(Cell::get)
 }
 
@@ -287,9 +291,10 @@ mod tests {
         assert!(walked > 0);
     }
 
-    /// Per exact pass, the registry kernels at official size decided over
-    /// sweeps: progress walks no instance, and write-once leaves some
-    /// generation to the exact footprint but enumerates none cell by cell.
+    /// Per exact pass, the registry kernels at official size decided
+    /// without the instances: progress walks none, and write-once leaves
+    /// some generation to the exact footprint but enumerates none cell by
+    /// cell (no kernel: the closed form decides them all).
     #[test]
     fn the_registry_kernels_decided_over_sweeps() {
         let (mut progress, mut write_once) = (Vec::new(), Vec::new());
@@ -301,7 +306,8 @@ mod tests {
                 progress.push(w.code);
             }
             let cells = writeonce::segments_enumerated();
-            let left_open = check_write_once(&p).enumerated > 0;
+            let once = check_write_once(&p);
+            let left_open = once.over_sweeps + once.enumerated > 0;
             if left_open && writeonce::segments_enumerated() == cells {
                 write_once.push(w.code);
             }
@@ -313,7 +319,61 @@ mod tests {
                 "K22", "K24", "K13S", "K14F", "K14S", "ST5", "ST9", "ST7", "SPMV", "SPMVD"
             ]
         );
-        assert_eq!(write_once, ["K6", "K18", "ST5", "ST9", "ST7"]);
+        // Rung 1's per-dimension test leaves no registry segment open.
+        assert_eq!(write_once, [] as [&str; 0]);
+    }
+
+    /// Per registry kernel at official size, the rung deciding each
+    /// write-once segment — `(closed form, over sweeps, cell by cell)` —
+    /// and whether progress laid down any sweep and walked the instances.
+    /// The stencils and the sparse kernels are decided in closed form
+    /// throughout; K2, K5, K6 and K11 still walk.
+    #[test]
+    fn the_registry_kernels_are_decided_by_these_rungs() {
+        let decided: Vec<_> = sa_loops::workloads()
+            .iter()
+            .map(|w| {
+                let p = w.official().program;
+                let once = check_write_once(&p);
+                let seen = progress::progress_report(&p);
+                let segments = (once.proven_affine, once.over_sweeps, once.enumerated);
+                (w.code, segments, seen.over_sweeps > 0, seen.walked)
+            })
+            .collect();
+        let (none, laid, walked) = ((false, false), (true, false), (true, true));
+        let expected = [
+            ("K1", (1, 0, 0), none),
+            ("K2", (1, 0, 0), walked),
+            ("K3", (0, 0, 0), none),
+            ("K4", (1, 0, 0), none),
+            ("K5", (1, 0, 0), walked),
+            ("K6", (2, 0, 0), walked),
+            ("K7", (1, 0, 0), none),
+            ("K8", (6, 0, 0), laid),
+            ("K9", (1, 0, 0), none),
+            ("K10", (1, 0, 0), none),
+            ("K11", (1, 0, 0), walked),
+            ("K12", (1, 0, 0), none),
+            ("K13", (5, 0, 0), laid),
+            ("K14", (1, 0, 0), none),
+            ("K18", (6, 0, 0), laid),
+            ("K21", (1, 0, 0), laid),
+            ("K22", (2, 0, 0), none),
+            ("K24", (0, 0, 0), none),
+            ("K13S", (5, 0, 0), laid),
+            ("K14F", (4, 0, 0), laid),
+            ("K14S", (5, 0, 0), laid),
+            ("ST5", (2, 0, 0), none),
+            ("ST9", (2, 0, 0), none),
+            ("ST7", (2, 0, 0), none),
+            ("SPMV", (2, 0, 0), none),
+            ("SPMVD", (2, 0, 0), none),
+        ];
+        let expected: Vec<_> = expected
+            .into_iter()
+            .map(|(code, segments, (sweeps, walks))| (code, segments, sweeps, walks))
+            .collect();
+        assert_eq!(decided, expected);
     }
 
     #[test]

@@ -21,33 +21,50 @@
 //!
 //! # Which rung answers
 //!
-//! 1. **Sweeps.** The phases are followed in order over write footprints
-//!    (the crate-private `footprint` module). A nest passes when every
-//!    reference is affine or goes through index arrays whose contents are
-//!    compile-time constants, stays inside its array on each sweep (at
-//!    the two end trips; a gather's index-array positions inside the
-//!    defined prefix and its values inside their dimension), and every
-//!    read lies inside what its generation defines before it in program
-//!    order:
-//!    * the initializer, and *earlier* nests (a `Reinit` empties it);
-//!    * an *earlier outermost iteration* of the same nest — a nest that
+//! 1. **Footprints.** The phases are followed in order over write
+//!    footprints. A nest passes when every reference is affine or goes
+//!    through index arrays whose contents are compile-time constants,
+//!    stays inside its array, and every read lies inside what its
+//!    generation defines before it in program order:
+//!    * **by counting** — a generation is *complete* once its cells equal
+//!      its initializer's prefix plus the instances of its writes, where
+//!      write-once's closed form proves those writes affine, inside the
+//!      array, self-injective, clear of the initializer and pairwise
+//!      disjoint (`writeonce::counted`). A read the nest's loop box keeps
+//!      inside its array ([`sa_ir::access::Dim::proved`], a gather's
+//!      values bounded from its index array's initializer pattern) of a
+//!      generation complete before its nest needs no sweep, and a write
+//!      the box keeps inside whose generation no other read needs is
+//!      counted, not laid down. A nest left with nothing to check lays
+//!      down no sweep;
+//!    * **over sweeps** — the other references are laid down sweep by
+//!      sweep as address runs (the crate-private `footprint` module),
+//!      checked at the two end trips of each sweep (a gather's
+//!      index-array positions inside the defined prefix and its values
+//!      inside their dimension), and a read is defined by the
+//!      initializer and *earlier* nests (a `Reinit` empties it); by an
+//!      *earlier outermost iteration* of the same nest — a nest that
 //!      reads a slot it writes is checked one outermost iteration at a
 //!      time, each against what the ones before it defined (K21's plane
-//!      recurrence);
-//!    * an *earlier statement of the same instance* that writes the
-//!      identical reference (SPMV's running sum `S(i,t-1)`).
+//!      recurrence); or by an *earlier statement of the same instance*
+//!      that writes the identical reference (SPMV's running sum
+//!      `S(i,t-1)`).
 //!
 //!    Writes are added a batch at a time, a scatter's left out. A program
 //!    whose every nest passes defers no read and leaves no array: no
-//!    SA004, no SA006, no forward deferral — proved in O(sweeps + blocks
-//!    of strided runs + positions gathered), whatever the instance count.
+//!    SA004, no SA006, no forward deferral — proved in O(nests) where
+//!    counting decides, else in O(sweeps + blocks of strided runs +
+//!    positions gathered), whatever the instance count.
 //! 2. **Instances.** Anything else — a gather through runtime data, a read
 //!    only a later write or an earlier trip of the same sweep satisfies
 //!    (K5's and K11's recurrences), a reference that may leave its array,
 //!    a read of what only a scatter defines — is walked instance by
 //!    instance, for the whole program, as above. Every finding, its
 //!    iteration vector and the report order come from this walk, which
-//!    stays the reference the first rung is certified against.
+//!    stays the reference the first rung is certified against
+//!    ([`crate::by_instance`] turns the first rung off).
+//!
+//! [`progress_report`] says which rung decided.
 //!
 //! `PL001` asks each array's placement for one period of pages, or, without
 //! a period, the pages where the owner changes.
@@ -59,8 +76,9 @@ use crate::diag::{Code, Diagnostic, Severity, Span};
 use crate::footprint::{Batch, Footprint, Run};
 use crate::sites::{
     self, describe, walk, Deferral, Flow, Instance, LiveSlots, Pass, Read, ResolveFail, Resolver,
-    Write,
+    Segment, Write,
 };
+use crate::writeonce;
 use sa_ir::access::{Access, NestAccess};
 use sa_ir::analysis::StaticArrays;
 use sa_ir::nest::{ArrayRef, LoopNest, Stmt};
@@ -70,6 +88,32 @@ use sa_machine::{ConfigError, PartitionScheme, Placement};
 /// Run the progress checks (`SA004`, `SA005`, `SA006`) on `program`.
 pub fn check_progress(program: &Program) -> Vec<Diagnostic> {
     observe(&Resolver::new(program)).diagnostics
+}
+
+/// The progress checks' findings and the rung that decided them: how many
+/// sweeps the first rung laid down, and whether the instance walk had to
+/// decide (module docs).
+#[doc(hidden)]
+#[derive(Debug)]
+pub struct ProgressReport {
+    /// What [`check_progress`] returns.
+    pub diagnostics: Vec<Diagnostic>,
+    /// Sweeps the first rung laid down as footprint runs (0 when counting
+    /// and the loop boxes decided every nest).
+    pub over_sweeps: usize,
+    /// The instance walk decided the program.
+    pub walked: bool,
+}
+
+/// [`check_progress`] with the rung that decided it.
+#[doc(hidden)]
+pub fn progress_report(program: &Program) -> ProgressReport {
+    let seen = observe(&Resolver::new(program));
+    ProgressReport {
+        diagnostics: seen.diagnostics,
+        over_sweeps: seen.over_sweeps,
+        walked: seen.walked,
+    }
 }
 
 /// What the progress pass finds of a program, over sweeps or by its one
@@ -82,17 +126,24 @@ pub(crate) struct Observed {
     /// (the first to, in the order the owner-computes walk would meet
     /// them) or the ids run out.
     pub forward_deferrals: Result<bool, InstanceError>,
+    /// Sweeps the first rung laid down.
+    over_sweeps: usize,
+    /// The walk decided.
+    walked: bool,
 }
 
-/// Prove `res`'s program clean over sweeps or walk it once, for the
+/// Prove `res`'s program clean over footprints or walk it once, for the
 /// progress checks and the deadlock proof's premise.
 pub(crate) fn observe(res: &Resolver<'_>) -> Observed {
     let mut diagnostics = Vec::new();
     check_anchors(res.program, &mut diagnostics);
-    if crate::over_sweeps() && in_order_over_sweeps(res) {
+    let mut over_sweeps = 0;
+    if crate::by_footprint() && in_order(res, &mut over_sweeps) {
         return Observed {
             diagnostics,
             forward_deferrals: Ok(false),
+            over_sweeps,
+            walked: false,
         };
     }
     let mut pass = Progress::new(res);
@@ -105,20 +156,36 @@ pub(crate) fn observe(res: &Resolver<'_>) -> Observed {
     Observed {
         diagnostics,
         forward_deferrals,
+        over_sweeps,
+        walked: true,
     }
 }
 
+/// One reference of a nest as the first rung sees it: its generation
+/// slot, its lowering, and whether it is the statement's write.
+type Ref<'a> = (usize, &'a Access, bool);
+
 /// The first rung (module docs): every nest's references all affine or
-/// through constant index arrays, every one inside its array on every
-/// sweep, and every read defined — by its generation's initializer, an
-/// earlier nest, an earlier outermost iteration of its own nest, or an
-/// earlier statement of its own instance writing the identical reference
-/// — so the walk would defer no read and fail no resolution.
-fn in_order_over_sweeps(res: &Resolver<'_>) -> bool {
+/// through constant index arrays, every one inside its array, and every
+/// read defined — by its generation's initializer, an earlier nest, an
+/// earlier outermost iteration of its own nest, or an earlier statement
+/// of its own instance writing the identical reference — so the walk
+/// would defer no read and fail no resolution. `sweeps` counts the sweeps
+/// laid down.
+fn in_order(res: &Resolver<'_>, sweeps: &mut usize) -> bool {
     let program = res.program;
-    let mut defined = Footprint::new(program);
+    // Per slot: the first phase from which its generation is complete.
+    let complete: Vec<Option<usize>> = sites::segments(program)
+        .iter()
+        .map(|seg| complete_from(program, seg))
+        .collect();
     let mut live = LiveSlots::new(program);
-    for phase in &program.phases {
+    // Per nest: its lowering, and its references as `(slot, key, writes)`
+    // in body order; a read of what an earlier statement of the same
+    // instance writes is defined. Gathers are proved by the loop box
+    // through the constant index arrays.
+    let mut nests = Vec::new();
+    for (p, phase) in program.phases.iter().enumerate() {
         let nest = match phase {
             Phase::Reinit(array) => {
                 live.reinit(*array);
@@ -126,10 +193,7 @@ fn in_order_over_sweeps(res: &Resolver<'_>) -> bool {
             }
             Phase::Loop(nest) => nest,
         };
-        // `(slot, reference, writes)` in body order; a read of what an
-        // earlier statement of the same instance writes is defined.
-        // Gathers are bounded per sweep (`Access::hull`), not by the box.
-        let lowered = NestAccess::lower(program, nest, None);
+        let lowered = NestAccess::lower(program, nest, Some(&res.statics));
         let mut refs = Vec::new();
         for (i, (stmt, at)) in nest.body.iter().zip(&lowered.stmts).enumerate() {
             let earlier = || nest.body[..i].iter().filter_map(Stmt::write_target);
@@ -139,14 +203,49 @@ fn in_order_over_sweeps(res: &Resolver<'_>) -> bool {
                 if !writes && earlier().any(|t| t == aref) {
                     continue;
                 }
-                refs.push((live.of(aref.array), &lowered.refs[k], writes));
+                refs.push((live.of(aref.array), k, writes));
             }
         }
-        if !nest_over_sweeps(nest, &refs, &res.statics, &mut defined) {
-            return false;
+        nests.push((p, nest, lowered, refs));
+    }
+    // A read inside its array of a generation complete before its nest is
+    // defined; the other reads need their slot's footprint, and only
+    // those slots have their writes laid down.
+    let answered = |p: usize, (slot, k, writes): (usize, usize, bool), at: &NestAccess| {
+        !writes && complete[slot].is_some_and(|from| from <= p) && at.refs[k].proved()
+    };
+    let mut footprint = vec![false; complete.len()];
+    for (p, _, lowered, refs) in &nests {
+        for &r in refs {
+            footprint[r.0] |= !r.2 && !answered(*p, r, lowered);
         }
     }
-    true
+    let mut defined = Footprint::new(program);
+    nests.iter().all(|(p, nest, lowered, refs)| {
+        // A write inside its array that no footprint needs is counted.
+        let counted = |&(slot, k, writes): &(usize, usize, bool)| {
+            writes && !footprint[slot] && lowered.refs[k].proved()
+        };
+        let open: Vec<Ref<'_>> = refs
+            .iter()
+            .filter(|&&r| !answered(*p, r, lowered) && !counted(&r))
+            .map(|&(slot, k, writes)| (slot, &lowered.refs[k], writes))
+            .collect();
+        open.is_empty() || nest_over_sweeps(nest, &open, &res.statics, &mut defined, sweeps)
+    })
+}
+
+/// The first phase from which `seg`'s generation is complete — every cell
+/// defined — by counting: its initializer's prefix plus its writes'
+/// instances fill the array, and rung 1 of write-once proves those writes
+/// in bounds and pairwise disjoint ([`writeonce::counted`]). `None` when
+/// that cannot be said.
+fn complete_from(program: &Program, seg: &Segment<'_>) -> Option<usize> {
+    let cells = seg.init_len as u128;
+    let instances = seg.writes.iter().map(|w| w.nest.iteration_count() as u128);
+    let full = cells + instances.sum::<u128>() == program.array(seg.array).len() as u128;
+    let counted = seg.writes.is_empty() || writeonce::counted(program, seg);
+    (full && counted).then(|| seg.writes.last().map_or(0, |w| w.phase + 1))
 }
 
 /// Check `nest`'s reads against `defined` and add its writes, a batch at a
@@ -155,9 +254,10 @@ fn in_order_over_sweeps(res: &Resolver<'_>) -> bool {
 /// A scatter's cells are left out: a read they alone define declines.
 fn nest_over_sweeps(
     nest: &LoopNest,
-    refs: &[(usize, &Access, bool)],
+    refs: &[Ref<'_>],
     statics: &StaticArrays<'_>,
     defined: &mut Footprint,
+    sweeps: &mut usize,
 ) -> bool {
     let written = |slot| refs.iter().any(|r| r.2 && r.0 == slot);
     let per_outer = refs.iter().any(|r| !r.2 && written(r.0));
@@ -172,6 +272,7 @@ fn nest_over_sweeps(
     };
     let mut outer = None;
     let checked = nest.try_for_each_sweep(|sweep| {
+        *sweeps += 1;
         if per_outer && sweep.outer.first() != outer.as_ref() {
             outer = sweep.outer.first().copied();
             if !flush(&mut reads, &mut writes, defined) {

@@ -225,7 +225,9 @@ impl<'p> Resolver<'p> {
     /// data, if any: `None` means the reference resolves statically.
     pub fn runtime_index(&self, aref: &ArrayRef) -> Option<ArrayId> {
         aref.indices.iter().find_map(|ix| match ix {
-            IndexExpr::Indirect { base, .. } if self.statics.get(*base).is_none() => Some(*base),
+            IndexExpr::Indirect { base, .. } if self.statics.pattern(*base).is_none() => {
+                Some(*base)
+            }
             _ => None,
         })
     }

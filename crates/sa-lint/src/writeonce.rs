@@ -6,13 +6,19 @@
 //!
 //! 1. **Closed form.** Affine write sites are attacked pairwise — a
 //!    Banerjee-style address-range test, a GCD lattice-residue test for
-//!    rectangular nests, and a mixed-radix self-injectivity test.
-//! 2. **Sweeps.** Where some pair stays inconclusive (a stencil's boundary
-//!    strips beside its interior), the segment's writes are laid down
-//!    sweep by sweep as address runs, one merge per nest (the
-//!    crate-private `footprint` module): if every write stays inside the
-//!    array and no run meets one already defined, the segment is
-//!    write-once, in O(sweeps + blocks of strided runs).
+//!    rectangular nests, and, for writes the loop box keeps inside their
+//!    array ([`sa_ir::access::Dim::proved`]), a per-dimension test: in
+//!    some dimension the two index intervals do not meet (a stencil's
+//!    boundary strips beside its interior) — plus a mixed-radix
+//!    self-injectivity test per site. A scatter alone in its generation
+//!    is write-once by construction when its target stays inside the
+//!    array and one index reads a `Permutation`-initialized array at
+//!    positions no two instances share (SPMVD's `Y(ROWPERM(i))`).
+//! 2. **Sweeps.** Where some pair stays inconclusive, the segment's
+//!    writes are laid down sweep by sweep as address runs, one merge per
+//!    nest (the crate-private `footprint` module): if every write stays
+//!    inside the array and no run meets one already defined, the segment
+//!    is write-once, in O(sweeps + blocks of strided runs).
 //! 3. **Cells.** Otherwise — an overlap the sweeps found, a write that may
 //!    leave the array, a scatter — the segment's write footprint is
 //!    enumerated cell by cell in program order, which also recovers the
@@ -21,14 +27,17 @@
 //!    through compile-time-constant index arrays are enumerated exactly;
 //!    scatters through runtime data are reported as statically undecidable
 //!    (`SA003`).
+//!
+//! Under [`crate::by_instance`] the per-dimension test, the scatter rule
+//! and the sweeps are off: rung 3 decides what the address tests leave.
 
 use crate::diag::{Code, Diagnostic, Span};
 use crate::footprint::{Batch, Footprint};
 use crate::sites::{self, iterate, ResolveFail, Resolver, Segment, WriteSite};
-use sa_ir::access::{interval, loop_box, Access};
+use sa_ir::access::{interval, loop_box, Access, Dim, Subscript};
 use sa_ir::analysis::{self, PairRelation};
 use sa_ir::nest::LoopNest;
-use sa_ir::{LinForm, Program};
+use sa_ir::{InitPattern, LinForm, Program};
 use sa_machine::partition::gcd;
 
 /// Outcome of the write-once pass.
@@ -36,10 +45,13 @@ use sa_machine::partition::gcd;
 pub struct WriteOnceReport {
     /// Findings (empty ⇒ every checkable segment is proven write-once).
     pub diagnostics: Vec<Diagnostic>,
-    /// Array segments discharged purely by the closed-form affine tests.
+    /// Array segments discharged in closed form (rung 1: the affine tests,
+    /// or a scatter through a permutation).
     pub proven_affine: usize,
-    /// Array segments the closed-form tests left to the exact footprint
-    /// (per-sweep intervals, or per-cell enumeration).
+    /// Array segments the closed form left open and per-sweep address runs
+    /// proved (rung 2).
+    pub over_sweeps: usize,
+    /// Array segments enumerated cell by cell (rung 3).
     pub enumerated: usize,
 }
 
@@ -93,44 +105,87 @@ fn check_segment(
         }
     }
 
-    // All-affine fast path: closed-form pairwise conflict tests.
     if seg.writes.iter().all(WriteSite::is_affine) {
-        if let Some(affine) = seg
-            .writes
-            .iter()
-            .map(|s| AffineSite::build(program, s))
-            .collect::<Option<Vec<_>>>()
-        {
-            let mut clean = true;
-            'pairs: for (i, a) in affine.iter().enumerate() {
-                if a.self_injective() != Verdict::NoConflict
-                    || a.overlaps_init(seg.init_len) != Verdict::NoConflict
-                {
-                    clean = false;
-                    break;
-                }
-                for b in affine.iter().skip(i + 1) {
-                    if a.may_conflict(b) != Verdict::NoConflict {
-                        clean = false;
-                        break 'pairs;
-                    }
-                }
-            }
-            if clean {
+        // All-affine fast path: closed-form pairwise conflict tests.
+        if let Some(affine) = affine_sites(program, seg) {
+            if disjoint(&affine, seg.init_len) {
                 report.proven_affine += 1;
                 return;
             }
-            report.enumerated += 1;
-            if !(crate::over_sweeps() && disjoint_over_sweeps(program, seg, slot, written)) {
-                enumerate_segment(program, seg, res, report);
+            if crate::by_footprint() && disjoint_over_sweeps(program, seg, slot, written) {
+                report.over_sweeps += 1;
+                return;
             }
-            return;
         }
+    } else if crate::by_footprint() && permutation_scatter(program, seg, res) {
+        report.proven_affine += 1;
+        return;
     }
 
     // Exact fallback: enumerate the segment footprint in program order.
     report.enumerated += 1;
     enumerate_segment(program, seg, res, report);
+}
+
+/// Rung 1's view of every write of an all-affine segment; `None` when one
+/// has no linear address form.
+fn affine_sites(program: &Program, seg: &Segment<'_>) -> Option<Vec<AffineSite>> {
+    let sites = seg.writes.iter();
+    sites.map(|s| AffineSite::build(program, s)).collect()
+}
+
+/// Rung 1 over `affine`: each site self-injective and clear of the
+/// initializer's `init` cells, and every pair disjoint.
+fn disjoint(affine: &[AffineSite], init: usize) -> bool {
+    affine.iter().enumerate().all(|(i, a)| {
+        injective(&a.form, &a.levels) == Verdict::NoConflict
+            && a.overlaps_init(init) == Verdict::NoConflict
+            && affine[i + 1..]
+                .iter()
+                .all(|b| a.may_conflict(b) == Verdict::NoConflict)
+    })
+}
+
+/// Whether rung 1 proves the segment's writes — all affine, and inside
+/// their array on every instance — self-injective, clear of the
+/// initializer and pairwise disjoint: its defined cells then number the
+/// initializer's prefix plus its writes' instances, which is how progress
+/// counts a generation complete.
+pub(crate) fn counted(program: &Program, seg: &Segment<'_>) -> bool {
+    seg.writes.iter().all(WriteSite::is_affine)
+        && affine_sites(program, seg).is_some_and(|affine| {
+            affine.iter().all(|a| a.dims.is_some()) && disjoint(&affine, seg.init_len)
+        })
+}
+
+/// The scatter rule of rung 1 (module docs): the segment's one write, no
+/// initializer prefix, its target inside the array on every instance, and
+/// an index `scale · P(pos) + offset` with `scale ≠ 0` through a
+/// `Permutation`-initialized `P` — distinct values at the distinct
+/// positions of its defined prefix — at a position injective over the
+/// nest.
+fn permutation_scatter(program: &Program, seg: &Segment<'_>, res: &Resolver<'_>) -> bool {
+    let [site] = seg.writes.as_slice() else {
+        return false;
+    };
+    if seg.init_len > 0 {
+        return false;
+    }
+    let vars = loop_box(&site.nest.loops);
+    let target = Access::lower(program, site.target, &vars, Some(&res.statics));
+    let levels = nest_levels(site.nest);
+    let distinct = |dim: &Dim| match &dim.subscript {
+        Subscript::Gather {
+            base, pos, scale, ..
+        } => {
+            let permutation = res.statics.pattern(*base);
+            *scale != 0
+                && matches!(permutation, Some((InitPattern::Permutation { .. }, _)))
+                && injective(pos, &levels) == Verdict::NoConflict
+        }
+        Subscript::Affine(_) => false,
+    };
+    target.proved() && target.dims.iter().any(distinct)
 }
 
 /// The second rung (module docs): lay the segment's writes, all affine,
@@ -195,6 +250,35 @@ fn nest_levels(nest: &LoopNest) -> Vec<LevelInfo> {
         .collect()
 }
 
+/// Mixed-radix injectivity of `form` over a nest with `levels`: two
+/// distinct iterations always take distinct values?
+fn injective(form: &LinForm, levels: &[LevelInfo]) -> Verdict {
+    let coeffs = &form.coeffs;
+    let mut terms: Vec<(i64, i64)> = Vec::new(); // (|effective coeff|, span)
+    for (v, info) in levels.iter().enumerate() {
+        let c = coeffs.get(v).copied().unwrap_or(0);
+        if info.trips <= 1 {
+            continue;
+        }
+        if c == 0 {
+            // A free level: iterations differing only here may repeat
+            // the value (definitely, for rectangular nests).
+            return Verdict::May;
+        }
+        terms.push(((c * info.step).abs(), info.trips as i64 - 1));
+    }
+    terms.sort_unstable_by_key(|t| std::cmp::Reverse(t.0));
+    // Sorted coarse→fine: each stride must out-reach everything finer.
+    let mut finer_reach = 0i64;
+    for &(e, span) in terms.iter().rev() {
+        if e <= finer_reach {
+            return Verdict::May;
+        }
+        finer_reach += e * span;
+    }
+    Verdict::NoConflict
+}
+
 /// One affine write site reduced to closed-form address facts.
 struct AffineSite {
     /// Linearized address form: coefficient per loop variable + offset.
@@ -206,6 +290,10 @@ struct AffineSite {
     /// Address lattice `base + gcd·ℤ ⊇ attained` for fully rectangular
     /// nests; `None` when some level is triangular.
     lattice: Option<(i64, i64)>, // (gcd, base); gcd == 0 ⇒ single address
+    /// `[min, max]` of each index over the loop box, when the box keeps
+    /// every index inside its extent (and not under
+    /// [`crate::by_instance`]).
+    dims: Option<Vec<(i128, i128)>>,
 }
 
 impl AffineSite {
@@ -215,7 +303,8 @@ impl AffineSite {
         let levels = nest_levels(site.nest);
         let LinForm { coeffs, offset } = &form;
         // Over the nest's loop box: a superset for triangular nests.
-        let (lo, hi) = interval(coeffs, *offset, &loop_box(&site.nest.loops));
+        let vars = loop_box(&site.nest.loops);
+        let (lo, hi) = interval(coeffs, *offset, &vars);
         let narrow = |x: i128| x.clamp(i64::MIN.into(), i64::MAX.into()) as i64;
         let lattice = if levels.iter().all(|l| l.rect) {
             let mut g = 0u64;
@@ -233,42 +322,22 @@ impl AffineSite {
         } else {
             None
         };
+        let index = |dim: &Dim| {
+            let LinForm { coeffs, offset } = dim.subscript.form();
+            interval(coeffs, *offset, &vars)
+        };
+        let dims = crate::by_footprint()
+            .then(|| Access::lower(program, site.target, &vars, None))
+            .filter(Access::proved)
+            .map(|target| target.dims.iter().map(index).collect());
         Some(AffineSite {
             form,
             levels,
             addr_lo: narrow(lo),
             addr_hi: narrow(hi),
             lattice,
+            dims,
         })
-    }
-
-    /// Mixed-radix injectivity: two distinct iterations of the site's own
-    /// nest always hit distinct addresses?
-    fn self_injective(&self) -> Verdict {
-        let coeffs = &self.form.coeffs;
-        let mut terms: Vec<(i64, i64)> = Vec::new(); // (|effective coeff|, span)
-        for (v, info) in self.levels.iter().enumerate() {
-            let c = coeffs.get(v).copied().unwrap_or(0);
-            if info.trips <= 1 {
-                continue;
-            }
-            if c == 0 {
-                // A free level: iterations differing only here may repeat
-                // the address (definitely, for rectangular nests).
-                return Verdict::May;
-            }
-            terms.push(((c * info.step).abs(), info.trips as i64 - 1));
-        }
-        terms.sort_unstable_by_key(|t| std::cmp::Reverse(t.0));
-        // Sorted coarse→fine: each stride must out-reach everything finer.
-        let mut finer_reach = 0i64;
-        for &(e, span) in terms.iter().rev() {
-            if e <= finer_reach {
-                return Verdict::May;
-            }
-            finer_reach += e * span;
-        }
-        Verdict::NoConflict
     }
 
     /// Can this site's footprint intersect another's?
@@ -289,6 +358,13 @@ impl AffineSite {
                 };
             }
             if d.rem_euclid(g) != 0 {
+                return Verdict::NoConflict;
+            }
+        }
+        // Per-dimension test: both inside the array, so apart in one index
+        // is apart.
+        if let (Some(a), Some(b)) = (&self.dims, &other.dims) {
+            if a.iter().zip(b).any(|(x, y)| x.1 < y.0 || y.1 < x.0) {
                 return Verdict::NoConflict;
             }
         }
@@ -594,17 +670,38 @@ mod tests {
         assert_eq!(r.enumerated, 0);
     }
 
+    /// A scatter through a permutation is write-once by construction; the
+    /// reference path enumerates it, and a position that repeats (or an
+    /// initializer the scatter may meet) is enumerated too.
     #[test]
-    fn static_permutation_scatter_is_enumerated_clean() {
-        let mut b = ProgramBuilder::new("scatter");
-        let perm = b.input("P", &[32], InitPattern::Permutation { seed: 9 });
-        let x = b.output("X", &[32]);
-        b.nest("scat", &[("k", 0, 31)], |nb| {
-            nb.assign_indirect(x, perm, iv(0), Expr::Const(1.0));
-        });
-        let r = check_write_once(&b.finish());
+    fn static_permutation_scatter_is_proved_clean() {
+        let scatter = |pos: sa_ir::AffineIndex, init: usize| {
+            let mut b = ProgramBuilder::new("scatter");
+            let perm = b.input("P", &[32], InitPattern::Permutation { seed: 9 });
+            let pattern = InitPattern::Zero;
+            let x = match init {
+                0 => b.output("X", &[32]),
+                len => b.array_with("X", &[32], ArrayInit::Prefix { pattern, len }),
+            };
+            b.nest("scat", &[("k", 0, 31)], |nb| {
+                nb.assign_indirect(x, perm, pos, Expr::Const(1.0));
+            });
+            b.finish()
+        };
+        let p = scatter(iv(0), 0);
+        let r = check_write_once(&p);
         assert!(r.diagnostics.is_empty(), "{:?}", r.diagnostics);
-        assert_eq!(r.enumerated, 1);
+        assert_eq!((r.proven_affine, r.enumerated), (1, 0));
+        let reference = crate::by_instance(|| check_write_once(&p));
+        assert!(reference.diagnostics.is_empty());
+        assert_eq!((reference.proven_affine, reference.enumerated), (0, 1));
+        // One position for every k: a double write rung 3 finds.
+        let halves = check_write_once(&scatter(iv(0).scale(0).plus(3), 0));
+        assert_eq!(halves.diagnostics[0].code, Code::Sa001DoubleWrite);
+        assert_eq!(halves.enumerated, 1);
+        let seeded = check_write_once(&scatter(iv(0), 1));
+        assert_eq!(seeded.diagnostics[0].code, Code::Sa002WriteIntoInit);
+        assert_eq!(seeded.enumerated, 1);
     }
 
     #[test]
@@ -639,6 +736,40 @@ mod tests {
             .diagnostics
             .iter()
             .any(|d| d.code == Code::Sa003UndecidableScatter));
+    }
+
+    /// A row and a column strip beside an interior are apart in one
+    /// index — which the linearized address tests cannot see — once the
+    /// loop box keeps every index inside its extent; a strip one past its
+    /// row's end could alias the next row, so it is left to the rungs
+    /// below (whose verdict is the same).
+    #[test]
+    fn strips_beside_an_interior_are_disjoint_per_dimension() {
+        let grid = |strip_hi: i64| {
+            let mut b = ProgramBuilder::new("strips");
+            let x = b.output("X", &[6, 5]);
+            b.nest("row", &[("j", 0, strip_hi)], |nb| {
+                nb.assign(x, [0.into(), iv(0)], Expr::Const(1.0));
+            });
+            b.nest("col", &[("i", 1, 5)], |nb| {
+                nb.assign(x, [iv(0), 0.into()], Expr::Const(1.0));
+            });
+            b.nest("in", &[("i", 1, 5), ("j", 1, 4)], |nb| {
+                nb.assign(x, [iv(0), iv(1)], Expr::Const(2.0));
+            });
+            b.finish()
+        };
+        let p = grid(4);
+        let r = check_write_once(&p);
+        assert!(r.diagnostics.is_empty(), "{:?}", r.diagnostics);
+        assert_eq!((r.proven_affine, r.over_sweeps, r.enumerated), (1, 0, 0));
+        let reference = crate::by_instance(|| check_write_once(&p));
+        assert_eq!((reference.proven_affine, reference.enumerated), (0, 1));
+        // X(0, 5) is X(1, 0): the column strip's first cell.
+        let leaving = check_write_once(&grid(5));
+        assert_eq!(leaving.proven_affine, 0);
+        let reference = crate::by_instance(|| check_write_once(&grid(5)));
+        assert_eq!(leaving.diagnostics, reference.diagnostics);
     }
 
     #[test]

@@ -98,6 +98,13 @@ struct Lookup {
     /// `I` is a permutation of its positions, reduced modulo this bound
     /// when there is one (repeated values: double writes for a scatter).
     limit: Option<usize>,
+    /// `I` is `base + step · position` instead (truncated: repeated values
+    /// where `|step| < 1`, negative ones past zero).
+    linear: Option<(f64, f64)>,
+    /// `V` or `G` is sized to the largest value the positions read rather
+    /// than to `I`'s length: where that is smaller, the bound the pattern
+    /// gives in closed form leaves the array and only the values decide.
+    fit: bool,
     seed: u64,
     scale: i64,
     offset: i64,
@@ -136,21 +143,39 @@ fn cert_spec_strategy() -> impl Strategy<Value = Spec> {
         proptest::sample::select(vec![0i64, 0, 0, 2, -1]),
         (
             proptest::sample::select(vec![None, None, None, Some(3usize), Some(40)]),
+            proptest::sample::select(vec![
+                None,
+                None,
+                None,
+                Some((0.0, 1.0)),
+                Some((1.0, 1.0)),
+                Some((0.0, 0.5)),
+                Some((3.5, -0.5)),
+                Some((-1.0, 2.0)),
+            ]),
             0u64..1000,
         ),
-        (1i64..3, 0i64..3),
+        (1i64..3, 0i64..3, proptest::bool::ANY),
         (
             proptest::sample::select(vec![0i64, 0, 0, 1, 4]),
             proptest::sample::select(vec![false, false, false, true]),
         ),
     )
         .prop_map(
-            |((scatter, c, o), slack, (limit, seed), (scale, offset), (shrink, half_defined))| {
+            |(
+                (scatter, c, o),
+                slack,
+                (limit, linear, seed),
+                (scale, offset, fit),
+                (shrink, half_defined),
+            )| {
                 Lookup {
                     scatter,
                     pos: (c, o),
                     slack,
                     limit,
+                    linear,
+                    fit,
                     seed,
                     scale,
                     offset,
@@ -220,15 +245,27 @@ fn build(spec: &Spec, dup: bool) -> Program {
     let lookup = extra.lookup.as_ref().map(|l| {
         let positions = l.pos.0 * (inner as i64 - 1) + l.pos.1 + 1;
         let len = (positions + l.slack).max(1) as usize;
-        let pattern = match l.limit {
-            Some(limit) => InitPattern::BoundedPermutation {
+        let pattern = match (l.linear, l.limit) {
+            (Some((base, step)), _) => InitPattern::Linear { base, step },
+            (None, Some(limit)) => InitPattern::BoundedPermutation {
                 seed: l.seed,
                 limit,
             },
-            None => InitPattern::Permutation { seed: l.seed },
+            (None, None) => InitPattern::Permutation { seed: l.seed },
         };
         let index = b.input("I", &[len], pattern);
-        let extent = (l.scale * (len as i64 - 1) + l.offset + 1 - l.shrink).max(1) as usize;
+        // The largest value read, or what `I`'s length allows.
+        let values = pattern.materialize(len);
+        let read = (0..inner as i64).map(|k| l.pos.0 * k + l.pos.1);
+        let largest = match read
+            .filter_map(|p| values.get(p as usize))
+            .map(|&v| v as i64)
+            .max()
+        {
+            Some(max) if l.fit => max,
+            _ => len as i64 - 1,
+        };
+        let extent = (l.scale * largest + l.offset + 1 - l.shrink).max(1) as usize;
         let through = if l.scatter {
             b.output("G", &dims_of(extent))
         } else if l.half_defined {
@@ -765,6 +802,19 @@ proptest! {
         certify_with_mutants(&build(&spec, dup), &cfg)?;
     }
 
+    /// The closed-form rules on the registry's stencil shape at random
+    /// extents and sweep counts, and on mutants that overlap one cell
+    /// (`SA001`, `SA002`) or leave cells for the next sweep to read
+    /// undefined (`SA004`): the verdicts and texts of the instance walk
+    /// and the cell enumeration.
+    #[test]
+    fn closed_form_rules_match_the_instance_walk_on_stencils(
+        stencil in stencil_strategy(),
+        cfg in lint_config_strategy(),
+    ) {
+        certify(&build_stencil(&stencil), &cfg)?;
+    }
+
     /// The same on the projection generator's shapes: negative steps,
     /// triangular and zero-trip nests, zero-depth nests, reductions and
     /// anchors that leave their arrays.
@@ -774,6 +824,156 @@ proptest! {
         cfg in lint_config_strategy(),
     ) {
         certify_with_mutants(&build_projection_program(&nests), &cfg)?;
+    }
+}
+
+/// A stencil as the registry builds it (`sapp::loops::stencil`): per
+/// sweep, face and edge strips around an interior — each strip fixing one
+/// dimension to an edge, the dimensions before it kept inside — copying
+/// or relaxing `U0` into `W0`, `W1`, `W0` again after a `Reinit`, … —
+/// or one of its mutants.
+#[derive(Debug, Clone)]
+struct Stencil {
+    /// 5-point, 9-point (both over `dims[..2]`) or 7-point 3-D.
+    kind: usize,
+    dims: [usize; 3],
+    sweeps: usize,
+    mutation: Mutation,
+}
+
+/// What a [`Stencil`] mutant changes in the first sweep's nests (`nest`
+/// and `level` are taken modulo what there is).
+#[derive(Debug, Clone, Copy)]
+enum Mutation {
+    None,
+    /// One loop kept inside its dimension one trip wider, into the cells
+    /// of the strip beside it (a loop spanning its dimension is left as
+    /// it is): `SA001`.
+    Overlap {
+        nest: usize,
+        level: usize,
+        below: bool,
+    },
+    /// `W0`'s first `len` cells initialized: `SA002`.
+    Seeded {
+        len: usize,
+    },
+    /// One loop one trip shorter: cells nobody defines, which the next
+    /// sweep reads (`SA004`).
+    Unwritten {
+        nest: usize,
+        level: usize,
+    },
+}
+
+fn stencil_strategy() -> impl Strategy<Value = Stencil> {
+    let mutation = prop_oneof![
+        Just(Mutation::None),
+        (0usize..7, 0usize..3, proptest::bool::ANY)
+            .prop_map(|(nest, level, below)| { Mutation::Overlap { nest, level, below } }),
+        (1usize..4).prop_map(|len| Mutation::Seeded { len }),
+        (0usize..7, 0usize..3).prop_map(|(nest, level)| Mutation::Unwritten { nest, level }),
+    ];
+    let dims = (3usize..8, 3usize..8, 3usize..6);
+    (0usize..3, dims, 1usize..4, mutation).prop_map(|(kind, (nx, ny, nz), sweeps, mutation)| {
+        Stencil {
+            kind,
+            dims: [nx, ny, nz],
+            sweeps,
+            mutation,
+        }
+    })
+}
+
+fn build_stencil(s: &Stencil) -> Program {
+    use sapp::loops::stencil::{build_heat7, build_jacobi5, build_ninepoint};
+    let [nx, ny, nz] = s.dims;
+    let (mut program, rank) = match s.kind {
+        0 => (build_jacobi5(nx, ny, s.sweeps).program, 2),
+        1 => (build_ninepoint(nx, ny, s.sweeps).program, 2),
+        _ => (build_heat7(nx, ny, nz, s.sweeps).program, 3),
+    };
+    // The first sweep: 2·rank strips, then the interior.
+    fn loop_of(p: &mut Program, nests: usize, nest: usize, level: usize) -> Option<&mut LoopVar> {
+        let mut loops = p.phases.iter_mut().filter_map(|phase| match phase {
+            Phase::Loop(nest) => Some(&mut nest.loops),
+            Phase::Reinit(_) => None,
+        });
+        let loops = loops.nth(nest % nests)?;
+        let depth = loops.len();
+        loops.get_mut(level % depth)
+    }
+    let nests = 2 * rank + 1;
+    match s.mutation {
+        Mutation::None => {}
+        Mutation::Overlap { nest, level, below } => {
+            if let Some(lv) = loop_of(&mut program, nests, nest, level) {
+                if lv.lo.offset >= 1 && below {
+                    lv.lo.offset -= 1;
+                } else if lv.lo.offset >= 1 {
+                    lv.hi.offset += 1;
+                }
+            }
+        }
+        Mutation::Seeded { len } => {
+            let w0 = program.arrays.iter_mut().find(|d| d.name == "W0");
+            if let Some(decl) = w0 {
+                decl.init = ArrayInit::Prefix {
+                    pattern: InitPattern::Zero,
+                    len,
+                };
+            }
+        }
+        Mutation::Unwritten { nest, level } => {
+            if let Some(lv) = loop_of(&mut program, nests, nest, level) {
+                lv.lo.offset += 1;
+            }
+        }
+    }
+    program
+}
+
+/// Each [`Mutation`] of each stencil kind draws the finding it is aimed
+/// at — the certification above compares texts, so it must have some —
+/// and the clean stencils are decided without a sweep or the walk.
+#[test]
+fn stencil_mutants_draw_their_findings() {
+    for kind in 0..3 {
+        let findings = |mutation| {
+            let stencil = Stencil {
+                kind,
+                dims: [6, 5, 4],
+                sweeps: 2,
+                mutation,
+            };
+            let program = build_stencil(&stencil);
+            certify(&program, &LintConfig::default()).unwrap();
+            let report = lint::progress::progress_report(&program);
+            let once = lint::check_write_once(&program);
+            let codes = once.diagnostics.iter().chain(&report.diagnostics);
+            let codes: Vec<Code> = codes.map(|d| d.code).collect();
+            (codes, report.over_sweeps > 0 || report.walked)
+        };
+        assert_eq!(findings(Mutation::None), (vec![], false), "{kind}");
+        // The last strip of the first sweep: its loops kept inside.
+        let last_strip = 2 * if kind == 2 { 3 } else { 2 } - 1;
+        for below in [true, false] {
+            let overlap = findings(Mutation::Overlap {
+                nest: last_strip,
+                level: 0,
+                below,
+            });
+            assert_eq!(overlap.0, [Code::Sa001DoubleWrite], "{kind}");
+        }
+        let seeded = findings(Mutation::Seeded { len: 2 });
+        assert_eq!(seeded.0, [Code::Sa002WriteIntoInit], "{kind}");
+        // Read by one tap or several.
+        let (codes, decided) = findings(Mutation::Unwritten { nest: 0, level: 0 });
+        assert!(decided && !codes.is_empty(), "{kind}");
+        assert!(
+            codes.iter().all(|&c| c == Code::Sa004DanglingRead),
+            "{kind}: {codes:?}"
+        );
     }
 }
 
@@ -863,20 +1063,22 @@ fn projection_matches_the_instance_enumerator_on_uneven_and_leaping_strides() {
 
 /// What the exact passes say about a program under a config:
 /// `lint_program`, the write-once report (findings, then the segments
-/// proved in closed form and left to the exact footprint),
-/// `check_progress` and `check_deadlock`.
+/// checked — which rung decided each differs by design: the closed-form
+/// rules are off on the reference path), `check_progress` and
+/// `check_deadlock`.
 type Verdicts = (
     Vec<lint::Diagnostic>,
-    (Vec<lint::Diagnostic>, usize, usize),
+    (Vec<lint::Diagnostic>, usize),
     Vec<lint::Diagnostic>,
     Vec<lint::Diagnostic>,
 );
 
 fn verdicts(program: &Program, cfg: &LintConfig) -> Verdicts {
     let once = lint::check_write_once(program);
+    let segments = once.proven_affine + once.over_sweeps + once.enumerated;
     (
         lint::lint_program(program, cfg),
-        (once.diagnostics, once.proven_affine, once.enumerated),
+        (once.diagnostics, segments),
         lint::check_progress(program),
         lint::check_deadlock(program, cfg),
     )
