@@ -3,9 +3,12 @@
 //! Everything a PE would otherwise re-derive for itself is worked out here,
 //! once per run, and shared read-only (`Plan`): the owner-computes schedule
 //! (`sa_lint::screening::Schedule`: sweep lists, screening, reduction
-//! participants), the page→(owner, frame) table and the initial images. The
-//! PEs (`pe.rs`) then enumerate only what they own, on the worker threads of
-//! `pool.rs`.
+//! participants), the page→(owner, frame) table and the initial images. An
+//! array no phase writes or re-initializes and whose every cell is
+//! initialized ([`StaticArrays::is_total`]) is *constant*: its image is the
+//! one copy of it in the run, which every PE reads in place and the report
+//! takes over; no PE holds a frame of it. The PEs (`pe.rs`) then enumerate
+//! only what they own, on the worker threads of `pool.rs`.
 
 use sa_core::parallel::default_workers;
 use sa_ir::analysis::StaticArrays;
@@ -15,7 +18,7 @@ use sa_ir::program::Phase;
 use sa_ir::{ArrayId, Program, ReduceOp};
 use sa_lint::screening::{AnchorError, Schedule};
 use sa_machine::{MachineConfig, NetworkTopology, PartitionScheme, Stats};
-use sa_mem::SaArray;
+use sa_mem::{SaArray, TaggedPage};
 
 use crate::pe::{Frame, WaitObs};
 use crate::pool;
@@ -174,9 +177,11 @@ pub struct RuntimeReport {
     pub stats: Stats,
     /// Final reduction values.
     pub scalars: Vec<f64>,
-    /// Total messages sent across all PEs — *everything* on the wire,
-    /// including the categories below that the counting simulator's
-    /// message model does not charge.
+    /// Every request and reply the protocol sends, across all PEs, whether
+    /// it travelled over a channel or was answered in place
+    /// ([`RuntimeReport::in_place_fetches`],
+    /// [`RuntimeReport::constant_fetches`]) — including the categories
+    /// below that the counting simulator's message model does not charge.
     pub messages: u64,
     /// Scalar-result broadcast messages (the simulator's §9 model makes the
     /// result "implicitly available" after collection; the runtime really
@@ -193,8 +198,16 @@ pub struct RuntimeReport {
     /// Page fetches whose owner was a PE of the requester's own worker:
     /// served by a direct call, counted as a request and a reply like any
     /// other fetch (the split between same-worker and cross-worker
-    /// traffic; a property of the run, not of the program).
+    /// traffic; a property of the run, not of the program). Fetches of a
+    /// constant array are not among them.
     pub in_place_fetches: u64,
+    /// Page fetches of a cell of a constant array (never written or
+    /// re-initialized, every cell initialized): answered by the requester
+    /// itself from the run's one copy of the array, on any worker, and
+    /// counted as a request and a reply like any other fetch. Unlike
+    /// [`RuntimeReport::in_place_fetches`], a property of the program and
+    /// its placement, not of the run.
+    pub constant_fetches: u64,
     /// Total hop traversals of the *modeled* traffic (remote fetches,
     /// reduction partials, §5 request/release rounds) priced by the
     /// configured topology's [`sa_machine::LinkModel`] — the same events
@@ -210,8 +223,9 @@ pub struct RuntimeReport {
     /// ([`sa_lint::DepGraph::covers_wait`]) — the runtime-side half of the
     /// deadlock pass's soundness argument.
     pub wait_edges: Vec<WaitObs>,
-    /// The PEs' owned frames as the run left them: the one copy of the
-    /// final arrays, laid out by [`RuntimeReport::arrays`] on request.
+    /// The PEs' owned frames as the run left them and the images of the
+    /// constant arrays: the one copy of the final arrays, laid out by
+    /// [`RuntimeReport::arrays`] on request.
     frames: Frames,
 }
 
@@ -223,21 +237,25 @@ struct Frames {
     decls: Vec<(String, usize)>,
     /// [`Plan::pages`]: per array and page, the owner and its frame slot.
     pages: Vec<Vec<(u32, u32)>>,
-    /// Per PE, its frames `[array][slot]`.
+    /// Per PE, its frames `[array][slot]` (none of a constant array).
     owned: Vec<Vec<Vec<Frame>>>,
+    /// Per array, its image if it is constant ([`Plan::constant`]).
+    constants: Vec<Option<Vec<f64>>>,
 }
 
 impl RuntimeReport {
-    /// Final array contents, assembled from the PEs' frames on each call.
+    /// Final array contents, assembled from the PEs' frames and the
+    /// constant arrays' images on each call.
     pub fn arrays(&self) -> Vec<SaArray<f64>> {
         let f = &self.frames;
-        let mut arrays: Vec<SaArray<f64>> = f
-            .decls
-            .iter()
-            .map(|(name, len)| SaArray::new(name.clone(), *len))
-            .collect();
-        for (a, (table, array)) in f.pages.iter().zip(&mut arrays).enumerate() {
-            for (page, &(owner, slot)) in table.iter().enumerate() {
+        let mut arrays = Vec::with_capacity(f.decls.len());
+        for (a, ((name, len), image)) in f.decls.iter().zip(&f.constants).enumerate() {
+            if let Some(image) = image {
+                arrays.push(SaArray::with_init(name.clone(), image.clone()));
+                continue;
+            }
+            let mut array = SaArray::new(name.clone(), *len);
+            for (page, &(owner, slot)) in f.pages[a].iter().enumerate() {
                 let frame = &f.owned[owner as usize][a][slot as usize];
                 let start = page * f.page_size;
                 for off in frame.fill().iter_set() {
@@ -246,6 +264,7 @@ impl RuntimeReport {
                         .expect("frames are disjoint across owners");
                 }
             }
+            arrays.push(array);
         }
         arrays
     }
@@ -319,8 +338,14 @@ pub(crate) struct Plan<'p> {
     /// its frame without hashing, and the table is sized by the pages of
     /// the program once, not once per PE.
     pub pages: Vec<Vec<(u32, u32)>>,
-    /// Per array: the initially defined prefix, materialized once.
+    /// Per array: the initially defined prefix, materialized once. A
+    /// written array's PEs cut their frames from it; a constant array's is
+    /// the one copy of it that every PE reads.
     pub images: Vec<Vec<f64>>,
+    /// Per array: no phase writes or re-initializes it and every cell is
+    /// initialized ([`StaticArrays::is_total`]). No PE holds a frame of
+    /// it, and no fetch of it travels or waits.
+    pub constant: Vec<bool>,
     /// Per nest, in [`Plan::schedule`]'s order: its statements compiled.
     pub bodies: Vec<NestBody<'p>>,
     /// The phases in order.
@@ -384,6 +409,9 @@ impl<'p> Plan<'p> {
                 .iter()
                 .map(|d| d.init.materialize(d.len()))
                 .collect(),
+            constant: (0..program.arrays.len())
+                .map(|a| statics.is_total(ArrayId(a)))
+                .collect(),
             phases,
         })
     }
@@ -401,6 +429,23 @@ impl Plan<'_> {
             memo.remember(page, self.page_size, owner as usize, slot as usize);
         }
         memo
+    }
+
+    /// Page `page` of `array` as the run starts: its cells inside the
+    /// initially defined prefix defined, the rest not.
+    pub fn initial_page(&self, array: usize, page: usize) -> TaggedPage {
+        let (image, ps) = (&self.images[array], self.page_size);
+        let start = page * ps;
+        let elems = (self.program.arrays[array].len() - start).min(ps);
+        let defined = image.len().saturating_sub(start).min(elems);
+        if defined == elems {
+            return TaggedPage::full(image[start..start + elems].to_vec());
+        }
+        let mut frame = TaggedPage::undefined(elems);
+        for off in 0..defined {
+            frame.set(off, image[start + off]);
+        }
+        frame
     }
 }
 
@@ -466,6 +511,7 @@ pub fn execute_on(
     let mut resolve_messages = 0u64;
     let mut sync_messages = 0u64;
     let mut in_place_fetches = 0u64;
+    let mut constant_fetches = 0u64;
     let mut wait_edges: Vec<WaitObs> = Vec::new();
     for (pe, r) in results.iter().enumerate() {
         stats.per_pe[pe] = r.stats.counters;
@@ -478,6 +524,7 @@ pub fn execute_on(
         resolve_messages += r.stats.resolve_messages;
         sync_messages += r.stats.sync_messages;
         in_place_fetches += r.stats.in_place_fetches;
+        constant_fetches += r.stats.constant_fetches;
         wait_edges.extend(r.wait_edges.iter().copied());
     }
     let scalars = results
@@ -493,6 +540,11 @@ pub fn execute_on(
             .collect(),
         pages: std::mem::take(&mut plan.pages),
         owned: results.into_iter().map(|r| r.frames).collect(),
+        constants: std::mem::take(&mut plan.images)
+            .into_iter()
+            .zip(&plan.constant)
+            .map(|(image, &constant)| constant.then_some(image))
+            .collect(),
     };
     // Debug-mode soundness cross-check: every wait the machine *realized*
     // must be predicted by the static dependence graph the deadlock pass
@@ -528,6 +580,7 @@ pub fn execute_on(
         resolve_messages,
         sync_messages,
         in_place_fetches,
+        constant_fetches,
         hops: net.hops,
         max_link_load: net.max_link_load(),
         wait_edges,

@@ -23,21 +23,31 @@
 //!   §3 index screening, shared with every other engine). What every PE
 //!   would otherwise re-derive — page owners, initial images, sweep lists,
 //!   reduction participants — is worked out once per run.
+//! * **A constant array lives once and is read in place.** An array no
+//!   phase writes or re-initializes, every cell initialized
+//!   ([`sa_ir::analysis::StaticArrays::is_total`]), can never change: its
+//!   initial image is the run's one copy of it, no PE holds a frame of it,
+//!   and the report takes the image over. Its owner reads a cell as a
+//!   local read; any other PE, on any worker, answers its own fetch from
+//!   the image, counted, priced, logged and (with a cache) cached exactly
+//!   like a fetch the owner answered — with no message on a channel and
+//!   no suspension.
 //! * **A page fetch from a PE of the same worker is served in place.** The
-//!   owner's fetch service is a function the worker calls when a request
-//!   arrives from another worker, and the running PE calls directly when
-//!   the owner shares its worker. A defined cell cannot change within its
-//!   generation, so it completes the load inside the evaluation; the
+//!   owner's fetch service (for an array some phase writes, or one only a
+//!   prefix of which is initialized) is a function the worker calls when a
+//!   request arrives from another worker, and the running PE calls directly
+//!   when the owner shares its worker. A defined cell cannot change within
+//!   its generation, so it completes the load inside the evaluation; the
 //!   request and the reply are counted as if they had travelled.
 //! * **A PE yields** when an instance needs a cell that is neither local,
-//!   cached nor answered in place — its owner is on another worker (the
-//!   request goes out), or the cell is not written yet (the owner queues
-//!   the reader) — and the worker runs another PE; also when it reaches a
-//!   reduction or re-initialization barrier whose messages are not all
-//!   in, when a bounded slice of instances has passed, and when it runs
-//!   out of program. Serving a peer's fetch never waits for the addressed
-//!   PE's turn: between any two instance evaluations the worker takes in
-//!   the messages for *all* of its PEs.
+//!   constant, cached nor answered in place — its owner is on another
+//!   worker (the request goes out), or the cell is not written yet (the
+//!   owner queues the reader) — and the worker runs another PE; also when
+//!   it reaches a reduction or re-initialization barrier whose messages
+//!   are not all in, when a bounded slice of instances has passed, and
+//!   when it runs out of program. Serving a peer's fetch never waits for
+//!   the addressed PE's turn: between any two instance evaluations the
+//!   worker takes in the messages for *all* of its PEs.
 //! * **The resume rule.** When the reply to a queued fetch arrives, the
 //!   suspended instance is evaluated again *from the start* — single
 //!   assignment makes evaluation free of side effects up to the write. A

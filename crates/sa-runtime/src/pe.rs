@@ -20,6 +20,13 @@
 //! evaluation, with no suspension. Request and reply are counted exactly
 //! as if they had travelled.
 //!
+//! **Constant arrays are read in place.** An array no phase writes or
+//! re-initializes, every cell initialized ([`Plan::constant`]), lives once,
+//! in the run's image of it, and no PE holds a frame of it. Its owner reads
+//! a cell as a local read; any other PE, on any worker, answers its own
+//! fetch from the image — counted, priced, logged and cached exactly like
+//! a fetch its owner had answered, without a message or a suspension.
+//!
 //! **Owned schedules.** Per sweep, the trips each statement executes *here*
 //! come from the run's schedule ([`Schedule::load_sweep`], the compile-time
 //! form of the paper's §3 index screening): the PE enumerates only what it
@@ -30,15 +37,15 @@
 //! [`Schedule::load_sweep`]: sa_lint::screening::Schedule::load_sweep
 //!
 //! **The resume rule.** An instance whose evaluation meets a load that is
-//! neither local, cached nor answered in place — its owner is on another
-//! worker, or the cell is not written yet — issues the page request (or
-//! leaves it queued at its owner) and gives up; when the reply arrives the
-//! instance is evaluated again *from the start* — single assignment makes
-//! evaluation free of side effects up to the write. The operand log keeps
-//! that exact: every non-local load is classified, counted, cache-probed
-//! and fetched once, on the attempt that first reaches it, and the k-th
-//! non-local load of a later attempt takes the k-th logged value; local
-//! reads are counted by the attempt that reaches the write.
+//! neither local, constant, cached nor answered in place — its owner is on
+//! another worker, or the cell is not written yet — issues the page request
+//! (or leaves it queued at its owner) and gives up; when the reply arrives
+//! the instance is evaluated again *from the start* — single assignment
+//! makes evaluation free of side effects up to the write. The operand log
+//! keeps that exact: every non-local load is classified, counted,
+//! cache-probed and fetched once, on the attempt that first reaches it, and
+//! the k-th non-local load of a later attempt takes the k-th logged value;
+//! local reads are counted by the attempt that reaches the write.
 
 use std::collections::{HashMap, HashSet};
 
@@ -66,6 +73,9 @@ pub(crate) struct PeStats {
     /// Of those, the ones the owner served by a direct call, on this PE's
     /// own worker.
     pub in_place_fetches: u64,
+    /// Fetches of a constant array, answered from the run's one copy of it
+    /// by this PE itself ([`Plan::constant`]).
+    pub constant_fetches: u64,
     /// Fetches that re-requested a partially filled cached page.
     pub partial_refetches: u64,
     /// Total messages this PE sent.
@@ -289,6 +299,7 @@ impl PeMem {
     }
 
     fn frame(&self, plan: &Plan<'_>, array: usize, page: usize) -> &Frame {
+        debug_assert!(!plan.constant[array], "a frame of a constant array");
         let (owner, slot) = plan.pages[array][page];
         debug_assert_eq!(owner as usize, self.me, "frame of a page owned elsewhere");
         &self.frames[array][slot as usize]
@@ -417,11 +428,11 @@ impl PeMem {
 
     /// A fetched page reply in: the cache keeps the page copy, the operand
     /// log the value.
-    fn accept(&mut self, key: PageKey, value: f64, data: Option<Box<TaggedPage>>) {
+    fn accept(&mut self, key: PageKey, value: f64, data: Option<TaggedPage>) {
         if let Some(data) = data {
             debug_assert!(self.cache_enabled, "a page copy only for a cache");
             self.cache
-                .insert_with(key, *data, |old, new| old.merge_from(&new));
+                .insert_with(key, data, |old, new| old.merge_from(&new));
         }
         self.oplog.push(value);
     }
@@ -469,7 +480,7 @@ impl PeMem {
                     generation,
                 };
                 self.take_reply(plan, false, key, deferred);
-                self.accept(key, value, data);
+                self.accept(key, value, data.map(|page| *page));
             }
             Msg::IndirectReply {
                 array,
@@ -584,13 +595,13 @@ impl PeMem {
 
     /// Non-counting read of an index array cell for anchor resolution.
     ///
-    /// Resolution order: the local frame (the cell may be ours), the
-    /// generation-0 image of a statically initialized array (shared by the
-    /// whole run: no traffic, the simulator's uncounted peek), the
-    /// resolution store, and finally an [`Msg::IndirectFetch`] to the owner
-    /// (who defers the reply until the cell's single assignment completes —
-    /// the SSA sequencing that makes indirect anchors resolvable at all),
-    /// which suspends the instance.
+    /// Resolution order: the generation-0 image of a statically initialized
+    /// array (shared by the whole run: no traffic, the simulator's uncounted
+    /// peek; a constant array has no frames), the local frame (the cell may
+    /// be ours), the resolution store, and finally an [`Msg::IndirectFetch`]
+    /// to the owner (who defers the reply until the cell's single assignment
+    /// completes — the SSA sequencing that makes indirect anchors resolvable
+    /// at all), which suspends the instance.
     fn resolve_load(
         &mut self,
         plan: &Plan<'_>,
@@ -598,6 +609,10 @@ impl PeMem {
         array: usize,
         addr: usize,
     ) -> Result<f64, IrError> {
+        let generation = self.gens[array];
+        if generation == 0 && matches!(plan.program.arrays[array].init, ArrayInit::Full(_)) {
+            return Ok(plan.images[array][addr]);
+        }
         let page = addr / plan.page_size;
         let offset = addr - page * plan.page_size;
         let owner = plan.pages[array][page].0 as usize;
@@ -608,10 +623,6 @@ impl PeMem {
                     addr,
                 }
             });
-        }
-        let generation = self.gens[array];
-        if generation == 0 && matches!(plan.program.arrays[array].init, ArrayInit::Full(_)) {
-            return Ok(plan.images[array][addr]);
         }
         let key = PageKey {
             array,
@@ -714,13 +725,17 @@ impl Memory for Access<'_, '_> {
         let (mem, plan) = (&mut *self.mem, self.plan);
         plan.page_at(a, addr, memo);
         let (page, offset, owner) = (memo.page, memo.offset(addr), memo.owner);
+        let constant = plan.constant[a];
         if owner == mem.me {
-            let v = mem.frames[a][memo.slot]
-                .get(offset)
-                .ok_or_else(|| IrError::ReadUndefined {
-                    array: format!("array#{a}"),
-                    addr,
-                })?;
+            let v = if constant {
+                Some(plan.images[a][addr])
+            } else {
+                mem.frames[a][memo.slot].get(offset)
+            };
+            let v = v.ok_or_else(|| IrError::ReadUndefined {
+                array: format!("array#{a}"),
+                addr,
+            })?;
             mem.local_reads += 1;
             return Ok(v);
         }
@@ -753,6 +768,18 @@ impl Memory for Access<'_, '_> {
         // Price the fetch (request + reply) exactly like the counting
         // simulator's `record_fetch` at its remote-read site.
         self.out.net.record_fetch(mem.me, owner);
+        if constant {
+            // The one copy answers, on any worker: the request and the
+            // owner's reply are counted as sent, the reply's page copy
+            // goes into the cache.
+            mem.stats.messages_sent += 2;
+            mem.stats.constant_fetches += 1;
+            let v = plan.images[a][addr];
+            let data = mem.cache_enabled.then(|| plan.initial_page(a, page));
+            mem.accept(key, v, data);
+            mem.replayed += 1;
+            return Ok(v);
+        }
         let from = Waiter {
             pe: mem.me,
             generation: key.generation,
@@ -766,7 +793,7 @@ impl Memory for Access<'_, '_> {
             match peer.serve(plan, a, addr, from) {
                 Ok(true) => {
                     let (v, data) = peer.page_reply(plan, a, addr);
-                    mem.accept(key, v, data);
+                    mem.accept(key, v, data.map(|page| *page));
                     mem.replayed += 1;
                     return Ok(v);
                 }
@@ -833,31 +860,18 @@ pub(crate) struct Pe {
 impl Pe {
     /// PE `me` with its owned frames cut from the run's initial images —
     /// O(own share): the owned pages come closed-form from the placement.
+    /// A constant array gets no frames: every PE reads its image.
     pub fn new(plan: &Plan<'_>, me: usize) -> Self {
         let program = plan.program;
-        let ps = plan.page_size;
         let mut frames = Vec::with_capacity(program.arrays.len());
-        for (a, decl) in program.arrays.iter().enumerate() {
-            let (len, image, table) = (decl.len(), &plan.images[a], &plan.pages[a]);
+        for (a, table) in plan.pages.iter().enumerate() {
             let mut own: Vec<Frame> = Vec::new();
-            if !table.is_empty() {
+            if !table.is_empty() && !plan.constant[a] {
                 let placement = plan.schedule.placement(ArrayId(a));
                 placement.owned_page_intervals(me, 0, table.len() - 1, |q0, q1| {
                     for (page, place) in table.iter().enumerate().take(q1).skip(q0) {
                         debug_assert_eq!(*place, (me as u32, own.len() as u32));
-                        let start = page * ps;
-                        let elems = (len - start).min(ps);
-                        let defined = image.len().saturating_sub(start).min(elems);
-                        let frame = if defined == elems {
-                            Frame::full(image[start..start + elems].to_vec())
-                        } else {
-                            let mut frame = Frame::undefined(elems);
-                            for off in 0..defined {
-                                frame.set(off, image[start + off]);
-                            }
-                            frame
-                        };
-                        own.push(frame);
+                        own.push(plan.initial_page(a, page));
                     }
                 });
             }

@@ -14,8 +14,11 @@
 //! through [`Peers`], a split borrow of the worker's PEs, and only the
 //! reply to a reader queued on an unwritten cell travels (the local
 //! queue, which also carries anchor resolution's fetches and the
-//! reduction and barrier rounds). What its PEs send to other workers' PEs leaves in batches, one
-//! per [`FLUSH_AFTER`] units of work and one whenever nothing can run.
+//! reduction and barrier rounds). A fetch of a constant array involves no
+//! owner at all, on this worker or another: the running PE reads the
+//! plan's one copy of the array. What its PEs send to other workers' PEs
+//! leaves in batches, one per [`FLUSH_AFTER`] units of work and one
+//! whenever nothing can run.
 //!
 //! **The quiescence rule.** A cross-worker message is counted in
 //! [`Shared::in_flight`] before it is sent and discounted by its receiver

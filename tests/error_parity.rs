@@ -199,6 +199,34 @@ fn double_write_in_body() -> Program {
     b.finish()
 }
 
+/// `Y` defined on its first eight cells only and never written; PE 0's
+/// first instance reads `Y(8)`, on PE 2's page, and PE 2 itself first
+/// fetches `X(4..8)`, which PE 1 writes after PE 0 has asked. So on one
+/// worker and on two (PEs 0 and 1 on the first, 2 and 3 on the second)
+/// the request is queued at PE 2 before PE 2 can run out of program, and
+/// PE 2 reports it then: a read past the prefix takes the deferral
+/// protocol of any other undefined cell, on any worker.
+fn dangling_prefix_read() -> Program {
+    let mut b = ProgramBuilder::new("dangling_prefix_read");
+    let y = b.array_with(
+        "Y",
+        &[16],
+        ArrayInit::Prefix {
+            pattern: InitPattern::Wavy,
+            len: 8,
+        },
+    );
+    let x = b.output("X", &[16]);
+    let v = b.output("V", &[16]);
+    b.nest("past", &[("i", 0, 7)], |n| {
+        n.assign(x, [iv(0)], n.read(y, [iv(0).scale(-1).plus(8)]));
+    });
+    b.nest("after", &[("i", 0, 3)], |n| {
+        n.assign(v, [iv(0).plus(8)], n.read(x, [iv(0).plus(4)]) + 1.0);
+    });
+    b.finish()
+}
+
 struct Row {
     name: &'static str,
     program: fn() -> Program,
@@ -284,6 +312,14 @@ const ROWS: &[Row] = &[
         interp: "single-assignment violation: X[29] written twice",
         simulate: "machine error: single-assignment violation: X[29] written twice",
         thread: "worker panicked: worker 3: single-assignment violation: array 1 addr 29 written twice",
+    },
+    Row {
+        name: "dangling_prefix_read",
+        program: dangling_prefix_read,
+        interp: "read of undefined cell Y[8]",
+        simulate: "IR error: read of undefined cell Y[8]",
+        thread: "worker panicked: worker 2: deferred read of `Y` (array#0)[8], which this \
+                 program never defines — a dangling I-structure deferral (sapp lint: SA004)",
     },
 ];
 

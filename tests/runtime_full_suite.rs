@@ -550,10 +550,12 @@ fn fetches_served_in_place_count_like_queued_ones() {
     // — a defined cell completes the load inside the evaluation — and on
     // one worker per PE every fetch travels as a request and a reply. The
     // counts, the pricing and the values must not tell the two apart: ST5
-    // at 64 PEs (every fetch answered at once), K18 with the cache on (each
-    // answer inserts a copy of the owner's page), K5 (a recurrence whose
-    // fetches wait for their producer).
-    let st5 = sapp::loops::stencil::build_jacobi5(256, 256, 1).program;
+    // at 64 PEs over two sweeps (the second fetches the produced `W0`; the
+    // first reads only the constant `U0`, which no worker fetches through
+    // an owner), K18 with the cache on (each answer inserts a copy of the
+    // owner's page), K5 (a recurrence whose fetches wait for their
+    // producer).
+    let st5 = sapp::loops::stencil::build_jacobi5(256, 256, 2).program;
     let k18 = sapp::loops::workload("K18").unwrap().reduced().program;
     let k5 = sapp::loops::workload("K5").unwrap().reduced().program;
     for (code, program, cfg) in [
@@ -580,6 +582,7 @@ fn fetches_served_in_place_count_like_queued_ones() {
         assert_eq!(one.modeled_messages(), each.modeled_messages(), "{code}");
         assert_eq!(one.hops, each.hops, "{code}: hops");
         assert_eq!(one.max_link_load, each.max_link_load, "{code}: link load");
+        assert_eq!(one.constant_fetches, each.constant_fetches, "{code}");
         assert!(
             one.in_place_fetches > 0,
             "{code}: one worker serves in place"
@@ -606,4 +609,75 @@ fn fetches_served_in_place_count_like_queued_ones() {
             }
         }
     }
+}
+
+#[test]
+fn constant_arrays_are_read_in_place_and_count_like_fetches() {
+    // An array no phase writes or re-initializes, every cell initialized,
+    // lives once in the run: its owner reads it locally, and any other PE,
+    // on any worker, answers its own fetch from that copy. Such a fetch
+    // must count, price and cache exactly like one its owner answered — on
+    // one worker, on two, and on one per PE.
+    use sapp::machine::NetworkTopology;
+    let mut st5_seen = false;
+    for k in reduced_suite() {
+        let statics = analysis::StaticArrays::scan(&k.program);
+        if !(0..k.program.arrays.len()).any(|a| statics.is_total(ArrayId(a))) {
+            continue;
+        }
+        let golden = interpret(&k.program).expect("reference runs");
+        for cache_elems in [0usize, 256] {
+            let exact = cache_elems == 0 || cache_exact(&k.program);
+            let cfg = RunConfig {
+                network: NetworkTopology::Mesh2D,
+                ..thread_cfg(cache_elems)
+            };
+            let sim = FastCountingOracle::with_engine(Engine::Interp)
+                .measure(&k.program, &cfg)
+                .unwrap();
+            let rt = RuntimeConfig::from_machine(&cfg.machine());
+            let reps = [1usize, 2, cfg.n_pes].map(|workers| {
+                let what = format!("{} cache {cache_elems} workers {workers}", k.code);
+                let rep =
+                    execute_on(&k.program, &rt, workers).unwrap_or_else(|e| panic!("{what}: {e}"));
+                let s = &rep.stats;
+                assert_eq!(s.writes(), sim.writes, "{what}: writes");
+                assert_eq!(s.total_reads(), sim.total_reads, "{what}: reads");
+                if exact {
+                    assert_eq!(s.local_reads(), sim.local_reads, "{what}: local");
+                    assert_eq!(s.cached_reads(), sim.cached_reads, "{what}: cached");
+                    assert_eq!(s.remote_reads(), sim.remote_reads, "{what}: remote");
+                    assert_eq!(rep.modeled_messages(), sim.messages, "{what}: messages");
+                    assert_eq!(rep.hops, sim.hops, "{what}: hops");
+                    assert_eq!(rep.max_link_load, sim.max_link_load, "{what}");
+                }
+                let got = ProgramResult {
+                    arrays: rep.arrays(),
+                    scalars: rep.scalars.clone(),
+                    writes: 0,
+                    reads: 0,
+                };
+                golden
+                    .assert_matches(&got, 1e-9)
+                    .unwrap_or_else(|e| panic!("{what}: {e}"));
+                rep
+            });
+            let what = format!("{} cache {cache_elems}", k.code);
+            for rep in &reps[1..] {
+                assert_eq!(
+                    rep.constant_fetches, reps[0].constant_fetches,
+                    "{what}: constant fetches"
+                );
+                if exact {
+                    assert_eq!(rep.stats, reps[0].stats, "{what}: stats");
+                    assert_eq!(rep.messages, reps[0].messages, "{what}: messages");
+                }
+            }
+            if k.code == "ST5" {
+                assert!(reps[0].constant_fetches > 0, "{what}: U0 is fetched");
+                st5_seen = true;
+            }
+        }
+    }
+    assert!(st5_seen, "ST5 reads its constant grid");
 }
