@@ -8,17 +8,21 @@
 //! then by enumeration order (first scheme, then smallest page-size
 //! index).
 //!
-//! [`strategy::Searcher`] walks candidates with an incumbent and *prunes*
-//! configs whose static score lower bound — the imbalance penalty computed
-//! from the dependence-graph projection, one anchor profile per page size
-//! priced under each scheme ([`sa_lint::depgraph::AnchorProfile`]), with
-//! no execution — already exceeds the incumbent's score. Strictness
-//! preserves the
-//! exhaustive tie-breaks (a bound equal to the incumbent's score still gets
-//! measured — it could tie and win on messages), so the pruned walk is
-//! certified to return bit-identical winners to the exhaustive parallel
-//! sweep, which stays available as [`search_exhaustive_with`]
-//! (`tests/lint_static.rs` certifies this across the registry).
+//! [`strategy::Searcher`]'s exhaustive walk is a branch and bound: it
+//! visits page sizes smallest first and, within one, candidates by
+//! ascending static score lower bound, and *prunes* a candidate whose
+//! bound already exceeds the incumbent's score. The bound needs no
+//! execution: one anchor profile per page size
+//! ([`sa_lint::depgraph::AnchorProfile`]) is priced under each scheme
+//! into the imbalance penalty of its per-PE writes
+//! (`static_score_bound`) and a floor on its remote reads
+//! ([`sa_lint::depgraph::AnchorProfile::fetch_floor`]). Strictness
+//! preserves the exhaustive tie-breaks (a bound equal to the incumbent's
+//! score still gets measured — it could tie and win on messages), and the
+//! winner order is total, so the pruned walk is certified to return
+//! bit-identical winners to the exhaustive parallel sweep, which stays
+//! available as [`search_exhaustive_with`] (`tests/lint_static.rs`
+//! certifies this across the registry).
 //!
 //! The default [`Objective::Balanced`] scores a candidate as
 //! `remote % + weight · imbalance %`, where imbalance is derived from the
@@ -211,10 +215,10 @@ pub type WriteProjector = fn(&Program, &LintConfig) -> Option<Vec<u64>>;
 /// the per-PE write distribution is a pure function of the partition, so
 /// the imbalance penalty is known without executing anything. The search
 /// prices the counts from one [`sa_lint::depgraph::AnchorProfile`] per
-/// page size: at 16 PEs all 42 bounds of the default space cost 0.03–0.4
-/// ms for a registry kernel and 2–4 ms for K21 (2-vCPU box, release) —
-/// under 0.1 ms a bound, against 1.8–14 ms (median 4.7) for one uncapped
-/// replay of a K21 candidate. `writes` is asked only when the objective
+/// page size: at 16 PEs K21's 42 bounds cost 0.84–1.14 ms after 0.7–1.1 ms
+/// to build its six profiles (2-vCPU box, release) — under 0.03 ms a bound,
+/// against 1.8–14 ms (median 4.7) for one uncapped replay of a K21
+/// candidate. `writes` is asked only when the objective
 /// carries an imbalance term. `None` when it does not or the program is
 /// not statically projectable (runtime indirection) — both mean "cannot
 /// prune". The bound depends on the PE count, page size and scheme only.

@@ -1,34 +1,42 @@
 //! Scalable partition search over the full
-//! `scheme × tile shape × page size × topology` space: a seeded
-//! simulated-annealing walker and an *Automap*-style write-to-read
-//! propagation pass, both backed by a memoizing oracle cache.
+//! `scheme × tile shape × page size × topology` space: a branch-and-bound
+//! exhaustive walk, a seeded simulated-annealing walker and an
+//! *Automap*-style write-to-read propagation pass, all backed by a
+//! memoizing oracle cache.
 //!
-//! PR 9 multiplied the candidate space (five scheme families with tile
-//! shapes, seven interconnect topologies), so exhaustive enumeration is
-//! the scaling wall the ROADMAP's item 3 names. This module keeps the
-//! exhaustive walk as the certification baseline and adds two guided
-//! strategies:
-//!
+//! - [`Strategy::Exhaustive`] — branch and bound over every candidate.
+//!   Each candidate's score has a static lower bound: its imbalance term
+//!   (`static_score_bound`, from the anchor profile's per-PE writes) plus
+//!   its **remote-read floor** ([`AnchorProfile::fetch_floor`]) as a share
+//!   of the run's reads, which owner-computes makes the same for every
+//!   candidate ([`depgraph::read_count`]). Under single assignment a PE
+//!   fetches every remote page it reads at least once, whatever the cache,
+//!   so the distinct (PE, remote page) pairs of the translation reads (an
+//!   array shaped like the anchor's, at the anchor's address plus a
+//!   constant) are a floor, priced in closed form over the profile's page
+//!   runs. Page sizes are visited smallest first, and within one the
+//!   candidates by ascending bound, canonical index breaking ties; a
+//!   candidate whose bound exceeds the incumbent's score is pruned.
 //! - [`Strategy::Anneal`] — Metropolis acceptance over neighbor moves
 //!   (halve/double the page size, perturb tile dims within a scheme
 //!   family, swap the scheme family, hop the topology) under a geometric
 //!   temperature schedule, seeded and fully deterministic. The
-//!   static score lower bound (`static_score_bound`, derived from the
-//!   dependence-graph projection) stays inside the acceptance test:
-//!   candidates provably unable to beat the incumbent are rejected
-//!   without spending an oracle evaluation.
+//!   imbalance bound stays inside the acceptance test: candidates
+//!   provably unable to beat the incumbent are rejected without spending
+//!   an oracle evaluation. With the budget covering the space it degrades
+//!   to the canonical-order sweep under the same bound.
 //! - [`Strategy::Propagate`] — ranks candidates by pushing each array's
 //!   write-side placement onto the arrays it reads, along the RAW edges
 //!   of [`sa_lint::depgraph`]: a placement under which a statement's
 //!   sampled writes land on the same PE as the reads they depend on is
 //!   tried first. Evaluation then proceeds in ranked order under the
-//!   budget.
+//!   budget, pruned by the imbalance bound.
 //!
-//! The walks that only keep an incumbent — the canonical sweep and
-//! propagation — measure each candidate under a remote-read cap
-//! ([`Oracle::measure_capped`]): the fewest remote reads at which its
-//! score provably exceeds the incumbent's (`Walk::remote_cap`), past which
-//! replay stops counting.
+//! The walks that only keep an incumbent — branch and bound, the
+//! canonical sweep and propagation — measure each candidate under a
+//! remote-read cap ([`Oracle::measure_capped`]): the fewest remote reads at
+//! which its score provably exceeds the incumbent's (`Walk::remote_cap`),
+//! past which replay stops counting.
 //!
 //! Every oracle evaluation goes through a [`MemoOracle`] keyed by
 //! `(program fingerprint, RunConfig)` and shared across queries of one
@@ -48,7 +56,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use sa_ir::{analysis, pretty, ArrayId, LinForm, Phase, Program};
-use sa_lint::depgraph::{AnchorProfile, DepGraph};
+use sa_lint::depgraph::{self, AnchorProfile, DepGraph};
 use sa_lint::LintConfig;
 use sa_machine::{PartitionScheme, Placement};
 
@@ -69,9 +77,10 @@ pub const DEFAULT_SEED: u64 = 0x5eed_1989;
 /// Which walker explores the candidate space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Strategy {
-    /// Canonical-order incumbent walk with static pruning: every candidate
-    /// is measured — capped once its remote reads prove it cannot win — or
-    /// proven unable to win without measuring.
+    /// Branch and bound: page sizes smallest first, within one candidates
+    /// by ascending static score bound (imbalance term plus remote-read
+    /// floor). Every candidate is measured — capped once its remote reads
+    /// prove it cannot win — or proven unable to win without measuring.
     Exhaustive,
     /// Seeded simulated annealing with pruned Metropolis acceptance.
     Anneal,
@@ -416,6 +425,10 @@ pub struct SearchReport {
     /// Evaluated candidates a remote-read cap decided: measured only until
     /// they provably lost to the incumbent.
     pub capped: usize,
+    /// Pruned candidates that only the remote-read floor proved unable to
+    /// win: their write bound alone did not exceed the incumbent's score.
+    /// The rest of [`BestConfig::pruned`] the write bound pruned alone.
+    pub floor_pruned: usize,
     /// Candidate indices in first-touch evaluation order — the
     /// determinism witness: same seed, same trace, bit for bit.
     pub trace: Vec<usize>,
@@ -544,7 +557,7 @@ impl Searcher {
     pub fn search(&self, program: &Program) -> Result<SearchReport, PlanError> {
         let mut walk = Walk::new(program, self);
         match self.params.strategy {
-            Strategy::Exhaustive => walk.canonical_sweep()?,
+            Strategy::Exhaustive => walk.branch_and_bound()?,
             Strategy::Anneal => self.anneal(&mut walk)?,
             Strategy::Propagate => self.propagate(&mut walk)?,
         }
@@ -694,9 +707,13 @@ struct Walk<'a> {
     objective: Objective,
     reference: Option<WriteProjector>,
     profile_builds: &'a AtomicUsize,
+    /// Every read of a run of `program`, when counted statically.
+    reads: Option<u64>,
     /// `static_score_bound` per `(scheme, page size)` axis position — the
     /// bound does not depend on the network axis.
-    bounds: HashMap<(usize, usize), Option<f64>>,
+    terms: HashMap<(usize, usize), Option<f64>>,
+    /// The remote-read floors the branch-and-bound walk priced, likewise.
+    fetches: HashMap<(usize, usize), Option<u64>>,
     /// Score per touched index; `None` = oracle-unsupported, infinite =
     /// capped (only known to exceed the incumbent's then).
     seen: HashMap<usize, Option<f64>>,
@@ -706,6 +723,7 @@ struct Walk<'a> {
     hits: usize,
     evaluated: usize,
     capped: usize,
+    floor_pruned: usize,
     best: Option<(usize, RunRecord, f64)>,
 }
 
@@ -719,7 +737,9 @@ impl<'a> Walk<'a> {
             objective: searcher.params.objective,
             reference: searcher.reference,
             profile_builds: &searcher.profile_builds,
-            bounds: HashMap::new(),
+            reads: depgraph::read_count(program),
+            terms: HashMap::new(),
+            fetches: HashMap::new(),
             seen: HashMap::new(),
             pruned_set: HashSet::new(),
             trace: Vec::new(),
@@ -727,6 +747,7 @@ impl<'a> Walk<'a> {
             hits: 0,
             evaluated: 0,
             capped: 0,
+            floor_pruned: 0,
             best: None,
         }
     }
@@ -747,41 +768,49 @@ impl<'a> Walk<'a> {
     }
 
     /// `idx`'s static score bound — its imbalance term — computed once
-    /// per `(scheme, page size)`. The first bound asked at a page size
-    /// builds its anchor profile, prices it under every scheme of the space
-    /// and drops it: a query builds at most one profile per page size and
-    /// holds none between bounds.
+    /// per `(scheme, page size)` ([`Walk::price_terms`]).
     fn bound(&mut self, idx: usize) -> Option<f64> {
         let (scheme, page, _) = self.cands.coords(idx);
-        if let Some(&bound) = self.bounds.get(&(scheme, page)) {
-            return bound;
+        if !self.terms.contains_key(&(scheme, page)) {
+            self.price_terms(page);
         }
+        self.terms[&(scheme, page)]
+    }
+
+    /// Price the imbalance term of every scheme at page-size position
+    /// `page`, from its anchor profile when the objective has the term and
+    /// no reference projection stands in; the profile, when one was built.
+    /// A query builds at most one profile per page size and holds none
+    /// past it.
+    fn price_terms(&mut self, page: usize) -> Option<AnchorProfile<'a>> {
         let (program, objective) = (self.program, self.objective);
-        if let Some(project) = self.reference {
-            let cfg = self.cands.config(idx);
-            let shape = LintConfig {
-                n_pes: cfg.n_pes,
-                page_size: cfg.page_size,
-                scheme: cfg.partition,
-            };
-            let bound = static_score_bound(objective, || project(program, &shape));
-            self.bounds.insert((scheme, page), bound);
-            return bound;
-        }
-        let mut profile = None;
+        let projects = self.reference.is_none() && matches!(objective, Objective::Balanced { .. });
+        let profile = projects.then(|| self.profile(page));
         for s in 0..self.cands.schemes.len() {
             let cfg = self.cands.config(self.cands.index(s, page, 0));
-            let bound = static_score_bound(objective, || {
-                let profile = profile.get_or_insert_with(|| {
-                    self.profile_builds.fetch_add(1, Ordering::Relaxed);
-                    AnchorProfile::new(program, cfg.page_size)
-                });
-                let projection = profile.project(cfg.partition, cfg.n_pes).ok()?;
-                Some(projection.writes_per_pe)
+            let term = static_score_bound(objective, || match self.reference {
+                Some(project) => {
+                    let shape = LintConfig {
+                        n_pes: cfg.n_pes,
+                        page_size: cfg.page_size,
+                        scheme: cfg.partition,
+                    };
+                    project(program, &shape)
+                }
+                None => {
+                    let projection = profile.as_ref()?.project(cfg.partition, cfg.n_pes).ok()?;
+                    Some(projection.writes_per_pe)
+                }
             });
-            self.bounds.insert((s, page), bound);
+            self.terms.insert((s, page), term);
         }
-        self.bounds[&(scheme, page)]
+        profile
+    }
+
+    /// The anchor profile at page-size position `page`, counted.
+    fn profile(&self, page: usize) -> AnchorProfile<'a> {
+        self.profile_builds.fetch_add(1, Ordering::Relaxed);
+        AnchorProfile::new(self.program, self.cands.page_sizes[page])
     }
 
     /// The fewest remote reads at which `idx` provably loses to the
@@ -885,12 +914,22 @@ impl<'a> Walk<'a> {
         if let Some((_, best_rec, _)) = &self.best {
             // The caps' premises ([`Walk::remote_cap`]).
             debug_assert_eq!(rec.total_reads, best_rec.total_reads, "reads moved");
-            let (scheme, page, _) = self.cands.coords(idx);
-            if let Some(Some(term)) = self.bounds.get(&(scheme, page)) {
-                let floor = capped_score(rec.remote_reads, rec.total_reads, *term);
-                debug_assert!(floor <= score, "the imbalance term exceeds its bound");
-            }
         }
+        let at = self.cands.coords(idx);
+        if let Some(&Some(term)) = self.terms.get(&(at.0, at.1)) {
+            let floor = capped_score(rec.remote_reads, rec.total_reads, term);
+            debug_assert!(floor <= score, "the imbalance term exceeds its bound");
+        }
+        if let Some(&Some(fetches)) = self.fetches.get(&(at.0, at.1)) {
+            debug_assert!(
+                fetches <= rec.remote_reads,
+                "the remote-read floor exceeds the reads"
+            );
+        }
+        debug_assert!(
+            self.reads.is_none_or(|reads| reads == rec.total_reads),
+            "reads miscounted"
+        );
         let wins = match &self.best {
             None => true,
             Some((best_idx, best_rec, _)) => {
@@ -915,8 +954,9 @@ impl<'a> Walk<'a> {
         self.trace.len()
     }
 
-    /// Canonical-order incumbent sweep with static pruning and capped
-    /// measurements.
+    /// Canonical-order incumbent sweep with imbalance-bound pruning and
+    /// capped measurements: annealing's walk once its budget covers the
+    /// space.
     fn canonical_sweep(&mut self) -> Result<(), PlanError> {
         for idx in 0..self.cands.len() {
             if self.prunable(idx) {
@@ -924,6 +964,59 @@ impl<'a> Walk<'a> {
                 continue;
             }
             self.visit(idx)?;
+        }
+        Ok(())
+    }
+
+    /// Branch and bound: page sizes smallest first, and within one the
+    /// candidates by ascending lower bound on their score — imbalance term
+    /// plus remote-read floor ([`AnchorProfile::fetch_floor`]) as a share
+    /// of the run's reads — canonical index breaking ties. A candidate
+    /// whose bound exceeds the incumbent's score is pruned; the rest are
+    /// measured under a remote-read cap. A candidate whose term alone
+    /// exceeds the incumbent's score when its page size comes up is pruned
+    /// whatever its floor, which is then not priced. Every candidate is
+    /// measured or proven unable to win, so the winner is the exhaustive
+    /// one.
+    fn branch_and_bound(&mut self) -> Result<(), PlanError> {
+        let cands = self.cands;
+        let mut pages: Vec<usize> = (0..cands.page_sizes.len()).collect();
+        pages.sort_by_key(|&p| cands.page_sizes[p]);
+        for page in pages {
+            let mut profile = self.price_terms(page);
+            let incumbent = self.best.as_ref().map(|(_, _, score)| *score);
+            let mut order = Vec::with_capacity(cands.schemes.len() * cands.n_networks);
+            for s in 0..cands.schemes.len() {
+                let term = self.terms[&(s, page)].unwrap_or(0.0);
+                let cfg = cands.config(cands.index(s, page, 0));
+                let fetches = match (self.reads, incumbent) {
+                    (Some(_), Some(incumbent)) if term > incumbent => None,
+                    (Some(_), _) => profile
+                        .get_or_insert_with(|| self.profile(page))
+                        .fetch_floor(cfg.partition, cfg.n_pes),
+                    (None, _) => None,
+                };
+                self.fetches.insert((s, page), fetches);
+                let bound = match (fetches, self.reads) {
+                    (Some(fetches), Some(reads)) => capped_score(fetches, reads, term),
+                    _ => term,
+                };
+                order.extend((0..cands.n_networks).map(|n| (bound, cands.index(s, page, n))));
+            }
+            // The profile is priced out: free it before any replay runs.
+            drop(profile);
+            order.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            for (bound, idx) in order {
+                if let Some((_, _, incumbent)) = self.best {
+                    if bound > incumbent {
+                        let by_term = self.bound(idx).is_some_and(|term| term > incumbent);
+                        self.floor_pruned += usize::from(!by_term);
+                        self.prune(idx);
+                        continue;
+                    }
+                }
+                self.visit(idx)?;
+            }
         }
         Ok(())
     }
@@ -955,6 +1048,7 @@ impl<'a> Walk<'a> {
             oracle_evals: self.evals,
             cache_hits: self.hits,
             capped: self.capped,
+            floor_pruned: self.floor_pruned,
             trace: self.trace,
         })
     }

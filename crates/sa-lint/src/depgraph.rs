@@ -89,7 +89,7 @@ use sa_ir::nest::{ArrayRef, LoopNest, LoopVar, Stmt};
 use sa_ir::program::Phase;
 use sa_ir::{ArrayId, LinForm, PairRelation, Program};
 use sa_machine::partition::{gcd, pages_in};
-use sa_machine::{ConfigError, PageRun, PartitionScheme, Placement};
+use sa_machine::{ConfigError, FetchPricer, FetchProfile, PageRun, PartitionScheme, Placement};
 
 use crate::diag::{Code, Diagnostic, Severity, Span};
 use crate::progress;
@@ -952,6 +952,22 @@ impl RunSink {
         }
     }
 
+    /// Take the runs another sink finished: as they are when this one is
+    /// still empty, else one by one.
+    fn take(&mut self, mut runs: Vec<PageRun>) {
+        if self.runs.is_empty() && self.translated.is_empty() && self.diff.is_none() {
+            self.translated = runs.split_off(runs.partition_point(|r| r.reps == 1));
+            self.runs = runs;
+            return;
+        }
+        for run in runs {
+            match run.reps {
+                1 => self.push(run.first, run.pages, run.count),
+                _ => self.translated.push(run),
+            }
+        }
+    }
+
     /// The per-page sums as sorted, disjoint, maximal runs, then the
     /// translated runs.
     fn finish(mut self) -> Vec<PageRun> {
@@ -1038,6 +1054,10 @@ impl Translates {
             match self.stride {
                 0 if run.reps == 1 => sink.push(run.first, run.pages, count),
                 0 => sink.translated.push(PageRun { count, ..run }),
+                // Translates that abut are one run.
+                stride if stride == run.pages && run.reps == 1 => {
+                    sink.push(run.first, run.pages * self.reps, run.count);
+                }
                 stride => sink.translated.push(PageRun {
                     stride,
                     reps: self.reps,
@@ -1094,6 +1114,21 @@ struct Profiled {
     others: Vec<Vec<PageRun>>,
     /// Per nest, for the round-robin deal.
     screens: Vec<NestScreen>,
+    /// Per statement with translation reads, what its fetches are floored
+    /// from.
+    fetches: Vec<Fetches>,
+}
+
+/// One anchored statement's *translation reads*: the reads of an array
+/// shaped like its anchor's, at the anchor's address plus a constant, so
+/// on pages that follow the anchor's under every placement
+/// ([`FetchPricer::count_fetched_pages`]).
+#[derive(Debug)]
+struct Fetches {
+    /// The anchor's array, placed like every array read here.
+    array: ArrayId,
+    /// Each read's array, and the read over the statement's anchor pages.
+    reads: Vec<(ArrayId, FetchProfile)>,
 }
 
 impl<'p> AnchorProfile<'p> {
@@ -1144,6 +1179,150 @@ impl<'p> AnchorProfile<'p> {
             instances_per_pe,
         })
     }
+
+    /// A floor on the remote reads of any run under `scheme` on `n_pes`
+    /// PEs, at the profiled page size, whatever its cache: a PE fetches
+    /// each remote page it reads at least once, so the distinct (PE,
+    /// remote page) pairs of any subset of the reads are a floor. The
+    /// subset priced is the translation reads (each statement's
+    /// `Fetches`); reads of one
+    /// array from different statements may share pairs, so each array
+    /// counts its largest. `None` when the program is not profiled or the
+    /// shape is invalid.
+    pub fn fetch_floor(&self, scheme: PartitionScheme, n_pes: usize) -> Option<u64> {
+        let p = self.profiled.as_ref()?;
+        let dims = self.program.arrays.iter().map(|d| &d.dims);
+        let placements = Placement::table(dims, scheme, self.page_size, n_pes).ok()?;
+        let pricers: Vec<FetchPricer> = placements.iter().map(Placement::fetch_pricer).collect();
+        let mut largest: Vec<u64> = vec![0; self.program.arrays.len()];
+        for f in &p.fetches {
+            for (array, read) in &f.reads {
+                let floor = pricers[f.array.0].count_fetched_pages(read);
+                largest[array.0] = largest[array.0].max(floor);
+            }
+        }
+        Some(largest.iter().sum())
+    }
+}
+
+/// Every read a run of `program` makes, the same under every placement
+/// (owner-computes runs each instance once, wherever): its nests'
+/// iterations times their statements' array reads. `None` for a program
+/// with an indirect reference, whose index reads the engines count too.
+pub fn read_count(program: &Program) -> Option<u64> {
+    if first_indirect_ref(program).is_some() {
+        return None;
+    }
+    let reads = |nest: &LoopNest| {
+        nest.body
+            .iter()
+            .map(|s| s.reads().len() as u64)
+            .sum::<u64>()
+    };
+    Some(
+        program
+            .nests()
+            .map(|nest| nest.iteration_count() as u64 * reads(nest))
+            .sum(),
+    )
+}
+
+/// The translation reads of `stmt`, anchored at `anchor` with address
+/// `form`: reads of arrays with the anchor's dimensions whose address is
+/// `form` plus a nonzero constant, as (array, constant), once each.
+fn translation_reads(
+    program: &Program,
+    stmt: &Stmt,
+    anchor: &ArrayRef,
+    form: &LinForm,
+) -> Vec<(ArrayId, i64)> {
+    let dims = &program.array(anchor.array).dims;
+    let mut reads: Vec<(ArrayId, i64)> = stmt
+        .reads()
+        .into_iter()
+        .filter(|r| &program.array(r.array).dims == dims && r.indices.len() == dims.len())
+        .filter_map(|r| {
+            let read = linear_address_form(program, r, form.coeffs.len())?;
+            let shift = read.offset - form.offset;
+            (read.coeffs == form.coeffs && shift != 0).then_some((r.array, shift))
+        })
+        .collect();
+    reads.sort_unstable();
+    reads.dedup();
+    reads
+}
+
+/// Whether `form` takes a different value at every point of the loop box
+/// `vars` of `loops`: sorted by how far one step moves it, each moving
+/// variable's step outruns everything the slower ones can add up to.
+fn injective(form: &LinForm, loops: &[LoopVar], vars: &[(i128, i128)]) -> bool {
+    let mut moves = Vec::with_capacity(loops.len());
+    for ((lv, &(lo, hi)), &c) in loops.iter().zip(vars).zip(&form.coeffs) {
+        if hi <= lo {
+            continue;
+        }
+        let steps = (hi - lo) / i128::from(lv.step.unsigned_abs().max(1));
+        let unit = i128::from(c) * i128::from(lv.step);
+        if unit == 0 {
+            return false;
+        }
+        moves.push((unit.abs(), steps));
+    }
+    moves.sort_unstable();
+    let mut reach = 0i128;
+    for (unit, steps) in moves {
+        if unit <= reach {
+            return false;
+        }
+        reach += unit * steps;
+    }
+    true
+}
+
+/// The runs of a finished sink's `runs` with no page in two of them: the
+/// ones that stand once, which come first and are disjoint, and each
+/// translated run whose translates neither overlap each other nor any run
+/// kept before it. Dropping a run leaves a floor a floor
+/// ([`FetchPricer::count_fetched_pages`]).
+fn disjoint_runs(runs: &[PageRun]) -> impl Iterator<Item = &PageRun> + Clone {
+    let (plain, translated) = runs.split_at(runs.partition_point(|r| r.reps == 1));
+    // Whether some translate of `t` meets pages `a..b`.
+    let meets = |t: &PageRun, a: usize, b: usize| {
+        let (f, len, s) = (t.first as i64, t.pages as i64, t.stride.max(1) as i64);
+        let lo = ((a as i64 - len - f).div_euclid(s) + 1).max(0);
+        let hi = (b as i64 - f - 1).div_euclid(s).min(t.reps as i64 - 1);
+        lo <= hi
+    };
+    let end = |t: &PageRun| t.first + (t.reps - 1) * t.stride + t.pages;
+    let mut kept: Vec<&PageRun> = Vec::new();
+    // The end of the kept runs that reach furthest: a run past it is apart
+    // from all of them.
+    let mut reach = 0;
+    for t in translated {
+        let clear = t.pages <= t.stride
+            && plain
+                .iter()
+                .skip(plain.partition_point(|r| r.end() <= t.first))
+                .take_while(|r| r.first < end(t))
+                .all(|r| !meets(t, r.first, r.end()))
+            && (t.first >= reach
+                || kept.iter().all(|u| {
+                    // Apart, or translates in step whose pages never meet.
+                    let (a, b) = (u.first.max(t.first), end(u).min(end(t)));
+                    a >= b
+                        || (u.stride == t.stride && {
+                            let s = t.stride;
+                            let (x, y) = (t.first % s, u.first % s);
+                            let gap = (y + s - x) % s;
+                            gap >= t.pages && s - gap >= u.pages
+                        })
+                }));
+        if clear {
+            reach = reach.max(end(t));
+            kept.push(t);
+        }
+    }
+    plain.iter().chain(kept)
 }
 
 /// A rectangular nest's loops reordered so that the one `form` moves
@@ -1197,7 +1376,7 @@ fn profile(program: &Program, page_size: usize) -> Option<Profiled> {
         .iter()
         .map(|decl| [0, 1].map(|_| RunSink::new(pages_in(decl.len(), page_size))))
         .collect();
-    let mut ivs = Vec::new();
+    let (mut ivs, mut fetches) = (Vec::new(), Vec::new());
     for (nest, screen) in program.nests().zip(&screens) {
         let vars = loop_box(&nest.loops);
         for (stmt, screen) in nest.body.iter().zip(&screen.screens) {
@@ -1210,21 +1389,44 @@ fn profile(program: &Program, page_size: usize) -> Option<Profiled> {
                 Screen::Affine { .. } => {
                     let access = Access::lower(program, anchor, &vars, None);
                     let (form, open) = (access.form.as_ref()?, !access.proved());
+                    // A statement with translation reads keeps its own runs.
+                    let reads = translation_reads(program, stmt, anchor, form);
+                    let mut own = (!reads.is_empty()).then(|| RunSink::new(sink.pages));
+                    let distinct = injective(form, &nest.loops, &vars);
                     let interchanged = (!open).then(|| densest_inner(nest, form)).flatten();
                     let (loops, form) = match &interchanged {
                         Some((loops, form)) => (&loops[..], form),
                         None => (&nest.loops[..], form),
                     };
+                    let into = own.as_mut().unwrap_or(&mut *sink);
                     let (mut translates, mut runs) = (Translates::default(), Vec::new());
                     let walked = try_for_each_sweep(loops, |sweep| {
                         if open && access.leaves(sweep).is_some() {
                             return Err(());
                         }
                         sweep_runs(&mut runs, form.line(sweep), sweep.trips, page_size);
-                        translates.take(&mut runs, sink);
+                        translates.take(&mut runs, into);
                         Ok(())
                     });
-                    translates.flush(sink);
+                    translates.flush(into);
+                    if let Some(own) = own {
+                        let runs = own.finish();
+                        let reads = {
+                            let disjoint = disjoint_runs(&runs);
+                            let read = |shift| {
+                                FetchProfile::new(disjoint.clone(), shift, page_size, distinct)
+                            };
+                            reads
+                                .iter()
+                                .map(|&(array, shift)| (array, read(shift)))
+                                .collect()
+                        };
+                        fetches.push(Fetches {
+                            array: anchor.array,
+                            reads,
+                        });
+                        sink.take(runs);
+                    }
                     walked
                 }
                 Screen::Static => nest.try_for_each_sweep(|sweep| {
@@ -1249,6 +1451,7 @@ fn profile(program: &Program, page_size: usize) -> Option<Profiled> {
         writes,
         others,
         screens,
+        fetches,
     })
 }
 

@@ -28,6 +28,9 @@
 //!   `rowband` size their tiles so that the deal never wraps, and have
 //!   none.
 
+use std::cell::OnceCell;
+use std::ops::Range;
+
 use sa_mem::PageMemo;
 
 use crate::config::{validate_shape, ConfigError};
@@ -84,6 +87,8 @@ struct Tiling {
     /// Pages the array occupies; pages past the end are clamped to the
     /// last of them.
     pages: usize,
+    /// [`Placement::period`], worked out once.
+    period: Option<usize>,
 }
 
 impl Tiling {
@@ -115,6 +120,16 @@ impl Tiling {
         } else {
             (cols, width)
         };
+        // Tile row `R + m` is dealt like tile row `R` (module docs).
+        let period = match n {
+            1 => Some(ps),
+            _ if !cyclic => None,
+            _ => {
+                let m = n as u64 / gcd(per_row as u64, n as u64);
+                let period = m.checked_mul(band as u64).and_then(|t| lcm(t, ps as u64));
+                period.and_then(|p| usize::try_from(p).ok())
+            }
+        };
         Tiling {
             band,
             strip,
@@ -127,6 +142,7 @@ impl Tiling {
             },
             cyclic,
             pages: pages_in(shape.len, ps),
+            period,
         }
     }
 }
@@ -238,16 +254,7 @@ impl Placement {
     /// `modulo`, `B · n · ps` for `blockcyclic:B`. On one PE every page is
     /// a period; `block` and `rowband` never wrap, so have none.
     pub fn period(&self) -> Option<usize> {
-        let (n, t) = (self.n_pes as u64, &self.tiling);
-        if n == 1 {
-            return Some(self.page_size);
-        }
-        if !t.cyclic {
-            return None;
-        }
-        let m = n / gcd(t.per_row as u64, n);
-        let period = lcm(m.checked_mul(t.band as u64)?, self.page_size as u64)?;
-        usize::try_from(period).ok()
+        self.tiling.period
     }
 
     /// How many translates of the pages `plo..=phi` by `step` pages keep
@@ -399,84 +406,522 @@ impl Placement {
     /// owned-page count, which prices a placement-free page profile
     /// (`sa_lint::depgraph::AnchorProfile`).
     ///
-    /// A run is counted a stretch of pages at a time, each stretch the
-    /// pages whose first elements share a tile segment (a tile row, or one
-    /// tile's part of a view row): page by page at worst, and at most one
-    /// stretch per tile. Under a [`period`](Placement::period) of `p`
-    /// pages, a run of two or more periods is one period counted once and
-    /// multiplied, plus the rest — O(PEs + period) however long it is —
-    /// and translates by `stride` that stay inside the array own alike
-    /// every `p / gcd(stride, p)` of them, so only that many are counted.
-    /// Pages past the array go with the last page.
-    pub fn count_owned_pages<'r>(
-        &self,
-        runs: impl IntoIterator<Item = &'r PageRun>,
-        per_pe: &mut [u64],
-    ) {
+    /// Runs are priced as pieces (`Placement::pieces`): translates that
+    /// own alike are one piece. Under a [period](Placement::period) of `p`
+    /// pages, no more than the array holds, and no more than the stretches
+    /// a walk would take, each piece adds its count to a range of residues
+    /// mod `p` (`Residues`), O(1) however long, and the residues are priced
+    /// once; otherwise each piece is walked a stretch at a time — the pages
+    /// whose first elements share a tile segment (a tile row, or one tile's
+    /// part of a view row) — and two or more periods of it as one,
+    /// multiplied. Pages past the array go with the last page.
+    pub fn count_owned_pages(&self, runs: &[PageRun], per_pe: &mut [u64]) {
         let total = self.pages();
-        let period = self.period().map(|t| t / self.page_size);
-        for run in runs {
-            let last = run.first + (run.reps - 1) * run.stride;
-            let cycle = match period {
-                _ if run.stride == 0 => 1,
-                Some(p) if last + run.pages <= total => {
-                    p / gcd((run.stride % p) as u64, p as u64) as usize
+        let period = self.short_period();
+        // Runs that stand once are pieces as they are; translated runs are
+        // cut into pieces, each piece's count its translates'.
+        let pieces = |f: &mut dyn FnMut(usize, usize, u64)| {
+            for run in runs {
+                if run.stride == 0 {
+                    f(run.first, run.pages, run.count * run.reps as u64);
+                    continue;
                 }
-                _ => run.reps,
-            };
-            for k in 0..run.reps.min(cycle) {
-                let times = (run.reps - k).div_ceil(cycle) as u64;
-                let first = run.first + k * run.stride;
-                let (end, count) = (first + run.pages, run.count * times);
-                self.count_range(first, end, count, period, per_pe);
+                let alike = |first: usize| {
+                    let end = first + run.pages;
+                    let room = total.saturating_sub(end) / run.stride;
+                    let moved = self.same_owner_run(first, end - 1, run.stride as i64);
+                    moved.min(room as u64)
+                };
+                let periodic = period.map(|p| (p, 0..total));
+                self.pieces(run, periodic, alike, |first, times| {
+                    f(first, run.pages, run.count * times);
+                });
+            }
+        };
+        // Residues pay once the walk would take at least a period's worth
+        // of stretches, each piece at least one (ST7 128³'s bounds walked
+        // take 1.7× as long; ST5 4096²'s priced by residue 12×).
+        let mut residues = period
+            .filter(|&p| {
+                p <= runs.len()
+                    || p <= self.walk_cost(period, |walk| pieces(&mut |_, pages, _| walk(pages)))
+            })
+            .map(Residues::new);
+        let (last, mut at) = (self.page_owner(total), OwnerRun::default());
+        pieces(&mut |first, pages, weight| {
+            // Pages past the array go with the last page.
+            let end = first + pages;
+            if end > total {
+                per_pe[last] += weight * (end - first.max(total)) as u64;
+            }
+            let (q0, q1) = (first.min(total), end.min(total));
+            if let Some(residues) = &mut residues {
+                residues.add(q0, q1, weight);
+            } else {
+                self.fold_periods(q0, q1, period, weight, |q0, q1, weight| {
+                    let mut q = q0;
+                    while q < q1 {
+                        at.reach(self, q as i64);
+                        let end = q1.min(at.end as usize);
+                        per_pe[at.owner as usize] += weight * (end - q) as u64;
+                        q = end;
+                    }
+                });
+            }
+        });
+        if let Some(residues) = residues {
+            for (x, weight) in residues.totals().into_iter().enumerate() {
+                per_pe[self.page_owner(x)] += weight;
             }
         }
     }
 
-    /// [`Placement::count_owned_pages`] of the one run `q0..q1`, under a
-    /// period of `period` pages if there is one.
-    fn count_range(
-        &self,
-        mut q0: usize,
-        q1: usize,
-        weight: u64,
-        period: Option<usize>,
-        per_pe: &mut [u64],
-    ) {
-        let total = self.pages();
-        if q1 > total {
-            per_pe[self.page_owner(total)] += weight * (q1 - q0.max(total)) as u64;
+    /// A pricer of translation reads under this placement
+    /// ([`FetchPricer::count_fetched_pages`]).
+    pub fn fetch_pricer(&self) -> FetchPricer<'_> {
+        FetchPricer {
+            placement: self,
+            owners: OnceCell::new(),
         }
-        let q1 = q1.min(total);
+    }
+
+    /// [`FetchPricer::count_fetched_pages`], with the page-owner table in
+    /// `owners` once one is built.
+    fn count_fetched_pages(&self, read: &FetchProfile, owners: &OnceCell<Vec<u32>>) -> u64 {
+        debug_assert_eq!(
+            read.page_size, self.page_size,
+            "priced at another page size"
+        );
+        let (ps, total) = (self.page_size as i64, self.pages() as i64);
+        let (m, r) = (read.shift.div_euclid(ps), read.shift.rem_euclid(ps));
+        // The pages a page's price looks at: before, itself, after, and
+        // the two its reads may reach. Without `r` only the page and the
+        // one its reads reach count: the other roles repeat the page
+        // itself, and no price looks at them.
+        let roles = match r {
+            0 => [0, 0, 0, m, 0],
+            _ => [-1, 0, 1, m, m + 1],
+        };
+        let low = roles.into_iter().min().unwrap_or(0);
+        let high = roles.into_iter().max().unwrap_or(0);
+        // A page's price from the owners of its five pages (`NO_PAGE` for
+        // one outside the array).
+        let price = |class: usize, o: [u32; 5]| -> u64 {
+            let remote = |pe: u32| pe != NO_PAGE && pe != o[1];
+            let alone = o[2] != o[1];
+            match class {
+                0 => u64::from(r > 0 && remote(o[3]) && remote(o[4]) && alone && o[0] != o[1]),
+                _ => {
+                    u64::from(class & 1 != 0 && remote(o[3]))
+                        + u64::from(class & 2 != 0 && remote(o[4]) && alone)
+                }
+            }
+        };
+        // Where every page a price looks at is inside the array, a period
+        // makes prices periodic.
+        let inner = (-low).max(0)..(total - high.max(0)).max((-low).max(0));
+        let short = self.short_period().filter(|_| !inner.is_empty());
+        let periodic = short.map(|p| (p, inner.start as usize..inner.end as usize));
+        // Runs that stand once are pieces as they are; translated runs are
+        // cut into pieces, each standing for `times` translates.
+        let pieces = |f: &mut dyn FnMut(usize, usize, u64, u8)| {
+            for &(run, class) in &read.runs {
+                if run.stride == 0 {
+                    f(run.first, run.pages, 1, class);
+                    continue;
+                }
+                let alike = |first: usize| {
+                    let (first, end) = (first as i64, (first + run.pages) as i64);
+                    if first + low < 0 || end + high > total {
+                        return 0;
+                    }
+                    let room = ((total - end - high) / run.stride as i64) as u64;
+                    let moved = |o: i64| {
+                        let (lo, hi) = ((first + o) as usize, (end - 1 + o) as usize);
+                        self.same_owner_run(lo, hi, run.stride as i64)
+                    };
+                    let most = roles
+                        .iter()
+                        .try_fold(room, |most, &o| match most.min(moved(o)) {
+                            0 => None,
+                            most => Some(most),
+                        });
+                    most.unwrap_or(0)
+                };
+                self.pieces(&run, periodic.clone(), alike, |first, times| {
+                    f(first, run.pages, times, class);
+                });
+            }
+        };
+        // Residues pay once the walk would take at least a period's worth
+        // of stretches per class priced (ST7 128³'s floors walked take 3×
+        // as long; ST5 4096²'s priced by residue 5×). A walk of at least a
+        // quarter as many stretches as the array has pages reads its
+        // owners from a table instead (ST7's at pages of 8 walked take
+        // 1.5×; ST5's and K18's from a table 75–90×).
+        let walks = self.walk_cost(short, |walk| pieces(&mut |_, pages, _, _| walk(pages)));
+        let classes = read
+            .runs
+            .iter()
+            .fold(0u32, |seen, &(_, c)| seen | 1 << c)
+            .count_ones();
+        let period = short.filter(|&p| p * classes as usize <= walks);
+        let table = (period.is_none() && 4 * walks >= total as usize)
+            .then(|| owners.get_or_init(|| self.owner_table()));
+        let mut residues: [Option<Residues>; 4] = Default::default();
+        let mut walked = 0u64;
+        let mut at = [OwnerRun::default(); 5];
+        let mut walk = |q0: i64, q1: i64, class: usize, times: u64| {
+            if let Some(table) = table {
+                let owner = |q: i64| match (0..total).contains(&q) {
+                    true => table[q as usize],
+                    false => NO_PAGE,
+                };
+                let pages = (q0..q1).map(|q| price(class, roles.map(|o| owner(q + o))));
+                walked += times * pages.sum::<u64>();
+                return;
+            }
+            let mut q = q0;
+            while q < q1 {
+                let (mut end, mut owners) = (q1, [0; 5]);
+                for ((at, &o), owner) in at.iter_mut().zip(&roles).zip(&mut owners) {
+                    at.reach(self, q + o);
+                    (*owner, end) = (at.owner, end.min(at.end.saturating_sub(o)));
+                }
+                walked += times * price(class, owners) * (end - q) as u64;
+                q = end;
+            }
+        };
+        pieces(&mut |first, pages, times, class| {
+            let class = class as usize;
+            let (q0, q1) = (first as i64, (first + pages) as i64);
+            let (a, b) = (
+                q0.clamp(inner.start, inner.end),
+                q1.clamp(inner.start, inner.end),
+            );
+            walk(q0, a.min(q1), class, times);
+            walk(b.max(q0), q1, class, times);
+            match period {
+                Some(p) => residues[class]
+                    .get_or_insert_with(|| Residues::new(p))
+                    .add(a as usize, b as usize, times),
+                None => self.fold_periods(a as usize, b as usize, short, times, |a, b, times| {
+                    walk(a as i64, b as i64, class, times);
+                }),
+            }
+        });
+        let mut priced = walked;
+        if let Some(p) = period {
+            let totals = residues.map(|residues| residues.map(|r| r.totals()));
+            // Residue `x`'s pages price like the first inner page of it,
+            // all in one window of owners.
+            let from = inner.start + low;
+            let window = self.owner_window(
+                from as usize,
+                (inner.start + p as i64).min(inner.end) as usize + high as usize,
+            );
+            for x in 0..p {
+                let q = inner.start + (x as i64 - inner.start).rem_euclid(p as i64);
+                if q >= inner.end {
+                    continue;
+                }
+                let owners = roles.map(|o| window[(q + o - from) as usize]);
+                for (class, totals) in totals.iter().enumerate() {
+                    if let Some(totals) = totals {
+                        priced += totals[x] * price(class, owners);
+                    }
+                }
+            }
+        }
+        priced
+    }
+
+    /// Every page's owner.
+    fn owner_table(&self) -> Vec<u32> {
+        self.owner_window(0, self.pages())
+    }
+
+    /// The owners of pages `a..b`, all inside the array. Where a tile row
+    /// holds several tiles, a page's tile column and tile row follow its
+    /// first element from the last page's, with no division inside a view
+    /// row; otherwise the window is filled a stretch at a time.
+    fn owner_window(&self, a: usize, b: usize) -> Vec<u32> {
+        let (ps, n, t) = (self.page_size, self.n_pes, &self.tiling);
+        let mut table = Vec::with_capacity(b.saturating_sub(a));
+        if t.per_row == 1 {
+            while a + table.len() < b {
+                let run = self.owner_run((a + table.len()) as i64);
+                table.resize((run.end as usize).min(b) - a, run.owner);
+            }
+            return table;
+        }
+        let rows_per_tile = t.band / t.strip;
+        let e = a * ps;
+        // View row mod `rows_per_tile`, and the first PE of its tile row.
+        let (rows, mut into) = (e / t.strip, e % t.strip);
+        let (mut row, mut base) = (rows % rows_per_tile, rows / rows_per_tile * t.per_row % n);
+        // The offset into the view row, its tile column mod `n`, and the
+        // offset into that tile.
+        let (mut column, mut rest) = (into / t.width % n, into % t.width);
+        for _ in a..b {
+            let pe = base + column;
+            table.push((if pe >= n { pe - n } else { pe }) as u32);
+            into += ps;
+            if into < t.strip {
+                rest += ps;
+                while rest >= t.width {
+                    rest -= t.width;
+                    column = if column + 1 == n { 0 } else { column + 1 };
+                }
+                continue;
+            }
+            let rows = row + into / t.strip;
+            into %= t.strip;
+            row = rows % rows_per_tile;
+            base = (base + rows / rows_per_tile * t.per_row) % n;
+            (column, rest) = (into / t.width % n, into % t.width);
+        }
+        table
+    }
+
+    /// [`Placement::period`] in pages, when the array holds one.
+    fn short_period(&self) -> Option<usize> {
+        let p = self.period()? / self.page_size;
+        (p <= self.pages()).then_some(p)
+    }
+
+    /// About how many stretches a walk of pieces takes, `pieces` handing
+    /// it each piece's pages.
+    fn walk_cost(
+        &self,
+        period: Option<usize>,
+        pieces: impl FnOnce(&mut dyn FnMut(usize)),
+    ) -> usize {
+        let t = &self.tiling;
+        let segment = (if t.per_row == 1 { t.band } else { t.width } / self.page_size).max(1);
+        let longest = period.map_or(usize::MAX, |p| 2 * p);
+        let (mut n, mut sum) = (0, 0usize);
+        pieces(&mut |pages| {
+            n += 1;
+            sum = sum.saturating_add(pages.min(longest));
+        });
+        n + sum / segment
+    }
+
+    /// Call `walk(q0, q1, weight)` on the pages `q0..q1`, all inside the
+    /// array: under a period of `p` pages, two or more periods of them are
+    /// one period with the weight multiplied, and the rest.
+    fn fold_periods(
+        &self,
+        q0: usize,
+        q1: usize,
+        period: Option<usize>,
+        weight: u64,
+        mut walk: impl FnMut(usize, usize, u64),
+    ) {
+        let mut q = q0;
         if let Some(p) = period {
             let reps = q1.saturating_sub(q0) / p;
             if reps >= 2 {
-                self.count_stretches(q0, q0 + p, weight * reps as u64, per_pe);
-                q0 += reps * p;
+                walk(q0, q0 + p, weight * reps as u64);
+                q += reps * p;
             }
         }
-        self.count_stretches(q0, q1, weight, per_pe);
+        if q < q1 {
+            walk(q, q1, weight);
+        }
     }
 
-    /// Walk `q0..q1`, all inside the array, a stretch of pages with one
-    /// tile at a time.
-    #[inline]
-    fn count_stretches(&self, mut q: usize, q1: usize, weight: u64, per_pe: &mut [u64]) {
-        let (ps, t, n) = (self.page_size, &self.tiling, self.n_pes);
-        while q < q1 {
-            let e = q * ps;
-            let (tile, segment_end) = if t.per_row == 1 {
-                let tile = e / t.band;
-                (tile, (tile + 1).saturating_mul(t.band))
-            } else {
-                let into = e % t.strip;
-                let end = ((into / t.width + 1) * t.width).min(t.strip);
-                (self.tile_of(e), e - into + end)
-            };
-            let end = segment_end.div_ceil(ps).min(q1);
-            per_pe[tile % n] += weight * (end - q) as u64;
-            q = end;
+    /// Call `f(first, times)` on pieces of `run`: a translate by its first
+    /// page, standing for itself and `times − 1` others that price alike.
+    /// Consecutive translates price alike while `alike(first)` says so;
+    /// and with `periodic = (p, pages)`, where prices repeat every `p`
+    /// pages inside `pages`, the translates inside it price alike every
+    /// `p / gcd(stride, p)` of them, so one of each residue class stands
+    /// for all.
+    fn pieces(
+        &self,
+        run: &PageRun,
+        periodic: Option<(usize, Range<usize>)>,
+        alike: impl Fn(usize) -> u64,
+        mut f: impl FnMut(usize, u64),
+    ) {
+        if run.pages == 0 || run.reps == 0 {
+            return;
         }
+        if run.stride == 0 {
+            f(run.first, run.reps as u64);
+            return;
+        }
+        let (first, s, reps) = (run.first as i64, run.stride as i64, run.reps as i64);
+        let at = |k: i64| (first + k * s) as usize;
+        // The translates that lie inside the periodic pages.
+        let (k0, k1, cycle) = match periodic {
+            Some((p, inside)) => {
+                let k0 = (inside.start as i64 - first + s - 1)
+                    .div_euclid(s)
+                    .clamp(0, reps);
+                let k1 = ((inside.end as i64 - run.pages as i64 - first).div_euclid(s) + 1)
+                    .clamp(k0, reps);
+                (
+                    k0,
+                    k1,
+                    p as i64 / gcd((run.stride % p) as u64, p as u64) as i64,
+                )
+            }
+            None => (0, 0, 1),
+        };
+        // Translates `ks` in groups that price alike, each standing for the
+        // `times` of its members. A stride that moves pages across the
+        // tiles of a view row keeps no owner ([`Placement::same_owner_run`]).
+        let (moved, t) = (run.stride * self.page_size, &self.tiling);
+        let movable =
+            t.per_row == 1 || moved % t.strip == 0 || self.period().is_some_and(|p| moved % p == 0);
+        let mut group = |ks: Range<i64>, times: &dyn Fn(Range<i64>) -> u64| {
+            let mut k = ks.start;
+            while k < ks.end {
+                let more = if movable { alike(at(k)) as i64 } else { 0 };
+                let more = more.min(ks.end - k - 1);
+                f(at(k), times(k..k + more + 1));
+                k += more + 1;
+            }
+        };
+        let each = |ks: Range<i64>| (ks.end - ks.start) as u64;
+        let class_sizes = |ks: Range<i64>| {
+            ks.map(|k| (k1 - k + cycle - 1).div_euclid(cycle) as u64)
+                .sum()
+        };
+        group(0..k0, &each);
+        group(k0..k0 + (k1 - k0).min(cycle), &class_sizes);
+        group(k1..reps, &each);
+    }
+
+    /// The pages that share page `q`'s tile segment, and their owner; a
+    /// page outside the array is no one's, in one run with the pages on
+    /// its side.
+    fn owner_run(&self, q: i64) -> OwnerRun {
+        let total = self.pages() as i64;
+        if q < 0 {
+            return OwnerRun {
+                start: i64::MIN,
+                end: 0,
+                owner: NO_PAGE,
+            };
+        }
+        if q >= total {
+            return OwnerRun {
+                start: total,
+                end: i64::MAX,
+                owner: NO_PAGE,
+            };
+        }
+        let (ps, t) = (self.page_size, &self.tiling);
+        let e = q as usize * ps;
+        let (tile, lo, hi) = if t.per_row == 1 {
+            let tile = e / t.band;
+            (tile, tile * t.band, (tile + 1).saturating_mul(t.band))
+        } else {
+            let into = e % t.strip;
+            let k = into / t.width;
+            let row = e - into;
+            (
+                self.tile_of(e),
+                row + k * t.width,
+                row + ((k + 1) * t.width).min(t.strip),
+            )
+        };
+        OwnerRun {
+            start: lo.div_ceil(ps) as i64,
+            end: (hi.div_ceil(ps) as i64).min(total),
+            owner: (tile % self.n_pes) as u32,
+        }
+    }
+}
+
+/// The owner of no page: the pages outside an array.
+const NO_PAGE: u32 = u32::MAX;
+
+/// Pages `start..end` that one PE owns because their first elements share
+/// a tile segment ([`Placement::owner_run`]).
+#[derive(Debug, Clone, Copy, Default)]
+struct OwnerRun {
+    start: i64,
+    end: i64,
+    owner: u32,
+}
+
+impl OwnerRun {
+    /// Make this the run holding page `q`, unless it already is.
+    #[inline]
+    fn reach(&mut self, placement: &Placement, q: i64) {
+        if q < self.start || q >= self.end {
+            *self = placement.owner_run(q);
+        }
+    }
+}
+
+/// Weights of pages summed by residue mod `p`, in a circular difference
+/// array: a range of pages is O(1) to add however long it is, and a range
+/// that starts less than `p` pages after the last one takes its residue
+/// from it, with no division.
+#[derive(Debug)]
+struct Residues {
+    diff: Vec<u64>,
+    /// Added to every residue.
+    all: u64,
+    /// The first page of the last range added, and its residue.
+    last: (usize, usize),
+}
+
+impl Residues {
+    fn new(p: usize) -> Residues {
+        Residues {
+            diff: vec![0; p + 1],
+            all: 0,
+            last: (0, 0),
+        }
+    }
+
+    /// Add `weight` on each of pages `q0..q1`.
+    fn add(&mut self, q0: usize, q1: usize, weight: u64) {
+        let p = self.diff.len() - 1;
+        let len = q1.saturating_sub(q0);
+        let rest = if len < p {
+            len
+        } else {
+            self.all += (len / p) as u64 * weight;
+            len % p
+        };
+        let start = match q0.checked_sub(self.last.0) {
+            Some(gap) if gap < p => match self.last.1 + gap {
+                x if x >= p => x - p,
+                x => x,
+            },
+            _ => q0 % p,
+        };
+        self.last = (q0, start);
+        let mut range = |a: usize, b: usize| {
+            self.diff[a] = self.diff[a].wrapping_add(weight);
+            self.diff[b] = self.diff[b].wrapping_sub(weight);
+        };
+        if start + rest <= p {
+            range(start, start + rest);
+        } else {
+            range(start, p);
+            range(0, start + rest - p);
+        }
+    }
+
+    /// The weight at each residue.
+    fn totals(&self) -> Vec<u64> {
+        let p = self.diff.len() - 1;
+        self.diff[..p]
+            .iter()
+            .scan(self.all, |sum, &d| {
+                *sum = sum.wrapping_add(d);
+                Some(*sum)
+            })
+            .collect()
     }
 }
 
@@ -512,6 +957,105 @@ impl PageRun {
     /// One past the last page of the first run.
     pub fn end(&self) -> usize {
         self.first + self.pages
+    }
+}
+
+/// Prices translation reads ([`FetchProfile`]) under one placement,
+/// keeping the table of page owners a walk builds for the next read.
+#[derive(Debug)]
+pub struct FetchPricer<'p> {
+    placement: &'p Placement,
+    owners: OnceCell<Vec<u32>>,
+}
+
+impl FetchPricer<'_> {
+    /// A lower bound on the remote pages the PEs fetch for the translation
+    /// read `read`.
+    ///
+    /// Owner-computes runs an instance on the PE owning its anchor's page,
+    /// and a PE fetches every remote page it reads at least once, whatever
+    /// its cache: the floor counts distinct (PE, read page) pairs with the
+    /// PE not the page's owner. With `shift = m · ps + r`, `0 ≤ r < ps`,
+    /// the anchors on page `q` below `ps − r` read page `q + m` and the
+    /// others page `q + m + 1`; the profile's classes say which of the two
+    /// parts certainly hold an anchor. A pair is counted from one anchor
+    /// page only: page `q + m + 1` from page `q` only when page `q + 1` has
+    /// another owner, and a page with neither part certain counts one pair,
+    /// when both candidates are remote and no neighbour shares its owner.
+    /// So a page's contribution depends on its class and on the owners of
+    /// up to five pages around it: its pieces are priced like
+    /// [`Placement::count_owned_pages`]'s, walked where those owners are
+    /// constant (or read from the table of page owners when that meets most
+    /// pages anyway), or per residue class under a period.
+    pub fn count_fetched_pages(&self, read: &FetchProfile) -> u64 {
+        self.placement.count_fetched_pages(read, &self.owners)
+    }
+}
+
+/// One *translation read* of a statement, ready to be priced under any
+/// placement at its page size ([`FetchPricer::count_fetched_pages`]): the
+/// read whose address is the anchor's plus `shift`, in an array shaped
+/// like the anchor's, so placed alike. Every read is taken to be inside
+/// the array.
+///
+/// It is made from the statement's anchored instances per page of the
+/// anchor's array, each page in at most one run. With
+/// `shift = m · ps + r`, `0 ≤ r < ps`, the anchors on a page below
+/// `ps − r` read page `q + m` and the others page `q + m + 1`; when no two
+/// instances share an anchor element, `c` anchors on a page certainly
+/// reach the first part when `c > r` and the second when `c > ps − r`
+/// (pigeonhole). Neighbouring runs whose counts have one class merge: a
+/// price depends on the class, not the count.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FetchProfile {
+    page_size: usize,
+    shift: i64,
+    /// Runs of anchor pages with their class: bit 0 when the first part
+    /// certainly holds an anchor, bit 1 the second.
+    runs: Vec<(PageRun, u8)>,
+}
+
+impl FetchProfile {
+    /// The read `shift` elements from the anchors of `runs`, on pages of
+    /// `page_size` elements; `distinct` says that no two instances share
+    /// an anchor element.
+    pub fn new<'r>(
+        runs: impl IntoIterator<Item = &'r PageRun>,
+        shift: i64,
+        page_size: usize,
+        distinct: bool,
+    ) -> FetchProfile {
+        let ps = page_size as i64;
+        let r = shift.rem_euclid(ps) as u64;
+        let class = |count: u64| {
+            let lower = count > r && (distinct || r == 0);
+            let upper = distinct && r > 0 && count > ps as u64 - r;
+            u8::from(lower) | u8::from(upper) << 1
+        };
+        let mut merged: Vec<(PageRun, u8)> = Vec::new();
+        for run in runs
+            .into_iter()
+            .filter(|run| run.count > 0 && run.pages > 0)
+        {
+            let run = match run.stride {
+                0 => PageRun::new(run.first, run.pages, run.count * run.reps as u64),
+                _ => *run,
+            };
+            let c = class(run.count);
+            match merged.last_mut() {
+                Some((last, lc))
+                    if *lc == c && last.reps == 1 && run.reps == 1 && last.end() == run.first =>
+                {
+                    last.pages += run.pages;
+                }
+                _ => merged.push((run, c)),
+            }
+        }
+        FetchProfile {
+            page_size,
+            shift,
+            runs: merged,
+        }
     }
 }
 
@@ -917,6 +1461,31 @@ mod tests {
     }
 
     #[test]
+    fn owner_tables_and_windows_agree_with_page_owners() {
+        let mut shapes = shapes();
+        shapes.push(ArrayShape::from_dims(&[40, 96]));
+        shapes.push(ArrayShape::from_dims(&[26, 102, 26]));
+        for shape in shapes {
+            for scheme in schemes() {
+                for (n, ps) in [(1usize, 8usize), (3, 1), (4, 3), (7, 8), (16, 2), (5, 200)] {
+                    let pl = Placement::new(scheme, ps, n, shape);
+                    let want: Vec<u32> = (0..pl.pages()).map(|q| pl.page_owner(q) as u32).collect();
+                    assert_eq!(pl.owner_table(), want, "{scheme:?} {shape:?} n={n} ps={ps}");
+                    let pages = pl.pages();
+                    for (a, b) in [(1, pages), (pages / 3, pages / 2), (pages / 2, pages)] {
+                        let (a, b) = (a.min(b), b);
+                        assert_eq!(
+                            pl.owner_window(a, b),
+                            want[a..b],
+                            "{scheme:?} {shape:?} [{a},{b})"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn owned_page_counts_agree_with_brute_force() {
         let mut shapes = shapes();
         shapes.push(ArrayShape::from_dims(&[40, 96]));
@@ -955,18 +1524,138 @@ mod tests {
                         reps: 4,
                         ..PageRun::new(pages.saturating_sub(3), 2, 1)
                     });
-                    let mut want = vec![0u64; n];
-                    for run in &runs {
-                        for k in 0..run.reps {
-                            let first = run.first + k * run.stride;
-                            for q in first..first + run.pages {
-                                want[pl.page_owner(q)] += run.count;
+                    let brute = |runs: &[PageRun]| {
+                        let mut want = vec![0u64; n];
+                        for run in runs {
+                            for k in 0..run.reps {
+                                let first = run.first + k * run.stride;
+                                for q in first..first + run.pages {
+                                    want[pl.page_owner(q)] += run.count;
+                                }
+                            }
+                        }
+                        want
+                    };
+                    // All runs at once take residues under a period; one
+                    // run alone is walked unless it is long.
+                    for runs in std::iter::once(&runs[..]).chain(runs.chunks(1)) {
+                        let mut got = vec![0u64; n];
+                        pl.count_owned_pages(runs, &mut got);
+                        assert_eq!(
+                            got,
+                            brute(runs),
+                            "{scheme:?} {shape:?} n={n} ps={ps} {runs:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The distinct (PE, remote page) pairs of the reads `anchor + shift`
+    /// from `anchors`.
+    fn fetched_pages(pl: &Placement, anchors: &[usize], shift: i64) -> u64 {
+        let ps = pl.page_size;
+        let mut pairs = std::collections::HashSet::new();
+        for &a in anchors {
+            let b = (a as i64 + shift) as usize;
+            let (pe, page) = (pl.owner_of_addr(a), b / ps);
+            if pl.page_owner(page) != pe {
+                pairs.insert((pe, page));
+            }
+        }
+        pairs.len() as u64
+    }
+
+    /// Per-page counts of `anchors` as one run per page.
+    fn page_runs(anchors: &[usize], ps: usize) -> Vec<PageRun> {
+        let mut counts = std::collections::BTreeMap::new();
+        for &a in anchors {
+            *counts.entry(a / ps).or_insert(0u64) += 1;
+        }
+        counts
+            .into_iter()
+            .map(|(q, c)| PageRun::new(q, 1, c))
+            .collect()
+    }
+
+    #[test]
+    fn fetched_page_floors_never_exceed_the_fetches_and_miss_at_most_one_when_dense() {
+        let mut shapes = shapes();
+        shapes.push(ArrayShape::from_dims(&[40, 96]));
+        for shape in shapes {
+            for scheme in schemes() {
+                for (n, ps) in [(1usize, 8usize), (3, 1), (4, 3), (7, 8), (16, 2)] {
+                    let pl = Placement::new(scheme, ps, n, shape);
+                    let len = shape.len;
+                    // Every element; every element but a comb of holes;
+                    // a sparse stride; one element in each of a few pages.
+                    let sets: Vec<(Vec<usize>, bool)> = vec![
+                        ((0..len).collect(), true),
+                        ((0..len).filter(|a| a % 7 != 3).collect(), true),
+                        ((0..len).step_by(5).collect(), true),
+                        ((0..len).step_by(ps * 3 + 1).collect(), true),
+                        ((0..len).map(|a| a / 2 * 2).collect(), false),
+                    ];
+                    let shifts = [
+                        0,
+                        1,
+                        -1,
+                        ps as i64,
+                        -(ps as i64) - 1,
+                        7,
+                        -13,
+                        2 * ps as i64 + 1,
+                    ];
+                    for (anchors, distinct) in &sets {
+                        for shift in shifts {
+                            // A read outside the array is a program error.
+                            let inside =
+                                |&&a: &&usize| (0..len as i64).contains(&(a as i64 + shift));
+                            let anchors: Vec<usize> =
+                                anchors.iter().filter(inside).copied().collect();
+                            let runs = page_runs(&anchors, ps);
+                            let want = fetched_pages(&pl, &anchors, shift);
+                            let read = FetchProfile::new(&runs, shift, ps, *distinct);
+                            let got = pl.fetch_pricer().count_fetched_pages(&read);
+                            let at = format!("{scheme:?} {shape:?} n={n} ps={ps} shift={shift}");
+                            assert!(got <= want, "{at}: floor {got} above {want} fetches");
+                            // One range of whole pages of anchors: exact but
+                            // for the pair of its last page's second part,
+                            // when the page after it has the same owner.
+                            let whole = runs.iter().all(|r| r.count == ps as u64);
+                            let one_range = runs.windows(2).all(|w| w[1].first == w[0].first + 1);
+                            if *distinct && whole && one_range {
+                                assert!(got + 1 >= want, "{at}: floor {got} of {want} fetches");
                             }
                         }
                     }
-                    let mut got = vec![0u64; n];
-                    pl.count_owned_pages(&runs, &mut got);
-                    assert_eq!(got, want, "{scheme:?} {shape:?} n={n} ps={ps}");
+                    // Translates price like the runs they stand for.
+                    let pages = pl.pages();
+                    for (stride, reps) in [(3usize, 5usize), (2 * n + 1, 4), (ps * n, 3)] {
+                        let run = PageRun {
+                            stride,
+                            reps,
+                            ..PageRun::new(1, stride.min(2), ps as u64)
+                        };
+                        if run.first + (reps - 1) * stride + run.pages > pages {
+                            continue;
+                        }
+                        let spread: Vec<PageRun> = (0..reps)
+                            .map(|k| PageRun::new(1 + k * stride, run.pages, ps as u64))
+                            .collect();
+                        for shift in shifts {
+                            let price = |runs: &[PageRun]| {
+                                let read = FetchProfile::new(runs, shift, ps, true);
+                                pl.fetch_pricer().count_fetched_pages(&read)
+                            };
+                            assert_eq!(
+                                price(&[run]),
+                                price(&spread),
+                                "{scheme:?} {shape:?} n={n} ps={ps} shift={shift} {run:?}"
+                            );
+                        }
+                    }
                 }
             }
         }

@@ -80,7 +80,7 @@ use sapp::core::parallel::{default_workers, par_map, par_map_heaviest_first};
 use sapp::core::plan::{ExperimentPlan, PlanError};
 use sapp::core::report::{csv, fmt_pct, json, markdown_table};
 use sapp::core::search::strategy::{
-    Searcher, Strategy, StrategyParams, DEFAULT_BUDGET, DEFAULT_SEED,
+    SearchReport, Searcher, Strategy, StrategyParams, DEFAULT_BUDGET, DEFAULT_SEED,
 };
 use sapp::core::search::{Objective, SearchSpace};
 use sapp::core::{Engine, FastCountingOracle, Oracle};
@@ -836,10 +836,16 @@ fn main() {
                     &rows
                 )
             );
-            let capped: usize = reports.iter().flatten().map(|rep| rep.capped).sum();
+            let sum = |count: fn(&SearchReport) -> usize| -> usize {
+                reports.iter().flatten().map(count).sum()
+            };
+            let capped = sum(|rep| rep.capped);
+            let by_floor = sum(|rep| rep.floor_pruned);
+            let by_write = sum(|rep| rep.best.pruned) - by_floor;
             errln!(
                 "strategy {} over {} candidates: {} oracle evaluations, {} memo hits, \
-                 {capped} decided by a remote-read cap",
+                 {capped} decided by a remote-read cap, {by_write} pruned by the write \
+                 bound, {by_floor} by the remote-read floor",
                 o.strategy.name(),
                 searcher.candidates().len(),
                 searcher.cache_misses(),

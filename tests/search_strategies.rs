@@ -27,6 +27,12 @@
 //!    space reads as much as every other (the caps' premise), and a
 //!    backend that can only measure in full yields the identical
 //!    `SearchReport` as the capping one, for the walks that cap.
+//! 7. **The remote-read floor is a floor** — on all 26 registry programs,
+//!    default candidates and caches (256 elements, none, every page) it is
+//!    at most the remote reads counted, the static read count is the
+//!    counted one, and on a program that reads only through one
+//!    translation read it is exactly the remote reads of an unbounded
+//!    cache.
 
 use std::sync::OnceLock;
 
@@ -37,10 +43,11 @@ use sapp::core::plan::RunConfig;
 use sapp::core::search::strategy::{program_fingerprint, Searcher, Strategy, StrategyParams};
 use sapp::core::search::{search_exhaustive_with, Objective, SearchSpace};
 use sapp::core::FastCountingOracle;
-use sapp::ir::Program;
-use sapp::lint::depgraph::{first_indirect_ref, project_by_instance};
+use sapp::ir::index::iv;
+use sapp::ir::{InitPattern, Program, ProgramBuilder};
+use sapp::lint::depgraph::{first_indirect_ref, project_by_instance, read_count, AnchorProfile};
 use sapp::lint::LintConfig;
-use sapp::loops::{reduced_suite, suite, workload, Kernel, Size};
+use sapp::loops::{reduced_suite, suite, workload, workloads, Kernel, Size};
 use sapp::machine::{NetworkTopology, PartitionScheme};
 
 /// The registry at reduced sizes, restricted to the statically affine
@@ -330,10 +337,11 @@ fn anchor_profiles_are_built_once_per_page_size() {
     // A query keeps no profile: the next one builds its own, as few.
     balanced.search(&k21.program).unwrap();
     assert!(balanced.profile_builds() - built <= space.page_sizes.len());
-    // An objective without an imbalance term bounds nothing.
+    // An objective without an imbalance term is still bounded by the
+    // remote-read floor, priced from the same profiles.
     let remote_only = searcher(Objective::RemoteOnly);
     remote_only.search(&k21.program).unwrap();
-    assert_eq!(remote_only.profile_builds(), 0);
+    assert!(remote_only.profile_builds() <= space.page_sizes.len());
 }
 
 /// The per-instance enumerator as the pruning bound's write projection.
@@ -416,6 +424,79 @@ fn every_candidate_of_the_default_space_reads_alike() {
             k.code
         );
     }
+}
+
+/// Every default candidate of `program` under a cache of `cache_elems`,
+/// with its remote-read floor and its counted remote and total reads.
+fn floors_and_counts(program: &Program, cache_elems: usize) -> Vec<(RunConfig, u64, u64, u64)> {
+    let space = SearchSpace {
+        cache_elems,
+        ..SearchSpace::default()
+    };
+    let mut out = Vec::new();
+    for &page_size in &space.page_sizes {
+        let profile = AnchorProfile::new(program, page_size);
+        for cfg in space.plan().configs().filter(|c| c.page_size == page_size) {
+            let floor = profile.fetch_floor(cfg.partition, cfg.n_pes).unwrap_or(0);
+            let rep = sapp::core::replay::counts(program, &cfg.machine())
+                .unwrap_or_else(|e| panic!("{}: {e}", program.name));
+            out.push((
+                cfg,
+                floor,
+                rep.stats.remote_reads(),
+                rep.stats.total_reads(),
+            ));
+        }
+    }
+    out
+}
+
+#[test]
+fn remote_read_floors_never_exceed_the_remote_reads() {
+    // The Livermore suite at the sizes `sapp search` searches, the other
+    // registry programs reduced (official ST7 alone replays for seconds).
+    let livermore = suite();
+    let rest = workloads()
+        .into_iter()
+        .filter(|w| livermore.iter().all(|k| k.code != w.code));
+    let (mut floored, mut static_reads) = (0, 0);
+    for k in livermore.iter().cloned().chain(rest.map(|w| w.reduced())) {
+        let every_page = k.program.total_elements();
+        for cache in [256, 0, every_page] {
+            for (cfg, floor, remote, total) in floors_and_counts(&k.program, cache) {
+                assert!(
+                    floor <= remote,
+                    "{} {cfg:?}: floor {floor} above {remote} remote reads",
+                    k.code
+                );
+                floored += usize::from(floor > 0);
+                if let Some(reads) = read_count(&k.program) {
+                    assert_eq!(reads, total, "{} {cfg:?}: reads miscounted", k.code);
+                    static_reads += 1;
+                }
+            }
+        }
+    }
+    assert!(floored > 0 && static_reads > 0, "the floor went untested");
+}
+
+#[test]
+fn one_translation_read_is_floored_exactly_under_an_unbounded_cache() {
+    // Every read is `Y(i + 4, j)`: 256 elements on, a whole number of
+    // pages at every page size of the space, over whole pages of anchors.
+    let mut b = ProgramBuilder::new("shifted copy");
+    let y = b.input("Y", &[64, 64], InitPattern::Wavy);
+    let x = b.output("X", &[64, 64]);
+    b.nest("copy", &[("i", 0, 59), ("j", 0, 63)], |nb| {
+        nb.assign(x, [iv(0), iv(1)], nb.read(y, [iv(0).plus(4), iv(1)]));
+    });
+    let program = b.finish();
+    let mut remote = 0;
+    for (cfg, floor, reads, _) in floors_and_counts(&program, program.total_elements()) {
+        assert_eq!(floor, reads, "{cfg:?}");
+        remote += reads;
+    }
+    assert!(remote > 0, "no candidate reads remotely");
 }
 
 /// The auto-selecting oracle behind `Oracle::measure` alone: every capped
