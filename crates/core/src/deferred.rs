@@ -102,11 +102,6 @@ impl TimingReport {
         }
         baseline.total_cycles as f64 / self.total_cycles as f64
     }
-
-    /// Parallel efficiency over `n` PEs given the 1-PE baseline.
-    pub fn efficiency_over(&self, baseline: &TimingReport, n: usize) -> f64 {
-        self.speedup_over(baseline) / n.max(1) as f64
-    }
 }
 
 /// `write_time` of a cell nothing has written (in its current generation).
@@ -340,7 +335,6 @@ mod tests {
             let tn = estimate_timing(&p, &MachineConfig::new(n, 32)).unwrap();
             let s = tn.speedup_over(&t1);
             assert!(s <= n as f64 + 1e-9, "speedup {s:.2} > {n} PEs");
-            assert!(tn.efficiency_over(&t1, n) <= 1.0 + 1e-9);
         }
     }
 

@@ -23,8 +23,7 @@
 //!   temperature schedule, seeded and fully deterministic. The
 //!   imbalance bound stays inside the acceptance test: candidates
 //!   provably unable to beat the incumbent are rejected without spending
-//!   an oracle evaluation. With the budget covering the space it degrades
-//!   to the canonical-order sweep under the same bound.
+//!   an oracle evaluation.
 //! - [`Strategy::Propagate`] — ranks candidates by pushing each array's
 //!   write-side placement onto the arrays it reads, along the RAW edges
 //!   of [`sa_lint::depgraph`]: a placement under which a statement's
@@ -32,11 +31,13 @@
 //!   tried first. Evaluation then proceeds in ranked order under the
 //!   budget, pruned by the imbalance bound.
 //!
-//! The walks that only keep an incumbent — branch and bound, the
-//! canonical sweep and propagation — measure each candidate under a
-//! remote-read cap ([`Oracle::measure_capped`]): the fewest remote reads at
-//! which its score provably exceeds the incumbent's (`Walk::remote_cap`),
-//! past which replay stops counting.
+//! A budget that covers the space makes every strategy the branch and
+//! bound: the guided walks are for budgets short of it. Branch and bound
+//! and propagation share one prune-or-visit loop (`Walk::walk`), which
+//! measures each candidate under a remote-read cap
+//! ([`Oracle::measure_capped`]): the fewest remote reads at which its score
+//! provably exceeds the incumbent's (`Walk::remote_cap`), past which replay
+//! stops counting.
 //!
 //! Every oracle evaluation goes through a [`MemoOracle`] keyed by
 //! `(program fingerprint, RunConfig)` and shared across queries of one
@@ -47,9 +48,9 @@
 //! messages, then canonical grid index. Any strategy that evaluates or
 //! soundly prunes *every* candidate therefore returns the bit-exact
 //! [`search_exhaustive_with`](crate::search::search_exhaustive_with)
-//! winner regardless of visit order — and both guided strategies degrade
-//! to full (pruned) coverage whenever `budget ≥ space size`, which is
-//! exactly the regime `tests/search_strategies.rs` certifies.
+//! winner regardless of visit order — and whenever `budget ≥ space size`
+//! every strategy runs the branch and bound, the regime
+//! `tests/search_strategies.rs` certifies.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -82,10 +83,12 @@ pub enum Strategy {
     /// floor). Every candidate is measured — capped once its remote reads
     /// prove it cannot win — or proven unable to win without measuring.
     Exhaustive,
-    /// Seeded simulated annealing with pruned Metropolis acceptance.
+    /// Seeded simulated annealing with pruned Metropolis acceptance;
+    /// the branch and bound when the budget covers the space.
     Anneal,
     /// Automap-style write-to-read propagation ranking, evaluated in
-    /// ranked order under the budget.
+    /// ranked order under the budget; the branch and bound when the
+    /// budget covers the space.
     Propagate,
 }
 
@@ -126,7 +129,7 @@ pub struct StrategyParams {
     /// cache warmth changes what a query *costs*, never what it *does*
     /// (re-queries replay bit-identically with zero oracle calls).
     /// Statically pruned candidates are free. When the budget covers the
-    /// whole space, the guided strategies walk it exhaustively.
+    /// whole space, every strategy runs the branch and bound.
     pub budget: usize,
 }
 
@@ -553,25 +556,27 @@ impl Searcher {
         self.memo.misses()
     }
 
-    /// Run the configured strategy for one kernel.
+    /// Run the configured strategy for one kernel. A budget that covers
+    /// the space buys every strategy the branch and bound: the certified
+    /// walk, and the cheapest one that covers it.
     pub fn search(&self, program: &Program) -> Result<SearchReport, PlanError> {
         let mut walk = Walk::new(program, self);
+        let budget = self.params.budget;
+        let short = budget < self.cands.len();
         match self.params.strategy {
-            Strategy::Exhaustive => walk.branch_and_bound()?,
-            Strategy::Anneal => self.anneal(&mut walk)?,
-            Strategy::Propagate => self.propagate(&mut walk)?,
+            Strategy::Anneal if short => self.anneal(&mut walk)?,
+            Strategy::Propagate if short => {
+                walk.walk(propagation_order(program, &self.cands), budget)?
+            }
+            _ => walk.branch_and_bound()?,
         }
         walk.finish(self.params.strategy)
     }
 
-    /// Simulated annealing over the candidate grid. With the budget
-    /// covering the whole space the walk degrades to the canonical pruned
-    /// sweep — full coverage, hence the exhaustive winner bit-exactly.
+    /// Simulated annealing over the candidate grid, under a budget short
+    /// of the space.
     fn anneal(&self, walk: &mut Walk<'_>) -> Result<(), PlanError> {
         let budget = self.params.budget;
-        if budget >= self.cands.len() {
-            return walk.canonical_sweep();
-        }
         // Warm start: the propagation ranking's head — the candidate the
         // write-to-read pass believes aligns producers with consumers.
         let order = propagation_order(walk.program, &self.cands);
@@ -675,25 +680,6 @@ impl Searcher {
         }
         (idx + 1) % c.len()
     }
-
-    /// Automap-style propagation: evaluate in write-to-read alignment
-    /// order until the budget is spent (or the space is exhausted —
-    /// whenever the budget covers the space this is full coverage and
-    /// the winner is the exhaustive one bit-exactly).
-    fn propagate(&self, walk: &mut Walk<'_>) -> Result<(), PlanError> {
-        let order = propagation_order(walk.program, &self.cands);
-        for idx in order {
-            if walk.touched() >= self.params.budget && walk.best.is_some() {
-                break;
-            }
-            if walk.prunable(idx) {
-                walk.prune(idx);
-                continue;
-            }
-            walk.visit(idx)?;
-        }
-        Ok(())
-    }
 }
 
 /// Per-query walk state: which candidates were touched, the incumbent
@@ -752,24 +738,37 @@ impl<'a> Walk<'a> {
         }
     }
 
-    /// Can `idx` be skipped without measuring? True when its static score
-    /// lower bound already exceeds the incumbent's score — such a
-    /// candidate can never win under the total order, whatever the visit
+    /// Can `idx` be skipped without measuring? True when its lower bound
+    /// ([`Walk::lower_bound`]) already exceeds the incumbent's score — such
+    /// a candidate can never win under the total order, whatever the visit
     /// order, because the bound under-approximates the true score.
     fn prunable(&mut self, idx: usize) -> bool {
-        let Some((_, _, incumbent)) = &self.best else {
+        let Some((_, _, incumbent)) = self.best else {
             return false;
         };
-        let incumbent = *incumbent;
         if self.seen.contains_key(&idx) {
             return false; // already measured: skipping would drop its trace entry
         }
-        self.bound(idx).is_some_and(|bound| bound > incumbent)
+        self.lower_bound(idx).is_some_and(|bound| bound > incumbent)
     }
 
-    /// `idx`'s static score bound — its imbalance term — computed once
-    /// per `(scheme, page size)` ([`Walk::price_terms`]).
-    fn bound(&mut self, idx: usize) -> Option<f64> {
+    /// `idx`'s lower bound on its score: its imbalance term, plus its
+    /// remote-read floor's share of the run's reads where the walk priced
+    /// that floor ([`Walk::price_floors`]).
+    fn lower_bound(&mut self, idx: usize) -> Option<f64> {
+        let term = self.term(idx);
+        let (scheme, page, _) = self.cands.coords(idx);
+        match (self.fetches.get(&(scheme, page)), self.reads) {
+            (Some(&Some(fetches)), Some(reads)) => {
+                Some(capped_score(fetches, reads, term.unwrap_or(0.0)))
+            }
+            _ => term,
+        }
+    }
+
+    /// `idx`'s imbalance term, computed once per `(scheme, page size)`
+    /// ([`Walk::price_terms`]).
+    fn term(&mut self, idx: usize) -> Option<f64> {
         let (scheme, page, _) = self.cands.coords(idx);
         if !self.terms.contains_key(&(scheme, page)) {
             self.price_terms(page);
@@ -832,7 +831,7 @@ impl<'a> Walk<'a> {
             return u64::MAX;
         };
         let (total, incumbent) = (best.total_reads, *incumbent);
-        let term = self.bound(idx).unwrap_or(0.0);
+        let term = self.term(idx).unwrap_or(0.0);
         let loses = |remote: u64| capped_score(remote, total, term) > incumbent;
         if !loses(total) {
             return u64::MAX;
@@ -849,9 +848,14 @@ impl<'a> Walk<'a> {
         lo
     }
 
-    /// Record a prune (each candidate counted once).
+    /// Record a prune, each candidate once: one the imbalance term alone
+    /// does not prove unable to win, its remote-read floor did.
     fn prune(&mut self, idx: usize) {
-        self.pruned_set.insert(idx);
+        if self.pruned_set.insert(idx) {
+            let incumbent = self.best.as_ref().map_or(f64::INFINITY, |best| best.2);
+            let by_term = self.term(idx).is_some_and(|term| term > incumbent);
+            self.floor_pruned += usize::from(!by_term);
+        }
     }
 
     /// Measure `idx` (memoized per query and across queries), fold it
@@ -954,11 +958,19 @@ impl<'a> Walk<'a> {
         self.trace.len()
     }
 
-    /// Canonical-order incumbent sweep with imbalance-bound pruning and
-    /// capped measurements: annealing's walk once its budget covers the
-    /// space.
-    fn canonical_sweep(&mut self) -> Result<(), PlanError> {
-        for idx in 0..self.cands.len() {
+    /// The prune-or-visit loop every walk but annealing's runs: each
+    /// candidate of `order` is pruned ([`Walk::prunable`]) or measured
+    /// under a remote-read cap, until `budget` candidates are touched and
+    /// an incumbent stands.
+    fn walk(
+        &mut self,
+        order: impl IntoIterator<Item = usize>,
+        budget: usize,
+    ) -> Result<(), PlanError> {
+        for idx in order {
+            if self.touched() >= budget && self.best.is_some() {
+                break;
+            }
             if self.prunable(idx) {
                 self.prune(idx);
                 continue;
@@ -969,56 +981,48 @@ impl<'a> Walk<'a> {
     }
 
     /// Branch and bound: page sizes smallest first, and within one the
-    /// candidates by ascending lower bound on their score — imbalance term
-    /// plus remote-read floor ([`AnchorProfile::fetch_floor`]) as a share
-    /// of the run's reads — canonical index breaking ties. A candidate
-    /// whose bound exceeds the incumbent's score is pruned; the rest are
-    /// measured under a remote-read cap. A candidate whose term alone
-    /// exceeds the incumbent's score when its page size comes up is pruned
-    /// whatever its floor, which is then not priced. Every candidate is
-    /// measured or proven unable to win, so the winner is the exhaustive
-    /// one.
+    /// candidates by ascending lower bound ([`Walk::lower_bound`]),
+    /// canonical index breaking ties, through [`Walk::walk`] without a
+    /// budget. Every candidate is measured or proven unable to win, so the
+    /// winner is the exhaustive one.
     fn branch_and_bound(&mut self) -> Result<(), PlanError> {
         let cands = self.cands;
         let mut pages: Vec<usize> = (0..cands.page_sizes.len()).collect();
         pages.sort_by_key(|&p| cands.page_sizes[p]);
         for page in pages {
-            let mut profile = self.price_terms(page);
-            let incumbent = self.best.as_ref().map(|(_, _, score)| *score);
+            self.price_floors(page);
             let mut order = Vec::with_capacity(cands.schemes.len() * cands.n_networks);
             for s in 0..cands.schemes.len() {
-                let term = self.terms[&(s, page)].unwrap_or(0.0);
-                let cfg = cands.config(cands.index(s, page, 0));
-                let fetches = match (self.reads, incumbent) {
-                    (Some(_), Some(incumbent)) if term > incumbent => None,
-                    (Some(_), _) => profile
-                        .get_or_insert_with(|| self.profile(page))
-                        .fetch_floor(cfg.partition, cfg.n_pes),
-                    (None, _) => None,
-                };
-                self.fetches.insert((s, page), fetches);
-                let bound = match (fetches, self.reads) {
-                    (Some(fetches), Some(reads)) => capped_score(fetches, reads, term),
-                    _ => term,
-                };
-                order.extend((0..cands.n_networks).map(|n| (bound, cands.index(s, page, n))));
-            }
-            // The profile is priced out: free it before any replay runs.
-            drop(profile);
-            order.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            for (bound, idx) in order {
-                if let Some((_, _, incumbent)) = self.best {
-                    if bound > incumbent {
-                        let by_term = self.bound(idx).is_some_and(|term| term > incumbent);
-                        self.floor_pruned += usize::from(!by_term);
-                        self.prune(idx);
-                        continue;
-                    }
+                for n in 0..cands.n_networks {
+                    let idx = cands.index(s, page, n);
+                    order.push((self.lower_bound(idx).unwrap_or(0.0), idx));
                 }
-                self.visit(idx)?;
             }
+            order.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            self.walk(order.into_iter().map(|(_, idx)| idx), usize::MAX)?;
         }
         Ok(())
+    }
+
+    /// Price the imbalance terms at page-size position `page` and the
+    /// remote-read floor ([`AnchorProfile::fetch_floor`]) of every scheme
+    /// there whose term alone does not exceed the incumbent's score — a
+    /// scheme whose term does is pruned whatever its floor. The profile is
+    /// freed on return, before any candidate of the page is measured.
+    fn price_floors(&mut self, page: usize) {
+        let mut profile = self.price_terms(page);
+        let incumbent = self.best.as_ref().map_or(f64::INFINITY, |best| best.2);
+        for s in 0..self.cands.schemes.len() {
+            let term = self.terms[&(s, page)].unwrap_or(0.0);
+            let cfg = self.cands.config(self.cands.index(s, page, 0));
+            let fetches = match self.reads {
+                Some(_) if term <= incumbent => profile
+                    .get_or_insert_with(|| self.profile(page))
+                    .fetch_floor(cfg.partition, cfg.n_pes),
+                _ => None,
+            };
+            self.fetches.insert((s, page), fetches);
+        }
     }
 
     /// Project the walk into a [`SearchReport`]; errors when every

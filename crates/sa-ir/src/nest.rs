@@ -219,34 +219,6 @@ impl LoopNest {
         }
         out
     }
-
-    /// Arrays read by this nest (deduplicated; includes gather base arrays).
-    pub fn read_arrays(&self) -> Vec<ArrayId> {
-        let mut out = Vec::new();
-        let mut push = |id: ArrayId| {
-            if !out.contains(&id) {
-                out.push(id);
-            }
-        };
-        for s in &self.body {
-            for r in s.reads() {
-                push(r.array);
-                for ix in &r.indices {
-                    if let IndexExpr::Indirect { base, .. } = ix {
-                        push(*base);
-                    }
-                }
-            }
-            if let Some(t) = s.write_target() {
-                for ix in &t.indices {
-                    if let IndexExpr::Indirect { base, .. } = ix {
-                        push(*base);
-                    }
-                }
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -316,7 +288,7 @@ mod tests {
     }
 
     #[test]
-    fn written_and_read_arrays_deduplicate() {
+    fn written_arrays_deduplicate() {
         use crate::ArrayId;
         let x = ArrayId(0);
         let y = ArrayId(1);
@@ -336,34 +308,6 @@ mod tests {
             ],
         };
         assert_eq!(nest.written_arrays(), vec![x]);
-        assert_eq!(nest.read_arrays(), vec![y]);
-    }
-
-    #[test]
-    fn read_arrays_includes_gather_base() {
-        use crate::index::IndexExpr;
-        use crate::ArrayId;
-        let data = ArrayId(0);
-        let perm = ArrayId(1);
-        let out = ArrayId(2);
-        let gathered = ArrayRef::new(
-            data,
-            vec![IndexExpr::Indirect {
-                base: perm,
-                pos: iv(0),
-                scale: 1,
-                offset: 0,
-            }],
-        );
-        let nest = LoopNest {
-            label: "g".into(),
-            loops: vec![LoopVar::simple("k", 0, 3)],
-            body: vec![Stmt::Assign {
-                target: ArrayRef::new(out, vec![iv(0).into()]),
-                value: Expr::Read(gathered),
-            }],
-        };
-        assert_eq!(nest.read_arrays(), vec![data, perm]);
     }
 
     #[test]

@@ -281,14 +281,6 @@ impl Program {
         self.arrays.iter().map(ArrayDecl::len).sum()
     }
 
-    /// Look up a parameter id by name.
-    pub fn param_id(&self, name: &str) -> Option<crate::ParamId> {
-        self.params
-            .iter()
-            .position(|(n, _)| n == name)
-            .map(crate::ParamId)
-    }
-
     /// Look up an array id by name.
     pub fn array_id(&self, name: &str) -> Option<ArrayId> {
         self.arrays.iter().position(|a| a.name == name).map(ArrayId)
@@ -469,10 +461,8 @@ mod tests {
             dims: vec![10],
             init: ArrayInit::Undefined,
         });
-        p.params.push(("Q".into(), 0.5));
         assert_eq!(p.array_id("X"), Some(ArrayId(0)));
         assert_eq!(p.array_id("Y"), None);
-        assert_eq!(p.param_id("Q"), Some(crate::ParamId(0)));
         assert_eq!(p.total_elements(), 10);
         assert_eq!(p.array(ArrayId(0)).name, "X");
     }

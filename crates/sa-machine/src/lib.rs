@@ -35,7 +35,7 @@ pub use cache::{CacheOutcome, CachePolicy, PageCache, PageKey, PolicyCache, Prob
 pub use config::{ConfigError, MachineConfig, PartialPagePolicy};
 pub use host::{host_of, ReinitSync};
 pub use machine::{DistributedMachine, MachineError};
-pub use network::{LinkModel, Network, NetworkTopology};
+pub use network::{Network, NetworkTopology};
 pub use partition::{page_of, pages_in, PartitionScheme};
 pub use placement::{ArrayShape, FetchPricer, FetchProfile, PageRun, PeRange, Placement};
 pub use stats::{load_balance, AccessKind, LoadBalance, PeCounters, Stats};

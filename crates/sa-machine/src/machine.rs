@@ -183,11 +183,6 @@ impl DistributedMachine {
         &self.cfg
     }
 
-    /// Pages of array `a`.
-    pub fn pages_of(&self, a: usize) -> usize {
-        self.placements[a].pages()
-    }
-
     /// Owning PE of `addr` in array `a`.
     pub fn owner_of(&self, a: usize, addr: usize) -> usize {
         self.placements[a].owner_of_addr(addr)
@@ -417,7 +412,6 @@ mod tests {
     fn paper_example_ownership() {
         // §2: 4 PEs, page size 32, arrays of 100 elements.
         let m = machine(MachineConfig::new(4, 32));
-        assert_eq!(m.pages_of(0), 4);
         assert_eq!(m.owner_of(0, 0), 0); // A(1..32) → PE 0
         assert_eq!(m.owner_of(0, 32), 1); // A(33..64) → PE 1
         assert_eq!(m.owner_of(0, 64), 2); // A(65..96) → PE 2

@@ -9,40 +9,13 @@
 
 use std::collections::HashMap;
 
-/// How a topology measures and routes point-to-point traffic.
-///
-/// A link model answers two questions for a machine of `n` PEs: how many
-/// link traversals a message `from → to` costs ([`hops`](LinkModel::hops)),
-/// and which directed links it crosses on the way
-/// ([`route`](LinkModel::route)). [`Network`] calls both on every recorded
-/// message, so implementing this trait for a new interconnect is all it
-/// takes for message, hop, and per-link contention accounting — on the
+/// Interconnect topology: the cheap, `Copy` configuration handle whose
+/// [`hops`](NetworkTopology::hops) and [`route`](NetworkTopology::route)
+/// define each variant's distance metric and routing. [`Network`] calls
+/// both on every recorded message, so a new variant's arms there are all
+/// it takes for message, hop, and per-link contention accounting — on the
 /// counting simulator, the replay engine, and the thread runtime alike —
 /// to understand it.
-///
-/// The contract the accounting relies on:
-///
-/// * `hops(n, p, p) == 0` and `route` visits nothing for a self-message;
-/// * `route(n, from, to, visit)` invokes `visit` exactly `hops(n, from,
-///   to)` times, once per traversed directed link;
-/// * link endpoints passed to `visit` are node ids — they may exceed
-///   `n - 1` for switch-only intermediate nodes (a ragged torus row, the
-///   [`Bus`](NetworkTopology::Bus)'s shared medium), which carry traffic
-///   but never originate it;
-/// * models are stateless and [`Sync`], so sharded engines can share one
-///   `&'static` instance.
-pub trait LinkModel: Sync {
-    /// Short name for report tables.
-    fn name(&self) -> &'static str;
-    /// Link traversals for a message `from → to` on `n` PEs.
-    fn hops(&self, n: usize, from: usize, to: usize) -> u32;
-    /// Visit each directed link of the route `from → to`, in order.
-    fn route(&self, n: usize, from: usize, to: usize, visit: &mut dyn FnMut(usize, usize));
-}
-
-/// Interconnect topology. Each variant is backed by a [`LinkModel`]
-/// (see [`NetworkTopology::model`]) that defines its distance metric and
-/// its routing — the enum is the cheap, `Copy` configuration handle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NetworkTopology {
     /// Count messages only; zero hops (the paper's implicit model).
@@ -67,209 +40,138 @@ pub enum NetworkTopology {
     Hypercube,
 }
 
-/// The paper's implicit zero-cost interconnect.
-struct IdealModel;
-/// One hop between any pair; every pair is its own link.
-struct CrossbarModel;
-/// One shared link for everything.
-struct BusModel;
-/// Bidirectional ring, shortest way around.
-struct RingModel;
-/// Near-square mesh, dimension-ordered routing.
-struct Mesh2DModel;
-/// Near-square torus: per-dimension cyclic shortest way.
-struct Torus2DModel;
-/// Binary hypercube, e-cube (ascending-bit) routing.
-struct HypercubeModel;
-
-impl LinkModel for IdealModel {
-    fn name(&self) -> &'static str {
-        "ideal"
-    }
-    fn hops(&self, _n: usize, _from: usize, _to: usize) -> u32 {
-        0
-    }
-    fn route(&self, _n: usize, _from: usize, _to: usize, _visit: &mut dyn FnMut(usize, usize)) {}
-}
-
-impl LinkModel for CrossbarModel {
-    fn name(&self) -> &'static str {
-        "crossbar"
-    }
-    fn hops(&self, _n: usize, from: usize, to: usize) -> u32 {
-        u32::from(from != to)
-    }
-    fn route(&self, _n: usize, from: usize, to: usize, visit: &mut dyn FnMut(usize, usize)) {
-        if from != to {
-            visit(from, to);
-        }
-    }
-}
-
-impl LinkModel for BusModel {
-    fn name(&self) -> &'static str {
-        "bus"
-    }
-    fn hops(&self, _n: usize, from: usize, to: usize) -> u32 {
-        u32::from(from != to)
-    }
-    fn route(&self, n: usize, from: usize, to: usize, visit: &mut dyn FnMut(usize, usize)) {
-        if from != to {
-            // The shared medium is modeled as the single pseudo-link
-            // (n, n + 1) — ids no real PE pair can collide with — so all
-            // traffic aggregates onto one contention figure.
-            visit(n, n + 1);
-        }
-    }
-}
-
-impl LinkModel for RingModel {
-    fn name(&self) -> &'static str {
-        "ring"
-    }
-    fn hops(&self, n: usize, from: usize, to: usize) -> u32 {
-        let d = from.abs_diff(to);
-        d.min(n - d) as u32
-    }
-    fn route(&self, n: usize, from: usize, to: usize, visit: &mut dyn FnMut(usize, usize)) {
-        if from == to {
-            return;
-        }
-        let d = (to + n - from) % n;
-        let step: i64 = if d <= n - d { 1 } else { -1 };
-        let mut cur = from as i64;
-        while cur as usize != to {
-            let next = (cur + step).rem_euclid(n as i64);
-            visit(cur as usize, next as usize);
-            cur = next;
-        }
-    }
-}
-
-impl LinkModel for Mesh2DModel {
-    fn name(&self) -> &'static str {
-        "mesh2d"
-    }
-    fn hops(&self, n: usize, from: usize, to: usize) -> u32 {
-        let cols = mesh_cols(n);
-        let (fx, fy) = (from % cols, from / cols);
-        let (tx, ty) = (to % cols, to / cols);
-        (fx.abs_diff(tx) + fy.abs_diff(ty)) as u32
-    }
-    fn route(&self, n: usize, from: usize, to: usize, visit: &mut dyn FnMut(usize, usize)) {
-        let cols = mesh_cols(n);
-        let (mut x, mut y) = (from % cols, from / cols);
-        let (tx, ty) = (to % cols, to / cols);
-        while x != tx {
-            let nx = if x < tx { x + 1 } else { x - 1 };
-            visit(y * cols + x, y * cols + nx);
-            x = nx;
-        }
-        while y != ty {
-            let ny = if y < ty { y + 1 } else { y - 1 };
-            visit(y * cols + x, ny * cols + x);
-            y = ny;
-        }
-    }
-}
-
-impl LinkModel for Torus2DModel {
-    fn name(&self) -> &'static str {
-        "torus2d"
-    }
-    fn hops(&self, n: usize, from: usize, to: usize) -> u32 {
-        if from == to {
-            return 0;
-        }
-        let cols = mesh_cols(n);
-        let rows = n.div_ceil(cols).max(1);
-        let (fx, fy) = (from % cols, from / cols);
-        let (tx, ty) = (to % cols, to / cols);
-        let dx = fx.abs_diff(tx);
-        let dy = fy.abs_diff(ty);
-        (dx.min(cols - dx) + dy.min(rows - dy)) as u32
-    }
-    fn route(&self, n: usize, from: usize, to: usize, visit: &mut dyn FnMut(usize, usize)) {
-        if from == to {
-            return;
-        }
-        let cols = mesh_cols(n);
-        let rows = n.div_ceil(cols).max(1);
-        let (mut x, mut y) = (from % cols, from / cols);
-        let (tx, ty) = (to % cols, to / cols);
-        // X first, short way around the cycle (wrap links included);
-        // intermediate (y, x) positions on a ragged rectangle may not be
-        // populated PEs — they are switch-only nodes.
-        while x != tx {
-            let d = (tx + cols - x) % cols;
-            let nx = if d <= cols - d {
-                (x + 1) % cols
-            } else {
-                (x + cols - 1) % cols
-            };
-            visit(y * cols + x, y * cols + nx);
-            x = nx;
-        }
-        while y != ty {
-            let d = (ty + rows - y) % rows;
-            let ny = if d <= rows - d {
-                (y + 1) % rows
-            } else {
-                (y + rows - 1) % rows
-            };
-            visit(y * cols + x, ny * cols + x);
-            y = ny;
-        }
-    }
-}
-
-impl LinkModel for HypercubeModel {
-    fn name(&self) -> &'static str {
-        "hypercube"
-    }
-    fn hops(&self, _n: usize, from: usize, to: usize) -> u32 {
-        (from ^ to).count_ones()
-    }
-    fn route(&self, _n: usize, from: usize, to: usize, visit: &mut dyn FnMut(usize, usize)) {
-        let mut cur = from;
-        let mut bit = 0;
-        while cur != to {
-            if (cur ^ to) & (1 << bit) != 0 {
-                let next = cur ^ (1 << bit);
-                visit(cur, next);
-                cur = next;
-            }
-            bit += 1;
-        }
-    }
-}
-
 impl NetworkTopology {
-    /// The [`LinkModel`] backing this topology. Models are stateless unit
-    /// values, shared as `&'static` across threads and shards.
-    pub fn model(&self) -> &'static dyn LinkModel {
+    /// Short name for report tables.
+    pub fn name(&self) -> &'static str {
         match self {
-            NetworkTopology::Ideal => &IdealModel,
-            NetworkTopology::Crossbar => &CrossbarModel,
-            NetworkTopology::Bus => &BusModel,
-            NetworkTopology::Ring => &RingModel,
-            NetworkTopology::Mesh2D => &Mesh2DModel,
-            NetworkTopology::Torus2D => &Torus2DModel,
-            NetworkTopology::Hypercube => &HypercubeModel,
+            NetworkTopology::Ideal => "ideal",
+            NetworkTopology::Crossbar => "crossbar",
+            NetworkTopology::Bus => "bus",
+            NetworkTopology::Ring => "ring",
+            NetworkTopology::Mesh2D => "mesh2d",
+            NetworkTopology::Torus2D => "torus2d",
+            NetworkTopology::Hypercube => "hypercube",
         }
     }
 
-    /// Hop count between `from` and `to` on a machine of `n` PEs.
+    /// Link traversals for a message `from → to` on a machine of `n` PEs;
+    /// 0 for a self-message.
     pub fn hops(&self, n: usize, from: usize, to: usize) -> u32 {
         if from == to {
             return 0;
         }
-        self.model().hops(n, from, to)
+        match self {
+            NetworkTopology::Ideal => 0,
+            NetworkTopology::Crossbar | NetworkTopology::Bus => 1,
+            NetworkTopology::Ring => {
+                let d = from.abs_diff(to);
+                d.min(n - d) as u32
+            }
+            NetworkTopology::Mesh2D => {
+                let cols = mesh_cols(n);
+                let (fx, fy) = (from % cols, from / cols);
+                let (tx, ty) = (to % cols, to / cols);
+                (fx.abs_diff(tx) + fy.abs_diff(ty)) as u32
+            }
+            NetworkTopology::Torus2D => {
+                let cols = mesh_cols(n);
+                let rows = n.div_ceil(cols).max(1);
+                let (fx, fy) = (from % cols, from / cols);
+                let (tx, ty) = (to % cols, to / cols);
+                let dx = fx.abs_diff(tx);
+                let dy = fy.abs_diff(ty);
+                (dx.min(cols - dx) + dy.min(rows - dy)) as u32
+            }
+            NetworkTopology::Hypercube => (from ^ to).count_ones(),
+        }
     }
 
-    /// Short name for report tables.
-    pub fn name(&self) -> &'static str {
-        self.model().name()
+    /// Visit each directed link of the route `from → to` on `n` PEs, in
+    /// order: exactly [`hops`](NetworkTopology::hops) visits, none for a
+    /// self-message. Link endpoints are node ids — they may exceed `n - 1`
+    /// for switch-only intermediate nodes (a ragged torus row, the
+    /// [`Bus`](NetworkTopology::Bus)'s shared medium), which carry traffic
+    /// but never originate it.
+    pub fn route(&self, n: usize, from: usize, to: usize, mut visit: impl FnMut(usize, usize)) {
+        if from == to {
+            return;
+        }
+        match self {
+            NetworkTopology::Ideal => {}
+            NetworkTopology::Crossbar => visit(from, to),
+            // The shared medium is modeled as the single pseudo-link
+            // (n, n + 1) — ids no real PE pair can collide with — so all
+            // traffic aggregates onto one contention figure.
+            NetworkTopology::Bus => visit(n, n + 1),
+            NetworkTopology::Ring => {
+                let d = (to + n - from) % n;
+                let step: i64 = if d <= n - d { 1 } else { -1 };
+                let mut cur = from as i64;
+                while cur as usize != to {
+                    let next = (cur + step).rem_euclid(n as i64);
+                    visit(cur as usize, next as usize);
+                    cur = next;
+                }
+            }
+            NetworkTopology::Mesh2D => {
+                let cols = mesh_cols(n);
+                let (mut x, mut y) = (from % cols, from / cols);
+                let (tx, ty) = (to % cols, to / cols);
+                while x != tx {
+                    let nx = if x < tx { x + 1 } else { x - 1 };
+                    visit(y * cols + x, y * cols + nx);
+                    x = nx;
+                }
+                while y != ty {
+                    let ny = if y < ty { y + 1 } else { y - 1 };
+                    visit(y * cols + x, ny * cols + x);
+                    y = ny;
+                }
+            }
+            NetworkTopology::Torus2D => {
+                let cols = mesh_cols(n);
+                let rows = n.div_ceil(cols).max(1);
+                let (mut x, mut y) = (from % cols, from / cols);
+                let (tx, ty) = (to % cols, to / cols);
+                // X first, short way around the cycle (wrap links
+                // included); intermediate (y, x) positions on a ragged
+                // rectangle may not be populated PEs — they are
+                // switch-only nodes.
+                while x != tx {
+                    let d = (tx + cols - x) % cols;
+                    let nx = if d <= cols - d {
+                        (x + 1) % cols
+                    } else {
+                        (x + cols - 1) % cols
+                    };
+                    visit(y * cols + x, y * cols + nx);
+                    x = nx;
+                }
+                while y != ty {
+                    let d = (ty + rows - y) % rows;
+                    let ny = if d <= rows - d {
+                        (y + 1) % rows
+                    } else {
+                        (y + rows - 1) % rows
+                    };
+                    visit(y * cols + x, ny * cols + x);
+                    y = ny;
+                }
+            }
+            NetworkTopology::Hypercube => {
+                // E-cube routing: ascending bits.
+                let mut cur = from;
+                let mut bit = 0;
+                while cur != to {
+                    if (cur ^ to) & (1 << bit) != 0 {
+                        let next = cur ^ (1 << bit);
+                        visit(cur, next);
+                        cur = next;
+                    }
+                    bit += 1;
+                }
+            }
+        }
     }
 }
 
@@ -344,15 +246,10 @@ impl Network {
     }
 
     fn route_n(&mut self, from: usize, to: usize, weight: u64) {
-        if from == to {
-            return;
-        }
         let loads = &mut self.link_loads;
-        self.topology
-            .model()
-            .route(self.n_pes, from, to, &mut |a, b| {
-                *loads.entry((a, b)).or_insert(0) += weight;
-            });
+        self.topology.route(self.n_pes, from, to, |a, b| {
+            *loads.entry((a, b)).or_insert(0) += weight;
+        });
     }
 
     /// Fold another accounting block into this one: message/hop totals add,
@@ -385,15 +282,6 @@ impl Network {
     /// Number of distinct links that carried traffic.
     pub fn active_links(&self) -> usize {
         self.link_loads.len()
-    }
-
-    /// Mean traffic over active links (0 if none).
-    pub fn mean_link_load(&self) -> f64 {
-        if self.link_loads.is_empty() {
-            0.0
-        } else {
-            self.link_loads.values().sum::<u64>() as f64 / self.link_loads.len() as f64
-        }
     }
 }
 
@@ -461,13 +349,11 @@ mod tests {
             n.record_message(from, 0);
         }
         assert!(n.max_link_load() >= 1);
-        assert!(n.mean_link_load() >= 1.0);
         // Ideal topology records messages but no links.
         let mut i = Network::new(NetworkTopology::Ideal, 4);
         i.record_fetch(1, 2);
         assert_eq!(i.messages, 2);
         assert_eq!(i.max_link_load(), 0);
-        assert_eq!(i.mean_link_load(), 0.0);
     }
 
     #[test]
@@ -494,7 +380,6 @@ mod tests {
         assert_eq!(a.sent_per_pe, sequential.sent_per_pe);
         assert_eq!(a.max_link_load(), sequential.max_link_load());
         assert_eq!(a.active_links(), sequential.active_links());
-        assert_eq!(a.mean_link_load(), sequential.mean_link_load());
     }
 
     #[test]
@@ -524,7 +409,7 @@ mod tests {
 
     #[test]
     fn every_route_visits_exactly_hops_links() {
-        // The LinkModel contract: route() emits one visit per hop, for
+        // The routing contract: route() emits one visit per hop, for
         // every topology and every ordered PE pair, including ragged
         // (non-square, non-power-of-two) machine sizes.
         for topo in [
@@ -540,7 +425,7 @@ mod tests {
                 for from in 0..n {
                     for to in 0..n {
                         let mut visits = 0u32;
-                        topo.model().route(n, from, to, &mut |a, b| {
+                        topo.route(n, from, to, |a, b| {
                             assert_ne!(a, b, "{topo:?} n={n} degenerate link");
                             visits += 1;
                         });

@@ -147,22 +147,6 @@ impl<T: Clone + Default> SaArray<T> {
         self.generation += 1;
         self.generation
     }
-
-    /// Re-initialize with fresh contents (all cells defined at the new
-    /// generation) — models arrays whose next generation starts from
-    /// initialization data.
-    pub fn reinit_with(&mut self, init: Vec<T>) -> SaResult<Generation> {
-        if init.len() != self.values.len() {
-            return Err(SaError::OutOfBounds {
-                index: init.len(),
-                len: self.values.len(),
-            });
-        }
-        let gen = self.reinit();
-        self.values = init;
-        self.tags = TagBits::all_set(self.values.len());
-        Ok(gen)
-    }
 }
 
 #[cfg(test)]
@@ -216,16 +200,5 @@ mod tests {
         // Cells are writable again in the new generation.
         a.write(2, 9.0).unwrap();
         assert_eq!(a.read(2).unwrap(), Some(&9.0));
-    }
-
-    #[test]
-    fn reinit_with_replaces_contents_at_next_generation() {
-        let mut a = SaArray::with_init("A", vec![1.0, 2.0]);
-        let gen = a.reinit_with(vec![7.0, 8.0]).unwrap();
-        assert_eq!(gen, 1);
-        assert!(a.is_fully_defined());
-        assert_eq!(a.read(0).unwrap(), Some(&7.0));
-        // Wrong-length init is rejected.
-        assert!(a.reinit_with(vec![0.0]).is_err());
     }
 }

@@ -36,8 +36,9 @@ pub struct RuntimeConfig {
     /// Page placement scheme.
     pub partition: PartitionScheme,
     /// Interconnect topology for hop and link-load accounting. The real
-    /// threads still talk over channels; the topology's [`sa_machine::LinkModel`]
-    /// prices each modeled message exactly like the counting simulator.
+    /// threads still talk over channels; the topology's routing
+    /// ([`NetworkTopology::route`]) prices each modeled message exactly
+    /// like the counting simulator.
     pub network: NetworkTopology,
 }
 
@@ -210,7 +211,7 @@ pub struct RuntimeReport {
     pub constant_fetches: u64,
     /// Total hop traversals of the *modeled* traffic (remote fetches,
     /// reduction partials, §5 request/release rounds) priced by the
-    /// configured topology's [`sa_machine::LinkModel`] — the same events
+    /// configured topology's [`NetworkTopology::hops`] — the same events
     /// the counting simulator routes, so the two engines certify equal.
     pub hops: u64,
     /// Heaviest directed-link traffic of the modeled messages (the

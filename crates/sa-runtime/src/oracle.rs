@@ -8,8 +8,8 @@
 //! `Ignore` partial-page fiction — are reported as
 //! [`OracleError::Unsupported`] rather than silently approximated. Network
 //! topologies *are* modeled: every modeled message a worker really sends is
-//! priced through the topology's [`sa_machine::LinkModel`], so hop and
-//! link-load figures certify against the counting simulator's.
+//! priced through the topology's [`sa_machine::NetworkTopology::route`],
+//! so hop and link-load figures certify against the counting simulator's.
 
 use sa_core::oracle::{Oracle, OracleError, RunRecord};
 use sa_core::plan::RunConfig;

@@ -57,7 +57,10 @@
 //! `--budget K` (`sapp::core::search::strategy`): seeded simulated
 //! annealing and Automap-style write-to-read propagation over the
 //! candidate grid, behind a memoizing oracle cache shared across the
-//! kernels of one invocation. The candidate space is materialized once
+//! kernels of one invocation. A budget that covers the candidate space
+//! (the default 64 covers the default 42 candidates) makes every
+//! strategy the branch and bound `exhaustive` runs, so all three print
+//! the same document. The candidate space is materialized once
 //! per invocation and kernels are searched in parallel over it.
 //!
 //! `sapp lint [KERNEL|--all]` runs the static analysis passes (write-once

@@ -6,7 +6,11 @@
 //!    pages {8, 32, 256}), `anneal` and `propagate` with the default
 //!    budget return a winner within 0 bits of `search_exhaustive_with`:
 //!    scheme, page size, score bits and the messages tie-break all match
-//!    exactly.
+//!    exactly. A budget that covers the space is the branch and bound
+//!    itself: both guided strategies then report what `exhaustive` does,
+//!    field for field, and one candidate short of it they walk their own
+//!    way. Below the space, annealing at K21's budget of 16 still finds
+//!    the exhaustive winner on every seed from 1 to 10.
 //! 2. **Determinism** — same `--seed` ⇒ bit-identical winner and an
 //!    identical evaluation trace, proptested across seeds and budgets on
 //!    a space wide enough that the annealer really wanders.
@@ -40,7 +44,9 @@ use proptest::prelude::*;
 
 use sapp::core::oracle::{Oracle, OracleError, RunRecord};
 use sapp::core::plan::RunConfig;
-use sapp::core::search::strategy::{program_fingerprint, Searcher, Strategy, StrategyParams};
+use sapp::core::search::strategy::{
+    program_fingerprint, Candidates, SearchReport, Searcher, Strategy, StrategyParams,
+};
 use sapp::core::search::{search_exhaustive_with, Objective, SearchSpace};
 use sapp::core::FastCountingOracle;
 use sapp::ir::index::iv;
@@ -202,6 +208,81 @@ fn guided_strategies_match_exhaustive_bit_exactly_on_feasible_spaces() {
         certified >= 2 * 10,
         "affine registry unexpectedly small: {certified} certifications"
     );
+}
+
+#[test]
+fn a_budget_covering_the_space_is_the_branch_and_bound() {
+    let space = certification_space();
+    let size = Candidates::materialize(&space).unwrap().len();
+    let search = |strategy, budget, program: &Program| {
+        let params = StrategyParams {
+            budget,
+            ..params(strategy)
+        };
+        Searcher::new(&space, Box::<FastCountingOracle>::default(), params)
+            .unwrap()
+            .search(program)
+            .unwrap()
+    };
+    let mut walked_apart = 0;
+    for k in affine_registry() {
+        let exhaustive = search(Strategy::Exhaustive, size, &k.program);
+        for strategy in [Strategy::Anneal, Strategy::Propagate] {
+            let covering = search(strategy, size, &k.program);
+            assert_eq!(covering.strategy, strategy);
+            assert_eq!(
+                SearchReport {
+                    strategy: Strategy::Exhaustive,
+                    ..covering
+                },
+                exhaustive,
+                "{} {}",
+                k.code,
+                strategy.name()
+            );
+            // One short of the space is the guided walk: it prices no
+            // remote-read floor, so the write bound did all its pruning.
+            let short = search(strategy, size - 1, &k.program);
+            assert_eq!(short.floor_pruned, 0, "{} {}", k.code, strategy.name());
+            walked_apart += usize::from(short.trace != exhaustive.trace);
+        }
+    }
+    assert!(
+        walked_apart > 0,
+        "no guided walk below the space differed from the branch and bound"
+    );
+}
+
+#[test]
+fn annealing_finds_k21s_optimum_at_a_budget_of_16() {
+    // The sampled misalignment ranking is what warm-starts the annealer
+    // close to K21's winner, tile2d(16x16) at page 8: a ranking by the
+    // remote-read floor found it on 2 of these 10 seeds.
+    let space = SearchSpace::default();
+    let k21 = suite().into_iter().find(|k| k.code == "K21").unwrap();
+    let search = |params| {
+        Searcher::new(&space, Box::<FastCountingOracle>::default(), params)
+            .unwrap()
+            .search(&k21.program)
+            .unwrap()
+    };
+    let exhaustive = search(params(Strategy::Exhaustive));
+    for seed in 1..=10 {
+        let anneal = search(StrategyParams {
+            seed,
+            budget: 16,
+            ..params(Strategy::Anneal)
+        });
+        assert_eq!(
+            anneal.best.score.to_bits(),
+            exhaustive.best.score.to_bits(),
+            "seed {seed}: {:?}/{} against {:?}/{}",
+            anneal.best.scheme,
+            anneal.best.page_size,
+            exhaustive.best.scheme,
+            exhaustive.best.page_size
+        );
+    }
 }
 
 /// Touched-but-unsupported candidates (traced, neither evaluated nor
@@ -520,23 +601,25 @@ fn remote_read_caps_leave_every_search_report_unchanged() {
         (certification_space(), affine_registry().clone()),
         (SearchSpace::default(), suite()),
     ] {
-        for strategy in [Strategy::Exhaustive, Strategy::Propagate] {
-            let capping = Searcher::new(
-                &space,
-                Box::<FastCountingOracle>::default(),
-                params(strategy),
-            )
-            .unwrap();
+        // Propagation one candidate short of the smaller space walks its
+        // own ranking, not the branch and bound.
+        let short = StrategyParams {
+            budget: 14,
+            ..params(Strategy::Propagate)
+        };
+        for params in [params(Strategy::Exhaustive), short] {
+            let capping =
+                Searcher::new(&space, Box::<FastCountingOracle>::default(), params).unwrap();
             let measuring = Searcher::new(
                 &space,
                 Box::new(MeasureOnly(FastCountingOracle::default())),
-                params(strategy),
+                params,
             )
             .unwrap();
             for k in &kernels {
                 let got = capping.search(&k.program).unwrap();
                 let want = measuring.search(&k.program).unwrap();
-                assert_eq!(got, want, "{} {}", k.code, strategy.name());
+                assert_eq!(got, want, "{} {}", k.code, params.strategy.name());
                 capped += got.capped;
             }
         }
