@@ -12,6 +12,8 @@
 //! the artifacts themselves run one at a time to keep the cores busy
 //! without oversubscribing them.
 
+#![forbid(unsafe_code)]
+
 use bench::*;
 
 fn main() {

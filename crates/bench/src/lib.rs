@@ -11,6 +11,8 @@
 //! table shows. The `figures` binary prints them; what the calls beneath
 //! them cost is measured by `benchmark/`, at the CLI boundary and by layer.
 
+#![forbid(unsafe_code)]
+
 use sa_core::oracle::speedup_sweep;
 use sa_core::plan::{ExperimentPlan, RunConfig};
 use sa_core::report::{ascii_chart, fmt_pct, markdown_table};

@@ -36,12 +36,14 @@
 //!   plus [`search::strategy`] — seeded simulated annealing and
 //!   write-to-read propagation over the full
 //!   `scheme × page × topology` space behind a memoizing oracle cache.
-//! * [`parallel`] — the scoped-thread, order-preserving map the plan
-//!   evaluator (and the figure generator) is built on.
+//! * [`parallel`] — the order-preserving map on one process-wide worker
+//!   pool that the plan evaluator, replay's PE shards and the figure
+//!   generator are built on.
 //! * [`report`] — markdown / CSV / JSON / ASCII-chart emitters.
 //! * [`verify`] — end-to-end equivalence with the reference interpreter.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod classify;
 pub mod deferred;

@@ -106,7 +106,11 @@
 //!
 //! The per-PE shards are independent, so they are fanned out across host
 //! cores via [`par_map`] — a single 64-PE K18 run saturates the machine
-//! (the ROADMAP's intra-simulation sharding item).
+//! (the ROADMAP's intra-simulation sharding item). That costs no thread
+//! start: `par_map` runs on one process-wide pool, so a search that counts
+//! hundreds of candidates, each with its own fan-out, starts its threads
+//! once, and the shards of one candidate share the cores with the other
+//! kernels' searches instead of oversubscribing them.
 //!
 //! # Capped counting
 //!

@@ -19,6 +19,7 @@
 //! straight-line statement bodies over `f64` arithmetic.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod access;
 pub mod analysis;

@@ -36,6 +36,8 @@
 //! model (severity, stable code, span, explanation, JSON rendering), so
 //! CLI tables, CI gates and tests all consume the same structure.
 
+#![forbid(unsafe_code)]
+
 pub mod depgraph;
 pub mod diag;
 mod footprint;

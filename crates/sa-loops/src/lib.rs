@@ -25,6 +25,7 @@
 //! (where the paper names it).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod k01_hydro;
 pub mod k02_iccg;

@@ -20,6 +20,7 @@
 //! * network topology for the message/contention accounting of §9.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod cache;
 pub mod config;

@@ -20,6 +20,7 @@
 //! to the host-processor protocol of paper §5.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod array;
 pub mod error;

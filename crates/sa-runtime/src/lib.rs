@@ -98,6 +98,7 @@
 //! and across pool sizes.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod engine;
 pub mod net;

@@ -77,9 +77,11 @@
 //! GraphViz by default, or JSON carrying the nodes, edges and — when the
 //! program is statically analyzable — the work/span/parallelism summary.
 
+#![forbid(unsafe_code)]
+
 use sapp::core::classify::classify_dynamic;
 use sapp::core::oracle::{speedup_sweep, OracleError};
-use sapp::core::parallel::{default_workers, par_map, par_map_heaviest_first};
+use sapp::core::parallel::{par_map, par_map_heaviest_first};
 use sapp::core::plan::{ExperimentPlan, PlanError};
 use sapp::core::report::{csv, fmt_pct, json, markdown_table};
 use sapp::core::search::strategy::{
@@ -785,9 +787,8 @@ fn main() {
                 },
             )
             .unwrap_or_else(|e| die("search", &e));
-            let workers = default_workers(kernels.len());
             let weight = |k: &Kernel| k.program.instance_count();
-            let reports = par_map_heaviest_first(workers, &kernels, weight, |k| {
+            let reports = par_map_heaviest_first(&kernels, weight, |k| {
                 // Per-kernel fail-soft, like the sweep: a kernel the
                 // engine cannot execute at all drops out with a note
                 // instead of aborting the whole table.
@@ -880,7 +881,7 @@ fn main() {
                 cfg.scheme = scheme;
             }
             // Kernels are independent: lint them in parallel (the same
-            // scoped-thread fanout the sweep engine uses) and keep the
+            // pooled fan-out the sweep engine uses) and keep the
             // registry order of the results.
             let started = std::time::Instant::now();
             let linted: Vec<Vec<sapp::lint::Diagnostic>> = par_map(&kernels, |k| {

@@ -82,6 +82,8 @@
 //! assert!(pt.remote_pct < 10.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use sa_core as core;
 pub use sa_ir as ir;
 /// `sa-lint`, plus the one counting entry point `benchmark/` still calls
