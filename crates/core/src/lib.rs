@@ -33,8 +33,8 @@
 //!   series by predicate instead of relying on loop order.
 //! * [`mod@search`] — automatic scheme search: exhaustive
 //!   `PartitionScheme × page size` per kernel, the ROADMAP's Automap item,
-//!   plus [`search::strategy`] — seeded simulated annealing and
-//!   write-to-read propagation over the full
+//!   plus [`search::strategy`] — a branch and bound, and under a budget
+//!   short of the space a walk in lower-bound order, over the full
 //!   `scheme × page × topology` space behind a memoizing oracle cache.
 //! * [`parallel`] — the order-preserving map on one process-wide worker
 //!   pool that the plan evaluator, replay's PE shards and the figure

@@ -89,7 +89,7 @@ pub struct SearchSpace {
     /// Candidate interconnect topologies (innermost axis). The default is
     /// the single ideal network, which keeps the classic
     /// `scheme × page size` grid — and every winner computed over it —
-    /// unchanged; the guided strategies ([`strategy`]) widen this axis.
+    /// unchanged; [`strategy`]'s walks search a wider one.
     pub networks: Vec<NetworkTopology>,
     /// PE count every candidate runs at.
     pub n_pes: usize,

@@ -1,94 +1,84 @@
 //! Scalable partition search over the full
-//! `scheme × tile shape × page size × topology` space: a branch-and-bound
-//! exhaustive walk, a seeded simulated-annealing walker and an
-//! *Automap*-style write-to-read propagation pass, all backed by a
-//! memoizing oracle cache.
+//! `scheme × tile shape × page size × topology` space: one prune-or-visit
+//! loop (`Walk::walk`) that visits candidates by a static lower bound on
+//! their score, backed by a memoizing oracle cache.
 //!
-//! - [`Strategy::Exhaustive`] — branch and bound over every candidate.
-//!   Each candidate's score has a static lower bound: its imbalance term
-//!   (`static_score_bound`, from the anchor profile's per-PE writes) plus
-//!   its **remote-read floor** ([`AnchorProfile::fetch_floor`]) as a share
-//!   of the run's reads, which owner-computes makes the same for every
-//!   candidate ([`depgraph::read_count`]). Under single assignment a PE
-//!   fetches every remote page it reads at least once, whatever the cache,
-//!   so the distinct (PE, remote page) pairs of the translation reads (an
-//!   array shaped like the anchor's, at the anchor's address plus a
-//!   constant) are a floor, priced in closed form over the profile's page
-//!   runs. Page sizes are visited smallest first, and within one the
-//!   candidates by ascending bound, canonical index breaking ties; a
-//!   candidate whose bound exceeds the incumbent's score is pruned.
-//! - [`Strategy::Anneal`] — Metropolis acceptance over neighbor moves
-//!   (halve/double the page size, perturb tile dims within a scheme
-//!   family, swap the scheme family, hop the topology) under a geometric
-//!   temperature schedule, seeded and fully deterministic. The
-//!   imbalance bound stays inside the acceptance test: candidates
-//!   provably unable to beat the incumbent are rejected without spending
-//!   an oracle evaluation.
-//! - [`Strategy::Propagate`] — ranks candidates by pushing each array's
-//!   write-side placement onto the arrays it reads, along the RAW edges
-//!   of [`sa_lint::depgraph`]: a placement under which a statement's
-//!   sampled writes land on the same PE as the reads they depend on is
-//!   tried first. Evaluation then proceeds in ranked order under the
-//!   budget, pruned by the imbalance bound.
+//! Each candidate's lower bound is its imbalance term
+//! (`static_score_bound`, from the anchor profile's per-PE writes) plus its
+//! **remote-read floor** ([`AnchorProfile::fetch_floor`]) as a share of the
+//! run's reads, which owner-computes makes the same for every candidate
+//! ([`depgraph::read_count`]). Under single assignment a PE fetches every
+//! remote page it reads at least once, whatever the cache, so the distinct
+//! (PE, remote page) pairs of the translation reads (an array shaped like
+//! the anchor's, at the anchor's address plus a constant) are a floor,
+//! priced in closed form over the profile's page runs. A candidate whose
+//! bound exceeds the incumbent's score is pruned. Two visit orders feed the
+//! loop:
 //!
-//! A budget that covers the space makes every strategy the branch and
-//! bound: the guided walks are for budgets short of it. Branch and bound
-//! and propagation share one prune-or-visit loop (`Walk::walk`), which
-//! measures each candidate under a remote-read cap
+//! - **Branch and bound** — [`Strategy::Exhaustive`], or any strategy
+//!   under a budget that covers the space. Page sizes are visited smallest
+//!   first, and within one the candidates by ascending bound, canonical
+//!   index breaking ties. A floor is priced only for a scheme whose
+//!   imbalance term does not already lose to the incumbent.
+//! - **Bound walk** — any other strategy under a budget short of the
+//!   space. Every page size's terms and floors are priced first, in
+//!   parallel over the page sizes, and all candidates are visited by
+//!   ascending bound, canonical index breaking ties, until `budget` of them
+//!   are measured. `anneal` and `propagate` are spellings of it, kept for
+//!   existing command lines; nothing in it is random or sampled.
+//!
+//! Both measure each candidate under a remote-read cap
 //! ([`Oracle::measure_capped`]): the fewest remote reads at which its score
 //! provably exceeds the incumbent's (`Walk::remote_cap`), past which replay
 //! stops counting.
 //!
 //! Every oracle evaluation goes through a [`MemoOracle`] keyed by
 //! `(program fingerprint, RunConfig)` and shared across queries of one
-//! [`Searcher`], so repeated measurements — across strategies, kernels
-//! re-queried, or anneal walks revisiting a state — are free.
+//! [`Searcher`], so a kernel queried again is answered for free.
 //!
 //! **Exactness.** The winner order is total: objective score, then
-//! messages, then canonical grid index. Any strategy that evaluates or
-//! soundly prunes *every* candidate therefore returns the bit-exact
+//! messages, then canonical grid index. A walk that evaluates or soundly
+//! prunes *every* candidate therefore returns the bit-exact
 //! [`search_exhaustive_with`](crate::search::search_exhaustive_with)
-//! winner regardless of visit order — and whenever `budget ≥ space size`
-//! every strategy runs the branch and bound, the regime
+//! winner regardless of visit order: the branch and bound always, and the
+//! bound walk whenever it leaves no candidate unreached
+//! ([`SearchReport::unreached`]) — the regimes
 //! `tests/search_strategies.rs` certifies.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use sa_ir::{analysis, pretty, ArrayId, LinForm, Phase, Program};
-use sa_lint::depgraph::{self, AnchorProfile, DepGraph};
+use sa_ir::{pretty, Program};
+use sa_lint::depgraph::{self, AnchorProfile};
 use sa_lint::LintConfig;
-use sa_machine::{PartitionScheme, Placement};
+use sa_machine::PartitionScheme;
 
 use crate::oracle::{of_last_program, FastCountingOracle, Oracle, OracleError, RunRecord};
+use crate::parallel::par_map;
 use crate::plan::{PlanError, RunConfig};
 use crate::replay::Capped;
 use crate::search::{static_score_bound, BestConfig, Objective, SearchSpace, WriteProjector};
 
-/// Default evaluation budget for the guided strategies: enough to cover
-/// every feasible certification space exhaustively, a small fraction of
-/// the PR-9-expanded spaces.
+/// Default evaluation budget: it covers the default space's 42
+/// candidates, so a default search is the branch and bound.
 pub const DEFAULT_BUDGET: usize = 64;
 
-/// Default annealer seed (any value works; fixed for reproducible CLI
-/// runs without `--seed`).
-pub const DEFAULT_SEED: u64 = 0x5eed_1989;
-
-/// Which walker explores the candidate space.
+/// Which walk explores the candidate space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Strategy {
-    /// Branch and bound: page sizes smallest first, within one candidates
-    /// by ascending static score bound (imbalance term plus remote-read
-    /// floor). Every candidate is measured — capped once its remote reads
-    /// prove it cannot win — or proven unable to win without measuring.
+    /// Branch and bound at any budget: page sizes smallest first, within
+    /// one candidates by ascending static score bound (imbalance term plus
+    /// remote-read floor). Every candidate is measured — capped once its
+    /// remote reads prove it cannot win — or proven unable to win without
+    /// measuring.
     Exhaustive,
-    /// Seeded simulated annealing with pruned Metropolis acceptance;
-    /// the branch and bound when the budget covers the space.
+    /// The bound walk under a budget short of the space, the branch and
+    /// bound under one that covers it. A spelling kept for existing
+    /// command lines, like [`Strategy::Propagate`].
     Anneal,
-    /// Automap-style write-to-read propagation ranking, evaluated in
-    /// ranked order under the budget; the branch and bound when the
-    /// budget covers the space.
+    /// Same walk as [`Strategy::Anneal`], under another kept spelling.
     Propagate,
 }
 
@@ -117,16 +107,17 @@ impl Strategy {
 /// through the same [`Searcher`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StrategyParams {
-    /// Which walker runs.
+    /// Which walk runs.
     pub strategy: Strategy,
     /// Scoring objective (lower wins).
     pub objective: Objective,
-    /// Seed of the annealer's deterministic RNG.
+    /// Accepted and ignored: no walk draws random numbers. Kept for
+    /// callers that still set it.
     pub seed: u64,
     /// Maximum distinct candidates measured per query. Counted whether
     /// the measurement was a fresh oracle evaluation or a memo hit, so a
-    /// walk is a pure function of `(program, space, seed, budget)` —
-    /// cache warmth changes what a query *costs*, never what it *does*
+    /// walk is a pure function of `(program, space, budget)` — cache
+    /// warmth changes what a query *costs*, never what it *does*
     /// (re-queries replay bit-identically with zero oracle calls).
     /// Statically pruned candidates are free. When the budget covers the
     /// whole space, every strategy runs the branch and bound.
@@ -134,13 +125,12 @@ pub struct StrategyParams {
 }
 
 impl Default for StrategyParams {
-    /// Exhaustive walk, balanced objective, [`DEFAULT_SEED`] and
-    /// [`DEFAULT_BUDGET`].
+    /// Exhaustive walk, balanced objective and [`DEFAULT_BUDGET`].
     fn default() -> Self {
         StrategyParams {
             strategy: Strategy::Exhaustive,
             objective: Objective::default(),
-            seed: DEFAULT_SEED,
+            seed: 0,
             budget: DEFAULT_BUDGET,
         }
     }
@@ -158,7 +148,6 @@ pub struct Candidates {
     schemes: Vec<PartitionScheme>,
     page_sizes: Vec<usize>,
     n_networks: usize,
-    n_pes: usize,
 }
 
 impl Candidates {
@@ -174,7 +163,6 @@ impl Candidates {
             schemes: space.schemes.clone(),
             page_sizes: space.page_sizes.clone(),
             n_networks: space.networks.len(),
-            n_pes: space.n_pes,
         })
     }
 
@@ -401,8 +389,8 @@ impl Oracle for MemoOracle {
     }
 }
 
-/// The auto-selecting counting oracle under the name the guided
-/// strategies' default backend had. Kept only for `benchmark/`, which
+/// The auto-selecting counting oracle under the name the search's
+/// default backend had. Kept only for `benchmark/`, which
 /// names it; ROADMAP item 1 deletes it.
 pub type StrategyOracle = FastCountingOracle;
 
@@ -417,7 +405,7 @@ pub struct SearchReport {
     pub record: RunRecord,
     /// Canonical grid index of the winner.
     pub winner_index: usize,
-    /// Which walker produced this report.
+    /// The strategy the query was asked for, as spelled.
     pub strategy: Strategy,
     /// Total candidates in the space.
     pub space_size: usize,
@@ -432,43 +420,12 @@ pub struct SearchReport {
     /// win: their write bound alone did not exceed the incumbent's score.
     /// The rest of [`BestConfig::pruned`] the write bound pruned alone.
     pub floor_pruned: usize,
-    /// Candidate indices in first-touch evaluation order — the
-    /// determinism witness: same seed, same trace, bit for bit.
+    /// Candidates neither measured nor pruned: the budget ran out before
+    /// the walk reached them. Always 0 for the branch and bound.
+    pub unreached: usize,
+    /// Candidate indices in evaluation order — the determinism witness:
+    /// same program, space and budget, same trace, bit for bit.
     pub trace: Vec<usize>,
-}
-
-/// Deterministic seeded RNG (SplitMix64): no dependency, stable across
-/// platforms, and statistically plenty for Metropolis draws.
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next_u64() % n.max(1) as u64) as usize
-    }
-
-    fn unit_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-}
-
-/// Scheme family, for the annealer's "perturb within family" vs "swap
-/// family" moves.
-fn family(s: PartitionScheme) -> u8 {
-    match s {
-        PartitionScheme::Modulo => 0,
-        PartitionScheme::Block => 1,
-        PartitionScheme::BlockCyclic { .. } => 2,
-        PartitionScheme::RowBand => 3,
-        PartitionScheme::Tile2D { .. } => 4,
-    }
 }
 
 /// One search invocation: the candidate space materialized exactly once,
@@ -529,8 +486,8 @@ impl Searcher {
 
     /// How many anchor profiles ([`AnchorProfile`]) the queries so far
     /// built for their pruning bounds. A query builds at most one per page
-    /// size it bounds a candidate at, prices every scheme from it at once
-    /// and keeps none: a second query of the same program builds its own
+    /// size it prices, prices every scheme from it at once and keeps
+    /// none: a second query of the same program builds its own
     /// again.
     pub fn profile_builds(&self) -> usize {
         self.profile_builds.load(Ordering::SeqCst)
@@ -556,134 +513,50 @@ impl Searcher {
         self.memo.misses()
     }
 
-    /// Run the configured strategy for one kernel. A budget that covers
-    /// the space buys every strategy the branch and bound: the certified
-    /// walk, and the cheapest one that covers it.
+    /// Run one kernel's walk ([`Searcher::walk_name`]): the bound walk
+    /// under a budget short of the space, unless the strategy is
+    /// `exhaustive`; the branch and bound otherwise — the certified walk,
+    /// and the cheapest one that covers the space.
     pub fn search(&self, program: &Program) -> Result<SearchReport, PlanError> {
         let mut walk = Walk::new(program, self);
-        let budget = self.params.budget;
-        let short = budget < self.cands.len();
-        match self.params.strategy {
-            Strategy::Anneal if short => self.anneal(&mut walk)?,
-            Strategy::Propagate if short => {
-                walk.walk(propagation_order(program, &self.cands), budget)?
-            }
-            _ => walk.branch_and_bound()?,
+        match self.short_budget() {
+            Some(budget) => walk.bound_walk(budget)?,
+            None => walk.branch_and_bound()?,
         }
         walk.finish(self.params.strategy)
     }
 
-    /// Simulated annealing over the candidate grid, under a budget short
-    /// of the space.
-    fn anneal(&self, walk: &mut Walk<'_>) -> Result<(), PlanError> {
+    /// The budget the bound walk runs under, or `None` when queries run the
+    /// branch and bound.
+    fn short_budget(&self) -> Option<usize> {
         let budget = self.params.budget;
-        // Warm start: the propagation ranking's head — the candidate the
-        // write-to-read pass believes aligns producers with consumers.
-        let order = propagation_order(walk.program, &self.cands);
-        let mut rng = SplitMix64(self.params.seed);
-        let mut cur = order[0];
-        let mut cur_score = walk.eval(cur)?;
-        let mut next_start = 1usize;
-        while cur_score.is_none() && next_start < order.len() && walk.touched() < budget {
-            cur = order[next_start];
-            cur_score = walk.eval(cur)?;
-            next_start += 1;
-        }
-        let Some(mut cur_score) = cur_score else {
-            return Ok(());
-        };
-        // Geometric schedule in score units (percent): hot enough to
-        // accept ~20-point regressions early, frozen by the budget's end.
-        let mut temp = 25.0f64;
-        let cooling = 0.92f64;
-        let max_steps = budget.saturating_mul(8).max(64);
-        for _ in 0..max_steps {
-            if walk.touched() >= budget {
-                break;
-            }
-            let prop = self.neighbor(cur, &mut rng);
-            // static_score_bound stays inside the acceptance test: a
-            // candidate provably unable to beat the incumbent is rejected
-            // before it can spend an oracle evaluation.
-            if walk.prunable(prop) {
-                walk.prune(prop);
-                temp *= cooling;
-                continue;
-            }
-            let Some(prop_score) = walk.eval(prop)? else {
-                temp *= cooling;
-                continue;
-            };
-            let accept = prop_score <= cur_score
-                || rng.unit_f64() < (-(prop_score - cur_score) / temp.max(1e-3)).exp();
-            if accept {
-                cur = prop;
-                cur_score = prop_score;
-            }
-            temp *= cooling;
-        }
-        Ok(())
+        let short = self.params.strategy != Strategy::Exhaustive && budget < self.cands.len();
+        short.then_some(budget)
     }
 
-    /// One neighbor move: halve/double the page, perturb within the
-    /// scheme family, swap the family, or hop the topology.
-    fn neighbor(&self, idx: usize, rng: &mut SplitMix64) -> usize {
-        let c = &self.cands;
-        let (s, p, n) = c.coords(idx);
-        for _ in 0..8 {
-            let (mut s2, mut p2, mut n2) = (s, p, n);
-            match rng.below(4) {
-                0 => {
-                    // Page sizes are sorted powers-of-two-ish: one step
-                    // along the axis is the halve/double move.
-                    if c.page_sizes.len() > 1 {
-                        // Go up at the low edge, down at the high edge,
-                        // coin-flip in between.
-                        let up = p + 1 < c.page_sizes.len() && (p == 0 || rng.below(2) == 1);
-                        p2 = if up { p + 1 } else { p - 1 };
-                    }
-                }
-                1 => {
-                    // Perturb tile dims / block factor: another scheme of
-                    // the same family.
-                    let fam = family(c.schemes[s]);
-                    let same: Vec<usize> = (0..c.schemes.len())
-                        .filter(|&j| j != s && family(c.schemes[j]) == fam)
-                        .collect();
-                    if !same.is_empty() {
-                        s2 = same[rng.below(same.len())];
-                    }
-                }
-                2 => {
-                    let fam = family(c.schemes[s]);
-                    let other: Vec<usize> = (0..c.schemes.len())
-                        .filter(|&j| family(c.schemes[j]) != fam)
-                        .collect();
-                    if !other.is_empty() {
-                        s2 = other[rng.below(other.len())];
-                    }
-                }
-                _ => {
-                    if c.n_networks > 1 {
-                        let mut j = rng.below(c.n_networks - 1);
-                        if j >= n {
-                            j += 1;
-                        }
-                        n2 = j;
-                    }
-                }
-            }
-            let cand = c.index(s2, p2, n2);
-            if cand != idx {
-                return cand;
-            }
+    /// The walk every query of this searcher runs, by name:
+    /// `branch and bound`, or `bound walk, budget K`.
+    pub fn walk_name(&self) -> String {
+        match self.short_budget() {
+            Some(budget) => format!("bound walk, budget {budget}"),
+            None => "branch and bound".into(),
         }
-        (idx + 1) % c.len()
     }
 }
 
-/// Per-query walk state: which candidates were touched, the incumbent
-/// under the total winner order, and the evaluation trace.
+/// What a walk priced of one `(scheme, page size)` axis position — the
+/// bound does not depend on the network axis.
+#[derive(Debug, Clone, Copy)]
+struct Bound {
+    /// The imbalance term (`static_score_bound`), where the objective has
+    /// one and the program projects.
+    term: Option<f64>,
+    /// The remote-read floor, where it was priced.
+    fetches: Option<u64>,
+}
+
+/// Per-query walk state: the bounds priced, the incumbent under the total
+/// winner order, and the evaluation trace.
 struct Walk<'a> {
     program: &'a Program,
     /// `program`'s memo key, computed once per query.
@@ -695,20 +568,15 @@ struct Walk<'a> {
     profile_builds: &'a AtomicUsize,
     /// Every read of a run of `program`, when counted statically.
     reads: Option<u64>,
-    /// `static_score_bound` per `(scheme, page size)` axis position — the
-    /// bound does not depend on the network axis.
-    terms: HashMap<(usize, usize), Option<f64>>,
-    /// The remote-read floors the branch-and-bound walk priced, likewise.
-    fetches: HashMap<(usize, usize), Option<u64>>,
-    /// Score per touched index; `None` = oracle-unsupported, infinite =
-    /// capped (only known to exceed the incumbent's then).
-    seen: HashMap<usize, Option<f64>>,
-    pruned_set: HashSet<usize>,
+    /// Per `(scheme, page size)` axis position, priced before any of its
+    /// candidates is visited.
+    bounds: HashMap<(usize, usize), Bound>,
     trace: Vec<usize>,
     evals: usize,
     hits: usize,
     evaluated: usize,
     capped: usize,
+    pruned: usize,
     floor_pruned: usize,
     best: Option<(usize, RunRecord, f64)>,
 }
@@ -724,69 +592,57 @@ impl<'a> Walk<'a> {
             reference: searcher.reference,
             profile_builds: &searcher.profile_builds,
             reads: depgraph::read_count(program),
-            terms: HashMap::new(),
-            fetches: HashMap::new(),
-            seen: HashMap::new(),
-            pruned_set: HashSet::new(),
+            bounds: HashMap::new(),
             trace: Vec::new(),
             evals: 0,
             hits: 0,
             evaluated: 0,
             capped: 0,
+            pruned: 0,
             floor_pruned: 0,
             best: None,
         }
     }
 
-    /// Can `idx` be skipped without measuring? True when its lower bound
-    /// ([`Walk::lower_bound`]) already exceeds the incumbent's score — such
-    /// a candidate can never win under the total order, whatever the visit
-    /// order, because the bound under-approximates the true score.
-    fn prunable(&mut self, idx: usize) -> bool {
-        let Some((_, _, incumbent)) = self.best else {
-            return false;
-        };
-        if self.seen.contains_key(&idx) {
-            return false; // already measured: skipping would drop its trace entry
-        }
-        self.lower_bound(idx).is_some_and(|bound| bound > incumbent)
+    /// The incumbent's score, infinite before there is one.
+    fn incumbent(&self) -> f64 {
+        self.best.as_ref().map_or(f64::INFINITY, |best| best.2)
+    }
+
+    /// What the walk priced at `idx`'s axis position.
+    fn bound(&self, idx: usize) -> Bound {
+        let (scheme, page, _) = self.cands.coords(idx);
+        self.bounds[&(scheme, page)]
     }
 
     /// `idx`'s lower bound on its score: its imbalance term, plus its
     /// remote-read floor's share of the run's reads where the walk priced
-    /// that floor ([`Walk::price_floors`]).
-    fn lower_bound(&mut self, idx: usize) -> Option<f64> {
-        let term = self.term(idx);
-        let (scheme, page, _) = self.cands.coords(idx);
-        match (self.fetches.get(&(scheme, page)), self.reads) {
-            (Some(&Some(fetches)), Some(reads)) => {
-                Some(capped_score(fetches, reads, term.unwrap_or(0.0)))
+    /// that floor. It under-approximates the true score, so a candidate
+    /// whose bound exceeds the incumbent's score can never win under the
+    /// total order, whatever the visit order.
+    fn lower_bound(&self, idx: usize) -> Option<f64> {
+        let bound = self.bound(idx);
+        match (bound.fetches, self.reads) {
+            (Some(fetches), Some(reads)) => {
+                Some(capped_score(fetches, reads, bound.term.unwrap_or(0.0)))
             }
-            _ => term,
+            _ => bound.term,
         }
     }
 
-    /// `idx`'s imbalance term, computed once per `(scheme, page size)`
-    /// ([`Walk::price_terms`]).
-    fn term(&mut self, idx: usize) -> Option<f64> {
-        let (scheme, page, _) = self.cands.coords(idx);
-        if !self.terms.contains_key(&(scheme, page)) {
-            self.price_terms(page);
-        }
-        self.terms[&(scheme, page)]
-    }
-
-    /// Price the imbalance term of every scheme at page-size position
-    /// `page`, from its anchor profile when the objective has the term and
-    /// no reference projection stands in; the profile, when one was built.
-    /// A query builds at most one profile per page size and holds none
-    /// past it.
-    fn price_terms(&mut self, page: usize) -> Option<AnchorProfile<'a>> {
+    /// Price every scheme at page-size position `page`: its imbalance term,
+    /// from the anchor profile when the objective has the term and no
+    /// reference projection stands in, and its remote-read floor
+    /// ([`AnchorProfile::fetch_floor`]) where the term alone does not
+    /// exceed `incumbent` — a scheme whose term does is pruned whatever its
+    /// floor. At most one profile is built, and it is freed on return.
+    fn price(&self, page: usize, incumbent: f64) -> Vec<Bound> {
         let (program, objective) = (self.program, self.objective);
         let projects = self.reference.is_none() && matches!(objective, Objective::Balanced { .. });
-        let profile = projects.then(|| self.profile(page));
-        for s in 0..self.cands.schemes.len() {
-            let cfg = self.cands.config(self.cands.index(s, page, 0));
+        let mut profile = projects.then(|| self.profile(page));
+        let schemes = 0..self.cands.schemes.len();
+        let cfgs = schemes.map(|s| self.cands.config(self.cands.index(s, page, 0)));
+        cfgs.map(|cfg| {
             let term = static_score_bound(objective, || match self.reference {
                 Some(project) => {
                     let shape = LintConfig {
@@ -801,9 +657,22 @@ impl<'a> Walk<'a> {
                     Some(projection.writes_per_pe)
                 }
             });
-            self.terms.insert((s, page), term);
+            let fetches = match self.reads {
+                Some(_) if term.unwrap_or(0.0) <= incumbent => profile
+                    .get_or_insert_with(|| self.profile(page))
+                    .fetch_floor(cfg.partition, cfg.n_pes),
+                _ => None,
+            };
+            Bound { term, fetches }
+        })
+        .collect()
+    }
+
+    /// Keep what [`Walk::price`] priced at page-size position `page`.
+    fn record(&mut self, page: usize, priced: Vec<Bound>) {
+        for (scheme, bound) in priced.into_iter().enumerate() {
+            self.bounds.insert((scheme, page), bound);
         }
-        profile
     }
 
     /// The anchor profile at page-size position `page`, counted.
@@ -826,12 +695,12 @@ impl<'a> Walk<'a> {
     /// tie-break. The eventual winner
     /// never reaches its cap: when it is measured its score is at most the
     /// incumbent's.
-    fn remote_cap(&mut self, idx: usize) -> u64 {
+    fn remote_cap(&self, idx: usize) -> u64 {
         let Some((_, best, incumbent)) = &self.best else {
             return u64::MAX;
         };
         let (total, incumbent) = (best.total_reads, *incumbent);
-        let term = self.term(idx).unwrap_or(0.0);
+        let term = self.bound(idx).term.unwrap_or(0.0);
         let loses = |remote: u64| capped_score(remote, total, term) > incumbent;
         if !loses(total) {
             return u64::MAX;
@@ -848,39 +717,19 @@ impl<'a> Walk<'a> {
         lo
     }
 
-    /// Record a prune, each candidate once: one the imbalance term alone
-    /// does not prove unable to win, its remote-read floor did.
+    /// Record a prune: one the imbalance term alone does not prove unable
+    /// to win, its remote-read floor did.
     fn prune(&mut self, idx: usize) {
-        if self.pruned_set.insert(idx) {
-            let incumbent = self.best.as_ref().map_or(f64::INFINITY, |best| best.2);
-            let by_term = self.term(idx).is_some_and(|term| term > incumbent);
-            self.floor_pruned += usize::from(!by_term);
-        }
+        self.pruned += 1;
+        let by_term = self.bound(idx).term.is_some_and(|t| t > self.incumbent());
+        self.floor_pruned += usize::from(!by_term);
     }
 
-    /// Measure `idx` (memoized per query and across queries), fold it
-    /// into the incumbent, and return its score (`None` = unsupported).
-    fn eval(&mut self, idx: usize) -> Result<Option<f64>, PlanError> {
-        self.measure(idx, u64::MAX)
-    }
-
-    /// [`Walk::eval`] for a walk that only keeps the incumbent: `idx` is
-    /// measured only until it provably loses to it ([`Walk::remote_cap`]).
+    /// Measure `idx` until it provably loses to the incumbent
+    /// ([`Walk::remote_cap`]), count it, and fold a record below the cap
+    /// into the incumbent.
     fn visit(&mut self, idx: usize) -> Result<(), PlanError> {
-        if self.seen.contains_key(&idx) {
-            return Ok(());
-        }
-        let cap = self.remote_cap(idx);
-        self.measure(idx, cap).map(drop)
-    }
-
-    /// Measure `idx` under `remote_cap`, count it, fold a record below the
-    /// cap into the incumbent, and return its score (infinite at or past
-    /// the cap, where it provably loses).
-    fn measure(&mut self, idx: usize, remote_cap: u64) -> Result<Option<f64>, PlanError> {
-        if let Some(s) = self.seen.get(&idx) {
-            return Ok(*s);
-        }
+        let remote_cap = self.remote_cap(idx);
         let cfg = self.cands.config(idx);
         let (res, hit) = self
             .memo
@@ -896,35 +745,33 @@ impl<'a> Walk<'a> {
             self.evals += 1;
         }
         self.trace.push(idx);
-        let score = match verdict {
-            None => None,
+        match verdict {
+            None => {}
             Some(Capped::Counted(rec)) if rec.remote_reads < remote_cap => {
                 self.evaluated += 1;
-                Some(self.fold(idx, rec))
+                self.fold(idx, rec);
             }
             Some(_) => {
                 self.evaluated += 1;
                 self.capped += 1;
-                Some(f64::INFINITY)
             }
-        };
-        self.seen.insert(idx, score);
-        Ok(score)
+        }
+        Ok(())
     }
 
-    /// Fold the full record of `idx` into the incumbent; its score.
-    fn fold(&mut self, idx: usize, rec: RunRecord) -> f64 {
+    /// Fold the full record of `idx` into the incumbent.
+    fn fold(&mut self, idx: usize, rec: RunRecord) {
         let score = self.objective.score(&rec);
         if let Some((_, best_rec, _)) = &self.best {
             // The caps' premises ([`Walk::remote_cap`]).
             debug_assert_eq!(rec.total_reads, best_rec.total_reads, "reads moved");
         }
-        let at = self.cands.coords(idx);
-        if let Some(&Some(term)) = self.terms.get(&(at.0, at.1)) {
+        let bound = self.bound(idx);
+        if let Some(term) = bound.term {
             let floor = capped_score(rec.remote_reads, rec.total_reads, term);
             debug_assert!(floor <= score, "the imbalance term exceeds its bound");
         }
-        if let Some(&Some(fetches)) = self.fetches.get(&(at.0, at.1)) {
+        if let Some(fetches) = bound.fetches {
             debug_assert!(
                 fetches <= rec.remote_reads,
                 "the remote-read floor exceeds the reads"
@@ -948,41 +795,39 @@ impl<'a> Walk<'a> {
         if wins {
             self.best = Some((idx, rec, score));
         }
-        score
     }
 
-    /// How many distinct candidates this walk has measured so far (memo
-    /// hits included) — the quantity the budget caps, so walks replay
-    /// identically on a warm cache.
-    fn touched(&self) -> usize {
-        self.trace.len()
-    }
-
-    /// The prune-or-visit loop every walk but annealing's runs: each
-    /// candidate of `order` is pruned ([`Walk::prunable`]) or measured
-    /// under a remote-read cap, until `budget` candidates are touched and
-    /// an incumbent stands.
-    fn walk(
-        &mut self,
-        order: impl IntoIterator<Item = usize>,
-        budget: usize,
-    ) -> Result<(), PlanError> {
+    /// The prune-or-visit loop both walks run: each candidate of `order` is
+    /// pruned when its lower bound exceeds the incumbent's score, and
+    /// measured under a remote-read cap otherwise, until `budget`
+    /// candidates are measured (memo hits included, so walks replay
+    /// identically on a warm cache) and an incumbent stands.
+    fn walk(&mut self, order: Vec<usize>, budget: usize) -> Result<(), PlanError> {
         for idx in order {
-            if self.touched() >= budget && self.best.is_some() {
+            if self.trace.len() >= budget && self.best.is_some() {
                 break;
             }
-            if self.prunable(idx) {
+            if self.lower_bound(idx).is_some_and(|b| b > self.incumbent()) {
                 self.prune(idx);
-                continue;
+            } else {
+                self.visit(idx)?;
             }
-            self.visit(idx)?;
         }
         Ok(())
     }
 
-    /// Branch and bound: page sizes smallest first, and within one the
-    /// candidates by ascending lower bound ([`Walk::lower_bound`]),
-    /// canonical index breaking ties, through [`Walk::walk`] without a
+    /// `idxs` by ascending lower bound, canonical index breaking ties.
+    fn by_bound(&self, idxs: impl Iterator<Item = usize>) -> Vec<usize> {
+        let mut order: Vec<(f64, usize)> = idxs
+            .map(|idx| (self.lower_bound(idx).unwrap_or(0.0), idx))
+            .collect();
+        order.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        order.into_iter().map(|(_, idx)| idx).collect()
+    }
+
+    /// Branch and bound: page sizes smallest first, each priced against the
+    /// incumbent when the walk reaches it ([`Walk::price`]), and within one
+    /// the candidates [`Walk::by_bound`], through [`Walk::walk`] without a
     /// budget. Every candidate is measured or proven unable to win, so the
     /// winner is the exhaustive one.
     fn branch_and_bound(&mut self) -> Result<(), PlanError> {
@@ -990,39 +835,31 @@ impl<'a> Walk<'a> {
         let mut pages: Vec<usize> = (0..cands.page_sizes.len()).collect();
         pages.sort_by_key(|&p| cands.page_sizes[p]);
         for page in pages {
-            self.price_floors(page);
-            let mut order = Vec::with_capacity(cands.schemes.len() * cands.n_networks);
-            for s in 0..cands.schemes.len() {
-                for n in 0..cands.n_networks {
-                    let idx = cands.index(s, page, n);
-                    order.push((self.lower_bound(idx).unwrap_or(0.0), idx));
-                }
-            }
-            order.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            self.walk(order.into_iter().map(|(_, idx)| idx), usize::MAX)?;
+            let priced = self.price(page, self.incumbent());
+            self.record(page, priced);
+            let schemes = 0..cands.schemes.len();
+            let idxs =
+                schemes.flat_map(|s| (0..cands.n_networks).map(move |n| cands.index(s, page, n)));
+            let order = self.by_bound(idxs);
+            self.walk(order, usize::MAX)?;
         }
         Ok(())
     }
 
-    /// Price the imbalance terms at page-size position `page` and the
-    /// remote-read floor ([`AnchorProfile::fetch_floor`]) of every scheme
-    /// there whose term alone does not exceed the incumbent's score — a
-    /// scheme whose term does is pruned whatever its floor. The profile is
-    /// freed on return, before any candidate of the page is measured.
-    fn price_floors(&mut self, page: usize) {
-        let mut profile = self.price_terms(page);
-        let incumbent = self.best.as_ref().map_or(f64::INFINITY, |best| best.2);
-        for s in 0..self.cands.schemes.len() {
-            let term = self.terms[&(s, page)].unwrap_or(0.0);
-            let cfg = self.cands.config(self.cands.index(s, page, 0));
-            let fetches = match self.reads {
-                Some(_) if term <= incumbent => profile
-                    .get_or_insert_with(|| self.profile(page))
-                    .fetch_floor(cfg.partition, cfg.n_pes),
-                _ => None,
-            };
-            self.fetches.insert((s, page), fetches);
+    /// The bound walk: every page size priced before any candidate is
+    /// measured, in one [`par_map`] over the page sizes, then every
+    /// candidate [`Walk::by_bound`] through [`Walk::walk`] under `budget`.
+    fn bound_walk(&mut self, budget: usize) -> Result<(), PlanError> {
+        let pages: Vec<usize> = (0..self.cands.page_sizes.len()).collect();
+        let priced = par_map(&pages, |&page| {
+            Ok::<_, Infallible>(self.price(page, f64::INFINITY))
+        })
+        .unwrap_or_else(|e| match e {});
+        for (page, priced) in pages.into_iter().zip(priced) {
+            self.record(page, priced);
         }
+        let order = self.by_bound(0..self.cands.len());
+        self.walk(order, budget)
     }
 
     /// Project the walk into a [`SearchReport`]; errors when every
@@ -1041,7 +878,7 @@ impl<'a> Walk<'a> {
             write_balance: record.write_balance,
             score,
             evaluated: self.evaluated,
-            pruned: self.pruned_set.len(),
+            pruned: self.pruned,
         };
         Ok(SearchReport {
             best,
@@ -1053,6 +890,7 @@ impl<'a> Walk<'a> {
             cache_hits: self.hits,
             capped: self.capped,
             floor_pruned: self.floor_pruned,
+            unreached: self.cands.len() - self.trace.len() - self.pruned,
             trace: self.trace,
         })
     }
@@ -1068,192 +906,6 @@ fn capped_score(remote: u64, total: u64, term: f64) -> f64 {
         100.0 * remote as f64 / total as f64
     };
     pct + term
-}
-
-/// Sampled static evidence of one RAW edge: pairs of (write address,
-/// read address) the reader's statement touches at corner/interior
-/// iterations, plus the edge's estimated dynamic weight.
-struct EdgeProbe {
-    write_array: ArrayId,
-    read_array: ArrayId,
-    weight: f64,
-    pairs: Vec<(usize, usize)>,
-}
-
-/// Rank every candidate by the write-to-read *misalignment* its
-/// placement induces: for each RAW edge of the dependence graph, sample
-/// the reader nest's iteration space and compare the owner of the
-/// written element (the writer-side placement being pushed forward) with
-/// the owners of the elements it reads. Alignment depends only on
-/// `(scheme, page size)`, so the cost is computed once per placement and
-/// broadcast across the topology axis; ties (including every candidate
-/// of a program with no probeable edges) fall back to canonical order,
-/// keeping the ranking a deterministic permutation.
-fn propagation_order(program: &Program, cands: &Candidates) -> Vec<usize> {
-    let probes = edge_probes(program);
-    let n_pages = cands.page_sizes.len();
-    let mut cost = vec![0.0f64; cands.schemes.len() * n_pages];
-    if !probes.is_empty() {
-        for (si, &scheme) in cands.schemes.iter().enumerate() {
-            for (pi, &page) in cands.page_sizes.iter().enumerate() {
-                cost[si * n_pages + pi] = misalignment(program, &probes, scheme, page, cands.n_pes);
-            }
-        }
-    }
-    let mut order: Vec<usize> = (0..cands.len()).collect();
-    order.sort_by(|&a, &b| {
-        let (sa, pa, _) = cands.coords(a);
-        let (sb, pb, _) = cands.coords(b);
-        cost[sa * n_pages + pa]
-            .total_cmp(&cost[sb * n_pages + pb])
-            .then(a.cmp(&b))
-    });
-    order
-}
-
-/// Collect per-edge address samples: every RAW edge whose reader is an
-/// affine statement contributes the write/read address pairs at sampled
-/// iterations of the reader's nest. Indirect references and scalar
-/// broadcasts contribute nothing (their ownership is runtime-resolved),
-/// which leaves their candidates ranked by canonical order — never
-/// wrongly ranked.
-fn edge_probes(program: &Program) -> Vec<EdgeProbe> {
-    let graph = DepGraph::build(program);
-    let mut out = Vec::new();
-    for e in &graph.edges {
-        let Some(read_array) = e.array else { continue };
-        let Some(Phase::Loop(nest)) = program.phases.get(e.reader.phase) else {
-            continue;
-        };
-        let Some(stmt) = nest.body.get(e.reader.stmt) else {
-            continue;
-        };
-        let Some(anchor) = analysis::anchor_ref(stmt) else {
-            continue;
-        };
-        if anchor.has_indirection() {
-            continue;
-        }
-        let nvars = nest.loops.len();
-        let Some(wform) = analysis::linear_address_form(program, anchor, nvars) else {
-            continue;
-        };
-        let rforms: Vec<LinForm> = stmt
-            .value()
-            .reads()
-            .into_iter()
-            .filter(|r| r.array == read_array && !r.has_indirection())
-            .filter_map(|r| analysis::linear_address_form(program, r, nvars))
-            .collect();
-        if rforms.is_empty() {
-            continue;
-        }
-        let write_len = program.array(anchor.array).len() as i64;
-        let read_len = program.array(read_array).len() as i64;
-        let mut pairs = Vec::new();
-        for ivs in sample_ivs(nest) {
-            let wa = wform.eval(&ivs);
-            if wa < 0 || wa >= write_len {
-                continue;
-            }
-            for rform in &rforms {
-                let ra = rform.eval(&ivs);
-                if ra < 0 || ra >= read_len {
-                    continue;
-                }
-                pairs.push((wa as usize, ra as usize));
-            }
-        }
-        if pairs.is_empty() {
-            continue;
-        }
-        out.push(EdgeProbe {
-            write_array: anchor.array,
-            read_array,
-            weight: trip_estimate(nest) * rforms.len() as f64,
-            pairs,
-        });
-    }
-    out
-}
-
-/// Estimated dynamic iteration count of a nest (outer-dependent bounds
-/// evaluated at the low corner — an estimate is all the ranking needs).
-fn trip_estimate(nest: &sa_ir::LoopNest) -> f64 {
-    let mut outer: Vec<i64> = Vec::new();
-    let mut total = 1.0f64;
-    for lv in &nest.loops {
-        total *= lv.trip_count(&outer).max(1) as f64;
-        outer.push(lv.lo.eval(&outer));
-    }
-    total
-}
-
-/// Corner/interior samples of a nest's iteration space: per level the
-/// first, one-third, two-thirds and last iterations (deduplicated),
-/// crossed across levels and capped — boundary iterations are where
-/// page-crossing misalignment shows.
-fn sample_ivs(nest: &sa_ir::LoopNest) -> Vec<Vec<i64>> {
-    let mut out: Vec<Vec<i64>> = vec![Vec::new()];
-    for lv in &nest.loops {
-        let mut next = Vec::new();
-        for prefix in &out {
-            let trips = lv.trip_count(prefix);
-            if trips == 0 {
-                continue;
-            }
-            let lo = lv.lo.eval(prefix);
-            let last = (trips - 1) as i64;
-            let mut ks = vec![0, last / 3, 2 * last / 3, last];
-            ks.sort_unstable();
-            ks.dedup();
-            for k in ks {
-                let mut v = prefix.clone();
-                v.push(lo + k * lv.step);
-                next.push(v);
-            }
-        }
-        out = next;
-        if out.len() > 256 {
-            out.truncate(256);
-        }
-    }
-    out
-}
-
-/// Weighted misaligned fraction of all probes under one placement: for
-/// each sampled (write, read) pair, does the element written live on a
-/// different PE than the element read? Lower is better — zero means the
-/// writer's placement, pushed onto the arrays it reads, keeps every
-/// sampled dependence PE-local.
-fn misalignment(
-    program: &Program,
-    probes: &[EdgeProbe],
-    scheme: PartitionScheme,
-    page_size: usize,
-    n_pes: usize,
-) -> f64 {
-    let Ok(placements) = Placement::table(
-        program.arrays.iter().map(|d| &d.dims),
-        scheme,
-        page_size,
-        n_pes,
-    ) else {
-        // An invalid shape may rank anywhere: measuring it reports the error.
-        return 0.0;
-    };
-    let mut total = 0.0f64;
-    for p in probes {
-        let wp = &placements[p.write_array.0];
-        let rp = &placements[p.read_array.0];
-        let mis = p
-            .pairs
-            .iter()
-            .filter(|&&(wa, ra)| wp.owner_of_addr(wa) != rp.owner_of_addr(ra))
-            .count();
-        total += p.weight * mis as f64 / p.pairs.len() as f64;
-    }
-    total
 }
 
 #[cfg(test)]
@@ -1411,15 +1063,5 @@ mod tests {
         }
         assert_eq!(winners[0], winners[1]);
         assert_eq!(winners[0], winners[2]);
-    }
-
-    #[test]
-    fn propagation_order_is_a_permutation() {
-        let p = stream(128);
-        let c = Candidates::materialize(&wide_space()).unwrap();
-        let order = propagation_order(&p, &c);
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..c.len()).collect::<Vec<_>>());
     }
 }

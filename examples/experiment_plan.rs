@@ -2,7 +2,7 @@
 //! grid, evaluate it through two rungs of the counting ladder (compiled
 //! access replay with auto fallback, the interpreter) and real threads, pivot
 //! the results, and run the automatic scheme search — exhaustive and
-//! guided (seeded annealing through the memoizing oracle cache).
+//! budgeted (the bound walk through the memoizing oracle cache).
 //!
 //! ```text
 //! cargo run --release --example experiment_plan
@@ -116,31 +116,32 @@ fn main() {
         )
     );
 
-    // Guided search: seeded annealing over the same space through the
-    // memoizing oracle cache. The walk is a pure function of
-    // (program, space, seed, budget), so the warm re-query replays the
-    // identical winner with zero new oracle calls.
+    // Budgeted search: 16 of the same space's 42 candidates, visited by
+    // ascending lower bound through the memoizing oracle cache. The walk
+    // is a pure function of (program, space, budget), so the warm
+    // re-query replays the identical winner with zero new oracle calls.
     let searcher = Searcher::new(
         &SearchSpace::default(),
         Box::<FastCountingOracle>::default(),
         StrategyParams {
-            strategy: Strategy::Anneal,
-            seed: 7,
+            strategy: Strategy::Propagate,
             budget: 16,
             ..StrategyParams::default()
         },
     )
     .expect("space is valid");
-    let rep = searcher.search(&k12.program).expect("anneal");
+    let rep = searcher.search(&k12.program).expect("bound walk");
     let warm = searcher.search(&k12.program).expect("re-query");
     assert_eq!(warm.best, rep.best, "warm replay diverged");
     assert_eq!(warm.oracle_evals, 0, "warm replay paid the oracle");
     println!(
-        "anneal(seed 7, budget 16): {} on page {} after {} oracle \
-         evaluations; cached re-query paid {}",
+        "{}: {} on page {} after {} oracle evaluations, {} unreached; \
+         cached re-query paid {}",
+        searcher.walk_name(),
         rep.best.scheme.name(),
         rep.best.page_size,
         rep.oracle_evals,
+        rep.unreached,
         warm.oracle_evals
     );
 }

@@ -53,15 +53,18 @@
 //! and exit 1, never in a hang).
 //! `search` additionally accepts `--objective {balanced,remote}` (the
 //! legacy remote-%-only objective is `remote`) and
-//! `--strategy {exhaustive,anneal,propagate}` with `--seed S` and
-//! `--budget K` (`sapp::core::search::strategy`): seeded simulated
-//! annealing and Automap-style write-to-read propagation over the
-//! candidate grid, behind a memoizing oracle cache shared across the
-//! kernels of one invocation. A budget that covers the candidate space
-//! (the default 64 covers the default 42 candidates) makes every
-//! strategy the branch and bound `exhaustive` runs, so all three print
-//! the same document. The candidate space is materialized once
-//! per invocation and kernels are searched in parallel over it.
+//! `--strategy {exhaustive,anneal,propagate}` with `--budget K`
+//! (`sapp::core::search::strategy`), behind a memoizing oracle cache
+//! shared across the kernels of one invocation. `exhaustive`, and any
+//! strategy under a budget that covers the candidate space (the default
+//! 64 covers the default 42 candidates), is the branch and bound, so all
+//! three print the same document. Under a budget short of the space,
+//! `anneal` and `propagate` both run the bound walk: every candidate in
+//! ascending order of its lower bound until K are measured. `--seed S` is
+//! accepted and ignored. The stderr summary names the walk that ran and
+//! how many candidates it left unreached. The candidate space is
+//! materialized once per invocation and kernels are searched in parallel
+//! over it.
 //!
 //! `sapp lint [KERNEL|--all]` runs the static analysis passes (write-once
 //! verification, progress and partition-legality checks, deadlock-freedom
@@ -85,7 +88,7 @@ use sapp::core::parallel::{par_map, par_map_heaviest_first};
 use sapp::core::plan::{ExperimentPlan, PlanError};
 use sapp::core::report::{csv, fmt_pct, json, markdown_table};
 use sapp::core::search::strategy::{
-    SearchReport, Searcher, Strategy, StrategyParams, DEFAULT_BUDGET, DEFAULT_SEED,
+    SearchReport, Searcher, Strategy, StrategyParams, DEFAULT_BUDGET,
 };
 use sapp::core::search::{Objective, SearchSpace};
 use sapp::core::{Engine, FastCountingOracle, Oracle};
@@ -257,7 +260,6 @@ struct Opts {
     engine: EngineSel,
     objective: Objective,
     strategy: Strategy,
-    seed: u64,
     budget: usize,
     deny_warnings: bool,
     allow: Vec<String>,
@@ -334,7 +336,6 @@ fn parse_opts(args: &[String], formats: &str) -> Opts {
         engine: EngineSel::Counting(Engine::Auto),
         objective: Objective::default(),
         strategy: Strategy::Exhaustive,
-        seed: DEFAULT_SEED,
         budget: DEFAULT_BUDGET,
         deny_warnings: false,
         allow: Vec::new(),
@@ -394,7 +395,10 @@ fn parse_opts(args: &[String], formats: &str) -> Opts {
                 let choices = "exhaustive|anneal|propagate";
                 o.strategy = value(flag, it, |v| one_of(choices, Strategy::parse, v))
             }
-            "--seed" => o.seed = value(flag, it, count) as u64,
+            // Accepted for existing command lines; no walk is seeded.
+            "--seed" => {
+                value(flag, it, count);
+            }
             "--budget" => o.budget = value(flag, it, positive),
             _ => usage(),
         }
@@ -782,8 +786,8 @@ fn main() {
                 StrategyParams {
                     strategy: o.strategy,
                     objective: o.objective,
-                    seed: o.seed,
                     budget: o.budget,
+                    ..StrategyParams::default()
                 },
             )
             .unwrap_or_else(|e| die("search", &e));
@@ -846,11 +850,12 @@ fn main() {
             let capped = sum(|rep| rep.capped);
             let by_floor = sum(|rep| rep.floor_pruned);
             let by_write = sum(|rep| rep.best.pruned) - by_floor;
+            let unreached = sum(|rep| rep.unreached);
             errln!(
-                "strategy {} over {} candidates: {} oracle evaluations, {} memo hits, \
+                "{} over {} candidates: {} oracle evaluations, {} memo hits, \
                  {capped} decided by a remote-read cap, {by_write} pruned by the write \
-                 bound, {by_floor} by the remote-read floor",
-                o.strategy.name(),
+                 bound, {by_floor} by the remote-read floor, {unreached} unreached",
+                searcher.walk_name(),
                 searcher.candidates().len(),
                 searcher.cache_misses(),
                 searcher.cache_hits(),

@@ -1,19 +1,21 @@
-//! Certification of the guided search strategies
-//! (`sapp::core::search::strategy`) against exhaustion:
+//! Certification of the search walks (`sapp::core::search::strategy`)
+//! against exhaustion:
 //!
-//! 1. **Guided ≡ exhaustive** — on every space where exhaustion is still
-//!    feasible (the full affine registry × all five scheme families ×
-//!    pages {8, 32, 256}), `anneal` and `propagate` with the default
-//!    budget return a winner within 0 bits of `search_exhaustive_with`:
-//!    scheme, page size, score bits and the messages tie-break all match
-//!    exactly. A budget that covers the space is the branch and bound
-//!    itself: both guided strategies then report what `exhaustive` does,
-//!    field for field, and one candidate short of it they walk their own
-//!    way. Below the space, annealing at K21's budget of 16 still finds
-//!    the exhaustive winner on every seed from 1 to 10.
-//! 2. **Determinism** — same `--seed` ⇒ bit-identical winner and an
-//!    identical evaluation trace, proptested across seeds and budgets on
-//!    a space wide enough that the annealer really wanders.
+//! 1. **Covering budgets are exhaustive** — on every space where
+//!    exhaustion is still feasible (the full affine registry × all five
+//!    scheme families × pages {8, 32, 256}), `anneal` and `propagate` with
+//!    the default budget return a winner within 0 bits of
+//!    `search_exhaustive_with`: scheme, page size, score bits and the
+//!    messages tie-break all match exactly. A budget that covers the space
+//!    is the branch and bound itself: every strategy then reports what
+//!    `exhaustive` does, field for field. One candidate short of it they
+//!    run the bound walk, which returns the exhaustive winner whenever it
+//!    leaves no candidate unreached.
+//! 2. **Short budgets** — below the space the bound walk finds K21's and
+//!    ST5 256²'s optima at a budget of 16, and at budgets 4 to 24 it finds
+//!    at least as many of the Livermore winners as the seeded annealing
+//!    and sampled propagation walks it replaced did on any seed. Its
+//!    reports do not depend on the seed or on the strategy's spelling.
 //! 3. **Memo cache** — a second identical query is answered entirely
 //!    from the cache: the same `RunRecord` (whole-report equality), zero
 //!    new oracle calls, hit/miss counters asserted; and cache keys are
@@ -30,7 +32,7 @@
 //! 6. **Remote-read caps are invisible** — every candidate of the default
 //!    space reads as much as every other (the caps' premise), and a
 //!    backend that can only measure in full yields the identical
-//!    `SearchReport` as the capping one, for the walks that cap.
+//!    `SearchReport` as the capping one, under covering and short budgets.
 //! 7. **The remote-read floor is a floor** — on all 26 registry programs,
 //!    default candidates and caches (256 elements, none, every page) it is
 //!    at most the remote reads counted, the static read count is the
@@ -91,9 +93,9 @@ fn certification_space() -> SearchSpace {
     }
 }
 
-/// A space wider than the default guided budget (7 schemes × 6 pages ×
-/// 2 topologies = 84 candidates), so a small-budget annealer genuinely
-/// wanders instead of degrading to the full sweep.
+/// A space wider than the default budget (7 schemes × 6 pages × 2
+/// topologies = 84 candidates), so a small budget runs the bound walk
+/// instead of the branch and bound.
 fn wide_space() -> SearchSpace {
     SearchSpace {
         networks: vec![NetworkTopology::Ideal, NetworkTopology::Mesh2D],
@@ -132,6 +134,15 @@ fn expanded_space() -> SearchSpace {
         ],
         ..SearchSpace::default()
     }
+}
+
+/// ST5 at 256², the program of the benchmark's `search_guided`.
+fn st5_256() -> Kernel {
+    workload("ST5").unwrap().build(Size::Grid2 {
+        nx: 256,
+        ny: 256,
+        sweeps: 2,
+    })
 }
 
 fn params(strategy: Strategy) -> StrategyParams {
@@ -227,6 +238,7 @@ fn a_budget_covering_the_space_is_the_branch_and_bound() {
     let mut walked_apart = 0;
     for k in affine_registry() {
         let exhaustive = search(Strategy::Exhaustive, size, &k.program);
+        assert_eq!(exhaustive.unreached, 0, "{}", k.code);
         for strategy in [Strategy::Anneal, Strategy::Propagate] {
             let covering = search(strategy, size, &k.program);
             assert_eq!(covering.strategy, strategy);
@@ -240,47 +252,170 @@ fn a_budget_covering_the_space_is_the_branch_and_bound() {
                 k.code,
                 strategy.name()
             );
-            // One short of the space is the guided walk: it prices no
-            // remote-read floor, so the write bound did all its pruning.
+            // One short of the space is the bound walk: every candidate is
+            // measured, pruned or unreached, and a walk that leaves none
+            // unreached is certified like the branch and bound.
             let short = search(strategy, size - 1, &k.program);
-            assert_eq!(short.floor_pruned, 0, "{} {}", k.code, strategy.name());
+            assert_eq!(
+                short.best.evaluated
+                    + short.best.pruned
+                    + unsupported_count(&short)
+                    + short.unreached,
+                size,
+                "{} {}",
+                k.code,
+                strategy.name()
+            );
+            if short.unreached == 0 {
+                assert_eq!(short.winner_index, exhaustive.winner_index, "{}", k.code);
+                assert_eq!(short.record, exhaustive.record, "{}", k.code);
+            }
             walked_apart += usize::from(short.trace != exhaustive.trace);
         }
     }
     assert!(
         walked_apart > 0,
-        "no guided walk below the space differed from the branch and bound"
+        "no walk below the space differed from the branch and bound"
     );
 }
 
 #[test]
-fn annealing_finds_k21s_optimum_at_a_budget_of_16() {
-    // The sampled misalignment ranking is what warm-starts the annealer
-    // close to K21's winner, tile2d(16x16) at page 8: a ranking by the
-    // remote-read floor found it on 2 of these 10 seeds.
+fn short_budgets_find_k21s_and_st5s_optima_at_16() {
     let space = SearchSpace::default();
     let k21 = suite().into_iter().find(|k| k.code == "K21").unwrap();
-    let search = |params| {
-        Searcher::new(&space, Box::<FastCountingOracle>::default(), params)
-            .unwrap()
-            .search(&k21.program)
-            .unwrap()
+    let st5 = st5_256();
+    let tile16 = PartitionScheme::Tile2D {
+        tile_rows: 16,
+        tile_cols: 16,
     };
-    let exhaustive = search(params(Strategy::Exhaustive));
-    for seed in 1..=10 {
-        let anneal = search(StrategyParams {
-            seed,
-            budget: 16,
-            ..params(Strategy::Anneal)
-        });
+    for (kernel, scheme, page) in [(&k21, tile16, 8), (&st5, PartitionScheme::Block, 256)] {
+        let search = |params| {
+            Searcher::new(&space, Box::<FastCountingOracle>::default(), params)
+                .unwrap()
+                .search(&kernel.program)
+                .unwrap()
+        };
+        let exhaustive = search(params(Strategy::Exhaustive));
         assert_eq!(
-            anneal.best.score.to_bits(),
-            exhaustive.best.score.to_bits(),
-            "seed {seed}: {:?}/{} against {:?}/{}",
-            anneal.best.scheme,
-            anneal.best.page_size,
-            exhaustive.best.scheme,
-            exhaustive.best.page_size
+            (exhaustive.best.scheme, exhaustive.best.page_size),
+            (scheme, page),
+            "{}",
+            kernel.code
+        );
+        for strategy in [Strategy::Anneal, Strategy::Propagate] {
+            let short = search(StrategyParams {
+                budget: 16,
+                ..params(strategy)
+            });
+            assert_eq!(
+                short.record,
+                exhaustive.record,
+                "{} {}",
+                kernel.code,
+                strategy.name()
+            );
+            assert_eq!(
+                short.winner_index, exhaustive.winner_index,
+                "{}",
+                kernel.code
+            );
+        }
+    }
+}
+
+/// The short budgets the walk is certified at.
+const SHORT_BUDGETS: [usize; 5] = [4, 8, 12, 16, 24];
+
+#[test]
+fn short_budget_reports_ignore_seed_and_spelling() {
+    // Four kernels of different shapes at their reduced sizes.
+    let space = SearchSpace::default();
+    let kernels: Vec<&Kernel> = affine_registry()
+        .iter()
+        .filter(|k| ["K1", "K7", "K18", "ST5"].contains(&k.code))
+        .collect();
+    assert_eq!(kernels.len(), 4);
+    for budget in SHORT_BUDGETS {
+        let search = |strategy, seed, k: &Kernel| {
+            let params = StrategyParams {
+                strategy,
+                seed,
+                budget,
+                ..StrategyParams::default()
+            };
+            let rep = Searcher::new(&space, Box::<FastCountingOracle>::default(), params)
+                .unwrap()
+                .search(&k.program)
+                .unwrap();
+            SearchReport {
+                strategy: Strategy::Anneal,
+                ..rep
+            }
+        };
+        for &k in &kernels {
+            let want = search(Strategy::Anneal, 1, k);
+            assert!(
+                want.trace.len() <= budget,
+                "{} budget {budget}: overrun",
+                k.code
+            );
+            for seed in 1..=10 {
+                for strategy in [Strategy::Anneal, Strategy::Propagate] {
+                    let got = search(strategy, seed, k);
+                    assert_eq!(
+                        got,
+                        want,
+                        "{} {} seed {seed} budget {budget}",
+                        k.code,
+                        strategy.name()
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn the_bound_walk_finds_at_least_the_retired_walks_winners() {
+    // How many of the 18 Livermore winners (scheme, page, remote %,
+    // messages) the walks this one replaced matched at each short budget:
+    // the better of sampled propagation and of seeded annealing's best
+    // seed among 1–10.
+    const RETIRED: [usize; 5] = [5, 10, 12, 14, 16];
+    let space = SearchSpace::default();
+    let kernels = suite();
+    let winners = |params| {
+        let searcher = Searcher::new(&space, Box::<FastCountingOracle>::default(), params).unwrap();
+        kernels
+            .iter()
+            .map(|k| searcher.search(&k.program).unwrap().record)
+            .collect::<Vec<_>>()
+    };
+    let exhaustive = winners(params(Strategy::Exhaustive));
+    for (budget, retired) in SHORT_BUDGETS.into_iter().zip(RETIRED) {
+        let found = winners(StrategyParams {
+            budget,
+            ..params(Strategy::Propagate)
+        });
+        let matched = found
+            .iter()
+            .zip(&exhaustive)
+            .filter(|(a, b)| {
+                let key = |r: &RunRecord| {
+                    (
+                        r.cfg.partition,
+                        r.cfg.page_size,
+                        r.remote_pct.to_bits(),
+                        r.messages,
+                    )
+                };
+                key(a) == key(b)
+            })
+            .count();
+        assert!(
+            matched >= retired,
+            "budget {budget}: {matched} of {} winners, the retired walks found {retired}",
+            kernels.len()
         );
     }
 }
@@ -328,15 +463,11 @@ fn memo_cache_answers_second_query_with_zero_new_oracle_calls() {
         hits_before + second.cache_hits as u64
     );
 
-    // The space the guided strategies exist for: nine schemes × six pages
-    // × seven topologies = 378 candidates around ST5 256². At the default
-    // budget both spend at least 5× fewer oracle evaluations than
-    // exhaustion, find its winner's score, and re-query for free.
-    let st5 = workload("ST5").unwrap().build(Size::Grid2 {
-        nx: 256,
-        ny: 256,
-        sweeps: 2,
-    });
+    // The space the bound walk exists for: nine schemes × six pages ×
+    // seven topologies = 378 candidates around ST5 256². At the default
+    // budget it spends at least 5× fewer oracle evaluations than
+    // exhaustion, finds its winner's score, and re-queries for free.
+    let st5 = st5_256();
     let space = expanded_space();
     let exhaustive = search_exhaustive_with(
         &st5.program,
@@ -346,35 +477,23 @@ fn memo_cache_answers_second_query_with_zero_new_oracle_calls() {
     )
     .unwrap();
     assert_eq!(exhaustive.evaluated, 378);
-    for strategy in [Strategy::Anneal, Strategy::Propagate] {
-        let searcher = Searcher::new(
-            &space,
-            Box::<FastCountingOracle>::default(),
-            StrategyParams {
-                strategy,
-                seed: 7,
-                ..StrategyParams::default()
-            },
-        )
-        .unwrap();
-        let rep = searcher.search(&st5.program).unwrap();
-        assert!(
-            rep.oracle_evals * 5 <= exhaustive.evaluated,
-            "{}: {} of {} evaluations",
-            strategy.name(),
-            rep.oracle_evals,
-            exhaustive.evaluated
-        );
-        assert_eq!(
-            rep.best.score.to_bits(),
-            exhaustive.score.to_bits(),
-            "{}: winner gap",
-            strategy.name()
-        );
-        let requery = searcher.search(&st5.program).unwrap();
-        assert_eq!(requery.oracle_evals, 0, "{}", strategy.name());
-        assert_eq!(requery.best, rep.best, "{}", strategy.name());
-    }
+    let searcher = Searcher::new(
+        &space,
+        Box::<FastCountingOracle>::default(),
+        params(Strategy::Propagate),
+    )
+    .unwrap();
+    let rep = searcher.search(&st5.program).unwrap();
+    assert!(
+        rep.oracle_evals * 5 <= exhaustive.evaluated,
+        "{} of {} evaluations",
+        rep.oracle_evals,
+        exhaustive.evaluated
+    );
+    assert_eq!(rep.best.score.to_bits(), exhaustive.score.to_bits());
+    let requery = searcher.search(&st5.program).unwrap();
+    assert_eq!(requery.oracle_evals, 0);
+    assert_eq!(requery.best, rep.best);
 }
 
 #[test]
@@ -453,27 +572,13 @@ fn closed_form_bound_leaves_every_search_report_unchanged() {
         pruned
     };
 
-    // The benchmark's `search_guided` round: two annealing walks at
-    // consecutive seeds and one propagation walk, 16 of 42 candidates.
-    let st5 = workload("ST5").unwrap().build(Size::Grid2 {
-        nx: 256,
-        ny: 256,
-        sweeps: 2,
-    });
-    let mut pruned = 0;
-    for (strategy, seed) in [
-        (Strategy::Anneal, 7),
-        (Strategy::Anneal, 8),
-        (Strategy::Propagate, 7),
-    ] {
-        let params = StrategyParams {
-            strategy,
-            seed,
-            budget: 16,
-            ..StrategyParams::default()
-        };
-        pruned += both(params, std::slice::from_ref(&st5));
-    }
+    // The benchmark's `search_guided` walk: the bound walk at a budget of
+    // 16 of 42 candidates.
+    let short = StrategyParams {
+        budget: 16,
+        ..params(Strategy::Anneal)
+    };
+    let mut pruned = both(short, &[st5_256()]);
     // `registry_search`: the serial pruned sweep of all 42 candidates over
     // the Livermore suite at its official sizes.
     pruned += both(params(Strategy::Exhaustive), &suite());
@@ -601,13 +706,13 @@ fn remote_read_caps_leave_every_search_report_unchanged() {
         (certification_space(), affine_registry().clone()),
         (SearchSpace::default(), suite()),
     ] {
-        // Propagation one candidate short of the smaller space walks its
-        // own ranking, not the branch and bound.
-        let short = StrategyParams {
-            budget: 14,
+        // The branch and bound, and the bound walk at short budgets — down
+        // to 4 and up to one candidate short of the smaller space.
+        let short = |budget| StrategyParams {
+            budget,
             ..params(Strategy::Propagate)
         };
-        for params in [params(Strategy::Exhaustive), short] {
+        for params in [params(Strategy::Exhaustive), short(4), short(8), short(14)] {
             let capping =
                 Searcher::new(&space, Box::<FastCountingOracle>::default(), params).unwrap();
             let measuring = Searcher::new(
@@ -632,35 +737,6 @@ fn remote_read_caps_leave_every_search_report_unchanged() {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Same seed ⇒ bit-identical winner *and* identical evaluation trace,
-    /// whatever the seed and however tight the budget.
-    #[test]
-    fn same_seed_gives_bit_identical_winner_and_trace(
-        seed in 0u64..u64::MAX,
-        budget in 4usize..=20,
-    ) {
-        let k = &affine_registry()[0];
-        let space = wide_space();
-        let p = StrategyParams {
-            strategy: Strategy::Anneal,
-            seed,
-            budget,
-            ..StrategyParams::default()
-        };
-        let run = || {
-            Searcher::new(&space, Box::<FastCountingOracle>::default(), p)
-                .unwrap()
-                .search(&k.program)
-                .unwrap()
-        };
-        let (a, b) = (run(), run());
-        prop_assert_eq!(a.best.score.to_bits(), b.best.score.to_bits());
-        prop_assert_eq!(&a.record, &b.record);
-        prop_assert_eq!(&a.trace, &b.trace);
-        prop_assert_eq!(a.oracle_evals, b.oracle_evals);
-        prop_assert!(a.oracle_evals <= budget, "budget overrun: {}", a.oracle_evals);
-    }
 
     /// Memo-cache keys never collide across registry programs, and
     /// relabeling a program (renaming arrays or the program itself)
