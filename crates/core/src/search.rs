@@ -13,10 +13,10 @@
 //! ascending static score lower bound, and *prunes* a candidate whose
 //! bound already exceeds the incumbent's score. The bound needs no
 //! execution: one anchor profile per page size
-//! ([`sa_lint::depgraph::AnchorProfile`]) is priced under each scheme
+//! ([`sa_lint::profile::AnchorProfile`]) is priced under each scheme
 //! into the imbalance penalty of its per-PE writes
 //! (`static_score_bound`) and a floor on its remote reads
-//! ([`sa_lint::depgraph::AnchorProfile::fetch_floor`]). Strictness
+//! ([`sa_lint::profile::AnchorProfile::fetch_floor`]). Strictness
 //! preserves the exhaustive tie-breaks (a bound equal to the incumbent's
 //! score still gets measured — it could tie and win on messages), and the
 //! winner order is total, so the pruned walk is certified to return
@@ -207,14 +207,14 @@ impl BestConfig {
 
 /// A static per-PE write projection a pruning bound can be computed from
 /// instead of the search's own anchor profiles: the certification tests
-/// substitute [`sa_lint::depgraph::project_by_instance`]'s.
+/// substitute [`sa_lint::profile::project_by_instance`]'s.
 pub type WriteProjector = fn(&Program, &LintConfig) -> Option<Vec<u64>>;
 
 /// Static lower bound on a candidate's objective score from its static
 /// per-PE write counts: remote % is nonnegative, and under owner-computes
 /// the per-PE write distribution is a pure function of the partition, so
 /// the imbalance penalty is known without executing anything. The search
-/// prices the counts from one [`sa_lint::depgraph::AnchorProfile`] per
+/// prices the counts from one [`sa_lint::profile::AnchorProfile`] per
 /// page size: at 16 PEs K21's 42 bounds cost 0.84–1.14 ms after 0.7–1.1 ms
 /// to build its six profiles (2-vCPU box, release) — under 0.03 ms a bound,
 /// against 1.8–14 ms (median 4.7) for one uncapped replay of a K21

@@ -7,7 +7,7 @@
 //! (`static_score_bound`, from the anchor profile's per-PE writes) plus its
 //! **remote-read floor** ([`AnchorProfile::fetch_floor`]) as a share of the
 //! run's reads, which owner-computes makes the same for every candidate
-//! ([`depgraph::read_count`]). Under single assignment a PE fetches every
+//! ([`profile::read_count`]). Under single assignment a PE fetches every
 //! remote page it reads at least once, whatever the cache, so the distinct
 //! (PE, remote page) pairs of the translation reads (an array shaped like
 //! the anchor's, at the anchor's address plus a constant) are a floor,
@@ -51,7 +51,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use sa_ir::{pretty, Program};
-use sa_lint::depgraph::{self, AnchorProfile};
+use sa_lint::profile::{self, AnchorProfile};
 use sa_lint::LintConfig;
 use sa_machine::PartitionScheme;
 
@@ -591,7 +591,7 @@ impl<'a> Walk<'a> {
             objective: searcher.params.objective,
             reference: searcher.reference,
             profile_builds: &searcher.profile_builds,
-            reads: depgraph::read_count(program),
+            reads: profile::read_count(program),
             bounds: HashMap::new(),
             trace: Vec::new(),
             evals: 0,

@@ -28,6 +28,8 @@
 //!   producer→consumer graph single assignment makes statically
 //!   derivable, with work/span analysis and partition-projected speedup
 //!   bounds.
+//! * **Anchor profiles** ([`profile`]) — anchored instances per page, one
+//!   profile per page size, which the search prices under every placement.
 //! * **The owner-computes schedule** ([`screening`]) every counting engine
 //!   runs on. The crate counts no accesses itself: cache-less counts are
 //!   `sa_core::replay`'s.
@@ -41,6 +43,7 @@
 pub mod depgraph;
 pub mod diag;
 mod footprint;
+pub mod profile;
 pub mod progress;
 pub mod screening;
 mod sites;

@@ -28,7 +28,6 @@
 //!   `rowband` size their tiles so that the deal never wraps, and have
 //!   none.
 
-use std::cell::OnceCell;
 use std::ops::Range;
 
 use sa_mem::PageMemo;
@@ -404,266 +403,246 @@ impl Placement {
     /// Add to `per_pe[pe]`, for every [`PageRun`] of `runs`, its count
     /// times the number of its pages that `pe` owns — the one per-PE
     /// owned-page count, which prices a placement-free page profile
-    /// (`sa_lint::depgraph::AnchorProfile`).
-    ///
-    /// Runs are priced as pieces (`Placement::pieces`): translates that
-    /// own alike are one piece. Under a [period](Placement::period) of `p`
-    /// pages, no more than the array holds, and no more than the stretches
-    /// a walk would take, each piece adds its count to a range of residues
-    /// mod `p` (`Residues`), O(1) however long, and the residues are priced
-    /// once; otherwise each piece is walked a stretch at a time — the pages
-    /// whose first elements share a tile segment (a tile row, or one tile's
-    /// part of a view row) — and two or more periods of it as one,
-    /// multiplied. Pages past the array go with the last page.
+    /// (`sa_lint::profile::AnchorProfile`): `Placement::price_runs` with
+    /// one role, the page itself. Pages past the array go with the last
+    /// page.
     pub fn count_owned_pages(&self, runs: &[PageRun], per_pe: &mut [u64]) {
-        let total = self.pages();
-        let period = self.short_period();
-        // Runs that stand once are pieces as they are; translated runs are
-        // cut into pieces, each piece's count its translates'.
-        let pieces = |f: &mut dyn FnMut(usize, usize, u64)| {
-            for run in runs {
-                if run.stride == 0 {
-                    f(run.first, run.pages, run.count * run.reps as u64);
-                    continue;
-                }
-                let alike = |first: usize| {
-                    let end = first + run.pages;
-                    let room = total.saturating_sub(end) / run.stride;
-                    let moved = self.same_owner_run(first, end - 1, run.stride as i64);
-                    moved.min(room as u64)
-                };
-                let periodic = period.map(|p| (p, 0..total));
-                self.pieces(run, periodic, alike, |first, times| {
-                    f(first, run.pages, run.count * times);
-                });
-            }
-        };
-        // Residues pay once the walk would take at least a period's worth
-        // of stretches, each piece at least one (ST7 128³'s bounds walked
-        // take 1.7× as long; ST5 4096²'s priced by residue 12×).
-        let mut residues = period
-            .filter(|&p| {
-                p <= runs.len()
-                    || p <= self.walk_cost(period, |walk| pieces(&mut |_, pages, _| walk(pages)))
-            })
-            .map(Residues::new);
-        let (last, mut at) = (self.page_owner(total), OwnerRun::default());
-        pieces(&mut |first, pages, weight| {
-            // Pages past the array go with the last page.
-            let end = first + pages;
-            if end > total {
-                per_pe[last] += weight * (end - first.max(total)) as u64;
-            }
-            let (q0, q1) = (first.min(total), end.min(total));
-            if let Some(residues) = &mut residues {
-                residues.add(q0, q1, weight);
-            } else {
-                self.fold_periods(q0, q1, period, weight, |q0, q1, weight| {
-                    let mut q = q0;
-                    while q < q1 {
-                        at.reach(self, q as i64);
-                        let end = q1.min(at.end as usize);
-                        per_pe[at.owner as usize] += weight * (end - q) as u64;
-                        q = end;
-                    }
-                });
-            }
+        let last = self.page_owner(self.pages());
+        let runs = runs.iter().map(|run| (run, 0, run.count));
+        self.price_runs([0], runs, &mut None, |_, [owner], weight| {
+            let pe = match owner {
+                NO_PAGE => last,
+                pe => pe as usize,
+            };
+            per_pe[pe] += weight;
         });
-        if let Some(residues) = residues {
-            for (x, weight) in residues.totals().into_iter().enumerate() {
-                per_pe[self.page_owner(x)] += weight;
-            }
-        }
     }
 
-    /// A pricer of translation reads under this placement
-    /// ([`FetchPricer::count_fetched_pages`]).
-    pub fn fetch_pricer(&self) -> FetchPricer<'_> {
-        FetchPricer {
-            placement: self,
-            owners: OnceCell::new(),
-        }
-    }
-
-    /// [`FetchPricer::count_fetched_pages`], with the page-owner table in
-    /// `owners` once one is built.
-    fn count_fetched_pages(&self, read: &FetchProfile, owners: &OnceCell<Vec<u32>>) -> u64 {
-        debug_assert_eq!(
-            read.page_size, self.page_size,
-            "priced at another page size"
-        );
-        let (ps, total) = (self.page_size as i64, self.pages() as i64);
-        let (m, r) = (read.shift.div_euclid(ps), read.shift.rem_euclid(ps));
-        // The pages a page's price looks at: before, itself, after, and
-        // the two its reads may reach. Without `r` only the page and the
-        // one its reads reach count: the other roles repeat the page
-        // itself, and no price looks at them.
+    /// A lower bound on the remote pages the PEs fetch for one translation
+    /// read: the read `shift` elements from the anchors on the pages of
+    /// `runs`, in an array placed like the anchors'. Each run carries the
+    /// class of its pages, and no page is in two runs.
+    ///
+    /// Owner-computes runs an instance on the PE owning its anchor's page,
+    /// and a PE fetches every remote page it reads at least once, whatever
+    /// its cache: the floor counts distinct (PE, read page) pairs with the
+    /// PE not the page's owner. With `shift = m · ps + r`, `0 ≤ r < ps`,
+    /// the anchors on page `q` below `ps − r` read page `q + m` and the
+    /// others page `q + m + 1`; a page's class says which of the two parts
+    /// certainly hold an anchor (bit 0 the first, bit 1 the second). A pair
+    /// is counted from one anchor page only: page `q + m + 1` from page `q`
+    /// only when page `q + 1` has another owner, and a page with neither
+    /// part certain counts one pair, when both candidates are remote and no
+    /// neighbour shares its owner. So a page's price depends on its class
+    /// and on the owners of five pages around it, its roles for
+    /// `Placement::price_runs`. A table of page owners that pricing
+    /// builds is kept in `owner_table`, for the next read under this
+    /// placement.
+    pub fn count_fetched_pages(
+        &self,
+        shift: i64,
+        runs: &[(PageRun, u8)],
+        owner_table: &mut Option<Vec<u32>>,
+    ) -> u64 {
+        let ps = self.page_size as i64;
+        let (m, r) = (shift.div_euclid(ps), shift.rem_euclid(ps));
+        // Before, itself, after, and the two pages its reads may reach.
+        // Without `r` only the page and the one its reads reach count: the
+        // other roles repeat the page itself, and no price looks at them.
         let roles = match r {
             0 => [0, 0, 0, m, 0],
             _ => [-1, 0, 1, m, m + 1],
         };
-        let low = roles.into_iter().min().unwrap_or(0);
-        let high = roles.into_iter().max().unwrap_or(0);
-        // A page's price from the owners of its five pages (`NO_PAGE` for
-        // one outside the array).
-        let price = |class: usize, o: [u32; 5]| -> u64 {
+        let runs = runs
+            .iter()
+            .map(|(run, class)| (run, usize::from(*class), 1));
+        let mut floor = 0;
+        self.price_runs(roles, runs, owner_table, |class, o, pages| {
             let remote = |pe: u32| pe != NO_PAGE && pe != o[1];
             let alone = o[2] != o[1];
-            match class {
+            let price = match class {
                 0 => u64::from(r > 0 && remote(o[3]) && remote(o[4]) && alone && o[0] != o[1]),
                 _ => {
                     u64::from(class & 1 != 0 && remote(o[3]))
                         + u64::from(class & 2 != 0 && remote(o[4]) && alone)
                 }
-            }
-        };
-        // Where every page a price looks at is inside the array, a period
-        // makes prices periodic.
-        let inner = (-low).max(0)..(total - high.max(0)).max((-low).max(0));
-        let short = self.short_period().filter(|_| !inner.is_empty());
+            };
+            floor += pages * price;
+        });
+        floor
+    }
+
+    /// The one pricer of page runs against owners. Each of `runs` is a
+    /// [`PageRun`] with a tag and a weight per page; `sink(tag, owners,
+    /// weight)` is called until every page of every run is handed over,
+    /// its weight (times its translates) split among calls whose `owners`
+    /// are those of the pages at the offsets `roles` from it — `NO_PAGE`
+    /// for one outside the array.
+    ///
+    /// Runs are cut into pieces (`Placement::pieces`): translates whose
+    /// roles own alike are one piece. Pieces are priced by one rule:
+    ///
+    /// * under a [period](Placement::period) of `p` pages, no more than
+    ///   the array holds, once the walk below would take at least `p`
+    ///   stretches per tag, each piece adds its weight to a range of
+    ///   residues mod `p` (`Residues`), O(1) however long, and each
+    ///   residue's owners are read once, from one window;
+    /// * else, once the walk would take at least a quarter as many
+    ///   stretches as the array has pages, the owners are read from a
+    ///   table of every page's, kept in `owner_table`;
+    /// * else the pieces are walked a stretch at a time, the pages whose
+    ///   roles' first elements each share a tile segment (a tile row, or
+    ///   one tile's part of a view row).
+    ///
+    /// The table and the walk take two or more periods of a piece as one,
+    /// weight multiplied; a page whose roles are not all inside the array
+    /// takes one of them under every rule.
+    fn price_runs<'r, const N: usize>(
+        &self,
+        roles: [i64; N],
+        runs: impl Iterator<Item = (&'r PageRun, usize, u64)> + Clone,
+        owner_table: &mut Option<Vec<u32>>,
+        mut sink: impl FnMut(usize, [u32; N], u64),
+    ) {
+        let total = self.pages() as i64;
+        let low = roles.into_iter().fold(0, i64::min);
+        let high = roles.into_iter().fold(0, i64::max);
+        // The pages whose roles all lie inside the array: a period makes
+        // their prices periodic.
+        let inner = -low..(total - high).max(-low);
+        let short = self.period().map(|p| p / self.page_size);
+        let short = short.filter(|&p| p <= total as usize && !inner.is_empty());
         let periodic = short.map(|p| (p, inner.start as usize..inner.end as usize));
-        // Runs that stand once are pieces as they are; translated runs are
-        // cut into pieces, each standing for `times` translates.
-        let pieces = |f: &mut dyn FnMut(usize, usize, u64, u8)| {
-            for &(run, class) in &read.runs {
-                if run.stride == 0 {
-                    f(run.first, run.pages, 1, class);
-                    continue;
-                }
-                let alike = |first: usize| {
-                    let (first, end) = (first as i64, (first + run.pages) as i64);
-                    if first + low < 0 || end + high > total {
-                        return 0;
-                    }
-                    let room = ((total - end - high) / run.stride as i64) as u64;
-                    let moved = |o: i64| {
-                        let (lo, hi) = ((first + o) as usize, (end - 1 + o) as usize);
-                        self.same_owner_run(lo, hi, run.stride as i64)
-                    };
-                    let most = roles
-                        .iter()
-                        .try_fold(room, |most, &o| match most.min(moved(o)) {
-                            0 => None,
-                            most => Some(most),
-                        });
-                    most.unwrap_or(0)
-                };
-                self.pieces(&run, periodic.clone(), alike, |first, times| {
-                    f(first, run.pages, times, class);
-                });
+        // Every run as pieces, `(first, pages, tag, weight)`: a run that
+        // stands once is one, and translated runs are cut into pieces,
+        // translates that price alike one piece, its weight multiplied.
+        let plain = runs.clone().filter(|(run, ..)| run.stride == 0);
+        let plain =
+            plain.map(|(run, tag, weight)| (run.first, run.pages, tag, weight * run.reps as u64));
+        let (mut translated, mut tags) = (Vec::new(), 0u64);
+        for (run, tag, weight) in runs {
+            tags |= 1 << tag;
+            if run.stride == 0 {
+                continue;
             }
-        };
-        // Residues pay once the walk would take at least a period's worth
-        // of stretches per class priced (ST7 128³'s floors walked take 3×
-        // as long; ST5 4096²'s priced by residue 5×). A walk of at least a
-        // quarter as many stretches as the array has pages reads its
-        // owners from a table instead (ST7's at pages of 8 walked take
-        // 1.5×; ST5's and K18's from a table 75–90×).
-        let walks = self.walk_cost(short, |walk| pieces(&mut |_, pages, _, _| walk(pages)));
-        let classes = read
-            .runs
-            .iter()
-            .fold(0u32, |seen, &(_, c)| seen | 1 << c)
-            .count_ones();
-        let period = short.filter(|&p| p * classes as usize <= walks);
-        let table = (period.is_none() && 4 * walks >= total as usize)
-            .then(|| owners.get_or_init(|| self.owner_table()));
-        let mut residues: [Option<Residues>; 4] = Default::default();
-        let mut walked = 0u64;
-        let mut at = [OwnerRun::default(); 5];
-        let mut walk = |q0: i64, q1: i64, class: usize, times: u64| {
-            if let Some(table) = table {
-                let owner = |q: i64| match (0..total).contains(&q) {
-                    true => table[q as usize],
-                    false => NO_PAGE,
+            let alike = |first: usize| {
+                let (first, end) = (first as i64, (first + run.pages) as i64);
+                if first + low < 0 || end + high > total {
+                    return 0;
+                }
+                let room = ((total - end - high) / run.stride as i64) as u64;
+                let moved = |o: i64| {
+                    let (lo, hi) = ((first + o) as usize, (end - 1 + o) as usize);
+                    self.same_owner_run(lo, hi, run.stride as i64)
                 };
-                let pages = (q0..q1).map(|q| price(class, roles.map(|o| owner(q + o))));
-                walked += times * pages.sum::<u64>();
+                let most = roles
+                    .iter()
+                    .try_fold(room, |most, &o| match most.min(moved(o)) {
+                        0 => None,
+                        most => Some(most),
+                    });
+                most.unwrap_or(0)
+            };
+            self.pieces(run, periodic.clone(), alike, |first, times| {
+                translated.push((first, run.pages, tag, weight * times));
+            });
+        }
+        let pieces = || plain.clone().chain(translated.iter().copied());
+        // About how many stretches the walk would take.
+        let t = &self.tiling;
+        let segment = (if t.per_row == 1 { t.band } else { t.width } / self.page_size).max(1);
+        let longest = short.map_or(usize::MAX, |p| 2 * p);
+        let (n, sum) = pieces().fold((0, 0usize), |(n, sum), piece| {
+            (n + 1, sum.saturating_add(piece.1.min(longest)))
+        });
+        let walks = n + sum / segment;
+        let period = short.filter(|&p| p * (tags.count_ones() as usize).max(1) <= walks);
+        let table = (period.is_none() && 4 * walks >= total as usize)
+            .then(|| &owner_table.get_or_insert_with(|| self.owner_table(total as usize))[..]);
+        let mut residues: Vec<Option<Residues>> = Vec::new();
+        residues.resize_with(64 - tags.leading_zeros() as usize, || None);
+        let mut at = [OwnerRun::default(); N];
+        // Hand over pages `q0..q1` of a piece, from the table when there
+        // is one, else a stretch at a time.
+        let mut walk = |q0: i64, q1: i64, tag: usize, weight: u64| {
+            if let Some(table) = table {
+                for q in q0..q1 {
+                    let owner = |o| table.get((q + o) as usize).copied().unwrap_or(NO_PAGE);
+                    sink(tag, roles.map(owner), weight);
+                }
                 return;
             }
             let mut q = q0;
             while q < q1 {
-                let (mut end, mut owners) = (q1, [0; 5]);
+                let (mut end, mut owners) = (q1, [0; N]);
                 for ((at, &o), owner) in at.iter_mut().zip(&roles).zip(&mut owners) {
-                    at.reach(self, q + o);
+                    if !(at.start..at.end).contains(&(q + o)) {
+                        *at = self.owner_run(q + o);
+                    }
                     (*owner, end) = (at.owner, end.min(at.end.saturating_sub(o)));
                 }
-                walked += times * price(class, owners) * (end - q) as u64;
+                sink(tag, owners, weight * (end - q) as u64);
                 q = end;
             }
         };
-        pieces(&mut |first, pages, times, class| {
-            let class = class as usize;
+        for (first, pages, tag, weight) in pieces() {
             let (q0, q1) = (first as i64, (first + pages) as i64);
             let (a, b) = (
                 q0.clamp(inner.start, inner.end),
                 q1.clamp(inner.start, inner.end),
             );
-            walk(q0, a.min(q1), class, times);
-            walk(b.max(q0), q1, class, times);
+            if q0 < a || b < q1 {
+                walk(q0, a.min(q1), tag, weight);
+                walk(b.max(q0), q1, tag, weight);
+            }
             match period {
-                Some(p) => residues[class]
-                    .get_or_insert_with(|| Residues::new(p))
-                    .add(a as usize, b as usize, times),
-                None => self.fold_periods(a as usize, b as usize, short, times, |a, b, times| {
-                    walk(a as i64, b as i64, class, times);
+                Some(p) => residues[tag]
+                    .get_or_insert_with(|| Residues {
+                        diff: vec![0; p + 1],
+                        last: (0, 0),
+                    })
+                    .add(a as usize, b as usize, weight),
+                None => self.fold_periods(a as usize, b as usize, short, weight, |a, b, weight| {
+                    walk(a as i64, b as i64, tag, weight);
                 }),
             }
-        });
-        let mut priced = walked;
-        if let Some(p) = period {
-            let totals = residues.map(|residues| residues.map(|r| r.totals()));
-            // Residue `x`'s pages price like the first inner page of it,
-            // all in one window of owners.
-            let from = inner.start + low;
-            let window = self.owner_window(
-                from as usize,
-                (inner.start + p as i64).min(inner.end) as usize + high as usize,
-            );
-            for x in 0..p {
-                let q = inner.start + (x as i64 - inner.start).rem_euclid(p as i64);
-                if q >= inner.end {
-                    continue;
-                }
-                let owners = roles.map(|o| window[(q + o - from) as usize]);
-                for (class, totals) in totals.iter().enumerate() {
-                    if let Some(totals) = totals {
-                        priced += totals[x] * price(class, owners);
-                    }
+        }
+        let Some(p) = period else {
+            return;
+        };
+        let totals: Vec<Option<Vec<u64>>> = residues
+            .iter()
+            .map(|residues| residues.as_ref().map(Residues::totals))
+            .collect();
+        // Residue `x`'s pages price like the first inner page of it, all
+        // from the owners of the pages up to its roles.
+        let window = self.owner_table(((inner.start + p as i64).min(inner.end) + high) as usize);
+        for x in 0..p {
+            let q = inner.start + (x as i64 - inner.start).rem_euclid(p as i64);
+            if q >= inner.end {
+                continue;
+            }
+            let owners = roles.map(|o| window[(q + o) as usize]);
+            for (tag, totals) in totals.iter().enumerate() {
+                if let Some(totals) = totals {
+                    sink(tag, owners, totals[x]);
                 }
             }
         }
-        priced
     }
 
-    /// Every page's owner.
-    fn owner_table(&self) -> Vec<u32> {
-        self.owner_window(0, self.pages())
-    }
-
-    /// The owners of pages `a..b`, all inside the array. Where a tile row
-    /// holds several tiles, a page's tile column and tile row follow its
-    /// first element from the last page's, with no division inside a view
-    /// row; otherwise the window is filled a stretch at a time.
-    fn owner_window(&self, a: usize, b: usize) -> Vec<u32> {
+    /// The owners of the array's first `pages` pages: a page's tile column
+    /// and tile row follow its first element from the last page's, with no
+    /// division inside a view row.
+    fn owner_table(&self, pages: usize) -> Vec<u32> {
         let (ps, n, t) = (self.page_size, self.n_pes, &self.tiling);
-        let mut table = Vec::with_capacity(b.saturating_sub(a));
-        if t.per_row == 1 {
-            while a + table.len() < b {
-                let run = self.owner_run((a + table.len()) as i64);
-                table.resize((run.end as usize).min(b) - a, run.owner);
-            }
-            return table;
-        }
+        let mut table = Vec::with_capacity(pages);
         let rows_per_tile = t.band / t.strip;
-        let e = a * ps;
-        // View row mod `rows_per_tile`, and the first PE of its tile row.
-        let (rows, mut into) = (e / t.strip, e % t.strip);
-        let (mut row, mut base) = (rows % rows_per_tile, rows / rows_per_tile * t.per_row % n);
-        // The offset into the view row, its tile column mod `n`, and the
+        // The offset into the view row, the view row mod `rows_per_tile`,
+        // the first PE of its tile row, its tile column mod `n`, and the
         // offset into that tile.
-        let (mut column, mut rest) = (into / t.width % n, into % t.width);
-        for _ in a..b {
+        let (mut into, mut row, mut base, mut column, mut rest) = (0, 0, 0, 0, 0);
+        for _ in 0..pages {
             let pe = base + column;
             table.push((if pe >= n { pe - n } else { pe }) as u32);
             into += ps;
@@ -682,30 +661,6 @@ impl Placement {
             (column, rest) = (into / t.width % n, into % t.width);
         }
         table
-    }
-
-    /// [`Placement::period`] in pages, when the array holds one.
-    fn short_period(&self) -> Option<usize> {
-        let p = self.period()? / self.page_size;
-        (p <= self.pages()).then_some(p)
-    }
-
-    /// About how many stretches a walk of pieces takes, `pieces` handing
-    /// it each piece's pages.
-    fn walk_cost(
-        &self,
-        period: Option<usize>,
-        pieces: impl FnOnce(&mut dyn FnMut(usize)),
-    ) -> usize {
-        let t = &self.tiling;
-        let segment = (if t.per_row == 1 { t.band } else { t.width } / self.page_size).max(1);
-        let longest = period.map_or(usize::MAX, |p| 2 * p);
-        let (mut n, mut sum) = (0, 0usize);
-        pieces(&mut |pages| {
-            n += 1;
-            sum = sum.saturating_add(pages.min(longest));
-        });
-        n + sum / segment
     }
 
     /// Call `walk(q0, q1, weight)` on the pages `q0..q1`, all inside the
@@ -732,7 +687,8 @@ impl Placement {
         }
     }
 
-    /// Call `f(first, times)` on pieces of `run`: a translate by its first
+    /// Call `f(first, times)` on pieces of `run`, translated by a nonzero
+    /// stride: a translate by its first
     /// page, standing for itself and `times − 1` others that price alike.
     /// Consecutive translates price alike while `alike(first)` says so;
     /// and with `periodic = (p, pages)`, where prices repeat every `p`
@@ -747,10 +703,6 @@ impl Placement {
         mut f: impl FnMut(usize, u64),
     ) {
         if run.pages == 0 || run.reps == 0 {
-            return;
-        }
-        if run.stride == 0 {
-            f(run.first, run.reps as u64);
             return;
         }
         let (first, s, reps) = (run.first as i64, run.stride as i64, run.reps as i64);
@@ -850,16 +802,6 @@ struct OwnerRun {
     owner: u32,
 }
 
-impl OwnerRun {
-    /// Make this the run holding page `q`, unless it already is.
-    #[inline]
-    fn reach(&mut self, placement: &Placement, q: i64) {
-        if q < self.start || q >= self.end {
-            *self = placement.owner_run(q);
-        }
-    }
-}
-
 /// Weights of pages summed by residue mod `p`, in a circular difference
 /// array: a range of pages is O(1) to add however long it is, and a range
 /// that starts less than `p` pages after the last one takes its residue
@@ -867,31 +809,17 @@ impl OwnerRun {
 #[derive(Debug)]
 struct Residues {
     diff: Vec<u64>,
-    /// Added to every residue.
-    all: u64,
     /// The first page of the last range added, and its residue.
     last: (usize, usize),
 }
 
 impl Residues {
-    fn new(p: usize) -> Residues {
-        Residues {
-            diff: vec![0; p + 1],
-            all: 0,
-            last: (0, 0),
-        }
-    }
-
     /// Add `weight` on each of pages `q0..q1`.
     fn add(&mut self, q0: usize, q1: usize, weight: u64) {
         let p = self.diff.len() - 1;
         let len = q1.saturating_sub(q0);
-        let rest = if len < p {
-            len
-        } else {
-            self.all += (len / p) as u64 * weight;
-            len % p
-        };
+        // Whole periods add to every residue.
+        self.diff[0] = self.diff[0].wrapping_add((len / p) as u64 * weight);
         let start = match q0.checked_sub(self.last.0) {
             Some(gap) if gap < p => match self.last.1 + gap {
                 x if x >= p => x - p,
@@ -899,6 +827,7 @@ impl Residues {
             },
             _ => q0 % p,
         };
+        let rest = len % p;
         self.last = (q0, start);
         let mut range = |a: usize, b: usize| {
             self.diff[a] = self.diff[a].wrapping_add(weight);
@@ -917,7 +846,7 @@ impl Residues {
         let p = self.diff.len() - 1;
         self.diff[..p]
             .iter()
-            .scan(self.all, |sum, &d| {
+            .scan(0u64, |sum, &d| {
                 *sum = sum.wrapping_add(d);
                 Some(*sum)
             })
@@ -957,105 +886,6 @@ impl PageRun {
     /// One past the last page of the first run.
     pub fn end(&self) -> usize {
         self.first + self.pages
-    }
-}
-
-/// Prices translation reads ([`FetchProfile`]) under one placement,
-/// keeping the table of page owners a walk builds for the next read.
-#[derive(Debug)]
-pub struct FetchPricer<'p> {
-    placement: &'p Placement,
-    owners: OnceCell<Vec<u32>>,
-}
-
-impl FetchPricer<'_> {
-    /// A lower bound on the remote pages the PEs fetch for the translation
-    /// read `read`.
-    ///
-    /// Owner-computes runs an instance on the PE owning its anchor's page,
-    /// and a PE fetches every remote page it reads at least once, whatever
-    /// its cache: the floor counts distinct (PE, read page) pairs with the
-    /// PE not the page's owner. With `shift = m · ps + r`, `0 ≤ r < ps`,
-    /// the anchors on page `q` below `ps − r` read page `q + m` and the
-    /// others page `q + m + 1`; the profile's classes say which of the two
-    /// parts certainly hold an anchor. A pair is counted from one anchor
-    /// page only: page `q + m + 1` from page `q` only when page `q + 1` has
-    /// another owner, and a page with neither part certain counts one pair,
-    /// when both candidates are remote and no neighbour shares its owner.
-    /// So a page's contribution depends on its class and on the owners of
-    /// up to five pages around it: its pieces are priced like
-    /// [`Placement::count_owned_pages`]'s, walked where those owners are
-    /// constant (or read from the table of page owners when that meets most
-    /// pages anyway), or per residue class under a period.
-    pub fn count_fetched_pages(&self, read: &FetchProfile) -> u64 {
-        self.placement.count_fetched_pages(read, &self.owners)
-    }
-}
-
-/// One *translation read* of a statement, ready to be priced under any
-/// placement at its page size ([`FetchPricer::count_fetched_pages`]): the
-/// read whose address is the anchor's plus `shift`, in an array shaped
-/// like the anchor's, so placed alike. Every read is taken to be inside
-/// the array.
-///
-/// It is made from the statement's anchored instances per page of the
-/// anchor's array, each page in at most one run. With
-/// `shift = m · ps + r`, `0 ≤ r < ps`, the anchors on a page below
-/// `ps − r` read page `q + m` and the others page `q + m + 1`; when no two
-/// instances share an anchor element, `c` anchors on a page certainly
-/// reach the first part when `c > r` and the second when `c > ps − r`
-/// (pigeonhole). Neighbouring runs whose counts have one class merge: a
-/// price depends on the class, not the count.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FetchProfile {
-    page_size: usize,
-    shift: i64,
-    /// Runs of anchor pages with their class: bit 0 when the first part
-    /// certainly holds an anchor, bit 1 the second.
-    runs: Vec<(PageRun, u8)>,
-}
-
-impl FetchProfile {
-    /// The read `shift` elements from the anchors of `runs`, on pages of
-    /// `page_size` elements; `distinct` says that no two instances share
-    /// an anchor element.
-    pub fn new<'r>(
-        runs: impl IntoIterator<Item = &'r PageRun>,
-        shift: i64,
-        page_size: usize,
-        distinct: bool,
-    ) -> FetchProfile {
-        let ps = page_size as i64;
-        let r = shift.rem_euclid(ps) as u64;
-        let class = |count: u64| {
-            let lower = count > r && (distinct || r == 0);
-            let upper = distinct && r > 0 && count > ps as u64 - r;
-            u8::from(lower) | u8::from(upper) << 1
-        };
-        let mut merged: Vec<(PageRun, u8)> = Vec::new();
-        for run in runs
-            .into_iter()
-            .filter(|run| run.count > 0 && run.pages > 0)
-        {
-            let run = match run.stride {
-                0 => PageRun::new(run.first, run.pages, run.count * run.reps as u64),
-                _ => *run,
-            };
-            let c = class(run.count);
-            match merged.last_mut() {
-                Some((last, lc))
-                    if *lc == c && last.reps == 1 && run.reps == 1 && last.end() == run.first =>
-                {
-                    last.pages += run.pages;
-                }
-                _ => merged.push((run, c)),
-            }
-        }
-        FetchProfile {
-            page_size,
-            shift,
-            runs: merged,
-        }
     }
 }
 
@@ -1399,7 +1229,7 @@ mod tests {
     }
 
     #[test]
-    fn owner_runs_and_owner_ranges_agree_with_brute_force() {
+    fn owner_runs_owner_ranges_and_owner_tables_agree_with_brute_force() {
         for shape in shapes() {
             for scheme in schemes() {
                 let banded = matches!(scheme, PartitionScheme::Block | PartitionScheme::RowBand);
@@ -1408,6 +1238,9 @@ mod tests {
                     let pages = pl.pages() as i64;
                     let at = |q: i64| pl.page_owner(q as usize);
                     let period = pl.period().map_or(0, |t| (t / ps) as i64);
+                    let table = pl.owner_table(pages as usize);
+                    let want = (0..pages).map(|q| at(q) as u32);
+                    assert!(table.into_iter().eq(want), "{scheme:?} {shape:?} {n}x{ps}");
                     for plo in (0..pages).step_by((pages as usize / 48).max(1)) {
                         for phi in plo..pages.min(plo + 9) {
                             let owners = pl.owners(plo as usize, phi as usize);
@@ -1458,31 +1291,6 @@ mod tests {
             [0, 1, 6, 7]
         );
         assert_eq!(PeRange::none(8).union(union), union);
-    }
-
-    #[test]
-    fn owner_tables_and_windows_agree_with_page_owners() {
-        let mut shapes = shapes();
-        shapes.push(ArrayShape::from_dims(&[40, 96]));
-        shapes.push(ArrayShape::from_dims(&[26, 102, 26]));
-        for shape in shapes {
-            for scheme in schemes() {
-                for (n, ps) in [(1usize, 8usize), (3, 1), (4, 3), (7, 8), (16, 2), (5, 200)] {
-                    let pl = Placement::new(scheme, ps, n, shape);
-                    let want: Vec<u32> = (0..pl.pages()).map(|q| pl.page_owner(q) as u32).collect();
-                    assert_eq!(pl.owner_table(), want, "{scheme:?} {shape:?} n={n} ps={ps}");
-                    let pages = pl.pages();
-                    for (a, b) in [(1, pages), (pages / 3, pages / 2), (pages / 2, pages)] {
-                        let (a, b) = (a.min(b), b);
-                        assert_eq!(
-                            pl.owner_window(a, b),
-                            want[a..b],
-                            "{scheme:?} {shape:?} [{a},{b})"
-                        );
-                    }
-                }
-            }
-        }
     }
 
     #[test]
@@ -1579,6 +1387,48 @@ mod tests {
             .collect()
     }
 
+    /// `runs` of anchor counts with the class of their pages for the read
+    /// `shift` elements on: bit 0 when the first part of the page certainly
+    /// holds an anchor, bit 1 the second — by pigeonhole, when no two
+    /// anchors share an element (`distinct`).
+    fn classed(runs: &[PageRun], shift: i64, ps: usize, distinct: bool) -> Vec<(PageRun, u8)> {
+        let r = shift.rem_euclid(ps as i64) as u64;
+        let class = |count: u64| {
+            let lower = count > r && (distinct || r == 0);
+            let upper = distinct && r > 0 && count > ps as u64 - r;
+            u8::from(lower) | u8::from(upper) << 1
+        };
+        runs.iter().map(|run| (*run, class(run.count))).collect()
+    }
+
+    /// [`Placement::count_fetched_pages`]'s documented rule, page by page,
+    /// every owner asked of `page_owner`.
+    fn floor_by_page(pl: &Placement, shift: i64, runs: &[(PageRun, u8)]) -> u64 {
+        let (ps, pages) = (pl.page_size as i64, pl.pages() as i64);
+        let (m, r) = (shift.div_euclid(ps), shift.rem_euclid(ps));
+        let owner = |q: i64| (0..pages).contains(&q).then(|| pl.page_owner(q as usize));
+        let mut floor = 0;
+        for &(run, class) in runs {
+            for k in 0..run.reps {
+                let first = (run.first + k * run.stride) as i64;
+                for q in first..first + run.pages as i64 {
+                    let own = owner(q);
+                    let remote = |p: i64| owner(p).is_some_and(|pe| Some(pe) != own);
+                    let (first_part, second_part) = (remote(q + m), r > 0 && remote(q + m + 1));
+                    let alone = owner(q + 1) != own;
+                    floor += match class {
+                        0 => u64::from(first_part && second_part && alone && owner(q - 1) != own),
+                        _ => {
+                            u64::from(class & 1 != 0 && first_part)
+                                + u64::from(class & 2 != 0 && second_part && alone)
+                        }
+                    };
+                }
+            }
+        }
+        floor
+    }
+
     #[test]
     fn fetched_page_floors_never_exceed_the_fetches_and_miss_at_most_one_when_dense() {
         let mut shapes = shapes();
@@ -1607,6 +1457,15 @@ mod tests {
                         -13,
                         2 * ps as i64 + 1,
                     ];
+                    // The priced floor is the documented rule's, for all
+                    // runs at once (residues or a table) and for each run
+                    // alone (a walk).
+                    let exact = |shift: i64, read: &[(PageRun, u8)], at: &str| {
+                        for runs in std::iter::once(read).chain(read.chunks(1)) {
+                            let got = pl.count_fetched_pages(shift, runs, &mut None);
+                            assert_eq!(got, floor_by_page(&pl, shift, runs), "{at}: {runs:?}");
+                        }
+                    };
                     for (anchors, distinct) in &sets {
                         for shift in shifts {
                             // A read outside the array is a program error.
@@ -1616,8 +1475,8 @@ mod tests {
                                 anchors.iter().filter(inside).copied().collect();
                             let runs = page_runs(&anchors, ps);
                             let want = fetched_pages(&pl, &anchors, shift);
-                            let read = FetchProfile::new(&runs, shift, ps, *distinct);
-                            let got = pl.fetch_pricer().count_fetched_pages(&read);
+                            let read = classed(&runs, shift, ps, *distinct);
+                            let got = pl.count_fetched_pages(shift, &read, &mut None);
                             let at = format!("{scheme:?} {shape:?} n={n} ps={ps} shift={shift}");
                             assert!(got <= want, "{at}: floor {got} above {want} fetches");
                             // One range of whole pages of anchors: exact but
@@ -1628,6 +1487,12 @@ mod tests {
                             if *distinct && whole && one_range {
                                 assert!(got + 1 >= want, "{at}: floor {got} of {want} fetches");
                             }
+                            exact(shift, &read, &at);
+                            // Long runs: the array's halves, full and sparse.
+                            let half = pl.pages() / 2;
+                            let halves = [(0, half, ps), (half, pl.pages() - half, 1)];
+                            let halves = halves.map(|(q, len, c)| PageRun::new(q, len, c as u64));
+                            exact(shift, &classed(&halves, shift, ps, *distinct), &at);
                         }
                     }
                     // Translates price like the runs they stand for.
@@ -1646,14 +1511,16 @@ mod tests {
                             .collect();
                         for shift in shifts {
                             let price = |runs: &[PageRun]| {
-                                let read = FetchProfile::new(runs, shift, ps, true);
-                                pl.fetch_pricer().count_fetched_pages(&read)
+                                let read = classed(runs, shift, ps, true);
+                                pl.count_fetched_pages(shift, &read, &mut None)
                             };
                             assert_eq!(
                                 price(&[run]),
                                 price(&spread),
                                 "{scheme:?} {shape:?} n={n} ps={ps} shift={shift} {run:?}"
                             );
+                            let at = format!("{scheme:?} {shape:?} n={n} ps={ps} shift={shift}");
+                            exact(shift, &classed(&[run], shift, ps, true), &at);
                         }
                     }
                 }

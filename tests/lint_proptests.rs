@@ -40,7 +40,7 @@ use sapp::ir::{
     AffineIndex, ArrayId, Expr, IndexExpr, InitPattern, IrError, LoopNest, LoopVar, Phase, Program,
     ProgramBuilder, ReduceOp, Stmt,
 };
-use sapp::lint::depgraph::{project, project_by_instance};
+use sapp::lint::profile::{project, project_by_instance};
 use sapp::lint::{self, Code, DepGraph, LintConfig, Severity};
 use sapp::loops::suite::Family;
 use sapp::machine::{MachineConfig, PartitionScheme};

@@ -23,7 +23,7 @@
 //!    exhaustive parallel sweep on every registry workload, with the
 //!    pruned fraction logged.
 //! 5. **Profile projection ≡ instance enumerator ≡ simulator** — the
-//!    pruning bound's `depgraph::project` (an anchor profile priced under
+//!    pruning bound's `profile::project` (an anchor profile priced under
 //!    one placement) returns what enumerating every statement instance
 //!    returns, on the whole registry at reduced and official sizes across
 //!    all five scheme families, its per-PE writes are the simulator's, and
@@ -43,7 +43,7 @@ use sapp::core::{
 };
 use sapp::ir::index::iv;
 use sapp::ir::{AffineIndex, ArrayId, InitPattern, ProgramBuilder};
-use sapp::lint::depgraph::{first_indirect_ref, project, project_by_instance, AnchorProfile};
+use sapp::lint::profile::{first_indirect_ref, project, project_by_instance, AnchorProfile};
 use sapp::lint::{self, Code, DepGraph, LintConfig, Severity};
 use sapp::loops::suite::Family;
 use sapp::loops::{reduced_suite, workloads};

@@ -53,7 +53,7 @@ use sapp::core::search::{search_exhaustive_with, Objective, SearchSpace};
 use sapp::core::FastCountingOracle;
 use sapp::ir::index::iv;
 use sapp::ir::{InitPattern, Program, ProgramBuilder};
-use sapp::lint::depgraph::{first_indirect_ref, project_by_instance, read_count, AnchorProfile};
+use sapp::lint::profile::{first_indirect_ref, project_by_instance, read_count, AnchorProfile};
 use sapp::lint::LintConfig;
 use sapp::loops::{reduced_suite, suite, workload, workloads, Kernel, Size};
 use sapp::machine::{NetworkTopology, PartitionScheme};
