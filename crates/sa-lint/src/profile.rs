@@ -14,7 +14,7 @@ use sa_ir::index::AffineIndex;
 use sa_ir::nest::{ArrayRef, LoopNest, LoopVar, Stmt};
 use sa_ir::{ArrayId, LinForm, Program};
 use sa_machine::partition::pages_in;
-use sa_machine::{PageRun, PartitionScheme, Placement};
+use sa_machine::{FetchPricer, PageRun, PartitionScheme, Placement};
 
 use crate::depgraph::{instance_owner, schedule, InstanceError};
 use crate::screening::iteration;
@@ -78,18 +78,12 @@ pub fn read_count(program: &Program) -> Option<u64> {
     if first_indirect_ref(program).is_some() {
         return None;
     }
-    let reads = |nest: &LoopNest| {
-        nest.body
-            .iter()
-            .map(|s| s.reads().len() as u64)
-            .sum::<u64>()
-    };
-    Some(
-        program
-            .nests()
-            .map(|nest| nest.iteration_count() as u64 * reads(nest))
-            .sum(),
-    )
+    let mut reads = 0;
+    for nest in program.nests() {
+        let per_trip: usize = nest.body.iter().map(|s| s.reads().len()).sum();
+        reads += nest.iteration_count() as u64 * per_trip as u64;
+    }
+    Some(reads)
 }
 
 /// The first reference, in program order (a statement's write target
@@ -150,7 +144,7 @@ struct Profiled {
 /// One anchored statement's *translation reads*: the reads of an array
 /// shaped like its anchor's, at the anchor's address plus a constant, so
 /// on pages that follow the anchor's under every placement
-/// ([`Placement::count_fetched_pages`]).
+/// ([`FetchPricer::count_fetched_pages`]).
 #[derive(Debug)]
 struct Fetches {
     /// The anchor's array, placed like every array read here.
@@ -212,7 +206,7 @@ impl<'p> AnchorProfile<'p> {
     /// A floor on the remote reads of any run under `scheme` on `n_pes`
     /// PEs, at the profiled page size, whatever its cache: the distinct
     /// (PE, remote page) pairs of each statement's translation reads
-    /// ([`Placement::count_fetched_pages`]). Reads of one array from
+    /// ([`FetchPricer::count_fetched_pages`]). Reads of one array from
     /// different statements may share pairs, so each array counts its
     /// largest. `None` when the program is not profiled or the shape is
     /// invalid.
@@ -221,11 +215,10 @@ impl<'p> AnchorProfile<'p> {
         let dims = self.program.arrays.iter().map(|d| &d.dims);
         let placements = Placement::table(dims, scheme, self.page_size, n_pes).ok()?;
         let mut largest: Vec<u64> = vec![0; self.program.arrays.len()];
-        let mut owners = vec![None; placements.len()];
+        let mut pricers: Vec<_> = placements.iter().map(Placement::fetch_pricer).collect();
         for f in &p.fetches {
             for (array, shift, runs) in &f.reads {
-                let (placement, owners) = (&placements[f.array.0], &mut owners[f.array.0]);
-                let floor = placement.count_fetched_pages(*shift, runs, owners);
+                let floor = pricers[f.array.0].count_fetched_pages(*shift, runs);
                 largest[array.0] = largest[array.0].max(floor);
             }
         }
@@ -236,26 +229,18 @@ impl<'p> AnchorProfile<'p> {
 /// Anchor pages with their class for one translation read.
 type ClassedRuns = Vec<(PageRun, u8)>;
 
-/// `runs` with the class of their pages ([`Placement::count_fetched_pages`])
-/// for the read `shift` elements on, pages of `page_size = ps`: when no two
-/// instances share an anchor element (`distinct`), `c` anchors on a page
-/// certainly reach its first part when `c > r` and its second when
-/// `c > ps − r`, `r = shift mod ps`. Runs of one class merge.
+/// `runs` with the class of their pages ([`FetchPricer::class`]) for the
+/// read `shift` elements on, pages of `page_size`. Runs of one class
+/// merge.
 fn classed_runs<'r>(
     runs: impl IntoIterator<Item = &'r PageRun>,
     shift: i64,
     page_size: usize,
     distinct: bool,
 ) -> ClassedRuns {
-    let (ps, r) = (page_size as u64, shift.rem_euclid(page_size as i64) as u64);
-    let class = |count: u64| {
-        let lower = count > r && (distinct || r == 0);
-        let upper = distinct && r > 0 && count > ps - r;
-        u8::from(lower) | u8::from(upper) << 1
-    };
     let mut merged: Vec<(PageRun, u8)> = Vec::new();
     for run in runs {
-        let c = class(run.count);
+        let c = FetchPricer::class(run.count, shift, page_size, distinct);
         match merged.last_mut() {
             Some((last, lc))
                 if *lc == c && last.reps == 1 && run.reps == 1 && last.end() == run.first =>
@@ -414,7 +399,7 @@ fn injective(form: &LinForm, loops: &[LoopVar], vars: &[(i128, i128)]) -> bool {
 /// ones that stand once, which come first and are disjoint, and each
 /// translated run whose translates neither overlap each other nor any run
 /// kept before it. Dropping a run leaves a floor a floor
-/// ([`Placement::count_fetched_pages`]).
+/// ([`FetchPricer::count_fetched_pages`]).
 fn disjoint_runs(runs: &[PageRun]) -> impl Iterator<Item = &PageRun> + Clone {
     let (plain, translated) = runs.split_at(runs.partition_point(|r| r.reps == 1));
     // Whether some translate of `t` meets pages `a..b`.
@@ -793,14 +778,9 @@ mod tests {
                 for (array, [writes, others]) in want.iter().enumerate() {
                     assert_eq!(summed(&p.writes[array]), *writes, "{at}: writes on {array}");
                     assert_eq!(summed(&p.others[array]), *others, "{at}: others on {array}");
-                    assert!(
-                        once(pages(disjoint_runs(&p.writes[array]))),
-                        "{at}: a page twice"
-                    );
-                    assert!(
-                        once(pages(disjoint_runs(&p.others[array]))),
-                        "{at}: a page twice"
-                    );
+                    for runs in [&p.writes[array], &p.others[array]] {
+                        assert!(once(pages(disjoint_runs(runs))), "{at}: a page twice");
+                    }
                 }
                 for (_, _, runs) in p.fetches.iter().flat_map(|f| &f.reads) {
                     assert!(

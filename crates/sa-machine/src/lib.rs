@@ -38,6 +38,6 @@ pub use host::{host_of, ReinitSync};
 pub use machine::{DistributedMachine, MachineError};
 pub use network::{Network, NetworkTopology};
 pub use partition::{page_of, pages_in, PartitionScheme};
-pub use placement::{ArrayShape, PageRun, PeRange, Placement};
+pub use placement::{ArrayShape, FetchPricer, PageRun, PeRange, Placement};
 pub use stats::{load_balance, AccessKind, LoadBalance, PeCounters, Stats};
 pub use timing::AccessCosts;

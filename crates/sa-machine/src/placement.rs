@@ -418,58 +418,13 @@ impl Placement {
         });
     }
 
-    /// A lower bound on the remote pages the PEs fetch for one translation
-    /// read: the read `shift` elements from the anchors on the pages of
-    /// `runs`, in an array placed like the anchors'. Each run carries the
-    /// class of its pages, and no page is in two runs.
-    ///
-    /// Owner-computes runs an instance on the PE owning its anchor's page,
-    /// and a PE fetches every remote page it reads at least once, whatever
-    /// its cache: the floor counts distinct (PE, read page) pairs with the
-    /// PE not the page's owner. With `shift = m · ps + r`, `0 ≤ r < ps`,
-    /// the anchors on page `q` below `ps − r` read page `q + m` and the
-    /// others page `q + m + 1`; a page's class says which of the two parts
-    /// certainly hold an anchor (bit 0 the first, bit 1 the second). A pair
-    /// is counted from one anchor page only: page `q + m + 1` from page `q`
-    /// only when page `q + 1` has another owner, and a page with neither
-    /// part certain counts one pair, when both candidates are remote and no
-    /// neighbour shares its owner. So a page's price depends on its class
-    /// and on the owners of five pages around it, its roles for
-    /// `Placement::price_runs`. A table of page owners that pricing
-    /// builds is kept in `owner_table`, for the next read under this
-    /// placement.
-    pub fn count_fetched_pages(
-        &self,
-        shift: i64,
-        runs: &[(PageRun, u8)],
-        owner_table: &mut Option<Vec<u32>>,
-    ) -> u64 {
-        let ps = self.page_size as i64;
-        let (m, r) = (shift.div_euclid(ps), shift.rem_euclid(ps));
-        // Before, itself, after, and the two pages its reads may reach.
-        // Without `r` only the page and the one its reads reach count: the
-        // other roles repeat the page itself, and no price looks at them.
-        let roles = match r {
-            0 => [0, 0, 0, m, 0],
-            _ => [-1, 0, 1, m, m + 1],
-        };
-        let runs = runs
-            .iter()
-            .map(|(run, class)| (run, usize::from(*class), 1));
-        let mut floor = 0;
-        self.price_runs(roles, runs, owner_table, |class, o, pages| {
-            let remote = |pe: u32| pe != NO_PAGE && pe != o[1];
-            let alone = o[2] != o[1];
-            let price = match class {
-                0 => u64::from(r > 0 && remote(o[3]) && remote(o[4]) && alone && o[0] != o[1]),
-                _ => {
-                    u64::from(class & 1 != 0 && remote(o[3]))
-                        + u64::from(class & 2 != 0 && remote(o[4]) && alone)
-                }
-            };
-            floor += pages * price;
-        });
-        floor
+    /// A pricer of translation reads under this placement
+    /// ([`FetchPricer::count_fetched_pages`]).
+    pub fn fetch_pricer(&self) -> FetchPricer<'_> {
+        FetchPricer {
+            placement: self,
+            owner_table: None,
+        }
     }
 
     /// The one pricer of page runs against owners. Each of `runs` is a
@@ -535,13 +490,8 @@ impl Placement {
                     let (lo, hi) = ((first + o) as usize, (end - 1 + o) as usize);
                     self.same_owner_run(lo, hi, run.stride as i64)
                 };
-                let most = roles
-                    .iter()
-                    .try_fold(room, |most, &o| match most.min(moved(o)) {
-                        0 => None,
-                        most => Some(most),
-                    });
-                most.unwrap_or(0)
+                let most = |most: u64, &o: &i64| if most == 0 { 0 } else { most.min(moved(o)) };
+                roles.iter().fold(room, most)
             };
             self.pieces(run, periodic.clone(), alike, |first, times| {
                 translated.push((first, run.pages, tag, weight * times));
@@ -585,12 +535,10 @@ impl Placement {
                 q = end;
             }
         };
+        let clamp = |q: i64| q.clamp(inner.start, inner.end);
         for (first, pages, tag, weight) in pieces() {
             let (q0, q1) = (first as i64, (first + pages) as i64);
-            let (a, b) = (
-                q0.clamp(inner.start, inner.end),
-                q1.clamp(inner.start, inner.end),
-            );
+            let (a, b) = (clamp(q0), clamp(q1));
             if q0 < a || b < q1 {
                 walk(q0, a.min(q1), tag, weight);
                 walk(b.max(q0), q1, tag, weight);
@@ -688,8 +636,8 @@ impl Placement {
     }
 
     /// Call `f(first, times)` on pieces of `run`, translated by a nonzero
-    /// stride: a translate by its first
-    /// page, standing for itself and `times − 1` others that price alike.
+    /// stride: a translate by its first page, standing for itself and
+    /// `times − 1` others that price alike.
     /// Consecutive translates price alike while `alike(first)` says so;
     /// and with `periodic = (p, pages)`, where prices repeat every `p`
     /// pages inside `pages`, the translates inside it price alike every
@@ -715,11 +663,8 @@ impl Placement {
                     .clamp(0, reps);
                 let k1 = ((inside.end as i64 - run.pages as i64 - first).div_euclid(s) + 1)
                     .clamp(k0, reps);
-                (
-                    k0,
-                    k1,
-                    p as i64 / gcd((run.stride % p) as u64, p as u64) as i64,
-                )
+                let cycle = p / gcd((run.stride % p) as u64, p as u64) as usize;
+                (k0, k1, cycle as i64)
             }
             None => (0, 0, 1),
         };
@@ -753,19 +698,11 @@ impl Placement {
     /// its side.
     fn owner_run(&self, q: i64) -> OwnerRun {
         let total = self.pages() as i64;
-        if q < 0 {
-            return OwnerRun {
-                start: i64::MIN,
-                end: 0,
-                owner: NO_PAGE,
-            };
-        }
-        if q >= total {
-            return OwnerRun {
-                start: total,
-                end: i64::MAX,
-                owner: NO_PAGE,
-            };
+        if !(0..total).contains(&q) {
+            let start = if q < 0 { i64::MIN } else { total };
+            let end = if q < 0 { 0 } else { i64::MAX };
+            let owner = NO_PAGE;
+            return OwnerRun { start, end, owner };
         }
         let (ps, t) = (self.page_size, &self.tiling);
         let e = q as usize * ps;
@@ -851,6 +788,80 @@ impl Residues {
                 Some(*sum)
             })
             .collect()
+    }
+}
+
+/// Prices translation reads under one placement, keeping the table of
+/// page owners that pricing builds for the next read.
+#[derive(Debug)]
+pub struct FetchPricer<'p> {
+    placement: &'p Placement,
+    owner_table: Option<Vec<u32>>,
+}
+
+impl FetchPricer<'_> {
+    /// A lower bound on the remote pages the PEs fetch for one translation
+    /// read: the read `shift` elements from the anchors on the pages of
+    /// `runs`, in an array placed like the anchors'. Each run carries the
+    /// class of its pages ([`FetchPricer::class`]); no page is in two
+    /// runs, and a run with translates has a stride.
+    ///
+    /// Owner-computes runs an instance on the PE owning its anchor's page,
+    /// and a PE fetches every remote page it reads at least once, whatever
+    /// its cache: the floor counts distinct (PE, read page) pairs with the
+    /// PE not the page's owner. With `shift = m · ps + r`, `0 ≤ r < ps`,
+    /// the anchors on page `q` below `ps − r` read page `q + m` and the
+    /// others page `q + m + 1`; a page's class says which of the two parts
+    /// certainly hold an anchor. A pair is counted from one anchor page
+    /// only: page `q + m + 1` from page `q` only when page `q + 1` has
+    /// another owner, and a page with neither part certain counts one
+    /// pair, when both candidates are remote and no neighbour shares its
+    /// owner. So a page's price depends on its class and on the owners of
+    /// five pages around it, its roles for `Placement::price_runs`.
+    pub fn count_fetched_pages(&mut self, shift: i64, runs: &[(PageRun, u8)]) -> u64 {
+        debug_assert!(runs.iter().all(|(run, _)| run.stride > 0 || run.reps == 1));
+        let ps = self.placement.page_size as i64;
+        let (m, r) = (shift.div_euclid(ps), shift.rem_euclid(ps));
+        // Before, itself, after, and the two pages its reads may reach.
+        // Without `r` only the page and the one its reads reach count: the
+        // other roles repeat the page itself, and no price looks at them.
+        let roles = match r {
+            0 => [0, 0, 0, m, 0],
+            _ => [-1, 0, 1, m, m + 1],
+        };
+        let runs = runs
+            .iter()
+            .map(|(run, class)| (run, usize::from(*class), 1));
+        let mut floor = 0;
+        let table = &mut self.owner_table;
+        self.placement
+            .price_runs(roles, runs, table, |class, o, pages| {
+                let remote = |pe: u32| pe != NO_PAGE && pe != o[1];
+                let alone = o[2] != o[1];
+                let price = match class {
+                    0 => u64::from(r > 0 && remote(o[3]) && remote(o[4]) && alone && o[0] != o[1]),
+                    _ => {
+                        u64::from(class & 1 != 0 && remote(o[3]))
+                            + u64::from(class & 2 != 0 && remote(o[4]) && alone)
+                    }
+                };
+                floor += pages * price;
+            });
+        floor
+    }
+
+    /// The class of an anchor page holding `count` anchors for the read
+    /// `shift` elements on, pages of `page_size = ps`: bit 0 when the
+    /// page's first part certainly holds an anchor, bit 1 its second. By
+    /// pigeonhole, when no two instances share an anchor element
+    /// (`distinct`), `count` anchors certainly reach the first part when
+    /// `count > r` and the second when `count > ps − r`, `r = shift mod
+    /// ps`; else only a count above 0 at `r = 0`, all one part, is sure.
+    pub fn class(count: u64, shift: i64, page_size: usize, distinct: bool) -> u8 {
+        let (ps, r) = (page_size as u64, shift.rem_euclid(page_size as i64) as u64);
+        let lower = count > r && (distinct || r == 0);
+        let upper = distinct && r > 0 && count > ps - r;
+        u8::from(lower) | u8::from(upper) << 1
     }
 }
 
@@ -1229,7 +1240,24 @@ mod tests {
     }
 
     #[test]
-    fn owner_runs_owner_ranges_and_owner_tables_agree_with_brute_force() {
+    fn owner_tables_agree_with_page_owners() {
+        let mut shapes = shapes();
+        shapes.push(ArrayShape::from_dims(&[40, 96]));
+        shapes.push(ArrayShape::from_dims(&[26, 102, 26]));
+        for shape in shapes {
+            for scheme in schemes() {
+                for (n, ps) in [(1usize, 8usize), (3, 1), (4, 3), (7, 8), (16, 2), (5, 200)] {
+                    let pl = Placement::new(scheme, ps, n, shape);
+                    let want: Vec<u32> = (0..pl.pages()).map(|q| pl.page_owner(q) as u32).collect();
+                    let table = pl.owner_table(pl.pages());
+                    assert_eq!(table, want, "{scheme:?} {shape:?} n={n} ps={ps}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn owner_runs_and_owner_ranges_agree_with_brute_force() {
         for shape in shapes() {
             for scheme in schemes() {
                 let banded = matches!(scheme, PartitionScheme::Block | PartitionScheme::RowBand);
@@ -1238,9 +1266,6 @@ mod tests {
                     let pages = pl.pages() as i64;
                     let at = |q: i64| pl.page_owner(q as usize);
                     let period = pl.period().map_or(0, |t| (t / ps) as i64);
-                    let table = pl.owner_table(pages as usize);
-                    let want = (0..pages).map(|q| at(q) as u32);
-                    assert!(table.into_iter().eq(want), "{scheme:?} {shape:?} {n}x{ps}");
                     for plo in (0..pages).step_by((pages as usize / 48).max(1)) {
                         for phi in plo..pages.min(plo + 9) {
                             let owners = pl.owners(plo as usize, phi as usize);
@@ -1388,20 +1413,13 @@ mod tests {
     }
 
     /// `runs` of anchor counts with the class of their pages for the read
-    /// `shift` elements on: bit 0 when the first part of the page certainly
-    /// holds an anchor, bit 1 the second — by pigeonhole, when no two
-    /// anchors share an element (`distinct`).
+    /// `shift` elements on.
     fn classed(runs: &[PageRun], shift: i64, ps: usize, distinct: bool) -> Vec<(PageRun, u8)> {
-        let r = shift.rem_euclid(ps as i64) as u64;
-        let class = |count: u64| {
-            let lower = count > r && (distinct || r == 0);
-            let upper = distinct && r > 0 && count > ps as u64 - r;
-            u8::from(lower) | u8::from(upper) << 1
-        };
-        runs.iter().map(|run| (*run, class(run.count))).collect()
+        let class = |run: &PageRun| FetchPricer::class(run.count, shift, ps, distinct);
+        runs.iter().map(|run| (*run, class(run))).collect()
     }
 
-    /// [`Placement::count_fetched_pages`]'s documented rule, page by page,
+    /// [`FetchPricer::count_fetched_pages`]'s documented rule, page by page,
     /// every owner asked of `page_owner`.
     fn floor_by_page(pl: &Placement, shift: i64, runs: &[(PageRun, u8)]) -> u64 {
         let (ps, pages) = (pl.page_size as i64, pl.pages() as i64);
@@ -1462,7 +1480,7 @@ mod tests {
                     // alone (a walk).
                     let exact = |shift: i64, read: &[(PageRun, u8)], at: &str| {
                         for runs in std::iter::once(read).chain(read.chunks(1)) {
-                            let got = pl.count_fetched_pages(shift, runs, &mut None);
+                            let got = pl.fetch_pricer().count_fetched_pages(shift, runs);
                             assert_eq!(got, floor_by_page(&pl, shift, runs), "{at}: {runs:?}");
                         }
                     };
@@ -1476,7 +1494,7 @@ mod tests {
                             let runs = page_runs(&anchors, ps);
                             let want = fetched_pages(&pl, &anchors, shift);
                             let read = classed(&runs, shift, ps, *distinct);
-                            let got = pl.count_fetched_pages(shift, &read, &mut None);
+                            let got = pl.fetch_pricer().count_fetched_pages(shift, &read);
                             let at = format!("{scheme:?} {shape:?} n={n} ps={ps} shift={shift}");
                             assert!(got <= want, "{at}: floor {got} above {want} fetches");
                             // One range of whole pages of anchors: exact but
@@ -1512,7 +1530,7 @@ mod tests {
                         for shift in shifts {
                             let price = |runs: &[PageRun]| {
                                 let read = classed(runs, shift, ps, true);
-                                pl.count_fetched_pages(shift, &read, &mut None)
+                                pl.fetch_pricer().count_fetched_pages(shift, &read)
                             };
                             assert_eq!(
                                 price(&[run]),
