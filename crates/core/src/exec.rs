@@ -9,6 +9,20 @@
 //! legal parallel order: placement is static, and each PE's cache state
 //! depends only on that PE's own access subsequence, whose relative order
 //! the global order preserves.
+//!
+//! # Capped counting
+//!
+//! The instance loop takes a remote-read cap, under the contract replay's
+//! capped count meets ([`crate::replay`], § Capped counting): the run
+//! answers [`Capped::Exceeded`] exactly when its remote reads reach the
+//! cap, and otherwise every count. The loop tallies remote reads as the
+//! machine classifies them, checks the tally before each trip and once
+//! more at the end, and stops at the first trip that finds the cap
+//! reached — so a cap of 0 is `Exceeded` even for a run with no instances
+//! or no reads. A run that fails stops first where it can: it answers its
+//! error unless the remote reads charged before the failing instance's
+//! trip reach the cap, and `Exceeded` if they do. [`simulate`] and
+//! [`run`] are the same loop with no cap (`u64::MAX`).
 
 use sa_ir::analysis::StaticArrays;
 use sa_ir::body::NestBody;
@@ -20,6 +34,8 @@ use sa_lint::screening::Schedule;
 use sa_machine::machine::ArraySpec;
 use sa_machine::{AccessKind, DistributedMachine, MachineConfig, MachineError, Stats};
 use sa_mem::SaArray;
+
+use crate::replay::Capped;
 
 /// Errors from distributed execution.
 #[derive(Debug, Clone, PartialEq)]
@@ -126,6 +142,8 @@ struct CountingMem<'m, O> {
     machine: &'m mut DistributedMachine,
     pe: usize,
     obs: &'m mut O,
+    /// Remote reads charged so far in the run.
+    remote: &'m mut u64,
 }
 
 impl<O: Observer> Memory for CountingMem<'_, O> {
@@ -142,6 +160,7 @@ impl<O: Observer> Memory for CountingMem<'_, O> {
     ) -> Result<f64, IrError> {
         match self.machine.read(self.pe, array.0, addr, memo) {
             Ok((v, kind, hops)) => {
+                *self.remote += u64::from(kind == AccessKind::RemoteRead);
                 self.obs.read(self.pe, array.0, addr, kind, hops);
                 Ok(v)
             }
@@ -191,6 +210,19 @@ pub fn run<O: Observer>(
     cfg: &MachineConfig,
     obs: &mut O,
 ) -> Result<SimReport, SimError> {
+    run_capped(program, cfg, obs, u64::MAX).map(Capped::uncapped)
+}
+
+/// [`run`], stopping once the run has charged `remote_cap` remote reads
+/// (module docs, § Capped counting): [`Capped::Exceeded`] exactly when
+/// the run's remote reads are at least `remote_cap`, else the full
+/// report. `u64::MAX` is no cap.
+pub(crate) fn run_capped<O: Observer>(
+    program: &Program,
+    cfg: &MachineConfig,
+    obs: &mut O,
+    remote_cap: u64,
+) -> Result<Capped<SimReport>, SimError> {
     let specs: Vec<ArraySpec> = program
         .arrays
         .iter()
@@ -214,6 +246,7 @@ pub fn run<O: Observer>(
     )
     .map_err(MachineError::BadConfig)?;
     let mut scalars = vec![0.0; program.scalars.len()];
+    let mut remote = 0u64;
 
     let mut per_nest: Vec<(String, Stats)> = Vec::new();
 
@@ -246,6 +279,9 @@ pub fn run<O: Observer>(
                 for (i, sweep) in ns.sweeps.iter().enumerate() {
                     body.enter(&mut frame, &ns.sweep(i));
                     for t in 0..sweep.trips as i64 {
+                        if remote >= remote_cap {
+                            return Ok(Capped::Exceeded);
+                        }
                         let g = sweep.first + t as u64; // iterations of this nest so far
                         for (si, stmt) in nest.body.iter().enumerate() {
                             // The executing PE (index screening), with the
@@ -265,6 +301,7 @@ pub fn run<O: Observer>(
                                 machine: &mut machine,
                                 pe,
                                 obs: &mut *obs,
+                                remote: &mut remote,
                             };
                             let v = body.value(si, t, &mut frame, &scalars, &mut mem)?;
                             let effect = match stmt {
@@ -309,8 +346,12 @@ pub fn run<O: Observer>(
         }
     }
 
+    if remote >= remote_cap {
+        return Ok(Capped::Exceeded);
+    }
     let (stats, network, arrays) = machine.finish();
-    Ok(SimReport {
+    debug_assert_eq!(remote, stats.remote_reads(), "remote reads miscounted");
+    Ok(Capped::Counted(SimReport {
         stats,
         per_nest,
         scalars,
@@ -318,7 +359,7 @@ pub fn run<O: Observer>(
         network_hops: network.hops,
         max_link_load: network.max_link_load(),
         arrays,
-    })
+    }))
 }
 
 /// The error of a write the machine refused.

@@ -10,7 +10,8 @@
 //!   ([`crate::exec::simulate`]), the compiled access replay
 //!   ([`crate::replay`]), or `auto` (replay when statically classifiable,
 //!   falling back to the interpreter per program — the default everywhere
-//!   counts are all that is needed).
+//!   counts are all that is needed). Every rung stops at a remote-read
+//!   cap ([`Oracle::measure_capped`]).
 //! * [`TimingOracle`] — the §9 execution-time extension
 //!   ([`crate::deferred::estimate_timing`]); fills [`RunRecord::cycles`]
 //!   (the clock rides the interpreter's instance loop, so it always
@@ -25,7 +26,7 @@ use sa_ir::Program;
 use sa_machine::{load_balance, AccessCosts, MachineConfig, Stats};
 
 use crate::deferred::{simulate_timed, TimingError};
-use crate::exec::{simulate, SimError};
+use crate::exec::{run_capped, SimError};
 use crate::plan::{ExperimentPlan, PlanError, RunConfig};
 use crate::replay::{self, Capped, CountReport, ReplayError};
 
@@ -169,9 +170,11 @@ pub trait Oracle: Sync {
 
     /// Measure one grid point, counting only until it has as many remote
     /// reads as the cap (`u64::MAX` is no cap). A backend that stops there
-    /// answers [`Capped::Exceeded`]; one that measures in full (the
-    /// default) answers the record, past the cap or not. So a caller
-    /// reads "at least the cap" from `Exceeded` *or* from a record's
+    /// — [`FastCountingOracle`], on every rung ([`Engine::count_capped`])
+    /// — answers [`Capped::Exceeded`]; one that measures in full (the
+    /// default, kept by [`TimingOracle`] and the thread engine's oracle)
+    /// answers the record, past the cap or not. So a caller reads "at
+    /// least the cap" from `Exceeded` *or* from a record's
     /// `remote_reads`, and that never depends on the backend.
     fn measure_capped(
         &self,
@@ -247,24 +250,34 @@ impl Engine {
     }
 
     /// Count one run on this rung, stopping once it has charged
-    /// `remote_cap` remote reads (`u64::MAX` is no cap). Replay stops
-    /// there ([`replay::counts_capped`]); the interpreter always counts in
-    /// full, past the cap or not. The only place a rung is chosen.
+    /// `remote_cap` remote reads (`u64::MAX` is no cap). Every rung answers
+    /// [`Capped::Exceeded`] exactly when the run's remote reads reach the
+    /// cap, and otherwise the full report: replay
+    /// ([`replay::counts_capped`]) and the interpreter
+    /// ([`crate::exec`], § Capped counting) both stop there. The only
+    /// place a rung is chosen.
+    ///
+    /// A run the interpreter (`interp`, or `auto`'s fallback) rejects
+    /// fails with its exact error uncapped, or under a cap above the
+    /// remote reads charged before the failing instance's trip; under a
+    /// cap at or below them it answers `Exceeded`, having stopped before
+    /// the failing instance.
     ///
     /// `auto` replays and falls back to the interpreter on any replay
-    /// error, so it fails with exactly the error [`simulate`] reports.
-    /// Debug builds simulate its small replayed runs too and assert the
-    /// two agree; large runs rely on the differential test suite, and the
-    /// release path never pays the double cost.
+    /// error, so it fails with exactly the interpreter's error.
+    /// Debug builds simulate its small replayed runs in full too and
+    /// assert the two agree; large runs rely on the differential test
+    /// suite, and the release path never pays the double cost.
     pub fn count_capped(
         self,
         program: &Program,
         cfg: &MachineConfig,
         remote_cap: u64,
     ) -> Result<Capped<CountReport>, CountError> {
-        let interp = || match simulate(program, cfg) {
-            Ok(rep) => Ok(Capped::Counted(CountReport::from_sim(&rep))),
-            Err(e) => Err(CountError::Sim(e)),
+        let interp = || {
+            run_capped(program, cfg, &mut (), remote_cap)
+                .map(|capped| capped.map(|rep| CountReport::from_sim(&rep)))
+                .map_err(CountError::Sim)
         };
         match self {
             Engine::Interp => interp(),
@@ -278,8 +291,7 @@ impl Engine {
                     Ok(capped)
                 }
                 // Invalid configs fall through to the interpreter too, so
-                // the caller sees exactly the error `simulate` would have
-                // produced.
+                // the caller sees exactly the interpreter's error.
                 Err(_) => interp(),
             },
         }
@@ -299,7 +311,8 @@ fn cross_check(
     if program.instance_count() > 20_000 {
         return Ok(());
     }
-    let sim = CountReport::from_sim(&simulate(program, cfg).map_err(CountError::Sim)?);
+    let sim = crate::exec::simulate(program, cfg).map_err(CountError::Sim)?;
+    let sim = CountReport::from_sim(&sim);
     let remote = sim.stats.remote_reads();
     match capped {
         Capped::Counted(rep) => {
@@ -356,10 +369,7 @@ impl Oracle for FastCountingOracle {
         let capped = self
             .engine
             .count_capped(program, &cfg.machine(), remote_cap)?;
-        Ok(match capped {
-            Capped::Counted(rep) => Capped::Counted(RunRecord::of_report(cfg, &rep, None)),
-            Capped::Exceeded => Capped::Exceeded,
-        })
+        Ok(capped.map(|rep| RunRecord::of_report(cfg, &rep, None)))
     }
 }
 
@@ -463,7 +473,9 @@ pub fn speedup_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::simulate;
     use sa_ir::index::iv;
+    use sa_ir::program::ArrayInit;
     use sa_ir::{InitPattern, ProgramBuilder};
 
     fn tiny() -> Program {
@@ -524,6 +536,42 @@ mod tests {
                 matches!(&err, Err(OracleError::Sim(e)) if *e == sim),
                 "{err:?}"
             );
+        }
+    }
+
+    #[test]
+    fn a_failing_run_stops_at_a_cap_its_earlier_trips_reach() {
+        // SA004: `T` is defined on its first 47 cells only, so instance 47
+        // fails. Cache-less 8-element pages on 4 PEs make `Y(k+1)` remote
+        // where `k + 1` starts a page: instances 7, 15, …, 39 charge 5
+        // remote reads, and the failing instance a sixth before its read
+        // of `T(47)`.
+        let mut b = ProgramBuilder::new("dangling");
+        let y = b.input("Y", &[65], InitPattern::Wavy);
+        let pattern = InitPattern::Linear {
+            base: 0.0,
+            step: 1.0,
+        };
+        let t = b.array_with("T", &[64], ArrayInit::Prefix { pattern, len: 47 });
+        let x = b.output("X", &[64]);
+        b.nest("s", &[("k", 0, 63)], |nb| {
+            nb.assign(
+                x,
+                [iv(0)],
+                nb.read(y, [iv(0).plus(1)]) + nb.read(t, [iv(0)]),
+            );
+        });
+        let p = b.finish();
+        let cfg = MachineConfig::new(4, 8).with_cache_elems(0);
+        let err = simulate(&p, &cfg).unwrap_err();
+        assert_eq!(err.to_string(), "IR error: read of undefined cell T[47]");
+        for cap in [0, 1, 5] {
+            let capped = Engine::Interp.count_capped(&p, &cfg, cap);
+            assert_eq!(capped, Ok(Capped::Exceeded), "cap {cap}");
+        }
+        for cap in [6, 7, u64::MAX] {
+            let capped = Engine::Interp.count_capped(&p, &cfg, cap);
+            assert_eq!(capped, Err(CountError::Sim(err.clone())), "cap {cap}");
         }
     }
 

@@ -246,6 +246,14 @@ impl<T> Capped<T> {
             Capped::Exceeded => unreachable!("an uncapped run is counted"),
         }
     }
+
+    /// The counts of a counted run mapped by `f`.
+    pub fn map<U>(self, f: impl FnOnce(T) -> U) -> Capped<U> {
+        match self {
+            Capped::Counted(counts) => Capped::Counted(f(counts)),
+            Capped::Exceeded => Capped::Exceeded,
+        }
+    }
 }
 
 /// Why a program could not be lowered to the replay model.

@@ -911,7 +911,7 @@ fn capped_score(remote: u64, total: u64, term: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle::Engine;
+    use crate::oracle::{Engine, TimingOracle};
     use sa_ir::index::iv;
     use sa_ir::{InitPattern, ProgramBuilder};
     use sa_machine::NetworkTopology;
@@ -1015,18 +1015,18 @@ mod tests {
 
     #[test]
     fn memo_oracle_keeps_a_full_measurement_made_under_a_cap() {
-        // The default `measure_capped` measures in full: past the cap or
-        // not, the record is kept and answers a later uncapped query.
-        let memo = MemoOracle::new(Box::new(FastCountingOracle::with_engine(Engine::Interp)));
+        // The default `measure_capped`, which the timing oracle keeps,
+        // measures in full: past the cap or not, the record is kept and
+        // answers a later uncapped query.
+        let memo = MemoOracle::new(Box::new(TimingOracle::default()));
         let p = stream(256);
         let cfg = RunConfig {
             n_pes: 4,
             page_size: 8,
             ..RunConfig::default()
         };
-        let full = FastCountingOracle::with_engine(Engine::Interp)
-            .measure(&p, &cfg)
-            .unwrap();
+        let full = TimingOracle::default().measure(&p, &cfg).unwrap();
+        assert!(full.remote_reads > 1, "the stream reads across PEs");
         let (answer, hit) = memo.measure_capped_tracked(&p, &cfg, 1);
         assert!(!hit);
         assert_eq!(answer.unwrap(), Capped::Counted(full.clone()));
@@ -1034,6 +1034,36 @@ mod tests {
         assert!(hit);
         assert_eq!(rec.unwrap(), full);
         assert_eq!((memo.hits(), memo.misses()), (1, 1));
+    }
+
+    #[test]
+    fn a_search_whose_every_run_fails_reports_the_interpreters_error() {
+        // SA004 under every placement: `T` is never written. The first
+        // candidate is measured without a cap (`Walk::remote_cap`: there
+        // is no incumbent yet), so the interpreter runs it to its error.
+        let mut b = ProgramBuilder::new("dangling");
+        let y = b.input("Y", &[257], InitPattern::Wavy);
+        let t = b.output("T", &[256]);
+        let x = b.output("X", &[256]);
+        b.nest("s", &[("k", 0, 255)], |nb| {
+            nb.assign(
+                x,
+                [iv(0)],
+                nb.read(y, [iv(0).plus(1)]) + nb.read(t, [iv(0)]),
+            );
+        });
+        let p = b.finish();
+        let want = crate::exec::simulate(&p, &RunConfig::default().machine()).unwrap_err();
+        let s = Searcher::new(
+            &SearchSpace::default(),
+            Box::new(FastCountingOracle::with_engine(Engine::Interp)),
+            StrategyParams::default(),
+        )
+        .unwrap();
+        match s.search(&p) {
+            Err(PlanError::Oracle(OracleError::Sim(e))) => assert_eq!(e, want),
+            other => panic!("expected the interpreter's error, got {other:?}"),
+        }
     }
 
     #[test]

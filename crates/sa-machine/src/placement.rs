@@ -273,27 +273,34 @@ impl Placement {
     /// also return to an owner after leaving it. A range reaching past the
     /// array's last page gets 0.
     pub fn same_owner_run(&self, plo: usize, phi: usize, step: i64) -> u64 {
-        let (ps, t) = (self.page_size as i128, &self.tiling);
-        let moved = i128::from(step) * ps;
-        if step == 0 || self.period().is_some_and(|p| moved % p as i128 == 0) {
+        let (ps, t) = (self.page_size as u64, &self.tiling);
+        let steps = step.unsigned_abs();
+        // A period is a whole number of pages.
+        let periods = |p: usize| steps.is_multiple_of(p as u64 / ps);
+        if step == 0 || self.period().is_some_and(periods) {
             return u64::MAX;
         }
-        if plo > phi || phi >= t.pages || (t.per_row > 1 && moved % t.strip as i128 != 0) {
+        // A move of more elements than a u64 holds leaves the array.
+        let Some(moved) = steps.checked_mul(ps) else {
+            return 0;
+        };
+        if plo > phi || phi >= t.pages || (t.per_row > 1 && !moved.is_multiple_of(t.strip as u64)) {
             return 0;
         }
-        let (ps, band) = (ps as u128, t.band as u128);
-        let row = plo as u128 * ps / band;
-        if phi as u128 * ps / band != row {
+        let band = t.band as u64;
+        let row = plo as u64 * ps / band;
+        if phi as u64 * ps / band != row {
             return 0;
         }
         // The pages whose first element lies in tile row `row`.
-        let (first, end) = ((row * band).div_ceil(ps), ((row + 1) * band).div_ceil(ps));
+        let first = (row * band).div_ceil(ps);
+        let end = (row * band).saturating_add(band).div_ceil(ps);
         let room = if step > 0 {
-            end - 1 - phi as u128
+            end - 1 - phi as u64
         } else {
-            plo as u128 - first
+            plo as u64 - first
         };
-        u64::try_from(room / u128::from(step.unsigned_abs())).unwrap_or(u64::MAX - 1)
+        room / steps
     }
 
     /// The PEs owning pages `plo..=phi`: the run of PEs the tiles holding
@@ -1304,6 +1311,14 @@ mod tests {
                                 if banded && inside(j) && j as u64 == run + 1 {
                                     assert!(!keeps(j), "{at}: the run ends early at {run}");
                                 }
+                            }
+                            // Steps whose move overflows a u64 at pages of 2 or
+                            // more leave the array unless they are periods.
+                            for step in [i64::MAX, i64::MIN, i64::MIN + 1] {
+                                let run = pl.same_owner_run(plo as usize, phi as usize, step);
+                                let whole = period > 0 && step % period == 0;
+                                let want = if whole { u64::MAX } else { 0 };
+                                assert_eq!(run, want, "{scheme:?} {shape:?} {n}x{ps} by {step}");
                             }
                         }
                     }

@@ -16,7 +16,8 @@
 //! 4. **Capped replay is exact** — under a remote-read cap, replay says
 //!    `Exceeded` exactly when the run's remote reads reach the cap, and
 //!    below it counts everything the uncapped run does; on the ladder,
-//!    the replay and auto rungs stop there and the interp rung never does.
+//!    every rung stops there, a run with no reads or no instances at a
+//!    cap of 0 included.
 //! 5. **Hand-counted kernels** — cache-less counts worked out by hand
 //!    (a skewed read, reduction partials, block placement with a reinit)
 //!    are what both engines print, and an out-of-bounds sweep hidden
@@ -365,8 +366,8 @@ fn capped_replay_is_exact_on_every_registry_kernel() {
 }
 
 /// Every rung of the engine ladder at the caps of [`assert_capped_exact`]:
-/// replay and auto answer `Exceeded` exactly when the cap is at most the
-/// run's remote reads `R`, the interpreter always answers the full report.
+/// each answers `Exceeded` exactly when the cap is at most the run's remote
+/// reads `R`, and the full report otherwise.
 fn assert_ladder_capped(label: &str, program: &Program, cfg: &MachineConfig) {
     let full = simulate(program, cfg)
         .map(|sim| replay::CountReport::from_sim(&sim))
@@ -377,7 +378,7 @@ fn assert_ladder_capped(label: &str, program: &Program, cfg: &MachineConfig) {
             let capped = engine
                 .count_capped(program, cfg, cap)
                 .unwrap_or_else(|e| panic!("{label}: {} rejected the program: {e}", engine.name()));
-            let stops = engine != Engine::Interp && cap <= r;
+            let stops = cap <= r;
             match capped {
                 replay::Capped::Exceeded => {
                     assert!(
@@ -400,6 +401,34 @@ fn assert_ladder_capped(label: &str, program: &Program, cfg: &MachineConfig) {
                 }
             }
         }
+    }
+}
+
+#[test]
+fn a_cap_of_zero_is_reached_without_a_read() {
+    // A run's remote reads reach a cap of 0 before its first instance, so
+    // every rung answers `Exceeded` at 0 for a run that reads nothing and
+    // one that runs no instance, and counts both in full at 1.
+    let mut b = ProgramBuilder::new("no-reads");
+    let x = b.output("X", &[64]);
+    b.nest("fill", &[("k", 0, 63)], |nb| {
+        nb.assign(x, [iv(0)], Expr::Const(1.0))
+    });
+    let no_reads = b.finish();
+    let mut b = ProgramBuilder::new("no-instances");
+    let y = b.input("Y", &[64], InitPattern::Wavy);
+    let x = b.output("X", &[64]);
+    b.nest("empty", &[("k", 0, -1)], |nb| {
+        nb.assign(x, [iv(0)], nb.read(y, [iv(0)]))
+    });
+    let no_instances = b.finish();
+    assert_eq!(no_instances.instance_count(), 0);
+    let cfg = MachineConfig::new(4, 16);
+    for p in [&no_reads, &no_instances] {
+        let sim = simulate(p, &cfg).unwrap();
+        assert_eq!(sim.stats.total_reads(), 0, "{}", p.name);
+        // Caps 0, 1 and `u64::MAX` on every rung.
+        assert_ladder_capped(&p.name, p, &cfg);
     }
 }
 
